@@ -66,8 +66,8 @@ func EstimateMemoryBytesPerDevice(g *graph.Graph, cfg Config) int64 {
 // trainer's per-device footprint at full scale without building one:
 // replicated model state, the degree-ordered feature-cache slab
 // (CacheFrac of the full vertex set), and every pipeline slab at its
-// provable frontier-capacity size (sample.FrontierCaps), including one
-// gathered-feature slab per handoff slot.
+// provable frontier-capacity size (sample.FrontierCaps) — the same at
+// either pipeline depth.
 func EstimateSampledMemoryBytesPerDevice(g *graph.Graph, cfg SampledConfig) int64 {
 	n := g.N() * maxInt(cfg.MemScale, 1)
 	caps := sample.FrontierCaps(n, cfg.Batch, cfg.Fanouts)

@@ -17,9 +17,10 @@ import (
 // counterpart of trainer.go's full-batch step, built from the same
 // record-then-replay machinery. Each device runs three stages per step —
 //
-//	sample (StreamSample):  k-hop fanout blocks from the batch's seed
+//	sample (StreamSample):  k-hop fanout blocks from the batch's seed, with
+//	                        the transposes (CSC) the backward pass reads
 //	extract (StreamSample): feature gather through the device's static cache
-//	train (StreamCompute):  per-layer GeMM→SpMM→ReLU forward, loss, backward
+//	train (StreamCompute):  per-layer SpMM→GeMM→ReLU forward, loss, backward
 //	allreduce (StreamComm): per-layer gradient sum across the full group
 //
 // — with a double-buffered handoff slot between the sampler stage and the
@@ -31,15 +32,17 @@ import (
 // (Seed, epoch, batch), so fixed-seed runs are bit-identical at any replay
 // parallelism — the same parity bar the full-batch trainer meets.
 //
+// Layers run aggregate-then-transform, AH_l = A_l·h_l then z_l = AH_l·W_l:
+// a block's destination frontier is a subset of its source frontier, so
+// this is §4.4's cheaper order on every block (DESIGN.md §8 has the
+// inequality), every GeMM runs over destination rows, and the backward pass
+// (W_G = AH_lᵀ·G, t = G·W_lᵀ over AH_l, G ← A_lᵀ·t) needs no SpMM at layer 0.
+//
 // All dense intermediates live in registered per-device slabs sized by the
 // provable frontier caps (sample.FrontierCaps), the sampled analogue of the
-// §4.2 buffer set: L+3 slabs (HW, G, OUT_1..L, cache) plus one gathered-
-// feature slab per handoff slot. Layers run transform-then-aggregate
-// (y = H·W, then Z = A·y) — equal to aggregate-then-transform by
-// associativity — so one shared HW slab carries every GeMM/SpMMᵀ
-// intermediate at width F_{l+1}; the price is one extra backward SpMM at
-// layer 0 (the full-batch §4.4 trade in reverse). internal/memcheck
-// certifies this slab set's peak statically.
+// §4.2 buffer set: 2L+3 slabs (cache, X, G, AH_0..L-1, OUT_1..L), the same
+// at either pipeline depth. internal/memcheck certifies this slab set's
+// peak statically.
 
 // SampledConfig selects the machine, parallelism and sampling schedule of a
 // sampled minibatch run.
@@ -110,56 +113,46 @@ func DefaultSampledConfig(spec sim.MachineSpec, p, memScale int) SampledConfig {
 // counterpart of DeviceBuffers. Capacities come from the frontier caps, so
 // any batch the epoch plan can produce fits:
 //
-//	HW:     max_l caps[l]·F_{l+1} — GeMM output y = H·W (forward) and
-//	        SpMMᵀ gradient u = Aᵀ·G (backward), both at width F_{l+1}
-//	G:      max_{l≥1} caps[l]·F_l — the gradient flowing down the layers
-//	OUT[l]: caps[l+1]·F_{l+1}    — layer l's post-aggregation output h_{l+1}
-//	X[k]:   caps[0]·F_0          — gathered input features, one per handoff
-//	                               slot so the pipelined extract never
-//	                               clobbers features the trainer still reads
+//	X:      caps[0]·F_0           — gathered input features h_0. Only the
+//	                                layer-0 SpMM reads it, so one slab serves
+//	                                both handoff slots: extract(s) waits for
+//	                                step s-1's layer-0 SpMM
+//	AH[l]:  caps[l+1]·F_l         — the aggregate A_l·h_l, kept for the
+//	                                weight gradient, then overwritten by
+//	                                t = G·W_lᵀ
+//	G:      max_l caps[l+1]·F_{l+1} — the gradient flowing down the layers
+//	OUT[l]: caps[l+1]·F_{l+1}     — layer l's output h_{l+1}
 type sampledBuffers struct {
-	HW  *Buffer
+	X   *Buffer
+	AH  []*Buffer
 	G   *Buffer
 	OUT []*Buffer
-	X   []*Buffer
 }
 
 // newSampledBuffers allocates the slab set on pool for device dev, where
 // caps are the frontier bounds (len L+1) and dims the layer widths.
-func newSampledBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, caps, dims []int, depth int) (*sampledBuffers, error) {
+func newSampledBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, caps, dims []int) (*sampledBuffers, error) {
 	L := len(dims) - 1
-	var hwCap, gCap int64
+	var gCap int64
 	for l := 0; l < L; l++ {
-		if c := int64(caps[l]) * int64(dims[l+1]); c > hwCap {
-			hwCap = c
-		}
-		if c := int64(caps[l+1]) * int64(dims[l+1]); c > gCap {
-			gCap = c
-		}
+		gCap = max(gCap, int64(caps[l+1])*int64(dims[l+1]))
 	}
-	b := &sampledBuffers{}
+	b := &sampledBuffers{AH: make([]*Buffer, L), OUT: make([]*Buffer, L)}
 	var err error
-	if b.HW, err = newBuffer(reg, dev, pool, "buf/HW", hwCap, false); err != nil {
+	if b.X, err = newBuffer(reg, dev, pool, "buf/x", int64(caps[0])*int64(dims[0]), false); err != nil {
 		return nil, err
 	}
 	if b.G, err = newBuffer(reg, dev, pool, "buf/G", gCap, false); err != nil {
 		return nil, err
 	}
 	for l := 0; l < L; l++ {
-		buf, err := newBuffer(reg, dev, pool, fmt.Sprintf("buf/OUT%d", l+1),
-			int64(caps[l+1])*int64(dims[l+1]), false)
-		if err != nil {
+		rows := int64(caps[l+1])
+		if b.AH[l], err = newBuffer(reg, dev, pool, fmt.Sprintf("buf/AH%d", l), rows*int64(dims[l]), false); err != nil {
 			return nil, err
 		}
-		b.OUT = append(b.OUT, buf)
-	}
-	for k := 0; k < depth; k++ {
-		buf, err := newBuffer(reg, dev, pool, fmt.Sprintf("buf/x%d", k),
-			int64(caps[0])*int64(dims[0]), false)
-		if err != nil {
+		if b.OUT[l], err = newBuffer(reg, dev, pool, fmt.Sprintf("buf/OUT%d", l+1), rows*int64(dims[l+1]), false); err != nil {
 			return nil, err
 		}
-		b.X = append(b.X, buf)
 	}
 	return b, nil
 }
@@ -191,6 +184,10 @@ type SampledTrainer struct {
 	// it, so a missing double-buffer dependency shows up as an unordered
 	// conflicting access in san.Check.
 	slotBufs [][]sim.BufID
+	// samplers[d][k] builds handoff slot k's blocks on device d into storage
+	// it reuses every step; labels[d] is the loss task's label scratch.
+	samplers [][]*sample.Sampler
+	labels   [][]int32
 
 	degrees    []int64
 	avgDeg     float64
@@ -234,6 +231,9 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	if cfg.Batch < 1 {
 		return nil, fmt.Errorf("core: batch %d < 1", cfg.Batch)
 	}
+	if cfg.Hidden < 1 {
+		return nil, fmt.Errorf("core: hidden width %d < 1", cfg.Hidden)
+	}
 	if cfg.CacheFrac < 0 || cfg.CacheFrac > 1 {
 		return nil, fmt.Errorf("core: cache fraction %v outside [0,1]", cfg.CacheFrac)
 	}
@@ -259,10 +259,7 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	fv := *g.Features
 	tr.feat = &fv
 	registerDense(tr.reg, "host/x", tr.feat)
-	depth := 1
-	if cfg.Pipeline {
-		depth = 2
-	}
+	depth := tr.depth()
 	for d := 0; d < machine.P; d++ {
 		if err := machine.Pools[d].Alloc("model", tr.paramCount*4*4); err != nil {
 			return nil, err
@@ -285,16 +282,20 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 		// in the live-slab universe san.LiveHighWater and memcheck count.
 		registerDense(tr.reg, fmt.Sprintf("d%d/buf/cache", d), cache.Slab)
 		tr.caches = append(tr.caches, cache)
-		bufs, err := newSampledBuffers(tr.reg, d, machine.Pools[d], tr.caps, tr.Dims, depth)
+		bufs, err := newSampledBuffers(tr.reg, d, machine.Pools[d], tr.caps, tr.Dims)
 		if err != nil {
 			return nil, err
 		}
 		tr.bufs = append(tr.bufs, bufs)
 		var slots []sim.BufID
+		var samplers []*sample.Sampler
 		for k := 0; k < depth; k++ {
 			slots = append(slots, tr.reg.Register(fmt.Sprintf("d%d/slot%d", d, k)))
+			samplers = append(samplers, sample.NewSampler(g.Adj, cfg.Fanouts))
 		}
 		tr.slotBufs = append(tr.slotBufs, slots)
+		tr.samplers = append(tr.samplers, samplers)
+		tr.labels = append(tr.labels, make([]int32, tr.caps[cfg.Layers]))
 	}
 	for v := 0; v < g.N(); v++ {
 		if g.TrainMask == nil || g.TrainMask[v] {
@@ -352,15 +353,6 @@ func (tr *SampledTrainer) frontierEstimate(batchLen int) (verts []int, edges []i
 // replay time; the opaque slot pseudo-buffer is its sanitizer-visible name.
 type slotState struct {
 	blocks []*sample.Block
-}
-
-// frontRows returns frontier l's actual row count for a sampled batch:
-// the source side of block l, or the batch itself for l == L.
-func frontRows(blocks []*sample.Block, l int) int {
-	if l < len(blocks) {
-		return blocks[l].Adj.Cols
-	}
-	return blocks[len(blocks)-1].Adj.Rows
 }
 
 // SampledEpochStats reports one sampled epoch (or, after a mid-epoch
@@ -453,6 +445,7 @@ func (tr *SampledTrainer) runSteps(maxSteps int) (*SampledEpochStats, error) {
 	lossSum := make([]float64, B)
 	correct := make([]int, B)
 	prevAdam := make([][]int, steps) // prevAdam[s][d]
+	spmm0 := make([]int, p)          // spmm0[d]: device d's latest layer-0 SpMM, X's reader
 
 	for s := 0; s < steps; s++ {
 		stepRows := 0
@@ -485,7 +478,6 @@ func (tr *SampledTrainer) runSteps(maxSteps int) (*SampledEpochStats, error) {
 			slotBuf := tr.slotBufs[d][s%depth]
 			slotShape := []sim.ViewShape{sim.OpaqueShape(slotBuf)}
 			bufs := tr.bufs[d]
-			xBuf := bufs.X[s%depth]
 			batch := plan.Batches[b]
 			seed := plan.Seeds[b]
 			verts, edges := tr.frontierEstimate(len(batch))
@@ -502,76 +494,77 @@ func (tr *SampledTrainer) runSteps(maxSteps int) (*SampledEpochStats, error) {
 			if s >= depth {
 				sampDeps = append(sampDeps, prevAdam[s-depth][d])
 			}
-			adj := tr.Graph.Adj
-			fanouts := tr.Cfg.Fanouts
+			sampler := tr.samplers[d][s%depth]
 			sampID := tg.AddStage(d, sim.StreamSample, sim.KindSample,
 				fmt.Sprintf("s%d/sample", s), -1,
 				spec.SampleCost(int64(tr.sc(int(totalEdges)))), true, sampDeps...)
 			tg.BindShaped(sampID, nil, slotShape, func() {
-				slot.blocks = sample.BuildBlocks(adj, batch, fanouts, seed)
+				slot.blocks = sampler.Build(batch, seed)
 			})
 
 			// --- Sampler stage: extract (feature gather through cache into
-			// the slot's gathered-feature slab) ---
+			// the device's one staging slab) ---
+			// X's only reader is the layer-0 SpMM, so the slab is free again
+			// once step s-1's has run; the slots double-buffer the blocks.
+			extDeps := []int{sampID}
+			if s > 0 {
+				extDeps = append(extDeps, spmm0[d])
+			}
 			cache := tr.caches[d]
 			meter := tr.Cfg.CommMeter
 			feat := tr.feat
 			expHit := int64(float64(tr.sc(verts[0])) * cache.MassFraction)
 			extID := tg.AddStage(d, sim.StreamSample, sim.KindExtract,
 				fmt.Sprintf("s%d/extract", s), -1,
-				spec.GatherCost(expHit, int64(tr.sc(verts[0]))-expHit, d0), true, sampID)
+				spec.GatherCost(expHit, int64(tr.sc(verts[0]))-expHit, d0), true, extDeps...)
 			tg.BindShaped(extID,
 				append(sim.ShapesOf(cache.Slab, feat), sim.OpaqueShape(slotBuf)),
-				append(slotShape, sim.OpaqueShape(xBuf.id)), func() {
+				append(slotShape, sim.OpaqueShape(bufs.X.id)), func() {
 					src := slot.blocks[0].Src
-					h0 := xBuf.View(len(src), d0)
+					h0 := bufs.X.View(len(src), d0)
 					hit, miss := cache.Gather(h0, feat, src)
 					meter.Add(sim.CollGatherHit, int64(hit)*int64(d0))
 					meter.Add(sim.CollGatherMiss, int64(miss)*int64(d0))
 				})
 
-			// --- Trainer stage: forward (transform-then-aggregate) ---
-			// hBuf(l) is layer l's input slab: the slot's gathered features
-			// for l == 0, the previous layer's OUT slab after.
-			hBuf := func(l int) *Buffer {
-				if l == 0 {
-					return xBuf
-				}
-				return bufs.OUT[l-1]
-			}
+			// --- Trainer stage: forward (aggregate-then-transform) ---
 			prev := extID
 			for l := 0; l < L; l++ {
 				l := l
 				dIn, dOut := tr.Dims[l], tr.Dims[l+1]
 				w := tr.weights[d][l]
-				in := hBuf(l)
-				gemmID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/fwd%d/gemm", s, l), -1,
-					spec.GemmCost(tr.sc(verts[l]), dIn, dOut), false, prev)
-				tg.BindShaped(gemmID,
-					append(sim.ShapesOf(w), sim.OpaqueShape(slotBuf), sim.OpaqueShape(in.id)),
-					[]sim.ViewShape{sim.OpaqueShape(bufs.HW.id)}, func() {
-						rows := frontRows(slot.blocks, l)
-						y := bufs.HW.View(rows, dOut)
-						tensor.ParallelGemm(1, in.View(rows, dIn), w, 0, y, workers)
-					})
+				in := bufs.X
+				if l > 0 {
+					in = bufs.OUT[l-1]
+				}
+				ah, out := bufs.AH[l], bufs.OUT[l]
 				spmmID := tg.AddCompute(d, sim.KindSpMM, fmt.Sprintf("s%d/fwd%d/spmm", s, l), -1,
-					spec.SpMMCost(int64(tr.sc(int(edges[l]))), tr.sc(verts[l+1]), tr.sc(verts[l]), dOut), true, gemmID)
+					spec.SpMMCost(int64(tr.sc(int(edges[l]))), tr.sc(verts[l+1]), tr.sc(verts[l]), dIn), true, prev)
 				tg.BindShaped(spmmID,
-					append(slotShape, sim.OpaqueShape(bufs.HW.id)),
-					[]sim.ViewShape{sim.OpaqueShape(bufs.OUT[l].id)}, func() {
-						blk := slot.blocks[l]
-						y := bufs.HW.View(blk.Adj.Cols, dOut)
-						z := bufs.OUT[l].View(blk.Adj.Rows, dOut)
-						sparse.ParallelSpMM(blk.Adj, y, 0, z, workers)
+					append(slotShape, sim.OpaqueShape(in.id)),
+					[]sim.ViewShape{sim.OpaqueShape(ah.id)}, func() {
+						adj := slot.blocks[l].Adj
+						sparse.ParallelSpMM(adj, in.View(adj.Cols, dIn), 0, ah.View(adj.Rows, dIn), workers)
 					})
-				prev = spmmID
+				if l == 0 {
+					spmm0[d] = spmmID
+				}
+				gemmID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/fwd%d/gemm", s, l), -1,
+					spec.GemmCost(tr.sc(verts[l+1]), dIn, dOut), false, spmmID)
+				tg.BindShaped(gemmID,
+					append(sim.ShapesOf(w), sim.OpaqueShape(slotBuf), sim.OpaqueShape(ah.id)),
+					[]sim.ViewShape{sim.OpaqueShape(out.id)}, func() {
+						rows := slot.blocks[l].Adj.Rows
+						tensor.ParallelGemm(1, ah.View(rows, dIn), w, 0, out.View(rows, dOut), workers)
+					})
+				prev = gemmID
 				if l < L-1 {
 					reluID := tg.AddCompute(d, sim.KindActivation, fmt.Sprintf("s%d/fwd%d/relu", s, l), -1,
 						spec.ElementwiseCost(int64(tr.sc(verts[l+1]))*int64(dOut), 1), true, prev)
 					tg.BindShaped(reluID,
-						append(slotShape, sim.OpaqueShape(bufs.OUT[l].id)),
-						[]sim.ViewShape{sim.OpaqueShape(bufs.OUT[l].id)}, func() {
-							z := bufs.OUT[l].View(frontRows(slot.blocks, l+1), dOut)
+						append(slotShape, sim.OpaqueShape(out.id)),
+						[]sim.ViewShape{sim.OpaqueShape(out.id)}, func() {
+							z := out.View(slot.blocks[l].Adj.Rows, dOut)
 							tensor.ReLU(z, z)
 						})
 					prev = reluID
@@ -581,6 +574,7 @@ func (tr *SampledTrainer) runSteps(maxSteps int) (*SampledEpochStats, error) {
 			// --- Loss: sum over the batch, gradient scaled 1/stepRows so
 			// the all-reduced sum is the exact step-mean gradient. ---
 			labels := tr.Graph.Labels
+			labelBuf := tr.labels[d]
 			norm := stepRows
 			lossID := tg.AddCompute(d, sim.KindLoss, fmt.Sprintf("s%d/loss", s), -1,
 				spec.LossCost(tr.sc(len(batch)), classes), true, prev)
@@ -589,7 +583,7 @@ func (tr *SampledTrainer) runSteps(maxSteps int) (*SampledEpochStats, error) {
 				[]sim.ViewShape{sim.OpaqueShape(bufs.G.id)}, func() {
 					dst := slot.blocks[L-1].Dst
 					logits := bufs.OUT[L-1].View(len(dst), classes)
-					lb := make([]int32, len(dst))
+					lb := labelBuf[:len(dst)]
 					for i, v := range dst {
 						lb[i] = labels[v]
 					}
@@ -599,63 +593,59 @@ func (tr *SampledTrainer) runSteps(maxSteps int) (*SampledEpochStats, error) {
 				})
 			prev = lossID
 
-			// --- Backward: per layer mask → SpMMᵀ → wgrad (+ hgrad). The
-			// transpose SpMM u = A_lᵀ·G runs at every layer including l == 0
-			// (the transform-then-aggregate trade: wgrad needs ∂/∂y_l, not
-			// ∂/∂(A·h)_l), reusing the HW slab for u. ---
+			// --- Backward: per layer mask → wgrad → (hgrad → SpMMᵀ). G holds
+			// ∂/∂z_l on the destination frontier: the weight gradient reads
+			// AH_l against it, t = G·W_lᵀ then takes AH_l's place, and
+			// G ← A_lᵀ·t carries the gradient to the source frontier. Layer 0
+			// has nothing below it to propagate to, so it stops at wgrad. ---
 			for l := L - 1; l >= 0; l-- {
 				l := l
 				dIn, dOut := tr.Dims[l], tr.Dims[l+1]
+				ah, out := bufs.AH[l], bufs.OUT[l]
 				if l < L-1 {
 					// Mask the gradient in place by the forward activation.
 					reluID := tg.AddCompute(d, sim.KindActivation, fmt.Sprintf("s%d/bwd%d/relu", s, l), -1,
 						spec.ElementwiseCost(int64(tr.sc(verts[l+1]))*int64(dOut), 2), true, prev)
 					tg.BindShaped(reluID,
-						append(slotShape, sim.OpaqueShape(bufs.OUT[l].id), sim.OpaqueShape(bufs.G.id)),
+						append(slotShape, sim.OpaqueShape(out.id), sim.OpaqueShape(bufs.G.id)),
 						[]sim.ViewShape{sim.OpaqueShape(bufs.G.id)}, func() {
-							rows := frontRows(slot.blocks, l+1)
+							rows := slot.blocks[l].Adj.Rows
 							g := bufs.G.View(rows, dOut)
-							tensor.ReLUBackward(g, g, bufs.OUT[l].View(rows, dOut))
+							tensor.ReLUBackward(g, g, out.View(rows, dOut))
 						})
 					prev = reluID
 				}
-				spmmID := tg.AddCompute(d, sim.KindSpMM, fmt.Sprintf("s%d/bwd%d/spmm", s, l), -1,
-					spec.SpMMCost(int64(tr.sc(int(edges[l]))), tr.sc(verts[l]), tr.sc(verts[l+1]), dOut), true, prev)
-				tg.BindShaped(spmmID,
-					append(slotShape, sim.OpaqueShape(bufs.G.id)),
-					[]sim.ViewShape{sim.OpaqueShape(bufs.HW.id)}, func() {
-						blk := slot.blocks[l]
-						g := bufs.G.View(blk.Adj.Rows, dOut)
-						u := bufs.HW.View(blk.Adj.Cols, dOut)
-						sparse.ParallelSpMM(blk.Adj.Transpose(), g, 0, u, workers)
-					})
 				w := tr.weights[d][l]
 				grad := tr.grads[d][l]
-				in := hBuf(l)
 				wgID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/bwd%d/wgrad", s, l), -1,
-					spec.GemmCost(dIn, tr.sc(verts[l]), dOut), false, spmmID)
+					spec.GemmCost(dIn, tr.sc(verts[l+1]), dOut), false, prev)
 				tg.BindShaped(wgID,
-					append(slotShape, sim.OpaqueShape(bufs.HW.id), sim.OpaqueShape(in.id)),
+					append(slotShape, sim.OpaqueShape(ah.id), sim.OpaqueShape(bufs.G.id)),
 					sim.ShapesOf(grad), func() {
-						rows := frontRows(slot.blocks, l)
-						u := bufs.HW.View(rows, dOut)
-						tensor.ParallelGemmTA(1, in.View(rows, dIn), u, 0, grad, workers)
+						rows := slot.blocks[l].Adj.Rows
+						tensor.ParallelGemmTA(1, ah.View(rows, dIn), bufs.G.View(rows, dOut), 0, grad, workers)
 					})
 				wgradID[l] = append(wgradID[l], wgID)
-				if l > 0 {
-					hgID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/bwd%d/hgrad", s, l), -1,
-						spec.GemmCost(tr.sc(verts[l]), dOut, dIn), false, spmmID)
-					tg.BindShaped(hgID,
-						append(sim.ShapesOf(w), sim.OpaqueShape(slotBuf), sim.OpaqueShape(bufs.HW.id)),
-						[]sim.ViewShape{sim.OpaqueShape(bufs.G.id)}, func() {
-							rows := frontRows(slot.blocks, l)
-							u := bufs.HW.View(rows, dOut)
-							tensor.ParallelGemmTB(1, u, w, 0, bufs.G.View(rows, dIn), workers)
-						})
-					prev = hgID
-				} else {
-					prev = wgID
+				if l == 0 {
+					break
 				}
+				hgID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/bwd%d/hgrad", s, l), -1,
+					spec.GemmCost(tr.sc(verts[l+1]), dOut, dIn), false, wgID)
+				tg.BindShaped(hgID,
+					append(sim.ShapesOf(w), sim.OpaqueShape(slotBuf), sim.OpaqueShape(bufs.G.id)),
+					[]sim.ViewShape{sim.OpaqueShape(ah.id)}, func() {
+						rows := slot.blocks[l].Adj.Rows
+						tensor.ParallelGemmTB(1, bufs.G.View(rows, dOut), w, 0, ah.View(rows, dIn), workers)
+					})
+				spmmID := tg.AddCompute(d, sim.KindSpMM, fmt.Sprintf("s%d/bwd%d/spmm", s, l), -1,
+					spec.SpMMCost(int64(tr.sc(int(edges[l]))), tr.sc(verts[l]), tr.sc(verts[l+1]), dIn), true, hgID)
+				tg.BindShaped(spmmID,
+					append(slotShape, sim.OpaqueShape(ah.id)),
+					[]sim.ViewShape{sim.OpaqueShape(bufs.G.id)}, func() {
+						at := slot.blocks[l].AdjT
+						sparse.ParallelSpMM(at, ah.View(at.Cols, dIn), 0, bufs.G.View(at.Rows, dIn), workers)
+					})
+				prev = spmmID
 			}
 		}
 
@@ -767,9 +757,11 @@ func (tr *SampledTrainer) Train(epochs int) ([]*SampledEpochStats, error) {
 }
 
 // valAccuracy evaluates the current model on the validation vertices with a
-// host-side sampled forward using device 0's replica (replicas are
-// identical at epoch boundaries). Validation batches run in natural order
-// at the training batch size; their sampler seeds come from
+// sampled forward on device 0 (replicas are identical at epoch boundaries),
+// outside the task graph: the replay is over, so the device's sampler, cache
+// and slabs are idle, and it runs the training step's forward — same
+// kernels, same layer order — through them. Validation batches run in
+// natural order at the training batch size; their sampler seeds come from
 // SplitSeed(seed, epoch, -2-b), disjoint from both the epoch shuffle (-1)
 // and every training batch (b >= 0), so tracking validation never perturbs
 // the training pipeline's sampling stream or its determinism.
@@ -779,32 +771,26 @@ func (tr *SampledTrainer) valAccuracy(epoch int) float64 {
 		return 0
 	}
 	L := tr.Cfg.Layers
-	ws := tr.weights[0]
+	ws, bufs, workers := tr.weights[0], tr.bufs[0], tr.Cfg.Workers
 	totalCorrect := 0
 	for b, lo := 0, 0; lo < len(tr.valVerts); b, lo = b+1, lo+tr.Cfg.Batch {
-		hi := lo + tr.Cfg.Batch
-		if hi > len(tr.valVerts) {
-			hi = len(tr.valVerts)
-		}
+		hi := min(lo+tr.Cfg.Batch, len(tr.valVerts))
 		seed := sample.SplitSeed(tr.Cfg.Seed, epoch, -2-b)
-		blocks := sample.BuildBlocks(tr.Graph.Adj, tr.valVerts[lo:hi], tr.Cfg.Fanouts, seed)
-		h := tensor.NewDense(len(blocks[0].Src), tr.Dims[0])
-		for i, v := range blocks[0].Src {
-			copy(h.Row(i), tr.feat.Row(int(v)))
-		}
-		// Transform-then-aggregate, mirroring the device path's layer order.
+		blocks := tr.samplers[0][0].Build(tr.valVerts[lo:hi], seed)
+		h := bufs.X.View(len(blocks[0].Src), tr.Dims[0])
+		tr.caches[0].Gather(h, tr.feat, blocks[0].Src)
 		for l := 0; l < L; l++ {
-			y := tensor.NewDense(blocks[l].Adj.Cols, tr.Dims[l+1])
-			tensor.Gemm(1, h, ws[l], 0, y)
-			z := tensor.NewDense(blocks[l].Adj.Rows, tr.Dims[l+1])
-			sparse.SpMM(blocks[l].Adj, y, 0, z)
+			adj := blocks[l].Adj
+			ah := bufs.AH[l].View(adj.Rows, tr.Dims[l])
+			sparse.ParallelSpMM(adj, h, 0, ah, workers)
+			h = bufs.OUT[l].View(adj.Rows, tr.Dims[l+1])
+			tensor.ParallelGemm(1, ah, ws[l], 0, h, workers)
 			if l < L-1 {
-				tensor.ReLU(z, z)
+				tensor.ReLU(h, h)
 			}
-			h = z
 		}
 		dst := blocks[L-1].Dst
-		lb := make([]int32, len(dst))
+		lb := tr.labels[0][:len(dst)]
 		for i, v := range dst {
 			lb[i] = tr.Graph.Labels[v]
 		}

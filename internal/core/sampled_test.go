@@ -1,11 +1,19 @@
 package core
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"mggcn/internal/comm"
+	"mggcn/internal/graph"
+	"mggcn/internal/nn"
+	"mggcn/internal/sample"
 	"mggcn/internal/san"
 	"mggcn/internal/sim"
+	"mggcn/internal/sparse"
+	"mggcn/internal/tensor"
 )
 
 func testSampledConfig(p int) SampledConfig {
@@ -234,11 +242,12 @@ func TestSampledPipelineOverlap(t *testing.T) {
 }
 
 // TestSampledLiveHighWater pins the sampled pipeline's live-slab bound, the
-// minibatch analogue of §4.2's L+3: per device the slab set is HW, G, one
-// OUT buffer per layer, the feature cache, and one gathered-feature slab
-// per handoff slot — exactly L+5 buffers simultaneously live with the
-// double-buffered handoff, L+4 without, at every cache fraction (a 0-row
-// cache slab still counts: it is registered and accessed by every extract).
+// minibatch analogue of §4.2's L+3: per device the slab set is the feature
+// cache, the gathered-feature slab, G, and an AH and an OUT buffer per layer
+// — exactly 2L+3 buffers simultaneously live, with the double-buffered
+// handoff or without (the slots double-buffer blocks, not slabs), at every
+// cache fraction (a 0-row cache slab still counts: it is registered and
+// accessed by every extract).
 func TestSampledLiveHighWater(t *testing.T) {
 	for _, pipeline := range []bool{true, false} {
 		for _, frac := range []float64{0, 0.25, 0.5, 1} {
@@ -252,10 +261,7 @@ func TestSampledLiveHighWater(t *testing.T) {
 			if _, err := tr.RunEpoch(); err != nil {
 				t.Fatal(err)
 			}
-			want := cfg.Layers + 4
-			if pipeline {
-				want = cfg.Layers + 5
-			}
+			want := 2*cfg.Layers + 3
 			hw := san.LiveHighWater(tr.LastGraph())
 			if len(hw) != cfg.P {
 				t.Fatalf("pipeline=%v frac=%v: high-water covers %d devices, want %d", pipeline, frac, len(hw), cfg.P)
@@ -265,6 +271,142 @@ func TestSampledLiveHighWater(t *testing.T) {
 					t.Errorf("pipeline=%v frac=%v %s: %d slab buffers live at once, want exactly %d", pipeline, frac, dev, n, want)
 				}
 			}
+		}
+	}
+}
+
+// hostEpochTransformFirst trains one sampled epoch on the host in the layer
+// order the device path used to run — y = h·W then z = A·y, backward
+// u = Aᵀ·G, W_G = hᵀ·u, G = u·Wᵀ — from one-shot blocks, with the device
+// path's step structure (p batches per step, gradients scaled by the step's
+// row count, one Adam update per step). It returns the epoch's mean loss.
+func hostEpochTransformFirst(g *graph.Graph, cfg SampledConfig, ws []*tensor.Dense, opt *nn.Adam, trainVerts []int32, epoch int) float64 {
+	L := cfg.Layers
+	plan := sample.PlanEpoch(trainVerts, cfg.Batch, cfg.Seed, epoch)
+	var loss float64
+	for lo := 0; lo < len(plan.Batches); lo += cfg.P {
+		step := plan.Batches[lo:min(lo+cfg.P, len(plan.Batches))]
+		stepRows := 0
+		for _, batch := range step {
+			stepRows += len(batch)
+		}
+		grads := make([]*tensor.Dense, L)
+		for l, w := range ws {
+			grads[l] = tensor.NewDense(w.Rows, w.Cols)
+		}
+		for i, batch := range step {
+			blocks := sample.BuildBlocks(g.Adj, batch, cfg.Fanouts, plan.Seeds[lo+i])
+			hs := make([]*tensor.Dense, L+1)
+			hs[0] = tensor.NewDense(len(blocks[0].Src), g.FeatDim)
+			for r, v := range blocks[0].Src {
+				copy(hs[0].Row(r), g.Features.Row(int(v)))
+			}
+			for l := 0; l < L; l++ {
+				y := tensor.NewDense(hs[l].Rows, ws[l].Cols)
+				tensor.Gemm(1, hs[l], ws[l], 0, y)
+				hs[l+1] = tensor.NewDense(blocks[l].Adj.Rows, ws[l].Cols)
+				sparse.SpMM(blocks[l].Adj, y, 0, hs[l+1])
+				if l < L-1 {
+					tensor.ReLU(hs[l+1], hs[l+1])
+				}
+			}
+			dst := blocks[L-1].Dst
+			lb := make([]int32, len(dst))
+			for r, v := range dst {
+				lb[r] = g.Labels[v]
+			}
+			grad := tensor.NewDense(len(dst), g.Classes)
+			loss += nn.SoftmaxCrossEntropySum(hs[L], lb, nil, grad, stepRows)
+			for l := L - 1; l >= 0; l-- {
+				if l < L-1 {
+					tensor.ReLUBackward(grad, grad, hs[l+1])
+				}
+				u := tensor.NewDense(blocks[l].Adj.Cols, ws[l].Cols)
+				sparse.SpMM(blocks[l].Adj.Transpose(), grad, 0, u)
+				tensor.GemmTA(1, hs[l], u, 1, grads[l])
+				grad = tensor.NewDense(u.Rows, ws[l].Rows)
+				tensor.GemmTB(1, u, ws[l], 0, grad)
+			}
+		}
+		opt.Step(ws, grads)
+	}
+	return loss / float64(len(trainVerts))
+}
+
+// TestSampledMatchesTransformFirstReference: aggregate-then-transform is the
+// old transform-then-aggregate by associativity, so the device path's epoch
+// losses must track a host reference in the old order to float
+// re-association (1e-5 relative) over several epochs of training — forward,
+// backward and the layer-0 shortcut all feed the second epoch's loss.
+func TestSampledMatchesTransformFirstReference(t *testing.T) {
+	g := testGraph(t)
+	for _, layers := range []int{1, 2, 3} {
+		cfg := testSampledConfig(2)
+		cfg.Layers = layers
+		cfg.Fanouts = []int{4, 6, 3}[:layers]
+		tr, err := NewSampledTrainer(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := nn.InitWeights(tr.Dims, cfg.Seed)
+		opt := nn.NewAdam(cfg.LR, ws)
+		for epoch := 0; epoch < 3; epoch++ {
+			stats, err := tr.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := hostEpochTransformFirst(g, cfg, ws, opt, tr.trainVerts, epoch)
+			if diff := math.Abs(stats.Loss - want); diff > 1e-5*math.Abs(want) {
+				t.Errorf("L=%d epoch %d: device loss %v, transform-first reference %v (rel %.2g)",
+					layers, epoch, stats.Loss, want, diff/math.Abs(want))
+			}
+		}
+	}
+}
+
+// TestSampledStagingSlabEdgeFlagged: the one gathered-feature slab per
+// device is safe only because extract(s) waits for step s-1's layer-0 SpMM,
+// X's last reader. With the pipelined handoff no other recorded edge orders
+// the two, so deleting that one must make the sanitizer report the
+// write-after-read on X — if it stops doing so, either the declarations went
+// blind or the edge became redundant.
+func TestSampledStagingSlabEdgeFlagged(t *testing.T) {
+	cfg := testSampledConfig(2)
+	cfg.Pipeline = true
+	tr, err := NewSampledTrainer(testGraph(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	tg := tr.LastGraph()
+	if got := san.Check(tg, san.Options{}); len(got) != 0 {
+		t.Fatalf("intact graph has %d conflicts, e.g. %v", len(got), got[0])
+	}
+	cut := 0
+	for _, task := range tg.Tasks {
+		if task.Kind != sim.KindExtract {
+			continue
+		}
+		task.Deps = slices.DeleteFunc(task.Deps, func(dep int) bool {
+			if strings.HasSuffix(tg.Tasks[dep].Label, "/fwd0/spmm") {
+				cut++
+				return true
+			}
+			return false
+		})
+	}
+	if cut == 0 {
+		t.Fatal("no extract task depends on a layer-0 SpMM")
+	}
+	got := san.Check(tg, san.Options{})
+	if len(got) == 0 {
+		t.Fatal("sanitizer reports no conflict with the extract → fwd0/spmm edges deleted")
+	}
+	for _, c := range got {
+		if !strings.HasSuffix(c.Name, "/buf/x") {
+			t.Errorf("unexpected conflict off the staging slab: %v", c)
 		}
 	}
 }

@@ -221,16 +221,18 @@ func gatFootprint(m Model) (*Footprint, error) {
 	return fp, nil
 }
 
-// sampledFootprint certifies the sampled minibatch pipeline. Every slab the
-// device owns — the degree-ordered feature cache, HW, the gradient slab G,
-// one OUT slab per layer, and one gathered-feature slab per handoff slot —
-// is live at the instant "step s, layer-0 weight gradient" for any s with
-// 1 <= s and s + Depth < Steps: each slab was charged by step s or s-1
-// (forced by the sampler stream's FIFO and the Adam chain) and each has a
-// later access gated on step s's Adam. The peak is therefore the full
-// capacity sum, forced in every order; too few steps leave the cache and
-// the second handoff slab releasable early, which is order luck, not a
-// certificate.
+// sampledFootprint certifies the sampled minibatch pipeline's slab set: the
+// degree-ordered feature cache, the gathered-feature slab X, one aggregate
+// slab AH per layer, the gradient slab G and one OUT slab per layer — 2L+3
+// slabs. All of them are live at the instant "step s, layer-0 weight
+// gradient" for any s with s + Depth < Steps: step s has charged every slab
+// by then, and each has a later access gated on step s's Adam — the next
+// step's training tasks through the compute stream's FIFO, and step
+// s+Depth's extract (cache and X) through its sample task's slot-recycle
+// edge. The peak is therefore the full capacity sum, forced in every order;
+// with fewer steps the cache and X can release before the gradient slab is
+// charged, which is order luck, not a certificate. Depth only sets that
+// step threshold: the handoff slots double-buffer the sampled blocks, not X.
 func sampledFootprint(m Model) (*Footprint, error) {
 	layers := len(m.Dims) - 1
 	if layers < 1 {
@@ -242,42 +244,34 @@ func sampledFootprint(m Model) (*Footprint, error) {
 	if m.Depth != 1 && m.Depth != 2 {
 		return nil, fmt.Errorf("memcheck: sampled Depth must be 1 or 2, got %d", m.Depth)
 	}
-	minSteps := 2
-	if m.Depth > 1 {
-		minSteps = m.Depth + 2
-	}
 	uncertified := ""
-	if m.Steps < minSteps {
+	if minSteps := m.Depth + 1; m.Steps < minSteps {
 		uncertified = fmt.Sprintf("sampled at depth %d needs >= %d steps per device for an order-independent slab peak, got %d", m.Depth, minSteps, m.Steps)
 	}
 
-	// HW is sized for the widest GeMM output (frontier l rows at F(l+1)
-	// columns), G for the widest propagated gradient (frontier l+1 rows at
-	// F(l+1) columns). The argmax indices are concrete; the expression
-	// stays symbolic in the chosen V and F atoms.
-	hwIdx, gIdx := 0, 0
+	// G is sized for the widest propagated gradient (frontier l+1 rows at
+	// F(l+1) columns). The argmax index is concrete; the expression stays
+	// symbolic in the chosen V and F atoms.
+	gIdx := 0
 	for l := 1; l < layers; l++ {
-		if int64(m.Caps[l])*int64(m.Dims[l+1]) > int64(m.Caps[hwIdx])*int64(m.Dims[hwIdx+1]) {
-			hwIdx = l
-		}
 		if int64(m.Caps[l+1])*int64(m.Dims[l+1]) > int64(m.Caps[gIdx+1])*int64(m.Dims[gIdx+1]) {
 			gIdx = l
 		}
 	}
 
-	slab := atomC().Mul(atomF(0))
-	slab = slab.Add(atomV(hwIdx).Mul(atomF(hwIdx + 1)))
-	slab = slab.Add(atomV(gIdx + 1).Mul(atomF(gIdx + 1)))
-	for l := 1; l <= layers; l++ {
-		slab = slab.Add(atomV(l).Mul(atomF(l)))
+	slab := atomC().Mul(atomF(0))                         // cache
+	slab = slab.Add(atomV(0).Mul(atomF(0)))               // X
+	slab = slab.Add(atomV(gIdx + 1).Mul(atomF(gIdx + 1))) // G
+	for l := 0; l < layers; l++ {
+		slab = slab.Add(atomV(l + 1).Mul(atomF(l)))     // AH[l]
+		slab = slab.Add(atomV(l + 1).Mul(atomF(l + 1))) // OUT[l]
 	}
-	slab = slab.Add(atomV(0).Mul(atomF(0)).Scale(int64(m.Depth), 1))
 
 	resident := params(layers).Scale(16, 1).Add(slab.Scale(4, 1))
 
 	fp := &Footprint{
 		SlabBytes: slab.Scale(4, 1),
-		SlabCount: layers + 3 + m.Depth,
+		SlabCount: 2*layers + 3,
 		Resident:  resident,
 	}
 	if uncertified != "" {

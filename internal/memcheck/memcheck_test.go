@@ -207,8 +207,8 @@ func TestSampledTripleCrossCheck(t *testing.T) {
 			cfg.Batch = 4
 
 			// Size the batch so every device owns the same number of steps,
-			// at least 4 — enough for the closed form's order-independence
-			// preconditions at either pipeline depth.
+			// exactly Depth+1 where the train split allows — the fewest the
+			// closed form certifies at the pipelined depth.
 			probe, err := core.NewSampledTrainer(g, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -216,13 +216,13 @@ func TestSampledTripleCrossCheck(t *testing.T) {
 			tv := probe.TrainVertexCount()
 			batch := 0
 			for b := tv; b >= 1; b-- {
-				if B := (tv + b - 1) / b; B%p == 0 && B/p >= 4 {
+				if B := (tv + b - 1) / b; B%p == 0 && B/p >= 3 {
 					batch = b
 					break
 				}
 			}
 			if batch == 0 {
-				t.Fatalf("no batch size gives %d train vertices >= 4 equal steps on %d devices", tv, p)
+				t.Fatalf("no batch size gives %d train vertices >= 3 equal steps on %d devices", tv, p)
 			}
 			cfg.Batch = batch
 
@@ -328,9 +328,9 @@ func TestUncertifiedModels(t *testing.T) {
 	check(t, fp, err, true)
 	fp, err = memcheck.PeakForm("sampled", memcheck.Model{Dims: dims2, P: 2, Device: 0, Caps: caps, Depth: 1, Steps: 2})
 	check(t, fp, err, false)
-	fp, err = memcheck.PeakForm("sampled", memcheck.Model{Dims: dims2, P: 2, Device: 0, Caps: caps, Depth: 2, Steps: 3})
+	fp, err = memcheck.PeakForm("sampled", memcheck.Model{Dims: dims2, P: 2, Device: 0, Caps: caps, Depth: 2, Steps: 2})
 	check(t, fp, err, true)
-	fp, err = memcheck.PeakForm("sampled", memcheck.Model{Dims: dims2, P: 2, Device: 0, Caps: caps, Depth: 2, Steps: 4})
+	fp, err = memcheck.PeakForm("sampled", memcheck.Model{Dims: dims2, P: 2, Device: 0, Caps: caps, Depth: 2, Steps: 3})
 	check(t, fp, err, false)
 	fp, err = memcheck.PeakForm("cagnet", memcheck.Model{Dims: dims2, P: 2, Device: 0})
 	check(t, fp, err, true) // phantom cost model: no slab universe at all

@@ -2,7 +2,6 @@ package sample
 
 import (
 	"fmt"
-	"sort"
 
 	"mggcn/internal/graph"
 	"mggcn/internal/nn"
@@ -16,6 +15,10 @@ import (
 // SpMM averages like the full-batch eq. (2).
 type Block struct {
 	Adj *sparse.CSR
+	// AdjT is Adjᵀ (the block in CSC), built with the block so the backward
+	// pass never transposes. The outermost block (blocks[0]) has none: its
+	// sources are input features, which no gradient propagates to.
+	AdjT *sparse.CSR
 	// Src and Dst map local indices to graph vertex ids.
 	Src, Dst []int32
 }
@@ -23,59 +26,10 @@ type Block struct {
 // BuildBlocks materializes the per-layer blocks for one mini-batch: blocks
 // run outermost-first, so blocks[0] consumes raw input features and
 // blocks[len-1] produces the batch vertices. Self-loops are added so a
-// vertex's own representation survives aggregation (GraphSAGE style).
+// vertex's own representation survives aggregation (GraphSAGE style). It is
+// the one-shot form of Sampler.Build: the blocks own their storage.
 func BuildBlocks(adj *sparse.CSR, batch []int32, fanouts []int, seed int64) []*Block {
-	rng := NewRNG(seed)
-	dst := dedup(batch)
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
-	blocks := make([]*Block, len(fanouts))
-	for h := len(fanouts) - 1; h >= 0; h-- {
-		fanout := fanouts[h]
-		if fanout < 1 {
-			panic(fmt.Sprintf("sample: fanout %d < 1", fanout))
-		}
-		srcSet := map[int32]struct{}{}
-		type edge struct{ d, s int32 }
-		var edges []edge
-		for _, v := range dst {
-			srcSet[v] = struct{}{} // self-loop
-			edges = append(edges, edge{v, v})
-			cols, _ := adj.Row(int(v))
-			if len(cols) <= fanout {
-				for _, u := range cols {
-					srcSet[u] = struct{}{}
-					edges = append(edges, edge{v, u})
-				}
-			} else {
-				for _, idx := range rng.PickK(make([]int, fanout), len(cols)) {
-					u := cols[idx]
-					srcSet[u] = struct{}{}
-					edges = append(edges, edge{v, u})
-				}
-			}
-		}
-		src := make([]int32, 0, len(srcSet))
-		for u := range srcSet {
-			src = append(src, u)
-		}
-		sort.Slice(src, func(i, j int) bool { return src[i] < src[j] })
-		srcIdx := make(map[int32]int32, len(src))
-		for i, u := range src {
-			srcIdx[u] = int32(i)
-		}
-		dstIdx := make(map[int32]int32, len(dst))
-		for i, v := range dst {
-			dstIdx[v] = int32(i)
-		}
-		entries := make([]sparse.Coo, 0, len(edges))
-		for _, e := range edges {
-			entries = append(entries, sparse.Coo{Row: dstIdx[e.d], Col: srcIdx[e.s], Val: 1})
-		}
-		bip := sparse.FromCoo(len(dst), len(src), entries, true)
-		blocks[h] = &Block{Adj: sparse.NormalizeRowMean(bip), Src: src, Dst: dst}
-		dst = src
-	}
-	return blocks
+	return NewSampler(adj, fanouts).Build(batch, seed)
 }
 
 // MiniBatchGCN is a single-device sampled GCN trainer — the approach the
@@ -192,7 +146,7 @@ func (m *MiniBatchGCN) trainBatch(batch []int32) float64 {
 			dAH := tensor.NewDense(g.Rows, m.Weights[l].Rows)
 			tensor.GemmTB(1, g, m.Weights[l], 0, dAH)
 			dH := tensor.NewDense(inputs[l].Rows, inputs[l].Cols)
-			sparse.SpMM(blocks[l].Adj.Transpose(), dAH, 0, dH)
+			sparse.SpMM(blocks[l].AdjT, dAH, 0, dH)
 			g = dH
 		}
 	}

@@ -8,6 +8,11 @@ package sample
 // across goroutines.
 type RNG struct {
 	state uint64
+	// virt is PickK's scratch, never part of the stream's state: entry j
+	// holds gen<<32 | value for a position of the virtual identity array
+	// that PickK call number gen has overwritten.
+	virt []uint64
+	gen  uint32
 }
 
 // NewRNG returns a generator seeded with seed. Equal seeds produce equal
@@ -91,19 +96,27 @@ func (r *RNG) PickK(dst []int, n int) []int {
 	if k > n {
 		panic("sample: PickK with k > n")
 	}
-	// Partial Fisher–Yates over a lazily materialized identity array: only
-	// the touched prefix/swapped entries live in the map.
-	touched := make(map[int]int, 2*k)
+	// Partial Fisher–Yates over a lazily materialized identity array: a
+	// position reads as its own index unless this call (this generation)
+	// has stored a value there, so nothing is cleared between calls.
+	if len(r.virt) < n {
+		r.virt = make([]uint64, n)
+	}
+	if r.gen++; r.gen == 0 {
+		clear(r.virt)
+		r.gen = 1
+	}
+	gen := uint64(r.gen)
 	at := func(i int) int {
-		if v, ok := touched[i]; ok {
-			return v
+		if e := r.virt[i]; e>>32 == gen {
+			return int(uint32(e))
 		}
 		return i
 	}
 	for i := 0; i < k; i++ {
 		j := i + r.Intn(n-i)
 		dst[i] = at(j)
-		touched[j] = at(i)
+		r.virt[j] = gen<<32 | uint64(at(i))
 	}
 	return dst
 }

@@ -1,0 +1,228 @@
+package sample
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"testing"
+
+	"mggcn/internal/sparse"
+)
+
+// refPickK is PickK as it was before the scratch array: the virtual identity
+// array's overwritten positions live in a map.
+func refPickK(r *RNG, dst []int, n int) []int {
+	touched := make(map[int]int, 2*len(dst))
+	at := func(i int) int {
+		if v, ok := touched[i]; ok {
+			return v
+		}
+		return i
+	}
+	for i := range dst {
+		j := i + r.Intn(n-i)
+		dst[i] = at(j)
+		touched[j] = at(i)
+	}
+	return dst
+}
+
+// refBuildBlocks is BuildBlocks as it was before Sampler — frontier sets in
+// maps, an edge list, FromCoo's sort and NormalizeRowMean — kept as the
+// reference Sampler.Build must match bit for bit. It also returns its RNG so
+// the stream position can be compared.
+func refBuildBlocks(adj *sparse.CSR, batch []int32, fanouts []int, seed int64) ([]*Block, *RNG) {
+	rng := NewRNG(seed)
+	dst := dedup(batch)
+	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+	blocks := make([]*Block, len(fanouts))
+	for h := len(fanouts) - 1; h >= 0; h-- {
+		fanout := fanouts[h]
+		srcSet := map[int32]struct{}{}
+		type edge struct{ d, s int32 }
+		var edges []edge
+		for _, v := range dst {
+			srcSet[v] = struct{}{} // self-loop
+			edges = append(edges, edge{v, v})
+			cols, _ := adj.Row(int(v))
+			if len(cols) <= fanout {
+				for _, u := range cols {
+					srcSet[u] = struct{}{}
+					edges = append(edges, edge{v, u})
+				}
+			} else {
+				for _, idx := range refPickK(rng, make([]int, fanout), len(cols)) {
+					u := cols[idx]
+					srcSet[u] = struct{}{}
+					edges = append(edges, edge{v, u})
+				}
+			}
+		}
+		src := make([]int32, 0, len(srcSet))
+		for u := range srcSet {
+			src = append(src, u)
+		}
+		sort.Slice(src, func(i, j int) bool { return src[i] < src[j] })
+		srcIdx := make(map[int32]int32, len(src))
+		for i, u := range src {
+			srcIdx[u] = int32(i)
+		}
+		dstIdx := make(map[int32]int32, len(dst))
+		for i, v := range dst {
+			dstIdx[v] = int32(i)
+		}
+		entries := make([]sparse.Coo, 0, len(edges))
+		for _, e := range edges {
+			entries = append(entries, sparse.Coo{Row: dstIdx[e.d], Col: srcIdx[e.s], Val: 1})
+		}
+		bip := sparse.FromCoo(len(dst), len(src), entries, true)
+		blocks[h] = &Block{Adj: sparse.NormalizeRowMean(bip), Src: src, Dst: dst}
+		dst = src
+	}
+	return blocks, rng
+}
+
+// randomCSR draws an n-vertex directed graph for the differential test:
+// vertex 0 is a hub pointing at everything (and itself), every fifth vertex
+// is isolated, a third of the rest carry a self-loop, and out-degrees vary
+// from 0 to maxDeg.
+func randomCSR(rng *RNG, n, maxDeg int) *sparse.CSR {
+	var entries []sparse.Coo
+	for u := 0; u < n; u++ {
+		entries = append(entries, sparse.Coo{Row: 0, Col: int32(u)})
+	}
+	for v := 1; v < n; v++ {
+		if v%5 == 0 {
+			continue
+		}
+		if rng.Intn(3) == 0 {
+			entries = append(entries, sparse.Coo{Row: int32(v), Col: int32(v)})
+		}
+		for d := rng.Intn(maxDeg + 1); d > 0; d-- {
+			entries = append(entries, sparse.Coo{Row: int32(v), Col: int32(rng.Intn(n))})
+		}
+	}
+	return sparse.FromCoo(n, n, entries, false)
+}
+
+func sameCSR(a, b *sparse.CSR) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && a.HasVals() == b.HasVals() &&
+		slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx) &&
+		slices.Equal(a.Vals, b.Vals) // float32 == is bit equality here: no NaNs, no zeros
+}
+
+// TestSamplerMatchesReference is the rewrite's differential test: over random
+// graphs with self-loops, a hub row and isolated vertices, batches with
+// duplicate seeds and batches covering every vertex, and fanouts from 1 to
+// beyond the maximum degree, one reused Sampler must reproduce the old
+// construction bit for bit — frontiers, CSR, the cached transpose — and
+// leave the random stream at the same position.
+func TestSamplerMatchesReference(t *testing.T) {
+	gen := NewRNG(2024)
+	for trial := 0; trial < 12; trial++ {
+		n := 20 + gen.Intn(200)
+		maxDeg := 1 + gen.Intn(12)
+		adj := randomCSR(gen, n, maxDeg)
+		for _, fanouts := range [][]int{{1}, {3, 2}, {2, 4, 3}, {maxDeg + 5, n + 1}} {
+			s := NewSampler(adj, fanouts)
+			for rep := 0; rep < 6; rep++ {
+				var batch []int32
+				switch rep {
+				case 0: // empty
+				case 1: // every vertex, twice: more seeds than the graph has vertices
+					// ... built with PickK's generation counter about to wrap.
+					s.rng.gen = math.MaxUint32
+					for v := 0; v < 2*n; v++ {
+						batch = append(batch, int32(v%n))
+					}
+				default:
+					for i := gen.Intn(n) + 1; i > 0; i-- {
+						batch = append(batch, int32(gen.Intn(n)))
+					}
+					batch = append(batch, batch[0], 0) // a duplicate seed and the hub
+				}
+				seed := gen.Int63()
+				name := fmt.Sprintf("trial %d n=%d fanouts %v rep %d", trial, n, fanouts, rep)
+				want, wantRNG := refBuildBlocks(adj, batch, fanouts, seed)
+				got := s.Build(batch, seed)
+				if s.rng.state != wantRNG.state {
+					t.Fatalf("%s: stream position differs", name)
+				}
+				for h := range want {
+					w, g := want[h], got[h]
+					if !slices.Equal(g.Src, w.Src) || !slices.Equal(g.Dst, w.Dst) {
+						t.Fatalf("%s block %d: frontiers differ", name, h)
+					}
+					if !sameCSR(g.Adj, w.Adj) {
+						t.Fatalf("%s block %d: adjacency differs", name, h)
+					}
+					if err := g.Adj.Validate(); err != nil {
+						t.Fatalf("%s block %d: %v", name, h, err)
+					}
+					if h == 0 {
+						if g.AdjT != nil {
+							t.Fatalf("%s: the outermost block carries a transpose nobody reads", name)
+						}
+					} else if !sameCSR(g.AdjT, w.Adj.Transpose()) {
+						t.Fatalf("%s block %d: cached transpose differs from Adj.Transpose()", name, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSamplerDuplicateSelfLoopWeight pins the one value the direct emission
+// has to go out of its way for: a vertex whose row already holds itself gets
+// the self-loop twice, and FromCoo's float32 sum of the two then divides by
+// the row's entry count.
+func TestSamplerDuplicateSelfLoopWeight(t *testing.T) {
+	adj := sparse.FromCoo(3, 3, []sparse.Coo{{Row: 0, Col: 0}, {Row: 0, Col: 1}, {Row: 0, Col: 2}}, false)
+	b := BuildBlocks(adj, []int32{0}, []int{5}, 1)[0]
+	want := []float32{float32(float64(float32(2)) / 4), 0.25, 0.25}
+	if !slices.Equal(b.Adj.Vals, want) {
+		t.Fatalf("weights %v, want %v", b.Adj.Vals, want)
+	}
+}
+
+// TestSamplerWarmBuildAllocatesNothing: once the arenas have grown to a
+// batch's size, building it again must not touch the allocator — the
+// sampler stage runs every step.
+func TestSamplerWarmBuildAllocatesNothing(t *testing.T) {
+	gen := NewRNG(7)
+	adj := randomCSR(gen, 400, 20)
+	batch := make([]int32, 64)
+	for i := range batch {
+		batch[i] = int32(gen.Intn(400))
+	}
+	s := NewSampler(adj, []int{4, 6, 3})
+	s.Build(batch, 11)
+	if got := testing.AllocsPerRun(20, func() { s.Build(batch, 11) }); got != 0 {
+		t.Fatalf("warmed Sampler.Build allocated %v times per batch, want 0", got)
+	}
+}
+
+// TestPickKMatchesReference: the scratch-array PickK draws the same values
+// from the same stream as the map-backed one, over a (k, n) grid on one
+// long-lived generator (so scratch left by earlier calls is in play).
+func TestPickKMatchesReference(t *testing.T) {
+	got, want := NewRNG(99), NewRNG(99)
+	for _, n := range []int{1, 2, 3, 7, 16, 100, 1000, 5} {
+		for _, k := range []int{0, 1, 2, 5, 15, 64, n} {
+			if k > n {
+				continue
+			}
+			for rep := 0; rep < 3; rep++ {
+				g := got.PickK(make([]int, k), n)
+				w := refPickK(want, make([]int, k), n)
+				if !slices.Equal(g, w) {
+					t.Fatalf("PickK(k=%d, n=%d) drew %v, reference %v", k, n, g, w)
+				}
+			}
+		}
+	}
+	if got.state != want.state {
+		t.Fatal("stream positions differ after the grid")
+	}
+}

@@ -97,34 +97,56 @@ func FromCoo(rows, cols int, entries []Coo, withVals bool) *CSR {
 }
 
 // Transpose returns the transpose of m in CSR form (equivalently m in CSC).
-func (m *CSR) Transpose() *CSR {
-	t := &CSR{Rows: m.Cols, Cols: m.Rows, RowPtr: make([]int64, m.Cols+1)}
-	nnz := m.NNZ()
-	t.ColIdx = make([]int32, nnz)
+func (m *CSR) Transpose() *CSR { return m.TransposeInto(&CSR{}) }
+
+// TransposeInto writes the transpose of m into t, reusing t's slices where
+// their capacity suffices, and returns t. A warmed t makes the call
+// allocation-free, which is what lets a sampler stage rebuild a block's CSC
+// every step.
+func (m *CSR) TransposeInto(t *CSR) *CSR {
+	nnz := int(m.NNZ())
+	t.Rows, t.Cols = m.Cols, m.Rows
+	t.ColIdx = resize(t.ColIdx, nnz)
 	if m.Vals != nil {
-		t.Vals = make([]float32, nnz)
+		t.Vals = resize(t.Vals, nnz)
+	} else {
+		t.Vals = nil
 	}
-	for _, c := range m.ColIdx {
-		t.RowPtr[c+1]++
+	// Counting sort with the cursors kept in the row-pointer array itself,
+	// one slot ahead: ptr[c+2] counts column c, the prefix sum leaves
+	// ptr[c+1] at row c's start, and placing an entry advances it, so after
+	// the scatter ptr[c+1] is row c's end — the finished RowPtr.
+	ptr := resize(t.RowPtr, m.Cols+2)
+	clear(ptr)
+	for _, c := range m.ColIdx[:nnz] {
+		ptr[c+2]++
 	}
-	for r := 0; r < t.Rows; r++ {
-		t.RowPtr[r+1] += t.RowPtr[r]
+	for r := 0; r < m.Cols; r++ {
+		ptr[r+2] += ptr[r+1]
 	}
-	next := make([]int64, t.Rows)
-	copy(next, t.RowPtr[:t.Rows])
 	for r := 0; r < m.Rows; r++ {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		for k := lo; k < hi; k++ {
+		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
 			c := m.ColIdx[k]
-			pos := next[c]
-			next[c]++
+			pos := ptr[c+1]
+			ptr[c+1]++
 			t.ColIdx[pos] = int32(r)
 			if m.Vals != nil {
 				t.Vals[pos] = m.Vals[k]
 			}
 		}
 	}
+	t.RowPtr = ptr[:m.Cols+1]
 	return t
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// too small (or s is nil, so a zero-length result is still non-nil).
+// Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // SubMatrix extracts the tile with rows [r0,r1) and columns [c0,c1) as a new

@@ -487,3 +487,45 @@ func TestAllExperimentsShapes(t *testing.T) {
 		t.Errorf("whatif: doubling HBM bandwidth must speed Reddit up")
 	}
 }
+
+// TestSampledDegenerateConfigs drives the configurations at the edges of the
+// sampled pipeline through the public API: each must either be refused by
+// NewSampledTrainer with an error or train one epoch to a finite loss. None
+// may panic.
+func TestSampledDegenerateConfigs(t *testing.T) {
+	ds := SynthesizeDataset("degenerate", 200, 6, 10, 4, 3, false) // 120 train vertices
+	cases := map[string]func(o *SampledOptions){
+		"batch > train set":     func(o *SampledOptions) { o.Batch = 100000 },
+		"GPUs > batches":        func(o *SampledOptions) { o.GPUs, o.Batch = 8, 50 }, // 3 batches: one tail step, 5 zero-grad devices
+		"fanout > max degree":   func(o *SampledOptions) { o.Fanouts = []int{1 << 20, 1 << 20} },
+		"hidden 1":              func(o *SampledOptions) { o.Hidden = 1 },
+		"one layer":             func(o *SampledOptions) { o.Layers, o.Fanouts = 1, []int{3} },
+		"no cache":              func(o *SampledOptions) { o.CacheFrac = 0 },
+		"everything cached":     func(o *SampledOptions) { o.CacheFrac = 1 },
+		"unpipelined":           func(o *SampledOptions) { o.Pipeline = false },
+		"hidden 0":              func(o *SampledOptions) { o.Hidden = 0 },
+		"batch 0":               func(o *SampledOptions) { o.Batch = 0 },
+		"fanout 0":              func(o *SampledOptions) { o.Fanouts = []int{0, 2} },
+		"fanouts/layers differ": func(o *SampledOptions) { o.Layers = 3 },
+		"cache fraction 2":      func(o *SampledOptions) { o.CacheFrac = 2 },
+	}
+	for name, tweak := range cases {
+		t.Run(name, func(t *testing.T) {
+			o := DefaultSampledOptions(DGXA100(), 2)
+			o.Hidden, o.Layers, o.Batch, o.Fanouts = 8, 2, 16, []int{3, 4}
+			o.TrackVal = true
+			tweak(&o)
+			tr, err := NewSampledTrainer(ds, o)
+			if err != nil {
+				return
+			}
+			stats, err := tr.RunEpoch()
+			if err != nil {
+				t.Fatalf("RunEpoch: %v", err)
+			}
+			if math.IsNaN(stats.Loss) || math.IsInf(stats.Loss, 0) || stats.Loss <= 0 {
+				t.Fatalf("loss %v after one epoch", stats.Loss)
+			}
+		})
+	}
+}

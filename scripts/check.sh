@@ -106,6 +106,13 @@ go vet -tags simd ./...
 go build -tags simd ./...
 go test -tags simd -timeout 30m ./internal/kernel/ ./internal/sparse/ ./internal/tensor/ ./internal/tune/ ./internal/core/
 
+echo "==> benchmark module (-tags simd)"
+# benchmark/ is a module of its own (replace mggcn => ../), so ./... never
+# reaches it: an API it uses could change and only the benchmark gate would
+# notice. Read-only: vet and its own tests, nothing under benchmark/ changes.
+go vet -C benchmark -tags simd ./...
+go test -C benchmark -tags simd ./...
+
 echo "==> arm64 cross-compile (NEON path)"
 GOOS=linux GOARCH=arm64 go build -tags simd ./...
 
