@@ -167,10 +167,16 @@ func main() {
 	}
 }
 
-// degrade mirrors shrinkAfterLoss's strategy fallback: 1.5D needs even P.
+// gcnStrategies maps the full-batch strategy names to core's.
+var gcnStrategies = map[string]core.Strategy{
+	"1d-row": core.Strategy1DRow, "1d-col": core.Strategy1DCol, "1.5d": core.Strategy15D,
+}
+
+// degrade names the strategy the elastic path continues with at p devices
+// (core.Strategy.Degraded); the other names have no fallback.
 func degrade(name string, p int) string {
-	if name == "1.5d" && p%2 != 0 {
-		return "1d-row"
+	if s, ok := gcnStrategies[name]; ok {
+		return strings.ToLower(s.Degraded(p).String())
 	}
 	return name
 }
@@ -190,10 +196,7 @@ func certifyStrategy(name string, g *graph.Graph, cfg core.Config, p int) []cros
 	)
 	switch name {
 	case "1d-row", "1d-col", "1.5d":
-		strategies := map[string]core.Strategy{
-			"1d-row": core.Strategy1DRow, "1d-col": core.Strategy1DCol, "1.5d": core.Strategy15D,
-		}
-		cfg.Strategy = strategies[name]
+		cfg.Strategy = gcnStrategies[name]
 		cfg.ExecObserver = meter
 		tr, err := core.NewTrainer(g, cfg)
 		if err != nil {

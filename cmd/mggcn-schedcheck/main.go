@@ -104,10 +104,16 @@ func main() {
 	fmt.Println("mggcn-schedcheck: certified")
 }
 
-// degrade mirrors shrinkAfterLoss's strategy fallback: 1.5D needs even P.
+// gcnStrategies maps the full-batch strategy names to core's.
+var gcnStrategies = map[string]core.Strategy{
+	"1d-row": core.Strategy1DRow, "1d-col": core.Strategy1DCol, "1.5d": core.Strategy15D,
+}
+
+// degrade names the strategy the elastic path continues with at p devices
+// (core.Strategy.Degraded); the other names have no fallback.
 func degrade(name string, p int) string {
-	if name == "1.5d" && p%2 != 0 {
-		return "1d-row"
+	if s, ok := gcnStrategies[name]; ok {
+		return strings.ToLower(s.Degraded(p).String())
 	}
 	return name
 }
@@ -125,10 +131,7 @@ func verifyStrategy(name string, g *graph.Graph, cfg core.Config, p int) int {
 	)
 	switch name {
 	case "1d-row", "1d-col", "1.5d":
-		strategies := map[string]core.Strategy{
-			"1d-row": core.Strategy1DRow, "1d-col": core.Strategy1DCol, "1.5d": core.Strategy15D,
-		}
-		cfg.Strategy = strategies[name]
+		cfg.Strategy = gcnStrategies[name]
 		tr, err := core.NewTrainer(g, cfg)
 		if err != nil {
 			log.Fatalf("%s@%d: %v", name, p, err)

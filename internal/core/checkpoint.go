@@ -200,13 +200,7 @@ func (tr *Trainer) SaveCheckpoint(w io.Writer) error {
 	if tr.phantom {
 		return fmt.Errorf("core: cannot checkpoint a phantom-mode trainer")
 	}
-	return writeCheckpoint(w, ckptVersion, tr.Dims, func(cw io.Writer, le binary.ByteOrder) error {
-		step, m, v := tr.opts[0].State()
-		if err := binary.Write(cw, le, uint64(step)); err != nil {
-			return err
-		}
-		return writeLayerTensors(cw, le, tr.weights[0], m, v)
-	})
+	return writeCheckpoint(w, ckptVersion, tr.Dims, tr.writeState)
 }
 
 // LoadCheckpoint restores model and optimizer state saved by
@@ -218,33 +212,28 @@ func (tr *Trainer) LoadCheckpoint(r io.Reader) error {
 	if tr.phantom {
 		return fmt.Errorf("core: cannot restore into a phantom-mode trainer")
 	}
-	var step uint64
-	var ws, ms, vs []*tensor.Dense
-	err := readCheckpoint(r, ckptVersion, tr.Dims, func(cr io.Reader, le binary.ByteOrder) error {
-		if err := binary.Read(cr, le, &step); err != nil {
-			return truncated("optimizer step", err)
-		}
-		var err error
-		ws, ms, vs, err = readLayerTensors(cr, le, tr.weights[0])
+	var st *modelState
+	err := readCheckpoint(r, ckptVersion, tr.Dims, func(cr io.Reader, le binary.ByteOrder) (err error) {
+		st, err = tr.readState(cr, le)
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	for d := 0; d < tr.Machine.P; d++ {
-		for l := range ws {
-			tr.weights[d][l].CopyFrom(ws[l])
-		}
-		tr.opts[d].SetState(int(step), ms, vs)
-	}
+	tr.restore(st)
 	return nil
 }
 
-// writeLayerTensors streams the per-layer weight/moment triples in layer
-// order — the payload tail both formats share.
-func writeLayerTensors(cw io.Writer, le binary.ByteOrder, ws, m, v []*tensor.Dense) error {
-	for l := range ws {
-		for _, mat := range []*tensor.Dense{ws[l], m[l], v[l]} {
+// writeState streams device 0's replica — the optimizer step, then the
+// per-layer weight and Adam-moment triples in layer order: the payload tail
+// both formats share.
+func (r *replicas) writeState(cw io.Writer, le binary.ByteOrder) error {
+	step, m, v := r.opts[0].State()
+	if err := binary.Write(cw, le, uint64(step)); err != nil {
+		return err
+	}
+	for l, w := range r.weights[0] {
+		for _, mat := range []*tensor.Dense{w, m[l], v[l]} {
 			if err := binary.Write(cw, le, mat.Data); err != nil {
 				return err
 			}
@@ -253,20 +242,23 @@ func writeLayerTensors(cw io.Writer, le binary.ByteOrder, ws, m, v []*tensor.Den
 	return nil
 }
 
-// readLayerTensors reads the triples back into fresh tensors shaped like
-// the trainer's replica — staged, so nothing touches device state before
-// the footer verdict.
-func readLayerTensors(cr io.Reader, le binary.ByteOrder, shapes []*tensor.Dense) (ws, ms, vs []*tensor.Dense, err error) {
-	L := len(shapes)
-	ws, ms, vs = make([]*tensor.Dense, L), make([]*tensor.Dense, L), make([]*tensor.Dense, L)
-	for l := 0; l < L; l++ {
-		for _, dst := range []*[]*tensor.Dense{&ws, &ms, &vs} {
-			mat := tensor.NewDense(shapes[l].Rows, shapes[l].Cols)
+// readState reads what writeState wrote into fresh tensors shaped like the
+// replicas — staged, so nothing touches device state before the footer
+// verdict; the caller hands the result to restore.
+func (r *replicas) readState(cr io.Reader, le binary.ByteOrder) (*modelState, error) {
+	var step uint64
+	if err := binary.Read(cr, le, &step); err != nil {
+		return nil, truncated("optimizer step", err)
+	}
+	st := &modelState{step: int(step)}
+	for l, w := range r.weights[0] {
+		for _, dst := range []*[]*tensor.Dense{&st.weights, &st.m, &st.v} {
+			mat := tensor.NewDense(w.Rows, w.Cols)
 			if err := binary.Read(cr, le, mat.Data); err != nil {
-				return nil, nil, nil, truncated(fmt.Sprintf("layer %d tensors", l), err)
+				return nil, truncated(fmt.Sprintf("layer %d tensors", l), err)
 			}
-			(*dst)[l] = mat
+			*dst = append(*dst, mat)
 		}
 	}
-	return ws, ms, vs, nil
+	return st, nil
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"mggcn/internal/tensor"
 )
 
 // Sampled checkpoints (version 3) extend the full-batch frame with the
@@ -20,18 +18,12 @@ import (
 // to w in the version-3 format.
 func (tr *SampledTrainer) SaveCheckpoint(w io.Writer) error {
 	return writeCheckpoint(w, ckptVersionSampled, tr.Dims, func(cw io.Writer, le binary.ByteOrder) error {
-		step, m, v := tr.opts[0].State()
-		for _, x := range []uint64{
-			uint64(tr.Cfg.Seed),
-			uint64(tr.cursor.Epoch),
-			uint64(tr.cursor.NextBatch),
-			uint64(step),
-		} {
+		for _, x := range []uint64{uint64(tr.Cfg.Seed), uint64(tr.cursor.Epoch), uint64(tr.cursor.NextBatch)} {
 			if err := binary.Write(cw, le, x); err != nil {
 				return err
 			}
 		}
-		return writeLayerTensors(cw, le, tr.weights[0], m, v)
+		return tr.writeState(cw, le)
 	})
 }
 
@@ -42,20 +34,15 @@ func (tr *SampledTrainer) SaveCheckpoint(w io.Writer) error {
 // different seed would silently train the wrong batches. Version-2
 // (full-batch) files are rejected with a *VersionError.
 func (tr *SampledTrainer) LoadCheckpoint(r io.Reader) error {
-	// NewSampledTrainer rejects phantom datasets; keep the guarantee local.
-	if tr.feat.IsPhantom() {
-		return fmt.Errorf("core: cannot restore into a phantom-mode trainer")
-	}
-	var seed, epoch, nextBatch, step uint64
-	var ws, ms, vs []*tensor.Dense
-	err := readCheckpoint(r, ckptVersionSampled, tr.Dims, func(cr io.Reader, le binary.ByteOrder) error {
-		for _, dst := range []*uint64{&seed, &epoch, &nextBatch, &step} {
+	var seed, epoch, nextBatch uint64
+	var st *modelState
+	err := readCheckpoint(r, ckptVersionSampled, tr.Dims, func(cr io.Reader, le binary.ByteOrder) (err error) {
+		for _, dst := range []*uint64{&seed, &epoch, &nextBatch} {
 			if err := binary.Read(cr, le, dst); err != nil {
 				return truncated("sampler cursor", err)
 			}
 		}
-		var err error
-		ws, ms, vs, err = readLayerTensors(cr, le, tr.weights[0])
+		st, err = tr.readState(cr, le)
 		return err
 	})
 	if err != nil {
@@ -64,12 +51,7 @@ func (tr *SampledTrainer) LoadCheckpoint(r io.Reader) error {
 	if int64(seed) != tr.Cfg.Seed {
 		return fmt.Errorf("core: checkpoint sampling seed %d, trainer configured with %d — deterministic resume needs the same seed", int64(seed), tr.Cfg.Seed)
 	}
-	for d := range tr.weights {
-		for l := range ws {
-			tr.weights[d][l].CopyFrom(ws[l])
-		}
-		tr.opts[d].SetState(int(step), ms, vs)
-	}
+	tr.restore(st)
 	tr.cursor = samplerCursor{Epoch: int(epoch), NextBatch: int(nextBatch)}
 	return nil
 }

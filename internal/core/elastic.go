@@ -3,164 +3,57 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"mggcn/internal/comm"
 	"mggcn/internal/graph"
 	"mggcn/internal/sim"
-	"mggcn/internal/tensor"
 )
 
-// This file is the trainer's elastic degraded-mode path: what happens when
-// an epoch does not come back clean. The failure taxonomy (internal/sim's
-// fault contract) maps onto three recoveries:
+// This file is the elastic degraded-mode path of both trainers: what happens
+// when an epoch does not come back clean. One loop drives it — snapshot the
+// model, run one epoch, and on an error classify it and recover — over the
+// small elasticTrainer interface; TrainElastic and TrainSampledElastic are
+// its two instantiations.
+//
+// The unit of recovery is what one RunEpoch call trains: the full-batch
+// step, or the sampled segment from the cursor to the end of its epoch. The
+// sampled cursor commits only after a segment's replay succeeds and its
+// numbers check finite, so on any failure it still points at the segment
+// start, and because every batch is a pure function of (Seed, epoch, batch
+// index), re-running re-derives the lost work exactly — the full-batch
+// epoch is the one-segment case with nothing to re-derive. The failure
+// taxonomy (internal/sim's fault contract) maps onto the recoveries:
 //
 //   - permanent device loss (*sim.DeviceLostError): the survivors resync
-//     their replicated model state from a consistent surviving replica via
-//     a shrunken collective group (comm.Group.Sub), the 1D row partition is
-//     rebuilt over P-1 devices (1.5D degrades to 1D-row when the survivor
-//     count goes odd), and the voided epoch re-runs — training continues at
-//     reduced parallelism instead of dying;
+//     their replicated model state from a consistent surviving replica over
+//     a shrunken collective group (comm.Group.Sub), the trainer is rebuilt
+//     over P-1 devices, and the voided unit re-runs. Full-batch rebuilds the
+//     1D partition (1.5D degrades to 1D-row when the survivor count goes
+//     odd, Strategy.Degraded); sampled re-derives the per-device feature
+//     caches and handoff slots and carries the cursor over;
 //   - numeric corruption (*NumericError, e.g. an injected NaN): the model
-//     restores to its epoch-start snapshot and the epoch re-runs;
-//   - anything else (an exhausted collective's *comm.GiveUpError, a plain
-//     kernel failure) aborts the run.
+//     restores to its unit-start snapshot and the unit re-runs;
+//   - a transient task failure (*sim.TransientTaskError — e.g. a sampler
+//     stage whose host thread hiccuped) recovers the same way, on the
+//     sampled trainer only;
+//   - an exhausted collective (*comm.GiveUpError) applies, on the sampled
+//     trainer only, the suspect-eviction rule: repeated retry exhaustion is
+//     attributed to the highest-indexed device (a flaky link rides with its
+//     endpoint), which is evicted exactly as if it had crashed. At P == 1
+//     there is no one left to evict and the run aborts;
+//   - anything else (on the full-batch trainer that includes the two rows
+//     above, and everywhere a plain kernel failure) aborts the run.
 //
-// Every recovery re-runs the voided epoch, so a recovered run performs the
-// same number of *effective* optimizer steps as a fault-free one — the
-// parity tests compare final losses at equal effective epochs.
+// The two sampled-only rows are data the trainer hands the loop
+// (recoveryPolicy), not a second loop. Every recovery re-runs the voided
+// unit, so a recovered run performs the same *effective* optimizer steps as
+// a fault-free one: the parity bar is bit-identity for same-P recoveries and
+// 1e-6 agreement with a fault-free P-1 run for device loss.
 
-// NumericError reports a non-finite value where training arithmetic should
-// have produced a finite one — the symptom of silent data corruption.
-type NumericError struct {
-	What string // which quantity went non-finite ("loss", "weight d0/w1[17]")
-}
-
-func (e *NumericError) Error() string {
-	return fmt.Sprintf("core: non-finite %s (numeric corruption)", e.What)
-}
-
-// checkFinite is RunEpoch's corruption guard over the loss and device 0's
-// weight replica (the all-reduce makes replicas identical, so one replica
-// suffices). Phantom trainers carry no numbers to check.
-func (tr *Trainer) checkFinite(loss float64) error {
-	if tr.phantom {
-		return nil
-	}
-	if tr.trainCount > 0 && (math.IsNaN(loss) || math.IsInf(loss, 0)) {
-		return &NumericError{What: "loss"}
-	}
-	for l, w := range tr.weights[0] {
-		for i, v := range w.Data {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				return &NumericError{What: fmt.Sprintf("weight d0/w%d[%d]", l, i)}
-			}
-		}
-	}
-	return nil
-}
-
-// modelState is a point-in-time copy of the replicated model: weights plus
-// the Adam moments and step count. One replica's worth — replicas are
-// identical whenever an epoch boundary was reached cleanly.
-type modelState struct {
-	step    int
-	weights []*tensor.Dense
-	m, v    []*tensor.Dense
-}
-
-// captureState clones device dev's replica (nil for phantom trainers).
-func (tr *Trainer) captureState(dev int) *modelState {
-	if tr.phantom {
-		return nil
-	}
-	st := &modelState{step: tr.opts[dev].StepCount()}
-	_, m, v := tr.opts[dev].State()
-	for l, w := range tr.weights[dev] {
-		st.weights = append(st.weights, w.Clone())
-		st.m = append(st.m, m[l].Clone())
-		st.v = append(st.v, v[l].Clone())
-	}
-	return st
-}
-
-// restoreState copies st onto every device replica, re-establishing the
-// replicated invariant. A nil state (phantom) is a no-op.
-func (tr *Trainer) restoreState(st *modelState) {
-	if st == nil || tr.phantom {
-		return
-	}
-	for d := 0; d < tr.Machine.P; d++ {
-		for l := range tr.weights[d] {
-			tr.weights[d][l].CopyFrom(st.weights[l])
-		}
-		tr.opts[d].SetState(st.step, st.m, st.v)
-	}
-}
-
-// replicaFinite reports whether device dev's weight replica is all-finite —
-// a corrupted survivor must not become the resync source.
-func (tr *Trainer) replicaFinite(dev int) bool {
-	for _, w := range tr.weights[dev] {
-		for _, v := range w.Data {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// resyncSurvivors broadcasts device src's replica (weights and Adam
-// moments) to the other survivors over a shrunken collective group — the
-// data movement a real deployment performs so the surviving replicas agree
-// before the repartition. The broadcast records onto a fresh graph wired
-// with the trainer's fault machinery: a straggler still delays it and
-// transient failures still retry.
-func (tr *Trainer) resyncSurvivors(survivors []int, src int) error {
-	if tr.phantom || len(survivors) < 2 {
-		return nil
-	}
-	tg := sim.NewGraph(tr.Machine.Spec, tr.Machine.P)
-	cg := tr.newComm(tg)
-	sub := cg.Sub(survivors)
-	root := -1
-	for i, d := range survivors {
-		if d == src {
-			root = i
-		}
-	}
-	if root < 0 {
-		return fmt.Errorf("core: resync source %d not among survivors %v", src, survivors)
-	}
-	_, srcM, srcV := tr.opts[src].State()
-	for l := range tr.weights[src] {
-		wDst := make([]*tensor.Dense, len(survivors))
-		mDst := make([]*tensor.Dense, len(survivors))
-		vDst := make([]*tensor.Dense, len(survivors))
-		for i, d := range survivors {
-			wDst[i] = tr.weights[d][l]
-			_, dm, dv := tr.opts[d].State()
-			mDst[i], vDst[i] = dm[l], dv[l]
-		}
-		_ = sub.Broadcast(root, tr.weights[src][l], wDst, fmt.Sprintf("resync/w%d", l), -1) // vet:ok taskdep: independent terminal resync tasks; the graph replays immediately below
-		_ = sub.Broadcast(root, srcM[l], mDst, fmt.Sprintf("resync/m%d", l), -1)            // vet:ok taskdep: independent terminal resync tasks; the graph replays immediately below
-		_ = sub.Broadcast(root, srcV[l], vDst, fmt.Sprintf("resync/v%d", l), -1)            // vet:ok taskdep: independent terminal resync tasks; the graph replays immediately below
-	}
-	if err := tr.replay(tg); err != nil {
-		return err
-	}
-	step := tr.opts[src].StepCount()
-	for _, d := range survivors {
-		tr.opts[d].SetStep(step)
-	}
-	return nil
-}
-
-// RecoveryEvent is one entry of TrainElastic's recovery log.
+// RecoveryEvent is one entry of an elastic run's recovery log.
 type RecoveryEvent struct {
 	Epoch  int    `json:"epoch"`  // the epoch that failed (0-based, effective numbering)
-	Kind   string `json:"kind"`   // "device-lost" or "numeric"
+	Kind   string `json:"kind"`   // "device-lost", "numeric" or "transient-task"
 	Detail string `json:"detail"` // what recovery did
 	P      int    `json:"p"`      // group size after recovery
 }
@@ -177,6 +70,15 @@ type ElasticResult struct {
 	Trainer *Trainer
 }
 
+// SampledElasticResult is TrainSampledElastic's report, field for field
+// ElasticResult's.
+type SampledElasticResult struct {
+	Stats   []*SampledEpochStats
+	Events  []RecoveryEvent
+	FinalP  int
+	Trainer *SampledTrainer
+}
+
 // maxConsecutiveRecoveries bounds how many times one epoch may be retried
 // before the run aborts — a stuck injector (or a genuinely broken machine)
 // must not loop forever.
@@ -189,76 +91,122 @@ type removalObserver interface {
 	ObserveRemoval(device int)
 }
 
-// TrainElastic trains for the given number of *effective* epochs,
-// recovering from recoverable faults along the way (see the file comment
-// for the taxonomy). On an unrecoverable failure it returns the partial
-// result alongside the error.
-func TrainElastic(g *graph.Graph, cfg Config, epochs int) (*ElasticResult, error) {
-	tr, err := NewTrainer(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &ElasticResult{}
-	consecutive := 0
-	for e := 0; e < epochs; {
-		snap := tr.captureState(0)
-		s, runErr := tr.RunEpoch()
-		if runErr == nil {
-			if e < epochs-1 {
-				s.Tasks, s.Sched = nil, nil
-			}
-			res.Stats = append(res.Stats, s)
-			e++
-			consecutive = 0
-			continue
-		}
-		consecutive++
-		if consecutive > maxConsecutiveRecoveries {
-			res.FinalP, res.Trainer = tr.Machine.P, tr
-			return res, fmt.Errorf("core: epoch %d still failing after %d recoveries: %w", e, maxConsecutiveRecoveries, runErr)
-		}
-		var lost *sim.DeviceLostError
-		var numeric *NumericError
-		switch {
-		case errors.As(runErr, &lost):
-			nt, ev, recErr := tr.shrinkAfterLoss(g, lost.Device, snap)
-			if recErr != nil {
-				res.FinalP, res.Trainer = tr.Machine.P, tr
-				return res, fmt.Errorf("core: recovering from %v: %w", runErr, recErr)
-			}
-			ev.Epoch = e
-			res.Events = append(res.Events, ev)
-			tr = nt
-		case errors.As(runErr, &numeric):
-			tr.restoreState(snap)
-			res.Events = append(res.Events, RecoveryEvent{
-				Epoch: e, Kind: "numeric",
-				Detail: fmt.Sprintf("restored epoch-start state after %v", numeric),
-				P:      tr.Machine.P,
-			})
-		default:
-			res.FinalP, res.Trainer = tr.Machine.P, tr
-			return res, runErr
-		}
-	}
-	res.FinalP, res.Trainer = tr.Machine.P, tr
-	return res, nil
+// recoveryPolicy is everything that differs between the trainers under the
+// one elastic loop. The error classes not named here are handled alike:
+// device loss shrinks, numeric corruption restores, the rest aborts.
+type recoveryPolicy struct {
+	// unit names the granularity of recovery in event details.
+	unit string
+	// evictOnGiveUp turns an exhausted collective into suspect eviction;
+	// replayTransient turns a transient task failure into restore + replay.
+	// With either off, that error class aborts the run.
+	evictOnGiveUp, replayTransient bool
+	// patience is the early-stopping patience (0: run every epoch).
+	patience int
 }
 
-// shrinkAfterLoss rebuilds the trainer over the survivors of a permanent
-// device loss: pick a resync source whose replica is still at the
-// epoch-start step and finite (falling back to the epoch-start snapshot
-// when none qualifies — e.g. the crash landed mid-Adam and some survivors
-// already stepped), resync the survivors from it, acknowledge the removal
-// to the injector, repartition at P-1, and restore the agreed state onto
-// the new replicas.
-func (tr *Trainer) shrinkAfterLoss(g *graph.Graph, lostDev int, snap *modelState) (*Trainer, RecoveryEvent, error) {
-	p := tr.Machine.P
+// elasticTrainer is what the elastic loop needs of a trainer T producing
+// per-epoch stats S.
+type elasticTrainer[T any, S epochStats] interface {
+	// RunEpoch trains one unit of recovery; after an error the trainer's
+	// position is unchanged, so calling it again re-runs the same work.
+	RunEpoch() (S, error)
+	model() *replicas
+	env() *execEnv
+	recoveryPolicy() recoveryPolicy
+	// rebuild returns a fresh trainer over p devices at the same position in
+	// the run, and what it changed for the event detail; the loop restores
+	// the model state onto it.
+	rebuild(p int) (T, string, error)
+}
+
+// elasticRun is one elastic training run: the current trainer (replaced on
+// every shrink), the effective epochs' stats, and the recovery log.
+type elasticRun[T elasticTrainer[T, S], S epochStats] struct {
+	tr     T
+	log    runLog[S]
+	events []RecoveryEvent
+}
+
+// train runs the given number of *effective* epochs, recovering from
+// recoverable faults along the way. An unrecoverable failure returns with
+// the partial run in place: an unclassified error and an eviction with
+// nobody left to evict come back as they are, an exhausted recovery budget
+// or a failed recovery wrap the epoch's error.
+func (r *elasticRun[T, S]) train(epochs int) error {
+	pol := r.tr.recoveryPolicy()
+	r.log.patience = pol.patience
+	for e, consecutive := 0, 0; e < epochs; {
+		snap := r.tr.model().capture(0)
+		s, runErr := r.tr.RunEpoch()
+		if runErr == nil {
+			e, consecutive = e+1, 0
+			if r.log.add(s) {
+				break
+			}
+			continue
+		}
+		if consecutive++; consecutive > maxConsecutiveRecoveries {
+			return fmt.Errorf("core: epoch %d still failing after %d recoveries: %w", e, maxConsecutiveRecoveries, runErr)
+		}
+		// The failed unit committed nothing, so every branch below re-runs
+		// exactly the work that was voided.
+		m := r.tr.model()
+		p := m.Machine.P
+		ev := RecoveryEvent{Epoch: e, P: p}
+		var lost *sim.DeviceLostError
+		var gaveUp *comm.GiveUpError
+		var transient *sim.TransientTaskError
+		var numeric *NumericError
+		var recErr error
+		switch {
+		case errors.As(runErr, &lost):
+			ev, recErr = r.shrink(ev, pol, lost.Device, snap)
+		case pol.evictOnGiveUp && errors.As(runErr, &gaveUp):
+			// Suspect eviction: the collective exhausted its retries, so its
+			// flakiest endpoint — by convention the highest-indexed device —
+			// leaves the group and the survivors carry on at P-1. Alone,
+			// there is no suspect to evict: abort with the collective's error.
+			if p <= 1 {
+				return runErr
+			}
+			ev.Detail = fmt.Sprintf("collective %q exhausted %d attempts; evicted suspect device %d; ",
+				gaveUp.Label, gaveUp.Attempts, p-1)
+			ev, recErr = r.shrink(ev, pol, p-1, snap)
+		case pol.replayTransient && errors.As(runErr, &transient):
+			m.restore(snap)
+			ev.Kind = "transient-task"
+			ev.Detail = fmt.Sprintf("restored %s-start state after %v; replaying it", pol.unit, transient)
+		case errors.As(runErr, &numeric):
+			m.restore(snap)
+			ev.Kind = "numeric"
+			ev.Detail = fmt.Sprintf("restored %s-start state after %v", pol.unit, numeric)
+		default:
+			return runErr
+		}
+		if recErr != nil {
+			return fmt.Errorf("core: recovering from %v: %w", runErr, recErr)
+		}
+		r.events = append(r.events, ev)
+	}
+	return nil
+}
+
+// shrink replaces the trainer by one over the survivors of losing lostDev:
+// pick a resync source whose replica is still at the unit-start step and
+// finite (falling back to the unit-start snapshot when none qualifies —
+// e.g. the crash landed mid-Adam and some survivors already stepped),
+// resync the survivors from it, acknowledge the removal to the injector,
+// rebuild at P-1, and restore the agreed state onto the new replicas. It
+// completes ev, whose Detail may already say why the device is leaving.
+func (r *elasticRun[T, S]) shrink(ev RecoveryEvent, pol recoveryPolicy, lostDev int, snap *modelState) (RecoveryEvent, error) {
+	m, env := r.tr.model(), r.tr.env()
+	p := m.Machine.P
 	if p <= 1 {
-		return nil, RecoveryEvent{}, fmt.Errorf("core: last device lost, nothing to shrink to")
+		return ev, fmt.Errorf("core: last device lost, nothing to shrink to")
 	}
 	if lostDev < 0 || lostDev >= p {
-		return nil, RecoveryEvent{}, fmt.Errorf("core: lost device %d outside machine of %d", lostDev, p)
+		return ev, fmt.Errorf("core: lost device %d outside machine of %d", lostDev, p)
 	}
 	survivors := make([]int, 0, p-1)
 	for d := 0; d < p; d++ {
@@ -268,58 +216,106 @@ func (tr *Trainer) shrinkAfterLoss(g *graph.Graph, lostDev int, snap *modelState
 	}
 
 	var state *modelState
-	var detail string
-	if !tr.phantom {
-		src := -1
-		startStep := 0
-		if snap != nil {
-			startStep = snap.step
-		}
+	if m.phantom {
+		ev.Detail += "phantom mode, no state to restore"
+	} else {
 		for _, d := range survivors {
-			if tr.opts[d].StepCount() == startStep && tr.replicaFinite(d) {
-				src = d
-				break
+			if m.opts[d].StepCount() != snap.step || !m.replicaFinite(d) {
+				continue
 			}
-		}
-		if src >= 0 {
-			if err := tr.resyncSurvivors(survivors, src); err == nil {
-				state = tr.captureState(src)
-				detail = fmt.Sprintf("resynced %d survivors from replica %d", len(survivors), src)
+			if err := m.resync(env, survivors, d); err == nil {
+				state = m.capture(d)
+				ev.Detail += fmt.Sprintf("resynced %d survivors from replica %d", len(survivors), d)
 			} else {
-				detail = fmt.Sprintf("replica resync failed (%v); ", err)
+				ev.Detail += fmt.Sprintf("replica resync failed (%v); ", err)
 			}
+			break
 		}
 		if state == nil {
-			if snap == nil {
-				return nil, RecoveryEvent{}, fmt.Errorf("core: no consistent surviving replica and no snapshot")
-			}
 			state = snap
-			detail += "restored epoch-start snapshot"
+			ev.Detail += fmt.Sprintf("restored %s-start snapshot", pol.unit)
 		}
-	} else {
-		detail = "phantom mode, no state to restore"
 	}
 
-	if obs, ok := tr.Cfg.Fault.(removalObserver); ok {
+	if obs, ok := env.Fault.(removalObserver); ok {
 		obs.ObserveRemoval(lostDev)
 	}
 
-	cfg := tr.Cfg
-	cfg.P = p - 1
-	if err := cfg.Strategy.validate(cfg.P); err != nil {
-		// 1.5D needs an even group; an odd survivor count degrades to the
-		// paper's default 1D-row strategy.
-		cfg.Strategy = Strategy1DRow
-		detail += "; degraded to 1D-row"
-	}
-	nt, err := NewTrainer(g, cfg)
+	nt, rebuilt, err := r.tr.rebuild(p - 1)
 	if err != nil {
-		return nil, RecoveryEvent{}, fmt.Errorf("core: repartitioning over %d survivors: %w", cfg.P, err)
+		return ev, fmt.Errorf("core: repartitioning over %d survivors: %w", p-1, err)
 	}
-	nt.restoreState(state)
-	return nt, RecoveryEvent{Kind: "device-lost", Detail: detail, P: cfg.P}, nil
+	nt.model().restore(state)
+	r.tr = nt
+	ev.Kind, ev.P = "device-lost", p-1
+	ev.Detail += rebuilt
+	return ev, nil
 }
 
-// Interface conformance note: comm.GiveUpError and sim.TaskError both
-// unwrap, so errors.As dispatch above sees through the executor's wrapping.
-var _ = comm.GiveUpError{}
+// TrainElastic trains full-batch for the given number of *effective*
+// epochs, recovering from recoverable faults along the way (see the file
+// comment for the taxonomy). On an unrecoverable failure it returns the
+// partial result alongside the error.
+func TrainElastic(g *graph.Graph, cfg Config, epochs int) (*ElasticResult, error) {
+	tr, err := NewTrainer(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	run := elasticRun[*Trainer, *EpochStats]{tr: tr}
+	err = run.train(epochs)
+	return &ElasticResult{Stats: run.log.stats, Events: run.events, FinalP: run.tr.Machine.P, Trainer: run.tr}, err
+}
+
+func (tr *Trainer) env() *execEnv { return &tr.Cfg.execEnv }
+
+func (tr *Trainer) recoveryPolicy() recoveryPolicy { return recoveryPolicy{unit: "epoch"} }
+
+// rebuild repartitions over p devices; 1.5D needs an even group, so an odd
+// survivor count degrades to the paper's default 1D-row strategy.
+func (tr *Trainer) rebuild(p int) (*Trainer, string, error) {
+	cfg, detail := tr.Cfg, ""
+	cfg.P = p
+	if s := cfg.Strategy.Degraded(p); s != cfg.Strategy {
+		cfg.Strategy = s
+		detail = "; degraded to " + s.String()
+	}
+	nt, err := NewTrainer(tr.Graph, cfg)
+	return nt, detail, err
+}
+
+// TrainSampledElastic trains the sampled pipeline for the given number of
+// effective epochs, recovering at segment granularity (see the file comment
+// for the taxonomy); EarlyStopPatience applies as in SampledTrainer.Train.
+// On an unrecoverable failure it returns the partial result alongside the
+// error.
+func TrainSampledElastic(g *graph.Graph, cfg SampledConfig, epochs int) (*SampledElasticResult, error) {
+	tr, err := NewSampledTrainer(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	run := elasticRun[*SampledTrainer, *SampledEpochStats]{tr: tr}
+	err = run.train(epochs)
+	return &SampledElasticResult{Stats: run.log.stats, Events: run.events, FinalP: run.tr.Machine.P, Trainer: run.tr}, err
+}
+
+func (tr *SampledTrainer) env() *execEnv { return &tr.Cfg.execEnv }
+
+func (tr *SampledTrainer) recoveryPolicy() recoveryPolicy {
+	return recoveryPolicy{unit: "segment", evictOnGiveUp: true, replayTransient: true, patience: tr.patience()}
+}
+
+// rebuild builds the pipeline over p devices — which re-derives the
+// per-device feature caches from the surviving degree order and re-registers
+// the handoff slot discipline — and carries the cursor over, so the voided
+// segment replays over the p-device round-robin.
+func (tr *SampledTrainer) rebuild(p int) (*SampledTrainer, string, error) {
+	cfg := tr.Cfg
+	cfg.P = p
+	nt, err := NewSampledTrainer(tr.Graph, cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	nt.cursor = tr.cursor
+	return nt, fmt.Sprintf("; rebuilt caches and handoff slots at P=%d, cursor at (epoch %d, batch %d)",
+		p, tr.cursor.Epoch, tr.cursor.NextBatch), nil
+}

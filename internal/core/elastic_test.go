@@ -165,13 +165,13 @@ func TestElasticCrashRecoveryParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial := trRef4.captureState(0)
+	initial := trRef4.capture(0)
 	cfgRef3 := testConfig(3)
 	trRef3, err := NewTrainer(g, cfgRef3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trRef3.restoreState(initial)
+	trRef3.restore(initial)
 	var ref []float64
 	for e := 0; e < epochs; e++ {
 		ref = append(ref, mustEpoch(trRef3).Loss)

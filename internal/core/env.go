@@ -1,0 +1,111 @@
+package core
+
+import (
+	"mggcn/internal/comm"
+	"mggcn/internal/sim"
+)
+
+// execEnv is the execution environment of a recorded task graph: how many
+// host workers run the kernels and the replay, which hooks bracket every
+// replayed closure, and the collectives' failure machinery. Config and
+// SampledConfig embed it by value, so the fields are set under their own
+// names (cfg.Fault = inj) and are read at replay time — a hook installed on
+// tr.Cfg between epochs takes effect on the next one.
+type execEnv struct {
+	Workers int // CPU workers for the real kernels (<=0: GOMAXPROCS)
+	// ExecWorkers is the host-side replay parallelism of sim.Graph.Execute:
+	// how many recorded task closures may run concurrently (<=0: GOMAXPROCS,
+	// 1: serial issue). Results are bit-identical at any setting.
+	ExecWorkers int
+	// ExecSeed, when nonzero, replays with ExecuteAdversarial seeded by it:
+	// worst-case legal orders plus injected start delays, so `-race` runs
+	// exercise the executor's ordering rules. Results stay bit-identical to
+	// the default replay.
+	ExecSeed int64
+	// ExecObserver, when set, brackets every replayed closure (internal/san
+	// shadow tracking). Forces serial replay.
+	ExecObserver sim.ExecObserver
+	// Fault, when set, brackets every replayed closure with fault-injection
+	// callbacks (internal/fault's Injector). When the hook also implements
+	// comm.CollectiveGate, collective attempts are gated through it, so one
+	// injector drives both the crash/straggler/poison seams and the
+	// transient-collective seam.
+	Fault sim.FaultHook
+	// Retry bounds the collectives' transient-failure retries (the zero
+	// value means a single attempt); RetryClock supplies the backoff sleeps
+	// (nil: wall clock).
+	Retry      comm.RetryPolicy
+	RetryClock comm.Clock
+	// CommMeter, when set, counts the words every collective moves — the
+	// measured side of internal/schedcheck's cost certification — and, on
+	// the sampled pipeline, the extract stage's gather traffic
+	// (sim.CollGatherHit / sim.CollGatherMiss).
+	CommMeter *comm.Meter
+}
+
+// newComm builds a communicator over tg with the dataset's byte scale and
+// the environment's failure machinery: the retry policy/clock, the meter,
+// and the fault hook as the collective gate when it implements one.
+func (e *execEnv) newComm(tg *sim.Graph, memScale int) *comm.Group {
+	cg := comm.New(tg)
+	cg.BytesScale = int64(memScale)
+	cg.Retry = e.Retry
+	cg.Clock = e.RetryClock
+	cg.Meter = e.CommMeter
+	if gate, ok := e.Fault.(comm.CollectiveGate); ok {
+		cg.Gate = gate
+	}
+	return cg
+}
+
+// replay runs tg's recorded closures with the configured executor variant,
+// attaching the registry, observer and fault hook so the graph is
+// self-describing for the sanitizer. A non-nil error is the replay's first
+// task failure (already a *sim.TaskError); the graph is not resumable
+// afterwards.
+func (e *execEnv) replay(tg *sim.Graph, reg *sim.BufRegistry) error {
+	tg.Reg = reg
+	tg.Observer = e.ExecObserver
+	tg.Fault = e.Fault
+	if e.ExecSeed != 0 {
+		return tg.ExecuteAdversarial(e.ExecWorkers, e.ExecSeed)
+	}
+	return tg.Execute(e.ExecWorkers)
+}
+
+// replayer is the model-independent part of a trainer: the simulated machine
+// it records task graphs for, the registry naming every device-resident
+// buffer (slabs, weights, gradients, feature shards) for the sanitizer, and
+// the most recently replayed graph, kept for post-hoc checking.
+type replayer struct {
+	Machine   *sim.Machine
+	reg       *sim.BufRegistry
+	lastGraph *sim.Graph
+}
+
+func newReplayer(spec sim.MachineSpec, p, memScale int) replayer {
+	return replayer{Machine: sim.NewMachine(spec, p, memScale), reg: sim.NewBufRegistry()}
+}
+
+// record starts an empty task graph for the machine and its communicator.
+func (r *replayer) record(env *execEnv) (*sim.Graph, *comm.Group) {
+	tg := sim.NewGraph(r.Machine.Spec, r.Machine.P)
+	return tg, env.newComm(tg, r.Machine.MemScale)
+}
+
+// replay runs tg under env and keeps it reachable via LastGraph.
+func (r *replayer) replay(env *execEnv, tg *sim.Graph) error {
+	r.lastGraph = tg
+	return env.replay(tg, r.reg)
+}
+
+// LastGraph returns the task graph of the most recent replay (nil before the
+// first), with Reg attached — the sanitizer's input.
+func (r *replayer) LastGraph() *sim.Graph { return r.lastGraph }
+
+// Registry returns the trainer's buffer registry.
+func (r *replayer) Registry() *sim.BufRegistry { return r.reg }
+
+// PoolUsed returns device d's live pool bytes — the resident footprint the
+// memory certifier's closed form must reproduce exactly.
+func (r *replayer) PoolUsed(d int) int64 { return r.Machine.Pools[d].Used() }

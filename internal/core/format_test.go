@@ -61,7 +61,7 @@ func TestSparseFormatSellConverts(t *testing.T) {
 	}
 	var sells, csrs int
 	var sellBytes int64
-	for _, ds := range tr.part.devs {
+	for _, ds := range tr.devs {
 		for j := range ds.atTiles {
 			if ds.atTiles[j] == nil {
 				continue

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mggcn/internal/comm"
 	"mggcn/internal/graph"
 	"mggcn/internal/nn"
 	"mggcn/internal/sim"
@@ -20,15 +19,13 @@ import (
 // the aggregation then runs as the standard staged-broadcast SpMM over the
 // same L+3 buffers (§4.2 generalizes unchanged).
 type GATDist struct {
-	Cfg     Config
-	Machine *sim.Machine
-	Model   *nn.GAT
+	Cfg   Config
+	Model *nn.GAT
 
-	part      *partitioned
-	phantom   bool
-	graph     *graph.Graph
-	reg       *sim.BufRegistry
-	lastGraph *sim.Graph
+	replayer
+	*partitioned
+	phantom bool
+	graph   *graph.Graph
 }
 
 // NewGATDist partitions the graph and replicates the GAT parameters.
@@ -37,7 +34,8 @@ func NewGATDist(g *graph.Graph, model *nn.GAT, cfg Config) (*GATDist, error) {
 	if cfg.Strategy != Strategy1DRow {
 		return nil, fmt.Errorf("core: distributed GAT supports only the 1D-row strategy")
 	}
-	machine := sim.NewMachine(cfg.Spec, cfg.P, cfg.MemScale)
+	rp := newReplayer(cfg.Spec, cfg.P, cfg.MemScale)
+	machine := rp.Machine
 	// GAT always keeps CSR tiles: its attention-weighted tiles are rebuilt
 	// from SDDMM output every epoch, so a SELL conversion would recur
 	// per epoch instead of amortizing over the run.
@@ -45,9 +43,8 @@ func NewGATDist(g *graph.Graph, model *nn.GAT, cfg Config) (*GATDist, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &GATDist{Cfg: cfg, Machine: machine, Model: model, part: p, phantom: g.IsPhantom(), graph: g,
-		reg: sim.NewBufRegistry()}
-	maxTile := p.maxTileRows()
+	d := &GATDist{Cfg: cfg, Model: model, replayer: rp, partitioned: p, phantom: g.IsPhantom(), graph: g}
+	maxTile := p.MaxTileRows()
 	var params int64
 	for _, w := range model.Params() {
 		params += int64(w.Rows) * int64(w.Cols)
@@ -88,15 +85,7 @@ func NewGATDist(g *graph.Graph, model *nn.GAT, cfg Config) (*GATDist, error) {
 func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 	p := d.Machine.P
 	spec := d.Machine.Spec
-	tg := sim.NewGraph(spec, p)
-	cg := comm.New(tg)
-	cg.BytesScale = int64(d.Cfg.MemScale)
-	cg.Retry = d.Cfg.Retry
-	cg.Clock = d.Cfg.RetryClock
-	if gate, ok := d.Cfg.Fault.(comm.CollectiveGate); ok {
-		cg.Gate = gate
-	}
-	cg.Meter = d.Cfg.CommMeter
+	tg, cg := d.record(&d.Cfg.execEnv)
 	scale := func(x int) int { return x * d.Cfg.MemScale }
 
 	L := d.Model.Layers()
@@ -104,16 +93,6 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 	hReady := make([]int, p)
 	for i := range hReady {
 		hReady[i] = -1
-	}
-	inputView := func(dev, l int) *tensor.Dense {
-		ds := d.part.devs[dev]
-		if l == 0 {
-			if ds.x != nil {
-				return ds.x
-			}
-			return tensor.NewPhantom(ds.rows, dims[0])
-		}
-		return ds.bufs.AHW[l-1].View(ds.rows, dims[l])
 	}
 
 	for l := 0; l < L; l++ {
@@ -124,7 +103,7 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 		s1Local := make([]*tensor.Dense, p)
 		s2Local := make([]*tensor.Dense, p)
 		for i := 0; i < p; i++ {
-			ds := d.part.devs[i]
+			ds := d.devs[i]
 			z := ds.bufs.HW.View(ds.rows, dOut)
 			zViews[i] = z
 			s1 := tensor.NewDense(ds.rows, 1)
@@ -140,11 +119,11 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 				deps = append(deps, hReady[i])
 			}
 			gemmID := tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("gat%d/gemm", l), -1,
-				spec.GemmCost(scale(d.part.devs[i].rows), dIn, dOut), false, deps...)
+				spec.GemmCost(scale(d.devs[i].rows), dIn, dOut), false, deps...)
 			id := tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("gat%d/attnvec", l), -1,
-				2*spec.GemmCost(scale(d.part.devs[i].rows), dOut, 1), false, gemmID)
+				2*spec.GemmCost(scale(d.devs[i].rows), dOut, 1), false, gemmID)
 			if !d.phantom {
-				in, w := inputView(i, l), d.Model.Weights[l]
+				in, w := d.inputView(i, l, dims), d.Model.Weights[l]
 				tg.BindShaped(gemmID, sim.ShapesOf(in, w), sim.ShapesOf(z),
 					func() { tensor.ParallelGemm(1, in, w, 0, z, d.Cfg.Workers) })
 				aSrc, aDst := d.Model.AttnSrc[l], d.Model.AttnDst[l]
@@ -179,7 +158,7 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 		if !d.phantom {
 			tg.BindShaped(gatherID, sim.ShapesOf(s1Local...), sim.ShapesOf(s1Full), func() {
 				for i := 0; i < p; i++ {
-					ds := d.part.devs[i]
+					ds := d.devs[i]
 					for r := 0; r < ds.rows; r++ {
 						s1Full.Set(ds.lo+r, 0, s1Local[i].At(r, 0))
 					}
@@ -197,7 +176,7 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 		alphaIDs := make([]sim.BufID, p)
 		scoreID := make([]int, p)
 		for i := 0; i < p; i++ {
-			ds := d.part.devs[i]
+			ds := d.devs[i]
 			var nnzRow int64
 			for _, t := range ds.atTiles {
 				nnzRow += t.NNZ()
@@ -210,7 +189,7 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 				// The aggregation closures below read alphaTiles[i] at
 				// replay time, after this task (their scoreID dep).
 				tg.BindShaped(scoreID[i], sim.ShapesOf(s1Full, s2), []sim.ViewShape{sim.OpaqueShape(alphaIDs[i])}, func() {
-					alphaTiles[i] = attentionRow(ds, s1Full, s2, d.part.vec, d.Model.LeakySlope)
+					alphaTiles[i] = attentionRow(ds, s1Full, s2, d.vec, d.Model.LeakySlope)
 				})
 			} else {
 				alphaTiles[i] = ds.atTiles
@@ -222,7 +201,7 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 		last := make([]int, p)
 		var prevStage, prevPrevStage []int
 		for j := 0; j < p; j++ {
-			rootRows := d.part.devs[j].rows
+			rootRows := d.devs[j].rows
 			var bcastID = -1
 			if p > 1 {
 				deps := []int{zID[j]}
@@ -233,13 +212,13 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 				}
 				bcDst := make([]*tensor.Dense, p)
 				for i := 0; i < p; i++ {
-					bcDst[i] = d.part.devs[i].bufs.BC(j, d.Cfg.Overlap).View(rootRows, dOut)
+					bcDst[i] = d.devs[i].bufs.BC(j, d.Cfg.Overlap).View(rootRows, dOut)
 				}
 				bcastID = cg.Broadcast(j, zViews[j], bcDst, fmt.Sprintf("gat%d/bcast", l), j, deps...)
 			}
 			stage := make([]int, 0, p)
 			for i := 0; i < p; i++ {
-				ds := d.part.devs[i]
+				ds := d.devs[i]
 				var xin *tensor.Dense
 				deps := []int{scoreID[i]}
 				if i == j {
@@ -269,7 +248,7 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 		}
 		if l < L-1 {
 			for i := 0; i < p; i++ {
-				ds := d.part.devs[i]
+				ds := d.devs[i]
 				act := ds.bufs.AHW[l].View(ds.rows, dOut)
 				id := tg.AddCompute(i, sim.KindActivation, fmt.Sprintf("gat%d/relu", l), -1,
 					spec.ElementwiseCost(int64(scale(ds.rows))*int64(dOut), 1), true, last[i])
@@ -282,17 +261,7 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 		copy(hReady, last)
 	}
 
-	tg.Reg = d.reg
-	tg.Observer = d.Cfg.ExecObserver
-	tg.Fault = d.Cfg.Fault
-	d.lastGraph = tg
-	var err error
-	if d.Cfg.ExecSeed != 0 {
-		err = tg.ExecuteAdversarial(d.Cfg.ExecWorkers, d.Cfg.ExecSeed)
-	} else {
-		err = tg.Execute(d.Cfg.ExecWorkers)
-	}
-	if err != nil {
+	if err := d.replay(&d.Cfg.execEnv, tg); err != nil {
 		return nil, nil, err
 	}
 	sched := tg.Run()
@@ -305,36 +274,8 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 	if d.phantom {
 		return nil, stats, nil
 	}
-	classes := dims[L]
-	full := tensor.NewDense(d.graph.N(), classes)
-	for _, ds := range d.part.devs {
-		view := ds.bufs.AHW[L-1].View(ds.rows, classes)
-		for r := 0; r < ds.rows; r++ {
-			copy(full.Row(ds.lo+r), view.Row(r))
-		}
-	}
-	return unpermuteRows(full, d.part.perm), stats, nil
+	return d.gatherLogits(dims), stats, nil
 }
-
-// LastGraph returns the task graph of the most recent Forward replay (nil
-// before the first), with Reg attached — the sanitizer's input.
-func (d *GATDist) LastGraph() *sim.Graph { return d.lastGraph }
-
-// Registry returns the distributed GAT's buffer registry.
-func (d *GATDist) Registry() *sim.BufRegistry { return d.reg }
-
-// DeviceRows returns the number of vertices device dev owns.
-func (d *GATDist) DeviceRows(dev int) int { return d.part.devs[dev].rows }
-
-// MaxTileRows returns the largest partition block (BC slab row count).
-func (d *GATDist) MaxTileRows() int { return d.part.maxTileRows() }
-
-// AdjacencyBytes returns the bytes device dev's resident adjacency tiles
-// occupy (always CSR for GAT).
-func (d *GATDist) AdjacencyBytes(dev int) int64 { return d.part.devs[dev].adjBytes }
-
-// PoolUsed returns device dev's live pool bytes.
-func (d *GATDist) PoolUsed(dev int) int64 { return d.Machine.Pools[dev].Used() }
 
 // attentionRow computes device ds's attention-valued tiles: raw scores
 // e(v,u) = LeakyReLU(s1_u + s2_v) over its tile row, normalized by a

@@ -201,9 +201,9 @@ func permuteRows(x *tensor.Dense, perm []int32) *tensor.Dense {
 	return out
 }
 
-// maxTileRows returns the largest part size of the partition vector — the
-// broadcast buffer extent.
-func (p *partitioned) maxTileRows() int {
+// MaxTileRows returns the largest partition block — the row count the
+// broadcast slabs are sized for.
+func (p *partitioned) MaxTileRows() int {
 	m := 0
 	for i := 0; i < p.vec.Parts(); i++ {
 		if s := p.vec.Size(i); s > m {
@@ -211,6 +211,48 @@ func (p *partitioned) maxTileRows() int {
 		}
 	}
 	return m
+}
+
+// DeviceRows returns the number of vertices device d owns — the row count
+// its HW/AHW slabs are sized for.
+func (p *partitioned) DeviceRows(d int) int { return p.devs[d].rows }
+
+// AdjacencyBytes returns the bytes device d's resident adjacency tiles
+// occupy (both orientations, CSR or SELL-C-σ per tileBytes).
+func (p *partitioned) AdjacencyBytes(d int) int64 { return p.devs[d].adjBytes }
+
+// inputView returns device dev's resident input block of layer l of a model
+// with the given layer widths: its feature shard for layer 0 (a phantom view
+// in phantom mode) or the previous layer's output buffer.
+func (p *partitioned) inputView(dev, l int, dims []int) *tensor.Dense {
+	ds := p.devs[dev]
+	if l == 0 {
+		if ds.x != nil {
+			return ds.x
+		}
+		return tensor.NewPhantom(ds.rows, dims[0])
+	}
+	return ds.bufs.AHW[l-1].View(ds.rows, dims[l])
+}
+
+// gatherLogits gathers the output-layer activations into one matrix in
+// original vertex order (undoing the permutation). Only valid right after a
+// forward pass with real math, before anything overwrites the logits.
+func (p *partitioned) gatherLogits(dims []int) *tensor.Dense {
+	classes := dims[len(dims)-1]
+	full := tensor.NewDense(p.vec.N(), classes)
+	seen := make([]bool, p.blocks)
+	for _, ds := range p.devs {
+		if seen[ds.block] { // replicated blocks (1.5D) are identical
+			continue
+		}
+		seen[ds.block] = true
+		view := ds.bufs.AHW[len(dims)-2].View(ds.rows, classes)
+		for r := 0; r < ds.rows; r++ {
+			copy(full.Row(ds.lo+r), view.Row(r))
+		}
+	}
+	return unpermuteRows(full, p.perm)
 }
 
 // unpermuteRows maps a vector indexed by (possibly permuted) vertex back to

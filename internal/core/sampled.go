@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"mggcn/internal/comm"
 	"mggcn/internal/graph"
 	"mggcn/internal/nn"
 	"mggcn/internal/sample"
@@ -68,26 +66,10 @@ type SampledConfig struct {
 	// are bit-identical either way.
 	Pipeline bool
 
-	Seed    int64 // weight init, epoch shuffles, and all sampler streams
-	Workers int   // CPU workers for the real kernels (<=0: GOMAXPROCS)
-	// ExecWorkers / ExecSeed / ExecObserver mirror Config: host replay
-	// parallelism, adversarial replay seed, and the sanitizer's observer.
-	ExecWorkers  int
-	ExecSeed     int64
-	ExecObserver sim.ExecObserver
-	// CommMeter counts collective words plus the extract stage's gather
-	// traffic (sim.CollGatherHit / sim.CollGatherMiss).
-	CommMeter *comm.Meter
-
-	// Fault brackets every bound task the replay executes (the fault
-	// injector's hook); when it also implements comm.CollectiveGate, the
-	// same instance gates collective attempts — mirroring Config.Fault.
-	Fault sim.FaultHook
-	// Retry bounds the collectives' transient-failure retry loop; the zero
-	// policy fails on the first error. RetryClock substitutes the backoff
-	// sleeps (nil uses the wall clock).
-	Retry      comm.RetryPolicy
-	RetryClock comm.Clock
+	Seed int64 // weight init, epoch shuffles, and all sampler streams
+	// The execution environment, as on Config: Workers, ExecWorkers,
+	// ExecSeed, ExecObserver, Fault, Retry, RetryClock, CommMeter.
+	execEnv
 
 	// TrackVal computes per-epoch validation accuracy with a host-side
 	// sampled forward over the val mask after each completed epoch —
@@ -162,14 +144,13 @@ func newSampledBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, caps, dims
 // plan (shuffled batches round-robined over devices) and returns the
 // epoch's statistics.
 type SampledTrainer struct {
-	Cfg     SampledConfig
-	Graph   *graph.Graph
-	Machine *sim.Machine
-	Dims    []int
+	Cfg   SampledConfig
+	Graph *graph.Graph
+	Dims  []int
 
-	weights [][]*tensor.Dense // [device][layer]: replicated weights
-	grads   [][]*tensor.Dense
-	opts    []*nn.Adam
+	// replicas is the replicated model on its machine (Machine, the buffer
+	// registry and the last replayed graph come with it).
+	replicas
 	// caches[d] is device d's degree-ordered static feature cache; feat is
 	// the host-resident feature store (a registered view of the dataset's
 	// matrix — misses gather from it over the host link).
@@ -193,9 +174,6 @@ type SampledTrainer struct {
 	avgDeg     float64
 	trainVerts []int32
 	valVerts   []int32
-	reg        *sim.BufRegistry
-	lastGraph  *sim.Graph
-	paramCount int64
 	cursor     samplerCursor
 }
 
@@ -240,19 +218,16 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	if g.IsPhantom() {
 		return nil, fmt.Errorf("core: sampled training needs materialized features")
 	}
-	machine := sim.NewMachine(cfg.Spec, cfg.P, cfg.MemScale)
+	dims := nn.LayerDims(g.FeatDim, cfg.Hidden, cfg.Layers, g.Classes)
+	init := nn.InitWeights(dims, cfg.Seed)
 	tr := &SampledTrainer{
-		Cfg: cfg, Graph: g, Machine: machine,
-		Dims:    nn.LayerDims(g.FeatDim, cfg.Hidden, cfg.Layers, g.Classes),
-		degrees: g.InDegrees(),
-		avgDeg:  g.AvgDegree(),
-		reg:     sim.NewBufRegistry(),
+		Cfg: cfg, Graph: g, Dims: dims,
+		replicas: newReplicas(newReplayer(cfg.Spec, cfg.P, cfg.MemScale), init, false),
+		degrees:  g.InDegrees(),
+		avgDeg:   g.AvgDegree(),
 	}
+	machine := tr.Machine
 	tr.caps = sample.FrontierCaps(g.N(), cfg.Batch, cfg.Fanouts)
-	init := nn.InitWeights(tr.Dims, cfg.Seed)
-	for _, w := range init {
-		tr.paramCount += int64(w.Rows) * int64(w.Cols)
-	}
 	// The host feature store: a fresh view struct over the dataset's
 	// storage, registered under its own name so the dataset matrix itself
 	// is never stamped (other trainers may register the same storage).
@@ -261,19 +236,9 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	registerDense(tr.reg, "host/x", tr.feat)
 	depth := tr.depth()
 	for d := 0; d < machine.P; d++ {
-		if err := machine.Pools[d].Alloc("model", tr.paramCount*4*4); err != nil {
+		if err := tr.add(init, cfg.LR); err != nil {
 			return nil, err
 		}
-		var ws, gs []*tensor.Dense
-		for l, w := range init {
-			ws = append(ws, w.Clone())
-			gs = append(gs, tensor.NewDense(w.Rows, w.Cols))
-			registerDense(tr.reg, fmt.Sprintf("d%d/w%d", d, l), ws[l])
-			registerDense(tr.reg, fmt.Sprintf("d%d/g%d", d, l), gs[l])
-		}
-		tr.weights = append(tr.weights, ws)
-		tr.grads = append(tr.grads, gs)
-		tr.opts = append(tr.opts, nn.NewAdam(cfg.LR, ws))
 		cache := sample.NewFeatureCache(g.Features, tr.degrees, cfg.CacheFrac)
 		if err := machine.Pools[d].Alloc("cache", cache.Slab.Bytes()); err != nil {
 			return nil, err
@@ -376,6 +341,9 @@ type SampledEpochStats struct {
 	Sched        *sim.Schedule
 }
 
+func (s *SampledEpochStats) dropTimeline()       { s.Tasks, s.Sched = nil, nil }
+func (s *SampledEpochStats) validation() float64 { return s.ValAcc }
+
 // RunEpoch performs one sampled epoch: the epoch plan's batches are
 // round-robined over devices step by step; each step samples, extracts,
 // trains, all-reduces the summed step-mean gradient across the full group,
@@ -384,7 +352,7 @@ type SampledEpochStats struct {
 // mid-epoch checkpoint restore, the first call completes the in-flight
 // epoch from the cursor's batch onward.
 func (tr *SampledTrainer) RunEpoch() (*SampledEpochStats, error) {
-	return tr.runSteps(-1)
+	return tr.RunSteps(-1)
 }
 
 // RunSteps records and replays at most maxSteps steps (one step trains P
@@ -392,10 +360,6 @@ func (tr *SampledTrainer) RunEpoch() (*SampledEpochStats, error) {
 // — the seam mid-epoch checkpoints and their tests drive. A negative
 // maxSteps runs to the end of the epoch.
 func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
-	return tr.runSteps(maxSteps)
-}
-
-func (tr *SampledTrainer) runSteps(maxSteps int) (*SampledEpochStats, error) {
 	// NewSampledTrainer rejects phantom datasets, but every closure bound
 	// below touches real storage — keep the guarantee local too.
 	if tr.feat.IsPhantom() {
@@ -433,8 +397,7 @@ func (tr *SampledTrainer) runSteps(maxSteps int) (*SampledEpochStats, error) {
 	}
 	stats.Batches = end - start
 
-	tg := sim.NewGraph(spec, p)
-	cg := tr.newSampledComm(tg)
+	tg, cg := tr.record(&tr.Cfg.execEnv)
 
 	slots := make([][]slotState, p)
 	for d := range slots {
@@ -681,7 +644,7 @@ func (tr *SampledTrainer) runSteps(maxSteps int) (*SampledEpochStats, error) {
 		}
 	}
 
-	if err := tr.replaySampled(tg); err != nil {
+	if err := tr.replay(&tr.Cfg.execEnv, tg); err != nil {
 		return nil, err
 	}
 	var totalCorrect, rows int
@@ -695,7 +658,7 @@ func (tr *SampledTrainer) runSteps(maxSteps int) (*SampledEpochStats, error) {
 	// segment refactor; a resumed segment normalizes over its own rows.
 	stats.Loss /= float64(rows)
 	stats.TrainAcc = float64(totalCorrect) / float64(rows)
-	if err := tr.checkSampledFinite(stats.Loss); err != nil {
+	if err := tr.checkFinite(stats.Loss); err != nil {
 		return nil, err
 	}
 	// The replay succeeded and the numbers are sane: commit the cursor.
@@ -727,33 +690,32 @@ func (tr *SampledTrainer) runSteps(maxSteps int) (*SampledEpochStats, error) {
 	return stats, nil
 }
 
-// Train runs up to epochs sampled epochs, dropping the heavyweight
-// task/schedule payload except on the final one. With EarlyStopPatience > 0
-// and validation vertices present, the run stops once that many consecutive
+// Train runs up to epochs sampled epochs; only the last returned epoch keeps
+// the heavyweight task/schedule payload. With EarlyStopPatience > 0 and
+// validation vertices present, the run stops once that many consecutive
 // epochs pass without improving the best validation accuracy — the
 // returned slice is then shorter than epochs.
 func (tr *SampledTrainer) Train(epochs int) ([]*SampledEpochStats, error) {
-	out := make([]*SampledEpochStats, 0, epochs)
-	bestVal := math.Inf(-1)
-	sinceBest := 0
+	log := runLog[*SampledEpochStats]{patience: tr.patience()}
 	for e := 0; e < epochs; e++ {
 		s, err := tr.RunEpoch()
 		if err != nil {
-			return out, err
+			return log.stats, err
 		}
-		if n := len(out); n > 0 {
-			out[n-1].Tasks, out[n-1].Sched = nil, nil
-		}
-		out = append(out, s)
-		if tr.Cfg.EarlyStopPatience > 0 && len(tr.valVerts) > 0 {
-			if s.ValAcc > bestVal {
-				bestVal, sinceBest = s.ValAcc, 0
-			} else if sinceBest++; sinceBest >= tr.Cfg.EarlyStopPatience {
-				break
-			}
+		if log.add(s) {
+			break
 		}
 	}
-	return out, nil
+	return log.stats, nil
+}
+
+// patience returns the early-stopping patience in force: the configured
+// one when there are validation vertices to track, otherwise 0 (off).
+func (tr *SampledTrainer) patience() int {
+	if len(tr.valVerts) == 0 {
+		return 0
+	}
+	return tr.Cfg.EarlyStopPatience
 }
 
 // valAccuracy evaluates the current model on the validation vertices with a
@@ -800,61 +762,6 @@ func (tr *SampledTrainer) valAccuracy(epoch int) float64 {
 	return float64(totalCorrect) / float64(len(tr.valVerts))
 }
 
-// replaySampled mirrors Trainer.replay for the sampled graph, attaching
-// the registry, observer and fault hook.
-func (tr *SampledTrainer) replaySampled(tg *sim.Graph) error {
-	tg.Reg = tr.reg
-	tg.Observer = tr.Cfg.ExecObserver
-	tg.Fault = tr.Cfg.Fault
-	tr.lastGraph = tg
-	if tr.Cfg.ExecSeed != 0 {
-		return tg.ExecuteAdversarial(tr.Cfg.ExecWorkers, tr.Cfg.ExecSeed)
-	}
-	return tg.Execute(tr.Cfg.ExecWorkers)
-}
-
-// newSampledComm builds the epoch's communicator with the trainer's byte
-// scale, meter, and failure machinery — the retry policy/clock, and the
-// fault hook as the collective gate when it implements one (mirroring
-// Trainer.newComm).
-func (tr *SampledTrainer) newSampledComm(tg *sim.Graph) *comm.Group {
-	cg := comm.New(tg)
-	cg.BytesScale = int64(tr.Cfg.MemScale)
-	cg.Retry = tr.Cfg.Retry
-	cg.Clock = tr.Cfg.RetryClock
-	cg.Meter = tr.Cfg.CommMeter
-	if gate, ok := tr.Cfg.Fault.(comm.CollectiveGate); ok {
-		cg.Gate = gate
-	}
-	return cg
-}
-
-// checkSampledFinite is RunEpoch's corruption guard over the loss and
-// device 0's weights (replicas are identical).
-func (tr *SampledTrainer) checkSampledFinite(loss float64) error {
-	if math.IsNaN(loss) || math.IsInf(loss, 0) {
-		return &NumericError{What: "loss"}
-	}
-	for l, w := range tr.weights[0] {
-		for i, v := range w.Data {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				return &NumericError{What: fmt.Sprintf("weight d0/w%d[%d]", l, i)}
-			}
-		}
-	}
-	return nil
-}
-
-// LastGraph returns the task graph of the most recent RunEpoch replay (nil
-// before the first), with Reg attached — the sanitizer's input.
-func (tr *SampledTrainer) LastGraph() *sim.Graph { return tr.lastGraph }
-
-// Registry returns the trainer's buffer registry.
-func (tr *SampledTrainer) Registry() *sim.BufRegistry { return tr.reg }
-
-// Weights returns device 0's weight stack (replicas are identical).
-func (tr *SampledTrainer) Weights() []*tensor.Dense { return tr.weights[0] }
-
 // Caches returns the per-device feature caches (read-only introspection).
 func (tr *SampledTrainer) Caches() []*sample.FeatureCache { return tr.caches }
 
@@ -872,9 +779,6 @@ func (tr *SampledTrainer) Cursor() (epoch, nextBatch int) {
 	return tr.cursor.Epoch, tr.cursor.NextBatch
 }
 
-// ParamCount returns the model's parameter count (one replica).
-func (tr *SampledTrainer) ParamCount() int64 { return tr.paramCount }
-
 // Depth returns the handoff slot count (2 pipelined, 1 not).
 func (tr *SampledTrainer) Depth() int { return tr.depth() }
 
@@ -883,6 +787,3 @@ func (tr *SampledTrainer) Depth() int { return tr.depth() }
 func (tr *SampledTrainer) FrontierCapacities() []int {
 	return append([]int(nil), tr.caps...)
 }
-
-// PoolUsed returns device d's live pool bytes.
-func (tr *SampledTrainer) PoolUsed(d int) int64 { return tr.Machine.Pools[d].Used() }

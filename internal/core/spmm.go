@@ -44,15 +44,15 @@ func (tr *Trainer) distSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
 
 // withAT binds the forward tiles (Âᵀ) to the args.
 func (a spmmArgs) withAT(tr *Trainer) spmmArgs {
-	a.tiles = func(i int) []*sparse.CSR { return tr.part.devs[i].atTiles }
-	a.sell = func(i int) []*sparse.SELLCS { return tr.part.devs[i].atSell }
+	a.tiles = func(i int) []*sparse.CSR { return tr.devs[i].atTiles }
+	a.sell = func(i int) []*sparse.SELLCS { return tr.devs[i].atSell }
 	return a
 }
 
 // withA binds the backward tiles (Â) to the args.
 func (a spmmArgs) withA(tr *Trainer) spmmArgs {
-	a.tiles = func(i int) []*sparse.CSR { return tr.part.devs[i].aTiles }
-	a.sell = func(i int) []*sparse.SELLCS { return tr.part.devs[i].aSell }
+	a.tiles = func(i int) []*sparse.CSR { return tr.devs[i].aTiles }
+	a.sell = func(i int) []*sparse.SELLCS { return tr.devs[i].aSell }
 	return a
 }
 
@@ -83,7 +83,7 @@ func (tr *Trainer) stagedSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
 	last := make([]int, p)
 	var prevStage, prevPrevStage []int
 	for j := 0; j < p; j++ {
-		rootRows := tr.part.devs[j].rows
+		rootRows := tr.devs[j].rows
 		var bcastID = -1
 		if p > 1 {
 			var deps []int
@@ -97,13 +97,13 @@ func (tr *Trainer) stagedSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
 			}
 			bcDst := make([]*tensor.Dense, p)
 			for i := 0; i < p; i++ {
-				bcDst[i] = tr.part.devs[i].bufs.BC(j, a.overlap).View(rootRows, a.width)
+				bcDst[i] = tr.devs[i].bufs.BC(j, a.overlap).View(rootRows, a.width)
 			}
 			bcastID = cg.Broadcast(j, a.src(j), bcDst, a.label+"/bcast", j, deps...)
 		}
 		stage := make([]int, 0, p)
 		for i := 0; i < p; i++ {
-			dev := tr.part.devs[i]
+			dev := tr.devs[i]
 			var xin *tensor.Dense
 			var deps []int
 			if i == j {

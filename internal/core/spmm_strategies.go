@@ -29,11 +29,11 @@ func (tr *Trainer) stagedSpMMCol(tg *sim.Graph, cg *comm.Group, a spmmArgs) []in
 	last := make([]int, p)
 	var prevReduce, prevPrevReduce int = -1, -1
 	for i := 0; i < p; i++ { // stage i fills output block i
-		outRows := tr.part.devs[i].rows
+		outRows := tr.devs[i].rows
 		partials := make([]*tensor.Dense, p)
 		stageIDs := make([]int, 0, p)
 		for j := 0; j < p; j++ {
-			dev := tr.part.devs[j]
+			dev := tr.devs[j]
 			var out *tensor.Dense
 			if j == i {
 				out = a.dst(i)
@@ -94,7 +94,7 @@ func (tr *Trainer) stagedSpMM15D(tg *sim.Graph, cg *comm.Group, a spmmArgs) []in
 	if len(a.srcReady) != p {
 		panic(fmt.Sprintf("core: stagedSpMM15D srcReady has %d entries for %d devices", len(a.srcReady), p))
 	}
-	blocks := tr.part.blocks
+	blocks := tr.blocks
 	spec := tr.Machine.Spec
 	groupDevs := func(g int) []int {
 		ds := make([]int, blocks)
@@ -119,7 +119,7 @@ func (tr *Trainer) stagedSpMM15D(tg *sim.Graph, cg *comm.Group, a spmmArgs) []in
 		var prevStage, prevPrevStage []int
 		for j := g; j < blocks; j += 2 {
 			rootDev := g*blocks + j
-			rootRows := tr.part.devs[rootDev].rows
+			rootRows := tr.devs[rootDev].rows
 			var bcastID = -1
 			if blocks > 1 {
 				var deps []int
@@ -133,13 +133,13 @@ func (tr *Trainer) stagedSpMM15D(tg *sim.Graph, cg *comm.Group, a spmmArgs) []in
 				}
 				bcDst := make([]*tensor.Dense, blocks)
 				for pos, d := range devs {
-					bcDst[pos] = tr.part.devs[d].bufs.BC(localStage, a.overlap).View(rootRows, a.width)
+					bcDst[pos] = tr.devs[d].bufs.BC(localStage, a.overlap).View(rootRows, a.width)
 				}
 				bcastID = sub.Broadcast(j, a.src(rootDev), bcDst, a.label+"/bcast", j, deps...)
 			}
 			stage := make([]int, 0, blocks)
 			for _, d := range devs {
-				dev := tr.part.devs[d]
+				dev := tr.devs[d]
 				var xin *tensor.Dense
 				var deps []int
 				if d == rootDev {

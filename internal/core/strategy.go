@@ -57,6 +57,17 @@ func (s Strategy) validate(p int) error {
 	}
 }
 
+// Degraded returns the strategy a run continues with on p devices: s itself
+// while it is valid there, otherwise the paper's default 1D-row — 1.5D needs
+// an even group, so it falls back when a device loss leaves an odd survivor
+// count. The elastic path and the verifiers' P-1 rows share this rule.
+func (s Strategy) Degraded(p int) Strategy {
+	if s.validate(p) != nil {
+		return Strategy1DRow
+	}
+	return s
+}
+
 // Ordering selects the vertex ordering applied before uniform
 // partitioning — the §5.2 design-choice ablation. OrderingDefault honors
 // the Config.Permute flag (random when true, natural when false).

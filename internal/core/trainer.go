@@ -42,34 +42,10 @@ type Config struct {
 	// Bit-identical results at any setting.
 	Format SparseFormat
 
-	Seed    int64 // weight initialization seed
-	Workers int   // CPU workers for the real kernels (<=0: GOMAXPROCS)
-	// ExecWorkers is the host-side replay parallelism of sim.Graph.Execute:
-	// how many recorded task closures may run concurrently (<=0: GOMAXPROCS,
-	// 1: serial issue). Results are bit-identical at any setting.
-	ExecWorkers int
-	// ExecSeed, when nonzero, replays epochs with ExecuteAdversarial seeded
-	// by it: worst-case legal orders plus injected start delays, so `-race`
-	// runs exercise the executor's ordering rules. Results stay
-	// bit-identical to the default replay.
-	ExecSeed int64
-	// ExecObserver, when set, brackets every replayed closure (internal/san
-	// shadow tracking). Forces serial replay.
-	ExecObserver sim.ExecObserver
-	// Fault, when set, brackets every replayed closure with fault-injection
-	// callbacks (internal/fault's Injector). When the hook also implements
-	// comm.CollectiveGate, collective attempts are gated through it, so one
-	// injector drives both the crash/straggler/poison seams and the
-	// transient-collective seam.
-	Fault sim.FaultHook
-	// Retry bounds the collectives' transient-failure retries (the zero
-	// value means a single attempt); RetryClock supplies the backoff sleeps
-	// (nil: wall clock).
-	Retry      comm.RetryPolicy
-	RetryClock comm.Clock
-	// CommMeter, when set, counts the words every collective moves — the
-	// measured side of internal/schedcheck's cost certification.
-	CommMeter *comm.Meter
+	Seed int64 // weight initialization seed
+	// The execution environment: Workers, ExecWorkers, ExecSeed,
+	// ExecObserver, Fault, Retry, RetryClock, CommMeter.
+	execEnv
 }
 
 // DefaultConfig returns the full MG-GCN configuration (all optimizations
@@ -88,26 +64,19 @@ func DefaultConfig(spec sim.MachineSpec, p, memScale int) Config {
 // machine. Create with NewTrainer; each RunEpoch performs one full-batch
 // step and returns its statistics (simulated time, breakdown, accuracy).
 type Trainer struct {
-	Cfg     Config
-	Graph   *graph.Graph
-	Machine *sim.Machine
-	Dims    []int
+	Cfg   Config
+	Graph *graph.Graph
+	Dims  []int
 
-	part    *partitioned
-	weights [][]*tensor.Dense // [device][layer]: replicated weights
-	grads   [][]*tensor.Dense
-	opts    []*nn.Adam
-	phantom bool
-	// reg names every device-resident buffer (slabs, weights, gradients,
-	// feature shards) for the sanitizer; lastGraph is the most recently
-	// replayed task graph, exposed for post-hoc checking.
-	reg       *sim.BufRegistry
-	lastGraph *sim.Graph
+	// replicas is the replicated model on its machine (Machine, the buffer
+	// registry and the last replayed graph come with it); the embedded
+	// partition is the distributed dataset.
+	replicas
+	*partitioned
 	// trainCount is the global number of training vertices (the loss
 	// normalizer shared by every device); testCount the held-out count.
 	trainCount int
 	testCount  int
-	paramCount int64
 }
 
 // NewTrainer partitions the dataset, allocates the §4.2 buffer set, and
@@ -123,48 +92,27 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	if err := cfg.Format.validate(); err != nil {
 		return nil, err
 	}
-	machine := sim.NewMachine(cfg.Spec, cfg.P, cfg.MemScale)
-	p, err := partitionGraph(g, machine, cfg.Strategy, cfg.Ordering, cfg.Permute, cfg.BalancedPartition, cfg.PermSeed, cfg.Format)
+	rp := newReplayer(cfg.Spec, cfg.P, cfg.MemScale)
+	p, err := partitionGraph(g, rp.Machine, cfg.Strategy, cfg.Ordering, cfg.Permute, cfg.BalancedPartition, cfg.PermSeed, cfg.Format)
 	if err != nil {
 		return nil, err
 	}
+	dims := nn.LayerDims(g.FeatDim, cfg.Hidden, cfg.Layers, g.Classes)
+	init := nn.InitWeights(dims, cfg.Seed)
 	tr := &Trainer{
-		Cfg: cfg, Graph: g, Machine: machine, part: p,
-		Dims:    nn.LayerDims(g.FeatDim, cfg.Hidden, cfg.Layers, g.Classes),
-		phantom: g.IsPhantom(),
-		reg:     sim.NewBufRegistry(),
+		Cfg: cfg, Graph: g, Dims: dims, partitioned: p,
+		replicas: newReplicas(rp, init, g.IsPhantom()),
 	}
-	maxTile := p.maxTileRows()
-	init := nn.InitWeights(tr.Dims, cfg.Seed)
-	for _, w := range init {
-		tr.paramCount += int64(w.Rows) * int64(w.Cols)
-	}
-	for d := 0; d < machine.P; d++ {
-		bufs, err := NewDeviceBuffers(tr.reg, d, machine.Pools[d], p.devs[d].rows, maxTile, tr.Dims, tr.phantom)
+	maxTile := p.MaxTileRows()
+	for d := 0; d < tr.Machine.P; d++ {
+		bufs, err := NewDeviceBuffers(tr.reg, d, tr.Machine.Pools[d], p.devs[d].rows, maxTile, tr.Dims, tr.phantom)
 		if err != nil {
 			return nil, err
 		}
 		p.devs[d].bufs = bufs
-		// Weights, gradients and the two Adam moments are replicated on
-		// every device (§4.1: "only the model weights are replicated").
-		if err := machine.Pools[d].Alloc("model", tr.paramCount*4*4); err != nil {
+		if err := tr.add(init, cfg.LR); err != nil {
 			return nil, err
 		}
-		var ws, gs []*tensor.Dense
-		for l, w := range init {
-			if tr.phantom {
-				ws = append(ws, tensor.NewPhantom(w.Rows, w.Cols))
-				gs = append(gs, tensor.NewPhantom(w.Rows, w.Cols))
-			} else {
-				ws = append(ws, w.Clone())
-				gs = append(gs, tensor.NewDense(w.Rows, w.Cols))
-			}
-			registerDense(tr.reg, fmt.Sprintf("d%d/w%d", d, l), ws[l])
-			registerDense(tr.reg, fmt.Sprintf("d%d/g%d", d, l), gs[l])
-		}
-		tr.weights = append(tr.weights, ws)
-		tr.grads = append(tr.grads, gs)
-		tr.opts = append(tr.opts, nn.NewAdam(cfg.LR, ws))
 		if x := p.devs[d].x; x != nil {
 			// Feature shards are keyed by block, not device: 1.5D replica
 			// devices view the same storage, and registry identity must
@@ -184,71 +132,16 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	return tr, nil
 }
 
-// replay runs the recorded closures with the configured executor variant,
-// attaching the registry, observer and fault hook so the graph is
-// self-describing for the sanitizer, and keeps the graph reachable via
-// LastGraph. A non-nil error is the replay's first task failure (already a
-// *sim.TaskError); the graph is not resumable afterwards.
-func (tr *Trainer) replay(tg *sim.Graph) error {
-	tg.Reg = tr.reg
-	tg.Observer = tr.Cfg.ExecObserver
-	tg.Fault = tr.Cfg.Fault
-	tr.lastGraph = tg
-	if tr.Cfg.ExecSeed != 0 {
-		return tg.ExecuteAdversarial(tr.Cfg.ExecWorkers, tr.Cfg.ExecSeed)
-	}
-	return tg.Execute(tr.Cfg.ExecWorkers)
-}
-
-// newComm builds the epoch's communicator with the trainer's byte scale and
-// failure machinery: the retry policy/clock, and the fault hook as the
-// collective gate when it implements one.
-func (tr *Trainer) newComm(tg *sim.Graph) *comm.Group {
-	cg := comm.New(tg)
-	cg.BytesScale = int64(tr.Cfg.MemScale)
-	cg.Retry = tr.Cfg.Retry
-	cg.Clock = tr.Cfg.RetryClock
-	cg.Meter = tr.Cfg.CommMeter
-	if gate, ok := tr.Cfg.Fault.(comm.CollectiveGate); ok {
-		cg.Gate = gate
-	}
-	return cg
-}
-
-// LastGraph returns the task graph of the most recent RunEpoch/ForwardOnly
-// replay (nil before the first), with Reg attached — the sanitizer's input.
-func (tr *Trainer) LastGraph() *sim.Graph { return tr.lastGraph }
-
-// Registry returns the trainer's buffer registry.
-func (tr *Trainer) Registry() *sim.BufRegistry { return tr.reg }
-
-// ParamCount returns the model's parameter count (one replica).
-func (tr *Trainer) ParamCount() int64 { return tr.paramCount }
-
 // Blocks returns the partition's block count (P for 1D, P/2 for 1.5D).
-func (tr *Trainer) Blocks() int { return tr.part.blocks }
+func (tr *Trainer) Blocks() int { return tr.blocks }
 
 // BlockRows returns the vertex count of partition block b.
-func (tr *Trainer) BlockRows(b int) int { return tr.part.vec.Size(b) }
+func (tr *Trainer) BlockRows(b int) int { return tr.vec.Size(b) }
 
 // s maps an actual (scaled-down) row/element count to its full-scale
 // equivalent: all task costs are priced at paper scale so that simulated
 // epoch times are comparable with the paper's tables (DESIGN.md §2).
 func (tr *Trainer) s(x int) int { return x * tr.Cfg.MemScale }
-
-// inputView returns device dev's resident input block of layer l: its
-// feature shard for layer 0 (a phantom view in phantom mode) or the
-// previous layer's output buffer.
-func (tr *Trainer) inputView(dev, l int) *tensor.Dense {
-	ds := tr.part.devs[dev]
-	if l == 0 {
-		if ds.x != nil {
-			return ds.x
-		}
-		return tensor.NewPhantom(ds.rows, tr.Dims[0])
-	}
-	return ds.bufs.AHW[l-1].View(ds.rows, tr.Dims[l])
-}
 
 // EpochStats reports one epoch.
 type EpochStats struct {
@@ -281,6 +174,134 @@ func (s *EpochStats) BreakdownPercent() map[sim.Kind]float64 {
 	return out
 }
 
+func (s *EpochStats) dropTimeline()       { s.Tasks, s.Sched = nil, nil }
+func (s *EpochStats) validation() float64 { return 0 }
+
+// epochStats is what the training loops need of a per-epoch record.
+type epochStats interface {
+	// dropTimeline releases the heavyweight task/schedule payload.
+	dropTimeline()
+	// validation is the epoch's validation accuracy (0 where untracked).
+	validation() float64
+}
+
+// runLog collects a run's per-epoch stats. Only the newest entry keeps its
+// task/schedule payload, so whichever epoch turns out to be the last —
+// through completion, early stopping or a failure — still has its timeline.
+// With patience > 0, add also tracks early stopping.
+type runLog[S epochStats] struct {
+	stats    []S
+	patience int
+	best     float64
+	stale    int
+}
+
+// add appends s and reports whether patience consecutive epochs have now
+// passed without improving on the best validation accuracy.
+func (l *runLog[S]) add(s S) (stop bool) {
+	if n := len(l.stats); n > 0 {
+		l.stats[n-1].dropTimeline()
+	}
+	l.stats = append(l.stats, s)
+	if l.patience <= 0 {
+		return false
+	}
+	if v := s.validation(); len(l.stats) == 1 || v > l.best {
+		l.best, l.stale = v, 0
+		return false
+	}
+	l.stale++
+	return l.stale >= l.patience
+}
+
+// recordForward records the L forward layers — per layer the GeMM and the
+// distributed SpMM in §4.4's cheaper order, then the ReLU on all but the
+// last — and returns the per-device tasks the logits are ready after.
+func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
+	p := tr.Machine.P
+	spec := tr.Machine.Spec
+	L := tr.Cfg.Layers
+	hReady := make([]int, p)
+	for i := range hReady {
+		hReady[i] = -1
+	}
+
+	for l := 0; l < L; l++ {
+		dIn, dOut := tr.Dims[l], tr.Dims[l+1]
+		spmmFirst := tr.Cfg.OrderSwitch && dIn < dOut
+		next := make([]int, p)
+		if spmmFirst {
+			// §4.4: aggregate in the narrower dimension first:
+			// AH = Âᵀ H (width dIn), then AHW = (AH) W.
+			last := tr.distSpMM(tg, cg, spmmArgs{
+				label: fmt.Sprintf("fwd%d/spmm", l),
+				src:   func(j int) *tensor.Dense { return tr.inputView(j, l, tr.Dims) },
+				dst: func(i int) *tensor.Dense {
+					return tr.devs[i].bufs.HW.View(tr.devs[i].rows, dIn)
+				},
+				width: dIn, srcReady: hReady, overlap: tr.Cfg.Overlap,
+			}.withAT(tr))
+			for i := 0; i < p; i++ {
+				ds := tr.devs[i]
+				ah := ds.bufs.HW.View(ds.rows, dIn)
+				out := ds.bufs.AHW[l].View(ds.rows, dOut)
+				id := tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("fwd%d/gemm", l), -1,
+					spec.GemmCost(tr.s(ds.rows), dIn, dOut), false, last[i])
+				if !tr.phantom {
+					w := tr.weights[i][l]
+					tg.BindShaped(id, sim.ShapesOf(ah, w), sim.ShapesOf(out),
+						func() { tensor.ParallelGemm(1, ah, w, 0, out, tr.Cfg.Workers) })
+				}
+				next[i] = id
+			}
+		} else {
+			gemmID := make([]int, p)
+			for i := 0; i < p; i++ {
+				ds := tr.devs[i]
+				hw := ds.bufs.HW.View(ds.rows, dOut)
+				var deps []int
+				if hReady[i] >= 0 {
+					deps = append(deps, hReady[i])
+				}
+				gemmID[i] = tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("fwd%d/gemm", l), -1,
+					spec.GemmCost(tr.s(ds.rows), dIn, dOut), false, deps...)
+				if !tr.phantom {
+					in, w := tr.inputView(i, l, tr.Dims), tr.weights[i][l]
+					tg.BindShaped(gemmID[i], sim.ShapesOf(in, w), sim.ShapesOf(hw),
+						func() { tensor.ParallelGemm(1, in, w, 0, hw, tr.Cfg.Workers) })
+				}
+			}
+			last := tr.distSpMM(tg, cg, spmmArgs{
+				label: fmt.Sprintf("fwd%d/spmm", l),
+				src: func(j int) *tensor.Dense {
+					return tr.devs[j].bufs.HW.View(tr.devs[j].rows, dOut)
+				},
+				dst: func(i int) *tensor.Dense {
+					return tr.devs[i].bufs.AHW[l].View(tr.devs[i].rows, dOut)
+				},
+				width: dOut, srcReady: gemmID, overlap: tr.Cfg.Overlap,
+			}.withAT(tr))
+			copy(next, last)
+		}
+		if l < L-1 {
+			for i := 0; i < p; i++ {
+				ds := tr.devs[i]
+				act := ds.bufs.AHW[l].View(ds.rows, dOut)
+				id := tg.AddCompute(i, sim.KindActivation, fmt.Sprintf("fwd%d/relu", l), -1,
+					spec.ElementwiseCost(int64(tr.s(ds.rows))*int64(dOut), 1), true, next[i])
+				if !tr.phantom {
+					// In-place: the destination is also read, so Writes
+					// (read-and-write) alone covers it.
+					tg.BindShaped(id, nil, sim.ShapesOf(act), func() { tensor.ReLU(act, act) })
+				}
+				next[i] = id
+			}
+		}
+		copy(hReady, next)
+	}
+	return hReady
+}
+
 // RunEpoch performs one full-batch training step: L forward layers, the
 // loss, L backward layers with per-layer gradient all-reduce, and the Adam
 // update, recording every kernel and collective into a task graph whose
@@ -296,88 +317,9 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 	p := tr.Machine.P
 	spec := tr.Machine.Spec
 	L := tr.Cfg.Layers
-	tg := sim.NewGraph(spec, p)
-	cg := tr.newComm(tg)
+	tg, cg := tr.record(&tr.Cfg.execEnv)
 
-	hReady := make([]int, p)
-	for i := range hReady {
-		hReady[i] = -1
-	}
-
-	// --- Forward ---
-	for l := 0; l < L; l++ {
-		dIn, dOut := tr.Dims[l], tr.Dims[l+1]
-		spmmFirst := tr.Cfg.OrderSwitch && dIn < dOut
-		next := make([]int, p)
-		if spmmFirst {
-			// §4.4: aggregate in the narrower dimension first:
-			// AH = Âᵀ H (width dIn), then AHW = (AH) W.
-			last := tr.distSpMM(tg, cg, spmmArgs{
-				label: fmt.Sprintf("fwd%d/spmm", l),
-				src:   func(j int) *tensor.Dense { return tr.inputView(j, l) },
-				dst: func(i int) *tensor.Dense {
-					return tr.part.devs[i].bufs.HW.View(tr.part.devs[i].rows, dIn)
-				},
-				width: dIn, srcReady: hReady, overlap: tr.Cfg.Overlap,
-			}.withAT(tr))
-			for i := 0; i < p; i++ {
-				ds := tr.part.devs[i]
-				ah := ds.bufs.HW.View(ds.rows, dIn)
-				out := ds.bufs.AHW[l].View(ds.rows, dOut)
-				id := tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("fwd%d/gemm", l), -1,
-					spec.GemmCost(tr.s(ds.rows), dIn, dOut), false, last[i])
-				if !tr.phantom {
-					w := tr.weights[i][l]
-					tg.BindShaped(id, sim.ShapesOf(ah, w), sim.ShapesOf(out),
-						func() { tensor.ParallelGemm(1, ah, w, 0, out, tr.Cfg.Workers) })
-				}
-				next[i] = id
-			}
-		} else {
-			gemmID := make([]int, p)
-			for i := 0; i < p; i++ {
-				ds := tr.part.devs[i]
-				hw := ds.bufs.HW.View(ds.rows, dOut)
-				var deps []int
-				if hReady[i] >= 0 {
-					deps = append(deps, hReady[i])
-				}
-				gemmID[i] = tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("fwd%d/gemm", l), -1,
-					spec.GemmCost(tr.s(ds.rows), dIn, dOut), false, deps...)
-				if !tr.phantom {
-					in, w := tr.inputView(i, l), tr.weights[i][l]
-					tg.BindShaped(gemmID[i], sim.ShapesOf(in, w), sim.ShapesOf(hw),
-						func() { tensor.ParallelGemm(1, in, w, 0, hw, tr.Cfg.Workers) })
-				}
-			}
-			last := tr.distSpMM(tg, cg, spmmArgs{
-				label: fmt.Sprintf("fwd%d/spmm", l),
-				src: func(j int) *tensor.Dense {
-					return tr.part.devs[j].bufs.HW.View(tr.part.devs[j].rows, dOut)
-				},
-				dst: func(i int) *tensor.Dense {
-					return tr.part.devs[i].bufs.AHW[l].View(tr.part.devs[i].rows, dOut)
-				},
-				width: dOut, srcReady: gemmID, overlap: tr.Cfg.Overlap,
-			}.withAT(tr))
-			copy(next, last)
-		}
-		if l < L-1 {
-			for i := 0; i < p; i++ {
-				ds := tr.part.devs[i]
-				act := ds.bufs.AHW[l].View(ds.rows, dOut)
-				id := tg.AddCompute(i, sim.KindActivation, fmt.Sprintf("fwd%d/relu", l), -1,
-					spec.ElementwiseCost(int64(tr.s(ds.rows))*int64(dOut), 1), true, next[i])
-				if !tr.phantom {
-					// In-place: the destination is also read, so Writes
-					// (read-and-write) alone covers it.
-					tg.BindShaped(id, nil, sim.ShapesOf(act), func() { tensor.ReLU(act, act) })
-				}
-				next[i] = id
-			}
-		}
-		copy(hReady, next)
-	}
+	hReady := tr.recordForward(tg, cg)
 
 	// --- Loss ---
 	// Each device's loss task computes accuracy and the loss gradient for
@@ -390,7 +332,7 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 	lossCorrect := make([]int, p)
 	lossTestCorrect := make([]int, p)
 	for i := 0; i < p; i++ {
-		ds := tr.part.devs[i]
+		ds := tr.devs[i]
 		logits := ds.bufs.AHW[L-1].View(ds.rows, classes)
 		lossID[i] = tg.AddCompute(i, sim.KindLoss, "loss", -1,
 			spec.LossCost(tr.s(ds.rows), classes), true, hReady[i])
@@ -417,7 +359,7 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 		if l < L-1 {
 			next := make([]int, p)
 			for i := 0; i < p; i++ {
-				ds := tr.part.devs[i]
+				ds := tr.devs[i]
 				gIn := ds.bufs.AHW[l+1].View(ds.rows, dOut)
 				act := ds.bufs.AHW[l].View(ds.rows, dOut)
 				id := tg.AddCompute(i, sim.KindActivation, fmt.Sprintf("bwd%d/relu", l), -1,
@@ -434,19 +376,19 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 		// identity-scaling argument applies (input gradients not needed).
 		hwgReady := gReady
 		hwg := func(i int) *tensor.Dense {
-			ds := tr.part.devs[i]
+			ds := tr.devs[i]
 			return ds.bufs.HW.View(ds.rows, dOut)
 		}
 		if l == 0 && tr.Cfg.SkipFirstBackward {
 			hwg = func(i int) *tensor.Dense {
-				ds := tr.part.devs[i]
+				ds := tr.devs[i]
 				return ds.bufs.AHW[0].View(ds.rows, dOut)
 			}
 		} else {
 			hwgReady = tr.distSpMM(tg, cg, spmmArgs{
 				label: fmt.Sprintf("bwd%d/spmm", l),
 				src: func(j int) *tensor.Dense {
-					return tr.part.devs[j].bufs.AHW[l].View(tr.part.devs[j].rows, dOut)
+					return tr.devs[j].bufs.AHW[l].View(tr.devs[j].rows, dOut)
 				},
 				dst:   hwg,
 				width: dOut, srcReady: gReady, overlap: tr.Cfg.Overlap,
@@ -455,11 +397,11 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 		// eq. (10): per-device partial W_G = Hᵀ HW_G, then all-reduce.
 		wgID := make([]int, p)
 		for i := 0; i < p; i++ {
-			ds := tr.part.devs[i]
+			ds := tr.devs[i]
 			wgID[i] = tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("bwd%d/wgrad", l), -1,
 				spec.GemmCost(dIn, tr.s(ds.rows), dOut), false, hwgReady[i])
 			if !tr.phantom {
-				in, hg, grad := tr.inputView(i, l), hwg(i), tr.grads[i][l]
+				in, hg, grad := tr.inputView(i, l, tr.Dims), hwg(i), tr.grads[i][l]
 				tg.BindShaped(wgID[i], sim.ShapesOf(in, hg), sim.ShapesOf(grad),
 					func() { tensor.ParallelGemmTA(1, in, hg, 0, grad, tr.Cfg.Workers) })
 			}
@@ -473,7 +415,7 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 		if l > 0 {
 			next := make([]int, p)
 			for i := 0; i < p; i++ {
-				ds := tr.part.devs[i]
+				ds := tr.devs[i]
 				hgOut := ds.bufs.AHW[l].View(ds.rows, dIn)
 				id := tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("bwd%d/hgrad", l), -1,
 					spec.GemmCost(tr.s(ds.rows), dOut, dIn), false, hwgReady[i])
@@ -504,7 +446,7 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 
 	// Replay the recorded arithmetic (no-op in phantom mode), then fold the
 	// per-device loss slots.
-	if err := tr.replay(tg); err != nil {
+	if err := tr.replay(&tr.Cfg.execEnv, tg); err != nil {
 		return nil, err
 	}
 	if tr.trainCount > 0 {
@@ -537,44 +479,20 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 	return stats, nil
 }
 
-// Train runs epochs full-batch steps and returns per-epoch stats (without
-// the heavyweight task/schedule payload except on the final epoch). The
-// first epoch failure stops the run, returning the completed epochs' stats
-// alongside the error; TrainElastic is the fault-tolerant variant.
+// Train runs epochs full-batch steps and returns per-epoch stats (only the
+// last one keeps the heavyweight task/schedule payload). The first epoch
+// failure stops the run, returning the completed epochs' stats alongside the
+// error; TrainElastic is the fault-tolerant variant.
 func (tr *Trainer) Train(epochs int) ([]*EpochStats, error) {
-	out := make([]*EpochStats, 0, epochs)
+	var log runLog[*EpochStats]
 	for e := 0; e < epochs; e++ {
 		s, err := tr.RunEpoch()
 		if err != nil {
-			return out, err
+			return log.stats, err
 		}
-		if e < epochs-1 {
-			s.Tasks, s.Sched = nil, nil
-		}
-		out = append(out, s)
+		log.add(s)
 	}
-	return out, nil
-}
-
-// Logits gathers the current output-layer activations into one matrix in
-// original vertex order (undoing the permutation). Only valid right after
-// a Forward-containing call in non-phantom mode and before the loss pass
-// overwrites the logits; used by tests via ForwardOnly.
-func (tr *Trainer) gatherLogits() *tensor.Dense {
-	classes := tr.Dims[len(tr.Dims)-1]
-	full := tensor.NewDense(tr.Graph.N(), classes)
-	seen := make([]bool, tr.part.blocks)
-	for _, ds := range tr.part.devs {
-		if seen[ds.block] { // replicated blocks (1.5D) are identical
-			continue
-		}
-		seen[ds.block] = true
-		view := ds.bufs.AHW[len(tr.Dims)-2].View(ds.rows, classes)
-		for r := 0; r < ds.rows; r++ {
-			copy(full.Row(ds.lo+r), view.Row(r))
-		}
-	}
-	return unpermuteRows(full, tr.part.perm)
+	return log.stats, nil
 }
 
 // ForwardOnly runs just the forward pass with real math and returns the
@@ -585,62 +503,13 @@ func (tr *Trainer) ForwardOnly() (*tensor.Dense, error) {
 	if tr.phantom {
 		panic("core: ForwardOnly in phantom mode")
 	}
-	p := tr.Machine.P
-	tg := sim.NewGraph(tr.Machine.Spec, p)
-	cg := tr.newComm(tg)
-	hReady := make([]int, p)
-	for i := range hReady {
-		hReady[i] = -1
-	}
-	L := tr.Cfg.Layers
-	for l := 0; l < L; l++ {
-		dOut := tr.Dims[l+1]
-		gemmID := make([]int, p)
-		for i := 0; i < p; i++ {
-			ds := tr.part.devs[i]
-			hw := ds.bufs.HW.View(ds.rows, dOut)
-			var deps []int
-			if hReady[i] >= 0 {
-				deps = append(deps, hReady[i])
-			}
-			gemmID[i] = tg.AddCompute(i, sim.KindGeMM, "f/gemm", -1, 1e-6, false, deps...)
-			if !tr.phantom {
-				in, w := tr.inputView(i, l), tr.weights[i][l]
-				tg.BindShaped(gemmID[i], sim.ShapesOf(in, w), sim.ShapesOf(hw),
-					func() { tensor.ParallelGemm(1, in, w, 0, hw, tr.Cfg.Workers) })
-			}
-		}
-		last := tr.distSpMM(tg, cg, spmmArgs{
-			label: "f/spmm",
-			src: func(j int) *tensor.Dense {
-				return tr.part.devs[j].bufs.HW.View(tr.part.devs[j].rows, dOut)
-			},
-			dst: func(i int) *tensor.Dense {
-				return tr.part.devs[i].bufs.AHW[l].View(tr.part.devs[i].rows, dOut)
-			},
-			width: dOut, srcReady: gemmID, overlap: tr.Cfg.Overlap,
-		}.withAT(tr))
-		if l < L-1 {
-			for i := 0; i < p; i++ {
-				ds := tr.part.devs[i]
-				act := ds.bufs.AHW[l].View(ds.rows, dOut)
-				id := tg.AddCompute(i, sim.KindActivation, "f/relu", -1, 1e-6, true, last[i])
-				if !tr.phantom {
-					tg.BindShaped(id, nil, sim.ShapesOf(act), func() { tensor.ReLU(act, act) })
-				}
-				last[i] = id
-			}
-		}
-		copy(hReady, last)
-	}
-	if err := tr.replay(tg); err != nil {
+	tg, cg := tr.record(&tr.Cfg.execEnv)
+	tr.recordForward(tg, cg)
+	if err := tr.replay(&tr.Cfg.execEnv, tg); err != nil {
 		return nil, err
 	}
-	return tr.gatherLogits(), nil
+	return tr.gatherLogits(tr.Dims), nil
 }
-
-// Weights returns device 0's weight stack (replicas are identical).
-func (tr *Trainer) Weights() []*tensor.Dense { return tr.weights[0] }
 
 // PeakMemoryBytes returns the maximum per-device peak pool usage.
 func (tr *Trainer) PeakMemoryBytes() int64 {
@@ -655,20 +524,4 @@ func (tr *Trainer) PeakMemoryBytes() int64 {
 
 // BufferCount returns the number of large shared/private buffers per
 // device — the paper's L+3.
-func (tr *Trainer) BufferCount() int { return tr.part.devs[0].bufs.Count() }
-
-// DeviceRows returns the number of vertices device d owns — the row count
-// its HW/AHW slabs are sized for.
-func (tr *Trainer) DeviceRows(d int) int { return tr.part.devs[d].rows }
-
-// MaxTileRows returns the largest partition block — the row count the
-// BC broadcast slabs are sized for.
-func (tr *Trainer) MaxTileRows() int { return tr.part.maxTileRows() }
-
-// AdjacencyBytes returns the bytes device d's resident adjacency tiles
-// occupy (both orientations, CSR or SELL-C-σ per tileBytes).
-func (tr *Trainer) AdjacencyBytes(d int) int64 { return tr.part.devs[d].adjBytes }
-
-// PoolUsed returns device d's live pool bytes — the resident footprint the
-// memory certifier's closed form must reproduce exactly.
-func (tr *Trainer) PoolUsed(d int) int64 { return tr.Machine.Pools[d].Used() }
+func (tr *Trainer) BufferCount() int { return tr.devs[0].bufs.Count() }

@@ -128,18 +128,10 @@ func TestGoldenCertificationDegraded(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := core.DefaultConfig(sim.DGXV100(), tc.p, 1)
 			cfg.Hidden, cfg.Layers = 16, 2
-			cfg.Strategy = degrade(tc.from, tc.p)
+			cfg.Strategy = tc.from.Degraded(tc.p)
 			certifyTrainer(t, g, cfg)
 		})
 	}
-}
-
-// degrade mirrors shrinkAfterLoss's strategy fallback.
-func degrade(s core.Strategy, p int) core.Strategy {
-	if s == core.Strategy15D && p%2 != 0 {
-		return core.Strategy1DRow
-	}
-	return s
 }
 
 func TestGoldenCertificationGAT(t *testing.T) {

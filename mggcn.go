@@ -271,8 +271,9 @@ func NewTrainer(ds *Dataset, o Options) (*Trainer, error) {
 		Permute: o.Permute, PermSeed: o.PermSeed, Overlap: o.Overlap,
 		OrderSwitch: o.OrderSwitch, SkipFirstBackward: o.SkipFirstBackwardSpMM,
 		Format: o.SparseFormat,
-		Seed:   o.Seed, Workers: o.Workers, ExecWorkers: o.ExecWorkers,
+		Seed:   o.Seed,
 	}
+	cfg.Workers, cfg.ExecWorkers = o.Workers, o.ExecWorkers
 	inner, err := core.NewTrainer(ds.g, cfg)
 	if err != nil {
 		return nil, err
@@ -394,9 +395,10 @@ func NewSampledTrainer(ds *Dataset, o SampledOptions) (*SampledTrainer, error) {
 		Hidden: o.Hidden, Layers: o.Layers, LR: o.LR,
 		Batch: o.Batch, Fanouts: o.Fanouts,
 		CacheFrac: o.CacheFrac, Pipeline: o.Pipeline,
-		Seed: o.Seed, Workers: o.Workers, ExecWorkers: o.ExecWorkers,
+		Seed:     o.Seed,
 		TrackVal: o.TrackVal, EarlyStopPatience: o.EarlyStopPatience,
 	}
+	cfg.Workers, cfg.ExecWorkers = o.Workers, o.ExecWorkers
 	inner, err := core.NewSampledTrainer(ds.g, cfg)
 	if err != nil {
 		return nil, err

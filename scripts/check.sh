@@ -22,6 +22,11 @@ go build ./...
 echo "==> mggcn-vet (domain rules)"
 go run ./cmd/mggcn-vet ./...
 
+echo "==> non-test LOC (scripts/loc.sh)"
+# The ROADMAP tracks non-test Go lines per package; internal/core has a
+# ceiling that only goes down.
+scripts/loc.sh -check
+
 echo "==> staticcheck"
 # Pinned in CI (see .github/workflows/ci.yml); locally the toolchain may be
 # offline, so skip with a warning rather than failing on a missing binary.

@@ -1,0 +1,44 @@
+#!/usr/bin/env sh
+# loc.sh — the ROADMAP's tracked size metric: lines of non-test Go code per
+# package and in total (no *_test.go, no testdata/, and not benchmark/, which
+# is a module of its own that measures this one).
+#
+#   scripts/loc.sh          print the table
+#   scripts/loc.sh -check   also fail if internal/core is over its ceiling
+set -eu
+
+cd "$(dirname "$0")/.."
+
+# internal/core's ceiling is the size the last simplification PR reached
+# (ROADMAP item 3). Lower it when core shrinks; a PR that needs to raise it
+# has to say what the lines buy.
+core_ceiling=3673
+
+find . -name '*.go' ! -name '*_test.go' \
+	! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.bench_build/*' ! -path './.git/*' \
+	-exec wc -l {} + |
+	awk -v check="${1:-}" -v ceiling="$core_ceiling" '
+		$2 == "total" { next } # wc prints one per batch of files
+		{
+			pkg = $2
+			sub(/^\.\//, "", pkg)
+			if (!sub(/\/[^\/]*$/, "", pkg)) pkg = "."
+			loc[pkg] += $1
+			total += $1
+		}
+		END {
+			n = 0
+			for (p in loc) names[++n] = p
+			# insertion sort: awk has no portable sort
+			for (i = 2; i <= n; i++) {
+				v = names[i]
+				for (j = i - 1; j > 0 && names[j] > v; j--) names[j + 1] = names[j]
+				names[j + 1] = v
+			}
+			for (i = 1; i <= n; i++) printf "%7d  %s\n", loc[names[i]], names[i]
+			printf "%7d  total\n", total
+			if (check == "-check" && loc["internal/core"] > ceiling) {
+				printf "internal/core has %d non-test lines, ceiling is %d (scripts/loc.sh)\n", loc["internal/core"], ceiling > "/dev/stderr"
+				exit 1
+			}
+		}'
