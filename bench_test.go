@@ -298,8 +298,8 @@ func BenchmarkAccuracyEpoch(b *testing.B) {
 // (ExecWorkers = GOMAXPROCS). Unlike the figure benchmarks above, the
 // headline metric here IS ns/op — the replayed float32 arithmetic is the
 // work being parallelized, and on a host with GOMAXPROCS >= 8 the parallel
-// replay should cut the epoch by >= 2x. cmd/mggcn-epochbench emits the same
-// matrix as machine-readable JSON (BENCH_epoch.json).
+// replay should cut the epoch by >= 2x. The repository benchmark reports the
+// same comparison per workload as sim.replay_speedup (benchmark/).
 func BenchmarkEpochWallClock(b *testing.B) {
 	ds, err := LoadDataset("products", false)
 	if err != nil {

@@ -1,53 +1,27 @@
-// Command mggcn-epochbench measures the real wall-clock of non-phantom
-// training epochs under the dependency-driven parallel executor and writes
-// the result matrix as machine-readable JSON (BENCH_epoch.json by default).
+// Command mggcn-epochbench sweeps the sampled minibatch pipeline (DESIGN.md
+// §8) and writes the matrix nothing else reports as machine-readable JSON
+// (BENCH_sample.json by default): cache fraction x pipelining at one device
+// count, with simulated epoch seconds, stream overlap ratios, pipeline
+// speedups and the extract stage's gather hit/miss words per cell, plus a
+// recovery-overhead column from the elastic pipeline under injected faults.
+// Wall-clock epochs, replay speedup and kernel rates are the repository
+// benchmark's (benchmark/, BENCHMARK.json); full-batch certified-vs-measured
+// memory is `mggcn-verify memcheck -json`.
 //
-// Each cell trains the same Products-scale dataset at a device count in
-// {1, 4, 8} with the epoch replay issued serially (ExecWorkers = 1) and in
-// parallel (ExecWorkers = GOMAXPROCS), and reports the median epoch
-// wall-clock plus the parallel-over-serial speedup. Both knobs of the shared
-// worker pool are recorded per cell: Workers (kernel lanes per Parallel*
-// call) and ExecWorkers (replay closures in flight). The host's GOMAXPROCS
-// and CPU count are recorded alongside, and a warning is emitted — in the
-// JSON and on stderr — when the host has fewer CPUs than simulated devices:
-// on such hosts parallel replay cannot beat serial (there is nothing to run
-// the extra closures on) and sub-1.0 speedups say nothing about the
-// executor.
-//
-// Two further sections feed the performance story:
-//
-//   - "kernels": microbenchmarks of the optimized SpMM/GeMM paths (cache
-//     blocking + SIMD dispatch, and the SELL-C-σ layout) against the
-//     retained flat reference kernels (SpMMFlat/GemmFlat). GeMM runs a
-//     shape set straddling the flat-fallback threshold and records each
-//     shape's winner; the active dispatch table (scalar/avx2/neon) is
-//     recorded as kernel_impl.
-//
-//   - "sweep": a workers x exec_workers grid at the largest device count,
-//     showing how the two pool knobs trade off on this host.
-//
-// Every matrix row and sampled cell also carries a memory column: the
-// memcheck closed form's certified peak slab bytes next to the allocation
-// high-water sim.AllocMeter measured on one extra recorded epoch of the
-// same configuration (a fresh trainer, so the observer never pollutes the
-// timings), making memory regressions diffable alongside time.
+// Every cell also carries a memory column: the memcheck closed form's
+// certified peak slab bytes next to the allocation high-water sim.AllocMeter
+// measured on one extra recorded epoch of the same configuration (a fresh
+// trainer, so the observer never pollutes the timings), making memory
+// regressions diffable alongside time.
 //
 // -tune applies an mggcn-tune choice file before measuring, so a recorded
 // run reflects the host's tuned policy rather than the defaults.
 //
-// -mode selects the sections: "epoch" is the full-batch matrix above,
-// "sample" sweeps the sampled minibatch pipeline (cache fraction x
-// pipelining at one device count, DESIGN.md §8) into BENCH_sample.json
-// with simulated epoch seconds, stream overlap ratios, pipeline speedups,
-// and the extract stage's gather hit/miss words; "all" (default) runs
-// both.
-//
 // Usage:
 //
-//	mggcn-epochbench                      # both matrices -> BENCH_*.json
-//	mggcn-epochbench -devices 8 -epochs 3 -out -   # one row, JSON to stdout
-//	mggcn-epochbench -tune TUNE.json      # measure under a tuned policy
-//	mggcn-epochbench -mode sample -samplefracs 0,0.5   # sampled sweep only
+//	mggcn-epochbench                           # full matrix -> BENCH_sample.json
+//	mggcn-epochbench -samplefracs 0,0.5 -sampleout -   # reduced sweep, JSON to stdout
+//	mggcn-epochbench -tune TUNE.json           # measure under a tuned policy
 package main
 
 import (
@@ -62,7 +36,6 @@ import (
 	"strings"
 	"time"
 
-	"mggcn"
 	"mggcn/internal/comm"
 	"mggcn/internal/core"
 	"mggcn/internal/fault"
@@ -72,90 +45,18 @@ import (
 	"mggcn/internal/memcheck"
 	"mggcn/internal/nn"
 	"mggcn/internal/sim"
-	"mggcn/internal/sparse"
-	"mggcn/internal/tensor"
 	"mggcn/internal/tune"
 )
-
-// cell is one (devices, workers, execWorkers) measurement.
-type cell struct {
-	Devices     int     `json:"devices"`
-	Workers     int     `json:"workers"`      // kernel lanes per call; 0 means GOMAXPROCS
-	ExecWorkers int     `json:"exec_workers"` // replay closures in flight; 0 means GOMAXPROCS
-	Epochs      int     `json:"epochs"`
-	MedianMS    float64 `json:"median_epoch_ms"`
-	MinMS       float64 `json:"min_epoch_ms"`
-}
-
-// rowMemory pairs the statically certified per-device memory with the
-// allocation high-water the meter measured during one recorded epoch at
-// the same device count, so memory regressions become diffable alongside
-// the timings. All values are worst-device, at generated scale; Certified
-// means the closed form, the meter, and the pool agreed byte-exactly on
-// every device (the mggcn-memcheck invariant holding on this very cell).
-type rowMemory struct {
-	CertifiedSlabBytes int64 `json:"certified_peak_slab_bytes"`
-	MeasuredSlabBytes  int64 `json:"measured_slab_high_water_bytes"`
-	SlabCount          int   `json:"certified_slab_count"`
-	ResidentBytes      int64 `json:"certified_resident_bytes"`
-	PoolBytes          int64 `json:"pool_used_bytes"`
-	Certified          bool  `json:"certified"`
-}
-
-// row pairs the serial and parallel cells at one device count.
-type row struct {
-	Devices  int       `json:"devices"`
-	Serial   cell      `json:"serial"`
-	Parallel cell      `json:"parallel"`
-	Speedup  float64   `json:"speedup"`
-	Memory   rowMemory `json:"memory"`
-	Warning  string    `json:"warning,omitempty"`
-}
-
-// kernelBench compares one optimized kernel against its flat reference on
-// a fixed shape. Winner names the faster side ("flat" or the optimized
-// kernel's label) — the per-shape record the autotuner's policy is judged
-// against.
-type kernelBench struct {
-	Kernel    string  `json:"kernel"`
-	Shape     string  `json:"shape"`
-	FlatMS    float64 `json:"flat_ms"`
-	BlockedMS float64 `json:"blocked_ms"`
-	Speedup   float64 `json:"speedup"`
-	Winner    string  `json:"winner"`
-}
-
-type result struct {
-	Dataset    string        `json:"dataset"`
-	N          int           `json:"n"`
-	M          int64         `json:"m"`
-	Hidden     int           `json:"hidden"`
-	Layers     int           `json:"layers"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"numcpu"`
-	KernelImpl string        `json:"kernel_impl"` // dispatch table: scalar | avx2 | neon
-	TuneFile   string        `json:"tune_file,omitempty"`
-	Warnings   []string      `json:"warnings,omitempty"`
-	Kernels    []kernelBench `json:"kernels"`
-	Rows       []row         `json:"rows"`
-	Sweep      []cell        `json:"sweep,omitempty"`
-	WallSecs   float64       `json:"wall_seconds"`
-}
 
 func main() {
 	var (
 		dataset  = flag.String("dataset", "products", "catalog dataset to train (non-phantom)")
-		devices  = flag.String("devices", "1,4,8", "comma-separated device counts")
 		hidden   = flag.Int("hidden", 128, "hidden layer width")
 		epochs   = flag.Int("epochs", 3, "epochs per cell (median reported)")
-		workers  = flag.Int("workers", 0, "kernel lanes per Parallel* call in the matrix rows (0: GOMAXPROCS)")
-		sweep    = flag.String("sweep", "1,0", "comma-separated workers and exec_workers values for the grid at the largest device count (empty: skip)")
 		tuneFile = flag.String("tune", "", "autotuner choice file (mggcn-tune output) to Apply before benchmarking")
-		out      = flag.String("out", "BENCH_epoch.json", "output path, or - for stdout")
 
-		mode          = flag.String("mode", "all", "sections to run: all | epoch | sample")
-		sampleOut     = flag.String("sampleout", "BENCH_sample.json", "sampled-pipeline output path, or - for stdout")
-		sampleDevices = flag.Int("sampledevices", 4, "device count for the sampled-pipeline matrix")
+		sampleOut     = flag.String("sampleout", "BENCH_sample.json", "output path, or - for stdout")
+		sampleDevices = flag.Int("sampledevices", 4, "device count for the matrix")
 		sampleBatch   = flag.Int("samplebatch", 512, "sampled minibatch size")
 		sampleFanouts = flag.String("samplefanouts", "5,10,15", "comma-separated per-layer fanouts, outermost first")
 		sampleFracs   = flag.String("samplefracs", "0,0.25,0.5,0.75", "comma-separated feature-cache fractions")
@@ -171,95 +72,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "applied %s: blockK=%d flatMax=%d colTile=%d sell=%d/%d\n",
 			*tuneFile, choice.BlockK, choice.FlatMaxBytes, choice.SpMMColTile, choice.SellC, choice.SellSigma)
 	}
-
-	if *mode != "all" && *mode != "epoch" && *mode != "sample" {
-		log.Fatalf("bad -mode %q: want all, epoch, or sample", *mode)
-	}
-	if *mode != "epoch" {
-		benchSampled(*dataset, *sampleDevices, *hidden, *sampleBatch,
-			parseInts(*sampleFanouts, "-samplefanouts"),
-			parseFloats(*sampleFracs, "-samplefracs"), *epochs, *sampleOut)
-	}
-	if *mode == "sample" {
-		return
-	}
-
-	ds, err := mggcn.LoadDataset(*dataset, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res := result{
-		Dataset: ds.Name(), N: ds.N(), M: ds.M(),
-		Hidden: *hidden, Layers: 2,
-		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		KernelImpl: kernel.Impl(), TuneFile: *tuneFile,
-	}
-	start := time.Now()
-
-	res.Kernels = benchKernels(*hidden)
-	for _, k := range res.Kernels {
-		fmt.Fprintf(os.Stderr, "kernel %-9s %-24s flat=%.2fms opt=%.2fms speedup=%.2fx winner=%s\n",
-			k.Kernel, k.Shape, k.FlatMS, k.BlockedMS, k.Speedup, k.Winner)
-	}
-
-	// The memory column works from the raw graph (the certifier's accessors
-	// live on the core trainer, below the top-level wrapper the timing
-	// cells use), so load it once alongside the dataset.
-	memG, memSpec, err := gen.Load(*dataset, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	counts := parseInts(*devices, "-devices")
-	for _, p := range counts {
-		serial := measure(ds, p, *hidden, *workers, 1, *epochs)
-		parallel := measure(ds, p, *hidden, *workers, 0, *epochs)
-		r := row{Devices: p, Serial: serial, Parallel: parallel,
-			Speedup: serial.MedianMS / parallel.MedianMS,
-			Memory:  measureMemory(memG, memSpec.Scale, p, *hidden)}
-		if res.NumCPU < p {
-			r.Warning = starvedWarning(res.NumCPU, p)
-		}
-		res.Rows = append(res.Rows, r)
-		fmt.Fprintf(os.Stderr, "devices=%d serial=%.0fms parallel=%.0fms speedup=%.2fx slab=%dB certified=%t\n",
-			p, serial.MedianMS, parallel.MedianMS, r.Speedup, r.Memory.MeasuredSlabBytes, r.Memory.Certified)
-		if r.Warning != "" {
-			fmt.Fprintf(os.Stderr, "WARNING: %s\n", r.Warning)
-		}
-	}
-	if len(counts) > 0 {
-		if maxP := counts[len(counts)-1]; res.NumCPU < maxP {
-			res.Warnings = append(res.Warnings, starvedWarning(res.NumCPU, maxP))
-		}
-	}
-
-	if *sweep != "" && len(counts) > 0 {
-		p := counts[len(counts)-1]
-		grid := parseInts(*sweep, "-sweep")
-		for _, w := range grid {
-			for _, ew := range grid {
-				c := measure(ds, p, *hidden, w, ew, *epochs)
-				res.Sweep = append(res.Sweep, c)
-				fmt.Fprintf(os.Stderr, "sweep devices=%d workers=%d exec_workers=%d median=%.0fms\n",
-					p, w, ew, c.MedianMS)
-			}
-		}
-	}
-	res.WallSecs = time.Since(start).Seconds()
-
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if *out == "-" {
-		os.Stdout.Write(buf)
-		return
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (gomaxprocs=%d)\n", *out, res.GoMaxProcs)
+	benchSampled(*dataset, *sampleDevices, *hidden, *sampleBatch,
+		parseList(*sampleFanouts, "-samplefanouts", strconv.Atoi),
+		parseList(*sampleFracs, "-samplefracs", func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }),
+		*epochs, *sampleOut)
 }
 
 // sampleCell is one (cacheFrac, pipeline) sampled-pipeline measurement:
@@ -529,220 +345,22 @@ func sampleMemory(g *graph.Graph, cfg core.SampledConfig) (certified, measured i
 	}
 	ok = true
 	for d := 0; d < cfg.P; d++ {
-		if peaks[fmt.Sprintf("d%d", d)] != certified {
+		if peaks[sim.DeviceKey(d)] != certified {
 			ok = false
 		}
 	}
 	return certified, measured, ok, ""
 }
 
-func parseFloats(csv, flagName string) []float64 {
-	var vals []float64
+// parseList splits a comma-separated flag value and parses every entry.
+func parseList[T any](csv, flagName string, parse func(string) (T, error)) []T {
+	var vals []T
 	for _, field := range strings.Split(csv, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+		v, err := parse(strings.TrimSpace(field))
 		if err != nil {
 			log.Fatalf("bad %s entry %q: %v", flagName, field, err)
 		}
 		vals = append(vals, v)
 	}
 	return vals
-}
-
-func starvedWarning(numCPU, devices int) string {
-	return fmt.Sprintf("host has %d CPU(s) for %d simulated devices: parallel replay cannot beat serial here, sub-1.0 speedups reflect the host, not the executor", numCPU, devices)
-}
-
-func parseInts(csv, flagName string) []int {
-	var vals []int
-	for _, field := range strings.Split(csv, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil {
-			log.Fatalf("bad %s entry %q: %v", flagName, field, err)
-		}
-		vals = append(vals, v)
-	}
-	return vals
-}
-
-// measureMemory records one full-batch epoch at p devices under the
-// allocation meter — on a fresh trainer, so the observer never pollutes
-// the timing cells — and pairs the measured slab high-water and pool
-// bytes with the memcheck closed forms evaluated on the same trainer.
-func measureMemory(g *graph.Graph, scale, p, hidden int) rowMemory {
-	cfg := core.DefaultConfig(sim.DGXA100(), p, scale)
-	cfg.Hidden = hidden
-	meter := sim.NewAllocMeter()
-	cfg.ExecObserver = meter
-	tr, err := core.NewTrainer(g, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := tr.RunEpoch(); err != nil {
-		log.Fatal(err)
-	}
-	mem := rowMemory{Certified: true}
-	for d := 0; d < p; d++ {
-		fp, err := memcheck.PeakForm("1d-row",
-			memcheck.Model{Dims: tr.Dims, P: p, Device: d, Overlap: cfg.Overlap})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if fp.Uncertified != "" {
-			log.Fatalf("devices=%d d%d: uncertified: %s", p, d, fp.Uncertified)
-		}
-		env := memcheck.DeviceEnv(int64(tr.DeviceRows(d)), int64(tr.MaxTileRows()),
-			tr.AdjacencyBytes(d), tr.Dims)
-		certified, err := fp.SlabBytes.Eval(env)
-		if err != nil {
-			log.Fatal(err)
-		}
-		resident, err := fp.Resident.Eval(env)
-		if err != nil {
-			log.Fatal(err)
-		}
-		measured := meter.SlabPeakBytes()[fmt.Sprintf("d%d", d)]
-		pool := tr.PoolUsed(d)
-		if certified != measured || resident != pool {
-			mem.Certified = false
-		}
-		if certified > mem.CertifiedSlabBytes {
-			mem.CertifiedSlabBytes = certified
-			mem.SlabCount = fp.SlabCount
-		}
-		if measured > mem.MeasuredSlabBytes {
-			mem.MeasuredSlabBytes = measured
-		}
-		if resident > mem.ResidentBytes {
-			mem.ResidentBytes = resident
-		}
-		if pool > mem.PoolBytes {
-			mem.PoolBytes = pool
-		}
-	}
-	return mem
-}
-
-// measure trains epochs steps at the given kernel and replay parallelism
-// and returns the wall-clock cell. A fresh trainer per cell keeps cells
-// independent.
-func measure(ds *mggcn.Dataset, p, hidden, workers, execWorkers, epochs int) cell {
-	o := mggcn.DefaultOptions(mggcn.DGXA100(), p)
-	o.Hidden = hidden
-	o.Workers = workers
-	o.ExecWorkers = execWorkers
-	tr, err := mggcn.NewTrainer(ds, o)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tr.RunEpoch() // warm-up: first epoch pays one-time cache fills
-	times := make([]float64, 0, epochs)
-	for e := 0; e < epochs; e++ {
-		t0 := time.Now()
-		tr.RunEpoch()
-		times = append(times, float64(time.Since(t0).Microseconds())/1e3)
-	}
-	sort.Float64s(times)
-	return cell{
-		Devices: p, Workers: workers, ExecWorkers: execWorkers, Epochs: epochs,
-		MedianMS: times[len(times)/2], MinMS: times[0],
-	}
-}
-
-// benchKernels times the optimized SpMM/GeMM paths against the flat
-// reference kernels on GCN-shaped operands. Serial kernels on both sides:
-// this isolates cache blocking, SIMD dispatch, and layout from pool
-// scheduling. GeMM runs a shape set straddling the flat-fallback
-// threshold — including 2048x128x128, the shape that regressed to 0.87x
-// before the policy existed — and every shape's winner is recorded. SpMM
-// additionally races the SELL-C-σ layout against CSR on the same matrix.
-func benchKernels(hidden int) []kernelBench {
-	const reps = 5
-
-	n, deg := 4096, 32
-	a := benchCSR(n, deg)
-	x := randDense(n, hidden, 1)
-	c := tensor.NewDense(n, hidden)
-	spmmShape := fmt.Sprintf("n=%d deg=%d d=%d", n, deg, hidden)
-	spmmFlat := bestOf(reps, func() { sparse.SpMMFlat(a, x, 0, c) })
-	spmmBlocked := bestOf(reps, func() { sparse.SpMM(a, x, 0, c) })
-	sell := sparse.ToSELLCS(a, sparse.DefaultSellC, sparse.DefaultSellSigma)
-	spmmSell := bestOf(reps, func() { sparse.SpMMSell(sell, x, 0, c) })
-
-	out := []kernelBench{
-		{Kernel: "spmm", Shape: spmmShape, FlatMS: spmmFlat, BlockedMS: spmmBlocked,
-			Speedup: spmmFlat / spmmBlocked, Winner: winner(spmmFlat, spmmBlocked, "blocked")},
-		{Kernel: "spmm-sell", Shape: spmmShape, FlatMS: spmmFlat, BlockedMS: spmmSell,
-			Speedup: spmmFlat / spmmSell, Winner: winner(spmmFlat, spmmSell, "sell")},
-	}
-	shapes := [][3]int{{2048, hidden, hidden}, {2048, 128, 128}, {1024, 512, 512}}
-	seen := map[string]bool{}
-	for _, s := range shapes {
-		m, k, nn := s[0], s[1], s[2]
-		gemmShape := fmt.Sprintf("%dx%dx%d", m, k, nn)
-		if seen[gemmShape] {
-			continue
-		}
-		seen[gemmShape] = true
-		ga := randDense(m, k, 2)
-		gb := randDense(k, nn, 3)
-		gc := tensor.NewDense(m, nn)
-		gemmFlat := bestOf(reps, func() { tensor.GemmFlat(1, ga, gb, 0, gc) })
-		gemmOpt := bestOf(reps, func() { tensor.Gemm(1, ga, gb, 0, gc) })
-		out = append(out, kernelBench{Kernel: "gemm", Shape: gemmShape,
-			FlatMS: gemmFlat, BlockedMS: gemmOpt,
-			Speedup: gemmFlat / gemmOpt, Winner: winner(gemmFlat, gemmOpt, "blocked")})
-	}
-	return out
-}
-
-func winner(flatMS, optMS float64, optName string) string {
-	if flatMS < optMS {
-		return "flat"
-	}
-	return optName
-}
-
-// bestOf returns the fastest of reps timed runs in milliseconds — minimum,
-// not median: kernel microbenchmarks want the noise floor, and a warm-up
-// run is implied by discarding slower repetitions.
-func bestOf(reps int, fn func()) float64 {
-	best := 0.0
-	for r := 0; r < reps; r++ {
-		t0 := time.Now()
-		fn()
-		ms := float64(time.Since(t0).Microseconds()) / 1e3
-		if r == 0 || ms < best {
-			best = ms
-		}
-	}
-	return best
-}
-
-func randDense(rows, cols int, seed int64) *tensor.Dense {
-	d := tensor.NewDense(rows, cols)
-	s := uint64(seed)*2862933555777941757 + 3037000493
-	for i := range d.Data {
-		// xorshift keeps the generator dependency-free and deterministic.
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		d.Data[i] = float32(int32(s))/(1<<31)*0.5 + 0.25
-	}
-	return d
-}
-
-func benchCSR(n, degree int) *sparse.CSR {
-	entries := make([]sparse.Coo, 0, n*degree)
-	s := uint64(12345)
-	for u := 0; u < n; u++ {
-		for d := 0; d < degree; d++ {
-			s ^= s << 13
-			s ^= s >> 7
-			s ^= s << 17
-			entries = append(entries, sparse.Coo{
-				Row: int32(u), Col: int32(s % uint64(n)), Val: 1,
-			})
-		}
-	}
-	return sparse.FromCoo(n, n, entries, true)
 }

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"mggcn"
+	"mggcn/internal/sim"
 )
 
 func main() {
@@ -51,18 +52,12 @@ func main() {
 	)
 	flag.Parse()
 
-	var spec mggcn.MachineSpec
-	switch strings.ToLower(*machine) {
-	case "v100", "dgx-1", "dgx-v100":
-		spec = mggcn.DGXV100()
-	case "a100", "dgx-a100":
-		spec = mggcn.DGXA100()
-	default:
-		log.Fatalf("unknown machine %q (want v100 or a100)", *machine)
+	spec, err := sim.ParseMachine(*machine)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var ds *mggcn.Dataset
-	var err error
 	if *synthetic {
 		ds = mggcn.SynthesizeDataset("synthetic", *n, *degree, *features, *classes, *seed, *phantom)
 	} else {

@@ -9,7 +9,7 @@ import (
 // issued at record time, never from inside the execution closure of a
 // Bind-family call. A collective issued during replay is invisible to the
 // recorded graph — it carries no annotation, no dependency edges and no
-// meter counts, so mggcn-schedcheck's deadlock and cost certificates no
+// meter counts, so schedcheck's deadlock and cost certificates no
 // longer cover the schedule that actually runs. Group.Sub is record-time
 // topology (it issues nothing) and is exempt.
 var GroupConsist = &Analyzer{

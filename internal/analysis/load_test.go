@@ -184,7 +184,7 @@ func TestLoadAllCoversModule(t *testing.T) {
 	for _, p := range pkgs {
 		byPath[p.Path] = true
 	}
-	for _, want := range []string{"mggcn/internal/sim", "mggcn/internal/core", "mggcn/internal/schedcheck", "mggcn/cmd/mggcn-schedcheck"} {
+	for _, want := range []string{"mggcn/internal/sim", "mggcn/internal/core", "mggcn/internal/schedcheck", "mggcn/cmd/mggcn-verify"} {
 		if !byPath[want] {
 			t.Fatalf("LoadAll missed %q (have %d packages)", want, len(pkgs))
 		}

@@ -4,7 +4,7 @@ import (
 	"go/ast"
 )
 
-// ShapeDecl enforces the shape-declaration contract mggcn-schedcheck's
+// ShapeDecl enforces the shape-declaration contract schedcheck's
 // typing pass depends on: a bind whose closure touches *tensor.Dense views
 // must register their dimensions, not just their buffer identities. BindRW
 // declares reads/writes as bare buffer sets, which is enough for the

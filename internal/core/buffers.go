@@ -25,8 +25,8 @@ type Buffer struct {
 }
 
 // newBuffer allocates a buffer of capElems float32s from pool, failing with
-// the pool's OOM error when over capacity, and registers it with reg under
-// a device-qualified name so the sanitizer can tell d0's HW from d1's.
+// the pool's OOM error when over capacity, and registers it with reg as one
+// of dev's §4.2 slabs (the device-qualified name is for diagnostics).
 func newBuffer(reg *sim.BufRegistry, dev int, pool *sim.Pool, label string, capElems int64, phantom bool) (*Buffer, error) {
 	if err := pool.Alloc(label, capElems*4); err != nil {
 		return nil, err
@@ -35,7 +35,7 @@ func newBuffer(reg *sim.BufRegistry, dev int, pool *sim.Pool, label string, capE
 	if !phantom {
 		b.data = make([]float32, capElems)
 	}
-	b.id = reg.Register(fmt.Sprintf("d%d/%s", dev, label))
+	b.id = reg.RegisterOn(fmt.Sprintf("d%d/%s", dev, label), dev, true)
 	reg.Track(b.id, b.data)
 	// Slab: views of any shape up to the capacity are legal (schedcheck
 	// bounds-checks against this, not an exact extent).
@@ -122,11 +122,11 @@ func (b *DeviceBuffers) TotalBytes() int64 {
 	return t
 }
 
-// registerDense registers (and, when materialized, tracks) a standalone
-// matrix — weights, gradients, feature shards — under name and stamps it so
-// access declarations can name it. Safe on phantoms (registered untracked).
-func registerDense(reg *sim.BufRegistry, name string, t *tensor.Dense) {
-	id := reg.Register(name)
+// registerDense stamps a standalone matrix — weights, gradients, feature
+// shards — with its registration id (reg.Register, or reg.RegisterOn for a
+// device-resident one) so access declarations can name it, and tracks its
+// storage when materialized. Safe on phantoms (registered untracked).
+func registerDense(reg *sim.BufRegistry, id sim.BufID, t *tensor.Dense) {
 	if t.Data != nil {
 		reg.Track(id, t.Data)
 	}

@@ -258,7 +258,7 @@ func TestSampledElasticSanClean(t *testing.T) {
 	if res.FinalP != 2 {
 		t.Fatalf("final group size %d, want 2", res.FinalP)
 	}
-	if got := san.Check(res.Trainer.LastGraph(), san.Options{}); len(got) != 0 {
+	if got := san.Check(res.Trainer.LastGraph(), res.Trainer.LastGraph().HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 		t.Errorf("post-recovery graph: %d unordered conflicts, e.g. %v", len(got), got[0])
 	}
 	sh := san.NewShadow(res.Trainer.Registry())

@@ -52,9 +52,9 @@ func NewGATDist(g *graph.Graph, model *nn.GAT, cfg Config) (*GATDist, error) {
 	// The GAT parameters are shared (read-only) across devices; register
 	// them so the access sets can say so.
 	for l := 0; l < model.Layers(); l++ {
-		registerDense(d.reg, fmt.Sprintf("gat/w%d", l), model.Weights[l])
-		registerDense(d.reg, fmt.Sprintf("gat/a1-%d", l), model.AttnSrc[l])
-		registerDense(d.reg, fmt.Sprintf("gat/a2-%d", l), model.AttnDst[l])
+		registerDense(d.reg, d.reg.Register(fmt.Sprintf("gat/w%d", l)), model.Weights[l])
+		registerDense(d.reg, d.reg.Register(fmt.Sprintf("gat/a1-%d", l)), model.AttnSrc[l])
+		registerDense(d.reg, d.reg.Register(fmt.Sprintf("gat/a2-%d", l)), model.AttnDst[l])
 	}
 	for dev := 0; dev < machine.P; dev++ {
 		bufs, err := NewDeviceBuffers(d.reg, dev, machine.Pools[dev], p.devs[dev].rows, maxTile, model.Dims, d.phantom)
@@ -64,7 +64,7 @@ func NewGATDist(g *graph.Graph, model *nn.GAT, cfg Config) (*GATDist, error) {
 		p.devs[dev].bufs = bufs
 		if x := p.devs[dev].x; x != nil {
 			// Keyed by block for storage identity (see Trainer).
-			registerDense(d.reg, fmt.Sprintf("b%d/x", p.devs[dev].block), x)
+			registerDense(d.reg, d.reg.Register(fmt.Sprintf("b%d/x", p.devs[dev].block)), x)
 		}
 		if err := machine.Pools[dev].Alloc("gat-model", params*4); err != nil {
 			return nil, err
@@ -112,8 +112,8 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 				s1, s2 = tensor.NewPhantom(ds.rows, 1), tensor.NewPhantom(ds.rows, 1)
 			}
 			s1Local[i], s2Local[i] = s1, s2
-			registerDense(d.reg, fmt.Sprintf("gat%d/s1-d%d", l, i), s1)
-			registerDense(d.reg, fmt.Sprintf("gat%d/s2-d%d", l, i), s2)
+			registerDense(d.reg, d.reg.Register(fmt.Sprintf("gat%d/s1-d%d", l, i)), s1)
+			registerDense(d.reg, d.reg.Register(fmt.Sprintf("gat%d/s2-d%d", l, i)), s2)
 			var deps []int
 			if hReady[i] >= 0 {
 				deps = append(deps, hReady[i])
@@ -139,7 +139,7 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 		if d.phantom {
 			s1Full = tensor.NewPhantom(d.graph.N(), 1)
 		}
-		registerDense(d.reg, fmt.Sprintf("gat%d/s1full", l), s1Full)
+		registerDense(d.reg, d.reg.Register(fmt.Sprintf("gat%d/s1full", l)), s1Full)
 		gatherSecs := spec.AllReduceCost(int64(scale(d.graph.N()))*4, p)
 		allDevs := make([]int, p)
 		for i := range allDevs {

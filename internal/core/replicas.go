@@ -51,8 +51,8 @@ func (r *replicas) add(init []*tensor.Dense, lr float64) error {
 			ws = append(ws, w.Clone())
 			gs = append(gs, tensor.NewDense(w.Rows, w.Cols))
 		}
-		registerDense(r.reg, fmt.Sprintf("d%d/w%d", d, l), ws[l])
-		registerDense(r.reg, fmt.Sprintf("d%d/g%d", d, l), gs[l])
+		registerDense(r.reg, r.reg.RegisterOn(fmt.Sprintf("d%d/w%d", d, l), d, false), ws[l])
+		registerDense(r.reg, r.reg.RegisterOn(fmt.Sprintf("d%d/g%d", d, l), d, false), gs[l])
 	}
 	r.weights = append(r.weights, ws)
 	r.grads = append(r.grads, gs)

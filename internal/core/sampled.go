@@ -233,7 +233,7 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	// is never stamped (other trainers may register the same storage).
 	fv := *g.Features
 	tr.feat = &fv
-	registerDense(tr.reg, "host/x", tr.feat)
+	registerDense(tr.reg, tr.reg.Register("host/x"), tr.feat)
 	depth := tr.depth()
 	for d := 0; d < machine.P; d++ {
 		if err := tr.add(init, cfg.LR); err != nil {
@@ -243,9 +243,9 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 		if err := machine.Pools[d].Alloc("cache", cache.Slab.Bytes()); err != nil {
 			return nil, err
 		}
-		// The cache is a §4.2-style slab: registering it under buf/ puts it
-		// in the live-slab universe san.LiveHighWater and memcheck count.
-		registerDense(tr.reg, fmt.Sprintf("d%d/buf/cache", d), cache.Slab)
+		// The cache is a §4.2-style slab: registered as one, it is in the
+		// live-slab universe memcheck and the allocation meter count.
+		registerDense(tr.reg, tr.reg.RegisterOn(fmt.Sprintf("d%d/buf/cache", d), d, true), cache.Slab)
 		tr.caches = append(tr.caches, cache)
 		bufs, err := newSampledBuffers(tr.reg, d, machine.Pools[d], tr.caps, tr.Dims)
 		if err != nil {
@@ -255,7 +255,7 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 		var slots []sim.BufID
 		var samplers []*sample.Sampler
 		for k := 0; k < depth; k++ {
-			slots = append(slots, tr.reg.Register(fmt.Sprintf("d%d/slot%d", d, k)))
+			slots = append(slots, tr.reg.RegisterOn(fmt.Sprintf("d%d/slot%d", d, k), d, false))
 			samplers = append(samplers, sample.NewSampler(g.Adj, cfg.Fanouts))
 		}
 		tr.slotBufs = append(tr.slotBufs, slots)

@@ -8,6 +8,7 @@ import (
 
 	"mggcn/internal/comm"
 	"mggcn/internal/graph"
+	"mggcn/internal/memcheck"
 	"mggcn/internal/nn"
 	"mggcn/internal/sample"
 	"mggcn/internal/san"
@@ -136,7 +137,7 @@ func TestSampledSanClean(t *testing.T) {
 		if _, err := tr.RunEpoch(); err != nil {
 			t.Fatal(err)
 		}
-		if got := san.Check(tr.LastGraph(), san.Options{}); len(got) != 0 {
+		if got := san.Check(tr.LastGraph(), tr.LastGraph().HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 			t.Errorf("pipeline=%t: %d unordered conflicts, e.g. %v", pipeline, len(got), got[0])
 		}
 	}
@@ -262,7 +263,7 @@ func TestSampledLiveHighWater(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := 2*cfg.Layers + 3
-			hw := san.LiveHighWater(tr.LastGraph())
+			hw := memcheck.PeakLiveSlabs(tr.LastGraph(), tr.LastGraph().HappensBefore(sim.ExecutorEdges)).Count
 			if len(hw) != cfg.P {
 				t.Fatalf("pipeline=%v frac=%v: high-water covers %d devices, want %d", pipeline, frac, len(hw), cfg.P)
 			}
@@ -381,7 +382,7 @@ func TestSampledStagingSlabEdgeFlagged(t *testing.T) {
 		t.Fatal(err)
 	}
 	tg := tr.LastGraph()
-	if got := san.Check(tg, san.Options{}); len(got) != 0 {
+	if got := san.Check(tg, tg.HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 		t.Fatalf("intact graph has %d conflicts, e.g. %v", len(got), got[0])
 	}
 	cut := 0
@@ -400,7 +401,7 @@ func TestSampledStagingSlabEdgeFlagged(t *testing.T) {
 	if cut == 0 {
 		t.Fatal("no extract task depends on a layer-0 SpMM")
 	}
-	got := san.Check(tg, san.Options{})
+	got := san.Check(tg, tg.HappensBefore(sim.ExecutorEdges))
 	if len(got) == 0 {
 		t.Fatal("sanitizer reports no conflict with the extract → fwd0/spmm edges deleted")
 	}

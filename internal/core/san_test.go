@@ -5,6 +5,7 @@ import (
 
 	"mggcn/internal/fault"
 	"mggcn/internal/graph"
+	"mggcn/internal/memcheck"
 	"mggcn/internal/nn"
 	"mggcn/internal/san"
 	"mggcn/internal/sim"
@@ -38,7 +39,7 @@ func TestTrainerGraphsSanClean(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEpoch(tr)
-		if got := san.Check(tr.LastGraph(), san.Options{}); len(got) != 0 {
+		if got := san.Check(tr.LastGraph(), tr.LastGraph().HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 			t.Errorf("%s: epoch graph has %d unordered conflicts, e.g. %v", name, len(got), got[0])
 		}
 	}
@@ -60,7 +61,7 @@ func TestTrainerFenceRemovalFlagged(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEpoch(tr)
-	if got := san.Check(tr.LastGraph(), san.Options{IgnoreFences: true}); len(got) == 0 {
+	if got := san.Check(tr.LastGraph(), tr.LastGraph().HappensBefore(sim.EdgeDeps|sim.EdgeFIFO)); len(got) == 0 {
 		t.Fatal("fence-removed model reports no conflicts; the fence regression fixture lost its teeth")
 	}
 }
@@ -77,7 +78,7 @@ func TestTrainerLiveBufferBound(t *testing.T) {
 	}
 	mustEpoch(tr)
 	bound := cfg.Layers + 3
-	hw := san.LiveHighWater(tr.LastGraph())
+	hw := memcheck.PeakLiveSlabs(tr.LastGraph(), tr.LastGraph().HappensBefore(sim.ExecutorEdges)).Count
 	if len(hw) == 0 {
 		t.Fatal("no slab accesses declared")
 	}
@@ -191,7 +192,7 @@ func TestForwardOnlySanClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustForward(tr)
-	if got := san.Check(tr.LastGraph(), san.Options{}); len(got) != 0 {
+	if got := san.Check(tr.LastGraph(), tr.LastGraph().HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 		t.Fatalf("ForwardOnly graph has conflicts: %v", got)
 	}
 }
@@ -208,10 +209,10 @@ func TestGATGraphSanClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustGATForward(dist)
-	if got := san.Check(dist.LastGraph(), san.Options{}); len(got) != 0 {
+	if got := san.Check(dist.LastGraph(), dist.LastGraph().HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 		t.Fatalf("GAT graph has conflicts: %v", got)
 	}
-	hw := san.LiveHighWater(dist.LastGraph())
+	hw := memcheck.PeakLiveSlabs(dist.LastGraph(), dist.LastGraph().HappensBefore(sim.ExecutorEdges)).Count
 	bound := len(model.Dims) - 1 + 3
 	for dev, n := range hw {
 		if n > bound {

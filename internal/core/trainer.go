@@ -118,7 +118,7 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 			// devices view the same storage, and registry identity must
 			// follow storage identity (aliased entries would poison each
 			// other in shadow mode).
-			registerDense(tr.reg, fmt.Sprintf("b%d/x", p.devs[d].block), x)
+			registerDense(tr.reg, tr.reg.Register(fmt.Sprintf("b%d/x", p.devs[d].block)), x)
 		}
 	}
 	if !tr.phantom {

@@ -1,10 +1,6 @@
 package memcheck
 
-import (
-	"strings"
-
-	"mggcn/internal/sim"
-)
+import "mggcn/internal/sim"
 
 // LiveStats is the liveness pass's per-device result, keyed "d0", "d1", ...
 // like the allocation meter's maps.
@@ -21,37 +17,20 @@ type LiveStats struct {
 // A slab b MAY be live at the instant task t executes if some access of b
 // is not forced strictly after t (it can already have run, charging b) and
 // some access is not forced strictly before t (b cannot have released
-// yet). "Forced" is the executor's own happens-before: declared deps,
-// per-(device, stream) FIFO, and cross-stream fences — exactly the edge
-// set Graph.Predecessors(true, true) reports. The maximum over tasks of
-// the MAY-live byte sum upper-bounds the high-water of every order; on the
-// shipped schedules the certified closed forms prove the bound is attained
-// by an order-forced instant, and the golden tests pin all three legs to
-// byte-exact equality.
-func PeakLiveSlabs(g *sim.Graph) LiveStats {
-	n := len(g.Tasks)
+// yet). "Forced" is hb, which must be the executor's own happens-before
+// (g.HappensBefore(sim.ExecutorEdges): declared deps, per-(device, stream)
+// FIFO, and cross-stream fences) for the bound to cover exactly the orders
+// the replay can take. Slab membership, owning device and capacity come
+// from g.Reg; a graph without a registry has no slabs. The maximum over
+// tasks of the MAY-live byte sum upper-bounds the high-water of every order;
+// on the shipped schedules the certified closed forms prove the bound is
+// attained by an order-forced instant, and the golden tests pin all three
+// legs to byte-exact equality.
+func PeakLiveSlabs(g *sim.Graph, hb *sim.HB) LiveStats {
 	stats := LiveStats{Bytes: map[string]int64{}, Count: map[string]int{}}
-	if n == 0 {
+	if g.Reg == nil {
 		return stats
 	}
-
-	// Transitive happens-before ancestors as bitsets. Task indices are a
-	// topological order (deps, FIFO predecessors and fence targets all
-	// precede the task in issue order), so one ascending pass closes them.
-	words := (n + 63) / 64
-	anc := make([][]uint64, n)
-	preds := g.Predecessors(true, true)
-	for i := 0; i < n; i++ {
-		row := make([]uint64, words)
-		for _, p := range preds[i] {
-			row[p/64] |= 1 << (p % 64)
-			for w, bits := range anc[p] {
-				row[w] |= bits
-			}
-		}
-		anc[i] = row
-	}
-	strictHB := func(a, t int) bool { return anc[t][a/64]&(1<<(a%64)) != 0 }
 
 	// The slab universe and each slab's accessing task set, one entry per
 	// task even when it both reads and writes the buffer.
@@ -60,49 +39,35 @@ func PeakLiveSlabs(g *sim.Graph) LiveStats {
 		bytes int64
 		acc   []int
 	}
-	slabs := map[sim.BufID]*slab{}
-	seen := map[sim.BufID]int{} // buffer -> last task index recorded, to dedup per task
+	slabs := map[sim.BufID]*slab{} // nil: registered, but not a slab
 	for i, t := range g.Tasks {
-		for _, ids := range [2][]sim.BufID{t.Reads, t.Writes} {
-			for _, b := range ids {
-				if b == 0 {
-					continue
+		for _, b := range t.Buffers() {
+			s, ok := slabs[b]
+			if !ok {
+				if dev, isSlab, _ := g.Reg.Owner(b); isSlab {
+					s = &slab{dev: sim.DeviceKey(dev), bytes: g.Reg.Capacity(b) * 4}
 				}
-				s, ok := slabs[b]
-				if !ok {
-					dev, isSlab := slabDevice(g.Reg.Name(b))
-					if !isSlab {
-						slabs[b] = nil
-						continue
-					}
-					s = &slab{dev: dev, bytes: g.Reg.Capacity(b) * 4}
-					slabs[b] = s
-				}
-				if s == nil {
-					continue
-				}
-				if last, dup := seen[b], len(s.acc) > 0; dup && last == i {
-					continue
-				}
-				seen[b] = i
+				slabs[b] = s
+			}
+			if s != nil {
 				s.acc = append(s.acc, i)
 			}
 		}
 	}
 
-	for t := 0; t < n; t++ {
+	for t := range g.Tasks {
 		bytes := map[string]int64{}
 		count := map[string]int{}
 		for _, s := range slabs {
-			if s == nil || len(s.acc) == 0 {
+			if s == nil {
 				continue
 			}
 			charged, held := false, false
 			for _, a := range s.acc {
-				if !charged && !strictHB(t, a) {
+				if !charged && !hb.Before(t, a) {
 					charged = true
 				}
-				if !held && !strictHB(a, t) {
+				if !held && !hb.Before(a, t) {
 					held = true
 				}
 				if charged && held {
@@ -124,22 +89,4 @@ func PeakLiveSlabs(g *sim.Graph) LiveStats {
 		}
 	}
 	return stats
-}
-
-// slabDevice mirrors the allocation meter's buffer attribution: a §4.2
-// slab is a registration named "d<N>/buf/...", attributed to device "d<N>".
-func slabDevice(name string) (dev string, ok bool) {
-	cut := strings.IndexByte(name, '/')
-	if cut < 2 || name[0] != 'd' {
-		return "", false
-	}
-	for _, c := range name[1:cut] {
-		if c < '0' || c > '9' {
-			return "", false
-		}
-	}
-	if !strings.HasPrefix(name[cut:], "/buf/") {
-		return "", false
-	}
-	return name[:cut], true
 }

@@ -5,10 +5,10 @@
 //
 //  1. a closed-form footprint (PeakForm): an exact symbolic expression,
 //     over the same big.Rat polynomial algebra schedcheck uses, for the
-//     peak number of bytes of §4.2 shared slabs ("d<N>/buf/..." buffers)
-//     that can ever be simultaneously live, the matching slab count, and
-//     the total resident pool footprint (adjacency tiles, feature shard,
-//     model state, every allocated slab);
+//     peak number of bytes of §4.2 shared slabs (buffers registered as such
+//     with sim.BufRegistry.RegisterOn) that can ever be simultaneously
+//     live, the matching slab count, and the total resident pool footprint
+//     (adjacency tiles, feature shard, model state, every allocated slab);
 //  2. a graph liveness analysis (PeakLiveSlabs): a happens-before interval
 //     analysis over a recorded sim.Graph's declared task access sets that
 //     computes, without replaying a single closure, the largest slab
@@ -16,7 +16,7 @@
 //
 // Both must agree byte-exactly with each other and with the byte-accurate
 // replay-time allocation meter (sim.AllocMeter) — the three-way cross-check
-// cmd/mggcn-memcheck and the golden tests enforce. The closed forms are
+// `mggcn-verify memcheck` and the golden tests enforce. The closed forms are
 // additionally evaluated under analytic full-scale environments to issue
 // fit / no-fit verdicts against a machine's per-GPU memory (does Papers fit
 // at Scale 1?), which is what core.EstimateMemoryBytesPerDevice now
@@ -31,7 +31,6 @@ package memcheck
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"mggcn/internal/schedcheck"
@@ -57,8 +56,8 @@ type Model struct {
 
 // Footprint is one device's certified memory footprint.
 type Footprint struct {
-	// SlabBytes is the peak bytes of simultaneously live §4.2 slabs
-	// ("d<N>/buf/..." buffers) over every legal replay order; nil when the
+	// SlabBytes is the peak bytes of simultaneously live §4.2 slabs over
+	// every legal replay order; nil when the
 	// slab peak is not order-independent for this model (see Uncertified)
 	// or the strategy records no slab access sets (the phantom CAGNET
 	// baseline).
@@ -106,16 +105,4 @@ func PeakForm(name string, m Model) (*Footprint, error) {
 		return nil, fmt.Errorf("memcheck: no peak form registered for strategy %q", name)
 	}
 	return f(m)
-}
-
-// Strategies returns the registered strategy names, sorted.
-func Strategies() []string {
-	formsMu.RLock()
-	defer formsMu.RUnlock()
-	names := make([]string, 0, len(forms))
-	for n := range forms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

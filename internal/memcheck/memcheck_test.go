@@ -105,7 +105,7 @@ func TestFullBatchTripleCrossCheck(t *testing.T) {
 			if _, err := tr.RunEpoch(); err != nil {
 				t.Fatal(err)
 			}
-			live := memcheck.PeakLiveSlabs(tr.LastGraph())
+			live := memcheck.PeakLiveSlabs(tr.LastGraph(), tr.LastGraph().HappensBefore(sim.ExecutorEdges))
 			for d := 0; d < tc.p; d++ {
 				fp, err := memcheck.PeakForm(tc.strat, memcheck.Model{
 					Dims: tr.Dims, P: tc.p, Device: d, Overlap: tc.overlap,
@@ -172,7 +172,7 @@ func TestGATTripleCrossCheck(t *testing.T) {
 			if _, _, err := dist.Forward(); err != nil {
 				t.Fatal(err)
 			}
-			live := memcheck.PeakLiveSlabs(dist.LastGraph())
+			live := memcheck.PeakLiveSlabs(dist.LastGraph(), dist.LastGraph().HappensBefore(sim.ExecutorEdges))
 			for d := 0; d < tc.p; d++ {
 				fp, err := memcheck.PeakForm("gat", memcheck.Model{
 					Dims: dims, P: tc.p, Device: d, Overlap: tc.overlap,
@@ -237,7 +237,7 @@ func TestSampledTripleCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			steps := stats.Batches / p
-			live := memcheck.PeakLiveSlabs(tr.LastGraph())
+			live := memcheck.PeakLiveSlabs(tr.LastGraph(), tr.LastGraph().HappensBefore(sim.ExecutorEdges))
 			caps := tr.FrontierCapacities()
 			dims := nn.LayerDims(g.FeatDim, cfg.Hidden, cfg.Layers, g.Classes)
 			cacheRows := tr.Caches()[0].Slab.Rows
@@ -351,9 +351,9 @@ func TestPeakLiveSlabsSynthetic(t *testing.T) {
 	build := func() (*sim.Graph, sim.BufID, sim.BufID) {
 		tg := sim.NewGraph(sim.DGXV100(), 2)
 		tg.Reg = sim.NewBufRegistry()
-		a := tg.Reg.Register("d0/buf/A")
+		a := tg.Reg.RegisterOn("d0/buf/A", 0, true)
 		tg.Reg.SetCapacity(a, 10)
-		b := tg.Reg.Register("d0/buf/B")
+		b := tg.Reg.RegisterOn("d0/buf/B", 0, true)
 		tg.Reg.SetCapacity(b, 20)
 		return tg, a, b
 	}
@@ -368,7 +368,7 @@ func TestPeakLiveSlabsSynthetic(t *testing.T) {
 		tg.DeclareShaped(t1, []sim.ViewShape{sim.OpaqueShape(a)}, []sim.ViewShape{sim.OpaqueShape(b)})
 		t2 := tg.AddCompute(0, sim.KindActivation, "r-b", -1, 0, true, t1)
 		tg.DeclareShaped(t2, []sim.ViewShape{sim.OpaqueShape(b)}, nil)
-		live := memcheck.PeakLiveSlabs(tg)
+		live := memcheck.PeakLiveSlabs(tg, tg.HappensBefore(sim.ExecutorEdges))
 		if live.Bytes["d0"] != 120 || live.Count["d0"] != 2 {
 			t.Errorf("chain: got %d bytes / %d slabs, want 120 / 2 (A and B overlap at the handoff)",
 				live.Bytes["d0"], live.Count["d0"])
@@ -383,10 +383,23 @@ func TestPeakLiveSlabsSynthetic(t *testing.T) {
 		tg.DeclareShaped(t0, nil, []sim.ViewShape{sim.OpaqueShape(a)})
 		t1 := tg.AddCompute(0, sim.KindActivation, "w-b", -1, 0, true)
 		tg.DeclareShaped(t1, nil, []sim.ViewShape{sim.OpaqueShape(b)})
-		live := memcheck.PeakLiveSlabs(tg)
+		live := memcheck.PeakLiveSlabs(tg, tg.HappensBefore(sim.ExecutorEdges))
 		if live.Bytes["d0"] != 80 || live.Count["d0"] != 1 {
 			t.Errorf("fifo: got %d bytes / %d slabs, want 80 / 1 (program order separates A and B)",
 				live.Bytes["d0"], live.Count["d0"])
+		}
+	})
+
+	t.Run("no-registry", func(t *testing.T) {
+		// Graph.Reg is optional: declared accesses without a registry name
+		// no slabs, so the result is empty rather than a nil dereference.
+		tg, a, _ := build()
+		t0 := tg.AddCompute(0, sim.KindActivation, "w-a", -1, 0, true)
+		tg.DeclareShaped(t0, nil, []sim.ViewShape{sim.OpaqueShape(a)})
+		tg.Reg = nil
+		live := memcheck.PeakLiveSlabs(tg, tg.HappensBefore(sim.ExecutorEdges))
+		if len(live.Bytes) != 0 || len(live.Count) != 0 {
+			t.Errorf("no registry: got %v / %v, want empty stats", live.Bytes, live.Count)
 		}
 	})
 
@@ -398,7 +411,7 @@ func TestPeakLiveSlabsSynthetic(t *testing.T) {
 		tg.DeclareShaped(t0, nil, []sim.ViewShape{sim.OpaqueShape(a)})
 		t1 := tg.AddCompute(1, sim.KindActivation, "w-b", -1, 0, true)
 		tg.DeclareShaped(t1, nil, []sim.ViewShape{sim.OpaqueShape(b)})
-		live := memcheck.PeakLiveSlabs(tg)
+		live := memcheck.PeakLiveSlabs(tg, tg.HappensBefore(sim.ExecutorEdges))
 		if live.Bytes["d0"] != 120 || live.Count["d0"] != 2 {
 			t.Errorf("concurrent: got %d bytes / %d slabs, want 120 / 2",
 				live.Bytes["d0"], live.Count["d0"])

@@ -3,7 +3,7 @@
 // ParallelSpMM/ParallelGemm call spawned fresh goroutines sized to its own
 // worker count, so N concurrent replay tasks launched N×Workers goroutines
 // and oversubscribed the host — parallel replay ran *slower* than serial
-// (BENCH_epoch.json pre-PR-3). With one shared pool there is a single
+// (the wall-clock matrix before PR 3). With one shared pool there is a single
 // worker budget: N concurrent kernels each effectively get ~Workers/N
 // lanes, and a lone kernel (a hub-tile SpMM while every other device waits
 // on a broadcast) still spreads across the whole machine because idle

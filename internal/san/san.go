@@ -8,16 +8,17 @@
 //
 //   - Check is the static side: given the tasks' declared access sets
 //     (Task.Reads/Task.Writes over a sim.BufRegistry), it flags every
-//     conflicting-access pair with no happens-before path. Options can
-//     exclude the implicit edge sets, answering "would this graph survive
-//     without fences?" — the shape of bug a scheduler change would
-//     reintroduce.
+//     conflicting-access pair with no happens-before path in a sim.HB
+//     closure. A closure built without an implicit edge set answers "would
+//     this graph survive without fences?" — the shape of bug a scheduler
+//     change would reintroduce.
 //   - Shadow (shadow.go) is the dynamic side: it replays the graph serially
 //     while hashing and NaN-poisoning tracked buffers around every closure,
 //     reporting accesses outside the declared sets — the check that the
 //     declarations themselves are honest.
-//   - LiveHighWater (highwater.go) verifies the §4.2 memory claim: at no
-//     point are more than L+3 of the large per-device buffers live.
+//
+// The §4.2 live-buffer bound over the same closure is
+// internal/memcheck.PeakLiveSlabs.
 package san
 
 import (
@@ -27,18 +28,9 @@ import (
 	"mggcn/internal/sim"
 )
 
-// Options selects which implicit happens-before edge sets Check credits.
-// The zero value checks the full executor contract (all three edge sets);
-// ignoring an edge set asks whether the declared dependencies alone would
-// keep the graph race-free if that mechanism were removed.
-type Options struct {
-	IgnoreFIFO   bool // drop per-(device, stream) issue-order edges
-	IgnoreFences bool // drop cross-stream fence edges
-}
-
 // Conflict is one unordered pair of tasks with a declared access conflict:
 // both touch buffer Buf, at least one writes, and neither happens-before
-// the other under the credited edge sets. A is always issued before B.
+// the other under the closure's edge sets. A is always issued before B.
 type Conflict struct {
 	Buf        sim.BufID
 	Name       string // registry name, "" when the graph carries no registry
@@ -62,38 +54,13 @@ func (c Conflict) String() string {
 }
 
 // Check runs the static happens-before analysis over g's declared access
-// sets and returns every conflict, ordered by (buffer, issue order). A nil
-// result is the clean bill: every declared conflicting pair is ordered by
-// the credited edges. Tasks with empty access sets never conflict — Check
-// is only as complete as the declarations, which the Shadow observer and
-// the accessdecl vet rule keep honest.
-func Check(g *sim.Graph, opts Options) []Conflict {
-	n := len(g.Tasks)
-	if n == 0 {
-		return nil
-	}
-	preds := g.Predecessors(!opts.IgnoreFIFO, !opts.IgnoreFences)
-
-	// reach[i] = bitset of tasks that happen-before task i (including i).
-	// Every predecessor has a smaller ID (edges follow issue order), so one
-	// forward pass closes the relation — the vector-clock join collapses to
-	// a bitwise OR.
-	words := (n + 63) / 64
-	reach := make([][]uint64, n)
-	for i := 0; i < n; i++ {
-		r := make([]uint64, words)
-		r[i/64] |= 1 << (i % 64)
-		for _, p := range preds[i] {
-			for w, bits := range reach[p] {
-				r[w] |= bits
-			}
-		}
-		reach[i] = r
-	}
-	ordered := func(a, b int) bool { // a < b: does a happen-before b?
-		return reach[b][a/64]&(1<<(a%64)) != 0
-	}
-
+// sets against hb — g.HappensBefore(sim.ExecutorEdges) for the full executor
+// contract — and returns every conflict, ordered by (buffer, issue order).
+// A nil result is the clean bill: every declared conflicting pair is ordered
+// by the closure's edges. Tasks with empty access sets never conflict —
+// Check is only as complete as the declarations, which the Shadow observer
+// and the accessdecl vet rule keep honest.
+func Check(g *sim.Graph, hb *sim.HB) []Conflict {
 	// Per-buffer accessor lists in issue order.
 	type access struct {
 		task  int
@@ -129,7 +96,7 @@ func Check(g *sim.Graph, opts Options) []Conflict {
 				if seen[[2]int{accs[i].task, accs[j].task}] {
 					continue
 				}
-				if ordered(accs[i].task, accs[j].task) {
+				if hb.Before(accs[i].task, accs[j].task) {
 					continue
 				}
 				seen[[2]int{accs[i].task, accs[j].task}] = true

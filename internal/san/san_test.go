@@ -21,7 +21,7 @@ func TestCheckCleanPipeline(t *testing.T) {
 	g.Declare(a, nil, []sim.BufID{hw})
 	b := g.AddCompute(0, sim.KindSpMM, "consume", -1, 1, true, a)
 	g.Declare(b, []sim.BufID{hw}, nil)
-	if got := Check(g, Options{}); len(got) != 0 {
+	if got := Check(g, g.HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 		t.Fatalf("ordered producer/consumer flagged: %v", got)
 	}
 	// The same pair without the dep edge and without implicit edges (the
@@ -32,7 +32,7 @@ func TestCheckCleanPipeline(t *testing.T) {
 	g2.Declare(a2, nil, []sim.BufID{hw2})
 	b2 := g2.AddCompute(1, sim.KindSpMM, "consume", -1, 1, true)
 	g2.Declare(b2, []sim.BufID{hw2}, nil)
-	got := Check(g2, Options{})
+	got := Check(g2, g2.HappensBefore(sim.ExecutorEdges))
 	if len(got) != 1 {
 		t.Fatalf("unordered cross-device conflict: got %v, want 1 finding", got)
 	}
@@ -51,7 +51,7 @@ func TestCheckReadReadNotFlagged(t *testing.T) {
 	g.Declare(a, []sim.BufID{w}, nil)
 	b := g.AddCompute(1, sim.KindGeMM, "r2", -1, 1, false)
 	g.Declare(b, []sim.BufID{w}, nil)
-	if got := Check(g, Options{}); len(got) != 0 {
+	if got := Check(g, g.HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 		t.Fatalf("read-read pair flagged: %v", got)
 	}
 }
@@ -84,18 +84,19 @@ func TestCheckBCAntiDependency(t *testing.T) {
 		return g
 	}
 
-	if got := Check(build(true), Options{IgnoreFIFO: true, IgnoreFences: true}); len(got) != 0 {
+	check := func(g *sim.Graph, edges sim.Edges) []Conflict { return Check(g, g.HappensBefore(edges)) }
+	if got := check(build(true), sim.EdgeDeps); len(got) != 0 {
 		t.Fatalf("anti-dependency recorded but still flagged: %v", got)
 	}
 	// Without the recorded edge the executor still orders the pair (fence:
 	// the second broadcast waits for device 1's latest compute task), so the
 	// full check stays clean...
-	if got := Check(build(false), Options{}); len(got) != 0 {
+	if got := check(build(false), sim.ExecutorEdges); len(got) != 0 {
 		t.Fatalf("fence-protected graph flagged under full edges: %v", got)
 	}
 	// ...but removing the fence exposes the race: broadcast 2 overwrites
 	// d1/BC1 while device 1's stage-0 SpMM may still be reading it.
-	got := Check(build(false), Options{IgnoreFences: true})
+	got := check(build(false), sim.EdgeDeps|sim.EdgeFIFO)
 	if len(got) == 0 {
 		t.Fatal("removed fence not flagged")
 	}
@@ -119,40 +120,11 @@ func TestCheckFIFOCredit(t *testing.T) {
 	g.Declare(a, nil, []sim.BufID{hw})
 	b := g.AddCompute(0, sim.KindGeMM, "w2", -1, 1, false)
 	g.Declare(b, nil, []sim.BufID{hw})
-	if got := Check(g, Options{}); len(got) != 0 {
+	if got := Check(g, g.HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 		t.Fatalf("FIFO-ordered pair flagged: %v", got)
 	}
-	got := Check(g, Options{IgnoreFIFO: true})
+	got := Check(g, g.HappensBefore(sim.EdgeDeps|sim.EdgeFences))
 	if len(got) != 1 || !got[0].WriteWrite {
 		t.Fatalf("FIFO removal not flagged as write-write: %v", got)
-	}
-}
-
-func TestLiveHighWater(t *testing.T) {
-	g := declGraph(2)
-	hw := g.Reg.Register("d0/buf/HW")
-	bc := g.Reg.Register("d0/buf/BC1")
-	ahw := g.Reg.Register("d0/buf/AHW0")
-	other := g.Reg.Register("d1/buf/HW")
-	w := g.Reg.Register("d0/w0") // not a slab: never counted
-
-	// HW live [0,1], BC live [1,2], AHW live [3,3]: d0 high-water 2.
-	t0 := g.AddCompute(0, sim.KindGeMM, "a", -1, 1, false)
-	g.Declare(t0, []sim.BufID{w}, []sim.BufID{hw})
-	t1 := g.AddCompute(0, sim.KindSpMM, "b", -1, 1, true, t0)
-	g.Declare(t1, []sim.BufID{hw}, []sim.BufID{bc})
-	t2 := g.AddCompute(0, sim.KindSpMM, "c", -1, 1, true, t1)
-	g.Declare(t2, []sim.BufID{bc}, nil)
-	t3 := g.AddCompute(0, sim.KindGeMM, "d", -1, 1, false, t2)
-	g.Declare(t3, nil, []sim.BufID{ahw})
-	t4 := g.AddCompute(1, sim.KindGeMM, "e", -1, 1, false)
-	g.Declare(t4, nil, []sim.BufID{other})
-
-	got := LiveHighWater(g)
-	if got["d0"] != 2 {
-		t.Fatalf("d0 high-water = %d, want 2 (got %v)", got["d0"], got)
-	}
-	if got["d1"] != 1 {
-		t.Fatalf("d1 high-water = %d, want 1", got["d1"])
 	}
 }

@@ -3,7 +3,6 @@ package schedcheck
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"mggcn/internal/sim"
 )
@@ -21,8 +20,8 @@ import (
 //     program order; two communicators that share a device but are not the
 //     same group have no implicit mutual order, and an unordered overlapping
 //     pair is exactly the NCCL hang: some ranks enter collective A while the
-//     shared rank sits in B. The credited edges are the executor's recorded
-//     deps, the per-device compute-stream FIFO, the cross-stream fences, and
+//     shared rank sits in B. The credited edges are sim.HardwareEdges: the
+//     executor's recorded deps, stream FIFO and cross-stream fences, with
 //     the comm-stream FIFO restricted to SAME-communicator pairs (a
 //     consistent SPMD program order makes same-group collectives safe; the
 //     raw record order of different groups is an artifact of the global
@@ -107,88 +106,14 @@ func sameDeviceSet(a, b []int) bool {
 	return true
 }
 
-func groupKey(devs []int) string {
-	ds := append([]int(nil), devs...)
-	sort.Ints(ds)
-	parts := make([]string, len(ds))
-	for i, d := range ds {
-		parts[i] = fmt.Sprint(d)
-	}
-	return strings.Join(parts, ",")
-}
-
-// checkOrdering builds the credited happens-before edge set and requires a
-// path between every pair of comm tasks whose groups overlap without being
-// equal. All credited edges point from later to earlier issue order, so
-// reachability is a single forward sweep with per-task bitsets over the comm
-// tasks.
+// checkOrdering requires a sim.HardwareEdges path between every pair of comm
+// tasks whose groups overlap without being equal.
 func checkOrdering(g *sim.Graph, comms []*sim.Task) []Finding {
 	m := len(comms)
 	if m < 2 {
 		return nil
 	}
-	commIdx := make(map[int]int, m) // task ID -> comm index
-	for i, t := range comms {
-		commIdx[t.ID] = i
-	}
-
-	n := len(g.Tasks)
-	words := (m + 63) / 64
-	reach := make([][]uint64, n) // comm indexes that happen before task i
-	setBit := func(bs []uint64, k int) { bs[k/64] |= 1 << (k % 64) }
-	hasBit := func(bs []uint64, k int) bool { return bs[k/64]&(1<<(k%64)) != 0 }
-
-	// lastCompute[dev] is the latest compute-stream task per device (for the
-	// FIFO edge); lastStream[dev][s] feeds the cross-stream fences, exactly
-	// mirroring Graph.Predecessors. prevSameGroup[key] chains same-
-	// communicator collectives (linking across interleaved other-group comm
-	// tasks, which the plain comm-queue FIFO would not credit).
-	lastStream := make([][sim.NumStreams]int, g.P)
-	for d := range lastStream {
-		for s := range lastStream[d] {
-			lastStream[d][s] = -1
-		}
-	}
-	prevSameGroup := make(map[string]int)
-
-	for i := 0; i < n; i++ {
-		t := g.Tasks[i]
-		bs := make([]uint64, words)
-		absorb := func(p int) {
-			if p < 0 {
-				return
-			}
-			for w := range bs {
-				bs[w] |= reach[p][w]
-			}
-			if k, ok := commIdx[p]; ok {
-				setBit(bs, k)
-			}
-		}
-		for _, d := range t.Deps {
-			absorb(d)
-		}
-		other := t.Stream.FencePeer()
-		for _, dev := range t.Devices {
-			if t.Stream != sim.StreamComm {
-				absorb(lastStream[dev][t.Stream]) // non-comm stream FIFO
-			}
-			if other >= 0 {
-				absorb(lastStream[dev][other]) // cross-stream fence
-			}
-		}
-		if t.Kind == sim.KindComm {
-			key := groupKey(t.Devices)
-			if p, ok := prevSameGroup[key]; ok {
-				absorb(p) // same-communicator program order
-			}
-			prevSameGroup[key] = i
-		}
-		for _, dev := range t.Devices {
-			lastStream[dev][t.Stream] = i
-		}
-		reach[i] = bs
-	}
+	hb := g.HappensBefore(sim.HardwareEdges)
 
 	var out []Finding
 	for bi := 1; bi < m; bi++ {
@@ -198,7 +123,7 @@ func checkOrdering(g *sim.Graph, comms []*sim.Task) []Finding {
 			if !overlapDistinct(a.Devices, b.Devices) {
 				continue
 			}
-			if !hasBit(reach[b.ID], ai) {
+			if !hb.Before(a.ID, b.ID) {
 				out = append(out, finding(b, "collective",
 					"unordered against overlapping collective task %d %q (groups %v vs %v share devices %v): "+
 						"no dependency, fence or same-communicator order connects them — on hardware the shared "+

@@ -110,7 +110,7 @@ func TestPredecessorsEdgeSets(t *testing.T) {
 		return false
 	}
 
-	full := g.Predecessors(true, true)
+	full := g.Predecessors(ExecutorEdges)
 	if !has(full[b], a) {
 		t.Errorf("FIFO edge a->b missing: %v", full[b])
 	}
@@ -125,7 +125,7 @@ func TestPredecessorsEdgeSets(t *testing.T) {
 		t.Errorf("e wants FIFO b and fence c, got %v", full[e])
 	}
 
-	noFences := g.Predecessors(true, false)
+	noFences := g.Predecessors(EdgeDeps | EdgeFIFO)
 	if has(noFences[c], b) {
 		t.Errorf("fence edge b->c present with fences disabled: %v", noFences[c])
 	}
@@ -133,7 +133,7 @@ func TestPredecessorsEdgeSets(t *testing.T) {
 		t.Errorf("FIFO edge a->b must survive fence removal: %v", noFences[b])
 	}
 
-	depsOnly := g.Predecessors(false, false)
+	depsOnly := g.Predecessors(EdgeDeps)
 	if has(depsOnly[b], a) {
 		t.Errorf("FIFO edge a->b present with FIFO disabled: %v", depsOnly[b])
 	}

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"strings"
+	"strconv"
 	"sync"
 )
 
@@ -23,11 +23,10 @@ type GraphExecObserver interface {
 // full capacity (BufRegistry.Capacity x 4 bytes) to its device at the
 // buffer's first executed access and releases it after its last, tracking
 // the per-device high-water in bytes and in simultaneously-charged slab
-// count. Buffers are attributed to devices by registration name ("d<N>/"
-// prefix); the §4.2 slab universe is the "d<N>/buf/" names that
-// san.LiveHighWater counts. Unregistered or capacity-zero buffers (handoff
-// slot pseudo-buffers, host-side stores) charge zero bytes and are not
-// slabs, so they never move the high-water.
+// count. Device and slab membership are what the buffer was registered with
+// (BufRegistry.Owner). Buffers no device owns (host-side stores) are not
+// metered, and capacity-zero ones (handoff slot pseudo-buffers) charge zero
+// bytes, so neither moves the high-water.
 type AllocMeter struct {
 	mu  sync.Mutex
 	reg *BufRegistry
@@ -57,22 +56,9 @@ func NewAllocMeter() *AllocMeter {
 	}
 }
 
-// bufDevice splits a registration name into its device key ("d0", "d1",
-// ...) and whether the buffer is a §4.2 slab ("d<N>/buf/..."). Names
-// without a device prefix (host stores, shared model parameters) return
-// ok == false and are not metered.
-func bufDevice(name string) (dev string, slab, ok bool) {
-	cut := strings.IndexByte(name, '/')
-	if cut < 2 || name[0] != 'd' {
-		return "", false, false
-	}
-	for _, c := range name[1:cut] {
-		if c < '0' || c > '9' {
-			return "", false, false
-		}
-	}
-	return name[:cut], strings.HasPrefix(name[cut:], "/buf/"), true
-}
+// DeviceKey names device dev in the per-device result maps of the meter
+// and of memcheck's liveness pass ("d0", "d1", ...).
+func DeviceKey(dev int) string { return "d" + strconv.Itoa(dev) }
 
 // BeginGraph precomputes each buffer's access count over the tasks this
 // Execute call will replay. Live state resets (an epoch boundary releases
@@ -88,26 +74,10 @@ func (m *AllocMeter) BeginGraph(g *Graph, start, end int) {
 	m.slabBytes = make(map[string]int64)
 	m.slabCount = make(map[string]int)
 	for i := start; i < end; i++ {
-		for _, b := range taskBuffers(g.Tasks[i]) {
+		for _, b := range g.Tasks[i].Buffers() {
 			m.remaining[b]++
 		}
 	}
-}
-
-// taskBuffers returns the task's accessed buffer set: Reads ∪ Writes with
-// each buffer listed once.
-func taskBuffers(t *Task) []BufID {
-	out := make([]BufID, 0, len(t.Reads)+len(t.Writes))
-	seen := make(map[BufID]bool, len(t.Reads)+len(t.Writes))
-	for _, ids := range [2][]BufID{t.Reads, t.Writes} {
-		for _, b := range ids {
-			if b != 0 && !seen[b] {
-				seen[b] = true
-				out = append(out, b)
-			}
-		}
-	}
-	return out
 }
 
 // Before charges every buffer the task touches for the first time.
@@ -117,15 +87,16 @@ func (m *AllocMeter) Before(t *Task) {
 	if m.reg == nil {
 		return
 	}
-	for _, b := range taskBuffers(t) {
+	for _, b := range t.Buffers() {
 		if m.charged[b] {
 			continue
 		}
 		m.charged[b] = true
-		dev, slab, ok := bufDevice(m.reg.Name(b))
+		d, slab, ok := m.reg.Owner(b)
 		if !ok {
 			continue
 		}
+		dev := DeviceKey(d)
 		bytes := m.reg.Capacity(b) * 4
 		m.liveBytes[dev] += bytes
 		if m.liveBytes[dev] > m.peakBytes[dev] {
@@ -151,16 +122,17 @@ func (m *AllocMeter) After(t *Task) {
 	if m.reg == nil {
 		return
 	}
-	for _, b := range taskBuffers(t) {
+	for _, b := range t.Buffers() {
 		m.remaining[b]--
 		if m.remaining[b] > 0 || !m.charged[b] {
 			continue
 		}
 		m.charged[b] = false
-		dev, slab, ok := bufDevice(m.reg.Name(b))
+		d, slab, ok := m.reg.Owner(b)
 		if !ok {
 			continue
 		}
+		dev := DeviceKey(d)
 		bytes := m.reg.Capacity(b) * 4
 		m.liveBytes[dev] -= bytes
 		if slab {
@@ -171,7 +143,7 @@ func (m *AllocMeter) After(t *Task) {
 }
 
 // PeakBytes returns the per-device high-water over all registered
-// device-resident buffers ("d<N>/..." names), in bytes.
+// device-owned buffers, in bytes.
 func (m *AllocMeter) PeakBytes() map[string]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -179,7 +151,7 @@ func (m *AllocMeter) PeakBytes() map[string]int64 {
 }
 
 // SlabPeakBytes returns the per-device high-water over the §4.2 slab
-// universe ("d<N>/buf/..." names), in bytes — the quantity the closed-form
+// universe, in bytes — the quantity the closed-form
 // and liveness certifier legs must match.
 func (m *AllocMeter) SlabPeakBytes() map[string]int64 {
 	m.mu.Lock()
@@ -188,7 +160,7 @@ func (m *AllocMeter) SlabPeakBytes() map[string]int64 {
 }
 
 // SlabPeakCount returns the per-device high-water of simultaneously
-// charged slabs — the replay-measured twin of san.LiveHighWater.
+// charged slabs — the replay-measured twin of memcheck.PeakLiveSlabs' Count.
 func (m *AllocMeter) SlabPeakCount() map[string]int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -128,45 +128,6 @@ func (g *Graph) ExecuteAdversarial(workers int, seed int64) error {
 	return g.execute(workers, pick, delay)
 }
 
-// Predecessors returns, for every task, its direct happens-before
-// predecessors — the edge contract Execute enforces and internal/san
-// checks. Three edge sets, matching the numbered list above: recorded Deps;
-// per-(device, stream) FIFO (each task's immediate predecessor on every one
-// of its device queues — transitively the whole queue prefix); and
-// cross-stream fences (the latest earlier-issued task on the other stream
-// of each device). fifo and fences toggle the implicit sets so the
-// sanitizer can answer "is this graph safe on recorded dependencies
-// alone?" — the shape of bug a removed fence would reintroduce.
-func (g *Graph) Predecessors(fifo, fences bool) [][]int {
-	n := len(g.Tasks)
-	preds := make([][]int, n)
-	lastOn := make([][NumStreams]int, g.P)
-	for d := range lastOn {
-		lastOn[d] = noTasks()
-	}
-	for i := 0; i < n; i++ {
-		t := g.Tasks[i]
-		preds[i] = append(preds[i], t.Deps...)
-		other := t.Stream.FencePeer()
-		for _, dev := range t.Devices {
-			if fifo {
-				if c := lastOn[dev][t.Stream]; c >= 0 {
-					preds[i] = append(preds[i], c)
-				}
-			}
-			if fences && other >= 0 {
-				if c := lastOn[dev][other]; c >= 0 {
-					preds[i] = append(preds[i], c)
-				}
-			}
-		}
-		for _, dev := range t.Devices {
-			lastOn[dev][t.Stream] = i
-		}
-	}
-	return preds
-}
-
 // noTasks returns a per-stream "no task yet" marker set.
 func noTasks() [NumStreams]int {
 	var m [NumStreams]int

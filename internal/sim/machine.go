@@ -5,7 +5,10 @@
 // communication/computation bandwidth contention (§6.3 of the paper).
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // MachineSpec describes one multi-GPU node. Bandwidths are bytes/second,
 // compute is FLOP/s, times are seconds.
@@ -100,6 +103,19 @@ func DGXA100() MachineSpec {
 		HostLinkBW:            25e9,
 		ContentionComputeRate: 1 - float64(links)*linkbw/membw,
 		ContentionCommRate:    0.95,
+	}
+}
+
+// ParseMachine resolves a command-line machine name — the one spelling of
+// the -machine flag every CLI accepts.
+func ParseMachine(name string) (MachineSpec, error) {
+	switch strings.ToLower(name) {
+	case "v100", "dgx-1", "dgx-v100":
+		return DGXV100(), nil
+	case "a100", "dgx-a100":
+		return DGXA100(), nil
+	default:
+		return MachineSpec{}, fmt.Errorf("unknown machine %q (want v100 or a100)", name)
 	}
 }
 

@@ -30,6 +30,11 @@ type BufRegistry struct {
 	// seed-shape checks; the executor and sanitizer ignore them.
 	caps []int64
 	dims [][2]int
+	// owner is the device a buffer resides on plus one (0: host-side or
+	// shared, owned by no device); slab marks the §4.2 slab universe. Both
+	// are fixed at registration (RegisterOn) and read back through Owner.
+	owner []int
+	slab  []bool
 }
 
 // NewBufRegistry returns an empty registry.
@@ -37,14 +42,27 @@ func NewBufRegistry() *BufRegistry {
 	return &BufRegistry{byName: make(map[string]BufID)}
 }
 
-// Register returns the ID for name, allocating one on first use.
-func (r *BufRegistry) Register(name string) BufID {
+// Register returns the ID for name, allocating one on first use. The buffer
+// belongs to no device: host-side stores, shared model parameters.
+func (r *BufRegistry) Register(name string) BufID { return r.register(name, 0, false) }
+
+// RegisterOn is Register for a buffer resident on device dev. slab marks it
+// as one of the large reshapeable §4.2 buffers — the universe the
+// allocation meter and memcheck's liveness pass bound at L+3 per device.
+// Names stay free-form and diagnostics-only; nothing parses them.
+func (r *BufRegistry) RegisterOn(name string, dev int, slab bool) BufID {
+	return r.register(name, dev+1, slab)
+}
+
+func (r *BufRegistry) register(name string, owner int, slab bool) BufID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if id, ok := r.byName[name]; ok {
 		return id
 	}
 	r.names = append(r.names, name)
+	r.owner = append(r.owner, owner)
+	r.slab = append(r.slab, slab)
 	r.data = append(r.data, nil)
 	r.caps = append(r.caps, 0)
 	r.dims = append(r.dims, [2]int{})
@@ -100,6 +118,17 @@ func (r *BufRegistry) Track(id BufID, data []float32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.data[id-1] = data
+}
+
+// Owner returns the device the buffer was registered on and whether it is a
+// §4.2 slab; ok is false for buffers no device owns and for the zero ID.
+func (r *BufRegistry) Owner(id BufID) (dev int, slab, ok bool) {
+	if id == 0 {
+		return 0, false, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.owner[id-1] - 1, r.slab[id-1], r.owner[id-1] > 0
 }
 
 // Name returns the buffer's registration name ("" for the zero ID).

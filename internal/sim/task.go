@@ -138,6 +138,26 @@ type Task struct {
 	Coll *Collective
 }
 
+// Buffers returns the task's accessed buffer set: Reads ∪ Writes with each
+// buffer listed once.
+func (t *Task) Buffers() []BufID {
+	out := make([]BufID, 0, len(t.Reads)+len(t.Writes))
+	for _, ids := range [2][]BufID{t.Reads, t.Writes} {
+	next:
+		for _, b := range ids {
+			for _, seen := range out {
+				if seen == b {
+					continue next
+				}
+			}
+			if b != 0 {
+				out = append(out, b)
+			}
+		}
+	}
+	return out
+}
+
 // Graph accumulates the tasks of one training step/epoch in issue order.
 type Graph struct {
 	Spec  MachineSpec

@@ -17,7 +17,7 @@ var blockK = 64
 // gemmFlatMaxBytes is the whole-B-footprint threshold below which panel
 // blocking is skipped: when all of B (k x n x 4 bytes) fits in cache, the
 // panel loop only re-reads each C row k/blockK times for nothing — the
-// regression the pre-tuner BENCH_epoch.json showed at 2048x128x128
+// regression the pre-tuner wall-clock matrix showed at 2048x128x128
 // (blocked 0.87x flat). Under the threshold gemmRows runs one panel of
 // the full k extent, which is exactly the flat traversal order with the
 // 2x2 micro-kernel kept. Panel boundaries never change the per-element

@@ -62,7 +62,7 @@ func TestDeterministicChoiceValid(t *testing.T) {
 			}
 		}
 		// The regression shape (B footprint 64 KiB) must resolve to flat —
-		// that's the fix BENCH_epoch.json's 0.87x demanded.
+		// that's the fix the measured 0.87x demanded.
 		if c.GemmShapes[0].Winner != "flat" {
 			t.Fatalf("%+v: 2048x128x128 resolved to %q, want flat", p, c.GemmShapes[0].Winner)
 		}

@@ -1,19 +1,17 @@
 #!/usr/bin/env sh
-# bench.sh — regenerate the epoch wall-clock benchmark matrix.
+# bench.sh — regenerate the sampled-pipeline matrix.
 #
-# Runs cmd/mggcn-epochbench (real non-phantom training, serial vs parallel
-# epoch replay at several device counts, plus the kernel microbenches with
-# per-shape winners) and writes BENCH_epoch.json at the repository root.
-# The default -mode all also sweeps the sampled pipeline's cache-fraction x
-# pipelining matrix into BENCH_sample.json; -mode sample runs it alone.
-# Built with -tags simd so the assembly microkernels are eligible; runtime
-# dispatch falls back to scalar on hosts without the required ISA. The JSON
-# records GOMAXPROCS, the CPU count, and the active kernel implementation;
-# the parallel executor's speedup is only demonstrable when the host has at
-# least as many cores as simulated devices.
+# Runs cmd/mggcn-epochbench (cache fraction x pipelining at one device
+# count, the recovery-overhead column, certified vs measured slab bytes) and
+# writes BENCH_sample.json at the repository root. Built with -tags simd so
+# the assembly microkernels are eligible; runtime dispatch falls back to
+# scalar on hosts without the required ISA, and the JSON records GOMAXPROCS,
+# the CPU count and the active kernel implementation. Wall-clock epochs,
+# replay speedup and kernel rates are measured by benchmark/ (BENCHMARK.json),
+# not here.
 #
-#   scripts/bench.sh                 # full matrix -> BENCH_epoch.json
-#   scripts/bench.sh -devices 8     # any mggcn-epochbench flags pass through
+#   scripts/bench.sh                       # full matrix -> BENCH_sample.json
+#   scripts/bench.sh -samplefracs 0,0.5    # any mggcn-epochbench flags pass through
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,5 +25,5 @@ go run -tags simd ./cmd/mggcn-tune -out "$tune_a"
 go run -tags simd ./cmd/mggcn-tune -out "$tune_b"
 cmp "$tune_a" "$tune_b"
 
-echo "==> epoch benchmark matrix" >&2
+echo "==> sampled-pipeline matrix" >&2
 go run -tags simd ./cmd/mggcn-epochbench "$@"

@@ -23,8 +23,8 @@ echo "==> mggcn-vet (domain rules)"
 go run ./cmd/mggcn-vet ./...
 
 echo "==> non-test LOC (scripts/loc.sh)"
-# The ROADMAP tracks non-test Go lines per package; internal/core has a
-# ceiling that only goes down.
+# The ROADMAP tracks non-test Go lines per package; internal/core and the
+# repository total have ceilings that only go down.
 scripts/loc.sh -check
 
 echo "==> staticcheck"
@@ -43,30 +43,30 @@ else
 	echo "govulncheck not installed; skipping (CI runs it pinned)" >&2
 fi
 
-echo "==> mggcn-schedcheck (symbolic schedule verifier)"
+echo "==> mggcn-verify schedcheck (symbolic schedule verifier)"
 # Collective matching / deadlock freedom, shape-flow typing, and exact
 # closed-form communication-cost certification over every shipped strategy
 # and its elastic P-1 degradation path.
-go run ./cmd/mggcn-schedcheck
-go run ./cmd/mggcn-schedcheck -gpus 8 -memscale 3
+go run ./cmd/mggcn-verify schedcheck
+go run ./cmd/mggcn-verify schedcheck -gpus 8 -memscale 3
 
-echo "==> mggcn-memcheck (static peak-memory certifier)"
+echo "==> mggcn-verify memcheck (static peak-memory certifier)"
 # Three-way byte-exact cross-check — closed-form certified peak, graph
 # liveness high-water, replay-time allocation meter — over every strategy
 # (full-batch, GAT, sampled pipeline) and each elastic P-1 degradation,
 # plus paper-scale fit verdicts; exits 1 on any disagreement.
-go run ./cmd/mggcn-memcheck
-go run ./cmd/mggcn-memcheck -gpus 8 -machine v100
+go run ./cmd/mggcn-verify memcheck
+go run ./cmd/mggcn-verify memcheck -gpus 8 -machine v100
 
-echo "==> mggcn-san (task-graph sanitizer)"
+echo "==> mggcn-verify san (task-graph sanitizer)"
 # Static happens-before check, shadow replay, and adversarial parity over
 # every shipped strategy; then the fence-removal regression (removing the
 # cross-stream fences must expose conflicts somewhere, or the access
 # declarations went blind).
-go run ./cmd/mggcn-san -seeds 4
-go run ./cmd/mggcn-san -ignore-fences -seeds 1
+go run ./cmd/mggcn-verify san -seeds 4
+go run ./cmd/mggcn-verify san -ignore-fences -seeds 1
 
-echo "==> mggcn-san adversarial replay under -race"
+echo "==> sanitizer adversarial replay under -race"
 # Worst-case legal replay orders with delay injection, so the race detector
 # sees the interleavings a FIFO replay never produces.
 go test -race -short -timeout 30m -run 'Adversarial|San|Shadow' ./internal/sim/ ./internal/san/ ./internal/core/
@@ -78,12 +78,18 @@ echo "==> mggcn-sample (sampled pipeline parity + sanitizer)"
 # under -race, where a broken double-buffered handoff would surface.
 go test -race -short -timeout 30m -run 'Sampled|Blocks|PlanEpoch|RNG|Cache' ./internal/sample/ ./internal/core/
 
-echo "==> mggcn-chaos (fault-injection smoke)"
+echo "==> mggcn-verify chaos (fault-injection smoke)"
 # Seeded fault matrix over every strategy plus the sampled pipeline:
 # crash, transient (retried and exhausted), straggler, poison, and the
 # sampler-only flaky-sampler kind. Exits non-zero if any scenario deviates
 # from its expected survive/abort outcome.
-go run ./cmd/mggcn-chaos -seeds 1 > /dev/null
+go run ./cmd/mggcn-verify chaos -seeds 1 > /dev/null
+
+echo "==> mggcn-verify all (every pass over one set of recordings)"
+# The single-report leg: each subject recorded once, one happens-before
+# closure shared by the san and memcheck passes, tasks per subject and
+# elapsed_ms per pass in the JSON.
+go run ./cmd/mggcn-verify all -json > /dev/null
 
 echo "==> chaos suite under -race"
 # The fault paths exercise the executor's error/cancel machinery from
