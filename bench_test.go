@@ -207,7 +207,14 @@ func BenchmarkFig12Memory(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		layers = 0
-		for EstimateMemoryBytesPerDevice(ds, optWithLayers(o, layers+1)) <= 30<<30 {
+		for {
+			bytes, err := EstimateMemoryBytesPerDevice(ds, optWithLayers(o, layers+1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if bytes > 30<<30 {
+				break
+			}
 			layers++
 		}
 	}

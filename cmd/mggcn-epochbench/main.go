@@ -14,14 +14,10 @@
 // trainer, so the observer never pollutes the timings), making memory
 // regressions diffable alongside time.
 //
-// -tune applies an mggcn-tune choice file before measuring, so a recorded
-// run reflects the host's tuned policy rather than the defaults.
-//
 // Usage:
 //
 //	mggcn-epochbench                           # full matrix -> BENCH_sample.json
 //	mggcn-epochbench -samplefracs 0,0.5 -sampleout -   # reduced sweep, JSON to stdout
-//	mggcn-epochbench -tune TUNE.json           # measure under a tuned policy
 package main
 
 import (
@@ -45,15 +41,13 @@ import (
 	"mggcn/internal/memcheck"
 	"mggcn/internal/nn"
 	"mggcn/internal/sim"
-	"mggcn/internal/tune"
 )
 
 func main() {
 	var (
-		dataset  = flag.String("dataset", "products", "catalog dataset to train (non-phantom)")
-		hidden   = flag.Int("hidden", 128, "hidden layer width")
-		epochs   = flag.Int("epochs", 3, "epochs per cell (median reported)")
-		tuneFile = flag.String("tune", "", "autotuner choice file (mggcn-tune output) to Apply before benchmarking")
+		dataset = flag.String("dataset", "products", "catalog dataset to train (non-phantom)")
+		hidden  = flag.Int("hidden", 128, "hidden layer width")
+		epochs  = flag.Int("epochs", 3, "epochs per cell (median reported)")
 
 		sampleOut     = flag.String("sampleout", "BENCH_sample.json", "output path, or - for stdout")
 		sampleDevices = flag.Int("sampledevices", 4, "device count for the matrix")
@@ -63,15 +57,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *tuneFile != "" {
-		choice, err := tune.Load(*tuneFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		choice.Apply()
-		fmt.Fprintf(os.Stderr, "applied %s: blockK=%d flatMax=%d colTile=%d sell=%d/%d\n",
-			*tuneFile, choice.BlockK, choice.FlatMaxBytes, choice.SpMMColTile, choice.SellC, choice.SellSigma)
-	}
 	benchSampled(*dataset, *sampleDevices, *hidden, *sampleBatch,
 		parseList(*sampleFanouts, "-samplefanouts", strconv.Atoi),
 		parseList(*sampleFracs, "-samplefracs", func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }),

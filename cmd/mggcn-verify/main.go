@@ -59,7 +59,6 @@ type verifier struct {
 	noFences  bool
 	fitScale  int
 	fitHidden int
-	fitFormat string
 	epochs    int
 	faultKind string
 	expect    bool
@@ -128,7 +127,6 @@ func main() {
 	flag.BoolVar(&v.noFences, "ignore-fences", false, "san: model removed cross-stream fences; conflicts are then expected")
 	flag.IntVar(&v.fitScale, "scale", 1, "memcheck: catalog scale divisor for fit verdicts (1 = paper scale)")
 	flag.IntVar(&v.fitHidden, "fit-hidden", 512, "memcheck: hidden width for fit verdicts")
-	flag.StringVar(&v.fitFormat, "format", "csr", "memcheck: sparse format for fit verdicts: csr, sell, auto")
 	flag.IntVar(&v.epochs, "epochs", 4, "chaos: effective training epochs per scenario")
 	flag.StringVar(&v.faultKind, "fault", "all", "chaos: "+strings.Join(sampledFaultKinds, ", ")+", or all")
 	flag.BoolVar(&v.expect, "expect", true, "chaos: exit 1 when an outcome deviates from its expectation")

@@ -24,7 +24,11 @@ func main() {
 		fits := func(p, layers int) bool {
 			o := mggcn.DefaultOptions(mggcn.DGXV100(), p)
 			o.Layers = layers
-			return mggcn.EstimateMemoryBytesPerDevice(ds, o) <= budget
+			bytes, err := mggcn.EstimateMemoryBytesPerDevice(ds, o)
+			if err != nil {
+				log.Fatal(err)
+			}
+			return bytes <= budget
 		}
 		max := func(p int) int {
 			l := 0

@@ -464,8 +464,14 @@ func RunFig12() (*ExperimentResult, error) {
 		mgCfg := func(p int) core.Config {
 			return core.Config{Spec: DGXV100(), P: p, MemScale: ds.scale, Hidden: 512, Layers: 2}
 		}
-		mg1 := core.MaxLayersWithin(ds.g, mgCfg(1), budget)
-		mg8 := core.MaxLayersWithin(ds.g, mgCfg(8), budget)
+		mg1, err := core.MaxLayersWithin(ds.g, mgCfg(1), budget)
+		if err != nil {
+			return nil, err
+		}
+		mg8, err := core.MaxLayersWithin(ds.g, mgCfg(8), budget)
+		if err != nil {
+			return nil, err
+		}
 		tab.AddRow(fmt.Sprintf("%d GiB", gib),
 			fmt.Sprintf("%d", dgl), fmt.Sprintf("%d", mg1),
 			fmt.Sprintf("%d", cag), fmt.Sprintf("%d", mg8))

@@ -41,7 +41,7 @@ func isNoAliasKernel(pass *Pass, call *ast.CallExpr) bool {
 		"Gemm", "GemmFlat", "GemmTA", "GemmTB",
 		"ParallelGemm", "ParallelGemmTA", "ParallelGemmTB") ||
 		isPkgFunc(info, call, "mggcn/internal/sparse",
-			"SpMM", "SpMMFlat", "ParallelSpMM", "SpMMSell", "ParallelSpMMSell")
+			"SpMM", "SpMMFlat", "ParallelSpMM")
 }
 
 // isElementwise covers the in-place ops whose first argument is the

@@ -42,8 +42,7 @@ func isDataTouchingOp(pass *Pass, call *ast.CallExpr) (string, bool) {
 		"ParallelGemm", "ParallelGemmTA", "ParallelGemmTB",
 		"AddInPlace", "AxpyInPlace", "ScaleInPlace", "ReLU", "ReLUBackward") ||
 		isPkgFunc(info, call, "mggcn/internal/sparse",
-			"SpMM", "SpMMFlat", "ParallelSpMM", "SpMMSell", "ParallelSpMMSell",
-			"SDDMM", "ParallelSDDMM") {
+			"SpMM", "SpMMFlat", "ParallelSpMM", "SDDMM", "ParallelSDDMM") {
 		fn := calleeFunc(info, call)
 		return fn.Name(), true
 	}

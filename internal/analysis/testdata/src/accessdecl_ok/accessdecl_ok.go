@@ -5,7 +5,6 @@ package accessdecl_ok
 
 import (
 	"mggcn/internal/sim"
-	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
 )
 
@@ -67,14 +66,5 @@ func viewFree(g *sim.Graph, n, workers int) {
 		id := g.AddCompute(0, sim.KindActivation, "tick", -1, 0, true)
 		g.Bind(id, func() { count[i]++ })
 	}
-	g.Execute(workers)
-}
-
-// A SELL-C-σ SpMM closure declaring both of its Dense captures.
-func declaredSell(g *sim.Graph, dst, src *tensor.Dense, s *sparse.SELLCS, workers int) {
-	id := g.AddCompute(0, sim.KindSpMM, "spmm", -1, 0, true)
-	g.BindRW(id, sim.BufsOf(src), sim.BufsOf(dst), func() { // vet:ok shapedecl: fixture exercises the unshaped bind form
-		sparse.ParallelSpMMSell(s, src, 0, dst, workers)
-	})
 	g.Execute(workers)
 }

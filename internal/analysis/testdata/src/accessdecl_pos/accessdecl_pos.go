@@ -5,7 +5,6 @@ package accessdecl_pos
 
 import (
 	"mggcn/internal/sim"
-	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
 )
 
@@ -56,16 +55,6 @@ func missingSlice(g *sim.Graph, out *tensor.Dense, parts []*tensor.Dense, worker
 		for _, p := range parts {
 			_ = p.Rows
 		}
-	})
-	g.Execute(workers)
-}
-
-// The SELL-C-σ SpMM touches the same Dense views as its CSR sibling; a
-// plain Bind around it still declares nothing.
-func undeclaredSell(g *sim.Graph, dst, src *tensor.Dense, s *sparse.SELLCS, workers int) {
-	id := g.AddCompute(0, sim.KindSpMM, "spmm", -1, 0, true)
-	g.Bind(id, func() { // want accessdecl — vet:ok shapedecl: fixture exercises the unshaped bind form
-		sparse.SpMMSell(s, src, 0, dst)
 	})
 	g.Execute(workers)
 }

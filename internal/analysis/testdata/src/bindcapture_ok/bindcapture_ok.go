@@ -4,7 +4,6 @@ package bindcapture_ok
 
 import (
 	"mggcn/internal/sim"
-	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
 )
 
@@ -52,18 +51,6 @@ func elementWrite(g *sim.Graph, n, workers int) {
 		i := i
 		id := g.AddCompute(0, sim.KindActivation, "acc", -1, 0, true)
 		g.Bind(id, func() { acc[i]++ })
-	}
-	g.Execute(workers)
-}
-
-// A per-iteration SELL tile local is replay-safe, as with any := capture.
-func sellTileLocal(g *sim.Graph, tiles []*sparse.SELLCS, dst, src *tensor.Dense, workers int) {
-	for i := range tiles {
-		tile := tiles[i]
-		id := g.AddCompute(0, sim.KindSpMM, "spmm", -1, 0, true)
-		g.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(dst), func() {
-			sparse.SpMMSell(tile, src, 0, dst)
-		})
 	}
 	g.Execute(workers)
 }

@@ -5,7 +5,6 @@ package bindcapture_pos
 
 import (
 	"mggcn/internal/sim"
-	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
 )
 
@@ -65,20 +64,6 @@ func rebindInner(g *sim.Graph, views []*tensor.Dense, workers int) {
 				_ = cur.Cols
 			})
 		}
-	}
-	g.Execute(workers)
-}
-
-// Rebinding the SELL tile across iterations: every replayed closure runs
-// the SpMM against the last shard's tile.
-func rebindSellTile(g *sim.Graph, tiles []*sparse.SELLCS, dst, src *tensor.Dense, workers int) {
-	var tile *sparse.SELLCS
-	for i := 0; i < len(tiles); i++ {
-		tile = tiles[i]
-		id := g.AddCompute(0, sim.KindSpMM, "spmm", -1, 0, true)
-		g.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(dst), func() { // want bindcapture
-			sparse.SpMMSell(tile, src, 0, dst)
-		})
 	}
 	g.Execute(workers)
 }

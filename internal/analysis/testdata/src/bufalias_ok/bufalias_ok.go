@@ -22,10 +22,3 @@ func clean(db *core.DeviceBuffers, w *tensor.Dense, a *sparse.CSR, workers int) 
 	// Double-buffered broadcast views: BC1 and BC2 are different slabs.
 	tensor.Gemm(1, db.BC1.View(8, 4), w, 0, db.BC2.View(8, 4))
 }
-
-func cleanSell(db *core.DeviceBuffers, a *sparse.CSR, workers int) {
-	// SELL-C-σ SpMM with distinct buffers per operand.
-	s := sparse.ToSELLCS(a, sparse.DefaultSellC, sparse.DefaultSellSigma)
-	sparse.SpMMSell(s, db.BC1.View(8, 4), 0, db.HW.View(8, 4))
-	sparse.ParallelSpMMSell(s, db.BC2.View(8, 4), 1, db.AHW[0].View(8, 4), workers)
-}

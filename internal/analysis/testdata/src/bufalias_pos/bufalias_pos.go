@@ -29,14 +29,3 @@ func aliased(db *core.DeviceBuffers, w *tensor.Dense, a *sparse.CSR, workers int
 	// separately materialized views of one buffer.
 	tensor.AddInPlace(db.HW.View(8, 4), db.HW.View(8, 4)) // want bufalias
 }
-
-func aliasedSell(db *core.DeviceBuffers, s *sparse.SELLCS, workers int) {
-	// The SELL-C-σ SpMM kernels are just as strict as their CSR siblings.
-	sparse.SpMMSell(s, db.BC1.View(8, 4), 0, db.BC1.View(8, 4)) // want bufalias
-
-	sparse.ParallelSpMMSell(s, db.BC2.View(8, 4), 0, db.BC2.View(8, 4), workers) // want bufalias
-
-	// Same Dense variable as input and output.
-	v := db.HW.View(8, 4)
-	sparse.SpMMSell(s, v, 1, v) // want bufalias
-}

@@ -74,22 +74,3 @@ func (r *runner) bindEGuard(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 	})
 	g.Execute(workers)
 }
-
-// The SELL-C-σ kernels under the same accepted guard shapes.
-func (r *runner) sellEarlyExit(dst, src *tensor.Dense, s *sparse.SELLCS, workers int) {
-	if r.phantom {
-		return
-	}
-	sparse.SpMMSell(s, src, 0, dst)
-	sparse.ParallelSpMMSell(s, src, 1, dst, workers)
-}
-
-// A guard at the Bind site dominates a SELL kernel inside the closure.
-func sellBindGuard(g *sim.Graph, dst, src *tensor.Dense, s *sparse.SELLCS, workers int) {
-	id := g.AddCompute(0, sim.KindSpMM, "spmm", -1, 0, true)
-	if !src.IsPhantom() {
-		g.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(dst),
-			func() { sparse.ParallelSpMMSell(s, src, 0, dst, workers) })
-	}
-	g.Execute(workers)
-}

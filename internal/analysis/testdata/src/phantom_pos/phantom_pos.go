@@ -54,12 +54,3 @@ func guardedOutsidePlainClosure(dst, src *tensor.Dense) func() {
 		dst.CopyFrom(src) // want phantomguard
 	}
 }
-
-// The SELL-C-σ kernels owe the same phantom decision as the CSR family.
-func unguardedSell(dst, src *tensor.Dense, s *sparse.SELLCS, workers int) {
-	if src.IsPhantom() {
-		_ = src.Rows
-	}
-	sparse.SpMMSell(s, src, 0, dst)                  // want phantomguard
-	sparse.ParallelSpMMSell(s, src, 0, dst, workers) // want phantomguard
-}

@@ -5,7 +5,6 @@ package shapedecl_ok
 
 import (
 	"mggcn/internal/sim"
-	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
 )
 
@@ -37,13 +36,4 @@ func noBuffers(g *sim.Graph, ids []sim.BufID, workers int) {
 	})
 	g.Execute(workers)
 	_ = done
-}
-
-// The shaped form covers the SELL-C-σ SpMM the same way.
-func shapedSell(g *sim.Graph, dst, src *tensor.Dense, s *sparse.SELLCS, workers int) {
-	id := g.AddCompute(0, sim.KindSpMM, "spmm", -1, 0, true)
-	g.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(dst), func() {
-		sparse.ParallelSpMMSell(s, src, 0, dst, workers)
-	})
-	g.Execute(workers)
 }

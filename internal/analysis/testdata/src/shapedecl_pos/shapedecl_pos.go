@@ -6,7 +6,6 @@ package shapedecl_pos
 
 import (
 	"mggcn/internal/sim"
-	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
 )
 
@@ -25,16 +24,6 @@ func unshapedE(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 	g.BindRWE(id, sim.BufsOf(src), sim.BufsOf(dst), func() error { // want shapedecl
 		dst.CopyFrom(src)
 		return nil
-	})
-	g.Execute(workers)
-}
-
-// A SELL-C-σ SpMM closure touches Dense views too; the unshaped form
-// leaves its extents untyped.
-func unshapedSell(g *sim.Graph, dst, src *tensor.Dense, s *sparse.SELLCS, workers int) {
-	id := g.AddCompute(0, sim.KindSpMM, "spmm", -1, 0, true)
-	g.BindRW(id, sim.BufsOf(src), sim.BufsOf(dst), func() { // want shapedecl
-		sparse.SpMMSell(s, src, 0, dst)
 	})
 	g.Execute(workers)
 }

@@ -33,9 +33,6 @@ type realClock struct{}
 
 func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
 
-// RealClock returns the wall-clock Sleep used outside tests.
-func RealClock() Clock { return realClock{} }
-
 // TransientError marks a collective failure as retryable. The retry loop
 // retries only errors wrapped by Transient (directly or via %w chains);
 // everything else is permanent and propagates immediately.

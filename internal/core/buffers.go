@@ -58,9 +58,6 @@ func (b *Buffer) View(rows, cols int) *tensor.Dense {
 	return d
 }
 
-// Bytes returns the buffer's accounted size.
-func (b *Buffer) Bytes() int64 { return b.capElems * 4 }
-
 // DeviceBuffers is one device's §4.2 buffer set: the three shared buffers
 // (HW for GeMM/SpMM intermediates, BC1/BC2 for broadcast double-buffering)
 // plus one private output buffer per layer. Total L+3 large buffers.
@@ -112,15 +109,6 @@ func NewDeviceBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, rows, maxTi
 
 // Count returns the number of large buffers held (the paper's L+3).
 func (b *DeviceBuffers) Count() int { return 3 + len(b.AHW) }
-
-// TotalBytes returns the summed buffer footprint.
-func (b *DeviceBuffers) TotalBytes() int64 {
-	t := b.HW.Bytes() + b.BC1.Bytes() + b.BC2.Bytes()
-	for _, a := range b.AHW {
-		t += a.Bytes()
-	}
-	return t
-}
 
 // registerDense stamps a standalone matrix — weights, gradients, feature
 // shards — with its registration id (reg.Register, or reg.RegisterOn for a

@@ -36,10 +36,7 @@ func NewGATDist(g *graph.Graph, model *nn.GAT, cfg Config) (*GATDist, error) {
 	}
 	rp := newReplayer(cfg.Spec, cfg.P, cfg.MemScale)
 	machine := rp.Machine
-	// GAT always keeps CSR tiles: its attention-weighted tiles are rebuilt
-	// from SDDMM output every epoch, so a SELL conversion would recur
-	// per epoch instead of amortizing over the run.
-	p, err := partitionGraph(g, machine, cfg.Strategy, cfg.Ordering, cfg.Permute, cfg.BalancedPartition, cfg.PermSeed, FormatCSR)
+	p, err := partitionGraph(g, machine, cfg.Strategy, cfg.Ordering, cfg.Permute, cfg.BalancedPartition, cfg.PermSeed)
 	if err != nil {
 		return nil, err
 	}

@@ -23,14 +23,8 @@ type deviceState struct {
 	//   1D-row / 1.5D: atTiles[j] = Âᵀ[lo:hi, p(j):p(j+1)] — my tile row
 	//     (1.5D stores only the stages of my replica group; others nil).
 	//   1D-col:        atTiles[i] = Âᵀ[p(i):p(i+1), lo:hi] — my tile column.
-	atTiles []*sparse.CSR
-	aTiles  []*sparse.CSR // same layout for Â (backward pass)
-	// atSell/aSell mirror atTiles/aTiles positionally: entry j is the
-	// SELL-C-σ layout of tile j when that format is device-resident, nil
-	// when the tile stays CSR (per-tile under FormatAuto). The SpMM bind
-	// sites dispatch on nil-ness; results are bit-identical either way.
-	atSell   []*sparse.SELLCS
-	aSell    []*sparse.SELLCS
+	atTiles  []*sparse.CSR
+	aTiles   []*sparse.CSR // same layout for Â (backward pass)
 	x        *tensor.Dense // local input features (nil in phantom mode)
 	labels   []int32
 	mask     []bool // training mask shard
@@ -53,7 +47,7 @@ type partitioned struct {
 // feature storage to each device's memory pool. For 1.5D, device d owns
 // block d mod (P/2) in replica group d div (P/2) — every block is stored
 // twice, the strategy's 2x feature memory.
-func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ordering Ordering, permute, balanced bool, permSeed uint64, format SparseFormat) (*partitioned, error) {
+func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ordering Ordering, permute, balanced bool, permSeed uint64) (*partitioned, error) {
 	n := g.N()
 	blocks := machine.P / strategy.replicationFactor()
 	p := &partitioned{blocks: blocks}
@@ -113,13 +107,15 @@ func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ord
 				}
 			}
 		}
-		ds.atSell = sellTiles(ds.atTiles, format)
-		ds.aSell = sellTiles(ds.aTiles, format)
-		for j := range ds.atTiles {
-			ds.adjBytes += tileBytes(ds.atTiles[j], ds.atSell[j])
+		for _, t := range ds.atTiles {
+			if t != nil {
+				ds.adjBytes += t.Bytes()
+			}
 		}
-		for j := range ds.aTiles {
-			ds.adjBytes += tileBytes(ds.aTiles[j], ds.aSell[j])
+		for _, t := range ds.aTiles {
+			if t != nil {
+				ds.adjBytes += t.Bytes()
+			}
 		}
 		pool := machine.Pools[d]
 		if err := pool.Alloc("adjacency", ds.adjBytes); err != nil {
@@ -218,7 +214,7 @@ func (p *partitioned) MaxTileRows() int {
 func (p *partitioned) DeviceRows(d int) int { return p.devs[d].rows }
 
 // AdjacencyBytes returns the bytes device d's resident adjacency tiles
-// occupy (both orientations, CSR or SELL-C-σ per tileBytes).
+// occupy (both orientations).
 func (p *partitioned) AdjacencyBytes(d int) int64 { return p.devs[d].adjBytes }
 
 // inputView returns device dev's resident input block of layer l of a model

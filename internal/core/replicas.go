@@ -67,9 +67,6 @@ func (r *replicas) model() *replicas { return r }
 // Weights returns device 0's weight stack (replicas are identical).
 func (r *replicas) Weights() []*tensor.Dense { return r.weights[0] }
 
-// ParamCount returns the model's parameter count (one replica).
-func (r *replicas) ParamCount() int64 { return r.paramCount }
-
 // NumericError reports a non-finite value where training arithmetic should
 // have produced a finite one — the symptom of silent data corruption.
 type NumericError struct {

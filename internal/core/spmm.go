@@ -17,9 +17,6 @@ type spmmArgs struct {
 	label string
 	// tiles(i) returns device i's P tiles (local indices).
 	tiles func(i int) []*sparse.CSR
-	// sell(i) returns the SELL-C-σ siblings of tiles(i), aligned by
-	// position; entry j is nil when tile j's resident format is CSR.
-	sell func(i int) []*sparse.SELLCS
 	// src(j) is device j's resident input block (rows_j x width).
 	src func(j int) *tensor.Dense
 	// dst(i) is device i's output block (rows_i x width), overwritten.
@@ -45,24 +42,13 @@ func (tr *Trainer) distSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
 // withAT binds the forward tiles (Âᵀ) to the args.
 func (a spmmArgs) withAT(tr *Trainer) spmmArgs {
 	a.tiles = func(i int) []*sparse.CSR { return tr.devs[i].atTiles }
-	a.sell = func(i int) []*sparse.SELLCS { return tr.devs[i].atSell }
 	return a
 }
 
 // withA binds the backward tiles (Â) to the args.
 func (a spmmArgs) withA(tr *Trainer) spmmArgs {
 	a.tiles = func(i int) []*sparse.CSR { return tr.devs[i].aTiles }
-	a.sell = func(i int) []*sparse.SELLCS { return tr.devs[i].aSell }
 	return a
-}
-
-// sellAt returns device i's SELL layout of tile j, or nil when the tile is
-// resident as CSR (or the args carry no SELL binding at all).
-func (a spmmArgs) sellAt(i, j int) *sparse.SELLCS {
-	if a.sell == nil {
-		return nil
-	}
-	return a.sell(i)[j]
 }
 
 // stagedSpMM records (and, in non-phantom mode, executes) the multi-stage
@@ -126,13 +112,8 @@ func (tr *Trainer) stagedSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
 				dst := a.dst(i)
 				// dst is Writes even at beta=0: Writes means read-and-write,
 				// and the accumulating stages (beta=1) do read it.
-				if sell := a.sellAt(i, j); sell != nil {
-					tg.BindShaped(id, sim.ShapesOf(xin), sim.ShapesOf(dst),
-						func() { sparse.ParallelSpMMSell(sell, xin, beta, dst, tr.Cfg.Workers) })
-				} else {
-					tg.BindShaped(id, sim.ShapesOf(xin), sim.ShapesOf(dst),
-						func() { sparse.ParallelSpMM(tile, xin, beta, dst, tr.Cfg.Workers) })
-				}
+				tg.BindShaped(id, sim.ShapesOf(xin), sim.ShapesOf(dst),
+					func() { sparse.ParallelSpMM(tile, xin, beta, dst, tr.Cfg.Workers) })
 			}
 			stage = append(stage, id)
 			last[i] = id

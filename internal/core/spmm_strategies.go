@@ -60,13 +60,8 @@ func (tr *Trainer) stagedSpMMCol(tg *sim.Graph, cg *comm.Group, a spmmArgs) []in
 			id := tg.AddCompute(j, sim.KindSpMM, a.label, i, cost, true, deps...)
 			if !tr.phantom {
 				src := a.src(j)
-				if sell := a.sellAt(j, i); sell != nil {
-					tg.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(out),
-						func() { sparse.ParallelSpMMSell(sell, src, 0, out, tr.Cfg.Workers) })
-				} else {
-					tg.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(out),
-						func() { sparse.ParallelSpMM(tile, src, 0, out, tr.Cfg.Workers) })
-				}
+				tg.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(out),
+					func() { sparse.ParallelSpMM(tile, src, 0, out, tr.Cfg.Workers) })
 			}
 			stageIDs = append(stageIDs, id)
 		}
@@ -160,13 +155,8 @@ func (tr *Trainer) stagedSpMM15D(tg *sim.Graph, cg *comm.Group, a spmmArgs) []in
 				id := tg.AddCompute(d, sim.KindSpMM, a.label, j, cost, true, deps...)
 				if !tr.phantom {
 					dst := a.dst(d)
-					if sell := a.sellAt(d, j); sell != nil {
-						tg.BindShaped(id, sim.ShapesOf(xin), sim.ShapesOf(dst),
-							func() { sparse.ParallelSpMMSell(sell, xin, beta, dst, tr.Cfg.Workers) })
-					} else {
-						tg.BindShaped(id, sim.ShapesOf(xin), sim.ShapesOf(dst),
-							func() { sparse.ParallelSpMM(tile, xin, beta, dst, tr.Cfg.Workers) })
-					}
+					tg.BindShaped(id, sim.ShapesOf(xin), sim.ShapesOf(dst),
+						func() { sparse.ParallelSpMM(tile, xin, beta, dst, tr.Cfg.Workers) })
 				}
 				stage = append(stage, id)
 				lastLocal[d] = id

@@ -37,10 +37,6 @@ type Config struct {
 	Overlap           bool // §4.3 comm/compute overlap
 	OrderSwitch       bool // §4.4 GeMM/SpMM order selection
 	SkipFirstBackward bool // §4.4 saved first-layer backward SpMM
-	// Format selects the device-resident adjacency tile layout: FormatCSR
-	// (default), FormatSELL, or FormatAuto (per-tile via sparse.ChooseSell).
-	// Bit-identical results at any setting.
-	Format SparseFormat
 
 	Seed int64 // weight initialization seed
 	// The execution environment: Workers, ExecWorkers, ExecSeed,
@@ -58,6 +54,16 @@ func DefaultConfig(spec sim.MachineSpec, p, memScale int) Config {
 		OrderSwitch: true, SkipFirstBackward: true,
 		Seed: 1,
 	}
+}
+
+// validate rejects the configurations no trainer can be built for; the
+// memory estimator applies the same check, so the two agree on what is an
+// error.
+func (cfg Config) validate() error {
+	if cfg.Layers < 1 {
+		return fmt.Errorf("core: need at least 1 layer")
+	}
+	return cfg.Strategy.validate(cfg.P)
 }
 
 // Trainer is a distributed MG-GCN training run bound to one dataset and
@@ -83,17 +89,11 @@ type Trainer struct {
 // replicates the model. It returns the pool's *sim.OOMError (wrapped) when
 // the configuration does not fit — the paper's out-of-memory outcomes.
 func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
-	if cfg.Layers < 1 {
-		return nil, fmt.Errorf("core: need at least 1 layer")
-	}
-	if err := cfg.Strategy.validate(cfg.P); err != nil {
-		return nil, err
-	}
-	if err := cfg.Format.validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	rp := newReplayer(cfg.Spec, cfg.P, cfg.MemScale)
-	p, err := partitionGraph(g, rp.Machine, cfg.Strategy, cfg.Ordering, cfg.Permute, cfg.BalancedPartition, cfg.PermSeed, cfg.Format)
+	p, err := partitionGraph(g, rp.Machine, cfg.Strategy, cfg.Ordering, cfg.Permute, cfg.BalancedPartition, cfg.PermSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -131,12 +131,6 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	}
 	return tr, nil
 }
-
-// Blocks returns the partition's block count (P for 1D, P/2 for 1.5D).
-func (tr *Trainer) Blocks() int { return tr.blocks }
-
-// BlockRows returns the vertex count of partition block b.
-func (tr *Trainer) BlockRows(b int) int { return tr.vec.Size(b) }
 
 // s maps an actual (scaled-down) row/element count to its full-scale
 // equivalent: all task costs are priced at paper scale so that simulated

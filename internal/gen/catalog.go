@@ -45,13 +45,6 @@ func Catalog() map[string]DatasetSpec {
 	return out
 }
 
-// CatalogNames returns the catalog dataset names in the paper's figure
-// order (Cora, Arxiv, Products, Proteins, Reddit — Papers is used only in
-// the Table 2/3 comparison).
-func CatalogNames() []string {
-	return []string{"cora", "arxiv", "products", "proteins", "reddit"}
-}
-
 // AllNames returns every catalog name, sorted.
 func AllNames() []string {
 	c := Catalog()

@@ -25,8 +25,8 @@ func init() {
 	// that deviates (a miscompiled or misassembled kernel) leaves the
 	// scalar path in place instead of corrupting training.
 	verifyAndInstall(impls{
-		name: "avx2", lanes: 8,
-		add: addAVX2, add2: add2AVX2,
+		name: "avx2",
+		add:  addAVX2, add2: add2AVX2,
 		axpy: axpyAVX2, axpy2: axpy2AVX2,
 		panel2x2: panel2x2AVX2,
 		dot4:     dot4AVX2, dot4Pair: dot4PairAVX2,

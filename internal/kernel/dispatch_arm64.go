@@ -22,8 +22,8 @@ func init() {
 	// between this build's compiler and the assembly falls back to scalar
 	// instead of corrupting training.
 	verifyAndInstall(impls{
-		name: "neon", lanes: 4,
-		add: addNEON, add2: add2NEON,
+		name: "neon",
+		add:  addNEON, add2: add2NEON,
 		axpy: axpyNEON, axpy2: axpy2NEON,
 		panel2x2: panel2x2NEON,
 		dot4:     dot4NEON, dot4Pair: dot4PairNEON,

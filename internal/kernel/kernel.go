@@ -56,17 +56,10 @@ var (
 	Dot4Pair func(a0, a1, b []float32) (float32, float32) = dot4PairScalar
 )
 
-var (
-	impl  = "scalar"
-	lanes = 1
-)
+var impl = "scalar"
 
 // Impl names the active implementation: "scalar", "avx2", or "neon".
 func Impl() string { return impl }
-
-// Lanes is the float32 vector width of the active implementation (1 for
-// scalar). Informational only — callers never need to pad to it.
-func Lanes() int { return lanes }
 
 func addScalar(x, dst []float32) {
 	x = x[:len(dst)]

@@ -130,24 +130,17 @@ func TestEmptyRows(t *testing.T) {
 }
 
 // TestImplConsistent checks that the dispatch metadata matches the table:
-// scalar means lane width 1, a SIMD impl means a wider lane and that the
-// init-time verifier accepted it (verifyImpls re-run here must agree).
+// the name is a known implementation and the init-time verifier accepted
+// what is installed (verifyImpls re-run here must agree).
 func TestImplConsistent(t *testing.T) {
 	switch Impl() {
-	case "scalar":
-		if Lanes() != 1 {
-			t.Fatalf("scalar impl with lanes=%d", Lanes())
-		}
-	case "avx2", "neon":
-		if Lanes() < 4 {
-			t.Fatalf("impl %q with lanes=%d", Impl(), Lanes())
-		}
+	case "scalar", "avx2", "neon":
 	default:
 		t.Fatalf("unknown impl %q", Impl())
 	}
 	ok := verifyImpls(impls{
-		name: Impl(), lanes: Lanes(),
-		add: Add, add2: Add2, axpy: Axpy, axpy2: Axpy2,
+		name: Impl(),
+		add:  Add, add2: Add2, axpy: Axpy, axpy2: Axpy2,
 		panel2x2: Panel2x2, dot4: Dot4, dot4Pair: Dot4Pair,
 	})
 	if !ok {

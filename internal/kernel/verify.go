@@ -6,7 +6,6 @@ import "math"
 // table so an arch init can hand it to verifyAndInstall as a unit.
 type impls struct {
 	name     string
-	lanes    int
 	add      func(x, dst []float32)
 	add2     func(x0, x1, dst []float32)
 	axpy     func(a float32, x, dst []float32)
@@ -28,7 +27,7 @@ func verifyAndInstall(c impls) bool {
 	if !verifyImpls(c) {
 		return false
 	}
-	impl, lanes = c.name, c.lanes
+	impl = c.name
 	Add = c.add
 	Add2 = c.add2
 	Axpy = c.axpy

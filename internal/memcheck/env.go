@@ -7,7 +7,6 @@ import (
 	"mggcn/internal/nn"
 	"mggcn/internal/schedcheck"
 	"mggcn/internal/sim"
-	"mggcn/internal/sparse"
 )
 
 // DeviceEnv binds the full-batch atoms for one concrete device: its row
@@ -49,36 +48,22 @@ func bindDims(env schedcheck.Env, dims []int) {
 
 // AnalyticAdjacencyBytes estimates one device's adjacency-tile bytes under
 // balanced (permuted) 1D partitioning: both orientations, each split into p
-// tiles holding this device's 1/p nonzero share. CSR charges one row
-// pointer array per tile; SELL-C-σ replaces it with a chunk-pointer array
-// plus the σ permutation (8 bytes per tile row) and, analytically, assumes
-// padding-free chunks — the true SELL footprint exceeds it by the padding
-// of skewed tiles, which only a built partition can know.
-func AnalyticAdjacencyBytes(n, m int64, p int, format string) (int64, error) {
+// tiles holding this device's 1/p nonzero share, with one CSR row pointer
+// array per tile.
+func AnalyticAdjacencyBytes(n, m int64, p int) (int64, error) {
 	if p < 1 {
 		return 0, fmt.Errorf("memcheck: analytic adjacency needs p >= 1, got %d", p)
 	}
 	rows := (n + int64(p) - 1) / int64(p)
 	nnzShare := m / int64(p)
-	switch format {
-	case "csr", "auto", "":
-		// Auto decides per tile from measured skew; the analytic estimate
-		// uses CSR, whose row-pointer cost upper-bounds the padding-free
-		// SELL layout auto would pick instead.
-		return 2 * (int64(p)*(rows+1)*8 + nnzShare*8), nil
-	case "sell":
-		chunks := (rows+int64(sparse.DefaultSellC)-1)/int64(sparse.DefaultSellC) + 1
-		return 2 * (int64(p)*(chunks+rows)*8 + nnzShare*8), nil
-	default:
-		return 0, fmt.Errorf("memcheck: unknown sparse format %q", format)
-	}
+	return 2 * (int64(p)*(rows+1)*8 + nnzShare*8), nil
 }
 
 // AnalyticDeviceEnv is DeviceEnv for an unbuilt, balanced partition at full
 // scale: rows = ceil(n/p) on every device, tile rows likewise, adjacency
 // from AnalyticAdjacencyBytes.
-func AnalyticDeviceEnv(n, m int64, p int, format string, dims []int) (schedcheck.Env, error) {
-	adj, err := AnalyticAdjacencyBytes(n, m, p, format)
+func AnalyticDeviceEnv(n, m int64, p int, dims []int) (schedcheck.Env, error) {
+	adj, err := AnalyticAdjacencyBytes(n, m, p)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +94,7 @@ type FitVerdict struct {
 // pipeline is excluded (its footprint needs a batch/fanout plan, not just
 // a dataset). 1.5D replicates each of its p/2 blocks across two devices,
 // so its analytic environment uses the block count, not the device count.
-func FitCatalog(spec sim.MachineSpec, p, scale, hidden, layers int, format string, strategies []string) ([]FitVerdict, error) {
+func FitCatalog(spec sim.MachineSpec, p, scale, hidden, layers int, strategies []string) ([]FitVerdict, error) {
 	if scale < 1 {
 		return nil, fmt.Errorf("memcheck: scale must be >= 1, got %d", scale)
 	}
@@ -139,7 +124,7 @@ func FitCatalog(spec sim.MachineSpec, p, scale, hidden, layers int, format strin
 				if strat == "1.5d" && p > 1 {
 					blocks = p / 2
 				}
-				env, err = AnalyticDeviceEnv(n, m, blocks, format, dims)
+				env, err = AnalyticDeviceEnv(n, m, blocks, dims)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s: %w", name, strat, err)
 				}

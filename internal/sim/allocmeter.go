@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"strconv"
 	"sync"
 )
@@ -19,14 +20,14 @@ type GraphExecObserver interface {
 // task graph: the measured leg of internal/memcheck's three-way memory
 // cross-check (closed form == static liveness == this meter). Installed as
 // a Graph's Observer (which forces serial replay, so charge order is a
-// real topological execution order), it charges each registered buffer's
-// full capacity (BufRegistry.Capacity x 4 bytes) to its device at the
-// buffer's first executed access and releases it after its last, tracking
-// the per-device high-water in bytes and in simultaneously-charged slab
-// count. Device and slab membership are what the buffer was registered with
-// (BufRegistry.Owner). Buffers no device owns (host-side stores) are not
-// metered, and capacity-zero ones (handoff slot pseudo-buffers) charge zero
-// bytes, so neither moves the high-water.
+// real topological execution order), it charges each §4.2 slab's full
+// capacity (BufRegistry.Capacity x 4 bytes) to its device at the slab's
+// first executed access and releases it after its last, tracking the
+// per-device high-water in bytes and in simultaneously-charged slab count.
+// Device and slab membership are what the buffer was registered with
+// (BufRegistry.Owner). Buffers outside the slab universe are not metered,
+// and capacity-zero ones (handoff slot pseudo-buffers) charge zero bytes,
+// so neither moves the high-water.
 type AllocMeter struct {
 	mu  sync.Mutex
 	reg *BufRegistry
@@ -34,10 +35,8 @@ type AllocMeter struct {
 	// (each task counted once even when it both reads and writes).
 	remaining map[BufID]int
 	charged   map[BufID]bool
-	liveBytes map[string]int64 // device -> charged bytes, all registered buffers
-	slabBytes map[string]int64 // device -> charged bytes, slab universe only
+	slabBytes map[string]int64 // device -> charged slab bytes
 	slabCount map[string]int
-	peakBytes map[string]int64
 	peakSlab  map[string]int64
 	peakCount map[string]int
 }
@@ -47,10 +46,8 @@ func NewAllocMeter() *AllocMeter {
 	return &AllocMeter{
 		remaining: make(map[BufID]int),
 		charged:   make(map[BufID]bool),
-		liveBytes: make(map[string]int64),
 		slabBytes: make(map[string]int64),
 		slabCount: make(map[string]int),
-		peakBytes: make(map[string]int64),
 		peakSlab:  make(map[string]int64),
 		peakCount: make(map[string]int),
 	}
@@ -70,7 +67,6 @@ func (m *AllocMeter) BeginGraph(g *Graph, start, end int) {
 	m.reg = g.Reg
 	m.remaining = make(map[BufID]int)
 	m.charged = make(map[BufID]bool)
-	m.liveBytes = make(map[string]int64)
 	m.slabBytes = make(map[string]int64)
 	m.slabCount = make(map[string]int)
 	for i := start; i < end; i++ {
@@ -80,7 +76,7 @@ func (m *AllocMeter) BeginGraph(g *Graph, start, end int) {
 	}
 }
 
-// Before charges every buffer the task touches for the first time.
+// Before charges every slab the task touches for the first time.
 func (m *AllocMeter) Before(t *Task) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -93,29 +89,22 @@ func (m *AllocMeter) Before(t *Task) {
 		}
 		m.charged[b] = true
 		d, slab, ok := m.reg.Owner(b)
-		if !ok {
+		if !ok || !slab {
 			continue
 		}
 		dev := DeviceKey(d)
-		bytes := m.reg.Capacity(b) * 4
-		m.liveBytes[dev] += bytes
-		if m.liveBytes[dev] > m.peakBytes[dev] {
-			m.peakBytes[dev] = m.liveBytes[dev]
+		m.slabBytes[dev] += m.reg.Capacity(b) * 4
+		m.slabCount[dev]++
+		if m.slabBytes[dev] > m.peakSlab[dev] {
+			m.peakSlab[dev] = m.slabBytes[dev]
 		}
-		if slab {
-			m.slabBytes[dev] += bytes
-			m.slabCount[dev]++
-			if m.slabBytes[dev] > m.peakSlab[dev] {
-				m.peakSlab[dev] = m.slabBytes[dev]
-			}
-			if m.slabCount[dev] > m.peakCount[dev] {
-				m.peakCount[dev] = m.slabCount[dev]
-			}
+		if m.slabCount[dev] > m.peakCount[dev] {
+			m.peakCount[dev] = m.slabCount[dev]
 		}
 	}
 }
 
-// After releases every buffer whose last access the task was.
+// After releases every slab whose last access the task was.
 func (m *AllocMeter) After(t *Task) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -129,25 +118,13 @@ func (m *AllocMeter) After(t *Task) {
 		}
 		m.charged[b] = false
 		d, slab, ok := m.reg.Owner(b)
-		if !ok {
+		if !ok || !slab {
 			continue
 		}
 		dev := DeviceKey(d)
-		bytes := m.reg.Capacity(b) * 4
-		m.liveBytes[dev] -= bytes
-		if slab {
-			m.slabBytes[dev] -= bytes
-			m.slabCount[dev]--
-		}
+		m.slabBytes[dev] -= m.reg.Capacity(b) * 4
+		m.slabCount[dev]--
 	}
-}
-
-// PeakBytes returns the per-device high-water over all registered
-// device-owned buffers, in bytes.
-func (m *AllocMeter) PeakBytes() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return copyI64(m.peakBytes)
 }
 
 // SlabPeakBytes returns the per-device high-water over the §4.2 slab
@@ -156,7 +133,7 @@ func (m *AllocMeter) PeakBytes() map[string]int64 {
 func (m *AllocMeter) SlabPeakBytes() map[string]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return copyI64(m.peakSlab)
+	return maps.Clone(m.peakSlab)
 }
 
 // SlabPeakCount returns the per-device high-water of simultaneously
@@ -164,17 +141,5 @@ func (m *AllocMeter) SlabPeakBytes() map[string]int64 {
 func (m *AllocMeter) SlabPeakCount() map[string]int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]int, len(m.peakCount))
-	for k, v := range m.peakCount {
-		out[k] = v
-	}
-	return out
-}
-
-func copyI64(in map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(m.peakCount)
 }

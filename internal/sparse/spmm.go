@@ -13,24 +13,9 @@ import (
 // segments of this many columns stay resident (registers + L1) while the
 // gathered X rows stream past, so wide-feature multiplies (input layers,
 // hidden 512) never evict the accumulator between nonzeros. 256 floats =
-// 1 KB per row segment. The autotuner (internal/tune) may retarget it per
-// host via SetSpMMColTile; any tile yields bit-identical results because
+// 1 KB per row segment. Any tile yields bit-identical results because
 // column segmentation never changes the per-element accumulation order.
-var spmmColTile = 256
-
-// SpMMColTile returns the active feature-dimension tile of the blocked
-// SpMM kernels.
-func SpMMColTile() int { return spmmColTile }
-
-// SetSpMMColTile retargets the feature-dimension tile. Call it before
-// kernels run (it is not synchronized); the autotuner applies it at
-// startup. Panics on non-positive tiles.
-func SetSpMMColTile(tile int) {
-	if tile <= 0 {
-		panic(fmt.Sprintf("sparse: SetSpMMColTile(%d): tile must be positive", tile))
-	}
-	spmmColTile = tile
-}
+const spmmColTile = 256
 
 // SpMM computes C = A*X + beta*C where A is sparse (m x k), X dense (k x n),
 // C dense (m x n). beta is either 0 (overwrite) or 1 (accumulate); the GCN

@@ -110,3 +110,63 @@ func TestParallelSpMMBitIdenticalToFlatWideFeatures(t *testing.T) {
 		}
 	}
 }
+
+// hubHeavyCSR builds a power-law-flavored matrix: a handful of hub rows
+// with degree near cols, a long tail of sparse rows, and some empty rows —
+// the row-length skew the nnz-balanced chunking and the pair loop's tail
+// have to survive.
+func hubHeavyCSR(rng *rand.Rand, rows, cols, hubs int, withVals bool) *CSR {
+	var entries []Coo
+	for i := 0; i < rows; i++ {
+		var deg int
+		switch {
+		case i < hubs:
+			deg = cols/2 + rng.Intn(cols/2)
+		case i%7 == 0:
+			deg = 0 // empty rows interleaved through the tail
+		default:
+			deg = 1 + rng.Intn(4)
+		}
+		for d := 0; d < deg; d++ {
+			e := Coo{Row: int32(i), Col: int32(rng.Intn(cols)), Val: 1}
+			if withVals {
+				e.Val = float32(rng.NormFloat64())
+			}
+			entries = append(entries, e)
+		}
+	}
+	return FromCoo(rows, cols, entries, withVals)
+}
+
+// TestSpMMHubHeavyBitIdenticalToFlat runs the blocked serial kernel and the
+// pooled one (nnz chunks cut inside and around hub rows, empty-row runs at
+// chunk boundaries) against the flat kernel at tolerance 0 on hub-heavy
+// matrices: valued and structure-only, overwrite and accumulate, widths on
+// both sides of the column tile.
+func TestSpMMHubHeavyBitIdenticalToFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	const n = 96
+	for _, withVals := range []bool{true, false} {
+		a := hubHeavyCSR(rng, n, n, 5, withVals)
+		for _, width := range []int{1, 7, spmmColTile - 1, spmmColTile + 5, 2*spmmColTile + 3} {
+			for _, beta := range []float32{0, 1} {
+				x := randomDense(rng, n, width)
+				c0 := randomDense(rng, n, width)
+				flat := c0.Clone()
+				SpMMFlat(a, x, beta, flat)
+				blocked := c0.Clone()
+				SpMM(a, x, beta, blocked)
+				if !tensor.Equal(blocked, flat, 0) {
+					t.Fatalf("vals=%v width=%d beta=%g: blocked != flat", withVals, width, beta)
+				}
+				for _, w := range []int{1, 2, 8} {
+					par := c0.Clone()
+					ParallelSpMM(a, x, beta, par, w)
+					if !tensor.Equal(par, flat, 0) {
+						t.Fatalf("vals=%v width=%d beta=%g workers=%d: pooled != flat", withVals, width, beta, w)
+					}
+				}
+			}
+		}
+	}
+}

@@ -11,43 +11,23 @@ import (
 // blockK is the k-dimension panel of the blocked GeMM kernels: the panel's
 // B rows stay hot in cache while C rows accumulate across it. 64 rows x
 // (n x 4 bytes) keeps a hidden-512 panel inside L2 and a hidden-128 panel
-// inside L1.
-var blockK = 64
+// inside L1. It must stay even: the micro-kernel consumes k steps in pairs
+// from each panel start, and an odd panel height would shift pair boundaries.
+const blockK = 64
 
 // gemmFlatMaxBytes is the whole-B-footprint threshold below which panel
 // blocking is skipped: when all of B (k x n x 4 bytes) fits in cache, the
-// panel loop only re-reads each C row k/blockK times for nothing — the
-// regression the pre-tuner wall-clock matrix showed at 2048x128x128
-// (blocked 0.87x flat). Under the threshold gemmRows runs one panel of
-// the full k extent, which is exactly the flat traversal order with the
-// 2x2 micro-kernel kept. Panel boundaries never change the per-element
-// accumulation order, so both regimes are bit-identical to GemmFlat.
-var gemmFlatMaxBytes = 64 << 10
-
-// GemmPolicy returns the active blocking policy: the k-panel height and
-// the B footprint (bytes) below which blocking is skipped.
-func GemmPolicy() (blockKRows, flatMaxBytes int) { return blockK, gemmFlatMaxBytes }
-
-// SetGemmPolicy retargets the blocking policy; the autotuner
-// (internal/tune) applies the host's measured or modeled choice at
-// startup. Not synchronized — call before kernels run. blockKRows must be
-// a positive multiple of 2 (the micro-kernel consumes k steps in pairs
-// from each panel start, and an odd panel height would shift pair
-// boundaries); flatMaxBytes may be 0 to always block.
-func SetGemmPolicy(blockKRows, flatMaxBytes int) {
-	if blockKRows <= 0 || blockKRows%2 != 0 {
-		panic(fmt.Sprintf("tensor: SetGemmPolicy blockK=%d: must be positive and even", blockKRows))
-	}
-	if flatMaxBytes < 0 {
-		panic(fmt.Sprintf("tensor: SetGemmPolicy flatMaxBytes=%d: must be non-negative", flatMaxBytes))
-	}
-	blockK = blockKRows
-	gemmFlatMaxBytes = flatMaxBytes
-}
+// panel loop only re-reads each C row k/blockK times for nothing (blocked
+// measured 0.87x flat at 2048x128x128). Under the threshold gemmRows runs
+// one panel of the full k extent, which is exactly the flat traversal order
+// with the 2x2 micro-kernel kept. Panel boundaries never change the
+// per-element accumulation order, so both regimes are bit-identical to
+// GemmFlat.
+const gemmFlatMaxBytes = 64 << 10
 
 // effBlockK resolves the panel height for a k x n multiply: the full k
 // extent (one panel — flat traversal) when B fits the flat threshold,
-// otherwise the configured panel height.
+// otherwise blockK.
 func effBlockK(k, n int) int {
 	if k*n*4 <= gemmFlatMaxBytes {
 		return k

@@ -7,6 +7,8 @@ import (
 
 // Odd shapes for the blocked-kernel tables: k straddling blockK boundaries,
 // 1-row/1-col degenerates, odd row counts (the 2-row micro-kernel's tail).
+// The last two have k*n*4 > gemmFlatMaxBytes, so they take the multi-panel
+// traversal; every other shape fits the flat threshold and runs one panel.
 var blockedShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, blockK, 1},
@@ -16,6 +18,25 @@ var blockedShapes = []struct{ m, k, n int }{
 	{1, 7, 5},
 	{7, 3*blockK + 5, 9},
 	{64, 48, 32},
+	{5, 3*blockK + 5, 96},
+	{3, 2*blockK - 1, 140},
+}
+
+// TestBlockedShapesCoverBothTraversals keeps the table honest: effBlockK
+// chooses from the operand size alone, so the table has to hold shapes on
+// both sides of the threshold for the bit-identity tests to reach both.
+func TestBlockedShapesCoverBothTraversals(t *testing.T) {
+	var flat, panelled bool
+	for _, sh := range blockedShapes {
+		if effBlockK(sh.k, sh.n) == sh.k {
+			flat = true
+		} else if sh.k > blockK {
+			panelled = true
+		}
+	}
+	if !flat || !panelled {
+		t.Fatalf("blockedShapes: flat traversal covered=%v, multi-panel covered=%v", flat, panelled)
+	}
 }
 
 // TestGemmBitIdenticalToFlat pins the blocked kernel's contract: cache
@@ -46,18 +67,21 @@ func TestGemmBitIdenticalToFlat(t *testing.T) {
 // which never skips, at tolerance 0.
 func TestGemmBitIdenticalToFlatWithZeros(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	a, b := randomDense(rng, 9, 2*blockK+3), randomDense(rng, 2*blockK+3, 11)
+	a := randomDense(rng, 9, 2*blockK+3)
 	for i := range a.Data {
 		if rng.Intn(2) == 0 {
 			a.Data[i] = 0
 		}
 	}
-	blocked := randomDense(rng, 9, 11)
-	flat := blocked.Clone()
-	Gemm(1, a, b, 1, blocked)
-	GemmFlat(1, a, b, 1, flat)
-	if !Equal(blocked, flat, 0) {
-		t.Fatalf("zero-skip path diverged from flat kernel")
+	for _, n := range []int{11, 140} { // one panel, then three
+		b := randomDense(rng, 2*blockK+3, n)
+		blocked := randomDense(rng, 9, n)
+		flat := blocked.Clone()
+		Gemm(1, a, b, 1, blocked)
+		GemmFlat(1, a, b, 1, flat)
+		if !Equal(blocked, flat, 0) {
+			t.Fatalf("n=%d: zero-skip path diverged from flat kernel", n)
+		}
 	}
 }
 

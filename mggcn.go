@@ -73,16 +73,6 @@ const (
 // Ordering selects the vertex ordering applied before partitioning.
 type Ordering = core.Ordering
 
-// SparseFormat selects the device-resident sparse tile layout.
-type SparseFormat = core.SparseFormat
-
-// Sparse tile formats for Options.SparseFormat.
-const (
-	FormatCSR  = core.FormatCSR  // CSR everywhere (default)
-	FormatSELL = core.FormatSELL // SELL-C-σ everywhere
-	FormatAuto = core.FormatAuto // per-tile: SELL where the skew pays
-)
-
 // The available vertex orderings (§5.2 ablation). OrderingDefault honors
 // the Permute flag.
 const (
@@ -211,12 +201,6 @@ type Options struct {
 
 	// Ordering overrides Permute with a specific vertex ordering when set.
 	Ordering Ordering
-	// SparseFormat selects the device-resident adjacency tile layout:
-	// FormatCSR (default), FormatSELL, or FormatAuto (per-tile heuristic —
-	// hub-heavy shards convert to SELL-C-σ, uniform shards stay CSR).
-	// Results are bit-identical at any setting; only speed and the
-	// adjacency memory charge change.
-	SparseFormat SparseFormat
 	// BalancedPartition cuts partitions at equal total degree instead of
 	// equal vertex counts — an alternative load balancer to permutation.
 	BalancedPartition bool
@@ -261,8 +245,23 @@ type Trainer struct {
 // allocates the L+3 buffer set; it fails with an out-of-memory error
 // (check with IsOOM) when the configuration does not fit the machine.
 func NewTrainer(ds *Dataset, o Options) (*Trainer, error) {
+	cfg, err := o.coreConfig(ds)
+	if err != nil {
+		return nil, err
+	}
+	inner, err := core.NewTrainer(ds.g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Trainer{inner: inner, ds: ds}, nil
+}
+
+// coreConfig is the one mapping from the public options to the trainer's
+// configuration for ds; NewTrainer and the memory estimator both go
+// through it.
+func (o Options) coreConfig(ds *Dataset) (core.Config, error) {
 	if o.GPUs < 1 {
-		return nil, fmt.Errorf("mggcn: GPUs must be >= 1")
+		return core.Config{}, fmt.Errorf("mggcn: GPUs must be >= 1")
 	}
 	cfg := core.Config{
 		Spec: o.Machine, P: o.GPUs, MemScale: ds.scale,
@@ -270,15 +269,10 @@ func NewTrainer(ds *Dataset, o Options) (*Trainer, error) {
 		Strategy: o.Strategy, Ordering: o.Ordering, BalancedPartition: o.BalancedPartition,
 		Permute: o.Permute, PermSeed: o.PermSeed, Overlap: o.Overlap,
 		OrderSwitch: o.OrderSwitch, SkipFirstBackward: o.SkipFirstBackwardSpMM,
-		Format: o.SparseFormat,
-		Seed:   o.Seed,
+		Seed: o.Seed,
 	}
 	cfg.Workers, cfg.ExecWorkers = o.Workers, o.ExecWorkers
-	inner, err := core.NewTrainer(ds.g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Trainer{inner: inner, ds: ds}, nil
+	return cfg, nil
 }
 
 // RunEpoch performs one full-batch training step. A non-nil error means
@@ -307,11 +301,12 @@ func (t *Trainer) PeakMemoryBytes() int64 { return t.inner.PeakMemoryBytes() }
 func (t *Trainer) BufferCount() int { return t.inner.BufferCount() }
 
 // EstimateMemoryBytesPerDevice predicts the paper-scale per-device memory
-// footprint of a configuration without building a trainer.
-func EstimateMemoryBytesPerDevice(ds *Dataset, o Options) int64 {
-	cfg := core.Config{
-		Spec: o.Machine, P: o.GPUs, MemScale: ds.scale,
-		Hidden: o.Hidden, Layers: o.Layers,
+// footprint of a configuration without building a trainer. Options that
+// NewTrainer rejects yield the same error.
+func EstimateMemoryBytesPerDevice(ds *Dataset, o Options) (int64, error) {
+	cfg, err := o.coreConfig(ds)
+	if err != nil {
+		return 0, err
 	}
 	return core.EstimateMemoryBytesPerDevice(ds.g, cfg)
 }

@@ -63,11 +63,31 @@ func TestTrainerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestNewTrainerValidation: options no trainer can be built for are errors,
+// and the memory estimator — which builds nothing — reports the same error
+// for them instead of estimating (or panicking).
 func TestNewTrainerValidation(t *testing.T) {
 	ds := SynthesizeDataset("v", 100, 4, 8, 2, 5, true)
-	o := DefaultOptions(DGXA100(), 0)
-	if _, err := NewTrainer(ds, o); err == nil {
-		t.Fatalf("GPUs=0 accepted")
+	cases := []struct {
+		name string
+		edit func(o *Options)
+	}{
+		{"GPUs=0", func(o *Options) { o.GPUs = 0 }},
+		{"Layers=0", func(o *Options) { o.Layers = 0 }},
+		{"1.5D on odd GPUs", func(o *Options) { o.GPUs, o.Strategy = 3, Strategy15D }},
+		{"unknown strategy", func(o *Options) { o.Strategy = Strategy(99) }},
+	}
+	for _, tc := range cases {
+		o := DefaultOptions(DGXA100(), 4)
+		tc.edit(&o)
+		_, trErr := NewTrainer(ds, o)
+		if trErr == nil {
+			t.Fatalf("%s: NewTrainer accepted it", tc.name)
+		}
+		_, estErr := EstimateMemoryBytesPerDevice(ds, o)
+		if estErr == nil || estErr.Error() != trErr.Error() {
+			t.Fatalf("%s: estimator error %v, NewTrainer error %v", tc.name, estErr, trErr)
+		}
 	}
 }
 
@@ -109,11 +129,37 @@ func TestEstimateMemoryMatchesTrainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := EstimateMemoryBytesPerDevice(ds, o)
+	est, err := EstimateMemoryBytesPerDevice(ds, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	actualFull := tr.PeakMemoryBytes() * int64(ds.Scale())
 	ratio := float64(est) / float64(actualFull)
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("estimate %d vs actual(full-scale) %d (ratio %.2f)", est, actualFull, ratio)
+	}
+}
+
+// TestEstimateMemoryFollowsStrategy: the estimate is built from the same
+// configuration NewTrainer gets, so it tracks the strategy — 1.5D stores
+// every block twice and must not be estimated as 1D.
+func TestEstimateMemoryFollowsStrategy(t *testing.T) {
+	ds := SynthesizeDataset("est", 2000, 10, 32, 8, 5, true)
+	for _, s := range []Strategy{Strategy1DRow, Strategy1DCol, Strategy15D} {
+		o := DefaultOptions(DGXA100(), 4)
+		o.Hidden = 64
+		o.Strategy = s
+		tr, err := NewTrainer(ds, o)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		est, err := EstimateMemoryBytesPerDevice(ds, o)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if ratio := float64(est) / float64(tr.PeakMemoryBytes()); ratio < 0.9 || ratio > 1.1 {
+			t.Errorf("%v: estimate %d vs peak %d (ratio %.2f)", s, est, tr.PeakMemoryBytes(), ratio)
+		}
 	}
 }
 

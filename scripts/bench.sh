@@ -16,14 +16,5 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> autotuner deterministic smoke" >&2
-# Two deterministic runs must produce byte-identical choice files before we
-# trust the tuner anywhere near a benchmark.
-tune_a=$(mktemp) tune_b=$(mktemp)
-trap 'rm -f "$tune_a" "$tune_b"' EXIT
-go run -tags simd ./cmd/mggcn-tune -out "$tune_a"
-go run -tags simd ./cmd/mggcn-tune -out "$tune_b"
-cmp "$tune_a" "$tune_b"
-
 echo "==> sampled-pipeline matrix" >&2
 go run -tags simd ./cmd/mggcn-epochbench "$@"

@@ -88,7 +88,9 @@ go run ./cmd/mggcn-verify chaos -seeds 1 > /dev/null
 echo "==> mggcn-verify all (every pass over one set of recordings)"
 # The single-report leg: each subject recorded once, one happens-before
 # closure shared by the san and memcheck passes, tasks per subject and
-# elapsed_ms per pass in the JSON.
+# elapsed_ms per pass in the JSON. The verdict lines at default flags carry
+# no timings and must match the committed golden byte for byte.
+go run ./cmd/mggcn-verify all | diff cmd/mggcn-verify/testdata/all.golden -
 go run ./cmd/mggcn-verify all -json > /dev/null
 
 echo "==> chaos suite under -race"
@@ -108,14 +110,13 @@ go test -timeout 30m ./...
 
 echo "==> SIMD kernel suite (-tags simd)"
 # The same kernel-adjacent suites with the assembly microkernels installed:
-# dispatch + bit-identity tables, sparse formats (CSR and SELL-C-sigma),
-# dense kernels, autotuner, and the end-to-end format parity tests. The
-# default (tags-off) build of these packages is covered by the full runs
-# above; -race stays on the scalar path because the detector cannot see
-# assembly.
+# dispatch + bit-identity tables, sparse and dense kernels, and the
+# end-to-end replay parity tests. The default (tags-off) build of these
+# packages is covered by the full runs above; -race stays on the scalar path
+# because the detector cannot see assembly.
 go vet -tags simd ./...
 go build -tags simd ./...
-go test -tags simd -timeout 30m ./internal/kernel/ ./internal/sparse/ ./internal/tensor/ ./internal/tune/ ./internal/core/
+go test -tags simd -timeout 30m ./internal/kernel/ ./internal/sparse/ ./internal/tensor/ ./internal/core/
 
 echo "==> benchmark module (-tags simd)"
 # benchmark/ is a module of its own (replace mggcn => ../), so ./... never
@@ -126,15 +127,6 @@ go test -C benchmark -tags simd ./...
 
 echo "==> arm64 cross-compile (NEON path)"
 GOOS=linux GOARCH=arm64 go build -tags simd ./...
-
-echo "==> autotuner determinism"
-# The deterministic mode is a pure function of the host profile: two runs
-# must produce byte-identical choice files.
-tune_a=$(mktemp) tune_b=$(mktemp)
-trap 'rm -f "$tune_a" "$tune_b"' EXIT
-go run ./cmd/mggcn-tune -out "$tune_a"
-go run ./cmd/mggcn-tune -out "$tune_b"
-cmp "$tune_a" "$tune_b"
 
 echo "==> benchmark smoke"
 # One iteration per benchmark, no tests: keeps the kernel benchmarks
