@@ -1,0 +1,136 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"testing"
+
+	"mggcn/internal/gen"
+	"mggcn/internal/graph"
+	"mggcn/internal/nn"
+	"mggcn/internal/sim"
+)
+
+var updateGraphsGolden = flag.Bool("update", false, "rewrite testdata/graphs.golden from this tree")
+
+// graphDigest is one golden line: everything a recorder refactor could move.
+// The task hash covers each task's own fields in issue order; the
+// happens-before hashes cover the closed relation, queried pairwise, so a
+// redundant Deps entry is not a diff and a lost ordering is; the epoch bits
+// are what the DES makes of both.
+func graphDigest(name string, tg *sim.Graph, epochSeconds float64) string {
+	th := sha256.New()
+	for _, t := range tg.Tasks {
+		fmt.Fprintf(th, "%d|%s|%d|%v|%d|%x|%t|%v|%v|", t.Kind, t.Label, t.Stage, t.Devices,
+			t.Stream, math.Float64bits(t.Seconds), t.MemBound, t.InShapes, t.OutShapes)
+		if c := t.Coll; c != nil {
+			fmt.Fprintf(th, "%d,%d,%v,%d,%d,%d", c.Op, c.Root, c.Group, c.Rows, c.Cols, c.Scale)
+		}
+		th.Write([]byte{'\n'})
+	}
+	n := len(tg.Tasks)
+	// Two closures: the executor's contract, and the Deps+FIFO subset the
+	// DES honours — under the first the cross-stream fences subsume §4.3's
+	// double-buffer edges, so only the second sees one of those move.
+	var hbSums [2][]byte
+	for k, edges := range []sim.Edges{sim.ExecutorEdges, sim.EdgeDeps | sim.EdgeFIFO} {
+		hb := tg.HappensBefore(edges)
+		hh := sha256.New()
+		row := make([]byte, (n+7)/8)
+		for b := 0; b < n; b++ {
+			clear(row)
+			for a := 0; a < b; a++ {
+				if hb.Before(a, b) {
+					row[a/8] |= 1 << (a % 8)
+				}
+			}
+			hh.Write(row)
+		}
+		hbSums[k] = hh.Sum(nil)
+	}
+	return fmt.Sprintf("%s tasks=%d task_sha=%x hb_sha=%x des_hb_sha=%x epoch_bits=%016x\n",
+		name, n, th.Sum(nil), hbSums[0], hbSums[1], math.Float64bits(epochSeconds))
+}
+
+// TestRecordedGraphsGolden pins the recorded task graphs — every task, the
+// orderings between them and the simulated epoch — of each trainer family
+// against testdata/graphs.golden. A recorder refactor must leave every line
+// byte-identical; `go test ./internal/core -run RecordedGraphsGolden -update`
+// rewrites the file when a graph is meant to change.
+func TestRecordedGraphsGolden(t *testing.T) {
+	bter := gen.DefaultBTER(200, 8, 41)
+	realG := gen.Generate("graphs-golden", bter, 12, 4, false)
+	phantom := gen.Generate("graphs-golden", bter, 12, 4, true)
+	onOff := map[bool]string{true: "on", false: "off"}
+
+	var out bytes.Buffer
+	for _, st := range []Strategy{Strategy1DRow, Strategy1DCol, Strategy15D} {
+		for _, p := range []int{st.replicationFactor(), 4, 8} {
+			for _, overlap := range []bool{true, false} {
+				for _, g := range []struct {
+					mode  string
+					graph *graph.Graph
+				}{{"real", realG}, {"phantom", phantom}} {
+					cfg := DefaultConfig(sim.DGXA100(), p, 1)
+					cfg.Hidden, cfg.Strategy, cfg.Overlap = 16, st, overlap
+					tr, err := NewTrainer(g.graph, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stats := mustEpoch(tr)
+					name := fmt.Sprintf("%s/p%d/overlap-%s/%s", st, p, onOff[overlap], g.mode)
+					out.WriteString(graphDigest(name, tr.LastGraph(), stats.EpochSeconds))
+				}
+			}
+		}
+	}
+	for _, p := range []int{1, 4} {
+		cfg := DefaultConfig(sim.DGXA100(), p, 1)
+		cfg.Hidden = 16
+		model := nn.NewGAT(realG, nn.LayerDims(realG.FeatDim, cfg.Hidden, 2, realG.Classes), 3)
+		dist, err := NewGATDist(realG, model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats := mustGATForward(dist)
+		out.WriteString(graphDigest(fmt.Sprintf("gat/p%d", p), dist.LastGraph(), stats.EpochSeconds))
+	}
+	for _, pipeline := range []bool{true, false} {
+		cfg := testSampledConfig(4)
+		cfg.Pipeline = pipeline
+		tr, err := NewSampledTrainer(realG, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := tr.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.WriteString(graphDigest("sampled/p4/pipeline-"+onOff[pipeline], tr.LastGraph(), stats.EpochSeconds))
+	}
+
+	const path = "testdata/graphs.golden"
+	if *updateGraphsGolden {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := bytes.Split(out.Bytes(), []byte{'\n'}), bytes.Split(want, []byte{'\n'})
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d digest lines, golden has %d", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if !bytes.Equal(gotLines[i], wantLines[i]) {
+			t.Errorf("recorded graph changed:\n got %s\nwant %s", gotLines[i], wantLines[i])
+		}
+	}
+}
