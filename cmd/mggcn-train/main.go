@@ -17,10 +17,17 @@ import (
 	"strings"
 
 	"mggcn"
+	"mggcn/internal/core"
 	"mggcn/internal/sim"
 )
 
 func main() {
+	strategies := map[string]mggcn.Strategy{}
+	var strategyNames []string
+	for _, s := range core.Strategies() {
+		strategies[s.Name()] = s
+		strategyNames = append(strategyNames, s.Name())
+	}
 	var (
 		dataset   = flag.String("dataset", "cora", "catalog dataset: "+strings.Join(mggcn.DatasetNames(), ", "))
 		machine   = flag.String("machine", "a100", "machine: v100 or a100")
@@ -32,7 +39,7 @@ func main() {
 		phantom   = flag.Bool("phantom", false, "structure-only run: timing and memory, no real math")
 		noPermute = flag.Bool("no-permute", false, "disable §5.2 random permutation")
 		noOverlap = flag.Bool("no-overlap", false, "disable §4.3 comm/compute overlap")
-		strategy  = flag.String("strategy", "1d-row", "partitioning strategy: 1d-row, 1d-col, 1.5d")
+		strategy  = flag.String("strategy", strategyNames[0], "partitioning strategy: "+strings.Join(strategyNames, ", "))
 		ordering  = flag.String("ordering", "default", "vertex ordering: default, natural, random, degree, bfs, cyclic")
 		balanced  = flag.Bool("balanced-cuts", false, "cut partitions at equal degree instead of equal vertices")
 		saveCkpt  = flag.String("save-checkpoint", "", "write model+optimizer state here after training")
@@ -108,15 +115,9 @@ func main() {
 	o.Hidden, o.Layers, o.LR = *hidden, *layers, *lr
 	o.Permute = !*noPermute
 	o.Overlap = !*noOverlap
-	switch strings.ToLower(*strategy) {
-	case "1d-row", "row":
-		o.Strategy = mggcn.Strategy1DRow
-	case "1d-col", "col":
-		o.Strategy = mggcn.Strategy1DCol
-	case "1.5d", "15d":
-		o.Strategy = mggcn.Strategy15D
-	default:
-		log.Fatalf("unknown strategy %q", *strategy)
+	var known bool
+	if o.Strategy, known = strategies[*strategy]; !known {
+		log.Fatalf("unknown strategy %q (want %s)", *strategy, strings.Join(strategyNames, ", "))
 	}
 	switch strings.ToLower(*ordering) {
 	case "default":

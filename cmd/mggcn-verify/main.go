@@ -115,7 +115,11 @@ func main() {
 	v := &verifier{all: which == "all", subjects: map[string]*subject{}, cfg: core.DefaultConfig(sim.MachineSpec{}, 4, 1)}
 	flag.StringVar(&v.machine, "machine", "a100", "machine: v100 or a100")
 	flag.IntVar(&v.cfg.P, "gpus", v.cfg.P, "number of GPUs (1-8; chaos needs 2)")
-	flag.StringVar(&v.only, "strategy", "all", "1d-row, 1d-col, 1.5d, gat, sampled, cagnet, or all")
+	var names []string
+	for _, s := range strategies {
+		names = append(names, s.name)
+	}
+	flag.StringVar(&v.only, "strategy", "all", strings.Join(names, ", ")+", or all")
 	flag.IntVar(&v.cfg.Hidden, "hidden", 16, "hidden layer width")
 	flag.IntVar(&v.cfg.Layers, "layers", v.cfg.Layers, "layer count")
 	n := flag.Int("n", 160, "synthetic vertex count")

@@ -136,7 +136,7 @@ func (v *verifier) memcheckPass() string {
 	}
 
 	var err error
-	v.report.Fit, err = memcheck.FitCatalog(v.cfg.Spec, v.cfg.P, v.fitScale, v.fitHidden, v.cfg.Layers, nil)
+	v.report.Fit, err = memcheck.FitCatalog(v.cfg.Spec, v.cfg.P, v.fitScale, v.fitHidden, v.cfg.Layers)
 	if err != nil {
 		log.Fatal(err)
 	}

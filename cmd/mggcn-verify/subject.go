@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"mggcn/internal/baseline"
 	"mggcn/internal/comm"
@@ -26,23 +25,23 @@ const (
 	cagnet                // baseline.CAGNET phantom cost model
 )
 
-// strategy is one row of the ordered strategy list: the name the closed-form
-// registries (schedcheck.VolumeForm, memcheck.PeakForm) know it by.
+// strategy is one row of the ordered strategy list: the name the closed
+// forms (schedcheck.VolumeForm, memcheck.PeakForm) know it by.
 type strategy struct {
 	name string
 	kind kind
 	spmm core.Strategy // fullBatch only
 }
 
-// strategies is the one strategy list, in report order.
-var strategies = []strategy{
-	{"1d-row", fullBatch, core.Strategy1DRow},
-	{"1d-col", fullBatch, core.Strategy1DCol},
-	{"1.5d", fullBatch, core.Strategy15D},
-	{"gat", gat, 0},
-	{"sampled", sampled, 0},
-	{"cagnet", cagnet, 0},
-}
+// strategies is the one strategy list, in report order: core's full-batch
+// SpMM strategies, then the other trainer families.
+var strategies = func() []strategy {
+	var out []strategy
+	for _, s := range core.Strategies() {
+		out = append(out, strategy{s.Name(), fullBatch, s})
+	}
+	return append(out, strategy{"gat", gat, 0}, strategy{"sampled", sampled, 0}, strategy{"cagnet", cagnet, 0})
+}()
 
 func lookup(name string) *strategy {
 	for i := range strategies {
@@ -58,7 +57,7 @@ func lookup(name string) *strategy {
 // to 1D-row at odd p), the strategy itself otherwise.
 func (s *strategy) degraded(p int) *strategy {
 	if s.kind == fullBatch {
-		return lookup(strings.ToLower(s.spmm.Degraded(p).String()))
+		return lookup(s.spmm.Degraded(p).Name())
 	}
 	return s
 }

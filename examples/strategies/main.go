@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"mggcn"
+	"mggcn/internal/core"
 )
 
 func main() {
@@ -20,7 +21,7 @@ func main() {
 
 	for _, machine := range []mggcn.MachineSpec{mggcn.DGXV100(), mggcn.DGXA100()} {
 		fmt.Printf("--- %s, 8 GPUs, 2 layers x 512 ---\n", machine.Name)
-		for _, s := range []mggcn.Strategy{mggcn.Strategy1DRow, mggcn.Strategy1DCol, mggcn.Strategy15D} {
+		for _, s := range core.Strategies() {
 			o := mggcn.DefaultOptions(machine, 8)
 			o.Strategy = s
 			tr, err := mggcn.NewTrainer(ds, o)

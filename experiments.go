@@ -717,7 +717,7 @@ func RunStrategies() (*ExperimentResult, error) {
 		"epoch(s)", "comm busy(s)", "peak mem/GPU (GiB, full scale)")
 	vals := map[string]float64{}
 	for _, machine := range []MachineSpec{DGXV100(), DGXA100()} {
-		for _, strategy := range []Strategy{Strategy1DRow, Strategy1DCol, Strategy15D} {
+		for _, strategy := range core.Strategies() {
 			o := DefaultOptions(machine, 8)
 			o.Strategy = strategy
 			tr, err := NewTrainer(ds, o)

@@ -15,9 +15,9 @@ import (
 //     closure captures a *tensor.Dense (or slice of them). The
 //     happens-before checker and the shadow replay can only see declared
 //     accesses; an undeclared buffer toucher is invisible to both. Use
-//     Graph.BindRW/BindRWE and declare the reads/writes sets.
+//     Graph.BindShaped/BindShapedE and declare the reads/writes sets.
 //
-//  2. A Graph.BindRW/BindRWE whose closure captures a Dense-typed variable
+//  2. A Graph.BindShaped/BindShapedE whose closure captures a Dense-typed variable
 //     that does not appear anywhere in the reads/writes argument expressions. The
 //     declaration exists but is blind to that buffer — exactly the drift the
 //     shadow replay exists to catch at runtime; this pass catches it at vet
@@ -25,7 +25,7 @@ import (
 //
 // The check is intentionally syntactic on the declaration side: a captured
 // identifier is considered declared if the same variable occurs in the
-// reads or writes expressions (e.g. inside sim.BufsOf(x, w) or a stamps(...)
+// reads or writes expressions (e.g. inside sim.ShapesOf(x, w) or a stamps(...)
 // helper). Buffers reached through container structs are outside its scope —
 // that is what the shadow replay covers.
 var AccessDecl = &Analyzer{
@@ -105,15 +105,15 @@ func runAccessDecl(pass *Pass) {
 				pass.Report(call, "Bind closure captures buffer view %q but declares no access set; use BindShaped/BindShapedE so the sanitizer can order and shadow this task", captured[0].Name())
 				return true
 			}
-			// BindRW/BindRWE/BindShaped/BindShapedE(id, reads, writes, fn):
-			// the two access-set expressions.
+			// BindShaped/BindShapedE(id, reads, writes, fn): the two
+			// access-set expressions.
 			if len(call.Args) < 4 {
 				return true
 			}
 			declared := declaredVars(info, call.Args[1], call.Args[2])
 			for _, v := range captured {
 				if !declared[v] {
-					pass.Report(call, "BindRW closure captures buffer view %q, which appears in neither the reads nor the writes declaration", v.Name())
+					pass.Report(call, "BindShaped closure captures buffer view %q, which appears in neither the reads nor the writes declaration", v.Name())
 				}
 			}
 			return true

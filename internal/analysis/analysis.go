@@ -48,7 +48,7 @@ type Pass struct {
 
 // Analyzers returns the full mggcn-vet rule suite in report order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{TaskDep, BufAlias, PhantomGuard, RNGDeterminism, FloatEq, BindCapture, AccessDecl, GroupConsist, ShapeDecl, SlotDecl}
+	return []*Analyzer{TaskDep, BufAlias, PhantomGuard, RNGDeterminism, FloatEq, BindCapture, AccessDecl, GroupConsist, SlotDecl}
 }
 
 // Run applies the analyzer to pkg and returns the surviving findings.

@@ -73,7 +73,6 @@ func TestRules(t *testing.T) {
 		{BindCapture, "bindcapture_pos", "bindcapture_ok"},
 		{AccessDecl, "accessdecl_pos", "accessdecl_ok"},
 		{GroupConsist, "groupconsist_pos", "groupconsist_ok"},
-		{ShapeDecl, "shapedecl_pos", "shapedecl_ok"},
 		{SlotDecl, "slotdecl_pos", "slotdecl_ok"},
 	}
 
@@ -125,7 +124,6 @@ func TestCrossRuleSilence(t *testing.T) {
 		"bindcapture_pos", "bindcapture_ok",
 		"accessdecl_pos", "accessdecl_ok",
 		"groupconsist_pos", "groupconsist_ok",
-		"shapedecl_pos", "shapedecl_ok",
 		"slotdecl_pos", "slotdecl_ok",
 	}
 	for _, name := range fixtures {

@@ -109,14 +109,14 @@ func isEarlyExitGuard(stmt ast.Stmt) bool {
 }
 
 // isBindRegistration reports whether lit at stack position i is an argument
-// to a (*sim.Graph) Bind-family call (Bind/BindRW/BindShaped/E variants) —
+// to a (*sim.Graph) Bind-family call (Bind/BindShaped/E variants) —
 // the task-closure registration points of the record/execute split.
 func isBindRegistration(pass *Pass, lit *ast.FuncLit, stack []ast.Node, i int) bool {
 	if i == 0 {
 		return false
 	}
 	call, ok := stack[i-1].(*ast.CallExpr)
-	if !ok || !isMethod(pass.Pkg.Info, call, "mggcn/internal/sim", "Graph", "Bind", "BindRW", "BindE", "BindRWE", "BindShaped", "BindShapedE") {
+	if !ok || !isMethod(pass.Pkg.Info, call, "mggcn/internal/sim", "Graph", "Bind", "BindE", "BindShaped", "BindShapedE") {
 		return false
 	}
 	for _, arg := range call.Args {

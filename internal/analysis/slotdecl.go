@@ -22,7 +22,9 @@ import (
 //     point, and declaring the slot read makes the recycle dependency
 //     (sample(s+depth) deps Adam(s)) a checked write-after-read. This leg
 //     applies only in files that also create sampler tasks — the
-//     full-batch trainer's Adam has no handoff to declare.
+//     full-batch trainer's Adam has no handoff to declare. (The trainers
+//     record Adam through core's replicas.recordAdam, which declares the
+//     slot it is handed; this leg guards an Adam bound by hand.)
 //
 // The declaration check is syntactic with local taint: an access-set
 // expression satisfies it if it contains a direct sim.OpaqueShape call or

@@ -11,7 +11,7 @@ import (
 // Both captured views appear in the access sets.
 func declared(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 	id := g.AddCompute(0, sim.KindGeMM, "copy", -1, 0, false)
-	g.BindRW(id, sim.BufsOf(src), sim.BufsOf(dst), func() { // vet:ok shapedecl: fixture exercises the unshaped bind form
+	g.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(dst), func() {
 		dst.CopyFrom(src)
 	})
 	g.Execute(workers)
@@ -20,7 +20,7 @@ func declared(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 // A slice capture is covered by a variadic declaration.
 func declaredSlice(g *sim.Graph, out *tensor.Dense, parts []*tensor.Dense, workers int) {
 	id := g.AddCompute(0, sim.KindSpMM, "gather", -1, 0, true)
-	g.BindRW(id, sim.BufsOf(parts...), sim.BufsOf(out), func() { // vet:ok shapedecl: fixture exercises the unshaped bind form
+	g.BindShaped(id, sim.ShapesOf(parts...), sim.ShapesOf(out), func() {
 		for _, p := range parts {
 			_ = p.Rows
 		}
@@ -31,9 +31,9 @@ func declaredSlice(g *sim.Graph, out *tensor.Dense, parts []*tensor.Dense, worke
 
 // Declarations may flow through helper expressions; the variable just has to
 // appear somewhere in the reads/writes arguments.
-func declaredViaHelper(g *sim.Graph, dst, src *tensor.Dense, extra []sim.BufID, workers int) {
+func declaredViaHelper(g *sim.Graph, dst, src *tensor.Dense, extra []sim.ViewShape, workers int) {
 	id := g.AddCompute(0, sim.KindGeMM, "gemm", -1, 0, false)
-	g.BindRW(id, append(sim.BufsOf(src), extra...), sim.BufsOf(dst), func() { // vet:ok shapedecl: fixture exercises the unshaped bind form
+	g.BindShaped(id, append(sim.ShapesOf(src), extra...), sim.ShapesOf(dst), func() {
 		dst.CopyFrom(src)
 	})
 	g.Execute(workers)
@@ -42,7 +42,7 @@ func declaredViaHelper(g *sim.Graph, dst, src *tensor.Dense, extra []sim.BufID, 
 // The error-returning registration declares its captures the same way.
 func declaredE(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 	id := g.AddCompute(0, sim.KindGeMM, "copy", -1, 0, false)
-	g.BindRWE(id, sim.BufsOf(src), sim.BufsOf(dst), func() error { // vet:ok shapedecl: fixture exercises the unshaped bind form
+	g.BindShapedE(id, sim.ShapesOf(src), sim.ShapesOf(dst), func() error {
 		dst.CopyFrom(src)
 		return nil
 	})

@@ -11,17 +11,17 @@ import (
 // A plain Bind whose closure captures buffer views declares nothing at all.
 func undeclaredBind(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 	id := g.AddCompute(0, sim.KindGeMM, "copy", -1, 0, false)
-	g.Bind(id, func() { // want accessdecl — vet:ok shapedecl: fixture exercises the unshaped bind form
+	g.Bind(id, func() { // want accessdecl
 		dst.CopyFrom(src)
 	})
 	g.Execute(workers)
 }
 
-// A BindRW that declares the input but forgets the output: the declaration
+// A BindShaped that declares the input but forgets the output: the declaration
 // exists but is blind to dst.
 func missingWrite(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 	id := g.AddCompute(0, sim.KindGeMM, "gemm", -1, 0, false)
-	g.BindRW(id, sim.BufsOf(src), nil, func() { // want accessdecl — vet:ok shapedecl: fixture exercises the unshaped bind form
+	g.BindShaped(id, sim.ShapesOf(src), nil, func() { // want accessdecl
 		dst.CopyFrom(src)
 	})
 	g.Execute(workers)
@@ -31,17 +31,17 @@ func missingWrite(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 // capturing views declares nothing.
 func undeclaredBindE(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 	id := g.AddCompute(0, sim.KindGeMM, "copy", -1, 0, false)
-	g.BindE(id, func() error { // want accessdecl — vet:ok shapedecl: fixture exercises the unshaped bind form
+	g.BindE(id, func() error { // want accessdecl
 		dst.CopyFrom(src)
 		return nil
 	})
 	g.Execute(workers)
 }
 
-// A BindRWE blind to one of its captures is the same drift as BindRW.
+// A BindShapedE blind to one of its captures is the same drift as BindShaped.
 func missingWriteE(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 	id := g.AddCompute(0, sim.KindGeMM, "gemm", -1, 0, false)
-	g.BindRWE(id, sim.BufsOf(src), nil, func() error { // want accessdecl — vet:ok shapedecl: fixture exercises the unshaped bind form
+	g.BindShapedE(id, sim.ShapesOf(src), nil, func() error { // want accessdecl
 		dst.CopyFrom(src)
 		return nil
 	})
@@ -51,7 +51,7 @@ func missingWriteE(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 // Slices of views are buffer captures too.
 func missingSlice(g *sim.Graph, out *tensor.Dense, parts []*tensor.Dense, workers int) {
 	id := g.AddCompute(0, sim.KindSpMM, "gather", -1, 0, true)
-	g.BindRW(id, nil, sim.BufsOf(out), func() { // want accessdecl — vet:ok shapedecl: fixture exercises the unshaped bind form
+	g.BindShaped(id, nil, sim.ShapesOf(out), func() { // want accessdecl
 		for _, p := range parts {
 			_ = p.Rows
 		}

@@ -26,7 +26,7 @@ func bodyLocal(g *sim.Graph, views []*tensor.Dense, workers int) {
 			xin = views[i-1]
 		}
 		id := g.AddCompute(0, sim.KindGeMM, "gemm", -1, 0, false)
-		g.BindRW(id, sim.BufsOf(xin), nil, func() { _ = xin.Rows }) // vet:ok shapedecl: fixture exercises the unshaped bind form
+		g.BindShaped(id, sim.ShapesOf(xin), nil, func() { _ = xin.Rows })
 	}
 	g.Execute(workers)
 }
@@ -37,7 +37,7 @@ func stableOuter(g *sim.Graph, w *tensor.Dense, n, workers int) {
 	scale := float32(2)
 	for i := 0; i < n; i++ {
 		id := g.AddCompute(0, sim.KindGeMM, "scale", -1, 0, false)
-		g.BindRW(id, sim.BufsOf(w), nil, func() { _ = scale * float32(w.Rows) }) // vet:ok shapedecl: fixture exercises the unshaped bind form
+		g.BindShaped(id, sim.ShapesOf(w), nil, func() { _ = scale * float32(w.Rows) })
 	}
 	g.Execute(workers)
 }

@@ -1,4 +1,4 @@
-// Package bindcapture_pos is a mggcn-vet fixture: Bind/BindRW closures
+// Package bindcapture_pos is a mggcn-vet fixture: Bind/BindShaped closures
 // capture variables that are declared outside the binding loop but rebound
 // inside it, so every closure replays with the final value.
 package bindcapture_pos
@@ -15,7 +15,7 @@ func rebindStaging(g *sim.Graph, views []*tensor.Dense, workers int) {
 	for i := 0; i < len(views); i++ {
 		staging = views[i]
 		id := g.AddCompute(0, sim.KindGeMM, "copy", -1, 0, false)
-		g.BindRW(id, sim.BufsOf(staging), nil, func() { // want bindcapture — vet:ok shapedecl: fixture exercises the unshaped bind form
+		g.BindShaped(id, sim.ShapesOf(staging), nil, func() { // want bindcapture
 			_ = staging.Rows
 		})
 	}
@@ -29,7 +29,7 @@ func rebindScalar(g *sim.Graph, n, workers int) {
 	for i := 0; i < n; i++ {
 		off = i * 4
 		id := g.AddCompute(0, sim.KindActivation, "shift", -1, 0, true)
-		g.Bind(id, func() { // want bindcapture — vet:ok shapedecl: fixture exercises the unshaped bind form
+		g.Bind(id, func() { // want bindcapture
 			_ = off
 		})
 	}
@@ -37,13 +37,13 @@ func rebindScalar(g *sim.Graph, n, workers int) {
 }
 
 // The error-returning registration shares the same replay semantics, so the
-// same rebinding is just as wrong under BindRWE.
+// same rebinding is just as wrong under BindShapedE.
 func rebindStagingE(g *sim.Graph, views []*tensor.Dense, workers int) {
 	var staging *tensor.Dense
 	for i := 0; i < len(views); i++ {
 		staging = views[i]
 		id := g.AddCompute(0, sim.KindGeMM, "copy", -1, 0, false)
-		g.BindRWE(id, sim.BufsOf(staging), nil, func() error { // want bindcapture — vet:ok shapedecl: fixture exercises the unshaped bind form
+		g.BindShapedE(id, sim.ShapesOf(staging), nil, func() error { // want bindcapture
 			_ = staging.Rows
 			return nil
 		})
@@ -60,7 +60,7 @@ func rebindInner(g *sim.Graph, views []*tensor.Dense, workers int) {
 		for i := 0; i < len(views); i++ {
 			cur = views[i]
 			id := g.AddCompute(0, sim.KindSpMM, "agg", -1, 0, true)
-			g.BindRW(id, sim.BufsOf(cur), nil, func() { // want bindcapture — vet:ok shapedecl: fixture exercises the unshaped bind form
+			g.BindShaped(id, sim.ShapesOf(cur), nil, func() { // want bindcapture
 				_ = cur.Cols
 			})
 		}

@@ -61,13 +61,13 @@ func (r *runner) bindEarlyExit(g *sim.Graph, dst, src *tensor.Dense) {
 }
 
 // The error-returning registration points are Bind-family too: a guard at
-// the BindE/BindRWE site dominates the closure body.
+// the BindE/BindShapedE site dominates the closure body.
 func (r *runner) bindEGuard(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 	id := g.AddCompute(0, sim.KindGeMM, "copy", -1, 0, false)
 	if r.phantom {
 		return
 	}
-	g.BindRWE(id, sim.BufsOf(src), sim.BufsOf(dst), func() error { // vet:ok shapedecl: fixture exercises the unshaped bind form
+	g.BindShapedE(id, sim.ShapesOf(src), sim.ShapesOf(dst), func() error {
 		dst.CopyFrom(src)
 		tensor.AddInPlace(dst, src)
 		return nil

@@ -87,6 +87,11 @@ func newReplayer(spec sim.MachineSpec, p, memScale int) replayer {
 	return replayer{Machine: sim.NewMachine(spec, p, memScale), reg: sim.NewBufRegistry()}
 }
 
+// s maps an actual (scaled-down) row/element count to its full-scale
+// equivalent: all task costs are priced at paper scale so that simulated
+// epoch times are comparable with the paper's tables (DESIGN.md §2).
+func (r *replayer) s(x int) int { return x * r.Machine.MemScale }
+
 // record starts an empty task graph for the machine and its communicator.
 func (r *replayer) record(env *execEnv) (*sim.Graph, *comm.Group) {
 	tg := sim.NewGraph(r.Machine.Spec, r.Machine.P)

@@ -83,7 +83,7 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 	p := d.Machine.P
 	spec := d.Machine.Spec
 	tg, cg := d.record(&d.Cfg.execEnv)
-	scale := func(x int) int { return x * d.Cfg.MemScale }
+	rec := layerRecorder{d.partitioned, &d.replayer, d.Cfg.Workers, d.phantom}
 
 	L := d.Model.Layers()
 	dims := d.Model.Dims
@@ -96,13 +96,12 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 		dIn, dOut := dims[l], dims[l+1]
 		// Z_i = H_i W, s1_i = Z_i a1, s2_i = Z_i a2 on every device.
 		zID := make([]int, p)
-		zViews := make([]*tensor.Dense, p)
+		zView := d.hwView(dOut)
 		s1Local := make([]*tensor.Dense, p)
 		s2Local := make([]*tensor.Dense, p)
 		for i := 0; i < p; i++ {
 			ds := d.devs[i]
-			z := ds.bufs.HW.View(ds.rows, dOut)
-			zViews[i] = z
+			z := zView(i)
 			s1 := tensor.NewDense(ds.rows, 1)
 			s2 := tensor.NewDense(ds.rows, 1)
 			if d.phantom {
@@ -116,9 +115,9 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 				deps = append(deps, hReady[i])
 			}
 			gemmID := tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("gat%d/gemm", l), -1,
-				spec.GemmCost(scale(d.devs[i].rows), dIn, dOut), false, deps...)
+				spec.GemmCost(d.s(d.devs[i].rows), dIn, dOut), false, deps...)
 			id := tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("gat%d/attnvec", l), -1,
-				2*spec.GemmCost(scale(d.devs[i].rows), dOut, 1), false, gemmID)
+				2*spec.GemmCost(d.s(d.devs[i].rows), dOut, 1), false, gemmID)
 			if !d.phantom {
 				in, w := d.inputView(i, l, dims), d.Model.Weights[l]
 				tg.BindShaped(gemmID, sim.ShapesOf(in, w), sim.ShapesOf(z),
@@ -137,7 +136,7 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 			s1Full = tensor.NewPhantom(d.graph.N(), 1)
 		}
 		registerDense(d.reg, d.reg.Register(fmt.Sprintf("gat%d/s1full", l)), s1Full)
-		gatherSecs := spec.AllReduceCost(int64(scale(d.graph.N()))*4, p)
+		gatherSecs := spec.AllReduceCost(int64(d.s(d.graph.N()))*4, p)
 		allDevs := make([]int, p)
 		for i := range allDevs {
 			allDevs[i] = i
@@ -183,77 +182,26 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 			if !d.phantom {
 				s2 := s2Local[i]
 				alphaIDs[i] = d.reg.Register(fmt.Sprintf("gat%d/alpha-d%d", l, i))
-				// The aggregation closures below read alphaTiles[i] at
-				// replay time, after this task (their scoreID dep).
+				// The aggregation's SpMMs read alphaTiles[i] at replay time,
+				// after this task (their scoreID dep).
 				tg.BindShaped(scoreID[i], sim.ShapesOf(s1Full, s2), []sim.ViewShape{sim.OpaqueShape(alphaIDs[i])}, func() {
 					alphaTiles[i] = attentionRow(ds, s1Full, s2, d.vec, d.Model.LeakySlope)
 				})
-			} else {
-				alphaTiles[i] = ds.atTiles
 			}
 		}
 
 		// Aggregation: the standard staged-broadcast SpMM with the
-		// attention-valued tiles.
-		last := make([]int, p)
-		var prevStage, prevPrevStage []int
-		for j := 0; j < p; j++ {
-			rootRows := d.devs[j].rows
-			var bcastID = -1
-			if p > 1 {
-				deps := []int{zID[j]}
-				if d.Cfg.Overlap {
-					deps = append(deps, prevPrevStage...)
-				} else {
-					deps = append(deps, prevStage...)
-				}
-				bcDst := make([]*tensor.Dense, p)
-				for i := 0; i < p; i++ {
-					bcDst[i] = d.devs[i].bufs.BC(j, d.Cfg.Overlap).View(rootRows, dOut)
-				}
-				bcastID = cg.Broadcast(j, zViews[j], bcDst, fmt.Sprintf("gat%d/bcast", l), j, deps...)
-			}
-			stage := make([]int, 0, p)
-			for i := 0; i < p; i++ {
-				ds := d.devs[i]
-				var xin *tensor.Dense
-				deps := []int{scoreID[i]}
-				if i == j {
-					xin = zViews[j]
-				} else {
-					xin = ds.bufs.BC(j, d.Cfg.Overlap).View(rootRows, dOut)
-					deps = append(deps, bcastID)
-				}
-				var beta float32
-				if j > 0 {
-					beta = 1
-				}
-				out := ds.bufs.AHW[l].View(ds.rows, dOut)
-				cost := spec.SpMMCost(ds.atTiles[j].NNZ()*int64(d.Cfg.MemScale), scale(ds.rows), scale(rootRows), dOut)
-				id := tg.AddCompute(i, sim.KindSpMM, fmt.Sprintf("gat%d/spmm", l), j, cost, true, deps...)
-				if !d.phantom {
-					// alphaTiles[i] materializes when scoreID[i] (a dep)
-					// replays, so index it inside the closure.
-					tg.BindShaped(id, append(sim.ShapesOf(xin), sim.OpaqueShape(alphaIDs[i])), sim.ShapesOf(out),
-						func() { sparse.ParallelSpMM(alphaTiles[i][j], xin, beta, out, d.Cfg.Workers) })
-				}
-				stage = append(stage, id)
-				last[i] = id
-			}
-			prevPrevStage = prevStage
-			prevStage = stage
-		}
+		// attention-valued tiles. alphaTiles[i] materializes when scoreID[i]
+		// (a dep of every SpMM on device i) replays, so it is resolved then.
+		last := rec.stagedSpMMRow(tg, cg, spmmArgs{
+			label: fmt.Sprintf("gat%d/spmm", l), bcastLabel: fmt.Sprintf("gat%d/bcast", l),
+			src: zView, dst: d.ahwView(l, dOut),
+			width: dOut, srcReady: zID, overlap: d.Cfg.Overlap,
+			valued:  func(i, j int) *sparse.CSR { return alphaTiles[i][j] },
+			devDeps: scoreID, opaqueReads: alphaIDs,
+		})
 		if l < L-1 {
-			for i := 0; i < p; i++ {
-				ds := d.devs[i]
-				act := ds.bufs.AHW[l].View(ds.rows, dOut)
-				id := tg.AddCompute(i, sim.KindActivation, fmt.Sprintf("gat%d/relu", l), -1,
-					spec.ElementwiseCost(int64(scale(ds.rows))*int64(dOut), 1), true, last[i])
-				if !d.phantom {
-					tg.BindShaped(id, nil, sim.ShapesOf(act), func() { tensor.ReLU(act, act) })
-				}
-				last[i] = id
-			}
+			last = rec.relu(tg, fmt.Sprintf("gat%d/relu", l), l, dOut, last)
 		}
 		copy(hReady, last)
 	}

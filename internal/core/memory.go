@@ -6,27 +6,14 @@ import (
 	"mggcn/internal/nn"
 )
 
-// memcheckStrategy maps a core strategy onto internal/memcheck's registry
-// names (the schedcheck naming convention).
-func memcheckStrategy(s Strategy) string {
-	switch s {
-	case Strategy1DCol:
-		return "1d-col"
-	case Strategy15D:
-		return "1.5d"
-	default:
-		return "1d-row"
-	}
-}
-
 // EstimateMemoryBytesPerDevice predicts the per-device memory footprint of
 // a trainer for the dataset at full scale (generated size x MemScale)
 // without building one, by evaluating internal/memcheck's resident closed
 // form under an analytic balanced-partition environment: CSR adjacency
 // tiles in both orientations, the feature shard, the §4.2 slab set, and
-// replicated model state. 1.5D replicates each block across its group, so
-// its per-device row count doubles. A configuration NewTrainer rejects
-// yields the same error here.
+// replicated model state. A strategy with replication factor c partitions
+// into P/c blocks, so its per-device row count grows c-fold (1.5D: doubles).
+// A configuration NewTrainer rejects yields the same error here.
 func EstimateMemoryBytesPerDevice(g *graph.Graph, cfg Config) (int64, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
@@ -34,7 +21,7 @@ func EstimateMemoryBytesPerDevice(g *graph.Graph, cfg Config) (int64, error) {
 	S := int64(cfg.MemScale)
 	n := int64(g.N()) * S
 	m := g.M() * S
-	blocks := max(cfg.P/cfg.Strategy.replicationFactor(), 1)
+	blocks := cfg.P / cfg.Strategy.replicationFactor()
 	rows := (n + int64(blocks) - 1) / int64(blocks)
 	dims := nn.LayerDims(g.FeatDim, cfg.Hidden, cfg.Layers, g.Classes)
 
@@ -42,8 +29,8 @@ func EstimateMemoryBytesPerDevice(g *graph.Graph, cfg Config) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	fp, err := memcheck.PeakForm(memcheckStrategy(cfg.Strategy), memcheck.Model{
-		Dims: dims, P: max(cfg.P, 1), Device: 0, Overlap: cfg.Overlap,
+	fp, err := memcheck.PeakForm(cfg.Strategy.Name(), memcheck.Model{
+		Dims: dims, P: cfg.P, Device: 0, Overlap: cfg.Overlap,
 	})
 	if err != nil {
 		return 0, err

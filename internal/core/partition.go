@@ -14,15 +14,15 @@ import (
 // the (optionally permuted) normalized adjacency in both orientations, its
 // feature/label block, and its buffer set.
 type deviceState struct {
-	id     int
 	block  int // owned block index in the partition vector
-	group  int // replica group (always 0 except for the 1.5D strategy)
 	lo, hi int // owned vertex range [lo, hi)
 	rows   int
 	// Tile semantics depend on the strategy:
-	//   1D-row / 1.5D: atTiles[j] = Âᵀ[lo:hi, p(j):p(j+1)] — my tile row
-	//     (1.5D stores only the stages of my replica group; others nil).
-	//   1D-col:        atTiles[i] = Âᵀ[p(i):p(i+1), lo:hi] — my tile column.
+	//   broadcast-staged (1D-row, 1.5D): atTiles[j] = Âᵀ[lo:hi, p(j):p(j+1)] —
+	//     my tile row, only the stages my replica group runs (others nil; at
+	//     c = 1 that is every stage).
+	//   reduce-staged (1D-col): atTiles[i] = Âᵀ[p(i):p(i+1), lo:hi] — my tile
+	//     column.
 	atTiles  []*sparse.CSR
 	aTiles   []*sparse.CSR // same layout for Â (backward pass)
 	x        *tensor.Dense // local input features (nil in phantom mode)
@@ -36,21 +36,23 @@ type deviceState struct {
 // partitioned holds the distributed dataset: partition vector, permutation
 // (nil when disabled), and per-device states.
 type partitioned struct {
-	vec    part.Vector
-	blocks int // partition parts: P for the 1D strategies, P/2 for 1.5D
-	perm   []int32
-	devs   []*deviceState
+	strategy Strategy
+	vec      part.Vector
+	blocks   int // partition parts: P/c (P for the 1D strategies, P/2 for 1.5D)
+	perm     []int32
+	devs     []*deviceState
 }
 
 // partitionGraph normalizes, optionally permutes, and partitions the graph
 // across machine's devices per the strategy (§4.1), charging adjacency and
-// feature storage to each device's memory pool. For 1.5D, device d owns
-// block d mod (P/2) in replica group d div (P/2) — every block is stored
-// twice, the strategy's 2x feature memory.
+// feature storage to each device's memory pool. Device d owns block
+// d mod (P/c) in replica group d div (P/c) — at c = 2 (1.5D) every block is
+// stored twice, the strategy's 2x feature memory.
 func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ordering Ordering, permute, balanced bool, permSeed uint64) (*partitioned, error) {
 	n := g.N()
-	blocks := machine.P / strategy.replicationFactor()
-	p := &partitioned{blocks: blocks}
+	c := strategy.replicationFactor()
+	blocks := machine.P / c
+	p := &partitioned{strategy: strategy, blocks: blocks}
 
 	norm := g.NormalizedAdj()
 	labels := g.Labels
@@ -84,37 +86,22 @@ func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ord
 	}
 
 	for d := 0; d < machine.P; d++ {
-		block := d % blocks
+		block, group := d%blocks, d/blocks
 		lo, hi := p.vec.Bounds(block)
-		ds := &deviceState{id: d, block: block, group: d / blocks, lo: lo, hi: hi, rows: hi - lo}
+		ds := &deviceState{block: block, lo: lo, hi: hi, rows: hi - lo}
 		for j := 0; j < blocks; j++ {
 			b0, b1 := p.vec.Bounds(j)
-			switch strategy {
-			case Strategy1DRow:
-				ds.atTiles = append(ds.atTiles, at.SubMatrix(lo, hi, b0, b1))
-				ds.aTiles = append(ds.aTiles, norm.SubMatrix(lo, hi, b0, b1))
-			case Strategy1DCol:
-				ds.atTiles = append(ds.atTiles, at.SubMatrix(b0, b1, lo, hi))
-				ds.aTiles = append(ds.aTiles, norm.SubMatrix(b0, b1, lo, hi))
-			case Strategy15D:
-				// Each replica group stores only its own stages.
-				if j%strategy.replicationFactor() == ds.group {
-					ds.atTiles = append(ds.atTiles, at.SubMatrix(lo, hi, b0, b1))
-					ds.aTiles = append(ds.aTiles, norm.SubMatrix(lo, hi, b0, b1))
-				} else {
-					ds.atTiles = append(ds.atTiles, nil)
-					ds.aTiles = append(ds.aTiles, nil)
-				}
+			var atT, aT *sparse.CSR // nil: another replica group's stage, not stored here
+			switch {
+			case strategy.reduceStaged():
+				atT, aT = at.SubMatrix(b0, b1, lo, hi), norm.SubMatrix(b0, b1, lo, hi)
+			case j%c == group:
+				atT, aT = at.SubMatrix(lo, hi, b0, b1), norm.SubMatrix(lo, hi, b0, b1)
 			}
-		}
-		for _, t := range ds.atTiles {
-			if t != nil {
-				ds.adjBytes += t.Bytes()
-			}
-		}
-		for _, t := range ds.aTiles {
-			if t != nil {
-				ds.adjBytes += t.Bytes()
+			ds.atTiles = append(ds.atTiles, atT)
+			ds.aTiles = append(ds.aTiles, aT)
+			if atT != nil {
+				ds.adjBytes += atT.Bytes() + aT.Bytes()
 			}
 		}
 		pool := machine.Pools[d]
@@ -229,6 +216,17 @@ func (p *partitioned) inputView(dev, l int, dims []int) *tensor.Dense {
 		return tensor.NewPhantom(ds.rows, dims[0])
 	}
 	return ds.bufs.AHW[l-1].View(ds.rows, dims[l])
+}
+
+// hwView returns the per-device views of the shared HW slab at width cols.
+func (p *partitioned) hwView(cols int) func(dev int) *tensor.Dense {
+	return func(dev int) *tensor.Dense { return p.devs[dev].bufs.HW.View(p.devs[dev].rows, cols) }
+}
+
+// ahwView returns the per-device views of layer l's private buffer at width
+// cols.
+func (p *partitioned) ahwView(l, cols int) func(dev int) *tensor.Dense {
+	return func(dev int) *tensor.Dense { return p.devs[dev].bufs.AHW[l].View(p.devs[dev].rows, cols) }
 }
 
 // gatherLogits gathers the output-layer activations into one matrix in

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"mggcn/internal/comm"
 	"mggcn/internal/nn"
+	"mggcn/internal/sim"
 	"mggcn/internal/tensor"
 )
 
@@ -58,6 +60,35 @@ func (r *replicas) add(init []*tensor.Dense, lr float64) error {
 	r.grads = append(r.grads, gs)
 	r.opts = append(r.opts, nn.NewAdam(lr, ws))
 	return nil
+}
+
+// allReduceGrads records layer l's gradient all-reduce over every replica,
+// after the tasks in waits (each device's contribution to the layer).
+func (r *replicas) allReduceGrads(cg *comm.Group, l int, label string, waits []int) int {
+	perDev := make([]*tensor.Dense, len(r.grads))
+	for i := range perDev {
+		perDev[i] = r.grads[i][l]
+	}
+	return cg.AllReduceSum(perDev, label, waits...)
+}
+
+// recordAdam records the replicated optimizer step — identical on every
+// device, so weights stay replicated — after the step's last gradient
+// all-reduce, returning the per-device task IDs. slots[d], when set, is the
+// sampled pipeline's handoff slot device d's step trained from, declared in
+// its Adam's reads.
+func (r *replicas) recordAdam(tg *sim.Graph, label string, lastAllReduce int, slots []sim.BufID) []int {
+	ids := make([]int, len(r.weights))
+	for d := range ids {
+		ids[d] = tg.AddCompute(d, sim.KindAdam, label, -1, r.Machine.Spec.AdamCost(r.paramCount), true, lastAllReduce)
+		if r.phantom {
+			continue
+		}
+		opt, ws, gs := r.opts[d], r.weights[d], r.grads[d]
+		// Adam's moment buffers are optimizer-private and unregistered.
+		tg.BindShaped(ids[d], append(sim.ShapesOf(gs...), opaqueAt(slots, d)), sim.ShapesOf(ws...), func() { opt.Step(ws, gs) })
+	}
+	return ids
 }
 
 // model returns the replica set itself — promoted to the embedding trainers,

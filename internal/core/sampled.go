@@ -195,8 +195,8 @@ type samplerCursor struct {
 // device-resident buffer with the sanitizer. Sampling needs real features
 // and labels, so phantom datasets are rejected.
 func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, error) {
-	if cfg.Layers < 1 {
-		return nil, fmt.Errorf("core: need at least 1 layer")
+	if err := validateModelOnMachine(cfg.Spec, cfg.P, cfg.MemScale, cfg.Layers, cfg.Hidden); err != nil {
+		return nil, err
 	}
 	if len(cfg.Fanouts) != cfg.Layers {
 		return nil, fmt.Errorf("core: %d fanouts for %d layers", len(cfg.Fanouts), cfg.Layers)
@@ -208,9 +208,6 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	}
 	if cfg.Batch < 1 {
 		return nil, fmt.Errorf("core: batch %d < 1", cfg.Batch)
-	}
-	if cfg.Hidden < 1 {
-		return nil, fmt.Errorf("core: hidden width %d < 1", cfg.Hidden)
 	}
 	if cfg.CacheFrac < 0 || cfg.CacheFrac > 1 {
 		return nil, fmt.Errorf("core: cache fraction %v outside [0,1]", cfg.CacheFrac)
@@ -280,10 +277,6 @@ func (tr *SampledTrainer) depth() int {
 	}
 	return 1
 }
-
-// s maps a scaled-down count to its full-scale equivalent for task pricing,
-// exactly like Trainer.s (DESIGN.md §2).
-func (tr *SampledTrainer) sc(x int) int { return x * tr.Cfg.MemScale }
 
 // frontierEstimate returns the record-time expected frontier sizes
 // (verts[l] = source-frontier rows of block l, verts[L] = the batch) and
@@ -417,7 +410,8 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 				stepRows += len(plan.Batches[b])
 			}
 		}
-		wgradID := make([][]int, L) // per layer: tasks the all-reduce waits on
+		wgradID := make([][]int, L)       // per layer: tasks the all-reduce waits on
+		stepSlots := make([]sim.BufID, p) // per device: the slot its batch came through (zero: no batch)
 		for d := 0; d < p; d++ {
 			b := start + s*p + d
 			if b >= B {
@@ -439,6 +433,7 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 			}
 			slot := &slots[d][s%depth]
 			slotBuf := tr.slotBufs[d][s%depth]
+			stepSlots[d] = slotBuf
 			slotShape := []sim.ViewShape{sim.OpaqueShape(slotBuf)}
 			bufs := tr.bufs[d]
 			batch := plan.Batches[b]
@@ -460,7 +455,7 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 			sampler := tr.samplers[d][s%depth]
 			sampID := tg.AddStage(d, sim.StreamSample, sim.KindSample,
 				fmt.Sprintf("s%d/sample", s), -1,
-				spec.SampleCost(int64(tr.sc(int(totalEdges)))), true, sampDeps...)
+				spec.SampleCost(int64(tr.s(int(totalEdges)))), true, sampDeps...)
 			tg.BindShaped(sampID, nil, slotShape, func() {
 				slot.blocks = sampler.Build(batch, seed)
 			})
@@ -476,10 +471,10 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 			cache := tr.caches[d]
 			meter := tr.Cfg.CommMeter
 			feat := tr.feat
-			expHit := int64(float64(tr.sc(verts[0])) * cache.MassFraction)
+			expHit := int64(float64(tr.s(verts[0])) * cache.MassFraction)
 			extID := tg.AddStage(d, sim.StreamSample, sim.KindExtract,
 				fmt.Sprintf("s%d/extract", s), -1,
-				spec.GatherCost(expHit, int64(tr.sc(verts[0]))-expHit, d0), true, extDeps...)
+				spec.GatherCost(expHit, int64(tr.s(verts[0]))-expHit, d0), true, extDeps...)
 			tg.BindShaped(extID,
 				append(sim.ShapesOf(cache.Slab, feat), sim.OpaqueShape(slotBuf)),
 				append(slotShape, sim.OpaqueShape(bufs.X.id)), func() {
@@ -502,7 +497,7 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 				}
 				ah, out := bufs.AH[l], bufs.OUT[l]
 				spmmID := tg.AddCompute(d, sim.KindSpMM, fmt.Sprintf("s%d/fwd%d/spmm", s, l), -1,
-					spec.SpMMCost(int64(tr.sc(int(edges[l]))), tr.sc(verts[l+1]), tr.sc(verts[l]), dIn), true, prev)
+					spec.SpMMCost(int64(tr.s(int(edges[l]))), tr.s(verts[l+1]), tr.s(verts[l]), dIn), true, prev)
 				tg.BindShaped(spmmID,
 					append(slotShape, sim.OpaqueShape(in.id)),
 					[]sim.ViewShape{sim.OpaqueShape(ah.id)}, func() {
@@ -513,7 +508,7 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 					spmm0[d] = spmmID
 				}
 				gemmID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/fwd%d/gemm", s, l), -1,
-					spec.GemmCost(tr.sc(verts[l+1]), dIn, dOut), false, spmmID)
+					spec.GemmCost(tr.s(verts[l+1]), dIn, dOut), false, spmmID)
 				tg.BindShaped(gemmID,
 					append(sim.ShapesOf(w), sim.OpaqueShape(slotBuf), sim.OpaqueShape(ah.id)),
 					[]sim.ViewShape{sim.OpaqueShape(out.id)}, func() {
@@ -523,7 +518,7 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 				prev = gemmID
 				if l < L-1 {
 					reluID := tg.AddCompute(d, sim.KindActivation, fmt.Sprintf("s%d/fwd%d/relu", s, l), -1,
-						spec.ElementwiseCost(int64(tr.sc(verts[l+1]))*int64(dOut), 1), true, prev)
+						spec.ElementwiseCost(int64(tr.s(verts[l+1]))*int64(dOut), 1), true, prev)
 					tg.BindShaped(reluID,
 						append(slotShape, sim.OpaqueShape(out.id)),
 						[]sim.ViewShape{sim.OpaqueShape(out.id)}, func() {
@@ -540,7 +535,7 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 			labelBuf := tr.labels[d]
 			norm := stepRows
 			lossID := tg.AddCompute(d, sim.KindLoss, fmt.Sprintf("s%d/loss", s), -1,
-				spec.LossCost(tr.sc(len(batch)), classes), true, prev)
+				spec.LossCost(tr.s(len(batch)), classes), true, prev)
 			tg.BindShaped(lossID,
 				append(slotShape, sim.OpaqueShape(bufs.OUT[L-1].id)),
 				[]sim.ViewShape{sim.OpaqueShape(bufs.G.id)}, func() {
@@ -568,7 +563,7 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 				if l < L-1 {
 					// Mask the gradient in place by the forward activation.
 					reluID := tg.AddCompute(d, sim.KindActivation, fmt.Sprintf("s%d/bwd%d/relu", s, l), -1,
-						spec.ElementwiseCost(int64(tr.sc(verts[l+1]))*int64(dOut), 2), true, prev)
+						spec.ElementwiseCost(int64(tr.s(verts[l+1]))*int64(dOut), 2), true, prev)
 					tg.BindShaped(reluID,
 						append(slotShape, sim.OpaqueShape(out.id), sim.OpaqueShape(bufs.G.id)),
 						[]sim.ViewShape{sim.OpaqueShape(bufs.G.id)}, func() {
@@ -581,7 +576,7 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 				w := tr.weights[d][l]
 				grad := tr.grads[d][l]
 				wgID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/bwd%d/wgrad", s, l), -1,
-					spec.GemmCost(dIn, tr.sc(verts[l+1]), dOut), false, prev)
+					spec.GemmCost(dIn, tr.s(verts[l+1]), dOut), false, prev)
 				tg.BindShaped(wgID,
 					append(slotShape, sim.OpaqueShape(ah.id), sim.OpaqueShape(bufs.G.id)),
 					sim.ShapesOf(grad), func() {
@@ -593,7 +588,7 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 					break
 				}
 				hgID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/bwd%d/hgrad", s, l), -1,
-					spec.GemmCost(tr.sc(verts[l+1]), dOut, dIn), false, wgID)
+					spec.GemmCost(tr.s(verts[l+1]), dOut, dIn), false, wgID)
 				tg.BindShaped(hgID,
 					append(sim.ShapesOf(w), sim.OpaqueShape(slotBuf), sim.OpaqueShape(bufs.G.id)),
 					[]sim.ViewShape{sim.OpaqueShape(ah.id)}, func() {
@@ -601,7 +596,7 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 						tensor.ParallelGemmTB(1, bufs.G.View(rows, dOut), w, 0, ah.View(rows, dIn), workers)
 					})
 				spmmID := tg.AddCompute(d, sim.KindSpMM, fmt.Sprintf("s%d/bwd%d/spmm", s, l), -1,
-					spec.SpMMCost(int64(tr.sc(int(edges[l]))), tr.sc(verts[l]), tr.sc(verts[l+1]), dIn), true, hgID)
+					spec.SpMMCost(int64(tr.s(int(edges[l]))), tr.s(verts[l]), tr.s(verts[l+1]), dIn), true, hgID)
 				tg.BindShaped(spmmID,
 					append(slotShape, sim.OpaqueShape(ah.id)),
 					[]sim.ViewShape{sim.OpaqueShape(bufs.G.id)}, func() {
@@ -616,32 +611,13 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 		// replica (weights stay identical across devices). ---
 		lastAR := -1
 		for l := L - 1; l >= 0; l-- {
-			perDev := make([]*tensor.Dense, p)
-			for i := range perDev {
-				perDev[i] = tr.grads[i][l]
-			}
-			lastAR = cg.AllReduceSum(perDev, fmt.Sprintf("s%d/allreduce%d", s, l), wgradID[l]...)
+			lastAR = tr.allReduceGrads(cg, l, fmt.Sprintf("s%d/allreduce%d", s, l), wgradID[l])
 		}
-		prevAdam[s] = make([]int, p)
-		for d := 0; d < p; d++ {
-			deps := []int{}
-			if lastAR >= 0 {
-				deps = append(deps, lastAR)
-			}
-			id := tg.AddCompute(d, sim.KindAdam, fmt.Sprintf("s%d/adam", s), -1,
-				spec.AdamCost(tr.paramCount), true, deps...) // vet:ok taskdep: last task of the step; step s+depth's sample task depends on it
-			opt, ws, gs := tr.opts[d], tr.weights[d], tr.grads[d]
-			// Adam is the slot-recycle point: declaring the step's handoff
-			// slot in its reads makes the recycle edge (sample(s+depth)
-			// deps Adam(s)) a sanitizer-checked write-after-read — the
-			// slotdecl vet rule pins this convention.
-			var slotReads []sim.ViewShape
-			if start+s*p+d < B {
-				slotReads = append(slotReads, sim.OpaqueShape(tr.slotBufs[d][s%depth]))
-			}
-			tg.BindShaped(id, append(sim.ShapesOf(gs...), slotReads...), sim.ShapesOf(ws...), func() { opt.Step(ws, gs) })
-			prevAdam[s][d] = id
-		}
+		// Adam is the last task of the step and the slot-recycle point: step
+		// s+depth's sample task depends on it, and declaring the step's
+		// handoff slot in its reads makes that recycle edge a
+		// sanitizer-checked write-after-read.
+		prevAdam[s] = tr.recordAdam(tg, fmt.Sprintf("s%d/adam", s), lastAR, stepSlots)
 	}
 
 	if err := tr.replay(&tr.Cfg.execEnv, tg); err != nil {

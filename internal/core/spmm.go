@@ -10,13 +10,12 @@ import (
 )
 
 // spmmArgs describes one distributed multi-stage SpMM (§4.1, Fig 2-3):
-// dst_i = Σ_j tiles(i)[j] · src(j), where device j broadcasts its resident
-// src block at stage j and every device multiplies its (i,j) tile into its
-// local accumulator.
+// dst_i = Σ_j tile(i,j) · src(j) over the resident tiles of Âᵀ (forward) or
+// Â (backward).
 type spmmArgs struct {
 	label string
-	// tiles(i) returns device i's P tiles (local indices).
-	tiles func(i int) []*sparse.CSR
+	// backward selects the Â tiles instead of the Âᵀ ones.
+	backward bool
 	// src(j) is device j's resident input block (rows_j x width).
 	src func(j int) *tensor.Dense
 	// dst(i) is device i's output block (rows_i x width), overwritten.
@@ -25,101 +24,275 @@ type spmmArgs struct {
 	// srcReady[j] is the task that produced src(j), or -1.
 	srcReady []int
 	overlap  bool
+
+	// What the GAT aggregation differs in (stagedSpMMRow only; the zero
+	// values are the GCN's). bcastLabel names the stage broadcasts
+	// (default label+"/bcast"). valued(i, j), resolved at replay time,
+	// replaces device i's resident stage-j tile by one of the same
+	// structure — so the same cost — whose values an earlier task computes;
+	// devDeps[i] is that task, a dependency of every SpMM on device i, and
+	// opaqueReads[i] the pseudo-buffer naming its output in their read sets.
+	bcastLabel  string
+	valued      func(i, j int) *sparse.CSR
+	devDeps     []int
+	opaqueReads []sim.BufID
 }
 
-// distSpMM dispatches the distributed SpMM to the configured strategy.
-func (tr *Trainer) distSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
-	switch tr.Cfg.Strategy {
-	case Strategy1DCol:
-		return tr.stagedSpMMCol(tg, cg, a)
-	case Strategy15D:
-		return tr.stagedSpMM15D(tg, cg, a)
-	default:
-		return tr.stagedSpMM(tg, cg, a)
+// opaqueAt declares the pseudo-buffer ids[d] as an opaque access; nil ids (or
+// a zero entry) declare nothing — DeclareShaped drops zero stamps.
+func opaqueAt(ids []sim.BufID, d int) sim.ViewShape {
+	if ids == nil {
+		return sim.ViewShape{}
 	}
+	return sim.OpaqueShape(ids[d])
 }
 
-// withAT binds the forward tiles (Âᵀ) to the args.
-func (a spmmArgs) withAT(tr *Trainer) spmmArgs {
-	a.tiles = func(i int) []*sparse.CSR { return tr.devs[i].atTiles }
-	return a
+// layerRecorder is what the layers of a partitioned run are recorded against
+// — the part the full-batch trainer and the GAT forward share: the
+// partitioned dataset with its per-device buffers, the machine pricing the
+// tasks, the kernels' worker count, and whether operands are shape-only.
+type layerRecorder struct {
+	*partitioned
+	*replayer
+	workers int
+	phantom bool
 }
 
-// withA binds the backward tiles (Â) to the args.
-func (a spmmArgs) withA(tr *Trainer) spmmArgs {
-	a.tiles = func(i int) []*sparse.CSR { return tr.devs[i].aTiles }
-	return a
+// relu records the in-place ReLU of layer l's output (width cols) on every
+// device i after ready[i], returning the task IDs.
+func (r layerRecorder) relu(tg *sim.Graph, label string, l, cols int, ready []int) []int {
+	ids := make([]int, r.Machine.P)
+	for i := range ids {
+		ids[i] = tg.AddCompute(i, sim.KindActivation, label, -1,
+			r.Machine.Spec.ElementwiseCost(int64(r.s(r.devs[i].rows))*int64(cols), 1), true, ready[i])
+		if !r.phantom {
+			act := r.ahwView(l, cols)(i)
+			// In-place: the destination is also read, so Writes
+			// (read-and-write) alone covers it.
+			tg.BindShaped(ids[i], nil, sim.ShapesOf(act), func() { tensor.ReLU(act, act) })
+		}
+	}
+	return ids
 }
 
-// stagedSpMM records (and, in non-phantom mode, executes) the multi-stage
-// SpMM, returning per-device IDs of each device's final SpMM task.
+// tiles returns device d's resident tiles for the pass a describes.
+func (r layerRecorder) tiles(d int, a spmmArgs) []*sparse.CSR {
+	if a.backward {
+		return r.devs[d].aTiles
+	}
+	return r.devs[d].atTiles
+}
+
+// distSpMM records the distributed SpMM with the partition's strategy,
+// returning per device the task its output block is complete after.
+func (r layerRecorder) distSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
+	if len(a.srcReady) != r.Machine.P {
+		panic(fmt.Sprintf("core: distSpMM srcReady has %d entries for %d devices", len(a.srcReady), r.Machine.P))
+	}
+	if r.strategy.reduceStaged() {
+		return r.stagedSpMMCol(tg, cg, a)
+	}
+	return r.stagedSpMMRow(tg, cg, a)
+}
+
+// stagedSpMMRow records (and, in non-phantom mode, binds) the broadcast-
+// staged SpMM at the strategy's replication factor c. The machine splits
+// into c replica groups of P/c devices; every block is owned by one device
+// per group, and group g runs stages j = g, g+c, ...: stage j broadcasts
+// block j within the group and every member multiplies its (i, j) tile into
+// its local accumulator. With c = 1 that is the paper's 1D-row (§4.1): one
+// group, every stage, each output complete after its device's last stage.
+// With c = 2 it is CAGNET's 1.5D (§5.1): each group runs half the stages and
+// a cross-group all-reduce of the partial outputs completes every block on
+// all its replicas — broadcast volume halves, the inter-group reduction pays
+// the DGX-1 topology's 2-link penalty, and the feature memory doubles.
 //
-// Dependency structure (§4.3): stage j's broadcast waits on the producer of
-// src(j) and — for buffer safety — on every device's stage j-1 SpMM when
-// overlap is off (single BC buffer), or stage j-2 when on (double
-// buffering: "the i+1-th broadcast waits for the i-1-th SpMM to finish not
-// to overwrite its input"). Stage j's SpMM on device i != j waits on the
-// broadcast; the root's own SpMM needs no communication.
-func (tr *Trainer) stagedSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
-	p := tr.Machine.P
-	if len(a.srcReady) != p {
-		panic(fmt.Sprintf("core: stagedSpMM srcReady has %d entries for %d devices", len(a.srcReady), p))
+// Dependency structure (§4.3): a stage's broadcast waits on the producer of
+// its source block and — for buffer safety — on every member's SpMM of the
+// group's previous stage when overlap is off (single BC buffer), or of the
+// one before when on (double buffering: "the i+1-th broadcast waits for the
+// i-1-th SpMM to finish not to overwrite its input"). A stage's SpMM on a
+// non-root device waits on the broadcast; the root's own SpMM needs no
+// communication.
+func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
+	p, blocks := r.Machine.P, r.blocks
+	c := p / blocks
+	spec := r.Machine.Spec
+	bcastLabel, valued := a.bcastLabel, a.valued
+	if bcastLabel == "" {
+		bcastLabel = a.label + "/bcast"
 	}
-	spec := tr.Machine.Spec
+	last := make([]int, p) // last[d] is the final group-local task on device d
+	for g := 0; g < c; g++ {
+		devs := make([]int, blocks)
+		for i := range devs {
+			devs[i] = g*blocks + i
+		}
+		if g >= blocks {
+			// blocks < c leaves this group without a stage, so its devices
+			// contribute a zeroed partial. The fill is a zero-cost compute
+			// task (recorded in phantom mode too, so phantom and real task
+			// graphs agree) so the executor orders it before the cross-group
+			// all-reduce that reads it.
+			for _, d := range devs {
+				last[d] = tg.AddCompute(d, sim.KindSpMM, a.label+"/zerofill", -1, 0, false)
+				if !r.phantom {
+					dst := a.dst(d)
+					tg.BindShaped(last[d], nil, sim.ShapesOf(dst), func() { dst.Zero() })
+				}
+			}
+			continue
+		}
+		sub := cg.Sub(devs)
+		var prevStage, prevPrevStage []int
+		// localStage counts the group's stages: it picks the staging slab's
+		// parity and, past the first, makes the SpMM accumulate.
+		for j, localStage := g, 0; j < blocks; j, localStage = j+c, localStage+1 {
+			rootDev := g*blocks + j
+			rootRows := r.devs[rootDev].rows
+			var bcastID = -1
+			if blocks > 1 {
+				var deps []int
+				if a.srcReady[rootDev] >= 0 {
+					deps = append(deps, a.srcReady[rootDev])
+				}
+				if a.overlap {
+					deps = append(deps, prevPrevStage...)
+				} else {
+					deps = append(deps, prevStage...)
+				}
+				bcDst := make([]*tensor.Dense, blocks)
+				for pos, d := range devs {
+					bcDst[pos] = r.devs[d].bufs.BC(localStage, a.overlap).View(rootRows, a.width)
+				}
+				bcastID = sub.Broadcast(j, a.src(rootDev), bcDst, bcastLabel, j, deps...)
+			}
+			stage := make([]int, 0, blocks)
+			for _, d := range devs {
+				dev := r.devs[d]
+				var xin *tensor.Dense
+				var deps []int
+				if d == rootDev {
+					xin = a.src(rootDev)
+					if a.srcReady[rootDev] >= 0 {
+						deps = append(deps, a.srcReady[rootDev])
+					}
+				} else {
+					xin = dev.bufs.BC(localStage, a.overlap).View(rootRows, a.width)
+					deps = append(deps, bcastID)
+				}
+				if a.devDeps != nil {
+					deps = append(deps, a.devDeps[d])
+				}
+				tile := r.tiles(d, a)[j]
+				var beta float32
+				if localStage > 0 {
+					beta = 1
+				}
+				cost := spec.SpMMCost(tile.NNZ()*int64(r.Machine.MemScale), r.s(dev.rows), r.s(rootRows), a.width)
+				id := tg.AddCompute(d, sim.KindSpMM, a.label, j, cost, true, deps...)
+				if !r.phantom {
+					dst := a.dst(d)
+					// dst is Writes even at beta=0: Writes means read-and-write,
+					// and the accumulating stages (beta=1) do read it.
+					tg.BindShaped(id, append(sim.ShapesOf(xin), opaqueAt(a.opaqueReads, d)), sim.ShapesOf(dst), func() {
+						t := tile
+						if valued != nil {
+							t = valued(d, j)
+						}
+						sparse.ParallelSpMM(t, xin, beta, dst, r.workers)
+					})
+				}
+				stage = append(stage, id)
+				last[d] = id
+			}
+			prevPrevStage = prevStage
+			prevStage = stage
+		}
+	}
+	if c == 1 {
+		return last
+	}
+
+	// Cross-group all-reduce: block b's c replicas (devices b, blocks+b, ...)
+	// sum their partial outputs; all end up with the complete block.
+	for b := 0; b < blocks; b++ {
+		reps := make([]int, c)
+		dsts := make([]*tensor.Dense, c)
+		deps := make([]int, c)
+		for g := range reps {
+			d := g*blocks + b
+			reps[g], dsts[g], deps[g] = d, a.dst(d), last[d]
+		}
+		id := cg.Sub(reps).AllReduceSumScaled(dsts, a.label+"/xgroup", deps...)
+		for _, d := range reps {
+			last[d] = id
+		}
+	}
+	return last
+}
+
+// stagedSpMMCol is the §4.1 column-distribution alternative: device j owns
+// tile column j, so at stage i every device multiplies its (i, j) tile by
+// its *resident* src block — no input communication — and the partial
+// results are summed at the output owner with a reduction. Communication
+// is P reductions of an output block instead of P broadcasts of an input
+// block.
+//
+// Buffer use mirrors the row variant: non-owners compute their partial
+// into a BC buffer (double-buffered across stages when overlap is on); the
+// owner computes directly into its dst, which the reduction accumulates
+// into.
+func (r layerRecorder) stagedSpMMCol(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
+	p := r.Machine.P
+	spec := r.Machine.Spec
 	last := make([]int, p)
-	var prevStage, prevPrevStage []int
-	for j := 0; j < p; j++ {
-		rootRows := tr.devs[j].rows
-		var bcastID = -1
-		if p > 1 {
+	var prevReduce, prevPrevReduce int = -1, -1
+	for i := 0; i < p; i++ { // stage i fills output block i
+		outRows := r.devs[i].rows
+		partials := make([]*tensor.Dense, p)
+		stageIDs := make([]int, 0, p)
+		for j := 0; j < p; j++ {
+			dev := r.devs[j]
+			var out *tensor.Dense
+			if j == i {
+				out = a.dst(i)
+			} else {
+				out = dev.bufs.BC(i, a.overlap).View(outRows, a.width)
+			}
+			partials[j] = out
 			var deps []int
 			if a.srcReady[j] >= 0 {
 				deps = append(deps, a.srcReady[j])
 			}
+			// Do not overwrite the BC partial while the previous stage's
+			// reduction is still reading it (or the one before, with
+			// double buffering).
 			if a.overlap {
-				deps = append(deps, prevPrevStage...)
-			} else {
-				deps = append(deps, prevStage...)
-			}
-			bcDst := make([]*tensor.Dense, p)
-			for i := 0; i < p; i++ {
-				bcDst[i] = tr.devs[i].bufs.BC(j, a.overlap).View(rootRows, a.width)
-			}
-			bcastID = cg.Broadcast(j, a.src(j), bcDst, a.label+"/bcast", j, deps...)
-		}
-		stage := make([]int, 0, p)
-		for i := 0; i < p; i++ {
-			dev := tr.devs[i]
-			var xin *tensor.Dense
-			var deps []int
-			if i == j {
-				xin = a.src(j)
-				if a.srcReady[j] >= 0 {
-					deps = append(deps, a.srcReady[j])
+				if prevPrevReduce >= 0 {
+					deps = append(deps, prevPrevReduce)
 				}
-			} else {
-				xin = dev.bufs.BC(j, a.overlap).View(rootRows, a.width)
-				deps = append(deps, bcastID)
+			} else if prevReduce >= 0 {
+				deps = append(deps, prevReduce)
 			}
-			tile := a.tiles(i)[j]
-			var beta float32
-			if j > 0 {
-				beta = 1
+			tile := r.tiles(j, a)[i]
+			cost := spec.SpMMCost(tile.NNZ()*int64(r.Machine.MemScale), r.s(outRows), r.s(dev.rows), a.width)
+			id := tg.AddCompute(j, sim.KindSpMM, a.label, i, cost, true, deps...)
+			if !r.phantom {
+				src := a.src(j)
+				tg.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(out),
+					func() { sparse.ParallelSpMM(tile, src, 0, out, r.workers) })
 			}
-			cost := spec.SpMMCost(tile.NNZ()*int64(tr.Cfg.MemScale), tr.s(dev.rows), tr.s(rootRows), a.width)
-			id := tg.AddCompute(i, sim.KindSpMM, a.label, j, cost, true, deps...)
-			if !tr.phantom {
-				dst := a.dst(i)
-				// dst is Writes even at beta=0: Writes means read-and-write,
-				// and the accumulating stages (beta=1) do read it.
-				tg.BindShaped(id, sim.ShapesOf(xin), sim.ShapesOf(dst),
-					func() { sparse.ParallelSpMM(tile, xin, beta, dst, tr.Cfg.Workers) })
-			}
-			stage = append(stage, id)
-			last[i] = id
+			stageIDs = append(stageIDs, id)
 		}
-		prevPrevStage = prevStage
-		prevStage = stage
+		if p > 1 {
+			reduceID := cg.ReduceSum(i, partials, a.label+"/reduce", stageIDs...)
+			last[i] = reduceID
+			prevPrevReduce = prevReduce
+			prevReduce = reduceID
+		} else {
+			last[i] = stageIDs[0]
+		}
 	}
 	return last
 }

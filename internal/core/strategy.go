@@ -21,40 +21,61 @@ const (
 	Strategy15D
 )
 
-// replicationFactor returns the c of the strategy (1 except for 1.5D).
-func (s Strategy) replicationFactor() int {
-	if s == Strategy15D {
-		return 2
-	}
-	return 1
+// strategies is the one place a strategy is defined: the name the CLIs and
+// the verifiers' closed forms (schedcheck.VolumeForm, memcheck.PeakForm) know
+// it by, its display name, its replication factor c — every block is stored
+// on c devices, one per replica group of P/c — and whether its staged SpMM
+// reduces output blocks (stagedSpMMCol) or broadcasts input blocks
+// (stagedSpMMRow, which c parameterizes: 1D-row is its c = 1 case).
+var strategies = [...]struct {
+	name, display string
+	c             int
+	reduceStaged  bool
+}{
+	Strategy1DRow: {"1d-row", "1D-row", 1, false},
+	Strategy1DCol: {"1d-col", "1D-col", 1, true},
+	Strategy15D:   {"1.5d", "1.5D", 2, false},
 }
+
+// Strategies lists every strategy, in report order.
+func Strategies() []Strategy {
+	out := make([]Strategy, len(strategies))
+	for i := range out {
+		out[i] = Strategy(i)
+	}
+	return out
+}
+
+func (s Strategy) known() bool { return s >= 0 && int(s) < len(strategies) }
+
+// Name returns the strategy's flag and closed-form name ("1d-row", "1d-col",
+// "1.5d"); match it against Strategies() to parse one.
+func (s Strategy) Name() string { return strategies[s].name }
+
+// replicationFactor returns the c of the strategy (1 except for 1.5D).
+func (s Strategy) replicationFactor() int { return strategies[s].c }
+
+// reduceStaged reports whether the strategy's staged SpMM reduces outputs
+// (1D-col) instead of broadcasting inputs.
+func (s Strategy) reduceStaged() bool { return strategies[s].reduceStaged }
 
 func (s Strategy) String() string {
-	switch s {
-	case Strategy1DRow:
-		return "1D-row"
-	case Strategy1DCol:
-		return "1D-col"
-	case Strategy15D:
-		return "1.5D"
-	default:
+	if !s.known() {
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
+	return strategies[s].display
 }
 
-// validate checks the strategy against the GPU count.
+// validate checks the strategy against the GPU count: the replica groups
+// must divide the machine evenly.
 func (s Strategy) validate(p int) error {
-	switch s {
-	case Strategy1DRow, Strategy1DCol:
-		return nil
-	case Strategy15D:
-		if p%2 != 0 {
-			return fmt.Errorf("core: 1.5D needs an even GPU count, got %d", p)
-		}
-		return nil
-	default:
+	if !s.known() {
 		return fmt.Errorf("core: unknown strategy %d", int(s))
 	}
+	if p%s.replicationFactor() != 0 { // c is 1 or 2, so "even" says it
+		return fmt.Errorf("core: %s needs an even GPU count, got %d", s, p)
+	}
+	return nil
 }
 
 // Degraded returns the strategy a run continues with on p devices: s itself
@@ -82,21 +103,24 @@ const (
 	OrderingBlockCyclic
 )
 
+var orderingNames = [...]string{
+	OrderingDefault: "default", OrderingNatural: "natural", OrderingRandom: "random",
+	OrderingDegreeSorted: "degree-sorted", OrderingBFS: "bfs", OrderingBlockCyclic: "block-cyclic",
+}
+
+func (o Ordering) known() bool { return o >= 0 && int(o) < len(orderingNames) }
+
+// validate rejects values outside the declared orderings.
+func (o Ordering) validate() error {
+	if !o.known() {
+		return fmt.Errorf("core: unknown ordering %d", int(o))
+	}
+	return nil
+}
+
 func (o Ordering) String() string {
-	switch o {
-	case OrderingDefault:
-		return "default"
-	case OrderingNatural:
-		return "natural"
-	case OrderingRandom:
-		return "random"
-	case OrderingDegreeSorted:
-		return "degree-sorted"
-	case OrderingBFS:
-		return "bfs"
-	case OrderingBlockCyclic:
-		return "block-cyclic"
-	default:
+	if !o.known() {
 		return fmt.Sprintf("Ordering(%d)", int(o))
 	}
+	return orderingNames[o]
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"mggcn/internal/gen"
+	"mggcn/internal/memcheck"
 	"mggcn/internal/nn"
+	"mggcn/internal/schedcheck"
 	"mggcn/internal/sim"
 	"mggcn/internal/tensor"
 )
@@ -31,6 +33,35 @@ func TestStrategyString(t *testing.T) {
 	} {
 		if s.String() != want {
 			t.Fatalf("%d stringifies to %q", int(s), s.String())
+		}
+	}
+}
+
+// TestStrategiesHaveClosedForms: the strategy list, its names and the
+// verifiers' closed forms agree — every listed strategy has a distinct name
+// that finds it again, and both schedcheck.VolumeForm and memcheck.PeakForm
+// accept that name.
+func TestStrategiesHaveClosedForms(t *testing.T) {
+	dims := []int{12, 16, 4}
+	byName := map[string]Strategy{}
+	for _, s := range Strategies() {
+		if err := s.validate(4); err != nil {
+			t.Fatalf("%v: listed but invalid at P=4: %v", s, err)
+		}
+		if prev, dup := byName[s.Name()]; dup {
+			t.Fatalf("%v and %v share the name %q", prev, s, s.Name())
+		}
+		byName[s.Name()] = s
+		if _, err := schedcheck.VolumeForm(s.Name(), schedcheck.Model{Dims: dims}); err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if _, err := memcheck.PeakForm(s.Name(), memcheck.Model{Dims: dims, P: 4, Overlap: true}); err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+	}
+	for _, s := range []Strategy{Strategy1DRow, Strategy1DCol, Strategy15D} {
+		if byName[s.Name()] != s {
+			t.Fatalf("%v is not in Strategies() under its name %q", s, s.Name())
 		}
 	}
 }

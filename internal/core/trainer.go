@@ -60,10 +60,32 @@ func DefaultConfig(spec sim.MachineSpec, p, memScale int) Config {
 // memory estimator applies the same check, so the two agree on what is an
 // error.
 func (cfg Config) validate() error {
-	if cfg.Layers < 1 {
-		return fmt.Errorf("core: need at least 1 layer")
+	if err := validateModelOnMachine(cfg.Spec, cfg.P, cfg.MemScale, cfg.Layers, cfg.Hidden); err != nil {
+		return err
+	}
+	if err := cfg.Ordering.validate(); err != nil {
+		return err
 	}
 	return cfg.Strategy.validate(cfg.P)
+}
+
+// validateModelOnMachine holds the checks the full-batch and sampled
+// configurations share: the machine has the GPUs asked for, the memory scale
+// is a divisor, and the model has at least one layer of positive width.
+func validateModelOnMachine(spec sim.MachineSpec, p, memScale, layers, hidden int) error {
+	if p < 1 || p > spec.NumGPUs {
+		return fmt.Errorf("core: %d GPUs requested, %s has %d", p, spec.Name, spec.NumGPUs)
+	}
+	if memScale < 1 {
+		return fmt.Errorf("core: memScale %d < 1", memScale)
+	}
+	if layers < 1 {
+		return fmt.Errorf("core: need at least 1 layer")
+	}
+	if hidden < 1 {
+		return fmt.Errorf("core: hidden width %d < 1", hidden)
+	}
+	return nil
 }
 
 // Trainer is a distributed MG-GCN training run bound to one dataset and
@@ -132,10 +154,11 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	return tr, nil
 }
 
-// s maps an actual (scaled-down) row/element count to its full-scale
-// equivalent: all task costs are priced at paper scale so that simulated
-// epoch times are comparable with the paper's tables (DESIGN.md §2).
-func (tr *Trainer) s(x int) int { return x * tr.Cfg.MemScale }
+// layers returns the recorder of this run's layers, at the worker count
+// configured now.
+func (tr *Trainer) layers() layerRecorder {
+	return layerRecorder{tr.partitioned, &tr.replayer, tr.Cfg.Workers, tr.phantom}
+}
 
 // EpochStats reports one epoch.
 type EpochStats struct {
@@ -212,86 +235,54 @@ func (l *runLog[S]) add(s S) (stop bool) {
 // distributed SpMM in §4.4's cheaper order, then the ReLU on all but the
 // last — and returns the per-device tasks the logits are ready after.
 func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
-	p := tr.Machine.P
-	spec := tr.Machine.Spec
 	L := tr.Cfg.Layers
-	hReady := make([]int, p)
+	rec := tr.layers()
+	hReady := make([]int, tr.Machine.P)
 	for i := range hReady {
 		hReady[i] = -1
 	}
 
 	for l := 0; l < L; l++ {
 		dIn, dOut := tr.Dims[l], tr.Dims[l+1]
-		spmmFirst := tr.Cfg.OrderSwitch && dIn < dOut
-		next := make([]int, p)
-		if spmmFirst {
+		input := func(i int) *tensor.Dense { return tr.inputView(i, l, tr.Dims) }
+		out := tr.ahwView(l, dOut)
+		// gemm records dst_i = src_i · W_l on every device i after ready[i].
+		gemm := func(src, dst func(int) *tensor.Dense, ready []int) []int {
+			ids := make([]int, len(ready))
+			for i := range ids {
+				var deps []int
+				if ready[i] >= 0 {
+					deps = append(deps, ready[i])
+				}
+				ids[i] = tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("fwd%d/gemm", l), -1,
+					tr.Machine.Spec.GemmCost(tr.s(tr.devs[i].rows), dIn, dOut), false, deps...)
+				if !tr.phantom {
+					in, w, z := src(i), tr.weights[i][l], dst(i)
+					tg.BindShaped(ids[i], sim.ShapesOf(in, w), sim.ShapesOf(z),
+						func() { tensor.ParallelGemm(1, in, w, 0, z, tr.Cfg.Workers) })
+				}
+			}
+			return ids
+		}
+		// spmm records dst = Âᵀ · src at the given width after ready.
+		spmm := func(src, dst func(int) *tensor.Dense, width int, ready []int) []int {
+			return rec.distSpMM(tg, cg, spmmArgs{
+				label: fmt.Sprintf("fwd%d/spmm", l), src: src, dst: dst,
+				width: width, srcReady: ready, overlap: tr.Cfg.Overlap,
+			})
+		}
+		var next []int
+		if tr.Cfg.OrderSwitch && dIn < dOut {
 			// §4.4: aggregate in the narrower dimension first:
 			// AH = Âᵀ H (width dIn), then AHW = (AH) W.
-			last := tr.distSpMM(tg, cg, spmmArgs{
-				label: fmt.Sprintf("fwd%d/spmm", l),
-				src:   func(j int) *tensor.Dense { return tr.inputView(j, l, tr.Dims) },
-				dst: func(i int) *tensor.Dense {
-					return tr.devs[i].bufs.HW.View(tr.devs[i].rows, dIn)
-				},
-				width: dIn, srcReady: hReady, overlap: tr.Cfg.Overlap,
-			}.withAT(tr))
-			for i := 0; i < p; i++ {
-				ds := tr.devs[i]
-				ah := ds.bufs.HW.View(ds.rows, dIn)
-				out := ds.bufs.AHW[l].View(ds.rows, dOut)
-				id := tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("fwd%d/gemm", l), -1,
-					spec.GemmCost(tr.s(ds.rows), dIn, dOut), false, last[i])
-				if !tr.phantom {
-					w := tr.weights[i][l]
-					tg.BindShaped(id, sim.ShapesOf(ah, w), sim.ShapesOf(out),
-						func() { tensor.ParallelGemm(1, ah, w, 0, out, tr.Cfg.Workers) })
-				}
-				next[i] = id
-			}
+			next = gemm(tr.hwView(dIn), out, spmm(input, tr.hwView(dIn), dIn, hReady))
 		} else {
-			gemmID := make([]int, p)
-			for i := 0; i < p; i++ {
-				ds := tr.devs[i]
-				hw := ds.bufs.HW.View(ds.rows, dOut)
-				var deps []int
-				if hReady[i] >= 0 {
-					deps = append(deps, hReady[i])
-				}
-				gemmID[i] = tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("fwd%d/gemm", l), -1,
-					spec.GemmCost(tr.s(ds.rows), dIn, dOut), false, deps...)
-				if !tr.phantom {
-					in, w := tr.inputView(i, l, tr.Dims), tr.weights[i][l]
-					tg.BindShaped(gemmID[i], sim.ShapesOf(in, w), sim.ShapesOf(hw),
-						func() { tensor.ParallelGemm(1, in, w, 0, hw, tr.Cfg.Workers) })
-				}
-			}
-			last := tr.distSpMM(tg, cg, spmmArgs{
-				label: fmt.Sprintf("fwd%d/spmm", l),
-				src: func(j int) *tensor.Dense {
-					return tr.devs[j].bufs.HW.View(tr.devs[j].rows, dOut)
-				},
-				dst: func(i int) *tensor.Dense {
-					return tr.devs[i].bufs.AHW[l].View(tr.devs[i].rows, dOut)
-				},
-				width: dOut, srcReady: gemmID, overlap: tr.Cfg.Overlap,
-			}.withAT(tr))
-			copy(next, last)
+			next = spmm(tr.hwView(dOut), out, dOut, gemm(input, tr.hwView(dOut), hReady))
 		}
 		if l < L-1 {
-			for i := 0; i < p; i++ {
-				ds := tr.devs[i]
-				act := ds.bufs.AHW[l].View(ds.rows, dOut)
-				id := tg.AddCompute(i, sim.KindActivation, fmt.Sprintf("fwd%d/relu", l), -1,
-					spec.ElementwiseCost(int64(tr.s(ds.rows))*int64(dOut), 1), true, next[i])
-				if !tr.phantom {
-					// In-place: the destination is also read, so Writes
-					// (read-and-write) alone covers it.
-					tg.BindShaped(id, nil, sim.ShapesOf(act), func() { tensor.ReLU(act, act) })
-				}
-				next[i] = id
-			}
+			next = rec.relu(tg, fmt.Sprintf("fwd%d/relu", l), l, dOut, next)
 		}
-		copy(hReady, next)
+		hReady = next
 	}
 	return hReady
 }
@@ -369,24 +360,15 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 		// eq. (9): HW_G = Â AHW_G — skipped for layer 0 when the §4.4
 		// identity-scaling argument applies (input gradients not needed).
 		hwgReady := gReady
-		hwg := func(i int) *tensor.Dense {
-			ds := tr.devs[i]
-			return ds.bufs.HW.View(ds.rows, dOut)
-		}
+		hwg := tr.hwView(dOut)
 		if l == 0 && tr.Cfg.SkipFirstBackward {
-			hwg = func(i int) *tensor.Dense {
-				ds := tr.devs[i]
-				return ds.bufs.AHW[0].View(ds.rows, dOut)
-			}
+			hwg = tr.ahwView(0, dOut)
 		} else {
-			hwgReady = tr.distSpMM(tg, cg, spmmArgs{
-				label: fmt.Sprintf("bwd%d/spmm", l),
-				src: func(j int) *tensor.Dense {
-					return tr.devs[j].bufs.AHW[l].View(tr.devs[j].rows, dOut)
-				},
-				dst:   hwg,
+			hwgReady = tr.layers().distSpMM(tg, cg, spmmArgs{
+				label: fmt.Sprintf("bwd%d/spmm", l), backward: true,
+				src: tr.ahwView(l, dOut), dst: hwg,
 				width: dOut, srcReady: gReady, overlap: tr.Cfg.Overlap,
-			}.withA(tr))
+			})
 		}
 		// eq. (10): per-device partial W_G = Hᵀ HW_G, then all-reduce.
 		wgID := make([]int, p)
@@ -400,11 +382,7 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 					func() { tensor.ParallelGemmTA(1, in, hg, 0, grad, tr.Cfg.Workers) })
 			}
 		}
-		perDev := make([]*tensor.Dense, p)
-		for i := range perDev {
-			perDev[i] = tr.grads[i][l]
-		}
-		lastAllReduce = cg.AllReduceSum(perDev, fmt.Sprintf("bwd%d/allreduce", l), wgID...)
+		lastAllReduce = tr.allReduceGrads(cg, l, fmt.Sprintf("bwd%d/allreduce", l), wgID)
 		// eq. (11): H_G = HW_G Wᵀ for the next (lower) layer.
 		if l > 0 {
 			next := make([]int, p)
@@ -424,19 +402,8 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 		}
 	}
 
-	// --- Optimizer (replicated, identical on every device) ---
-	for i := 0; i < p; i++ {
-		deps := []int{}
-		if lastAllReduce >= 0 {
-			deps = append(deps, lastAllReduce)
-		}
-		id := tg.AddCompute(i, sim.KindAdam, "adam", -1, spec.AdamCost(tr.paramCount), true, deps...) // vet:ok taskdep: terminal task of the epoch, nothing runs after Adam
-		if !tr.phantom {
-			opt, ws, gs := tr.opts[i], tr.weights[i], tr.grads[i]
-			// Adam's moment buffers are optimizer-private and unregistered.
-			tg.BindShaped(id, sim.ShapesOf(gs...), sim.ShapesOf(ws...), func() { opt.Step(ws, gs) })
-		}
-	}
+	// --- Optimizer: the epoch's terminal tasks, nothing runs after Adam ---
+	tr.recordAdam(tg, "adam", lastAllReduce, nil)
 
 	// Replay the recorded arithmetic (no-op in phantom mode), then fold the
 	// per-device loss slots.

@@ -120,9 +120,9 @@ func TestPoisonFillsDeclaredWritesWithNaN(t *testing.T) {
 	g.Reg.Track(sim.BufID(clean.Buf), clean.Data)
 
 	a := g.AddCompute(0, sim.KindSpMM, "spmm fw", 0, 1, true)
-	g.BindRW(a, nil, sim.BufsOf(clean), func() { clean.Fill(1) })
+	g.BindShaped(a, nil, sim.ShapesOf(clean), func() { clean.Fill(1) })
 	b := g.AddCompute(0, sim.KindSpMM, "spmm fw", 1, 1, true, a)
-	g.BindRW(b, nil, sim.BufsOf(out), func() { out.Fill(1) })
+	g.BindShaped(b, nil, sim.ShapesOf(out), func() { out.Fill(1) })
 	if err := g.Execute(1); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}

@@ -89,17 +89,14 @@ type FitVerdict struct {
 // catalog dataset — including Papers, which the figure-order catalog
 // omits — at the given scale divisor (scale 1 is the paper-scale graph:
 // the ROADMAP's "does Papers fit at Scale 1?" question) and returns fit
-// verdicts against spec.MemBytesPerGPU. Strategies default to every
-// registered full-batch form plus the CAGNET baseline; the sampled
-// pipeline is excluded (its footprint needs a batch/fanout plan, not just
-// a dataset). 1.5D replicates each of its p/2 blocks across two devices,
-// so its analytic environment uses the block count, not the device count.
-func FitCatalog(spec sim.MachineSpec, p, scale, hidden, layers int, strategies []string) ([]FitVerdict, error) {
+// verdicts against spec.MemBytesPerGPU. It covers every PeakForm but the
+// sampled pipeline's (whose footprint needs a batch/fanout plan, not just a
+// dataset). A strategy with replication factor c stores each of its p/c
+// blocks on c devices, so its analytic environment uses the block count, not
+// the device count, and it is skipped where c does not divide p.
+func FitCatalog(spec sim.MachineSpec, p, scale, hidden, layers int) ([]FitVerdict, error) {
 	if scale < 1 {
 		return nil, fmt.Errorf("memcheck: scale must be >= 1, got %d", scale)
-	}
-	if len(strategies) == 0 {
-		strategies = []string{"1d-row", "1d-col", "1.5d", "gat", "cagnet"}
 	}
 	catalog := gen.Catalog()
 	var out []FitVerdict
@@ -107,8 +104,9 @@ func FitCatalog(spec sim.MachineSpec, p, scale, hidden, layers int, strategies [
 		ds := catalog[name]
 		n, m := ds.FullN/int64(scale), ds.FullM/int64(scale)
 		dims := nn.LayerDims(ds.FeatDim, hidden, layers, ds.Classes)
-		for _, strat := range strategies {
-			if strat == "1.5d" && p%2 != 0 {
+		for _, strat := range []string{"1d-row", "1d-col", "1.5d", "gat", "cagnet"} {
+			c := replication(strat)
+			if p%c != 0 {
 				continue
 			}
 			fp, err := PeakForm(strat, Model{Dims: dims, P: p, Device: 0, Overlap: true})
@@ -119,15 +117,8 @@ func FitCatalog(spec sim.MachineSpec, p, scale, hidden, layers int, strategies [
 			if strat == "cagnet" {
 				rows := (n + int64(p) - 1) / int64(p)
 				env = CagnetEnv(rows, m/int64(p), dims)
-			} else {
-				blocks := p
-				if strat == "1.5d" && p > 1 {
-					blocks = p / 2
-				}
-				env, err = AnalyticDeviceEnv(n, m, blocks, dims)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s: %w", name, strat, err)
-				}
+			} else if env, err = AnalyticDeviceEnv(n, m, p/c, dims); err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", name, strat, err)
 			}
 			bytes, err := fp.Resident.Eval(env)
 			if err != nil {

@@ -19,15 +19,6 @@ func atomC() *schedcheck.Expr { return schedcheck.Atom("C") }
 func atomF(l int) *schedcheck.Expr { return schedcheck.Atom(fmt.Sprintf("F%d", l)) }
 func atomV(h int) *schedcheck.Expr { return schedcheck.Atom(fmt.Sprintf("V%d", h)) }
 
-func init() {
-	RegisterPeakForm("1d-row", func(m Model) (*Footprint, error) { return fullBatchFootprint(m, "1d-row") })
-	RegisterPeakForm("1d-col", func(m Model) (*Footprint, error) { return fullBatchFootprint(m, "1d-col") })
-	RegisterPeakForm("1.5d", func(m Model) (*Footprint, error) { return fullBatchFootprint(m, "1.5d") })
-	RegisterPeakForm("gat", gatFootprint)
-	RegisterPeakForm("sampled", sampledFootprint)
-	RegisterPeakForm("cagnet", cagnetFootprint)
-}
-
 // maxDimIdx returns the index of the widest layer dimension (first winner
 // on ties, matching the View the trainers take of the maxDim-sized slabs).
 func maxDimIdx(dims []int) int {
@@ -51,42 +42,23 @@ func wideIdx(dims []int, l int) int {
 }
 
 // kBroadcast returns how many distinct broadcast staging slabs the device
-// ever touches under the 1D stage schedule: the slab for global stage j is
-// BC1 or BC2 by stage parity when comm/compute overlap double-buffers them,
-// always BC1 otherwise, and the device's own stage is skipped (the root
-// reads its source directly, and comm.Group.Broadcast leaves the root's dst
-// out of the declared write set). Every touched slab is provably live
-// across the loss task once L >= 2, so "touched" equals "simultaneously
+// ever touches under the broadcast-staged schedule at replication factor c
+// (stagedSpMMRow; 1D-col's reduce-staged partials use the same slabs by the
+// same stage parity): the device takes part only in the stages of its
+// replica group (j = group, group+c, ... < P/c), the slab for the group's
+// k-th stage is BC1 or BC2 by the parity of k when comm/compute overlap
+// double-buffers them, always BC1 otherwise, and the stage whose root block
+// is the device's own is skipped (the root reads its source directly, and
+// comm.Group.Broadcast leaves the root's dst out of the declared write set).
+// At c = 1 the group is the machine and k = j. Every touched slab is provably
+// live across the loss task once L >= 2, so "touched" equals "simultaneously
 // live at the peak".
-func kBroadcast(p, dev int, overlap bool) int {
-	seen := map[int]bool{}
-	for j := 0; j < p; j++ {
-		if j == dev {
-			continue
-		}
-		if overlap {
-			seen[j%2] = true
-		} else {
-			seen[0] = true
-		}
-	}
-	return len(seen)
-}
-
-// kBroadcast15D is the 1.5D analogue: the device participates only in the
-// stages of its replication group (j = group, group+2, ... < blocks, with a
-// local stage counter selecting the slab parity), broadcasts exist only
-// when the group spans more than one block, and the stage whose root block
-// is the device's own is skipped.
-func kBroadcast15D(p, dev int, overlap bool) int {
-	blocks := p / 2
-	if blocks <= 1 {
-		return 0
-	}
+func kBroadcast(p, c, dev int, overlap bool) int {
+	blocks := p / c
 	group, block := dev/blocks, dev%blocks
 	seen := map[int]bool{}
 	local := 0
-	for j := group; j < blocks; j += 2 {
+	for j := group; j < blocks; j += c {
 		if j != block {
 			if overlap {
 				seen[local%2] = true
@@ -115,7 +87,7 @@ func params(layers int) *schedcheck.Expr {
 // last in the backward pass — so the peak is exactly their capacity sum and
 // the count is L+1+k, the paper's L+3 bound when k = 2 (overlapped
 // broadcasts touching both parities).
-func fullBatchFootprint(m Model, kind string) (*Footprint, error) {
+func fullBatchFootprint(m Model, kind string, c int) (*Footprint, error) {
 	layers := len(m.Dims) - 1
 	if layers < 1 {
 		return nil, fmt.Errorf("memcheck: %s needs at least 1 layer, got dims %v", kind, m.Dims)
@@ -123,13 +95,10 @@ func fullBatchFootprint(m Model, kind string) (*Footprint, error) {
 	if err := checkDevice(m, kind); err != nil {
 		return nil, err
 	}
-	if kind == "1.5d" && m.P%2 != 0 {
-		return nil, fmt.Errorf("memcheck: 1.5d needs even P, got %d", m.P)
+	if m.P%c != 0 {
+		return nil, fmt.Errorf("memcheck: %s needs P divisible by %d, got %d", kind, c, m.P)
 	}
-	k := kBroadcast(m.P, m.Device, m.Overlap)
-	if kind == "1.5d" {
-		k = kBroadcast15D(m.P, m.Device, m.Overlap)
-	}
+	k := kBroadcast(m.P, c, m.Device, m.Overlap)
 	maxI := maxDimIdx(m.Dims)
 
 	slab := atomR().Mul(atomF(maxI))
@@ -188,7 +157,7 @@ func gatFootprint(m Model) (*Footprint, error) {
 	} else if wide := wideIdx(m.Dims, 0); m.Dims[wide] != m.Dims[maxI] {
 		uncertified = fmt.Sprintf("gat slab form needs max(F0,F1) == max width (argmax activation slab at layer 0), got dims %v", m.Dims)
 	}
-	k := kBroadcast(m.P, m.Device, m.Overlap)
+	k := kBroadcast(m.P, 1, m.Device, m.Overlap)
 
 	slab := atomR().Mul(atomF(maxI)).Scale(2, 1)
 	slab = slab.Add(atomT().Mul(atomF(maxI)).Scale(int64(k), 1))

@@ -31,7 +31,6 @@ package memcheck
 
 import (
 	"fmt"
-	"sync"
 
 	"mggcn/internal/schedcheck"
 )
@@ -75,34 +74,32 @@ type Footprint struct {
 	Uncertified string
 }
 
-// FormFunc builds the footprint of one strategy for a concrete model, or
-// reports an error for a model the strategy cannot build at all.
-type FormFunc func(Model) (*Footprint, error)
-
-var (
-	formsMu sync.RWMutex
-	forms   = map[string]FormFunc{}
-)
-
-// RegisterPeakForm installs the closed-form footprint for a strategy name.
-// Strategy forms self-register from init, mirroring schedcheck's volume
-// registry.
-func RegisterPeakForm(name string, f FormFunc) {
-	formsMu.Lock()
-	defer formsMu.Unlock()
-	if _, dup := forms[name]; dup {
-		panic(fmt.Sprintf("memcheck: duplicate peak form %q", name))
+// PeakForm builds the closed-form footprint of the named strategy under m:
+// the three full-batch SpMM strategies (core.Strategy.Name), the GAT
+// forward, the sampled pipeline, or the CAGNET baseline. A new strategy is a
+// new case here beside its row in core's strategy table; the broadcast-staged
+// full-batch family shares one form in its replication factor c.
+func PeakForm(name string, m Model) (*Footprint, error) {
+	switch name {
+	case "1d-row", "1d-col", "1.5d":
+		return fullBatchFootprint(m, name, replication(name))
+	case "gat":
+		return gatFootprint(m)
+	case "sampled":
+		return sampledFootprint(m)
+	case "cagnet":
+		return cagnetFootprint(m)
 	}
-	forms[name] = f
+	return nil, fmt.Errorf("memcheck: no peak form for strategy %q", name)
 }
 
-// PeakForm builds the registered footprint for the strategy under m.
-func PeakForm(name string, m Model) (*Footprint, error) {
-	formsMu.RLock()
-	f, ok := forms[name]
-	formsMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("memcheck: no peak form registered for strategy %q", name)
+// replication returns the replication factor c the named strategy partitions
+// at — its blocks are P/c, each stored on c devices: 2 for 1.5D, 1 for the
+// rest. It restates core's strategy table (memcheck sits below core); the
+// byte-exact cross-checks against recorded graphs hold the two together.
+func replication(name string) int {
+	if name == "1.5d" {
+		return 2
 	}
-	return f(m)
+	return 1
 }

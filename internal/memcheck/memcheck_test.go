@@ -418,6 +418,20 @@ func TestPeakLiveSlabsSynthetic(t *testing.T) {
 	})
 }
 
+// TestPeakFormNames: every strategy name yields a form, an unknown one an
+// error.
+func TestPeakFormNames(t *testing.T) {
+	model := memcheck.Model{Dims: []int{12, 16, 4}, P: 4, Overlap: true, Caps: []int{64, 32, 8}, Depth: 2, Steps: 4}
+	for _, name := range []string{"1d-row", "1d-col", "1.5d", "gat", "sampled", "cagnet"} {
+		if fp, err := memcheck.PeakForm(name, model); err != nil || fp == nil || fp.Resident == nil {
+			t.Fatalf("strategy %q has no peak form: %v, %v", name, fp, err)
+		}
+	}
+	if _, err := memcheck.PeakForm("no-such-strategy", model); err == nil {
+		t.Fatalf("unknown strategy must error")
+	}
+}
+
 func TestAnalyticAdjacencyBytes(t *testing.T) {
 	csr, err := memcheck.AnalyticAdjacencyBytes(1000, 8000, 4)
 	if err != nil {
@@ -436,7 +450,7 @@ func TestAnalyticAdjacencyBytes(t *testing.T) {
 // Scale 1 on a DGX-A100, the small catalog graphs fit every strategy while
 // the verdict set stays complete and internally consistent.
 func TestFitCatalog(t *testing.T) {
-	verdicts, err := memcheck.FitCatalog(sim.DGXA100(), 8, 1, 512, 2, nil)
+	verdicts, err := memcheck.FitCatalog(sim.DGXA100(), 8, 1, 512, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,11 +482,11 @@ func TestFitCatalog(t *testing.T) {
 	} else if v.Fits {
 		t.Errorf("papers at scale 1, hidden 512, P=8 reported as fitting 80 GiB (%d B)", v.Bytes)
 	}
-	if _, err := memcheck.FitCatalog(sim.DGXA100(), 8, 0, 512, 2, nil); err == nil {
+	if _, err := memcheck.FitCatalog(sim.DGXA100(), 8, 0, 512, 2); err == nil {
 		t.Error("scale 0 must error")
 	}
 	// Odd p skips 1.5d rather than failing.
-	odd, err := memcheck.FitCatalog(sim.DGXA100(), 3, 1024, 128, 2, nil)
+	odd, err := memcheck.FitCatalog(sim.DGXA100(), 3, 1024, 128, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

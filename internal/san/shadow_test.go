@@ -26,7 +26,7 @@ func shadowFixture(t *testing.T) (*sim.Graph, *Shadow, []float32, []float32, sim
 func TestShadowCleanTask(t *testing.T) {
 	g, sh, da, db, a, b := shadowFixture(t)
 	id := g.AddCompute(0, sim.KindGeMM, "copy", -1, 1, false)
-	g.BindRW(id, []sim.BufID{a}, []sim.BufID{b}, func() {
+	g.BindShaped(id, []sim.ViewShape{sim.OpaqueShape(a)}, []sim.ViewShape{sim.OpaqueShape(b)}, func() {
 		copy(db, da)
 	})
 	g.Execute(1)
@@ -42,7 +42,7 @@ func TestShadowUndeclaredWrite(t *testing.T) {
 	g, sh, _, db, a, _ := shadowFixture(t)
 	id := g.AddCompute(0, sim.KindGeMM, "sneaky", -1, 1, false)
 	// Declares only A, but writes B.
-	g.BindRW(id, nil, []sim.BufID{a}, func() {
+	g.BindShaped(id, nil, []sim.ViewShape{sim.OpaqueShape(a)}, func() {
 		db[2] = 42
 	})
 	g.Execute(1)
@@ -60,7 +60,7 @@ func TestShadowUndeclaredRead(t *testing.T) {
 	id := g.AddCompute(0, sim.KindGeMM, "leak", -1, 1, false)
 	// Declares a write of B only, but reads A — the poison NaN propagates
 	// into the declared output.
-	g.BindRW(id, nil, []sim.BufID{b}, func() {
+	g.BindShaped(id, nil, []sim.ViewShape{sim.OpaqueShape(b)}, func() {
 		db[0] = da[0] + 1
 	})
 	g.Execute(1)
@@ -79,7 +79,7 @@ func TestShadowReadOnlyWritten(t *testing.T) {
 	g, sh, da, _, a, _ := shadowFixture(t)
 	id := g.AddCompute(0, sim.KindGeMM, "mutate", -1, 1, false)
 	// Declares A read-only, then writes it.
-	g.BindRW(id, []sim.BufID{a}, nil, func() {
+	g.BindShaped(id, []sim.ViewShape{sim.OpaqueShape(a)}, nil, func() {
 		da[1] = -1
 	})
 	g.Execute(1)
@@ -92,13 +92,13 @@ func TestShadowMultiTaskPipeline(t *testing.T) {
 	// Correctly declared two-task pipeline: no findings, correct result.
 	g, sh, da, db, a, b := shadowFixture(t)
 	p := g.AddCompute(0, sim.KindGeMM, "scale", -1, 1, false)
-	g.BindRW(p, nil, []sim.BufID{a}, func() {
+	g.BindShaped(p, nil, []sim.ViewShape{sim.OpaqueShape(a)}, func() {
 		for i := range da {
 			da[i] *= 2
 		}
 	})
 	c := g.AddCompute(0, sim.KindSpMM, "add", -1, 1, true, p)
-	g.BindRW(c, []sim.BufID{a}, []sim.BufID{b}, func() {
+	g.BindShaped(c, []sim.ViewShape{sim.OpaqueShape(a)}, []sim.ViewShape{sim.OpaqueShape(b)}, func() {
 		for i := range db {
 			db[i] += da[i]
 		}

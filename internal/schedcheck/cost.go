@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"mggcn/internal/sim"
 )
@@ -26,47 +25,6 @@ type Model struct {
 	Dims              []int // layer widths F0..FL
 	OrderSwitch       bool
 	SkipFirstBackward bool
-}
-
-// VolumeFormFunc builds a strategy's closed form for one model.
-type VolumeFormFunc func(Model) *Volume
-
-var (
-	formsMu sync.Mutex
-	forms   = map[string]VolumeFormFunc{}
-)
-
-// RegisterVolumeForm registers (or replaces) the closed form for a strategy
-// name. The shipped strategies self-register; new strategies plug in the
-// same way — the CAGNET-style analysis lives with the strategy, the checker
-// stays generic.
-func RegisterVolumeForm(strategy string, f VolumeFormFunc) {
-	formsMu.Lock()
-	defer formsMu.Unlock()
-	forms[strategy] = f
-}
-
-// VolumeForm returns the registered closed form for strategy under model.
-func VolumeForm(strategy string, m Model) (*Volume, error) {
-	formsMu.Lock()
-	f, ok := forms[strategy]
-	formsMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("schedcheck: no volume form registered for strategy %q (RegisterVolumeForm)", strategy)
-	}
-	return f(m), nil
-}
-
-// Strategies returns the registered strategy names, sorted.
-func Strategies() []string {
-	formsMu.Lock()
-	defer formsMu.Unlock()
-	out := make([]string, 0, len(forms))
-	for s := range forms {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EnvFor binds the standard atoms: N, P, S and F0..F{len(dims)-1}.
@@ -192,65 +150,45 @@ func sumWidths(m Model) *Expr {
 	return total
 }
 
-func init() {
-	NS := func() *Expr { return Atom("N").Mul(Atom("S")) }
-
-	// 1D-row (§4.1): every distributed SpMM broadcasts each block once to
-	// the other P-1 devices: (P-1)·N·w·S per SpMM of width w.
-	RegisterVolumeForm("1d-row", func(m Model) *Volume {
-		pm1 := Atom("P").Sub(Const(1))
+// VolumeForm builds the closed form of the named strategy under m: the three
+// full-batch SpMM strategies (core.Strategy.Name), the GAT forward, or the
+// CAGNET baseline. A new strategy is a new case here beside its row in core's
+// strategy table — the CAGNET-style analysis lives with the form, the checker
+// stays generic.
+func VolumeForm(strategy string, m Model) (*Volume, error) {
+	NS := Atom("N").Mul(Atom("S"))
+	pm1 := Atom("P").Sub(Const(1))
+	L := len(m.Dims) - 1
+	switch strategy {
+	case "1d-row":
+		return broadcastStaged(m, 1), nil
+	case "1.5d":
+		return broadcastStaged(m, 2), nil
+	case "1d-col":
+		// §4.1's alternative: 1D-row's volume per SpMM, moved as P output
+		// reductions instead of P input broadcasts.
 		return &Volume{PerOp: map[sim.CollOp]*Expr{
-			sim.CollBroadcast: pm1.Mul(NS()).Mul(sumWidths(m)),
+			sim.CollReduce:    pm1.Mul(NS).Mul(sumWidths(m)),
 			sim.CollAllReduce: weightAllReduce(m),
-		}}
-	})
-
-	// 1D-col (§4.1 alternative): same volume per SpMM, moved as P output
-	// reductions instead of P input broadcasts.
-	RegisterVolumeForm("1d-col", func(m Model) *Volume {
-		pm1 := Atom("P").Sub(Const(1))
-		return &Volume{PerOp: map[sim.CollOp]*Expr{
-			sim.CollReduce:    pm1.Mul(NS()).Mul(sumWidths(m)),
-			sim.CollAllReduce: weightAllReduce(m),
-		}}
-	})
-
-	// 1.5D (§5.1, replication factor 2): broadcasts shrink to the P/2-sized
-	// replica groups — (P/2-1)·N·w·S per SpMM — and each SpMM adds a
-	// cross-group pairwise all-reduce of the full output, 2·N·w·S.
-	RegisterVolumeForm("1.5d", func(m Model) *Volume {
-		gm1 := Atom("P").Scale(1, 2).Sub(Const(1)) // group size P/2, minus 1
-		pair := Const(2).Mul(NS()).Mul(sumWidths(m))
-		return &Volume{PerOp: map[sim.CollOp]*Expr{
-			sim.CollBroadcast: gm1.Mul(NS()).Mul(sumWidths(m)),
-			sim.CollAllReduce: pair.Add(weightAllReduce(m)),
-		}}
-	})
-
-	// GAT forward (§7): per layer one all-gather of the n per-vertex source
-	// scores — total extent N·1, so (P-1)·N·S — plus the staged broadcast of
-	// Z at the output width, (P-1)·N·F_{l+1}·S.
-	RegisterVolumeForm("gat", func(m Model) *Volume {
-		pm1 := Atom("P").Sub(Const(1))
-		L := len(m.Dims) - 1
+		}}, nil
+	case "gat":
+		// GAT forward (§7): per layer one all-gather of the n per-vertex
+		// source scores — total extent N·1, so (P-1)·N·S — plus the staged
+		// broadcast of Z at the output width, (P-1)·N·F_{l+1}·S.
 		bc := Const(0)
 		ag := Const(0)
 		for l := 0; l < L; l++ {
-			bc = bc.Add(pm1.Mul(NS()).Mul(atomF(l + 1)))
-			ag = ag.Add(pm1.Mul(NS()))
+			bc = bc.Add(pm1.Mul(NS).Mul(atomF(l + 1)))
+			ag = ag.Add(pm1.Mul(NS))
 		}
 		return &Volume{PerOp: map[sim.CollOp]*Expr{
 			sim.CollBroadcast: bc,
 			sim.CollAllGather: ag,
-		}}
-	})
-
-	// CAGNET 1D baseline: aggregate-then-transform at min(F_l, F_{l+1})
-	// forward, full-width backward SpMM on every layer (no §4.4 savings),
-	// and one full-model gradient all-reduce per layer.
-	RegisterVolumeForm("cagnet", func(m Model) *Volume {
-		pm1 := Atom("P").Sub(Const(1))
-		L := len(m.Dims) - 1
+		}}, nil
+	case "cagnet":
+		// CAGNET 1D baseline: aggregate-then-transform at min(F_l, F_{l+1})
+		// forward, full-width backward SpMM on every layer (no §4.4
+		// savings), and one full-model gradient all-reduce per layer.
 		bc := Const(0)
 		params := Const(0)
 		for l := 0; l < L; l++ {
@@ -258,13 +196,29 @@ func init() {
 			if m.Dims[l] < m.Dims[l+1] {
 				w = atomF(l)
 			}
-			bc = bc.Add(pm1.Mul(NS()).Mul(w.Add(atomF(l + 1))))
+			bc = bc.Add(pm1.Mul(NS).Mul(w.Add(atomF(l + 1))))
 			params = params.Add(atomF(l).Mul(atomF(l + 1)))
 		}
 		ar := Const(2 * int64(L)).Mul(pm1).Mul(params)
 		return &Volume{PerOp: map[sim.CollOp]*Expr{
 			sim.CollBroadcast: bc,
 			sim.CollAllReduce: ar,
-		}}
-	})
+		}}, nil
+	}
+	return nil, fmt.Errorf("schedcheck: no volume form for strategy %q", strategy)
+}
+
+// broadcastStaged is the form of the broadcast-staged SpMM at replication
+// factor c (core's stagedSpMMRow): every distributed SpMM of width w
+// broadcasts each block once within its replica group of P/c devices —
+// (P/c-1)·N·w·S — and, when c > 1, all-reduces each output block across its
+// c replicas, 2(c-1)·N·w·S. c = 1 is the paper's 1D-row (§4.1: (P-1)·N·w·S,
+// no cross-group term); c = 2 is 1.5D (§5.1).
+func broadcastStaged(m Model, c int64) *Volume {
+	NSw := Atom("N").Mul(Atom("S")).Mul(sumWidths(m))
+	groupm1 := Atom("P").Scale(1, c).Sub(Const(1))
+	return &Volume{PerOp: map[sim.CollOp]*Expr{
+		sim.CollBroadcast: groupm1.Mul(NSw),
+		sim.CollAllReduce: Const(2 * (c - 1)).Mul(NSw).Add(weightAllReduce(m)),
+	}}
 }

@@ -20,7 +20,9 @@ import (
 // ordered by one of the three edge sets below, so each closure's arithmetic
 // sees exactly the operands it would have seen inline.
 //
-// Execute honors three kinds of ordering, the first two shared with Run:
+// Execute honors three kinds of ordering, the first two shared with Run —
+// Graph.Predecessors(ExecutorEdges) in hb.go is their one implementation,
+// which execute schedules from and the verifiers analyse:
 //
 //  1. Deps edges — the recorded data dependencies (audited by the taskdep
 //     vet rule).
@@ -128,15 +130,6 @@ func (g *Graph) ExecuteAdversarial(workers int, seed int64) error {
 	return g.execute(workers, pick, delay)
 }
 
-// noTasks returns a per-stream "no task yet" marker set.
-func noTasks() [NumStreams]int {
-	var m [NumStreams]int
-	for s := range m {
-		m[s] = -1
-	}
-	return m
-}
-
 // ExecObserver brackets replayed closures in shadow-tracking mode; see
 // Graph.Observer.
 type ExecObserver interface {
@@ -169,99 +162,35 @@ func (g *Graph) execute(workers int, pick func(ready []int) int, delay func() ti
 		gobs.BeginGraph(g, start, n)
 	}
 
-	depsLeft := make([]int, n)
-	dependents := make([][]int, n)
-	// Per-(device, stream) FIFO queues in issue order, as in Run. Tasks
-	// before the watermark already ran: they join no queue and count as
-	// satisfied deps.
-	queues := make([][NumStreams][]int, g.P)
-	heads := make([][NumStreams]int, g.P)
-	// Cross-stream fences: task i waits for lastOn[dev][fence peer] of
-	// each of its devices (per-device, not a single max — completing the
-	// latest task on one device says nothing about another device's queue).
-	// Only the compute/comm pair fences (StreamID.FencePeer); the sampler
-	// stream is ordered purely by Deps and its own FIFO. fencesLeft[i]
-	// counts unfinished fences; fencedBy[c] lists the tasks fencing on c.
-	fencesLeft := make([]int, n)
-	fencedBy := make([][]int, n)
-	lastOn := make([][NumStreams]int, g.P) // latest-issued task per (device, stream)
-	for d := range lastOn {
-		lastOn[d] = noTasks()
-	}
-	for i := start; i < n; i++ {
-		t := g.Tasks[i]
-		for _, d := range t.Deps {
-			if d >= start {
-				depsLeft[i]++
-				dependents[d] = append(dependents[d], i)
+	// Tasks before the watermark already ran and count as done. A task that
+	// precedes another through several edges (a dep that is also its FIFO
+	// predecessor, a fence spanning two devices) is counted once per edge
+	// and released once per edge.
+	predsLeft := make([]int, n)
+	successors := make([][]int, n)
+	for i, preds := range g.Predecessors(ExecutorEdges)[start:] {
+		for _, p := range preds {
+			if p >= start {
+				predsLeft[start+i]++
+				successors[p] = append(successors[p], start+i)
 			}
-		}
-		other := t.Stream.FencePeer()
-		for _, dev := range t.Devices {
-			queues[dev][t.Stream] = append(queues[dev][t.Stream], i)
-			if other < 0 {
-				continue
-			}
-			if c := lastOn[dev][other]; c >= 0 {
-				// The same fence task may span several of i's devices;
-				// count it once (any earlier append for i is the tail).
-				if fb := fencedBy[c]; len(fb) == 0 || fb[len(fb)-1] != i {
-					fencedBy[c] = append(fb, i)
-					fencesLeft[i]++
-				}
-			}
-		}
-		for _, dev := range t.Devices {
-			lastOn[dev][t.Stream] = i
 		}
 	}
 
-	done := make([]bool, n)
-	scheduled := make([]bool, n) // ready-queued or in flight
 	var ready []int
-	atAllHeads := func(id int) bool {
-		t := g.Tasks[id]
-		for _, dev := range t.Devices {
-			q := queues[dev][t.Stream]
-			h := heads[dev][t.Stream]
-			if h >= len(q) || q[h] != id {
-				return false
-			}
-		}
-		return true
-	}
-	tryReady := func(id int) {
-		if !done[id] && !scheduled[id] && depsLeft[id] == 0 &&
-			fencesLeft[id] == 0 && atAllHeads(id) {
-			scheduled[id] = true
-			ready = append(ready, id)
+	for i := start; i < n; i++ {
+		if predsLeft[i] == 0 {
+			ready = append(ready, i)
 		}
 	}
-
 	finished := start
 	complete := func(id int) {
-		done[id] = true
 		finished++
-		t := g.Tasks[id]
-		for _, dev := range t.Devices {
-			heads[dev][t.Stream]++
-			q := queues[dev][t.Stream]
-			if h := heads[dev][t.Stream]; h < len(q) {
-				tryReady(q[h])
+		for _, succ := range successors[id] {
+			if predsLeft[succ]--; predsLeft[succ] == 0 {
+				ready = append(ready, succ)
 			}
 		}
-		for _, dep := range dependents[id] {
-			depsLeft[dep]--
-			tryReady(dep)
-		}
-		for _, w := range fencedBy[id] {
-			fencesLeft[w]--
-			tryReady(w)
-		}
-	}
-
-	for i := start; i < n; i++ {
-		tryReady(i)
 	}
 
 	type result struct {

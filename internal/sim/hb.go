@@ -84,6 +84,15 @@ func (g *Graph) Predecessors(edges Edges) [][]int {
 	return preds
 }
 
+// noTasks returns a per-stream "no task yet" marker set.
+func noTasks() [NumStreams]int {
+	var m [NumStreams]int
+	for s := range m {
+		m[s] = -1
+	}
+	return m
+}
+
 // groupKey canonicalizes a device set so communicators compare by membership.
 func groupKey(devs []int) string {
 	ds := append([]int(nil), devs...)

@@ -122,8 +122,10 @@ type ViewShape struct {
 func (v ViewShape) Opaque() bool { return v.Rows == 0 }
 
 // ShapesOf collects the registry stamps and extents of the given views,
-// skipping nil and unregistered (zero-stamped) ones — the shaped counterpart
-// of BufsOf.
+// skipping nil and unregistered (zero-stamped) ones — the bridge between the
+// *tensor.Dense views closures actually touch and the access sets they
+// declare. Passing the very views the closure captures keeps declaration and
+// use in sync (the accessdecl vet rule checks this textually).
 func ShapesOf(views ...*tensor.Dense) []ViewShape {
 	var out []ViewShape
 	for _, v := range views {
@@ -139,17 +141,21 @@ func ShapesOf(views ...*tensor.Dense) []ViewShape {
 // ignored by shape typing.
 func OpaqueShape(id BufID) ViewShape { return ViewShape{Buf: id} }
 
-// BindShaped is BindRW with extents: the declaration both names the buffers
-// fn touches and records the matrix shapes it touches them at, so
-// internal/schedcheck can type the schedule without executing it. This is
-// the binding form production code should use for Dense-touching closures
-// (the shapedecl vet rule flags shape-blind BindRW calls).
+// BindShaped is Bind plus an access declaration with extents: reads and
+// writes name the registered buffers fn touches (Writes entries may also be
+// read — an accumulating SpMM or in-place ReLU reads its destination) and
+// the matrix shapes it touches them at, so the sanitizer can order the task
+// and internal/schedcheck can type the schedule without executing it. This
+// is the one declaring bind form; the accessdecl vet rule flags plain Bind
+// calls whose closures touch buffer storage.
 func (g *Graph) BindShaped(id int, reads, writes []ViewShape, fn func()) {
 	g.DeclareShaped(id, reads, writes)
 	g.Bind(id, fn)
 }
 
-// BindShapedE is BindShaped for fallible closures.
+// BindShapedE is BindShaped for fallible closures. The declared sets
+// describe what fn touches when it runs to completion; a closure that fails
+// before moving data simply leaves them untouched.
 func (g *Graph) BindShapedE(id int, reads, writes []ViewShape, fn func() error) {
 	g.DeclareShaped(id, reads, writes)
 	g.BindE(id, fn)

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"mggcn/internal/tensor"
-)
+import "fmt"
 
 // StreamID selects one of the per-device CUDA-style streams: the §4.3
 // compute/comm pair, plus a sampler stage stream for the factored minibatch
@@ -123,13 +119,14 @@ type Task struct {
 	// checks that every conflicting pair of declared accesses is ordered
 	// by the executor's happens-before edges, and its shadow execute mode
 	// checks the closure's *actual* accesses stay inside these sets.
-	// Declare them with Graph.BindRW or Graph.Declare.
+	// Declare them with Graph.BindShaped (or, without a closure,
+	// Graph.DeclareShaped/Declare).
 	Reads  []BufID
 	Writes []BufID
 	// InShapes and OutShapes are the shaped forms of Reads and Writes —
 	// the same buffers plus the matrix extents the closure touches them at,
 	// recorded by Graph.BindShaped/DeclareShaped for internal/schedcheck's
-	// shape-flow typing. Empty when the task was declared unshaped.
+	// shape-flow typing. Empty when the task was declared unshaped (Declare).
 	InShapes  []ViewShape
 	OutShapes []ViewShape
 	// Coll, on KindComm tasks, annotates the collective's operation, group
@@ -258,24 +255,6 @@ func (g *Graph) BindE(id int, fn func() error) {
 	g.bound++
 }
 
-// BindRW is Bind plus an access declaration: reads and writes list the
-// registered buffers fn touches (Writes entries may also be read — an
-// accumulating SpMM or in-place ReLU reads its destination). This is the
-// binding form production code should use; the accessdecl vet rule flags
-// plain Bind calls whose closures touch buffer storage.
-func (g *Graph) BindRW(id int, reads, writes []BufID, fn func()) {
-	g.Declare(id, reads, writes)
-	g.Bind(id, fn)
-}
-
-// BindRWE is BindRW for fallible closures: access declaration plus BindE.
-// The declared sets describe what fn touches when it runs to completion;
-// a closure that fails before moving data simply leaves them untouched.
-func (g *Graph) BindRWE(id int, reads, writes []BufID, fn func() error) {
-	g.Declare(id, reads, writes)
-	g.BindE(id, fn)
-}
-
 // Declare records task id's access sets without binding a closure —
 // useful when the closure is attached separately or (in tests) when only
 // the graph structure is under scrutiny. Zero IDs (unregistered views) are
@@ -296,21 +275,6 @@ func appendBufs(dst, src []BufID) []BufID {
 		}
 	}
 	return dst
-}
-
-// BufsOf collects the registry stamps of the given views, skipping
-// unregistered (zero-stamped) ones — the bridge between the *tensor.Dense
-// views closures actually touch and the BufID sets they declare. Passing
-// the very views the closure captures keeps declaration and use in sync
-// (the accessdecl vet rule checks this textually).
-func BufsOf(views ...*tensor.Dense) []BufID {
-	var out []BufID
-	for _, v := range views {
-		if v != nil && v.Buf != 0 {
-			out = append(out, BufID(v.Buf))
-		}
-	}
-	return out
 }
 
 // Bound returns the number of tasks carrying an Exec closure.

@@ -76,6 +76,10 @@ func TestNewTrainerValidation(t *testing.T) {
 		{"Layers=0", func(o *Options) { o.Layers = 0 }},
 		{"1.5D on odd GPUs", func(o *Options) { o.GPUs, o.Strategy = 3, Strategy15D }},
 		{"unknown strategy", func(o *Options) { o.Strategy = Strategy(99) }},
+		{"GPUs=16 on an 8-GPU machine", func(o *Options) { o.GPUs = 16 }},
+		{"Hidden=0", func(o *Options) { o.Hidden = 0 }},
+		{"Hidden=-1", func(o *Options) { o.Hidden = -1 }},
+		{"unknown ordering", func(o *Options) { o.Ordering = Ordering(9) }},
 	}
 	for _, tc := range cases {
 		o := DefaultOptions(DGXA100(), 4)
@@ -554,6 +558,7 @@ func TestSampledDegenerateConfigs(t *testing.T) {
 		"fanout 0":              func(o *SampledOptions) { o.Fanouts = []int{0, 2} },
 		"fanouts/layers differ": func(o *SampledOptions) { o.Layers = 3 },
 		"cache fraction 2":      func(o *SampledOptions) { o.CacheFrac = 2 },
+		"GPUs > machine":        func(o *SampledOptions) { o.GPUs = 16 },
 	}
 	for name, tweak := range cases {
 		t.Run(name, func(t *testing.T) {

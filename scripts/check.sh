@@ -46,16 +46,16 @@ fi
 echo "==> mggcn-verify schedcheck (symbolic schedule verifier)"
 # Collective matching / deadlock freedom, shape-flow typing, and exact
 # closed-form communication-cost certification over every shipped strategy
-# and its elastic P-1 degradation path.
-go run ./cmd/mggcn-verify schedcheck
+# and its elastic P-1 degradation path, off the default operating point (the
+# golden-diffed `mggcn-verify all` step below covers the defaults).
 go run ./cmd/mggcn-verify schedcheck -gpus 8 -memscale 3
 
 echo "==> mggcn-verify memcheck (static peak-memory certifier)"
 # Three-way byte-exact cross-check — closed-form certified peak, graph
 # liveness high-water, replay-time allocation meter — over every strategy
 # (full-batch, GAT, sampled pipeline) and each elastic P-1 degradation,
-# plus paper-scale fit verdicts; exits 1 on any disagreement.
-go run ./cmd/mggcn-verify memcheck
+# plus paper-scale fit verdicts; exits 1 on any disagreement. Off the default
+# operating point, like the schedcheck leg.
 go run ./cmd/mggcn-verify memcheck -gpus 8 -machine v100
 
 echo "==> mggcn-verify san (task-graph sanitizer)"
