@@ -119,8 +119,8 @@ func chaosPlan(k kind, fk string, seed int64, p int) fault.Plan {
 	case "straggler":
 		pl.Straggler = &fault.StragglerSpec{Device: 1, Delay: 50 * time.Microsecond, Every: 5, Stream: onSampler}
 	case "poison":
-		// The last forward GeMM feeds the logits directly (an earlier layer's
-		// NaN would be laundered by the ReLU); step 0's on the sampled path.
+		// The last forward GeMM feeds the logits directly; step 0's on the
+		// sampled path.
 		label := map[kind]string{fullBatch: "fwd1/gemm", sampled: "s0/fwd1/gemm"}[k]
 		pl.Poison = &fault.PoisonSpec{Label: label, Stage: -1, Device: 0, Occurrence: 1}
 	}

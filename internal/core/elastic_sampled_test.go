@@ -120,32 +120,34 @@ func TestSampledFlakySamplerReplayParity(t *testing.T) {
 	}
 }
 
-// TestSampledElasticPoisonRecovery: a NaN poisoned into the last layer's
-// GeMM output survives to the logits (earlier layers would be laundered by
-// the ReLU), trips the numeric guard, and the segment-start restore plus
-// deterministic replay leaves the run bit-identical to fault-free.
+// TestSampledElasticPoisonRecovery: a NaN poisoned into a forward GeMM's
+// output survives to the logits (from layer 0 through the ReLU, which
+// propagates NaN), trips the numeric guard, and the segment-start restore
+// plus deterministic replay leaves the run bit-identical to fault-free.
 func TestSampledElasticPoisonRecovery(t *testing.T) {
 	g := testGraph(t)
 	const epochs = 3
 	clean := sampledLossCurve(t, g, testSampledConfig(4), epochs)
 
-	inj := fault.New(fault.Plan{Seed: 9, Poison: &fault.PoisonSpec{
-		Label: "s0/fwd1/gemm", Stage: -1, Device: 0, Occurrence: 1,
-		Kind: fault.OnKind(sim.KindGeMM),
-	}})
-	res, err := TrainSampledElastic(g, sampledFaultConfig(4, inj), epochs)
-	if err != nil {
-		t.Fatalf("TrainSampledElastic: %v", err)
-	}
-	if len(res.Events) != 1 || res.Events[0].Kind != "numeric" {
-		t.Fatalf("recovery log = %+v, want one numeric event", res.Events)
-	}
-	if st := inj.Stats(); st.Poisons != 1 {
-		t.Fatalf("poison fired %d times, want exactly 1", st.Poisons)
-	}
-	for e := range clean {
-		if res.Stats[e].Loss != clean[e] { // vet:ok floateq — bit-identical replay is the contract
-			t.Fatalf("epoch %d: post-recovery loss %v != fault-free %v", e, res.Stats[e].Loss, clean[e])
+	for _, label := range []string{"s0/fwd1/gemm", "s0/fwd0/gemm"} {
+		inj := fault.New(fault.Plan{Seed: 9, Poison: &fault.PoisonSpec{
+			Label: label, Stage: -1, Device: 0, Occurrence: 1,
+			Kind: fault.OnKind(sim.KindGeMM),
+		}})
+		res, err := TrainSampledElastic(g, sampledFaultConfig(4, inj), epochs)
+		if err != nil {
+			t.Fatalf("%s: TrainSampledElastic: %v", label, err)
+		}
+		if len(res.Events) != 1 || res.Events[0].Kind != "numeric" {
+			t.Fatalf("%s: recovery log = %+v, want one numeric event", label, res.Events)
+		}
+		if st := inj.Stats(); st.Poisons != 1 {
+			t.Fatalf("%s: poison fired %d times, want exactly 1", label, st.Poisons)
+		}
+		for e := range clean {
+			if res.Stats[e].Loss != clean[e] { // vet:ok floateq — bit-identical replay is the contract
+				t.Fatalf("%s: epoch %d: post-recovery loss %v != fault-free %v", label, e, res.Stats[e].Loss, clean[e])
+			}
 		}
 	}
 }

@@ -226,28 +226,31 @@ func TestElastic15DDegradesTo1DRow(t *testing.T) {
 }
 
 func TestElasticNumericPoisonRecovery(t *testing.T) {
-	// A one-shot NaN poison on the last layer's GeMM output corrupts the
-	// logits (layer 0 would be laundered by the ReLU, which maps NaN to 0);
-	// the numeric guard voids the epoch, the snapshot restores, and the
-	// re-run — no longer poisoned — is bit-identical to a fault-free run.
+	// A one-shot NaN poison on a forward GeMM's output reaches the logits —
+	// from the last layer directly, from layer 0 through the ReLU, which
+	// propagates NaN; the numeric guard voids the epoch, the snapshot
+	// restores, and the re-run — no longer poisoned — is bit-identical to a
+	// fault-free run.
 	g := testGraph(t)
 	const epochs = 4
 	clean := lossCurve(t, g, testConfig(4), epochs)
 
-	inj := fault.New(fault.Plan{Seed: 9, Poison: &fault.PoisonSpec{Label: "fwd1/gemm", Stage: -1, Device: 0, Occurrence: 1}})
-	res, err := TrainElastic(g, faultConfig(4, inj), epochs)
-	if err != nil {
-		t.Fatalf("TrainElastic: %v", err)
-	}
-	if len(res.Events) != 1 || res.Events[0].Kind != "numeric" {
-		t.Fatalf("recovery log = %+v, want one numeric event", res.Events)
-	}
-	if st := inj.Stats(); st.Poisons != 1 {
-		t.Fatalf("poison fired %d times, want exactly 1", st.Poisons)
-	}
-	for e := range clean {
-		if res.Stats[e].Loss != clean[e] {
-			t.Fatalf("epoch %d: post-recovery loss %v != fault-free %v", e, res.Stats[e].Loss, clean[e])
+	for _, label := range []string{"fwd1/gemm", "fwd0/gemm"} {
+		inj := fault.New(fault.Plan{Seed: 9, Poison: &fault.PoisonSpec{Label: label, Stage: -1, Device: 0, Occurrence: 1}})
+		res, err := TrainElastic(g, faultConfig(4, inj), epochs)
+		if err != nil {
+			t.Fatalf("%s: TrainElastic: %v", label, err)
+		}
+		if len(res.Events) != 1 || res.Events[0].Kind != "numeric" {
+			t.Fatalf("%s: recovery log = %+v, want one numeric event", label, res.Events)
+		}
+		if st := inj.Stats(); st.Poisons != 1 {
+			t.Fatalf("%s: poison fired %d times, want exactly 1", label, st.Poisons)
+		}
+		for e := range clean {
+			if res.Stats[e].Loss != clean[e] {
+				t.Fatalf("%s: epoch %d: post-recovery loss %v != fault-free %v", label, e, res.Stats[e].Loss, clean[e])
+			}
 		}
 	}
 }

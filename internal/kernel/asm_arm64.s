@@ -6,12 +6,10 @@
 // kernel.go): the arm64 Go compiler fuses float32 mul+add into FMADDS, so
 // these kernels use VFMLA — fused per lane — wherever the scalar expression
 // is a multiply-add, and express plain adds as VFMLA against a broadcast
-// 1.0 (x*1.0 is exact, so the fused add rounds once exactly like FADD).
-// Dot reductions extract the four accumulator lanes and add them with
-// scalar FADDS in the scalar order (d0+d1)+(d2+d3). All entry points
-// require n to be a positive multiple of 4; tails are the Go wrappers'
-// job. Go's Fn registers alias the low 32 bits of Vn, which is what lets
-// the reductions FADDS straight out of lane moves.
+// 1.0 (x*1.0 is exact, so the fused add rounds once exactly like FADD). The
+// Vec4 entry points require n to be a positive multiple of 4; tails are the
+// Go wrappers' job. The assembler has no vector float compares, so the ReLU
+// selects are the scalar bodies' integer range tests, lane for lane.
 
 // func addVec4(dst, x *float32, n int)
 // dst[j] += x[j], as fma(x, 1.0, dst).
@@ -94,93 +92,203 @@ axpy2loop:
 	BNE    axpy2loop
 	RET
 
-// func panel2x2Vec4(s00, s01, s10, s11 float32, b0, b1, c0, c1 *float32, n int)
-// Both loaded B vectors feed both C rows via fused accumulates.
-TEXT ·panel2x2Vec4(SB), NOSPLIT, $0-56
-	MOVWU s00+0(FP), R3
-	VDUP  R3, V4.S4
-	MOVWU s01+4(FP), R3
-	VDUP  R3, V5.S4
-	MOVWU s10+8(FP), R3
-	VDUP  R3, V6.S4
-	MOVWU s11+12(FP), R3
-	VDUP  R3, V7.S4
-	MOVD  b0+16(FP), R0
-	MOVD  b1+24(FP), R1
-	MOVD  c0+32(FP), R2
-	MOVD  c1+40(FP), R4
-	MOVD  n+48(FP), R5
-
-panelloop:
-	VLD1.P 16(R0), [V0.S4]
-	VLD1.P 16(R1), [V1.S4]
-	VLD1   (R2), [V2.S4]
-	VLD1   (R4), [V3.S4]
-	VFMLA  V4.S4, V0.S4, V2.S4
-	VFMLA  V5.S4, V1.S4, V2.S4
-	VFMLA  V6.S4, V0.S4, V3.S4
-	VFMLA  V7.S4, V1.S4, V3.S4
-	VST1.P [V2.S4], 16(R2)
-	VST1.P [V3.S4], 16(R4)
-	SUBS   $4, R5, R5
-	BNE    panelloop
-	RET
-
-// func dot4Vec(a, b *float32, n int) float32
-// Lane l of the accumulator reproduces scalar partial d_l (the scalar path
-// fuses each d_l += a*b into FMADDS); the reduction is (d0+d1)+(d2+d3)
-// with scalar FADDS.
-TEXT ·dot4Vec(SB), NOSPLIT, $0-28
-	MOVD a+0(FP), R0
-	MOVD b+8(FP), R1
+// func reluVec4(dst, src *float32, n int)
+// dst[j] = src[j] unless src[j] <= 0. As in reluScalar: bits + 0x007fffff
+// wraps the -NaNs below everything else and leaves -0 and the negatives on
+// top, so "keep" is one unsigned bits <= 0x807ffffe, here min-and-equal.
+TEXT ·reluVec4(SB), NOSPLIT, $0-24
+	MOVD dst+0(FP), R0
+	MOVD src+8(FP), R1
 	MOVD n+16(FP), R2
-	VEOR V0.B16, V0.B16, V0.B16
+	MOVD $0x007fffff, R3
+	VDUP R3, V8.S4
+	MOVD $0x807ffffe, R3
+	VDUP R3, V9.S4
 
-dotloop:
-	VLD1.P 16(R0), [V1.S4]
-	VLD1.P 16(R1), [V2.S4]
-	VFMLA  V2.S4, V1.S4, V0.S4
+reluloop:
+	VLD1.P 16(R1), [V0.S4]
+	VADD   V8.S4, V0.S4, V1.S4
+	VUMIN  V9.S4, V1.S4, V2.S4
+	VCMEQ  V2.S4, V1.S4, V2.S4
+	VAND   V2.B16, V0.B16, V0.B16
+	VST1.P [V0.S4], 16(R0)
 	SUBS   $4, R2, R2
-	BNE    dotloop
-	VMOV   V0.S[1], V1.S[0]
-	FADDS  F1, F0, F10
-	VMOV   V0.S[2], V2.S[0]
-	VMOV   V0.S[3], V3.S[0]
-	FADDS  F3, F2, F11
-	FADDS  F11, F10, F0
-	FMOVS  F0, ret+24(FP)
+	BNE    reluloop
 	RET
 
-// func dot4PairVec(a0, a1, b *float32, n int) (d0, d1 float32)
-// Two dot4Vec accumulations sharing each loaded b vector.
-TEXT ·dot4PairVec(SB), NOSPLIT, $0-40
-	MOVD a0+0(FP), R0
-	MOVD a1+8(FP), R1
-	MOVD b+16(FP), R2
-	MOVD n+24(FP), R3
+// func reluMaskVec4(dst, grad, act *float32, n int)
+// dst[j] = grad[j] where act[j] > 0, else +0. As in reluMaskScalar: act > 0
+// is bits-1 <= 0x7f7fffff unsigned (bits + 0xffffffff wraps +0 to the top).
+// Both sources are loaded before dst is stored, so dst may be either.
+TEXT ·reluMaskVec4(SB), NOSPLIT, $0-32
+	MOVD dst+0(FP), R0
+	MOVD grad+8(FP), R1
+	MOVD act+16(FP), R4
+	MOVD n+24(FP), R2
+	MOVD $0xffffffff, R3
+	VDUP R3, V8.S4
+	MOVD $0x7f7fffff, R3
+	VDUP R3, V9.S4
+
+reluMaskloop:
+	VLD1.P 16(R4), [V0.S4]
+	VLD1.P 16(R1), [V3.S4]
+	VADD   V8.S4, V0.S4, V1.S4
+	VUMIN  V9.S4, V1.S4, V2.S4
+	VCMEQ  V2.S4, V1.S4, V2.S4
+	VAND   V2.B16, V3.B16, V3.B16
+	VST1.P [V3.S4], 16(R0)
+	SUBS   $4, R2, R2
+	BNE    reluMaskloop
+	RET
+
+// ROWPTRS sets p0..p3 to base + min(i, rows-1)*stride for i = 0..3 (rows in
+// R12, clobbers R14). Rows past the tile's last alias it: they compute and
+// store its values again, so no loop below has a row-count branch.
+#define ROWPTRS(base, stride, p0, p1, p2, p3) \
+	MOVD base, p0;             \
+	CMP  $2, R12;              \
+	CSEL GE, stride, ZR, R14;  \
+	ADD  R14, p0, p1;          \
+	CMP  $3, R12;              \
+	CSEL GE, stride, ZR, R14;  \
+	ADD  R14, p1, p2;          \
+	CMP  $4, R12;              \
+	CSEL GE, stride, ZR, R14;  \
+	ADD  R14, p2, p3
+
+// LOADA broadcasts one k step's four A elements into V20..V23 and steps the
+// row pointers R1..R4 by the k stride in R5.
+#define LOADA \
+	VLD1R.P (R1)(R5), [V20.S4]; \
+	VLD1R.P (R2)(R5), [V21.S4]; \
+	VLD1R.P (R3)(R5), [V22.S4]; \
+	VLD1R.P (R4)(R5), [V23.S4]
+
+// func tileVec4(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, vecs int, acc bool)
+// The register tile (see kernel.Tile) over vecs 4-float column vectors:
+// k >= 1, 1 <= rows <= 4, 1 <= vecs <= 4; the caller has proved the furthest
+// element of every operand in range and runs the cols%4 tail itself. A full
+// 16-column tile keeps sixteen accumulators (V0..V15, four per row) across
+// the whole k extent; a narrower one is walked one column vector at a time
+// with four. Every accumulate is a fused VFMLA, one per k step in ascending
+// k, as the scalar body compiles on arm64.
+TEXT ·tileVec4(SB), NOSPLIT, $0-81
+	MOVD  rows+64(FP), R12
+	MOVD  vecs+72(FP), R13
+	MOVBU acc+80(FP), R15
+	MOVD  a+8(FP), R6
+	MOVD  ars+16(FP), R7
+	LSL   $2, R7
+	ROWPTRS(R6, R7, R19, R20, R21, R22)
+	MOVD  aks+24(FP), R5
+	LSL   $2, R5
+	MOVD  c+48(FP), R6
+	MOVD  cs+56(FP), R7
+	LSL   $2, R7
+	ROWPTRS(R6, R7, R8, R9, R10, R11)
+	MOVD  b+32(FP), R23
+	MOVD  bs+40(FP), R7
+	LSL   $2, R7
+	CMP   $4, R13
+	BNE   tileblock
+
+	// Full width: R19..R22 are the rows of A, R23 the row of B.
+	MOVD R19, R1
+	MOVD R20, R2
+	MOVD R21, R3
+	MOVD R22, R4
+	MOVD k+0(FP), R0
+	CBZ  R15, tilewidezero
+	VLD1 (R8), [V0.S4, V1.S4, V2.S4, V3.S4]
+	VLD1 (R9), [V4.S4, V5.S4, V6.S4, V7.S4]
+	VLD1 (R10), [V8.S4, V9.S4, V10.S4, V11.S4]
+	VLD1 (R11), [V12.S4, V13.S4, V14.S4, V15.S4]
+	B    tilewide
+
+tilewidezero:
 	VEOR V0.B16, V0.B16, V0.B16
 	VEOR V1.B16, V1.B16, V1.B16
+	VEOR V2.B16, V2.B16, V2.B16
+	VEOR V3.B16, V3.B16, V3.B16
+	VEOR V4.B16, V4.B16, V4.B16
+	VEOR V5.B16, V5.B16, V5.B16
+	VEOR V6.B16, V6.B16, V6.B16
+	VEOR V7.B16, V7.B16, V7.B16
+	VEOR V8.B16, V8.B16, V8.B16
+	VEOR V9.B16, V9.B16, V9.B16
+	VEOR V10.B16, V10.B16, V10.B16
+	VEOR V11.B16, V11.B16, V11.B16
+	VEOR V12.B16, V12.B16, V12.B16
+	VEOR V13.B16, V13.B16, V13.B16
+	VEOR V14.B16, V14.B16, V14.B16
+	VEOR V15.B16, V15.B16, V15.B16
 
-pairloop:
-	VLD1.P 16(R2), [V2.S4]
-	VLD1.P 16(R0), [V3.S4]
-	VFMLA  V2.S4, V3.S4, V0.S4
-	VLD1.P 16(R1), [V3.S4]
-	VFMLA  V2.S4, V3.S4, V1.S4
-	SUBS   $4, R3, R3
-	BNE    pairloop
-	VMOV   V0.S[1], V2.S[0]
-	FADDS  F2, F0, F10
-	VMOV   V0.S[2], V2.S[0]
-	VMOV   V0.S[3], V3.S[0]
-	FADDS  F3, F2, F11
-	FADDS  F11, F10, F12
-	FMOVS  F12, d0+32(FP)
-	VMOV   V1.S[1], V2.S[0]
-	FADDS  F2, F1, F10
-	VMOV   V1.S[2], V2.S[0]
-	VMOV   V1.S[3], V3.S[0]
-	FADDS  F3, F2, F11
-	FADDS  F11, F10, F12
-	FMOVS  F12, d1+36(FP)
+tilewide:
+	VLD1  (R23), [V16.S4, V17.S4, V18.S4, V19.S4]
+	ADD   R7, R23
+	LOADA
+	VFMLA V16.S4, V20.S4, V0.S4
+	VFMLA V17.S4, V20.S4, V1.S4
+	VFMLA V18.S4, V20.S4, V2.S4
+	VFMLA V19.S4, V20.S4, V3.S4
+	VFMLA V16.S4, V21.S4, V4.S4
+	VFMLA V17.S4, V21.S4, V5.S4
+	VFMLA V18.S4, V21.S4, V6.S4
+	VFMLA V19.S4, V21.S4, V7.S4
+	VFMLA V16.S4, V22.S4, V8.S4
+	VFMLA V17.S4, V22.S4, V9.S4
+	VFMLA V18.S4, V22.S4, V10.S4
+	VFMLA V19.S4, V22.S4, V11.S4
+	VFMLA V16.S4, V23.S4, V12.S4
+	VFMLA V17.S4, V23.S4, V13.S4
+	VFMLA V18.S4, V23.S4, V14.S4
+	VFMLA V19.S4, V23.S4, V15.S4
+	SUBS  $1, R0, R0
+	BNE   tilewide
+	VST1  [V0.S4, V1.S4, V2.S4, V3.S4], (R8)
+	VST1  [V4.S4, V5.S4, V6.S4, V7.S4], (R9)
+	VST1  [V8.S4, V9.S4, V10.S4, V11.S4], (R10)
+	VST1  [V12.S4, V13.S4, V14.S4, V15.S4], (R11)
+	RET
+
+	// Narrower: one column vector per pass. R8..R11 (the rows of C) and R23
+	// (the first row of B) step 16 bytes per pass; the rows of A restart.
+tileblock:
+	MOVD R19, R1
+	MOVD R20, R2
+	MOVD R21, R3
+	MOVD R22, R4
+	MOVD R23, R6
+	MOVD k+0(FP), R0
+	CBZ  R15, tileblockzero
+	VLD1 (R8), [V0.S4]
+	VLD1 (R9), [V4.S4]
+	VLD1 (R10), [V8.S4]
+	VLD1 (R11), [V12.S4]
+	B    tileblockloop
+
+tileblockzero:
+	VEOR V0.B16, V0.B16, V0.B16
+	VEOR V4.B16, V4.B16, V4.B16
+	VEOR V8.B16, V8.B16, V8.B16
+	VEOR V12.B16, V12.B16, V12.B16
+
+tileblockloop:
+	VLD1  (R6), [V16.S4]
+	ADD   R7, R6
+	LOADA
+	VFMLA V16.S4, V20.S4, V0.S4
+	VFMLA V16.S4, V21.S4, V4.S4
+	VFMLA V16.S4, V22.S4, V8.S4
+	VFMLA V16.S4, V23.S4, V12.S4
+	SUBS  $1, R0, R0
+	BNE   tileblockloop
+	VST1.P [V0.S4], 16(R8)
+	VST1.P [V4.S4], 16(R9)
+	VST1.P [V8.S4], 16(R10)
+	VST1.P [V12.S4], 16(R11)
+	ADD   $16, R23
+	SUBS  $1, R13, R13
+	BNE   tileblock
 	RET

@@ -3,18 +3,17 @@
 package kernel
 
 // Assembly bodies in asm_amd64.s. The Vec8 kernels process a multiple of 8
-// elements (one YMM register width); dot4Vec/dot4PairVec process a multiple
-// of 4 (one XMM accumulator reproducing dot4's partial-sum lanes). All of
-// them use separate VMULPS/VADDPS — never fused multiply-add — because the
-// amd64 Go compiler does not fuse float32 mul+add either, and bit-identity
-// with the scalar path is the dispatch contract.
+// elements (one YMM register width); tileVec handles any extent inside
+// MR x NR. All of them use separate VMULPS/VADDPS — never fused multiply-add
+// — because the amd64 Go compiler does not fuse float32 mul+add either, and
+// bit-identity with the scalar path is the dispatch contract.
 func addVec8(dst, x *float32, n int)
 func add2Vec8(dst, x0, x1 *float32, n int)
 func axpyVec8(a float32, x, dst *float32, n int)
 func axpy2Vec8(a0, a1 float32, x0, x1, dst *float32, n int)
-func panel2x2Vec8(s00, s01, s10, s11 float32, b0, b1, c0, c1 *float32, n int)
-func dot4Vec(a, b *float32, n int) float32
-func dot4PairVec(a0, a1, b *float32, n int) (d0, d1 float32)
+func reluVec8(dst, src *float32, n int)
+func reluMaskVec8(dst, grad, act *float32, n int)
+func tileVec(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, cols int, acc bool)
 
 func init() {
 	if !hasAVX2() {
@@ -28,8 +27,7 @@ func init() {
 		name: "avx2",
 		add:  addAVX2, add2: add2AVX2,
 		axpy: axpyAVX2, axpy2: axpy2AVX2,
-		panel2x2: panel2x2AVX2,
-		dot4:     dot4AVX2, dot4Pair: dot4PairAVX2,
+		tile: tileAVX2, relu: reluAVX2, reluMask: reluMaskAVX2,
 	})
 }
 
@@ -83,48 +81,31 @@ func axpy2AVX2(a0, a1 float32, x0, x1, dst []float32) {
 	}
 }
 
-func panel2x2AVX2(s00, s01, s10, s11 float32, b0, b1, c0, c1 []float32) {
-	n := len(c0)
-	b0 = b0[:n]
-	b1 = b1[:n]
-	c1 = c1[:n]
+func reluAVX2(dst, src []float32) {
+	n := len(dst)
+	src = src[:n]
 	nv := n &^ 7
 	if nv > 0 {
-		panel2x2Vec8(s00, s01, s10, s11, &b0[0], &b1[0], &c0[0], &c1[0], nv)
+		reluVec8(&dst[0], &src[0], nv)
 	}
-	for j := nv; j < n; j++ {
-		v0, v1 := b0[j], b1[j]
-		c0[j] = c0[j] + s00*v0 + s01*v1
-		c1[j] = c1[j] + s10*v0 + s11*v1
-	}
+	reluScalar(dst[nv:], src[nv:])
 }
 
-func dot4AVX2(a, b []float32) float32 {
-	n := len(a)
-	b = b[:n]
-	nv := n &^ 3
-	var dot float32
+func reluMaskAVX2(dst, grad, act []float32) {
+	n := len(dst)
+	grad, act = grad[:n], act[:n]
+	nv := n &^ 7
 	if nv > 0 {
-		dot = dot4Vec(&a[0], &b[0], nv)
+		reluMaskVec8(&dst[0], &grad[0], &act[0], nv)
 	}
-	for p := nv; p < n; p++ {
-		dot += a[p] * b[p]
-	}
-	return dot
+	reluMaskScalar(dst[nv:], grad[nv:], act[nv:])
 }
 
-func dot4PairAVX2(a0, a1, b []float32) (float32, float32) {
-	n := len(a0)
-	a1 = a1[:n]
-	b = b[:n]
-	nv := n &^ 3
-	var d0, d1 float32
-	if nv > 0 {
-		d0, d1 = dot4PairVec(&a0[0], &a1[0], &b[0], nv)
+func tileAVX2(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) {
+	if k == 0 {
+		tileScalar(rows, cols, k, a, ars, aks, b, bs, c, cs, acc) // nothing to multiply, and no a[0] to point at
+		return
 	}
-	for p := nv; p < n; p++ {
-		d0 += a0[p] * b[p]
-		d1 += a1[p] * b[p]
-	}
-	return d0, d1
+	checkTile(rows, cols, k, a, ars, aks, b, bs, c, cs)
+	tileVec(k, &a[0], ars, aks, &b[0], bs, &c[0], cs, rows, cols, acc)
 }

@@ -2,18 +2,18 @@
 
 package kernel
 
-// Assembly bodies in asm_arm64.s. Every entry point processes a multiple
-// of 4 elements (one 128-bit NEON vector of float32); odd tails are
-// handled here with the scalar expressions, which the arm64 compiler
-// fuses exactly like the vector bodies do (see kernel.go for the
-// bit-identity contract).
+// Assembly bodies in asm_arm64.s. Every Vec4 entry point processes a
+// multiple of 4 elements (one 128-bit NEON vector of float32), and tileVec4 a
+// multiple of 4 columns; odd tails are handled here with the scalar
+// expressions, which the arm64 compiler fuses exactly like the vector bodies
+// do (see kernel.go for the bit-identity contract).
 func addVec4(dst, x *float32, n int)
 func add2Vec4(dst, x0, x1 *float32, n int)
 func axpyVec4(a float32, x, dst *float32, n int)
 func axpy2Vec4(a0, a1 float32, x0, x1, dst *float32, n int)
-func panel2x2Vec4(s00, s01, s10, s11 float32, b0, b1, c0, c1 *float32, n int)
-func dot4Vec(a, b *float32, n int) float32
-func dot4PairVec(a0, a1, b *float32, n int) (d0, d1 float32)
+func reluVec4(dst, src *float32, n int)
+func reluMaskVec4(dst, grad, act *float32, n int)
+func tileVec4(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, vecs int, acc bool)
 
 func init() {
 	// NEON (ASIMD) is architecturally mandatory on arm64, so there is no
@@ -25,8 +25,7 @@ func init() {
 		name: "neon",
 		add:  addNEON, add2: add2NEON,
 		axpy: axpyNEON, axpy2: axpy2NEON,
-		panel2x2: panel2x2NEON,
-		dot4:     dot4NEON, dot4Pair: dot4PairNEON,
+		tile: tileNEON, relu: reluNEON, reluMask: reluMaskNEON,
 	})
 }
 
@@ -80,48 +79,35 @@ func axpy2NEON(a0, a1 float32, x0, x1, dst []float32) {
 	}
 }
 
-func panel2x2NEON(s00, s01, s10, s11 float32, b0, b1, c0, c1 []float32) {
-	n := len(c0)
-	b0 = b0[:n]
-	b1 = b1[:n]
-	c1 = c1[:n]
+func reluNEON(dst, src []float32) {
+	n := len(dst)
+	src = src[:n]
 	nv := n &^ 3
 	if nv > 0 {
-		panel2x2Vec4(s00, s01, s10, s11, &b0[0], &b1[0], &c0[0], &c1[0], nv)
+		reluVec4(&dst[0], &src[0], nv)
 	}
-	for j := nv; j < n; j++ {
-		v0, v1 := b0[j], b1[j]
-		c0[j] = c0[j] + s00*v0 + s01*v1
-		c1[j] = c1[j] + s10*v0 + s11*v1
-	}
+	reluScalar(dst[nv:], src[nv:])
 }
 
-func dot4NEON(a, b []float32) float32 {
-	n := len(a)
-	b = b[:n]
+func reluMaskNEON(dst, grad, act []float32) {
+	n := len(dst)
+	grad, act = grad[:n], act[:n]
 	nv := n &^ 3
-	var dot float32
 	if nv > 0 {
-		dot = dot4Vec(&a[0], &b[0], nv)
+		reluMaskVec4(&dst[0], &grad[0], &act[0], nv)
 	}
-	for p := nv; p < n; p++ {
-		dot += a[p] * b[p]
-	}
-	return dot
+	reluMaskScalar(dst[nv:], grad[nv:], act[nv:])
 }
 
-func dot4PairNEON(a0, a1, b []float32) (float32, float32) {
-	n := len(a0)
-	a1 = a1[:n]
-	b = b[:n]
-	nv := n &^ 3
-	var d0, d1 float32
-	if nv > 0 {
-		d0, d1 = dot4PairVec(&a0[0], &a1[0], &b[0], nv)
+func tileNEON(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) {
+	cv := cols &^ 3
+	if k == 0 || cv == 0 {
+		tileScalar(rows, cols, k, a, ars, aks, b, bs, c, cs, acc) // nothing to multiply (and no a[0] to point at), or no whole vector
+		return
 	}
-	for p := nv; p < n; p++ {
-		d0 += a0[p] * b[p]
-		d1 += a1[p] * b[p]
+	checkTile(rows, cols, k, a, ars, aks, b, bs, c, cs)
+	tileVec4(k, &a[0], ars, aks, &b[0], bs, &c[0], cs, rows, cv/4, acc)
+	if cv < cols {
+		tileScalar(rows, cols-cv, k, a, ars, aks, b[cv:], bs, c[cv:], cs, acc)
 	}
-	return d0, d1
 }

@@ -17,19 +17,22 @@
 //     NEON kernels use VFMLA (fused per lane) to match, and express plain
 //     vector adds as VFMLA with a broadcast 1.0 (x*1.0 is exact, so
 //     fma(x, 1, d) rounds once exactly like FADD).
-//   - Dot products keep dot4's four-partial-sum split: one 4-lane vector
-//     accumulator reproduces the scalar partials d0..d3 per lane, and the
-//     reduction adds them in the scalar order (d0+d1)+(d2+d3).
+//   - The GeMM tile adds one product per k step to each accumulator, k
+//     ascending, so every C element sums in the flat oracle's order whatever
+//     the tile shape or the traversal around it.
 //
 // Tail elements past the widest vector multiple are always handled by the
 // same scalar expressions, so odd lengths and misaligned slices are safe
 // and bit-identical too.
 //
-// All slice arguments of one call must have the same length (callers slice
-// before calling); the dst (or first dot operand) length is authoritative.
-// Swapping implementations is not synchronized — dispatch happens in init,
-// before any kernel runs.
+// All slice arguments of one vector-kernel call must have the same length
+// (callers slice before calling); the dst length is authoritative. Tile takes
+// extents and strides instead, and checks them against its slices. Swapping
+// implementations is not synchronized — dispatch happens in init, before any
+// kernel runs.
 package kernel
+
+import "math"
 
 // Dispatch table. Default scalar; overridden by the arch init under the
 // `simd` build tag when the CPU qualifies.
@@ -44,16 +47,29 @@ var (
 	// Axpy2 computes dst[j] = dst[j] + a0*x0[j] + a1*x1[j]
 	// (left-associated, identical per element to two sequential Axpys).
 	Axpy2 func(a0, a1 float32, x0, x1, dst []float32) = axpy2Scalar
-	// Panel2x2 is the blocked-GeMM micro-kernel: two C rows by two k
-	// steps, c0[j] = c0[j] + s00*b0[j] + s01*b1[j] and
-	// c1[j] = c1[j] + s10*b0[j] + s11*b1[j].
-	Panel2x2 func(s00, s01, s10, s11 float32, b0, b1, c0, c1 []float32) = panel2x2Scalar
-	// Dot4 computes the a·b dot product with four independent partial
-	// sums reduced as (d0+d1)+(d2+d3).
-	Dot4 func(a, b []float32) float32 = dot4Scalar
-	// Dot4Pair computes a0·b and a1·b together so b is loaded once; each
-	// dot keeps Dot4's exact partial-sum split.
-	Dot4Pair func(a0, a1, b []float32) (float32, float32) = dot4PairScalar
+	// Tile is the GeMM register-tile microkernel. For the rows x cols tile
+	// of C at c (row stride cs; rows <= MR, cols <= NR) it starts every
+	// accumulator from C (acc) or from 0, adds a[i*ars+p*aks] * b[p*bs+j]
+	// for p ascending over [0, k) — product and sum each rounded to
+	// float32 on amd64, fused as the compiler fuses them on arm64 — and
+	// writes C once. A's two strides are what make A*B (ars = stride,
+	// aks = 1) and Aᵀ*B (ars = 1, aks = stride) the same kernel.
+	Tile func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) = tileScalar
+	// ReLU computes dst[j] = src[j] unless src[j] <= 0, then +0: a NaN
+	// propagates (the numeric guard downstream must see it), -0 does not.
+	// dst may be src.
+	ReLU func(dst, src []float32) = reluScalar
+	// ReLUMask computes dst[j] = grad[j] where act[j] > 0, else +0. dst may
+	// be grad or act.
+	ReLUMask func(dst, grad, act []float32) = reluMaskScalar
+)
+
+// MR x NR is the C tile one Tile call owns: four rows of two 8-float
+// vectors is eight accumulators, which with two B vectors, a broadcast A
+// element and a product fit the sixteen YMM registers.
+const (
+	MR = 4
+	NR = 16
 )
 
 var impl = "scalar"
@@ -93,59 +109,86 @@ func axpy2Scalar(a0, a1 float32, x0, x1, dst []float32) {
 	}
 }
 
-func panel2x2Scalar(s00, s01, s10, s11 float32, b0, b1, c0, c1 []float32) {
-	n := len(c0)
-	b0 = b0[:n]
-	b1 = b1[:n]
-	c1 = c1[:n]
-	for j := 0; j < n; j++ {
-		v0, v1 := b0[j], b1[j]
-		c0[j] = c0[j] + s00*v0 + s01*v1
-		c1[j] = c1[j] + s10*v0 + s11*v1
+// tileScalar is the oracle and the default build's path. It walks the tile
+// in 2 x 2 register blocks over the whole k extent; the row and column past
+// the tile's last are clamped onto it, so an edge block recomputes and
+// rewrites its last row or column instead of branching.
+func tileScalar(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) {
+	checkTile(rows, cols, k, a, ars, aks, b, bs, c, cs)
+	if k == 0 {
+		for i := 0; i < rows && !acc; i++ {
+			clear(c[i*cs : i*cs+cols])
+		}
+		return
+	}
+	for i0 := 0; i0 < rows; i0 += 2 {
+		i1 := min(i0+1, rows-1)
+		a0, a1, c0, c1 := a[i0*ars:], a[i1*ars:], c[i0*cs:], c[i1*cs:]
+		for j0 := 0; j0 < cols; j0 += 2 {
+			j1 := min(j0+1, cols-1)
+			var s00, s01, s10, s11 float32
+			if acc {
+				s00, s01, s10, s11 = c0[j0], c0[j1], c1[j0], c1[j1]
+			}
+			c0[j0], c0[j1], c1[j0], c1[j1] = dot2x2(k, a0, a1, aks, b[j0:], b[j1:], bs, s00, s01, s10, s11)
+		}
 	}
 }
 
-func dot4Scalar(a, b []float32) float32 {
-	n := len(a)
-	b = b[:n]
-	var d0, d1, d2, d3 float32
-	p := 0
-	for ; p+4 <= n; p += 4 {
-		d0 += a[p] * b[p]
-		d1 += a[p+1] * b[p+1]
-		d2 += a[p+2] * b[p+2]
-		d3 += a[p+3] * b[p+3]
+// dot2x2 adds k products to each of four sums: two rows of A, strided by
+// aks, against two columns of B, strided by bs. Four accumulators, two
+// operands and a product each are what the compiler keeps in registers (a
+// 4 x 2 block spills); slices of one length indexed by one offset cost one
+// bounds check per operand per step.
+func dot2x2(k int, a0, a1 []float32, aks int, b0, b1 []float32, bs int, s00, s01, s10, s11 float32) (float32, float32, float32, float32) {
+	a0, b0 = a0[:len(a1)], b0[:len(b1)]
+	for ao, bo := 0, 0; k > 0; k, ao, bo = k-1, ao+aks, bo+bs {
+		x0, x1 := b0[bo], b1[bo]
+		y := a0[ao]
+		s00 += y * x0
+		s01 += y * x1
+		y = a1[ao]
+		s10 += y * x0
+		s11 += y * x1
 	}
-	dot := (d0 + d1) + (d2 + d3)
-	for ; p < n; p++ {
-		dot += a[p] * b[p]
-	}
-	return dot
+	return s00, s01, s10, s11
 }
 
-func dot4PairScalar(a0, a1, b []float32) (float32, float32) {
-	n := len(a0)
-	a1 = a1[:n]
-	b = b[:n]
-	var p0, p1, p2, p3 float32
-	var q0, q1, q2, q3 float32
-	p := 0
-	for ; p+4 <= n; p += 4 {
-		r0, r1, r2, r3 := b[p], b[p+1], b[p+2], b[p+3]
-		p0 += a0[p] * r0
-		p1 += a0[p+1] * r1
-		p2 += a0[p+2] * r2
-		p3 += a0[p+3] * r3
-		q0 += a1[p] * r0
-		q1 += a1[p+1] * r1
-		q2 += a1[p+2] * r2
-		q3 += a1[p+3] * r3
+// checkTile panics unless the tile is inside MR x NR and the furthest element
+// each operand's strides reach is inside its slice — the proof the assembly
+// bodies, which index raw pointers, run behind.
+func checkTile(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int) {
+	if rows < 1 || rows > MR || cols < 1 || cols > NR || k < 0 || ars < 0 || aks < 0 || bs < 0 || cs < 0 {
+		panic("kernel: Tile extent outside 1..MR x 1..NR or a negative stride")
 	}
-	d0 := (p0 + p1) + (p2 + p3)
-	d1 := (q0 + q1) + (q2 + q3)
-	for ; p < n; p++ {
-		d0 += a0[p] * b[p]
-		d1 += a1[p] * b[p]
+	_ = c[(rows-1)*cs+cols-1]
+	if k > 0 {
+		_ = a[(rows-1)*ars+(k-1)*aks]
+		_ = b[(k-1)*bs+cols-1]
 	}
-	return d0, d1
+}
+
+// reluScalar and reluMaskScalar select with integer masks, not branches (on
+// activations the sign of an element is a coin flip), each from one unsigned
+// range test on the float's bits that the NEON bodies repeat lane for lane.
+func reluScalar(dst, src []float32) {
+	src = src[:len(dst)]
+	for j, v := range src {
+		u := math.Float32bits(v)
+		// !(v <= 0): adding 0x007fffff wraps the -NaNs, [0xff800001,
+		// 0xffffffff], round below the positives and +NaNs and leaves -0 and
+		// the negatives, [0x80000000, 0xff800000], alone on top. (+0 lands
+		// among the kept, and is 0 either way.)
+		keep := uint32((int64(u+0x007fffff) - 0x807fffff) >> 63)
+		dst[j] = math.Float32frombits(u & keep)
+	}
+}
+
+func reluMaskScalar(dst, grad, act []float32) {
+	grad, act = grad[:len(dst)], act[:len(dst)]
+	for j := range dst {
+		// act > 0: bits in [1, +Inf's]; bits-1 wraps +0 past every NaN.
+		keep := uint32((int64(math.Float32bits(act[j])-1) - 0x7f800000) >> 63)
+		dst[j] = math.Float32frombits(math.Float32bits(grad[j]) & keep)
+	}
 }

@@ -1,6 +1,9 @@
 package kernel
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // impls bundles one complete candidate implementation of the dispatch
 // table so an arch init can hand it to verifyAndInstall as a unit.
@@ -10,10 +13,14 @@ type impls struct {
 	add2     func(x0, x1, dst []float32)
 	axpy     func(a float32, x, dst []float32)
 	axpy2    func(a0, a1 float32, x0, x1, dst []float32)
-	panel2x2 func(s00, s01, s10, s11 float32, b0, b1, c0, c1 []float32)
-	dot4     func(a, b []float32) float32
-	dot4Pair func(a0, a1, b []float32) (float32, float32)
+	tile     func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool)
+	relu     func(dst, src []float32)
+	reluMask func(dst, grad, act []float32)
 }
+
+// probeErr is why the arch init's candidate was refused: nil when it was
+// installed, or when the build or the CPU offered none.
+var probeErr error
 
 // verifyAndInstall checks a candidate implementation against the scalar
 // kernels on deterministic rounding-sensitive vectors and installs it only
@@ -24,7 +31,7 @@ type impls struct {
 // instead of corrupting training. It runs from init, before any kernel
 // call, so swapping the table is unsynchronized by design.
 func verifyAndInstall(c impls) bool {
-	if !verifyImpls(c) {
+	if probeErr = verifyImpls(c); probeErr != nil {
 		return false
 	}
 	impl = c.name
@@ -32,9 +39,9 @@ func verifyAndInstall(c impls) bool {
 	Add2 = c.add2
 	Axpy = c.axpy
 	Axpy2 = c.axpy2
-	Panel2x2 = c.panel2x2
-	Dot4 = c.dot4
-	Dot4Pair = c.dot4Pair
+	Tile = c.tile
+	ReLU = c.relu
+	ReLUMask = c.reluMask
 	return true
 }
 
@@ -42,13 +49,17 @@ func verifyAndInstall(c impls) bool {
 // for every vector width in use (4 and 8), plus a long run.
 var verifyLens = [...]int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 100}
 
-func verifyImpls(c impls) bool {
-	const maxN = 100
+// verifyImpls returns nil if c matches the scalar kernels bit for bit on
+// every probe, else an error naming the first entry and shape that deviated.
+func verifyImpls(c impls) error {
+	// Strides past every extent the tile probes reach, so a lane that
+	// strays lands on data the comparison sees.
+	const lda, ldb, ldc, maxK = 41, NR + 3, NR + 5, 7
 	// Rounding-sensitive probe data: xorshift-derived floats with full
 	// mantissas, spanning magnitudes and signs, so a single-rounding FMA
 	// where the scalar path double-rounds cannot slip through.
 	mk := func(seed uint64) []float32 {
-		v := make([]float32, maxN)
+		v := make([]float32, maxK*lda)
 		s := seed
 		for i := range v {
 			s ^= s << 13
@@ -58,7 +69,16 @@ func verifyImpls(c impls) bool {
 		}
 		return v
 	}
-	xa, xb, xc, xd := mk(0x9e3779b97f4a7c15), mk(0xbf58476d1ce4e5b9), mk(0x94d049bb133111eb), mk(0x2545f4914f6cdd1d)
+	xa, xb, xd := mk(0x9e3779b97f4a7c15), mk(0xbf58476d1ce4e5b9), mk(0x2545f4914f6cdd1d)
+	// The values a select-by-sign kernel can get wrong, every third
+	// element so each lands in every vector lane: NaN and -NaN, both
+	// zeros, both infinities, the smallest denormals.
+	nan := float32(math.NaN())
+	specials := [...]float32{nan, -nan, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32}
+	xs, xt := mk(0x94d049bb133111eb), mk(0xd6e8feb86659fd93)
+	for i := 0; i+1 < len(xs); i += 3 {
+		xs[i], xt[i+1] = specials[i/3%len(specials)], specials[(i/3+3)%len(specials)]
+	}
 	scalars := [...]float32{1.5, -0.7331, 3.0000002, -1e-8}
 	eq := func(a, b []float32) bool {
 		for i := range a {
@@ -68,59 +88,57 @@ func verifyImpls(c impls) bool {
 		}
 		return true
 	}
-	eq1 := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 	buf := func(src []float32, n int) (got, want []float32) {
 		got = append([]float32(nil), src[:n]...)
 		want = append([]float32(nil), src[:n]...)
 		return got, want
 	}
+
+	var a0, a1 float32
+	vector := [...]struct {
+		entry     string
+		dst       []float32 // dst's prior contents
+		cand, ref func(n int, dst []float32)
+	}{
+		{"Add", xd, func(n int, d []float32) { c.add(xa[:n], d) }, func(n int, d []float32) { addScalar(xa[:n], d) }},
+		{"Add2", xd, func(n int, d []float32) { c.add2(xa[:n], xb[:n], d) }, func(n int, d []float32) { add2Scalar(xa[:n], xb[:n], d) }},
+		{"Axpy", xd, func(n int, d []float32) { c.axpy(a0, xa[:n], d) }, func(n int, d []float32) { axpyScalar(a0, xa[:n], d) }},
+		{"Axpy2", xd, func(n int, d []float32) { c.axpy2(a0, a1, xa[:n], xb[:n], d) }, func(n int, d []float32) { axpy2Scalar(a0, a1, xa[:n], xb[:n], d) }},
+		{"ReLU", xd, func(n int, d []float32) { c.relu(d, xs[:n]) }, func(n int, d []float32) { reluScalar(d, xs[:n]) }},
+		{"ReLU(dst = src)", xs, func(n int, d []float32) { c.relu(d, d) }, func(n int, d []float32) { reluScalar(d, d) }},
+		{"ReLUMask", xd, func(n int, d []float32) { c.reluMask(d, xs[:n], xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], xt[:n]) }},
+		{"ReLUMask(dst = grad)", xs, func(n int, d []float32) { c.reluMask(d, d, xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, d, xt[:n]) }},
+		{"ReLUMask(dst = act)", xt, func(n int, d []float32) { c.reluMask(d, xs[:n], d) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], d) }},
+	}
 	for _, n := range verifyLens {
-		a0, a1 := scalars[n%len(scalars)], scalars[(n+1)%len(scalars)]
-
-		got, want := buf(xd, n)
-		c.add(xa[:n], got)
-		addScalar(xa[:n], want)
-		if !eq(got, want) {
-			return false
-		}
-
-		got, want = buf(xd, n)
-		c.add2(xa[:n], xb[:n], got)
-		add2Scalar(xa[:n], xb[:n], want)
-		if !eq(got, want) {
-			return false
-		}
-
-		got, want = buf(xd, n)
-		c.axpy(a0, xa[:n], got)
-		axpyScalar(a0, xa[:n], want)
-		if !eq(got, want) {
-			return false
-		}
-
-		got, want = buf(xd, n)
-		c.axpy2(a0, a1, xa[:n], xb[:n], got)
-		axpy2Scalar(a0, a1, xa[:n], xb[:n], want)
-		if !eq(got, want) {
-			return false
-		}
-
-		g0, w0 := buf(xc, n)
-		g1, w1 := buf(xd, n)
-		c.panel2x2(a0, a1, -a1, a0, xa[:n], xb[:n], g0, g1)
-		panel2x2Scalar(a0, a1, -a1, a0, xa[:n], xb[:n], w0, w1)
-		if !eq(g0, w0) || !eq(g1, w1) {
-			return false
-		}
-
-		if !eq1(c.dot4(xa[:n], xb[:n]), dot4Scalar(xa[:n], xb[:n])) {
-			return false
-		}
-		gd0, gd1 := c.dot4Pair(xa[:n], xb[:n], xc[:n])
-		wd0, wd1 := dot4PairScalar(xa[:n], xb[:n], xc[:n])
-		if !eq1(gd0, wd0) || !eq1(gd1, wd1) {
-			return false
+		a0, a1 = scalars[n%len(scalars)], scalars[(n+1)%len(scalars)]
+		for _, p := range vector {
+			got, want := buf(p.dst, n)
+			p.cand(n, got)
+			p.ref(n, want)
+			if !eq(got, want) {
+				return fmt.Errorf("kernel: %s %s deviates from scalar at length %d", c.name, p.entry, n)
+			}
 		}
 	}
-	return true
+
+	// Every tile extent, both orientations of A's strides, both accumulate
+	// modes, k empty, single, even and odd; C sits inside a guard band the
+	// comparison covers.
+	for _, k := range [...]int{0, 1, 2, maxK} {
+		for t := 0; t < MR*NR*4; t++ {
+			rows, cols, ars, aks, acc := 1+t%MR, 1+t/MR%NR, lda, 1, t/(MR*NR)&1 == 1
+			if t/(MR*NR)&2 == 2 {
+				ars, aks = 1, lda
+			}
+			got, want := buf(xd, 5+MR*ldc)
+			c.tile(rows, cols, k, xa, ars, aks, xb, ldb, got[5:], ldc, acc)
+			tileScalar(rows, cols, k, xa, ars, aks, xb, ldb, want[5:], ldc, acc)
+			if !eq(got, want) {
+				return fmt.Errorf("kernel: %s Tile deviates from scalar at rows=%d cols=%d k=%d strides=(%d,%d) acc=%v",
+					c.name, rows, cols, k, ars, aks, acc)
+			}
+		}
+	}
+	return nil
 }

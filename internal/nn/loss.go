@@ -58,6 +58,9 @@ func SoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask []bool, g
 		panic("nn: norm must be positive")
 	}
 	inv := 1 / float64(norm)
+	// One row's exponentials, computed once for the row sum and read again
+	// for the gradient — in float64, so both are the bits two calls gave.
+	exps := make([]float64, logits.Cols)
 	var lossSum float64
 	for i := 0; i < logits.Rows; i++ {
 		gr := grad.Row(i)
@@ -76,15 +79,15 @@ func SoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask []bool, g
 			}
 		}
 		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - mx))
+		for j, v := range row {
+			exps[j] = math.Exp(float64(v - mx))
+			sum += exps[j]
 		}
 		lbl := int(labels[i])
 		logp := float64(row[lbl]-mx) - math.Log(sum)
 		lossSum -= logp
 		for j := range gr {
-			p := math.Exp(float64(row[j]-mx)) / sum
-			g := p
+			g := exps[j] / sum
 			if j == lbl {
 				g -= 1
 			}

@@ -196,10 +196,10 @@ func (d *Dense) FrobeniusNorm() float64 {
 
 // Transpose returns a newly allocated transpose of d.
 func (d *Dense) Transpose() *Dense {
-	t := NewDense(d.Cols, d.Rows)
 	if d.Data == nil {
-		return &Dense{Rows: d.Cols, Cols: d.Rows, Stride: d.Rows}
+		return NewPhantom(d.Cols, d.Rows)
 	}
+	t := NewDense(d.Cols, d.Rows)
 	for i := 0; i < d.Rows; i++ {
 		row := d.Row(i)
 		for j, v := range row {

@@ -6,27 +6,22 @@ import (
 	"mggcn/internal/kernel"
 )
 
-// ReLU writes max(x, 0) elementwise from src into dst (aliasing allowed;
-// dst may be src itself). Shapes must match.
+// ReLU writes src into dst with every element <= 0 replaced by +0 (aliasing
+// allowed; dst may be src itself). A NaN is not <= 0 and passes through, so a
+// corrupted layer reaches the loss's numeric guard instead of training on.
+// Shapes must match.
 func ReLU(dst, src *Dense) {
 	checkSameShape(dst, src, "ReLU")
 	if dst.IsPhantom() || src.IsPhantom() {
 		return
 	}
 	for i := 0; i < src.Rows; i++ {
-		rs, rd := src.Row(i), dst.Row(i)
-		for j, v := range rs {
-			if v > 0 {
-				rd[j] = v
-			} else {
-				rd[j] = 0
-			}
-		}
+		kernel.ReLU(dst.Row(i), src.Row(i))
 	}
 }
 
 // ReLUBackward writes grad * 1[act > 0] into dst, where act is the
-// post-activation output of the forward ReLU. dst may alias grad.
+// post-activation output of the forward ReLU. dst may alias grad or act.
 func ReLUBackward(dst, grad, act *Dense) {
 	checkSameShape(dst, grad, "ReLUBackward")
 	checkSameShape(dst, act, "ReLUBackward")
@@ -34,14 +29,7 @@ func ReLUBackward(dst, grad, act *Dense) {
 		return
 	}
 	for i := 0; i < dst.Rows; i++ {
-		rg, ra, rd := grad.Row(i), act.Row(i), dst.Row(i)
-		for j := range rd {
-			if ra[j] > 0 {
-				rd[j] = rg[j]
-			} else {
-				rd[j] = 0
-			}
-		}
+		kernel.ReLUMask(dst.Row(i), grad.Row(i), act.Row(i))
 	}
 }
 

@@ -129,16 +129,31 @@ func TestGemmPropertyBitIdentical(t *testing.T) {
 		check("Gemm", flat, func(c *Dense) { Gemm(tc.alpha, a, b, tc.beta, c) })
 		flatTA := run(func(c *Dense) { GemmFlat(tc.alpha, at.Transpose(), b, tc.beta, c) })
 		check("GemmTA", flatTA, func(c *Dense) { GemmTA(tc.alpha, at, b, tc.beta, c) })
-		// GemmTB sums each dot product in four partial sums, so the
-		// sequential kernel, not the flat oracle, is its reference.
-		seqTB := run(func(c *Dense) { GemmTB(tc.alpha, a, bt, tc.beta, c) })
+		flatTB := run(func(c *Dense) { GemmFlat(tc.alpha, a, bt.Transpose(), tc.beta, c) })
+		check("GemmTB", flatTB, func(c *Dense) { GemmTB(tc.alpha, a, bt, tc.beta, c) })
 		for w := 1; w <= 8; w++ {
 			check(fmt.Sprintf("ParallelGemm/workers=%d", w), flat,
 				func(c *Dense) { ParallelGemm(tc.alpha, a, b, tc.beta, c, w) })
 			check(fmt.Sprintf("ParallelGemmTA/workers=%d", w), flatTA,
 				func(c *Dense) { ParallelGemmTA(tc.alpha, at, b, tc.beta, c, w) })
-			check(fmt.Sprintf("ParallelGemmTB/workers=%d", w), seqTB,
+			check(fmt.Sprintf("ParallelGemmTB/workers=%d", w), flatTB,
 				func(c *Dense) { ParallelGemmTB(tc.alpha, a, bt, tc.beta, c, w) })
 		}
+	}
+}
+
+// TestGemmAccumulatesOntoNegativeZero: C preloaded with -0, beta = 1 and an
+// all-zero A. The oracle performs every -0 + 0*b and ends on +0; a kernel
+// that skips zero tiles of A would leave -0.
+func TestGemmAccumulatesOntoNegativeZero(t *testing.T) {
+	a, b := NewDense(5, 9), NewDense(9, 17)
+	b.Fill(1)
+	c := NewDense(5, 17)
+	c.Fill(float32(math.Copysign(0, -1)))
+	flat := c.Clone()
+	GemmFlat(1, a, b, 1, flat)
+	Gemm(1, a, b, 1, c)
+	if !bitsEqual(c, flat) {
+		t.Fatalf("Gemm leaves %#08x where GemmFlat writes %#08x", math.Float32bits(c.Data[0]), math.Float32bits(flat.Data[0]))
 	}
 }

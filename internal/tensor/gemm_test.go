@@ -49,15 +49,15 @@ func TestGemmBetaZeroOverwritesGarbage(t *testing.T) {
 }
 
 func TestGemmLargeK(t *testing.T) {
-	// k spans multiple blockK tiles to exercise the k-blocking path.
+	// k far beyond one tile call's usual extent.
 	rng := rand.New(rand.NewSource(8))
-	a, b := randomDense(rng, 3, 3*blockK+5), randomDense(rng, 3*blockK+5, 4)
+	a, b := randomDense(rng, 3, 3*kPanel+5), randomDense(rng, 3*kPanel+5, 4)
 	c := NewDense(3, 4)
 	want := NewDense(3, 4)
 	Gemm(1, a, b, 0, c)
 	naiveGemm(1, a, b, 0, want)
 	if MaxAbsDiff(c, want) > 1e-2 {
-		t.Fatalf("blocked k mismatch: %g", MaxAbsDiff(c, want))
+		t.Fatalf("large k mismatch: %g", MaxAbsDiff(c, want))
 	}
 }
 

@@ -110,13 +110,18 @@ go test -timeout 30m ./...
 
 echo "==> SIMD kernel suite (-tags simd)"
 # The same kernel-adjacent suites with the assembly microkernels installed:
-# dispatch + bit-identity tables, sparse and dense kernels, and the
-# end-to-end replay parity tests. The default (tags-off) build of these
-# packages is covered by the full runs above; -race stays on the scalar path
-# because the detector cannot see assembly.
+# dispatch + bit-identity tables, the GeMM property tests against the flat
+# oracle, sparse and dense kernels, the loss, and the end-to-end replay parity
+# tests. internal/kernel's TestVectorImplInstalled fails the leg when the CPU
+# qualifies and the table is still scalar — otherwise a kernel that fails its
+# init probe would leave every test here comparing scalar with scalar. The
+# default (tags-off) build of these packages is covered by the full runs
+# above; -race stays on the scalar path because the detector cannot see
+# assembly (its checkptr does see the wrappers that hand the assembly its
+# pointers).
 go vet -tags simd ./...
 go build -tags simd ./...
-go test -tags simd -timeout 30m ./internal/kernel/ ./internal/sparse/ ./internal/tensor/ ./internal/core/
+go test -tags simd -timeout 30m ./internal/kernel/ ./internal/sparse/ ./internal/tensor/ ./internal/nn/ ./internal/core/
 
 echo "==> benchmark module (-tags simd)"
 # benchmark/ is a module of its own (replace mggcn => ../), so ./... never
@@ -126,13 +131,16 @@ go vet -C benchmark -tags simd ./...
 go test -C benchmark -tags simd ./...
 
 echo "==> arm64 cross-compile (NEON path)"
+# The NEON bodies cannot run here; vet's asmdecl still holds their frames to
+# the Go declarations.
 GOOS=linux GOARCH=arm64 go build -tags simd ./...
+GOOS=linux GOARCH=arm64 go vet -tags simd ./...
 
 echo "==> benchmark smoke"
 # One iteration per benchmark, no tests: keeps the kernel benchmarks
-# (flat-vs-blocked pairs, pool scaling) compiling and runnable so they
-# can't silently rot. Timings from a single iteration are meaningless and
-# are discarded.
+# (the workloads' layer shapes, flat-vs-tiled pairs, pool scaling) compiling
+# and runnable so they can't silently rot. Timings from a single iteration
+# are meaningless and are discarded.
 go test -bench . -benchtime=1x -run '^$' ./... > /dev/null
 
 echo "All checks passed."
