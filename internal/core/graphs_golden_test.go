@@ -15,7 +15,35 @@ import (
 	"mggcn/internal/sim"
 )
 
-var updateGraphsGolden = flag.Bool("update", false, "rewrite testdata/graphs.golden from this tree")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/graphs.golden and testdata/curves.golden from this tree")
+
+// goldenBTER is the 200-vertex fixture both golden files are generated on.
+var goldenBTER = gen.DefaultBTER(200, 8, 41)
+
+// checkGolden compares out with the committed golden file line by line, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path string, out []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := bytes.Split(out, []byte{'\n'}), bytes.Split(want, []byte{'\n'})
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%s: %d lines, golden has %d", path, len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if !bytes.Equal(gotLines[i], wantLines[i]) {
+			t.Errorf("%s line %d changed:\n got %s\nwant %s", path, i+1, gotLines[i], wantLines[i])
+		}
+	}
+}
 
 // graphDigest is one golden line: everything a recorder refactor could move.
 // The task hash covers each task's own fields in issue order; the
@@ -62,9 +90,8 @@ func graphDigest(name string, tg *sim.Graph, epochSeconds float64) string {
 // byte-identical; `go test ./internal/core -run RecordedGraphsGolden -update`
 // rewrites the file when a graph is meant to change.
 func TestRecordedGraphsGolden(t *testing.T) {
-	bter := gen.DefaultBTER(200, 8, 41)
-	realG := gen.Generate("graphs-golden", bter, 12, 4, false)
-	phantom := gen.Generate("graphs-golden", bter, 12, 4, true)
+	realG := gen.Generate("graphs-golden", goldenBTER, 12, 4, false)
+	phantom := gen.Generate("graphs-golden", goldenBTER, 12, 4, true)
 	onOff := map[bool]string{true: "on", false: "off"}
 
 	var out bytes.Buffer
@@ -113,24 +140,5 @@ func TestRecordedGraphsGolden(t *testing.T) {
 		out.WriteString(graphDigest("sampled/p4/pipeline-"+onOff[pipeline], tr.LastGraph(), stats.EpochSeconds))
 	}
 
-	const path = "testdata/graphs.golden"
-	if *updateGraphsGolden {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLines, wantLines := bytes.Split(out.Bytes(), []byte{'\n'}), bytes.Split(want, []byte{'\n'})
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d digest lines, golden has %d", len(gotLines), len(wantLines))
-	}
-	for i := range gotLines {
-		if !bytes.Equal(gotLines[i], wantLines[i]) {
-			t.Errorf("recorded graph changed:\n got %s\nwant %s", gotLines[i], wantLines[i])
-		}
-	}
+	checkGolden(t, "testdata/graphs.golden", out.Bytes())
 }
