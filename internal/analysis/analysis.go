@@ -144,9 +144,18 @@ func methodInfo(info *types.Info, call *ast.CallExpr) (pkgPath, typeName, method
 	if fn == nil {
 		return "", "", ""
 	}
+	if pkgPath, typeName = receiverOf(fn); typeName == "" {
+		return "", "", ""
+	}
+	return pkgPath, typeName, fn.Name()
+}
+
+// receiverOf returns the defining package path and named-type name of fn's
+// receiver (pointer or value), or "" when fn is not a method of a named type.
+func receiverOf(fn *types.Func) (pkgPath, typeName string) {
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
-		return "", "", ""
+		return "", ""
 	}
 	t := recv.Type()
 	if ptr, ok := t.(*types.Pointer); ok {
@@ -154,13 +163,12 @@ func methodInfo(info *types.Info, call *ast.CallExpr) (pkgPath, typeName, method
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		return "", "", ""
+		return "", ""
 	}
-	path := ""
 	if fn.Pkg() != nil {
-		path = fn.Pkg().Path()
+		pkgPath = fn.Pkg().Path()
 	}
-	return path, named.Obj().Name(), fn.Name()
+	return pkgPath, named.Obj().Name()
 }
 
 // isMethod reports whether call invokes method on the named type

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -16,6 +17,11 @@ import (
 // phantom mode: either it dereferences a view of an unmaterialized buffer,
 // or it silently does real work the structure-only mode is supposed to
 // skip.
+//
+// Two places in internal/core take the decision once for many call sites and
+// are known to the rule by name: layerRecorder.compute invokes its per-device
+// bind callback only for real operands, and methods of sampledDevice run only
+// over real storage (NewSampledTrainer rejects phantom datasets first).
 //
 // The packages that *define* the kernels (internal/tensor,
 // internal/sparse) are exempt — phantom handling lives inside the kernels
@@ -108,35 +114,14 @@ func isEarlyExitGuard(stmt ast.Stmt) bool {
 	return len(body) > 0 && terminates(body[len(body)-1])
 }
 
-// isBindRegistration reports whether lit at stack position i is an argument
-// to a (*sim.Graph) Bind-family call (Bind/BindShaped/E variants) —
-// the task-closure registration points of the record/execute split.
-func isBindRegistration(pass *Pass, lit *ast.FuncLit, stack []ast.Node, i int) bool {
+// argOfMethod reports whether lit at stack position i is an argument of a
+// call to one of the named methods of pkgPath.typeName.
+func argOfMethod(pass *Pass, lit *ast.FuncLit, stack []ast.Node, i int, pkgPath, typeName string, methods ...string) bool {
 	if i == 0 {
 		return false
 	}
 	call, ok := stack[i-1].(*ast.CallExpr)
-	if !ok || !isMethod(pass.Pkg.Info, call, "mggcn/internal/sim", "Graph", "Bind", "BindE", "BindShaped", "BindShapedE") {
-		return false
-	}
-	for _, arg := range call.Args {
-		if arg == lit {
-			return true
-		}
-	}
-	return false
-}
-
-// isRetryMove reports whether lit at stack position i is the move argument
-// of the collectives' (*comm.Group).retry attempt loop. The move closure
-// runs exactly when its enclosing bound closure runs, so phantom guards
-// outside it still dominate at execution time.
-func isRetryMove(pass *Pass, lit *ast.FuncLit, stack []ast.Node, i int) bool {
-	if i == 0 {
-		return false
-	}
-	call, ok := stack[i-1].(*ast.CallExpr)
-	if !ok || !isMethod(pass.Pkg.Info, call, "mggcn/internal/comm", "Group", "retry") {
+	if !ok || !isMethod(pass.Pkg.Info, call, pkgPath, typeName, methods...) {
 		return false
 	}
 	for _, arg := range call.Args {
@@ -174,16 +159,26 @@ func guarded(pass *Pass, call *ast.CallExpr, stack []ast.Node) bool {
 				}
 			}
 		case *ast.FuncDecl:
-			// A guard outside the innermost function doesn't dominate the
-			// closure body at execution time.
+			// A guard outside the innermost function doesn't dominate its body
+			// at execution time — unless it is a method of core's sampledDevice.
+			if fn, ok := pass.Pkg.Info.Defs[n.Name].(*types.Func); ok {
+				pkg, typ := receiverOf(fn)
+				return pkg == "mggcn/internal/core" && typ == "sampledDevice"
+			}
 			return false
 		case *ast.FuncLit:
-			// Same for a general closure — except one registered via a
-			// (*sim.Graph) Bind-family call, or the move closure of the
-			// collectives' retry loop: those closures only run when the
-			// registration site ran, so a phantom guard dominating it
-			// dominates the closure body too. Keep walking outward.
-			if !isBindRegistration(pass, n, stack, i) && !isRetryMove(pass, n, stack, i) {
+			// Same for a general closure, with three exceptions. For the bind
+			// callback of core's layerRecorder.compute the recorder is the
+			// phantom decision. A closure registered via a (*sim.Graph)
+			// Bind-family call, and the move closure of the collectives'
+			// (*comm.Group).retry attempt loop, run only when the registration
+			// site ran, so a phantom guard dominating it dominates the closure
+			// body too: keep walking outward.
+			if argOfMethod(pass, n, stack, i, "mggcn/internal/core", "layerRecorder", "compute") {
+				return true
+			}
+			if !argOfMethod(pass, n, stack, i, "mggcn/internal/sim", "Graph", "Bind", "BindE", "BindShaped", "BindShapedE") &&
+				!argOfMethod(pass, n, stack, i, "mggcn/internal/comm", "Group", "retry") {
 				return false
 			}
 		}

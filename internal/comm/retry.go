@@ -84,12 +84,6 @@ type RetryPolicy struct {
 	Multiplier  float64       // per-failure growth factor (<= 0: 2)
 }
 
-// DefaultRetryPolicy is the production setting: 4 attempts backing off
-// 1ms, 2ms, 4ms.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, Multiplier: 2}
-}
-
 // Backoff returns the delay to sleep after the n-th failed attempt
 // (1-based): BaseDelay·Multiplier^(n-1), capped at MaxDelay.
 func (p RetryPolicy) Backoff(n int) time.Duration {

@@ -240,7 +240,7 @@ func TestAllReduceRetriesPreserveBitIdentity(t *testing.T) {
 
 func TestSubRemovesMember(t *testing.T) {
 	c := newGroup(4)
-	c.Retry = DefaultRetryPolicy()
+	c.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, Multiplier: 2}
 	c.Clock = &stubClock{}
 	gate := &scriptedGate{}
 	c.Gate = gate

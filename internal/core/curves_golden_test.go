@@ -43,7 +43,9 @@ func TestTrainingCurvesGolden(t *testing.T) {
 	g := gen.Generate("graphs-golden", goldenBTER, 12, 4, false)
 	onOff := map[bool]string{true: "on", false: "off"}
 
-	var out bytes.Buffer
+	// overlap collects the second block: the full-batch and GAT OverlapRatio
+	// bits, a field those epochs gained with the one stats type.
+	var out, overlap bytes.Buffer
 	out.WriteString("# full-batch: per epoch Loss, TrainAcc, TestAcc\n")
 	for _, st := range []Strategy{Strategy1DRow, Strategy1DCol, Strategy15D} {
 		for _, p := range []int{st.replicationFactor(), 4} {
@@ -55,6 +57,7 @@ func TestTrainingCurvesGolden(t *testing.T) {
 			}
 			for e, s := range mustTrain(tr, 3) {
 				fmt.Fprintf(&out, "%s/p%d e%d loss=%s train=%s test=%s\n", st, p, e, bits(s.Loss), bits(s.TrainAcc), bits(s.TestAcc))
+				fmt.Fprintf(&overlap, "%s/p%d e%d overlap=%s\n", st, p, e, bits(s.OverlapRatio))
 			}
 		}
 	}
@@ -68,7 +71,8 @@ func TestTrainingCurvesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		logits, _ := mustGATForward(dist)
+		logits, stats := mustGATForward(dist)
+		fmt.Fprintf(&overlap, "gat/p%d overlap=%s\n", p, bits(stats.OverlapRatio))
 		h := sha256.New()
 		if err := binary.Write(h, binary.LittleEndian, logits.Data); err != nil {
 			t.Fatal(err)
@@ -133,5 +137,7 @@ func TestTrainingCurvesGolden(t *testing.T) {
 	fmt.Fprintf(&out, "elastic/sampled events=%s final_p=%d epochs=%d loss=%s\n",
 		eventLog(sres.Events), sres.FinalP, len(sres.Stats), bits(sres.Stats[len(sres.Stats)-1].Loss))
 
+	out.WriteString("# full-batch and gat OverlapRatio: mean busy streams per device (the one stats type fills it for every epoch)\n")
+	out.Write(overlap.Bytes())
 	checkGolden(t, "testdata/curves.golden", out.Bytes())
 }

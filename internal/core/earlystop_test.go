@@ -17,7 +17,7 @@ func TestSampledEarlyStopping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.ValVertexCount() == 0 {
+		if len(tr.valVerts) == 0 {
 			t.Fatal("test graph has no validation vertices")
 		}
 		plain, err := tr.Train(budget)

@@ -58,25 +58,16 @@ type RecoveryEvent struct {
 	P      int    `json:"p"`      // group size after recovery
 }
 
-// ElasticResult is TrainElastic's report: the per-epoch stats of the
-// effective (completed) epochs, the recovery log, and the surviving
-// trainer.
-type ElasticResult struct {
+// ElasticResult is an elastic run's report — TrainElastic's over *Trainer,
+// TrainSampledElastic's over *SampledTrainer: the per-epoch stats of the
+// effective (completed) epochs, the recovery log, and the surviving trainer.
+type ElasticResult[T any] struct {
 	Stats  []*EpochStats
 	Events []RecoveryEvent
 	FinalP int
 	// Trainer is the (possibly rebuilt, smaller) trainer that finished the
 	// run — the caller's handle for checkpointing or further epochs.
-	Trainer *Trainer
-}
-
-// SampledElasticResult is TrainSampledElastic's report, field for field
-// ElasticResult's.
-type SampledElasticResult struct {
-	Stats   []*SampledEpochStats
-	Events  []RecoveryEvent
-	FinalP  int
-	Trainer *SampledTrainer
+	Trainer T
 }
 
 // maxConsecutiveRecoveries bounds how many times one epoch may be retried
@@ -105,12 +96,11 @@ type recoveryPolicy struct {
 	patience int
 }
 
-// elasticTrainer is what the elastic loop needs of a trainer T producing
-// per-epoch stats S.
-type elasticTrainer[T any, S epochStats] interface {
+// elasticTrainer is what the elastic loop needs of a trainer T.
+type elasticTrainer[T any] interface {
 	// RunEpoch trains one unit of recovery; after an error the trainer's
 	// position is unchanged, so calling it again re-runs the same work.
-	RunEpoch() (S, error)
+	RunEpoch() (*EpochStats, error)
 	model() *replicas
 	env() *execEnv
 	recoveryPolicy() recoveryPolicy
@@ -122,9 +112,9 @@ type elasticTrainer[T any, S epochStats] interface {
 
 // elasticRun is one elastic training run: the current trainer (replaced on
 // every shrink), the effective epochs' stats, and the recovery log.
-type elasticRun[T elasticTrainer[T, S], S epochStats] struct {
+type elasticRun[T elasticTrainer[T]] struct {
 	tr     T
-	log    runLog[S]
+	log    runLog
 	events []RecoveryEvent
 }
 
@@ -133,7 +123,7 @@ type elasticRun[T elasticTrainer[T, S], S epochStats] struct {
 // the partial run in place: an unclassified error and an eviction with
 // nobody left to evict come back as they are, an exhausted recovery budget
 // or a failed recovery wrap the epoch's error.
-func (r *elasticRun[T, S]) train(epochs int) error {
+func (r *elasticRun[T]) train(epochs int) error {
 	pol := r.tr.recoveryPolicy()
 	r.log.patience = pol.patience
 	for e, consecutive := 0, 0; e < epochs; {
@@ -199,7 +189,7 @@ func (r *elasticRun[T, S]) train(epochs int) error {
 // resync the survivors from it, acknowledge the removal to the injector,
 // rebuild at P-1, and restore the agreed state onto the new replicas. It
 // completes ev, whose Detail may already say why the device is leaving.
-func (r *elasticRun[T, S]) shrink(ev RecoveryEvent, pol recoveryPolicy, lostDev int, snap *modelState) (RecoveryEvent, error) {
+func (r *elasticRun[T]) shrink(ev RecoveryEvent, pol recoveryPolicy, lostDev int, snap *modelState) (RecoveryEvent, error) {
 	m, env := r.tr.model(), r.tr.env()
 	p := m.Machine.P
 	if p <= 1 {
@@ -252,18 +242,24 @@ func (r *elasticRun[T, S]) shrink(ev RecoveryEvent, pol recoveryPolicy, lostDev 
 	return ev, nil
 }
 
+// trainElastic runs tr (and whatever it is rebuilt into) for the given
+// number of effective epochs and reports the run.
+func trainElastic[T elasticTrainer[T]](tr T, epochs int) (*ElasticResult[T], error) {
+	run := elasticRun[T]{tr: tr}
+	err := run.train(epochs)
+	return &ElasticResult[T]{Stats: run.log.stats, Events: run.events, FinalP: run.tr.model().Machine.P, Trainer: run.tr}, err
+}
+
 // TrainElastic trains full-batch for the given number of *effective*
 // epochs, recovering from recoverable faults along the way (see the file
 // comment for the taxonomy). On an unrecoverable failure it returns the
 // partial result alongside the error.
-func TrainElastic(g *graph.Graph, cfg Config, epochs int) (*ElasticResult, error) {
+func TrainElastic(g *graph.Graph, cfg Config, epochs int) (*ElasticResult[*Trainer], error) {
 	tr, err := NewTrainer(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	run := elasticRun[*Trainer, *EpochStats]{tr: tr}
-	err = run.train(epochs)
-	return &ElasticResult{Stats: run.log.stats, Events: run.events, FinalP: run.tr.Machine.P, Trainer: run.tr}, err
+	return trainElastic(tr, epochs)
 }
 
 func (tr *Trainer) env() *execEnv { return &tr.Cfg.execEnv }
@@ -288,14 +284,12 @@ func (tr *Trainer) rebuild(p int) (*Trainer, string, error) {
 // for the taxonomy); EarlyStopPatience applies as in SampledTrainer.Train.
 // On an unrecoverable failure it returns the partial result alongside the
 // error.
-func TrainSampledElastic(g *graph.Graph, cfg SampledConfig, epochs int) (*SampledElasticResult, error) {
+func TrainSampledElastic(g *graph.Graph, cfg SampledConfig, epochs int) (*ElasticResult[*SampledTrainer], error) {
 	tr, err := NewSampledTrainer(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	run := elasticRun[*SampledTrainer, *SampledEpochStats]{tr: tr}
-	err = run.train(epochs)
-	return &SampledElasticResult{Stats: run.log.stats, Events: run.events, FinalP: run.tr.Machine.P, Trainer: run.tr}, err
+	return trainElastic(tr, epochs)
 }
 
 func (tr *SampledTrainer) env() *execEnv { return &tr.Cfg.execEnv }

@@ -113,7 +113,7 @@ func TestElasticLattice(t *testing.T) {
 				// leaves the survivors' replicas intact (they resync); every
 				// other failure poisons them.
 				fr := &fakeRun{script: []error{nil, tc.err}, poison: action != "shrink" && action != "evict"}
-				run := elasticRun[*fakeTrainer, *EpochStats]{tr: newFakeTrainer(p, pol, fr)}
+				run := elasticRun[*fakeTrainer]{tr: newFakeTrainer(p, pol, fr)}
 				err := run.train(epochs)
 				if action == "abort" {
 					if err != tc.err {
@@ -170,7 +170,7 @@ func TestElasticLoopBounds(t *testing.T) {
 
 	numeric := &NumericError{What: "loss"}
 	fr := &fakeRun{script: []error{numeric, numeric, numeric, numeric, numeric, numeric}, poison: true}
-	run := elasticRun[*fakeTrainer, *EpochStats]{tr: newFakeTrainer(2, sampled, fr)}
+	run := elasticRun[*fakeTrainer]{tr: newFakeTrainer(2, sampled, fr)}
 	err := run.train(2)
 	var got *NumericError
 	if err == nil || !errors.As(err, &got) || got != numeric || err == error(numeric) {
@@ -184,7 +184,7 @@ func TestElasticLoopBounds(t *testing.T) {
 	gaveUp := &comm.GiveUpError{Label: "allreduce", Attempts: 4, Err: errors.New("transient")}
 	wrapped := asTask(gaveUp)
 	fr = &fakeRun{script: []error{wrapped}}
-	run = elasticRun[*fakeTrainer, *EpochStats]{tr: newFakeTrainer(1, sampled, fr)}
+	run = elasticRun[*fakeTrainer]{tr: newFakeTrainer(1, sampled, fr)}
 	if err := run.train(2); err != wrapped {
 		t.Fatalf("eviction at P=1: error = %v, want the collective's error itself", err)
 	}

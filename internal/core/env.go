@@ -58,21 +58,6 @@ func (e *execEnv) newComm(tg *sim.Graph, memScale int) *comm.Group {
 	return cg
 }
 
-// replay runs tg's recorded closures with the configured executor variant,
-// attaching the registry, observer and fault hook so the graph is
-// self-describing for the sanitizer. A non-nil error is the replay's first
-// task failure (already a *sim.TaskError); the graph is not resumable
-// afterwards.
-func (e *execEnv) replay(tg *sim.Graph, reg *sim.BufRegistry) error {
-	tg.Reg = reg
-	tg.Observer = e.ExecObserver
-	tg.Fault = e.Fault
-	if e.ExecSeed != 0 {
-		return tg.ExecuteAdversarial(e.ExecWorkers, e.ExecSeed)
-	}
-	return tg.Execute(e.ExecWorkers)
-}
-
 // replayer is the model-independent part of a trainer: the simulated machine
 // it records task graphs for, the registry naming every device-resident
 // buffer (slabs, weights, gradients, feature shards) for the sanitizer, and
@@ -92,16 +77,55 @@ func newReplayer(spec sim.MachineSpec, p, memScale int) replayer {
 // epoch times are comparable with the paper's tables (DESIGN.md §2).
 func (r *replayer) s(x int) int { return x * r.Machine.MemScale }
 
-// record starts an empty task graph for the machine and its communicator.
-func (r *replayer) record(env *execEnv) (*sim.Graph, *comm.Group) {
+// epoch owns one recorded epoch from the empty task graph to the filled
+// stats — the one place a graph is started, replayed and scheduled, whatever
+// is being trained. body records the epoch's tasks onto tg (collectives
+// through cg) and returns its fold, which runs after a successful replay and
+// before the schedule: it sums the per-device or per-batch slots the replayed
+// closures filled into the stats, applies the numeric guard, and commits
+// whatever position the trainer keeps. A replay failure or a fold error voids
+// the epoch: nothing was committed, and tg stays reachable via LastGraph. A
+// nil fold has nothing to sum.
+func (r *replayer) epoch(env *execEnv, body func(tg *sim.Graph, cg *comm.Group) (fold func(*EpochStats) error)) (*EpochStats, error) {
 	tg := sim.NewGraph(r.Machine.Spec, r.Machine.P)
-	return tg, env.newComm(tg, r.Machine.MemScale)
-}
-
-// replay runs tg under env and keeps it reachable via LastGraph.
-func (r *replayer) replay(env *execEnv, tg *sim.Graph) error {
+	fold := body(tg, env.newComm(tg, r.Machine.MemScale))
+	// Attach the registry, observer and fault hook, so the graph is
+	// self-describing for the sanitizer, and replay with the configured
+	// executor variant. A failure is the first task's (a *sim.TaskError).
 	r.lastGraph = tg
-	return env.replay(tg, r.reg)
+	tg.Reg, tg.Observer, tg.Fault = r.reg, env.ExecObserver, env.Fault
+	var err error
+	if env.ExecSeed != 0 {
+		err = tg.ExecuteAdversarial(env.ExecWorkers, env.ExecSeed)
+	} else {
+		err = tg.Execute(env.ExecWorkers)
+	}
+	if err != nil {
+		return nil, err
+	}
+	stats := &EpochStats{}
+	if fold != nil {
+		if err := fold(stats); err != nil {
+			return nil, err
+		}
+	}
+	sched := tg.Run()
+	stats.EpochSeconds = sched.Makespan
+	stats.KindBusy = sched.KindBusy
+	stats.Tasks = tg.Tasks
+	stats.Sched = sched
+	if sched.Makespan > 0 {
+		var util float64
+		for _, streams := range sched.DeviceBusy {
+			var busy float64
+			for _, b := range streams {
+				busy += b
+			}
+			util += busy / sched.Makespan
+		}
+		stats.OverlapRatio = util / float64(len(sched.DeviceBusy))
+	}
+	return stats, nil
 }
 
 // LastGraph returns the task graph of the most recent replay (nil before the

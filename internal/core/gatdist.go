@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mggcn/internal/comm"
 	"mggcn/internal/graph"
 	"mggcn/internal/nn"
 	"mggcn/internal/sim"
@@ -80,9 +81,20 @@ func NewGATDist(g *graph.Graph, model *nn.GAT, cfg Config) (*GATDist, error) {
 // A non-nil error is the replay's first task failure (fault-injected or
 // real); the logits are then unusable.
 func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
+	stats, err := d.epoch(&d.Cfg.execEnv, func(tg *sim.Graph, cg *comm.Group) func(*EpochStats) error {
+		d.recordForward(tg, cg)
+		return nil
+	})
+	if err != nil || d.phantom {
+		return nil, stats, err
+	}
+	return d.gatherLogits(d.Model.Dims), stats, nil
+}
+
+// recordForward records the L attention layers onto tg.
+func (d *GATDist) recordForward(tg *sim.Graph, cg *comm.Group) {
 	p := d.Machine.P
 	spec := d.Machine.Spec
-	tg, cg := d.record(&d.Cfg.execEnv)
 	rec := layerRecorder{d.partitioned, &d.replayer, d.Cfg.Workers, d.phantom}
 
 	L := d.Model.Layers()
@@ -205,21 +217,6 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 		}
 		copy(hReady, last)
 	}
-
-	if err := d.replay(&d.Cfg.execEnv, tg); err != nil {
-		return nil, nil, err
-	}
-	sched := tg.Run()
-	stats := &EpochStats{
-		EpochSeconds: sched.Makespan,
-		KindBusy:     sched.KindBusy,
-		Tasks:        tg.Tasks,
-		Sched:        sched,
-	}
-	if d.phantom {
-		return nil, stats, nil
-	}
-	return d.gatherLogits(dims), stats, nil
 }
 
 // attentionRow computes device ds's attention-valued tiles: raw scores

@@ -18,6 +18,9 @@ func EstimateMemoryBytesPerDevice(g *graph.Graph, cfg Config) (int64, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
+	if err := validateTrainSplit(g); err != nil {
+		return 0, err
+	}
 	S := int64(cfg.MemScale)
 	n := int64(g.N()) * S
 	m := g.M() * S

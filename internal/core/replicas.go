@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mggcn/internal/comm"
 	"mggcn/internal/nn"
@@ -192,37 +193,33 @@ func (r *replicas) resync(env *execEnv, survivors []int, src int) error {
 	if r.phantom || len(survivors) < 2 {
 		return nil
 	}
-	tg, cg := r.record(env)
-	sub := cg.Sub(survivors)
-	root := -1
-	for i, d := range survivors {
-		if d == src {
-			root = i
-		}
-	}
+	root := slices.Index(survivors, src)
 	if root < 0 {
 		return fmt.Errorf("core: resync source %d not among survivors %v", src, survivors)
 	}
-	_, srcM, srcV := r.opts[src].State()
-	for l := range r.weights[src] {
-		wDst := make([]*tensor.Dense, len(survivors))
-		mDst := make([]*tensor.Dense, len(survivors))
-		vDst := make([]*tensor.Dense, len(survivors))
-		for i, d := range survivors {
-			wDst[i] = r.weights[d][l]
-			_, dm, dv := r.opts[d].State()
-			mDst[i], vDst[i] = dm[l], dv[l]
+	_, err := r.epoch(env, func(tg *sim.Graph, cg *comm.Group) func(*EpochStats) error {
+		sub := cg.Sub(survivors)
+		_, srcM, srcV := r.opts[src].State()
+		for l := range r.weights[src] {
+			wDst := make([]*tensor.Dense, len(survivors))
+			mDst := make([]*tensor.Dense, len(survivors))
+			vDst := make([]*tensor.Dense, len(survivors))
+			for i, d := range survivors {
+				wDst[i] = r.weights[d][l]
+				_, dm, dv := r.opts[d].State()
+				mDst[i], vDst[i] = dm[l], dv[l]
+			}
+			_ = sub.Broadcast(root, r.weights[src][l], wDst, fmt.Sprintf("resync/w%d", l), -1) // vet:ok taskdep: independent terminal resync tasks; the graph replays immediately below
+			_ = sub.Broadcast(root, srcM[l], mDst, fmt.Sprintf("resync/m%d", l), -1)           // vet:ok taskdep: independent terminal resync tasks; the graph replays immediately below
+			_ = sub.Broadcast(root, srcV[l], vDst, fmt.Sprintf("resync/v%d", l), -1)           // vet:ok taskdep: independent terminal resync tasks; the graph replays immediately below
 		}
-		_ = sub.Broadcast(root, r.weights[src][l], wDst, fmt.Sprintf("resync/w%d", l), -1) // vet:ok taskdep: independent terminal resync tasks; the graph replays immediately below
-		_ = sub.Broadcast(root, srcM[l], mDst, fmt.Sprintf("resync/m%d", l), -1)           // vet:ok taskdep: independent terminal resync tasks; the graph replays immediately below
-		_ = sub.Broadcast(root, srcV[l], vDst, fmt.Sprintf("resync/v%d", l), -1)           // vet:ok taskdep: independent terminal resync tasks; the graph replays immediately below
-	}
-	if err := r.replay(env, tg); err != nil {
-		return err
-	}
-	step := r.opts[src].StepCount()
-	for _, d := range survivors {
-		r.opts[d].SetStep(step)
-	}
-	return nil
+		return func(*EpochStats) error {
+			step := r.opts[src].StepCount()
+			for _, d := range survivors {
+				r.opts[d].SetStep(step)
+			}
+			return nil
+		}
+	})
+	return err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"mggcn/internal/comm"
 	"mggcn/internal/graph"
 	"mggcn/internal/nn"
 	"mggcn/internal/sample"
@@ -151,30 +152,47 @@ type SampledTrainer struct {
 	// replicas is the replicated model on its machine (Machine, the buffer
 	// registry and the last replayed graph come with it).
 	replicas
-	// caches[d] is device d's degree-ordered static feature cache; feat is
-	// the host-resident feature store (a registered view of the dataset's
-	// matrix — misses gather from it over the host link).
-	caches []*sample.FeatureCache
-	feat   *tensor.Dense
-	// bufs[d] is device d's registered slab set; caps are the frontier
-	// bounds its capacities derive from.
-	bufs []*sampledBuffers
+	// devs[d] is device d's side of the step; feat is the host-resident
+	// feature store (a registered view of the dataset's matrix — misses
+	// gather from it over the host link); caps are the frontier bounds the
+	// slab capacities derive from.
+	devs []*sampledDevice
+	feat *tensor.Dense
 	caps []int
-	// slotBufs[d][k] is the opaque pseudo-buffer naming handoff slot k of
-	// device d for the sanitizer: sample/extract/train/Adam tasks declare
-	// it, so a missing double-buffer dependency shows up as an unordered
-	// conflicting access in san.Check.
-	slotBufs [][]sim.BufID
-	// samplers[d][k] builds handoff slot k's blocks on device d into storage
-	// it reuses every step; labels[d] is the loss task's label scratch.
-	samplers [][]*sample.Sampler
-	labels   [][]int32
 
-	degrees    []int64
 	avgDeg     float64
 	trainVerts []int32
 	valVerts   []int32
 	cursor     samplerCursor
+}
+
+// sampledDevice is everything one device's tasks touch, and the step's
+// arithmetic as methods over it: its registered slab set, its degree-ordered
+// static feature cache, its handoff slots, the loss task's label scratch and
+// its model replica. The recorder binds one method per task; validation runs
+// the forward ones back to back on an idle device. Every method that reads
+// sampled blocks takes the slot they came through.
+type sampledDevice struct {
+	tr *SampledTrainer // the shared read-only side: Dims, feat, labels, Workers
+	*sampledBuffers
+	cache  *sample.FeatureCache
+	slots  []handoffSlot // depth entries
+	labels []int32
+	// weights and grads are this device's entries of the replicated model.
+	weights, grads []*tensor.Dense
+}
+
+// handoffSlot is one sampler→trainer handoff slot: the sampler that builds
+// its blocks into storage it reuses every step, the blocks themselves — the
+// host-side payload every trainer closure sizes its slab views from, read and
+// written through the slot at replay time — and the opaque pseudo-buffer
+// naming it for the sanitizer: sample/extract/train/Adam tasks declare it, so
+// a missing double-buffer dependency shows up as an unordered conflicting
+// access in san.Check.
+type handoffSlot struct {
+	id      sim.BufID
+	sampler *sample.Sampler
+	blocks  []*sample.Block
 }
 
 // samplerCursor is the sampled run's resumable position: the epoch whose
@@ -215,15 +233,17 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	if g.IsPhantom() {
 		return nil, fmt.Errorf("core: sampled training needs materialized features")
 	}
+	if err := validateTrainSplit(g); err != nil {
+		return nil, err
+	}
 	dims := nn.LayerDims(g.FeatDim, cfg.Hidden, cfg.Layers, g.Classes)
 	init := nn.InitWeights(dims, cfg.Seed)
 	tr := &SampledTrainer{
 		Cfg: cfg, Graph: g, Dims: dims,
 		replicas: newReplicas(newReplayer(cfg.Spec, cfg.P, cfg.MemScale), init, false),
-		degrees:  g.InDegrees(),
 		avgDeg:   g.AvgDegree(),
 	}
-	machine := tr.Machine
+	machine, degrees := tr.Machine, g.InDegrees()
 	tr.caps = sample.FrontierCaps(g.N(), cfg.Batch, cfg.Fanouts)
 	// The host feature store: a fresh view struct over the dataset's
 	// storage, registered under its own name so the dataset matrix itself
@@ -231,33 +251,29 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	fv := *g.Features
 	tr.feat = &fv
 	registerDense(tr.reg, tr.reg.Register("host/x"), tr.feat)
-	depth := tr.depth()
 	for d := 0; d < machine.P; d++ {
 		if err := tr.add(init, cfg.LR); err != nil {
 			return nil, err
 		}
-		cache := sample.NewFeatureCache(g.Features, tr.degrees, cfg.CacheFrac)
-		if err := machine.Pools[d].Alloc("cache", cache.Slab.Bytes()); err != nil {
+		dv := &sampledDevice{tr: tr, weights: tr.weights[d], grads: tr.grads[d], labels: make([]int32, tr.caps[cfg.Layers])}
+		dv.cache = sample.NewFeatureCache(g.Features, degrees, cfg.CacheFrac)
+		if err := machine.Pools[d].Alloc("cache", dv.cache.Slab.Bytes()); err != nil {
 			return nil, err
 		}
 		// The cache is a §4.2-style slab: registered as one, it is in the
 		// live-slab universe memcheck and the allocation meter count.
-		registerDense(tr.reg, tr.reg.RegisterOn(fmt.Sprintf("d%d/buf/cache", d), d, true), cache.Slab)
-		tr.caches = append(tr.caches, cache)
-		bufs, err := newSampledBuffers(tr.reg, d, machine.Pools[d], tr.caps, tr.Dims)
-		if err != nil {
+		registerDense(tr.reg, tr.reg.RegisterOn(fmt.Sprintf("d%d/buf/cache", d), d, true), dv.cache.Slab)
+		var err error
+		if dv.sampledBuffers, err = newSampledBuffers(tr.reg, d, machine.Pools[d], tr.caps, tr.Dims); err != nil {
 			return nil, err
 		}
-		tr.bufs = append(tr.bufs, bufs)
-		var slots []sim.BufID
-		var samplers []*sample.Sampler
-		for k := 0; k < depth; k++ {
-			slots = append(slots, tr.reg.RegisterOn(fmt.Sprintf("d%d/slot%d", d, k), d, false))
-			samplers = append(samplers, sample.NewSampler(g.Adj, cfg.Fanouts))
+		for k := 0; k < tr.Depth(); k++ {
+			dv.slots = append(dv.slots, handoffSlot{
+				id:      tr.reg.RegisterOn(fmt.Sprintf("d%d/slot%d", d, k), d, false),
+				sampler: sample.NewSampler(g.Adj, cfg.Fanouts),
+			})
 		}
-		tr.slotBufs = append(tr.slotBufs, slots)
-		tr.samplers = append(tr.samplers, samplers)
-		tr.labels = append(tr.labels, make([]int32, tr.caps[cfg.Layers]))
+		tr.devs = append(tr.devs, dv)
 	}
 	for v := 0; v < g.N(); v++ {
 		if g.TrainMask == nil || g.TrainMask[v] {
@@ -270,8 +286,8 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	return tr, nil
 }
 
-// depth returns the handoff slot count: 2 when pipelined, 1 otherwise.
-func (tr *SampledTrainer) depth() int {
+// Depth returns the handoff slot count: 2 when pipelined, 1 otherwise.
+func (tr *SampledTrainer) Depth() int {
 	if tr.Cfg.Pipeline {
 		return 2
 	}
@@ -305,37 +321,103 @@ func (tr *SampledTrainer) frontierEstimate(batchLen int) (verts []int, edges []i
 	return verts, edges
 }
 
-// slotState is one handoff slot's host-side payload: the sampled blocks the
-// sampler stage produces and every trainer closure sizes its slab views
-// from. The recorded closures read and write it through the slot pointer at
-// replay time; the opaque slot pseudo-buffer is its sanitizer-visible name.
-type slotState struct {
-	blocks []*sample.Block
+// --- The step's arithmetic. Layer l reads h_l (X for l = 0, else OUT[l-1])
+// over block l's source frontier and leaves h_{l+1} in OUT[l] over its
+// destination frontier; G carries the gradient back down. A sampledDevice
+// only exists over real storage — NewSampledTrainer rejects phantom datasets
+// before building one — which is what the phantomguard vet rule knows the
+// type by. ---
+
+// sample builds slot k's blocks for batch from the stream seeded with seed.
+func (dv *sampledDevice) sample(k int, batch []int32, seed int64) {
+	sl := &dv.slots[k]
+	sl.blocks = sl.sampler.Build(batch, seed)
 }
 
-// SampledEpochStats reports one sampled epoch (or, after a mid-epoch
-// resume, the remaining segment of one): loss and accuracy are normalized
-// over the rows actually processed by the call.
-type SampledEpochStats struct {
-	EpochSeconds float64
-	KindBusy     map[sim.Kind]float64
-	Loss         float64
-	TrainAcc     float64
-	// ValAcc is the validation accuracy after the epoch completed, filled
-	// only when the config tracks validation (TrackVal or a patience) and
-	// the graph has validation vertices; otherwise it stays 0.
-	ValAcc  float64
-	Batches int
-	// OverlapRatio is the mean over devices of summed per-stream busy time
-	// divided by the makespan: ~1 when the stages serialize, >1 when the
-	// sampler stream genuinely overlaps training.
-	OverlapRatio float64
-	Tasks        []*sim.Task
-	Sched        *sim.Schedule
+// extract gathers the input features of slot k's outermost source frontier
+// through the cache into X, returning the hit and miss row counts.
+func (dv *sampledDevice) extract(k int) (hit, miss int) {
+	src := dv.slots[k].blocks[0].Src
+	return dv.cache.Gather(dv.X.View(len(src), dv.tr.Dims[0]), dv.tr.feat, src)
 }
 
-func (s *SampledEpochStats) dropTimeline()       { s.Tasks, s.Sched = nil, nil }
-func (s *SampledEpochStats) validation() float64 { return s.ValAcc }
+// input returns the slab layer l reads h_l from.
+func (dv *sampledDevice) input(l int) *Buffer {
+	if l == 0 {
+		return dv.X
+	}
+	return dv.OUT[l-1]
+}
+
+// aggregate is layer l's forward SpMM: AH_l = A_l · h_l.
+func (dv *sampledDevice) aggregate(k, l int) {
+	adj, dIn := dv.slots[k].blocks[l].Adj, dv.tr.Dims[l]
+	sparse.ParallelSpMM(adj, dv.input(l).View(adj.Cols, dIn), 0, dv.AH[l].View(adj.Rows, dIn), dv.tr.Cfg.Workers)
+}
+
+// transform is layer l's forward GeMM: z_l = AH_l · W_l into OUT[l].
+func (dv *sampledDevice) transform(k, l int) {
+	rows := dv.slots[k].blocks[l].Adj.Rows
+	tensor.ParallelGemm(1, dv.AH[l].View(rows, dv.tr.Dims[l]), dv.weights[l], 0, dv.OUT[l].View(rows, dv.tr.Dims[l+1]), dv.tr.Cfg.Workers)
+}
+
+// activate applies the ReLU to layer l's output in place.
+func (dv *sampledDevice) activate(k, l int) {
+	z := dv.OUT[l].View(dv.slots[k].blocks[l].Adj.Rows, dv.tr.Dims[l+1])
+	tensor.ReLU(z, z)
+}
+
+// outputs returns the logits of slot k's batch and its labels, gathered into
+// the label scratch.
+func (dv *sampledDevice) outputs(k int) (logits *tensor.Dense, labels []int32) {
+	L := len(dv.OUT)
+	dst := dv.slots[k].blocks[L-1].Dst
+	labels = dv.labels[:len(dst)]
+	for i, v := range dst {
+		labels[i] = dv.tr.Graph.Labels[v]
+	}
+	return dv.OUT[L-1].View(len(dst), dv.tr.Dims[L]), labels
+}
+
+// loss sums the batch's cross-entropy and counts its correct predictions,
+// leaving the gradient — scaled 1/norm, so the all-reduced sum over a step
+// is the exact step-mean gradient — in G.
+func (dv *sampledDevice) loss(k, norm int) (sum float64, correct int) {
+	logits, labels := dv.outputs(k)
+	sum = nn.SoftmaxCrossEntropySum(logits, labels, nil, dv.G.View(logits.Rows, logits.Cols), norm)
+	correct, _ = nn.CorrectCount(logits, labels, nil)
+	return sum, correct
+}
+
+// mask masks the gradient in G in place by layer l's forward activation.
+func (dv *sampledDevice) mask(k, l int) {
+	rows, dOut := dv.slots[k].blocks[l].Adj.Rows, dv.tr.Dims[l+1]
+	g := dv.G.View(rows, dOut)
+	tensor.ReLUBackward(g, g, dv.OUT[l].View(rows, dOut))
+}
+
+// wgrad is layer l's weight gradient W_G = AH_lᵀ · G.
+func (dv *sampledDevice) wgrad(k, l int) {
+	rows := dv.slots[k].blocks[l].Adj.Rows
+	tensor.ParallelGemmTA(1, dv.AH[l].View(rows, dv.tr.Dims[l]), dv.G.View(rows, dv.tr.Dims[l+1]), 0, dv.grads[l], dv.tr.Cfg.Workers)
+}
+
+// hgrad is t = G · W_lᵀ, taking AH_l's place.
+func (dv *sampledDevice) hgrad(k, l int) {
+	rows := dv.slots[k].blocks[l].Adj.Rows
+	tensor.ParallelGemmTB(1, dv.G.View(rows, dv.tr.Dims[l+1]), dv.weights[l], 0, dv.AH[l].View(rows, dv.tr.Dims[l]), dv.tr.Cfg.Workers)
+}
+
+// scatter is G ← A_lᵀ · t: the gradient carried to block l's source
+// frontier.
+func (dv *sampledDevice) scatter(k, l int) {
+	at, dIn := dv.slots[k].blocks[l].AdjT, dv.tr.Dims[l]
+	sparse.ParallelSpMM(at, dv.AH[l].View(at.Cols, dIn), 0, dv.G.View(at.Rows, dIn), dv.tr.Cfg.Workers)
+}
+
+// SampledEpochStats is EpochStats under the name the sampled trainer's
+// callers know it by.
+type SampledEpochStats = EpochStats
 
 // RunEpoch performs one sampled epoch: the epoch plan's batches are
 // round-robined over devices step by step; each step samples, extracts,
@@ -344,326 +426,246 @@ func (s *SampledEpochStats) validation() float64 { return s.ValAcc }
 // tail step contribute zero gradients, so weights stay replicated. After a
 // mid-epoch checkpoint restore, the first call completes the in-flight
 // epoch from the cursor's batch onward.
-func (tr *SampledTrainer) RunEpoch() (*SampledEpochStats, error) {
+func (tr *SampledTrainer) RunEpoch() (*EpochStats, error) {
 	return tr.RunSteps(-1)
+}
+
+// segmentRecorder is the recording state of one RunSteps segment: the plan
+// being consumed, the per-batch loss slots the loss closures fill (folded in
+// batch order after the replay, so concurrent execution stays deterministic)
+// and the tasks later steps wait on.
+type segmentRecorder struct {
+	tr       *SampledTrainer
+	tg       *sim.Graph
+	plan     *sample.Plan
+	lossSum  []float64
+	correct  []int
+	prevAdam [][]int // prevAdam[s][d]
+	spmm0    []int   // spmm0[d]: device d's latest layer-0 SpMM, X's reader
 }
 
 // RunSteps records and replays at most maxSteps steps (one step trains P
 // batches) and then stops with the cursor parked on the next step boundary
 // — the seam mid-epoch checkpoints and their tests drive. A negative
 // maxSteps runs to the end of the epoch.
-func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
-	// NewSampledTrainer rejects phantom datasets, but every closure bound
-	// below touches real storage — keep the guarantee local too.
-	if tr.feat.IsPhantom() {
-		return nil, fmt.Errorf("core: sampled training needs real features")
-	}
+func (tr *SampledTrainer) RunSteps(maxSteps int) (*EpochStats, error) {
 	p := tr.Machine.P
-	spec := tr.Machine.Spec
 	L := tr.Cfg.Layers
-	d0 := tr.Dims[0]
-	classes := tr.Dims[L]
-	workers := tr.Cfg.Workers
-	depth := tr.depth()
-
 	epoch := tr.cursor.Epoch
 	plan := sample.PlanEpoch(tr.trainVerts, tr.Cfg.Batch, tr.Cfg.Seed, epoch)
 	B := len(plan.Batches)
 	start := tr.cursor.NextBatch
-	stats := &SampledEpochStats{}
-	if B == 0 || start >= B {
+	if start >= B {
 		tr.cursor = samplerCursor{Epoch: epoch + 1}
-		return stats, nil
+		return &EpochStats{}, nil
 	}
 	steps := (B - start + p - 1) / p
 	if maxSteps >= 0 && steps > maxSteps {
 		steps = maxSteps
 	}
 	if steps == 0 {
-		return stats, nil
+		return &EpochStats{}, nil
 	}
 	// end is one past the last batch this segment trains; the cursor lands
 	// there (or rolls over) only after the replay succeeds.
-	end := start + steps*p
-	if end > B {
-		end = B
-	}
-	stats.Batches = end - start
+	end := min(start+steps*p, B)
 
-	tg, cg := tr.record(&tr.Cfg.execEnv)
-
-	slots := make([][]slotState, p)
-	for d := range slots {
-		slots[d] = make([]slotState, depth)
-	}
-	// Per-batch loss slots, folded in batch order after the replay so
-	// concurrent execution stays deterministic.
-	lossSum := make([]float64, B)
-	correct := make([]int, B)
-	prevAdam := make([][]int, steps) // prevAdam[s][d]
-	spmm0 := make([]int, p)          // spmm0[d]: device d's latest layer-0 SpMM, X's reader
-
-	for s := 0; s < steps; s++ {
-		stepRows := 0
-		for d := 0; d < p; d++ {
-			if b := start + s*p + d; b < B {
-				stepRows += len(plan.Batches[b])
-			}
+	return tr.epoch(&tr.Cfg.execEnv, func(tg *sim.Graph, cg *comm.Group) func(*EpochStats) error {
+		r := &segmentRecorder{
+			tr: tr, tg: tg, plan: plan,
+			lossSum: make([]float64, B), correct: make([]int, B),
+			prevAdam: make([][]int, steps), spmm0: make([]int, p),
 		}
-		wgradID := make([][]int, L)       // per layer: tasks the all-reduce waits on
-		stepSlots := make([]sim.BufID, p) // per device: the slot its batch came through (zero: no batch)
-		for d := 0; d < p; d++ {
-			b := start + s*p + d
-			if b >= B {
-				// Tail step without a batch for this device: contribute
-				// zero gradients so the full-group all-reduce still sums a
+		for s := 0; s < steps; s++ {
+			stepRows := 0
+			for d := 0; d < p; d++ {
+				if b := start + s*p + d; b < B {
+					stepRows += len(plan.Batches[b])
+				}
+			}
+			wgradID := make([][]int, L)       // per layer: tasks the all-reduce waits on
+			stepSlots := make([]sim.BufID, p) // per device: the slot its batch came through (zero: no batch)
+			for d := 0; d < p; d++ {
+				if b := start + s*p + d; b < B {
+					r.batch(s, d, b, stepRows, wgradID)
+					stepSlots[d] = tr.devs[d].slots[s%tr.Depth()].id
+					continue
+				}
+				// Tail step without a batch for this device: contribute zero
+				// gradients so the full-group all-reduce still sums a
 				// step-mean gradient and replicas stay identical.
 				gs := tr.grads[d]
 				id := tg.AddCompute(d, sim.KindActivation, fmt.Sprintf("s%d/zerograd", s), -1,
-					spec.ElementwiseCost(tr.paramCount, 0), true)
+					tr.Machine.Spec.ElementwiseCost(tr.paramCount, 0), true)
 				tg.BindShaped(id, nil, sim.ShapesOf(gs...), func() {
 					for _, g := range gs {
 						g.Zero()
 					}
 				})
-				for l := 0; l < L; l++ {
+				for l := range wgradID {
 					wgradID[l] = append(wgradID[l], id)
 				}
-				continue
 			}
-			slot := &slots[d][s%depth]
-			slotBuf := tr.slotBufs[d][s%depth]
-			stepSlots[d] = slotBuf
-			slotShape := []sim.ViewShape{sim.OpaqueShape(slotBuf)}
-			bufs := tr.bufs[d]
-			batch := plan.Batches[b]
-			seed := plan.Seeds[b]
-			verts, edges := tr.frontierEstimate(len(batch))
-			var totalEdges int64
-			for _, e := range edges {
-				totalEdges += e
-			}
-
-			// --- Sampler stage: sample ---
-			// The slot-recycle dependency: slot s%depth is free once step
-			// s-depth's Adam (the last compute-stream task of that step on
-			// this device) has run — FIFO order covers every earlier reader.
-			var sampDeps []int
-			if s >= depth {
-				sampDeps = append(sampDeps, prevAdam[s-depth][d])
-			}
-			sampler := tr.samplers[d][s%depth]
-			sampID := tg.AddStage(d, sim.StreamSample, sim.KindSample,
-				fmt.Sprintf("s%d/sample", s), -1,
-				spec.SampleCost(int64(tr.s(int(totalEdges)))), true, sampDeps...)
-			tg.BindShaped(sampID, nil, slotShape, func() {
-				slot.blocks = sampler.Build(batch, seed)
-			})
-
-			// --- Sampler stage: extract (feature gather through cache into
-			// the device's one staging slab) ---
-			// X's only reader is the layer-0 SpMM, so the slab is free again
-			// once step s-1's has run; the slots double-buffer the blocks.
-			extDeps := []int{sampID}
-			if s > 0 {
-				extDeps = append(extDeps, spmm0[d])
-			}
-			cache := tr.caches[d]
-			meter := tr.Cfg.CommMeter
-			feat := tr.feat
-			expHit := int64(float64(tr.s(verts[0])) * cache.MassFraction)
-			extID := tg.AddStage(d, sim.StreamSample, sim.KindExtract,
-				fmt.Sprintf("s%d/extract", s), -1,
-				spec.GatherCost(expHit, int64(tr.s(verts[0]))-expHit, d0), true, extDeps...)
-			tg.BindShaped(extID,
-				append(sim.ShapesOf(cache.Slab, feat), sim.OpaqueShape(slotBuf)),
-				append(slotShape, sim.OpaqueShape(bufs.X.id)), func() {
-					src := slot.blocks[0].Src
-					h0 := bufs.X.View(len(src), d0)
-					hit, miss := cache.Gather(h0, feat, src)
-					meter.Add(sim.CollGatherHit, int64(hit)*int64(d0))
-					meter.Add(sim.CollGatherMiss, int64(miss)*int64(d0))
-				})
-
-			// --- Trainer stage: forward (aggregate-then-transform) ---
-			prev := extID
-			for l := 0; l < L; l++ {
-				l := l
-				dIn, dOut := tr.Dims[l], tr.Dims[l+1]
-				w := tr.weights[d][l]
-				in := bufs.X
-				if l > 0 {
-					in = bufs.OUT[l-1]
-				}
-				ah, out := bufs.AH[l], bufs.OUT[l]
-				spmmID := tg.AddCompute(d, sim.KindSpMM, fmt.Sprintf("s%d/fwd%d/spmm", s, l), -1,
-					spec.SpMMCost(int64(tr.s(int(edges[l]))), tr.s(verts[l+1]), tr.s(verts[l]), dIn), true, prev)
-				tg.BindShaped(spmmID,
-					append(slotShape, sim.OpaqueShape(in.id)),
-					[]sim.ViewShape{sim.OpaqueShape(ah.id)}, func() {
-						adj := slot.blocks[l].Adj
-						sparse.ParallelSpMM(adj, in.View(adj.Cols, dIn), 0, ah.View(adj.Rows, dIn), workers)
-					})
-				if l == 0 {
-					spmm0[d] = spmmID
-				}
-				gemmID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/fwd%d/gemm", s, l), -1,
-					spec.GemmCost(tr.s(verts[l+1]), dIn, dOut), false, spmmID)
-				tg.BindShaped(gemmID,
-					append(sim.ShapesOf(w), sim.OpaqueShape(slotBuf), sim.OpaqueShape(ah.id)),
-					[]sim.ViewShape{sim.OpaqueShape(out.id)}, func() {
-						rows := slot.blocks[l].Adj.Rows
-						tensor.ParallelGemm(1, ah.View(rows, dIn), w, 0, out.View(rows, dOut), workers)
-					})
-				prev = gemmID
-				if l < L-1 {
-					reluID := tg.AddCompute(d, sim.KindActivation, fmt.Sprintf("s%d/fwd%d/relu", s, l), -1,
-						spec.ElementwiseCost(int64(tr.s(verts[l+1]))*int64(dOut), 1), true, prev)
-					tg.BindShaped(reluID,
-						append(slotShape, sim.OpaqueShape(out.id)),
-						[]sim.ViewShape{sim.OpaqueShape(out.id)}, func() {
-							z := out.View(slot.blocks[l].Adj.Rows, dOut)
-							tensor.ReLU(z, z)
-						})
-					prev = reluID
-				}
-			}
-
-			// --- Loss: sum over the batch, gradient scaled 1/stepRows so
-			// the all-reduced sum is the exact step-mean gradient. ---
-			labels := tr.Graph.Labels
-			labelBuf := tr.labels[d]
-			norm := stepRows
-			lossID := tg.AddCompute(d, sim.KindLoss, fmt.Sprintf("s%d/loss", s), -1,
-				spec.LossCost(tr.s(len(batch)), classes), true, prev)
-			tg.BindShaped(lossID,
-				append(slotShape, sim.OpaqueShape(bufs.OUT[L-1].id)),
-				[]sim.ViewShape{sim.OpaqueShape(bufs.G.id)}, func() {
-					dst := slot.blocks[L-1].Dst
-					logits := bufs.OUT[L-1].View(len(dst), classes)
-					lb := labelBuf[:len(dst)]
-					for i, v := range dst {
-						lb[i] = labels[v]
-					}
-					g := bufs.G.View(len(dst), classes)
-					lossSum[b] = nn.SoftmaxCrossEntropySum(logits, lb, nil, g, norm)
-					correct[b], _ = nn.CorrectCount(logits, lb, nil)
-				})
-			prev = lossID
-
-			// --- Backward: per layer mask → wgrad → (hgrad → SpMMᵀ). G holds
-			// ∂/∂z_l on the destination frontier: the weight gradient reads
-			// AH_l against it, t = G·W_lᵀ then takes AH_l's place, and
-			// G ← A_lᵀ·t carries the gradient to the source frontier. Layer 0
-			// has nothing below it to propagate to, so it stops at wgrad. ---
+			// --- Per-layer full-group gradient all-reduce, then Adam on every
+			// replica (weights stay identical across devices). ---
+			lastAR := -1
 			for l := L - 1; l >= 0; l-- {
-				l := l
-				dIn, dOut := tr.Dims[l], tr.Dims[l+1]
-				ah, out := bufs.AH[l], bufs.OUT[l]
-				if l < L-1 {
-					// Mask the gradient in place by the forward activation.
-					reluID := tg.AddCompute(d, sim.KindActivation, fmt.Sprintf("s%d/bwd%d/relu", s, l), -1,
-						spec.ElementwiseCost(int64(tr.s(verts[l+1]))*int64(dOut), 2), true, prev)
-					tg.BindShaped(reluID,
-						append(slotShape, sim.OpaqueShape(out.id), sim.OpaqueShape(bufs.G.id)),
-						[]sim.ViewShape{sim.OpaqueShape(bufs.G.id)}, func() {
-							rows := slot.blocks[l].Adj.Rows
-							g := bufs.G.View(rows, dOut)
-							tensor.ReLUBackward(g, g, out.View(rows, dOut))
-						})
-					prev = reluID
-				}
-				w := tr.weights[d][l]
-				grad := tr.grads[d][l]
-				wgID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/bwd%d/wgrad", s, l), -1,
-					spec.GemmCost(dIn, tr.s(verts[l+1]), dOut), false, prev)
-				tg.BindShaped(wgID,
-					append(slotShape, sim.OpaqueShape(ah.id), sim.OpaqueShape(bufs.G.id)),
-					sim.ShapesOf(grad), func() {
-						rows := slot.blocks[l].Adj.Rows
-						tensor.ParallelGemmTA(1, ah.View(rows, dIn), bufs.G.View(rows, dOut), 0, grad, workers)
-					})
-				wgradID[l] = append(wgradID[l], wgID)
-				if l == 0 {
-					break
-				}
-				hgID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/bwd%d/hgrad", s, l), -1,
-					spec.GemmCost(tr.s(verts[l+1]), dOut, dIn), false, wgID)
-				tg.BindShaped(hgID,
-					append(sim.ShapesOf(w), sim.OpaqueShape(slotBuf), sim.OpaqueShape(bufs.G.id)),
-					[]sim.ViewShape{sim.OpaqueShape(ah.id)}, func() {
-						rows := slot.blocks[l].Adj.Rows
-						tensor.ParallelGemmTB(1, bufs.G.View(rows, dOut), w, 0, ah.View(rows, dIn), workers)
-					})
-				spmmID := tg.AddCompute(d, sim.KindSpMM, fmt.Sprintf("s%d/bwd%d/spmm", s, l), -1,
-					spec.SpMMCost(int64(tr.s(int(edges[l]))), tr.s(verts[l]), tr.s(verts[l+1]), dIn), true, hgID)
-				tg.BindShaped(spmmID,
-					append(slotShape, sim.OpaqueShape(ah.id)),
-					[]sim.ViewShape{sim.OpaqueShape(bufs.G.id)}, func() {
-						at := slot.blocks[l].AdjT
-						sparse.ParallelSpMM(at, ah.View(at.Cols, dIn), 0, bufs.G.View(at.Rows, dIn), workers)
-					})
-				prev = spmmID
+				lastAR = tr.allReduceGrads(cg, l, fmt.Sprintf("s%d/allreduce%d", s, l), wgradID[l])
 			}
+			// Adam is the last task of the step and the slot-recycle point: step
+			// s+depth's sample task depends on it, and declaring the step's
+			// handoff slot in its reads makes that recycle edge a
+			// sanitizer-checked write-after-read.
+			r.prevAdam[s] = tr.recordAdam(tg, fmt.Sprintf("s%d/adam", s), lastAR, stepSlots)
 		}
 
-		// --- Per-layer full-group gradient all-reduce, then Adam on every
-		// replica (weights stay identical across devices). ---
-		lastAR := -1
-		for l := L - 1; l >= 0; l-- {
-			lastAR = tr.allReduceGrads(cg, l, fmt.Sprintf("s%d/allreduce%d", s, l), wgradID[l])
-		}
-		// Adam is the last task of the step and the slot-recycle point: step
-		// s+depth's sample task depends on it, and declaring the step's
-		// handoff slot in its reads makes that recycle edge a
-		// sanitizer-checked write-after-read.
-		prevAdam[s] = tr.recordAdam(tg, fmt.Sprintf("s%d/adam", s), lastAR, stepSlots)
-	}
-
-	if err := tr.replay(&tr.Cfg.execEnv, tg); err != nil {
-		return nil, err
-	}
-	var totalCorrect, rows int
-	for b := start; b < end; b++ {
-		rows += len(plan.Batches[b])
-		stats.Loss += lossSum[b]
-		totalCorrect += correct[b]
-	}
-	// For a full epoch rows == len(trainVerts) (every train vertex appears
-	// in exactly one batch), so whole-epoch stats are unchanged by the
-	// segment refactor; a resumed segment normalizes over its own rows.
-	stats.Loss /= float64(rows)
-	stats.TrainAcc = float64(totalCorrect) / float64(rows)
-	if err := tr.checkFinite(stats.Loss); err != nil {
-		return nil, err
-	}
-	// The replay succeeded and the numbers are sane: commit the cursor.
-	if end >= B {
-		tr.cursor = samplerCursor{Epoch: epoch + 1}
-		if (tr.Cfg.TrackVal || tr.Cfg.EarlyStopPatience > 0) && len(tr.valVerts) > 0 {
-			stats.ValAcc = tr.valAccuracy(epoch)
-		}
-	} else {
-		tr.cursor.NextBatch = end
-	}
-
-	sched := tg.Run()
-	stats.EpochSeconds = sched.Makespan
-	stats.KindBusy = sched.KindBusy
-	stats.Tasks = tg.Tasks
-	stats.Sched = sched
-	if sched.Makespan > 0 {
-		var util float64
-		for d := 0; d < p; d++ {
-			var busy float64
-			for s := 0; s < int(sim.NumStreams); s++ {
-				busy += sched.DeviceBusy[d][s]
+		return func(stats *EpochStats) error {
+			stats.Batches = end - start
+			var totalCorrect, rows int
+			for b := start; b < end; b++ {
+				rows += len(plan.Batches[b])
+				stats.Loss += r.lossSum[b]
+				totalCorrect += r.correct[b]
 			}
-			util += busy / sched.Makespan
+			// For a full epoch rows == len(trainVerts) (every train vertex
+			// appears in exactly one batch); a resumed segment normalizes over
+			// its own rows.
+			stats.Loss /= float64(rows)
+			stats.TrainAcc = float64(totalCorrect) / float64(rows)
+			if err := tr.checkFinite(stats.Loss); err != nil {
+				return err
+			}
+			// The replay succeeded and the numbers are sane: commit the cursor.
+			if end < B {
+				tr.cursor.NextBatch = end
+				return nil
+			}
+			tr.cursor = samplerCursor{Epoch: epoch + 1}
+			if (tr.Cfg.TrackVal || tr.Cfg.EarlyStopPatience > 0) && len(tr.valVerts) > 0 {
+				stats.ValAcc = tr.valAccuracy(epoch)
+			}
+			return nil
 		}
-		stats.OverlapRatio = util / float64(p)
+	})
+}
+
+// batch records device d's share of step s — batch b through the sampler
+// stage, the L forward layers, the loss and the backward pass — binding one
+// sampledDevice method per task. norm is the step's row count, the loss
+// gradient's normalizer. Layer l's weight-gradient task, which that layer's
+// all-reduce waits on, is appended to wgradID[l].
+func (r *segmentRecorder) batch(s, d, b, norm int, wgradID [][]int) {
+	tr, tg := r.tr, r.tg
+	spec := tr.Machine.Spec
+	L := tr.Cfg.Layers
+	depth := tr.Depth()
+	dv, k := tr.devs[d], s%depth
+	slotBuf := dv.slots[k].id
+	slotShape := []sim.ViewShape{sim.OpaqueShape(slotBuf)}
+	opaque := func(buf *Buffer) sim.ViewShape { return sim.OpaqueShape(buf.id) }
+	batch, seed := r.plan.Batches[b], r.plan.Seeds[b]
+	verts, edges := tr.frontierEstimate(len(batch))
+	var totalEdges int64
+	for _, e := range edges {
+		totalEdges += e
 	}
-	return stats, nil
+
+	// --- Sampler stage: sample ---
+	// The slot-recycle dependency: slot s%depth is free once step
+	// s-depth's Adam (the last compute-stream task of that step on
+	// this device) has run — FIFO order covers every earlier reader.
+	var sampDeps []int
+	if s >= depth {
+		sampDeps = append(sampDeps, r.prevAdam[s-depth][d])
+	}
+	sampID := tg.AddStage(d, sim.StreamSample, sim.KindSample,
+		fmt.Sprintf("s%d/sample", s), -1,
+		spec.SampleCost(int64(tr.s(int(totalEdges)))), true, sampDeps...)
+	tg.BindShaped(sampID, nil, slotShape, func() { dv.sample(k, batch, seed) })
+
+	// --- Sampler stage: extract (feature gather through cache into
+	// the device's one staging slab) ---
+	// X's only reader is the layer-0 SpMM, so the slab is free again
+	// once step s-1's has run; the slots double-buffer the blocks.
+	extDeps := []int{sampID}
+	if s > 0 {
+		extDeps = append(extDeps, r.spmm0[d])
+	}
+	d0 := tr.Dims[0]
+	meter := tr.Cfg.CommMeter
+	expHit := int64(float64(tr.s(verts[0])) * dv.cache.MassFraction)
+	extID := tg.AddStage(d, sim.StreamSample, sim.KindExtract,
+		fmt.Sprintf("s%d/extract", s), -1,
+		spec.GatherCost(expHit, int64(tr.s(verts[0]))-expHit, d0), true, extDeps...)
+	tg.BindShaped(extID,
+		append(sim.ShapesOf(dv.cache.Slab, tr.feat), sim.OpaqueShape(slotBuf)),
+		append(slotShape, opaque(dv.X)), func() {
+			hit, miss := dv.extract(k)
+			meter.Add(sim.CollGatherHit, int64(hit)*int64(d0))
+			meter.Add(sim.CollGatherMiss, int64(miss)*int64(d0))
+		})
+
+	// --- Trainer stage: forward (aggregate-then-transform) ---
+	prev := extID
+	for l := 0; l < L; l++ {
+		dIn, dOut := tr.Dims[l], tr.Dims[l+1]
+		ah, out := dv.AH[l], dv.OUT[l]
+		spmmID := tg.AddCompute(d, sim.KindSpMM, fmt.Sprintf("s%d/fwd%d/spmm", s, l), -1,
+			spec.SpMMCost(int64(tr.s(int(edges[l]))), tr.s(verts[l+1]), tr.s(verts[l]), dIn), true, prev)
+		tg.BindShaped(spmmID, append(slotShape, opaque(dv.input(l))), []sim.ViewShape{opaque(ah)},
+			func() { dv.aggregate(k, l) })
+		if l == 0 {
+			r.spmm0[d] = spmmID
+		}
+		prev = tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/fwd%d/gemm", s, l), -1,
+			spec.GemmCost(tr.s(verts[l+1]), dIn, dOut), false, spmmID)
+		tg.BindShaped(prev, append(sim.ShapesOf(dv.weights[l]), sim.OpaqueShape(slotBuf), opaque(ah)), []sim.ViewShape{opaque(out)},
+			func() { dv.transform(k, l) })
+		if l < L-1 {
+			prev = tg.AddCompute(d, sim.KindActivation, fmt.Sprintf("s%d/fwd%d/relu", s, l), -1,
+				spec.ElementwiseCost(int64(tr.s(verts[l+1]))*int64(dOut), 1), true, prev)
+			tg.BindShaped(prev, append(slotShape, opaque(out)), []sim.ViewShape{opaque(out)},
+				func() { dv.activate(k, l) })
+		}
+	}
+
+	// --- Loss: sum over the batch into its private slot ---
+	prev = tg.AddCompute(d, sim.KindLoss, fmt.Sprintf("s%d/loss", s), -1,
+		spec.LossCost(tr.s(len(batch)), tr.Dims[L]), true, prev)
+	tg.BindShaped(prev, append(slotShape, opaque(dv.OUT[L-1])), []sim.ViewShape{opaque(dv.G)},
+		func() { r.lossSum[b], r.correct[b] = dv.loss(k, norm) })
+
+	// --- Backward: per layer mask → wgrad → (hgrad → SpMMᵀ). G holds
+	// ∂/∂z_l on the destination frontier: the weight gradient reads
+	// AH_l against it, t = G·W_lᵀ then takes AH_l's place, and
+	// G ← A_lᵀ·t carries the gradient to the source frontier. Layer 0
+	// has nothing below it to propagate to, so it stops at wgrad. ---
+	for l := L - 1; l >= 0; l-- {
+		dIn, dOut := tr.Dims[l], tr.Dims[l+1]
+		ah, out := dv.AH[l], dv.OUT[l]
+		if l < L-1 {
+			prev = tg.AddCompute(d, sim.KindActivation, fmt.Sprintf("s%d/bwd%d/relu", s, l), -1,
+				spec.ElementwiseCost(int64(tr.s(verts[l+1]))*int64(dOut), 2), true, prev)
+			tg.BindShaped(prev, append(slotShape, opaque(out), opaque(dv.G)), []sim.ViewShape{opaque(dv.G)},
+				func() { dv.mask(k, l) })
+		}
+		wgID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/bwd%d/wgrad", s, l), -1,
+			spec.GemmCost(dIn, tr.s(verts[l+1]), dOut), false, prev)
+		tg.BindShaped(wgID, append(slotShape, opaque(ah), opaque(dv.G)), sim.ShapesOf(dv.grads[l]),
+			func() { dv.wgrad(k, l) })
+		wgradID[l] = append(wgradID[l], wgID)
+		if l == 0 {
+			break
+		}
+		hgID := tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/bwd%d/hgrad", s, l), -1,
+			spec.GemmCost(tr.s(verts[l+1]), dOut, dIn), false, wgID)
+		tg.BindShaped(hgID, append(sim.ShapesOf(dv.weights[l]), sim.OpaqueShape(slotBuf), opaque(dv.G)), []sim.ViewShape{opaque(ah)},
+			func() { dv.hgrad(k, l) })
+		prev = tg.AddCompute(d, sim.KindSpMM, fmt.Sprintf("s%d/bwd%d/spmm", s, l), -1,
+			spec.SpMMCost(int64(tr.s(int(edges[l]))), tr.s(verts[l]), tr.s(verts[l+1]), dIn), true, hgID)
+		tg.BindShaped(prev, append(slotShape, opaque(ah)), []sim.ViewShape{opaque(dv.G)},
+			func() { dv.scatter(k, l) })
+	}
 }
 
 // Train runs up to epochs sampled epochs; only the last returned epoch keeps
@@ -671,18 +673,8 @@ func (tr *SampledTrainer) RunSteps(maxSteps int) (*SampledEpochStats, error) {
 // validation vertices present, the run stops once that many consecutive
 // epochs pass without improving the best validation accuracy — the
 // returned slice is then shorter than epochs.
-func (tr *SampledTrainer) Train(epochs int) ([]*SampledEpochStats, error) {
-	log := runLog[*SampledEpochStats]{patience: tr.patience()}
-	for e := 0; e < epochs; e++ {
-		s, err := tr.RunEpoch()
-		if err != nil {
-			return log.stats, err
-		}
-		if log.add(s) {
-			break
-		}
-	}
-	return log.stats, nil
+func (tr *SampledTrainer) Train(epochs int) ([]*EpochStats, error) {
+	return trainEpochs(tr.RunEpoch, epochs, tr.patience())
 }
 
 // patience returns the early-stopping patience in force: the configured
@@ -694,58 +686,46 @@ func (tr *SampledTrainer) patience() int {
 	return tr.Cfg.EarlyStopPatience
 }
 
-// valAccuracy evaluates the current model on the validation vertices with a
-// sampled forward on device 0 (replicas are identical at epoch boundaries),
-// outside the task graph: the replay is over, so the device's sampler, cache
-// and slabs are idle, and it runs the training step's forward — same
-// kernels, same layer order — through them. Validation batches run in
-// natural order at the training batch size; their sampler seeds come from
-// SplitSeed(seed, epoch, -2-b), disjoint from both the epoch shuffle (-1)
-// and every training batch (b >= 0), so tracking validation never perturbs
-// the training pipeline's sampling stream or its determinism.
+// valAccuracy evaluates the current model on the validation vertices with
+// the training step's own forward methods on device 0 (replicas are
+// identical at epoch boundaries), outside the task graph: the replay is
+// over, so the device's samplers, cache and slabs are idle. Validation
+// batches run in natural order at the training batch size; their sampler
+// seeds come from SplitSeed(seed, epoch, -2-b), disjoint from both the epoch
+// shuffle (-1) and every training batch (b >= 0), so tracking validation
+// never perturbs the training pipeline's sampling stream or its determinism.
 func (tr *SampledTrainer) valAccuracy(epoch int) float64 {
-	// NewSampledTrainer rejects phantom datasets; keep the guarantee local.
-	if tr.feat.IsPhantom() {
-		return 0
-	}
-	L := tr.Cfg.Layers
-	ws, bufs, workers := tr.weights[0], tr.bufs[0], tr.Cfg.Workers
+	dv := tr.devs[0]
 	totalCorrect := 0
 	for b, lo := 0, 0; lo < len(tr.valVerts); b, lo = b+1, lo+tr.Cfg.Batch {
 		hi := min(lo+tr.Cfg.Batch, len(tr.valVerts))
-		seed := sample.SplitSeed(tr.Cfg.Seed, epoch, -2-b)
-		blocks := tr.samplers[0][0].Build(tr.valVerts[lo:hi], seed)
-		h := bufs.X.View(len(blocks[0].Src), tr.Dims[0])
-		tr.caches[0].Gather(h, tr.feat, blocks[0].Src)
-		for l := 0; l < L; l++ {
-			adj := blocks[l].Adj
-			ah := bufs.AH[l].View(adj.Rows, tr.Dims[l])
-			sparse.ParallelSpMM(adj, h, 0, ah, workers)
-			h = bufs.OUT[l].View(adj.Rows, tr.Dims[l+1])
-			tensor.ParallelGemm(1, ah, ws[l], 0, h, workers)
-			if l < L-1 {
-				tensor.ReLU(h, h)
+		dv.sample(0, tr.valVerts[lo:hi], sample.SplitSeed(tr.Cfg.Seed, epoch, -2-b))
+		dv.extract(0)
+		for l := 0; l < tr.Cfg.Layers; l++ {
+			dv.aggregate(0, l)
+			dv.transform(0, l)
+			if l < tr.Cfg.Layers-1 {
+				dv.activate(0, l)
 			}
 		}
-		dst := blocks[L-1].Dst
-		lb := tr.labels[0][:len(dst)]
-		for i, v := range dst {
-			lb[i] = tr.Graph.Labels[v]
-		}
-		c, _ := nn.CorrectCount(h, lb, nil)
+		logits, labels := dv.outputs(0)
+		c, _ := nn.CorrectCount(logits, labels, nil)
 		totalCorrect += c
 	}
 	return float64(totalCorrect) / float64(len(tr.valVerts))
 }
 
 // Caches returns the per-device feature caches (read-only introspection).
-func (tr *SampledTrainer) Caches() []*sample.FeatureCache { return tr.caches }
+func (tr *SampledTrainer) Caches() []*sample.FeatureCache {
+	caches := make([]*sample.FeatureCache, len(tr.devs))
+	for d, dv := range tr.devs {
+		caches[d] = dv.cache
+	}
+	return caches
+}
 
 // TrainVertexCount returns the number of training vertices in the plan.
 func (tr *SampledTrainer) TrainVertexCount() int { return len(tr.trainVerts) }
-
-// ValVertexCount returns the number of validation vertices.
-func (tr *SampledTrainer) ValVertexCount() int { return len(tr.valVerts) }
 
 // Cursor returns the sampler cursor — the epoch whose plan the next call
 // consumes and the batch index it starts at. Checkpoint v3 persists this
@@ -754,9 +734,6 @@ func (tr *SampledTrainer) ValVertexCount() int { return len(tr.valVerts) }
 func (tr *SampledTrainer) Cursor() (epoch, nextBatch int) {
 	return tr.cursor.Epoch, tr.cursor.NextBatch
 }
-
-// Depth returns the handoff slot count (2 pipelined, 1 not).
-func (tr *SampledTrainer) Depth() int { return tr.depth() }
 
 // FrontierCapacities returns the provable per-depth frontier bounds the
 // slab capacities derive from (sample.FrontierCaps of this config).

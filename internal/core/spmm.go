@@ -58,21 +58,38 @@ type layerRecorder struct {
 	phantom bool
 }
 
-// relu records the in-place ReLU of layer l's output (width cols) on every
-// device i after ready[i], returning the task IDs.
-func (r layerRecorder) relu(tg *sim.Graph, label string, l, cols int, ready []int) []int {
+// compute records one compute task of the given kind per device: device i's
+// runs after ready[i] (when >= 0) at cost(i), and — unless operands are
+// shape-only — bind(i, id) binds its closure and declared shapes to the task
+// just added. It returns the task IDs. The bind callback keeps the BindShaped
+// call and its closure in one place for the vet rules that read them.
+func (r layerRecorder) compute(tg *sim.Graph, kind sim.Kind, label string, memBound bool, ready []int,
+	cost func(i int) float64, bind func(i, id int)) []int {
 	ids := make([]int, r.Machine.P)
 	for i := range ids {
-		ids[i] = tg.AddCompute(i, sim.KindActivation, label, -1,
-			r.Machine.Spec.ElementwiseCost(int64(r.s(r.devs[i].rows))*int64(cols), 1), true, ready[i])
+		var deps []int
+		if ready[i] >= 0 {
+			deps = append(deps, ready[i])
+		}
+		ids[i] = tg.AddCompute(i, kind, label, -1, cost(i), memBound, deps...)
 		if !r.phantom {
-			act := r.ahwView(l, cols)(i)
-			// In-place: the destination is also read, so Writes
-			// (read-and-write) alone covers it.
-			tg.BindShaped(ids[i], nil, sim.ShapesOf(act), func() { tensor.ReLU(act, act) })
+			bind(i, ids[i])
 		}
 	}
 	return ids
+}
+
+// relu records the in-place ReLU of layer l's output (width cols) on every
+// device i after ready[i], returning the task IDs.
+func (r layerRecorder) relu(tg *sim.Graph, label string, l, cols int, ready []int) []int {
+	return r.compute(tg, sim.KindActivation, label, true, ready,
+		func(i int) float64 { return r.Machine.Spec.ElementwiseCost(int64(r.s(r.devs[i].rows))*int64(cols), 1) },
+		func(i, id int) {
+			act := r.ahwView(l, cols)(i)
+			// In-place: the destination is also read, so Writes
+			// (read-and-write) alone covers it.
+			tg.BindShaped(id, nil, sim.ShapesOf(act), func() { tensor.ReLU(act, act) })
+		})
 }
 
 // tiles returns device d's resident tiles for the pass a describes.

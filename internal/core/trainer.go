@@ -88,6 +88,17 @@ func validateModelOnMachine(spec sim.MachineSpec, p, memScale, layers, hidden in
 	return nil
 }
 
+// validateTrainSplit rejects a materialized dataset whose training mask
+// selects no vertex: there is no loss to compute, and a run over it would
+// report a perfect-looking Loss = 0 forever. A nil mask trains on every
+// vertex; phantom datasets are timed, not trained, and pass.
+func validateTrainSplit(g *graph.Graph) error {
+	if !g.IsPhantom() && g.TrainMask != nil && nn.MaskCount(g.TrainMask, 0) == 0 {
+		return fmt.Errorf("core: dataset has no training vertices")
+	}
+	return nil
+}
+
 // Trainer is a distributed MG-GCN training run bound to one dataset and
 // machine. Create with NewTrainer; each RunEpoch performs one full-batch
 // step and returns its statistics (simulated time, breakdown, accuracy).
@@ -112,6 +123,9 @@ type Trainer struct {
 // the configuration does not fit — the paper's out-of-memory outcomes.
 func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := validateTrainSplit(g); err != nil {
 		return nil, err
 	}
 	rp := newReplayer(cfg.Spec, cfg.P, cfg.MemScale)
@@ -160,7 +174,9 @@ func (tr *Trainer) layers() layerRecorder {
 	return layerRecorder{tr.partitioned, &tr.replayer, tr.Cfg.Workers, tr.phantom}
 }
 
-// EpochStats reports one epoch.
+// EpochStats reports one epoch of any trainer — or, on the sampled trainer
+// after a mid-epoch resume, the remaining segment of one: loss and accuracy
+// are normalized over the rows the call actually processed.
 type EpochStats struct {
 	// EpochSeconds is the simulated wall-clock of the whole step.
 	EpochSeconds float64
@@ -169,8 +185,20 @@ type EpochStats struct {
 	Loss     float64
 	TrainAcc float64
 	// TestAcc is the held-out accuracy (0 when the dataset has no test
-	// mask or in phantom mode).
+	// mask, in phantom mode, and on the sampled trainer).
 	TestAcc float64
+	// ValAcc is the validation accuracy after a sampled epoch completed,
+	// filled only when the config tracks validation (TrackVal or a patience)
+	// and the graph has validation vertices; otherwise it stays 0.
+	ValAcc float64
+	// Batches is the number of minibatches the call trained (0 full-batch).
+	Batches int
+	// OverlapRatio is the mean over devices of summed per-stream busy time
+	// divided by the makespan — how many of a device's streams are busy at
+	// once on average. Full-batch it measures §4.3's comm/compute overlap;
+	// sampled, ~1 when the stages serialize and >1 when the sampler stream
+	// genuinely overlaps training.
+	OverlapRatio float64
 	// Tasks and Sched expose the raw timeline for the Gantt figures.
 	Tasks []*sim.Task
 	Sched *sim.Schedule
@@ -191,23 +219,12 @@ func (s *EpochStats) BreakdownPercent() map[sim.Kind]float64 {
 	return out
 }
 
-func (s *EpochStats) dropTimeline()       { s.Tasks, s.Sched = nil, nil }
-func (s *EpochStats) validation() float64 { return 0 }
-
-// epochStats is what the training loops need of a per-epoch record.
-type epochStats interface {
-	// dropTimeline releases the heavyweight task/schedule payload.
-	dropTimeline()
-	// validation is the epoch's validation accuracy (0 where untracked).
-	validation() float64
-}
-
 // runLog collects a run's per-epoch stats. Only the newest entry keeps its
 // task/schedule payload, so whichever epoch turns out to be the last —
 // through completion, early stopping or a failure — still has its timeline.
 // With patience > 0, add also tracks early stopping.
-type runLog[S epochStats] struct {
-	stats    []S
+type runLog struct {
+	stats    []*EpochStats
 	patience int
 	best     float64
 	stale    int
@@ -215,16 +232,16 @@ type runLog[S epochStats] struct {
 
 // add appends s and reports whether patience consecutive epochs have now
 // passed without improving on the best validation accuracy.
-func (l *runLog[S]) add(s S) (stop bool) {
+func (l *runLog) add(s *EpochStats) (stop bool) {
 	if n := len(l.stats); n > 0 {
-		l.stats[n-1].dropTimeline()
+		l.stats[n-1].Tasks, l.stats[n-1].Sched = nil, nil
 	}
 	l.stats = append(l.stats, s)
 	if l.patience <= 0 {
 		return false
 	}
-	if v := s.validation(); len(l.stats) == 1 || v > l.best {
-		l.best, l.stale = v, 0
+	if len(l.stats) == 1 || s.ValAcc > l.best {
+		l.best, l.stale = s.ValAcc, 0
 		return false
 	}
 	l.stale++
@@ -248,21 +265,13 @@ func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
 		out := tr.ahwView(l, dOut)
 		// gemm records dst_i = src_i · W_l on every device i after ready[i].
 		gemm := func(src, dst func(int) *tensor.Dense, ready []int) []int {
-			ids := make([]int, len(ready))
-			for i := range ids {
-				var deps []int
-				if ready[i] >= 0 {
-					deps = append(deps, ready[i])
-				}
-				ids[i] = tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("fwd%d/gemm", l), -1,
-					tr.Machine.Spec.GemmCost(tr.s(tr.devs[i].rows), dIn, dOut), false, deps...)
-				if !tr.phantom {
+			return rec.compute(tg, sim.KindGeMM, fmt.Sprintf("fwd%d/gemm", l), false, ready,
+				func(i int) float64 { return tr.Machine.Spec.GemmCost(tr.s(tr.devs[i].rows), dIn, dOut) },
+				func(i, id int) {
 					in, w, z := src(i), tr.weights[i][l], dst(i)
-					tg.BindShaped(ids[i], sim.ShapesOf(in, w), sim.ShapesOf(z),
+					tg.BindShaped(id, sim.ShapesOf(in, w), sim.ShapesOf(z),
 						func() { tensor.ParallelGemm(1, in, w, 0, z, tr.Cfg.Workers) })
-				}
-			}
-			return ids
+				})
 		}
 		// spmm records dst = Âᵀ · src at the given width after ready.
 		spmm := func(src, dst func(int) *tensor.Dense, width int, ready []int) []int {
@@ -299,63 +308,59 @@ func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
 // non-finite loss or weights. TrainElastic recovers from the recoverable
 // ones; callers using RunEpoch directly should stop training.
 func (tr *Trainer) RunEpoch() (*EpochStats, error) {
+	return tr.epoch(&tr.Cfg.execEnv, tr.recordStep)
+}
+
+// recordStep records the training step RunEpoch replays and returns its
+// fold: the per-device loss slots summed into the stats, then the numeric
+// guard.
+func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) error {
 	p := tr.Machine.P
 	spec := tr.Machine.Spec
 	L := tr.Cfg.Layers
-	tg, cg := tr.record(&tr.Cfg.execEnv)
+	rec := tr.layers()
+	rows := func(i int) int { return tr.s(tr.devs[i].rows) }
 
 	hReady := tr.recordForward(tg, cg)
 
 	// --- Loss ---
 	// Each device's loss task computes accuracy and the loss gradient for
 	// its own vertex shard into a private slot; the slots are summed after
-	// Execute so concurrent replay stays deterministic.
-	stats := &EpochStats{}
+	// the replay so concurrent replay stays deterministic.
 	classes := tr.Dims[L]
-	lossID := make([]int, p)
 	lossSum := make([]float64, p)
 	lossCorrect := make([]int, p)
 	lossTestCorrect := make([]int, p)
-	for i := 0; i < p; i++ {
-		ds := tr.devs[i]
-		logits := ds.bufs.AHW[L-1].View(ds.rows, classes)
-		lossID[i] = tg.AddCompute(i, sim.KindLoss, "loss", -1,
-			spec.LossCost(tr.s(ds.rows), classes), true, hReady[i])
-		if !tr.phantom && tr.trainCount > 0 {
+	gReady := rec.compute(tg, sim.KindLoss, "loss", true, hReady,
+		func(i int) float64 { return spec.LossCost(rows(i), classes) },
+		func(i, id int) {
+			ds := tr.devs[i]
+			logits := tr.ahwView(L-1, classes)(i)
 			// The loss writes the gradient over its logits in place; the
 			// label/mask shards and per-device loss slots are host-side and
 			// unregistered.
-			tg.BindShaped(lossID[i], nil, sim.ShapesOf(logits), func() {
+			tg.BindShaped(id, nil, sim.ShapesOf(logits), func() {
 				lossCorrect[i], _ = nn.CorrectCount(logits, ds.labels, ds.mask)
 				if ds.testMask != nil {
 					lossTestCorrect[i], _ = nn.CorrectCount(logits, ds.labels, ds.testMask)
 				}
 				lossSum[i] = nn.SoftmaxCrossEntropySum(logits, ds.labels, ds.mask, logits, tr.trainCount)
 			})
-		}
-	}
+		})
 
 	// --- Backward ---
-	gReady := lossID
 	var lastAllReduce = -1
 	for l := L - 1; l >= 0; l-- {
 		dIn, dOut := tr.Dims[l], tr.Dims[l+1]
 		// eq. (8): mask the incoming gradient by the forward activation.
 		if l < L-1 {
-			next := make([]int, p)
-			for i := 0; i < p; i++ {
-				ds := tr.devs[i]
-				gIn := ds.bufs.AHW[l+1].View(ds.rows, dOut)
-				act := ds.bufs.AHW[l].View(ds.rows, dOut)
-				id := tg.AddCompute(i, sim.KindActivation, fmt.Sprintf("bwd%d/relu", l), -1,
-					spec.ElementwiseCost(int64(tr.s(ds.rows))*int64(dOut), 2), true, gReady[i])
-				if !tr.phantom {
+			gReady = rec.compute(tg, sim.KindActivation, fmt.Sprintf("bwd%d/relu", l), true, gReady,
+				func(i int) float64 { return spec.ElementwiseCost(int64(rows(i))*int64(dOut), 2) },
+				func(i, id int) {
+					gIn, act := tr.ahwView(l+1, dOut)(i), tr.ahwView(l, dOut)(i)
 					tg.BindShaped(id, sim.ShapesOf(gIn), sim.ShapesOf(act),
 						func() { tensor.ReLUBackward(act, gIn, act) })
-				}
-				next[i] = id
-			}
-			gReady = next
+				})
 		}
 		// eq. (9): HW_G = Â AHW_G — skipped for layer 0 when the §4.4
 		// identity-scaling argument applies (input gradients not needed).
@@ -364,80 +369,52 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 		if l == 0 && tr.Cfg.SkipFirstBackward {
 			hwg = tr.ahwView(0, dOut)
 		} else {
-			hwgReady = tr.layers().distSpMM(tg, cg, spmmArgs{
+			hwgReady = rec.distSpMM(tg, cg, spmmArgs{
 				label: fmt.Sprintf("bwd%d/spmm", l), backward: true,
 				src: tr.ahwView(l, dOut), dst: hwg,
 				width: dOut, srcReady: gReady, overlap: tr.Cfg.Overlap,
 			})
 		}
 		// eq. (10): per-device partial W_G = Hᵀ HW_G, then all-reduce.
-		wgID := make([]int, p)
-		for i := 0; i < p; i++ {
-			ds := tr.devs[i]
-			wgID[i] = tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("bwd%d/wgrad", l), -1,
-				spec.GemmCost(dIn, tr.s(ds.rows), dOut), false, hwgReady[i])
-			if !tr.phantom {
+		wgID := rec.compute(tg, sim.KindGeMM, fmt.Sprintf("bwd%d/wgrad", l), false, hwgReady,
+			func(i int) float64 { return spec.GemmCost(dIn, rows(i), dOut) },
+			func(i, id int) {
 				in, hg, grad := tr.inputView(i, l, tr.Dims), hwg(i), tr.grads[i][l]
-				tg.BindShaped(wgID[i], sim.ShapesOf(in, hg), sim.ShapesOf(grad),
+				tg.BindShaped(id, sim.ShapesOf(in, hg), sim.ShapesOf(grad),
 					func() { tensor.ParallelGemmTA(1, in, hg, 0, grad, tr.Cfg.Workers) })
-			}
-		}
+			})
 		lastAllReduce = tr.allReduceGrads(cg, l, fmt.Sprintf("bwd%d/allreduce", l), wgID)
 		// eq. (11): H_G = HW_G Wᵀ for the next (lower) layer.
 		if l > 0 {
-			next := make([]int, p)
-			for i := 0; i < p; i++ {
-				ds := tr.devs[i]
-				hgOut := ds.bufs.AHW[l].View(ds.rows, dIn)
-				id := tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("bwd%d/hgrad", l), -1,
-					spec.GemmCost(tr.s(ds.rows), dOut, dIn), false, hwgReady[i])
-				if !tr.phantom {
-					hg, w := hwg(i), tr.weights[i][l]
+			gReady = rec.compute(tg, sim.KindGeMM, fmt.Sprintf("bwd%d/hgrad", l), false, hwgReady,
+				func(i int) float64 { return spec.GemmCost(rows(i), dOut, dIn) },
+				func(i, id int) {
+					hg, w, hgOut := hwg(i), tr.weights[i][l], tr.ahwView(l, dIn)(i)
 					tg.BindShaped(id, sim.ShapesOf(hg, w), sim.ShapesOf(hgOut),
 						func() { tensor.ParallelGemmTB(1, hg, w, 0, hgOut, tr.Cfg.Workers) })
-				}
-				next[i] = id
-			}
-			gReady = next
+				})
 		}
 	}
 
 	// --- Optimizer: the epoch's terminal tasks, nothing runs after Adam ---
 	tr.recordAdam(tg, "adam", lastAllReduce, nil)
 
-	// Replay the recorded arithmetic (no-op in phantom mode), then fold the
-	// per-device loss slots.
-	if err := tr.replay(&tr.Cfg.execEnv, tg); err != nil {
-		return nil, err
-	}
-	if tr.trainCount > 0 {
-		var correct, testCorrect int
-		for i := 0; i < p; i++ {
-			stats.Loss += lossSum[i]
-			correct += lossCorrect[i]
-			testCorrect += lossTestCorrect[i]
+	return func(stats *EpochStats) error {
+		if tr.trainCount > 0 { // phantom datasets have no masks to count
+			var correct, testCorrect int
+			for i := 0; i < p; i++ {
+				stats.Loss += lossSum[i]
+				correct += lossCorrect[i]
+				testCorrect += lossTestCorrect[i]
+			}
+			stats.Loss /= float64(tr.trainCount)
+			stats.TrainAcc = float64(correct) / float64(tr.trainCount)
+			if tr.testCount > 0 {
+				stats.TestAcc = float64(testCorrect) / float64(tr.testCount)
+			}
 		}
-		stats.Loss /= float64(tr.trainCount)
-		stats.TrainAcc = float64(correct) / float64(tr.trainCount)
-		if tr.testCount > 0 {
-			stats.TestAcc = float64(testCorrect) / float64(tr.testCount)
-		}
+		return tr.checkFinite(stats.Loss)
 	}
-
-	// Silent-corruption guard: a poisoned buffer anywhere in the step shows
-	// up as a non-finite loss (forward-path corruption) or non-finite
-	// weights after the Adam update (backward-path corruption spreads
-	// through the gradient all-reduce to every replica).
-	if err := tr.checkFinite(stats.Loss); err != nil {
-		return nil, err
-	}
-
-	sched := tg.Run()
-	stats.EpochSeconds = sched.Makespan
-	stats.KindBusy = sched.KindBusy
-	stats.Tasks = tg.Tasks
-	stats.Sched = sched
-	return stats, nil
 }
 
 // Train runs epochs full-batch steps and returns per-epoch stats (only the
@@ -445,13 +422,22 @@ func (tr *Trainer) RunEpoch() (*EpochStats, error) {
 // failure stops the run, returning the completed epochs' stats alongside the
 // error; TrainElastic is the fault-tolerant variant.
 func (tr *Trainer) Train(epochs int) ([]*EpochStats, error) {
-	var log runLog[*EpochStats]
+	return trainEpochs(tr.RunEpoch, epochs, 0)
+}
+
+// trainEpochs calls runEpoch up to epochs times, logging the stats; it stops
+// at the first failure — returning the completed epochs' stats alongside the
+// error — or when patience > 0 runs out.
+func trainEpochs(runEpoch func() (*EpochStats, error), epochs, patience int) ([]*EpochStats, error) {
+	log := runLog{patience: patience}
 	for e := 0; e < epochs; e++ {
-		s, err := tr.RunEpoch()
+		s, err := runEpoch()
 		if err != nil {
 			return log.stats, err
 		}
-		log.add(s)
+		if log.add(s) {
+			break
+		}
 	}
 	return log.stats, nil
 }
@@ -464,9 +450,11 @@ func (tr *Trainer) ForwardOnly() (*tensor.Dense, error) {
 	if tr.phantom {
 		panic("core: ForwardOnly in phantom mode")
 	}
-	tg, cg := tr.record(&tr.Cfg.execEnv)
-	tr.recordForward(tg, cg)
-	if err := tr.replay(&tr.Cfg.execEnv, tg); err != nil {
+	_, err := tr.epoch(&tr.Cfg.execEnv, func(tg *sim.Graph, cg *comm.Group) func(*EpochStats) error {
+		tr.recordForward(tg, cg)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return tr.gatherLogits(tr.Dims), nil

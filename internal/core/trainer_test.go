@@ -9,6 +9,7 @@ import (
 	"mggcn/internal/graph"
 	"mggcn/internal/nn"
 	"mggcn/internal/sim"
+	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
 )
 
@@ -390,6 +391,74 @@ func TestMemoryAccountedPerDevice(t *testing.T) {
 	for _, pool := range tr.Machine.Pools {
 		if pool.Used() == 0 {
 			t.Fatalf("pool %s has no allocations", pool.Name())
+		}
+	}
+}
+
+// ringGraph returns an n-vertex dataset whose first linked vertices form an
+// undirected ring and whose remaining vertices are isolated, with random
+// features, alternating labels and no masks (every vertex trains).
+func ringGraph(n, linked int) *graph.Graph {
+	var entries []sparse.Coo
+	for v := 0; v < linked; v++ {
+		u := (v + 1) % linked
+		entries = append(entries, sparse.Coo{Row: int32(v), Col: int32(u), Val: 1}, sparse.Coo{Row: int32(u), Col: int32(v), Val: 1})
+	}
+	g := &graph.Graph{Name: "ring", Adj: sparse.FromCoo(n, n, entries, true), Classes: 2, FeatDim: 5}
+	g.Features = nn.InitWeights([]int{n, g.FeatDim}, 3)[0]
+	g.Labels = make([]int32, n)
+	for v := range g.Labels {
+		g.Labels[v] = int32(v % 2)
+	}
+	return g
+}
+
+// TestDegenerateInputs pins the inputs at the edges of the partitioned
+// trainers as behaviour: more devices than vertices (empty blocks), isolated
+// vertices, a one-wide hidden layer and a single layer each train one epoch
+// to a finite positive loss on every strategy, and the GAT forward returns
+// finite logits. None may panic.
+func TestDegenerateInputs(t *testing.T) {
+	cases := []struct {
+		name           string
+		g              *graph.Graph
+		p, hid, layers int
+	}{
+		{"P > n", ringGraph(6, 6), 8, 4, 2},
+		{"isolated vertices", ringGraph(40, 20), 4, 4, 2},
+		{"Hidden = 1", testGraph(t), 4, 1, 2},
+		{"Layers = 1", testGraph(t), 4, 4, 1},
+	}
+	for _, tc := range cases {
+		for _, st := range []Strategy{Strategy1DRow, Strategy1DCol, Strategy15D} {
+			cfg := testConfig(tc.p)
+			cfg.Hidden, cfg.Layers, cfg.Strategy = tc.hid, tc.layers, st
+			tr, err := NewTrainer(tc.g, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, st, err)
+			}
+			s, err := tr.RunEpoch()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, st, err)
+			}
+			if math.IsNaN(s.Loss) || math.IsInf(s.Loss, 0) || s.Loss <= 0 || len(s.Tasks) == 0 {
+				t.Fatalf("%s/%s: loss %v over %d tasks", tc.name, st, s.Loss, len(s.Tasks))
+			}
+		}
+		cfg := testConfig(tc.p)
+		dims := nn.LayerDims(tc.g.FeatDim, tc.hid, tc.layers, tc.g.Classes)
+		dist, err := NewGATDist(tc.g, nn.NewGAT(tc.g, dims, 3), cfg)
+		if err != nil {
+			t.Fatalf("%s/gat: %v", tc.name, err)
+		}
+		logits, _, err := dist.Forward()
+		if err != nil {
+			t.Fatalf("%s/gat: %v", tc.name, err)
+		}
+		for i, x := range logits.Data {
+			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+				t.Fatalf("%s/gat: logit %d is %v", tc.name, i, x)
+			}
 		}
 	}
 }

@@ -105,46 +105,6 @@ func (g *Graph) InDegrees() []int64 {
 	return d
 }
 
-// DegreeStats summarizes a degree distribution.
-type DegreeStats struct {
-	Min, Max, Median int64
-	Mean             float64
-	// Gini is the Gini coefficient of the distribution; 0 is perfectly
-	// uniform, values near 1 indicate heavy skew (a predictor of the
-	// load imbalance that §5.2's permutation fixes).
-	Gini float64
-}
-
-// ComputeDegreeStats summarizes degs.
-func ComputeDegreeStats(degs []int64) DegreeStats {
-	if len(degs) == 0 {
-		return DegreeStats{}
-	}
-	s := make([]int64, len(degs))
-	copy(s, degs)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	var sum float64
-	for _, d := range s {
-		sum += float64(d)
-	}
-	st := DegreeStats{
-		Min:    s[0],
-		Max:    s[len(s)-1],
-		Median: s[len(s)/2],
-		Mean:   sum / float64(len(s)),
-	}
-	if sum > 0 {
-		// Gini via the sorted formula: (2*sum_i i*x_i)/(n*sum) - (n+1)/n.
-		var weighted float64
-		for i, d := range s {
-			weighted += float64(i+1) * float64(d)
-		}
-		n := float64(len(s))
-		st.Gini = 2*weighted/(n*sum) - (n+1)/n
-	}
-	return st
-}
-
 // Split assigns deterministic train/val/test masks with the given fractions
 // (test gets the remainder). Fractions must be non-negative and sum to <= 1.
 func (g *Graph) Split(trainFrac, valFrac float64, seed uint64) {

@@ -79,23 +79,6 @@ func TestNormalizedAdjColumnsAverage(t *testing.T) {
 	}
 }
 
-func TestDegreeStats(t *testing.T) {
-	st := ComputeDegreeStats([]int64{1, 1, 1, 1})
-	if st.Gini != 0 || st.Mean != 1 || st.Min != 1 || st.Max != 1 {
-		t.Fatalf("uniform stats wrong: %+v", st)
-	}
-	skewed := ComputeDegreeStats([]int64{0, 0, 0, 100})
-	if skewed.Gini < 0.7 {
-		t.Fatalf("skewed distribution should have high Gini, got %v", skewed.Gini)
-	}
-	if skewed.Max != 100 || skewed.Mean != 25 {
-		t.Fatalf("skewed stats wrong: %+v", skewed)
-	}
-	if got := ComputeDegreeStats(nil); got != (DegreeStats{}) {
-		t.Fatalf("empty stats should be zero: %+v", got)
-	}
-}
-
 func TestSplitPartitionsVertices(t *testing.T) {
 	g := tinyGraph()
 	g.Split(0.5, 0.25, 42)

@@ -142,23 +142,6 @@ func ComputeBalance(work []int64) Balance {
 	return b
 }
 
-// StageBalance returns, for each SpMM stage j, the balance of per-GPU tile
-// work {nnz(A^{ij}) : i}. In the paper's 1D row distribution, stage j's
-// SpMMs all consume the broadcast block H^j; the makespan of the stage is
-// the max over i.
-func StageBalance(tiles [][]int64) []Balance {
-	parts := len(tiles)
-	out := make([]Balance, parts)
-	col := make([]int64, parts)
-	for j := 0; j < parts; j++ {
-		for i := 0; i < parts; i++ {
-			col[i] = tiles[i][j]
-		}
-		out[j] = ComputeBalance(col)
-	}
-	return out
-}
-
 // TotalImbalance returns the epoch-level imbalance: per-GPU total tile work
 // max/mean across the whole P-stage SpMM.
 func TotalImbalance(tiles [][]int64) Balance {

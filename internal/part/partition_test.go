@@ -160,18 +160,6 @@ func TestComputeBalance(t *testing.T) {
 	}
 }
 
-func TestStageBalanceShape(t *testing.T) {
-	tiles := [][]int64{{4, 0}, {0, 4}}
-	st := StageBalance(tiles)
-	if len(st) != 2 {
-		t.Fatalf("want one balance per stage")
-	}
-	// Stage 0 work is column 0: {4, 0} -> imbalance 2.
-	if st[0].Imbalance != 2 {
-		t.Fatalf("stage 0 imbalance %v, want 2", st[0].Imbalance)
-	}
-}
-
 func TestPermutationImprovesBalance(t *testing.T) {
 	// The headline §5.2 claim: on a degree-skewed graph in natural order,
 	// random permutation reduces per-stage imbalance for multi-GPU tilings.

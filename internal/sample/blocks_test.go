@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"mggcn/internal/gen"
 	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
 )
@@ -188,7 +189,9 @@ func TestCacheGatherBitIdentical(t *testing.T) {
 		verts[i] = int32(rng.Intn(n))
 	}
 	want := tensor.NewDense(len(verts), d)
-	tensor.GatherRows(want, feat, verts)
+	for i, v := range verts {
+		copy(want.Row(i), feat.Row(int(v)))
+	}
 	for _, frac := range []float64{0, 0.1, 0.5, 0.9, 1} {
 		cache := NewFeatureCache(feat, degrees, frac)
 		got := tensor.NewDense(len(verts), d)
@@ -325,5 +328,68 @@ func TestRNGStreamsIndependent(t *testing.T) {
 	}
 	if same != 0 {
 		t.Fatalf("%d/64 draws collide across split streams", same)
+	}
+}
+
+func TestBuildBlocksShapes(t *testing.T) {
+	adj := gen.BTER(gen.DefaultBTER(300, 10, 3))
+	batch := []int32{1, 5, 9}
+	blocks := BuildBlocks(adj, batch, []int{5, 5}, 7)
+	if len(blocks) != 2 {
+		t.Fatalf("blocks %d", len(blocks))
+	}
+	// Innermost destination frontier is the batch.
+	if len(blocks[1].Dst) != 3 {
+		t.Fatalf("batch frontier %d", len(blocks[1].Dst))
+	}
+	// Frontiers chain: block l's sources are block l-1's destinations.
+	if len(blocks[1].Src) != len(blocks[0].Dst) {
+		t.Fatalf("frontier chain broken: %d vs %d", len(blocks[1].Src), len(blocks[0].Dst))
+	}
+	for i := range blocks[1].Src {
+		if blocks[1].Src[i] != blocks[0].Dst[i] {
+			t.Fatalf("frontier vertex mismatch at %d", i)
+		}
+	}
+	for _, b := range blocks {
+		if err := b.Adj.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if b.Adj.Rows != len(b.Dst) || b.Adj.Cols != len(b.Src) {
+			t.Fatalf("block shape %dx%d vs frontiers %d/%d", b.Adj.Rows, b.Adj.Cols, len(b.Dst), len(b.Src))
+		}
+	}
+}
+
+func TestBuildBlocksRowsAverage(t *testing.T) {
+	adj := gen.BTER(gen.DefaultBTER(200, 8, 5))
+	blocks := BuildBlocks(adj, []int32{0, 1}, []int{4}, 3)
+	for _, b := range blocks {
+		for v := 0; v < b.Adj.Rows; v++ {
+			_, vals := b.Adj.Row(v)
+			var s float64
+			for _, x := range vals {
+				s += float64(x)
+			}
+			if len(vals) > 0 && (s < 0.999 || s > 1.001) {
+				t.Fatalf("row %d weights sum to %v, want 1 (mean aggregation)", v, s)
+			}
+		}
+	}
+}
+
+func TestBuildBlocksSelfLoop(t *testing.T) {
+	adj := gen.BTER(gen.DefaultBTER(100, 5, 9))
+	blocks := BuildBlocks(adj, []int32{7}, []int{3}, 1)
+	b := blocks[0]
+	// The batch vertex must appear among its own sources (self-loop).
+	var selfFound bool
+	for _, u := range b.Src {
+		if u == 7 {
+			selfFound = true
+		}
+	}
+	if !selfFound {
+		t.Fatalf("self vertex missing from sources")
 	}
 }

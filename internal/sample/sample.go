@@ -1,14 +1,17 @@
 // Package sample implements mini-batch neighborhood sampling — the
 // alternative to full-batch training that the paper's introduction argues
-// against. It exists to quantify that argument: k-hop frontiers explode to
-// most of the graph within 2-3 hops on dense graphs (KHopReach), and even
-// fanout-limited GraphSAGE-style sampling (FanoutSample) touches far more
-// edges per epoch than one full-batch pass.
+// against — as the parts internal/core's sampled trainer is built from:
+// the deterministic epoch plan (PlanEpoch), the fanout block sampler
+// (Sampler, BuildBlocks) with its provable frontier bounds (FrontierCaps),
+// and the degree-ordered feature cache (FeatureCache). It also quantifies the
+// introduction's argument: k-hop frontiers explode to most of the graph
+// within 2-3 hops on dense graphs (KHopReach), and even fanout-limited
+// GraphSAGE-style blocks touch more edges per epoch than one full-batch pass
+// (the explosion experiment counts them).
 package sample
 
 import (
 	"fmt"
-	"sort"
 
 	"mggcn/internal/sparse"
 )
@@ -45,116 +48,4 @@ func KHopReach(adj *sparse.CSR, seeds []int32, hops int) []int {
 		frontier = next
 	}
 	return counts
-}
-
-// Frontier describes one sampled mini-batch: the vertex count and sampled
-// edge count at every layer depth, outermost (input) layer first.
-type Frontier struct {
-	// Vertices[h] is the number of distinct vertices needed at depth h
-	// (Vertices[len-1] is the batch itself).
-	Vertices []int
-	// Edges[h] is the number of sampled edges between depth h and h+1.
-	Edges []int64
-}
-
-// TotalEdges returns the sampled edge work of the batch.
-func (f *Frontier) TotalEdges() int64 {
-	var t int64
-	for _, e := range f.Edges {
-		t += e
-	}
-	return t
-}
-
-// FanoutSample draws a GraphSAGE-style sampled neighborhood: starting from
-// the batch vertices, each hop samples up to fanouts[h] neighbors per
-// vertex (hop 0 is applied to the batch). Returns the frontier statistics.
-func FanoutSample(adj *sparse.CSR, batch []int32, fanouts []int, seed int64) *Frontier {
-	rng := NewRNG(seed)
-	cur := dedup(batch)
-	f := &Frontier{Vertices: []int{len(cur)}}
-	for _, fanout := range fanouts {
-		if fanout < 1 {
-			panic(fmt.Sprintf("sample: fanout %d < 1", fanout))
-		}
-		seen := map[int32]struct{}{}
-		var edges int64
-		for _, u := range cur {
-			cols, _ := adj.Row(int(u))
-			if len(cols) <= fanout {
-				for _, v := range cols {
-					seen[v] = struct{}{}
-				}
-				edges += int64(len(cols))
-				continue
-			}
-			for _, idx := range rng.PickK(make([]int, fanout), len(cols)) {
-				seen[cols[idx]] = struct{}{}
-			}
-			edges += int64(fanout)
-		}
-		next := make([]int32, 0, len(seen))
-		for v := range seen {
-			next = append(next, v)
-		}
-		// Map iteration order is random; sort so the next hop consumes the
-		// RNG deterministically.
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		f.Edges = append(f.Edges, edges)
-		f.Vertices = append(f.Vertices, len(next))
-		cur = next
-	}
-	// Present outermost-first like the layer order of a forward pass.
-	reverseInts(f.Vertices)
-	reverseInt64s(f.Edges)
-	return f
-}
-
-// EpochSampledEdges estimates the edges touched by one mini-batch epoch:
-// the whole training set split into batches of batchSize, each sampled
-// with the given fanouts. Deterministic given the seed.
-func EpochSampledEdges(adj *sparse.CSR, trainCount, batchSize int, fanouts []int, seed int64) int64 {
-	if batchSize < 1 {
-		panic("sample: batchSize < 1")
-	}
-	rng := NewRNG(seed)
-	perm := rng.Perm(adj.Rows)
-	var total int64
-	for start := 0; start < trainCount; start += batchSize {
-		end := start + batchSize
-		if end > trainCount {
-			end = trainCount
-		}
-		batch := make([]int32, 0, end-start)
-		for _, v := range perm[start:end] {
-			batch = append(batch, int32(v))
-		}
-		f := FanoutSample(adj, batch, fanouts, seed+int64(start))
-		total += f.TotalEdges()
-	}
-	return total
-}
-
-func dedup(vs []int32) []int32 {
-	seen := map[int32]struct{}{}
-	out := make([]int32, 0, len(vs))
-	for _, v := range vs {
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func reverseInts(s []int) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-func reverseInt64s(s []int64) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }

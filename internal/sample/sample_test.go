@@ -72,72 +72,3 @@ func TestKHopBadSeedPanics(t *testing.T) {
 	}()
 	KHopReach(pathGraph(3), []int32{7}, 1)
 }
-
-func TestFanoutSampleCapsNeighbors(t *testing.T) {
-	// A star graph: center has 50 neighbors; fanout 10 must cap the edges.
-	var entries []sparse.Coo
-	for v := 1; v <= 50; v++ {
-		entries = append(entries, sparse.Coo{Row: 0, Col: int32(v)})
-	}
-	adj := sparse.FromCoo(51, 51, entries, false)
-	f := FanoutSample(adj, []int32{0}, []int{10}, 1)
-	if f.Edges[0] != 10 {
-		t.Fatalf("sampled %d edges, want 10", f.Edges[0])
-	}
-	if f.Vertices[0] != 10 || f.Vertices[1] != 1 {
-		t.Fatalf("frontier %v", f.Vertices)
-	}
-}
-
-func TestFanoutSampleSmallDegreeTakesAll(t *testing.T) {
-	adj := pathGraph(10)
-	f := FanoutSample(adj, []int32{5}, []int{25}, 2)
-	if f.Edges[0] != 2 { // both neighbors of vertex 5
-		t.Fatalf("edges %v", f.Edges)
-	}
-}
-
-func TestFanoutSampleDeterministic(t *testing.T) {
-	adj := gen.BTER(gen.DefaultBTER(500, 20, 9))
-	a := FanoutSample(adj, []int32{1, 2, 3}, []int{10, 5}, 42)
-	b := FanoutSample(adj, []int32{1, 2, 3}, []int{10, 5}, 42)
-	if a.TotalEdges() != b.TotalEdges() || a.Vertices[0] != b.Vertices[0] {
-		t.Fatalf("sampling not deterministic")
-	}
-}
-
-func TestFanoutSampleBadFanoutPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	FanoutSample(pathGraph(3), []int32{0}, []int{0}, 1)
-}
-
-func TestEpochSampledEdgesExceedsFullBatchOnDenseGraphs(t *testing.T) {
-	// The motivation for full-batch training: per-epoch sampled work with
-	// standard fanouts exceeds a single pass over the edges.
-	adj := gen.BTER(gen.DefaultBTER(2000, 50, 11))
-	sampled := EpochSampledEdges(adj, adj.Rows, 64, []int{25, 10}, 3)
-	fullBatch := adj.NNZ() // one SpMM touches each edge once
-	if sampled < fullBatch {
-		t.Fatalf("sampled epoch %d edges < full batch %d; explosion missing", sampled, fullBatch)
-	}
-}
-
-func TestEpochSampledEdgesBatchSizeValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	EpochSampledEdges(pathGraph(4), 4, 0, []int{5}, 1)
-}
-
-func TestFrontierTotalEdges(t *testing.T) {
-	f := &Frontier{Edges: []int64{10, 20}}
-	if f.TotalEdges() != 30 {
-		t.Fatalf("TotalEdges=%d", f.TotalEdges())
-	}
-}

@@ -8,6 +8,29 @@ import (
 	"mggcn/internal/sparse"
 )
 
+// Block is one sampled bipartite aggregation layer: Adj rows are the
+// destination frontier (the vertices whose representations the layer
+// produces), columns the source frontier, and values 1/sampled-degree so
+// SpMM averages like the full-batch eq. (2).
+type Block struct {
+	Adj *sparse.CSR
+	// AdjT is Adjᵀ (the block in CSC), built with the block so the backward
+	// pass never transposes. The outermost block (blocks[0]) has none: its
+	// sources are input features, which no gradient propagates to.
+	AdjT *sparse.CSR
+	// Src and Dst map local indices to graph vertex ids.
+	Src, Dst []int32
+}
+
+// BuildBlocks materializes the per-layer blocks for one mini-batch: blocks
+// run outermost-first, so blocks[0] consumes raw input features and
+// blocks[len-1] produces the batch vertices. Self-loops are added so a
+// vertex's own representation survives aggregation (GraphSAGE style). It is
+// the one-shot form of Sampler.Build: the blocks own their storage.
+func BuildBlocks(adj *sparse.CSR, batch []int32, fanouts []int, seed int64) []*Block {
+	return NewSampler(adj, fanouts).Build(batch, seed)
+}
+
 // Sampler builds fanout blocks over one graph with storage it keeps: a
 // per-vertex bitmap that collects each frontier, a per-vertex array of the
 // frontier's local indices, and per-hop arenas the blocks are emitted into

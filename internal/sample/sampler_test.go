@@ -34,8 +34,9 @@ func refPickK(r *RNG, dst []int, n int) []int {
 // the stream position can be compared.
 func refBuildBlocks(adj *sparse.CSR, batch []int32, fanouts []int, seed int64) ([]*Block, *RNG) {
 	rng := NewRNG(seed)
-	dst := dedup(batch)
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+	dst := slices.Clone(batch)
+	slices.Sort(dst)
+	dst = slices.Compact(dst)
 	blocks := make([]*Block, len(fanouts))
 	for h := len(fanouts) - 1; h >= 0; h-- {
 		fanout := fanouts[h]

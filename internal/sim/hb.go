@@ -42,7 +42,11 @@ const (
 // Predecessors returns, for every task, its direct happens-before
 // predecessors under the selected edge sets. Dropping a set answers "is
 // this graph safe without that mechanism?" — the shape of bug a removed
-// fence would reintroduce.
+// fence would reintroduce. The one edge contract has three consumers: the
+// executor (Execute gates every closure on ExecutorEdges), the verifiers
+// (san, memcheck and schedcheck close these lists with HappensBefore), and
+// the simulator (Run starts a task when its EdgeDeps|EdgeFIFO list has
+// finished — streams and dependencies, not the host-side fences).
 func (g *Graph) Predecessors(edges Edges) [][]int {
 	n := len(g.Tasks)
 	preds := make([][]int, n)

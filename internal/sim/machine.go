@@ -119,17 +119,6 @@ func ParseMachine(name string) (MachineSpec, error) {
 	}
 }
 
-// DGX2 returns an NVIDIA DGX-2: 16 V100 32GB joined by NVSwitch, so every
-// group sees the full 6-link bandwidth — a what-if machine for scaling the
-// paper's algorithms past 8 GPUs without leaving the node.
-func DGX2() MachineSpec {
-	s := DGXV100()
-	s.Name = "DGX-2"
-	s.NumGPUs = 16
-	s.NVSwitch = true
-	return s
-}
-
 // GPUsPerNode returns the GPU count of one node.
 func (s MachineSpec) GPUsPerNode() int {
 	if s.Nodes <= 1 {

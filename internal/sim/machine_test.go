@@ -151,14 +151,3 @@ func TestMultiNodeMachineScalingWall(t *testing.T) {
 		t.Fatalf("node boundary penalty too small: %g vs %g", in, out)
 	}
 }
-
-func TestDGX2Spec(t *testing.T) {
-	d := DGX2()
-	if d.NumGPUs != 16 || !d.NVSwitch || d.MemBytesPerGPU != 32<<30 {
-		t.Fatalf("DGX-2 spec wrong: %+v", d)
-	}
-	// NVSwitch: every subgroup sees the full links.
-	if d.GroupLinks(2) != 6 || d.GroupLinks(16) != 6 {
-		t.Fatalf("DGX-2 group links wrong")
-	}
-}

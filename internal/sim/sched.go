@@ -28,7 +28,8 @@ const epsilon = 1e-15
 //     kernels launched on a CUDA stream.
 //   - A task starts when its dependencies have finished and it is at the
 //     head of its stream on every device it spans (collectives gate on the
-//     whole group, NCCL-style).
+//     whole group, NCCL-style) — that is, when every entry of its
+//     Predecessors(EdgeDeps|EdgeFIFO) list has finished.
 //   - While a comm task is active on a device, mem-bound compute tasks on
 //     that device progress at Spec.ContentionComputeRate and comm tasks at
 //     Spec.ContentionCommRate (§6.3's shared-HBM effect).
@@ -44,24 +45,17 @@ func (g *Graph) Run() *Schedule {
 		return s
 	}
 
+	// A task may start once every direct predecessor — its recorded deps and,
+	// on each device it spans, the task issued just before it on its stream —
+	// has finished: the same lists the executor and the verifiers walk.
 	remaining := make([]float64, n)
-	depsLeft := make([]int, n)
-	dependents := make([][]int, n)
-	for i, t := range g.Tasks {
-		remaining[i] = t.Seconds
-		depsLeft[i] = len(t.Deps)
-		for _, d := range t.Deps {
-			dependents[d] = append(dependents[d], i)
-		}
-	}
-
-	// Per (device, stream) FIFO queues in issue order; head index advances
-	// as tasks finish.
-	queues := make([][NumStreams][]int, g.P)
-	heads := make([][NumStreams]int, g.P)
-	for i, t := range g.Tasks {
-		for _, dev := range t.Devices {
-			queues[dev][t.Stream] = append(queues[dev][t.Stream], i)
+	predsLeft := make([]int, n)
+	successors := make([][]int, n)
+	for i, ps := range g.Predecessors(EdgeDeps | EdgeFIFO) {
+		remaining[i] = g.Tasks[i].Seconds
+		predsLeft[i] = len(ps)
+		for _, p := range ps {
+			successors[p] = append(successors[p], i)
 		}
 	}
 
@@ -76,25 +70,13 @@ func (g *Graph) Run() *Schedule {
 	for i := range activeAt {
 		activeAt[i] = -1
 	}
-	done := make([]bool, n)
 	finished := 0
 	now := 0.0
 	commActive := make([]bool, g.P)
 	memActive := make([]bool, g.P)
 
-	atAllHeads := func(id int) bool {
-		t := g.Tasks[id]
-		for _, dev := range t.Devices {
-			q := queues[dev][t.Stream]
-			h := heads[dev][t.Stream]
-			if h >= len(q) || q[h] != id {
-				return false
-			}
-		}
-		return true
-	}
 	tryActivate := func(id int) {
-		if !done[id] && activeAt[id] < 0 && depsLeft[id] == 0 && atAllHeads(id) {
+		if activeAt[id] < 0 && predsLeft[id] == 0 {
 			activeAt[id] = len(active)
 			active = append(active, id)
 			s.Start[id] = now
@@ -115,7 +97,7 @@ func (g *Graph) Run() *Schedule {
 
 	for finished < n {
 		if len(active) == 0 {
-			panic(fmt.Sprintf("sim: deadlock at t=%g with %d/%d tasks finished (cyclic deps or inconsistent stream order)", now, finished, n))
+			panic(fmt.Sprintf("sim: deadlock at t=%g with %d/%d tasks finished (a dependency on a later-issued task)", now, finished, n))
 		}
 		// Rates for this segment: a device is "comm-active"/"compute-
 		// active" if any active task of that class runs on it.
@@ -183,32 +165,20 @@ func (g *Graph) Run() *Schedule {
 		now += dt
 		for _, id := range completed {
 			deactivate(id)
-			done[id] = true
 			finished++
 			s.End[id] = now
 			t := g.Tasks[id]
 			for _, dev := range t.Devices {
-				heads[dev][t.Stream]++
 				s.DeviceBusy[dev][t.Stream] += s.End[id] - s.Start[id]
 			}
 			s.KindBusy[t.Kind] += (s.End[id] - s.Start[id]) * float64(len(t.Devices))
-			for _, dep := range dependents[id] {
-				depsLeft[dep]--
+			for _, succ := range successors[id] {
+				predsLeft[succ]--
 			}
 		}
-		// Newly unblocked tasks: dependents of completed tasks and new
-		// stream heads.
 		for _, id := range completed {
-			for _, dep := range dependents[id] {
-				tryActivate(dep)
-			}
-			t := g.Tasks[id]
-			for _, dev := range t.Devices {
-				q := queues[dev][t.Stream]
-				h := heads[dev][t.Stream]
-				if h < len(q) {
-					tryActivate(q[h])
-				}
+			for _, succ := range successors[id] {
+				tryActivate(succ)
 			}
 		}
 	}

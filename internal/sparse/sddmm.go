@@ -90,9 +90,6 @@ func sddmmRows(pattern *CSR, a, b *tensor.Dense, out *CSR, lo, hi int) {
 	}
 }
 
-// SDDMMFlops returns the floating point operations of one SDDMM.
-func SDDMMFlops(nnz int64, d int) int64 { return 2 * nnz * int64(d) }
-
 // LeakyReLUVals applies LeakyReLU with the given negative slope to every
 // stored value, returning a new value-carrying CSR on the same structure.
 func LeakyReLUVals(m *CSR, slope float32) *CSR {

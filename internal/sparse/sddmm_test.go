@@ -182,9 +182,3 @@ func TestValueOpsRejectStructureOnly(t *testing.T) {
 		}()
 	}
 }
-
-func TestSDDMMFlops(t *testing.T) {
-	if SDDMMFlops(5, 4) != 40 {
-		t.Fatalf("SDDMMFlops wrong")
-	}
-}

@@ -67,28 +67,34 @@ func TestTrainerEndToEnd(t *testing.T) {
 // and the memory estimator — which builds nothing — reports the same error
 // for them instead of estimating (or panicking).
 func TestNewTrainerValidation(t *testing.T) {
-	ds := SynthesizeDataset("v", 100, 4, 8, 2, 5, true)
+	phantom := SynthesizeDataset("v", 100, 4, 8, 2, 5, true)
+	// A materialised dataset whose training mask selects nobody: there is no
+	// loss to compute, so it must not train "successfully" at Loss = 0.
+	noTrain := SynthesizeDataset("v", 100, 4, 8, 2, 5, false)
+	clear(noTrain.g.TrainMask)
 	cases := []struct {
 		name string
+		ds   *Dataset
 		edit func(o *Options)
 	}{
-		{"GPUs=0", func(o *Options) { o.GPUs = 0 }},
-		{"Layers=0", func(o *Options) { o.Layers = 0 }},
-		{"1.5D on odd GPUs", func(o *Options) { o.GPUs, o.Strategy = 3, Strategy15D }},
-		{"unknown strategy", func(o *Options) { o.Strategy = Strategy(99) }},
-		{"GPUs=16 on an 8-GPU machine", func(o *Options) { o.GPUs = 16 }},
-		{"Hidden=0", func(o *Options) { o.Hidden = 0 }},
-		{"Hidden=-1", func(o *Options) { o.Hidden = -1 }},
-		{"unknown ordering", func(o *Options) { o.Ordering = Ordering(9) }},
+		{"GPUs=0", phantom, func(o *Options) { o.GPUs = 0 }},
+		{"Layers=0", phantom, func(o *Options) { o.Layers = 0 }},
+		{"1.5D on odd GPUs", phantom, func(o *Options) { o.GPUs, o.Strategy = 3, Strategy15D }},
+		{"unknown strategy", phantom, func(o *Options) { o.Strategy = Strategy(99) }},
+		{"GPUs=16 on an 8-GPU machine", phantom, func(o *Options) { o.GPUs = 16 }},
+		{"Hidden=0", phantom, func(o *Options) { o.Hidden = 0 }},
+		{"Hidden=-1", phantom, func(o *Options) { o.Hidden = -1 }},
+		{"unknown ordering", phantom, func(o *Options) { o.Ordering = Ordering(9) }},
+		{"empty training split", noTrain, func(o *Options) {}},
 	}
 	for _, tc := range cases {
 		o := DefaultOptions(DGXA100(), 4)
 		tc.edit(&o)
-		_, trErr := NewTrainer(ds, o)
+		_, trErr := NewTrainer(tc.ds, o)
 		if trErr == nil {
 			t.Fatalf("%s: NewTrainer accepted it", tc.name)
 		}
-		_, estErr := EstimateMemoryBytesPerDevice(ds, o)
+		_, estErr := EstimateMemoryBytesPerDevice(tc.ds, o)
 		if estErr == nil || estErr.Error() != trErr.Error() {
 			t.Fatalf("%s: estimator error %v, NewTrainer error %v", tc.name, estErr, trErr)
 		}
@@ -579,4 +585,17 @@ func TestSampledDegenerateConfigs(t *testing.T) {
 			}
 		})
 	}
+	// An empty training split is refused, in the full-batch trainer's words:
+	// a run over it would return empty stats and bump the cursor forever.
+	t.Run("empty training split", func(t *testing.T) {
+		noTrain := SynthesizeDataset("degenerate", 200, 6, 10, 4, 3, false)
+		clear(noTrain.g.TrainMask)
+		o := DefaultSampledOptions(DGXA100(), 2)
+		o.Hidden, o.Layers, o.Batch, o.Fanouts = 8, 2, 16, []int{3, 4}
+		_, err := NewSampledTrainer(noTrain, o)
+		_, fullErr := NewTrainer(noTrain, DefaultOptions(DGXA100(), 2))
+		if err == nil || fullErr == nil || err.Error() != fullErr.Error() {
+			t.Fatalf("NewSampledTrainer error %v, NewTrainer error %v", err, fullErr)
+		}
+	})
 }

@@ -66,18 +66,6 @@ echo "==> mggcn-verify san (task-graph sanitizer)"
 go run ./cmd/mggcn-verify san -seeds 4
 go run ./cmd/mggcn-verify san -ignore-fences -seeds 1
 
-echo "==> sanitizer adversarial replay under -race"
-# Worst-case legal replay orders with delay injection, so the race detector
-# sees the interleavings a FIFO replay never produces.
-go test -race -short -timeout 30m -run 'Adversarial|San|Shadow' ./internal/sim/ ./internal/san/ ./internal/core/
-
-echo "==> mggcn-sample (sampled pipeline parity + sanitizer)"
-# Replay parity across serial/concurrent/adversarial orders with pipelining
-# on and off, cache bit-identity, block-building edge cases, and the
-# sanitizer's static + shadow passes over the sampled task graphs — run
-# under -race, where a broken double-buffered handoff would surface.
-go test -race -short -timeout 30m -run 'Sampled|Blocks|PlanEpoch|RNG|Cache' ./internal/sample/ ./internal/core/
-
 echo "==> mggcn-verify chaos (fault-injection smoke)"
 # Seeded fault matrix over every strategy plus the sampled pipeline:
 # crash, transient (retried and exhausted), straggler, poison, and the
@@ -93,16 +81,15 @@ echo "==> mggcn-verify all (every pass over one set of recordings)"
 go run ./cmd/mggcn-verify all | diff cmd/mggcn-verify/testdata/all.golden -
 go run ./cmd/mggcn-verify all -json > /dev/null
 
-echo "==> chaos suite under -race"
-# The fault paths exercise the executor's error/cancel machinery from
-# concurrent workers; run them where the race detector can watch.
-go test -race -short -timeout 30m -run 'Fault|Elastic|Retry|Chaos|Crash|Straggler|Transient|GiveUp|FlakySampler|Checkpoint' ./internal/sim/ ./internal/comm/ ./internal/fault/ ./internal/core/
-
 echo "==> go test -race"
 # -short skips the long phantom end-to-end sweeps (they re-run the timing
 # model, which the non-race step already covers) so the race pass watches
 # the concurrent code — the parallel epoch executor, collectives, kernels —
 # within CI budget. Headroom over the default 10m package timeout stays.
+# This one run covers what CI's parallel jobs select by -run pattern for
+# wall-clock: adversarial replay orders with delay injection (mggcn-san),
+# the sampled pipeline's double-buffered handoff (mggcn-sample) and the fault
+# paths through the executor's error/cancel machinery (mggcn-chaos).
 go test -race -short -timeout 30m ./...
 
 echo "==> go test (full, no race)"
