@@ -6,6 +6,7 @@
 //	mggcn-train -dataset products -gpus 8 -machine a100 -phantom
 //	mggcn-train -synthetic -n 2000 -degree 16 -classes 8 -features 32
 //	mggcn-train -dataset cora -gpus 4 -sampled -batch 256 -fanouts 5,10 -layers 2
+//	mggcn-train -dataset products -gpus 4 -machine v100 -phantom -timeline fwd0/spmm   # Fig 6/8 charts
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 
 	"mggcn"
 	"mggcn/internal/core"
+	"mggcn/internal/kernel"
 	"mggcn/internal/sim"
 )
 
@@ -50,6 +52,7 @@ func main() {
 		cacheFrac = flag.Float64("cache-frac", 0.5, "sampled: fraction of feature rows cached per device, hottest first")
 		patience  = flag.Int("patience", 0, "sampled: stop after this many epochs without val-accuracy improvement (0 disables)")
 		saveData  = flag.String("save-dataset", "", "write the dataset in binary form and exit")
+		timeline  = flag.String("timeline", "", "render one epoch's ASCII Gantt chart of the tasks whose label contains this (e.g. fwd0/spmm) and exit")
 		synthetic = flag.Bool("synthetic", false, "train on a synthetic BTER graph instead of the catalog")
 		n         = flag.Int("n", 2000, "synthetic: vertex count")
 		degree    = flag.Float64("degree", 16, "synthetic: average degree")
@@ -66,6 +69,10 @@ func main() {
 
 	var ds *mggcn.Dataset
 	if *synthetic {
+		if *n < 1 || *features < 1 || *classes < 1 || !(*degree > 0) {
+			log.Fatalf("-synthetic needs positive -n, -degree, -features and -classes (got %d, %g, %d, %d)",
+				*n, *degree, *features, *classes)
+		}
 		ds = mggcn.SynthesizeDataset("synthetic", *n, *degree, *features, *classes, *seed, *phantom)
 	} else {
 		ds, err = mggcn.LoadDataset(*dataset, *phantom)
@@ -92,6 +99,9 @@ func main() {
 	}
 
 	if *sampled {
+		if *timeline != "" {
+			log.Fatal("-timeline renders a full-batch epoch; drop -sampled")
+		}
 		// -layers and -fanouts must agree in sampled mode; when only one was
 		// given explicitly, the other follows it instead of fighting its
 		// default (the fanout list trims from the outermost hop).
@@ -136,6 +146,16 @@ func main() {
 		log.Fatalf("unknown ordering %q", *ordering)
 	}
 	o.BalancedPartition = *balanced
+	if *timeline != "" {
+		chart, epoch, err := mggcn.Timeline(ds, o, *timeline, 76)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%q tasks on %d GPUs of %s (permute=%t overlap=%t), epoch %.4fs\n",
+			*timeline, *gpus, spec.Name, o.Permute, o.Overlap, epoch)
+		fmt.Printf("compute rows show SpMM stage digits; comm rows show ~ for broadcasts\n\n%s", chart)
+		return
+	}
 	tr, err := mggcn.NewTrainer(ds, o)
 	if err != nil {
 		if mggcn.IsOOM(err) {
@@ -143,8 +163,8 @@ func main() {
 		}
 		log.Fatal(err)
 	}
-	fmt.Printf("training %d layers (hidden %d) on %d GPUs of %s (%s); %d buffers/device, peak %d MiB/device\n",
-		o.Layers, o.Hidden, *gpus, spec.Name, *strategy, tr.BufferCount(), tr.PeakMemoryBytes()>>20)
+	fmt.Printf("training %d layers (hidden %d) on %d GPUs of %s (%s); %d buffers/device, peak %d MiB/device; %s\n",
+		o.Layers, o.Hidden, *gpus, spec.Name, *strategy, tr.BufferCount(), tr.PeakMemoryBytes()>>20, kernels())
 	if *loadCkpt != "" {
 		f, err := os.Open(*loadCkpt)
 		if err != nil {
@@ -180,6 +200,16 @@ func main() {
 	}
 }
 
+// kernels names the float32 kernels this binary runs and, when the start-up
+// probe refused the CPU's vector candidate, the entry and shape it refused
+// at — a run silently on the slow table shows in its first lines.
+func kernels() string {
+	if err := kernel.ProbeErr(); err != nil {
+		return fmt.Sprintf("%s kernels (%v)", kernel.Impl(), err)
+	}
+	return kernel.Impl() + " kernels"
+}
+
 // runSampled is the -sampled mode: the factored sampler/trainer pipeline,
 // with mid-epoch resumable checkpoints and optional early stopping on
 // validation accuracy.
@@ -206,8 +236,8 @@ func runSampled(ds *mggcn.Dataset, spec mggcn.MachineSpec, gpus, epochs, hidden,
 		}
 		log.Fatal(err)
 	}
-	fmt.Printf("sampled training: %d layers (hidden %d) batch %d fanouts %v cache %.0f%% on %d GPUs of %s\n",
-		o.Layers, o.Hidden, o.Batch, o.Fanouts, o.CacheFrac*100, gpus, spec.Name)
+	fmt.Printf("sampled training: %d layers (hidden %d) batch %d fanouts %v cache %.0f%% on %d GPUs of %s; %s\n",
+		o.Layers, o.Hidden, o.Batch, o.Fanouts, o.CacheFrac*100, gpus, spec.Name, kernels())
 	if loadCkpt != "" {
 		f, err := os.Open(loadCkpt)
 		if err != nil {

@@ -3,11 +3,13 @@ package mggcn
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
+	"time"
 
 	"mggcn/internal/baseline"
+	"mggcn/internal/comm"
 	"mggcn/internal/core"
+	"mggcn/internal/fault"
 	"mggcn/internal/gen"
 	"mggcn/internal/graph"
 	"mggcn/internal/nn"
@@ -57,6 +59,7 @@ func Experiments() []Experiment {
 		{"strategies", "Extension: executed 1D-row / 1D-col / 1.5D strategy comparison", RunStrategies},
 		{"ordering", "Extension (Sec 5.2 ablation): vertex ordering comparison", RunOrdering},
 		{"explosion", "Extension (Sec 1 motivation): neighborhood explosion of mini-batching", RunExplosion},
+		{"sampled", "Extension: sampled pipeline, cache fraction x pipelining and recovery overhead (Products, 4 GPUs)", RunSampled},
 		{"gat", "Extension (Sec 7 future work): GAT training on the SDDMM kernel", RunGAT},
 		{"multinode", "Extension (Sec 7 future work): multi-node scaling wall", RunMultiNode},
 		{"whatif", "Extension: epoch sensitivity to NVLinks / HBM bandwidth / L2", RunWhatIf},
@@ -83,6 +86,9 @@ var figureDatasets = []string{"cora", "arxiv", "products", "proteins", "reddit"}
 // gpuCounts is the paper's GPU sweep.
 var gpuCounts = []int{1, 2, 4, 8}
 
+// degreeFactors is Fig 9's average-degree multipliers over Arxiv's profile.
+var degreeFactors = []int{1, 2, 4, 8, 16, 32, 64, 128}
+
 // mgEpochSeconds runs one phantom MG-GCN epoch; returns -1 on OOM.
 func mgEpochSeconds(machine MachineSpec, name string, p, hidden, layers int, permute, overlap bool) (float64, error) {
 	ds, err := LoadDataset(name, true)
@@ -107,28 +113,32 @@ func mgEpochSeconds(machine MachineSpec, name string, p, hidden, layers int, per
 }
 
 // RunTable1 regenerates Table 1: per dataset, the paper-scale statistics
-// and the generated instance's actual counts.
+// and the generated instance's actual counts — the catalog, then the Fig 9
+// family (Arxiv's degree profile at fixed n, average degree scaled 1-128x).
 func RunTable1() (*ExperimentResult, error) {
 	tab := report.NewTable("Table 1 (generated at 1/Scale, avg degree preserved)",
 		"n(paper)", "m(paper)", "d0", "classes", "k(paper)", "scale", "n(gen)", "m(gen)", "k(gen)")
 	vals := map[string]float64{}
-	names := append([]string{}, figureDatasets...)
-	names = append(names, "papers")
-	sort.Strings(names)
-	for _, name := range names {
-		ds, err := LoadDataset(name, true)
-		if err != nil {
-			return nil, err
-		}
+	row := func(ds *Dataset) {
 		s := ds.spec
-		tab.AddRow(name,
+		tab.AddRow(s.Name,
 			fmt.Sprintf("%d", s.FullN), fmt.Sprintf("%d", s.FullM),
 			fmt.Sprintf("%d", s.FeatDim), fmt.Sprintf("%d", s.Classes),
 			fmt.Sprintf("%.0f", s.AvgDegree), fmt.Sprintf("%d", s.Scale),
 			fmt.Sprintf("%d", ds.N()), fmt.Sprintf("%d", ds.M()),
 			fmt.Sprintf("%.1f", ds.AvgDegree()))
-		vals[name+"/k"] = ds.AvgDegree()
-		vals[name+"/k_paper"] = s.AvgDegree
+		vals[s.Name+"/k"] = ds.AvgDegree()
+		vals[s.Name+"/k_paper"] = s.AvgDegree
+	}
+	for _, name := range DatasetNames() {
+		ds, err := LoadDataset(name, true)
+		if err != nil {
+			return nil, err
+		}
+		row(ds)
+	}
+	for _, f := range degreeFactors {
+		row(DegreeScaledDataset(f, true))
 	}
 	return &ExperimentResult{ID: "table1", Title: "Table 1", Text: tab.String(), Values: vals}, nil
 }
@@ -289,10 +299,9 @@ func RunFig8() (*ExperimentResult, error) {
 // RunFig9 sweeps the BTER degree-scaled Arxiv family and reports speedup
 // over the 1-GPU runtime for 1-8 GPUs.
 func RunFig9() (*ExperimentResult, error) {
-	factors := []int{1, 2, 4, 8, 16, 32, 64, 128}
 	tab := report.NewTable("Speedup w.r.t. 1 GPU (DGX-V100, hidden 512)", "1", "2", "4", "8")
 	vals := map[string]float64{}
-	for _, f := range factors {
+	for _, f := range degreeFactors {
 		ds := DegreeScaledDataset(f, true)
 		var base float64
 		cells := make([]string, 0, len(gpuCounts))
@@ -941,6 +950,101 @@ func fullForward(g *graph.Graph, weights []*tensor.Dense) *tensor.Dense {
 		}
 	}
 	return h
+}
+
+// RunSampled sweeps the sampled minibatch pipeline (DESIGN.md §8.5) on
+// Products at 4 GPUs of a DGX-A100, batch 512, fanouts [5,10,15]: feature
+// cache fraction x pipelining, one epoch per cell — simulated epoch seconds,
+// the stream overlap ratio, the pipelining speedup at equal arithmetic and
+// the extract stage's metered gather words — then the elastic pipeline's
+// recovery overhead under one injected fault per row (§7.4): effective
+// simulated seconds over the fault-free epoch at the starting P. Everything
+// but the loss is the output of the cost model and the meter, the same on
+// any host.
+func RunSampled() (*ExperimentResult, error) {
+	g, spec, err := gen.Load("products", false)
+	if err != nil {
+		return nil, err
+	}
+	config := func(frac float64, pipeline bool) core.SampledConfig {
+		cfg := core.DefaultSampledConfig(sim.DGXA100(), 4, spec.Scale)
+		cfg.CacheFrac, cfg.Pipeline = frac, pipeline
+		return cfg
+	}
+	tab := report.NewTable("Sampled pipeline (Products, 4 GPUs of DGX-A100, batch 512, fanouts 5,10,15; one epoch per cell)",
+		"epoch(s)", "overlap", "vs unpipelined", "cache hit rate", "miss words", "loss")
+	vals := map[string]float64{}
+	for _, frac := range []float64{0, 0.25, 0.5, 0.75} {
+		var unpipelined float64
+		for _, pipeline := range []bool{false, true} {
+			cfg := config(frac, pipeline)
+			cfg.CommMeter = comm.NewMeter()
+			tr, err := core.NewSampledTrainer(g, cfg)
+			if err != nil {
+				return nil, err
+			}
+			stats, err := tr.RunEpoch()
+			if err != nil {
+				return nil, err
+			}
+			hit, miss := cfg.CommMeter.Words(sim.CollGatherHit), cfg.CommMeter.Words(sim.CollGatherMiss)
+			hitRate := 0.0
+			if hit+miss > 0 {
+				hitRate = float64(hit) / float64(hit+miss)
+			}
+			key, speedup := fmt.Sprintf("%g/unpipelined/", frac), "-"
+			if pipeline {
+				key = fmt.Sprintf("%g/pipelined/", frac)
+				vals[key+"speedup_vs_unpipelined"] = unpipelined / stats.EpochSeconds
+				speedup = report.Speedup(unpipelined / stats.EpochSeconds)
+			} else {
+				unpipelined = stats.EpochSeconds
+			}
+			vals[key+"sim_epoch_seconds"] = stats.EpochSeconds
+			vals[key+"overlap_ratio"] = stats.OverlapRatio
+			vals[key+"gather_hit_words"] = float64(hit)
+			vals[key+"gather_miss_words"] = float64(miss)
+			vals[key+"cache_hit_rate"] = hitRate
+			vals[key+"loss"] = stats.Loss
+			tab.AddRow(strings.TrimSuffix("cache "+key, "/"), report.Seconds(stats.EpochSeconds),
+				fmt.Sprintf("%.2f", stats.OverlapRatio), speedup, fmt.Sprintf("%.2f", hitRate),
+				fmt.Sprintf("%d", miss), fmt.Sprintf("%.6f", stats.Loss))
+		}
+	}
+
+	// The recovery rows run the half-cache pipelined cell's configuration, so
+	// that cell is their fault-free epoch.
+	faultFree := vals["0.5/pipelined/sim_epoch_seconds"]
+	rec := report.NewTable("Recovery overhead (half cache, pipelined; one effective epoch, one injected fault)",
+		"final P", "recoveries", "epoch(s)", "vs fault-free")
+	for _, f := range []struct {
+		name string
+		plan fault.Plan
+	}{
+		{"crash", fault.Plan{Seed: 1, Crash: &fault.CrashSpec{
+			Device: 3, OnLabel: "sample", Stream: fault.OnStream(sim.StreamSample)}}},
+		{"flaky-sampler", fault.Plan{Seed: 1, TransientTask: &fault.TransientTaskSpec{
+			Device: 0, OnLabel: "s1/sample", Failures: 1, Stream: fault.OnStream(sim.StreamSample)}}},
+		{"transient-exhaust", fault.Plan{Seed: 1, Transient: &fault.TransientSpec{Every: 2, Failures: 100}}},
+	} {
+		cfg := config(0.5, true)
+		cfg.Fault = fault.New(f.plan)
+		cfg.Retry = comm.RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Microsecond, Multiplier: 2}
+		res, err := core.TrainSampledElastic(g, cfg, 1)
+		if err != nil {
+			return nil, fmt.Errorf("sampled: %s: %w", f.name, err)
+		}
+		var seconds float64
+		for _, s := range res.Stats {
+			seconds += s.EpochSeconds
+		}
+		vals[f.name+"/final_p"] = float64(res.FinalP)
+		vals[f.name+"/recoveries"] = float64(len(res.Events))
+		vals[f.name+"/recovery_overhead_ratio"] = seconds / faultFree
+		rec.AddRow(f.name, fmt.Sprintf("%d", res.FinalP), fmt.Sprintf("%d", len(res.Events)),
+			report.Seconds(seconds), report.Speedup(seconds/faultFree))
+	}
+	return &ExperimentResult{ID: "sampled", Title: "Sampled pipeline", Text: tab.String() + "\n" + rec.String(), Values: vals}, nil
 }
 
 // RunGAT is the §7 future-work extension: Graph Attention Network training

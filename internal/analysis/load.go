@@ -206,7 +206,7 @@ func (l *Loader) LoadDir(rel string) (*Package, error) {
 		}
 		// Honor build constraints (GOOS/GOARCH filename suffixes and
 		// //go:build lines) for the default build, so e.g. the per-arch
-		// `simd`-tagged kernel dispatch files don't collide in one package.
+		// kernel dispatch files don't collide in one package.
 		// The export data above is also from the default build, so the two
 		// views stay consistent.
 		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {

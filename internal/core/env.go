@@ -6,13 +6,12 @@ import (
 )
 
 // execEnv is the execution environment of a recorded task graph: how many
-// host workers run the kernels and the replay, which hooks bracket every
-// replayed closure, and the collectives' failure machinery. Config and
-// SampledConfig embed it by value, so the fields are set under their own
-// names (cfg.Fault = inj) and are read at replay time — a hook installed on
-// tr.Cfg between epochs takes effect on the next one.
+// host workers run the replay, which hooks bracket every replayed closure,
+// and the collectives' failure machinery. Config and SampledConfig embed it
+// by value, so the fields are set under their own names (cfg.Fault = inj)
+// and are read at replay time — a hook installed on tr.Cfg between epochs
+// takes effect on the next one.
 type execEnv struct {
-	Workers int // CPU workers for the real kernels (<=0: GOMAXPROCS)
 	// ExecWorkers is the host-side replay parallelism of sim.Graph.Execute:
 	// how many recorded task closures may run concurrently (<=0: GOMAXPROCS,
 	// 1: serial issue). Results are bit-identical at any setting.

@@ -95,7 +95,7 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 func (d *GATDist) recordForward(tg *sim.Graph, cg *comm.Group) {
 	p := d.Machine.P
 	spec := d.Machine.Spec
-	rec := layerRecorder{d.partitioned, &d.replayer, d.Cfg.Workers, d.phantom}
+	rec := layerRecorder{d.partitioned, &d.replayer, d.phantom}
 
 	L := d.Model.Layers()
 	dims := d.Model.Dims
@@ -133,7 +133,7 @@ func (d *GATDist) recordForward(tg *sim.Graph, cg *comm.Group) {
 			if !d.phantom {
 				in, w := d.inputView(i, l, dims), d.Model.Weights[l]
 				tg.BindShaped(gemmID, sim.ShapesOf(in, w), sim.ShapesOf(z),
-					func() { tensor.ParallelGemm(1, in, w, 0, z, d.Cfg.Workers) })
+					func() { tensor.ParallelGemm(1, in, w, 0, z, 0) })
 				aSrc, aDst := d.Model.AttnSrc[l], d.Model.AttnDst[l]
 				tg.BindShaped(id, sim.ShapesOf(z, aSrc, aDst), sim.ShapesOf(s1, s2), func() {
 					tensor.Gemm(1, z, aSrc, 0, s1)

@@ -68,8 +68,8 @@ type SampledConfig struct {
 	Pipeline bool
 
 	Seed int64 // weight init, epoch shuffles, and all sampler streams
-	// The execution environment, as on Config: Workers, ExecWorkers,
-	// ExecSeed, ExecObserver, Fault, Retry, RetryClock, CommMeter.
+	// The execution environment, as on Config: ExecWorkers, ExecSeed,
+	// ExecObserver, Fault, Retry, RetryClock, CommMeter.
 	execEnv
 
 	// TrackVal computes per-epoch validation accuracy with a host-side
@@ -173,7 +173,7 @@ type SampledTrainer struct {
 // the forward ones back to back on an idle device. Every method that reads
 // sampled blocks takes the slot they came through.
 type sampledDevice struct {
-	tr *SampledTrainer // the shared read-only side: Dims, feat, labels, Workers
+	tr *SampledTrainer // the shared read-only side: Dims, feat, labels
 	*sampledBuffers
 	cache  *sample.FeatureCache
 	slots  []handoffSlot // depth entries
@@ -352,13 +352,13 @@ func (dv *sampledDevice) input(l int) *Buffer {
 // aggregate is layer l's forward SpMM: AH_l = A_l · h_l.
 func (dv *sampledDevice) aggregate(k, l int) {
 	adj, dIn := dv.slots[k].blocks[l].Adj, dv.tr.Dims[l]
-	sparse.ParallelSpMM(adj, dv.input(l).View(adj.Cols, dIn), 0, dv.AH[l].View(adj.Rows, dIn), dv.tr.Cfg.Workers)
+	sparse.ParallelSpMM(adj, dv.input(l).View(adj.Cols, dIn), 0, dv.AH[l].View(adj.Rows, dIn), 0)
 }
 
 // transform is layer l's forward GeMM: z_l = AH_l · W_l into OUT[l].
 func (dv *sampledDevice) transform(k, l int) {
 	rows := dv.slots[k].blocks[l].Adj.Rows
-	tensor.ParallelGemm(1, dv.AH[l].View(rows, dv.tr.Dims[l]), dv.weights[l], 0, dv.OUT[l].View(rows, dv.tr.Dims[l+1]), dv.tr.Cfg.Workers)
+	tensor.ParallelGemm(1, dv.AH[l].View(rows, dv.tr.Dims[l]), dv.weights[l], 0, dv.OUT[l].View(rows, dv.tr.Dims[l+1]), 0)
 }
 
 // activate applies the ReLU to layer l's output in place.
@@ -399,20 +399,20 @@ func (dv *sampledDevice) mask(k, l int) {
 // wgrad is layer l's weight gradient W_G = AH_lᵀ · G.
 func (dv *sampledDevice) wgrad(k, l int) {
 	rows := dv.slots[k].blocks[l].Adj.Rows
-	tensor.ParallelGemmTA(1, dv.AH[l].View(rows, dv.tr.Dims[l]), dv.G.View(rows, dv.tr.Dims[l+1]), 0, dv.grads[l], dv.tr.Cfg.Workers)
+	tensor.ParallelGemmTA(1, dv.AH[l].View(rows, dv.tr.Dims[l]), dv.G.View(rows, dv.tr.Dims[l+1]), 0, dv.grads[l], 0)
 }
 
 // hgrad is t = G · W_lᵀ, taking AH_l's place.
 func (dv *sampledDevice) hgrad(k, l int) {
 	rows := dv.slots[k].blocks[l].Adj.Rows
-	tensor.ParallelGemmTB(1, dv.G.View(rows, dv.tr.Dims[l+1]), dv.weights[l], 0, dv.AH[l].View(rows, dv.tr.Dims[l]), dv.tr.Cfg.Workers)
+	tensor.ParallelGemmTB(1, dv.G.View(rows, dv.tr.Dims[l+1]), dv.weights[l], 0, dv.AH[l].View(rows, dv.tr.Dims[l]), 0)
 }
 
 // scatter is G ← A_lᵀ · t: the gradient carried to block l's source
 // frontier.
 func (dv *sampledDevice) scatter(k, l int) {
 	at, dIn := dv.slots[k].blocks[l].AdjT, dv.tr.Dims[l]
-	sparse.ParallelSpMM(at, dv.AH[l].View(at.Cols, dIn), 0, dv.G.View(at.Rows, dIn), dv.tr.Cfg.Workers)
+	sparse.ParallelSpMM(at, dv.AH[l].View(at.Cols, dIn), 0, dv.G.View(at.Rows, dIn), 0)
 }
 
 // SampledEpochStats is EpochStats under the name the sampled trainer's

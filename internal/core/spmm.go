@@ -50,11 +50,10 @@ func opaqueAt(ids []sim.BufID, d int) sim.ViewShape {
 // layerRecorder is what the layers of a partitioned run are recorded against
 // — the part the full-batch trainer and the GAT forward share: the
 // partitioned dataset with its per-device buffers, the machine pricing the
-// tasks, the kernels' worker count, and whether operands are shape-only.
+// tasks, and whether operands are shape-only.
 type layerRecorder struct {
 	*partitioned
 	*replayer
-	workers int
 	phantom bool
 }
 
@@ -217,7 +216,7 @@ func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 						if valued != nil {
 							t = valued(d, j)
 						}
-						sparse.ParallelSpMM(t, xin, beta, dst, r.workers)
+						sparse.ParallelSpMM(t, xin, beta, dst, 0)
 					})
 				}
 				stage = append(stage, id)
@@ -298,7 +297,7 @@ func (r layerRecorder) stagedSpMMCol(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 			if !r.phantom {
 				src := a.src(j)
 				tg.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(out),
-					func() { sparse.ParallelSpMM(tile, src, 0, out, r.workers) })
+					func() { sparse.ParallelSpMM(tile, src, 0, out, 0) })
 			}
 			stageIDs = append(stageIDs, id)
 		}

@@ -39,8 +39,8 @@ type Config struct {
 	SkipFirstBackward bool // §4.4 saved first-layer backward SpMM
 
 	Seed int64 // weight initialization seed
-	// The execution environment: Workers, ExecWorkers, ExecSeed,
-	// ExecObserver, Fault, Retry, RetryClock, CommMeter.
+	// The execution environment: ExecWorkers, ExecSeed, ExecObserver,
+	// Fault, Retry, RetryClock, CommMeter.
 	execEnv
 }
 
@@ -70,11 +70,16 @@ func (cfg Config) validate() error {
 }
 
 // validateModelOnMachine holds the checks the full-batch and sampled
-// configurations share: the machine has the GPUs asked for, the memory scale
-// is a divisor, and the model has at least one layer of positive width.
+// configurations share: the machine has the GPUs asked for and, where they
+// span nodes, a network between them (at 0 B/s the first collective never
+// ends), the memory scale is a divisor, and the model has at least one layer
+// of positive width.
 func validateModelOnMachine(spec sim.MachineSpec, p, memScale, layers, hidden int) error {
 	if p < 1 || p > spec.NumGPUs {
 		return fmt.Errorf("core: %d GPUs requested, %s has %d", p, spec.Name, spec.NumGPUs)
+	}
+	if p > spec.GPUsPerNode() && !(spec.InterNodeBW > 0) {
+		return fmt.Errorf("core: %d GPUs span nodes of %s, which has no inter-node bandwidth", p, spec.Name)
 	}
 	if memScale < 1 {
 		return fmt.Errorf("core: memScale %d < 1", memScale)
@@ -168,12 +173,6 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	return tr, nil
 }
 
-// layers returns the recorder of this run's layers, at the worker count
-// configured now.
-func (tr *Trainer) layers() layerRecorder {
-	return layerRecorder{tr.partitioned, &tr.replayer, tr.Cfg.Workers, tr.phantom}
-}
-
 // EpochStats reports one epoch of any trainer — or, on the sampled trainer
 // after a mid-epoch resume, the remaining segment of one: loss and accuracy
 // are normalized over the rows the call actually processed.
@@ -253,7 +252,7 @@ func (l *runLog) add(s *EpochStats) (stop bool) {
 // last — and returns the per-device tasks the logits are ready after.
 func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
 	L := tr.Cfg.Layers
-	rec := tr.layers()
+	rec := layerRecorder{tr.partitioned, &tr.replayer, tr.phantom}
 	hReady := make([]int, tr.Machine.P)
 	for i := range hReady {
 		hReady[i] = -1
@@ -270,7 +269,7 @@ func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
 				func(i, id int) {
 					in, w, z := src(i), tr.weights[i][l], dst(i)
 					tg.BindShaped(id, sim.ShapesOf(in, w), sim.ShapesOf(z),
-						func() { tensor.ParallelGemm(1, in, w, 0, z, tr.Cfg.Workers) })
+						func() { tensor.ParallelGemm(1, in, w, 0, z, 0) })
 				})
 		}
 		// spmm records dst = Âᵀ · src at the given width after ready.
@@ -318,7 +317,7 @@ func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) e
 	p := tr.Machine.P
 	spec := tr.Machine.Spec
 	L := tr.Cfg.Layers
-	rec := tr.layers()
+	rec := layerRecorder{tr.partitioned, &tr.replayer, tr.phantom}
 	rows := func(i int) int { return tr.s(tr.devs[i].rows) }
 
 	hReady := tr.recordForward(tg, cg)
@@ -381,7 +380,7 @@ func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) e
 			func(i, id int) {
 				in, hg, grad := tr.inputView(i, l, tr.Dims), hwg(i), tr.grads[i][l]
 				tg.BindShaped(id, sim.ShapesOf(in, hg), sim.ShapesOf(grad),
-					func() { tensor.ParallelGemmTA(1, in, hg, 0, grad, tr.Cfg.Workers) })
+					func() { tensor.ParallelGemmTA(1, in, hg, 0, grad, 0) })
 			})
 		lastAllReduce = tr.allReduceGrads(cg, l, fmt.Sprintf("bwd%d/allreduce", l), wgID)
 		// eq. (11): H_G = HW_G Wᵀ for the next (lower) layer.
@@ -391,7 +390,7 @@ func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) e
 				func(i, id int) {
 					hg, w, hgOut := hwg(i), tr.weights[i][l], tr.ahwView(l, dIn)(i)
 					tg.BindShaped(id, sim.ShapesOf(hg, w), sim.ShapesOf(hgOut),
-						func() { tensor.ParallelGemmTB(1, hg, w, 0, hgOut, tr.Cfg.Workers) })
+						func() { tensor.ParallelGemmTB(1, hg, w, 0, hgOut, 0) })
 				})
 		}
 	}

@@ -1,4 +1,4 @@
-//go:build simd && amd64
+//go:build !race && amd64
 
 #include "textflag.h"
 

@@ -1,4 +1,4 @@
-//go:build simd && arm64
+//go:build !race && arm64
 
 #include "textflag.h"
 

@@ -1,8 +1,8 @@
 // Package kernel holds the innermost float32 loops of the dense and sparse
 // kernels behind a runtime-dispatch table. The exported entry points are
 // function variables initialized to the pure-Go scalar implementations
-// below; building with the `simd` tag lets an arch-specific init replace
-// them with AVX2 (amd64) or NEON (arm64) assembly when the CPU supports it.
+// below; an arch-specific init replaces them with AVX2 (amd64) or NEON
+// (arm64) assembly when the CPU supports it, except under the race detector.
 //
 // The dispatch contract is bit-identity: every implementation bound to a
 // variable must produce exactly the bits the scalar implementation produces
@@ -34,8 +34,7 @@ package kernel
 
 import "math"
 
-// Dispatch table. Default scalar; overridden by the arch init under the
-// `simd` build tag when the CPU qualifies.
+// Dispatch table. Scalar until the arch init installs its candidate.
 var (
 	// Add computes dst[j] += x[j].
 	Add func(x, dst []float32) = addScalar
@@ -109,10 +108,10 @@ func axpy2Scalar(a0, a1 float32, x0, x1, dst []float32) {
 	}
 }
 
-// tileScalar is the oracle and the default build's path. It walks the tile
-// in 2 x 2 register blocks over the whole k extent; the row and column past
-// the tile's last are clamped onto it, so an edge block recomputes and
-// rewrites its last row or column instead of branching.
+// tileScalar is the oracle and the path of builds without assembly. It walks
+// the tile in 2 x 2 register blocks over the whole k extent; the row and
+// column past the tile's last are clamped onto it, so an edge block
+// recomputes and rewrites its last row or column instead of branching.
 func tileScalar(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) {
 	checkTile(rows, cols, k, a, ars, aks, b, bs, c, cs)
 	if k == 0 {

@@ -42,9 +42,8 @@ func bitsEqual(t *testing.T, op string, n, off int, got, want []float32) {
 
 // TestDispatchBitIdentity pins every dispatched vector kernel to the scalar
 // reference bit for bit over odd and misaligned shapes (the tile has its own
-// table below). Under the default
-// build this is scalar vs scalar (a wrapper sanity check); under the simd
-// tag it is the AVX2/NEON contract.
+// table below). Under the race detector this is scalar vs scalar (a wrapper
+// sanity check); in every other build it is the AVX2/NEON contract.
 func TestDispatchBitIdentity(t *testing.T) {
 	const maxN = 257
 	const maxOff = 3

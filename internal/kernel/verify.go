@@ -18,8 +18,10 @@ type impls struct {
 	reluMask func(dst, grad, act []float32)
 }
 
-// probeErr is why the arch init's candidate was refused: nil when it was
-// installed, or when the build or the CPU offered none.
+// ProbeErr is why the arch init's candidate was refused, naming the first
+// entry and shape that deviated: nil when it was installed or none was offered.
+func ProbeErr() error { return probeErr }
+
 var probeErr error
 
 // verifyAndInstall checks a candidate implementation against the scalar
@@ -30,9 +32,9 @@ var probeErr error
 // (e.g. an unexpected fused multiply-add) degrades to the slow path
 // instead of corrupting training. It runs from init, before any kernel
 // call, so swapping the table is unsynchronized by design.
-func verifyAndInstall(c impls) bool {
+func verifyAndInstall(c impls) {
 	if probeErr = verifyImpls(c); probeErr != nil {
-		return false
+		return
 	}
 	impl = c.name
 	Add = c.add
@@ -42,7 +44,6 @@ func verifyAndInstall(c impls) bool {
 	Tile = c.tile
 	ReLU = c.relu
 	ReLUMask = c.reluMask
-	return true
 }
 
 // verifyLens covers empty, sub-lane, exact-lane, and straddling lengths

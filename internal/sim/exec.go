@@ -78,7 +78,7 @@ import (
 // Replayed closures run on the process-wide internal/pool workers — the
 // same pool the Parallel* kernels draw lanes from — so N in-flight tasks
 // and their kernels share one worker budget instead of oversubscribing the
-// host with N×Workers goroutines. The pool is grown to this call's
+// host with N goroutine sets. The pool is grown to this call's
 // in-flight budget first: closures may block on each other's side effects
 // (a barrier in tests, a channel in custom binds), so the budget must be
 // realizable even when GOMAXPROCS is smaller.

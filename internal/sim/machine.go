@@ -129,11 +129,10 @@ func (s MachineSpec) GPUsPerNode() int {
 
 // MultiNode returns a cluster of nodes identical nodes joined by a network
 // with interNodeBW bytes/s per node (e.g. 12.5e9 for HDR InfiniBand). The
-// result has nodes x spec.NumGPUs GPUs total.
+// result has nodes x spec.NumGPUs GPUs total. It records what it is given:
+// a cluster of no nodes, or one whose network moves nothing, is refused
+// where a trainer is built on it.
 func MultiNode(spec MachineSpec, nodes int, interNodeBW float64) MachineSpec {
-	if nodes < 1 {
-		panic(fmt.Sprintf("sim: %d nodes", nodes))
-	}
 	out := spec
 	out.Name = fmt.Sprintf("%dx %s", nodes, spec.Name)
 	out.NumGPUs = nodes * spec.NumGPUs

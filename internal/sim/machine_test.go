@@ -130,13 +130,17 @@ func TestMultiNodeCollectiveWall(t *testing.T) {
 	}
 }
 
-func TestMultiNodeRejectsBadNodeCount(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	MultiNode(DGXV100(), 0, 1e9)
+// TestMultiNodeRecordsBadNodeCount: the spec constructor does not panic on a
+// silly cluster; it describes it, and core's config validation refuses to
+// build a trainer on it (mggcn.TestNewTrainerValidation).
+func TestMultiNodeRecordsBadNodeCount(t *testing.T) {
+	m := MultiNode(DGXV100(), 0, 1e9)
+	if m.Nodes != 0 || m.NumGPUs != 0 {
+		t.Fatalf("0-node cluster recorded as %+v", m)
+	}
+	if m = MultiNode(DGXV100(), 2, 0); m.NumGPUs != 16 || m.InterNodeBW != 0 {
+		t.Fatalf("2-node cluster without a network recorded as %+v", m)
+	}
 }
 
 func TestMultiNodeMachineScalingWall(t *testing.T) {

@@ -171,8 +171,8 @@ func spmmRows(a *CSR, x *tensor.Dense, beta float32, c *tensor.Dense, lo, hi int
 
 // spmmSeg accumulates seg += sum_k vals[k] * x[cols[k]][j0:j1], two
 // nonzeros per pass through the dispatched kernel.Axpy2 — left-associated,
-// the same per-element order as two separate axpys, SIMD when the build
-// carries the `simd` tag and the CPU qualifies.
+// the same per-element order as two separate axpys, SIMD when the CPU
+// qualifies.
 func spmmSeg(seg []float32, x *tensor.Dense, cols []int32, vals []float32, j0, j1 int) {
 	k := 0
 	for ; k+2 <= len(cols); k += 2 {

@@ -50,7 +50,9 @@ func DGXA100() MachineSpec { return sim.DGXA100() }
 // interNodeBW bytes/s per node (e.g. 12.5e9 for HDR InfiniBand).
 // Collectives that span nodes are bottlenecked by the NIC — the scaling
 // wall that kept CAGNET at a single node and that the paper's multi-GPU
-// cluster extension (§7, future work) would have to overcome.
+// cluster extension (§7, future work) would have to overcome. A cluster of
+// no nodes, or GPUs spanning nodes with no bandwidth between them, is an
+// error from NewTrainer / NewSampledTrainer, not from here.
 func MultiNode(spec MachineSpec, nodes int, interNodeBW float64) MachineSpec {
 	return sim.MultiNode(spec, nodes, interNodeBW)
 }
@@ -108,13 +110,16 @@ func LoadDataset(name string, phantom bool) (*Dataset, error) {
 }
 
 // DegreeScaledDataset returns the Fig-9 synthetic family member: the Arxiv
-// degree profile with average degree multiplied by factor at fixed n.
+// degree profile with average degree multiplied by factor at fixed n. It
+// panics when factor < 1.
 func DegreeScaledDataset(factor int, phantom bool) *Dataset {
 	g, spec := gen.LoadDegreeScaled(factor, phantom)
 	return &Dataset{g: g, scale: spec.Scale, spec: spec}
 }
 
-// SynthesizeDataset generates a custom BTER dataset at scale 1.
+// SynthesizeDataset generates a custom BTER dataset at scale 1. It panics
+// when n, avgDegree, featDim or classes is not positive; a caller passing
+// values from outside the program checks them first, as mggcn-train does.
 func SynthesizeDataset(name string, n int, avgDegree float64, featDim, classes int, seed uint64, phantom bool) *Dataset {
 	cfg := gen.DefaultBTER(n, avgDegree, seed)
 	g := gen.Generate(name, cfg, featDim, classes, phantom)
@@ -208,14 +213,6 @@ type Options struct {
 	Seed     int64
 	PermSeed uint64
 
-	// Workers caps how many shared-pool lanes one Parallel* kernel call may
-	// occupy (<=0: GOMAXPROCS). All kernels and the epoch executor draw
-	// from one process-wide pool (internal/pool), so this is a per-call cap
-	// on a shared budget, not a goroutine count: concurrent kernels split
-	// the machine, and idle lanes are stolen by whichever kernel has chunks
-	// left. See DESIGN.md §5.2 for tuning it against ExecWorkers.
-	Workers int
-
 	// ExecWorkers is how many recorded task closures the epoch executor may
 	// replay concurrently (<=0: GOMAXPROCS; 1: serial issue). Independent
 	// tasks — different devices, comm vs compute — run in parallel on the
@@ -271,7 +268,7 @@ func (o Options) coreConfig(ds *Dataset) (core.Config, error) {
 		OrderSwitch: o.OrderSwitch, SkipFirstBackward: o.SkipFirstBackwardSpMM,
 		Seed: o.Seed,
 	}
-	cfg.Workers, cfg.ExecWorkers = o.Workers, o.ExecWorkers
+	cfg.ExecWorkers = o.ExecWorkers
 	return cfg, nil
 }
 
@@ -344,7 +341,6 @@ type SampledOptions struct {
 	Pipeline bool
 
 	Seed        int64
-	Workers     int
 	ExecWorkers int
 
 	// TrackVal computes per-epoch validation accuracy with a host-side
@@ -393,7 +389,7 @@ func NewSampledTrainer(ds *Dataset, o SampledOptions) (*SampledTrainer, error) {
 		Seed:     o.Seed,
 		TrackVal: o.TrackVal, EarlyStopPatience: o.EarlyStopPatience,
 	}
-	cfg.Workers, cfg.ExecWorkers = o.Workers, o.ExecWorkers
+	cfg.ExecWorkers = o.ExecWorkers
 	inner, err := core.NewSampledTrainer(ds.g, cfg)
 	if err != nil {
 		return nil, err

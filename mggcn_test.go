@@ -2,7 +2,10 @@ package mggcn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -86,6 +89,8 @@ func TestNewTrainerValidation(t *testing.T) {
 		{"Hidden=-1", phantom, func(o *Options) { o.Hidden = -1 }},
 		{"unknown ordering", phantom, func(o *Options) { o.Ordering = Ordering(9) }},
 		{"empty training split", noTrain, func(o *Options) {}},
+		{"two nodes, no inter-node bandwidth", phantom, func(o *Options) { o.Machine, o.GPUs = MultiNode(DGXA100(), 2, 0), 16 }},
+		{"a cluster of no nodes", phantom, func(o *Options) { o.Machine = MultiNode(DGXA100(), 0, 12.5e9) }},
 	}
 	for _, tc := range cases {
 		o := DefaultOptions(DGXA100(), 4)
@@ -182,7 +187,7 @@ func TestRunExperimentUnknown(t *testing.T) {
 func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "table2", "table3", "sec51", "accuracy",
-		"strategies", "ordering", "explosion", "gat", "multinode", "whatif"}
+		"strategies", "ordering", "explosion", "sampled", "gat", "multinode", "whatif"}
 	got := Experiments()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(got), len(want))
@@ -527,6 +532,47 @@ func TestAllExperimentsShapes(t *testing.T) {
 		t.Errorf("explosion: sampled epoch must touch more edges than full batch")
 	}
 
+	// DESIGN §8.5's claims, then every number against the bits the deleted
+	// mggcn-epochbench computed on the parent tree (testdata/sampled.golden).
+	smp := get("sampled")
+	for _, frac := range []string{"0", "0.25", "0.5"} {
+		if sp := smp.Values[frac+"/pipelined/speedup_vs_unpipelined"]; sp < 1.3 {
+			t.Errorf("sampled: pipelining buys %.2fx at cache fraction %s, want >= 1.3x up to a half cache", sp, frac)
+		}
+	}
+	if none, half := smp.Values["0/pipelined/gather_miss_words"], smp.Values["0.5/pipelined/gather_miss_words"]; none < 2*half {
+		t.Errorf("sampled: a half cache cuts miss words %v -> %v, want >= 2x", none, half)
+	}
+	if r, p := smp.Values["flaky-sampler/recovery_overhead_ratio"], smp.Values["flaky-sampler/final_p"]; r != 1 || p != 4 {
+		t.Errorf("sampled: flaky-sampler recovers at ratio %v and P = %v, want 1.0 and the full 4", r, p)
+	}
+	var smpKeys []string
+	for k := range smp.Values {
+		smpKeys = append(smpKeys, k)
+		if strings.HasSuffix(k, "/loss") && smp.Values[k] != smp.Values["0/unpipelined/loss"] {
+			t.Errorf("sampled: %s = %v differs from %v: cache and pipelining must not change the arithmetic",
+				k, smp.Values[k], smp.Values["0/unpipelined/loss"])
+		}
+	}
+	slices.Sort(smpKeys)
+	var smpBits strings.Builder
+	for _, k := range smpKeys {
+		fmt.Fprintf(&smpBits, "%s=%016x\n", k, math.Float64bits(smp.Values[k]))
+	}
+	golden, err := os.ReadFile("testdata/sampled.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(string(golden), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			want.WriteString(line)
+		}
+	}
+	if smpBits.String() != want.String() {
+		t.Errorf("sampled: values differ from testdata/sampled.golden; got\n%s", smpBits.String())
+	}
+
 	gat := get("gat")
 	if gat.Values["cost/sddmm"] <= 0 {
 		t.Errorf("gat: missing SDDMM cost")
@@ -565,6 +611,8 @@ func TestSampledDegenerateConfigs(t *testing.T) {
 		"fanouts/layers differ": func(o *SampledOptions) { o.Layers = 3 },
 		"cache fraction 2":      func(o *SampledOptions) { o.CacheFrac = 2 },
 		"GPUs > machine":        func(o *SampledOptions) { o.GPUs = 16 },
+		"GPUs span nodes, no inter-node bandwidth": func(o *SampledOptions) { o.Machine, o.GPUs = MultiNode(DGXA100(), 2, 0), 16 },
+		"a cluster of no nodes":                    func(o *SampledOptions) { o.Machine = MultiNode(DGXA100(), 0, 12.5e9) },
 	}
 	for name, tweak := range cases {
 		t.Run(name, func(t *testing.T) {
