@@ -38,10 +38,10 @@ var BufAlias = &Analyzer{
 func isNoAliasKernel(pass *Pass, call *ast.CallExpr) bool {
 	info := pass.Pkg.Info
 	return isPkgFunc(info, call, "mggcn/internal/tensor",
-		"Gemm", "GemmFlat", "GemmTA", "GemmTB",
+		"Gemm", "GemmTA", "GemmTB",
 		"ParallelGemm", "ParallelGemmTA", "ParallelGemmTB") ||
 		isPkgFunc(info, call, "mggcn/internal/sparse",
-			"SpMM", "SpMMFlat", "ParallelSpMM")
+			"SpMM", "ParallelSpMM")
 }
 
 // isElementwise covers the in-place ops whose first argument is the

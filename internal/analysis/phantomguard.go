@@ -44,11 +44,11 @@ var phantomExemptPkgs = map[string]bool{
 func isDataTouchingOp(pass *Pass, call *ast.CallExpr) (string, bool) {
 	info := pass.Pkg.Info
 	if isPkgFunc(info, call, "mggcn/internal/tensor",
-		"Gemm", "GemmFlat", "GemmTA", "GemmTB",
+		"Gemm", "GemmTA", "GemmTB",
 		"ParallelGemm", "ParallelGemmTA", "ParallelGemmTB",
 		"AddInPlace", "AxpyInPlace", "ScaleInPlace", "ReLU", "ReLUBackward") ||
 		isPkgFunc(info, call, "mggcn/internal/sparse",
-			"SpMM", "SpMMFlat", "ParallelSpMM", "SDDMM", "ParallelSDDMM") {
+			"SpMM", "ParallelSpMM", "SDDMM", "ParallelSDDMM") {
 		fn := calleeFunc(info, call)
 		return fn.Name(), true
 	}

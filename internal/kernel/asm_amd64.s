@@ -8,7 +8,7 @@
 // VFMADD* — and each rounds exactly like the scalar expression. The Vec8
 // entry points require n to be a positive multiple of 8 (one YMM of
 // float32); tails are the Go wrappers' job. tileVec takes any extent inside
-// MR x NR and masks its own edges.
+// MR x NR, spmmRowVec any strip of 1..64 floats, and each masks its own edge.
 
 // func addVec8(dst, x *float32, n int)
 // dst[j] += x[j]
@@ -28,27 +28,6 @@ addloop:
 	VZEROUPPER
 	RET
 
-// func add2Vec8(dst, x0, x1 *float32, n int)
-// dst[j] = (dst[j] + x0[j]) + x1[j], left-associated like the scalar body.
-TEXT ·add2Vec8(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ x0+8(FP), SI
-	MOVQ x1+16(FP), DX
-	MOVQ n+24(FP), CX
-
-add2loop:
-	VMOVUPS (DI), Y0
-	VADDPS  (SI), Y0, Y0
-	VADDPS  (DX), Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JNE     add2loop
-	VZEROUPPER
-	RET
-
 // func axpyVec8(a float32, x, dst *float32, n int)
 // dst[j] += a*x[j]: one rounded multiply then one rounded add per element.
 TEXT ·axpyVec8(SB), NOSPLIT, $0-32
@@ -65,31 +44,6 @@ axpyloop:
 	ADDQ    $32, DI
 	SUBQ    $8, CX
 	JNE     axpyloop
-	VZEROUPPER
-	RET
-
-// func axpy2Vec8(a0, a1 float32, x0, x1, dst *float32, n int)
-// dst[j] = ((dst[j] + a0*x0[j]) + a1*x1[j]): each product rounds, each add
-// rounds, left-associated — the same order as two sequential axpys.
-TEXT ·axpy2Vec8(SB), NOSPLIT, $0-40
-	VBROADCASTSS a0+0(FP), Y4
-	VBROADCASTSS a1+4(FP), Y5
-	MOVQ         x0+8(FP), SI
-	MOVQ         x1+16(FP), DX
-	MOVQ         dst+24(FP), DI
-	MOVQ         n+32(FP), CX
-
-axpy2loop:
-	VMULPS  (SI), Y4, Y0
-	VADDPS  (DI), Y0, Y0
-	VMULPS  (DX), Y5, Y1
-	VADDPS  Y1, Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JNE     axpy2loop
 	VZEROUPPER
 	RET
 
@@ -323,3 +277,155 @@ tilestore:
 	VMASKMOVPS Y7, Y13, 32(R11)
 	VZEROUPPER
 	RET
+
+DATA spmmone<>+0(SB)/4, $1.0
+GLOBL spmmone<>(SB), RODATA|NOPTR, $4
+
+// SPMMHEAD is the start of one stored entry: AX = the address of its X row's
+// strip, Y8 = its value broadcast, and R11 = the byte offset of the X row
+// that the entry SPMMAHEAD places on will gather — read from the tile's
+// column array past this row's end, clamped at the tile's last entry (R10).
+#define SPMMAHEAD 12
+#define SPMMHEAD \
+	MOVL         (DX), AX;              \
+	IMULQ        R8, AX;                \
+	ADDQ         SI, AX;                \
+	VBROADCASTSS (R9), Y8;              \
+	LEAQ         (4*SPMMAHEAD)(DX), R11; \
+	CMPQ         R11, R10;              \
+	CMOVQHI      R10, R11;              \
+	MOVL         (R11), R11;            \
+	IMULQ        R8, R11;               \
+	ADDQ         $4, DX;                \
+	ADDQ         R13, R9
+
+// SPMMPF1..4 prefetch the first one to four cache lines of the look-ahead row.
+#define SPMMPF1 PREFETCHT0 (SI)(R11*1)
+#define SPMMPF2 SPMMPF1; PREFETCHT0 64(SI)(R11*1)
+#define SPMMPF3 SPMMPF2; PREFETCHT0 128(SI)(R11*1)
+#define SPMMPF4 SPMMPF3; PREFETCHT0 192(SI)(R11*1)
+
+// SPMMVEC adds value * eight floats of the X row to one accumulator, product
+// and sum each rounded; SPMMLAST is the same through the strip's lane mask.
+#define SPMMVEC(off, acc) \
+	VMULPS off(AX), Y8, Y9; \
+	VADDPS Y9, acc, acc
+
+#define SPMMLAST(off, acc) \
+	VMASKMOVPS off(AX), Y15, Y10; \
+	VMULPS     Y10, Y8, Y10;      \
+	VADDPS     Y10, acc, acc
+
+#define SPMMVECS1 SPMMVEC(0, Y0)
+#define SPMMVECS2 SPMMVECS1; SPMMVEC(32, Y1)
+#define SPMMVECS3 SPMMVECS2; SPMMVEC(64, Y2)
+#define SPMMVECS4 SPMMVECS3; SPMMVEC(96, Y3)
+#define SPMMVECS5 SPMMVECS4; SPMMVEC(128, Y4)
+#define SPMMVECS6 SPMMVECS5; SPMMVEC(160, Y5)
+#define SPMMVECS7 SPMMVECS6; SPMMVEC(192, Y6)
+
+#define SPMMLOADS1 VMOVUPS (DI), Y0
+#define SPMMLOADS2 SPMMLOADS1; VMOVUPS 32(DI), Y1
+#define SPMMLOADS3 SPMMLOADS2; VMOVUPS 64(DI), Y2
+#define SPMMLOADS4 SPMMLOADS3; VMOVUPS 96(DI), Y3
+#define SPMMLOADS5 SPMMLOADS4; VMOVUPS 128(DI), Y4
+#define SPMMLOADS6 SPMMLOADS5; VMOVUPS 160(DI), Y5
+#define SPMMLOADS7 SPMMLOADS6; VMOVUPS 192(DI), Y6
+
+#define SPMMSTORES1 VMOVUPS Y0, (DI)
+#define SPMMSTORES2 SPMMSTORES1; VMOVUPS Y1, 32(DI)
+#define SPMMSTORES3 SPMMSTORES2; VMOVUPS Y2, 64(DI)
+#define SPMMSTORES4 SPMMSTORES3; VMOVUPS Y3, 96(DI)
+#define SPMMSTORES5 SPMMSTORES4; VMOVUPS Y4, 128(DI)
+#define SPMMSTORES6 SPMMSTORES5; VMOVUPS Y5, 160(DI)
+#define SPMMSTORES7 SPMMSTORES6; VMOVUPS Y6, 192(DI)
+
+// SPMMROW is the whole body for a strip of one vector count: whole vectors
+// below the last, the last through the mask. The accumulators arrive zeroed;
+// R12 says whether to load C over them.
+#define SPMMROW(row, loop, loads, vecs, stores, prefetch, off, last) \
+row: \
+	TESTL      R12, R12;        \
+	JZ         loop;            \
+	loads;                      \
+	VMASKMOVPS off(DI), Y15, last; \
+loop: \
+	SPMMHEAD;                   \
+	prefetch;                   \
+	vecs;                       \
+	SPMMLAST(off, last);        \
+	DECQ       CX;              \
+	JNZ        loop;            \
+	stores;                     \
+	VMASKMOVPS last, Y15, off(DI); \
+	VZEROUPPER;                 \
+	RET
+
+#define SPMMNONE
+
+// func spmmRowVec(c *float32, w int, x *float32, xs int, cols, last *int32, vals *float32, n int, acc bool)
+// The SpMM row kernel (see kernel.SpMMRow): Y0..Y7 hold the strip's w floats
+// across the row's n stored entries, C is read at most once and written once.
+// 1 <= w <= 64, n >= 1; the caller has proved cols[:n] inside X's rows and the
+// furthest element of C and X in range. last is the tile's final column
+// entry, the limit of the look-ahead; a nil vals is a stream of ones.
+TEXT ·spmmRowVec(SB), NOSPLIT, $0-65
+	MOVQ    c+0(FP), DI
+	MOVQ    w+8(FP), BX
+	MOVQ    x+16(FP), SI
+	MOVQ    xs+24(FP), R8
+	SHLQ    $2, R8
+	MOVQ    cols+32(FP), DX
+	MOVQ    last+40(FP), R10
+	MOVQ    vals+48(FP), R9
+	MOVQ    n+56(FP), CX
+	MOVBLZX acc+64(FP), R12
+
+	// Values step four bytes a stored entry, or stand on a constant one.
+	MOVQ  $4, R13
+	TESTQ R9, R9
+	JNZ   spmmvalued
+	LEAQ  spmmone<>(SB), R9
+	XORL  R13, R13
+
+spmmvalued:
+	// Y15 enables the last vector's (w-1)%8+1 lanes; BX = the vector count.
+	LEAQ    -1(BX), AX
+	ANDQ    $7, AX
+	INCQ    AX
+	NEGQ    AX
+	LEAQ    tilemask<>(SB), R11
+	VMOVDQU 32(R11)(AX*4), Y15
+	ADDQ    $7, BX
+	SHRQ    $3, BX
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	VXORPS  Y4, Y4, Y4
+	VXORPS  Y5, Y5, Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	CMPQ    BX, $8
+	JEQ     spmmrow8
+	CMPQ    BX, $7
+	JEQ     spmmrow7
+	CMPQ    BX, $6
+	JEQ     spmmrow6
+	CMPQ    BX, $5
+	JEQ     spmmrow5
+	CMPQ    BX, $4
+	JEQ     spmmrow4
+	CMPQ    BX, $3
+	JEQ     spmmrow3
+	CMPQ    BX, $2
+	JEQ     spmmrow2
+
+	SPMMROW(spmmrow1, spmmloop1, SPMMNONE, SPMMNONE, SPMMNONE, SPMMPF1, 0, Y0)
+	SPMMROW(spmmrow2, spmmloop2, SPMMLOADS1, SPMMVECS1, SPMMSTORES1, SPMMPF1, 32, Y1)
+	SPMMROW(spmmrow3, spmmloop3, SPMMLOADS2, SPMMVECS2, SPMMSTORES2, SPMMPF2, 64, Y2)
+	SPMMROW(spmmrow4, spmmloop4, SPMMLOADS3, SPMMVECS3, SPMMSTORES3, SPMMPF2, 96, Y3)
+	SPMMROW(spmmrow5, spmmloop5, SPMMLOADS4, SPMMVECS4, SPMMSTORES4, SPMMPF3, 128, Y4)
+	SPMMROW(spmmrow6, spmmloop6, SPMMLOADS5, SPMMVECS5, SPMMSTORES5, SPMMPF3, 160, Y5)
+	SPMMROW(spmmrow7, spmmloop7, SPMMLOADS6, SPMMVECS6, SPMMSTORES6, SPMMPF4, 192, Y6)
+	SPMMROW(spmmrow8, spmmloop8, SPMMLOADS7, SPMMVECS7, SPMMSTORES7, SPMMPF4, 224, Y7)

@@ -7,8 +7,9 @@
 // these kernels use VFMLA — fused per lane — wherever the scalar expression
 // is a multiply-add, and express plain adds as VFMLA against a broadcast
 // 1.0 (x*1.0 is exact, so the fused add rounds once exactly like FADD). The
-// Vec4 entry points require n to be a positive multiple of 4; tails are the
-// Go wrappers' job. The assembler has no vector float compares, so the ReLU
+// Vec4 entry points require n to be a positive multiple of 4 (tileVec4 and
+// spmmRowVec4 a whole number of 4-float vectors); tails are the Go wrappers'
+// job. The assembler has no vector float compares, so the ReLU
 // selects are the scalar bodies' integer range tests, lane for lane.
 
 // func addVec4(dst, x *float32, n int)
@@ -29,27 +30,6 @@ addloop:
 	BNE    addloop
 	RET
 
-// func add2Vec4(dst, x0, x1 *float32, n int)
-// dst[j] = (dst[j] + x0[j]) + x1[j], left-associated like the scalar body.
-TEXT ·add2Vec4(SB), NOSPLIT, $0-32
-	MOVD  dst+0(FP), R0
-	MOVD  x0+8(FP), R1
-	MOVD  x1+16(FP), R2
-	MOVD  n+24(FP), R3
-	FMOVS $(1.0), F9
-	VDUP  V9.S[0], V9.S4
-
-add2loop:
-	VLD1.P 16(R1), [V1.S4]
-	VLD1.P 16(R2), [V2.S4]
-	VLD1   (R0), [V0.S4]
-	VFMLA  V9.S4, V1.S4, V0.S4
-	VFMLA  V9.S4, V2.S4, V0.S4
-	VST1.P [V0.S4], 16(R0)
-	SUBS   $4, R3, R3
-	BNE    add2loop
-	RET
-
 // func axpyVec4(a float32, x, dst *float32, n int)
 // dst[j] += a*x[j]: the scalar path fuses to FMADDS, so one VFMLA per step.
 TEXT ·axpyVec4(SB), NOSPLIT, $0-32
@@ -66,30 +46,6 @@ axpyloop:
 	VST1.P [V0.S4], 16(R0)
 	SUBS   $4, R2, R2
 	BNE    axpyloop
-	RET
-
-// func axpy2Vec4(a0, a1 float32, x0, x1, dst *float32, n int)
-// dst[j] = fma(a1, x1[j], fma(a0, x0[j], dst[j])) — the scalar chain of
-// two fused multiply-adds.
-TEXT ·axpy2Vec4(SB), NOSPLIT, $0-40
-	MOVWU a0+0(FP), R3
-	VDUP  R3, V8.S4
-	MOVWU a1+4(FP), R3
-	VDUP  R3, V9.S4
-	MOVD  x0+8(FP), R1
-	MOVD  x1+16(FP), R2
-	MOVD  dst+24(FP), R0
-	MOVD  n+32(FP), R4
-
-axpy2loop:
-	VLD1.P 16(R1), [V1.S4]
-	VLD1.P 16(R2), [V2.S4]
-	VLD1   (R0), [V0.S4]
-	VFMLA  V8.S4, V1.S4, V0.S4
-	VFMLA  V9.S4, V2.S4, V0.S4
-	VST1.P [V0.S4], 16(R0)
-	SUBS   $4, R4, R4
-	BNE    axpy2loop
 	RET
 
 // func reluVec4(dst, src *float32, n int)
@@ -291,4 +247,174 @@ tileblockloop:
 	ADD   $16, R23
 	SUBS  $1, R13, R13
 	BNE   tileblock
+	RET
+
+DATA spmmone<>+0(SB)/4, $1.0
+GLOBL spmmone<>(SB), RODATA|NOPTR, $4
+
+// SPMMHEAD is the start of one stored entry: R13 = the address of its X
+// row's strip (R2 + column * R3), V20 = its value in every lane, and a
+// prefetch of the strip the entry SPMMAHEAD places on will gather — its column
+// read from the tile's array past this row's end, clamped at the tile's last
+// entry (R5). R10 and R11 are the column and value cursors; the values step
+// R7 bytes, four or (a stream of ones) none.
+#define SPMMAHEAD 12
+#define SPMMHEAD \
+	MOVWU.P 4(R10), R13;                 \
+	MADD    R3, R2, R13, R13;            \
+	VLD1R.P (R11)(R7), [V20.S4];         \
+	ADD     $(4*SPMMAHEAD-4), R10, R14;  \
+	CMP     R5, R14;                     \
+	CSEL    HI, R5, R14, R14;            \
+	MOVWU   (R14), R14;                  \
+	MADD    R3, R2, R14, R14;            \
+	PRFM    (R14), PLDL1KEEP
+
+// func spmmRowVec4(c *float32, vecs int, x *float32, xs int, cols, last *int32, vals *float32, n int, acc bool)
+// The SpMM row kernel (see kernel.SpMMRow) over vecs 4-float vectors:
+// 1 <= vecs <= 16, n >= 1; the caller has proved cols[:n] inside X's rows and
+// the furthest element of C and X in range, and runs the w%4 tail itself. A
+// full 64-float strip keeps sixteen accumulators (V0..V15) across the row's
+// stored entries; a narrower one is walked in blocks of four vectors, then one
+// vector at a time, each pass over the entries again. Every accumulate is a
+// fused VFMLA, one per entry in ascending order, as the scalar body compiles
+// on arm64. last is the tile's final column entry, the limit of the
+// look-ahead; a nil vals is a stream of ones.
+TEXT ·spmmRowVec4(SB), NOSPLIT, $0-65
+	MOVD  c+0(FP), R0
+	MOVD  vecs+8(FP), R1
+	MOVD  x+16(FP), R2
+	MOVD  xs+24(FP), R3
+	LSL   $2, R3
+	MOVD  cols+32(FP), R4
+	MOVD  last+40(FP), R5
+	MOVD  vals+48(FP), R6
+	MOVD  n+56(FP), R8
+	MOVBU acc+64(FP), R9
+	MOVD  $4, R7
+	CBNZ  R6, spmmvalued
+	MOVD  $spmmone<>(SB), R6
+	MOVD  ZR, R7
+
+spmmvalued:
+	CMP  $16, R1
+	BNE  spmmquad
+
+	// Full width.
+	MOVD R4, R10
+	MOVD R6, R11
+	MOVD R8, R12
+	CBZ  R9, spmmwidezero
+	MOVD R0, R15
+	VLD1.P 64(R15), [V0.S4, V1.S4, V2.S4, V3.S4]
+	VLD1.P 64(R15), [V4.S4, V5.S4, V6.S4, V7.S4]
+	VLD1.P 64(R15), [V8.S4, V9.S4, V10.S4, V11.S4]
+	VLD1   (R15), [V12.S4, V13.S4, V14.S4, V15.S4]
+	B    spmmwide
+
+spmmwidezero:
+	VEOR V0.B16, V0.B16, V0.B16
+	VEOR V1.B16, V1.B16, V1.B16
+	VEOR V2.B16, V2.B16, V2.B16
+	VEOR V3.B16, V3.B16, V3.B16
+	VEOR V4.B16, V4.B16, V4.B16
+	VEOR V5.B16, V5.B16, V5.B16
+	VEOR V6.B16, V6.B16, V6.B16
+	VEOR V7.B16, V7.B16, V7.B16
+	VEOR V8.B16, V8.B16, V8.B16
+	VEOR V9.B16, V9.B16, V9.B16
+	VEOR V10.B16, V10.B16, V10.B16
+	VEOR V11.B16, V11.B16, V11.B16
+	VEOR V12.B16, V12.B16, V12.B16
+	VEOR V13.B16, V13.B16, V13.B16
+	VEOR V14.B16, V14.B16, V14.B16
+	VEOR V15.B16, V15.B16, V15.B16
+
+spmmwide:
+	SPMMHEAD
+	PRFM   64(R14), PLDL1KEEP
+	PRFM   128(R14), PLDL1KEEP
+	PRFM   192(R14), PLDL1KEEP
+	VLD1.P 64(R13), [V16.S4, V17.S4, V18.S4, V19.S4]
+	VFMLA  V16.S4, V20.S4, V0.S4
+	VFMLA  V17.S4, V20.S4, V1.S4
+	VFMLA  V18.S4, V20.S4, V2.S4
+	VFMLA  V19.S4, V20.S4, V3.S4
+	VLD1.P 64(R13), [V16.S4, V17.S4, V18.S4, V19.S4]
+	VFMLA  V16.S4, V20.S4, V4.S4
+	VFMLA  V17.S4, V20.S4, V5.S4
+	VFMLA  V18.S4, V20.S4, V6.S4
+	VFMLA  V19.S4, V20.S4, V7.S4
+	VLD1.P 64(R13), [V16.S4, V17.S4, V18.S4, V19.S4]
+	VFMLA  V16.S4, V20.S4, V8.S4
+	VFMLA  V17.S4, V20.S4, V9.S4
+	VFMLA  V18.S4, V20.S4, V10.S4
+	VFMLA  V19.S4, V20.S4, V11.S4
+	VLD1   (R13), [V16.S4, V17.S4, V18.S4, V19.S4]
+	VFMLA  V16.S4, V20.S4, V12.S4
+	VFMLA  V17.S4, V20.S4, V13.S4
+	VFMLA  V18.S4, V20.S4, V14.S4
+	VFMLA  V19.S4, V20.S4, V15.S4
+	SUBS   $1, R12, R12
+	BNE    spmmwide
+	VST1.P [V0.S4, V1.S4, V2.S4, V3.S4], 64(R0)
+	VST1.P [V4.S4, V5.S4, V6.S4, V7.S4], 64(R0)
+	VST1.P [V8.S4, V9.S4, V10.S4, V11.S4], 64(R0)
+	VST1   [V12.S4, V13.S4, V14.S4, V15.S4], (R0)
+	RET
+
+	// Blocks of four vectors: R0 (C) and R2 (the strip's first column of X)
+	// step 64 bytes a pass; the cursors restart.
+spmmquad:
+	CMP  $4, R1
+	BLT  spmmsingle
+	MOVD R4, R10
+	MOVD R6, R11
+	MOVD R8, R12
+	CBZ  R9, spmmquadzero
+	VLD1 (R0), [V0.S4, V1.S4, V2.S4, V3.S4]
+	B    spmmquadloop
+
+spmmquadzero:
+	VEOR V0.B16, V0.B16, V0.B16
+	VEOR V1.B16, V1.B16, V1.B16
+	VEOR V2.B16, V2.B16, V2.B16
+	VEOR V3.B16, V3.B16, V3.B16
+
+spmmquadloop:
+	SPMMHEAD
+	VLD1  (R13), [V16.S4, V17.S4, V18.S4, V19.S4]
+	VFMLA V16.S4, V20.S4, V0.S4
+	VFMLA V17.S4, V20.S4, V1.S4
+	VFMLA V18.S4, V20.S4, V2.S4
+	VFMLA V19.S4, V20.S4, V3.S4
+	SUBS  $1, R12, R12
+	BNE   spmmquadloop
+	VST1.P [V0.S4, V1.S4, V2.S4, V3.S4], 64(R0)
+	ADD   $64, R2
+	SUB   $4, R1
+	B     spmmquad
+
+	// Single vectors: the same, 16 bytes a pass.
+spmmsingle:
+	CBZ  R1, spmmdone
+	MOVD R4, R10
+	MOVD R6, R11
+	MOVD R8, R12
+	VEOR V0.B16, V0.B16, V0.B16
+	CBZ  R9, spmmsingleloop
+	VLD1 (R0), [V0.S4]
+
+spmmsingleloop:
+	SPMMHEAD
+	VLD1  (R13), [V16.S4]
+	VFMLA V16.S4, V20.S4, V0.S4
+	SUBS  $1, R12, R12
+	BNE   spmmsingleloop
+	VST1.P [V0.S4], 16(R0)
+	ADD   $16, R2
+	SUB   $1, R1
+	B     spmmsingle
+
+spmmdone:
 	RET

@@ -8,12 +8,11 @@ package kernel
 // — because the amd64 Go compiler does not fuse float32 mul+add either, and
 // bit-identity with the scalar path is the dispatch contract.
 func addVec8(dst, x *float32, n int)
-func add2Vec8(dst, x0, x1 *float32, n int)
 func axpyVec8(a float32, x, dst *float32, n int)
-func axpy2Vec8(a0, a1 float32, x0, x1, dst *float32, n int)
 func reluVec8(dst, src *float32, n int)
 func reluMaskVec8(dst, grad, act *float32, n int)
 func tileVec(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, cols int, acc bool)
+func spmmRowVec(c *float32, w int, x *float32, xs int, cols, last *int32, vals *float32, n int, acc bool)
 
 func init() {
 	if !hasAVX2() {
@@ -25,9 +24,9 @@ func init() {
 	// scalar path in place instead of corrupting training.
 	verifyAndInstall(impls{
 		name: "avx2",
-		add:  addAVX2, add2: add2AVX2,
-		axpy: axpyAVX2, axpy2: axpy2AVX2,
-		tile: tileAVX2, relu: reluAVX2, reluMask: reluMaskAVX2,
+		add:  addAVX2, axpy: axpyAVX2,
+		tile: tileAVX2, spmmRow: spmmRowAVX2,
+		relu: reluAVX2, reluMask: reluMaskAVX2,
 	})
 }
 
@@ -43,19 +42,6 @@ func addAVX2(x, dst []float32) {
 	}
 }
 
-func add2AVX2(x0, x1, dst []float32) {
-	n := len(dst)
-	x0 = x0[:n]
-	x1 = x1[:n]
-	nv := n &^ 7
-	if nv > 0 {
-		add2Vec8(&dst[0], &x0[0], &x1[0], nv)
-	}
-	for j := nv; j < n; j++ {
-		dst[j] = dst[j] + x0[j] + x1[j]
-	}
-}
-
 func axpyAVX2(a float32, x, dst []float32) {
 	n := len(dst)
 	x = x[:n]
@@ -65,19 +51,6 @@ func axpyAVX2(a float32, x, dst []float32) {
 	}
 	for j := nv; j < n; j++ {
 		dst[j] += a * x[j]
-	}
-}
-
-func axpy2AVX2(a0, a1 float32, x0, x1, dst []float32) {
-	n := len(dst)
-	x0 = x0[:n]
-	x1 = x1[:n]
-	nv := n &^ 7
-	if nv > 0 {
-		axpy2Vec8(a0, a1, &x0[0], &x1[0], &dst[0], nv)
-	}
-	for j := nv; j < n; j++ {
-		dst[j] = dst[j] + a0*x0[j] + a1*x1[j]
 	}
 }
 
@@ -108,4 +81,17 @@ func tileAVX2(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int,
 	}
 	checkTile(rows, cols, k, a, ars, aks, b, bs, c, cs)
 	tileVec(k, &a[0], ars, aks, &b[0], bs, &c[0], cs, rows, cols, acc)
+}
+
+func spmmRowAVX2(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) {
+	if n == 0 {
+		spmmRowScalar(c, x, xs, xrows, cols, vals, n, acc) // nothing to add, and no cols[0] to point at
+		return
+	}
+	checkSpMMRow(c, x, xs, xrows, cols, vals, n)
+	var vp *float32
+	if vals != nil {
+		vp = &vals[0]
+	}
+	spmmRowVec(&c[0], len(c), &x[0], xs, &cols[0], &cols[len(cols)-1], vp, n, acc)
 }

@@ -3,17 +3,16 @@
 package kernel
 
 // Assembly bodies in asm_arm64.s. Every Vec4 entry point processes a
-// multiple of 4 elements (one 128-bit NEON vector of float32), and tileVec4 a
-// multiple of 4 columns; odd tails are handled here with the scalar
+// multiple of 4 elements (one 128-bit NEON vector of float32), tileVec4 and
+// spmmRowVec4 a multiple of 4 columns; odd tails are handled here with the scalar
 // expressions, which the arm64 compiler fuses exactly like the vector bodies
 // do (see kernel.go for the bit-identity contract).
 func addVec4(dst, x *float32, n int)
-func add2Vec4(dst, x0, x1 *float32, n int)
 func axpyVec4(a float32, x, dst *float32, n int)
-func axpy2Vec4(a0, a1 float32, x0, x1, dst *float32, n int)
 func reluVec4(dst, src *float32, n int)
 func reluMaskVec4(dst, grad, act *float32, n int)
 func tileVec4(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, vecs int, acc bool)
+func spmmRowVec4(c *float32, vecs int, x *float32, xs int, cols, last *int32, vals *float32, n int, acc bool)
 
 func init() {
 	// NEON (ASIMD) is architecturally mandatory on arm64, so there is no
@@ -23,9 +22,9 @@ func init() {
 	// instead of corrupting training.
 	verifyAndInstall(impls{
 		name: "neon",
-		add:  addNEON, add2: add2NEON,
-		axpy: axpyNEON, axpy2: axpy2NEON,
-		tile: tileNEON, relu: reluNEON, reluMask: reluMaskNEON,
+		add:  addNEON, axpy: axpyNEON,
+		tile: tileNEON, spmmRow: spmmRowNEON,
+		relu: reluNEON, reluMask: reluMaskNEON,
 	})
 }
 
@@ -41,19 +40,6 @@ func addNEON(x, dst []float32) {
 	}
 }
 
-func add2NEON(x0, x1, dst []float32) {
-	n := len(dst)
-	x0 = x0[:n]
-	x1 = x1[:n]
-	nv := n &^ 3
-	if nv > 0 {
-		add2Vec4(&dst[0], &x0[0], &x1[0], nv)
-	}
-	for j := nv; j < n; j++ {
-		dst[j] = dst[j] + x0[j] + x1[j]
-	}
-}
-
 func axpyNEON(a float32, x, dst []float32) {
 	n := len(dst)
 	x = x[:n]
@@ -63,19 +49,6 @@ func axpyNEON(a float32, x, dst []float32) {
 	}
 	for j := nv; j < n; j++ {
 		dst[j] += a * x[j]
-	}
-}
-
-func axpy2NEON(a0, a1 float32, x0, x1, dst []float32) {
-	n := len(dst)
-	x0 = x0[:n]
-	x1 = x1[:n]
-	nv := n &^ 3
-	if nv > 0 {
-		axpy2Vec4(a0, a1, &x0[0], &x1[0], &dst[0], nv)
-	}
-	for j := nv; j < n; j++ {
-		dst[j] = dst[j] + a0*x0[j] + a1*x1[j]
 	}
 }
 
@@ -109,5 +82,22 @@ func tileNEON(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int,
 	tileVec4(k, &a[0], ars, aks, &b[0], bs, &c[0], cs, rows, cv/4, acc)
 	if cv < cols {
 		tileScalar(rows, cols-cv, k, a, ars, aks, b[cv:], bs, c[cv:], cs, acc)
+	}
+}
+
+func spmmRowNEON(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) {
+	cv := len(c) &^ 3
+	if n == 0 || cv == 0 {
+		spmmRowScalar(c, x, xs, xrows, cols, vals, n, acc) // nothing to add (and no cols[0] to point at), or no whole vector
+		return
+	}
+	checkSpMMRow(c, x, xs, xrows, cols, vals, n)
+	var vp *float32
+	if vals != nil {
+		vp = &vals[0]
+	}
+	spmmRowVec4(&c[0], cv/4, &x[0], xs, &cols[0], &cols[len(cols)-1], vp, n, acc)
+	if cv < len(c) {
+		spmmRowScalar(c[cv:], x[cv:], xs, xrows, cols, vals, n, acc)
 	}
 }

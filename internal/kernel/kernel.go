@@ -6,9 +6,10 @@
 //
 // The dispatch contract is bit-identity: every implementation bound to a
 // variable must produce exactly the bits the scalar implementation produces
-// for all finite inputs. That is what lets the SpMMFlat/GemmFlat oracles,
-// the shadow-replay sanitizer, and the adversarial-replay suites keep
-// passing regardless of which implementation is active. Concretely:
+// for all finite inputs. That is what lets the SpMMFlat/GemmFlat oracles of
+// the sparse and tensor tests, the shadow-replay sanitizer, and the
+// adversarial-replay suites keep passing regardless of which implementation
+// is active. Concretely:
 //
 //   - On amd64 the Go compiler never fuses float32 mul+add, so the AVX2
 //     kernels use separate VMULPS/VADDPS (never VFMADD*) and round each
@@ -18,16 +19,18 @@
 //     vector adds as VFMLA with a broadcast 1.0 (x*1.0 is exact, so
 //     fma(x, 1, d) rounds once exactly like FADD).
 //   - The GeMM tile adds one product per k step to each accumulator, k
+//     ascending, and the SpMM row kernel one per stored entry, index
 //     ascending, so every C element sums in the flat oracle's order whatever
-//     the tile shape or the traversal around it.
+//     the tile or strip shape or the traversal around it.
 //
 // Tail elements past the widest vector multiple are always handled by the
-// same scalar expressions, so odd lengths and misaligned slices are safe
-// and bit-identical too.
+// same scalar expressions (or, in Tile and SpMMRow on amd64, by a lane mask),
+// so odd lengths and misaligned slices are safe and bit-identical too.
 //
 // All slice arguments of one vector-kernel call must have the same length
-// (callers slice before calling); the dst length is authoritative. Tile takes
-// extents and strides instead, and checks them against its slices. Swapping
+// (callers slice before calling); the dst length is authoritative. Tile and
+// SpMMRow take extents and strides instead, and prove them against their
+// slices before the assembly sees a pointer. Swapping
 // implementations is not synchronized — dispatch happens in init, before any
 // kernel runs.
 package kernel
@@ -38,14 +41,19 @@ import "math"
 var (
 	// Add computes dst[j] += x[j].
 	Add func(x, dst []float32) = addScalar
-	// Add2 computes dst[j] = dst[j] + x0[j] + x1[j] (left-associated,
-	// identical per element to two sequential Adds).
-	Add2 func(x0, x1, dst []float32) = add2Scalar
 	// Axpy computes dst[j] += a*x[j].
 	Axpy func(a float32, x, dst []float32) = axpyScalar
-	// Axpy2 computes dst[j] = dst[j] + a0*x0[j] + a1*x1[j]
-	// (left-associated, identical per element to two sequential Axpys).
-	Axpy2 func(a0, a1 float32, x0, x1, dst []float32) = axpy2Scalar
+	// SpMMRow is the SpMM row microkernel. For the strip c of one output
+	// row (1..SpMMStrip floats) it starts every accumulator from c (acc) or
+	// from 0, adds vals[k] * x[cols[k]*xs+j] for k ascending over [0, n) —
+	// product and sum each rounded to float32 on amd64, fused as the
+	// compiler fuses them on arm64 — and writes c once. x is X from the
+	// strip's first column on, xs its row stride and xrows its row count.
+	// cols and vals run from this row's first stored entry to the tile's
+	// last, so a body may read cols past n to prefetch the rows the next
+	// output rows gather; a nil vals is a value stream of ones (x*1 is
+	// exact: a structure-only tile sums its neighbours through this body).
+	SpMMRow func(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) = spmmRowScalar
 	// Tile is the GeMM register-tile microkernel. For the rows x cols tile
 	// of C at c (row stride cs; rows <= MR, cols <= NR) it starts every
 	// accumulator from C (acc) or from 0, adds a[i*ars+p*aks] * b[p*bs+j]
@@ -71,6 +79,11 @@ const (
 	NR = 16
 )
 
+// SpMMStrip is the widest strip one SpMMRow call owns: eight 8-float vectors
+// is the eight accumulators that, with a broadcast value, a masked load and
+// the products in flight, fit the sixteen YMM registers.
+const SpMMStrip = 64
+
 var impl = "scalar"
 
 // Impl names the active implementation: "scalar", "avx2", or "neon".
@@ -83,15 +96,6 @@ func addScalar(x, dst []float32) {
 	}
 }
 
-func add2Scalar(x0, x1, dst []float32) {
-	n := len(dst)
-	x0 = x0[:n]
-	x1 = x1[:n]
-	for j := 0; j < n; j++ {
-		dst[j] = dst[j] + x0[j] + x1[j]
-	}
-}
-
 func axpyScalar(a float32, x, dst []float32) {
 	x = x[:len(dst)]
 	for j := range dst {
@@ -99,12 +103,43 @@ func axpyScalar(a float32, x, dst []float32) {
 	}
 }
 
-func axpy2Scalar(a0, a1 float32, x0, x1, dst []float32) {
-	n := len(dst)
-	x0 = x0[:n]
-	x1 = x1[:n]
-	for j := 0; j < n; j++ {
-		dst[j] = dst[j] + a0*x0[j] + a1*x1[j]
+// spmmRowScalar is the oracle and the path of builds without assembly: one
+// pass over the strip per stored entry, ascending.
+func spmmRowScalar(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) {
+	checkSpMMRow(c, x, xs, xrows, cols, vals, n)
+	if !acc {
+		clear(c)
+	}
+	for k, col := range cols[:n] {
+		v := float32(1)
+		if vals != nil {
+			v = vals[k]
+		}
+		rx := x[int(col)*xs:][:len(c)]
+		for j := range c {
+			c[j] += v * rx[j]
+		}
+	}
+}
+
+// checkSpMMRow panics unless the strip is 1..SpMMStrip floats, every one of
+// the row's n columns names a row of X, the strip's furthest element of X's
+// last row is inside x, and vals (when there are any) cover the row — the
+// proof the assembly bodies, which index raw pointers, run behind. The columns
+// past n are only ever prefetched, which cannot fault.
+func checkSpMMRow(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int) {
+	if len(c) < 1 || len(c) > SpMMStrip || xs < 0 || xrows < 0 || n < 0 || (vals != nil && len(vals) < n) {
+		panic("kernel: SpMMRow strip outside 1..SpMMStrip, a negative extent or vals shorter than the row")
+	}
+	if xrows > 0 {
+		_ = x[(xrows-1)*xs+len(c)-1]
+	}
+	bad := 0
+	for _, col := range cols[:n] {
+		bad |= int(col) | (xrows - 1 - int(col))
+	}
+	if bad < 0 {
+		panic("kernel: SpMMRow column outside X's rows")
 	}
 }
 

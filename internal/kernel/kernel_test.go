@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -59,7 +60,6 @@ func TestDispatchBitIdentity(t *testing.T) {
 			xb := base1[off : off+n]
 			xc := base2[off : off+n]
 			a0 := scalars[n%len(scalars)]
-			a1 := scalars[(n+2)%len(scalars)]
 
 			dup := func(src []float32) (got, want []float32) {
 				got = append([]float32(nil), src...)
@@ -73,19 +73,9 @@ func TestDispatchBitIdentity(t *testing.T) {
 			bitsEqual(t, "Add", n, off, got, want)
 
 			got, want = dup(base3[off : off+n])
-			Add2(xa, xb, got)
-			add2Scalar(xa, xb, want)
-			bitsEqual(t, "Add2", n, off, got, want)
-
-			got, want = dup(base3[off : off+n])
 			Axpy(a0, xa, got)
 			axpyScalar(a0, xa, want)
 			bitsEqual(t, "Axpy", n, off, got, want)
-
-			got, want = dup(base3[off : off+n])
-			Axpy2(a0, a1, xa, xb, got)
-			axpy2Scalar(a0, a1, xa, xb, want)
-			bitsEqual(t, "Axpy2", n, off, got, want)
 
 			got, want = dup(base3[off : off+n])
 			ReLU(got, xa)
@@ -110,14 +100,12 @@ func TestDispatchBitIdentity(t *testing.T) {
 	}
 }
 
-// TestEmptyRows pins the empty-slice behavior the SpMM tail cases rely on:
-// every kernel must be a no-op on zero-length slices.
+// TestEmptyRows pins the empty-slice behavior: every vector kernel must be a
+// no-op on zero-length slices.
 func TestEmptyRows(t *testing.T) {
 	var empty []float32
 	Add(empty, empty)
-	Add2(empty, empty, empty)
 	Axpy(2, empty, empty)
-	Axpy2(2, 3, empty, empty, empty)
 	ReLU(empty, empty)
 	ReLUMask(empty, empty, empty)
 }
@@ -133,8 +121,8 @@ func TestImplConsistent(t *testing.T) {
 	}
 	err := verifyImpls(impls{
 		name: Impl(),
-		add:  Add, add2: Add2, axpy: Axpy, axpy2: Axpy2,
-		tile: Tile, relu: ReLU, reluMask: ReLUMask,
+		add:  Add, axpy: Axpy, tile: Tile, spmmRow: SpMMRow,
+		relu: ReLU, reluMask: ReLUMask,
 	})
 	if err != nil {
 		t.Fatalf("installed impl fails its own verification probes: %v", err)
@@ -194,14 +182,95 @@ func TestTileRejectsOutOfRange(t *testing.T) {
 		"rows": func() { Tile(MR+1, 2, 4, buf, 4, 1, buf, 2, buf, 2, false) },
 		"cols": func() { Tile(2, NR+1, 1, buf, 4, 1, buf, 17, buf, 17, false) },
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Tile with %s out of range did not panic", name)
-				}
-			}()
-			call()
-		}()
+		mustPanic(t, "Tile with "+name+" out of range", call)
+	}
+}
+
+func mustPanic(t *testing.T, what string, call func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	call()
+}
+
+// TestSpMMRowMatchesScalar holds the installed row kernel to the scalar one
+// on random shapes: any strip width, strides at and past it, rows of zero to
+// a hundred entries anywhere in a tile (so the look-ahead runs into the next
+// rows, and off the tile's end), valued and ones, from C and from 0, with
+// every operand misaligned. C's guard band is part of the comparison.
+func TestSpMMRowMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for tc := 0; tc < 4000; tc++ {
+		w, xrows, off := 1+rng.Intn(SpMMStrip), 1+rng.Intn(40), rng.Intn(4)
+		xs := w + rng.Intn(3)*rng.Intn(70)
+		x := fill(t, off+xrows*xs, rng.Uint64()|1)[off:]
+		cols := make([]int32, 1+rng.Intn(150))
+		for i := range cols {
+			cols[i] = int32(rng.Intn(xrows))
+		}
+		vals := fill(t, len(cols), rng.Uint64()|1)
+		first := rng.Intn(len(cols))
+		n := rng.Intn(min(100, len(cols)-first) + 1)
+		cols, vals = cols[first:], vals[first:]
+		if tc%3 == 0 {
+			vals = nil
+		}
+		acc := tc%2 == 0
+		got := fill(t, off+3+w+3, rng.Uint64()|1)
+		want := append([]float32(nil), got...)
+		SpMMRow(got[off+3:off+3+w], x, xs, xrows, cols, vals, n, acc)
+		spmmRowScalar(want[off+3:off+3+w], x, xs, xrows, cols, vals, n, acc)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("SpMMRow w=%d xs=%d xrows=%d n=%d of %d acc=%v valued=%v off=%d: c[%d]=%x want %x under impl %q",
+					w, xs, xrows, n, len(cols), acc, vals != nil, off, i-off-3, math.Float32bits(got[i]), math.Float32bits(want[i]), Impl())
+			}
+		}
+	}
+}
+
+// TestSpMMRowMatchesDefinition holds the scalar oracle (and the installed
+// entry) to the contract's own words on one hand-sized row.
+func TestSpMMRowMatchesDefinition(t *testing.T) {
+	x := []float32{1, 2, 3, 10, 20, 30, 100, 200, 300} // 3 rows, stride 3
+	cols, vals := []int32{2, 0, 1, 1}, []float32{0.5, 2, -1, 7}
+	for name, tc := range map[string]struct {
+		vals []float32
+		acc  bool
+		want [2]float32
+	}{
+		"valued from 0": {vals, false, [2]float32{0.5*100 + 2*1, 0.5*200 + 2*2}},
+		"valued from C": {vals, true, [2]float32{5 + 0.5*100 + 2*1, 6 + 0.5*200 + 2*2}},
+		"ones from C":   {nil, true, [2]float32{5 + 100 + 1, 6 + 200 + 2}},
+	} {
+		c := []float32{5, 6, 7}
+		SpMMRow(c[:2], x, 3, 3, cols, tc.vals, 2, tc.acc)
+		if c[0] != tc.want[0] || c[1] != tc.want[1] || c[2] != 7 {
+			t.Errorf("%s: c = %v, want %v then 7", name, c, tc.want)
+		}
+	}
+}
+
+// TestSpMMRowRejectsOutOfRange: the wrapper must panic, not hand the assembly
+// a pointer, on a column outside X, values shorter than the row, a strip
+// wider than the accumulators, a row longer than its tile or an X too short
+// for its last row's strip.
+func TestSpMMRowRejectsOutOfRange(t *testing.T) {
+	buf := make([]float32, 4*SpMMStrip)
+	cols := []int32{0, 1, 2, 3}
+	for name, call := range map[string]func(){
+		"column":      func() { SpMMRow(buf[:8], buf, 8, 3, cols, nil, 4, false) },
+		"neg column":  func() { SpMMRow(buf[:8], buf, 8, 4, []int32{1, -1}, nil, 2, false) },
+		"short vals":  func() { SpMMRow(buf[:8], buf, 8, 4, cols, buf[:3], 4, false) },
+		"wide strip":  func() { SpMMRow(buf[:SpMMStrip+1], buf, SpMMStrip+1, 2, cols, nil, 1, false) },
+		"empty strip": func() { SpMMRow(buf[:0], buf, 8, 4, cols, nil, 1, false) },
+		"long row":    func() { SpMMRow(buf[:8], buf, 8, 4, cols, nil, 5, false) },
+		"short x":     func() { SpMMRow(buf[:8], buf[:31], 8, 4, cols, nil, 1, false) },
+	} {
+		mustPanic(t, "SpMMRow with "+name+" out of range", call)
 	}
 }
 

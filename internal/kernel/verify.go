@@ -10,10 +10,9 @@ import (
 type impls struct {
 	name     string
 	add      func(x, dst []float32)
-	add2     func(x0, x1, dst []float32)
 	axpy     func(a float32, x, dst []float32)
-	axpy2    func(a0, a1 float32, x0, x1, dst []float32)
 	tile     func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool)
+	spmmRow  func(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool)
 	relu     func(dst, src []float32)
 	reluMask func(dst, grad, act []float32)
 }
@@ -38,10 +37,9 @@ func verifyAndInstall(c impls) {
 	}
 	impl = c.name
 	Add = c.add
-	Add2 = c.add2
 	Axpy = c.axpy
-	Axpy2 = c.axpy2
 	Tile = c.tile
+	SpMMRow = c.spmmRow
 	ReLU = c.relu
 	ReLUMask = c.reluMask
 }
@@ -95,16 +93,14 @@ func verifyImpls(c impls) error {
 		return got, want
 	}
 
-	var a0, a1 float32
+	var a0 float32
 	vector := [...]struct {
 		entry     string
 		dst       []float32 // dst's prior contents
 		cand, ref func(n int, dst []float32)
 	}{
 		{"Add", xd, func(n int, d []float32) { c.add(xa[:n], d) }, func(n int, d []float32) { addScalar(xa[:n], d) }},
-		{"Add2", xd, func(n int, d []float32) { c.add2(xa[:n], xb[:n], d) }, func(n int, d []float32) { add2Scalar(xa[:n], xb[:n], d) }},
 		{"Axpy", xd, func(n int, d []float32) { c.axpy(a0, xa[:n], d) }, func(n int, d []float32) { axpyScalar(a0, xa[:n], d) }},
-		{"Axpy2", xd, func(n int, d []float32) { c.axpy2(a0, a1, xa[:n], xb[:n], d) }, func(n int, d []float32) { axpy2Scalar(a0, a1, xa[:n], xb[:n], d) }},
 		{"ReLU", xd, func(n int, d []float32) { c.relu(d, xs[:n]) }, func(n int, d []float32) { reluScalar(d, xs[:n]) }},
 		{"ReLU(dst = src)", xs, func(n int, d []float32) { c.relu(d, d) }, func(n int, d []float32) { reluScalar(d, d) }},
 		{"ReLUMask", xd, func(n int, d []float32) { c.reluMask(d, xs[:n], xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], xt[:n]) }},
@@ -112,7 +108,7 @@ func verifyImpls(c impls) error {
 		{"ReLUMask(dst = act)", xt, func(n int, d []float32) { c.reluMask(d, xs[:n], d) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], d) }},
 	}
 	for _, n := range verifyLens {
-		a0, a1 = scalars[n%len(scalars)], scalars[(n+1)%len(scalars)]
+		a0 = scalars[n%len(scalars)]
 		for _, p := range vector {
 			got, want := buf(p.dst, n)
 			p.cand(n, got)
@@ -138,6 +134,50 @@ func verifyImpls(c impls) error {
 			if !eq(got, want) {
 				return fmt.Errorf("kernel: %s Tile deviates from scalar at rows=%d cols=%d k=%d strides=(%d,%d) acc=%v",
 					c.name, rows, cols, k, ars, aks, acc)
+			}
+		}
+	}
+
+	// Row-kernel strips on both sides of every vector boundary; empty, single,
+	// paired, odd and hub rows (longer than any look-ahead); valued and ones;
+	// from C and from 0 (over a C that holds a NaN); the row first in its tile
+	// and last in it, where the look-ahead has nothing past the row to read.
+	// X's stride is past the strip and the band between holds NaNs, and C sits
+	// inside a guard band the comparison covers.
+	const ldx, xrows = SpMMStrip + 3, 4
+	tileCols := make([]int32, 40)
+	for i := range tileCols {
+		tileCols[i] = int32((i*7 + i/4) % xrows)
+	}
+	nnzs := [...]int{0, 1, 2, 5, 21}
+	for w := 1; w <= SpMMStrip; w++ {
+		if r := w % 8; w > 2 && r > 1 && r < 7 {
+			continue
+		}
+		xp := append([]float32(nil), xa[:xrows*ldx]...)
+		for i := range xp {
+			if i%ldx >= w {
+				xp[i] = nan
+			}
+		}
+		for t := 0; t < len(nnzs)*8; t++ {
+			n, acc, valued, lastRow := nnzs[t%len(nnzs)], t/len(nnzs)&1 == 1, t/len(nnzs)&2 == 2, t/len(nnzs)&4 == 4
+			cols, vals := tileCols, xb[:len(tileCols)]
+			if lastRow {
+				cols, vals = cols[len(cols)-n:], vals[len(vals)-n:]
+			}
+			if !valued {
+				vals = nil
+			}
+			got, want := buf(xd, 5+w+5)
+			if !acc {
+				got[5+w/2], want[5+w/2] = nan, nan
+			}
+			c.spmmRow(got[5:5+w], xp, ldx, xrows, cols, vals, n, acc)
+			spmmRowScalar(want[5:5+w], xp, ldx, xrows, cols, vals, n, acc)
+			if !eq(got, want) {
+				return fmt.Errorf("kernel: %s SpMMRow deviates from scalar at width=%d nnz=%d acc=%v valued=%v last row=%v",
+					c.name, w, n, acc, valued, lastRow)
 			}
 		}
 	}

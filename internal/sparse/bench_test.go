@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mggcn/internal/tensor"
@@ -52,6 +53,63 @@ func BenchmarkSpMMFlat(b *testing.B) {
 				SpMMFlat(a, x, 0, c)
 			}
 		})
+	}
+}
+
+// tileCSR is a rows x cols valued tile with deg stored entries a row, their
+// columns uniform over the first span columns and ascending within the row.
+// (Built directly: a narrow span repeats columns, which FromCoo would merge.)
+func tileCSR(rows, cols, deg, span int) *CSR {
+	rng := rand.New(rand.NewSource(4))
+	a := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1), ColIdx: make([]int32, rows*deg), Vals: make([]float32, rows*deg)}
+	for r := 0; r < rows; r++ {
+		row := a.ColIdx[r*deg : (r+1)*deg]
+		for k := range row {
+			row[k] = int32(rng.Intn(span))
+		}
+		slices.Sort(row)
+		a.RowPtr[r+1] = int64((r + 1) * deg)
+	}
+	for k := range a.Vals {
+		a.Vals[k] = float32(rng.NormFloat64())
+	}
+	return a
+}
+
+// BenchmarkSpMMTiles times sparse.SpMM, one goroutine, on the tiles the
+// repository benchmark's workloads train on — fullbatch-spmm's stage tile at
+// its hidden width and at its class count, fullbatch-gemm's, and one
+// sampled-thin block — in GFLOP/s per stored entry, each as trained (random
+// columns over the whole X block: L2, past L2, far past it) and with the
+// columns confined to the 16 KB of X that stay in L1. The first column is
+// what an epoch gets; the gap to the second is what residency would buy, and
+// the second is the kernel's own ceiling (ROADMAP item 1).
+func BenchmarkSpMMTiles(b *testing.B) {
+	for _, cfg := range []struct {
+		name                   string
+		rows, cols, deg, width int
+	}{
+		{"fullbatch-spmm", 4096, 4096, 96, 64},
+		{"fullbatch-spmm-classes", 4096, 4096, 96, 47},
+		{"fullbatch-gemm", 10000, 10000, 13, 128},
+		{"sampled-thin", 2816, 28000, 10, 64},
+	} {
+		for _, span := range []int{cfg.cols, 16 << 10 / (4 * cfg.width)} {
+			residency := "as-trained"
+			if span < cfg.cols {
+				residency = "L1"
+			}
+			b.Run(cfg.name+"/"+residency, func(b *testing.B) {
+				a := tileCSR(cfg.rows, cfg.cols, cfg.deg, span)
+				rng := rand.New(rand.NewSource(5))
+				x, c := randomDense(rng, cfg.cols, cfg.width), tensor.NewDense(cfg.rows, cfg.width)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					SpMM(a, x, 0, c)
+				}
+				b.ReportMetric(float64(SpMMFlops(a.NNZ(), cfg.width))*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+			})
+		}
 	}
 }
 

@@ -4,16 +4,22 @@ import (
 	"math/rand"
 	"testing"
 
+	"mggcn/internal/kernel"
 	"mggcn/internal/tensor"
 )
 
-// TestSpMMBitIdenticalToFlat pins the column-tiled kernel's contract: tiling
-// the feature dimension and fusing nonzero pairs may not change a single bit
-// relative to the flat reference kernel. Widths straddle the spmmColTile
-// boundary; beta covers overwrite and accumulate.
+// wide is a dense width of several row-kernel strips; the tests below go to
+// either side of it so whole strips, a partial last strip and a one-float
+// last strip all run.
+const wide = 4 * kernel.SpMMStrip
+
+// TestSpMMBitIdenticalToFlat pins the strip kernel's contract: walking the
+// feature dimension in register-resident strips may not change a single bit
+// relative to the flat reference kernel. Widths straddle a strip boundary;
+// beta covers overwrite and accumulate.
 func TestSpMMBitIdenticalToFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, width := range []int{1, 3, spmmColTile - 1, spmmColTile, spmmColTile + 1, spmmColTile + 37, 2*spmmColTile + 5} {
+	for _, width := range []int{1, 3, wide - 1, wide, wide + 1, wide + 37, 2*wide + 5} {
 		for _, beta := range []float32{0, 1} {
 			a := randomCSR(rng, 23, 17, 0.3, true)
 			x := randomDense(rng, 17, width)
@@ -29,7 +35,7 @@ func TestSpMMBitIdenticalToFlat(t *testing.T) {
 }
 
 // TestSpMMBitIdenticalToFlatStructureOnly: the Vals == nil tile path (entries
-// of 1, odd nonzero counts per row so the pair loop's tail runs) must match
+// of 1, odd and zero nonzero counts per row) must match
 // the flat structure-only path bit for bit.
 func TestSpMMBitIdenticalToFlatStructureOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
@@ -42,7 +48,7 @@ func TestSpMMBitIdenticalToFlatStructureOnly(t *testing.T) {
 		}
 	}
 	a := FromCoo(n, n, entries, false)
-	for _, width := range []int{1, spmmColTile - 3, spmmColTile + 3} {
+	for _, width := range []int{1, wide - 3, wide + 3} {
 		x := randomDense(rng, n, width)
 		blocked := randomDense(rng, n, width)
 		flat := blocked.Clone()
@@ -70,18 +76,18 @@ func TestSpMMBlockedDegenerateShapes(t *testing.T) {
 		t.Fatalf("1x1 accumulate got %v, want 13", c.At(0, 0))
 	}
 
-	// All rows empty: beta=0 must overwrite stale C with zeros in every tile.
+	// All rows empty: beta=0 must overwrite stale C with zeros in every strip.
 	empty := FromCoo(4, 4, nil, true)
-	wide := randomDense(rng, 4, spmmColTile+9)
-	stale := randomDense(rng, 4, spmmColTile+9)
-	SpMM(empty, wide, 0, stale)
+	fresh := randomDense(rng, 4, wide+9)
+	stale := randomDense(rng, 4, wide+9)
+	SpMM(empty, fresh, 0, stale)
 	for i, v := range stale.Data {
 		if v != 0 {
 			t.Fatalf("empty-matrix beta=0 left element %d = %v", i, v)
 		}
 	}
 
-	// Single column of X (narrower than any tile).
+	// Single column of X (narrower than any vector).
 	a := randomCSR(rng, 9, 9, 0.4, true)
 	x1 := randomDense(rng, 9, 1)
 	blocked := randomDense(rng, 9, 1)
@@ -94,16 +100,16 @@ func TestSpMMBlockedDegenerateShapes(t *testing.T) {
 }
 
 // TestParallelSpMMBitIdenticalToFlatWideFeatures runs the full pooled path
-// (nnz chunking + column tiles + pair fusion) against the flat serial kernel
-// at tolerance 0 on a feature width that doesn't divide the tile.
+// (nnz chunking + column strips) against the flat serial kernel at tolerance
+// 0 on a feature width no strip divides.
 func TestParallelSpMMBitIdenticalToFlatWideFeatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	a := randomCSR(rng, 128, 128, 0.08, true)
-	x := randomDense(rng, 128, spmmColTile+21)
-	flat := tensor.NewDense(128, spmmColTile+21)
+	x := randomDense(rng, 128, wide+21)
+	flat := tensor.NewDense(128, wide+21)
 	SpMMFlat(a, x, 0, flat)
 	for _, w := range []int{2, 5, 16} {
-		par := tensor.NewDense(128, spmmColTile+21)
+		par := tensor.NewDense(128, wide+21)
 		ParallelSpMM(a, x, 0, par, w)
 		if !tensor.Equal(flat, par, 0) {
 			t.Fatalf("workers=%d: pooled blocked SpMM != flat serial", w)
@@ -113,7 +119,7 @@ func TestParallelSpMMBitIdenticalToFlatWideFeatures(t *testing.T) {
 
 // hubHeavyCSR builds a power-law-flavored matrix: a handful of hub rows
 // with degree near cols, a long tail of sparse rows, and some empty rows —
-// the row-length skew the nnz-balanced chunking and the pair loop's tail
+// the row-length skew the nnz-balanced chunking and the row kernel's look-ahead
 // have to survive.
 func hubHeavyCSR(rng *rand.Rand, rows, cols, hubs int, withVals bool) *CSR {
 	var entries []Coo
@@ -142,13 +148,13 @@ func hubHeavyCSR(rng *rand.Rand, rows, cols, hubs int, withVals bool) *CSR {
 // pooled one (nnz chunks cut inside and around hub rows, empty-row runs at
 // chunk boundaries) against the flat kernel at tolerance 0 on hub-heavy
 // matrices: valued and structure-only, overwrite and accumulate, widths on
-// both sides of the column tile.
+// both sides of a strip boundary.
 func TestSpMMHubHeavyBitIdenticalToFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const n = 96
 	for _, withVals := range []bool{true, false} {
 		a := hubHeavyCSR(rng, n, n, 5, withVals)
-		for _, width := range []int{1, 7, spmmColTile - 1, spmmColTile + 5, 2*spmmColTile + 3} {
+		for _, width := range []int{1, 7, wide - 1, wide + 5, 2*wide + 3} {
 			for _, beta := range []float32{0, 1} {
 				x := randomDense(rng, n, width)
 				c0 := randomDense(rng, n, width)

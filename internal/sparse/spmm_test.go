@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +171,30 @@ func TestSpMMShapeMismatchPanics(t *testing.T) {
 	}()
 	a := FromCoo(2, 2, nil, false)
 	SpMM(a, tensor.NewDense(3, 1), 0, tensor.NewDense(2, 1))
+}
+
+// TestSpMMRejectsOtherBeta: the kernels implement beta = 0 and beta = 1 only;
+// any other value used to be taken for 1 (SpMM(a, x, 0.5, c) returned A*X + C)
+// and is now an invariant panic that names it, from every entry point and on
+// phantom operands too.
+func TestSpMMRejectsOtherBeta(t *testing.T) {
+	a := FromCoo(2, 2, []Coo{{Row: 0, Col: 1, Val: 3}}, true)
+	x, c := tensor.NewDense(2, 1), tensor.NewDense(2, 1)
+	for name, call := range map[string]func(){
+		"SpMM":         func() { SpMM(a, x, 0.5, c) },
+		"SpMMFlat":     func() { SpMMFlat(a, x, 0.5, c) },
+		"ParallelSpMM": func() { ParallelSpMM(a, x, 0.5, c, 2) },
+		"phantom":      func() { SpMM(a, tensor.NewPhantom(2, 1), 0.5, tensor.NewPhantom(2, 1)) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "beta") || !strings.Contains(msg, "0.5") {
+					t.Errorf("%s with beta = 0.5: panic %q does not name the value", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 func TestSpMMPhantomNoOp(t *testing.T) {

@@ -35,30 +35,6 @@ func Gemm(alpha float32, a, b *Dense, beta float32, c *Dense) {
 	ParallelGemm(alpha, a, b, beta, c, 1)
 }
 
-// GemmFlat is the reference kernel (flat row loop, one k step and one C row
-// at a time), retained as the oracle for the bit-identity tables and as the
-// microbenchmark baseline. Not for production call sites — Gemm is strictly
-// faster.
-func GemmFlat(alpha float32, a, b *Dense, beta float32, c *Dense) {
-	checkGemmShapes(a.Rows, a.Cols, b.Rows, b.Cols, c, "GemmFlat")
-	if a.IsPhantom() || b.IsPhantom() || c.IsPhantom() {
-		return
-	}
-	applyBeta(c, beta)
-	k := a.Cols
-	for i := 0; i < c.Rows; i++ {
-		rc := c.Row(i)
-		ra := a.Row(i)
-		for p := 0; p < k; p++ {
-			s := alpha * ra[p]
-			rb := b.Row(p)
-			for j, bv := range rb {
-				rc[j] += s * bv
-			}
-		}
-	}
-}
-
 // GemmTA computes C = alpha*Aᵀ*B + beta*C with A (k x m), B (k x n),
 // C (m x n). Used for the weight gradient W_G = Hᵀ HW_G style products.
 // It is ParallelGemmTA at one lane.

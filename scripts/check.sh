@@ -115,8 +115,9 @@ GOOS=linux GOARCH=arm64 go vet ./...
 
 echo "==> benchmark smoke"
 # One iteration per benchmark, no tests: keeps the kernel benchmarks
-# (the workloads' layer shapes, flat-vs-tiled pairs, pool scaling) compiling
-# and runnable so they can't silently rot. Timings from a single iteration
+# (the workloads' layer shapes and adjacency tiles — BenchmarkSpMMTiles —,
+# flat-vs-tiled pairs, pool scaling) compiling and runnable so they can't
+# silently rot. Timings from a single iteration
 # are meaningless and are discarded.
 go test -bench . -benchtime=1x -run '^$' ./... > /dev/null
 

@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 core_ceiling=3388
 # The repository total's ceiling is the size the last deletion reached
 # (ROADMAP item 5); same rule.
-total_ceiling=18102
+total_ceiling=18055
 
 find . -name '*.go' ! -name '*_test.go' \
 	! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.bench_build/*' ! -path './.git/*' \
