@@ -39,10 +39,9 @@ func main() {
 		layers    = flag.Int("layers", 2, "layer count")
 		lr        = flag.Float64("lr", 0.01, "Adam learning rate")
 		phantom   = flag.Bool("phantom", false, "structure-only run: timing and memory, no real math")
-		noPermute = flag.Bool("no-permute", false, "disable §5.2 random permutation")
 		noOverlap = flag.Bool("no-overlap", false, "disable §4.3 comm/compute overlap")
 		strategy  = flag.String("strategy", strategyNames[0], "partitioning strategy: "+strings.Join(strategyNames, ", "))
-		ordering  = flag.String("ordering", "default", "vertex ordering: default, natural, random, degree, bfs, cyclic")
+		ordering  = flag.String("ordering", "random", "vertex ordering: random (§5.2), natural, degree, bfs, cyclic")
 		balanced  = flag.Bool("balanced-cuts", false, "cut partitions at equal degree instead of equal vertices")
 		saveCkpt  = flag.String("save-checkpoint", "", "write model+optimizer state here after training")
 		loadCkpt  = flag.String("load-checkpoint", "", "restore model+optimizer state before training")
@@ -123,15 +122,12 @@ func main() {
 
 	o := mggcn.DefaultOptions(spec, *gpus)
 	o.Hidden, o.Layers, o.LR = *hidden, *layers, *lr
-	o.Permute = !*noPermute
 	o.Overlap = !*noOverlap
 	var known bool
 	if o.Strategy, known = strategies[*strategy]; !known {
 		log.Fatalf("unknown strategy %q (want %s)", *strategy, strings.Join(strategyNames, ", "))
 	}
 	switch strings.ToLower(*ordering) {
-	case "default":
-		o.Ordering = mggcn.OrderingDefault
 	case "natural":
 		o.Ordering = mggcn.OrderingNatural
 	case "random":
@@ -151,8 +147,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%q tasks on %d GPUs of %s (permute=%t overlap=%t), epoch %.4fs\n",
-			*timeline, *gpus, spec.Name, o.Permute, o.Overlap, epoch)
+		fmt.Printf("%q tasks on %d GPUs of %s (ordering=%s overlap=%t), epoch %.4fs\n",
+			*timeline, *gpus, spec.Name, o.Ordering, o.Overlap, epoch)
 		fmt.Printf("compute rows show SpMM stage digits; comm rows show ~ for broadcasts\n\n%s", chart)
 		return
 	}

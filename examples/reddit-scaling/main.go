@@ -25,9 +25,9 @@ func main() {
 		fmt.Printf("%4s  %12s  %12s  %12s  %8s\n", "GPUs", "baseline(s)", "+permute(s)", "+overlap(s)", "speedup")
 		var base1 float64
 		for _, p := range []int{1, 2, 4, 8} {
-			run := func(permute, overlap bool) float64 {
+			run := func(ord mggcn.Ordering, overlap bool) float64 {
 				o := mggcn.DefaultOptions(spec, p)
-				o.Permute, o.Overlap = permute, overlap
+				o.Ordering, o.Overlap = ord, overlap
 				tr, err := mggcn.NewTrainer(ds, o)
 				if err != nil {
 					log.Fatal(err)
@@ -38,9 +38,9 @@ func main() {
 				}
 				return s.EpochSeconds
 			}
-			orig := run(false, false)
-			perm := run(true, false)
-			full := run(true, true)
+			orig := run(mggcn.OrderingNatural, false)
+			perm := run(mggcn.OrderingRandom, false)
+			full := run(mggcn.OrderingRandom, true)
 			if p == 1 {
 				base1 = full
 			}

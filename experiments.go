@@ -90,14 +90,14 @@ var gpuCounts = []int{1, 2, 4, 8}
 var degreeFactors = []int{1, 2, 4, 8, 16, 32, 64, 128}
 
 // mgEpochSeconds runs one phantom MG-GCN epoch; returns -1 on OOM.
-func mgEpochSeconds(machine MachineSpec, name string, p, hidden, layers int, permute, overlap bool) (float64, error) {
+func mgEpochSeconds(machine MachineSpec, name string, p, hidden, layers int, ord Ordering, overlap bool) (float64, error) {
 	ds, err := LoadDataset(name, true)
 	if err != nil {
 		return 0, err
 	}
 	o := DefaultOptions(machine, p)
 	o.Hidden, o.Layers = hidden, layers
-	o.Permute, o.Overlap = permute, overlap
+	o.Ordering, o.Overlap = ord, overlap
 	tr, err := NewTrainer(ds, o)
 	if IsOOM(err) {
 		return -1, nil
@@ -181,15 +181,15 @@ func RunFig5() (*ExperimentResult, error) {
 }
 
 // timelineExperiment renders the Products 4-GPU forward-SpMM Gantt chart
-// under the given permute/overlap settings and returns the chart plus the
+// under the given ordering/overlap settings and returns the chart plus the
 // epoch time.
-func timelineExperiment(permute, overlap bool) (string, float64, []float64, error) {
+func timelineExperiment(ord Ordering, overlap bool) (string, float64, []float64, error) {
 	ds, err := LoadDataset("products", true)
 	if err != nil {
 		return "", 0, nil, err
 	}
 	o := DefaultOptions(DGXV100(), 4)
-	o.Permute, o.Overlap = permute, overlap
+	o.Ordering, o.Overlap = ord, overlap
 	tr, err := NewTrainer(ds, o)
 	if err != nil {
 		return "", 0, nil, err
@@ -209,13 +209,13 @@ func timelineExperiment(permute, overlap bool) (string, float64, []float64, erro
 func RunFig6() (*ExperimentResult, error) {
 	var b strings.Builder
 	vals := map[string]float64{}
-	for _, permute := range []bool{false, true} {
-		chart, epoch, busy, err := timelineExperiment(permute, false)
+	for _, ord := range []Ordering{OrderingNatural, OrderingRandom} {
+		chart, epoch, busy, err := timelineExperiment(ord, false)
 		if err != nil {
 			return nil, err
 		}
 		label := "original"
-		if permute {
+		if ord == OrderingRandom {
 			label = "permuted"
 		}
 		fmt.Fprintf(&b, "--- %s ordering (epoch %s) ---\n%s", label, report.Seconds(epoch), chart)
@@ -245,15 +245,15 @@ func RunFig7() (*ExperimentResult, error) {
 		var labels []string
 		var bars []float64
 		for _, p := range gpuCounts {
-			orig, err := mgEpochSeconds(DGXV100(), name, p, 512, 2, false, false)
+			orig, err := mgEpochSeconds(DGXV100(), name, p, 512, 2, OrderingNatural, false)
 			if err != nil {
 				return nil, err
 			}
-			perm, err := mgEpochSeconds(DGXV100(), name, p, 512, 2, true, false)
+			perm, err := mgEpochSeconds(DGXV100(), name, p, 512, 2, OrderingRandom, false)
 			if err != nil {
 				return nil, err
 			}
-			both, err := mgEpochSeconds(DGXV100(), name, p, 512, 2, true, true)
+			both, err := mgEpochSeconds(DGXV100(), name, p, 512, 2, OrderingRandom, true)
 			if err != nil {
 				return nil, err
 			}
@@ -282,7 +282,7 @@ func RunFig8() (*ExperimentResult, error) {
 	var b strings.Builder
 	vals := map[string]float64{}
 	for _, overlap := range []bool{false, true} {
-		chart, epoch, _, err := timelineExperiment(true, overlap)
+		chart, epoch, _, err := timelineExperiment(OrderingRandom, overlap)
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +371,7 @@ func comparisonTableUncached(machine MachineSpec, withCAGNET bool) (*report.Tabl
 		}
 		cells := []string{}
 		for _, p := range gpuCounts {
-			sec, err := mgEpochSeconds(machine, name, p, 512, 2, true, true)
+			sec, err := mgEpochSeconds(machine, name, p, 512, 2, OrderingRandom, true)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -564,7 +564,7 @@ func RunTable3() (*ExperimentResult, error) {
 		m := table23Models[name]
 		cells := []string{}
 		for _, p := range gpuCounts {
-			sec, err := mgEpochSeconds(DGXA100(), name, p, m.hidden, m.layers, true, true)
+			sec, err := mgEpochSeconds(DGXA100(), name, p, m.hidden, m.layers, OrderingRandom, true)
 			if err != nil {
 				return nil, err
 			}
@@ -1094,7 +1094,7 @@ func RunGAT() (*ExperimentResult, error) {
 	for _, p := range []int{1, 2, 4, 8} {
 		cfg := core.Config{
 			Spec: DGXA100(), P: p, MemScale: products.Scale(),
-			Hidden: 512, Layers: 2, Permute: true, PermSeed: 1, Overlap: true,
+			Hidden: 512, Layers: 2, Ordering: core.OrderingRandom, PermSeed: 1, Overlap: true,
 		}
 		dist, err := core.NewGATDist(products.g, prodModel, cfg)
 		if err != nil {

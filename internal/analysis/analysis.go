@@ -3,11 +3,10 @@
 // go/ast, go/parser, go/types and go/importer (the module is offline, so no
 // golang.org/x/tools dependency). Each rule encodes one invariant of the
 // MG-GCN design that the Go type system cannot express — dropped scheduling
-// dependencies (§4.3), aliased shared-buffer views (§4.2), unguarded
-// data-touching kernels in phantom mode, nondeterministic RNG seeding,
-// exact float comparison, collectives issued from execution closures, and
-// Dense-touching binds that register no dims for the schedule verifier.
-// See DESIGN.md "Static analysis".
+// dependencies (§4.3), aliased shared-buffer views (§4.2), nondeterministic
+// RNG seeding, exact float comparison, collectives issued from execution
+// closures, and Dense-touching binds that register no dims for the schedule
+// verifier. See DESIGN.md "Static analysis".
 package analysis
 
 import (
@@ -48,7 +47,7 @@ type Pass struct {
 
 // Analyzers returns the full mggcn-vet rule suite in report order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{TaskDep, BufAlias, PhantomGuard, RNGDeterminism, FloatEq, BindCapture, AccessDecl, GroupConsist, SlotDecl}
+	return []*Analyzer{TaskDep, BufAlias, RNGDeterminism, FloatEq, BindCapture, AccessDecl, GroupConsist, SlotDecl}
 }
 
 // Run applies the analyzer to pkg and returns the surviving findings.

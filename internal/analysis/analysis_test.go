@@ -67,7 +67,6 @@ func TestRules(t *testing.T) {
 	}{
 		{TaskDep, "taskdep_pos", "taskdep_ok"},
 		{BufAlias, "bufalias_pos", "bufalias_ok"},
-		{PhantomGuard, "phantom_pos", "phantom_ok"},
 		{RNGDeterminism, "rng_pos", "rng_ok"},
 		{FloatEq, "floateq_pos", "floateq_ok"},
 		{BindCapture, "bindcapture_pos", "bindcapture_ok"},
@@ -109,7 +108,7 @@ func TestRules(t *testing.T) {
 
 // TestCrossRuleSilence pins down rule independence: a positive fixture for
 // one rule must not trip any other rule. This catches over-broad matching
-// (e.g. phantomguard binding to a package that merely calls kernels).
+// (e.g. accessdecl firing on a closure another rule's fixture binds).
 func TestCrossRuleSilence(t *testing.T) {
 	ld, err := NewLoader(".")
 	if err != nil {
@@ -118,7 +117,6 @@ func TestCrossRuleSilence(t *testing.T) {
 	fixtures := []string{
 		"taskdep_pos", "taskdep_ok",
 		"bufalias_pos", "bufalias_ok",
-		"phantom_pos", "phantom_ok",
 		"rng_pos", "rng_ok",
 		"floateq_pos", "floateq_ok",
 		"bindcapture_pos", "bindcapture_ok",
@@ -141,8 +139,8 @@ func TestCrossRuleSilence(t *testing.T) {
 }
 
 // TestRepoClean asserts the repository itself is vet-clean: the satellite
-// fixes (dependency threading in baseline/cagnet, the phantom guard in
-// experiments.go, the vet:ok suppressions) must keep every rule quiet.
+// fixes (dependency threading in baseline/cagnet, the vet:ok suppressions)
+// must keep every rule quiet.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")

@@ -150,22 +150,19 @@ func (c *Group) Broadcast(root int, src *tensor.Dense, dst []*tensor.Dense, labe
 	})
 	c.Meter.Add(sim.CollBroadcast,
 		int64(c.P()-1)*int64(src.Rows)*int64(src.Cols)*c.BytesScale)
-	if !src.IsPhantom() {
-		// Reads the root's resident block, writes every other destination;
-		// dst[root] is untouched and stays out of the declaration. The
-		// movement runs under the group's retry loop: failed attempts leave
-		// every destination untouched (retry.go).
-		c.Graph.BindShapedE(id, sim.ShapesOf(src), shapes(dst, root), func() error {
-			return c.retry(id, label, func() {
-				for i, d := range dst {
-					if i == root || d.IsPhantom() {
-						continue
-					}
+	// Reads the root's resident block, writes every other destination;
+	// dst[root] is untouched and stays out of the declaration. The movement
+	// runs under the group's retry loop: failed attempts leave every
+	// destination untouched (retry.go).
+	c.Graph.BindShapedE(id, sim.ShapesOf(src), shapes(dst, root), func() error {
+		return c.retry(id, label, func() {
+			for i, d := range dst {
+				if i != root {
 					d.CopyFrom(src)
 				}
-			})
+			}
 		})
-	}
+	})
 	return id
 }
 
@@ -207,11 +204,8 @@ func (c *Group) annotateAllReduce(id int, bufs []*tensor.Dense, scale int64) {
 }
 
 // bindAllReduce attaches the elementwise sum-and-replicate closure to task
-// id unless the buffers are phantom.
+// id.
 func (c *Group) bindAllReduce(id int, bufs []*tensor.Dense, label string) {
-	if bufs[0].IsPhantom() {
-		return
-	}
 	// Every member buffer is read and then overwritten with the total. The
 	// movement is not idempotent (after the write-back every buffer holds
 	// the total), which is exactly why the retry gate sits *before* it:
@@ -243,20 +237,17 @@ func (c *Group) ReduceSum(root int, bufs []*tensor.Dense, label string, deps ...
 	})
 	c.Meter.Add(sim.CollReduce,
 		int64(c.P()-1)*int64(bufs[0].Rows)*int64(bufs[0].Cols)*c.BytesScale)
-	if !bufs[0].IsPhantom() {
-		// Non-root contributions are read-only; the root accumulates. Like
-		// the all-reduce, the accumulation is not idempotent — the retry
-		// gate fires before it, never between partial additions.
-		c.Graph.BindShapedE(id, shapes(bufs, root), sim.ShapesOf(bufs[root]), func() error {
-			return c.retry(id, label, func() {
-				for i, b := range bufs {
-					if i == root {
-						continue
-					}
+	// Non-root contributions are read-only; the root accumulates. Like the
+	// all-reduce, the accumulation is not idempotent — the retry gate fires
+	// before it, never between partial additions.
+	c.Graph.BindShapedE(id, shapes(bufs, root), sim.ShapesOf(bufs[root]), func() error {
+		return c.retry(id, label, func() {
+			for i, b := range bufs {
+				if i != root {
 					tensor.AddInPlace(bufs[root], b)
 				}
-			})
+			}
 		})
-	}
+	})
 	return id
 }

@@ -76,6 +76,13 @@ func TestBroadcastPhantomSkipsCopy(t *testing.T) {
 	if c.Graph.Tasks[id].Seconds <= 0 {
 		t.Fatalf("phantom broadcast must still be timed")
 	}
+	// Bound like a real broadcast; replaying it moves nothing.
+	if err := c.Graph.Execute(1); err != nil {
+		t.Fatal(err)
+	}
+	if dst[1].Data != nil {
+		t.Fatalf("phantom broadcast materialized its destination")
+	}
 }
 
 func TestBroadcastShapeMismatchPanics(t *testing.T) {
@@ -218,8 +225,9 @@ func TestSubInheritsBytesScale(t *testing.T) {
 }
 
 // Phantom-mode collectives must not touch data (there is none) but must
-// emit comm tasks priced exactly as their real-data counterparts, so a
-// phantom run predicts the same epoch time as a materialized one.
+// emit comm tasks priced and declared exactly as their real-data
+// counterparts, so a phantom run predicts the same epoch time as a
+// materialized one.
 func TestPhantomCollectivesPricedLikeReal(t *testing.T) {
 	const p = 4
 	real := newGroup(p)
@@ -250,6 +258,9 @@ func TestPhantomCollectivesPricedLikeReal(t *testing.T) {
 		t.Fatalf("phantom broadcast cost = %g, real = %g", got, want)
 	}
 
+	if err := phantom.Graph.Execute(1); err != nil {
+		t.Fatal(err)
+	}
 	for i, b := range phantomBufs {
 		if !b.IsPhantom() || b.Data != nil {
 			t.Fatalf("phantom buffer %d materialized data", i)
@@ -257,6 +268,9 @@ func TestPhantomCollectivesPricedLikeReal(t *testing.T) {
 	}
 	if got, want := len(phantom.Graph.Tasks), len(real.Graph.Tasks); got != want {
 		t.Fatalf("phantom run emitted %d tasks, real %d", got, want)
+	}
+	if got, want := phantom.Graph.Bound(), real.Graph.Bound(); got != want {
+		t.Fatalf("phantom run bound %d tasks, real %d", got, want)
 	}
 }
 
@@ -324,7 +338,6 @@ func TestCollectivesAnnotatedAndMetered(t *testing.T) {
 		aID: {sim.CollAllReduce, -1, 2 * 2 * 4 * 2},
 		sID: {sim.CollAllReduce, -1, 2 * 2 * 4 * 2 * 5},
 	}
-	var annotated int64
 	perOp := map[sim.CollOp]int64{}
 	for id, w := range want {
 		coll := c.Graph.Tasks[id].Coll
@@ -340,11 +353,7 @@ func TestCollectivesAnnotatedAndMetered(t *testing.T) {
 		if got := coll.Words(); got != w.words {
 			t.Fatalf("task %d Words() = %d, want %d", id, got, w.words)
 		}
-		annotated += w.words
 		perOp[w.op] += w.words
-	}
-	if got := c.Meter.TotalWords(); got != annotated {
-		t.Fatalf("meter total %d != annotated total %d", got, annotated)
 	}
 	for op, w := range perOp {
 		if got := c.Meter.Words(op); got != w {
@@ -352,8 +361,10 @@ func TestCollectivesAnnotatedAndMetered(t *testing.T) {
 		}
 	}
 	c.Meter.Reset()
-	if c.Meter.TotalWords() != 0 {
-		t.Fatalf("meter not cleared by Reset")
+	for op := range perOp {
+		if c.Meter.Words(op) != 0 {
+			t.Fatalf("meter %v not cleared by Reset", op)
+		}
 	}
 
 	// Shaped declarations: the broadcast reads the root view and writes the
@@ -380,7 +391,7 @@ func TestCollectivesAnnotatedAndMetered(t *testing.T) {
 func TestMeterNilSafe(t *testing.T) {
 	var m *Meter
 	m.Add(sim.CollBroadcast, 10)
-	if m.Words(sim.CollBroadcast) != 0 || m.TotalWords() != 0 {
+	if m.Words(sim.CollBroadcast) != 0 {
 		t.Fatalf("nil meter returned nonzero")
 	}
 	m.Reset()

@@ -44,20 +44,6 @@ func (m *Meter) Words(op sim.CollOp) int64 {
 	return m.words[op]
 }
 
-// TotalWords returns the accumulated words across every class.
-func (m *Meter) TotalWords() int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var t int64
-	for _, w := range m.words {
-		t += w
-	}
-	return t
-}
-
 // Reset clears the counters.
 func (m *Meter) Reset() {
 	if m == nil {

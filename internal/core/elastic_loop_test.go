@@ -38,7 +38,7 @@ func (r *fakeRun) ObserveRemoval(dev int)                 { r.removed = append(r
 func newFakeTrainer(p int, pol recoveryPolicy, run *fakeRun) *fakeTrainer {
 	init := []*tensor.Dense{tensor.NewDense(2, 2)}
 	init[0].Data[0] = 1
-	f := &fakeTrainer{replicas: newReplicas(newReplayer(sim.DGXV100(), p, 1), init, false), pol: pol, run: run}
+	f := &fakeTrainer{replicas: newReplicas(newReplayer(sim.DGXV100(), p, 1, false), init), pol: pol, run: run}
 	f.environ.Fault = run
 	for d := 0; d < p; d++ {
 		if err := f.add(init, 0.01); err != nil {

@@ -60,15 +60,18 @@ func (e *execEnv) newComm(tg *sim.Graph, memScale int) *comm.Group {
 // replayer is the model-independent part of a trainer: the simulated machine
 // it records task graphs for, the registry naming every device-resident
 // buffer (slabs, weights, gradients, feature shards) for the sanitizer, and
-// the most recently replayed graph, kept for post-hoc checking.
+// the most recently replayed graph, kept for post-hoc checking. phantom marks
+// a structure-only dataset: its graphs are recorded, bound and declared like
+// real ones, and never replayed.
 type replayer struct {
 	Machine   *sim.Machine
 	reg       *sim.BufRegistry
 	lastGraph *sim.Graph
+	phantom   bool
 }
 
-func newReplayer(spec sim.MachineSpec, p, memScale int) replayer {
-	return replayer{Machine: sim.NewMachine(spec, p, memScale), reg: sim.NewBufRegistry()}
+func newReplayer(spec sim.MachineSpec, p, memScale int, phantom bool) replayer {
+	return replayer{Machine: sim.NewMachine(spec, p, memScale), reg: sim.NewBufRegistry(), phantom: phantom}
 }
 
 // s maps an actual (scaled-down) row/element count to its full-scale
@@ -84,7 +87,9 @@ func (r *replayer) s(x int) int { return x * r.Machine.MemScale }
 // closures filled into the stats, applies the numeric guard, and commits
 // whatever position the trainer keeps. A replay failure or a fold error voids
 // the epoch: nothing was committed, and tg stays reachable via LastGraph. A
-// nil fold has nothing to sum.
+// nil fold has nothing to sum. A phantom graph is recorded, folded and
+// scheduled like a real one but not replayed: this is the one place phantom
+// mode skips work, so every recorder binds unconditionally.
 func (r *replayer) epoch(env *execEnv, body func(tg *sim.Graph, cg *comm.Group) (fold func(*EpochStats) error)) (*EpochStats, error) {
 	tg := sim.NewGraph(r.Machine.Spec, r.Machine.P)
 	fold := body(tg, env.newComm(tg, r.Machine.MemScale))
@@ -94,9 +99,11 @@ func (r *replayer) epoch(env *execEnv, body func(tg *sim.Graph, cg *comm.Group) 
 	r.lastGraph = tg
 	tg.Reg, tg.Observer, tg.Fault = r.reg, env.ExecObserver, env.Fault
 	var err error
-	if env.ExecSeed != 0 {
+	switch {
+	case r.phantom: // no storage: nothing to replay
+	case env.ExecSeed != 0:
 		err = tg.ExecuteAdversarial(env.ExecWorkers, env.ExecSeed)
-	} else {
+	default:
 		err = tg.Execute(env.ExecWorkers)
 	}
 	if err != nil {

@@ -25,8 +25,7 @@ type GATDist struct {
 
 	replayer
 	*partitioned
-	phantom bool
-	graph   *graph.Graph
+	graph *graph.Graph
 }
 
 // NewGATDist partitions the graph and replicates the GAT parameters.
@@ -35,13 +34,13 @@ func NewGATDist(g *graph.Graph, model *nn.GAT, cfg Config) (*GATDist, error) {
 	if cfg.Strategy != Strategy1DRow {
 		return nil, fmt.Errorf("core: distributed GAT supports only the 1D-row strategy")
 	}
-	rp := newReplayer(cfg.Spec, cfg.P, cfg.MemScale)
+	rp := newReplayer(cfg.Spec, cfg.P, cfg.MemScale, g.IsPhantom())
 	machine := rp.Machine
-	p, err := partitionGraph(g, machine, cfg.Strategy, cfg.Ordering, cfg.Permute, cfg.BalancedPartition, cfg.PermSeed)
+	p, err := partitionGraph(g, machine, cfg.Strategy, cfg.Ordering, cfg.BalancedPartition, cfg.PermSeed)
 	if err != nil {
 		return nil, err
 	}
-	d := &GATDist{Cfg: cfg, Model: model, replayer: rp, partitioned: p, phantom: g.IsPhantom(), graph: g}
+	d := &GATDist{Cfg: cfg, Model: model, replayer: rp, partitioned: p, graph: g}
 	maxTile := p.MaxTileRows()
 	var params int64
 	for _, w := range model.Params() {
@@ -60,10 +59,8 @@ func NewGATDist(g *graph.Graph, model *nn.GAT, cfg Config) (*GATDist, error) {
 			return nil, err
 		}
 		p.devs[dev].bufs = bufs
-		if x := p.devs[dev].x; x != nil {
-			// Keyed by block for storage identity (see Trainer).
-			registerDense(d.reg, d.reg.Register(fmt.Sprintf("b%d/x", p.devs[dev].block)), x)
-		}
+		// Keyed by block for storage identity (see Trainer).
+		registerDense(d.reg, d.reg.Register(fmt.Sprintf("b%d/x", p.devs[dev].block)), p.devs[dev].x)
 		if err := machine.Pools[dev].Alloc("gat-model", params*4); err != nil {
 			return nil, err
 		}
@@ -95,13 +92,19 @@ func (d *GATDist) Forward() (*tensor.Dense, *EpochStats, error) {
 func (d *GATDist) recordForward(tg *sim.Graph, cg *comm.Group) {
 	p := d.Machine.P
 	spec := d.Machine.Spec
-	rec := layerRecorder{d.partitioned, &d.replayer, d.phantom}
+	rec := layerRecorder{d.partitioned, &d.replayer}
 
 	L := d.Model.Layers()
 	dims := d.Model.Dims
 	hReady := make([]int, p)
 	for i := range hReady {
 		hReady[i] = -1
+	}
+	// The per-vertex score vectors are allocated per epoch, with storage
+	// only when the graph will be replayed.
+	newScores := tensor.NewDense
+	if d.phantom {
+		newScores = tensor.NewPhantom
 	}
 
 	for l := 0; l < L; l++ {
@@ -114,11 +117,7 @@ func (d *GATDist) recordForward(tg *sim.Graph, cg *comm.Group) {
 		for i := 0; i < p; i++ {
 			ds := d.devs[i]
 			z := zView(i)
-			s1 := tensor.NewDense(ds.rows, 1)
-			s2 := tensor.NewDense(ds.rows, 1)
-			if d.phantom {
-				s1, s2 = tensor.NewPhantom(ds.rows, 1), tensor.NewPhantom(ds.rows, 1)
-			}
+			s1, s2 := newScores(ds.rows, 1), newScores(ds.rows, 1)
 			s1Local[i], s2Local[i] = s1, s2
 			registerDense(d.reg, d.reg.Register(fmt.Sprintf("gat%d/s1-d%d", l, i)), s1)
 			registerDense(d.reg, d.reg.Register(fmt.Sprintf("gat%d/s2-d%d", l, i)), s2)
@@ -130,23 +129,18 @@ func (d *GATDist) recordForward(tg *sim.Graph, cg *comm.Group) {
 				spec.GemmCost(d.s(d.devs[i].rows), dIn, dOut), false, deps...)
 			id := tg.AddCompute(i, sim.KindGeMM, fmt.Sprintf("gat%d/attnvec", l), -1,
 				2*spec.GemmCost(d.s(d.devs[i].rows), dOut, 1), false, gemmID)
-			if !d.phantom {
-				in, w := d.inputView(i, l, dims), d.Model.Weights[l]
-				tg.BindShaped(gemmID, sim.ShapesOf(in, w), sim.ShapesOf(z),
-					func() { tensor.ParallelGemm(1, in, w, 0, z, 0) })
-				aSrc, aDst := d.Model.AttnSrc[l], d.Model.AttnDst[l]
-				tg.BindShaped(id, sim.ShapesOf(z, aSrc, aDst), sim.ShapesOf(s1, s2), func() {
-					tensor.Gemm(1, z, aSrc, 0, s1)
-					tensor.Gemm(1, z, aDst, 0, s2)
-				})
-			}
+			in, w := d.inputView(i, l, dims), d.Model.Weights[l]
+			tg.BindShaped(gemmID, sim.ShapesOf(in, w), sim.ShapesOf(z),
+				func() { tensor.ParallelGemm(1, in, w, 0, z, 0) })
+			aSrc, aDst := d.Model.AttnSrc[l], d.Model.AttnDst[l]
+			tg.BindShaped(id, sim.ShapesOf(z, aSrc, aDst), sim.ShapesOf(s1, s2), func() {
+				tensor.Gemm(1, z, aSrc, 0, s1)
+				tensor.Gemm(1, z, aDst, 0, s2)
+			})
 			zID[i] = id
 		}
 		// All-gather the per-vertex source scores s1 (n scalars).
-		s1Full := tensor.NewDense(d.graph.N(), 1)
-		if d.phantom {
-			s1Full = tensor.NewPhantom(d.graph.N(), 1)
-		}
+		s1Full := newScores(d.graph.N(), 1)
 		registerDense(d.reg, d.reg.Register(fmt.Sprintf("gat%d/s1full", l)), s1Full)
 		gatherSecs := spec.AllReduceCost(int64(d.s(d.graph.N()))*4, p)
 		allDevs := make([]int, p)
@@ -163,16 +157,14 @@ func (d *GATDist) recordForward(tg *sim.Graph, cg *comm.Group) {
 			Rows: d.graph.N(), Cols: 1, Scale: int64(d.Cfg.MemScale),
 		})
 		cg.Meter.Add(sim.CollAllGather, int64(p-1)*int64(d.graph.N())*int64(d.Cfg.MemScale))
-		if !d.phantom {
-			tg.BindShaped(gatherID, sim.ShapesOf(s1Local...), sim.ShapesOf(s1Full), func() {
-				for i := 0; i < p; i++ {
-					ds := d.devs[i]
-					for r := 0; r < ds.rows; r++ {
-						s1Full.Set(ds.lo+r, 0, s1Local[i].At(r, 0))
-					}
+		tg.BindShaped(gatherID, sim.ShapesOf(s1Local...), sim.ShapesOf(s1Full), func() {
+			for i := 0; i < p; i++ {
+				ds := d.devs[i]
+				for r := 0; r < ds.rows; r++ {
+					s1Full.Set(ds.lo+r, 0, s1Local[i].At(r, 0))
 				}
-			})
-		}
+			}
+		})
 
 		// Each device scores and softmax-normalizes its whole tile row of
 		// attention locally (it has every column's s1 and its own s2).
@@ -191,15 +183,13 @@ func (d *GATDist) recordForward(tg *sim.Graph, cg *comm.Group) {
 			}
 			scoreID[i] = tg.AddCompute(i, sim.KindSpMM, fmt.Sprintf("gat%d/attn-softmax", l), -1,
 				spec.ElementwiseCost(nnzRow*int64(d.Cfg.MemScale), 3), true, gatherID)
-			if !d.phantom {
-				s2 := s2Local[i]
-				alphaIDs[i] = d.reg.Register(fmt.Sprintf("gat%d/alpha-d%d", l, i))
-				// The aggregation's SpMMs read alphaTiles[i] at replay time,
-				// after this task (their scoreID dep).
-				tg.BindShaped(scoreID[i], sim.ShapesOf(s1Full, s2), []sim.ViewShape{sim.OpaqueShape(alphaIDs[i])}, func() {
-					alphaTiles[i] = attentionRow(ds, s1Full, s2, d.vec, d.Model.LeakySlope)
-				})
-			}
+			s2 := s2Local[i]
+			alphaIDs[i] = d.reg.Register(fmt.Sprintf("gat%d/alpha-d%d", l, i))
+			// The aggregation's SpMMs read alphaTiles[i] at replay time,
+			// after this task (their scoreID dep).
+			tg.BindShaped(scoreID[i], sim.ShapesOf(s1Full, s2), []sim.ViewShape{sim.OpaqueShape(alphaIDs[i])}, func() {
+				alphaTiles[i] = attentionRow(ds, s1Full, s2, d.vec, d.Model.LeakySlope)
+			})
 		}
 
 		// Aggregation: the standard staged-broadcast SpMM with the

@@ -13,16 +13,16 @@ func TestGATDistMatchesSingleDevice(t *testing.T) {
 	model := nn.NewGAT(g, nn.LayerDims(g.FeatDim, 16, 2, g.Classes), 3)
 	want := model.Forward(g.Features)
 	for _, p := range []int{1, 2, 4, 8} {
-		for _, permute := range []bool{false, true} {
+		for _, ord := range []Ordering{OrderingNatural, OrderingRandom} {
 			cfg := testConfig(p)
-			cfg.Permute = permute
+			cfg.Ordering = ord
 			dist, err := NewGATDist(g, model, cfg)
 			if err != nil {
 				t.Fatalf("P=%d: %v", p, err)
 			}
 			got, stats := mustGATForward(dist)
 			if d := tensor.MaxAbsDiff(got, want); d > 1e-3 {
-				t.Fatalf("P=%d permute=%t: distributed GAT diverges by %g", p, permute, d)
+				t.Fatalf("P=%d %v: distributed GAT diverges by %g", p, ord, d)
 			}
 			if stats.EpochSeconds <= 0 {
 				t.Fatalf("no simulated time")

@@ -25,7 +25,7 @@ type deviceState struct {
 	//     column.
 	atTiles  []*sparse.CSR
 	aTiles   []*sparse.CSR // same layout for Â (backward pass)
-	x        *tensor.Dense // local input features (nil in phantom mode)
+	x        *tensor.Dense // local input features (a phantom view in phantom mode)
 	labels   []int32
 	mask     []bool // training mask shard
 	testMask []bool // held-out mask shard for generalization metrics
@@ -48,7 +48,7 @@ type partitioned struct {
 // feature storage to each device's memory pool. Device d owns block
 // d mod (P/c) in replica group d div (P/c) — at c = 2 (1.5D) every block is
 // stored twice, the strategy's 2x feature memory.
-func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ordering Ordering, permute, balanced bool, permSeed uint64) (*partitioned, error) {
+func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ordering Ordering, balanced bool, permSeed uint64) (*partitioned, error) {
 	n := g.N()
 	c := strategy.replicationFactor()
 	blocks := machine.P / c
@@ -56,18 +56,18 @@ func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ord
 
 	norm := g.NormalizedAdj()
 	labels := g.Labels
-	var feats *tensor.Dense
-	if !g.IsPhantom() {
-		feats = g.Features
+	feats := g.Features
+	if g.IsPhantom() {
+		feats = tensor.NewPhantom(n, g.FeatDim)
 	}
-	p.perm = orderingPerm(g, norm, ordering, permute, permSeed, blocks)
+	p.perm = orderingPerm(g, norm, ordering, permSeed, blocks)
 	if p.perm != nil {
 		norm = sparse.PermuteSymmetric(norm, p.perm)
 		if labels != nil {
 			labels = permuteLabels(g.Labels, p.perm)
 		}
-		if feats != nil {
-			feats = permuteRows(g.Features, p.perm)
+		if !feats.IsPhantom() {
+			feats = permuteRows(feats, p.perm)
 		}
 	}
 	at := norm.Transpose()
@@ -111,9 +111,7 @@ func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ord
 		if err := pool.Alloc("features", int64(ds.rows)*int64(g.FeatDim)*4); err != nil {
 			return nil, fmt.Errorf("core: features do not fit: %w", err)
 		}
-		if feats != nil {
-			ds.x = feats.RowSlice(lo, hi)
-		}
+		ds.x = feats.RowSlice(lo, hi)
 		if labels != nil {
 			ds.labels = labels[lo:hi]
 			if g.TrainMask != nil {
@@ -138,13 +136,8 @@ func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ord
 
 // orderingPerm resolves the configured vertex ordering to a permutation
 // (nil = keep the natural order).
-func orderingPerm(g *graph.Graph, norm *sparse.CSR, ordering Ordering, permute bool, seed uint64, blocks int) []int32 {
+func orderingPerm(g *graph.Graph, norm *sparse.CSR, ordering Ordering, seed uint64, blocks int) []int32 {
 	switch ordering {
-	case OrderingDefault:
-		if permute {
-			return part.RandomPerm(g.N(), seed)
-		}
-		return nil
 	case OrderingNatural:
 		return nil
 	case OrderingRandom:
@@ -205,15 +198,12 @@ func (p *partitioned) DeviceRows(d int) int { return p.devs[d].rows }
 func (p *partitioned) AdjacencyBytes(d int) int64 { return p.devs[d].adjBytes }
 
 // inputView returns device dev's resident input block of layer l of a model
-// with the given layer widths: its feature shard for layer 0 (a phantom view
-// in phantom mode) or the previous layer's output buffer.
+// with the given layer widths: its feature shard for layer 0 or the previous
+// layer's output buffer.
 func (p *partitioned) inputView(dev, l int, dims []int) *tensor.Dense {
 	ds := p.devs[dev]
 	if l == 0 {
-		if ds.x != nil {
-			return ds.x
-		}
-		return tensor.NewPhantom(ds.rows, dims[0])
+		return ds.x
 	}
 	return ds.bufs.AHW[l-1].View(ds.rows, dims[l])
 }

@@ -15,22 +15,20 @@ import (
 // replicated": per device, the weight stack, its gradients and the Adam
 // state, over the machine they live on. The full-batch and sampled trainers
 // embed it; snapshot, restore, corruption checks and the survivor resync of
-// the elastic path are defined here once.
+// the elastic path are defined here once. On a phantom replayer the replicas
+// carry shapes only: there is no state to snapshot, check or move.
 type replicas struct {
 	replayer
 	weights    [][]*tensor.Dense // [device][layer]
 	grads      [][]*tensor.Dense
 	opts       []*nn.Adam
 	paramCount int64
-	// phantom replicas carry shapes only (structure-only datasets): there is
-	// no state to snapshot, check or move.
-	phantom bool
 }
 
 // newReplicas starts an empty replica set of the model init on rp's machine;
 // add places one replica per device.
-func newReplicas(rp replayer, init []*tensor.Dense, phantom bool) replicas {
-	r := replicas{replayer: rp, phantom: phantom}
+func newReplicas(rp replayer, init []*tensor.Dense) replicas {
+	r := replicas{replayer: rp}
 	for _, w := range init {
 		r.paramCount += int64(w.Rows) * int64(w.Cols)
 	}
@@ -82,9 +80,6 @@ func (r *replicas) recordAdam(tg *sim.Graph, label string, lastAllReduce int, sl
 	ids := make([]int, len(r.weights))
 	for d := range ids {
 		ids[d] = tg.AddCompute(d, sim.KindAdam, label, -1, r.Machine.Spec.AdamCost(r.paramCount), true, lastAllReduce)
-		if r.phantom {
-			continue
-		}
 		opt, ws, gs := r.opts[d], r.weights[d], r.grads[d]
 		// Adam's moment buffers are optimizer-private and unregistered.
 		tg.BindShaped(ids[d], append(sim.ShapesOf(gs...), opaqueAt(slots, d)), sim.ShapesOf(ws...), func() { opt.Step(ws, gs) })
@@ -190,7 +185,7 @@ func (r *replicas) restore(st *modelState) {
 // fault machinery: a straggler still delays it and transient failures still
 // retry.
 func (r *replicas) resync(env *execEnv, survivors []int, src int) error {
-	if r.phantom || len(survivors) < 2 {
+	if len(survivors) < 2 {
 		return nil
 	}
 	root := slices.Index(survivors, src)

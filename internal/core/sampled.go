@@ -240,7 +240,7 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	init := nn.InitWeights(dims, cfg.Seed)
 	tr := &SampledTrainer{
 		Cfg: cfg, Graph: g, Dims: dims,
-		replicas: newReplicas(newReplayer(cfg.Spec, cfg.P, cfg.MemScale), init, false),
+		replicas: newReplicas(newReplayer(cfg.Spec, cfg.P, cfg.MemScale, false), init),
 		avgDeg:   g.AvgDegree(),
 	}
 	machine, degrees := tr.Machine, g.InDegrees()
@@ -323,10 +323,7 @@ func (tr *SampledTrainer) frontierEstimate(batchLen int) (verts []int, edges []i
 
 // --- The step's arithmetic. Layer l reads h_l (X for l = 0, else OUT[l-1])
 // over block l's source frontier and leaves h_{l+1} in OUT[l] over its
-// destination frontier; G carries the gradient back down. A sampledDevice
-// only exists over real storage — NewSampledTrainer rejects phantom datasets
-// before building one — which is what the phantomguard vet rule knows the
-// type by. ---
+// destination frontier; G carries the gradient back down. ---
 
 // sample builds slot k's blocks for batch from the stream seeded with seed.
 func (dv *sampledDevice) sample(k int, batch []int32, seed int64) {

@@ -49,19 +49,18 @@ func opaqueAt(ids []sim.BufID, d int) sim.ViewShape {
 
 // layerRecorder is what the layers of a partitioned run are recorded against
 // — the part the full-batch trainer and the GAT forward share: the
-// partitioned dataset with its per-device buffers, the machine pricing the
-// tasks, and whether operands are shape-only.
+// partitioned dataset with its per-device buffers and the machine pricing the
+// tasks.
 type layerRecorder struct {
 	*partitioned
 	*replayer
-	phantom bool
 }
 
 // compute records one compute task of the given kind per device: device i's
-// runs after ready[i] (when >= 0) at cost(i), and — unless operands are
-// shape-only — bind(i, id) binds its closure and declared shapes to the task
-// just added. It returns the task IDs. The bind callback keeps the BindShaped
-// call and its closure in one place for the vet rules that read them.
+// runs after ready[i] (when >= 0) at cost(i), and bind(i, id) binds its
+// closure and declared shapes to the task just added. It returns the task
+// IDs. The bind callback keeps the BindShaped call and its closure in one
+// place for the vet rules that read them.
 func (r layerRecorder) compute(tg *sim.Graph, kind sim.Kind, label string, memBound bool, ready []int,
 	cost func(i int) float64, bind func(i, id int)) []int {
 	ids := make([]int, r.Machine.P)
@@ -71,9 +70,7 @@ func (r layerRecorder) compute(tg *sim.Graph, kind sim.Kind, label string, memBo
 			deps = append(deps, ready[i])
 		}
 		ids[i] = tg.AddCompute(i, kind, label, -1, cost(i), memBound, deps...)
-		if !r.phantom {
-			bind(i, ids[i])
-		}
+		bind(i, ids[i])
 	}
 	return ids
 }
@@ -111,12 +108,11 @@ func (r layerRecorder) distSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int
 	return r.stagedSpMMRow(tg, cg, a)
 }
 
-// stagedSpMMRow records (and, in non-phantom mode, binds) the broadcast-
-// staged SpMM at the strategy's replication factor c. The machine splits
-// into c replica groups of P/c devices; every block is owned by one device
-// per group, and group g runs stages j = g, g+c, ...: stage j broadcasts
-// block j within the group and every member multiplies its (i, j) tile into
-// its local accumulator. With c = 1 that is the paper's 1D-row (§4.1): one
+// stagedSpMMRow records and binds the broadcast-staged SpMM at the
+// strategy's replication factor c. The machine splits into c replica groups
+// of P/c devices; every block is owned by one device per group, and group g
+// runs stages j = g, g+c, ...: stage j broadcasts block j within the group
+// and every member multiplies its (i, j) tile into its local accumulator. With c = 1 that is the paper's 1D-row (§4.1): one
 // group, every stage, each output complete after its device's last stage.
 // With c = 2 it is CAGNET's 1.5D (§5.1): each group runs half the stages and
 // a cross-group all-reduce of the partial outputs completes every block on
@@ -147,15 +143,12 @@ func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 		if g >= blocks {
 			// blocks < c leaves this group without a stage, so its devices
 			// contribute a zeroed partial. The fill is a zero-cost compute
-			// task (recorded in phantom mode too, so phantom and real task
-			// graphs agree) so the executor orders it before the cross-group
+			// task so the executor orders it before the cross-group
 			// all-reduce that reads it.
 			for _, d := range devs {
 				last[d] = tg.AddCompute(d, sim.KindSpMM, a.label+"/zerofill", -1, 0, false)
-				if !r.phantom {
-					dst := a.dst(d)
-					tg.BindShaped(last[d], nil, sim.ShapesOf(dst), func() { dst.Zero() })
-				}
+				dst := a.dst(d)
+				tg.BindShaped(last[d], nil, sim.ShapesOf(dst), func() { dst.Zero() })
 			}
 			continue
 		}
@@ -207,18 +200,16 @@ func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 				}
 				cost := spec.SpMMCost(tile.NNZ()*int64(r.Machine.MemScale), r.s(dev.rows), r.s(rootRows), a.width)
 				id := tg.AddCompute(d, sim.KindSpMM, a.label, j, cost, true, deps...)
-				if !r.phantom {
-					dst := a.dst(d)
-					// dst is Writes even at beta=0: Writes means read-and-write,
-					// and the accumulating stages (beta=1) do read it.
-					tg.BindShaped(id, append(sim.ShapesOf(xin), opaqueAt(a.opaqueReads, d)), sim.ShapesOf(dst), func() {
-						t := tile
-						if valued != nil {
-							t = valued(d, j)
-						}
-						sparse.ParallelSpMM(t, xin, beta, dst, 0)
-					})
-				}
+				dst := a.dst(d)
+				// dst is Writes even at beta=0: Writes means read-and-write,
+				// and the accumulating stages (beta=1) do read it.
+				tg.BindShaped(id, append(sim.ShapesOf(xin), opaqueAt(a.opaqueReads, d)), sim.ShapesOf(dst), func() {
+					t := tile
+					if valued != nil {
+						t = valued(d, j)
+					}
+					sparse.ParallelSpMM(t, xin, beta, dst, 0)
+				})
 				stage = append(stage, id)
 				last[d] = id
 			}
@@ -294,11 +285,9 @@ func (r layerRecorder) stagedSpMMCol(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 			tile := r.tiles(j, a)[i]
 			cost := spec.SpMMCost(tile.NNZ()*int64(r.Machine.MemScale), r.s(outRows), r.s(dev.rows), a.width)
 			id := tg.AddCompute(j, sim.KindSpMM, a.label, i, cost, true, deps...)
-			if !r.phantom {
-				src := a.src(j)
-				tg.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(out),
-					func() { sparse.ParallelSpMM(tile, src, 0, out, 0) })
-			}
+			src := a.src(j)
+			tg.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(out),
+				func() { sparse.ParallelSpMM(tile, src, 0, out, 0) })
 			stageIDs = append(stageIDs, id)
 		}
 		if p > 1 {

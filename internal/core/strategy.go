@@ -90,13 +90,12 @@ func (s Strategy) Degraded(p int) Strategy {
 }
 
 // Ordering selects the vertex ordering applied before uniform
-// partitioning — the §5.2 design-choice ablation. OrderingDefault honors
-// the Config.Permute flag (random when true, natural when false).
+// partitioning — the §5.2 design-choice ablation. The zero value keeps the
+// natural order; DefaultConfig picks OrderingRandom, the paper's choice.
 type Ordering int
 
 const (
-	OrderingDefault Ordering = iota
-	OrderingNatural
+	OrderingNatural Ordering = iota
 	OrderingRandom
 	OrderingDegreeSorted
 	OrderingBFS
@@ -104,7 +103,7 @@ const (
 )
 
 var orderingNames = [...]string{
-	OrderingDefault: "default", OrderingNatural: "natural", OrderingRandom: "random",
+	OrderingNatural: "natural", OrderingRandom: "random",
 	OrderingDegreeSorted: "degree-sorted", OrderingBFS: "bfs", OrderingBlockCyclic: "block-cyclic",
 }
 

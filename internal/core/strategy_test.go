@@ -93,7 +93,6 @@ func TestAllStrategiesMatchReference(t *testing.T) {
 				cfg := testConfig(p)
 				cfg.Strategy = c.strategy
 				cfg.Overlap = overlap
-				cfg.Permute = true
 				tr, err := NewTrainer(g, cfg)
 				if err != nil {
 					t.Fatalf("%v P=%d: %v", c.strategy, p, err)

@@ -25,11 +25,12 @@ type Config struct {
 	// CAGNET-style 1.5D with replication factor 2.
 	Strategy Strategy
 
-	Permute  bool   // §5.2 random vertex permutation
-	PermSeed uint64 //
-	// Ordering overrides Permute with a specific vertex ordering when set
-	// (the §5.2 design-choice ablation).
+	// Ordering is the vertex ordering applied before partitioning: the zero
+	// value keeps the natural order, OrderingRandom is §5.2's random
+	// permutation (the default), the rest are the design-choice ablation.
+	// PermSeed seeds the random permutation and the BFS root.
 	Ordering Ordering
+	PermSeed uint64
 	// BalancedPartition cuts the partition vector at near-equal total
 	// degree instead of equal vertex counts — an alternative load balancer
 	// to permutation (combinable with any ordering).
@@ -50,7 +51,7 @@ func DefaultConfig(spec sim.MachineSpec, p, memScale int) Config {
 	return Config{
 		Spec: spec, P: p, MemScale: memScale,
 		Hidden: 512, Layers: 2, LR: 0.01,
-		Permute: true, PermSeed: 1, Overlap: true,
+		Ordering: OrderingRandom, PermSeed: 1, Overlap: true,
 		OrderSwitch: true, SkipFirstBackward: true,
 		Seed: 1,
 	}
@@ -133,8 +134,8 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	if err := validateTrainSplit(g); err != nil {
 		return nil, err
 	}
-	rp := newReplayer(cfg.Spec, cfg.P, cfg.MemScale)
-	p, err := partitionGraph(g, rp.Machine, cfg.Strategy, cfg.Ordering, cfg.Permute, cfg.BalancedPartition, cfg.PermSeed)
+	rp := newReplayer(cfg.Spec, cfg.P, cfg.MemScale, g.IsPhantom())
+	p, err := partitionGraph(g, rp.Machine, cfg.Strategy, cfg.Ordering, cfg.BalancedPartition, cfg.PermSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +143,7 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	init := nn.InitWeights(dims, cfg.Seed)
 	tr := &Trainer{
 		Cfg: cfg, Graph: g, Dims: dims, partitioned: p,
-		replicas: newReplicas(rp, init, g.IsPhantom()),
+		replicas: newReplicas(rp, init),
 	}
 	maxTile := p.MaxTileRows()
 	for d := 0; d < tr.Machine.P; d++ {
@@ -154,13 +155,11 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 		if err := tr.add(init, cfg.LR); err != nil {
 			return nil, err
 		}
-		if x := p.devs[d].x; x != nil {
-			// Feature shards are keyed by block, not device: 1.5D replica
-			// devices view the same storage, and registry identity must
-			// follow storage identity (aliased entries would poison each
-			// other in shadow mode).
-			registerDense(tr.reg, tr.reg.Register(fmt.Sprintf("b%d/x", p.devs[d].block)), x)
-		}
+		// Feature shards are keyed by block, not device: 1.5D replica
+		// devices view the same storage, and registry identity must follow
+		// storage identity (aliased entries would poison each other in
+		// shadow mode).
+		registerDense(tr.reg, tr.reg.Register(fmt.Sprintf("b%d/x", p.devs[d].block)), p.devs[d].x)
 	}
 	if !tr.phantom {
 		for _, ds := range p.devs {
@@ -252,7 +251,7 @@ func (l *runLog) add(s *EpochStats) (stop bool) {
 // last — and returns the per-device tasks the logits are ready after.
 func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
 	L := tr.Cfg.Layers
-	rec := layerRecorder{tr.partitioned, &tr.replayer, tr.phantom}
+	rec := layerRecorder{tr.partitioned, &tr.replayer}
 	hReady := make([]int, tr.Machine.P)
 	for i := range hReady {
 		hReady[i] = -1
@@ -317,7 +316,7 @@ func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) e
 	p := tr.Machine.P
 	spec := tr.Machine.Spec
 	L := tr.Cfg.Layers
-	rec := layerRecorder{tr.partitioned, &tr.replayer, tr.phantom}
+	rec := layerRecorder{tr.partitioned, &tr.replayer}
 	rows := func(i int) int { return tr.s(tr.devs[i].rows) }
 
 	hReady := tr.recordForward(tg, cg)
@@ -459,13 +458,12 @@ func (tr *Trainer) ForwardOnly() (*tensor.Dense, error) {
 	return tr.gatherLogits(tr.Dims), nil
 }
 
-// PeakMemoryBytes returns the maximum per-device peak pool usage.
+// PeakMemoryBytes returns the maximum per-device pool usage (pools only
+// grow, so usage is the peak).
 func (tr *Trainer) PeakMemoryBytes() int64 {
 	var m int64
 	for _, p := range tr.Machine.Pools {
-		if p.Peak() > m {
-			m = p.Peak()
-		}
+		m = max(m, p.Used())
 	}
 	return m
 }

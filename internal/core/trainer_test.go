@@ -36,16 +36,16 @@ func TestForwardMatchesReference(t *testing.T) {
 	ref := nn.NewReferenceGCN(g, nn.LayerDims(g.FeatDim, 16, 2, g.Classes), 7)
 	want := ref.Forward(g.Features)
 	for _, p := range []int{1, 2, 3, 8} {
-		for _, permute := range []bool{false, true} {
+		for _, ord := range []Ordering{OrderingNatural, OrderingRandom} {
 			cfg := testConfig(p)
-			cfg.Permute = permute
+			cfg.Ordering = ord
 			tr, err := NewTrainer(g, cfg)
 			if err != nil {
-				t.Fatalf("P=%d permute=%t: %v", p, permute, err)
+				t.Fatalf("P=%d %v: %v", p, ord, err)
 			}
 			got := mustForward(tr)
 			if d := tensor.MaxAbsDiff(got, want); d > 1e-3 {
-				t.Fatalf("P=%d permute=%t: logits diverge from reference by %g", p, permute, d)
+				t.Fatalf("P=%d %v: logits diverge from reference by %g", p, ord, d)
 			}
 		}
 	}
@@ -98,10 +98,10 @@ func TestAccuracyParityAcrossGPUCounts(t *testing.T) {
 	// The paper's own correctness check: the multi-GPU accuracy/loss curve
 	// must match the single-device baseline.
 	g := testGraph(t)
-	curve := func(p int, overlap, permute bool) []float64 {
+	curve := func(p int, overlap bool, ord Ordering) []float64 {
 		cfg := testConfig(p)
 		cfg.Overlap = overlap
-		cfg.Permute = permute
+		cfg.Ordering = ord
 		tr, err := NewTrainer(g, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -112,9 +112,9 @@ func TestAccuracyParityAcrossGPUCounts(t *testing.T) {
 		}
 		return losses
 	}
-	base := curve(1, false, false)
+	base := curve(1, false, OrderingNatural)
 	for _, p := range []int{2, 4, 8} {
-		got := curve(p, true, true)
+		got := curve(p, true, OrderingRandom)
 		for e := range base {
 			if math.Abs(got[e]-base[e]) > 2e-2*(1+math.Abs(base[e])) {
 				t.Fatalf("P=%d epoch %d: loss %v vs single-GPU %v", p, e, got[e], base[e])
@@ -263,9 +263,9 @@ func TestPermuteImprovesEpochTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(permute bool) float64 {
+	run := func(ord Ordering) float64 {
 		cfg := DefaultConfig(sim.DGXV100(), 8, 64)
-		cfg.Permute = permute
+		cfg.Ordering = ord
 		cfg.Overlap = false
 		tr, err := NewTrainer(g, cfg)
 		if err != nil {
@@ -273,7 +273,7 @@ func TestPermuteImprovesEpochTime(t *testing.T) {
 		}
 		return mustEpoch(tr).EpochSeconds
 	}
-	perm, orig := run(true), run(false)
+	perm, orig := run(OrderingRandom), run(OrderingNatural)
 	if perm >= orig {
 		t.Fatalf("permutation did not help on 8 GPUs: %g vs %g", perm, orig)
 	}

@@ -87,15 +87,6 @@ func (g *Graph) IsPhantom() bool { return g.Features == nil }
 // in-degree — so that Âᵀ H averages in-neighbor features.
 func (g *Graph) NormalizedAdj() *sparse.CSR { return sparse.NormalizeInDegree(g.Adj) }
 
-// OutDegrees returns the out-degree of every vertex.
-func (g *Graph) OutDegrees() []int64 {
-	d := make([]int64, g.N())
-	for i := range d {
-		d[i] = g.Adj.RowNNZ(i)
-	}
-	return d
-}
-
 // InDegrees returns the in-degree of every vertex.
 func (g *Graph) InDegrees() []int64 {
 	d := make([]int64, g.N())

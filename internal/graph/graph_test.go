@@ -59,10 +59,6 @@ func TestValidateCatchesFeatureMismatch(t *testing.T) {
 
 func TestDegrees(t *testing.T) {
 	g := tinyGraph()
-	out := g.OutDegrees()
-	if out[1] != 2 || out[0] != 1 {
-		t.Fatalf("out degrees %v", out)
-	}
 	in := g.InDegrees()
 	if in[2] != 2 || in[1] != 1 || in[0] != 1 || in[3] != 1 {
 		t.Fatalf("in degrees %v", in)

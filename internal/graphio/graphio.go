@@ -1,11 +1,7 @@
-// Package graphio loads and stores graph datasets — this reproduction's
-// stand-in for PIGO, the parallel graph I/O library the paper uses. Two
-// formats are supported:
-//
-//   - a versioned binary format holding the full dataset (CSR adjacency,
-//     features, labels, masks) for fast reload of generated datasets;
-//   - whitespace-separated edge-list text ("u v" per line, '#' or '%'
-//     comments), parsed in parallel chunks the way PIGO does.
+// Package graphio stores and reloads graph datasets — this reproduction's
+// stand-in for PIGO, the graph I/O library the paper uses — in a versioned
+// binary format holding the full dataset (CSR adjacency, features, labels,
+// masks), so a generated dataset is written once and reloaded fast.
 package graphio
 
 import (
@@ -13,8 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"mggcn/internal/graph"
 	"mggcn/internal/sparse"
@@ -95,7 +89,10 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a dataset written by WriteBinary.
+// ReadBinary deserializes a dataset written by WriteBinary. Every section is
+// read in bounded chunks, so a header claiming more data than the input holds
+// fails with a truncation error once the bytes run out instead of allocating
+// for its claim up front; bytes after the dataset are an error too.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
@@ -116,11 +113,8 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if err := binary.Read(br, le, &nameLen); err != nil {
 		return nil, err
 	}
-	if nameLen > 1<<20 {
-		return nil, fmt.Errorf("graphio: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
+	name, err := readSection[byte](br, int64(nameLen), "name")
+	if err != nil {
 		return nil, err
 	}
 	var n, featDim, classes, flags uint32
@@ -129,12 +123,15 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 			return nil, err
 		}
 	}
+	if flags&^7 != 0 {
+		return nil, fmt.Errorf("graphio: unknown flags %#x", flags)
+	}
 	var nnz int64
 	if err := binary.Read(br, le, &nnz); err != nil {
 		return nil, err
 	}
-	// Plausibility limits before allocating: a corrupted header must fail
-	// with an error, not an out-of-memory crash.
+	// Plausibility limits: a corrupted header fails here, naming the field,
+	// rather than at the end of the input.
 	const maxVertices = 1 << 28
 	const maxFeatDim = 1 << 20
 	const maxNNZ = int64(1) << 33
@@ -147,45 +144,63 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if int64(n)*int64(featDim) > 1<<31 {
 		return nil, fmt.Errorf("graphio: implausible feature payload %d x %d", n, featDim)
 	}
-	adj := &sparse.CSR{
-		Rows: int(n), Cols: int(n),
-		RowPtr: make([]int64, n+1),
-		ColIdx: make([]int32, nnz),
-	}
-	if err := binary.Read(br, le, adj.RowPtr); err != nil {
+	adj := &sparse.CSR{Rows: int(n), Cols: int(n)}
+	if adj.RowPtr, err = readSection[int64](br, int64(n)+1, "row pointers"); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, le, adj.ColIdx); err != nil {
+	if adj.ColIdx, err = readSection[int32](br, nnz, "column indices"); err != nil {
 		return nil, err
 	}
 	g := &graph.Graph{Name: string(name), Adj: adj, FeatDim: int(featDim), Classes: int(classes)}
 	if flags&1 != 0 {
-		g.Features = tensor.NewDense(int(n), int(featDim))
-		if err := binary.Read(br, le, g.Features.Data); err != nil {
+		data, err := readSection[float32](br, int64(n)*int64(featDim), "features")
+		if err != nil {
 			return nil, err
 		}
+		g.Features = &tensor.Dense{Rows: int(n), Cols: int(featDim), Stride: int(featDim), Data: data}
 	}
 	if flags&2 != 0 {
-		g.Labels = make([]int32, n)
-		if err := binary.Read(br, le, g.Labels); err != nil {
+		if g.Labels, err = readSection[int32](br, int64(n), "labels"); err != nil {
 			return nil, err
 		}
 	}
 	if flags&4 != 0 {
 		masks := make([][]bool, 3)
 		for i := range masks {
-			buf := make([]byte, n)
-			if err := binary.Read(br, le, buf); err != nil {
+			buf, err := readSection[byte](br, int64(n), "masks")
+			if err != nil {
 				return nil, err
 			}
-			masks[i] = bytesToBools(buf)
+			if masks[i], err = bytesToBools(buf); err != nil {
+				return nil, err
+			}
 		}
 		g.TrainMask, g.ValMask, g.TestMask = masks[0], masks[1], masks[2]
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("graphio: trailing data after the dataset")
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graphio: corrupt dataset: %w", err)
 	}
 	return g, nil
+}
+
+// readSection reads count little-endian values of one section in chunks of
+// at most 64 Ki values, so the slice grows only as fast as the input
+// actually delivers them.
+func readSection[T byte | int32 | int64 | float32](r io.Reader, count int64, what string) ([]T, error) {
+	const chunk = 1 << 16
+	buf := make([]T, min(count, chunk))
+	out := make([]T, 0, len(buf))
+	for int64(len(out)) < count {
+		part := buf[:min(count-int64(len(out)), chunk)]
+		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
+			return nil, fmt.Errorf("graphio: %s truncated after %d of %d values: %w", what, len(out), count, err)
+		}
+		out = append(out, part...)
+	}
+	return out, nil
 }
 
 func boolsToBytes(b []bool) []byte {
@@ -198,145 +213,14 @@ func boolsToBytes(b []bool) []byte {
 	return out
 }
 
-func bytesToBools(b []byte) []bool {
+// bytesToBools decodes a mask section; WriteBinary writes only 0 and 1.
+func bytesToBools(b []byte) ([]bool, error) {
 	out := make([]bool, len(b))
 	for i, v := range b {
-		out[i] = v != 0
-	}
-	return out
-}
-
-// ParseEdgeList parses "u v" pairs from text (comments start with '#' or
-// '%'), splitting the input into chunks parsed by parallel workers, PIGO
-// style. n is the vertex count; edges outside [0, n) are an error. The
-// returned CSR is structure-only with both edge directions if symmetrize
-// is set.
-func ParseEdgeList(data []byte, n int, symmetrize bool) (*sparse.CSR, error) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
-	}
-	// Chunk boundaries snapped to line breaks.
-	bounds := make([]int, 0, workers+1)
-	bounds = append(bounds, 0)
-	for w := 1; w < workers; w++ {
-		pos := len(data) * w / workers
-		for pos < len(data) && data[pos] != '\n' {
-			pos++
+		if v > 1 {
+			return nil, fmt.Errorf("graphio: mask byte %d at %d is not 0 or 1", v, i)
 		}
-		if pos < len(data) {
-			pos++
-		}
-		if pos > bounds[len(bounds)-1] {
-			bounds = append(bounds, pos)
-		}
-	}
-	bounds = append(bounds, len(data))
-
-	chunks := make([][]sparse.Coo, len(bounds)-1)
-	errs := make([]error, len(bounds)-1)
-	var wg sync.WaitGroup
-	for c := 0; c+1 < len(bounds); c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			chunks[c], errs[c] = parseChunk(data[bounds[c]:bounds[c+1]], n, symmetrize)
-		}(c)
-	}
-	wg.Wait()
-	var entries []sparse.Coo
-	for c := range chunks {
-		if errs[c] != nil {
-			return nil, errs[c]
-		}
-		entries = append(entries, chunks[c]...)
-	}
-	return sparse.FromCoo(n, n, entries, false), nil
-}
-
-func parseChunk(data []byte, n int, symmetrize bool) ([]sparse.Coo, error) {
-	var out []sparse.Coo
-	pos := 0
-	for pos < len(data) {
-		end := pos
-		for end < len(data) && data[end] != '\n' {
-			end++
-		}
-		line := data[pos:end]
-		pos = end + 1
-		u, v, ok, err := parseEdgeLine(line, n)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		out = append(out, sparse.Coo{Row: u, Col: v})
-		if symmetrize && u != v {
-			out = append(out, sparse.Coo{Row: v, Col: u})
-		}
+		out[i] = v == 1
 	}
 	return out, nil
-}
-
-// parseEdgeLine extracts two vertex ids from a line; ok=false for blank or
-// comment lines.
-func parseEdgeLine(line []byte, n int) (u, v int32, ok bool, err error) {
-	i := skipSpace(line, 0)
-	if i >= len(line) || line[i] == '#' || line[i] == '%' {
-		return 0, 0, false, nil
-	}
-	a, i, err := parseInt(line, i)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	i = skipSpace(line, i)
-	b, _, err := parseInt(line, i)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	if a < 0 || a >= int64(n) || b < 0 || b >= int64(n) {
-		return 0, 0, false, fmt.Errorf("graphio: edge (%d,%d) outside [0,%d)", a, b, n)
-	}
-	return int32(a), int32(b), true, nil
-}
-
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-func parseInt(b []byte, i int) (int64, int, error) {
-	start := i
-	var v int64
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		v = v*10 + int64(b[i]-'0')
-		if v > 1<<40 {
-			return 0, i, fmt.Errorf("graphio: vertex id overflow")
-		}
-		i++
-	}
-	if i == start {
-		return 0, i, fmt.Errorf("graphio: expected integer at %q", string(b))
-	}
-	return v, i, nil
-}
-
-// WriteEdgeList writes the adjacency as "u v" lines (directed entries).
-func WriteEdgeList(w io.Writer, a *sparse.CSR) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# %d vertices, %d directed edges\n", a.Rows, a.NNZ()); err != nil {
-		return err
-	}
-	for u := 0; u < a.Rows; u++ {
-		cols, _ := a.Row(u)
-		for _, v := range cols {
-			if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
 }

@@ -2,13 +2,13 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"mggcn/internal/gen"
-	"mggcn/internal/sparse"
+	"mggcn/internal/graph"
 	"mggcn/internal/tensor"
 )
 
@@ -84,92 +84,54 @@ func TestReadBinaryRejectsTruncation(t *testing.T) {
 	}
 }
 
-func TestParseEdgeListBasic(t *testing.T) {
-	text := "# comment\n0 1\n1 2\n\n% another comment\n2 0\n"
-	a, err := ParseEdgeList([]byte(text), 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NNZ() != 3 {
-		t.Fatalf("nnz=%d", a.NNZ())
-	}
-	d := a.ToDenseRows()
-	if d[0][1] != 1 || d[1][2] != 1 || d[2][0] != 1 {
-		t.Fatalf("edges wrong: %v", d)
+// A 36-byte header claiming 2^28 vertices and 2^33 edges passes every
+// header check; the reader must run out of input, not out of memory.
+func TestReadBinaryHugeHeaderIsTruncation(t *testing.T) {
+	if _, err := ReadBinary(bytes.NewReader(hugeHeader())); err == nil {
+		t.Fatalf("36-byte header accepted")
 	}
 }
 
-func TestParseEdgeListSymmetrize(t *testing.T) {
-	a, err := ParseEdgeList([]byte("0 1\n"), 2, true)
-	if err != nil {
-		t.Fatal(err)
+// hugeHeader is magic, version, an empty name, n = 2^28, d = 0, 1 class,
+// no payload flags and nnz = 2^33, with no payload after it.
+func hugeHeader() []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, magic)
+	for _, v := range []uint32{version, 0, 1 << 28, 0, 1, 0} {
+		b = le.AppendUint32(b, v)
 	}
-	if a.NNZ() != 2 {
-		t.Fatalf("nnz=%d, want both directions", a.NNZ())
-	}
+	return le.AppendUint64(b, 1<<33)
 }
 
-func TestParseEdgeListErrors(t *testing.T) {
-	if _, err := ParseEdgeList([]byte("0 5\n"), 3, false); err == nil {
-		t.Fatalf("out-of-range vertex accepted")
-	}
-	if _, err := ParseEdgeList([]byte("0 x\n"), 3, false); err == nil {
-		t.Fatalf("non-numeric vertex accepted")
-	}
-	if _, err := ParseEdgeList([]byte("0\n"), 3, false); err == nil {
-		t.Fatalf("missing endpoint accepted")
-	}
-}
-
-func TestParseEdgeListParallelChunksMatchSequential(t *testing.T) {
-	// A large input exercises the chunk splitter; result must equal the
-	// direct COO build regardless of where chunk boundaries fall.
-	adj := gen.BTER(gen.DefaultBTER(800, 12, 13))
-	var sb strings.Builder
-	if err := WriteEdgeList(&sb, adj); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseEdgeList([]byte(sb.String()), adj.Rows, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.NNZ() != adj.NNZ() {
-		t.Fatalf("nnz %d != %d", parsed.NNZ(), adj.NNZ())
-	}
-	for i := range adj.ColIdx {
-		if parsed.ColIdx[i] != adj.ColIdx[i] {
-			t.Fatalf("structure differs at %d", i)
+// FuzzReadBinary holds ReadBinary to its contract on arbitrary input: it
+// never panics, and an input it accepts is exactly what WriteBinary writes
+// for the graph it returns.
+func FuzzReadBinary(f *testing.F) {
+	full := gen.Generate("fz", gen.DefaultBTER(12, 3, 3), 2, 2, false)
+	noMasks := *full
+	noMasks.TrainMask, noMasks.ValMask, noMasks.TestMask = nil, nil, nil
+	phantom := gen.Generate("fz", gen.DefaultBTER(12, 3, 3), 2, 2, true)
+	for _, g := range []*graph.Graph{full, &noMasks, phantom} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			f.Fatal(err)
 		}
+		f.Add(buf.Bytes())
 	}
-}
-
-func TestWriteEdgeListFormat(t *testing.T) {
-	a := sparse.FromCoo(2, 2, []sparse.Coo{{Row: 0, Col: 1}}, false)
-	var sb strings.Builder
-	if err := WriteEdgeList(&sb, a); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "#") || !strings.Contains(out, "0 1\n") {
-		t.Fatalf("format wrong: %q", out)
-	}
-}
-
-func TestEdgeListRoundTripStats(t *testing.T) {
-	for _, n := range []int{10, 100, 500} {
-		adj := gen.BTER(gen.DefaultBTER(n, 5, uint64(n)))
-		var sb strings.Builder
-		if err := WriteEdgeList(&sb, adj); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ParseEdgeList([]byte(sb.String()), n, false)
+	f.Add(hugeHeader())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		if back.NNZ() != adj.NNZ() {
-			t.Fatalf("n=%d: nnz %d != %d", n, back.NNZ(), adj.NNZ())
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted %d bytes that write back as %d different ones", len(data), buf.Len())
 		}
-	}
+	})
 }
 
 func TestBinarySizeReasonable(t *testing.T) {

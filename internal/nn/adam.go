@@ -65,15 +65,6 @@ func (a *Adam) StepCount() int { return a.step }
 // resync aligns survivor step counts after broadcasting the moments.
 func (a *Adam) SetStep(step int) { a.step = step }
 
-// NumParams returns the total parameter count managed by the optimizer.
-func (a *Adam) NumParams() int64 {
-	var n int64
-	for _, m := range a.m {
-		n += int64(m.Rows) * int64(m.Cols)
-	}
-	return n
-}
-
 // State exposes the optimizer's internals for checkpointing: the step
 // count and the first/second moment estimates (aliases, not copies).
 func (a *Adam) State() (step int, m, v []*tensor.Dense) { return a.step, a.m, a.v }

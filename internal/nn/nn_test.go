@@ -228,10 +228,3 @@ func TestAdamMismatchPanics(t *testing.T) {
 	}()
 	opt.Step(w, []*tensor.Dense{tensor.NewDense(3, 3)})
 }
-
-func TestAdamNumParams(t *testing.T) {
-	opt := NewAdam(0.1, InitWeights([]int{4, 3, 2}, 1))
-	if opt.NumParams() != 4*3+3*2 {
-		t.Fatalf("NumParams=%d", opt.NumParams())
-	}
-}

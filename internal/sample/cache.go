@@ -28,7 +28,6 @@ type FeatureCache struct {
 
 // NewFeatureCache builds a cache holding the top frac (0..1) of vertices by
 // degree (ties broken by vertex id, so the selection is deterministic).
-// Phantom features produce a phantom slab with real placement metadata.
 func NewFeatureCache(features *tensor.Dense, degrees []int64, frac float64) *FeatureCache {
 	if frac < 0 || frac > 1 {
 		panic(fmt.Sprintf("sample: cache fraction %v outside [0,1]", frac))
@@ -57,18 +56,12 @@ func NewFeatureCache(features *tensor.Dense, degrees []int64, frac float64) *Fea
 	for _, d := range degrees {
 		total += d
 	}
-	if features.IsPhantom() {
-		c.Slab = tensor.NewPhantom(rows, features.Cols)
-	} else {
-		c.Slab = tensor.NewDense(rows, features.Cols)
-	}
+	c.Slab = tensor.NewDense(rows, features.Cols)
 	for i := 0; i < rows; i++ {
 		v := order[i]
 		c.Pos[v] = int32(i)
 		cached += degrees[v]
-		if !c.Slab.IsPhantom() {
-			copy(c.Slab.Row(i), features.Row(int(v)))
-		}
+		copy(c.Slab.Row(i), features.Row(int(v)))
 	}
 	if total > 0 {
 		c.MassFraction = float64(cached) / float64(total)
@@ -89,14 +82,10 @@ func (c *FeatureCache) Gather(dst, features *tensor.Dense, verts []int32) (hit, 
 	for i, v := range verts {
 		if p := c.Pos[v]; p >= 0 {
 			hit++
-			if !dst.IsPhantom() && !c.Slab.IsPhantom() {
-				copy(dst.Row(i), c.Slab.Row(int(p)))
-			}
+			copy(dst.Row(i), c.Slab.Row(int(p)))
 		} else {
 			miss++
-			if !dst.IsPhantom() && !features.IsPhantom() {
-				copy(dst.Row(i), features.Row(int(v)))
-			}
+			copy(dst.Row(i), features.Row(int(v)))
 		}
 	}
 	return hit, miss

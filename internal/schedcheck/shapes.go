@@ -24,8 +24,8 @@ import (
 //     the 1.5D-style aliasing bug class: two views of one buffer silently
 //     overlapping at different shapes.
 //
-// Tasks with no shaped declaration (phantom graphs, raw test binds) are
-// skipped — run the schedule non-phantom to get full coverage. Opaque
+// Tasks with no shaped declaration (raw test binds, the CAGNET cost model)
+// are skipped; phantom graphs declare like real ones. Opaque
 // entries (ViewShape.Opaque) participate in ordering only and are ignored
 // here.
 func CheckShapes(g *sim.Graph) []Finding {

@@ -67,7 +67,7 @@ import (
 // workers tasks in flight at once (workers <= 0: GOMAXPROCS). workers == 1
 // is the serial-issue path: every closure runs in a topological order
 // equivalent to inline execution at record time. A graph with no bound
-// closures (phantom mode) returns immediately.
+// closures returns immediately.
 //
 // Execute is incremental: each call replays only tasks recorded since the
 // previous call (a watermark, not a per-task flag), so record → execute →

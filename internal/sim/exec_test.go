@@ -168,8 +168,7 @@ func TestExecuteRunsIndependentTasksConcurrently(t *testing.T) {
 }
 
 func TestExecuteSkipsUnboundTasks(t *testing.T) {
-	// nil-Exec tasks (phantom mode records none; comm tasks of a phantom
-	// collective) complete inline and release their dependents.
+	// nil-Exec tasks complete inline and release their dependents.
 	g := NewGraph(DGXV100(), 2)
 	a := g.AddCompute(0, KindGeMM, "unbound", -1, 1, false)
 	ran := false

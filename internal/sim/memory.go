@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -174,23 +173,21 @@ func (e *OOMError) Error() string {
 		e.Pool, e.Label, e.Requested, e.Used, e.Capacity)
 }
 
-// Pool is a per-device memory accountant. It tracks live and peak usage and
-// refuses allocations beyond capacity. It is safe for concurrent use (each
-// simulated device runs on its own goroutine).
+// Pool is a per-device memory accountant. It tracks usage and refuses
+// allocations beyond capacity; nothing is freed, so usage is also the peak.
+// It is safe for concurrent use (each simulated device runs on its own
+// goroutine).
 type Pool struct {
 	name     string
 	capacity int64
 
-	mu    sync.Mutex
-	used  int64
-	peak  int64
-	live  map[string]int64 // label -> bytes, for diagnostics
-	count int64
+	mu   sync.Mutex
+	used int64
 }
 
 // NewPool creates a pool with the given byte capacity.
 func NewPool(name string, capacity int64) *Pool {
-	return &Pool{name: name, capacity: capacity, live: make(map[string]int64)}
+	return &Pool{name: name, capacity: capacity}
 }
 
 // Name returns the pool's identifier.
@@ -199,8 +196,8 @@ func (p *Pool) Name() string { return p.name }
 // Capacity returns the pool's byte capacity.
 func (p *Pool) Capacity() int64 { return p.capacity }
 
-// Alloc reserves bytes under the given label, failing with *OOMError if the
-// pool would exceed capacity.
+// Alloc reserves bytes, failing with an *OOMError naming label if the pool
+// would exceed capacity.
 func (p *Pool) Alloc(label string, bytes int64) error {
 	if bytes < 0 {
 		panic(fmt.Sprintf("sim: negative allocation %d", bytes))
@@ -211,39 +208,7 @@ func (p *Pool) Alloc(label string, bytes int64) error {
 		return &OOMError{Pool: p.name, Label: label, Requested: bytes, Used: p.used, Capacity: p.capacity}
 	}
 	p.used += bytes
-	p.count++
-	key := fmt.Sprintf("%s#%d", label, p.count)
-	p.live[key] = bytes
-	if p.used > p.peak {
-		p.peak = p.used
-	}
 	return nil
-}
-
-// MustAlloc is Alloc but panics on failure; used where OOM is a programming
-// error rather than an experiment outcome.
-func (p *Pool) MustAlloc(label string, bytes int64) {
-	if err := p.Alloc(label, bytes); err != nil {
-		panic(err)
-	}
-}
-
-// FreeBytes releases bytes previously allocated under label (any suffix).
-func (p *Pool) FreeBytes(label string, bytes int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for key, sz := range p.live {
-		if sz == bytes && hasLabelPrefix(key, label) {
-			delete(p.live, key)
-			p.used -= sz
-			return
-		}
-	}
-	panic(fmt.Sprintf("sim: free of unknown allocation %q (%d B) on %s", label, bytes, p.name))
-}
-
-func hasLabelPrefix(key, label string) bool {
-	return len(key) > len(label) && key[:len(label)] == label && key[len(label)] == '#'
 }
 
 // Used returns current live bytes.
@@ -251,31 +216,4 @@ func (p *Pool) Used() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.used
-}
-
-// Peak returns the high-water mark.
-func (p *Pool) Peak() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peak
-}
-
-// Reset releases everything and clears the peak.
-func (p *Pool) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.used, p.peak = 0, 0
-	p.live = make(map[string]int64)
-}
-
-// LiveAllocations returns a sorted snapshot of live labels for diagnostics.
-func (p *Pool) LiveAllocations() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.live))
-	for k, v := range p.live {
-		out = append(out, fmt.Sprintf("%s: %d B", k, v))
-	}
-	sort.Strings(out)
-	return out
 }

@@ -6,26 +6,6 @@ import (
 	"testing"
 )
 
-func TestPoolAllocFree(t *testing.T) {
-	p := NewPool("gpu0", 100)
-	if err := p.Alloc("buf", 60); err != nil {
-		t.Fatal(err)
-	}
-	if p.Used() != 60 {
-		t.Fatalf("Used=%d", p.Used())
-	}
-	if err := p.Alloc("buf2", 50); err == nil {
-		t.Fatalf("expected OOM")
-	}
-	p.FreeBytes("buf", 60)
-	if p.Used() != 0 {
-		t.Fatalf("Used=%d after free", p.Used())
-	}
-	if err := p.Alloc("buf2", 100); err != nil {
-		t.Fatalf("alloc after free failed: %v", err)
-	}
-}
-
 func TestPoolOOMError(t *testing.T) {
 	p := NewPool("gpu1", 10)
 	err := p.Alloc("big", 11)
@@ -33,7 +13,7 @@ func TestPoolOOMError(t *testing.T) {
 	if !errors.As(err, &oom) {
 		t.Fatalf("want *OOMError, got %T", err)
 	}
-	if oom.Requested != 11 || oom.Capacity != 10 || oom.Pool != "gpu1" {
+	if oom.Requested != 11 || oom.Capacity != 10 || oom.Pool != "gpu1" || oom.Label != "big" {
 		t.Fatalf("OOM fields wrong: %+v", oom)
 	}
 	if oom.Error() == "" {
@@ -41,49 +21,21 @@ func TestPoolOOMError(t *testing.T) {
 	}
 }
 
-func TestPoolPeakTracksHighWater(t *testing.T) {
+func TestPoolRefusedAllocReservesNothing(t *testing.T) {
 	p := NewPool("g", 100)
-	p.MustAlloc("a", 40)
-	p.MustAlloc("b", 30)
-	p.FreeBytes("a", 40)
-	p.MustAlloc("c", 10)
-	if p.Peak() != 70 {
-		t.Fatalf("Peak=%d, want 70", p.Peak())
-	}
-	if p.Used() != 40 {
-		t.Fatalf("Used=%d, want 40", p.Used())
-	}
-}
-
-func TestPoolFreeUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
+	for _, b := range []int64{40, 30} {
+		if err := p.Alloc("a", b); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	NewPool("g", 10).FreeBytes("nothing", 5)
-}
-
-func TestPoolFreeMatchesLabelNotPrefix(t *testing.T) {
-	p := NewPool("g", 100)
-	p.MustAlloc("bufX", 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("free with label prefix of another label must not match")
-		}
-	}()
-	p.FreeBytes("buf", 10)
-}
-
-func TestPoolReset(t *testing.T) {
-	p := NewPool("g", 100)
-	p.MustAlloc("a", 50)
-	p.Reset()
-	if p.Used() != 0 || p.Peak() != 0 {
-		t.Fatalf("reset did not clear: used=%d peak=%d", p.Used(), p.Peak())
 	}
-	if len(p.LiveAllocations()) != 0 {
-		t.Fatalf("live allocations survived reset")
+	if err := p.Alloc("c", 31); err == nil {
+		t.Fatalf("expected OOM")
+	}
+	if p.Used() != 70 {
+		t.Fatalf("Used=%d after a refused allocation, want 70", p.Used())
+	}
+	if err := p.Alloc("c", 30); err != nil {
+		t.Fatalf("allocation up to capacity refused: %v", err)
 	}
 }
 
@@ -95,32 +47,15 @@ func TestPoolConcurrentSafety(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				p.MustAlloc("x", 8)
-				p.FreeBytes("x", 8)
+				if err := p.Alloc("x", 8); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if p.Used() != 0 {
-		t.Fatalf("leaked %d bytes", p.Used())
-	}
-}
-
-func TestMustAllocPanicsOnOOM(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	NewPool("g", 1).MustAlloc("big", 2)
-}
-
-func TestLiveAllocationsSnapshot(t *testing.T) {
-	p := NewPool("g", 100)
-	p.MustAlloc("alpha", 10)
-	p.MustAlloc("beta", 20)
-	live := p.LiveAllocations()
-	if len(live) != 2 {
-		t.Fatalf("live=%v", live)
+	if p.Used() != 8*200*8 {
+		t.Fatalf("Used=%d, want %d", p.Used(), 8*200*8)
 	}
 }

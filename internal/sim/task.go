@@ -106,7 +106,7 @@ type Task struct {
 	Deps     []int
 	// Exec is the task's host-side arithmetic, recorded at graph-build
 	// time and replayed by Graph.Execute once the task's dependencies have
-	// run (nil for tasks with no real work, e.g. phantom mode). Attach it
+	// run (nil for tasks with no host-side work). Attach it
 	// with Graph.Bind (infallible closures) or Graph.BindE (closures that
 	// can fail, e.g. retried collectives). A non-nil return cancels the
 	// rest of the replay: Execute stops issuing, drains in-flight tasks,

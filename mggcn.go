@@ -75,10 +75,9 @@ const (
 // Ordering selects the vertex ordering applied before partitioning.
 type Ordering = core.Ordering
 
-// The available vertex orderings (§5.2 ablation). OrderingDefault honors
-// the Permute flag.
+// The available vertex orderings (§5.2 ablation). The zero value is the
+// natural order; DefaultOptions picks OrderingRandom, the paper's choice.
 const (
-	OrderingDefault      = core.OrderingDefault
 	OrderingNatural      = core.OrderingNatural
 	OrderingRandom       = core.OrderingRandom
 	OrderingDegreeSorted = core.OrderingDegreeSorted
@@ -199,13 +198,11 @@ type Options struct {
 	Strategy Strategy
 
 	// The paper's optimizations, all enabled by DefaultOptions.
-	Permute               bool // §5.2 random vertex permutation
-	Overlap               bool // §4.3 communication/computation overlap
-	OrderSwitch           bool // §4.4 GeMM/SpMM order selection
-	SkipFirstBackwardSpMM bool // §4.4 saved first-layer backward SpMM
+	Ordering              Ordering // §5.2 vertex ordering: OrderingRandom permutes
+	Overlap               bool     // §4.3 communication/computation overlap
+	OrderSwitch           bool     // §4.4 GeMM/SpMM order selection
+	SkipFirstBackwardSpMM bool     // §4.4 saved first-layer backward SpMM
 
-	// Ordering overrides Permute with a specific vertex ordering when set.
-	Ordering Ordering
 	// BalancedPartition cuts partitions at equal total degree instead of
 	// equal vertex counts — an alternative load balancer to permutation.
 	BalancedPartition bool
@@ -227,7 +224,7 @@ func DefaultOptions(m MachineSpec, gpus int) Options {
 	return Options{
 		Machine: m, GPUs: gpus,
 		Hidden: 512, Layers: 2, LR: 0.01,
-		Permute: true, Overlap: true, OrderSwitch: true, SkipFirstBackwardSpMM: true,
+		Ordering: OrderingRandom, Overlap: true, OrderSwitch: true, SkipFirstBackwardSpMM: true,
 		Seed: 1, PermSeed: 1,
 	}
 }
@@ -264,7 +261,7 @@ func (o Options) coreConfig(ds *Dataset) (core.Config, error) {
 		Spec: o.Machine, P: o.GPUs, MemScale: ds.scale,
 		Hidden: o.Hidden, Layers: o.Layers, LR: o.LR,
 		Strategy: o.Strategy, Ordering: o.Ordering, BalancedPartition: o.BalancedPartition,
-		Permute: o.Permute, PermSeed: o.PermSeed, Overlap: o.Overlap,
+		PermSeed: o.PermSeed, Overlap: o.Overlap,
 		OrderSwitch: o.OrderSwitch, SkipFirstBackward: o.SkipFirstBackwardSpMM,
 		Seed: o.Seed,
 	}

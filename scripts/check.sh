@@ -99,6 +99,11 @@ go test -race -short -timeout 30m ./...
 echo "==> go test (full, no race)"
 go test -timeout 30m ./...
 
+echo "==> fuzz smoke"
+# Ten seconds of coverage-guided mutation over the binary dataset decoder,
+# from the seed corpus WriteBinary produces (FuzzReadBinary).
+go test -run '^$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/graphio/
+
 echo "==> benchmark module"
 # benchmark/ is a module of its own (replace mggcn => ../), so ./... never
 # reaches it: an API it uses could change and only the benchmark gate would
