@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"math"
 	"strings"
 	"time"
@@ -133,12 +132,12 @@ var chaosRetry = comm.RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Microseco
 // is a finding (unless -expect=false makes the pass report-only).
 func (v *verifier) chaosPass() string {
 	if v.cfg.P < 2 {
-		log.Fatalf("chaos needs at least 2 GPUs (a 1-GPU machine has no survivors)")
+		fatalf("chaos needs at least 2 GPUs (a 1-GPU machine has no survivors)")
 	}
 	v.report.Epochs = v.epochs
 	v.report.Scenarios = chaosMatrix(v.selected(fullBatch, gat, sampled), v.faultKind, v.seeds)
 	if len(v.report.Scenarios) == 0 {
-		log.Fatalf("no %q scenario for -strategy %s (faults: %s)", v.faultKind, v.only, strings.Join(sampledFaultKinds, ", "))
+		fatalf("no %q scenario for -strategy %s (faults: %s)", v.faultKind, v.only, strings.Join(sampledFaultKinds, ", "))
 	}
 	var run func(*scenario)
 	for i := range v.report.Scenarios {
@@ -208,7 +207,7 @@ func (v *verifier) chaosRunner(st *strategy) func(*scenario) {
 
 	clean, _, _, err := train(nil)
 	if err != nil {
-		log.Fatalf("chaos baseline %s: %v", st.name, err)
+		fatalf("chaos baseline %s: %v", st.name, err)
 	}
 	return func(sc *scenario) {
 		inj := fault.New(chaosPlan(st.kind, sc.Fault, sc.Seed, p))
@@ -251,14 +250,14 @@ func (v *verifier) gatChaos(cfg core.Config) func(*scenario) {
 	forward := func(c core.Config) (*tensor.Dense, error) {
 		d, err := core.NewGATDist(v.graph, model, c)
 		if err != nil {
-			log.Fatalf("chaos gat: %v", err)
+			fatalf("chaos gat: %v", err)
 		}
 		logits, _, err := d.Forward()
 		return logits, err
 	}
 	clean, err := forward(cfg)
 	if err != nil {
-		log.Fatalf("chaos baseline gat: %v", err)
+		fatalf("chaos baseline gat: %v", err)
 	}
 	return func(sc *scenario) {
 		inj := fault.New(chaosPlan(gat, sc.Fault, sc.Seed, v.cfg.P))

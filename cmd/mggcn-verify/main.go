@@ -33,7 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -63,6 +63,7 @@ type verifier struct {
 	faultKind string
 	expect    bool
 	jsonOut   bool
+	out       io.Writer // verdict lines and the JSON report
 
 	all      bool // running every pass
 	subjects map[string]*subject
@@ -104,48 +105,70 @@ var passes = []struct {
 	{"chaos", (*verifier).chaosPass},
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("mggcn-verify: ")
-	if len(os.Args) < 2 || strings.HasPrefix(os.Args[1], "-") {
-		log.Fatal("usage: mggcn-verify <san|schedcheck|memcheck|chaos|all> [flags]")
-	}
-	which := os.Args[1]
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-	v := &verifier{all: which == "all", subjects: map[string]*subject{}, cfg: core.DefaultConfig(sim.MachineSpec{}, 4, 1)}
-	flag.StringVar(&v.machine, "machine", "a100", "machine: v100 or a100")
-	flag.IntVar(&v.cfg.P, "gpus", v.cfg.P, "number of GPUs (1-8; chaos needs 2)")
+// fatal is an error no pass can turn into a finding: fatalf raises it
+// wherever it arises, and run reports it and exits 1.
+type fatal struct{ error }
+
+func fatalf(format string, args ...interface{}) { panic(fatal{fmt.Errorf(format, args...)}) }
+
+// run is one invocation: args without the program name, verdict lines or
+// the JSON report on stdout, diagnostics on stderr. It returns the exit
+// code: 0 when every pass holds, 1 on a finding or an error, 2 on a bad flag.
+func run(args []string, stdout io.Writer) (code int) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case fatal:
+			fmt.Fprintf(os.Stderr, "mggcn-verify: %v\n", r.error)
+			code = 1
+		default:
+			panic(r)
+		}
+	}()
+	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
+		fatalf("usage: mggcn-verify <san|schedcheck|memcheck|chaos|all> [flags]")
+	}
+	which := args[0]
+
+	v := &verifier{all: which == "all", out: stdout, subjects: map[string]*subject{}, cfg: core.DefaultConfig(sim.MachineSpec{}, 4, 1)}
+	flags := flag.NewFlagSet("mggcn-verify "+which, flag.ContinueOnError)
+	flags.StringVar(&v.machine, "machine", "a100", "machine: v100 or a100")
+	flags.IntVar(&v.cfg.P, "gpus", v.cfg.P, "number of GPUs (1-8; chaos needs 2)")
 	var names []string
 	for _, s := range strategies {
 		names = append(names, s.name)
 	}
-	flag.StringVar(&v.only, "strategy", "all", strings.Join(names, ", ")+", or all")
-	flag.IntVar(&v.cfg.Hidden, "hidden", 16, "hidden layer width")
-	flag.IntVar(&v.cfg.Layers, "layers", v.cfg.Layers, "layer count")
-	n := flag.Int("n", 160, "synthetic vertex count")
-	degree := flag.Int("degree", 8, "synthetic average degree")
-	features := flag.Int("features", 12, "synthetic feature width")
-	classes := flag.Int("classes", 4, "synthetic class count")
-	flag.IntVar(&v.cfg.MemScale, "memscale", v.cfg.MemScale, "dataset scale factor S")
-	flag.IntVar(&v.seeds, "seeds", 2, "san: adversarial replay seeds per strategy; chaos: fault seeds per scenario")
-	flag.BoolVar(&v.noFences, "ignore-fences", false, "san: model removed cross-stream fences; conflicts are then expected")
-	flag.IntVar(&v.fitScale, "scale", 1, "memcheck: catalog scale divisor for fit verdicts (1 = paper scale)")
-	flag.IntVar(&v.fitHidden, "fit-hidden", 512, "memcheck: hidden width for fit verdicts")
-	flag.IntVar(&v.epochs, "epochs", 4, "chaos: effective training epochs per scenario")
-	flag.StringVar(&v.faultKind, "fault", "all", "chaos: "+strings.Join(sampledFaultKinds, ", ")+", or all")
-	flag.BoolVar(&v.expect, "expect", true, "chaos: exit 1 when an outcome deviates from its expectation")
-	flag.BoolVar(&v.jsonOut, "json", false, "emit one JSON report instead of verdict lines (implied by the chaos pass alone)")
-	if err := flag.CommandLine.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
+	flags.StringVar(&v.only, "strategy", "all", strings.Join(names, ", ")+", or all")
+	flags.IntVar(&v.cfg.Hidden, "hidden", 16, "hidden layer width")
+	flags.IntVar(&v.cfg.Layers, "layers", v.cfg.Layers, "layer count")
+	n := flags.Int("n", 160, "synthetic vertex count")
+	degree := flags.Int("degree", 8, "synthetic average degree")
+	features := flags.Int("features", 12, "synthetic feature width")
+	classes := flags.Int("classes", 4, "synthetic class count")
+	flags.IntVar(&v.cfg.MemScale, "memscale", v.cfg.MemScale, "dataset scale factor S")
+	flags.IntVar(&v.seeds, "seeds", 2, "san: adversarial replay seeds per strategy; chaos: fault seeds per scenario")
+	flags.BoolVar(&v.noFences, "ignore-fences", false, "san: model removed cross-stream fences; conflicts are then expected")
+	flags.IntVar(&v.fitScale, "scale", 1, "memcheck: catalog scale divisor for fit verdicts (1 = paper scale)")
+	flags.IntVar(&v.fitHidden, "fit-hidden", 512, "memcheck: hidden width for fit verdicts")
+	flags.IntVar(&v.epochs, "epochs", 4, "chaos: effective training epochs per scenario")
+	flags.StringVar(&v.faultKind, "fault", "all", "chaos: "+strings.Join(sampledFaultKinds, ", ")+", or all")
+	flags.BoolVar(&v.expect, "expect", true, "chaos: exit 1 when an outcome deviates from its expectation")
+	flags.BoolVar(&v.jsonOut, "json", false, "emit one JSON report instead of verdict lines (implied by the chaos pass alone)")
+	if err := flags.Parse(args[1:]); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
 	v.jsonOut = v.jsonOut || which == "chaos"
 
 	var err error
 	if v.cfg.Spec, err = sim.ParseMachine(v.machine); err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 	if v.only != "all" && lookup(v.only) == nil {
-		log.Fatalf("unknown strategy %q", v.only)
+		fatalf("unknown strategy %q", v.only)
 	}
 	v.graph = gen.Generate("verify", gen.DefaultBTER(*n, float64(*degree), 99), *features, *classes, false)
 	v.report = report{Machine: v.cfg.Spec.Name, GPUs: v.cfg.P}
@@ -168,24 +191,25 @@ func main() {
 		}
 	}
 	if len(v.report.Passes) == 0 {
-		log.Fatalf("unknown pass %q (want san, schedcheck, memcheck, chaos or all)", which)
+		fatalf("unknown pass %q (want san, schedcheck, memcheck, chaos or all)", which)
 	}
 	if v.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(v.report); err != nil {
-			log.Fatal(err)
+			fatalf("%v", err)
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // say prints a verdict line unless the JSON report replaces them.
 func (v *verifier) say(format string, args ...interface{}) {
 	if !v.jsonOut {
-		fmt.Printf(format, args...)
+		fmt.Fprintf(v.out, format, args...)
 	}
 }
 

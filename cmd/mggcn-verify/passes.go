@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"mggcn/internal/memcheck"
 	"mggcn/internal/san"
@@ -83,7 +82,7 @@ func (v *verifier) schedcheckPass() string {
 			Dims: s.dims, OrderSwitch: v.cfg.OrderSwitch, SkipFirstBackward: v.cfg.SkipFirstBackward,
 		})
 		if err != nil {
-			log.Fatalf("%s: %v", s.label(), err)
+			fatalf("%s: %v", s.label(), err)
 		}
 		env := schedcheck.EnvFor(v.graph.N(), s.p, int64(v.cfg.MemScale), s.dims)
 		for _, f := range schedcheck.CertifyVolume(s.graph, vol, env) {
@@ -138,7 +137,7 @@ func (v *verifier) memcheckPass() string {
 	var err error
 	v.report.Fit, err = memcheck.FitCatalog(v.cfg.Spec, v.cfg.P, v.fitScale, v.fitHidden, v.cfg.Layers)
 	if err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 	v.say("\nfit verdicts at scale %d on %s (%d GPUs, %d B/GPU):\n", v.fitScale, v.machine, v.cfg.P, v.cfg.Spec.MemBytesPerGPU)
 	for _, f := range v.report.Fit {
@@ -176,7 +175,7 @@ func (s *subject) crossChecks(memScale, n int, m int64) []crossCheck {
 		fp, err := memcheck.PeakForm(s.name, s.model(d))
 		must(err)
 		if fp.Uncertified != "" {
-			log.Fatalf("%s d%d: uncertified: %s", s.label(), d, fp.Uncertified)
+			fatalf("%s d%d: uncertified: %s", s.label(), d, fp.Uncertified)
 		}
 		env := s.env(d)
 		certified, err := fp.SlabBytes.Eval(env)

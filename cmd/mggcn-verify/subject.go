@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"mggcn/internal/baseline"
 	"mggcn/internal/comm"
@@ -79,7 +78,7 @@ func (v *verifier) selected(kinds ...kind) []*strategy {
 		}
 	}
 	if len(out) == 0 && !v.all {
-		log.Fatalf("strategy %q has no %s pass", v.only, v.pass.Pass)
+		fatalf("strategy %q has no %s pass", v.only, v.pass.Pass)
 	}
 	return out
 }
@@ -144,7 +143,7 @@ func (s *subject) label() string { return fmt.Sprintf("%s@%d", s.name, s.p) }
 // must aborts the invocation on an error no pass can turn into a finding.
 func (s *subject) must(err error) {
 	if err != nil {
-		log.Fatalf("%s: %v", s.label(), err)
+		fatalf("%s: %v", s.label(), err)
 	}
 }
 

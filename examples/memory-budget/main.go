@@ -1,7 +1,7 @@
-// Memory budget: Fig 12's experiment — how many GCN layers fit per GPU
-// memory budget on the Reddit graph (hidden 512), comparing MG-GCN's L+3
-// shared-buffer scheme against DGL's and CAGNET's per-layer allocation.
-// Also demonstrates OOM reporting through the public API.
+// Memory budget: Fig 12's experiment through the public API — how many GCN
+// layers MG-GCN's L+3 shared-buffer scheme fits per GPU memory budget on the
+// Reddit graph (hidden 512), on 1 and 8 GPUs. `mggcn-bench -exp fig12` adds
+// the DGL and CAGNET columns. Also demonstrates OOM reporting.
 package main
 
 import (

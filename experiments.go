@@ -457,6 +457,63 @@ func RunFig11() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "fig11", Title: "Fig 11", Text: tab.String(), Values: out}, nil
 }
 
+// maxFitLayers caps deepestFit: no column of Fig 12 gets near it.
+const maxFitLayers = 4096
+
+// deepestFit returns the largest depth L <= maxFitLayers whose footprint
+// bytes(L) fits budget, or 0 when one layer does not. A footprint never
+// shrinks as L grows (each layer adds a slab and a weight matrix), so probing
+// L = 1, 2, 4, ... until one fails and then bisecting finds it in about
+// 2 log2 L evaluations. A probe's error is returned as is.
+func deepestFit(budget int64, bytes func(layers int) (int64, error)) (int, error) {
+	lo, hi := 0, maxFitLayers+1 // lo fits (0 trivially); hi does not, or is past the cap
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if hi > maxFitLayers { // nothing has failed yet
+			mid = max(1, 2*lo)
+		}
+		b, err := bytes(mid)
+		if err != nil {
+			return 0, err
+		}
+		if b <= budget {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
+}
+
+// fig12Column is one line of Fig 12: a trainer's per-GPU footprint at full
+// scale as a function of depth (Reddit, hidden 512).
+type fig12Column struct {
+	key, title string
+	bytes      func(layers int) (int64, error)
+}
+
+func fig12Columns(ds *Dataset) []fig12Column {
+	mg := func(p int) func(int) (int64, error) {
+		return func(layers int) (int64, error) {
+			cfg := core.Config{Spec: DGXV100(), P: p, MemScale: ds.scale, Hidden: 512, Layers: layers}
+			return core.EstimateMemoryBytesPerDevice(ds.g, cfg)
+		}
+	}
+	return []fig12Column{
+		{"dgl1", "DGL/1GPU", func(layers int) (int64, error) {
+			return baseline.NewDGL(DGXV100(), ds.scale, 512, layers).MemoryBytes(ds.g), nil
+		}},
+		{"mg1", "MG-GCN/1GPU", mg(1)},
+		{"cagnet8", "CAGNET/8GPU", func(layers int) (int64, error) {
+			return baseline.NewCAGNET(DGXV100(), 8, ds.scale, 512, layers).MemoryBytes(ds.g), nil
+		}},
+		{"mg8", "MG-GCN/8GPU", mg(8)},
+	}
+}
+
+// fig12BudgetsGiB are the per-GPU budgets Fig 12 reads the depth at.
+var fig12BudgetsGiB = []int64{2, 4, 8, 16, 24, 30}
+
 // RunFig12 regenerates the memory-vs-layers comparison: the deepest model
 // fitting each per-GPU budget, Reddit with hidden 512.
 func RunFig12() (*ExperimentResult, error) {
@@ -464,32 +521,24 @@ func RunFig12() (*ExperimentResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	budgetsGiB := []int64{2, 4, 8, 16, 24, 30}
-	tab := report.NewTable("Max layers within per-GPU budget (Reddit, hidden 512)",
-		"DGL/1GPU", "MG-GCN/1GPU", "CAGNET/8GPU", "MG-GCN/8GPU")
+	cols := fig12Columns(ds)
+	var titles []string
+	for _, c := range cols {
+		titles = append(titles, c.title)
+	}
+	tab := report.NewTable("Max layers within per-GPU budget (Reddit, hidden 512)", titles...)
 	vals := map[string]float64{}
-	for _, gib := range budgetsGiB {
-		budget := gib << 30
-		dgl := baseline.NewDGL(DGXV100(), ds.scale, 512, 2).MaxLayersWithin(ds.g, budget)
-		cag := baseline.NewCAGNET(DGXV100(), 8, ds.scale, 512, 2).MaxLayersWithin(ds.g, budget)
-		mgCfg := func(p int) core.Config {
-			return core.Config{Spec: DGXV100(), P: p, MemScale: ds.scale, Hidden: 512, Layers: 2}
+	for _, gib := range fig12BudgetsGiB {
+		var cells []string
+		for _, c := range cols {
+			layers, err := deepestFit(gib<<30, c.bytes)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, fmt.Sprint(layers))
+			vals[fmt.Sprintf("%d/%s", gib, c.key)] = float64(layers)
 		}
-		mg1, err := core.MaxLayersWithin(ds.g, mgCfg(1), budget)
-		if err != nil {
-			return nil, err
-		}
-		mg8, err := core.MaxLayersWithin(ds.g, mgCfg(8), budget)
-		if err != nil {
-			return nil, err
-		}
-		tab.AddRow(fmt.Sprintf("%d GiB", gib),
-			fmt.Sprintf("%d", dgl), fmt.Sprintf("%d", mg1),
-			fmt.Sprintf("%d", cag), fmt.Sprintf("%d", mg8))
-		vals[fmt.Sprintf("%d/dgl1", gib)] = float64(dgl)
-		vals[fmt.Sprintf("%d/mg1", gib)] = float64(mg1)
-		vals[fmt.Sprintf("%d/cagnet8", gib)] = float64(cag)
-		vals[fmt.Sprintf("%d/mg8", gib)] = float64(mg8)
+		tab.AddRow(fmt.Sprintf("%d GiB", gib), cells...)
 	}
 	return &ExperimentResult{ID: "fig12", Title: "Fig 12", Text: tab.String(), Values: vals}, nil
 }

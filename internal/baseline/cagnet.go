@@ -203,20 +203,6 @@ func (c CAGNETConfig) MemoryBytes(g *graph.Graph) int64 {
 	return adj + feats + perLayer + recv + params*4*4
 }
 
-// MaxLayersWithin returns the largest layer count fitting in budget bytes.
-func (c CAGNETConfig) MaxLayersWithin(g *graph.Graph, budget int64) int {
-	best := 0
-	for l := 1; l <= 4096; l++ {
-		trial := c
-		trial.Layers = l
-		if trial.MemoryBytes(g) > budget {
-			break
-		}
-		best = l
-	}
-	return best
-}
-
 // CommTime1D returns the §5.1 closed-form communication time of the 1D
 // algorithm for an n x d feature matrix on the spec's 8-GPU machine:
 // P broadcasts of nd/P bytes over the full group.

@@ -123,18 +123,3 @@ func (c DGLConfig) MemoryBytes(g *graph.Graph) int64 {
 	}
 	return adj + feats + perLayer + transient + params*4*4
 }
-
-// MaxLayersWithin returns the largest layer count whose MemoryBytes fits in
-// budget bytes (at full scale), or 0 if even one layer does not fit.
-func (c DGLConfig) MaxLayersWithin(g *graph.Graph, budget int64) int {
-	best := 0
-	for l := 1; l <= 4096; l++ {
-		trial := c
-		trial.Layers = l
-		if trial.MemoryBytes(g) > budget {
-			break
-		}
-		best = l
-	}
-	return best
-}

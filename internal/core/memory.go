@@ -40,23 +40,3 @@ func EstimateMemoryBytesPerDevice(g *graph.Graph, cfg Config) (int64, error) {
 	}
 	return fp.Resident.Eval(memcheck.DeviceEnv(rows, rows, adj, dims))
 }
-
-// MaxLayersWithin returns the largest layer count whose estimated
-// per-device footprint fits the byte budget (0 if none does) — the MG-GCN
-// line of Fig 12.
-func MaxLayersWithin(g *graph.Graph, cfg Config, budget int64) (int, error) {
-	best := 0
-	for l := 1; l <= 4096; l++ {
-		trial := cfg
-		trial.Layers = l
-		bytes, err := EstimateMemoryBytesPerDevice(g, trial)
-		if err != nil {
-			return 0, err
-		}
-		if bytes > budget {
-			break
-		}
-		best = l
-	}
-	return best, nil
-}

@@ -71,13 +71,24 @@ func kBroadcast(p, c, dev int, overlap bool) int {
 	return len(seen)
 }
 
+// perLayer sums term(l) over the layers l = 0..layers-1.
+func perLayer(layers int, term func(l int) *schedcheck.Expr) *schedcheck.Expr {
+	terms := make([]*schedcheck.Expr, layers)
+	for l := range terms {
+		terms[l] = term(l)
+	}
+	return schedcheck.Sum(terms...)
+}
+
 // params returns the symbolic weight-parameter count sum F(l)*F(l+1).
 func params(layers int) *schedcheck.Expr {
-	e := schedcheck.Const(0)
-	for l := 0; l < layers; l++ {
-		e = e.Add(atomF(l).Mul(atomF(l + 1)))
-	}
-	return e
+	return perLayer(layers, func(l int) *schedcheck.Expr { return atomF(l).Mul(atomF(l + 1)) })
+}
+
+// activations returns the symbolic element count of the per-layer AHW
+// slabs, each allocated at the wider of its layer's two widths.
+func activations(dims []int) *schedcheck.Expr {
+	return perLayer(len(dims)-1, func(l int) *schedcheck.Expr { return atomR().Mul(atomF(wideIdx(dims, l))) })
 }
 
 // fullBatchFootprint certifies the GCN trainer's §4.2 slab set: the shared
@@ -101,20 +112,10 @@ func fullBatchFootprint(m Model, kind string, c int) (*Footprint, error) {
 	k := kBroadcast(m.P, c, m.Device, m.Overlap)
 	maxI := maxDimIdx(m.Dims)
 
-	slab := atomR().Mul(atomF(maxI))
-	slab = slab.Add(atomT().Mul(atomF(maxI)).Scale(int64(k), 1))
-	for l := 0; l < layers; l++ {
-		slab = slab.Add(atomR().Mul(atomF(wideIdx(m.Dims, l))))
-	}
-
-	resident := atomA()
-	resident = resident.Add(atomR().Mul(atomF(0)).Scale(4, 1))
-	resident = resident.Add(params(layers).Scale(16, 1))
-	alloc := atomR().Mul(atomF(maxI)).Add(atomT().Mul(atomF(maxI)).Scale(2, 1))
-	for l := 0; l < layers; l++ {
-		alloc = alloc.Add(atomR().Mul(atomF(wideIdx(m.Dims, l))))
-	}
-	resident = resident.Add(alloc.Scale(4, 1))
+	acts := activations(m.Dims)
+	slab := schedcheck.Sum(atomR().Mul(atomF(maxI)), atomT().Mul(atomF(maxI)).Scale(int64(k), 1), acts)
+	alloc := schedcheck.Sum(atomR().Mul(atomF(maxI)), atomT().Mul(atomF(maxI)).Scale(2, 1), acts)
+	resident := schedcheck.Sum(atomA(), atomR().Mul(atomF(0)).Scale(4, 1), params(layers).Scale(16, 1), alloc.Scale(4, 1))
 
 	fp := &Footprint{
 		SlabBytes: slab.Scale(4, 1),
@@ -159,25 +160,16 @@ func gatFootprint(m Model) (*Footprint, error) {
 	}
 	k := kBroadcast(m.P, 1, m.Device, m.Overlap)
 
-	slab := atomR().Mul(atomF(maxI)).Scale(2, 1)
-	slab = slab.Add(atomT().Mul(atomF(maxI)).Scale(int64(k), 1))
+	slab := atomR().Mul(atomF(maxI)).Scale(2, 1).Add(atomT().Mul(atomF(maxI)).Scale(int64(k), 1))
 
 	// gat-model holds weights plus the two attention vectors per layer at
 	// 4 bytes each (no optimizer moments: forward only); gat-attn charges
 	// half the adjacency bytes for the per-edge score storage.
-	gatParams := schedcheck.Const(0)
-	for l := 0; l < layers; l++ {
-		gatParams = gatParams.Add(atomF(l).Mul(atomF(l + 1)))
-		gatParams = gatParams.Add(atomF(l+1).Scale(2, 1))
-	}
-	resident := atomA().Add(atomA().Scale(1, 2))
-	resident = resident.Add(atomR().Mul(atomF(0)).Scale(4, 1))
-	resident = resident.Add(gatParams.Scale(4, 1))
-	alloc := atomR().Mul(atomF(maxI)).Add(atomT().Mul(atomF(maxI)).Scale(2, 1))
-	for l := 0; l < layers; l++ {
-		alloc = alloc.Add(atomR().Mul(atomF(wideIdx(m.Dims, l))))
-	}
-	resident = resident.Add(alloc.Scale(4, 1))
+	gatParams := perLayer(layers, func(l int) *schedcheck.Expr {
+		return atomF(l).Mul(atomF(l + 1)).Add(atomF(l+1).Scale(2, 1))
+	})
+	alloc := schedcheck.Sum(atomR().Mul(atomF(maxI)), atomT().Mul(atomF(maxI)).Scale(2, 1), activations(m.Dims))
+	resident := schedcheck.Sum(atomA(), atomA().Scale(1, 2), atomR().Mul(atomF(0)).Scale(4, 1), gatParams.Scale(4, 1), alloc.Scale(4, 1))
 
 	fp := &Footprint{
 		SlabBytes: slab.Scale(4, 1),
@@ -228,13 +220,14 @@ func sampledFootprint(m Model) (*Footprint, error) {
 		}
 	}
 
-	slab := atomC().Mul(atomF(0))                         // cache
-	slab = slab.Add(atomV(0).Mul(atomF(0)))               // X
-	slab = slab.Add(atomV(gIdx + 1).Mul(atomF(gIdx + 1))) // G
-	for l := 0; l < layers; l++ {
-		slab = slab.Add(atomV(l + 1).Mul(atomF(l)))     // AH[l]
-		slab = slab.Add(atomV(l + 1).Mul(atomF(l + 1))) // OUT[l]
-	}
+	slab := schedcheck.Sum(
+		atomC().Mul(atomF(0)),            // cache
+		atomV(0).Mul(atomF(0)),           // X
+		atomV(gIdx+1).Mul(atomF(gIdx+1)), // G
+		perLayer(layers, func(l int) *schedcheck.Expr { // AH[l] and OUT[l]
+			return atomV(l + 1).Mul(atomF(l).Add(atomF(l + 1)))
+		}),
+	)
 
 	resident := params(layers).Scale(16, 1).Add(slab.Scale(4, 1))
 
@@ -261,16 +254,17 @@ func cagnetFootprint(m Model) (*Footprint, error) {
 		return nil, fmt.Errorf("memcheck: cagnet needs at least 1 layer, got dims %v", m.Dims)
 	}
 	maxI := maxDimIdx(m.Dims)
-	resident := atomR().Scale(8, 1).Add(schedcheck.Const(8))
-	resident = resident.Add(schedcheck.Atom("Z").Scale(8, 1))
-	resident = resident.Add(atomR().Mul(atomF(0)).Scale(4, 1))
-	for l := 0; l < layers; l++ {
-		resident = resident.Add(atomR().Mul(atomF(l+1)).Scale(12, 1))
-	}
-	resident = resident.Add(atomR().Mul(atomF(maxI)).Scale(8, 1))
-	resident = resident.Add(params(layers).Scale(16, 1))
 	return &Footprint{
-		Resident:    resident,
+		Resident: schedcheck.Sum(
+			atomR().Add(schedcheck.Const(1)).Scale(8, 1), // row pointers
+			schedcheck.Atom("Z").Scale(8, 1),             // column indices and values
+			atomR().Mul(atomF(0)).Scale(4, 1),            // feature shard
+			perLayer(layers, func(l int) *schedcheck.Expr { // three buffers per layer
+				return atomR().Mul(atomF(l+1)).Scale(12, 1)
+			}),
+			atomR().Mul(atomF(maxI)).Scale(8, 1), // two stage-receive buffers
+			params(layers).Scale(16, 1),          // weights and Adam moments
+		),
 		Uncertified: "cagnet is a phantom cost model: its graph declares no buffer access sets, so there is no slab universe to certify",
 	}, nil
 }

@@ -134,21 +134,19 @@ func spmmWidths(m Model) []*Expr {
 // weightAllReduce is Σ_l 2·(P-1)·F_l·F_{l+1}: one unscaled gradient
 // all-reduce per layer, issued by the Trainer under every strategy.
 func weightAllReduce(m Model) *Expr {
-	pm1 := Atom("P").Sub(Const(1))
-	total := Const(0)
-	for l := 0; l+1 < len(m.Dims); l++ {
-		total = total.Add(Const(2).Mul(pm1).Mul(atomF(l)).Mul(atomF(l + 1)))
-	}
-	return total
+	return Const(2).Mul(Atom("P").Sub(Const(1))).Mul(weights(m))
 }
 
-func sumWidths(m Model) *Expr {
-	total := Const(0)
-	for _, w := range spmmWidths(m) {
-		total = total.Add(w)
+// weights is Σ_l F_l·F_{l+1}, the model's weight count.
+func weights(m Model) *Expr {
+	terms := make([]*Expr, len(m.Dims)-1)
+	for l := range terms {
+		terms[l] = atomF(l).Mul(atomF(l + 1))
 	}
-	return total
+	return Sum(terms...)
 }
+
+func sumWidths(m Model) *Expr { return Sum(spmmWidths(m)...) }
 
 // VolumeForm builds the closed form of the named strategy under m: the three
 // full-batch SpMM strategies (core.Strategy.Name), the GAT forward, or the
@@ -175,34 +173,29 @@ func VolumeForm(strategy string, m Model) (*Volume, error) {
 		// GAT forward (§7): per layer one all-gather of the n per-vertex
 		// source scores — total extent N·1, so (P-1)·N·S — plus the staged
 		// broadcast of Z at the output width, (P-1)·N·F_{l+1}·S.
-		bc := Const(0)
-		ag := Const(0)
-		for l := 0; l < L; l++ {
-			bc = bc.Add(pm1.Mul(NS).Mul(atomF(l + 1)))
-			ag = ag.Add(pm1.Mul(NS))
+		outs := make([]*Expr, L)
+		for l := range outs {
+			outs[l] = atomF(l + 1)
 		}
 		return &Volume{PerOp: map[sim.CollOp]*Expr{
-			sim.CollBroadcast: bc,
-			sim.CollAllGather: ag,
+			sim.CollBroadcast: pm1.Mul(NS).Mul(Sum(outs...)),
+			sim.CollAllGather: pm1.Mul(NS).Scale(int64(L), 1),
 		}}, nil
 	case "cagnet":
 		// CAGNET 1D baseline: aggregate-then-transform at min(F_l, F_{l+1})
 		// forward, full-width backward SpMM on every layer (no §4.4
 		// savings), and one full-model gradient all-reduce per layer.
-		bc := Const(0)
-		params := Const(0)
-		for l := 0; l < L; l++ {
+		widths := make([]*Expr, L)
+		for l := range widths {
 			w := atomF(l + 1)
 			if m.Dims[l] < m.Dims[l+1] {
 				w = atomF(l)
 			}
-			bc = bc.Add(pm1.Mul(NS).Mul(w.Add(atomF(l + 1))))
-			params = params.Add(atomF(l).Mul(atomF(l + 1)))
+			widths[l] = w.Add(atomF(l + 1))
 		}
-		ar := Const(2 * int64(L)).Mul(pm1).Mul(params)
 		return &Volume{PerOp: map[sim.CollOp]*Expr{
-			sim.CollBroadcast: bc,
-			sim.CollAllReduce: ar,
+			sim.CollBroadcast: pm1.Mul(NS).Mul(Sum(widths...)),
+			sim.CollAllReduce: Const(2 * int64(L)).Mul(pm1).Mul(weights(m)),
 		}}, nil
 	}
 	return nil, fmt.Errorf("schedcheck: no volume form for strategy %q", strategy)

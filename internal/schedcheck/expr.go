@@ -76,7 +76,11 @@ func Atom(name string) *Expr {
 }
 
 func (e *Expr) addTerm(coef *big.Rat, atoms map[string]int) {
-	key := monoKey(atoms)
+	e.addKeyed(monoKey(atoms), coef, atoms)
+}
+
+// addKeyed is addTerm for a caller that already holds the monomial's key.
+func (e *Expr) addKeyed(key string, coef *big.Rat, atoms map[string]int) {
 	if t, ok := e.terms[key]; ok {
 		t.coef.Add(t.coef, coef)
 		if t.coef.Sign() == 0 {
@@ -91,30 +95,23 @@ func (e *Expr) addTerm(coef *big.Rat, atoms map[string]int) {
 	e.terms[key] = &term{coef: new(big.Rat).Set(coef), atoms: cp}
 }
 
-// Add returns e + o.
-func (e *Expr) Add(o *Expr) *Expr {
+// Sum returns the sum of es in one pass over their terms, so a form with one
+// term per layer costs O(L) to build rather than the O(L²) of folding Add.
+func Sum(es ...*Expr) *Expr {
 	out := newExpr()
-	for _, t := range e.terms {
-		out.addTerm(t.coef, t.atoms)
-	}
-	for _, t := range o.terms {
-		out.addTerm(t.coef, t.atoms)
+	for _, e := range es {
+		for key, t := range e.terms {
+			out.addKeyed(key, t.coef, t.atoms)
+		}
 	}
 	return out
 }
 
+// Add returns e + o.
+func (e *Expr) Add(o *Expr) *Expr { return Sum(e, o) }
+
 // Sub returns e - o.
-func (e *Expr) Sub(o *Expr) *Expr {
-	neg := new(big.Rat)
-	out := newExpr()
-	for _, t := range e.terms {
-		out.addTerm(t.coef, t.atoms)
-	}
-	for _, t := range o.terms {
-		out.addTerm(neg.Neg(t.coef), t.atoms)
-	}
-	return out
-}
+func (e *Expr) Sub(o *Expr) *Expr { return Sum(e, o.Scale(-1, 1)) }
 
 // Mul returns e * o.
 func (e *Expr) Mul(o *Expr) *Expr {
@@ -142,9 +139,8 @@ func (e *Expr) Scale(num, den int64) *Expr {
 	}
 	r := big.NewRat(num, den)
 	out := newExpr()
-	for _, t := range e.terms {
-		c := new(big.Rat).Mul(t.coef, r)
-		out.addTerm(c, t.atoms)
+	for key, t := range e.terms {
+		out.addKeyed(key, new(big.Rat).Mul(t.coef, r), t.atoms)
 	}
 	return out
 }

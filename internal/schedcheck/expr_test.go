@@ -39,6 +39,36 @@ func TestExprAlgebra(t *testing.T) {
 	}
 }
 
+func TestSumMatchesFoldedAdd(t *testing.T) {
+	terms := []*Expr{
+		Atom("F0").Mul(Atom("F1")), Atom("N").Scale(3, 2), Const(-4),
+		Atom("F0").Mul(Atom("F1")).Scale(-1, 1), Atom("N").Scale(1, 2), Const(4), Atom("S"),
+	}
+	before := make([]string, len(terms))
+	folded := Const(0)
+	for i, e := range terms {
+		before[i] = e.String()
+		folded = folded.Add(e)
+	}
+	sum := Sum(terms...)
+	if sum.String() != folded.String() || sum.String() != "2*N + S" {
+		t.Fatalf("Sum = %q, folded Add = %q, want 2*N + S", sum, folded)
+	}
+	for i, e := range terms {
+		if e.String() != before[i] {
+			t.Fatalf("Sum mutated operand %d: %q -> %q", i, before[i], e)
+		}
+	}
+	// The result owns its coefficients: merging like terms into it leaves
+	// the operand they came from alone.
+	if twice := Sum(sum, sum); twice.String() != "4*N + 2*S" || sum.String() != "2*N + S" {
+		t.Fatalf("Sum(s, s) = %q with s now %q, want 4*N + 2*S and 2*N + S", twice, sum)
+	}
+	if s := Sum().String(); s != "0" {
+		t.Fatalf("empty Sum renders %q", s)
+	}
+}
+
 func TestExprEvalErrors(t *testing.T) {
 	if _, err := Atom("Q").Eval(Env{"N": 1}); err == nil || !strings.Contains(err.Error(), "unbound") {
 		t.Fatalf("unbound atom error = %v", err)

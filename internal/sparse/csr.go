@@ -6,7 +6,7 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CSR is a sparse matrix in Compressed Sparse Row format.
@@ -55,43 +55,59 @@ type Coo struct {
 }
 
 // FromCoo builds a CSR matrix from coordinate entries. Duplicate (row,col)
-// pairs are summed. If withVals is false the result is structure-only and
-// duplicate coordinates are collapsed.
+// pairs are summed in input order. If withVals is false the result is
+// structure-only and duplicate coordinates are collapsed.
 func FromCoo(rows, cols int, entries []Coo, withVals bool) *CSR {
+	// A stable counting scatter by column builds the CSC; its transpose is
+	// the CSR with every row's columns ascending and, within a duplicated
+	// coordinate, the entries still in input order.
+	csc := &CSR{Rows: cols, Cols: rows, RowPtr: make([]int64, cols+2), ColIdx: make([]int32, len(entries))}
+	if withVals {
+		csc.Vals = make([]float32, len(entries))
+	}
 	for _, e := range entries {
 		if int(e.Row) < 0 || int(e.Row) >= rows || int(e.Col) < 0 || int(e.Col) >= cols {
 			panic(fmt.Sprintf("sparse: entry (%d,%d) outside %dx%d", e.Row, e.Col, rows, cols))
 		}
+		csc.RowPtr[e.Col+2]++
 	}
-	sorted := make([]Coo, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
-	m.ColIdx = make([]int32, 0, len(sorted))
-	if withVals {
-		m.Vals = make([]float32, 0, len(sorted))
+	for c := 0; c < cols; c++ {
+		csc.RowPtr[c+2] += csc.RowPtr[c+1]
 	}
-	for i := 0; i < len(sorted); {
-		j := i + 1
-		sum := sorted[i].Val
-		for j < len(sorted) && sorted[j].Row == sorted[i].Row && sorted[j].Col == sorted[i].Col {
-			sum += sorted[j].Val
-			j++
-		}
-		m.ColIdx = append(m.ColIdx, sorted[i].Col)
+	for _, e := range entries {
+		pos := csc.RowPtr[e.Col+1]
+		csc.RowPtr[e.Col+1]++
+		csc.ColIdx[pos] = e.Row
 		if withVals {
-			m.Vals = append(m.Vals, sum)
+			csc.Vals[pos] = e.Val
 		}
-		m.RowPtr[sorted[i].Row+1]++
-		i = j
 	}
+	csc.RowPtr = csc.RowPtr[:cols+1]
+	m := csc.Transpose()
+
+	// Merge each row's adjacent duplicates in place.
+	var w, lo int64
 	for r := 0; r < rows; r++ {
-		m.RowPtr[r+1] += m.RowPtr[r]
+		hi := m.RowPtr[r+1]
+		for k := lo; k < hi; k++ {
+			if k > lo && m.ColIdx[k] == m.ColIdx[w-1] {
+				if withVals {
+					m.Vals[w-1] += m.Vals[k]
+				}
+				continue
+			}
+			m.ColIdx[w] = m.ColIdx[k]
+			if withVals {
+				m.Vals[w] = m.Vals[k]
+			}
+			w++
+		}
+		lo = hi
+		m.RowPtr[r+1] = w
+	}
+	m.ColIdx = m.ColIdx[:w]
+	if withVals {
+		m.Vals = m.Vals[:w]
 	}
 	return m
 }
@@ -161,8 +177,8 @@ func (m *CSR) SubMatrix(r0, r1, c0, c1 int) *CSR {
 	for r := r0; r < r1; r++ {
 		cols, _ := m.Row(r)
 		// Rows are sorted, so the tile's columns are a contiguous range.
-		a := sort.Search(len(cols), func(i int) bool { return cols[i] >= lo32 })
-		b := sort.Search(len(cols), func(i int) bool { return cols[i] >= hi32 })
+		a, _ := slices.BinarySearch(cols, lo32)
+		b, _ := slices.BinarySearch(cols, hi32)
 		t.RowPtr[r-r0+1] = t.RowPtr[r-r0] + int64(b-a)
 	}
 	nnz := t.RowPtr[t.Rows]
@@ -172,8 +188,8 @@ func (m *CSR) SubMatrix(r0, r1, c0, c1 int) *CSR {
 	}
 	for r := r0; r < r1; r++ {
 		cols, vals := m.Row(r)
-		a := sort.Search(len(cols), func(i int) bool { return cols[i] >= lo32 })
-		b := sort.Search(len(cols), func(i int) bool { return cols[i] >= hi32 })
+		a, _ := slices.BinarySearch(cols, lo32)
+		b, _ := slices.BinarySearch(cols, hi32)
 		for k := a; k < b; k++ {
 			t.ColIdx = append(t.ColIdx, cols[k]-lo32)
 			if vals != nil {
@@ -191,8 +207,8 @@ func (m *CSR) CountTileNNZ(r0, r1, c0, c1 int) int64 {
 	var nnz int64
 	for r := r0; r < r1; r++ {
 		cols, _ := m.Row(r)
-		a := sort.Search(len(cols), func(i int) bool { return cols[i] >= lo32 })
-		b := sort.Search(len(cols), func(i int) bool { return cols[i] >= hi32 })
+		a, _ := slices.BinarySearch(cols, lo32)
+		b, _ := slices.BinarySearch(cols, hi32)
 		nnz += int64(b - a)
 	}
 	return nnz

@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PermuteSymmetric returns P*A*Pᵀ for the permutation perm, where perm[old]
 // = new: row/column old of A becomes row/column perm[old] of the result.
@@ -15,66 +12,36 @@ func PermuteSymmetric(a *CSR, perm []int32) *CSR {
 	if len(perm) != a.Rows {
 		panic(fmt.Sprintf("sparse: permutation length %d, want %d", len(perm), a.Rows))
 	}
-	inv := make([]int32, len(perm))
-	seen := make([]bool, len(perm))
-	for old, nw := range perm {
-		if int(nw) < 0 || int(nw) >= len(perm) || seen[nw] {
-			panic(fmt.Sprintf("sparse: perm is not a bijection at %d -> %d", old, nw))
-		}
-		seen[nw] = true
-		inv[nw] = int32(old)
-	}
-	out := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
-	for nw := 0; nw < a.Rows; nw++ {
-		out.RowPtr[nw+1] = out.RowPtr[nw] + a.RowNNZ(int(inv[nw]))
-	}
-	nnz := out.RowPtr[a.Rows]
-	out.ColIdx = make([]int32, nnz)
+	InversePerm(perm) // panics unless perm is a bijection
+	// One counting scatter builds (P*A*Pᵀ)ᵀ: entry (old, c) goes to row
+	// perm[c], column perm[old]. Transpose's own counting pass then visits
+	// those rows in ascending order, so it yields P*A*Pᵀ with every row's
+	// columns ascending, whatever order the scatter left them in.
+	n, nnz := a.Rows, a.NNZ()
+	t := &CSR{Rows: n, Cols: n, RowPtr: make([]int64, n+2), ColIdx: make([]int32, nnz)}
 	if a.Vals != nil {
-		out.Vals = make([]float32, nnz)
+		t.Vals = make([]float32, nnz)
 	}
-	// Scratch for insertion-sorting each permuted row by new column index.
-	var scratch []permEntry
-	for nw := 0; nw < a.Rows; nw++ {
-		old := int(inv[nw])
-		cols, vals := a.Row(old)
-		scratch = scratch[:0]
-		for k, c := range cols {
-			e := permEntry{col: perm[c]}
-			if vals != nil {
-				e.val = vals[k]
-			}
-			scratch = append(scratch, e)
-		}
-		insertionSortEntries(scratch)
-		lo := out.RowPtr[nw]
-		for k, e := range scratch {
-			out.ColIdx[lo+int64(k)] = e.col
-			if out.Vals != nil {
-				out.Vals[lo+int64(k)] = e.val
+	// The cursors live in RowPtr one slot ahead, as in TransposeInto.
+	for _, c := range a.ColIdx[:nnz] {
+		t.RowPtr[perm[c]+2]++
+	}
+	for r := 0; r < n; r++ {
+		t.RowPtr[r+2] += t.RowPtr[r+1]
+	}
+	for old, nw := range perm {
+		for k := a.RowPtr[old]; k < a.RowPtr[old+1]; k++ {
+			r := perm[a.ColIdx[k]]
+			pos := t.RowPtr[r+1]
+			t.RowPtr[r+1]++
+			t.ColIdx[pos] = nw
+			if t.Vals != nil {
+				t.Vals[pos] = a.Vals[k]
 			}
 		}
 	}
-	return out
-}
-
-type permEntry struct {
-	col int32
-	val float32
-}
-
-func insertionSortEntries(s []permEntry) {
-	// Insertion sort wins on the short rows that dominate power-law
-	// graphs; fall back to the library sort for heavy rows.
-	if len(s) > 32 {
-		sort.Slice(s, func(i, j int) bool { return s[i].col < s[j].col })
-		return
-	}
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1].col > s[j].col; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
+	t.RowPtr = t.RowPtr[:n+1]
+	return t.Transpose()
 }
 
 // InversePerm returns the inverse permutation of perm (perm[old]=new ->
