@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mggcn/internal/sim"
 	"mggcn/internal/tensor"
@@ -73,12 +74,7 @@ type DeviceBuffers struct {
 // and maxTileRows is the largest row-block any broadcast can carry. All
 // buffers register with reg.
 func NewDeviceBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, rows, maxTileRows int, dims []int, phantom bool) (*DeviceBuffers, error) {
-	maxDim := 0
-	for _, d := range dims {
-		if d > maxDim {
-			maxDim = d
-		}
-	}
+	maxDim := slices.Max(dims)
 	b := &DeviceBuffers{}
 	var err error
 	if b.HW, err = newBuffer(reg, dev, pool, "buf/HW", int64(rows)*int64(maxDim), phantom); err != nil {
@@ -94,11 +90,7 @@ func NewDeviceBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, rows, maxTi
 		// Layer l's buffer holds its output (width dims[l+1]) in the
 		// forward pass and H_G (width dims[l]) at the end of its backward
 		// pass (eq. 21), so it is sized for the larger of the two.
-		w := dims[l+1]
-		if dims[l] > w {
-			w = dims[l]
-		}
-		buf, err := newBuffer(reg, dev, pool, fmt.Sprintf("buf/AHW%d", l), int64(rows)*int64(w), phantom)
+		buf, err := newBuffer(reg, dev, pool, fmt.Sprintf("buf/AHW%d", l), int64(rows)*int64(max(dims[l], dims[l+1])), phantom)
 		if err != nil {
 			return nil, err
 		}

@@ -122,7 +122,8 @@ func writeCheckpoint(w io.Writer, version uint32, dims []int, body func(cw io.Wr
 // match, then body's payload, then the footer comparison. Body must stage
 // its reads and let the caller apply them only after readCheckpoint returns
 // nil — the footer verdict comes last, and a damaged file must never leave
-// a half-restored model.
+// a half-restored model. Every length comes from the trainer (dims, the
+// replicas' shapes), never from a count in the file.
 func readCheckpoint(r io.Reader, version uint32, dims []int, body func(cr io.Reader, le binary.ByteOrder) error) error {
 	br := bufio.NewReader(r)
 	cr := &crcReader{r: br, sum: crc32.NewIEEE()}
@@ -162,6 +163,9 @@ func readCheckpoint(r io.Reader, version uint32, dims []int, body func(cr io.Rea
 	}
 	if stored != computed {
 		return &CorruptCheckpointError{Stored: stored, Computed: computed}
+	}
+	if _, err := br.ReadByte(); err == nil { // an accepted file saves back byte for byte
+		return fmt.Errorf("core: checkpoint continues past its checksum footer")
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Sampled checkpoints (version 3) extend the full-batch frame with the
@@ -47,6 +48,9 @@ func (tr *SampledTrainer) LoadCheckpoint(r io.Reader) error {
 	})
 	if err != nil {
 		return err
+	}
+	if epoch > math.MaxInt32 || nextBatch > math.MaxInt32 {
+		return fmt.Errorf("core: checkpoint sampler cursor (epoch %d, batch %d) out of range", epoch, nextBatch)
 	}
 	if int64(seed) != tr.Cfg.Seed {
 		return fmt.Errorf("core: checkpoint sampling seed %d, trainer configured with %d — deterministic resume needs the same seed", int64(seed), tr.Cfg.Seed)

@@ -18,7 +18,8 @@ import (
 //
 //	sample (StreamSample):  k-hop fanout blocks from the batch's seed, with
 //	                        the transposes (CSC) the backward pass reads
-//	extract (StreamSample): feature gather through the device's static cache
+//	extract (StreamSample): feature move through the device's static cache
+//	                        (modelled: see below)
 //	train (StreamCompute):  per-layer SpMM→GeMM→ReLU forward, loss, backward
 //	allreduce (StreamComm): per-layer gradient sum across the full group
 //
@@ -42,6 +43,12 @@ import (
 // §4.2 buffer set: 2L+3 slabs (cache, X, G, AH_0..L-1, OUT_1..L), the same
 // at either pipeline depth. internal/memcheck certifies this slab set's
 // peak statically.
+//
+// Extract is a host-to-device move on the modelled machine, and the graph
+// records it as one. On the host it would only copy rows the layer-0 SpMM can
+// read in place, so the cache slab and X are shape-only, the extract closure
+// counts cache hits, and the layer-0 SpMM reads host/x through block 0's
+// global column ids (sample.Block.AdjGlobal) in X's summation order.
 
 // SampledConfig selects the machine, parallelism and sampling schedule of a
 // sampled minibatch run.
@@ -96,10 +103,12 @@ func DefaultSampledConfig(spec sim.MachineSpec, p, memScale int) SampledConfig {
 // counterpart of DeviceBuffers. Capacities come from the frontier caps, so
 // any batch the epoch plan can produce fits:
 //
-//	X:      caps[0]·F_0           — gathered input features h_0. Only the
-//	                                layer-0 SpMM reads it, so one slab serves
-//	                                both handoff slots: extract(s) waits for
-//	                                step s-1's layer-0 SpMM
+//	X:      caps[0]·F_0           — gathered input features h_0, shape-only
+//	                                (charged and registered; the host reads
+//	                                host/x instead). Only the layer-0 SpMM
+//	                                reads it, so one slab serves both handoff
+//	                                slots: extract(s) waits for step s-1's
+//	                                layer-0 SpMM
 //	AH[l]:  caps[l+1]·F_l         — the aggregate A_l·h_l, kept for the
 //	                                weight gradient, then overwritten by
 //	                                t = G·W_lᵀ
@@ -122,7 +131,7 @@ func newSampledBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, caps, dims
 	}
 	b := &sampledBuffers{AH: make([]*Buffer, L), OUT: make([]*Buffer, L)}
 	var err error
-	if b.X, err = newBuffer(reg, dev, pool, "buf/x", int64(caps[0])*int64(dims[0]), false); err != nil {
+	if b.X, err = newBuffer(reg, dev, pool, "buf/x", int64(caps[0])*int64(dims[0]), true); err != nil {
 		return nil, err
 	}
 	if b.G, err = newBuffer(reg, dev, pool, "buf/G", gCap, false); err != nil {
@@ -153,9 +162,9 @@ type SampledTrainer struct {
 	// registry and the last replayed graph come with it).
 	replicas
 	// devs[d] is device d's side of the step; feat is the host-resident
-	// feature store (a registered view of the dataset's matrix — misses
-	// gather from it over the host link); caps are the frontier bounds the
-	// slab capacities derive from.
+	// feature store (a registered view of the dataset's matrix, which the
+	// layer-0 SpMM reads); caps are the frontier bounds the slab capacities
+	// derive from.
 	devs []*sampledDevice
 	feat *tensor.Dense
 	caps []int
@@ -306,17 +315,10 @@ func (tr *SampledTrainer) frontierEstimate(batchLen int) (verts []int, edges []i
 	verts[L] = batchLen
 	n := tr.Graph.N()
 	for h := L - 1; h >= 0; h-- {
-		f := float64(tr.Cfg.Fanouts[h])
-		if tr.avgDeg < f {
-			f = tr.avgDeg
-		}
+		f := min(float64(tr.Cfg.Fanouts[h]), tr.avgDeg)
 		e := float64(verts[h+1]) * (1 + f) // + self-loops
 		edges[h] = int64(e)
-		v := int(e)
-		if v > n {
-			v = n
-		}
-		verts[h] = v
+		verts[h] = min(int(e), n)
 	}
 	return verts, edges
 }
@@ -331,25 +333,15 @@ func (dv *sampledDevice) sample(k int, batch []int32, seed int64) {
 	sl.blocks = sl.sampler.Build(batch, seed)
 }
 
-// extract gathers the input features of slot k's outermost source frontier
-// through the cache into X, returning the hit and miss row counts.
-func (dv *sampledDevice) extract(k int) (hit, miss int) {
-	src := dv.slots[k].blocks[0].Src
-	return dv.cache.Gather(dv.X.View(len(src), dv.tr.Dims[0]), dv.tr.feat, src)
-}
-
-// input returns the slab layer l reads h_l from.
-func (dv *sampledDevice) input(l int) *Buffer {
-	if l == 0 {
-		return dv.X
-	}
-	return dv.OUT[l-1]
-}
-
-// aggregate is layer l's forward SpMM: AH_l = A_l · h_l.
+// aggregate is layer l's forward SpMM: AH_l = A_l · h_l. Layer 0 reads h_0
+// from the host feature store through block 0's global column ids.
 func (dv *sampledDevice) aggregate(k, l int) {
-	adj, dIn := dv.slots[k].blocks[l].Adj, dv.tr.Dims[l]
-	sparse.ParallelSpMM(adj, dv.input(l).View(adj.Cols, dIn), 0, dv.AH[l].View(adj.Rows, dIn), 0)
+	blk, dIn := dv.slots[k].blocks[l], dv.tr.Dims[l]
+	adj, h := blk.AdjGlobal, dv.tr.feat
+	if l > 0 {
+		adj, h = blk.Adj, dv.OUT[l-1].View(blk.Adj.Cols, dIn)
+	}
+	sparse.ParallelSpMM(adj, h, 0, dv.AH[l].View(adj.Rows, dIn), 0)
 }
 
 // transform is layer l's forward GeMM: z_l = AH_l · W_l into OUT[l].
@@ -580,8 +572,8 @@ func (r *segmentRecorder) batch(s, d, b, norm int, wgradID [][]int) {
 		spec.SampleCost(int64(tr.s(int(totalEdges)))), true, sampDeps...)
 	tg.BindShaped(sampID, nil, slotShape, func() { dv.sample(k, batch, seed) })
 
-	// --- Sampler stage: extract (feature gather through cache into
-	// the device's one staging slab) ---
+	// --- Sampler stage: extract (the modelled move through the cache
+	// into the device's one staging slab; the host only counts hits) ---
 	// X's only reader is the layer-0 SpMM, so the slab is free again
 	// once step s-1's has run; the slots double-buffer the blocks.
 	extDeps := []int{sampID}
@@ -597,7 +589,7 @@ func (r *segmentRecorder) batch(s, d, b, norm int, wgradID [][]int) {
 	tg.BindShaped(extID,
 		append(sim.ShapesOf(dv.cache.Slab, tr.feat), sim.OpaqueShape(slotBuf)),
 		append(slotShape, opaque(dv.X)), func() {
-			hit, miss := dv.extract(k)
+			hit, miss := dv.cache.Count(dv.slots[k].blocks[0].Src)
 			meter.Add(sim.CollGatherHit, int64(hit)*int64(d0))
 			meter.Add(sim.CollGatherMiss, int64(miss)*int64(d0))
 		})
@@ -609,11 +601,14 @@ func (r *segmentRecorder) batch(s, d, b, norm int, wgradID [][]int) {
 		ah, out := dv.AH[l], dv.OUT[l]
 		spmmID := tg.AddCompute(d, sim.KindSpMM, fmt.Sprintf("s%d/fwd%d/spmm", s, l), -1,
 			spec.SpMMCost(int64(tr.s(int(edges[l]))), tr.s(verts[l+1]), tr.s(verts[l]), dIn), true, prev)
-		tg.BindShaped(spmmID, append(slotShape, opaque(dv.input(l))), []sim.ViewShape{opaque(ah)},
-			func() { dv.aggregate(k, l) })
-		if l == 0 {
+		var reads []sim.ViewShape
+		if l == 0 { // the modelled input is X; the host reads host/x
+			reads = append(slotShape, opaque(dv.X), sim.ShapesOf(tr.feat)[0])
 			r.spmm0[d] = spmmID
+		} else {
+			reads = append(slotShape, opaque(dv.OUT[l-1]))
 		}
+		tg.BindShaped(spmmID, reads, []sim.ViewShape{opaque(ah)}, func() { dv.aggregate(k, l) })
 		prev = tg.AddCompute(d, sim.KindGeMM, fmt.Sprintf("s%d/fwd%d/gemm", s, l), -1,
 			spec.GemmCost(tr.s(verts[l+1]), dIn, dOut), false, spmmID)
 		tg.BindShaped(prev, append(sim.ShapesOf(dv.weights[l]), sim.OpaqueShape(slotBuf), opaque(ah)), []sim.ViewShape{opaque(out)},
@@ -697,7 +692,6 @@ func (tr *SampledTrainer) valAccuracy(epoch int) float64 {
 	for b, lo := 0, 0; lo < len(tr.valVerts); b, lo = b+1, lo+tr.Cfg.Batch {
 		hi := min(lo+tr.Cfg.Batch, len(tr.valVerts))
 		dv.sample(0, tr.valVerts[lo:hi], sample.SplitSeed(tr.Cfg.Seed, epoch, -2-b))
-		dv.extract(0)
 		for l := 0; l < tr.Cfg.Layers; l++ {
 			dv.aggregate(0, l)
 			dv.transform(0, l)

@@ -161,6 +161,45 @@ func TestSampledShadowClean(t *testing.T) {
 	}
 }
 
+// stripRead is a Shadow that first drops one buffer from the Reads of every
+// task whose label ends in suffix — an undeclared access, made on purpose.
+type stripRead struct {
+	*san.Shadow
+	suffix string
+	buf    sim.BufID
+}
+
+func (o stripRead) Before(t *sim.Task) {
+	if strings.HasSuffix(t.Label, o.suffix) {
+		t.Reads = slices.DeleteFunc(slices.Clone(t.Reads), func(b sim.BufID) bool { return b == o.buf })
+	}
+	o.Shadow.Before(t)
+}
+
+// TestSampledShadowFlagsUndeclaredHostRead: the layer-0 SpMM reads its input
+// rows from the host feature store, not from X, so a declaration naming only
+// X must fail the shadow replay — the poisoned host/x reaches AH_0.
+func TestSampledShadowFlagsUndeclaredHostRead(t *testing.T) {
+	tr, err := NewSampledTrainer(testGraph(t), testSampledConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := san.NewShadow(tr.Registry())
+	tr.Cfg.ExecObserver = stripRead{sh, "/fwd0/spmm", sim.BufID(tr.feat.Buf)}
+	// The poison flows on into the loss, which fails the epoch's finiteness
+	// check; the findings are what this test reads.
+	if _, err := tr.RunEpoch(); err == nil {
+		t.Fatal("a poisoned layer-0 input left the loss finite")
+	}
+	if len(sh.Findings) == 0 {
+		t.Fatal("shadow replay missed the layer-0 SpMM's undeclared host/x read")
+	}
+	// Every later task inherits the NaN, so the first finding names the cause.
+	if f := sh.Findings[0]; !strings.HasSuffix(f.Label, "/fwd0/spmm") || f.Kind != "undeclared-read" || !strings.HasSuffix(f.Name, "/buf/AH0") {
+		t.Fatalf("first finding %v, want the layer-0 SpMM's undeclared read showing in AH0", f)
+	}
+}
+
 // TestSampledMeterAccounting checks the extract stage's hit/miss words: the
 // two classes sum to the total gather volume, a warm cache absorbs most of
 // it, and no cache means all misses.

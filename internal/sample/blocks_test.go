@@ -220,8 +220,8 @@ func TestCacheDegreeOrdered(t *testing.T) {
 		}
 	}
 	cache := NewFeatureCache(feat, degrees, 0.01) // one row
-	if cache.CachedRows() != 1 || cache.Pos[17] != 0 {
-		t.Fatalf("1%% cache skipped the hub: rows=%d pos[17]=%d", cache.CachedRows(), cache.Pos[17])
+	if cache.Slab.Rows != 1 || cache.Pos[17] != 0 {
+		t.Fatalf("1%% cache skipped the hub: rows=%d pos[17]=%d", cache.Slab.Rows, cache.Pos[17])
 	}
 	if cache.MassFraction < 0.49 {
 		t.Fatalf("hub cache mass fraction %v, want ~0.5", cache.MassFraction)

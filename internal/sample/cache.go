@@ -1,22 +1,24 @@
 package sample
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mggcn/internal/tensor"
 )
 
 // FeatureCache is a device's degree-ordered static feature cache (the
-// CaPGNN policy): the frac·N highest-degree vertices' feature rows, copied
-// once before training into a device-resident slab. Sampled frontiers are
-// degree-biased — a uniformly sampled edge lands on a vertex with
-// probability proportional to its degree — so a small top-degree slab
-// absorbs most gather traffic. The cache is static: contents never change
-// during training, which keeps parallel gathers read-only and replayable.
+// CaPGNN policy): the frac·N highest-degree vertices' feature rows, held in a
+// device-resident slab. Sampled frontiers are degree-biased — a uniformly
+// sampled edge lands on a vertex with probability proportional to its
+// degree — so a small top-degree slab absorbs most gather traffic. The cache
+// is static: contents never change during training. The slab is modelled,
+// not materialised: a cached row is a verbatim copy of the host store's, so
+// what the cache decides on the host is which rows hit (Count).
 type FeatureCache struct {
-	// Slab holds the cached rows in degree order (hottest first); views of
-	// it are registered with the sanitizer by the trainer that owns it.
+	// Slab is the cached rows' shape (degree order, hottest first) without
+	// storage; the trainer that owns the cache registers it.
 	Slab *tensor.Dense
 	// Pos maps graph vertex -> slab row, -1 when uncached.
 	Pos []int32
@@ -41,14 +43,10 @@ func NewFeatureCache(features *tensor.Dense, degrees []int64, frac float64) *Fea
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if degrees[a] != degrees[b] {
-			return degrees[a] > degrees[b]
-		}
-		return a < b
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(degrees[b], degrees[a]), cmp.Compare(a, b))
 	})
-	c := &FeatureCache{Pos: make([]int32, n)}
+	c := &FeatureCache{Slab: tensor.NewPhantom(rows, features.Cols), Pos: make([]int32, n)}
 	for i := range c.Pos {
 		c.Pos[i] = -1
 	}
@@ -56,12 +54,9 @@ func NewFeatureCache(features *tensor.Dense, degrees []int64, frac float64) *Fea
 	for _, d := range degrees {
 		total += d
 	}
-	c.Slab = tensor.NewDense(rows, features.Cols)
-	for i := 0; i < rows; i++ {
-		v := order[i]
+	for i, v := range order[:rows] {
 		c.Pos[v] = int32(i)
 		cached += degrees[v]
-		copy(c.Slab.Row(i), features.Row(int(v)))
 	}
 	if total > 0 {
 		c.MassFraction = float64(cached) / float64(total)
@@ -69,27 +64,27 @@ func NewFeatureCache(features *tensor.Dense, degrees []int64, frac float64) *Fea
 	return c
 }
 
-// Gather materializes the feature rows of verts into dst (len(verts) x d):
-// cached vertices copy from the slab, the rest from features (the
-// host-resident store). Returns the hit and miss row counts for byte
-// accounting. The result is bit-identical to gathering everything from
-// features — the cache is a verbatim copy — which the property tests pin.
+// Count returns how many of verts the cache holds (hit) and how many it does
+// not (miss): the extract stage's byte accounting.
+func (c *FeatureCache) Count(verts []int32) (hit, miss int) {
+	for _, v := range verts {
+		if c.Pos[v] >= 0 {
+			hit++
+		}
+	}
+	return hit, len(verts) - hit
+}
+
+// Gather materializes the feature rows of verts into dst (len(verts) x d),
+// every row copied from features (the host-resident store), and returns
+// Count(verts).
 func (c *FeatureCache) Gather(dst, features *tensor.Dense, verts []int32) (hit, miss int) {
 	if dst.Rows != len(verts) || dst.Cols != features.Cols {
 		panic(fmt.Sprintf("sample: Gather %d verts into %dx%d (features %dx%d)",
 			len(verts), dst.Rows, dst.Cols, features.Rows, features.Cols))
 	}
 	for i, v := range verts {
-		if p := c.Pos[v]; p >= 0 {
-			hit++
-			copy(dst.Row(i), c.Slab.Row(int(p)))
-		} else {
-			miss++
-			copy(dst.Row(i), features.Row(int(v)))
-		}
+		copy(dst.Row(i), features.Row(int(v)))
 	}
-	return hit, miss
+	return c.Count(verts)
 }
-
-// CachedRows returns the number of rows the slab holds.
-func (c *FeatureCache) CachedRows() int { return c.Slab.Rows }

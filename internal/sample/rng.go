@@ -70,16 +70,6 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of n elements via swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

@@ -20,6 +20,11 @@ type Block struct {
 	AdjT *sparse.CSR
 	// Src and Dst map local indices to graph vertex ids.
 	Src, Dst []int32
+	// AdjGlobal is Adj with graph vertex ids for columns (Src[ColIdx], graph
+	// n columns), sharing Adj's RowPtr and Vals. Only the outermost block
+	// carries it: the layer-0 aggregate reads the host feature store through
+	// it instead of a gathered copy of the source rows.
+	AdjGlobal *sparse.CSR
 }
 
 // BuildBlocks materializes the per-layer blocks for one mini-batch: blocks
@@ -61,9 +66,9 @@ type Sampler struct {
 
 // level is one hop's output arena.
 type level struct {
-	blk       Block
-	adj, adjT sparse.CSR
-	src       []int32
+	blk             Block
+	adj, adjT, adjG sparse.CSR
+	src, gcol       []int32 // gcol: AdjGlobal's column ids (hop 0 only)
 }
 
 // NewSampler returns a Sampler drawing fanouts[h] neighbours per vertex at
@@ -87,6 +92,8 @@ func NewSampler(adj *sparse.CSR, fanouts []int) *Sampler {
 		lv.blk.Adj = &lv.adj
 		if h > 0 {
 			lv.blk.AdjT = &lv.adjT
+		} else {
+			lv.blk.AdjGlobal = &lv.adjG
 		}
 		lv.adj.Vals = []float32{} // an empty block still carries values
 		s.blocks[h] = &lv.blk
@@ -132,7 +139,8 @@ func (s *Sampler) drain(out []int32) []int32 {
 // unique) and returns its source frontier. Row v holds a self-loop and up to
 // fanouts[h] sampled neighbours, columns ascending, each weighted by its
 // multiplicity over the row's entry count — FromCoo's duplicate sum followed
-// by NormalizeRowMean, bit for bit.
+// by NormalizeRowMean, bit for bit. Hop 0 also keeps the row's global
+// column ids, as AdjGlobal.
 func (s *Sampler) buildLevel(h int, dst []int32) []int32 {
 	lv := &s.levels[h]
 	fanout := s.fanouts[h]
@@ -169,6 +177,9 @@ func (s *Sampler) buildLevel(h int, dst []int32) []int32 {
 		colIdx = colIdx[:out]
 		rowPtr = append(rowPtr, int64(out))
 	}
+	if h == 0 {
+		lv.gcol = append(lv.gcol[:0], colIdx...)
+	}
 	src := s.drain(lv.src[:0])
 	for i, u := range src {
 		s.local[u] = int32(i)
@@ -180,6 +191,8 @@ func (s *Sampler) buildLevel(h int, dst []int32) []int32 {
 	lv.adj = sparse.CSR{Rows: len(dst), Cols: len(src), RowPtr: rowPtr, ColIdx: colIdx, Vals: vals}
 	if h > 0 {
 		lv.adj.TransposeInto(&lv.adjT)
+	} else {
+		lv.adjG = sparse.CSR{Rows: len(dst), Cols: s.adj.Rows, RowPtr: rowPtr, ColIdx: lv.gcol, Vals: vals}
 	}
 	lv.blk.Src, lv.blk.Dst = src, dst
 	return src

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mggcn/internal/sparse"
+	"mggcn/internal/tensor"
 )
 
 // refPickK is PickK as it was before the scratch array: the virtual identity
@@ -168,6 +169,62 @@ func TestSamplerMatchesReference(t *testing.T) {
 					} else if !sameCSR(g.AdjT, w.Adj.Transpose()) {
 						t.Fatalf("%s block %d: cached transpose differs from Adj.Transpose()", name, h)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestSamplerGlobalBlock: over random graphs, batches and fanouts (past the
+// maximum degree too), the outermost block's AdjGlobal is Adj with every
+// column mapped through Src, and the layer-0 aggregate over the whole
+// feature store through it is bit-identical to the aggregate over the
+// gathered rows through Adj.
+func TestSamplerGlobalBlock(t *testing.T) {
+	gen := NewRNG(77)
+	for trial := 0; trial < 10; trial++ {
+		n := 20 + gen.Intn(200)
+		maxDeg := 1 + gen.Intn(12)
+		adj := randomCSR(gen, n, maxDeg)
+		feat := tensor.NewDense(n, 1+gen.Intn(70))
+		for i := range feat.Data {
+			feat.Data[i] = float32(int64(gen.Uint64()%2001)-1000) / 37
+		}
+		for _, fanouts := range [][]int{{1}, {3, 2}, {maxDeg + 5, n + 1}} {
+			s := NewSampler(adj, fanouts)
+			for rep := 0; rep < 4; rep++ {
+				var batch []int32
+				for i := gen.Intn(n) + 1; i > 0; i-- {
+					batch = append(batch, int32(gen.Intn(n)))
+				}
+				name := fmt.Sprintf("trial %d n=%d fanouts %v rep %d", trial, n, fanouts, rep)
+				b := s.Build(batch, gen.Int63())[0]
+				g := b.AdjGlobal
+				if g.Rows != b.Adj.Rows || g.Cols != n || !slices.Equal(g.RowPtr, b.Adj.RowPtr) || !slices.Equal(g.Vals, b.Adj.Vals) {
+					t.Fatalf("%s: global block %dx%d does not share Adj's rows and values", name, g.Rows, g.Cols)
+				}
+				if len(g.ColIdx) != len(b.Adj.ColIdx) {
+					t.Fatalf("%s: %d global columns for %d local", name, len(g.ColIdx), len(b.Adj.ColIdx))
+				}
+				for k, c := range b.Adj.ColIdx {
+					if g.ColIdx[k] != b.Src[c] {
+						t.Fatalf("%s entry %d: global column %d, Src[%d] = %d", name, k, g.ColIdx[k], c, b.Src[c])
+					}
+				}
+				x := tensor.NewDense(len(b.Src), feat.Cols)
+				NewFeatureCache(feat, make([]int64, n), 0).Gather(x, feat, b.Src)
+				want, got := tensor.NewDense(b.Adj.Rows, feat.Cols), tensor.NewDense(b.Adj.Rows, feat.Cols)
+				sparse.SpMM(b.Adj, x, 0, want)
+				sparse.SpMM(g, feat, 0, got)
+				for i := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("%s: global aggregate diverges at %d: %v != %v", name, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+			for h, b := range s.blocks[1:] {
+				if b.AdjGlobal != nil {
+					t.Fatalf("block %d carries a global adjacency nobody reads", h+1)
 				}
 			}
 		}

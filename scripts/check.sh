@@ -100,9 +100,11 @@ echo "==> go test (full, no race)"
 go test -timeout 30m ./...
 
 echo "==> fuzz smoke"
-# Ten seconds of coverage-guided mutation over the binary dataset decoder,
-# from the seed corpus WriteBinary produces (FuzzReadBinary).
+# Ten seconds of coverage-guided mutation each over the binary dataset decoder,
+# from the seed corpus WriteBinary produces (FuzzReadBinary), and over both
+# checkpoint loaders, from the v2 and v3 writers' output (FuzzLoadCheckpoint).
 go test -run '^$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/graphio/
+go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/core/
 
 echo "==> benchmark module"
 # benchmark/ is a module of its own (replace mggcn => ../), so ./... never

@@ -13,10 +13,10 @@ cd "$(dirname "$0")/.."
 # internal/core's ceiling is the size the last simplification PR reached
 # (ROADMAP item 4). Lower it when core shrinks; a PR that needs to raise it
 # has to say what the lines buy.
-core_ceiling=3333
+core_ceiling=3327
 # The repository total's ceiling is the size the last deletion reached
 # (ROADMAP item 5); same rule.
-total_ceiling=17563
+total_ceiling=17555
 
 find . -name '*.go' ! -name '*_test.go' \
 	! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.bench_build/*' ! -path './.git/*' \
