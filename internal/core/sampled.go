@@ -222,7 +222,7 @@ type samplerCursor struct {
 // device-resident buffer with the sanitizer. Sampling needs real features
 // and labels, so phantom datasets are rejected.
 func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, error) {
-	if err := validateModelOnMachine(cfg.Spec, cfg.P, cfg.MemScale, cfg.Layers, cfg.Hidden); err != nil {
+	if err := validateModelOnMachine(cfg.Spec, cfg.P, cfg.MemScale, cfg.Layers, cfg.Hidden, cfg.LR); err != nil {
 		return nil, err
 	}
 	if len(cfg.Fanouts) != cfg.Layers {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mggcn/internal/comm"
 	"mggcn/internal/graph"
@@ -61,7 +62,7 @@ func DefaultConfig(spec sim.MachineSpec, p, memScale int) Config {
 // memory estimator applies the same check, so the two agree on what is an
 // error.
 func (cfg Config) validate() error {
-	if err := validateModelOnMachine(cfg.Spec, cfg.P, cfg.MemScale, cfg.Layers, cfg.Hidden); err != nil {
+	if err := validateModelOnMachine(cfg.Spec, cfg.P, cfg.MemScale, cfg.Layers, cfg.Hidden, cfg.LR); err != nil {
 		return err
 	}
 	if err := cfg.Ordering.validate(); err != nil {
@@ -73,9 +74,11 @@ func (cfg Config) validate() error {
 // validateModelOnMachine holds the checks the full-batch and sampled
 // configurations share: the machine has the GPUs asked for and, where they
 // span nodes, a network between them (at 0 B/s the first collective never
-// ends), the memory scale is a divisor, and the model has at least one layer
-// of positive width.
-func validateModelOnMachine(spec sim.MachineSpec, p, memScale, layers, hidden int) error {
+// ends), the memory scale is a divisor, the model has at least one layer of
+// positive width, and the learning rate is finite and not negative (a negative
+// one climbs the loss, a NaN or an infinity reaches every weight in the first
+// Adam step; 0 trains nothing, which a caller may mean).
+func validateModelOnMachine(spec sim.MachineSpec, p, memScale, layers, hidden int, lr float64) error {
 	if p < 1 || p > spec.NumGPUs {
 		return fmt.Errorf("core: %d GPUs requested, %s has %d", p, spec.Name, spec.NumGPUs)
 	}
@@ -90,6 +93,9 @@ func validateModelOnMachine(spec sim.MachineSpec, p, memScale, layers, hidden in
 	}
 	if hidden < 1 {
 		return fmt.Errorf("core: hidden width %d < 1", hidden)
+	}
+	if !(lr >= 0) || math.IsInf(lr, 1) {
+		return fmt.Errorf("core: learning rate %g is not a finite number >= 0", lr)
 	}
 	return nil
 }

@@ -285,9 +285,15 @@ GLOBL spmmone<>(SB), RODATA|NOPTR, $4
 // strip, Y8 = its value broadcast, and R11 = the byte offset of the X row
 // that the entry SPMMAHEAD places on will gather — read from the tile's
 // column array past this row's end, clamped at the tile's last entry (R10).
+// The column is sign-extended and compared unsigned against X's row count
+// (BX), so a negative one is as far out as one past the end: either leaves
+// through spmmbad before any store. The look-ahead column is only prefetched,
+// which cannot fault, and goes unchecked.
 #define SPMMAHEAD 12
 #define SPMMHEAD \
-	MOVL         (DX), AX;              \
+	MOVLQSX      (DX), AX;              \
+	CMPQ         AX, BX;                \
+	JAE          spmmbad;               \
 	IMULQ        R8, AX;                \
 	ADDQ         SI, AX;                \
 	VBROADCASTSS (R9), Y8;              \
@@ -359,27 +365,31 @@ loop: \
 	stores;                     \
 	VMASKMOVPS last, Y15, off(DI); \
 	VZEROUPPER;                 \
+	MOVB       $0, bad+80(FP);  \
 	RET
 
 #define SPMMNONE
 
-// func spmmRowVec(c *float32, w int, x *float32, xs int, cols, last *int32, vals *float32, n int, acc bool)
+// func spmmRowVec(c *float32, w int, x *float32, xs, xrows int, cols, last *int32, vals *float32, n int, acc bool) (bad bool)
 // The SpMM row kernel (see kernel.SpMMRow): Y0..Y7 hold the strip's w floats
 // across the row's n stored entries, C is read at most once and written once.
-// 1 <= w <= 64, n >= 1; the caller has proved cols[:n] inside X's rows and the
-// furthest element of C and X in range. last is the tile's final column
-// entry, the limit of the look-ahead; a nil vals is a stream of ones.
-TEXT ·spmmRowVec(SB), NOSPLIT, $0-65
+// 1 <= w <= 64, n >= 1, xrows >= 1; the caller has proved cols[:n] inside the
+// column array and the furthest element of C and of X's last row in range.
+// The body proves each of the n columns inside [0, xrows) as it loads it, and
+// on the first that is not returns bad with C untouched. last is the tile's
+// final column entry, the limit of the look-ahead; a nil vals is a stream of
+// ones.
+TEXT ·spmmRowVec(SB), NOSPLIT, $0-81
 	MOVQ    c+0(FP), DI
 	MOVQ    w+8(FP), BX
 	MOVQ    x+16(FP), SI
 	MOVQ    xs+24(FP), R8
 	SHLQ    $2, R8
-	MOVQ    cols+32(FP), DX
-	MOVQ    last+40(FP), R10
-	MOVQ    vals+48(FP), R9
-	MOVQ    n+56(FP), CX
-	MOVBLZX acc+64(FP), R12
+	MOVQ    cols+40(FP), DX
+	MOVQ    last+48(FP), R10
+	MOVQ    vals+56(FP), R9
+	MOVQ    n+64(FP), CX
+	MOVBLZX acc+72(FP), R12
 
 	// Values step four bytes a stored entry, or stand on a constant one.
 	MOVQ  $4, R13
@@ -389,15 +399,17 @@ TEXT ·spmmRowVec(SB), NOSPLIT, $0-65
 	XORL  R13, R13
 
 spmmvalued:
-	// Y15 enables the last vector's (w-1)%8+1 lanes; BX = the vector count.
+	// Y15 enables the last vector's (w-1)%8+1 lanes; AX = the vector count,
+	// and BX = X's row count from here on, the bound SPMMHEAD checks.
 	LEAQ    -1(BX), AX
 	ANDQ    $7, AX
 	INCQ    AX
 	NEGQ    AX
 	LEAQ    tilemask<>(SB), R11
 	VMOVDQU 32(R11)(AX*4), Y15
-	ADDQ    $7, BX
-	SHRQ    $3, BX
+	LEAQ    7(BX), AX
+	SHRQ    $3, AX
+	MOVQ    xrows+32(FP), BX
 	VXORPS  Y0, Y0, Y0
 	VXORPS  Y1, Y1, Y1
 	VXORPS  Y2, Y2, Y2
@@ -406,19 +418,19 @@ spmmvalued:
 	VXORPS  Y5, Y5, Y5
 	VXORPS  Y6, Y6, Y6
 	VXORPS  Y7, Y7, Y7
-	CMPQ    BX, $8
+	CMPQ    AX, $8
 	JEQ     spmmrow8
-	CMPQ    BX, $7
+	CMPQ    AX, $7
 	JEQ     spmmrow7
-	CMPQ    BX, $6
+	CMPQ    AX, $6
 	JEQ     spmmrow6
-	CMPQ    BX, $5
+	CMPQ    AX, $5
 	JEQ     spmmrow5
-	CMPQ    BX, $4
+	CMPQ    AX, $4
 	JEQ     spmmrow4
-	CMPQ    BX, $3
+	CMPQ    AX, $3
 	JEQ     spmmrow3
-	CMPQ    BX, $2
+	CMPQ    AX, $2
 	JEQ     spmmrow2
 
 	SPMMROW(spmmrow1, spmmloop1, SPMMNONE, SPMMNONE, SPMMNONE, SPMMPF1, 0, Y0)
@@ -429,3 +441,8 @@ spmmvalued:
 	SPMMROW(spmmrow6, spmmloop6, SPMMLOADS5, SPMMVECS5, SPMMSTORES5, SPMMPF3, 160, Y5)
 	SPMMROW(spmmrow7, spmmloop7, SPMMLOADS6, SPMMVECS6, SPMMSTORES6, SPMMPF4, 192, Y6)
 	SPMMROW(spmmrow8, spmmloop8, SPMMLOADS7, SPMMVECS7, SPMMSTORES7, SPMMPF4, 224, Y7)
+
+spmmbad:
+	VZEROUPPER
+	MOVB $1, bad+80(FP)
+	RET

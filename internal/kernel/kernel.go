@@ -30,9 +30,9 @@
 // All slice arguments of one vector-kernel call must have the same length
 // (callers slice before calling); the dst length is authoritative. Tile and
 // SpMMRow take extents and strides instead, and prove them against their
-// slices before the assembly sees a pointer. Swapping
-// implementations is not synchronized — dispatch happens in init, before any
-// kernel runs.
+// slices before the assembly sees a pointer (the AVX2 row body proves its own
+// columns). Swapping implementations is not synchronized — dispatch happens in
+// init, before any kernel runs.
 package kernel
 
 import "math"
@@ -122,25 +122,34 @@ func spmmRowScalar(c, x []float32, xs, xrows int, cols []int32, vals []float32, 
 	}
 }
 
-// checkSpMMRow panics unless the strip is 1..SpMMStrip floats, every one of
-// the row's n columns names a row of X, the strip's furthest element of X's
-// last row is inside x, and vals (when there are any) cover the row — the
-// proof the assembly bodies, which index raw pointers, run behind. The columns
-// past n are only ever prefetched, which cannot fault.
+// checkSpMMRow panics unless checkSpMMExtents holds and each of the row's n
+// columns names a row of X: the whole proof the assembly bodies, which index
+// raw pointers, run behind. The AVX2 body proves the columns itself.
 func checkSpMMRow(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int) {
+	checkSpMMExtents(c, x, xs, xrows, cols, vals, n)
+	bad := 0
+	for _, col := range cols[:n] {
+		bad |= int(col) | (xrows - 1 - int(col))
+	}
+	if bad < 0 {
+		panic(errSpMMColumn)
+	}
+}
+
+const errSpMMColumn = "kernel: SpMMRow column outside X's rows"
+
+// checkSpMMExtents is checkSpMMRow's O(1) half: the strip is 1..SpMMStrip
+// floats, the strip's furthest element of X's last row is inside x, and the
+// row's n entries are inside cols and any vals. The columns past n are only
+// ever prefetched, which cannot fault.
+func checkSpMMExtents(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int) {
 	if len(c) < 1 || len(c) > SpMMStrip || xs < 0 || xrows < 0 || n < 0 || (vals != nil && len(vals) < n) {
 		panic("kernel: SpMMRow strip outside 1..SpMMStrip, a negative extent or vals shorter than the row")
 	}
 	if xrows > 0 {
 		_ = x[(xrows-1)*xs+len(c)-1]
 	}
-	bad := 0
-	for _, col := range cols[:n] {
-		bad |= int(col) | (xrows - 1 - int(col))
-	}
-	if bad < 0 {
-		panic("kernel: SpMMRow column outside X's rows")
-	}
+	_ = cols[:n]
 }
 
 // tileScalar is the oracle and the path of builds without assembly. It walks

@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -271,6 +273,92 @@ func TestSpMMRowRejectsOutOfRange(t *testing.T) {
 		"short x":     func() { SpMMRow(buf[:8], buf[:31], 8, 4, cols, nil, 1, false) },
 	} {
 		mustPanic(t, "SpMMRow with "+name+" out of range", call)
+	}
+}
+
+// TestSpMMRowRejectsBadColumn: a column outside X's rows panics wherever it
+// sits in the row, at every vector count with a full and a masked last
+// vector, from C and from 0, and leaves C and its guard band bit for bit as
+// they were. On amd64 this is the assembly body's own check.
+func TestSpMMRowRejectsBadColumn(t *testing.T) {
+	const xrows, xs, n = 5, SpMMStrip + 3, 7
+	x := fill(t, xrows*xs, 0x9e3779b97f4a7c15)
+	for v := 1; v <= SpMMStrip/8; v++ {
+		for _, w := range []int{8 * v, 8*v - 3} {
+			for _, acc := range []bool{false, true} {
+				for _, at := range []int{0, n / 2, n - 1} {
+					for _, col := range []int32{-1, math.MinInt32, xrows, math.MaxInt32} {
+						cols := []int32{0, 4, 1, 3, 2, 4, 0, 1, 2}
+						cols[at] = col
+						got := fill(t, 3+w+3, uint64(w)<<8|uint64(at))
+						want := append([]float32(nil), got...)
+						what := fmt.Sprintf("SpMMRow w=%d acc=%v column %d at %d", w, acc, col, at)
+						func() {
+							defer func() {
+								if r := recover(); r != errSpMMColumn {
+									t.Errorf("%s: recovered %v, want %q", what, r, errSpMMColumn)
+								}
+							}()
+							SpMMRow(got[3:3+w], x, xs, xrows, cols, nil, n, acc)
+						}()
+						bitsEqual(t, what, w, 3, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSpMMRowIgnoresColumnsPastRow: the entries past n belong to the next
+// rows and are only prefetched, so a bad column there is not this row's
+// error; the result is the scalar oracle's.
+func TestSpMMRowIgnoresColumnsPastRow(t *testing.T) {
+	const xrows, xs, n = 5, SpMMStrip, 3
+	x := fill(t, xrows*xs, 0xbf58476d1ce4e5b9)
+	vals := fill(t, 40, 0x94d049bb133111eb)
+	for _, col := range []int32{-1, math.MinInt32, xrows, math.MaxInt32} {
+		for _, w := range []int{5, SpMMStrip} {
+			cols := make([]int32, 40)
+			for i := range cols {
+				cols[i] = col
+			}
+			copy(cols, []int32{4, 0, 2})
+			got := fill(t, w, 0x2545f4914f6cdd1d)
+			want := append([]float32(nil), got...)
+			SpMMRow(got, x, xs, xrows, cols, vals, n, true)
+			spmmRowScalar(want, x, xs, xrows, cols, vals, n, true)
+			bitsEqual(t, fmt.Sprintf("SpMMRow w=%d with column %d past the row", w, col), w, 0, got, want)
+		}
+	}
+}
+
+// TestVerifyRefusesUncheckedRowKernel: since the column proof lives in the
+// candidate, the install probe must refuse a row kernel that reads a column
+// outside X or that writes C before it rejects one, even when it matches the
+// scalar kernel on every valid row.
+func TestVerifyRefusesUncheckedRowKernel(t *testing.T) {
+	for name, row := range map[string]func(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool){
+		"bounds columns by x's length": func(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) {
+			spmmRowScalar(c, x, xs, len(x)/xs, cols, vals, n, acc)
+		},
+		"writes C, then rejects": func(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) {
+			defer func() {
+				if r := recover(); r != nil {
+					clear(c)
+					panic(r)
+				}
+			}()
+			spmmRowScalar(c, x, xs, xrows, cols, vals, n, acc)
+		},
+	} {
+		err := verifyImpls(impls{
+			name: "unchecked",
+			add:  addScalar, axpy: axpyScalar, tile: tileScalar, spmmRow: row,
+			relu: reluScalar, reluMask: reluMaskScalar,
+		})
+		if err == nil || !strings.Contains(err.Error(), "SpMMRow") {
+			t.Errorf("%s: verifyImpls returned %v, want a refusal naming SpMMRow", name, err)
+		}
 	}
 }
 

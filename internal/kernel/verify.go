@@ -181,5 +181,30 @@ func verifyImpls(c impls) error {
 			}
 		}
 	}
+
+	// The row kernel's column proof: a column just outside X (-1, or one past
+	// its last row) first, in the middle or last in the row must panic with
+	// C and its guard band untouched. X starts a row into its buffer and the
+	// slice holds one row more than xrows says, so a candidate that skips the
+	// check reads memory it owns and is refused here instead of faulting.
+	xw := make([]float32, (xrows+2)*ldx)[ldx:]
+	for t := 0; t < 24; t++ {
+		w, acc, at, col := []int{3, SpMMStrip}[t&1], t&2 == 2, []int{0, 2, 4}[t/4%3], []int32{-1, xrows}[t/12]
+		cols := append([]int32(nil), tileCols[:5]...)
+		cols[at] = col
+		got, want := buf(xd, 5+w+5)
+		if !panics(func() { c.spmmRow(got[5:5+w], xw, ldx, xrows, cols, nil, len(cols), acc) }) {
+			return fmt.Errorf("kernel: %s SpMMRow accepts column %d of a %d-row X at entry %d", c.name, col, xrows, at)
+		}
+		if !eq(got, want) {
+			return fmt.Errorf("kernel: %s SpMMRow writes C while rejecting column %d at entry %d (width=%d acc=%v)", c.name, col, at, w, acc)
+		}
+	}
 	return nil
+}
+
+func panics(call func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	call()
+	return false
 }

@@ -78,11 +78,7 @@ func SoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask []bool, g
 				mx = v
 			}
 		}
-		var sum float64
-		for j, v := range row {
-			exps[j] = math.Exp(float64(v - mx))
-			sum += exps[j]
-		}
+		sum := rowExps(exps, row, mx)
 		lbl := int(labels[i])
 		logp := float64(row[lbl]-mx) - math.Log(sum)
 		lossSum -= logp
@@ -95,6 +91,18 @@ func SoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask []bool, g
 		}
 	}
 	return lossSum
+}
+
+// rowExps sets exps[j] = exp(row[j] - mx) and returns their sum, in order.
+// It is a function of its own so that the math.Exp call spills and reloads
+// only this loop's few values, not the whole loss loop's.
+func rowExps(exps []float64, row []float32, mx float32) float64 {
+	var sum float64
+	for j, v := range row {
+		exps[j] = math.Exp(float64(v - mx))
+		sum += exps[j]
+	}
+	return sum
 }
 
 // Accuracy returns the fraction of mask-selected rows whose argmax matches

@@ -125,6 +125,20 @@ func BenchmarkParallelSpMM(b *testing.B) {
 			}
 		})
 	}
+	// fullbatch-spmm's stage tile as an epoch runs it, on one and two lanes:
+	// the rate the row kernel's in-body column check is measured by.
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("fullbatch-spmm/workers=%d", w), func(b *testing.B) {
+			a := tileCSR(4096, 4096, 96, 4096)
+			rng := rand.New(rand.NewSource(5))
+			x, c := randomDense(rng, 4096, 64), tensor.NewDense(4096, 64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ParallelSpMM(a, x, 0, c, w)
+			}
+			b.ReportMetric(float64(SpMMFlops(a.NNZ(), 64))*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+		})
+	}
 }
 
 func BenchmarkSDDMM(b *testing.B) {

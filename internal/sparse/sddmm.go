@@ -3,9 +3,8 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
+	"mggcn/internal/pool"
 	"mggcn/internal/tensor"
 )
 
@@ -24,37 +23,16 @@ func SDDMM(pattern *CSR, a, b *tensor.Dense) *CSR {
 	return out
 }
 
-// ParallelSDDMM is SDDMM with rows split across workers goroutines.
+// ParallelSDDMM is SDDMM with rows split across up to workers lanes of the
+// shared worker pool (workers <= 0: GOMAXPROCS). Each row is computed by one
+// lane in SDDMM's order, so the result is SDDMM's bit for bit.
 func ParallelSDDMM(pattern *CSR, a, b *tensor.Dense, workers int) *CSR {
 	checkSDDMMShapes(pattern, a, b)
 	out := withFreshVals(pattern)
 	if a.IsPhantom() || b.IsPhantom() {
 		return out
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > pattern.Rows {
-		workers = pattern.Rows
-	}
-	if workers <= 1 {
-		sddmmRows(pattern, a, b, out, 0, pattern.Rows)
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (pattern.Rows + workers - 1) / workers
-	for lo := 0; lo < pattern.Rows; lo += chunk {
-		hi := lo + chunk
-		if hi > pattern.Rows {
-			hi = pattern.Rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sddmmRows(pattern, a, b, out, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	pool.ParallelFor(pattern.Rows, workers, func(lo, hi int) { sddmmRows(pattern, a, b, out, lo, hi) })
 	return out
 }
 

@@ -69,10 +69,16 @@ func (d *Dense) check(i, j int) {
 // Row returns the i-th row as a slice aliasing the matrix storage.
 func (d *Dense) Row(i int) []float32 {
 	if i < 0 || i >= d.Rows {
-		panic(fmt.Sprintf("tensor: row %d out of bounds %d", i, d.Rows))
+		panic(rowError{i, d.Rows})
 	}
 	return d.Data[i*d.Stride : i*d.Stride+d.Cols]
 }
+
+// rowError is Row's panic value. It formats only when printed, which keeps
+// fmt out of Row's body and Row inside the compiler's inlining budget.
+type rowError struct{ i, rows int }
+
+func (e rowError) Error() string { return fmt.Sprintf("tensor: row %d out of bounds %d", e.i, e.rows) }
 
 // RowSlice returns a view of rows [lo, hi) sharing storage with d.
 func (d *Dense) RowSlice(lo, hi int) *Dense {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -76,6 +77,23 @@ func TestRowAliasesStorage(t *testing.T) {
 	d.Row(1)[2] = 42
 	if d.At(1, 2) != 42 {
 		t.Fatalf("Row does not alias storage")
+	}
+}
+
+// TestRowOutOfBounds: a row outside [0, Rows) panics, and the panic prints
+// the message Row has always given.
+func TestRowOutOfBounds(t *testing.T) {
+	d := NewDense(3, 2)
+	for _, i := range []int{-1, d.Rows} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("tensor: row %d out of bounds %d", i, d.Rows)
+				if got := fmt.Sprint(recover()); got != want {
+					t.Errorf("Row(%d) panicked with %q, want %q", i, got, want)
+				}
+			}()
+			d.Row(i)
+		}()
 	}
 }
 

@@ -106,6 +106,33 @@ func TestNewTrainerValidation(t *testing.T) {
 	}
 }
 
+// TestLearningRateValidation: a negative, NaN or infinite learning rate would
+// reach every weight in the first optimizer step, so both trainers and the
+// memory estimator refuse it with the same error; 0 (train nothing) is legal.
+func TestLearningRateValidation(t *testing.T) {
+	ds := SynthesizeDataset("lr", 100, 4, 8, 2, 5, false)
+	for _, tc := range []struct {
+		lr   float64
+		want bool
+	}{
+		{0.01, true}, {0, true}, {-0.01, false}, {math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+	} {
+		o := DefaultOptions(DGXA100(), 2)
+		o.Hidden, o.LR = 8, tc.lr
+		_, trErr := NewTrainer(ds, o)
+		_, estErr := EstimateMemoryBytesPerDevice(ds, o)
+		so := DefaultSampledOptions(DGXA100(), 2)
+		so.Hidden, so.Layers, so.Fanouts, so.LR = 8, 2, []int{3, 4}, tc.lr
+		_, sErr := NewSampledTrainer(ds, so)
+		if got := trErr == nil; got != tc.want || (estErr == nil) != tc.want || (sErr == nil) != tc.want {
+			t.Errorf("LR %v: NewTrainer %v, estimator %v, NewSampledTrainer %v; want accepted=%v", tc.lr, trErr, estErr, sErr, tc.want)
+		}
+		if !tc.want && (trErr.Error() != sErr.Error() || estErr.Error() != trErr.Error()) {
+			t.Errorf("LR %v: errors differ: %q, %q, %q", tc.lr, trErr, estErr, sErr)
+		}
+	}
+}
+
 func TestIsOOM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale papers load: long e2e, skipped in -short")
