@@ -78,14 +78,14 @@ func (v *verifier) schedcheckPass() string {
 		for _, f := range schedcheck.Check(s.graph) {
 			v.finding("%s: %v", s.label(), f)
 		}
-		vol, err := schedcheck.VolumeForm(s.name, schedcheck.Model{
+		model := schedcheck.Model{N: v.graph.N(), P: s.p, S: v.cfg.MemScale,
 			Dims: s.dims, OrderSwitch: v.cfg.OrderSwitch, SkipFirstBackward: v.cfg.SkipFirstBackward,
-		})
+		}
+		vol, err := schedcheck.VolumeForm(s.name, model)
 		if err != nil {
 			fatalf("%s: %v", s.label(), err)
 		}
-		env := schedcheck.EnvFor(v.graph.N(), s.p, int64(v.cfg.MemScale), s.dims)
-		for _, f := range schedcheck.CertifyVolume(s.graph, vol, env) {
+		for _, f := range schedcheck.CertifyVolume(s.graph, vol, model) {
 			v.finding("%s: %v", s.label(), f)
 		}
 		if s.comm != nil {
@@ -157,11 +157,8 @@ func (v *verifier) memcheckPass() string {
 func (s *subject) crossChecks(memScale, n int, m int64) []crossCheck {
 	must := s.must
 	if s.kind == cagnet {
-		fp, err := memcheck.PeakForm(s.name, memcheck.Model{Dims: s.dims, P: s.p, Device: 0})
-		must(err)
 		S := int64(memScale)
-		rows := (int64(n)*S + int64(s.p) - 1) / int64(s.p)
-		got, err := fp.Resident.Eval(memcheck.CagnetEnv(rows, m*S/int64(s.p), s.dims))
+		got, err := memcheck.AnalyticResident(s.name, int64(n)*S, m*S, s.dims, s.p, false)
 		must(err)
 		return []crossCheck{{
 			Strategy: s.name, P: s.p, Device: "model",
@@ -177,19 +174,14 @@ func (s *subject) crossChecks(memScale, n int, m int64) []crossCheck {
 		if fp.Uncertified != "" {
 			fatalf("%s d%d: uncertified: %s", s.label(), d, fp.Uncertified)
 		}
-		env := s.env(d)
-		certified, err := fp.SlabBytes.Eval(env)
-		must(err)
-		resident, err := fp.Resident.Eval(env)
-		must(err)
 		key := sim.DeviceKey(d)
 		c := crossCheck{
 			Strategy: s.name, P: s.p, Device: key,
-			CertifiedByte: certified,
+			CertifiedByte: fp.SlabBytes,
 			LivenessByte:  live.Bytes[key],
 			MeterByte:     meterBytes[key],
 			SlabCount:     fp.SlabCount,
-			ResidentByte:  resident,
+			ResidentByte:  fp.Resident,
 			PoolByte:      s.poolUsed(d),
 		}
 		c.OK = c.CertifiedByte == c.LivenessByte && c.CertifiedByte == c.MeterByte &&

@@ -8,7 +8,6 @@ import (
 	"mggcn/internal/core"
 	"mggcn/internal/memcheck"
 	"mggcn/internal/nn"
-	"mggcn/internal/schedcheck"
 	"mggcn/internal/sim"
 	"mggcn/internal/tensor"
 )
@@ -127,7 +126,6 @@ type subject struct {
 
 	// memcheck's per-device closed-form inputs and the pool's ground truth.
 	model    func(dev int) memcheck.Model
-	env      func(dev int) schedcheck.Env
 	poolUsed func(dev int) int64
 	// baselineBytes is baseline.CAGNETConfig.MemoryBytes (cagnet only).
 	baselineBytes int64
@@ -228,10 +226,11 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 		must(err)
 		s.graph = tr.LastGraph()
 		caps, steps := tr.FrontierCapacities(), stats.Batches/p
+		cacheRows := int64(tr.Caches()[0].Slab.Rows)
 		s.model = func(dev int) memcheck.Model {
-			return memcheck.Model{Dims: s.dims, P: p, Device: dev, Caps: caps, Depth: tr.Depth(), Steps: steps}
+			return memcheck.Model{Dims: s.dims, P: p, Device: dev,
+				Caps: caps, CacheRows: cacheRows, Depth: tr.Depth(), Steps: steps}
 		}
-		s.env = func(int) schedcheck.Env { return memcheck.SampledEnv(caps, tr.Caches()[0].Slab.Rows, s.dims) }
 		s.poolUsed = tr.PoolUsed
 	case cagnet:
 		c := baseline.NewCAGNET(cfg.Spec, p, cfg.MemScale, cfg.Hidden, cfg.Layers)
@@ -245,10 +244,8 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 		run, s.base = record(metered, nil)
 		s.graph = run.LastGraph()
 		s.model = func(dev int) memcheck.Model {
-			return memcheck.Model{Dims: s.dims, P: p, Device: dev, Overlap: cfg.Overlap}
-		}
-		s.env = func(dev int) schedcheck.Env {
-			return memcheck.DeviceEnv(int64(run.DeviceRows(dev)), int64(run.MaxTileRows()), run.AdjacencyBytes(dev), s.dims)
+			return memcheck.Model{Dims: s.dims, P: p, Device: dev, Overlap: cfg.Overlap,
+				Rows: int64(run.DeviceRows(dev)), TileRows: int64(run.MaxTileRows()), AdjBytes: run.AdjacencyBytes(dev)}
 		}
 		s.poolUsed = run.PoolUsed
 		s.rerun = func(seed int64, observe observerFor) outputs {

@@ -52,7 +52,7 @@ func TestStrategiesHaveClosedForms(t *testing.T) {
 			t.Fatalf("%v and %v share the name %q", prev, s, s.Name())
 		}
 		byName[s.Name()] = s
-		if _, err := schedcheck.VolumeForm(s.Name(), schedcheck.Model{Dims: dims}); err != nil {
+		if _, err := schedcheck.VolumeForm(s.Name(), schedcheck.Model{N: 61, P: 4, S: 1, Dims: dims}); err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
 		if _, err := memcheck.PeakForm(s.Name(), memcheck.Model{Dims: dims, P: 4, Overlap: true}); err != nil {

@@ -2,44 +2,8 @@ package memcheck
 
 import (
 	"fmt"
-
-	"mggcn/internal/schedcheck"
+	"slices"
 )
-
-// Atoms the footprints are written over. R and A are per-device (the row
-// count and adjacency-tile bytes of Model.Device); T is the global maximum
-// tile row count (every broadcast slab is sized for the largest partition
-// part); F0..FL are the layer widths; C and V0..VL are the sampled
-// pipeline's cache row count and frontier capacities.
-func atomR() *schedcheck.Expr { return schedcheck.Atom("R") }
-func atomT() *schedcheck.Expr { return schedcheck.Atom("T") }
-func atomA() *schedcheck.Expr { return schedcheck.Atom("A") }
-func atomC() *schedcheck.Expr { return schedcheck.Atom("C") }
-
-func atomF(l int) *schedcheck.Expr { return schedcheck.Atom(fmt.Sprintf("F%d", l)) }
-func atomV(h int) *schedcheck.Expr { return schedcheck.Atom(fmt.Sprintf("V%d", h)) }
-
-// maxDimIdx returns the index of the widest layer dimension (first winner
-// on ties, matching the View the trainers take of the maxDim-sized slabs).
-func maxDimIdx(dims []int) int {
-	best := 0
-	for i, d := range dims {
-		if d > dims[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// wideIdx returns the index of the wider of dims[l] and dims[l+1] — the
-// capacity AHW[l] is allocated at (forward holds F(l+1) columns, the
-// backward hgrad re-views it at F(l)).
-func wideIdx(dims []int, l int) int {
-	if dims[l] > dims[l+1] {
-		return l
-	}
-	return l + 1
-}
 
 // kBroadcast returns how many distinct broadcast staging slabs the device
 // ever touches under the broadcast-staged schedule at replication factor c
@@ -71,24 +35,29 @@ func kBroadcast(p, c, dev int, overlap bool) int {
 	return len(seen)
 }
 
-// perLayer sums term(l) over the layers l = 0..layers-1.
-func perLayer(layers int, term func(l int) *schedcheck.Expr) *schedcheck.Expr {
-	terms := make([]*schedcheck.Expr, layers)
-	for l := range terms {
-		terms[l] = term(l)
+// maxDim returns the widest layer width: the shared HW and staging slabs are
+// allocated at it, the staging slabs for the largest partition part
+// (Model.TileRows).
+func maxDim(m Model) int64 { return int64(slices.Max(m.Dims)) }
+
+// params returns the weight-parameter count Σ F(l)·F(l+1).
+func params(dims []int) int64 {
+	var sum int64
+	for l := 0; l+1 < len(dims); l++ {
+		sum += int64(dims[l]) * int64(dims[l+1])
 	}
-	return schedcheck.Sum(terms...)
+	return sum
 }
 
-// params returns the symbolic weight-parameter count sum F(l)*F(l+1).
-func params(layers int) *schedcheck.Expr {
-	return perLayer(layers, func(l int) *schedcheck.Expr { return atomF(l).Mul(atomF(l + 1)) })
-}
-
-// activations returns the symbolic element count of the per-layer AHW
-// slabs, each allocated at the wider of its layer's two widths.
-func activations(dims []int) *schedcheck.Expr {
-	return perLayer(len(dims)-1, func(l int) *schedcheck.Expr { return atomR().Mul(atomF(wideIdx(dims, l))) })
+// activations returns the element count of the device's per-layer AHW
+// slabs, each allocated at the wider of its layer's two widths (forward
+// holds F(l+1) columns, the backward hgrad re-views it at F(l)).
+func activations(m Model) int64 {
+	var sum int64
+	for l := 0; l+1 < len(m.Dims); l++ {
+		sum += m.Rows * int64(max(m.Dims[l], m.Dims[l+1]))
+	}
+	return sum
 }
 
 // fullBatchFootprint certifies the GCN trainer's §4.2 slab set: the shared
@@ -110,24 +79,20 @@ func fullBatchFootprint(m Model, kind string, c int) (*Footprint, error) {
 		return nil, fmt.Errorf("memcheck: %s needs P divisible by %d, got %d", kind, c, m.P)
 	}
 	k := kBroadcast(m.P, c, m.Device, m.Overlap)
-	maxI := maxDimIdx(m.Dims)
+	hw, stage, acts := m.Rows*maxDim(m), m.TileRows*maxDim(m), activations(m)
 
-	acts := activations(m.Dims)
-	slab := schedcheck.Sum(atomR().Mul(atomF(maxI)), atomT().Mul(atomF(maxI)).Scale(int64(k), 1), acts)
-	alloc := schedcheck.Sum(atomR().Mul(atomF(maxI)), atomT().Mul(atomF(maxI)).Scale(2, 1), acts)
-	resident := schedcheck.Sum(atomA(), atomR().Mul(atomF(0)).Scale(4, 1), params(layers).Scale(16, 1), alloc.Scale(4, 1))
-
+	alloc := hw + 2*stage + acts
 	fp := &Footprint{
-		SlabBytes: slab.Scale(4, 1),
+		SlabBytes: 4 * (hw + int64(k)*stage + acts),
 		SlabCount: layers + 1 + k,
-		Resident:  resident,
+		Resident:  m.AdjBytes + 4*m.Rows*int64(m.Dims[0]) + 16*params(m.Dims) + 4*alloc,
 	}
 	if m.P > 1 && layers < 2 {
 		// With one layer (and the layer-0 backward SpMM skipped, §4.4) the
 		// broadcast slabs' last access is inside the forward pass, so
 		// whether both parities are charged at once depends on the replay
 		// order — there is no order-independent slab peak to certify.
-		fp.SlabBytes, fp.SlabCount = nil, 0
+		fp.SlabBytes, fp.SlabCount = 0, 0
 		fp.Uncertified = fmt.Sprintf("%s at P=%d needs L >= 2: broadcast slabs release mid-forward at L=1, so the slab peak is order-dependent", kind, m.P)
 	}
 	return fp, nil
@@ -151,33 +116,31 @@ func gatFootprint(m Model) (*Footprint, error) {
 	if err := checkDevice(m, "gat"); err != nil {
 		return nil, err
 	}
-	maxI := maxDimIdx(m.Dims)
 	uncertified := ""
 	if layers < 2 {
 		uncertified = "gat needs L >= 2: single-layer broadcast slabs release mid-forward, so the slab peak is order-dependent"
-	} else if wide := wideIdx(m.Dims, 0); m.Dims[wide] != m.Dims[maxI] {
+	} else if int64(max(m.Dims[0], m.Dims[1])) != maxDim(m) {
 		uncertified = fmt.Sprintf("gat slab form needs max(F0,F1) == max width (argmax activation slab at layer 0), got dims %v", m.Dims)
 	}
 	k := kBroadcast(m.P, 1, m.Device, m.Overlap)
-
-	slab := atomR().Mul(atomF(maxI)).Scale(2, 1).Add(atomT().Mul(atomF(maxI)).Scale(int64(k), 1))
+	hw, stage := m.Rows*maxDim(m), m.TileRows*maxDim(m)
 
 	// gat-model holds weights plus the two attention vectors per layer at
 	// 4 bytes each (no optimizer moments: forward only); gat-attn charges
-	// half the adjacency bytes for the per-edge score storage.
-	gatParams := perLayer(layers, func(l int) *schedcheck.Expr {
-		return atomF(l).Mul(atomF(l + 1)).Add(atomF(l+1).Scale(2, 1))
-	})
-	alloc := schedcheck.Sum(atomR().Mul(atomF(maxI)), atomT().Mul(atomF(maxI)).Scale(2, 1), activations(m.Dims))
-	resident := schedcheck.Sum(atomA(), atomA().Scale(1, 2), atomR().Mul(atomF(0)).Scale(4, 1), gatParams.Scale(4, 1), alloc.Scale(4, 1))
-
+	// half the adjacency bytes for the per-edge score storage, rounded
+	// down as the pool charge is.
+	gatParams := params(m.Dims)
+	for _, d := range m.Dims[1:] {
+		gatParams += 2 * int64(d)
+	}
+	alloc := hw + 2*stage + activations(m)
 	fp := &Footprint{
-		SlabBytes: slab.Scale(4, 1),
+		SlabBytes: 4 * (2*hw + int64(k)*stage),
 		SlabCount: 2 + k,
-		Resident:  resident,
+		Resident:  m.AdjBytes + m.AdjBytes/2 + 4*m.Rows*int64(m.Dims[0]) + 4*gatParams + 4*alloc,
 	}
 	if uncertified != "" {
-		fp.SlabBytes, fp.SlabCount, fp.Uncertified = nil, 0, uncertified
+		fp.SlabBytes, fp.SlabCount, fp.Uncertified = 0, 0, uncertified
 	}
 	return fp, nil
 }
@@ -210,61 +173,51 @@ func sampledFootprint(m Model) (*Footprint, error) {
 		uncertified = fmt.Sprintf("sampled at depth %d needs >= %d steps per device for an order-independent slab peak, got %d", m.Depth, minSteps, m.Steps)
 	}
 
-	// G is sized for the widest propagated gradient (frontier l+1 rows at
-	// F(l+1) columns). The argmax index is concrete; the expression stays
-	// symbolic in the chosen V and F atoms.
-	gIdx := 0
-	for l := 1; l < layers; l++ {
-		if int64(m.Caps[l+1])*int64(m.Dims[l+1]) > int64(m.Caps[gIdx+1])*int64(m.Dims[gIdx+1]) {
-			gIdx = l
-		}
+	// G is sized for the widest propagated gradient: frontier l+1 rows at
+	// F(l+1) columns.
+	var grad, perLayer int64
+	for l := 0; l < layers; l++ {
+		hop := int64(m.Caps[l+1])
+		grad = max(grad, hop*int64(m.Dims[l+1]))
+		perLayer += hop * int64(m.Dims[l]+m.Dims[l+1]) // AH[l] and OUT[l]
 	}
-
-	slab := schedcheck.Sum(
-		atomC().Mul(atomF(0)),            // cache
-		atomV(0).Mul(atomF(0)),           // X
-		atomV(gIdx+1).Mul(atomF(gIdx+1)), // G
-		perLayer(layers, func(l int) *schedcheck.Expr { // AH[l] and OUT[l]
-			return atomV(l + 1).Mul(atomF(l).Add(atomF(l + 1)))
-		}),
-	)
-
-	resident := params(layers).Scale(16, 1).Add(slab.Scale(4, 1))
+	cacheAndX := (m.CacheRows + int64(m.Caps[0])) * int64(m.Dims[0])
+	slab := 4 * (cacheAndX + grad + perLayer)
 
 	fp := &Footprint{
-		SlabBytes: slab.Scale(4, 1),
+		SlabBytes: slab,
 		SlabCount: 2*layers + 3,
-		Resident:  resident,
+		Resident:  16*params(m.Dims) + slab,
 	}
 	if uncertified != "" {
-		fp.SlabBytes, fp.SlabCount, fp.Uncertified = nil, 0, uncertified
+		fp.SlabBytes, fp.SlabCount, fp.Uncertified = 0, 0, uncertified
 	}
 	return fp, nil
 }
 
 // cagnetFootprint covers the CAGNET baseline, whose epoch graph is a pure
 // cost model (phantom buffers, no declared access sets), so there is no
-// slab universe to certify: SlabBytes is nil and only the resident form —
-// the local adjacency slice (Z nonzeros), feature shard, three persistent
-// buffers per layer, two stage-receive buffers, and replicated model state
-// — is emitted, cross-checked against baseline.CAGNETConfig.MemoryBytes.
+// slab universe to certify: SlabBytes is 0 and only the resident footprint
+// — the local adjacency slice (NNZShare nonzeros), feature shard, three
+// persistent buffers per layer, two stage-receive buffers, and replicated
+// model state — is emitted, cross-checked against
+// baseline.CAGNETConfig.MemoryBytes.
 func cagnetFootprint(m Model) (*Footprint, error) {
 	layers := len(m.Dims) - 1
 	if layers < 1 {
 		return nil, fmt.Errorf("memcheck: cagnet needs at least 1 layer, got dims %v", m.Dims)
 	}
-	maxI := maxDimIdx(m.Dims)
+	var outs int64
+	for _, d := range m.Dims[1:] {
+		outs += int64(d)
+	}
 	return &Footprint{
-		Resident: schedcheck.Sum(
-			atomR().Add(schedcheck.Const(1)).Scale(8, 1), // row pointers
-			schedcheck.Atom("Z").Scale(8, 1),             // column indices and values
-			atomR().Mul(atomF(0)).Scale(4, 1),            // feature shard
-			perLayer(layers, func(l int) *schedcheck.Expr { // three buffers per layer
-				return atomR().Mul(atomF(l+1)).Scale(12, 1)
-			}),
-			atomR().Mul(atomF(maxI)).Scale(8, 1), // two stage-receive buffers
-			params(layers).Scale(16, 1),          // weights and Adam moments
-		),
+		Resident: 8*(m.Rows+1) + // row pointers
+			8*m.NNZShare + // column indices and values
+			4*m.Rows*int64(m.Dims[0]) + // feature shard
+			12*m.Rows*outs + // three buffers per layer
+			8*m.Rows*maxDim(m) + // two stage-receive buffers
+			16*params(m.Dims), // weights and Adam moments
 		Uncertified: "cagnet is a phantom cost model: its graph declares no buffer access sets, so there is no slab universe to certify",
 	}, nil
 }

@@ -47,14 +47,14 @@ func certifyTrainer(t *testing.T, g *graph.Graph, cfg core.Config) {
 	}
 
 	strat := strings.ToLower(cfg.Strategy.String())
-	vol, err := schedcheck.VolumeForm(strat, schedcheck.Model{
+	model := schedcheck.Model{N: g.N(), P: cfg.P, S: cfg.MemScale,
 		Dims: tr.Dims, OrderSwitch: cfg.OrderSwitch, SkipFirstBackward: cfg.SkipFirstBackward,
-	})
+	}
+	vol, err := schedcheck.VolumeForm(strat, model)
 	if err != nil {
 		t.Fatalf("VolumeForm: %v", err)
 	}
-	env := schedcheck.EnvFor(g.N(), cfg.P, int64(cfg.MemScale), tr.Dims)
-	if fs := schedcheck.CertifyVolume(tg, vol, env); len(fs) != 0 {
+	if fs := schedcheck.CertifyVolume(tg, vol, model); len(fs) != 0 {
 		t.Fatalf("cost findings: %v", fs)
 	}
 
@@ -152,12 +152,12 @@ func TestGoldenCertificationGAT(t *testing.T) {
 	if fs := schedcheck.Check(tg); len(fs) != 0 {
 		t.Fatalf("structural findings: %v", fs)
 	}
-	vol, err := schedcheck.VolumeForm("gat", schedcheck.Model{Dims: model.Dims})
+	form := schedcheck.Model{N: g.N(), P: cfg.P, S: cfg.MemScale, Dims: model.Dims}
+	vol, err := schedcheck.VolumeForm("gat", form)
 	if err != nil {
 		t.Fatalf("VolumeForm: %v", err)
 	}
-	env := schedcheck.EnvFor(g.N(), cfg.P, int64(cfg.MemScale), model.Dims)
-	if fs := schedcheck.CertifyVolume(tg, vol, env); len(fs) != 0 {
+	if fs := schedcheck.CertifyVolume(tg, vol, form); len(fs) != 0 {
 		t.Fatalf("cost findings: %v", fs)
 	}
 	annotated := schedcheck.AnnotatedWords(tg)
@@ -177,12 +177,12 @@ func TestGoldenCertificationCAGNET(t *testing.T) {
 			t.Fatalf("P=%d structural findings: %v", p, fs)
 		}
 		dims := nn.LayerDims(g.FeatDim, c.Hidden, c.Layers, g.Classes)
-		vol, err := schedcheck.VolumeForm("cagnet", schedcheck.Model{Dims: dims})
+		model := schedcheck.Model{N: g.N(), P: p, S: c.MemScale, Dims: dims}
+		vol, err := schedcheck.VolumeForm("cagnet", model)
 		if err != nil {
 			t.Fatalf("VolumeForm: %v", err)
 		}
-		env := schedcheck.EnvFor(g.N(), p, int64(c.MemScale), dims)
-		if fs := schedcheck.CertifyVolume(tg, vol, env); len(fs) != 0 {
+		if fs := schedcheck.CertifyVolume(tg, vol, model); len(fs) != 0 {
 			t.Fatalf("P=%d cost findings: %v", p, fs)
 		}
 	}

@@ -1,3 +1,21 @@
+// Package schedcheck is a static verifier for recorded sim.Graph
+// schedules: it walks a graph's declared access sets, shaped extents and
+// collective annotations — never executing a closure — and proves three
+// properties per strategy and layer stack (DESIGN.md §6.3):
+//
+//  1. collective matching / deadlock-freedom: every device of a communicator
+//     observes a consistent collective order, and collectives on overlapping
+//     but distinct communicators are happens-before ordered by the executor's
+//     own edges (CheckCollectives);
+//  2. shape-flow typing: tensor extents propagate through SpMM / GeMM /
+//     activation / collective tasks and every bind's buffers unify
+//     (CheckShapes);
+//  3. cost certification: the schedule's communication volume, summed from
+//     its annotations, equals the closed form registered for the strategy
+//     (VolumeForm), with exact integer equality (CertifyVolume). A closed
+//     form is integer Go over the named fields of a Model (N, P, S and the
+//     layer widths); a form that only holds when its replication factor
+//     divides P says so with an error rather than rounding.
 package schedcheck
 
 import (
