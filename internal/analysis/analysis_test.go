@@ -34,7 +34,7 @@ func findingLines(pkg *Package, fs []Finding) map[string]bool {
 
 func wantLineSet(pkg *Package, rule string) map[string]bool {
 	want := map[string]bool{}
-	for file, lines := range pkg.WantLines(rule) {
+	for file, lines := range pkg.wantLines(rule) {
 		for line := range lines {
 			want[fmt.Sprintf("%s:%d", filepath.Base(file), line)] = true
 		}

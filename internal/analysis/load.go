@@ -251,20 +251,3 @@ func (pkg *Package) indexComments(file *ast.File) {
 		}
 	}
 }
-
-// WantLines returns, per file, the lines tagged with a "// want <rule>"
-// comment — the fixture tests' expected-finding annotations.
-func (pkg *Package) WantLines(rule string) map[string]map[int]bool {
-	out := map[string]map[int]bool{}
-	for file, lines := range pkg.commentLines {
-		for ln, text := range lines {
-			if strings.Contains(text, "want "+rule) {
-				if out[file] == nil {
-					out[file] = map[int]bool{}
-				}
-				out[file][ln] = true
-			}
-		}
-	}
-	return out
-}

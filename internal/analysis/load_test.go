@@ -146,7 +146,7 @@ func TestLoadDirCommentsAndWantLines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
-	want := pkg.WantLines("taskdep")
+	want := pkg.wantLines("taskdep")
 	total := 0
 	for _, lines := range want {
 		total += len(lines)
@@ -154,8 +154,8 @@ func TestLoadDirCommentsAndWantLines(t *testing.T) {
 	if total == 0 {
 		t.Fatal("taskdep_pos fixture yielded no want lines")
 	}
-	if len(pkg.WantLines("no-such-rule")) != 0 {
-		t.Fatal("WantLines matched a rule no comment names")
+	if len(pkg.wantLines("no-such-rule")) != 0 {
+		t.Fatal("wantLines matched a rule no comment names")
 	}
 	// suppression: want lines are exactly where the fixture places comments,
 	// so the comment index must report those positions as present.
@@ -201,4 +201,21 @@ func TestLoadAllCoversModule(t *testing.T) {
 			t.Fatalf("LoadAll unsorted: %q after %q", pkgs[i].Path, pkgs[i-1].Path)
 		}
 	}
+}
+
+// wantLines returns, per file, the lines tagged with a "// want <rule>"
+// comment — the fixture tests' expected-finding annotations.
+func (pkg *Package) wantLines(rule string) map[string]map[int]bool {
+	out := map[string]map[int]bool{}
+	for file, lines := range pkg.commentLines {
+		for ln, text := range lines {
+			if strings.Contains(text, "want "+rule) {
+				if out[file] == nil {
+					out[file] = map[int]bool{}
+				}
+				out[file][ln] = true
+			}
+		}
+	}
+	return out
 }

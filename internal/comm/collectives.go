@@ -126,7 +126,9 @@ func (c *Group) checkBufs(op string, bufs []*tensor.Dense) {
 // sim.Graph.Execute replays the graph, after the task's deps — only the
 // shape checks happen at record time. dst[root] is left untouched (the
 // paper's implementation reads the root's own tile from its resident
-// buffer). Returns the task ID to depend on.
+// buffer). Shape-only destinations, like the staged SpMM's BC slabs whose
+// readers read src in place, move nothing; the task still prices, declares,
+// meters and retries the move. Returns the task ID to depend on.
 func (c *Group) Broadcast(root int, src *tensor.Dense, dst []*tensor.Dense, label string, stage int, deps ...int) int {
 	if len(dst) != c.P() {
 		panic(fmt.Sprintf("comm: broadcast with %d destinations for %d devices", len(dst), c.P()))

@@ -59,9 +59,9 @@ func (b *Buffer) View(rows, cols int) *tensor.Dense {
 	return d
 }
 
-// DeviceBuffers is one device's §4.2 buffer set: the three shared buffers
-// (HW for GeMM/SpMM intermediates, BC1/BC2 for broadcast double-buffering)
-// plus one private output buffer per layer. Total L+3 large buffers.
+// DeviceBuffers is one device's §4.2 set of L+3 large buffers: the shared HW
+// (GeMM/SpMM intermediates) and BC1/BC2 (broadcast double-buffering, charged
+// but shape-only under broadcast staging), plus one output buffer per layer.
 type DeviceBuffers struct {
 	HW  *Buffer   // shared: H·W / AH / HW_G intermediate, rows x maxDim
 	BC1 *Buffer   // shared: broadcast receive buffer, maxTileRows x maxDim
@@ -71,19 +71,20 @@ type DeviceBuffers struct {
 
 // NewDeviceBuffers allocates the L+3 buffer set on pool for device dev
 // owning rows vertices, where dims are the model's layer widths (len L+1)
-// and maxTileRows is the largest row-block any broadcast can carry. All
-// buffers register with reg.
-func NewDeviceBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, rows, maxTileRows int, dims []int, phantom bool) (*DeviceBuffers, error) {
+// and maxTileRows is the largest row-block any broadcast can carry, staged
+// as st stages its SpMMs. All buffers register with reg.
+func NewDeviceBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, rows, maxTileRows int, dims []int, st Strategy, phantom bool) (*DeviceBuffers, error) {
 	maxDim := slices.Max(dims)
 	b := &DeviceBuffers{}
 	var err error
 	if b.HW, err = newBuffer(reg, dev, pool, "buf/HW", int64(rows)*int64(maxDim), phantom); err != nil {
 		return nil, err
 	}
-	if b.BC1, err = newBuffer(reg, dev, pool, "buf/BC1", int64(maxTileRows)*int64(maxDim), phantom); err != nil {
+	bcShapeOnly := phantom || !st.reduceStaged()
+	if b.BC1, err = newBuffer(reg, dev, pool, "buf/BC1", int64(maxTileRows)*int64(maxDim), bcShapeOnly); err != nil {
 		return nil, err
 	}
-	if b.BC2, err = newBuffer(reg, dev, pool, "buf/BC2", int64(maxTileRows)*int64(maxDim), phantom); err != nil {
+	if b.BC2, err = newBuffer(reg, dev, pool, "buf/BC2", int64(maxTileRows)*int64(maxDim), bcShapeOnly); err != nil {
 		return nil, err
 	}
 	for l := 0; l+1 < len(dims); l++ {

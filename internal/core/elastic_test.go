@@ -11,6 +11,7 @@ import (
 	"mggcn/internal/graph"
 	"mggcn/internal/nn"
 	"mggcn/internal/sim"
+	"mggcn/internal/tensor"
 )
 
 // noSleep keeps retry backoff out of test wall time.
@@ -287,5 +288,33 @@ func TestCrashedDeviceErrorIdentifiesDevice(t *testing.T) {
 	}
 	if lost.Device != 1 {
 		t.Fatalf("lost device %d, want 1", lost.Device)
+	}
+}
+
+// TestResyncMovesRealWeights: the elastic resync's broadcasts write replicas,
+// not shape-only staging slabs, so they still move data. After a device
+// loss the survivors agree, and a resync overwrites a diverged replica.
+func TestResyncMovesRealWeights(t *testing.T) {
+	inj := fault.New(fault.Plan{Seed: 1, Crash: &fault.CrashSpec{Device: 2, OnLabel: "bwd"}})
+	res, err := TrainElastic(testGraph(t), faultConfig(4, inj), 2)
+	if err != nil {
+		t.Fatalf("TrainElastic: %v", err)
+	}
+	tr := res.Trainer
+	if res.FinalP != 3 || tr.devs[0].bufs.BC1.data != nil {
+		t.Fatalf("final P = %d, BC1 storage %t; want 3 survivors with shape-only staging", res.FinalP, tr.devs[0].bufs.BC1.data != nil)
+	}
+	for _, w := range tr.weights[1] {
+		w.Zero()
+	}
+	if err := tr.resync(&tr.Cfg.execEnv, []int{0, 1, 2}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for d := 1; d < 3; d++ {
+		for l, w := range tr.weights[d] {
+			if !tensor.Equal(w, tr.weights[0][l], 0) {
+				t.Fatalf("device %d layer %d weights are not replica 0's after resync", d, l)
+			}
+		}
 	}
 }

@@ -18,8 +18,8 @@ func TestParallelReplayBitIdentical(t *testing.T) {
 	for _, strat := range []Strategy{Strategy1DRow, Strategy1DCol, Strategy15D} {
 		for _, overlap := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/overlap=%t", strat, overlap), func(t *testing.T) {
-				run := func(execWorkers int) ([]*tensor.Dense, []float64) {
-					cfg := testConfig(4)
+				run := func(p, execWorkers int) ([]*tensor.Dense, []float64) {
+					cfg := testConfig(p)
 					cfg.Strategy = strat
 					cfg.Overlap = overlap
 					cfg.ExecWorkers = execWorkers
@@ -33,16 +33,18 @@ func TestParallelReplayBitIdentical(t *testing.T) {
 					}
 					return tr.Weights(), losses
 				}
-				serialW, serialL := run(1)
-				parW, parL := run(8)
-				for l := range serialW {
-					if !tensor.Equal(serialW[l], parW[l], 0) {
-						t.Fatalf("layer %d weights differ between serial and 8-worker replay", l)
+				for _, p := range []int{4, 8} {
+					serialW, serialL := run(p, 1)
+					parW, parL := run(p, 8)
+					for l := range serialW {
+						if !tensor.Equal(serialW[l], parW[l], 0) {
+							t.Fatalf("P=%d: layer %d weights differ between serial and 8-worker replay", p, l)
+						}
 					}
-				}
-				for e := range serialL {
-					if serialL[e] != parL[e] {
-						t.Fatalf("epoch %d loss %v (serial) vs %v (parallel)", e, serialL[e], parL[e])
+					for e := range serialL {
+						if serialL[e] != parL[e] {
+							t.Fatalf("P=%d: epoch %d loss %v (serial) vs %v (parallel)", p, e, serialL[e], parL[e])
+						}
 					}
 				}
 			})

@@ -54,7 +54,7 @@ func NewGATDist(g *graph.Graph, model *nn.GAT, cfg Config) (*GATDist, error) {
 		registerDense(d.reg, d.reg.Register(fmt.Sprintf("gat/a2-%d", l)), model.AttnDst[l])
 	}
 	for dev := 0; dev < machine.P; dev++ {
-		bufs, err := NewDeviceBuffers(d.reg, dev, machine.Pools[dev], p.devs[dev].rows, maxTile, model.Dims, d.phantom)
+		bufs, err := NewDeviceBuffers(d.reg, dev, machine.Pools[dev], p.devs[dev].rows, maxTile, model.Dims, cfg.Strategy, d.phantom)
 		if err != nil {
 			return nil, err
 		}

@@ -125,7 +125,10 @@ func (r layerRecorder) distSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int
 // one before when on (double buffering: "the i+1-th broadcast waits for the
 // i-1-th SpMM to finish not to overwrite its input"). A stage's SpMM on a
 // non-root device waits on the broadcast; the root's own SpMM needs no
-// communication.
+// communication. Devices share one host heap: a non-root SpMM reads the
+// root's block in place, its broadcast into the shape-only BC slab only prices
+// the move, and the root's next kernel waits for the stage's readers host-side
+// (Graph.FenceNext): after a group's last stage no broadcast orders them.
 func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
 	p, blocks := r.Machine.P, r.blocks
 	c := p / blocks
@@ -158,7 +161,7 @@ func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 		// parity and, past the first, makes the SpMM accumulate.
 		for j, localStage := g, 0; j < blocks; j, localStage = j+c, localStage+1 {
 			rootDev := g*blocks + j
-			rootRows := r.devs[rootDev].rows
+			rootRows, xin := r.devs[rootDev].rows, a.src(rootDev)
 			var bcastID = -1
 			if blocks > 1 {
 				var deps []int
@@ -174,20 +177,19 @@ func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 				for pos, d := range devs {
 					bcDst[pos] = r.devs[d].bufs.BC(localStage, a.overlap).View(rootRows, a.width)
 				}
-				bcastID = sub.Broadcast(j, a.src(rootDev), bcDst, bcastLabel, j, deps...)
+				bcastID = sub.Broadcast(j, xin, bcDst, bcastLabel, j, deps...)
 			}
 			stage := make([]int, 0, blocks)
 			for _, d := range devs {
 				dev := r.devs[d]
-				var xin *tensor.Dense
+				var staged *tensor.Dense // the shape-only BC view; nil on the root
 				var deps []int
 				if d == rootDev {
-					xin = a.src(rootDev)
 					if a.srcReady[rootDev] >= 0 {
 						deps = append(deps, a.srcReady[rootDev])
 					}
 				} else {
-					xin = dev.bufs.BC(localStage, a.overlap).View(rootRows, a.width)
+					staged = dev.bufs.BC(localStage, a.overlap).View(rootRows, a.width)
 					deps = append(deps, bcastID)
 				}
 				if a.devDeps != nil {
@@ -203,7 +205,7 @@ func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 				dst := a.dst(d)
 				// dst is Writes even at beta=0: Writes means read-and-write,
 				// and the accumulating stages (beta=1) do read it.
-				tg.BindShaped(id, append(sim.ShapesOf(xin), opaqueAt(a.opaqueReads, d)), sim.ShapesOf(dst), func() {
+				tg.BindShaped(id, append(sim.ShapesOf(staged, xin), opaqueAt(a.opaqueReads, d)), sim.ShapesOf(dst), func() {
 					t := tile
 					if valued != nil {
 						t = valued(d, j)
@@ -215,6 +217,7 @@ func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 			}
 			prevPrevStage = prevStage
 			prevStage = stage
+			tg.FenceNext(rootDev, stage...)
 		}
 	}
 	if c == 1 {

@@ -153,7 +153,7 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	}
 	maxTile := p.MaxTileRows()
 	for d := 0; d < tr.Machine.P; d++ {
-		bufs, err := NewDeviceBuffers(tr.reg, d, tr.Machine.Pools[d], p.devs[d].rows, maxTile, tr.Dims, tr.phantom)
+		bufs, err := NewDeviceBuffers(tr.reg, d, tr.Machine.Pools[d], p.devs[d].rows, maxTile, tr.Dims, cfg.Strategy, tr.phantom)
 		if err != nil {
 			return nil, err
 		}

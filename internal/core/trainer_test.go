@@ -462,3 +462,46 @@ func TestDegenerateInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestBroadcastStagingIsShapeOnly: a broadcast-staged SpMM reads the root's
+// block in place, so BC1/BC2 hold no host storage under 1D-row, 1.5D and the
+// GAT, yet they stay in the L+3 count and charge the pool exactly as their
+// phantom twins' do. 1D-col's BC partials are real sums and keep storage.
+func TestBroadcastStagingIsShapeOnly(t *testing.T) {
+	g := testGraph(t)
+	phantom := gen.Generate("core-test", gen.DefaultBTER(160, 8, 99), 12, 4, true)
+	check := func(name string, devs []*deviceState, shapeOnly bool, layers int) {
+		for d, ds := range devs {
+			if n := ds.bufs.Count(); n != layers+3 {
+				t.Errorf("%s: device %d holds %d buffers, want L+3 = %d", name, d, n, layers+3)
+			}
+			for _, bc := range []*Buffer{ds.bufs.BC1, ds.bufs.BC2} {
+				if (bc.data == nil) != shapeOnly {
+					t.Errorf("%s: device %d %s has storage %t, want %t", name, d, bc.label, bc.data != nil, !shapeOnly)
+				}
+			}
+		}
+	}
+	for _, st := range Strategies() {
+		cfg := testConfig(4)
+		cfg.Strategy = st
+		tr, twin := mustNewTrainer(t, g, cfg), mustNewTrainer(t, phantom, cfg)
+		mustEpoch(tr)
+		mustEpoch(twin)
+		check(st.String(), tr.devs, !st.reduceStaged(), cfg.Layers)
+		if got, want := tr.PeakMemoryBytes(), twin.PeakMemoryBytes(); got != want {
+			t.Errorf("%v: PeakMemoryBytes %d, phantom twin %d", st, got, want)
+		}
+		for d, pool := range tr.Machine.Pools {
+			if got, want := pool.Used(), twin.Machine.Pools[d].Used(); got != want {
+				t.Errorf("%v: device %d pool charges %d B, phantom twin %d B", st, d, got, want)
+			}
+		}
+	}
+	dist, err := NewGATDist(g, nn.NewGAT(g, nn.LayerDims(g.FeatDim, 16, 2, g.Classes), 3), testConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustGATForward(dist)
+	check("gat", dist.devs, true, 2)
+}

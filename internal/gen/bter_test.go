@@ -228,7 +228,7 @@ func TestLoadUnknownDataset(t *testing.T) {
 }
 
 func TestLoadCachesInstances(t *testing.T) {
-	ClearCache()
+	clearCache()
 	g1, _, err := Load("cora", true)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestLoadCachesInstances(t *testing.T) {
 }
 
 func TestLoadPreservesAvgDegree(t *testing.T) {
-	ClearCache()
+	clearCache()
 	g, spec, err := Load("arxiv", true)
 	if err != nil {
 		t.Fatal(err)
@@ -281,4 +281,11 @@ func TestLoadDegreeScaled(t *testing.T) {
 		t.Fatalf("avg degree %v, target %v", k, spec.AvgDegree)
 	}
 	var _ *graph.Graph = g
+}
+
+// clearCache drops all cached datasets (tests use it to bound memory).
+func clearCache() {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	cache = map[string]*graph.Graph{}
 }

@@ -116,10 +116,3 @@ func LoadDegreeScaled(factor int, phantom bool) (*graph.Graph, DatasetSpec) {
 	cache[key] = g
 	return g, spec
 }
-
-// ClearCache drops all cached datasets (tests use it to bound memory).
-func ClearCache() {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	cache = map[string]*graph.Graph{}
-}

@@ -103,7 +103,7 @@ func TestOrderingBalanceRanking(t *testing.T) {
 		if perm != nil {
 			m = sparse.PermuteSymmetric(adj, perm)
 		}
-		return TotalImbalance(TileNNZ(m, vec)).Imbalance
+		return totalImbalance(TileNNZ(m, vec)).Imbalance
 	}
 	natural := imbalance(nil)
 	sorted := imbalance(DegreeSortPerm(adj))

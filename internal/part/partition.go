@@ -142,18 +142,6 @@ func ComputeBalance(work []int64) Balance {
 	return b
 }
 
-// TotalImbalance returns the epoch-level imbalance: per-GPU total tile work
-// max/mean across the whole P-stage SpMM.
-func TotalImbalance(tiles [][]int64) Balance {
-	rows := make([]int64, len(tiles))
-	for i := range tiles {
-		for _, w := range tiles[i] {
-			rows[i] += w
-		}
-	}
-	return ComputeBalance(rows)
-}
-
 // BalancedVector builds a partition vector whose parts carry near-equal
 // total weight (e.g. per-row nonzeros) instead of near-equal element
 // counts — the alternative to §5.2's "permute then cut uniformly": keep

@@ -166,10 +166,10 @@ func TestPermutationImprovesBalance(t *testing.T) {
 	adj := gen.BTER(gen.DefaultBTER(3000, 30, 17))
 	p := Uniform(adj.Rows, 8)
 
-	orig := TotalImbalance(TileNNZ(adj, p))
+	orig := totalImbalance(TileNNZ(adj, p))
 	perm := RandomPerm(adj.Rows, 5)
 	permuted := sparse.PermuteSymmetric(adj, perm)
-	balanced := TotalImbalance(TileNNZ(permuted, p))
+	balanced := totalImbalance(TileNNZ(permuted, p))
 
 	if orig.Imbalance < 1.2 {
 		t.Fatalf("natural ordering unexpectedly balanced (%.3f); generator lost skew", orig.Imbalance)
@@ -220,8 +220,8 @@ func TestBalancedVectorBeatsUniformOnSkew(t *testing.T) {
 	for i := range weights {
 		weights[i] = adj.RowNNZ(i)
 	}
-	uniform := TotalImbalance(TileNNZ(adj, Uniform(adj.Rows, 8)))
-	balanced := TotalImbalance(TileNNZ(adj, BalancedVector(weights, 8)))
+	uniform := totalImbalance(TileNNZ(adj, Uniform(adj.Rows, 8)))
+	balanced := totalImbalance(TileNNZ(adj, BalancedVector(weights, 8)))
 	if balanced.Imbalance >= uniform.Imbalance {
 		t.Fatalf("balanced cuts %.3f did not beat uniform %.3f", balanced.Imbalance, uniform.Imbalance)
 	}
@@ -248,4 +248,16 @@ func TestBalancedVectorBadPartsPanics(t *testing.T) {
 		}
 	}()
 	BalancedVector([]int64{1}, 0)
+}
+
+// totalImbalance returns the epoch-level imbalance: per-GPU total tile work
+// max/mean across the whole P-stage SpMM.
+func totalImbalance(tiles [][]int64) Balance {
+	rows := make([]int64, len(tiles))
+	for i := range tiles {
+		for _, w := range tiles[i] {
+			rows[i] += w
+		}
+	}
+	return ComputeBalance(rows)
 }

@@ -37,15 +37,6 @@ func (t *Table) AddRow(name string, cells ...string) {
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rowNames) }
 
-// Cell returns the named cell, or "" when absent.
-func (t *Table) Cell(row string, col int) string {
-	cells, ok := t.rows[row]
-	if !ok || col < 0 || col >= len(cells) {
-		return ""
-	}
-	return cells[col]
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	widths := make([]int, len(t.ColNames)+1)

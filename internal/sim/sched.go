@@ -185,24 +185,3 @@ func (g *Graph) Run() *Schedule {
 	s.Makespan = now
 	return s
 }
-
-// CriticalPathLowerBound returns the dependency-only lower bound on the
-// makespan (ignoring stream serialization and contention); the scheduler's
-// makespan can never be below it.
-func (g *Graph) CriticalPathLowerBound() float64 {
-	finish := make([]float64, len(g.Tasks))
-	var best float64
-	for i, t := range g.Tasks { // tasks are in issue order; deps point backward
-		var start float64
-		for _, d := range t.Deps {
-			if finish[d] > start {
-				start = finish[d]
-			}
-		}
-		finish[i] = start + t.Seconds
-		if finish[i] > best {
-			best = finish[i]
-		}
-	}
-	return best
-}

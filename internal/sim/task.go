@@ -178,11 +178,17 @@ type Graph struct {
 	bound int
 	// executed is Execute's watermark: tasks below it have been replayed.
 	executed int
+	// After maps a task ID to its host-only predecessors (FenceNext): the
+	// executor honours them with the fences (EdgeFences), the simulator does
+	// not, because they guard host memory a simulated task never touches.
+	After map[int][]int
+	// fenceNext[d] is what d's next compute task waits for (FenceNext).
+	fenceNext [][]int
 }
 
 // NewGraph starts an empty task graph over p devices of spec.
 func NewGraph(spec MachineSpec, p int) *Graph {
-	return &Graph{Spec: spec, P: p}
+	return &Graph{Spec: spec, P: p, After: map[int][]int{}, fenceNext: make([][]int, p)}
 }
 
 // AddCompute appends a compute-stream task on one device and returns its ID.
@@ -292,6 +298,16 @@ func (g *Graph) add(t *Task) int {
 		}
 	}
 	t.ID = len(g.Tasks)
+	if t.Stream == StreamCompute && g.fenceNext[t.Devices[0]] != nil {
+		g.After[t.ID], g.fenceNext[t.Devices[0]] = g.fenceNext[t.Devices[0]], nil
+	}
 	g.Tasks = append(g.Tasks, t)
 	return t.ID
+}
+
+// FenceNext makes the next compute task recorded on device dev wait for
+// tasks ids, host-side only (Graph.After): ids read dev's memory from other
+// devices, and no collective may fence the kernel that overwrites it next.
+func (g *Graph) FenceNext(dev int, ids ...int) {
+	g.fenceNext[dev] = append(g.fenceNext[dev], ids...)
 }

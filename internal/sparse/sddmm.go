@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mggcn/internal/pool"
 	"mggcn/internal/tensor"
 )
 
@@ -14,33 +13,26 @@ import (
 // carries fresh values. a has pattern.Rows rows, b has pattern.Cols rows
 // (b is indexed by column — i.e. the product a bᵀ sampled at the pattern).
 func SDDMM(pattern *CSR, a, b *tensor.Dense) *CSR {
-	checkSDDMMShapes(pattern, a, b)
-	out := withFreshVals(pattern)
-	if a.IsPhantom() || b.IsPhantom() {
-		return out
-	}
-	sddmmRows(pattern, a, b, out, 0, pattern.Rows)
-	return out
-}
-
-// ParallelSDDMM is SDDMM with rows split across up to workers lanes of the
-// shared worker pool (workers <= 0: GOMAXPROCS). Each row is computed by one
-// lane in SDDMM's order, so the result is SDDMM's bit for bit.
-func ParallelSDDMM(pattern *CSR, a, b *tensor.Dense, workers int) *CSR {
-	checkSDDMMShapes(pattern, a, b)
-	out := withFreshVals(pattern)
-	if a.IsPhantom() || b.IsPhantom() {
-		return out
-	}
-	pool.ParallelFor(pattern.Rows, workers, func(lo, hi int) { sddmmRows(pattern, a, b, out, lo, hi) })
-	return out
-}
-
-func checkSDDMMShapes(pattern *CSR, a, b *tensor.Dense) {
 	if a.Rows != pattern.Rows || b.Rows != pattern.Cols || a.Cols != b.Cols {
 		panic(fmt.Sprintf("sparse: SDDMM shape mismatch: pattern %dx%d, a %dx%d, b %dx%d",
 			pattern.Rows, pattern.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
+	out := withFreshVals(pattern)
+	if a.IsPhantom() || b.IsPhantom() {
+		return out
+	}
+	for u := 0; u < pattern.Rows; u++ {
+		ra := a.Row(u)
+		for k := pattern.RowPtr[u]; k < pattern.RowPtr[u+1]; k++ {
+			rb := b.Row(int(pattern.ColIdx[k]))
+			var dot float32
+			for j, av := range ra {
+				dot += av * rb[j]
+			}
+			out.Vals[k] = dot
+		}
+	}
+	return out
 }
 
 // withFreshVals returns a CSR sharing pattern's structure with a new,
@@ -50,21 +42,6 @@ func withFreshVals(pattern *CSR) *CSR {
 		Rows: pattern.Rows, Cols: pattern.Cols,
 		RowPtr: pattern.RowPtr, ColIdx: pattern.ColIdx,
 		Vals: make([]float32, pattern.NNZ()),
-	}
-}
-
-func sddmmRows(pattern *CSR, a, b *tensor.Dense, out *CSR, lo, hi int) {
-	for u := lo; u < hi; u++ {
-		ra := a.Row(u)
-		start, end := pattern.RowPtr[u], pattern.RowPtr[u+1]
-		for k := start; k < end; k++ {
-			rb := b.Row(int(pattern.ColIdx[k]))
-			var dot float32
-			for j, av := range ra {
-				dot += av * rb[j]
-			}
-			out.Vals[k] = dot
-		}
 	}
 }
 

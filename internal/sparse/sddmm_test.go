@@ -38,21 +38,6 @@ func TestSDDMMMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestParallelSDDMMMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pattern := randomCSR(rng, 60, 60, 0.2, false)
-	a, b := randomDense(rng, 60, 12), randomDense(rng, 60, 12)
-	seq := SDDMM(pattern, a, b)
-	for _, w := range []int{1, 3, 8, 100} {
-		par := ParallelSDDMM(pattern, a, b, w)
-		for i := range seq.Vals {
-			if seq.Vals[i] != par.Vals[i] {
-				t.Fatalf("workers=%d differ at %d", w, i)
-			}
-		}
-	}
-}
-
 func TestSDDMMShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -14,8 +14,11 @@ cd "$(dirname "$0")/.."
 # (ROADMAP item 4). Lower it when core shrinks; a PR that needs to raise it
 # has to say what the lines buy. 3327 -> 3333: the learning-rate check every
 # trainer and the memory estimator share. 3333 -> 3319: the estimator hands
-# its analytic partition to memcheck.AnalyticResident.
-core_ceiling=3319
+# its analytic partition to memcheck.AnalyticResident. 3319 -> 3323: the
+# host-only ordering a broadcast stage's in-place readers need (the
+# Graph.FenceNext call and the comment saying why); the shape-only BC slabs
+# themselves cost no net line.
+core_ceiling=3323
 # The repository total's ceiling is the size the last deletion reached
 # (ROADMAP item 5); same rule. 17555 -> 17591: that check, the row kernel's
 # split bounds check and its install-time column probe, Dense.Row's panic
@@ -23,7 +26,10 @@ core_ceiling=3319
 # the call in that loop reloaded the whole loss loop's registers).
 # 17591 -> 17229: the closed forms are integer Go over named model fields,
 # and the symbolic polynomial algebra they were written in is gone.
-total_ceiling=17229
+# 17229 -> 17169: of the six exported functions only their own package's
+# tests called, ParallelSDDMM is deleted and five moved into those tests, net
+# of the host-only stage ordering.
+total_ceiling=17169
 
 find . -name '*.go' ! -name '*_test.go' \
 	! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.bench_build/*' ! -path './.git/*' \
