@@ -89,8 +89,7 @@ func TestBTERDegreeSkewInNaturalOrder(t *testing.T) {
 
 func TestDegreeSequenceProperties(t *testing.T) {
 	cfg := DefaultBTER(1000, 10, 11)
-	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
-	degs := degreeSequence(cfg, rng)
+	degs := degreeSequence(cfg, newStream(cfg.Seed))
 	if len(degs) != 1000 {
 		t.Fatalf("len=%d", len(degs))
 	}
@@ -288,4 +287,25 @@ func clearCache() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	cache = map[string]*graph.Graph{}
+}
+
+// BenchmarkBTER times synthesis at each repository benchmark workload's
+// graph shape (vertices, average degree), seed 1.
+func BenchmarkBTER(b *testing.B) {
+	for _, w := range []struct {
+		name string
+		n    int
+		deg  float64
+	}{
+		{"fullbatch-gemm", 40000, 52},
+		{"fullbatch-spmm", 16384, 384},
+		{"sampled-fanout", 16384, 52},
+		{"sampled-thin", 120000, 15},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				BTER(DefaultBTER(w.n, w.deg, 1))
+			}
+		})
+	}
 }

@@ -70,16 +70,21 @@ func Load(name string, phantom bool) (*graph.Graph, DatasetSpec, error) {
 	if !ok {
 		return nil, DatasetSpec{}, fmt.Errorf("gen: unknown dataset %q (have %v)", name, AllNames())
 	}
-	key := fmt.Sprintf("%s/phantom=%t", name, phantom)
+	return cached(spec, phantom), spec, nil
+}
+
+// cached generates spec's dataset once per (name, phantom).
+func cached(spec DatasetSpec, phantom bool) *graph.Graph {
+	key := fmt.Sprintf("%s/phantom=%t", spec.Name, phantom)
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	if g, ok := cache[key]; ok {
-		return g, spec, nil
+		return g
 	}
 	cfg := DefaultBTER(spec.GenN(), spec.AvgDegree, spec.Seed)
 	g := Generate(spec.Name, cfg, spec.FeatDim, spec.Classes, phantom)
 	cache[key] = g
-	return g, spec, nil
+	return g
 }
 
 // DegreeScaledSpec returns the Figure-9 synthetic family member: the Arxiv
@@ -105,14 +110,5 @@ func DegreeScaledSpec(factor int) DatasetSpec {
 // the given degree multiplier.
 func LoadDegreeScaled(factor int, phantom bool) (*graph.Graph, DatasetSpec) {
 	spec := DegreeScaledSpec(factor)
-	key := fmt.Sprintf("%s/phantom=%t", spec.Name, phantom)
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if g, ok := cache[key]; ok {
-		return g, spec
-	}
-	cfg := DefaultBTER(spec.GenN(), spec.AvgDegree, spec.Seed)
-	g := Generate(spec.Name, cfg, spec.FeatDim, spec.Classes, phantom)
-	cache[key] = g
-	return g, spec
+	return cached(spec, phantom), spec
 }
