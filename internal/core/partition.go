@@ -55,48 +55,53 @@ func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ord
 	p := &partitioned{strategy: strategy, blocks: blocks}
 
 	norm := g.NormalizedAdj()
-	labels := g.Labels
-	feats := g.Features
+	labels, trainMask, testMask, feats := g.Labels, g.TrainMask, g.TestMask, g.Features
 	if g.IsPhantom() {
 		feats = tensor.NewPhantom(n, g.FeatDim)
 	}
 	p.perm = orderingPerm(g, norm, ordering, permSeed, blocks)
 	if p.perm != nil {
-		norm = sparse.PermuteSymmetric(norm, p.perm)
-		if labels != nil {
-			labels = permuteLabels(g.Labels, p.perm)
-		}
+		labels, trainMask, testMask = permuted(labels, p.perm), permuted(trainMask, p.perm), permuted(testMask, p.perm)
 		if !feats.IsPhantom() {
 			feats = permuteRows(feats, p.perm)
 		}
 	}
-	at := norm.Transpose()
 
 	if balanced {
 		// Cut the (possibly reordered) vertex sequence at near-equal total
 		// degree instead of near-equal vertex counts: the per-device SpMM
-		// work is the nonzeros of its tile row in both orientations.
+		// work is the nonzeros of its tile row in both orientations, Â's row
+		// and column counts of the vertex it relabels.
 		weights := make([]int64, n)
-		for v := 0; v < n; v++ {
-			weights[v] = norm.RowNNZ(v) + at.RowNNZ(v)
+		for u := range weights {
+			weights[u] = norm.RowNNZ(u)
+		}
+		for _, w := range norm.ColIdx {
+			weights[w]++
+		}
+		if p.perm != nil {
+			weights = permuted(weights, p.perm)
 		}
 		p.vec = part.BalancedVector(weights, blocks)
 	} else {
 		p.vec = part.Uniform(n, blocks)
 	}
+	// Every strategy stores each tile of the grid on exactly one device: the
+	// 1D strategies a tile row or column per device, 1.5D's replica groups
+	// split each tile row's stages.
+	at, am := sparse.PermutedTiles(norm, p.perm, p.vec)
 
 	for d := 0; d < machine.P; d++ {
 		block, group := d%blocks, d/blocks
 		lo, hi := p.vec.Bounds(block)
 		ds := &deviceState{block: block, lo: lo, hi: hi, rows: hi - lo}
 		for j := 0; j < blocks; j++ {
-			b0, b1 := p.vec.Bounds(j)
 			var atT, aT *sparse.CSR // nil: another replica group's stage, not stored here
 			switch {
 			case strategy.reduceStaged():
-				atT, aT = at.SubMatrix(b0, b1, lo, hi), norm.SubMatrix(b0, b1, lo, hi)
+				atT, aT = at[j][block], am[j][block]
 			case j%c == group:
-				atT, aT = at.SubMatrix(lo, hi, b0, b1), norm.SubMatrix(lo, hi, b0, b1)
+				atT, aT = at[block][j], am[block][j]
 			}
 			ds.atTiles = append(ds.atTiles, atT)
 			ds.aTiles = append(ds.aTiles, aT)
@@ -114,19 +119,11 @@ func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ord
 		ds.x = feats.RowSlice(lo, hi)
 		if labels != nil {
 			ds.labels = labels[lo:hi]
-			if g.TrainMask != nil {
-				mask := g.TrainMask
-				if p.perm != nil {
-					mask = permuteMask(g.TrainMask, p.perm)
-				}
-				ds.mask = mask[lo:hi]
+			if trainMask != nil {
+				ds.mask = trainMask[lo:hi]
 			}
-			if g.TestMask != nil {
-				mask := g.TestMask
-				if p.perm != nil {
-					mask = permuteMask(g.TestMask, p.perm)
-				}
-				ds.testMask = mask[lo:hi]
+			if testMask != nil {
+				ds.testMask = testMask[lo:hi]
 			}
 		}
 		p.devs = append(p.devs, ds)
@@ -153,18 +150,14 @@ func orderingPerm(g *graph.Graph, norm *sparse.CSR, ordering Ordering, seed uint
 	}
 }
 
-func permuteLabels(labels []int32, perm []int32) []int32 {
-	out := make([]int32, len(labels))
-	for old, l := range labels {
-		out[perm[old]] = l
+// permuted returns s with element old moved to perm[old] (nil stays nil).
+func permuted[T any](s []T, perm []int32) []T {
+	if s == nil {
+		return nil
 	}
-	return out
-}
-
-func permuteMask(mask []bool, perm []int32) []bool {
-	out := make([]bool, len(mask))
-	for old, m := range mask {
-		out[perm[old]] = m
+	out := make([]T, len(s))
+	for old, x := range s {
+		out[perm[old]] = x
 	}
 	return out
 }

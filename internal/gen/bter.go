@@ -84,7 +84,9 @@ func degreeSequence(cfg BTERConfig, rng *stream) []int {
 // directions) whose degree distribution approximates the config. Phase 1
 // draws once per vertex pair of every affinity block, Σ size²/2 draws; with
 // a hub of degree N−1 the first block is the whole graph (8·10⁸ draws at
-// N = 40000). Both phases read math/rand's seeded stream inline (stream).
+// N = 40000). Phase 2 draws two endpoints per attempt, each in O(1) expected
+// time through a guide table, for at most 2·AvgDegree·N attempts. Both
+// phases read math/rand's seeded stream inline (stream).
 func BTER(cfg BTERConfig) *sparse.CSR {
 	rng, n := newStream(cfg.Seed), cfg.N
 	degs := degreeSequence(cfg, rng)
@@ -123,26 +125,67 @@ func BTER(cfg BTERConfig) *sparse.CSR {
 	}
 
 	// Phase 2: Chung-Lu on the excess degrees. Sample endpoints with
-	// probability proportional to excess weight via a prefix-sum table.
-	prefix := make([]float64, n+1)
+	// probability proportional to excess weight: the inverse CDF of a
+	// prefix-sum table, searched from a guide table.
+	cdf := make([]float64, n)
+	var total float64
 	for i, e := range excess {
-		prefix[i+1] = prefix[i] + e
+		total += e
+		cdf[i] = total
 	}
-	total := prefix[n]
 	if total > 0 {
+		g := newGuide(cdf)
 		// Sample until the undirected edge count reaches the target, so
 		// duplicate collisions on dense graphs don't erode average degree.
 		targetEdges := int(cfg.AvgDegree * float64(n) / 2)
 		maxAttempts := 4 * targetEdges
 		for attempt := 0; attempt < maxAttempts && len(edges.us) < targetEdges; attempt++ {
-			u := sort.SearchFloat64s(prefix[1:], rng.Float64()*total)
-			v := sort.SearchFloat64s(prefix[1:], rng.Float64()*total)
+			u := g.search(rng.Float64())
+			v := g.search(rng.Float64())
 			if u != v {
 				edges.add(int32(u), int32(v))
 			}
 		}
 	}
 	return edges.toCSR(n)
+}
+
+// guide inverts a cumulative weight table by indexed search (Chen & Asau,
+// 1974). start[b] is the first index whose cdf reaches b/n of the total, so a
+// draw u starts at its bucket's entry, start[int(u·n)], and walks from there.
+// The n buckets are equally likely and together hold the n entries, so a draw
+// walks O(1) entries in expectation, where a binary search takes log₂ n steps.
+type guide struct {
+	cdf   []float64 // nondecreasing, non-empty
+	start []int32   // len(cdf)+1 entries: int(u·n) reaches n when u·n rounds up
+}
+
+func newGuide(cdf []float64) *guide {
+	n, total := len(cdf), cdf[len(cdf)-1]
+	g, i := &guide{cdf: cdf, start: make([]int32, n+1)}, 0
+	for b := range g.start {
+		x := float64(b) / float64(n) * total
+		for i < n && cdf[i] < x {
+			i++
+		}
+		g.start[b] = int32(i)
+	}
+	return g
+}
+
+// search returns sort.SearchFloat64s(cdf, u·total) for u in [0, 1). The walk
+// back and the walk forward make it exact whichever bucket u·n rounds to.
+func (g *guide) search(u float64) int {
+	n := len(g.cdf)
+	x := u * g.cdf[n-1]
+	i := int(g.start[int(u*float64(n))])
+	for i > 0 && g.cdf[i-1] >= x {
+		i--
+	}
+	for i < n && g.cdf[i] < x {
+		i++
+	}
+	return i
 }
 
 // stream is rand.New(rand.NewSource(seed))'s value stream without an
@@ -276,15 +319,27 @@ func (s *edgeSet) add(u, v int32) {
 	}
 }
 
-// toCSR materializes both directions of every stored edge.
+// toCSR materializes both directions of every stored edge: one counting
+// scatter by row leaves each row's columns unsorted, and as the graph is
+// symmetric, its transpose is the same graph with every row sorted.
 func (s *edgeSet) toCSR(n int) *sparse.CSR {
-	entries := make([]sparse.Coo, 0, 2*len(s.us))
-	for i := range s.us {
-		entries = append(entries,
-			sparse.Coo{Row: s.us[i], Col: s.vs[i]},
-			sparse.Coo{Row: s.vs[i], Col: s.us[i]})
+	m := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int64, n+2), ColIdx: make([]int32, 2*len(s.us))}
+	for i := range s.us { // the cursors live in RowPtr one slot ahead, as in TransposeInto
+		m.RowPtr[s.us[i]+2]++
+		m.RowPtr[s.vs[i]+2]++
 	}
-	return sparse.FromCoo(n, n, entries, false)
+	for r := 0; r < n; r++ {
+		m.RowPtr[r+2] += m.RowPtr[r+1]
+	}
+	for i := range s.us {
+		u, v := s.us[i], s.vs[i]
+		m.ColIdx[m.RowPtr[u+1]] = v
+		m.RowPtr[u+1]++
+		m.ColIdx[m.RowPtr[v+1]] = u
+		m.RowPtr[v+1]++
+	}
+	m.RowPtr = m.RowPtr[:n+1]
+	return m.Transpose()
 }
 
 // Generate builds a full dataset: BTER structure, homophilous labels, and

@@ -99,11 +99,7 @@ func TestOrderingBalanceRanking(t *testing.T) {
 	adj := gen.BTER(gen.DefaultBTER(4000, 24, 9))
 	vec := Uniform(adj.Rows, 8)
 	imbalance := func(perm []int32) float64 {
-		m := adj
-		if perm != nil {
-			m = sparse.PermuteSymmetric(adj, perm)
-		}
-		return totalImbalance(TileNNZ(m, vec)).Imbalance
+		return totalImbalance(permutedTileNNZ(adj, perm, vec)).Imbalance
 	}
 	natural := imbalance(nil)
 	sorted := imbalance(DegreeSortPerm(adj))

@@ -1,7 +1,7 @@
 // Package part implements the paper's partitioning machinery (§4.1, §5.2):
-// partition vectors (eq. 13), uniform 1D partitioning, per-tile nonzero
-// accounting, load-balance metrics, and the random vertex permutation that
-// fixes the imbalance of natural orderings.
+// partition vectors (eq. 13), uniform and degree-balanced 1D cuts, per-tile
+// nonzero accounting, and the random vertex permutation that fixes the
+// imbalance of natural orderings.
 package part
 
 import (
@@ -106,40 +106,6 @@ func TileNNZ(a *sparse.CSR, p Vector) [][]int64 {
 		}
 	}
 	return out
-}
-
-// Balance summarizes load balance of a per-part work assignment.
-type Balance struct {
-	Max, Min, Mean float64
-	// Imbalance is Max/Mean; 1.0 is perfect balance. The paper's Fig 6
-	// contrast is an original-ordering imbalance far above the permuted one.
-	Imbalance float64
-}
-
-// ComputeBalance summarizes the work vector (ignores empty input).
-func ComputeBalance(work []int64) Balance {
-	if len(work) == 0 {
-		return Balance{}
-	}
-	b := Balance{Min: float64(work[0]), Max: float64(work[0])}
-	var sum float64
-	for _, w := range work {
-		f := float64(w)
-		sum += f
-		if f > b.Max {
-			b.Max = f
-		}
-		if f < b.Min {
-			b.Min = f
-		}
-	}
-	b.Mean = sum / float64(len(work))
-	if b.Mean > 0 {
-		b.Imbalance = b.Max / b.Mean
-	} else {
-		b.Imbalance = 1
-	}
-	return b
 }
 
 // BalancedVector builds a partition vector whose parts carry near-equal

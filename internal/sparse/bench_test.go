@@ -152,19 +152,6 @@ func BenchmarkSDDMM(b *testing.B) {
 	}
 }
 
-func BenchmarkPermuteSymmetric(b *testing.B) {
-	a := benchCSR(4096, 32)
-	rng := rand.New(rand.NewSource(3))
-	perm := make([]int32, 4096)
-	for i, v := range rng.Perm(4096) {
-		perm[i] = int32(v)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PermuteSymmetric(a, perm)
-	}
-}
-
 func BenchmarkTranspose(b *testing.B) {
 	a := benchCSR(8192, 32)
 	b.ResetTimer()

@@ -56,7 +56,8 @@ type Coo struct {
 
 // FromCoo builds a CSR matrix from coordinate entries. Duplicate (row,col)
 // pairs are summed in input order. If withVals is false the result is
-// structure-only and duplicate coordinates are collapsed.
+// structure-only and duplicate coordinates are collapsed. Tests build their
+// matrices with it; the generator scatters its edge list directly.
 func FromCoo(rows, cols int, entries []Coo, withVals bool) *CSR {
 	// A stable counting scatter by column builds the CSC; its transpose is
 	// the CSR with every row's columns ascending and, within a duplicated

@@ -1,47 +1,112 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
 
-// PermuteSymmetric returns P*A*Pᵀ for the permutation perm, where perm[old]
-// = new: row/column old of A becomes row/column perm[old] of the result.
-// This is the §5.2 random-permutation load balancing primitive.
-func PermuteSymmetric(a *CSR, perm []int32) *CSR {
-	if a.Rows != a.Cols {
+	"mggcn/internal/pool"
+)
+
+// PermutedTiles returns the grid of tiles that bounds cuts P·A·Pᵀ and its
+// transpose into, for the permutation perm (perm[old] = new, §5.2; nil keeps
+// the natural order): am[i][j] holds rows [bounds[i], bounds[i+1]) and
+// columns [bounds[j], bounds[j+1]) of P·A·Pᵀ, at[i][j] the same of
+// (P·A·Pᵀ)ᵀ = P·Aᵀ·Pᵀ, each with local indices, exactly what SubMatrix cuts
+// from the permuted matrices; the tiles of one column block of at share a
+// buffer, each slice capped at its own length. Scratch is O(n): one column
+// block of at is written at a time, and am's tiles are transposes of their
+// cache-sized mirrors, am[i][j] of at[j][i], made on a second pool lane.
+func PermutedTiles(a *CSR, perm []int32, bounds []int) (at, am [][]*CSR) {
+	n, blocks := a.Rows, len(bounds)-1
+	if a.Cols != n {
 		panic(fmt.Sprintf("sparse: symmetric permutation of non-square %dx%d", a.Rows, a.Cols))
 	}
-	if len(perm) != a.Rows {
-		panic(fmt.Sprintf("sparse: permutation length %d, want %d", len(perm), a.Rows))
-	}
-	InversePerm(perm) // panics unless perm is a bijection
-	// One counting scatter builds (P*A*Pᵀ)ᵀ: entry (old, c) goes to row
-	// perm[c], column perm[old]. Transpose's own counting pass then visits
-	// those rows in ascending order, so it yields P*A*Pᵀ with every row's
-	// columns ascending, whatever order the scatter left them in.
-	n, nnz := a.Rows, a.NNZ()
-	t := &CSR{Rows: n, Cols: n, RowPtr: make([]int64, n+2), ColIdx: make([]int32, nnz)}
-	if a.Vals != nil {
-		t.Vals = make([]float32, nnz)
-	}
-	// The cursors live in RowPtr one slot ahead, as in TransposeInto.
-	for _, c := range a.ColIdx[:nnz] {
-		t.RowPtr[perm[c]+2]++
-	}
-	for r := 0; r < n; r++ {
-		t.RowPtr[r+2] += t.RowPtr[r+1]
-	}
-	for old, nw := range perm {
-		for k := a.RowPtr[old]; k < a.RowPtr[old+1]; k++ {
-			r := perm[a.ColIdx[k]]
-			pos := t.RowPtr[r+1]
-			t.RowPtr[r+1]++
-			t.ColIdx[pos] = nw
-			if t.Vals != nil {
-				t.Vals[pos] = a.Vals[k]
-			}
+	for i := 1; i <= blocks; i++ {
+		if bounds[i] < bounds[i-1] {
+			panic(fmt.Sprintf("sparse: tile bounds %v not monotone", bounds))
 		}
 	}
-	t.RowPtr = t.RowPtr[:n+1]
-	return t.Transpose()
+	if blocks < 1 || bounds[0] != 0 || bounds[blocks] != n {
+		panic(fmt.Sprintf("sparse: tile bounds %v do not cover %d rows", bounds, n))
+	}
+	if perm == nil {
+		perm = make([]int32, n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+	} else if len(perm) != n {
+		panic(fmt.Sprintf("sparse: permutation length %d, want %d", len(perm), n))
+	}
+	inv := InversePerm(perm) // panics unless perm is a bijection
+	at, am = make([][]*CSR, blocks), make([][]*CSR, blocks)
+	for i := range at {
+		at[i], am[i] = make([]*CSR, blocks), make([]*CSR, blocks)
+	}
+	// Entry (u, w) of A is entry (perm[w], perm[u]) of P·Aᵀ·Pᵀ. Column block
+	// j's entries come from A's rows u with perm[u] in it: count them per
+	// destination row, size the tiles, then scatter them visiting the rows
+	// in ascending perm[u], so every tile row receives its columns sorted.
+	// A second lane transposes each finished column block of at into the
+	// matching row of am while the next one is scattered. written has a slot
+	// per column block: on a single lane the scatter runs to its end first.
+	written := make(chan int, blocks)
+	pool.ForChunks(2, 2, func(lane int) {
+		if lane == 1 {
+			for j := range written {
+				for i := range am[j] {
+					am[j][i] = at[i][j].Transpose()
+				}
+			}
+			return
+		}
+		cur := make([]int64, n+1)
+		for j := 0; j < blocks; j++ {
+			c0, c1 := bounds[j], bounds[j+1]
+			for nw := c0; nw < c1; nw++ {
+				u := inv[nw]
+				for _, w := range a.ColIdx[a.RowPtr[u]:a.RowPtr[u+1]] {
+					cur[perm[w]]++
+				}
+			}
+			// The column block's tiles share one buffer, row after row, so
+			// cur[r] turns from row r's count into its start in the buffer.
+			var nnz int64
+			for r, c := range cur {
+				cur[r], nnz = nnz, nnz+c
+			}
+			cols, vals := make([]int32, nnz), []float32(nil)
+			if a.Vals != nil {
+				vals = make([]float32, nnz)
+			}
+			for i := range at {
+				r0, r1 := bounds[i], bounds[i+1]
+				lo, hi := cur[r0], cur[r1]
+				t := &CSR{Rows: r1 - r0, Cols: c1 - c0, RowPtr: make([]int64, r1-r0+1), ColIdx: cols[lo:hi:hi]}
+				if vals != nil {
+					t.Vals = vals[lo:hi:hi]
+				}
+				for r := r0; r <= r1; r++ {
+					t.RowPtr[r-r0] = cur[r] - lo
+				}
+				at[i][j] = t
+			}
+			for nw := c0; nw < c1; nw++ {
+				u := inv[nw]
+				for k := a.RowPtr[u]; k < a.RowPtr[u+1]; k++ {
+					r := perm[a.ColIdx[k]]
+					pos := cur[r]
+					cur[r]++
+					cols[pos] = int32(nw - c0)
+					if vals != nil {
+						vals[pos] = a.Vals[k]
+					}
+				}
+			}
+			clear(cur)
+			written <- j
+		}
+		close(written)
+	})
+	return at, am
 }
 
 // InversePerm returns the inverse permutation of perm (perm[old]=new ->

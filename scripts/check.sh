@@ -101,13 +101,15 @@ go test -timeout 30m ./...
 
 echo "==> fuzz smoke"
 # Ten seconds of coverage-guided mutation each over the binary dataset decoder,
-# from the seed corpus WriteBinary produces (FuzzReadBinary), and over both
+# from the seed corpus WriteBinary produces (FuzzReadBinary), over both
 # checkpoint loaders, from the v2 and v3 writers' output (FuzzLoadCheckpoint),
-# and over BTER's inline copy of math/rand's stream against a rand.Rand
-# (FuzzStream).
+# over BTER's inline copy of math/rand's stream against a rand.Rand
+# (FuzzStream), and over its Chung-Lu phase's guide-table search against
+# sort.SearchFloat64s (FuzzGuidedSearch).
 go test -run '^$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/graphio/
 go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzStream -fuzztime 10s ./internal/gen/
+go test -run '^$' -fuzz FuzzGuidedSearch -fuzztime 10s ./internal/gen/
 
 echo "==> benchmark module"
 # benchmark/ is a module of its own (replace mggcn => ../), so ./... never
