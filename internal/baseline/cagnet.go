@@ -55,7 +55,7 @@ func (c CAGNETConfig) EpochGraph(g *graph.Graph) *sim.Graph {
 	S := int64(c.MemScale)
 	tg := sim.NewGraph(spec, c.P)
 	vec := part.Uniform(g.N(), c.P)
-	tiles := part.TileNNZ(g.NormalizedAdj(), vec)
+	tiles := part.TileNNZ(g.Adj, vec)
 	dims := nn.LayerDims(g.FeatDim, c.Hidden, c.Layers, g.Classes)
 
 	devices := make([]int, c.P)

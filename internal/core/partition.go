@@ -12,7 +12,9 @@ import (
 
 // deviceState is everything resident on one simulated GPU: its tile row of
 // the (optionally permuted) normalized adjacency in both orientations, its
-// feature/label block, and its buffer set.
+// feature/label block, and its buffer set. On the host the two orientations
+// share each symmetric tile's structure and hold Â's values as slices of one
+// per-vertex scale; adjBytes charges the device for both, per nonzero.
 type deviceState struct {
 	block  int // owned block index in the partition vector
 	lo, hi int // owned vertex range [lo, hi)
@@ -54,14 +56,14 @@ func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ord
 	blocks := machine.P / c
 	p := &partitioned{strategy: strategy, blocks: blocks}
 
-	norm := g.NormalizedAdj()
+	norm := sparse.FactoredInDegree(g.Adj)
 	labels, trainMask, testMask, feats := g.Labels, g.TrainMask, g.TestMask, g.Features
 	if g.IsPhantom() {
 		feats = tensor.NewPhantom(n, g.FeatDim)
 	}
 	p.perm = orderingPerm(g, norm, ordering, permSeed, blocks)
 	if p.perm != nil {
-		labels, trainMask, testMask = permuted(labels, p.perm), permuted(trainMask, p.perm), permuted(testMask, p.perm)
+		labels, trainMask, testMask = sparse.Permuted(labels, p.perm), sparse.Permuted(trainMask, p.perm), sparse.Permuted(testMask, p.perm)
 		if !feats.IsPhantom() {
 			feats = permuteRows(feats, p.perm)
 		}
@@ -80,7 +82,7 @@ func partitionGraph(g *graph.Graph, machine *sim.Machine, strategy Strategy, ord
 			weights[w]++
 		}
 		if p.perm != nil {
-			weights = permuted(weights, p.perm)
+			weights = sparse.Permuted(weights, p.perm)
 		}
 		p.vec = part.BalancedVector(weights, blocks)
 	} else {
@@ -148,18 +150,6 @@ func orderingPerm(g *graph.Graph, norm *sparse.CSR, ordering Ordering, seed uint
 	default:
 		panic(fmt.Sprintf("core: unknown ordering %d", int(ordering)))
 	}
-}
-
-// permuted returns s with element old moved to perm[old] (nil stays nil).
-func permuted[T any](s []T, perm []int32) []T {
-	if s == nil {
-		return nil
-	}
-	out := make([]T, len(s))
-	for old, x := range s {
-		out[perm[old]] = x
-	}
-	return out
 }
 
 func permuteRows(x *tensor.Dense, perm []int32) *tensor.Dense {

@@ -64,8 +64,35 @@ func oraclePartition(g *graph.Graph, p int, strategy Strategy, ordering Ordering
 	return vec, devs
 }
 
+// expanded returns tile t with a value per entry, the one its scale gives
+// it (nil and unscaled tiles as they are): how the oracle's tiles, cut from
+// NormalizeInDegree, hold them.
+func expanded(t *sparse.CSR) *sparse.CSR {
+	if t == nil || t.RowScale == nil && t.ColScale == nil {
+		return t
+	}
+	e := &sparse.CSR{Rows: t.Rows, Cols: t.Cols, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Vals: make([]float32, t.NNZ())}
+	for i := 0; i < t.Rows; i++ {
+		for k := t.RowPtr[i]; k < t.RowPtr[i+1]; k++ {
+			if t.RowScale != nil {
+				e.Vals[k] = t.RowScale[i]
+			} else {
+				e.Vals[k] = t.ColScale[t.ColIdx[k]]
+			}
+		}
+	}
+	return e
+}
+
+// TestPartitionTilesMatchOracle holds every stored tile, its scale expanded,
+// to the oracle's, and the forms to the design: each Âᵀ tile scales its rows
+// and each Â tile its columns by 1/in-degree, and an Â tile shares its Âᵀ
+// twin's structure exactly when the two are the same — everywhere on an
+// undirected graph, not everywhere on a directed one.
 func TestPartitionTilesMatchOracle(t *testing.T) {
-	// A graph with isolated vertices and empty tiles beside a BTER graph.
+	// A directed graph with isolated vertices and empty tiles (BTER's edges
+	// from vertices 20 on dropped, its every fourth vertex cut off) beside
+	// an undirected BTER graph.
 	isolated := gen.BTER(gen.DefaultBTER(30, 3, 5))
 	var entries []sparse.Coo
 	for u := 0; u < isolated.Rows; u++ {
@@ -78,10 +105,11 @@ func TestPartitionTilesMatchOracle(t *testing.T) {
 	}
 	graphs := []*graph.Graph{
 		testGraph(t),
-		{Name: "isolated", Adj: sparse.FromCoo(isolated.Rows, isolated.Rows, entries, false), FeatDim: 4, Classes: 2},
+		{Name: "directed", Adj: sparse.FromCoo(isolated.Rows, isolated.Rows, entries, false), FeatDim: 4, Classes: 2},
 	}
 	orderings := []Ordering{OrderingNatural, OrderingRandom, OrderingDegreeSorted, OrderingBFS, OrderingBlockCyclic}
-	for _, g := range graphs {
+	for gi, g := range graphs {
+		var shared, stored int
 		for p := 1; p <= 8; p++ {
 			for _, strategy := range Strategies() {
 				if strategy.validate(p) != nil {
@@ -99,13 +127,32 @@ func TestPartitionTilesMatchOracle(t *testing.T) {
 							t.Fatalf("%s: vector %v, oracle %v", name, got.vec, vec)
 						}
 						for d, ds := range got.devs {
-							if !reflect.DeepEqual(ds.atTiles, want[d][0]) || !reflect.DeepEqual(ds.aTiles, want[d][1]) {
-								t.Fatalf("%s: device %d's tiles differ from the oracle's", name, d)
+							for j, at := range ds.atTiles {
+								a := ds.aTiles[j]
+								if !reflect.DeepEqual(expanded(at), want[d][0][j]) || !reflect.DeepEqual(expanded(a), want[d][1][j]) {
+									t.Fatalf("%s: device %d's tiles (stage %d) differ from the oracle's", name, d, j)
+								}
+								if at == nil {
+									continue
+								}
+								if at.Vals != nil || at.RowScale == nil || a.Vals != nil || a.ColScale == nil {
+									t.Fatalf("%s: device %d's tiles (stage %d) do not hold Â as a scale", name, d, j)
+								}
+								same := reflect.DeepEqual(at.RowPtr, a.RowPtr) && reflect.DeepEqual(at.ColIdx, a.ColIdx)
+								if share := &at.RowPtr[0] == &a.RowPtr[0]; share != same {
+									t.Fatalf("%s: device %d stage %d: Â tile shares its twin's structure %v, same structure %v", name, d, j, share, same)
+								} else if share {
+									shared++
+								}
+								stored++
 							}
 						}
 					}
 				}
 			}
+		}
+		if undirected := gi == 0; (shared == stored) != undirected {
+			t.Errorf("%s: %d of %d stored Â tiles share their twin's structure", g.Name, shared, stored)
 		}
 	}
 }

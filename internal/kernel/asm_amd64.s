@@ -103,6 +103,109 @@ DATA tilemask<>+48(SB)/8, $0
 DATA tilemask<>+56(SB)/8, $0
 GLOBL tilemask<>(SB), RODATA|NOPTR, $64
 
+// SPMMHEAD is the start of one stored entry: AX = the address of its X row's
+// strip, Y8 = its value broadcast, and R11 = the byte offset of the X row
+// that the entry SPMMAHEAD places on will gather — read from the tile's
+// column array past this row's end, clamped at the tile's last entry (R10).
+// The column is sign-extended and compared unsigned against X's row count
+// (BX), so a negative one is as far out as one past the end: either leaves
+// through spmmbad before any store. The look-ahead column is only prefetched,
+// which cannot fault, and goes unchecked. The value is the one under the
+// value cursor R9, which then steps R13 bytes: four (kernel.PerEntry) or
+// none (kernel.RowConst). SPMMHEADCOL is the same for kernel.ByColumn: the
+// value is the checked column's own, one indexed broadcast off R9.
+#define SPMMAHEAD 12
+#define SPMMCOLUMN \
+	MOVLQSX (DX), AX; \
+	CMPQ    AX, BX;   \
+	JAE     spmmbad
+
+#define SPMMNEXT \
+	IMULQ   R8, AX;                 \
+	ADDQ    SI, AX;                 \
+	LEAQ    (4*SPMMAHEAD)(DX), R11; \
+	CMPQ    R11, R10;               \
+	CMOVQHI R10, R11;               \
+	MOVL    (R11), R11;             \
+	IMULQ   R8, R11;                \
+	ADDQ    $4, DX
+
+#define SPMMHEAD \
+	SPMMCOLUMN;             \
+	VBROADCASTSS (R9), Y8;  \
+	ADDQ         R13, R9;   \
+	SPMMNEXT
+
+#define SPMMHEADCOL \
+	SPMMCOLUMN;                   \
+	VBROADCASTSS (R9)(AX*4), Y8;  \
+	SPMMNEXT
+
+// SPMMPF1..4 prefetch the first one to four cache lines of the look-ahead row.
+#define SPMMPF1 PREFETCHT0 (SI)(R11*1)
+#define SPMMPF2 SPMMPF1; PREFETCHT0 64(SI)(R11*1)
+#define SPMMPF3 SPMMPF2; PREFETCHT0 128(SI)(R11*1)
+#define SPMMPF4 SPMMPF3; PREFETCHT0 192(SI)(R11*1)
+
+// SPMMVEC adds value * eight floats of the X row to one accumulator, product
+// and sum each rounded; SPMMLAST is the same through the strip's lane mask.
+#define SPMMVEC(off, acc) \
+	VMULPS off(AX), Y8, Y9; \
+	VADDPS Y9, acc, acc
+
+#define SPMMLAST(off, acc) \
+	VMASKMOVPS off(AX), Y15, Y10; \
+	VMULPS     Y10, Y8, Y10;      \
+	VADDPS     Y10, acc, acc
+
+#define SPMMVECS1 SPMMVEC(0, Y0)
+#define SPMMVECS2 SPMMVECS1; SPMMVEC(32, Y1)
+#define SPMMVECS3 SPMMVECS2; SPMMVEC(64, Y2)
+#define SPMMVECS4 SPMMVECS3; SPMMVEC(96, Y3)
+#define SPMMVECS5 SPMMVECS4; SPMMVEC(128, Y4)
+#define SPMMVECS6 SPMMVECS5; SPMMVEC(160, Y5)
+#define SPMMVECS7 SPMMVECS6; SPMMVEC(192, Y6)
+
+#define SPMMLOADS1 VMOVUPS (DI), Y0
+#define SPMMLOADS2 SPMMLOADS1; VMOVUPS 32(DI), Y1
+#define SPMMLOADS3 SPMMLOADS2; VMOVUPS 64(DI), Y2
+#define SPMMLOADS4 SPMMLOADS3; VMOVUPS 96(DI), Y3
+#define SPMMLOADS5 SPMMLOADS4; VMOVUPS 128(DI), Y4
+#define SPMMLOADS6 SPMMLOADS5; VMOVUPS 160(DI), Y5
+#define SPMMLOADS7 SPMMLOADS6; VMOVUPS 192(DI), Y6
+
+#define SPMMSTORES1 VMOVUPS Y0, (DI)
+#define SPMMSTORES2 SPMMSTORES1; VMOVUPS Y1, 32(DI)
+#define SPMMSTORES3 SPMMSTORES2; VMOVUPS Y2, 64(DI)
+#define SPMMSTORES4 SPMMSTORES3; VMOVUPS Y3, 96(DI)
+#define SPMMSTORES5 SPMMSTORES4; VMOVUPS Y4, 128(DI)
+#define SPMMSTORES6 SPMMSTORES5; VMOVUPS Y5, 160(DI)
+#define SPMMSTORES7 SPMMSTORES6; VMOVUPS Y6, 192(DI)
+
+// SPMMROW is the whole body for a strip of one vector count: whole vectors
+// below the last, the last through the mask, each entry started by head. The
+// accumulators arrive zeroed; R12 says whether to load C over them.
+#define SPMMROW(row, loop, head, loads, vecs, stores, prefetch, off, last) \
+row: \
+	TESTL      R12, R12;        \
+	JZ         loop;            \
+	loads;                      \
+	VMASKMOVPS off(DI), Y15, last; \
+loop: \
+	head;                       \
+	prefetch;                   \
+	vecs;                       \
+	SPMMLAST(off, last);        \
+	DECQ       CX;              \
+	JNZ        loop;            \
+	stores;                     \
+	VMASKMOVPS last, Y15, off(DI); \
+	VZEROUPPER;                 \
+	MOVB       $0, bad+88(FP);  \
+	RET
+
+#define SPMMNONE
+
 // ROWPTRS sets R8..R11 to base + min(i, rows-1)*stride for i = 0..3 (rows in
 // BX, clobbers AX). Rows past the tile's last alias it: they compute and
 // store its values again, so no loop below has a row-count branch.
@@ -278,108 +381,16 @@ tilestore:
 	VZEROUPPER
 	RET
 
-DATA spmmone<>+0(SB)/4, $1.0
-GLOBL spmmone<>(SB), RODATA|NOPTR, $4
-
-// SPMMHEAD is the start of one stored entry: AX = the address of its X row's
-// strip, Y8 = its value broadcast, and R11 = the byte offset of the X row
-// that the entry SPMMAHEAD places on will gather — read from the tile's
-// column array past this row's end, clamped at the tile's last entry (R10).
-// The column is sign-extended and compared unsigned against X's row count
-// (BX), so a negative one is as far out as one past the end: either leaves
-// through spmmbad before any store. The look-ahead column is only prefetched,
-// which cannot fault, and goes unchecked.
-#define SPMMAHEAD 12
-#define SPMMHEAD \
-	MOVLQSX      (DX), AX;              \
-	CMPQ         AX, BX;                \
-	JAE          spmmbad;               \
-	IMULQ        R8, AX;                \
-	ADDQ         SI, AX;                \
-	VBROADCASTSS (R9), Y8;              \
-	LEAQ         (4*SPMMAHEAD)(DX), R11; \
-	CMPQ         R11, R10;              \
-	CMOVQHI      R10, R11;              \
-	MOVL         (R11), R11;            \
-	IMULQ        R8, R11;               \
-	ADDQ         $4, DX;                \
-	ADDQ         R13, R9
-
-// SPMMPF1..4 prefetch the first one to four cache lines of the look-ahead row.
-#define SPMMPF1 PREFETCHT0 (SI)(R11*1)
-#define SPMMPF2 SPMMPF1; PREFETCHT0 64(SI)(R11*1)
-#define SPMMPF3 SPMMPF2; PREFETCHT0 128(SI)(R11*1)
-#define SPMMPF4 SPMMPF3; PREFETCHT0 192(SI)(R11*1)
-
-// SPMMVEC adds value * eight floats of the X row to one accumulator, product
-// and sum each rounded; SPMMLAST is the same through the strip's lane mask.
-#define SPMMVEC(off, acc) \
-	VMULPS off(AX), Y8, Y9; \
-	VADDPS Y9, acc, acc
-
-#define SPMMLAST(off, acc) \
-	VMASKMOVPS off(AX), Y15, Y10; \
-	VMULPS     Y10, Y8, Y10;      \
-	VADDPS     Y10, acc, acc
-
-#define SPMMVECS1 SPMMVEC(0, Y0)
-#define SPMMVECS2 SPMMVECS1; SPMMVEC(32, Y1)
-#define SPMMVECS3 SPMMVECS2; SPMMVEC(64, Y2)
-#define SPMMVECS4 SPMMVECS3; SPMMVEC(96, Y3)
-#define SPMMVECS5 SPMMVECS4; SPMMVEC(128, Y4)
-#define SPMMVECS6 SPMMVECS5; SPMMVEC(160, Y5)
-#define SPMMVECS7 SPMMVECS6; SPMMVEC(192, Y6)
-
-#define SPMMLOADS1 VMOVUPS (DI), Y0
-#define SPMMLOADS2 SPMMLOADS1; VMOVUPS 32(DI), Y1
-#define SPMMLOADS3 SPMMLOADS2; VMOVUPS 64(DI), Y2
-#define SPMMLOADS4 SPMMLOADS3; VMOVUPS 96(DI), Y3
-#define SPMMLOADS5 SPMMLOADS4; VMOVUPS 128(DI), Y4
-#define SPMMLOADS6 SPMMLOADS5; VMOVUPS 160(DI), Y5
-#define SPMMLOADS7 SPMMLOADS6; VMOVUPS 192(DI), Y6
-
-#define SPMMSTORES1 VMOVUPS Y0, (DI)
-#define SPMMSTORES2 SPMMSTORES1; VMOVUPS Y1, 32(DI)
-#define SPMMSTORES3 SPMMSTORES2; VMOVUPS Y2, 64(DI)
-#define SPMMSTORES4 SPMMSTORES3; VMOVUPS Y3, 96(DI)
-#define SPMMSTORES5 SPMMSTORES4; VMOVUPS Y4, 128(DI)
-#define SPMMSTORES6 SPMMSTORES5; VMOVUPS Y5, 160(DI)
-#define SPMMSTORES7 SPMMSTORES6; VMOVUPS Y6, 192(DI)
-
-// SPMMROW is the whole body for a strip of one vector count: whole vectors
-// below the last, the last through the mask. The accumulators arrive zeroed;
-// R12 says whether to load C over them.
-#define SPMMROW(row, loop, loads, vecs, stores, prefetch, off, last) \
-row: \
-	TESTL      R12, R12;        \
-	JZ         loop;            \
-	loads;                      \
-	VMASKMOVPS off(DI), Y15, last; \
-loop: \
-	SPMMHEAD;                   \
-	prefetch;                   \
-	vecs;                       \
-	SPMMLAST(off, last);        \
-	DECQ       CX;              \
-	JNZ        loop;            \
-	stores;                     \
-	VMASKMOVPS last, Y15, off(DI); \
-	VZEROUPPER;                 \
-	MOVB       $0, bad+80(FP);  \
-	RET
-
-#define SPMMNONE
-
-// func spmmRowVec(c *float32, w int, x *float32, xs, xrows int, cols, last *int32, vals *float32, n int, acc bool) (bad bool)
+// func spmmRowVec(c *float32, w int, x *float32, xs, xrows int, cols, last *int32, vals *float32, form ValForm, n int, acc bool) (bad bool)
 // The SpMM row kernel (see kernel.SpMMRow): Y0..Y7 hold the strip's w floats
 // across the row's n stored entries, C is read at most once and written once.
 // 1 <= w <= 64, n >= 1, xrows >= 1; the caller has proved cols[:n] inside the
-// column array and the furthest element of C and of X's last row in range.
-// The body proves each of the n columns inside [0, xrows) as it loads it, and
-// on the first that is not returns bad with C untouched. last is the tile's
-// final column entry, the limit of the look-ahead; a nil vals is a stream of
-// ones.
-TEXT ·spmmRowVec(SB), NOSPLIT, $0-81
+// column array, vals long enough for its form, and the furthest element of C
+// and of X's last row in range. The body proves each of the n columns inside
+// [0, xrows) as it loads it, and on the first that is not returns bad with C
+// untouched. last is the tile's final column entry, the limit of the
+// look-ahead.
+TEXT ·spmmRowVec(SB), NOSPLIT, $0-89
 	MOVQ    c+0(FP), DI
 	MOVQ    w+8(FP), BX
 	MOVQ    x+16(FP), SI
@@ -388,19 +399,12 @@ TEXT ·spmmRowVec(SB), NOSPLIT, $0-81
 	MOVQ    cols+40(FP), DX
 	MOVQ    last+48(FP), R10
 	MOVQ    vals+56(FP), R9
-	MOVQ    n+64(FP), CX
-	MOVBLZX acc+72(FP), R12
+	MOVBLZX form+64(FP), R13
+	MOVQ    n+72(FP), CX
+	MOVBLZX acc+80(FP), R12
 
-	// Values step four bytes a stored entry, or stand on a constant one.
-	MOVQ  $4, R13
-	TESTQ R9, R9
-	JNZ   spmmvalued
-	LEAQ  spmmone<>(SB), R9
-	XORL  R13, R13
-
-spmmvalued:
 	// Y15 enables the last vector's (w-1)%8+1 lanes; AX = the vector count,
-	// and BX = X's row count from here on, the bound SPMMHEAD checks.
+	// and BX = X's row count from here on, the bound the heads check.
 	LEAQ    -1(BX), AX
 	ANDQ    $7, AX
 	INCQ    AX
@@ -418,31 +422,63 @@ spmmvalued:
 	VXORPS  Y5, Y5, Y5
 	VXORPS  Y6, Y6, Y6
 	VXORPS  Y7, Y7, Y7
-	CMPQ    AX, $8
-	JEQ     spmmrow8
-	CMPQ    AX, $7
-	JEQ     spmmrow7
-	CMPQ    AX, $6
-	JEQ     spmmrow6
-	CMPQ    AX, $5
-	JEQ     spmmrow5
-	CMPQ    AX, $4
-	JEQ     spmmrow4
-	CMPQ    AX, $3
-	JEQ     spmmrow3
-	CMPQ    AX, $2
-	JEQ     spmmrow2
+	CMPQ    R13, $2
+	JEQ     spmmbycol
 
-	SPMMROW(spmmrow1, spmmloop1, SPMMNONE, SPMMNONE, SPMMNONE, SPMMPF1, 0, Y0)
-	SPMMROW(spmmrow2, spmmloop2, SPMMLOADS1, SPMMVECS1, SPMMSTORES1, SPMMPF1, 32, Y1)
-	SPMMROW(spmmrow3, spmmloop3, SPMMLOADS2, SPMMVECS2, SPMMSTORES2, SPMMPF2, 64, Y2)
-	SPMMROW(spmmrow4, spmmloop4, SPMMLOADS3, SPMMVECS3, SPMMSTORES3, SPMMPF2, 96, Y3)
-	SPMMROW(spmmrow5, spmmloop5, SPMMLOADS4, SPMMVECS4, SPMMSTORES4, SPMMPF3, 128, Y4)
-	SPMMROW(spmmrow6, spmmloop6, SPMMLOADS5, SPMMVECS5, SPMMSTORES5, SPMMPF3, 160, Y5)
-	SPMMROW(spmmrow7, spmmloop7, SPMMLOADS6, SPMMVECS6, SPMMSTORES6, SPMMPF4, 192, Y6)
-	SPMMROW(spmmrow8, spmmloop8, SPMMLOADS7, SPMMVECS7, SPMMSTORES7, SPMMPF4, 224, Y7)
+	// PerEntry (0) steps the value cursor four bytes an entry, RowConst (1)
+	// not at all.
+	XORQ $1, R13
+	SHLQ $2, R13
+	CMPQ AX, $8
+	JEQ  spmmrow8
+	CMPQ AX, $7
+	JEQ  spmmrow7
+	CMPQ AX, $6
+	JEQ  spmmrow6
+	CMPQ AX, $5
+	JEQ  spmmrow5
+	CMPQ AX, $4
+	JEQ  spmmrow4
+	CMPQ AX, $3
+	JEQ  spmmrow3
+	CMPQ AX, $2
+	JEQ  spmmrow2
+
+	SPMMROW(spmmrow1, spmmloop1, SPMMHEAD, SPMMNONE, SPMMNONE, SPMMNONE, SPMMPF1, 0, Y0)
+	SPMMROW(spmmrow2, spmmloop2, SPMMHEAD, SPMMLOADS1, SPMMVECS1, SPMMSTORES1, SPMMPF1, 32, Y1)
+	SPMMROW(spmmrow3, spmmloop3, SPMMHEAD, SPMMLOADS2, SPMMVECS2, SPMMSTORES2, SPMMPF2, 64, Y2)
+	SPMMROW(spmmrow4, spmmloop4, SPMMHEAD, SPMMLOADS3, SPMMVECS3, SPMMSTORES3, SPMMPF2, 96, Y3)
+	SPMMROW(spmmrow5, spmmloop5, SPMMHEAD, SPMMLOADS4, SPMMVECS4, SPMMSTORES4, SPMMPF3, 128, Y4)
+	SPMMROW(spmmrow6, spmmloop6, SPMMHEAD, SPMMLOADS5, SPMMVECS5, SPMMSTORES5, SPMMPF3, 160, Y5)
+	SPMMROW(spmmrow7, spmmloop7, SPMMHEAD, SPMMLOADS6, SPMMVECS6, SPMMSTORES6, SPMMPF4, 192, Y6)
+	SPMMROW(spmmrow8, spmmloop8, SPMMHEAD, SPMMLOADS7, SPMMVECS7, SPMMSTORES7, SPMMPF4, 224, Y7)
+
+spmmbycol:
+	CMPQ AX, $8
+	JEQ  spmmcol8
+	CMPQ AX, $7
+	JEQ  spmmcol7
+	CMPQ AX, $6
+	JEQ  spmmcol6
+	CMPQ AX, $5
+	JEQ  spmmcol5
+	CMPQ AX, $4
+	JEQ  spmmcol4
+	CMPQ AX, $3
+	JEQ  spmmcol3
+	CMPQ AX, $2
+	JEQ  spmmcol2
+
+	SPMMROW(spmmcol1, spmmcolloop1, SPMMHEADCOL, SPMMNONE, SPMMNONE, SPMMNONE, SPMMPF1, 0, Y0)
+	SPMMROW(spmmcol2, spmmcolloop2, SPMMHEADCOL, SPMMLOADS1, SPMMVECS1, SPMMSTORES1, SPMMPF1, 32, Y1)
+	SPMMROW(spmmcol3, spmmcolloop3, SPMMHEADCOL, SPMMLOADS2, SPMMVECS2, SPMMSTORES2, SPMMPF2, 64, Y2)
+	SPMMROW(spmmcol4, spmmcolloop4, SPMMHEADCOL, SPMMLOADS3, SPMMVECS3, SPMMSTORES3, SPMMPF2, 96, Y3)
+	SPMMROW(spmmcol5, spmmcolloop5, SPMMHEADCOL, SPMMLOADS4, SPMMVECS4, SPMMSTORES4, SPMMPF3, 128, Y4)
+	SPMMROW(spmmcol6, spmmcolloop6, SPMMHEADCOL, SPMMLOADS5, SPMMVECS5, SPMMSTORES5, SPMMPF3, 160, Y5)
+	SPMMROW(spmmcol7, spmmcolloop7, SPMMHEADCOL, SPMMLOADS6, SPMMVECS6, SPMMSTORES6, SPMMPF4, 192, Y6)
+	SPMMROW(spmmcol8, spmmcolloop8, SPMMHEADCOL, SPMMLOADS7, SPMMVECS7, SPMMSTORES7, SPMMPF4, 224, Y7)
 
 spmmbad:
 	VZEROUPPER
-	MOVB $1, bad+80(FP)
+	MOVB $1, bad+88(FP)
 	RET

@@ -249,20 +249,17 @@ tileblockloop:
 	BNE   tileblock
 	RET
 
-DATA spmmone<>+0(SB)/4, $1.0
-GLOBL spmmone<>(SB), RODATA|NOPTR, $4
-
 // SPMMHEAD is the start of one stored entry: R13 = the address of its X
 // row's strip (R2 + column * R3), V20 = its value in every lane, and a
 // prefetch of the strip the entry SPMMAHEAD places on will gather — its column
 // read from the tile's array past this row's end, clamped at the tile's last
 // entry (R5). R10 and R11 are the column and value cursors; the values step
-// R7 bytes, four or (a stream of ones) none.
+// R7 bytes, four (kernel.PerEntry) or none (kernel.RowConst). SPMMHEADCOL is
+// the same for kernel.ByColumn: the value is the column's own, R6 + 4 *
+// column, an address of its own because a replicating load has no indexed
+// form.
 #define SPMMAHEAD 12
-#define SPMMHEAD \
-	MOVWU.P 4(R10), R13;                 \
-	MADD    R3, R2, R13, R13;            \
-	VLD1R.P (R11)(R7), [V20.S4];         \
+#define SPMMNEXT \
 	ADD     $(4*SPMMAHEAD-4), R10, R14;  \
 	CMP     R5, R14;                     \
 	CSEL    HI, R5, R14, R14;            \
@@ -270,17 +267,69 @@ GLOBL spmmone<>(SB), RODATA|NOPTR, $4
 	MADD    R3, R2, R14, R14;            \
 	PRFM    (R14), PLDL1KEEP
 
-// func spmmRowVec4(c *float32, vecs int, x *float32, xs int, cols, last *int32, vals *float32, n int, acc bool)
+#define SPMMHEAD \
+	MOVWU.P 4(R10), R13;                 \
+	MADD    R3, R2, R13, R13;            \
+	VLD1R.P (R11)(R7), [V20.S4];         \
+	SPMMNEXT
+
+#define SPMMHEADCOL \
+	MOVWU.P 4(R10), R13;                 \
+	ADD     R13<<2, R6, R20;             \
+	MADD    R3, R2, R13, R13;            \
+	VLD1R   (R20), [V20.S4];             \
+	SPMMNEXT
+
+// SPMMWIDE, SPMMQUAD and SPMMSINGLE are one entry's accumulates into the
+// sixteen, four or one vectors of a pass, after its head.
+#define SPMMWIDE \
+	PRFM   64(R14), PLDL1KEEP;                   \
+	PRFM   128(R14), PLDL1KEEP;                  \
+	PRFM   192(R14), PLDL1KEEP;                  \
+	VLD1.P 64(R13), [V16.S4, V17.S4, V18.S4, V19.S4]; \
+	VFMLA  V16.S4, V20.S4, V0.S4;                \
+	VFMLA  V17.S4, V20.S4, V1.S4;                \
+	VFMLA  V18.S4, V20.S4, V2.S4;                \
+	VFMLA  V19.S4, V20.S4, V3.S4;                \
+	VLD1.P 64(R13), [V16.S4, V17.S4, V18.S4, V19.S4]; \
+	VFMLA  V16.S4, V20.S4, V4.S4;                \
+	VFMLA  V17.S4, V20.S4, V5.S4;                \
+	VFMLA  V18.S4, V20.S4, V6.S4;                \
+	VFMLA  V19.S4, V20.S4, V7.S4;                \
+	VLD1.P 64(R13), [V16.S4, V17.S4, V18.S4, V19.S4]; \
+	VFMLA  V16.S4, V20.S4, V8.S4;                \
+	VFMLA  V17.S4, V20.S4, V9.S4;                \
+	VFMLA  V18.S4, V20.S4, V10.S4;               \
+	VFMLA  V19.S4, V20.S4, V11.S4;               \
+	VLD1   (R13), [V16.S4, V17.S4, V18.S4, V19.S4];   \
+	VFMLA  V16.S4, V20.S4, V12.S4;               \
+	VFMLA  V17.S4, V20.S4, V13.S4;               \
+	VFMLA  V18.S4, V20.S4, V14.S4;               \
+	VFMLA  V19.S4, V20.S4, V15.S4
+
+#define SPMMQUAD \
+	VLD1  (R13), [V16.S4, V17.S4, V18.S4, V19.S4]; \
+	VFMLA V16.S4, V20.S4, V0.S4;                 \
+	VFMLA V17.S4, V20.S4, V1.S4;                 \
+	VFMLA V18.S4, V20.S4, V2.S4;                 \
+	VFMLA V19.S4, V20.S4, V3.S4
+
+#define SPMMSINGLE \
+	VLD1  (R13), [V16.S4]; \
+	VFMLA V16.S4, V20.S4, V0.S4
+
+// func spmmRowVec4(c *float32, vecs int, x *float32, xs int, cols, last *int32, vals *float32, form ValForm, n int, acc bool)
 // The SpMM row kernel (see kernel.SpMMRow) over vecs 4-float vectors:
-// 1 <= vecs <= 16, n >= 1; the caller has proved cols[:n] inside X's rows and
-// the furthest element of C and X in range, and runs the w%4 tail itself. A
-// full 64-float strip keeps sixteen accumulators (V0..V15) across the row's
-// stored entries; a narrower one is walked in blocks of four vectors, then one
-// vector at a time, each pass over the entries again. Every accumulate is a
-// fused VFMLA, one per entry in ascending order, as the scalar body compiles
-// on arm64. last is the tile's final column entry, the limit of the
-// look-ahead; a nil vals is a stream of ones.
-TEXT ·spmmRowVec4(SB), NOSPLIT, $0-65
+// 1 <= vecs <= 16, n >= 1; the caller has proved cols[:n] inside X's rows,
+// vals long enough for its form, and the furthest element of C and X in
+// range, and runs the w%4 tail itself. A full 64-float strip keeps sixteen
+// accumulators (V0..V15) across the row's stored entries; a narrower one is
+// walked in blocks of four vectors, then one vector at a time, each pass over
+// the entries again. Every accumulate is a fused VFMLA, one per entry in
+// ascending order, as the scalar body compiles on arm64. last is the tile's
+// final column entry, the limit of the look-ahead. Each pass runs the entry
+// loop of the value form: R19 is nonzero for kernel.ByColumn.
+TEXT ·spmmRowVec4(SB), NOSPLIT, $0-73
 	MOVD  c+0(FP), R0
 	MOVD  vecs+8(FP), R1
 	MOVD  x+16(FP), R2
@@ -289,14 +338,16 @@ TEXT ·spmmRowVec4(SB), NOSPLIT, $0-65
 	MOVD  cols+32(FP), R4
 	MOVD  last+40(FP), R5
 	MOVD  vals+48(FP), R6
-	MOVD  n+56(FP), R8
-	MOVBU acc+64(FP), R9
-	MOVD  $4, R7
-	CBNZ  R6, spmmvalued
-	MOVD  $spmmone<>(SB), R6
-	MOVD  ZR, R7
+	MOVBU form+56(FP), R19
+	MOVD  n+64(FP), R8
+	MOVBU acc+72(FP), R9
 
-spmmvalued:
+	// PerEntry (0) steps the value cursor four bytes, RowConst (1) none;
+	// ByColumn (2) has no cursor, and R19 = form >> 1 selects its loops.
+	EOR $1, R19, R7
+	LSL $2, R7
+	LSR $1, R19
+
 	CMP  $16, R1
 	BNE  spmmquad
 
@@ -310,7 +361,7 @@ spmmvalued:
 	VLD1.P 64(R15), [V4.S4, V5.S4, V6.S4, V7.S4]
 	VLD1.P 64(R15), [V8.S4, V9.S4, V10.S4, V11.S4]
 	VLD1   (R15), [V12.S4, V13.S4, V14.S4, V15.S4]
-	B    spmmwide
+	B    spmmwidego
 
 spmmwidezero:
 	VEOR V0.B16, V0.B16, V0.B16
@@ -330,33 +381,23 @@ spmmwidezero:
 	VEOR V14.B16, V14.B16, V14.B16
 	VEOR V15.B16, V15.B16, V15.B16
 
+spmmwidego:
+	CBNZ R19, spmmwidecol
+
 spmmwide:
 	SPMMHEAD
-	PRFM   64(R14), PLDL1KEEP
-	PRFM   128(R14), PLDL1KEEP
-	PRFM   192(R14), PLDL1KEEP
-	VLD1.P 64(R13), [V16.S4, V17.S4, V18.S4, V19.S4]
-	VFMLA  V16.S4, V20.S4, V0.S4
-	VFMLA  V17.S4, V20.S4, V1.S4
-	VFMLA  V18.S4, V20.S4, V2.S4
-	VFMLA  V19.S4, V20.S4, V3.S4
-	VLD1.P 64(R13), [V16.S4, V17.S4, V18.S4, V19.S4]
-	VFMLA  V16.S4, V20.S4, V4.S4
-	VFMLA  V17.S4, V20.S4, V5.S4
-	VFMLA  V18.S4, V20.S4, V6.S4
-	VFMLA  V19.S4, V20.S4, V7.S4
-	VLD1.P 64(R13), [V16.S4, V17.S4, V18.S4, V19.S4]
-	VFMLA  V16.S4, V20.S4, V8.S4
-	VFMLA  V17.S4, V20.S4, V9.S4
-	VFMLA  V18.S4, V20.S4, V10.S4
-	VFMLA  V19.S4, V20.S4, V11.S4
-	VLD1   (R13), [V16.S4, V17.S4, V18.S4, V19.S4]
-	VFMLA  V16.S4, V20.S4, V12.S4
-	VFMLA  V17.S4, V20.S4, V13.S4
-	VFMLA  V18.S4, V20.S4, V14.S4
-	VFMLA  V19.S4, V20.S4, V15.S4
-	SUBS   $1, R12, R12
-	BNE    spmmwide
+	SPMMWIDE
+	SUBS $1, R12, R12
+	BNE  spmmwide
+	B    spmmwidestore
+
+spmmwidecol:
+	SPMMHEADCOL
+	SPMMWIDE
+	SUBS $1, R12, R12
+	BNE  spmmwidecol
+
+spmmwidestore:
 	VST1.P [V0.S4, V1.S4, V2.S4, V3.S4], 64(R0)
 	VST1.P [V4.S4, V5.S4, V6.S4, V7.S4], 64(R0)
 	VST1.P [V8.S4, V9.S4, V10.S4, V11.S4], 64(R0)
@@ -373,7 +414,7 @@ spmmquad:
 	MOVD R8, R12
 	CBZ  R9, spmmquadzero
 	VLD1 (R0), [V0.S4, V1.S4, V2.S4, V3.S4]
-	B    spmmquadloop
+	B    spmmquadgo
 
 spmmquadzero:
 	VEOR V0.B16, V0.B16, V0.B16
@@ -381,19 +422,27 @@ spmmquadzero:
 	VEOR V2.B16, V2.B16, V2.B16
 	VEOR V3.B16, V3.B16, V3.B16
 
+spmmquadgo:
+	CBNZ R19, spmmquadcol
+
 spmmquadloop:
 	SPMMHEAD
-	VLD1  (R13), [V16.S4, V17.S4, V18.S4, V19.S4]
-	VFMLA V16.S4, V20.S4, V0.S4
-	VFMLA V17.S4, V20.S4, V1.S4
-	VFMLA V18.S4, V20.S4, V2.S4
-	VFMLA V19.S4, V20.S4, V3.S4
-	SUBS  $1, R12, R12
-	BNE   spmmquadloop
+	SPMMQUAD
+	SUBS $1, R12, R12
+	BNE  spmmquadloop
+	B    spmmquadstore
+
+spmmquadcol:
+	SPMMHEADCOL
+	SPMMQUAD
+	SUBS $1, R12, R12
+	BNE  spmmquadcol
+
+spmmquadstore:
 	VST1.P [V0.S4, V1.S4, V2.S4, V3.S4], 64(R0)
-	ADD   $64, R2
-	SUB   $4, R1
-	B     spmmquad
+	ADD    $64, R2
+	SUB    $4, R1
+	B      spmmquad
 
 	// Single vectors: the same, 16 bytes a pass.
 spmmsingle:
@@ -402,19 +451,30 @@ spmmsingle:
 	MOVD R6, R11
 	MOVD R8, R12
 	VEOR V0.B16, V0.B16, V0.B16
-	CBZ  R9, spmmsingleloop
+	CBZ  R9, spmmsinglego
 	VLD1 (R0), [V0.S4]
+
+spmmsinglego:
+	CBNZ R19, spmmsinglecol
 
 spmmsingleloop:
 	SPMMHEAD
-	VLD1  (R13), [V16.S4]
-	VFMLA V16.S4, V20.S4, V0.S4
-	SUBS  $1, R12, R12
-	BNE   spmmsingleloop
+	SPMMSINGLE
+	SUBS $1, R12, R12
+	BNE  spmmsingleloop
+	B    spmmsinglestore
+
+spmmsinglecol:
+	SPMMHEADCOL
+	SPMMSINGLE
+	SUBS $1, R12, R12
+	BNE  spmmsinglecol
+
+spmmsinglestore:
 	VST1.P [V0.S4], 16(R0)
-	ADD   $16, R2
-	SUB   $1, R1
-	B     spmmsingle
+	ADD    $16, R2
+	SUB    $1, R1
+	B      spmmsingle
 
 spmmdone:
 	RET

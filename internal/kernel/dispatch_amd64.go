@@ -12,7 +12,7 @@ func axpyVec8(a float32, x, dst *float32, n int)
 func reluVec8(dst, src *float32, n int)
 func reluMaskVec8(dst, grad, act *float32, n int)
 func tileVec(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, cols int, acc bool)
-func spmmRowVec(c *float32, w int, x *float32, xs, xrows int, cols, last *int32, vals *float32, n int, acc bool) (bad bool)
+func spmmRowVec(c *float32, w int, x *float32, xs, xrows int, cols, last *int32, vals *float32, form ValForm, n int, acc bool) (bad bool)
 
 func init() {
 	if !hasAVX2() {
@@ -85,17 +85,16 @@ func tileAVX2(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int,
 
 // spmmRowAVX2 leaves the column proof to the body, which checks each column
 // as it loads it and reports the first outside X before it stores anything.
-func spmmRowAVX2(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) {
+func spmmRowAVX2(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool) {
 	if n == 0 || xrows == 0 {
-		spmmRowScalar(c, x, xs, xrows, cols, vals, n, acc) // nothing to add, or no row of X for a column to name
+		spmmRowScalar(c, x, xs, xrows, cols, vals, form, n, acc) // nothing to add, or no row of X for a column to name
 		return
 	}
-	checkSpMMExtents(c, x, xs, xrows, cols, vals, n)
-	var vp *float32
-	if vals != nil {
-		vp = &vals[0]
+	checkSpMMExtents(c, x, xs, xrows, cols, vals, form, n)
+	if vals == nil {
+		vals, form = one[:], RowConst
 	}
-	if spmmRowVec(&c[0], len(c), &x[0], xs, xrows, &cols[0], &cols[len(cols)-1], vp, n, acc) {
+	if spmmRowVec(&c[0], len(c), &x[0], xs, xrows, &cols[0], &cols[len(cols)-1], &vals[0], form, n, acc) {
 		panic(errSpMMColumn)
 	}
 }

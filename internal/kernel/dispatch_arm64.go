@@ -12,7 +12,7 @@ func axpyVec4(a float32, x, dst *float32, n int)
 func reluVec4(dst, src *float32, n int)
 func reluMaskVec4(dst, grad, act *float32, n int)
 func tileVec4(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, vecs int, acc bool)
-func spmmRowVec4(c *float32, vecs int, x *float32, xs int, cols, last *int32, vals *float32, n int, acc bool)
+func spmmRowVec4(c *float32, vecs int, x *float32, xs int, cols, last *int32, vals *float32, form ValForm, n int, acc bool)
 
 func init() {
 	// NEON (ASIMD) is architecturally mandatory on arm64, so there is no
@@ -85,19 +85,19 @@ func tileNEON(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int,
 	}
 }
 
-func spmmRowNEON(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) {
+func spmmRowNEON(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool) {
 	cv := len(c) &^ 3
 	if n == 0 || cv == 0 {
-		spmmRowScalar(c, x, xs, xrows, cols, vals, n, acc) // nothing to add (and no cols[0] to point at), or no whole vector
+		spmmRowScalar(c, x, xs, xrows, cols, vals, form, n, acc) // nothing to add (and no cols[0] to point at), or no whole vector
 		return
 	}
-	checkSpMMRow(c, x, xs, xrows, cols, vals, n)
-	var vp *float32
-	if vals != nil {
-		vp = &vals[0]
+	checkSpMMRow(c, x, xs, xrows, cols, vals, form, n)
+	vv, vf := vals, form
+	if vv == nil {
+		vv, vf = one[:], RowConst
 	}
-	spmmRowVec4(&c[0], cv/4, &x[0], xs, &cols[0], &cols[len(cols)-1], vp, n, acc)
+	spmmRowVec4(&c[0], cv/4, &x[0], xs, &cols[0], &cols[len(cols)-1], &vv[0], vf, n, acc)
 	if cv < len(c) {
-		spmmRowScalar(c[cv:], x[cv:], xs, xrows, cols, vals, n, acc)
+		spmmRowScalar(c[cv:], x[cv:], xs, xrows, cols, vals, form, n, acc)
 	}
 }

@@ -45,15 +45,16 @@ var (
 	Axpy func(a float32, x, dst []float32) = axpyScalar
 	// SpMMRow is the SpMM row microkernel. For the strip c of one output
 	// row (1..SpMMStrip floats) it starts every accumulator from c (acc) or
-	// from 0, adds vals[k] * x[cols[k]*xs+j] for k ascending over [0, n) —
+	// from 0, adds v(k) * x[cols[k]*xs+j] for k ascending over [0, n) —
 	// product and sum each rounded to float32 on amd64, fused as the
 	// compiler fuses them on arm64 — and writes c once. x is X from the
 	// strip's first column on, xs its row stride and xrows its row count.
-	// cols and vals run from this row's first stored entry to the tile's
-	// last, so a body may read cols past n to prefetch the rows the next
-	// output rows gather; a nil vals is a value stream of ones (x*1 is
-	// exact: a structure-only tile sums its neighbours through this body).
-	SpMMRow func(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) = spmmRowScalar
+	// cols runs from this row's first stored entry to the tile's last, so a
+	// body may read cols past n to prefetch the rows the next output rows
+	// gather. form says where entry k's value v(k) is read (see ValForm);
+	// a nil vals is a value of one in every form (x*1 is exact: a
+	// structure-only tile sums its neighbours through this body).
+	SpMMRow func(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool) = spmmRowScalar
 	// Tile is the GeMM register-tile microkernel. For the rows x cols tile
 	// of C at c (row stride cs; rows <= MR, cols <= NR) it starts every
 	// accumulator from C (acc) or from 0, adds a[i*ars+p*aks] * b[p*bs+j]
@@ -78,6 +79,22 @@ const (
 	MR = 4
 	NR = 16
 )
+
+// ValForm is where SpMMRow reads a stored entry's value. The three forms are
+// the three ways a tile holds its values: one per entry (a sampled block, an
+// attention tile), one per row (Âᵀ under eq. (2): row v of Âᵀ is v's
+// in-neighbours, each weighted 1/in-degree(v)) and one per column (Â, whose
+// column v carries that same weight).
+type ValForm uint8
+
+const (
+	PerEntry ValForm = iota // v(k) = vals[k]: vals runs parallel to cols
+	RowConst                // v(k) = vals[0]: one value for the whole row
+	ByColumn                // v(k) = vals[cols[k]]: one value per row of X
+)
+
+// one is what a nil vals stands for, for the assembly bodies to point at.
+var one = [1]float32{1}
 
 // SpMMStrip is the widest strip one SpMMRow call owns: eight 8-float vectors
 // is the eight accumulators that, with a broadcast value, a masked load and
@@ -105,15 +122,21 @@ func axpyScalar(a float32, x, dst []float32) {
 
 // spmmRowScalar is the oracle and the path of builds without assembly: one
 // pass over the strip per stored entry, ascending.
-func spmmRowScalar(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) {
-	checkSpMMRow(c, x, xs, xrows, cols, vals, n)
+func spmmRowScalar(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool) {
+	checkSpMMRow(c, x, xs, xrows, cols, vals, form, n)
 	if !acc {
 		clear(c)
 	}
 	for k, col := range cols[:n] {
 		v := float32(1)
-		if vals != nil {
+		switch {
+		case vals == nil:
+		case form == PerEntry:
 			v = vals[k]
+		case form == RowConst:
+			v = vals[0]
+		default:
+			v = vals[col]
 		}
 		rx := x[int(col)*xs:][:len(c)]
 		for j := range c {
@@ -125,8 +148,8 @@ func spmmRowScalar(c, x []float32, xs, xrows int, cols []int32, vals []float32, 
 // checkSpMMRow panics unless checkSpMMExtents holds and each of the row's n
 // columns names a row of X: the whole proof the assembly bodies, which index
 // raw pointers, run behind. The AVX2 body proves the columns itself.
-func checkSpMMRow(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int) {
-	checkSpMMExtents(c, x, xs, xrows, cols, vals, n)
+func checkSpMMRow(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int) {
+	checkSpMMExtents(c, x, xs, xrows, cols, vals, form, n)
 	bad := 0
 	for _, col := range cols[:n] {
 		bad |= int(col) | (xrows - 1 - int(col))
@@ -139,12 +162,14 @@ func checkSpMMRow(c, x []float32, xs, xrows int, cols []int32, vals []float32, n
 const errSpMMColumn = "kernel: SpMMRow column outside X's rows"
 
 // checkSpMMExtents is checkSpMMRow's O(1) half: the strip is 1..SpMMStrip
-// floats, the strip's furthest element of X's last row is inside x, and the
-// row's n entries are inside cols and any vals. The columns past n are only
-// ever prefetched, which cannot fault.
-func checkSpMMExtents(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int) {
-	if len(c) < 1 || len(c) > SpMMStrip || xs < 0 || xrows < 0 || n < 0 || (vals != nil && len(vals) < n) {
-		panic("kernel: SpMMRow strip outside 1..SpMMStrip, a negative extent or vals shorter than the row")
+// floats, the strip's furthest element of X's last row is inside x, the
+// row's n entries are inside cols, and any vals holds every value its form
+// can read — n of them, one, or one per row of X. The columns past n are
+// only ever prefetched, which cannot fault.
+func checkSpMMExtents(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int) {
+	need := [...]int{PerEntry: n, RowConst: 1, ByColumn: xrows}
+	if len(c) < 1 || len(c) > SpMMStrip || xs < 0 || xrows < 0 || n < 0 || form > ByColumn || (vals != nil && len(vals) < need[form]) {
+		panic("kernel: SpMMRow strip outside 1..SpMMStrip, a negative extent, an unknown value form or vals shorter than it reads")
 	}
 	if xrows > 0 {
 		_ = x[(xrows-1)*xs+len(c)-1]

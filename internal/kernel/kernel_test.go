@@ -201,8 +201,8 @@ func mustPanic(t *testing.T, what string, call func()) {
 // TestSpMMRowMatchesScalar holds the installed row kernel to the scalar one
 // on random shapes: any strip width, strides at and past it, rows of zero to
 // a hundred entries anywhere in a tile (so the look-ahead runs into the next
-// rows, and off the tile's end), valued and ones, from C and from 0, with
-// every operand misaligned. C's guard band is part of the comparison.
+// rows, and off the tile's end), ones and every value form, from C and from
+// 0, with every operand misaligned. C's guard band is part of the comparison.
 func TestSpMMRowMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for tc := 0; tc < 4000; tc++ {
@@ -213,22 +213,29 @@ func TestSpMMRowMatchesScalar(t *testing.T) {
 		for i := range cols {
 			cols[i] = int32(rng.Intn(xrows))
 		}
-		vals := fill(t, len(cols), rng.Uint64()|1)
 		first := rng.Intn(len(cols))
 		n := rng.Intn(min(100, len(cols)-first) + 1)
-		cols, vals = cols[first:], vals[first:]
+		form := ValForm(tc / 3 % 3)
+		vals := fill(t, off+max(len(cols), xrows), rng.Uint64()|1)[off:]
+		cols = cols[first:]
+		switch form {
+		case PerEntry:
+			vals = vals[first:]
+		case RowConst:
+			vals = vals[first : first+1]
+		}
 		if tc%3 == 0 {
 			vals = nil
 		}
 		acc := tc%2 == 0
 		got := fill(t, off+3+w+3, rng.Uint64()|1)
 		want := append([]float32(nil), got...)
-		SpMMRow(got[off+3:off+3+w], x, xs, xrows, cols, vals, n, acc)
-		spmmRowScalar(want[off+3:off+3+w], x, xs, xrows, cols, vals, n, acc)
+		SpMMRow(got[off+3:off+3+w], x, xs, xrows, cols, vals, form, n, acc)
+		spmmRowScalar(want[off+3:off+3+w], x, xs, xrows, cols, vals, form, n, acc)
 		for i := range want {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("SpMMRow w=%d xs=%d xrows=%d n=%d of %d acc=%v valued=%v off=%d: c[%d]=%x want %x under impl %q",
-					w, xs, xrows, n, len(cols), acc, vals != nil, off, i-off-3, math.Float32bits(got[i]), math.Float32bits(want[i]), Impl())
+				t.Fatalf("SpMMRow w=%d xs=%d xrows=%d n=%d of %d acc=%v form=%d valued=%v off=%d: c[%d]=%x want %x under impl %q",
+					w, xs, xrows, n, len(cols), acc, form, vals != nil, off, i-off-3, math.Float32bits(got[i]), math.Float32bits(want[i]), Impl())
 			}
 		}
 	}
@@ -241,15 +248,20 @@ func TestSpMMRowMatchesDefinition(t *testing.T) {
 	cols, vals := []int32{2, 0, 1, 1}, []float32{0.5, 2, -1, 7}
 	for name, tc := range map[string]struct {
 		vals []float32
+		form ValForm
 		acc  bool
 		want [2]float32
 	}{
-		"valued from 0": {vals, false, [2]float32{0.5*100 + 2*1, 0.5*200 + 2*2}},
-		"valued from C": {vals, true, [2]float32{5 + 0.5*100 + 2*1, 6 + 0.5*200 + 2*2}},
-		"ones from C":   {nil, true, [2]float32{5 + 100 + 1, 6 + 200 + 2}},
+		"valued from 0":    {vals, PerEntry, false, [2]float32{0.5*100 + 2*1, 0.5*200 + 2*2}},
+		"valued from C":    {vals, PerEntry, true, [2]float32{5 + 0.5*100 + 2*1, 6 + 0.5*200 + 2*2}},
+		"ones from C":      {nil, PerEntry, true, [2]float32{5 + 100 + 1, 6 + 200 + 2}},
+		"ones by column":   {nil, ByColumn, false, [2]float32{100 + 1, 200 + 2}},
+		"row value from 0": {vals[3:], RowConst, false, [2]float32{7*100 + 7*1, 7*200 + 7*2}},
+		"column values":    {vals[:3], ByColumn, false, [2]float32{-1*100 + 0.5*1, -1*200 + 0.5*2}},
+		"column values +C": {vals[1:], ByColumn, true, [2]float32{5 + 7*100 + 2*1, 6 + 7*200 + 2*2}},
 	} {
 		c := []float32{5, 6, 7}
-		SpMMRow(c[:2], x, 3, 3, cols, tc.vals, 2, tc.acc)
+		SpMMRow(c[:2], x, 3, 3, cols, tc.vals, tc.form, 2, tc.acc)
 		if c[0] != tc.want[0] || c[1] != tc.want[1] || c[2] != 7 {
 			t.Errorf("%s: c = %v, want %v then 7", name, c, tc.want)
 		}
@@ -264,13 +276,16 @@ func TestSpMMRowRejectsOutOfRange(t *testing.T) {
 	buf := make([]float32, 4*SpMMStrip)
 	cols := []int32{0, 1, 2, 3}
 	for name, call := range map[string]func(){
-		"column":      func() { SpMMRow(buf[:8], buf, 8, 3, cols, nil, 4, false) },
-		"neg column":  func() { SpMMRow(buf[:8], buf, 8, 4, []int32{1, -1}, nil, 2, false) },
-		"short vals":  func() { SpMMRow(buf[:8], buf, 8, 4, cols, buf[:3], 4, false) },
-		"wide strip":  func() { SpMMRow(buf[:SpMMStrip+1], buf, SpMMStrip+1, 2, cols, nil, 1, false) },
-		"empty strip": func() { SpMMRow(buf[:0], buf, 8, 4, cols, nil, 1, false) },
-		"long row":    func() { SpMMRow(buf[:8], buf, 8, 4, cols, nil, 5, false) },
-		"short x":     func() { SpMMRow(buf[:8], buf[:31], 8, 4, cols, nil, 1, false) },
+		"column":        func() { SpMMRow(buf[:8], buf, 8, 3, cols, nil, PerEntry, 4, false) },
+		"neg column":    func() { SpMMRow(buf[:8], buf, 8, 4, []int32{1, -1}, nil, PerEntry, 2, false) },
+		"short vals":    func() { SpMMRow(buf[:8], buf, 8, 4, cols, buf[:3], PerEntry, 4, false) },
+		"no row value":  func() { SpMMRow(buf[:8], buf, 8, 4, cols, buf[:0], RowConst, 4, false) },
+		"short columns": func() { SpMMRow(buf[:8], buf, 8, 4, cols[:1], buf[:3], ByColumn, 1, false) },
+		"unknown form":  func() { SpMMRow(buf[:8], buf, 8, 4, cols, buf[:4], ByColumn+1, 4, false) },
+		"wide strip":    func() { SpMMRow(buf[:SpMMStrip+1], buf, SpMMStrip+1, 2, cols, nil, PerEntry, 1, false) },
+		"empty strip":   func() { SpMMRow(buf[:0], buf, 8, 4, cols, nil, PerEntry, 1, false) },
+		"long row":      func() { SpMMRow(buf[:8], buf, 8, 4, cols, nil, PerEntry, 5, false) },
+		"short x":       func() { SpMMRow(buf[:8], buf[:31], 8, 4, cols, nil, PerEntry, 1, false) },
 	} {
 		mustPanic(t, "SpMMRow with "+name+" out of range", call)
 	}
@@ -278,30 +293,38 @@ func TestSpMMRowRejectsOutOfRange(t *testing.T) {
 
 // TestSpMMRowRejectsBadColumn: a column outside X's rows panics wherever it
 // sits in the row, at every vector count with a full and a masked last
-// vector, from C and from 0, and leaves C and its guard band bit for bit as
-// they were. On amd64 this is the assembly body's own check.
+// vector, from C and from 0, with ones and with the value the column itself
+// indexes, and leaves C and its guard band bit for bit as they were. On
+// amd64 this is the assembly body's own check.
 func TestSpMMRowRejectsBadColumn(t *testing.T) {
 	const xrows, xs, n = 5, SpMMStrip + 3, 7
 	x := fill(t, xrows*xs, 0x9e3779b97f4a7c15)
+	colVals := fill(t, xrows, 0xd6e8feb86659fd93)
 	for v := 1; v <= SpMMStrip/8; v++ {
 		for _, w := range []int{8 * v, 8*v - 3} {
 			for _, acc := range []bool{false, true} {
 				for _, at := range []int{0, n / 2, n - 1} {
 					for _, col := range []int32{-1, math.MinInt32, xrows, math.MaxInt32} {
-						cols := []int32{0, 4, 1, 3, 2, 4, 0, 1, 2}
-						cols[at] = col
-						got := fill(t, 3+w+3, uint64(w)<<8|uint64(at))
-						want := append([]float32(nil), got...)
-						what := fmt.Sprintf("SpMMRow w=%d acc=%v column %d at %d", w, acc, col, at)
-						func() {
-							defer func() {
-								if r := recover(); r != errSpMMColumn {
-									t.Errorf("%s: recovered %v, want %q", what, r, errSpMMColumn)
+						for _, byCol := range []bool{false, true} {
+							cols := []int32{0, 4, 1, 3, 2, 4, 0, 1, 2}
+							cols[at] = col
+							got := fill(t, 3+w+3, uint64(w)<<8|uint64(at))
+							want := append([]float32(nil), got...)
+							what := fmt.Sprintf("SpMMRow w=%d acc=%v column %d at %d by column %v", w, acc, col, at, byCol)
+							func() {
+								defer func() {
+									if r := recover(); r != errSpMMColumn {
+										t.Errorf("%s: recovered %v, want %q", what, r, errSpMMColumn)
+									}
+								}()
+								if byCol {
+									SpMMRow(got[3:3+w], x, xs, xrows, cols, colVals, ByColumn, n, acc)
+								} else {
+									SpMMRow(got[3:3+w], x, xs, xrows, cols, nil, PerEntry, n, acc)
 								}
 							}()
-							SpMMRow(got[3:3+w], x, xs, xrows, cols, nil, n, acc)
-						}()
-						bitsEqual(t, what, w, 3, got, want)
+							bitsEqual(t, what, w, 3, got, want)
+						}
 					}
 				}
 			}
@@ -325,8 +348,8 @@ func TestSpMMRowIgnoresColumnsPastRow(t *testing.T) {
 			copy(cols, []int32{4, 0, 2})
 			got := fill(t, w, 0x2545f4914f6cdd1d)
 			want := append([]float32(nil), got...)
-			SpMMRow(got, x, xs, xrows, cols, vals, n, true)
-			spmmRowScalar(want, x, xs, xrows, cols, vals, n, true)
+			SpMMRow(got, x, xs, xrows, cols, vals, PerEntry, n, true)
+			spmmRowScalar(want, x, xs, xrows, cols, vals, PerEntry, n, true)
 			bitsEqual(t, fmt.Sprintf("SpMMRow w=%d with column %d past the row", w, col), w, 0, got, want)
 		}
 	}
@@ -337,18 +360,30 @@ func TestSpMMRowIgnoresColumnsPastRow(t *testing.T) {
 // outside X or that writes C before it rejects one, even when it matches the
 // scalar kernel on every valid row.
 func TestVerifyRefusesUncheckedRowKernel(t *testing.T) {
-	for name, row := range map[string]func(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool){
-		"bounds columns by x's length": func(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) {
-			spmmRowScalar(c, x, xs, len(x)/xs, cols, vals, n, acc)
+	for name, row := range map[string]func(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool){
+		"bounds columns by x's length": func(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool) {
+			spmmRowScalar(c, x, xs, len(x)/xs, cols, vals, form, n, acc)
 		},
-		"writes C, then rejects": func(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool) {
+		"writes C, then rejects": func(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool) {
 			defer func() {
 				if r := recover(); r != nil {
 					clear(c)
 					panic(r)
 				}
 			}()
-			spmmRowScalar(c, x, xs, xrows, cols, vals, n, acc)
+			spmmRowScalar(c, x, xs, xrows, cols, vals, form, n, acc)
+		},
+		"reads every form as a stream": func(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool) {
+			if vals != nil && form != PerEntry {
+				vals = vals[:cap(vals)]
+			}
+			spmmRowScalar(c, x, xs, xrows, cols, vals, PerEntry, n, acc)
+		},
+		"reads column values by entry": func(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool) {
+			if vals != nil && form == ByColumn {
+				vals, form = vals[:cap(vals)], PerEntry
+			}
+			spmmRowScalar(c, x, xs, xrows, cols, vals, form, n, acc)
 		},
 	} {
 		err := verifyImpls(impls{

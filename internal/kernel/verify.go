@@ -12,7 +12,7 @@ type impls struct {
 	add      func(x, dst []float32)
 	axpy     func(a float32, x, dst []float32)
 	tile     func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool)
-	spmmRow  func(c, x []float32, xs, xrows int, cols []int32, vals []float32, n int, acc bool)
+	spmmRow  func(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool)
 	relu     func(dst, src []float32)
 	reluMask func(dst, grad, act []float32)
 }
@@ -139,17 +139,29 @@ func verifyImpls(c impls) error {
 	}
 
 	// Row-kernel strips on both sides of every vector boundary; empty, single,
-	// paired, odd and hub rows (longer than any look-ahead); valued and ones;
-	// from C and from 0 (over a C that holds a NaN); the row first in its tile
-	// and last in it, where the look-ahead has nothing past the row to read.
-	// X's stride is past the strip and the band between holds NaNs, and C sits
-	// inside a guard band the comparison covers.
+	// paired, odd and hub rows (longer than any look-ahead); ones and each
+	// value form, the row's and the column's values taken from the middle of
+	// a longer stream so a body that reads them as another form deviates;
+	// from C and from 0 (over a C that holds a NaN); the row first in its
+	// tile and last in it, where the look-ahead has nothing past the row to
+	// read. X's stride is past the strip and the band between holds NaNs,
+	// and C sits inside a guard band the comparison covers.
 	const ldx, xrows = SpMMStrip + 3, 4
 	tileCols := make([]int32, 40)
 	for i := range tileCols {
 		tileCols[i] = int32((i*7 + i/4) % xrows)
 	}
 	nnzs := [...]int{0, 1, 2, 5, 21}
+	forms := [...]struct {
+		name string
+		form ValForm
+		vals []float32
+	}{
+		{"ones", PerEntry, nil},
+		{"PerEntry", PerEntry, xb[:len(tileCols)]},
+		{"RowConst", RowConst, xb[3:4]},
+		{"ByColumn", ByColumn, xb[9 : 9+xrows]},
+	}
 	for w := 1; w <= SpMMStrip; w++ {
 		if r := w % 8; w > 2 && r > 1 && r < 7 {
 			continue
@@ -160,44 +172,47 @@ func verifyImpls(c impls) error {
 				xp[i] = nan
 			}
 		}
-		for t := 0; t < len(nnzs)*8; t++ {
-			n, acc, valued, lastRow := nnzs[t%len(nnzs)], t/len(nnzs)&1 == 1, t/len(nnzs)&2 == 2, t/len(nnzs)&4 == 4
-			cols, vals := tileCols, xb[:len(tileCols)]
+		for t := 0; t < len(nnzs)*4*len(forms); t++ {
+			n, acc, lastRow, f := nnzs[t%len(nnzs)], t/len(nnzs)&1 == 1, t/len(nnzs)&2 == 2, forms[t/len(nnzs)/4]
+			cols, vals := tileCols, f.vals
 			if lastRow {
-				cols, vals = cols[len(cols)-n:], vals[len(vals)-n:]
-			}
-			if !valued {
-				vals = nil
+				cols = cols[len(cols)-n:]
+				if f.form == PerEntry && vals != nil {
+					vals = vals[len(vals)-n:]
+				}
 			}
 			got, want := buf(xd, 5+w+5)
 			if !acc {
 				got[5+w/2], want[5+w/2] = nan, nan
 			}
-			c.spmmRow(got[5:5+w], xp, ldx, xrows, cols, vals, n, acc)
-			spmmRowScalar(want[5:5+w], xp, ldx, xrows, cols, vals, n, acc)
+			c.spmmRow(got[5:5+w], xp, ldx, xrows, cols, vals, f.form, n, acc)
+			spmmRowScalar(want[5:5+w], xp, ldx, xrows, cols, vals, f.form, n, acc)
 			if !eq(got, want) {
-				return fmt.Errorf("kernel: %s SpMMRow deviates from scalar at width=%d nnz=%d acc=%v valued=%v last row=%v",
-					c.name, w, n, acc, valued, lastRow)
+				return fmt.Errorf("kernel: %s SpMMRow deviates from scalar at width=%d nnz=%d acc=%v values=%s last row=%v",
+					c.name, w, n, acc, f.name, lastRow)
 			}
 		}
 	}
 
 	// The row kernel's column proof: a column just outside X (-1, or one past
 	// its last row) first, in the middle or last in the row must panic with
-	// C and its guard band untouched. X starts a row into its buffer and the
-	// slice holds one row more than xrows says, so a candidate that skips the
-	// check reads memory it owns and is refused here instead of faulting.
+	// C and its guard band untouched, in the stream forms and in ByColumn,
+	// whose value the column indexes. X starts a row into its buffer and the
+	// slice holds one row more than xrows says, and the column values sit
+	// inside a longer stream, so a candidate that skips the check reads
+	// memory it owns and is refused here instead of faulting.
 	xw := make([]float32, (xrows+2)*ldx)[ldx:]
-	for t := 0; t < 24; t++ {
-		w, acc, at, col := []int{3, SpMMStrip}[t&1], t&2 == 2, []int{0, 2, 4}[t/4%3], []int32{-1, xrows}[t/12]
+	for t := 0; t < 48; t++ {
+		w, acc, at, col := []int{3, SpMMStrip}[t&1], t&2 == 2, []int{0, 2, 4}[t/4%3], []int32{-1, xrows}[t/12%2]
+		f := forms[[]int{0, 3}[t/24]]
 		cols := append([]int32(nil), tileCols[:5]...)
 		cols[at] = col
 		got, want := buf(xd, 5+w+5)
-		if !panics(func() { c.spmmRow(got[5:5+w], xw, ldx, xrows, cols, nil, len(cols), acc) }) {
-			return fmt.Errorf("kernel: %s SpMMRow accepts column %d of a %d-row X at entry %d", c.name, col, xrows, at)
+		if !panics(func() { c.spmmRow(got[5:5+w], xw, ldx, xrows, cols, f.vals, f.form, len(cols), acc) }) {
+			return fmt.Errorf("kernel: %s SpMMRow accepts column %d of a %d-row X at entry %d (values=%s)", c.name, col, xrows, at, f.name)
 		}
 		if !eq(got, want) {
-			return fmt.Errorf("kernel: %s SpMMRow writes C while rejecting column %d at entry %d (width=%d acc=%v)", c.name, col, at, w, acc)
+			return fmt.Errorf("kernel: %s SpMMRow writes C while rejecting column %d at entry %d (width=%d acc=%v values=%s)", c.name, col, at, w, acc, f.name)
 		}
 	}
 	return nil

@@ -83,7 +83,9 @@ func tileCSR(rows, cols, deg, span int) *CSR {
 // columns over the whole X block: L2, past L2, far past it) and with the
 // columns confined to the 16 KB of X that stay in L1. The first column is
 // what an epoch gets; the gap to the second is what residency would buy, and
-// the second is the kernel's own ceiling (ROADMAP item 1).
+// the second is the kernel's own ceiling (ROADMAP item 1). Each runs with a
+// value per entry (a sampled block) and with Â's per-vertex scale, per row
+// (the forward's Âᵀ tile) and per column (the backward's Â tile).
 func BenchmarkSpMMTiles(b *testing.B) {
 	for _, cfg := range []struct {
 		name                   string
@@ -99,16 +101,24 @@ func BenchmarkSpMMTiles(b *testing.B) {
 			if span < cfg.cols {
 				residency = "L1"
 			}
-			b.Run(cfg.name+"/"+residency, func(b *testing.B) {
-				a := tileCSR(cfg.rows, cfg.cols, cfg.deg, span)
-				rng := rand.New(rand.NewSource(5))
-				x, c := randomDense(rng, cfg.cols, cfg.width), tensor.NewDense(cfg.rows, cfg.width)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					SpMM(a, x, 0, c)
-				}
-				b.ReportMetric(float64(SpMMFlops(a.NNZ(), cfg.width))*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
-			})
+			for _, form := range []string{"vals", "row-scale", "col-scale"} {
+				b.Run(cfg.name+"/"+residency+"/"+form, func(b *testing.B) {
+					a := tileCSR(cfg.rows, cfg.cols, cfg.deg, span)
+					switch form {
+					case "row-scale":
+						a.RowScale, a.Vals = a.Vals[:a.Rows], nil
+					case "col-scale":
+						a.ColScale, a.Vals = a.Vals[:a.Cols], nil
+					}
+					rng := rand.New(rand.NewSource(5))
+					x, c := randomDense(rng, cfg.cols, cfg.width), tensor.NewDense(cfg.rows, cfg.width)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						SpMM(a, x, 0, c)
+					}
+					b.ReportMetric(float64(SpMMFlops(a.NNZ(), cfg.width))*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+				})
+			}
 		}
 	}
 }

@@ -1,7 +1,10 @@
 // Package sparse provides Compressed Sparse Row matrices and the SpMM
-// kernels at the heart of GCN training. Matrices may be "structure-only":
-// Vals == nil means every stored entry is implicitly 1 for arithmetic
-// purposes, or the matrix is used purely for cost/partitioning analysis.
+// kernels at the heart of GCN training. A matrix holds its values in one of
+// three forms: one per stored entry (Vals), one per row or per column (a
+// scale: what eq. (2)'s in-degree normalization gives an unweighted graph's
+// adjacency, n floats for every tile of it), or none ("structure-only":
+// every stored entry is implicitly 1 for arithmetic purposes, or the matrix
+// is used purely for cost/partitioning analysis).
 package sparse
 
 import (
@@ -13,23 +16,30 @@ import (
 //
 //	RowPtr has Rows+1 entries; column indices of row i live in
 //	ColIdx[RowPtr[i]:RowPtr[i+1]], sorted ascending within the row.
-//	Vals is either nil (structure-only) or parallel to ColIdx.
+//	Vals is either nil or parallel to ColIdx. With Vals nil, a non-nil
+//	RowScale (Rows long) gives every entry of row i the value RowScale[i],
+//	or a non-nil ColScale (Cols long) every entry of column j ColScale[j];
+//	with neither, every entry is 1. At most one of the three is set.
+//
+// Tiles of one matrix may share their structure and their scale: every
+// method treats all of them as read-only.
 type CSR struct {
-	Rows, Cols int
-	RowPtr     []int64
-	ColIdx     []int32
-	Vals       []float32
+	Rows, Cols         int
+	RowPtr             []int64
+	ColIdx             []int32
+	Vals               []float32
+	RowScale, ColScale []float32
 }
 
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int64 { return m.RowPtr[m.Rows] }
 
-// HasVals reports whether the matrix stores explicit values.
+// HasVals reports whether the matrix stores a value per entry.
 func (m *CSR) HasVals() bool { return m.Vals != nil }
 
 // Bytes returns the CSR storage footprint in bytes (rowptr 8B, colidx 4B,
-// vals 4B each), counting values even for structure-only matrices so that
-// memory accounting reflects what a value-carrying run would use.
+// vals 4B each), counting a value per entry whatever form the values take,
+// so that memory accounting reflects what the modelled device stores.
 func (m *CSR) Bytes() int64 {
 	return int64(m.Rows+1)*8 + m.NNZ()*4 + m.NNZ()*4
 }
@@ -37,8 +47,8 @@ func (m *CSR) Bytes() int64 {
 // RowNNZ returns the number of stored entries in row i.
 func (m *CSR) RowNNZ(i int) int64 { return m.RowPtr[i+1] - m.RowPtr[i] }
 
-// Row returns the column indices and values of row i. vals is nil for
-// structure-only matrices.
+// Row returns the column indices and values of row i. vals is nil unless
+// the matrix stores a value per entry.
 func (m *CSR) Row(i int) (cols []int32, vals []float32) {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	cols = m.ColIdx[lo:hi]
@@ -119,10 +129,12 @@ func (m *CSR) Transpose() *CSR { return m.TransposeInto(&CSR{}) }
 // TransposeInto writes the transpose of m into t, reusing t's slices where
 // their capacity suffices, and returns t. A warmed t makes the call
 // allocation-free, which is what lets a sampler stage rebuild a block's CSC
-// every step.
+// every step. A row scale becomes a column scale and the other way round,
+// shared with m.
 func (m *CSR) TransposeInto(t *CSR) *CSR {
 	nnz := int(m.NNZ())
 	t.Rows, t.Cols = m.Cols, m.Rows
+	t.RowScale, t.ColScale = m.ColScale, m.RowScale
 	t.ColIdx = resize(t.ColIdx, nnz)
 	if m.Vals != nil {
 		t.Vals = resize(t.Vals, nnz)
@@ -167,13 +179,19 @@ func resize[T any](s []T, n int) []T {
 }
 
 // SubMatrix extracts the tile with rows [r0,r1) and columns [c0,c1) as a new
-// CSR matrix with local (shifted) indices. Structure-only matrices yield
-// structure-only tiles.
+// CSR matrix with local (shifted) indices. Values keep their form: a scaled
+// matrix's tile shares the slice of the scale its rows or columns cover.
 func (m *CSR) SubMatrix(r0, r1, c0, c1 int) *CSR {
 	if r0 < 0 || r1 < r0 || r1 > m.Rows || c0 < 0 || c1 < c0 || c1 > m.Cols {
 		panic(fmt.Sprintf("sparse: tile [%d,%d)x[%d,%d) outside %dx%d", r0, r1, c0, c1, m.Rows, m.Cols))
 	}
 	t := &CSR{Rows: r1 - r0, Cols: c1 - c0, RowPtr: make([]int64, r1-r0+1)}
+	if m.RowScale != nil {
+		t.RowScale = m.RowScale[r0:r1:r1]
+	}
+	if m.ColScale != nil {
+		t.ColScale = m.ColScale[c0:c1:c1]
+	}
 	lo32, hi32 := int32(c0), int32(c1)
 	for r := r0; r < r1; r++ {
 		cols, _ := m.Row(r)
@@ -235,6 +253,12 @@ func (m *CSR) Validate() error {
 	if m.Vals != nil && int64(len(m.Vals)) != m.NNZ() {
 		return fmt.Errorf("sparse: Vals length %d, want %d", len(m.Vals), m.NNZ())
 	}
+	if (m.Vals != nil && (m.RowScale != nil || m.ColScale != nil)) || (m.RowScale != nil && m.ColScale != nil) {
+		return fmt.Errorf("sparse: more than one of Vals, RowScale and ColScale set")
+	}
+	if m.RowScale != nil && len(m.RowScale) != m.Rows || m.ColScale != nil && len(m.ColScale) != m.Cols {
+		return fmt.Errorf("sparse: scale lengths %d and %d for a %dx%d matrix", len(m.RowScale), len(m.ColScale), m.Rows, m.Cols)
+	}
 	for i := 0; i < m.Rows; i++ {
 		cols, _ := m.Row(i)
 		for k, c := range cols {
@@ -258,8 +282,13 @@ func (m *CSR) ToDenseRows() [][]float32 {
 		cols, vals := m.Row(i)
 		for k, c := range cols {
 			v := float32(1)
-			if vals != nil {
+			switch {
+			case vals != nil:
 				v = vals[k]
+			case m.RowScale != nil:
+				v = m.RowScale[i]
+			case m.ColScale != nil:
+				v = m.ColScale[c]
 			}
 			out[i][c] = v
 		}

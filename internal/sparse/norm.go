@@ -39,6 +39,28 @@ func NormalizeInDegree(a *CSR) *CSR {
 	return out
 }
 
+// FactoredInDegree is NormalizeInDegree(a) in the form eq. (2) has when a
+// carries no weights: a's own structure, shared, and ColScale[v] =
+// 1/in-degree(v) — the float32 NormalizeInDegree stores at every entry of
+// column v, so every product with it is the same — in place of a value per
+// entry. A weighted a has no such factoring and gets NormalizeInDegree(a).
+func FactoredInDegree(a *CSR) *CSR {
+	if a.Vals != nil {
+		return NormalizeInDegree(a)
+	}
+	indeg := make([]float64, a.Cols)
+	for _, c := range a.ColIdx {
+		indeg[c]++
+	}
+	scale := make([]float32, a.Cols)
+	for v, d := range indeg {
+		if d != 0 {
+			scale[v] = float32(1 / d)
+		}
+	}
+	return &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, ColScale: scale}
+}
+
 // NormalizeRowMean divides every row by its own entry count (or weight sum),
 // so A*H computes the mean over out-going structure. This is the transposed
 // view of NormalizeInDegree used when the adjacency is stored pre-transposed.

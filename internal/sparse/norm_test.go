@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -102,5 +103,31 @@ func TestRowMeanIsTransposeOfInDegree(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFactoredInDegreeExpandsToNormalized: FactoredInDegree's column scale,
+// spread over its entries, is NormalizeInDegree's values bit for bit —
+// vertices without in-edges included — on a's own structure; a weighted a
+// gets NormalizeInDegree itself.
+func TestFactoredInDegreeExpandsToNormalized(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(80)
+		a := FromCoo(n, n, randomCoo(rng, n, n, false), false)
+		f := FactoredInDegree(a)
+		if err := f.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if &f.RowPtr[0] != &a.RowPtr[0] || f.Vals != nil || f.RowScale != nil || f.ColScale == nil {
+			t.Fatalf("trial %d: not a column scale over a's structure: %+v", trial, f)
+		}
+		if !reflect.DeepEqual(Expand(f), NormalizeInDegree(a)) {
+			t.Fatalf("trial %d: expanded scale differs from NormalizeInDegree", trial)
+		}
+	}
+	w := FromCoo(3, 3, []Coo{{Row: 0, Col: 1, Val: 2}, {Row: 2, Col: 1, Val: 3}}, true)
+	if !reflect.DeepEqual(FactoredInDegree(w), NormalizeInDegree(w)) {
+		t.Fatal("a weighted matrix is not NormalizeInDegree's")
 	}
 }

@@ -11,8 +11,9 @@ import (
 
 // SpMM computes C = A*X + beta*C where A is sparse (m x k), X dense (k x n),
 // C dense (m x n). beta is either 0 (overwrite) or 1 (accumulate) — the GCN
-// pipeline needs no other values, and any other panics. Structure-only A
-// treats entries as 1. Phantom dense operands make the call shape-check-only.
+// pipeline needs no other values, and any other panics. A's values may take
+// any of CSR's forms; structure-only A treats entries as 1. Phantom dense
+// operands make the call shape-check-only.
 func SpMM(a *CSR, x *tensor.Dense, beta float32, c *tensor.Dense) {
 	checkSpMMShapes(a, x, beta, c)
 	if x.IsPhantom() || c.IsPhantom() {
@@ -98,12 +99,14 @@ func checkSpMMShapes(a *CSR, x *tensor.Dense, beta float32, c *tensor.Dense) {
 // spmmRows computes output rows [lo,hi) through the dispatched row kernel:
 // each row's strip of at most kernel.SpMMStrip columns stays in registers
 // while the row's stored entries stream past, starting from C (acc) or from
-// 0, and is written once. The kernel is handed the tile's column and value
-// arrays from the row's first entry to the tile's last, so its look-ahead
-// can prefetch the X rows the following output rows gather; an empty row has
-// nothing to hand over and is cleared or left alone here. Per output
-// element the accumulation order is ascending stored index, SpMMFlat's order,
-// so results are bit-identical to the flat kernel for all finite inputs.
+// 0, and is written once. The kernel is handed the tile's column array from
+// the row's first entry to the tile's last, so its look-ahead can prefetch
+// the X rows the following output rows gather, and the values in the form A
+// holds them: the row's stretch of Vals, its one row scale, or the whole
+// column scale. An empty row has nothing to hand over and is cleared or left
+// alone here. Per output element the accumulation order is ascending stored
+// index, SpMMFlat's order, so results are bit-identical to the flat kernel
+// for all finite inputs.
 func spmmRows(a *CSR, x *tensor.Dense, acc bool, c *tensor.Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		rc := c.Row(i)
@@ -114,13 +117,19 @@ func spmmRows(a *CSR, x *tensor.Dense, acc bool, c *tensor.Dense, lo, hi int) {
 			}
 			continue
 		}
-		cols, vals := a.ColIdx[p:], a.Vals
-		if vals != nil {
+		vals, form := a.Vals, kernel.PerEntry
+		switch {
+		case vals != nil:
 			vals = vals[p:]
+		case a.RowScale != nil:
+			vals, form = a.RowScale[i:i+1], kernel.RowConst
+		case a.ColScale != nil:
+			vals, form = a.ColScale, kernel.ByColumn
 		}
+		cols := a.ColIdx[p:]
 		for j0 := 0; j0 < len(rc); j0 += kernel.SpMMStrip {
 			j1 := min(j0+kernel.SpMMStrip, len(rc))
-			kernel.SpMMRow(rc[j0:j1], x.Data[j0:], x.Stride, x.Rows, cols, vals, n, acc)
+			kernel.SpMMRow(rc[j0:j1], x.Data[j0:], x.Stride, x.Rows, cols, vals, form, n, acc)
 		}
 	}
 }

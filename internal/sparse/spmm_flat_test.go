@@ -4,12 +4,14 @@ import "mggcn/internal/tensor"
 
 // SpMMFlat is the reference kernel (flat row loop, one full-width scalar axpy
 // per stored entry, a separate add-only loop for structure-only tiles): the
-// oracle of the bit-identity tests and the microbenchmark baseline.
+// oracle of the bit-identity tests and the microbenchmark baseline. A scaled
+// A is multiplied through its Expand, values per entry.
 func SpMMFlat(a *CSR, x *tensor.Dense, beta float32, c *tensor.Dense) {
 	checkSpMMShapes(a, x, beta, c)
 	if x.IsPhantom() || c.IsPhantom() {
 		return
 	}
+	a = Expand(a)
 	for i := 0; i < a.Rows; i++ {
 		rc := c.Row(i)
 		if beta == 0 {
@@ -35,4 +37,24 @@ func SpMMFlat(a *CSR, x *tensor.Dense, beta float32, c *tensor.Dense) {
 			}
 		}
 	}
+}
+
+// Expand returns m with a value per entry, each the one m's row or column
+// scale gives it, sharing m's structure; an m without a scale is returned
+// as is. It is the oracles' reading of a factored matrix.
+func Expand(m *CSR) *CSR {
+	if m.RowScale == nil && m.ColScale == nil {
+		return m
+	}
+	e := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Vals: make([]float32, m.NNZ())}
+	for i := 0; i < m.Rows; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			if m.RowScale != nil {
+				e.Vals[k] = m.RowScale[i]
+			} else {
+				e.Vals[k] = m.ColScale[m.ColIdx[k]]
+			}
+		}
+	}
+	return e
 }

@@ -43,6 +43,30 @@ func skewedCSR(rng *rand.Rand, rows, cols int, valued bool) *CSR {
 	return FromCoo(rows, cols, entries, valued)
 }
 
+// valueForms are the forms a tile's values take (see CSR).
+var valueForms = []string{"vals", "ones", "row scale", "col scale"}
+
+// skewedScaled is skewedCSR with its values in form: one per entry, none, or
+// an N(0,1) row or column scale holding a zero.
+func skewedScaled(rng *rand.Rand, rows, cols int, form string) *CSR {
+	a := skewedCSR(rng, rows, cols, form == "vals")
+	scale := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = float32(rng.NormFloat64())
+		}
+		s[rng.Intn(n)] = 0
+		return s
+	}
+	switch form {
+	case "row scale":
+		a.RowScale = scale(rows)
+	case "col scale":
+		a.ColScale = scale(cols)
+	}
+	return a
+}
+
 // window is the rows x cols view one row down and two columns in from the
 // corner of a (rows+2) x (cols+3) parent: a RowSlice of a ColSlice with
 // Stride > Cols and a guard band on every side.
@@ -96,36 +120,41 @@ func checkSpMMAgree(t *testing.T, label string, a *CSR, x *tensor.Dense, beta fl
 }
 
 // TestSpMMPropertyBitIdentical is the differential net under the sparse
-// kernel: on skewed tiles, valued and structure-only, overwriting and
+// kernel: on skewed tiles, in every value form, overwriting and
 // accumulating, with X and C strided views inside a guard band, the
 // sequential kernel and the pooled one at every lane count give the bits of
 // the flat oracle at every width.
 func TestSpMMPropertyBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, width := range propWidths {
-		for _, valued := range []bool{true, false} {
+		for _, form := range valueForms {
 			for _, beta := range []float32{0, 1} {
-				a := skewedCSR(rng, 37, 97, valued)
+				a := skewedScaled(rng, 37, 97, form)
 				x, _ := randomWindowed(rng, a.Cols, width)
 				_, c0 := randomWindowed(rng, a.Rows, width)
-				checkSpMMAgree(t, fmt.Sprintf("width=%d valued=%v beta=%g", width, valued, beta), a, x, beta, c0)
+				checkSpMMAgree(t, fmt.Sprintf("width=%d values=%s beta=%g", width, form, beta), a, x, beta, c0)
 			}
 		}
 	}
 }
 
-// TestSpMMPropertyNonFinite: NaN and both infinities in X reach the same
-// elements of C from every entry point (Inf - Inf and 0 * Inf included), and
-// with beta = 0 a NaN already in C does not survive.
+// TestSpMMPropertyNonFinite: NaN and both infinities in X, and in a scale,
+// reach the same elements of C from every entry point (Inf - Inf and 0 * Inf
+// included), and with beta = 0 a NaN already in C does not survive.
 func TestSpMMPropertyNonFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0}
 	for _, width := range propWidths {
-		for _, valued := range []bool{true, false} {
+		for _, form := range valueForms {
 			for _, beta := range []float32{0, 1} {
-				a := skewedCSR(rng, 37, 97, valued)
-				if valued {
+				a := skewedScaled(rng, 37, 97, form)
+				if a.Vals != nil {
 					a.Vals[rng.Intn(len(a.Vals))] = 0
+				}
+				for _, s := range [][]float32{a.RowScale, a.ColScale} {
+					if s != nil {
+						s[rng.Intn(len(s))], s[rng.Intn(len(s))] = specials[0], specials[1+rng.Intn(2)]
+					}
 				}
 				x, _ := randomWindowed(rng, a.Cols, width)
 				for n := 0; n < 12; n++ {
@@ -133,7 +162,7 @@ func TestSpMMPropertyNonFinite(t *testing.T) {
 				}
 				_, c0 := randomWindowed(rng, a.Rows, width)
 				window(c0, a.Rows, width).Set(rng.Intn(a.Rows), rng.Intn(width), specials[0])
-				checkSpMMAgree(t, fmt.Sprintf("width=%d valued=%v beta=%g", width, valued, beta), a, x, beta, c0)
+				checkSpMMAgree(t, fmt.Sprintf("width=%d values=%s beta=%g", width, form, beta), a, x, beta, c0)
 			}
 		}
 	}
@@ -143,14 +172,15 @@ func TestSpMMPropertyNonFinite(t *testing.T) {
 // one reused, warmed destination) followed by SpMM equals the definition of
 // Aᵀ·G + beta·C written out over the dense form of A — each element starts
 // from C or 0 and adds a[r][i]*g[r][j] for the stored r ascending — bit for
-// bit, over C's whole parent.
+// bit, over C's whole parent. A row scale turns into a column scale and the
+// other way round.
 func TestSpMMPropertyTransposed(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	at := &CSR{}
 	for _, width := range propWidths {
-		for _, valued := range []bool{true, false} {
+		for _, form := range valueForms {
 			for _, beta := range []float32{0, 1} {
-				a := skewedCSR(rng, 41, 53, valued)
+				a := skewedScaled(rng, 41, 53, form)
 				a.TransposeInto(at)
 				if err := at.Validate(); err != nil {
 					t.Fatal(err)
@@ -175,7 +205,7 @@ func TestSpMMPropertyTransposed(t *testing.T) {
 					}
 				}
 				if !sameBits(got, want) {
-					t.Fatalf("width=%d valued=%v beta=%g: SpMM(TransposeInto(A)) != dense Aᵀ·G", width, valued, beta)
+					t.Fatalf("width=%d values=%s beta=%g: SpMM(TransposeInto(A)) != dense Aᵀ·G", width, form, beta)
 				}
 			}
 		}

@@ -48,14 +48,17 @@ func orderingPerms(a *sparse.CSR, blocks int, seed uint64) map[string][]int32 {
 	}
 }
 
-// checkTiles fails unless PermutedTiles(a, perm, vec) equals the oracle's
-// cuts field for field (nil and empty slices told apart) and every tile's
-// ColIdx and Vals are exactly as long as their capacity.
+// checkTiles fails unless PermutedTiles(a, perm, vec), with any scale
+// expanded to values per entry, equals the oracle's cuts of Expand(a) field
+// for field (nil and empty slices told apart), every tile's ColIdx and Vals
+// are exactly as long as their capacity, the values keep a's form, and an
+// am tile without values per entry shares its twin at tile's structure
+// exactly when the two structures are the same.
 func checkTiles(t *testing.T, name string, a *sparse.CSR, perm []int32, vec part.Vector) {
 	t.Helper()
-	norm := a
+	norm := sparse.Expand(a)
 	if perm != nil {
-		norm = sparse.PermuteSymmetric(a, perm)
+		norm = sparse.PermuteSymmetric(norm, perm)
 	}
 	at := norm.Transpose()
 	gotAt, gotA := sparse.PermutedTiles(a, perm, vec)
@@ -68,19 +71,29 @@ func checkTiles(t *testing.T, name string, a *sparse.CSR, perm []int32, vec part
 		for j := 0; j < blocks; j++ {
 			c0, c1 := vec.Bounds(j)
 			for _, tc := range []struct {
-				orient    string
-				got, want *sparse.CSR
+				orient             string
+				got, want          *sparse.CSR
+				rowScale, colScale bool
 			}{
-				{"Âᵀ", gotAt[i][j], at.SubMatrix(r0, r1, c0, c1)},
-				{"Â", gotA[i][j], norm.SubMatrix(r0, r1, c0, c1)},
+				{"Âᵀ", gotAt[i][j], at.SubMatrix(r0, r1, c0, c1), a.ColScale != nil, a.RowScale != nil},
+				{"Â", gotA[i][j], norm.SubMatrix(r0, r1, c0, c1), a.RowScale != nil, a.ColScale != nil},
 			} {
-				if !reflect.DeepEqual(tc.got, tc.want) {
-					t.Fatalf("%s: %s tile (%d,%d) differs from the oracle:\n got %+v\nwant %+v", name, tc.orient, i, j, tc.got, tc.want)
+				if got := sparse.Expand(tc.got); !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("%s: %s tile (%d,%d) differs from the oracle:\n got %+v\nwant %+v", name, tc.orient, i, j, got, tc.want)
+				}
+				if (tc.got.RowScale != nil) != tc.rowScale || (tc.got.ColScale != nil) != tc.colScale || tc.got.HasVals() != a.HasVals() {
+					t.Fatalf("%s: %s tile (%d,%d) holds its values in another form than A's", name, tc.orient, i, j)
 				}
 				if cap(tc.got.ColIdx) != len(tc.got.ColIdx) || cap(tc.got.Vals) != len(tc.got.Vals) {
 					t.Fatalf("%s: %s tile (%d,%d) holds spare capacity: ColIdx %d/%d, Vals %d/%d", name, tc.orient, i, j,
 						len(tc.got.ColIdx), cap(tc.got.ColIdx), len(tc.got.Vals), cap(tc.got.Vals))
 				}
+			}
+			twin, m := gotAt[i][j], gotA[i][j]
+			same := reflect.DeepEqual(twin.RowPtr, m.RowPtr) && reflect.DeepEqual(twin.ColIdx, m.ColIdx)
+			if shared := &twin.RowPtr[0] == &m.RowPtr[0]; shared != (same && !a.HasVals()) {
+				t.Fatalf("%s: Â tile (%d,%d) shares its twin's structure: %v, same structure: %v, values per entry: %v",
+					name, i, j, shared, same, a.HasVals())
 			}
 		}
 	}
@@ -96,7 +109,12 @@ func TestPermutedTilesMatchOracle(t *testing.T) {
 		}
 		graphs = append(graphs, tileTestMatrix(rng, n, trial%2 == 0))
 	}
-	graphs = append(graphs, sparse.NormalizeInDegree(gen.BTER(gen.DefaultBTER(90, 6, 3))))
+	// Â factored, of a directed graph with isolated vertices and of an
+	// undirected one, whose tiles all pair up; the latter also with a
+	// value per entry, and with the scale on the other side.
+	bter := gen.BTER(gen.DefaultBTER(90, 6, 3))
+	rowScaled := sparse.FactoredInDegree(bter).Transpose()
+	graphs = append(graphs, sparse.FactoredInDegree(graphs[1]), sparse.NormalizeInDegree(bter), sparse.FactoredInDegree(bter), rowScaled)
 	for g, a := range graphs {
 		for blocks := 1; blocks <= 8; blocks++ {
 			for ord, perm := range orderingPerms(a, blocks, uint64(g+blocks)) {
@@ -104,7 +122,7 @@ func TestPermutedTilesMatchOracle(t *testing.T) {
 				// permuted matrix in both orientations, as the trainers do.
 				norm := a
 				if perm != nil {
-					norm = sparse.PermuteSymmetric(a, perm)
+					norm = sparse.PermuteSymmetric(sparse.Expand(a), perm)
 				}
 				at := norm.Transpose()
 				weights := make([]int64, a.Rows)
@@ -112,9 +130,38 @@ func TestPermutedTilesMatchOracle(t *testing.T) {
 					weights[v] = norm.RowNNZ(v) + at.RowNNZ(v)
 				}
 				for _, vec := range []part.Vector{part.Uniform(a.Rows, blocks), part.BalancedVector(weights, blocks)} {
-					checkTiles(t, fmt.Sprintf("graph %d (n=%d, valued %v) %s %v", g, a.Rows, a.HasVals(), ord, vec), a, perm, vec)
+					checkTiles(t, fmt.Sprintf("graph %d (n=%d, valued %v, row scale %v, column scale %v) %s %v",
+						g, a.Rows, a.HasVals(), a.RowScale != nil, a.ColScale != nil, ord, vec), a, perm, vec)
 				}
 			}
+		}
+	}
+}
+
+// TestFactoredTilesShareSymmetricStructure: on an undirected graph every Â
+// tile is its Âᵀ twin's structure, so the grid stores one; on a directed one
+// the tiles whose structures differ keep their own.
+func TestFactoredTilesShareSymmetricStructure(t *testing.T) {
+	directed := tileTestMatrix(rand.New(rand.NewSource(3)), 40, false)
+	for _, tc := range []struct {
+		name      string
+		a         *sparse.CSR
+		allShared bool
+	}{
+		{"undirected", gen.BTER(gen.DefaultBTER(90, 6, 3)), true},
+		{"directed", directed, false},
+	} {
+		at, am := sparse.PermutedTiles(sparse.FactoredInDegree(tc.a), part.RandomPerm(tc.a.Rows, 7), part.Uniform(tc.a.Rows, 4))
+		shared := 0
+		for i := range at {
+			for j := range at[i] {
+				if &at[i][j].RowPtr[0] == &am[i][j].RowPtr[0] {
+					shared++
+				}
+			}
+		}
+		if all := shared == len(at)*len(at); all != tc.allShared {
+			t.Errorf("%s: %d of %d Â tiles share their twin's structure", tc.name, shared, len(at)*len(at))
 		}
 	}
 }

@@ -104,12 +104,15 @@ echo "==> fuzz smoke"
 # from the seed corpus WriteBinary produces (FuzzReadBinary), over both
 # checkpoint loaders, from the v2 and v3 writers' output (FuzzLoadCheckpoint),
 # over BTER's inline copy of math/rand's stream against a rand.Rand
-# (FuzzStream), and over its Chung-Lu phase's guide-table search against
-# sort.SearchFloat64s (FuzzGuidedSearch).
+# (FuzzStream), over its Chung-Lu phase's guide-table search against
+# sort.SearchFloat64s (FuzzGuidedSearch), and over the SpMM row kernel's
+# strip widths, entry counts, columns, value forms and values against its
+# scalar body (FuzzSpMMRowModes).
 go test -run '^$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/graphio/
 go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzStream -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz FuzzGuidedSearch -fuzztime 10s ./internal/gen/
+go test -run '^$' -fuzz FuzzSpMMRowModes -fuzztime 10s ./internal/kernel/
 
 echo "==> benchmark module"
 # benchmark/ is a module of its own (replace mggcn => ../), so ./... never
