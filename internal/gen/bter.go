@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"mggcn/internal/graph"
+	"mggcn/internal/kernel"
 	"mggcn/internal/sparse"
 )
 
@@ -211,14 +212,12 @@ func newStream(seed uint64) *stream {
 	return s
 }
 
-// refill advances buf by 607 values in place.
+// refill advances buf by 607 values in place, in three runs of disjoint
+// slices: every lag-273 read past the first run is a value written before it.
 func (s *stream) refill() {
-	for i := 0; i < 273; i++ {
-		s.buf[i] += s.buf[i+334]
-	}
-	for i := 273; i < 607; i++ { // lag 273 is a value the loop above wrote
-		s.buf[i] += s.buf[i-273]
-	}
+	kernel.AddU64(s.buf[0:273], s.buf[334:607])
+	kernel.AddU64(s.buf[273:546], s.buf[0:273])
+	kernel.AddU64(s.buf[546:607], s.buf[273:334])
 	s.pos = 0
 }
 
@@ -251,22 +250,14 @@ func threshold(p float64) uint64 {
 
 // bernoulli appends to dst each k < n for which the k-th of n calls
 // Float64() < p would hold, t = threshold(p), and consumes what they would.
-// One unsigned compare finds hits and redraws: v−t wraps when v < t.
+// A draw in [t, redraw) is a miss; the first outside is a hit or a redraw.
 func (s *stream) bernoulli(dst []int32, n int, t uint64) []int32 {
-	span := redraw - t
 	for k := 0; k < n; {
 		if s.pos == len(s.buf) {
 			s.refill()
 		}
-		run, i := s.buf[s.pos:min(len(s.buf), s.pos+n-k)], 0
-		for ; i+4 <= len(run); i += 4 {
-			if r := run[i : i+4 : i+4]; r[0]&mask63-t >= span || r[1]&mask63-t >= span || r[2]&mask63-t >= span || r[3]&mask63-t >= span {
-				break
-			}
-		}
-		for i < len(run) && run[i]&mask63-t < span {
-			i++
-		}
+		run := s.buf[s.pos:min(len(s.buf), s.pos+n-k)]
+		i := kernel.FirstOutside63(run, t, redraw)
 		s.pos, k = s.pos+i, k+i
 		if i < len(run) { // a hit, or a redraw of draw k
 			if run[i]&mask63 < t {

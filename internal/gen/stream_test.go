@@ -6,17 +6,25 @@ import (
 	"testing"
 )
 
-// rawSource serves a stream's raw Uint64 values to math/rand, so that
-// rand.New(&rawSource{s}).Float64 is math/rand's own Float64, redraw loop
-// included, over any state a test crafts.
-type rawSource struct{ s stream }
+// rawSource serves math/rand the raw Uint64 values that continue a stream's
+// state, so that rand.New(newRawSource(s)).Float64 is math/rand's own
+// Float64, redraw loop included, over any state a test crafts. It runs the
+// textbook recurrence x[j] = x[j−607] + x[j−273] mod 2⁶⁴ over a ring of its
+// own, never stream.refill, so a wrong refill shows.
+type rawSource struct {
+	x [607]uint64 // x[j] in slot j mod 607, for the last 607 j
+	j int         // the next value's index; the state's buf is x[0..606]
+}
+
+func newRawSource(s stream) *rawSource { return &rawSource{x: s.buf, j: s.pos} }
 
 func (r *rawSource) Uint64() uint64 {
-	if r.s.pos == len(r.s.buf) {
-		r.s.refill()
+	i := r.j % len(r.x)
+	if r.j >= len(r.x) { // slot i holds x[j−607]
+		r.x[i] += r.x[(r.j-273)%len(r.x)]
 	}
-	r.s.pos++
-	return r.s.buf[r.s.pos-1]
+	r.j++
+	return r.x[i]
 }
 
 func (r *rawSource) Int63() int64 { return int64(r.Uint64() & (1<<63 - 1)) }
@@ -101,6 +109,19 @@ func TestThresholdExact(t *testing.T) {
 	}
 }
 
+// TestRawSourceMatchesMathRand holds the reference recurrence to math/rand's
+// own source across several refills' worth of values.
+func TestRawSourceMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7} {
+		r, ref := newRawSource(*newStream(uint64(seed))), rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < 5000; i++ {
+			if got, want := r.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %d, value %d: %#x, math/rand %#x", seed, i, got, want)
+			}
+		}
+	}
+}
+
 // TestStreamRedraw crafts states whose next raw values straddle redraw, a
 // branch no natural seed reaches (about 2⁻⁵⁴ per draw), and checks Float64
 // and the bulk path against math/rand's own Float64 over the same values.
@@ -113,14 +134,14 @@ func TestStreamRedraw(t *testing.T) {
 			if pos+1 < len(crafted.buf) {
 				crafted.buf[pos+1] = 1<<64 - 1 // two redraws in a row
 			}
-			s, ref := crafted, rand.New(&rawSource{crafted})
+			s, ref := crafted, rand.New(newRawSource(crafted))
 			for i := 0; i < 2000; i++ {
 				if got, want := s.Float64(), ref.Float64(); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("pos %d value %#x, draw %d: Float64 %v, math/rand %v", pos, v, i, got, want)
 				}
 			}
 			for _, p := range bernoulliProbs {
-				s, ref := crafted, rand.New(&rawSource{crafted})
+				s, ref := crafted, rand.New(newRawSource(crafted))
 				checkBernoulli(t, &s, ref, 2000, p)
 			}
 		}

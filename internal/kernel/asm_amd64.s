@@ -7,7 +7,7 @@
 // multiply is a separate VMULPS and every add a separate VADDPS — never
 // VFMADD* — and each rounds exactly like the scalar expression. The Vec8
 // entry points require n to be a positive multiple of 8 (one YMM of
-// float32); tails are the Go wrappers' job. tileVec takes any extent inside
+// float32, two of uint64); tails are the Go wrappers' job. tileVec takes any extent inside
 // MR x NR, spmmRowVec any strip of 1..64 floats, and each masks its own edge.
 
 // func addVec8(dst, x *float32, n int)
@@ -88,6 +88,78 @@ reluMaskloop:
 	ADDQ    $32, DI
 	SUBQ    $8, CX
 	JNE     reluMaskloop
+	VZEROUPPER
+	RET
+
+// func addU64Vec8(dst, x *uint64, n int)
+// dst[j] += x[j] mod 2⁶⁴, eight words per iteration. Both loads of a pair
+// come before its stores, so dst may be x.
+TEXT ·addU64Vec8(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+
+addU64loop:
+	VMOVDQU (SI)(AX*8), Y0
+	VMOVDQU 32(SI)(AX*8), Y1
+	VPADDQ  (DI)(AX*8), Y0, Y0
+	VPADDQ  32(DI)(AX*8), Y1, Y1
+	VMOVDQU Y0, (DI)(AX*8)
+	VMOVDQU Y1, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     addU64loop
+	VZEROUPPER
+	RET
+
+// func firstOutside63Vec8(v *uint64, n int, lom1, him1 uint64) int
+// The first j < n whose v[j] & (1<<63 − 1) is not in [lom1+1, him1+1), else
+// n. lom1 ≤ him1 are int64s in [−1, 2⁶³−1] and the masked value is below
+// 2⁶³, so the signed VPCMPGTQ is exact: a lane is at or above lo when it is
+// greater than lom1, at or above hi when greater than him1, and inside when
+// exactly the first holds.
+TEXT ·firstOutside63Vec8(SB), NOSPLIT, $0-40
+	MOVQ         v+0(FP), SI
+	MOVQ         n+8(FP), CX
+	VPBROADCASTQ lom1+16(FP), Y13
+	VPBROADCASTQ him1+24(FP), Y14
+	VPCMPEQQ     Y15, Y15, Y15
+	VPSRLQ       $1, Y15, Y15
+	XORQ         AX, AX
+
+scanloop:
+	VPAND     (SI)(AX*8), Y15, Y0
+	VPAND     32(SI)(AX*8), Y15, Y1
+	VPCMPGTQ  Y13, Y0, Y2
+	VPCMPGTQ  Y14, Y0, Y0
+	VPCMPGTQ  Y13, Y1, Y3
+	VPCMPGTQ  Y14, Y1, Y1
+	VPXOR     Y2, Y0, Y0
+	VPXOR     Y3, Y1, Y1
+	VPAND     Y0, Y1, Y2
+	VMOVMSKPD Y2, DX
+	CMPL      DX, $15
+	JNE       scanfound
+	ADDQ      $8, AX
+	CMPQ      AX, CX
+	JLT       scanloop
+	MOVQ      AX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+scanfound: // the first lane of the eight whose inside bit is clear
+	VMOVMSKPD Y0, DX
+	CMPL      DX, $15
+	JNE       scanlane
+	ADDQ      $4, AX
+	VMOVMSKPD Y1, DX
+
+scanlane:
+	NOTL      DX
+	BSFL      DX, DX
+	ADDQ      DX, AX
+	MOVQ      AX, ret+32(FP)
 	VZEROUPPER
 	RET
 

@@ -3,16 +3,18 @@
 package kernel
 
 // Assembly bodies in asm_amd64.s. The Vec8 kernels process a multiple of 8
-// elements (one YMM register width); tileVec handles any extent inside
-// MR x NR. All of them use separate VMULPS/VADDPS — never fused multiply-add
-// — because the amd64 Go compiler does not fuse float32 mul+add either, and
-// bit-identity with the scalar path is the dispatch contract.
+// elements (one YMM of float32, two of uint64); tileVec handles any extent
+// inside MR x NR. The float ones use separate VMULPS/VADDPS — never fused
+// multiply-add — because the amd64 Go compiler does not fuse float32 mul+add
+// either, and bit-identity with the scalar path is the dispatch contract.
 func addVec8(dst, x *float32, n int)
 func axpyVec8(a float32, x, dst *float32, n int)
 func reluVec8(dst, src *float32, n int)
 func reluMaskVec8(dst, grad, act *float32, n int)
 func tileVec(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, cols int, acc bool)
 func spmmRowVec(c *float32, w int, x *float32, xs, xrows int, cols, last *int32, vals *float32, form ValForm, n int, acc bool) (bad bool)
+func addU64Vec8(dst, x *uint64, n int)
+func firstOutside63Vec8(v *uint64, n int, lom1, him1 uint64) int
 
 func init() {
 	if !hasAVX2() {
@@ -27,6 +29,7 @@ func init() {
 		add:  addAVX2, axpy: axpyAVX2,
 		tile: tileAVX2, spmmRow: spmmRowAVX2,
 		relu: reluAVX2, reluMask: reluMaskAVX2,
+		addU64: addU64AVX2, firstOutside63: firstOutside63AVX2,
 	})
 }
 
@@ -97,4 +100,27 @@ func spmmRowAVX2(c, x []float32, xs, xrows int, cols []int32, vals []float32, fo
 	if spmmRowVec(&c[0], len(c), &x[0], xs, xrows, &cols[0], &cols[len(cols)-1], &vals[0], form, n, acc) {
 		panic(errSpMMColumn)
 	}
+}
+
+func addU64AVX2(dst, x []uint64) {
+	n := len(dst)
+	x = x[:n]
+	nv := n &^ 7
+	if nv > 0 {
+		addU64Vec8(&dst[0], &x[0], nv)
+	}
+	addU64Scalar(dst[nv:], x[nv:])
+}
+
+func firstOutside63AVX2(v []uint64, lo, hi uint64) int {
+	nv := len(v) &^ 7
+	if nv > 0 {
+		// A masked value is below 2⁶³, so bounds clamped there give the same
+		// answer, and with hi raised to lo, lo−1 ≤ hi−1 are exact int64s.
+		lo, hi = min(lo, 1<<63), min(max(hi, lo), 1<<63)
+		if i := firstOutside63Vec8(&v[0], nv, lo-1, hi-1); i < nv {
+			return i
+		}
+	}
+	return nv + firstOutside63Scalar(v[nv:], lo, hi)
 }

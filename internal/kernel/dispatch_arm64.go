@@ -25,6 +25,9 @@ func init() {
 		add:  addNEON, axpy: axpyNEON,
 		tile: tileNEON, spmmRow: spmmRowNEON,
 		relu: reluNEON, reluMask: reluMaskNEON,
+		// The stream's loops have no NEON bodies: the probe holds the scalar
+		// ones to themselves.
+		addU64: addU64Scalar, firstOutside63: firstOutside63Scalar,
 	})
 }
 

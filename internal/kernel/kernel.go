@@ -1,5 +1,6 @@
 // Package kernel holds the innermost float32 loops of the dense and sparse
-// kernels behind a runtime-dispatch table. The exported entry points are
+// kernels, and the two integer loops of the graph generator's seeded stream,
+// behind a runtime-dispatch table. The exported entry points are
 // function variables initialized to the pure-Go scalar implementations
 // below; an arch-specific init replaces them with AVX2 (amd64) or NEON
 // (arm64) assembly when the CPU supports it, except under the race detector.
@@ -22,6 +23,10 @@
 //     ascending, and the SpMM row kernel one per stored entry, index
 //     ascending, so every C element sums in the flat oracle's order whatever
 //     the tile or strip shape or the traversal around it.
+//
+// The stream's loops (AddU64, FirstOutside63) are integer arithmetic and
+// compares, so their contract is plain equality: every body returns exactly
+// what the scalar loop returns, and so every generated graph is the same.
 //
 // Tail elements past the widest vector multiple are always handled by the
 // same scalar expressions (or, in Tile and SpMMRow on amd64, by a lane mask),
@@ -70,6 +75,13 @@ var (
 	// ReLUMask computes dst[j] = grad[j] where act[j] > 0, else +0. dst may
 	// be grad or act.
 	ReLUMask func(dst, grad, act []float32) = reluMaskScalar
+	// AddU64 computes dst[j] += x[j] mod 2⁶⁴. dst and x may be the same
+	// slice but must not otherwise overlap.
+	AddU64 func(dst, x []uint64) = addU64Scalar
+	// FirstOutside63 returns the first j whose v[j] & (1<<63 − 1) lies
+	// outside [lo, hi), or len(v) if there is none. lo ≥ hi makes every
+	// value outside.
+	FirstOutside63 func(v []uint64, lo, hi uint64) int = firstOutside63Scalar
 )
 
 // MR x NR is the C tile one Tile call owns: four rows of two 8-float
@@ -259,4 +271,28 @@ func reluMaskScalar(dst, grad, act []float32) {
 		keep := uint32((int64(math.Float32bits(act[j])-1) - 0x7f800000) >> 63)
 		dst[j] = math.Float32frombits(math.Float32bits(grad[j]) & keep)
 	}
+}
+
+func addU64Scalar(dst, x []uint64) {
+	x = x[:len(dst)]
+	for j := range dst {
+		dst[j] += x[j]
+	}
+}
+
+// firstOutside63Scalar finds a value outside with one unsigned compare:
+// v−lo wraps past hi−lo when v < lo. Four at a time, the compares of a group
+// do not wait on each other's branches.
+func firstOutside63Scalar(v []uint64, lo, hi uint64) int {
+	const mask63 = 1<<63 - 1
+	span, i := max(hi, lo)-lo, 0
+	for ; i+4 <= len(v); i += 4 {
+		if r := v[i : i+4 : i+4]; r[0]&mask63-lo >= span || r[1]&mask63-lo >= span || r[2]&mask63-lo >= span || r[3]&mask63-lo >= span {
+			break
+		}
+	}
+	for i < len(v) && v[i]&mask63-lo < span {
+		i++
+	}
+	return i
 }

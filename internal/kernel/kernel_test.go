@@ -125,6 +125,7 @@ func TestImplConsistent(t *testing.T) {
 		name: Impl(),
 		add:  Add, axpy: Axpy, tile: Tile, spmmRow: SpMMRow,
 		relu: ReLU, reluMask: ReLUMask,
+		addU64: AddU64, firstOutside63: FirstOutside63,
 	})
 	if err != nil {
 		t.Fatalf("installed impl fails its own verification probes: %v", err)
@@ -390,6 +391,7 @@ func TestVerifyRefusesUncheckedRowKernel(t *testing.T) {
 			name: "unchecked",
 			add:  addScalar, axpy: axpyScalar, tile: tileScalar, spmmRow: row,
 			relu: reluScalar, reluMask: reluMaskScalar,
+			addU64: addU64Scalar, firstOutside63: firstOutside63Scalar,
 		})
 		if err == nil || !strings.Contains(err.Error(), "SpMMRow") {
 			t.Errorf("%s: verifyImpls returned %v, want a refusal naming SpMMRow", name, err)

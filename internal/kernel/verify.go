@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // impls bundles one complete candidate implementation of the dispatch
@@ -15,6 +16,9 @@ type impls struct {
 	spmmRow  func(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool)
 	relu     func(dst, src []float32)
 	reluMask func(dst, grad, act []float32)
+
+	addU64         func(dst, x []uint64)
+	firstOutside63 func(v []uint64, lo, hi uint64) int
 }
 
 // ProbeErr is why the arch init's candidate was refused, naming the first
@@ -42,11 +46,47 @@ func verifyAndInstall(c impls) {
 	SpMMRow = c.spmmRow
 	ReLU = c.relu
 	ReLUMask = c.reluMask
+	AddU64 = c.addU64
+	FirstOutside63 = c.firstOutside63
 }
 
 // verifyLens covers empty, sub-lane, exact-lane, and straddling lengths
 // for every vector width in use (4 and 8), plus a long run.
 var verifyLens = [...]int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 100}
+
+// streamRedraw is the graph generator's redraw bound, the hi of its scans: a
+// masked value at or above it is a float64 of 1, which the stream draws again.
+const streamRedraw = 1<<63 - 512
+
+// scanLos are the lows the FirstOutside63 probes pair with hi = streamRedraw:
+// both ends of the masked range, the threshold of a Bernoulli(1e-5) draw, and
+// the two next to hi (at lo = hi every value is outside).
+var scanLos = [...]uint64{0, 1, 92233720368548, streamRedraw - 1, streamRedraw}
+
+// scanEdges are the values next to a scan's bounds, lo−1, lo, hi−1 and hi,
+// each with bit 63 clear and set: a body that compares unmasked values, or
+// is off by one at either bound, answers differently on one of them.
+func scanEdges(lo, hi uint64) [8]uint64 {
+	var e [8]uint64
+	for i, b := range [...]uint64{lo - 1, lo, hi - 1, hi} {
+		e[2*i], e[2*i+1] = b&(1<<63-1), b|1<<63
+	}
+	return e
+}
+
+// insideRun fills v with values inside [lo, hi) once masked, bit 63 random,
+// from a xorshift state; with lo ≥ hi there are none, and any value will do.
+func insideRun(v []uint64, lo, hi, s uint64) {
+	for i := range v {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		v[i] = s
+		if lo < hi {
+			v[i] = lo + s%(hi-lo) | s&(1<<63)
+		}
+	}
+}
 
 // verifyImpls returns nil if c matches the scalar kernels bit for bit on
 // every probe, else an error naming the first entry and shape that deviated.
@@ -115,6 +155,39 @@ func verifyImpls(c impls) error {
 			p.ref(n, want)
 			if !eq(got, want) {
 				return fmt.Errorf("kernel: %s %s deviates from scalar at length %d", c.name, p.entry, n)
+			}
+		}
+	}
+
+	// The stream's loops: sums that wrap (the words are uniform over 2⁶⁴), and
+	// scans with each edge value planted at every position of runs on both
+	// sides of every vector boundary (lo and hi−1 are inside: the runs with
+	// one of them planted have none outside).
+	xu, yu := make([]uint64, 100), make([]uint64, 100)
+	insideRun(xu, 0, 0, 0x9e3779b97f4a7c15)
+	insideRun(yu, 0, 0, 0xbf58476d1ce4e5b9)
+	for _, n := range verifyLens {
+		got, want := append([]uint64(nil), xu[:n]...), append([]uint64(nil), xu[:n]...)
+		c.addU64(got, yu[:n])
+		addU64Scalar(want, yu[:n])
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("kernel: %s AddU64 deviates from scalar at length %d", c.name, n)
+		}
+	}
+	for _, lo := range scanLos {
+		run := make([]uint64, 100)
+		insideRun(run, lo, streamRedraw, 0x2545f4914f6cdd1d^lo)
+		for _, n := range verifyLens {
+			v := run[:n]
+			for p := range v {
+				keep := v[p]
+				for _, e := range scanEdges(lo, streamRedraw) {
+					v[p] = e
+					if got, want := c.firstOutside63(v, lo, streamRedraw), firstOutside63Scalar(v, lo, streamRedraw); got != want {
+						return fmt.Errorf("kernel: %s FirstOutside63 returns %d, scalar %d, at length %d lo=%#x with %#x at %d", c.name, got, want, n, lo, e, p)
+					}
+				}
+				v[p] = keep
 			}
 		}
 	}
