@@ -41,28 +41,28 @@ type Experiment struct {
 // Experiments returns every registered experiment in paper order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"table1", "Table 1: benchmark datasets (generated vs paper)", RunTable1},
-		{"fig5", "Fig 5: runtime breakdown of GCN operations (DGX-V100)", RunFig5},
-		{"fig6", "Fig 6: SpMM timeline, original vs permuted ordering (Products, 4 GPUs)", RunFig6},
-		{"fig7", "Fig 7: permutation and overlap speedups (DGX-V100)", RunFig7},
-		{"fig8", "Fig 8: SpMM timeline with communication overlap (Products, 4 GPUs)", RunFig8},
-		{"fig9", "Fig 9: speedup vs scaled average degree (BTER over Arxiv)", RunFig9},
-		{"fig10", "Fig 10: epoch runtime on DGX-V100 (CAGNET / DGL / MG-GCN)", RunFig10},
-		{"fig11", "Fig 11: speedup w.r.t. DGL on DGX-V100", RunFig11},
-		{"fig12", "Fig 12: per-GPU memory vs number of layers (Reddit, hidden 512)", RunFig12},
-		{"fig13", "Fig 13: epoch runtime on DGX-A100 (DGL / MG-GCN)", RunFig13},
-		{"fig14", "Fig 14: speedup w.r.t. DGL on DGX-A100", RunFig14},
-		{"table2", "Table 2: DistGNN epoch times (regenerated cost model)", RunTable2},
-		{"table3", "Table 3: MG-GCN epoch times on DGX-A100", RunTable3},
-		{"sec51", "Sec 5.1: 1D vs 1.5D communication analysis", RunSec51},
-		{"accuracy", "Sec 6 (model): accuracy parity, multi-GPU vs single device", RunAccuracy},
-		{"strategies", "Extension: executed 1D-row / 1D-col / 1.5D strategy comparison", RunStrategies},
-		{"ordering", "Extension (Sec 5.2 ablation): vertex ordering comparison", RunOrdering},
-		{"explosion", "Extension (Sec 1 motivation): neighborhood explosion of mini-batching", RunExplosion},
-		{"sampled", "Extension: sampled pipeline, cache fraction x pipelining and recovery overhead (Products, 4 GPUs)", RunSampled},
-		{"gat", "Extension (Sec 7 future work): GAT training on the SDDMM kernel", RunGAT},
-		{"multinode", "Extension (Sec 7 future work): multi-node scaling wall", RunMultiNode},
-		{"whatif", "Extension: epoch sensitivity to NVLinks / HBM bandwidth / L2", RunWhatIf},
+		{"table1", "Table 1: benchmark datasets (generated vs paper)", runTable1},
+		{"fig5", "Fig 5: runtime breakdown of GCN operations (DGX-V100)", runFig5},
+		{"fig6", "Fig 6: SpMM timeline, original vs permuted ordering (Products, 4 GPUs)", runFig6},
+		{"fig7", "Fig 7: permutation and overlap speedups (DGX-V100)", runFig7},
+		{"fig8", "Fig 8: SpMM timeline with communication overlap (Products, 4 GPUs)", runFig8},
+		{"fig9", "Fig 9: speedup vs scaled average degree (BTER over Arxiv)", runFig9},
+		{"fig10", "Fig 10: epoch runtime on DGX-V100 (CAGNET / DGL / MG-GCN)", runFig10},
+		{"fig11", "Fig 11: speedup w.r.t. DGL on DGX-V100", runFig11},
+		{"fig12", "Fig 12: per-GPU memory vs number of layers (Reddit, hidden 512)", runFig12},
+		{"fig13", "Fig 13: epoch runtime on DGX-A100 (DGL / MG-GCN)", runFig13},
+		{"fig14", "Fig 14: speedup w.r.t. DGL on DGX-A100", runFig14},
+		{"table2", "Table 2: DistGNN epoch times (regenerated cost model)", runTable2},
+		{"table3", "Table 3: MG-GCN epoch times on DGX-A100", runTable3},
+		{"sec51", "Sec 5.1: 1D vs 1.5D communication analysis", runSec51},
+		{"accuracy", "Sec 6 (model): accuracy parity, multi-GPU vs single device", runAccuracy},
+		{"strategies", "Extension: executed 1D-row / 1D-col / 1.5D strategy comparison", runStrategies},
+		{"ordering", "Extension (Sec 5.2 ablation): vertex ordering comparison", runOrdering},
+		{"explosion", "Extension (Sec 1 motivation): neighborhood explosion of mini-batching", runExplosion},
+		{"sampled", "Extension: sampled pipeline, cache fraction x pipelining and recovery overhead (Products, 4 GPUs)", runSampled},
+		{"gat", "Extension (Sec 7 future work): GAT training on the SDDMM kernel", runGAT},
+		{"multinode", "Extension (Sec 7 future work): multi-node scaling wall", runMultiNode},
+		{"whatif", "Extension: epoch sensitivity to NVLinks / HBM bandwidth / L2", runWhatIf},
 	}
 }
 
@@ -112,10 +112,10 @@ func mgEpochSeconds(machine MachineSpec, name string, p, hidden, layers int, ord
 	return stats.EpochSeconds, nil
 }
 
-// RunTable1 regenerates Table 1: per dataset, the paper-scale statistics
+// runTable1 regenerates Table 1: per dataset, the paper-scale statistics
 // and the generated instance's actual counts — the catalog, then the Fig 9
 // family (Arxiv's degree profile at fixed n, average degree scaled 1-128x).
-func RunTable1() (*ExperimentResult, error) {
+func runTable1() (*ExperimentResult, error) {
 	tab := report.NewTable("Table 1 (generated at 1/Scale, avg degree preserved)",
 		"n(paper)", "m(paper)", "d0", "classes", "k(paper)", "scale", "n(gen)", "m(gen)", "k(gen)")
 	vals := map[string]float64{}
@@ -143,9 +143,9 @@ func RunTable1() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "table1", Title: "Table 1", Text: tab.String(), Values: vals}, nil
 }
 
-// RunFig5 regenerates the runtime breakdown: per dataset and GPU count,
+// runFig5 regenerates the runtime breakdown: per dataset and GPU count,
 // the percentage of per-GPU busy time in each operation class.
-func RunFig5() (*ExperimentResult, error) {
+func runFig5() (*ExperimentResult, error) {
 	var b strings.Builder
 	vals := map[string]float64{}
 	for _, name := range figureDatasets {
@@ -204,9 +204,9 @@ func timelineExperiment(ord Ordering, overlap bool) (string, float64, []float64,
 	return chart, stats.EpochSeconds, busy, nil
 }
 
-// RunFig6 contrasts the SpMM timeline under the original and permuted
+// runFig6 contrasts the SpMM timeline under the original and permuted
 // orderings (no overlap), Products on 4 GPUs.
-func RunFig6() (*ExperimentResult, error) {
+func runFig6() (*ExperimentResult, error) {
 	var b strings.Builder
 	vals := map[string]float64{}
 	for _, ord := range []Ordering{OrderingNatural, OrderingRandom} {
@@ -236,9 +236,9 @@ func RunFig6() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "fig6", Title: "Fig 6", Text: b.String(), Values: vals}, nil
 }
 
-// RunFig7 regenerates the ablation bars: speedup of permutation over the
+// runFig7 regenerates the ablation bars: speedup of permutation over the
 // original ordering, and of permutation+overlap, per dataset and GPU count.
-func RunFig7() (*ExperimentResult, error) {
+func runFig7() (*ExperimentResult, error) {
 	var b strings.Builder
 	vals := map[string]float64{}
 	for _, name := range figureDatasets {
@@ -276,9 +276,9 @@ func RunFig7() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "fig7", Title: "Fig 7", Text: b.String(), Values: vals}, nil
 }
 
-// RunFig8 renders the overlapped vs non-overlapped SpMM timeline
+// runFig8 renders the overlapped vs non-overlapped SpMM timeline
 // (permuted Products, 4 GPUs).
-func RunFig8() (*ExperimentResult, error) {
+func runFig8() (*ExperimentResult, error) {
 	var b strings.Builder
 	vals := map[string]float64{}
 	for _, overlap := range []bool{false, true} {
@@ -296,9 +296,9 @@ func RunFig8() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "fig8", Title: "Fig 8", Text: b.String(), Values: vals}, nil
 }
 
-// RunFig9 sweeps the BTER degree-scaled Arxiv family and reports speedup
+// runFig9 sweeps the BTER degree-scaled Arxiv family and reports speedup
 // over the 1-GPU runtime for 1-8 GPUs.
-func RunFig9() (*ExperimentResult, error) {
+func runFig9() (*ExperimentResult, error) {
 	tab := report.NewTable("Speedup w.r.t. 1 GPU (DGX-V100, hidden 512)", "1", "2", "4", "8")
 	vals := map[string]float64{}
 	for _, f := range degreeFactors {
@@ -398,8 +398,8 @@ func comparisonTableUncached(machine MachineSpec, withCAGNET bool) (*report.Tabl
 	return tab, vals, nil
 }
 
-// RunFig10 regenerates the DGX-V100 epoch-runtime comparison.
-func RunFig10() (*ExperimentResult, error) {
+// runFig10 regenerates the DGX-V100 epoch-runtime comparison.
+func runFig10() (*ExperimentResult, error) {
 	tab, vals, err := comparisonTable(DGXV100(), true)
 	if err != nil {
 		return nil, err
@@ -447,8 +447,8 @@ func speedupVsDGL(vals map[string]float64, withCAGNET bool) (*report.Table, map[
 	return tab, out
 }
 
-// RunFig11 regenerates the DGX-V100 speedup-vs-DGL figure.
-func RunFig11() (*ExperimentResult, error) {
+// runFig11 regenerates the DGX-V100 speedup-vs-DGL figure.
+func runFig11() (*ExperimentResult, error) {
 	_, vals, err := comparisonTable(DGXV100(), true)
 	if err != nil {
 		return nil, err
@@ -514,9 +514,9 @@ func fig12Columns(ds *Dataset) []fig12Column {
 // fig12BudgetsGiB are the per-GPU budgets Fig 12 reads the depth at.
 var fig12BudgetsGiB = []int64{2, 4, 8, 16, 24, 30}
 
-// RunFig12 regenerates the memory-vs-layers comparison: the deepest model
+// runFig12 regenerates the memory-vs-layers comparison: the deepest model
 // fitting each per-GPU budget, Reddit with hidden 512.
-func RunFig12() (*ExperimentResult, error) {
+func runFig12() (*ExperimentResult, error) {
 	ds, err := LoadDataset("reddit", true)
 	if err != nil {
 		return nil, err
@@ -543,9 +543,9 @@ func RunFig12() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "fig12", Title: "Fig 12", Text: tab.String(), Values: vals}, nil
 }
 
-// RunFig13 regenerates the DGX-A100 epoch-runtime comparison (no CAGNET:
+// runFig13 regenerates the DGX-A100 epoch-runtime comparison (no CAGNET:
 // the paper could not run it under CUDA 11).
-func RunFig13() (*ExperimentResult, error) {
+func runFig13() (*ExperimentResult, error) {
 	tab, vals, err := comparisonTable(DGXA100(), false)
 	if err != nil {
 		return nil, err
@@ -553,8 +553,8 @@ func RunFig13() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "fig13", Title: "Fig 13", Text: tab.String(), Values: vals}, nil
 }
 
-// RunFig14 regenerates the DGX-A100 speedup-vs-DGL figure.
-func RunFig14() (*ExperimentResult, error) {
+// runFig14 regenerates the DGX-A100 speedup-vs-DGL figure.
+func runFig14() (*ExperimentResult, error) {
 	_, vals, err := comparisonTable(DGXA100(), false)
 	if err != nil {
 		return nil, err
@@ -571,9 +571,9 @@ var table23Models = map[string]struct{ hidden, layers int }{
 	"proteins": {256, 3},
 }
 
-// RunTable2 regenerates the DistGNN epoch times of Table 2 from the CPU
+// runTable2 regenerates the DistGNN epoch times of Table 2 from the CPU
 // cost model.
-func RunTable2() (*ExperimentResult, error) {
+func runTable2() (*ExperimentResult, error) {
 	sockets := []int{1, 16, 64, 128}
 	cols := make([]string, 0, len(sockets))
 	for _, s := range sockets {
@@ -603,9 +603,9 @@ func RunTable2() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "table2", Title: "Table 2", Text: tab.String(), Values: vals}, nil
 }
 
-// RunTable3 regenerates MG-GCN's epoch times on DGX-A100 with the §6
+// runTable3 regenerates MG-GCN's epoch times on DGX-A100 with the §6
 // models (Table 3), including the out-of-memory dashes.
-func RunTable3() (*ExperimentResult, error) {
+func runTable3() (*ExperimentResult, error) {
 	cols := []string{"1 GPU", "2 GPU", "4 GPU", "8 GPU"}
 	tab := report.NewTable("MG-GCN epoch times (s) on DGX-A100", cols...)
 	vals := map[string]float64{}
@@ -625,8 +625,8 @@ func RunTable3() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "table3", Title: "Table 3", Text: tab.String(), Values: vals}, nil
 }
 
-// RunSec51 regenerates the §5.1 closed-form 1D vs 1.5D analysis.
-func RunSec51() (*ExperimentResult, error) {
+// runSec51 regenerates the §5.1 closed-form 1D vs 1.5D analysis.
+func runSec51() (*ExperimentResult, error) {
 	n, d := int64(1_000_000), int64(512)
 	var b strings.Builder
 	vals := map[string]float64{}
@@ -645,10 +645,10 @@ func RunSec51() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "sec51", Title: "Sec 5.1", Text: b.String(), Values: vals}, nil
 }
 
-// RunAccuracy reproduces the paper's correctness check: the multi-GPU
+// runAccuracy reproduces the paper's correctness check: the multi-GPU
 // loss/accuracy curve matches a single-device reference on a Reddit-like
 // (small) real dataset.
-func RunAccuracy() (*ExperimentResult, error) {
+func runAccuracy() (*ExperimentResult, error) {
 	// High feature noise makes single vertices near-uninformative, so the
 	// GCN's neighborhood aggregation is what recovers the labels (§2).
 	cfg := gen.DefaultBTER(1200, 32, 42)
@@ -763,12 +763,12 @@ func mlpBaselineAccuracy(ds *Dataset, epochs int) float64 {
 	return acc
 }
 
-// RunStrategies is an extension experiment executing the §5.1 analysis:
+// runStrategies is an extension experiment executing the §5.1 analysis:
 // the three partitioning strategies run end-to-end on both machines
 // (Products, 8 GPUs) and report epoch time, communication time, and
 // per-device memory — 1D-row wins on DGX-1, 1.5D's comm advantage on the
 // NVSwitch machine comes at 2x feature memory.
-func RunStrategies() (*ExperimentResult, error) {
+func runStrategies() (*ExperimentResult, error) {
 	ds, err := LoadDataset("products", true)
 	if err != nil {
 		return nil, err
@@ -802,11 +802,11 @@ func RunStrategies() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "strategies", Title: "Strategy ablation", Text: tab.String(), Values: vals}, nil
 }
 
-// RunMultiNode is an extension experiment for the paper's §7 future work:
+// runMultiNode is an extension experiment for the paper's §7 future work:
 // scaling Reddit past one machine. Collectives crossing the node boundary
 // drop from NVLink to NIC bandwidth and the speedup collapses — the wall
 // CAGNET hit and the reason MG-GCN targets a single node.
-func RunMultiNode() (*ExperimentResult, error) {
+func runMultiNode() (*ExperimentResult, error) {
 	ds, err := LoadDataset("reddit", true)
 	if err != nil {
 		return nil, err
@@ -837,11 +837,11 @@ func RunMultiNode() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "multinode", Title: "Multi-node scaling wall", Text: tab.String(), Values: vals}, nil
 }
 
-// RunOrdering is the §5.2 design-choice ablation: epoch time under five
+// runOrdering is the §5.2 design-choice ablation: epoch time under five
 // vertex orderings (Products, 8 GPUs, DGX-V100). Random permutation — the
 // paper's pick — and deterministic block-cyclic dealing both fix the
 // imbalance; degree-sorted is the adversarial case.
-func RunOrdering() (*ExperimentResult, error) {
+func runOrdering() (*ExperimentResult, error) {
 	ds, err := LoadDataset("products", true)
 	if err != nil {
 		return nil, err
@@ -885,11 +885,11 @@ func RunOrdering() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "ordering", Title: "Ordering ablation", Text: tab.String(), Values: vals}, nil
 }
 
-// RunExplosion quantifies §1's neighborhood-explosion motivation: the
+// runExplosion quantifies §1's neighborhood-explosion motivation: the
 // fraction of each graph a 512-vertex mini-batch reaches within 1-3 hops,
 // and how many edges a sampled epoch (fanouts 25, 10) touches relative to
 // one full-batch pass.
-func RunExplosion() (*ExperimentResult, error) {
+func runExplosion() (*ExperimentResult, error) {
 	tab := report.NewTable("Neighborhood explosion (512-seed batch; fanouts 25,10)",
 		"1-hop reach", "2-hop reach", "3-hop reach", "sampled/full edges per epoch")
 	vals := map[string]float64{}
@@ -1001,7 +1001,7 @@ func fullForward(g *graph.Graph, weights []*tensor.Dense) *tensor.Dense {
 	return h
 }
 
-// RunSampled sweeps the sampled minibatch pipeline (DESIGN.md §8.5) on
+// runSampled sweeps the sampled minibatch pipeline (DESIGN.md §8.5) on
 // Products at 4 GPUs of a DGX-A100, batch 512, fanouts [5,10,15]: feature
 // cache fraction x pipelining, one epoch per cell — simulated epoch seconds,
 // the stream overlap ratio, the pipelining speedup at equal arithmetic and
@@ -1010,7 +1010,7 @@ func fullForward(g *graph.Graph, weights []*tensor.Dense) *tensor.Dense {
 // simulated seconds over the fault-free epoch at the starting P. Everything
 // but the loss is the output of the cost model and the meter, the same on
 // any host.
-func RunSampled() (*ExperimentResult, error) {
+func runSampled() (*ExperimentResult, error) {
 	g, spec, err := gen.Load("products", false)
 	if err != nil {
 		return nil, err
@@ -1096,11 +1096,11 @@ func RunSampled() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "sampled", Title: "Sampled pipeline", Text: tab.String() + "\n" + rec.String(), Values: vals}, nil
 }
 
-// RunGAT is the §7 future-work extension: Graph Attention Network training
+// runGAT is the §7 future-work extension: Graph Attention Network training
 // built on the SDDMM kernel. It trains a GAT and a GCN on the same
 // synthetic dataset and prices the GAT's extra attention kernels with the
 // cost model, showing why the paper calls out SDDMM acceleration.
-func RunGAT() (*ExperimentResult, error) {
+func runGAT() (*ExperimentResult, error) {
 	cfg := gen.DefaultBTER(800, 16, 77)
 	cfg.FeatureNoise = 6
 	g := gen.Generate("gat-vs-gcn", cfg, 24, 6, false)
@@ -1171,13 +1171,13 @@ func RunGAT() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "gat", Title: "GAT via SDDMM", Text: b.String(), Values: vals}, nil
 }
 
-// RunWhatIf is a modeling study the simulator makes cheap: how the Reddit
+// runWhatIf is a modeling study the simulator makes cheap: how the Reddit
 // epoch responds to the machine's two headline resources — NVLink count
 // (communication) and HBM bandwidth (SpMM) — around the DGX-A100 design
 // point. It quantifies the paper's §6.4 observation that the runtime is
 // the max of compute and communication: the comm-bound small-GPU regime
 // responds to links, the compute-bound regime to memory bandwidth.
-func RunWhatIf() (*ExperimentResult, error) {
+func runWhatIf() (*ExperimentResult, error) {
 	ds, err := LoadDataset("reddit", true)
 	if err != nil {
 		return nil, err

@@ -7,21 +7,12 @@ import (
 
 // AccessDecl enforces the access-declaration contract the sanitizer depends
 // on (internal/san): a task closure that touches buffer views must tell the
-// graph which buffers those are.
-//
-// Two shapes are flagged:
-//
-//  1. A plain Graph.Bind (or its error-returning variant BindE) whose
-//     closure captures a *tensor.Dense (or slice of them). The
-//     happens-before checker and the shadow replay can only see declared
-//     accesses; an undeclared buffer toucher is invisible to both. Use
-//     Graph.BindShaped/BindShapedE and declare the reads/writes sets.
-//
-//  2. A Graph.BindShaped/BindShapedE whose closure captures a Dense-typed variable
-//     that does not appear anywhere in the reads/writes argument expressions. The
-//     declaration exists but is blind to that buffer — exactly the drift the
-//     shadow replay exists to catch at runtime; this pass catches it at vet
-//     time.
+// graph which buffers those are. The only bind forms, Graph.BindShaped and
+// BindShapedE, take the reads/writes sets with the closure; this pass flags
+// a closure that captures a *tensor.Dense (or slice of them) which appears
+// nowhere in those two argument expressions. The declaration exists but is
+// blind to that buffer — exactly the drift the shadow replay exists to
+// catch at runtime; this pass catches it at vet time.
 //
 // The check is intentionally syntactic on the declaration side: a captured
 // identifier is considered declared if the same variable occurs in the
@@ -99,10 +90,6 @@ func runAccessDecl(pass *Pass) {
 			}
 			captured := denseCaptures(info, lit)
 			if len(captured) == 0 {
-				return true
-			}
-			if isMethod(info, call, "mggcn/internal/sim", "Graph", "Bind", "BindE") {
-				pass.Report(call, "Bind closure captures buffer view %q but declares no access set; use BindShaped/BindShapedE so the sanitizer can order and shadow this task", captured[0].Name())
 				return true
 			}
 			// BindShaped/BindShapedE(id, reads, writes, fn): the two

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// BindCapture reports Bind/BindShaped closures that capture a variable by
+// BindCapture reports BindShaped/BindShapedE closures that capture a variable by
 // reference across loop iterations: the variable is declared *outside* an
 // enclosing for/range loop of the registration site but reassigned *inside*
 // it. Under the record/execute split such a closure does not run where it
@@ -29,9 +29,9 @@ var BindCapture = &Analyzer{
 }
 
 // bindClosure returns the func-literal argument of a Graph Bind-family
-// call: Bind/BindShaped and their error-returning E variants.
+// call: BindShaped and its error-returning variant BindShapedE.
 func bindClosure(pass *Pass, call *ast.CallExpr) *ast.FuncLit {
-	if !isMethod(pass.Pkg.Info, call, "mggcn/internal/sim", "Graph", "Bind", "BindE", "BindShaped", "BindShapedE") {
+	if !isMethod(pass.Pkg.Info, call, "mggcn/internal/sim", "Graph", "BindShaped", "BindShapedE") {
 		return nil
 	}
 	for _, arg := range call.Args {

@@ -50,7 +50,7 @@ func isNoAliasKernel(pass *Pass, call *ast.CallExpr) bool {
 // a source's buffer.
 func isElementwise(pass *Pass, call *ast.CallExpr) bool {
 	return isPkgFunc(pass.Pkg.Info, call, "mggcn/internal/tensor",
-		"AddInPlace", "AxpyInPlace", "ReLU", "ReLUBackward")
+		"AddInPlace", "ReLU", "ReLUBackward")
 }
 
 // isDenseExpr reports whether the expression's static type is *tensor.Dense.

@@ -49,22 +49,22 @@ func declaredE(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 	g.Execute(workers)
 }
 
-// A view-free BindE owes the graph nothing.
+// A view-free closure owes the graph nothing: its sets may be nil.
 func viewFreeE(g *sim.Graph, workers int) {
 	fired := false
 	id := g.AddCompute(0, sim.KindActivation, "tick", -1, 0, true)
-	g.BindE(id, func() error { fired = true; return nil })
+	g.BindShapedE(id, nil, nil, func() error { fired = true; return nil })
 	g.Execute(workers)
 	_ = fired
 }
 
-// Closures that touch no buffer views may use plain Bind freely.
+// The same holds in a loop of infallible binds.
 func viewFree(g *sim.Graph, n, workers int) {
 	count := make([]int, n)
 	for i := 0; i < n; i++ {
 		i := i
 		id := g.AddCompute(0, sim.KindActivation, "tick", -1, 0, true)
-		g.Bind(id, func() { count[i]++ })
+		g.BindShaped(id, nil, nil, func() { count[i]++ })
 	}
 	g.Execute(workers)
 }

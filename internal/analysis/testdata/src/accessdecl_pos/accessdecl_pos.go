@@ -1,6 +1,6 @@
 // Package accessdecl_pos is a mggcn-vet fixture: task closures touch buffer
-// views the graph was never told about — invisible to the happens-before
-// checker and the shadow replay.
+// views their access declarations leave out — invisible to the
+// happens-before checker and the shadow replay.
 package accessdecl_pos
 
 import (
@@ -8,32 +8,12 @@ import (
 	"mggcn/internal/tensor"
 )
 
-// A plain Bind whose closure captures buffer views declares nothing at all.
-func undeclaredBind(g *sim.Graph, dst, src *tensor.Dense, workers int) {
-	id := g.AddCompute(0, sim.KindGeMM, "copy", -1, 0, false)
-	g.Bind(id, func() { // want accessdecl
-		dst.CopyFrom(src)
-	})
-	g.Execute(workers)
-}
-
 // A BindShaped that declares the input but forgets the output: the declaration
 // exists but is blind to dst.
 func missingWrite(g *sim.Graph, dst, src *tensor.Dense, workers int) {
 	id := g.AddCompute(0, sim.KindGeMM, "gemm", -1, 0, false)
 	g.BindShaped(id, sim.ShapesOf(src), nil, func() { // want accessdecl
 		dst.CopyFrom(src)
-	})
-	g.Execute(workers)
-}
-
-// The error-returning variants owe the same declarations: a plain BindE
-// capturing views declares nothing.
-func undeclaredBindE(g *sim.Graph, dst, src *tensor.Dense, workers int) {
-	id := g.AddCompute(0, sim.KindGeMM, "copy", -1, 0, false)
-	g.BindE(id, func() error { // want accessdecl
-		dst.CopyFrom(src)
-		return nil
 	})
 	g.Execute(workers)
 }

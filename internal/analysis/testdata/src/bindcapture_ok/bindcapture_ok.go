@@ -12,7 +12,7 @@ import (
 func headerVar(g *sim.Graph, n, workers int) {
 	for i := 0; i < n; i++ {
 		id := g.AddCompute(0, sim.KindActivation, "step", -1, 0, true)
-		g.Bind(id, func() { _ = i })
+		g.BindShaped(id, nil, nil, func() { _ = i })
 	}
 	g.Execute(workers)
 }
@@ -50,7 +50,7 @@ func elementWrite(g *sim.Graph, n, workers int) {
 		acc[i] = float64(i)
 		i := i
 		id := g.AddCompute(0, sim.KindActivation, "acc", -1, 0, true)
-		g.Bind(id, func() { acc[i]++ })
+		g.BindShaped(id, nil, nil, func() { acc[i]++ })
 	}
 	g.Execute(workers)
 }

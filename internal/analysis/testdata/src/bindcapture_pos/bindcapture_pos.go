@@ -1,4 +1,4 @@
-// Package bindcapture_pos is a mggcn-vet fixture: Bind/BindShaped closures
+// Package bindcapture_pos is a mggcn-vet fixture: BindShaped closures
 // capture variables that are declared outside the binding loop but rebound
 // inside it, so every closure replays with the final value.
 package bindcapture_pos
@@ -29,7 +29,7 @@ func rebindScalar(g *sim.Graph, n, workers int) {
 	for i := 0; i < n; i++ {
 		off = i * 4
 		id := g.AddCompute(0, sim.KindActivation, "shift", -1, 0, true)
-		g.Bind(id, func() { // want bindcapture
+		g.BindShaped(id, nil, nil, func() { // want bindcapture
 			_ = off
 		})
 	}

@@ -26,7 +26,7 @@ func subTopology(g *sim.Graph, cg *comm.Group, bufs []*tensor.Dense, workers int
 	pair := cg.Sub([]int{0, 1})
 	pair.ReduceSum(0, bufs[:2], "pair-red") // vet:ok taskdep: terminal task, stream FIFO orders it
 	id := g.AddCompute(0, sim.KindActivation, "relu", -1, 0, true)
-	g.Bind(id, func() {
+	g.BindShaped(id, nil, nil, func() {
 		_ = pair.P()
 	})
 	g.Execute(workers)

@@ -12,7 +12,7 @@ import (
 // A broadcast issued at replay time instead of record time.
 func broadcastInClosure(g *sim.Graph, cg *comm.Group, src *tensor.Dense, dst []*tensor.Dense, workers int) {
 	id := g.AddCompute(0, sim.KindGeMM, "stage", -1, 0, false)
-	g.Bind(id, func() { // vet:ok accessdecl: fixture isolates the groupconsist rule
+	g.BindShaped(id, nil, nil, func() { // vet:ok accessdecl: fixture isolates the groupconsist rule
 		cg.Broadcast(0, src, dst, "late-bcast", 0) // want groupconsist — vet:ok taskdep: fixture isolates the groupconsist rule
 	})
 	g.Execute(workers)

@@ -38,8 +38,8 @@ func TestSampledCheckpointResumeMidEpoch(t *testing.T) {
 	if _, err := a.RunSteps(2); err != nil {
 		t.Fatal(err)
 	}
-	if ep, nb := a.Cursor(); ep != 0 || nb == 0 {
-		t.Fatalf("cursor (%d,%d) should be parked mid-epoch 0", ep, nb)
+	if c := a.cursor; c.Epoch != 0 || c.NextBatch == 0 {
+		t.Fatalf("cursor (%d,%d) should be parked mid-epoch 0", c.Epoch, c.NextBatch)
 	}
 	var buf bytes.Buffer
 	if err := a.SaveCheckpoint(&buf); err != nil {
@@ -58,9 +58,8 @@ func TestSampledCheckpointResumeMidEpoch(t *testing.T) {
 	if err := b.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	aEp, aNb := a.Cursor()
-	if bEp, bNb := b.Cursor(); bEp != aEp || bNb != aNb {
-		t.Fatalf("restored cursor (%d,%d), saved (%d,%d)", bEp, bNb, aEp, aNb)
+	if b.cursor != a.cursor {
+		t.Fatalf("restored cursor %+v, saved %+v", b.cursor, a.cursor)
 	}
 
 	// Finish epoch 0 from the cursor, then run epoch 1 whole; epoch 1 must

@@ -90,9 +90,8 @@ func TestTrainingCurvesGolden(t *testing.T) {
 		}
 		name := "sampled/p4/pipeline-" + onOff[pipeline]
 		line := func(tag string, s *SampledEpochStats) {
-			ep, nb := tr.Cursor()
 			fmt.Fprintf(&out, "%s %s loss=%s train=%s val=%s batches=%d overlap=%s cursor=%d,%d\n", name, tag,
-				bits(s.Loss), bits(s.TrainAcc), bits(s.ValAcc), s.Batches, bits(s.OverlapRatio), ep, nb)
+				bits(s.Loss), bits(s.TrainAcc), bits(s.ValAcc), s.Batches, bits(s.OverlapRatio), tr.cursor.Epoch, tr.cursor.NextBatch)
 		}
 		for e := 0; e < 2; e++ {
 			s, err := tr.RunEpoch()

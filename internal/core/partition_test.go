@@ -33,7 +33,7 @@ func oraclePartition(g *graph.Graph, p int, strategy Strategy, ordering Ordering
 				entries = append(entries, e)
 			}
 		}
-		norm = sparse.FromCoo(norm.Rows, norm.Cols, entries, norm.HasVals())
+		norm = sparse.FromCoo(norm.Rows, norm.Cols, entries, norm.Vals != nil)
 	}
 	at := norm.Transpose()
 	vec := part.Uniform(norm.Rows, blocks)

@@ -718,14 +718,6 @@ func (tr *SampledTrainer) Caches() []*sample.FeatureCache {
 // TrainVertexCount returns the number of training vertices in the plan.
 func (tr *SampledTrainer) TrainVertexCount() int { return len(tr.trainVerts) }
 
-// Cursor returns the sampler cursor — the epoch whose plan the next call
-// consumes and the batch index it starts at. Checkpoint v3 persists this
-// pair (with the seed and Adam step) so a mid-epoch kill resumes
-// bit-identically.
-func (tr *SampledTrainer) Cursor() (epoch, nextBatch int) {
-	return tr.cursor.Epoch, tr.cursor.NextBatch
-}
-
 // FrontierCapacities returns the provable per-depth frontier bounds the
 // slab capacities derive from (sample.FrontierCaps of this config).
 func (tr *SampledTrainer) FrontierCapacities() []int {

@@ -446,24 +446,6 @@ func trainEpochs(runEpoch func() (*EpochStats, error), epochs, patience int) ([]
 	return log.stats, nil
 }
 
-// ForwardOnly runs just the forward pass with real math and returns the
-// logits in original vertex order — the hook the correctness tests use to
-// compare against the sequential reference. A non-nil error is the
-// replay's first task failure.
-func (tr *Trainer) ForwardOnly() (*tensor.Dense, error) {
-	if tr.phantom {
-		panic("core: ForwardOnly in phantom mode")
-	}
-	_, err := tr.epoch(&tr.Cfg.execEnv, func(tg *sim.Graph, cg *comm.Group) func(*EpochStats) error {
-		tr.recordForward(tg, cg)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tr.gatherLogits(tr.Dims), nil
-}
-
 // PeakMemoryBytes returns the maximum per-device pool usage (pools only
 // grow, so usage is the peak).
 func (tr *Trainer) PeakMemoryBytes() int64 {

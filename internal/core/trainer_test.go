@@ -388,9 +388,9 @@ func TestMemoryAccountedPerDevice(t *testing.T) {
 	if tr.PeakMemoryBytes() <= 0 {
 		t.Fatalf("no memory accounted")
 	}
-	for _, pool := range tr.Machine.Pools {
+	for d, pool := range tr.Machine.Pools {
 		if pool.Used() == 0 {
-			t.Fatalf("pool %s has no allocations", pool.Name())
+			t.Fatalf("device %d's pool has no allocations", d)
 		}
 	}
 }

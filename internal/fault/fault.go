@@ -22,6 +22,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -34,7 +35,8 @@ import (
 // zero StreamID; nil means "any stream").
 func OnStream(s sim.StreamID) *sim.StreamID { return &s }
 
-// OnKind scopes a spec to tasks of one kind (nil means "any kind").
+// OnKind scopes a spec to tasks of one kind (nil means "any kind"). Test
+// support: the trainers' tests scope their faults with it.
 func OnKind(k sim.Kind) *sim.Kind { return &k }
 
 // matchStreamKind is the structured half of every spec's task filter: a nil
@@ -167,9 +169,6 @@ var (
 // New builds an injector for the plan.
 func New(plan Plan) *Injector { return &Injector{plan: plan} }
 
-// Plan returns the injector's scenario.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Stats returns a snapshot of the injection counters.
 func (in *Injector) Stats() Stats {
 	in.mu.Lock()
@@ -217,7 +216,7 @@ func (in *Injector) BeforeTask(g *sim.Graph, t *sim.Task) error {
 			in.mu.Unlock()
 			return &sim.DeviceLostError{Device: c.Device}
 		}
-		if (c.OnLabel == "" || contains(t.Label, c.OnLabel)) && matchStreamKind(t, c.Stream, c.Kind) {
+		if (c.OnLabel == "" || strings.Contains(t.Label, c.OnLabel)) && matchStreamKind(t, c.Stream, c.Kind) {
 			in.crashSeen++
 			if in.crashSeen > c.After {
 				in.crashed = true
@@ -229,7 +228,7 @@ func (in *Injector) BeforeTask(g *sim.Graph, t *sim.Task) error {
 	}
 	if ts := in.plan.TransientTask; ts != nil && in.taskFails < ts.Failures &&
 		(ts.Device < 0 || onDevice(t, ts.Device)) &&
-		(ts.OnLabel == "" || contains(t.Label, ts.OnLabel)) &&
+		(ts.OnLabel == "" || strings.Contains(t.Label, ts.OnLabel)) &&
 		matchStreamKind(t, ts.Stream, ts.Kind) {
 		in.taskFails++
 		in.stats.TaskFailures++
@@ -328,14 +327,4 @@ func mix(seed int64, x uint64) uint64 {
 	z ^= z >> 27
 	z *= 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// contains is strings.Contains without the import.
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

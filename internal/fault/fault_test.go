@@ -25,7 +25,7 @@ func TestCrashFailsDeviceDeterministically(t *testing.T) {
 			}
 			id := g.AddCompute(1, sim.KindSpMM, label, i, 1, true, deps...)
 			l := label
-			g.Bind(id, func() { ran = append(ran, l) })
+			g.BindShaped(id, nil, nil, func() { ran = append(ran, l) })
 			prev = id
 		}
 		err = g.Execute(1)
@@ -54,7 +54,7 @@ func TestCrashedDeviceStaysDeadUntilObserveRemoval(t *testing.T) {
 	g := sim.NewGraph(sim.DGXV100(), 2)
 	g.Fault = in
 	a := g.AddCompute(0, sim.KindGeMM, "first", -1, 1, false)
-	g.Bind(a, func() {})
+	g.BindShaped(a, nil, nil, func() {})
 	if err := g.Execute(1); err == nil {
 		t.Fatal("first task survived a crash plan with After=0")
 	}
@@ -62,7 +62,7 @@ func TestCrashedDeviceStaysDeadUntilObserveRemoval(t *testing.T) {
 	g2 := sim.NewGraph(sim.DGXV100(), 2)
 	g2.Fault = in
 	b := g2.AddCompute(0, sim.KindGeMM, "again", -1, 1, false)
-	g2.Bind(b, func() {})
+	g2.BindShaped(b, nil, nil, func() {})
 	if err := g2.Execute(1); err == nil {
 		t.Fatal("crashed device came back without ObserveRemoval")
 	}
@@ -73,7 +73,7 @@ func TestCrashedDeviceStaysDeadUntilObserveRemoval(t *testing.T) {
 	g3.Fault = in
 	c := g3.AddCompute(0, sim.KindGeMM, "survivor", -1, 1, false)
 	ran := false
-	g3.Bind(c, func() { ran = true })
+	g3.BindShaped(c, nil, nil, func() { ran = true })
 	if err := g3.Execute(1); err != nil || !ran {
 		t.Fatalf("renumbered survivor failed after ObserveRemoval: err=%v ran=%v", err, ran)
 	}
@@ -92,7 +92,7 @@ func TestStragglerDelaysWithoutChangingResults(t *testing.T) {
 		}
 		id := g.AddCompute(0, sim.KindGeMM, "gemm", -1, 1, false, deps...)
 		v := i + 1
-		g.Bind(id, func() { sum += v })
+		g.BindShaped(id, nil, nil, func() { sum += v })
 		prev = id
 	}
 	if err := g.Execute(2); err != nil {
@@ -200,9 +200,9 @@ func streamFixture(in *Injector) (g *sim.Graph, ran *[]string) {
 	g.Fault = in
 	ran = new([]string)
 	c := g.AddCompute(0, sim.KindGeMM, "s0/work", -1, 1, false)
-	g.Bind(c, func() { *ran = append(*ran, "compute") })
+	g.BindShaped(c, nil, nil, func() { *ran = append(*ran, "compute") })
 	s := g.AddStage(0, sim.StreamSample, sim.KindSample, "s0/work", -1, 1, true)
-	g.Bind(s, func() { *ran = append(*ran, "sample") })
+	g.BindShaped(s, nil, nil, func() { *ran = append(*ran, "sample") })
 	return g, ran
 }
 

@@ -70,7 +70,7 @@ func TestBTERValid(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if a.HasVals() {
+	if a.Vals != nil {
 		t.Fatalf("generator should emit structure-only adjacency")
 	}
 }

@@ -28,25 +28,6 @@ addloop:
 	VZEROUPPER
 	RET
 
-// func axpyVec8(a float32, x, dst *float32, n int)
-// dst[j] += a*x[j]: one rounded multiply then one rounded add per element.
-TEXT ·axpyVec8(SB), NOSPLIT, $0-32
-	VBROADCASTSS a+0(FP), Y3
-	MOVQ         x+8(FP), SI
-	MOVQ         dst+16(FP), DI
-	MOVQ         n+24(FP), CX
-
-axpyloop:
-	VMULPS  (SI), Y3, Y0
-	VADDPS  (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JNE     axpyloop
-	VZEROUPPER
-	RET
-
 // func reluVec8(dst, src *float32, n int)
 // dst[j] = src[j] unless src[j] <= 0: the compare is "not less-or-equal",
 // true for a NaN, and the AND keeps src's bits or leaves +0.

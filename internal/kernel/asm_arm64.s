@@ -30,24 +30,6 @@ addloop:
 	BNE    addloop
 	RET
 
-// func axpyVec4(a float32, x, dst *float32, n int)
-// dst[j] += a*x[j]: the scalar path fuses to FMADDS, so one VFMLA per step.
-TEXT ·axpyVec4(SB), NOSPLIT, $0-32
-	MOVWU a+0(FP), R3
-	VDUP  R3, V8.S4
-	MOVD  x+8(FP), R1
-	MOVD  dst+16(FP), R0
-	MOVD  n+24(FP), R2
-
-axpyloop:
-	VLD1.P 16(R1), [V1.S4]
-	VLD1   (R0), [V0.S4]
-	VFMLA  V8.S4, V1.S4, V0.S4
-	VST1.P [V0.S4], 16(R0)
-	SUBS   $4, R2, R2
-	BNE    axpyloop
-	RET
-
 // func reluVec4(dst, src *float32, n int)
 // dst[j] = src[j] unless src[j] <= 0. As in reluScalar: bits + 0x007fffff
 // wraps the -NaNs below everything else and leaves -0 and the negatives on

@@ -8,7 +8,6 @@ package kernel
 // multiply-add — because the amd64 Go compiler does not fuse float32 mul+add
 // either, and bit-identity with the scalar path is the dispatch contract.
 func addVec8(dst, x *float32, n int)
-func axpyVec8(a float32, x, dst *float32, n int)
 func reluVec8(dst, src *float32, n int)
 func reluMaskVec8(dst, grad, act *float32, n int)
 func tileVec(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, cols int, acc bool)
@@ -26,7 +25,7 @@ func init() {
 	// scalar path in place instead of corrupting training.
 	verifyAndInstall(impls{
 		name: "avx2",
-		add:  addAVX2, axpy: axpyAVX2,
+		add:  addAVX2,
 		tile: tileAVX2, spmmRow: spmmRowAVX2,
 		relu: reluAVX2, reluMask: reluMaskAVX2,
 		addU64: addU64AVX2, firstOutside63: firstOutside63AVX2,
@@ -42,18 +41,6 @@ func addAVX2(x, dst []float32) {
 	}
 	for j := nv; j < n; j++ {
 		dst[j] += x[j]
-	}
-}
-
-func axpyAVX2(a float32, x, dst []float32) {
-	n := len(dst)
-	x = x[:n]
-	nv := n &^ 7
-	if nv > 0 {
-		axpyVec8(a, &x[0], &dst[0], nv)
-	}
-	for j := nv; j < n; j++ {
-		dst[j] += a * x[j]
 	}
 }
 

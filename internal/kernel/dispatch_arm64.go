@@ -8,7 +8,6 @@ package kernel
 // expressions, which the arm64 compiler fuses exactly like the vector bodies
 // do (see kernel.go for the bit-identity contract).
 func addVec4(dst, x *float32, n int)
-func axpyVec4(a float32, x, dst *float32, n int)
 func reluVec4(dst, src *float32, n int)
 func reluMaskVec4(dst, grad, act *float32, n int)
 func tileVec4(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, vecs int, acc bool)
@@ -22,7 +21,7 @@ func init() {
 	// instead of corrupting training.
 	verifyAndInstall(impls{
 		name: "neon",
-		add:  addNEON, axpy: axpyNEON,
+		add:  addNEON,
 		tile: tileNEON, spmmRow: spmmRowNEON,
 		relu: reluNEON, reluMask: reluMaskNEON,
 		// The stream's loops have no NEON bodies: the probe holds the scalar
@@ -40,18 +39,6 @@ func addNEON(x, dst []float32) {
 	}
 	for j := nv; j < n; j++ {
 		dst[j] += x[j]
-	}
-}
-
-func axpyNEON(a float32, x, dst []float32) {
-	n := len(dst)
-	x = x[:n]
-	nv := n &^ 3
-	if nv > 0 {
-		axpyVec4(a, &x[0], &dst[0], nv)
-	}
-	for j := nv; j < n; j++ {
-		dst[j] += a * x[j]
 	}
 }
 

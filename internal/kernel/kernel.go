@@ -46,8 +46,6 @@ import "math"
 var (
 	// Add computes dst[j] += x[j].
 	Add func(x, dst []float32) = addScalar
-	// Axpy computes dst[j] += a*x[j].
-	Axpy func(a float32, x, dst []float32) = axpyScalar
 	// SpMMRow is the SpMM row microkernel. For the strip c of one output
 	// row (1..SpMMStrip floats) it starts every accumulator from c (acc) or
 	// from 0, adds v(k) * x[cols[k]*xs+j] for k ascending over [0, n) —
@@ -122,13 +120,6 @@ func addScalar(x, dst []float32) {
 	x = x[:len(dst)]
 	for j := range dst {
 		dst[j] += x[j]
-	}
-}
-
-func axpyScalar(a float32, x, dst []float32) {
-	x = x[:len(dst)]
-	for j := range dst {
-		dst[j] += a * x[j]
 	}
 }
 

@@ -54,14 +54,12 @@ func TestDispatchBitIdentity(t *testing.T) {
 	base1 := fill(t, maxN+maxOff, 0xbf58476d1ce4e5b9)
 	base2 := fill(t, maxN+maxOff, 0x94d049bb133111eb)
 	base3 := fill(t, maxN+maxOff, 0x2545f4914f6cdd1d)
-	scalars := []float32{1.5, -0.7331, 3.0000002, -1e-8, 0}
 
 	for _, n := range testLens {
 		for _, off := range testOffsets {
 			xa := base0[off : off+n]
 			xb := base1[off : off+n]
 			xc := base2[off : off+n]
-			a0 := scalars[n%len(scalars)]
 
 			dup := func(src []float32) (got, want []float32) {
 				got = append([]float32(nil), src...)
@@ -73,11 +71,6 @@ func TestDispatchBitIdentity(t *testing.T) {
 			Add(xa, got)
 			addScalar(xa, want)
 			bitsEqual(t, "Add", n, off, got, want)
-
-			got, want = dup(base3[off : off+n])
-			Axpy(a0, xa, got)
-			axpyScalar(a0, xa, want)
-			bitsEqual(t, "Axpy", n, off, got, want)
 
 			got, want = dup(base3[off : off+n])
 			ReLU(got, xa)
@@ -107,7 +100,6 @@ func TestDispatchBitIdentity(t *testing.T) {
 func TestEmptyRows(t *testing.T) {
 	var empty []float32
 	Add(empty, empty)
-	Axpy(2, empty, empty)
 	ReLU(empty, empty)
 	ReLUMask(empty, empty, empty)
 }
@@ -123,7 +115,7 @@ func TestImplConsistent(t *testing.T) {
 	}
 	err := verifyImpls(impls{
 		name: Impl(),
-		add:  Add, axpy: Axpy, tile: Tile, spmmRow: SpMMRow,
+		add:  Add, tile: Tile, spmmRow: SpMMRow,
 		relu: ReLU, reluMask: ReLUMask,
 		addU64: AddU64, firstOutside63: FirstOutside63,
 	})
@@ -389,7 +381,7 @@ func TestVerifyRefusesUncheckedRowKernel(t *testing.T) {
 	} {
 		err := verifyImpls(impls{
 			name: "unchecked",
-			add:  addScalar, axpy: axpyScalar, tile: tileScalar, spmmRow: row,
+			add:  addScalar, tile: tileScalar, spmmRow: row,
 			relu: reluScalar, reluMask: reluMaskScalar,
 			addU64: addU64Scalar, firstOutside63: firstOutside63Scalar,
 		})

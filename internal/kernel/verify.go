@@ -11,7 +11,6 @@ import (
 type impls struct {
 	name     string
 	add      func(x, dst []float32)
-	axpy     func(a float32, x, dst []float32)
 	tile     func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool)
 	spmmRow  func(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool)
 	relu     func(dst, src []float32)
@@ -41,7 +40,6 @@ func verifyAndInstall(c impls) {
 	}
 	impl = c.name
 	Add = c.add
-	Axpy = c.axpy
 	Tile = c.tile
 	SpMMRow = c.spmmRow
 	ReLU = c.relu
@@ -118,7 +116,6 @@ func verifyImpls(c impls) error {
 	for i := 0; i+1 < len(xs); i += 3 {
 		xs[i], xt[i+1] = specials[i/3%len(specials)], specials[(i/3+3)%len(specials)]
 	}
-	scalars := [...]float32{1.5, -0.7331, 3.0000002, -1e-8}
 	eq := func(a, b []float32) bool {
 		for i := range a {
 			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
@@ -133,14 +130,12 @@ func verifyImpls(c impls) error {
 		return got, want
 	}
 
-	var a0 float32
 	vector := [...]struct {
 		entry     string
 		dst       []float32 // dst's prior contents
 		cand, ref func(n int, dst []float32)
 	}{
 		{"Add", xd, func(n int, d []float32) { c.add(xa[:n], d) }, func(n int, d []float32) { addScalar(xa[:n], d) }},
-		{"Axpy", xd, func(n int, d []float32) { c.axpy(a0, xa[:n], d) }, func(n int, d []float32) { axpyScalar(a0, xa[:n], d) }},
 		{"ReLU", xd, func(n int, d []float32) { c.relu(d, xs[:n]) }, func(n int, d []float32) { reluScalar(d, xs[:n]) }},
 		{"ReLU(dst = src)", xs, func(n int, d []float32) { c.relu(d, d) }, func(n int, d []float32) { reluScalar(d, d) }},
 		{"ReLUMask", xd, func(n int, d []float32) { c.reluMask(d, xs[:n], xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], xt[:n]) }},
@@ -148,7 +143,6 @@ func verifyImpls(c impls) error {
 		{"ReLUMask(dst = act)", xt, func(n int, d []float32) { c.reluMask(d, xs[:n], d) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], d) }},
 	}
 	for _, n := range verifyLens {
-		a0 = scalars[n%len(scalars)]
 		for _, p := range vector {
 			got, want := buf(p.dst, n)
 			p.cand(n, got)

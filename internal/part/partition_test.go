@@ -1,6 +1,7 @@
 package part
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -320,4 +321,23 @@ func computeBalance(work []int64) balance {
 		b.Imbalance = 1
 	}
 	return b
+}
+
+// Validate checks eq. (13)'s invariants.
+func (v Vector) Validate(n int) error {
+	if len(v) < 2 {
+		return fmt.Errorf("part: vector needs at least one part")
+	}
+	if v[0] != 0 {
+		return fmt.Errorf("part: p[0] = %d, want 0", v[0])
+	}
+	if v[len(v)-1] != n {
+		return fmt.Errorf("part: p[P] = %d, want n = %d", v[len(v)-1], n)
+	}
+	for i := 1; i < len(v); i++ {
+		if v[i] < v[i-1] {
+			return fmt.Errorf("part: vector not monotone at %d", i)
+		}
+	}
+	return nil
 }

@@ -34,9 +34,6 @@ func (t *Table) AddRow(name string, cells ...string) {
 	t.rows[name] = cells
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rowNames) }
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	widths := make([]int, len(t.ColNames)+1)

@@ -21,7 +21,7 @@ func TestTableRendering(t *testing.T) {
 	if len(lines[2]) != len(lines[3]) {
 		t.Fatalf("rows not aligned:\n%s", out)
 	}
-	if tab.Rows() != 2 || tab.cell("reddit", 0) != "0.033" || tab.cell("nope", 0) != "" {
+	if len(tab.rowNames) != 2 || tab.cell("reddit", 0) != "0.033" || tab.cell("nope", 0) != "" {
 		t.Fatalf("accessors wrong")
 	}
 }

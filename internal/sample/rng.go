@@ -49,11 +49,6 @@ func (r *RNG) Uint64() uint64 {
 	return mix64(r.state)
 }
 
-// Int63 returns a uniform value in [0, 1<<63).
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform value in [0, n). Panics when n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

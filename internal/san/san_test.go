@@ -14,13 +14,17 @@ func declGraph(p int) *sim.Graph {
 	return g
 }
 
+// opaque is a one-buffer access set with no extent: these graphs are checked
+// for ordering only.
+func opaque(id sim.BufID) []sim.ViewShape { return []sim.ViewShape{sim.OpaqueShape(id)} }
+
 func TestCheckCleanPipeline(t *testing.T) {
 	g := declGraph(2)
 	hw := g.Reg.Register("d0/buf/HW")
 	a := g.AddCompute(0, sim.KindGeMM, "produce", -1, 1, false)
-	g.Declare(a, nil, []sim.BufID{hw})
+	g.DeclareShaped(a, nil, opaque(hw))
 	b := g.AddCompute(0, sim.KindSpMM, "consume", -1, 1, true, a)
-	g.Declare(b, []sim.BufID{hw}, nil)
+	g.DeclareShaped(b, opaque(hw), nil)
 	if got := Check(g, g.HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 		t.Fatalf("ordered producer/consumer flagged: %v", got)
 	}
@@ -29,9 +33,9 @@ func TestCheckCleanPipeline(t *testing.T) {
 	g2 := declGraph(2)
 	hw2 := g2.Reg.Register("d0/buf/HW")
 	a2 := g2.AddCompute(0, sim.KindGeMM, "produce", -1, 1, false)
-	g2.Declare(a2, nil, []sim.BufID{hw2})
+	g2.DeclareShaped(a2, nil, opaque(hw2))
 	b2 := g2.AddCompute(1, sim.KindSpMM, "consume", -1, 1, true)
-	g2.Declare(b2, []sim.BufID{hw2}, nil)
+	g2.DeclareShaped(b2, opaque(hw2), nil)
 	got := Check(g2, g2.HappensBefore(sim.ExecutorEdges))
 	if len(got) != 1 {
 		t.Fatalf("unordered cross-device conflict: got %v, want 1 finding", got)
@@ -48,9 +52,9 @@ func TestCheckReadReadNotFlagged(t *testing.T) {
 	g := declGraph(2)
 	w := g.Reg.Register("d0/w0")
 	a := g.AddCompute(0, sim.KindGeMM, "r1", -1, 1, false)
-	g.Declare(a, []sim.BufID{w}, nil)
+	g.DeclareShaped(a, opaque(w), nil)
 	b := g.AddCompute(1, sim.KindGeMM, "r2", -1, 1, false)
-	g.Declare(b, []sim.BufID{w}, nil)
+	g.DeclareShaped(b, opaque(w), nil)
 	if got := Check(g, g.HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 		t.Fatalf("read-read pair flagged: %v", got)
 	}
@@ -70,17 +74,17 @@ func TestCheckBCAntiDependency(t *testing.T) {
 		src1 := g.Reg.Register("d1/buf/HW")
 		dst := g.Reg.Register("d1/buf/AHW0")
 		bc0 := g.AddComm([]int{0, 1}, "spmm/bcast", 0, 1)
-		g.Declare(bc0, []sim.BufID{src0}, []sim.BufID{bc})
+		g.DeclareShaped(bc0, opaque(src0), opaque(bc))
 		spmm0 := g.AddCompute(1, sim.KindSpMM, "spmm", 0, 1, true, bc0)
-		g.Declare(spmm0, []sim.BufID{bc}, []sim.BufID{dst})
+		g.DeclareShaped(spmm0, opaque(bc), opaque(dst))
 		deps := []int{}
 		if withAntiDep {
 			deps = append(deps, spmm0)
 		}
 		bc1 := g.AddComm([]int{0, 1}, "spmm/bcast", 1, 1, deps...)
-		g.Declare(bc1, []sim.BufID{src1}, []sim.BufID{bc})
+		g.DeclareShaped(bc1, opaque(src1), opaque(bc))
 		spmm1 := g.AddCompute(1, sim.KindSpMM, "spmm", 1, 1, true, bc1)
-		g.Declare(spmm1, []sim.BufID{bc}, []sim.BufID{dst})
+		g.DeclareShaped(spmm1, opaque(bc), opaque(dst))
 		return g
 	}
 
@@ -117,9 +121,9 @@ func TestCheckFIFOCredit(t *testing.T) {
 	g := declGraph(1)
 	hw := g.Reg.Register("d0/buf/HW")
 	a := g.AddCompute(0, sim.KindGeMM, "w1", -1, 1, false)
-	g.Declare(a, nil, []sim.BufID{hw})
+	g.DeclareShaped(a, nil, opaque(hw))
 	b := g.AddCompute(0, sim.KindGeMM, "w2", -1, 1, false)
-	g.Declare(b, nil, []sim.BufID{hw})
+	g.DeclareShaped(b, nil, opaque(hw))
 	if got := Check(g, g.HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 		t.Fatalf("FIFO-ordered pair flagged: %v", got)
 	}

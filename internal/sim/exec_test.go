@@ -29,15 +29,15 @@ func execOrder(g *Graph, workers int) []int {
 	return order
 }
 
-func bindNop(g *Graph, id int) { g.Bind(id, func() {}) }
+func bindNop(g *Graph, id int) { g.BindShaped(id, nil, nil, func() {}) }
 
 func TestExecuteRunsDepsFirst(t *testing.T) {
 	g := NewGraph(DGXV100(), 2)
 	var log []string
 	a := g.AddCompute(0, KindGeMM, "a", -1, 1, false)
-	g.Bind(a, func() { log = append(log, "a") })
+	g.BindShaped(a, nil, nil, func() { log = append(log, "a") })
 	b := g.AddCompute(1, KindGeMM, "b", -1, 1, false, a)
-	g.Bind(b, func() { log = append(log, "b") })
+	g.BindShaped(b, nil, nil, func() { log = append(log, "b") })
 	g.Execute(1)
 	if len(log) != 2 || log[0] != "a" || log[1] != "b" {
 		t.Fatalf("execution order %v, want [a b]", log)
@@ -74,10 +74,10 @@ func TestExecuteCommFence(t *testing.T) {
 		var commDone atomic.Bool
 		var violation atomic.Bool
 		c := g.AddComm([]int{0, 1}, "bcast", 0, 1)
-		g.Bind(c, func() { commDone.Store(true) })
+		g.BindShaped(c, nil, nil, func() { commDone.Store(true) })
 		// Issued after the comm task, no Deps edge to it, other stream.
 		w := g.AddCompute(0, KindGeMM, "writer", -1, 1, false)
-		g.Bind(w, func() {
+		g.BindShaped(w, nil, nil, func() {
 			if !commDone.Load() {
 				violation.Store(true)
 			}
@@ -101,9 +101,9 @@ func TestExecuteCommWaitsForEarlierCompute(t *testing.T) {
 		var readerDone atomic.Bool
 		var violation atomic.Bool
 		k := g.AddCompute(1, KindSpMM, "reader", 0, 1, true)
-		g.Bind(k, func() { readerDone.Store(true) })
+		g.BindShaped(k, nil, nil, func() { readerDone.Store(true) })
 		c := g.AddComm([]int{0, 1}, "bcast", 0, 1)
-		g.Bind(c, func() {
+		g.BindShaped(c, nil, nil, func() {
 			if !readerDone.Load() {
 				violation.Store(true)
 			}
@@ -122,9 +122,9 @@ func TestExecuteOverlapsComputeAcrossDevices(t *testing.T) {
 	release := make(chan struct{})
 	g := NewGraph(DGXV100(), 2)
 	a := g.AddCompute(0, KindSpMM, "spmm0", 0, 1, true)
-	g.Bind(a, func() { <-release })
+	g.BindShaped(a, nil, nil, func() { <-release })
 	b := g.AddCompute(1, KindSpMM, "spmm1", 0, 1, true)
-	g.Bind(b, func() { close(release) })
+	g.BindShaped(b, nil, nil, func() { close(release) })
 	done := make(chan struct{})
 	go func() {
 		g.Execute(2)
@@ -145,7 +145,7 @@ func TestExecuteRunsIndependentTasksConcurrently(t *testing.T) {
 	g := NewGraph(DGXV100(), n)
 	for d := 0; d < n; d++ {
 		id := g.AddCompute(d, KindGeMM, "k", -1, 1, false)
-		g.Bind(id, func() {
+		g.BindShaped(id, nil, nil, func() {
 			mu.Lock()
 			cur++
 			if cur > peak {
@@ -173,7 +173,7 @@ func TestExecuteSkipsUnboundTasks(t *testing.T) {
 	a := g.AddCompute(0, KindGeMM, "unbound", -1, 1, false)
 	ran := false
 	b := g.AddCompute(1, KindGeMM, "bound", -1, 1, false, a)
-	g.Bind(b, func() { ran = true })
+	g.BindShaped(b, nil, nil, func() { ran = true })
 	g.Execute(2)
 	if !ran {
 		t.Fatal("dependent of an unbound task never ran")
@@ -187,8 +187,8 @@ func TestExecuteNoBoundClosuresIsNoop(t *testing.T) {
 	if g.Tasks[id].Exec != nil {
 		t.Fatal("unbound task grew a closure")
 	}
-	if g.Bound() != 0 {
-		t.Fatalf("Bound() = %d, want 0", g.Bound())
+	if g.bound != 0 {
+		t.Fatalf("bound = %d, want 0", g.bound)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestExecuteIsIncremental(t *testing.T) {
 	g := NewGraph(DGXV100(), 1)
 	count := 0
 	a := g.AddCompute(0, KindGeMM, "a", -1, 1, false)
-	g.Bind(a, func() { count++ })
+	g.BindShaped(a, nil, nil, func() { count++ })
 	g.Execute(1)
 	g.Execute(1)
 	if count != 1 {
@@ -206,7 +206,7 @@ func TestExecuteIsIncremental(t *testing.T) {
 	}
 	b := g.AddCompute(0, KindGeMM, "b", -1, 1, false, a)
 	ran := false
-	g.Bind(b, func() { ran = true })
+	g.BindShaped(b, nil, nil, func() { ran = true })
 	g.Execute(1)
 	if count != 1 || !ran {
 		t.Fatalf("incremental Execute: count=%d ran=%v, want 1 true", count, ran)
@@ -216,17 +216,20 @@ func TestExecuteIsIncremental(t *testing.T) {
 func TestBindPanics(t *testing.T) {
 	g := NewGraph(DGXV100(), 1)
 	id := g.AddCompute(0, KindGeMM, "a", -1, 1, false)
-	g.Bind(id, func() {})
+	g.BindShaped(id, nil, nil, func() {})
 	for name, fn := range map[string]func(){
-		"rebind":  func() { g.Bind(id, func() {}) },
-		"unknown": func() { g.Bind(99, func() {}) },
-		"nil":     func() { g.Bind(id, nil) },
+		"rebind":    func() { g.BindShaped(id, nil, nil, func() {}) },
+		"rebind-E":  func() { g.BindShapedE(id, nil, nil, func() error { return nil }) },
+		"unknown":   func() { g.BindShaped(99, nil, nil, func() {}) },
+		"unknown-E": func() { g.BindShapedE(-1, nil, nil, func() error { return nil }) },
+		"nil":       func() { g.BindShaped(id, nil, nil, nil) },
+		"nil-E":     func() { g.BindShapedE(g.AddCompute(0, KindGeMM, "c", -1, 1, false), nil, nil, nil) },
 		"after-execute": func() {
 			g.Execute(1)
 			b := g.AddCompute(0, KindGeMM, "b", -1, 1, false)
 			_ = b
 			g.Execute(1)
-			g.Bind(b, func() {})
+			g.BindShaped(b, nil, nil, func() {})
 		},
 	} {
 		func() {
@@ -265,7 +268,7 @@ func TestExecuteManyTasksStress(t *testing.T) {
 				id := g.AddCompute(d, KindGeMM, "k", -1, 1, false, deps...)
 				depsCopy := append([]int(nil), deps...)
 				me := id
-				g.Bind(id, func() {
+				g.BindShaped(id, nil, nil, func() {
 					check(depsCopy)
 					ran[me].Store(true)
 				})
@@ -276,7 +279,7 @@ func TestExecuteManyTasksStress(t *testing.T) {
 				c := g.AddComm([]int{0, 1, 2, 3}, "coll", -1, 1, layer[:4]...)
 				me := c
 				deps := append([]int(nil), layer[:4]...)
-				g.Bind(c, func() {
+				g.BindShaped(c, nil, nil, func() {
 					check(deps)
 					ran[me].Store(true)
 				})

@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // This file is the executor's failure contract. The replay in exec.go is
-// fallible on purpose: task closures return errors (Graph.BindE), a
+// fallible on purpose: task closures return errors (Graph.BindShapedE), a
 // FaultHook can fail or delay any bound task, and Execute surfaces the
 // first failure as a *TaskError after draining whatever was already in
 // flight. The taxonomy the recovery machinery (internal/comm retries,

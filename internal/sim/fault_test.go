@@ -11,7 +11,7 @@ func TestExecuteBindEErrorPropagates(t *testing.T) {
 	a := g.AddCompute(0, KindGeMM, "ok", -1, 1, false)
 	bindNop(g, a)
 	b := g.AddCompute(1, KindGeMM, "boom", 2, 1, false, a)
-	g.BindE(b, func() error { return fmt.Errorf("kernel fault") })
+	g.BindShapedE(b, nil, nil, func() error { return fmt.Errorf("kernel fault") })
 	err := g.Execute(1)
 	var te *TaskError
 	if !errors.As(err, &te) {
@@ -25,10 +25,10 @@ func TestExecuteBindEErrorPropagates(t *testing.T) {
 func TestExecuteErrorCancelsSuccessors(t *testing.T) {
 	g := NewGraph(DGXV100(), 2)
 	a := g.AddCompute(0, KindGeMM, "fail", -1, 1, false)
-	g.BindE(a, func() error { return fmt.Errorf("down") })
+	g.BindShapedE(a, nil, nil, func() error { return fmt.Errorf("down") })
 	ran := false
 	b := g.AddCompute(0, KindGeMM, "after", -1, 1, false, a)
-	g.Bind(b, func() { ran = true })
+	g.BindShaped(b, nil, nil, func() { ran = true })
 	if err := g.Execute(4); err == nil {
 		t.Fatal("Execute succeeded despite failing task")
 	}
@@ -43,10 +43,10 @@ func TestExecuteDrainsInFlightOnError(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := NewGraph(DGXV100(), 2)
 		a := g.AddCompute(0, KindGeMM, "fail", -1, 1, false)
-		g.BindE(a, func() error { return fmt.Errorf("down") })
+		g.BindShapedE(a, nil, nil, func() error { return fmt.Errorf("down") })
 		done := make(chan struct{}, 1)
 		b := g.AddCompute(1, KindGeMM, "peer", -1, 1, false)
-		g.Bind(b, func() { done <- struct{}{} })
+		g.BindShaped(b, nil, nil, func() { done <- struct{}{} })
 		if err := g.Execute(2); err == nil {
 			t.Fatal("Execute succeeded despite failing task")
 		}
@@ -85,7 +85,7 @@ func TestFaultHookBeforeTaskSkipsClosure(t *testing.T) {
 	g.Fault = hook
 	ran := false
 	a := g.AddCompute(1, KindSpMM, "victim", 0, 1, true)
-	g.Bind(a, func() { ran = true })
+	g.BindShaped(a, nil, nil, func() { ran = true })
 	err := g.Execute(1)
 	if ran {
 		t.Fatal("closure ran despite BeforeTask failure")
@@ -122,12 +122,12 @@ func TestExecuteIsResumableAfterSuccessOnly(t *testing.T) {
 	g.Fault = hook
 	n := 0
 	a := g.AddCompute(0, KindGeMM, "first", -1, 1, false)
-	g.Bind(a, func() { n++ })
+	g.BindShaped(a, nil, nil, func() { n++ })
 	if err := g.Execute(1); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 	b := g.AddCompute(0, KindGeMM, "second", -1, 1, false, a)
-	g.Bind(b, func() { n++ })
+	g.BindShaped(b, nil, nil, func() { n++ })
 	if err := g.Execute(1); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}

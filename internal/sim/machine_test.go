@@ -79,8 +79,8 @@ func TestNewMachineScalesMemory(t *testing.T) {
 		t.Fatalf("pools: %d", len(m.Pools))
 	}
 	want := int64(32<<30) / 32
-	if m.Pools[0].Capacity() != want {
-		t.Fatalf("capacity %d, want %d", m.Pools[0].Capacity(), want)
+	if m.Pools[0].capacity != want {
+		t.Fatalf("capacity %d, want %d", m.Pools[0].capacity, want)
 	}
 }
 

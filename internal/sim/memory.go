@@ -190,12 +190,6 @@ func NewPool(name string, capacity int64) *Pool {
 	return &Pool{name: name, capacity: capacity}
 }
 
-// Name returns the pool's identifier.
-func (p *Pool) Name() string { return p.name }
-
-// Capacity returns the pool's byte capacity.
-func (p *Pool) Capacity() int64 { return p.capacity }
-
 // Alloc reserves bytes, failing with an *OOMError naming label if the pool
 // would exceed capacity.
 func (p *Pool) Alloc(label string, bytes int64) error {

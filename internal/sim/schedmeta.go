@@ -141,29 +141,52 @@ func ShapesOf(views ...*tensor.Dense) []ViewShape {
 // ignored by shape typing.
 func OpaqueShape(id BufID) ViewShape { return ViewShape{Buf: id} }
 
-// BindShaped is Bind plus an access declaration with extents: reads and
-// writes name the registered buffers fn touches (Writes entries may also be
-// read — an accumulating SpMM or in-place ReLU reads its destination) and
-// the matrix shapes it touches them at, so the sanitizer can order the task
-// and internal/schedcheck can type the schedule without executing it. This
-// is the one declaring bind form; the accessdecl vet rule flags plain Bind
-// calls whose closures touch buffer storage.
+// BindShaped attaches fn as task id's host-execution closure together with
+// its access declaration. Recording and execution are split on purpose:
+// AddCompute/AddComm only describe the task, BindShaped captures its real
+// arithmetic, and Graph.Execute later replays every bound closure in
+// dependency order (see exec.go). reads and writes name the registered
+// buffers fn touches (Writes entries may also be read — an accumulating SpMM
+// or in-place ReLU reads its destination) and the matrix shapes it touches
+// them at, so the sanitizer can order the task and internal/schedcheck can
+// type the schedule without executing it. A task can be bound at most once.
+// Closures that can fail — retried collectives, fault paths — use
+// BindShapedE instead.
 func (g *Graph) BindShaped(id int, reads, writes []ViewShape, fn func()) {
-	g.DeclareShaped(id, reads, writes)
-	g.Bind(id, fn)
+	if fn == nil {
+		panic(fmt.Sprintf("sim: Bind of nil closure to task %d", id))
+	}
+	g.BindShapedE(id, reads, writes, func() error { fn(); return nil })
 }
 
-// BindShapedE is BindShaped for fallible closures. The declared sets
-// describe what fn touches when it runs to completion; a closure that fails
-// before moving data simply leaves them untouched.
+// BindShapedE is BindShaped for fallible closures: a non-nil return from fn
+// cancels the rest of the replay and surfaces from Execute as a *TaskError.
+// The declared sets describe what fn touches when it runs to completion; a
+// closure that fails before moving data simply leaves them untouched.
 func (g *Graph) BindShapedE(id int, reads, writes []ViewShape, fn func() error) {
+	if id < 0 || id >= len(g.Tasks) {
+		panic(fmt.Sprintf("sim: Bind of unknown task %d", id))
+	}
+	t := g.Tasks[id]
+	if fn == nil {
+		panic(fmt.Sprintf("sim: Bind of nil closure to task %q", t.Label))
+	}
+	if t.Exec != nil {
+		panic(fmt.Sprintf("sim: task %q already bound", t.Label))
+	}
+	if id < g.executed {
+		panic(fmt.Sprintf("sim: Bind of task %q after Execute already replayed it", t.Label))
+	}
 	g.DeclareShaped(id, reads, writes)
-	g.BindE(id, fn)
+	t.Exec = fn
+	g.bound++
 }
 
 // DeclareShaped records shaped access sets without binding a closure. The
 // flat BufID sets (Task.Reads/Writes) are derived from the shapes, so the
 // sanitizer and the shape checker always agree on what is accessed.
+// Declaring twice replaces the previous sets. Only tests call it outside
+// BindShapedE, to declare access sets on closure-free graphs.
 func (g *Graph) DeclareShaped(id int, reads, writes []ViewShape) {
 	if id < 0 || id >= len(g.Tasks) {
 		panic(fmt.Sprintf("sim: DeclareShaped of unknown task %d", id))
@@ -174,7 +197,7 @@ func (g *Graph) DeclareShaped(id int, reads, writes []ViewShape) {
 }
 
 // shapeBufs splits a shape list into the flat BufID set and the kept shape
-// entries, dropping zero-stamped entries like appendBufs does.
+// entries, dropping zero-stamped (unregistered) entries.
 func shapeBufs(shapes []ViewShape) ([]BufID, []ViewShape) {
 	var ids []BufID
 	var kept []ViewShape

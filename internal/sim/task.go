@@ -106,11 +106,12 @@ type Task struct {
 	Deps     []int
 	// Exec is the task's host-side arithmetic, recorded at graph-build
 	// time and replayed by Graph.Execute once the task's dependencies have
-	// run (nil for tasks with no host-side work). Attach it
-	// with Graph.Bind (infallible closures) or Graph.BindE (closures that
-	// can fail, e.g. retried collectives). A non-nil return cancels the
-	// rest of the replay: Execute stops issuing, drains in-flight tasks,
-	// and surfaces the failure as a *TaskError.
+	// run (nil for tasks with no host-side work). Attach it, with the
+	// accesses it makes, with Graph.BindShaped (infallible closures) or
+	// Graph.BindShapedE (closures that can fail, e.g. retried collectives).
+	// A non-nil return cancels the rest of the replay: Execute stops
+	// issuing, drains in-flight tasks, and surfaces the failure as a
+	// *TaskError.
 	Exec func() error
 	// Reads and Writes are the task's declared access sets over the
 	// BufRegistry: every registered buffer the Exec closure touches.
@@ -120,13 +121,13 @@ type Task struct {
 	// by the executor's happens-before edges, and its shadow execute mode
 	// checks the closure's *actual* accesses stay inside these sets.
 	// Declare them with Graph.BindShaped (or, without a closure,
-	// Graph.DeclareShaped/Declare).
+	// Graph.DeclareShaped).
 	Reads  []BufID
 	Writes []BufID
 	// InShapes and OutShapes are the shaped forms of Reads and Writes —
 	// the same buffers plus the matrix extents the closure touches them at,
 	// recorded by Graph.BindShaped/DeclareShaped for internal/schedcheck's
-	// shape-flow typing. Empty when the task was declared unshaped (Declare).
+	// shape-flow typing.
 	InShapes  []ViewShape
 	OutShapes []ViewShape
 	// Coll, on KindComm tasks, annotates the collective's operation, group
@@ -225,66 +226,6 @@ func (g *Graph) AddComm(devices []int, label string, stage int, seconds float64,
 		Seconds: seconds, MemBound: false, Deps: deps,
 	})
 }
-
-// Bind attaches fn as task id's host-execution closure. Recording and
-// execution are split on purpose: AddCompute/AddComm only describe the
-// task, Bind captures its real arithmetic, and Graph.Execute later replays
-// every bound closure in dependency order (see exec.go). A task can be
-// bound at most once. Closures that can fail — retried collectives, fault
-// paths — use BindE instead.
-func (g *Graph) Bind(id int, fn func()) {
-	if fn == nil {
-		panic(fmt.Sprintf("sim: Bind of nil closure to task %d", id))
-	}
-	g.BindE(id, func() error { fn(); return nil })
-}
-
-// BindE is Bind for fallible closures: a non-nil return from fn cancels the
-// rest of the replay and surfaces from Execute as a *TaskError. Infallible
-// arithmetic should keep using Bind; BindE exists for the failure paths —
-// collectives that retry and may give up, fault-injected kernels.
-func (g *Graph) BindE(id int, fn func() error) {
-	if id < 0 || id >= len(g.Tasks) {
-		panic(fmt.Sprintf("sim: Bind of unknown task %d", id))
-	}
-	if fn == nil {
-		panic(fmt.Sprintf("sim: Bind of nil closure to task %q", g.Tasks[id].Label))
-	}
-	t := g.Tasks[id]
-	if t.Exec != nil {
-		panic(fmt.Sprintf("sim: task %q already bound", t.Label))
-	}
-	if id < g.executed {
-		panic(fmt.Sprintf("sim: Bind of task %q after Execute already replayed it", t.Label))
-	}
-	t.Exec = fn
-	g.bound++
-}
-
-// Declare records task id's access sets without binding a closure —
-// useful when the closure is attached separately or (in tests) when only
-// the graph structure is under scrutiny. Zero IDs (unregistered views) are
-// dropped. Declaring twice replaces the previous sets.
-func (g *Graph) Declare(id int, reads, writes []BufID) {
-	if id < 0 || id >= len(g.Tasks) {
-		panic(fmt.Sprintf("sim: Declare of unknown task %d", id))
-	}
-	t := g.Tasks[id]
-	t.Reads = appendBufs(nil, reads)
-	t.Writes = appendBufs(nil, writes)
-}
-
-func appendBufs(dst, src []BufID) []BufID {
-	for _, b := range src {
-		if b != 0 {
-			dst = append(dst, b)
-		}
-	}
-	return dst
-}
-
-// Bound returns the number of tasks carrying an Exec closure.
-func (g *Graph) Bound() int { return g.bound }
 
 func (g *Graph) add(t *Task) int {
 	for _, dev := range t.Devices {

@@ -140,7 +140,7 @@ func TestFromCooMatchesSortedOracle(t *testing.T) {
 			}
 		}
 	}
-	if got := FromCoo(3, 5, nil, true); !reflect.DeepEqual(got, fromCooSorted(3, 5, nil, true)) || !got.HasVals() {
+	if got := FromCoo(3, 5, nil, true); !reflect.DeepEqual(got, fromCooSorted(3, 5, nil, true)) || got.Vals == nil {
 		t.Fatalf("empty valued build: %+v", got)
 	}
 }

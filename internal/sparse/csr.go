@@ -34,9 +34,6 @@ type CSR struct {
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int64 { return m.RowPtr[m.Rows] }
 
-// HasVals reports whether the matrix stores a value per entry.
-func (m *CSR) HasVals() bool { return m.Vals != nil }
-
 // Bytes returns the CSR storage footprint in bytes (rowptr 8B, colidx 4B,
 // vals 4B each), counting a value per entry whatever form the values take,
 // so that memory accounting reflects what the modelled device stores.
@@ -66,8 +63,9 @@ type Coo struct {
 
 // FromCoo builds a CSR matrix from coordinate entries. Duplicate (row,col)
 // pairs are summed in input order. If withVals is false the result is
-// structure-only and duplicate coordinates are collapsed. Tests build their
-// matrices with it; the generator scatters its edge list directly.
+// structure-only and duplicate coordinates are collapsed. Test support:
+// tests build their matrices with it; the generator scatters its edge list
+// directly.
 func FromCoo(rows, cols int, entries []Coo, withVals bool) *CSR {
 	// A stable counting scatter by column builds the CSC; its transpose is
 	// the CSR with every row's columns ascending and, within a duplicated
@@ -220,7 +218,8 @@ func (m *CSR) SubMatrix(r0, r1, c0, c1 int) *CSR {
 }
 
 // CountTileNNZ returns the number of stored entries in the tile
-// [r0,r1) x [c0,c1) without materializing it.
+// [r0,r1) x [c0,c1) without materializing it. Test support: the oracle of
+// the partitioner's per-tile counts.
 func (m *CSR) CountTileNNZ(r0, r1, c0, c1 int) int64 {
 	lo32, hi32 := int32(c0), int32(c1)
 	var nnz int64
@@ -273,8 +272,8 @@ func (m *CSR) Validate() error {
 	return nil
 }
 
-// ToDenseRows materializes the matrix as [][]float32 for tests and debugging.
-// Structure-only entries materialize as 1.
+// ToDenseRows materializes the matrix as [][]float32. Structure-only entries
+// materialize as 1. Test support: the dense oracle of the sparse kernels.
 func (m *CSR) ToDenseRows() [][]float32 {
 	out := make([][]float32, m.Rows)
 	for i := range out {

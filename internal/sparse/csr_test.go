@@ -56,7 +56,7 @@ func TestFromCooSumsDuplicates(t *testing.T) {
 
 func TestFromCooStructureOnly(t *testing.T) {
 	m := FromCoo(2, 2, []Coo{{Row: 0, Col: 1}, {Row: 0, Col: 1}}, false)
-	if m.HasVals() {
+	if m.Vals != nil {
 		t.Fatalf("expected structure-only")
 	}
 	if m.NNZ() != 1 {
@@ -130,7 +130,7 @@ func TestTransposeExplicit(t *testing.T) {
 
 func TestTransposeStructureOnlyStaysStructureOnly(t *testing.T) {
 	m := FromCoo(2, 2, []Coo{{Row: 0, Col: 1}}, false)
-	if m.Transpose().HasVals() {
+	if m.Transpose().Vals != nil {
 		t.Fatalf("transpose invented values")
 	}
 }

@@ -63,7 +63,8 @@ func FactoredInDegree(a *CSR) *CSR {
 
 // NormalizeRowMean divides every row by its own entry count (or weight sum),
 // so A*H computes the mean over out-going structure. This is the transposed
-// view of NormalizeInDegree used when the adjacency is stored pre-transposed.
+// view of NormalizeInDegree. Test support: the sampler tests' oracle of a
+// block's mean aggregation.
 func NormalizeRowMean(a *CSR) *CSR {
 	out := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx}
 	out.Vals = make([]float32, a.NNZ())

@@ -127,7 +127,7 @@ func TestPermutePreservesNNZAndVals(t *testing.T) {
 func TestPermuteStructureOnly(t *testing.T) {
 	a := FromCoo(3, 3, []Coo{{Row: 0, Col: 2}, {Row: 1, Col: 0}}, false)
 	p := PermuteSymmetric(a, []int32{2, 0, 1})
-	if p.HasVals() {
+	if p.Vals != nil {
 		t.Fatalf("structure-only permutation grew values")
 	}
 	d := p.ToDenseRows()

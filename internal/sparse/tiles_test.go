@@ -81,7 +81,7 @@ func checkTiles(t *testing.T, name string, a *sparse.CSR, perm []int32, vec part
 				if got := sparse.Expand(tc.got); !reflect.DeepEqual(got, tc.want) {
 					t.Fatalf("%s: %s tile (%d,%d) differs from the oracle:\n got %+v\nwant %+v", name, tc.orient, i, j, got, tc.want)
 				}
-				if (tc.got.RowScale != nil) != tc.rowScale || (tc.got.ColScale != nil) != tc.colScale || tc.got.HasVals() != a.HasVals() {
+				if (tc.got.RowScale != nil) != tc.rowScale || (tc.got.ColScale != nil) != tc.colScale || (tc.got.Vals != nil) != (a.Vals != nil) {
 					t.Fatalf("%s: %s tile (%d,%d) holds its values in another form than A's", name, tc.orient, i, j)
 				}
 				if cap(tc.got.ColIdx) != len(tc.got.ColIdx) || cap(tc.got.Vals) != len(tc.got.Vals) {
@@ -91,9 +91,9 @@ func checkTiles(t *testing.T, name string, a *sparse.CSR, perm []int32, vec part
 			}
 			twin, m := gotAt[i][j], gotA[i][j]
 			same := reflect.DeepEqual(twin.RowPtr, m.RowPtr) && reflect.DeepEqual(twin.ColIdx, m.ColIdx)
-			if shared := &twin.RowPtr[0] == &m.RowPtr[0]; shared != (same && !a.HasVals()) {
+			if shared := &twin.RowPtr[0] == &m.RowPtr[0]; shared != (same && a.Vals == nil) {
 				t.Fatalf("%s: Â tile (%d,%d) shares its twin's structure: %v, same structure: %v, values per entry: %v",
-					name, i, j, shared, same, a.HasVals())
+					name, i, j, shared, same, a.Vals != nil)
 			}
 		}
 	}
@@ -131,7 +131,7 @@ func TestPermutedTilesMatchOracle(t *testing.T) {
 				}
 				for _, vec := range []part.Vector{part.Uniform(a.Rows, blocks), part.BalancedVector(weights, blocks)} {
 					checkTiles(t, fmt.Sprintf("graph %d (n=%d, valued %v, row scale %v, column scale %v) %s %v",
-						g, a.Rows, a.HasVals(), a.RowScale != nil, a.ColScale != nil, ord, vec), a, perm, vec)
+						g, a.Rows, a.Vals != nil, a.RowScale != nil, a.ColScale != nil, ord, vec), a, perm, vec)
 				}
 			}
 		}

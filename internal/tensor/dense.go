@@ -135,7 +135,7 @@ func (d *Dense) Zero() {
 	}
 }
 
-// Fill sets every element of d to v.
+// Fill sets every element of d to v. Test support: constant fixtures.
 func (d *Dense) Fill(v float32) {
 	if d.Data == nil {
 		return
@@ -149,6 +149,7 @@ func (d *Dense) Fill(v float32) {
 }
 
 // Equal reports whether a and b have identical shape and elements within tol.
+// Test support, and the compare the floateq rule points code to.
 func Equal(a, b *Dense, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
@@ -240,7 +241,7 @@ func (d *Dense) String() string {
 
 // ColSlice returns a view of columns [lo, hi) sharing storage with d —
 // rows keep the parent's stride, so writes through the view land in the
-// parent (used to split/concatenate attention heads without copies).
+// parent. Test support: strided operands for the kernel tests.
 func (d *Dense) ColSlice(lo, hi int) *Dense {
 	if lo < 0 || hi < lo || hi > d.Cols {
 		panic(fmt.Sprintf("tensor: col slice [%d,%d) out of bounds %d", lo, hi, d.Cols))

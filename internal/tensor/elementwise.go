@@ -57,17 +57,6 @@ func ScaleInPlace(dst *Dense, s float32) {
 	}
 }
 
-// AxpyInPlace computes dst += alpha*src elementwise.
-func AxpyInPlace(dst *Dense, alpha float32, src *Dense) {
-	checkSameShape(dst, src, "AxpyInPlace")
-	if dst.IsPhantom() || src.IsPhantom() {
-		return
-	}
-	for i := 0; i < dst.Rows; i++ {
-		kernel.Axpy(alpha, src.Row(i), dst.Row(i))
-	}
-}
-
 func checkSameShape(a, b *Dense, op string) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))

@@ -96,20 +96,6 @@ func TestScaleInPlace(t *testing.T) {
 	}
 }
 
-func TestAxpyInPlace(t *testing.T) {
-	a := NewDense(1, 3)
-	copy(a.Data, []float32{1, 2, 3})
-	b := NewDense(1, 3)
-	copy(b.Data, []float32{10, 10, 10})
-	AxpyInPlace(a, -0.1, b)
-	want := []float32{0, 1, 2}
-	for i, w := range want {
-		if a.Data[i] != w {
-			t.Fatalf("a[%d]=%v, want %v", i, a.Data[i], w)
-		}
-	}
-}
-
 func TestElementwiseShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -124,5 +110,4 @@ func TestElementwisePhantomNoOps(t *testing.T) {
 	ReLUBackward(NewPhantom(2, 2), NewPhantom(2, 2), NewPhantom(2, 2))
 	AddInPlace(NewPhantom(2, 2), NewPhantom(2, 2))
 	ScaleInPlace(NewPhantom(2, 2), 3)
-	AxpyInPlace(NewPhantom(2, 2), 3, NewPhantom(2, 2))
 }
