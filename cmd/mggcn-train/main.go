@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -115,8 +116,28 @@ func main() {
 		} else if !explicit["layers"] {
 			sampledLayers = len(strings.Split(fanoutStr, ","))
 		}
-		runSampled(ds, spec, *gpus, *epochs, *hidden, sampledLayers, *lr,
-			*batch, fanoutStr, *cacheFrac, *patience, *saveCkpt, *loadCkpt)
+		o := mggcn.DefaultSampledOptions(spec, *gpus)
+		o.Hidden, o.Layers, o.LR = *hidden, sampledLayers, *lr
+		o.Batch, o.CacheFrac = *batch, *cacheFrac
+		o.EarlyStopPatience = *patience
+		o.TrackVal = *patience > 0
+		o.Fanouts = nil
+		for _, s := range strings.Split(fanoutStr, ",") {
+			f, err := strconv.Atoi(strings.TrimSpace(s))
+			if err != nil {
+				log.Fatalf("bad -fanouts %q: %v", fanoutStr, err)
+			}
+			o.Fanouts = append(o.Fanouts, f)
+		}
+		tr, err := mggcn.NewSampledTrainer(ds, o)
+		built(err, spec, *gpus)
+		fmt.Printf("sampled training: %d layers (hidden %d) batch %d fanouts %v cache %.0f%% on %d GPUs of %s; %s\n",
+			o.Layers, o.Hidden, o.Batch, o.Fanouts, o.CacheFrac*100, *gpus, spec.Name, kernels())
+		heldOut := ""
+		if o.TrackVal {
+			heldOut = "val"
+		}
+		train(tr, ds.IsPhantom(), *epochs, heldOut, *loadCkpt, *saveCkpt)
 		return
 	}
 
@@ -127,18 +148,9 @@ func main() {
 	if o.Strategy, known = strategies[*strategy]; !known {
 		log.Fatalf("unknown strategy %q (want %s)", *strategy, strings.Join(strategyNames, ", "))
 	}
-	switch strings.ToLower(*ordering) {
-	case "natural":
-		o.Ordering = mggcn.OrderingNatural
-	case "random":
-		o.Ordering = mggcn.OrderingRandom
-	case "degree":
-		o.Ordering = mggcn.OrderingDegreeSorted
-	case "bfs":
-		o.Ordering = mggcn.OrderingBFS
-	case "cyclic":
-		o.Ordering = mggcn.OrderingBlockCyclic
-	default:
+	orderings := map[string]mggcn.Ordering{"natural": mggcn.OrderingNatural, "random": mggcn.OrderingRandom,
+		"degree": mggcn.OrderingDegreeSorted, "bfs": mggcn.OrderingBFS, "cyclic": mggcn.OrderingBlockCyclic}
+	if o.Ordering, known = orderings[strings.ToLower(*ordering)]; !known {
 		log.Fatalf("unknown ordering %q", *ordering)
 	}
 	o.BalancedPartition = *balanced
@@ -153,47 +165,10 @@ func main() {
 		return
 	}
 	tr, err := mggcn.NewTrainer(ds, o)
-	if err != nil {
-		if mggcn.IsOOM(err) {
-			log.Fatalf("out of memory on %s with %d GPUs: %v", spec.Name, *gpus, err)
-		}
-		log.Fatal(err)
-	}
+	built(err, spec, *gpus)
 	fmt.Printf("training %d layers (hidden %d) on %d GPUs of %s (%s); %d buffers/device, peak %d MiB/device; %s\n",
 		o.Layers, o.Hidden, *gpus, spec.Name, *strategy, tr.BufferCount(), tr.PeakMemoryBytes()>>20, kernels())
-	if *loadCkpt != "" {
-		f, err := os.Open(*loadCkpt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tr.LoadCheckpoint(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		fmt.Printf("restored checkpoint from %s\n", *loadCkpt)
-	}
-
-	stats, trainErr := tr.Train(*epochs)
-	var total float64
-	for e, s := range stats {
-		total += s.EpochSeconds
-		if ds.IsPhantom() {
-			fmt.Printf("epoch %3d: sim %.4fs\n", e+1, s.EpochSeconds)
-		} else {
-			fmt.Printf("epoch %3d: loss %.4f train-acc %.4f test-acc %.4f sim %.4fs\n",
-				e+1, s.Loss, s.TrainAcc, s.TestAcc, s.EpochSeconds)
-		}
-	}
-	if trainErr != nil {
-		log.Fatalf("training failed after %d epochs: %v", len(stats), trainErr)
-	}
-	fmt.Printf("total simulated training time: %.3fs (%.4fs/epoch)\n", total, total/float64(*epochs))
-	if *saveCkpt != "" {
-		if err := mggcn.SaveCheckpointAtomic(*saveCkpt, tr.SaveCheckpoint); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("saved checkpoint to %s\n", *saveCkpt)
-	}
+	train(tr, ds.IsPhantom(), *epochs, "test", *loadCkpt, *saveCkpt)
 }
 
 // kernels names the float32 kernels this binary runs and, when the start-up
@@ -206,34 +181,28 @@ func kernels() string {
 	return kernel.Impl() + " kernels"
 }
 
-// runSampled is the -sampled mode: the factored sampler/trainer pipeline,
-// with mid-epoch resumable checkpoints and optional early stopping on
-// validation accuracy.
-func runSampled(ds *mggcn.Dataset, spec mggcn.MachineSpec, gpus, epochs, hidden, layers int,
-	lr float64, batch int, fanoutStr string, cacheFrac float64, patience int,
-	saveCkpt, loadCkpt string) {
-	o := mggcn.DefaultSampledOptions(spec, gpus)
-	o.Hidden, o.Layers, o.LR = hidden, layers, lr
-	o.Batch, o.CacheFrac = batch, cacheFrac
-	o.EarlyStopPatience = patience
-	o.TrackVal = patience > 0
-	o.Fanouts = nil
-	for _, s := range strings.Split(fanoutStr, ",") {
-		f, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			log.Fatalf("bad -fanouts %q: %v", fanoutStr, err)
-		}
-		o.Fanouts = append(o.Fanouts, f)
+// built exits on a trainer construction error, naming an out-of-memory one.
+func built(err error, spec mggcn.MachineSpec, gpus int) {
+	if mggcn.IsOOM(err) {
+		log.Fatalf("out of memory on %s with %d GPUs: %v", spec.Name, gpus, err)
 	}
-	tr, err := mggcn.NewSampledTrainer(ds, o)
 	if err != nil {
-		if mggcn.IsOOM(err) {
-			log.Fatalf("out of memory on %s with %d GPUs: %v", spec.Name, gpus, err)
-		}
 		log.Fatal(err)
 	}
-	fmt.Printf("sampled training: %d layers (hidden %d) batch %d fanouts %v cache %.0f%% on %d GPUs of %s; %s\n",
-		o.Layers, o.Hidden, o.Batch, o.Fanouts, o.CacheFrac*100, gpus, spec.Name, kernels())
+}
+
+// trainer is what both modes' trainers share.
+type trainer interface {
+	Train(epochs int) ([]*mggcn.EpochStats, error)
+	SaveCheckpoint(w io.Writer) error
+	LoadCheckpoint(r io.Reader) error
+}
+
+// train is the run both modes share: restore a checkpoint, train, print a
+// line per epoch and the total, save a checkpoint. A phantom run prints
+// simulated seconds only; heldOut names the held-out accuracy each line
+// reports ("test", "val" or none).
+func train(tr trainer, phantom bool, epochs int, heldOut, loadCkpt, saveCkpt string) {
 	if loadCkpt != "" {
 		f, err := os.Open(loadCkpt)
 		if err != nil {
@@ -243,30 +212,35 @@ func runSampled(ds *mggcn.Dataset, spec mggcn.MachineSpec, gpus, epochs, hidden,
 			log.Fatal(err)
 		}
 		f.Close()
-		fmt.Printf("restored sampled checkpoint from %s\n", loadCkpt)
+		fmt.Printf("restored checkpoint from %s\n", loadCkpt)
 	}
-
 	stats, trainErr := tr.Train(epochs)
 	var total float64
 	for e, s := range stats {
 		total += s.EpochSeconds
-		line := fmt.Sprintf("epoch %3d: loss %.4f train-acc %.4f", e+1, s.Loss, s.TrainAcc)
-		if o.TrackVal {
-			line += fmt.Sprintf(" val-acc %.4f", s.ValAcc)
+		line := fmt.Sprintf("epoch %3d:", e+1)
+		if !phantom {
+			line += fmt.Sprintf(" loss %.4f train-acc %.4f", s.Loss, s.TrainAcc)
+			switch heldOut {
+			case "test":
+				line += fmt.Sprintf(" test-acc %.4f", s.TestAcc)
+			case "val":
+				line += fmt.Sprintf(" val-acc %.4f", s.ValAcc)
+			}
 		}
 		fmt.Printf("%s sim %.4fs\n", line, s.EpochSeconds)
 	}
 	if trainErr != nil {
-		log.Fatalf("sampled training failed after %d epochs: %v", len(stats), trainErr)
+		log.Fatalf("training failed after %d epochs: %v", len(stats), trainErr)
 	}
 	if len(stats) < epochs {
-		fmt.Printf("early stop: no val-accuracy improvement in %d epochs\n", patience)
+		fmt.Printf("early stop after %d of %d epochs: no val-accuracy improvement\n", len(stats), epochs)
 	}
 	fmt.Printf("total simulated training time: %.3fs (%.4fs/epoch)\n", total, total/float64(len(stats)))
 	if saveCkpt != "" {
 		if err := mggcn.SaveCheckpointAtomic(saveCkpt, tr.SaveCheckpoint); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("saved sampled checkpoint to %s\n", saveCkpt)
+		fmt.Printf("saved checkpoint to %s\n", saveCkpt)
 	}
 }

@@ -909,7 +909,7 @@ func runExplosion() (*ExperimentResult, error) {
 			vals[fmt.Sprintf("%s/%dhop", name, h)] = frac
 			cells = append(cells, fmt.Sprintf("%.1f%%", frac*100))
 		}
-		sampled := sampledEpochEdges(ds.g, 512, []int{10, 25}, 7)
+		sampled, _, _ := sampledEpoch(ds.g, 512, []int{10, 25}, 7)
 		ratio := float64(sampled) / float64(ds.M())
 		vals[name+"/ratio"] = ratio
 		cells = append(cells, fmt.Sprintf("%.2fx", ratio))
@@ -944,7 +944,8 @@ func runExplosion() (*ExperimentResult, error) {
 	fullAcc := nn.Accuracy(logits, g.Labels, g.TestMask)
 	vals["full/test_acc"] = fullAcc
 	vals["minibatch/test_acc"] = mbAcc
-	vals["minibatch/edge_ratio"] = float64(sampledEpochEdges(g, 128, []int{10, 25}, 6)) / float64(g.M())
+	edges, _, _ := sampledEpoch(g, 128, []int{10, 25}, 6)
+	vals["minibatch/edge_ratio"] = float64(edges) / float64(g.M())
 	text := tab.String() + fmt.Sprintf(
 		"\nexecuted comparison on a k=64 graph (%d epochs): full-batch test acc %.3f vs fanout-(3,3) mini-batch %.3f;\n"+
 			"a standard fanout-(25,10) sampled epoch touches %.2fx the edges of one full-batch pass.\n"+
@@ -954,25 +955,38 @@ func runExplosion() (*ExperimentResult, error) {
 	return &ExperimentResult{ID: "explosion", Title: "Neighborhood explosion", Text: text, Values: vals}, nil
 }
 
-// sampledEpochEdges counts the edges, self-loops included, of one sampled
-// epoch over g's training vertices (every vertex when there is no mask).
-// Fanouts run outermost first: {10, 25} is GraphSAGE's (25, 10) — 25
-// neighbours per batch vertex, then 10 per vertex reached.
-func sampledEpochEdges(g *graph.Graph, batch int, fanouts []int, seed int64) int64 {
+// sampledEpoch walks a sampled trainer's first epoch over g's training
+// vertices (all without a mask) with one Sampler — blocks are pure functions
+// of (seed, epoch, batch) — counting the edges, self-loops included, and per
+// cache fraction the words its extracts meter: block 0's sources the cache
+// holds (hit) or not (miss), times the feature width. Fanouts run outermost
+// first: {10, 25} is GraphSAGE's (25, 10).
+func sampledEpoch(g *graph.Graph, batch int, fanouts []int, seed int64, fracs ...float64) (edges int64, hit, miss []int64) {
 	var verts []int32
 	for v := 0; v < g.N(); v++ {
 		if g.TrainMask == nil || g.TrainMask[v] {
 			verts = append(verts, int32(v))
 		}
 	}
+	caches := make([]*sample.FeatureCache, len(fracs))
+	for i, frac := range fracs {
+		caches[i] = sample.NewFeatureCache(tensor.NewPhantom(g.N(), g.FeatDim), g.InDegrees(), frac)
+	}
+	hit, miss = make([]int64, len(fracs)), make([]int64, len(fracs))
 	plan := sample.PlanEpoch(verts, batch, seed, 0)
-	var total int64
+	s := sample.NewSampler(g.Adj, fanouts)
 	for b, batchVerts := range plan.Batches {
-		for _, blk := range sample.BuildBlocks(g.Adj, batchVerts, fanouts, plan.Seeds[b]) {
-			total += blk.Adj.NNZ()
+		blocks := s.Build(batchVerts, plan.Seeds[b])
+		for _, blk := range blocks {
+			edges += blk.Adj.NNZ()
+		}
+		for i, c := range caches {
+			h, m := c.Count(blocks[0].Src)
+			hit[i] += int64(h) * int64(g.FeatDim)
+			miss[i] += int64(m) * int64(g.FeatDim)
 		}
 	}
-	return total
+	return edges, hit, miss
 }
 
 // fullForward runs the sampled model over the whole graph — no sampling at
@@ -1005,11 +1019,13 @@ func fullForward(g *graph.Graph, weights []*tensor.Dense) *tensor.Dense {
 // Products at 4 GPUs of a DGX-A100, batch 512, fanouts [5,10,15]: feature
 // cache fraction x pipelining, one epoch per cell — simulated epoch seconds,
 // the stream overlap ratio, the pipelining speedup at equal arithmetic and
-// the extract stage's metered gather words — then the elastic pipeline's
-// recovery overhead under one injected fault per row (§7.4): effective
-// simulated seconds over the fault-free epoch at the starting P. Everything
-// but the loss is the output of the cost model and the meter, the same on
-// any host.
+// the extract stage's gather words — then the elastic pipeline's recovery
+// overhead under one injected fault per row (§7.4): effective simulated
+// seconds over the fault-free epoch at the starting P. Cache and pipelining
+// change neither the arithmetic nor the batches, so the cells are scheduled
+// on Products' structure alone, one real epoch gives their loss and one
+// host-only pass over the plan their gather words. Everything but the loss
+// is the output of the cost model and the sampler, the same on any host.
 func runSampled() (*ExperimentResult, error) {
 	g, spec, err := gen.Load("products", false)
 	if err != nil {
@@ -1020,15 +1036,26 @@ func runSampled() (*ExperimentResult, error) {
 		cfg.CacheFrac, cfg.Pipeline = frac, pipeline
 		return cfg
 	}
+	cellCfg := config(0.5, true)
+	cell, err := core.NewSampledTrainer(g, cellCfg)
+	if err != nil {
+		return nil, err
+	}
+	trained, err := cell.RunEpoch()
+	if err != nil {
+		return nil, err
+	}
+	structure := *g // masks kept, so the real epoch's plan
+	structure.Features, structure.Labels = nil, nil
+	fracs := []float64{0, 0.25, 0.5, 0.75}
+	_, hits, misses := sampledEpoch(g, cellCfg.Batch, cellCfg.Fanouts, cellCfg.Seed, fracs...)
 	tab := report.NewTable("Sampled pipeline (Products, 4 GPUs of DGX-A100, batch 512, fanouts 5,10,15; one epoch per cell)",
 		"epoch(s)", "overlap", "vs unpipelined", "cache hit rate", "miss words", "loss")
 	vals := map[string]float64{}
-	for _, frac := range []float64{0, 0.25, 0.5, 0.75} {
+	for i, frac := range fracs {
 		var unpipelined float64
 		for _, pipeline := range []bool{false, true} {
-			cfg := config(frac, pipeline)
-			cfg.CommMeter = comm.NewMeter()
-			tr, err := core.NewSampledTrainer(g, cfg)
+			tr, err := core.NewSampledTrainer(&structure, config(frac, pipeline))
 			if err != nil {
 				return nil, err
 			}
@@ -1036,7 +1063,7 @@ func runSampled() (*ExperimentResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			hit, miss := cfg.CommMeter.Words(sim.CollGatherHit), cfg.CommMeter.Words(sim.CollGatherMiss)
+			hit, miss := hits[i], misses[i]
 			hitRate := 0.0
 			if hit+miss > 0 {
 				hitRate = float64(hit) / float64(hit+miss)
@@ -1054,10 +1081,10 @@ func runSampled() (*ExperimentResult, error) {
 			vals[key+"gather_hit_words"] = float64(hit)
 			vals[key+"gather_miss_words"] = float64(miss)
 			vals[key+"cache_hit_rate"] = hitRate
-			vals[key+"loss"] = stats.Loss
+			vals[key+"loss"] = trained.Loss
 			tab.AddRow(strings.TrimSuffix("cache "+key, "/"), report.Seconds(stats.EpochSeconds),
 				fmt.Sprintf("%.2f", stats.OverlapRatio), speedup, fmt.Sprintf("%.2f", hitRate),
-				fmt.Sprintf("%d", miss), fmt.Sprintf("%.6f", stats.Loss))
+				fmt.Sprintf("%d", miss), fmt.Sprintf("%.6f", trained.Loss))
 		}
 	}
 

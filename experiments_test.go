@@ -3,8 +3,14 @@ package mggcn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"mggcn/internal/comm"
+	"mggcn/internal/core"
+	"mggcn/internal/gen"
+	"mggcn/internal/sim"
 )
 
 // linearFit is the scan deepestFit replaces: every depth from 1 up, stopping
@@ -88,6 +94,81 @@ func TestDeepestFitMatchesLinearScan(t *testing.T) {
 		}
 		if calls > 26 { // 2 log2(maxFitLayers)
 			t.Errorf("%s: %d footprint evaluations", c.name, calls)
+		}
+	}
+}
+
+// TestSampledCellsScheduleOnStructure holds what runSampled schedules its
+// matrix on, at every (cache fraction x pipelining) cell of a small graph:
+// every cell's loss has the same bits, so one real epoch gives them all; the
+// host-only count pass equals the words each replay meters, so the two
+// cells of a fraction meter the same words; and a structure-only twin's
+// simulated epoch, overlap, per-kind busy time and per-device pool charge
+// have its real cell's bits.
+func TestSampledCellsScheduleOnStructure(t *testing.T) {
+	g := gen.Generate("sampled-cells", gen.DefaultBTER(300, 8, 5), 12, 4, false)
+	structure := *g
+	structure.Features, structure.Labels = nil, nil
+	config := func(frac float64, pipeline bool) core.SampledConfig {
+		cfg := core.DefaultSampledConfig(sim.DGXA100(), 4, 1)
+		cfg.Hidden, cfg.Layers, cfg.Fanouts, cfg.Batch = 16, 2, []int{4, 6}, 16
+		cfg.CacheFrac, cfg.Pipeline = frac, pipeline
+		return cfg
+	}
+	fracs := []float64{0, 0.25, 0.5, 0.75}
+	cfg := config(0, false)
+	_, hits, misses := sampledEpoch(g, cfg.Batch, cfg.Fanouts, cfg.Seed, fracs...)
+	if hits[0] != 0 || misses[0] == 0 || hits[2] == 0 {
+		t.Fatalf("count pass: hit words %v, miss words %v", hits, misses)
+	}
+	var loss uint64
+	for i, frac := range fracs {
+		for _, pipeline := range []bool{false, true} {
+			name := fmt.Sprintf("cache %g pipelined %t", frac, pipeline)
+			cfg := config(frac, pipeline)
+			cfg.CommMeter = comm.NewMeter()
+			realTr, err := core.NewSampledTrainer(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := realTr.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 && !pipeline {
+				loss = math.Float64bits(rs.Loss)
+			} else if math.Float64bits(rs.Loss) != loss {
+				t.Errorf("%s: loss %v differs from the first cell's %v", name, rs.Loss, math.Float64frombits(loss))
+			}
+			if h, m := cfg.CommMeter.Words(sim.CollGatherHit), cfg.CommMeter.Words(sim.CollGatherMiss); h != hits[i] || m != misses[i] {
+				t.Errorf("%s: replay metered %d hit and %d miss words, count pass %d and %d", name, h, m, hits[i], misses[i])
+			}
+
+			ph, err := core.NewSampledTrainer(&structure, config(frac, pipeline))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := ph.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(ps.EpochSeconds) != math.Float64bits(rs.EpochSeconds) ||
+				math.Float64bits(ps.OverlapRatio) != math.Float64bits(rs.OverlapRatio) {
+				t.Errorf("%s: phantom epoch %v overlap %v, real %v and %v", name, ps.EpochSeconds, ps.OverlapRatio, rs.EpochSeconds, rs.OverlapRatio)
+			}
+			if len(ps.KindBusy) != len(rs.KindBusy) {
+				t.Errorf("%s: phantom busy kinds %v, real %v", name, ps.KindBusy, rs.KindBusy)
+			}
+			for k, busy := range rs.KindBusy {
+				if math.Float64bits(ps.KindBusy[k]) != math.Float64bits(busy) {
+					t.Errorf("%s: phantom %v busy %v, real %v", name, k, ps.KindBusy[k], busy)
+				}
+			}
+			for d := 0; d < cfg.P; d++ {
+				if ph.PoolUsed(d) != realTr.PoolUsed(d) {
+					t.Errorf("%s: device %d phantom pool %d bytes, real %d", name, d, ph.PoolUsed(d), realTr.PoolUsed(d))
+				}
+			}
 		}
 	}
 }

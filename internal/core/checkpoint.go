@@ -90,11 +90,15 @@ func truncated(what string, err error) error {
 	return fmt.Errorf("core: reading checkpoint %s: %w", what, err)
 }
 
-// writeCheckpoint frames one checkpoint: magic, version, and the dims
-// vector flow through the CRC, body writes the version-specific payload
-// through the same summed stream, and the CRC32 footer lands last, outside
-// the sum.
-func writeCheckpoint(w io.Writer, version uint32, dims []int, body func(cw io.Writer, le binary.ByteOrder) error) error {
+// writeCheckpoint frames one checkpoint of the replicas: magic, version,
+// the dims vector, the version's cursor words (none in version 2) and the
+// replicas' state flow through the CRC, and the CRC32 footer lands last,
+// outside the sum. Phantom replicas have no state to save: both trainers
+// refuse here, before a byte is written.
+func (r *replicas) writeCheckpoint(w io.Writer, version uint32, dims []int, cursor ...uint64) error {
+	if r.phantom {
+		return fmt.Errorf("core: cannot checkpoint a phantom-mode trainer")
+	}
 	bw := bufio.NewWriter(w)
 	cw := &crcWriter{w: bw, sum: crc32.NewIEEE()}
 	le := binary.LittleEndian
@@ -108,7 +112,12 @@ func writeCheckpoint(w io.Writer, version uint32, dims []int, body func(cw io.Wr
 			return err
 		}
 	}
-	if err := body(cw, le); err != nil {
+	for _, x := range cursor {
+		if err := binary.Write(cw, le, x); err != nil {
+			return err
+		}
+	}
+	if err := r.writeState(cw, le); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, le, cw.sum.Sum32()); err != nil {
@@ -119,55 +128,65 @@ func writeCheckpoint(w io.Writer, version uint32, dims []int, body func(cw io.Wr
 
 // readCheckpoint validates the frame writeCheckpoint produced: magic, the
 // exact expected version (anything else is a typed *VersionError), a dims
-// match, then body's payload, then the footer comparison. Body must stage
-// its reads and let the caller apply them only after readCheckpoint returns
-// nil — the footer verdict comes last, and a damaged file must never leave
-// a half-restored model. Every length comes from the trainer (dims, the
-// replicas' shapes), never from a count in the file.
-func readCheckpoint(r io.Reader, version uint32, dims []int, body func(cr io.Reader, le binary.ByteOrder) error) error {
-	br := bufio.NewReader(r)
+// match, the cursor words into cursor, the staged state, then the footer
+// comparison. The caller applies what it read only after readCheckpoint
+// returns nil — the footer verdict comes last, and a damaged file must
+// never leave a half-restored model. Every length comes from the trainer
+// (dims, the replicas' shapes), never from a count in the file. Phantom
+// replicas refuse before reading.
+func (r *replicas) readCheckpoint(rd io.Reader, version uint32, dims []int, cursor ...*uint64) (*modelState, error) {
+	if r.phantom {
+		return nil, fmt.Errorf("core: cannot restore into a phantom-mode trainer")
+	}
+	br := bufio.NewReader(rd)
 	cr := &crcReader{r: br, sum: crc32.NewIEEE()}
 	le := binary.LittleEndian
 	var magic, ver, nDims uint32
 	for _, dst := range []*uint32{&magic, &ver, &nDims} {
 		if err := binary.Read(cr, le, dst); err != nil {
-			return truncated("header", err)
+			return nil, truncated("header", err)
 		}
 	}
 	if magic != ckptMagic {
-		return fmt.Errorf("core: not a checkpoint (magic %#x)", magic)
+		return nil, fmt.Errorf("core: not a checkpoint (magic %#x)", magic)
 	}
 	if ver != version {
-		return &VersionError{Got: ver, Want: version}
+		return nil, &VersionError{Got: ver, Want: version}
 	}
 	if int(nDims) != len(dims) {
-		return fmt.Errorf("core: checkpoint has %d dims, trainer has %d", nDims, len(dims))
+		return nil, fmt.Errorf("core: checkpoint has %d dims, trainer has %d", nDims, len(dims))
 	}
 	for i := range dims {
 		var d uint32
 		if err := binary.Read(cr, le, &d); err != nil {
-			return truncated("layer dims", err)
+			return nil, truncated("layer dims", err)
 		}
 		if int(d) != dims[i] {
-			return fmt.Errorf("core: checkpoint dim[%d]=%d, trainer has %d", i, d, dims[i])
+			return nil, fmt.Errorf("core: checkpoint dim[%d]=%d, trainer has %d", i, d, dims[i])
 		}
 	}
-	if err := body(cr, le); err != nil {
-		return err
+	for _, dst := range cursor {
+		if err := binary.Read(cr, le, dst); err != nil {
+			return nil, truncated("sampler cursor", err)
+		}
+	}
+	st, err := r.readState(cr, le)
+	if err != nil {
+		return nil, err
 	}
 	// Footer: read the stored CRC outside the summed stream and compare.
 	computed := cr.sum.Sum32()
 	var stored uint32
 	if err := binary.Read(br, le, &stored); err != nil {
-		return truncated("checksum footer", err)
+		return nil, truncated("checksum footer", err)
 	}
 	if stored != computed {
-		return &CorruptCheckpointError{Stored: stored, Computed: computed}
+		return nil, &CorruptCheckpointError{Stored: stored, Computed: computed}
 	}
 	if _, err := br.ReadByte(); err == nil { // an accepted file saves back byte for byte
-		return fmt.Errorf("core: checkpoint continues past its checksum footer")
+		return nil, fmt.Errorf("core: checkpoint continues past its checksum footer")
 	}
-	return nil
+	return st, nil
 }
 
 // SaveCheckpointAtomic writes a checkpoint through save to a temp file in
@@ -201,10 +220,7 @@ func SaveCheckpointAtomic(path string, save func(w io.Writer) error) error {
 // CRC32 footer LoadCheckpoint verifies. Phantom-mode trainers have no state
 // to save and return an error.
 func (tr *Trainer) SaveCheckpoint(w io.Writer) error {
-	if tr.phantom {
-		return fmt.Errorf("core: cannot checkpoint a phantom-mode trainer")
-	}
-	return writeCheckpoint(w, ckptVersion, tr.Dims, tr.writeState)
+	return tr.writeCheckpoint(w, ckptVersion, tr.Dims)
 }
 
 // LoadCheckpoint restores model and optimizer state saved by
@@ -213,14 +229,7 @@ func (tr *Trainer) SaveCheckpoint(w io.Writer) error {
 // the checkpoint's. Truncation and corruption come back as descriptive
 // errors — never a panic, never a half-restored model.
 func (tr *Trainer) LoadCheckpoint(r io.Reader) error {
-	if tr.phantom {
-		return fmt.Errorf("core: cannot restore into a phantom-mode trainer")
-	}
-	var st *modelState
-	err := readCheckpoint(r, ckptVersion, tr.Dims, func(cr io.Reader, le binary.ByteOrder) (err error) {
-		st, err = tr.readState(cr, le)
-		return err
-	})
+	st, err := tr.readCheckpoint(r, ckptVersion, tr.Dims)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -16,16 +15,9 @@ import (
 // the checkpoint is a resume point, not an approximation.
 
 // SaveCheckpoint writes the sampler cursor plus model and optimizer state
-// to w in the version-3 format.
+// to w in the version-3 format. Phantom-mode trainers return an error.
 func (tr *SampledTrainer) SaveCheckpoint(w io.Writer) error {
-	return writeCheckpoint(w, ckptVersionSampled, tr.Dims, func(cw io.Writer, le binary.ByteOrder) error {
-		for _, x := range []uint64{uint64(tr.Cfg.Seed), uint64(tr.cursor.Epoch), uint64(tr.cursor.NextBatch)} {
-			if err := binary.Write(cw, le, x); err != nil {
-				return err
-			}
-		}
-		return tr.writeState(cw, le)
-	})
+	return tr.writeCheckpoint(w, ckptVersionSampled, tr.Dims, uint64(tr.Cfg.Seed), uint64(tr.cursor.Epoch), uint64(tr.cursor.NextBatch))
 }
 
 // LoadCheckpoint restores a version-3 checkpoint into every device replica
@@ -36,16 +28,7 @@ func (tr *SampledTrainer) SaveCheckpoint(w io.Writer) error {
 // (full-batch) files are rejected with a *VersionError.
 func (tr *SampledTrainer) LoadCheckpoint(r io.Reader) error {
 	var seed, epoch, nextBatch uint64
-	var st *modelState
-	err := readCheckpoint(r, ckptVersionSampled, tr.Dims, func(cr io.Reader, le binary.ByteOrder) (err error) {
-		for _, dst := range []*uint64{&seed, &epoch, &nextBatch} {
-			if err := binary.Read(cr, le, dst); err != nil {
-				return truncated("sampler cursor", err)
-			}
-		}
-		st, err = tr.readState(cr, le)
-		return err
-	})
+	st, err := tr.readCheckpoint(r, ckptVersionSampled, tr.Dims, &seed, &epoch, &nextBatch)
 	if err != nil {
 		return err
 	}

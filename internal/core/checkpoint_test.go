@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mggcn/internal/gen"
-	"mggcn/internal/graph"
 	"mggcn/internal/tensor"
 )
 
@@ -178,30 +177,30 @@ func TestCheckpointRejectsOldVersion(t *testing.T) {
 	}
 }
 
+// TestCheckpointPhantomRefused: a phantom trainer of either kind has no
+// state, so it refuses to save, writing nothing, and refuses to load even a
+// checkpoint its real twin wrote at the same dims.
 func TestCheckpointPhantomRefused(t *testing.T) {
-	if testing.Short() {
-		t.Skip("phantom products epoch: long e2e, skipped in -short")
-	}
-	g, err := loadPhantomProducts()
+	full, sampled := fuzzTrainers(t)
+	g := gen.Generate("ckpt-fuzz", goldenBTER, 3, 2, true)
+	cfg, scfg := testConfig(2), testSampledConfig(2)
+	cfg.Hidden, scfg.Hidden = 2, 2
+	phFull, err := NewTrainer(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(testConfig(1).Spec, 1, 64)
-	tr, err := NewTrainer(g, cfg)
+	phSampled, err := NewSampledTrainer(g, scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tr.SaveCheckpoint(&buf); err == nil {
-		t.Fatalf("phantom save accepted")
+	for _, pair := range [][2]checkpointer{{phFull, full}, {phSampled, sampled}} {
+		phantom, twin := pair[0], pair[1]
+		var buf bytes.Buffer
+		if err := phantom.SaveCheckpoint(&buf); err == nil || buf.Len() != 0 {
+			t.Errorf("%T: phantom save wrote %d bytes, err %v", phantom, buf.Len(), err)
+		}
+		if err := phantom.LoadCheckpoint(bytes.NewReader(saved(t, twin))); err == nil || !strings.Contains(err.Error(), "phantom") {
+			t.Errorf("%T: phantom load of its real twin's checkpoint: err %v", phantom, err)
+		}
 	}
-	if err := tr.LoadCheckpoint(&buf); err == nil {
-		t.Fatalf("phantom load accepted")
-	}
-}
-
-// loadPhantomProducts is a tiny helper for the phantom-refusal test.
-func loadPhantomProducts() (*graph.Graph, error) {
-	g, _, err := gen.Load("products", true)
-	return g, err
 }

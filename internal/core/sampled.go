@@ -122,8 +122,9 @@ type sampledBuffers struct {
 }
 
 // newSampledBuffers allocates the slab set on pool for device dev, where
-// caps are the frontier bounds (len L+1) and dims the layer widths.
-func newSampledBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, caps, dims []int) (*sampledBuffers, error) {
+// caps are the frontier bounds (len L+1) and dims the layer widths; phantom
+// slabs are charged and registered without storage.
+func newSampledBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, caps, dims []int, phantom bool) (*sampledBuffers, error) {
 	L := len(dims) - 1
 	var gCap int64
 	for l := 0; l < L; l++ {
@@ -134,15 +135,15 @@ func newSampledBuffers(reg *sim.BufRegistry, dev int, pool *sim.Pool, caps, dims
 	if b.X, err = newBuffer(reg, dev, pool, "buf/x", int64(caps[0])*int64(dims[0]), true); err != nil {
 		return nil, err
 	}
-	if b.G, err = newBuffer(reg, dev, pool, "buf/G", gCap, false); err != nil {
+	if b.G, err = newBuffer(reg, dev, pool, "buf/G", gCap, phantom); err != nil {
 		return nil, err
 	}
 	for l := 0; l < L; l++ {
 		rows := int64(caps[l+1])
-		if b.AH[l], err = newBuffer(reg, dev, pool, fmt.Sprintf("buf/AH%d", l), rows*int64(dims[l]), false); err != nil {
+		if b.AH[l], err = newBuffer(reg, dev, pool, fmt.Sprintf("buf/AH%d", l), rows*int64(dims[l]), phantom); err != nil {
 			return nil, err
 		}
-		if b.OUT[l], err = newBuffer(reg, dev, pool, fmt.Sprintf("buf/OUT%d", l+1), rows*int64(dims[l+1]), false); err != nil {
+		if b.OUT[l], err = newBuffer(reg, dev, pool, fmt.Sprintf("buf/OUT%d", l+1), rows*int64(dims[l+1]), phantom); err != nil {
 			return nil, err
 		}
 	}
@@ -219,8 +220,10 @@ type samplerCursor struct {
 
 // NewSampledTrainer allocates the replicated model, builds the per-device
 // feature caches and frontier-capped slab sets, and registers every
-// device-resident buffer with the sanitizer. Sampling needs real features
-// and labels, so phantom datasets are rejected.
+// device-resident buffer with the sanitizer. A structure-only graph
+// (Features nil) gets a shape-only feature store and slabs: its epochs are
+// recorded, folded and scheduled like a real one's, at the same costs, and
+// not replayed, so they carry no loss, meter words or validation accuracy.
 func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, error) {
 	if err := validateModelOnMachine(cfg.Spec, cfg.P, cfg.MemScale, cfg.Layers, cfg.Hidden, cfg.LR); err != nil {
 		return nil, err
@@ -239,9 +242,6 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	if cfg.CacheFrac < 0 || cfg.CacheFrac > 1 {
 		return nil, fmt.Errorf("core: cache fraction %v outside [0,1]", cfg.CacheFrac)
 	}
-	if g.IsPhantom() {
-		return nil, fmt.Errorf("core: sampled training needs materialized features")
-	}
 	if err := validateTrainSplit(g); err != nil {
 		return nil, err
 	}
@@ -249,23 +249,26 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 	init := nn.InitWeights(dims, cfg.Seed)
 	tr := &SampledTrainer{
 		Cfg: cfg, Graph: g, Dims: dims,
-		replicas: newReplicas(newReplayer(cfg.Spec, cfg.P, cfg.MemScale, false), init),
+		replicas: newReplicas(newReplayer(cfg.Spec, cfg.P, cfg.MemScale, g.IsPhantom()), init),
 		avgDeg:   g.AvgDegree(),
 	}
 	machine, degrees := tr.Machine, g.InDegrees()
 	tr.caps = sample.FrontierCaps(g.N(), cfg.Batch, cfg.Fanouts)
 	// The host feature store: a fresh view struct over the dataset's
-	// storage, registered under its own name so the dataset matrix itself
-	// is never stamped (other trainers may register the same storage).
-	fv := *g.Features
-	tr.feat = &fv
+	// storage (its shape alone on a phantom), registered under its own name
+	// so the dataset matrix itself is never stamped (other trainers may
+	// register the same storage).
+	tr.feat = tensor.NewPhantom(g.N(), g.FeatDim)
+	if !tr.phantom {
+		*tr.feat = *g.Features
+	}
 	registerDense(tr.reg, tr.reg.Register("host/x"), tr.feat)
 	for d := 0; d < machine.P; d++ {
 		if err := tr.add(init, cfg.LR); err != nil {
 			return nil, err
 		}
 		dv := &sampledDevice{tr: tr, weights: tr.weights[d], grads: tr.grads[d], labels: make([]int32, tr.caps[cfg.Layers])}
-		dv.cache = sample.NewFeatureCache(g.Features, degrees, cfg.CacheFrac)
+		dv.cache = sample.NewFeatureCache(tr.feat, degrees, cfg.CacheFrac)
 		if err := machine.Pools[d].Alloc("cache", dv.cache.Slab.Bytes()); err != nil {
 			return nil, err
 		}
@@ -273,7 +276,7 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 		// live-slab universe memcheck and the allocation meter count.
 		registerDense(tr.reg, tr.reg.RegisterOn(fmt.Sprintf("d%d/buf/cache", d), d, true), dv.cache.Slab)
 		var err error
-		if dv.sampledBuffers, err = newSampledBuffers(tr.reg, d, machine.Pools[d], tr.caps, tr.Dims); err != nil {
+		if dv.sampledBuffers, err = newSampledBuffers(tr.reg, d, machine.Pools[d], tr.caps, tr.Dims, tr.phantom); err != nil {
 			return nil, err
 		}
 		for k := 0; k < tr.Depth(); k++ {
@@ -288,7 +291,9 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 		if g.TrainMask == nil || g.TrainMask[v] {
 			tr.trainVerts = append(tr.trainVerts, int32(v))
 		}
-		if g.ValMask != nil && g.ValMask[v] {
+		// A phantom has no features to validate on: no validation
+		// vertices, so no validation statistic and no early stop.
+		if g.ValMask != nil && g.ValMask[v] && !tr.phantom {
 			tr.valVerts = append(tr.valVerts, int32(v))
 		}
 	}

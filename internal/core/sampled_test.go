@@ -450,3 +450,33 @@ func TestSampledStagingSlabEdgeFlagged(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledPhantomSkipsValidation: a structure-only twin of a graph with a
+// val mask, under TrackVal and a patience, has no features to validate on.
+// It trains every epoch with no validation statistic and no early stop,
+// rather than running the validation forward over no features and labels.
+func TestSampledPhantomSkipsValidation(t *testing.T) {
+	g := *testGraph(t)
+	if nn.MaskCount(g.ValMask, 0) == 0 {
+		t.Fatal("fixture has no validation vertices")
+	}
+	g.Features, g.Labels = nil, nil
+	cfg := testSampledConfig(2)
+	cfg.TrackVal, cfg.EarlyStopPatience = true, 1
+	tr, err := NewSampledTrainer(&g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := tr.Train(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 3 {
+		t.Fatalf("phantom run stopped early after %d of 3 epochs", len(stats))
+	}
+	for e, s := range stats {
+		if s.ValAcc != 0 || s.Loss != 0 || !(s.EpochSeconds > 0) {
+			t.Errorf("epoch %d: val-acc %v loss %v sim %v, want 0, 0 and a scheduled epoch", e, s.ValAcc, s.Loss, s.EpochSeconds)
+		}
+	}
+}

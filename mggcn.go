@@ -372,8 +372,8 @@ type SampledTrainer struct {
 }
 
 // NewSampledTrainer builds the replicated model and per-device feature
-// caches. Sampling gathers real feature rows and labels, so phantom
-// datasets are rejected.
+// caches. On a phantom dataset its epochs are scheduled at the real run's
+// costs but not computed: loss, accuracy and validation stay 0.
 func NewSampledTrainer(ds *Dataset, o SampledOptions) (*SampledTrainer, error) {
 	if o.GPUs < 1 {
 		return nil, fmt.Errorf("mggcn: GPUs must be >= 1")

@@ -681,6 +681,30 @@ func TestSampledDegenerateConfigs(t *testing.T) {
 			}
 		})
 	}
+	// A structure-only dataset trains an epoch scheduled exactly as its real
+	// twin's is (the twin drops its split: a generated phantom has none).
+	t.Run("phantom dataset", func(t *testing.T) {
+		o := DefaultSampledOptions(DGXA100(), 2)
+		o.Hidden, o.Layers, o.Batch, o.Fanouts = 8, 2, 16, []int{3, 4}
+		o.TrackVal = true
+		twin := SynthesizeDataset("degenerate", 200, 6, 10, 4, 3, false)
+		twin.g.TrainMask, twin.g.ValMask, twin.g.TestMask = nil, nil, nil
+		var seconds []float64
+		for _, ds := range []*Dataset{SynthesizeDataset("degenerate", 200, 6, 10, 4, 3, true), twin} {
+			tr, err := NewSampledTrainer(ds, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := tr.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seconds = append(seconds, stats.EpochSeconds)
+		}
+		if !(seconds[0] > 0) || seconds[0] != seconds[1] {
+			t.Fatalf("phantom epoch %v s, real twin's %v s", seconds[0], seconds[1])
+		}
+	})
 	// An empty training split is refused, in the full-batch trainer's words:
 	// a run over it would return empty stats and bump the cursor forever.
 	t.Run("empty training split", func(t *testing.T) {

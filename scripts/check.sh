@@ -22,6 +22,12 @@ go build ./...
 echo "==> mggcn-vet (domain rules)"
 go run ./cmd/mggcn-vet ./...
 
+echo "==> mggcn-train smoke"
+# One phantom Products epoch through the CLI, full-batch then sampled: exit 0
+# is the assertion.
+go run ./cmd/mggcn-train -dataset products -gpus 4 -phantom -epochs 1 > /dev/null
+go run ./cmd/mggcn-train -dataset products -gpus 4 -phantom -epochs 1 -sampled > /dev/null
+
 echo "==> non-test LOC (scripts/loc.sh)"
 # The ROADMAP tracks non-test Go lines per package; internal/core and the
 # repository total have ceilings that only go down.
