@@ -36,7 +36,7 @@ func main() {
 		machine   = flag.String("machine", "a100", "machine: v100 or a100")
 		gpus      = flag.Int("gpus", 1, "number of GPUs (1-8)")
 		epochs    = flag.Int("epochs", 20, "training epochs")
-		hidden    = flag.Int("hidden", 512, "hidden layer width")
+		hidden    = flag.Int("hidden", 512, "hidden layer width (sampled: 128 unless given)")
 		layers    = flag.Int("layers", 2, "layer count")
 		lr        = flag.Float64("lr", 0.01, "Adam learning rate")
 		phantom   = flag.Bool("phantom", false, "structure-only run: timing and memory, no real math")
@@ -104,7 +104,8 @@ func main() {
 		}
 		// -layers and -fanouts must agree in sampled mode; when only one was
 		// given explicitly, the other follows it instead of fighting its
-		// default (the fanout list trims from the outermost hop).
+		// default (the fanout list trims from the outermost hop). -hidden's
+		// default is the full-batch model's, so it applies only when given.
 		explicit := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 		sampledLayers, fanoutStr := *layers, *fanouts
@@ -117,7 +118,10 @@ func main() {
 			sampledLayers = len(strings.Split(fanoutStr, ","))
 		}
 		o := mggcn.DefaultSampledOptions(spec, *gpus)
-		o.Hidden, o.Layers, o.LR = *hidden, sampledLayers, *lr
+		o.Layers, o.LR = sampledLayers, *lr
+		if explicit["hidden"] {
+			o.Hidden = *hidden
+		}
 		o.Batch, o.CacheFrac = *batch, *cacheFrac
 		o.EarlyStopPatience = *patience
 		o.TrackVal = *patience > 0

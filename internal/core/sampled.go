@@ -252,7 +252,6 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 		replicas: newReplicas(newReplayer(cfg.Spec, cfg.P, cfg.MemScale, g.IsPhantom()), init),
 		avgDeg:   g.AvgDegree(),
 	}
-	machine, degrees := tr.Machine, g.InDegrees()
 	tr.caps = sample.FrontierCaps(g.N(), cfg.Batch, cfg.Fanouts)
 	// The host feature store: a fresh view struct over the dataset's
 	// storage (its shape alone on a phantom), registered under its own name
@@ -263,27 +262,30 @@ func NewSampledTrainer(g *graph.Graph, cfg SampledConfig) (*SampledTrainer, erro
 		*tr.feat = *g.Features
 	}
 	registerDense(tr.reg, tr.reg.Register("host/x"), tr.feat)
-	for d := 0; d < machine.P; d++ {
+	// One degree order, read-only, for every device's cache of its own slab.
+	cache := sample.NewFeatureCache(tr.feat, g.InDegrees(), cfg.CacheFrac)
+	for d := 0; d < tr.Machine.P; d++ {
 		if err := tr.add(init, cfg.LR); err != nil {
 			return nil, err
 		}
 		dv := &sampledDevice{tr: tr, weights: tr.weights[d], grads: tr.grads[d], labels: make([]int32, tr.caps[cfg.Layers])}
-		dv.cache = sample.NewFeatureCache(tr.feat, degrees, cfg.CacheFrac)
-		if err := machine.Pools[d].Alloc("cache", dv.cache.Slab.Bytes()); err != nil {
+		dv.cache = &sample.FeatureCache{Slab: tensor.NewPhantom(cache.Slab.Rows, cache.Slab.Cols), Pos: cache.Pos, MassFraction: cache.MassFraction}
+		if err := tr.Machine.Pools[d].Alloc("cache", dv.cache.Slab.Bytes()); err != nil {
 			return nil, err
 		}
 		// The cache is a §4.2-style slab: registered as one, it is in the
 		// live-slab universe memcheck and the allocation meter count.
 		registerDense(tr.reg, tr.reg.RegisterOn(fmt.Sprintf("d%d/buf/cache", d), d, true), dv.cache.Slab)
 		var err error
-		if dv.sampledBuffers, err = newSampledBuffers(tr.reg, d, machine.Pools[d], tr.caps, tr.Dims, tr.phantom); err != nil {
+		if dv.sampledBuffers, err = newSampledBuffers(tr.reg, d, tr.Machine.Pools[d], tr.caps, tr.Dims, tr.phantom); err != nil {
 			return nil, err
 		}
 		for k := 0; k < tr.Depth(); k++ {
-			dv.slots = append(dv.slots, handoffSlot{
-				id:      tr.reg.RegisterOn(fmt.Sprintf("d%d/slot%d", d, k), d, false),
-				sampler: sample.NewSampler(g.Adj, cfg.Fanouts),
-			})
+			sl := handoffSlot{id: tr.reg.RegisterOn(fmt.Sprintf("d%d/slot%d", d, k), d, false)}
+			if !tr.phantom { // a phantom never replays, so never samples
+				sl.sampler = sample.NewSampler(g.Adj, cfg.Fanouts)
+			}
+			dv.slots = append(dv.slots, sl)
 		}
 		tr.devs = append(tr.devs, dv)
 	}

@@ -54,12 +54,12 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("sample: Intn with n <= 0")
 	}
-	// Modulo with rejection of the biased tail.
+	// Modulo with rejection of the biased tail, the draws below 2⁶⁴ mod n.
+	// That bound is less than n, so a draw of at least n skips computing it.
 	bound := uint64(n)
-	limit := -bound % bound // == 2^64 mod n
 	for {
 		v := r.Uint64()
-		if v >= limit {
+		if v >= bound || v >= -bound%bound {
 			return int(v % bound)
 		}
 	}

@@ -40,7 +40,8 @@ func BuildBlocks(adj *sparse.CSR, batch []int32, fanouts []int, seed int64) []*B
 // per-vertex bitmap that collects each frontier, a per-vertex array of the
 // frontier's local indices, and per-hop arenas the blocks are emitted into
 // directly in CSR form. The arenas grow on demand, so once a Sampler has seen
-// the largest batch of a run, Build allocates nothing.
+// the largest batch of a run, Build allocates nothing. Each hop is one pass
+// over its destination rows (buildLevel) and one over the bitmap (drain).
 //
 // The blocks a Build returns alias the arenas and stay valid until the next
 // Build on the same Sampler; a pipeline that samples step s+1 while step s
@@ -62,6 +63,8 @@ type Sampler struct {
 	pick   []int   // PickK's output, max fanout long
 	levels []level
 	blocks []*Block
+
+	touched int32 // touchRows' sink
 }
 
 // level is one hop's output arena.
@@ -141,41 +144,43 @@ func (s *Sampler) drain(out []int32) []int32 {
 // multiplicity over the row's entry count — FromCoo's duplicate sum followed
 // by NormalizeRowMean, bit for bit. Hop 0 also keeps the row's global
 // column ids, as AdjGlobal.
+//
+// Rows go in chunks of rowChunk, each first read ahead by touchRows. A
+// graph row is strictly ascending, so a block row is ascending without a
+// sort of its columns: pickRow appends them in the graph row's order after
+// the self-loop, which then moves to its place, merging with a graph
+// self-loop into one entry that counts twice.
 func (s *Sampler) buildLevel(h int, dst []int32) []int32 {
 	lv := &s.levels[h]
 	fanout := s.fanouts[h]
 	rowPtr := append(lv.adj.RowPtr[:0], 0)
 	colIdx, vals := lv.adj.ColIdx[:0], lv.adj.Vals[:0]
-	for _, v := range dst {
+	for i, v := range dst {
+		if i%rowChunk == 0 {
+			s.touchRows(dst[i:min(i+rowChunk, len(dst))])
+		}
 		start := len(colIdx)
-		colIdx = append(colIdx, v)
 		cols, _ := s.adj.Row(int(v))
-		if len(cols) <= fanout {
-			colIdx = append(colIdx, cols...)
-		} else {
-			for _, idx := range s.rng.PickK(s.pick[:fanout], len(cols)) {
-				colIdx = append(colIdx, cols[idx])
-			}
-		}
+		colIdx = s.pickRow(append(colIdx, v), cols, fanout)
 		row := colIdx[start:]
-		slices.Sort(row)
-		entries := float64(len(row))
-		// Collapse equal neighbours in place (a graph self-loop meets the
-		// added one) and weight each by its count.
-		out := start
-		for i := 0; i < len(row); {
-			j := i + 1
-			for j < len(row) && row[j] == row[i] {
-				j++
-			}
-			s.add(row[i])
-			colIdx[out] = row[i]
-			out++
-			vals = append(vals, float32(float64(float32(j-i))/entries))
-			i = j
+		k := 1
+		for ; k < len(row) && row[k] < v; k++ {
+			row[k-1] = row[k]
 		}
-		colIdx = colIdx[:out]
-		rowPtr = append(rowPtr, int64(out))
+		row[k-1] = v
+		w := float32(float64(float32(1)) / float64(len(row)))
+		self := w
+		if k < len(row) && row[k] == v {
+			self = float32(float64(float32(2)) / float64(len(row)))
+			row = slices.Delete(row, k, k+1)
+		}
+		for _, u := range row {
+			s.add(u)
+			vals = append(vals, w)
+		}
+		vals[start+k-1] = self
+		colIdx = colIdx[:start+len(row)]
+		rowPtr = append(rowPtr, int64(len(colIdx)))
 	}
 	if h == 0 {
 		lv.gcol = append(lv.gcol[:0], colIdx...)
@@ -196,4 +201,59 @@ func (s *Sampler) buildLevel(h int, dst []int32) []int32 {
 	}
 	lv.blk.Src, lv.blk.Dst = src, dst
 	return src
+}
+
+// rowChunk is how many rows touchRows reads ahead, few enough that what it
+// loads is still in L1 when their turn comes.
+const rowChunk = 64
+
+// touchRows loads the graph rows of verts into cache: each one's RowPtr
+// entries and its first and last columns. The loads are independent, so
+// their misses overlap instead of coming one per row; the words go to a
+// field nothing reads so that they stay loads.
+func (s *Sampler) touchRows(verts []int32) {
+	var x int32
+	for _, v := range verts {
+		if lo, hi := s.adj.RowPtr[v], s.adj.RowPtr[v+1]; lo < hi {
+			x ^= s.adj.ColIdx[lo] ^ s.adj.ColIdx[hi-1]
+		}
+	}
+	s.touched = x
+}
+
+// identity is Fisher–Yates' starting array for rows of at most 64 columns.
+var identity = func() (a [64]uint8) {
+	for i := range a {
+		a[i] = uint8(i)
+	}
+	return a
+}()
+
+// pickRow appends to out the columns of cols a row keeps, ascending: all of
+// them when there are at most fanout, else the fanout that PickK draws. A
+// row of at most 64 columns draws them by Fisher–Yates over a real identity
+// array (the values PickK's virtual one yields, from the same stream) into a
+// mask read out lowest bit first; a longer row sorts its pick indices.
+func (s *Sampler) pickRow(out, cols []int32, fanout int) []int32 {
+	switch deg := len(cols); {
+	case deg <= fanout:
+		return append(out, cols...)
+	case deg <= 64:
+		a, mask := identity, uint64(0)
+		for i := range fanout {
+			j := i + s.rng.Intn(deg-i)
+			mask |= 1 << a[j]
+			a[j] = a[i]
+		}
+		for ; mask != 0; mask &= mask - 1 {
+			out = append(out, cols[bits.TrailingZeros64(mask)])
+		}
+		return out
+	}
+	pick := s.rng.PickK(s.pick[:fanout], len(cols))
+	slices.Sort(pick)
+	for _, idx := range pick {
+		out = append(out, cols[idx])
+	}
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"mggcn/internal/gen"
 	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
 )
@@ -151,26 +152,143 @@ func TestSamplerMatchesReference(t *testing.T) {
 				if s.rng.state != wantRNG.state {
 					t.Fatalf("%s: stream position differs", name)
 				}
-				for h := range want {
-					w, g := want[h], got[h]
-					if !slices.Equal(g.Src, w.Src) || !slices.Equal(g.Dst, w.Dst) {
-						t.Fatalf("%s block %d: frontiers differ", name, h)
-					}
-					if !sameCSR(g.Adj, w.Adj) {
-						t.Fatalf("%s block %d: adjacency differs", name, h)
-					}
-					if err := g.Adj.Validate(); err != nil {
-						t.Fatalf("%s block %d: %v", name, h, err)
-					}
-					if h == 0 {
-						if g.AdjT != nil {
-							t.Fatalf("%s: the outermost block carries a transpose nobody reads", name)
-						}
-					} else if !sameCSR(g.AdjT, w.Adj.Transpose()) {
-						t.Fatalf("%s block %d: cached transpose differs from Adj.Transpose()", name, h)
-					}
+				if msg := diffBlocks(got, want, n); msg != "" {
+					t.Fatalf("%s: %s", name, msg)
 				}
 			}
+		}
+	}
+}
+
+// diffBlocks describes the first way a Sampler's blocks differ from the
+// reference construction's, or returns "" when they match bit for bit:
+// frontiers, adjacency, the cached transpose (none on the outermost block)
+// and the outermost block's global columns (none on the others).
+func diffBlocks(got, want []*Block, n int) string {
+	for h := range want {
+		w, g := want[h], got[h]
+		switch {
+		case !slices.Equal(g.Src, w.Src) || !slices.Equal(g.Dst, w.Dst):
+			return fmt.Sprintf("block %d: frontiers differ", h)
+		case !sameCSR(g.Adj, w.Adj):
+			return fmt.Sprintf("block %d: adjacency differs", h)
+		case g.Adj.Validate() != nil:
+			return fmt.Sprintf("block %d: %v", h, g.Adj.Validate())
+		case h == 0 && g.AdjT != nil:
+			return "the outermost block carries a transpose nobody reads"
+		case h > 0 && !sameCSR(g.AdjT, w.Adj.Transpose()):
+			return fmt.Sprintf("block %d: cached transpose differs from Adj.Transpose()", h)
+		case h > 0 && g.AdjGlobal != nil:
+			return fmt.Sprintf("block %d carries a global adjacency nobody reads", h)
+		}
+	}
+	if len(want) == 0 {
+		return ""
+	}
+	g, adj := got[0].AdjGlobal, want[0].Adj
+	if g.Rows != adj.Rows || g.Cols != n || !slices.Equal(g.RowPtr, adj.RowPtr) || !slices.Equal(g.Vals, adj.Vals) ||
+		len(g.ColIdx) != len(adj.ColIdx) {
+		return "the global block does not share Adj's rows and values"
+	}
+	for k, c := range adj.ColIdx {
+		if g.ColIdx[k] != want[0].Src[c] {
+			return fmt.Sprintf("global column %d is %d, Src[%d] = %d", k, g.ColIdx[k], c, want[0].Src[c])
+		}
+	}
+	return ""
+}
+
+// FuzzSamplerMatchesReference holds a reused Sampler to the reference
+// construction over fuzzed graphs: 66-125 vertices with strictly ascending
+// rows whose degrees (one byte each, cycled) spread over 0..n, so across the
+// fanout and across 64, some with their own self-loop, and vertex 0 a hub of
+// more than 64. Two consecutive Builds over a fuzzed batch with a duplicate,
+// at 1-3 fanouts of 1-70, must match refBuildBlocks bit for bit and leave the
+// stream where it does.
+func FuzzSamplerMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 10, 200, 64, 255, 3}, []byte{1, 2, 2, 0, 70}, []byte{9, 4}, int64(1))
+	f.Add([]byte{59, 127, 90, 30, 129, 1, 66}, []byte{0, 65, 124, 3, 3}, []byte{69, 63, 0}, int64(-7))
+	f.Add([]byte{17}, []byte{}, []byte{}, int64(3))
+	f.Fuzz(func(t *testing.T, degs, batch, fans []byte, seed int64) {
+		if len(degs) == 0 {
+			return
+		}
+		n := 66 + int(degs[0])%60
+		gen := NewRNG(^seed)
+		var entries []sparse.Coo
+		for v := 0; v < n; v++ {
+			b := degs[v%len(degs)]
+			deg := int(b&0x7f) * n / 127
+			if v == 0 {
+				deg = max(deg, 65)
+			}
+			for _, u := range gen.PickK(make([]int, deg), n) {
+				entries = append(entries, sparse.Coo{Row: int32(v), Col: int32(u)})
+			}
+			if b&0x80 != 0 {
+				entries = append(entries, sparse.Coo{Row: int32(v), Col: int32(v)})
+			}
+		}
+		adj := sparse.FromCoo(n, n, entries, false)
+		fanouts := []int{1}
+		if len(fans) > 0 {
+			fanouts = fanouts[:0]
+			for _, b := range fans[:min(len(fans), 3)] {
+				fanouts = append(fanouts, 1+int(b)%70)
+			}
+		}
+		s := NewSampler(adj, fanouts)
+		for rep := 0; rep < 2; rep++ {
+			verts := []int32{0}
+			for _, b := range batch {
+				verts = append(verts, int32((int(b)+rep*37)%n))
+			}
+			verts = append(verts, verts[len(verts)-1])
+			want, wantRNG := refBuildBlocks(adj, verts, fanouts, seed+int64(rep))
+			got := s.Build(verts, seed+int64(rep))
+			if s.rng.state != wantRNG.state {
+				t.Fatalf("build %d: stream position differs", rep)
+			}
+			if msg := diffBlocks(got, want, n); msg != "" {
+				t.Fatalf("build %d, fanouts %v: %s", rep, fanouts, msg)
+			}
+		}
+	})
+}
+
+// refIntn is Intn as it was before it skipped the bound's computation: two
+// divisions per draw. It also reports whether it rejected any draw.
+func refIntn(r *RNG, n int) (int, bool) {
+	bound := uint64(n)
+	limit := -bound % bound // == 2^64 mod n
+	for rejected := false; ; rejected = true {
+		if v := r.Uint64(); v >= limit {
+			return int(v % bound), rejected
+		}
+	}
+}
+
+// TestIntnMatchesRejection: Intn draws what the two-division rejection loop
+// draws and leaves the stream where it does, at small bounds and at large
+// ones where a quarter of the draws fall in the rejected tail.
+func TestIntnMatchesRejection(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 10, 64, 1000, 1 << 31, 1<<62 + 1, 3 << 61} {
+		got, want := NewRNG(int64(n)), NewRNG(int64(n))
+		rejections := 0
+		for i := 0; i < 1_000_000; i++ {
+			w, rejected := refIntn(want, n)
+			if g := got.Intn(n); g != w {
+				t.Fatalf("Intn(%d) draw %d: %d, reference %d", n, i, g, w)
+			}
+			if rejected {
+				rejections++
+			}
+		}
+		if got.state != want.state {
+			t.Fatalf("Intn(%d): stream positions differ", n)
+		}
+		if n > 1<<62 && rejections == 0 {
+			t.Fatalf("Intn(%d): no draw was rejected, so the test did not reach the rejection path", n)
 		}
 	}
 }
@@ -282,5 +400,40 @@ func TestPickKMatchesReference(t *testing.T) {
 	}
 	if got.state != want.state {
 		t.Fatal("stream positions differ after the grid")
+	}
+}
+
+// BenchmarkSamplerEpoch builds one epoch's plan with one reused Sampler at the
+// sampled benchmark workloads' shapes: their BTER graph (seed 1), training
+// split, batch size and fanouts. It is the sample task's host cost for a
+// whole epoch on one device.
+func BenchmarkSamplerEpoch(b *testing.B) {
+	for _, w := range []struct {
+		name    string
+		n       int
+		deg     float64
+		batch   int
+		fanouts []int
+	}{
+		{"sampled-thin", 120000, 15, 256, []int{10, 10}},
+		{"sampled-fanout", 16384, 52, 512, []int{5, 10, 15}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			g := gen.Generate(w.name, gen.DefaultBTER(w.n, w.deg, 1), 1, 2, false)
+			var train []int32
+			for v, ok := range g.TrainMask {
+				if ok {
+					train = append(train, int32(v))
+				}
+			}
+			plan := PlanEpoch(train, w.batch, 1, 0)
+			s := NewSampler(g.Adj, w.fanouts)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, batch := range plan.Batches {
+					s.Build(batch, plan.Seeds[j])
+				}
+			}
+		})
 	}
 }

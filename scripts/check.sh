@@ -113,12 +113,15 @@ echo "==> fuzz smoke"
 # (FuzzStream), over its Chung-Lu phase's guide-table search against
 # sort.SearchFloat64s (FuzzGuidedSearch), and over the SpMM row kernel's
 # strip widths, entry counts, columns, value forms and values against its
-# scalar body (FuzzSpMMRowModes).
+# scalar body (FuzzSpMMRowModes), and over fuzzed graphs, batches and fanouts
+# a reused Sampler's blocks against the reference construction
+# (FuzzSamplerMatchesReference).
 go test -run '^$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/graphio/
 go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzStream -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz FuzzGuidedSearch -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz FuzzSpMMRowModes -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz FuzzSamplerMatchesReference -fuzztime 10s ./internal/sample/
 
 echo "==> benchmark module"
 # benchmark/ is a module of its own (replace mggcn => ../), so ./... never

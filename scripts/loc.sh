@@ -26,7 +26,10 @@ cd "$(dirname "$0")/.."
 # 3280 -> 3277: both trainers' checkpoints frame through one replicas
 # method, which holds the phantom refusal, net of the sampled trainer
 # taking structure-only graphs.
-core_ceiling=3277
+# 3277 -> 3279: the sampled trainer sorts vertices by degree once for every
+# device's feature cache (P sorts and P Pos arrays before) and builds no
+# Sampler on a phantom trainer, which never replays.
+core_ceiling=3279
 # The repository total's ceiling is the size the last deletion reached
 # (ROADMAP item 5); same rule. 17555 -> 17591: that check, the row kernel's
 # split bounds check and its install-time column probe, Dense.Row's panic
@@ -74,7 +77,16 @@ core_ceiling=3277
 # gather words (+27 in the root package), paid for by mggcn-train's one run
 # tail for both modes and its table-driven -ordering flag (-26) and the
 # shared checkpoint frame (-3).
-total_ceiling=17438
+# 17438 -> 17504: the sampler at memory speed, every block bit-identical
+# (+60 in internal/sample): a read-ahead pass over each chunk of destination
+# rows, Fisher-Yates over a 64-byte identity array into a bit mask for rows
+# of at most 64 columns, so only longer rows sort (their pick indices), and
+# the self-loop merged in one pass, net of the per-row sort and collapse
+# loop. BenchmarkSamplerEpoch is about 2x faster at sampled-thin's shape and
+# 1.7x at sampled-fanout's. Also the shared feature-cache order (+2 in core)
+# and mggcn-train -sampled taking the sampled model's width unless -hidden
+# is given (+4).
+total_ceiling=17504
 
 find . -name '*.go' ! -name '*_test.go' \
 	! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.bench_build/*' ! -path './.git/*' \
