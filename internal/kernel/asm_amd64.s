@@ -2,13 +2,15 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the dispatch-table kernels. Bit-identity contract (see
-// kernel.go): the amd64 Go compiler never fuses float32 mul+add, so every
-// multiply is a separate VMULPS and every add a separate VADDPS — never
-// VFMADD* — and each rounds exactly like the scalar expression. The Vec8
-// entry points require n to be a positive multiple of 8 (one YMM of
-// float32, two of uint64); tails are the Go wrappers' job. tileVec takes any extent inside
-// MR x NR, spmmRowVec any strip of 1..64 floats, and each masks its own edge.
+// AVX2 bodies of the dispatch-table kernels, and the AVX-512 GeMM tile.
+// Bit-identity contract (see kernel.go): the amd64 Go compiler never fuses
+// float32 mul+add, so every multiply is a separate VMULPS and every add a
+// separate VADDPS, on YMM and ZMM alike — never VFMADD* — and each rounds
+// exactly like the scalar expression. The Vec8 entry points require n to be
+// a positive multiple of 8 (one YMM of float32, two of uint64); tails are the
+// Go wrappers' job. tileVec takes any extent inside 4 x 16, tileVec512 any
+// inside MR x NR, spmmRowVec any strip of 1..64 floats, and each masks its
+// own edge.
 
 // func addVec8(dst, x *float32, n int)
 // dst[j] += x[j]
@@ -294,7 +296,7 @@ loop: \
 	VADDPS       Y11, acc0, acc0
 
 // func tileVec(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, cols int, acc bool)
-// The MR x NR register tile (see kernel.Tile): Y0..Y7 hold the four rows' two
+// A 4 x 16 register tile (see kernel.Tile): Y0..Y7 hold the four rows' two
 // accumulators across the whole k extent, C is read at most once and written
 // once. k >= 1, 1 <= rows <= 4, 1 <= cols <= 16; the caller has proved the
 // furthest element of every operand in range.
@@ -534,4 +536,198 @@ spmmbycol:
 spmmbad:
 	VZEROUPPER
 	MOVB $1, bad+88(FP)
+	RET
+
+// ROWPTRS8 sets R8..R13, AX and BX to base + min(i, rows-1)*stride for
+// i = 0..7 (rows in CX, stride in DX; BX is the scratch until its own turn).
+// Rows past the tile's last alias it, as in ROWPTRS.
+#define ROWPTRS8(base) \
+	MOVQ    base, R8;        \
+	XORL    BX, BX;          \
+	CMPQ    CX, $2;          \
+	CMOVQGE DX, BX;          \
+	LEAQ    (R8)(BX*1), R9;  \
+	XORL    BX, BX;          \
+	CMPQ    CX, $3;          \
+	CMOVQGE DX, BX;          \
+	LEAQ    (R9)(BX*1), R10; \
+	XORL    BX, BX;          \
+	CMPQ    CX, $4;          \
+	CMOVQGE DX, BX;          \
+	LEAQ    (R10)(BX*1), R11; \
+	XORL    BX, BX;          \
+	CMPQ    CX, $5;          \
+	CMOVQGE DX, BX;          \
+	LEAQ    (R11)(BX*1), R12; \
+	XORL    BX, BX;          \
+	CMPQ    CX, $6;          \
+	CMOVQGE DX, BX;          \
+	LEAQ    (R12)(BX*1), R13; \
+	XORL    BX, BX;          \
+	CMPQ    CX, $7;          \
+	CMOVQGE DX, BX;          \
+	LEAQ    (R13)(BX*1), AX; \
+	XORL    BX, BX;          \
+	CMPQ    CX, $8;          \
+	CMOVQGE DX, BX;          \
+	ADDQ    AX, BX
+
+// ROW32 is one k step of one tile row on ZMM: the A element at row pointer
+// ap plus the running k offset DX, broadcast, times the B vectors in Z16 and
+// Z17, each product rounded and then added into the row's two accumulators.
+// ROW16Z is the same for a strip of at most sixteen columns.
+#define ROW32(ap, acc0, acc1) \
+	VBROADCASTSS (ap)(DX*1), Z18; \
+	VMULPS       Z16, Z18, Z19;   \
+	VADDPS       Z19, acc0, acc0; \
+	VMULPS       Z17, Z18, Z20;   \
+	VADDPS       Z20, acc1, acc1
+
+#define ROW16Z(ap, acc0) \
+	VBROADCASTSS (ap)(DX*1), Z18; \
+	VMULPS       Z16, Z18, Z19;   \
+	VADDPS       Z19, acc0, acc0
+
+// func tileVec512(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, cols int, acc bool)
+// The MR x NR register tile (see kernel.Tile) on AVX-512F: Z0..Z15 hold the
+// eight rows' two accumulators across the whole k extent, C is read at most
+// once and written once. Opmask K1 enables the first vector's min(cols, 16)
+// lanes and K2 the second's max(cols-16, 0): loads through them zero the
+// disabled lanes without touching (or faulting on) their memory, and stores
+// leave those lanes' memory alone, so one loop serves every width. k >= 1,
+// 1 <= rows <= 8, 1 <= cols <= 32; the caller has proved the furthest element
+// of every operand in range. The body reads no global, so R15 (the GOT
+// temporary of dynamically linked code) is an ordinary register here.
+TEXT ·tileVec512(SB), NOSPLIT, $0-81
+	MOVQ    cols+72(FP), CX
+	MOVQ    $16, DX
+	CMPQ    CX, DX
+	CMOVQLT CX, DX
+	SUBQ    DX, CX
+	MOVL    $1, AX
+	SHLL    CX, AX
+	DECL    AX
+	KMOVW   AX, K2
+	MOVQ    DX, CX
+	MOVL    $1, AX
+	SHLL    CX, AX
+	DECL    AX
+	KMOVW   AX, K1
+
+	// Accumulators start from C or from zero.
+	MOVQ    rows+64(FP), CX
+	MOVQ    cs+56(FP), DX
+	SHLQ    $2, DX
+	MOVBLZX acc+80(FP), SI
+	TESTL   SI, SI
+	JZ      tile512zero
+	ROWPTRS8(c+48(FP))
+	VMOVUPS.Z (R8), K1, Z0
+	VMOVUPS.Z 64(R8), K2, Z1
+	VMOVUPS.Z (R9), K1, Z2
+	VMOVUPS.Z 64(R9), K2, Z3
+	VMOVUPS.Z (R10), K1, Z4
+	VMOVUPS.Z 64(R10), K2, Z5
+	VMOVUPS.Z (R11), K1, Z6
+	VMOVUPS.Z 64(R11), K2, Z7
+	VMOVUPS.Z (R12), K1, Z8
+	VMOVUPS.Z 64(R12), K2, Z9
+	VMOVUPS.Z (R13), K1, Z10
+	VMOVUPS.Z 64(R13), K2, Z11
+	VMOVUPS.Z (AX), K1, Z12
+	VMOVUPS.Z 64(AX), K2, Z13
+	VMOVUPS.Z (BX), K1, Z14
+	VMOVUPS.Z 64(BX), K2, Z15
+	JMP       tile512setup
+
+tile512zero:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+
+tile512setup:
+	// R8..R13, AX, BX = the rows of A, DX = k offset into them stepping by
+	// DI; SI = the row of B stepping by R15; all in bytes.
+	MOVQ ars+16(FP), DX
+	SHLQ $2, DX
+	ROWPTRS8(a+8(FP))
+	MOVQ aks+24(FP), DI
+	SHLQ $2, DI
+	MOVQ b+32(FP), SI
+	MOVQ bs+40(FP), R15
+	SHLQ $2, R15
+	XORL DX, DX
+	MOVQ k+0(FP), CX
+	CMPQ cols+72(FP), $16
+	JLE  tile512narrow
+
+tile512wide:
+	VMOVUPS.Z (SI), K1, Z16
+	VMOVUPS.Z 64(SI), K2, Z17
+	ROW32(R8, Z0, Z1)
+	ROW32(R9, Z2, Z3)
+	ROW32(R10, Z4, Z5)
+	ROW32(R11, Z6, Z7)
+	ROW32(R12, Z8, Z9)
+	ROW32(R13, Z10, Z11)
+	ROW32(AX, Z12, Z13)
+	ROW32(BX, Z14, Z15)
+	ADDQ DI, DX
+	ADDQ R15, SI
+	DECQ CX
+	JNZ  tile512wide
+	JMP  tile512store
+
+	// At most sixteen columns: one vector per row. The second accumulators
+	// stay as loaded, and K2 stores none of their lanes.
+tile512narrow:
+	VMOVUPS.Z (SI), K1, Z16
+	ROW16Z(R8, Z0)
+	ROW16Z(R9, Z2)
+	ROW16Z(R10, Z4)
+	ROW16Z(R11, Z6)
+	ROW16Z(R12, Z8)
+	ROW16Z(R13, Z10)
+	ROW16Z(AX, Z12)
+	ROW16Z(BX, Z14)
+	ADDQ DI, DX
+	ADDQ R15, SI
+	DECQ CX
+	JNZ  tile512narrow
+
+tile512store:
+	MOVQ    rows+64(FP), CX
+	MOVQ    cs+56(FP), DX
+	SHLQ    $2, DX
+	ROWPTRS8(c+48(FP))
+	VMOVUPS Z0, K1, (R8)
+	VMOVUPS Z1, K2, 64(R8)
+	VMOVUPS Z2, K1, (R9)
+	VMOVUPS Z3, K2, 64(R9)
+	VMOVUPS Z4, K1, (R10)
+	VMOVUPS Z5, K2, 64(R10)
+	VMOVUPS Z6, K1, (R11)
+	VMOVUPS Z7, K2, 64(R11)
+	VMOVUPS Z8, K1, (R12)
+	VMOVUPS Z9, K2, 64(R12)
+	VMOVUPS Z10, K1, (R13)
+	VMOVUPS Z11, K2, 64(R13)
+	VMOVUPS Z12, K1, (AX)
+	VMOVUPS Z13, K2, 64(AX)
+	VMOVUPS Z14, K1, (BX)
+	VMOVUPS Z15, K2, 64(BX)
+	VZEROUPPER
 	RET

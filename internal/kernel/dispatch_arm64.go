@@ -13,13 +13,16 @@ func reluMaskVec4(dst, grad, act *float32, n int)
 func tileVec4(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, vecs int, acc bool)
 func spmmRowVec4(c *float32, vecs int, x *float32, xs int, cols, last *int32, vals *float32, form ValForm, n int, acc bool)
 
-func init() {
-	// NEON (ASIMD) is architecturally mandatory on arm64, so there is no
-	// feature probe — but verifyAndInstall still gates installation on
-	// bit-identity with the scalar kernels, so a fusion-behavior mismatch
-	// between this build's compiler and the assembly falls back to scalar
-	// instead of corrupting training.
-	verifyAndInstall(impls{
+// NEON (ASIMD) is architecturally mandatory on arm64, so there is no
+// feature probe — but verifyAndInstall still gates installation on
+// bit-identity with the scalar kernels, so a fusion-behavior mismatch
+// between this build's compiler and the assembly falls back to scalar
+// instead of corrupting training.
+func init() { verifyAndInstall(candidates()...) }
+
+// candidates is every implementation this CPU can execute: the NEON set.
+func candidates() []impls {
+	return []impls{{
 		name: "neon",
 		add:  addNEON,
 		tile: tileNEON, spmmRow: spmmRowNEON,
@@ -27,7 +30,7 @@ func init() {
 		// The stream's loops have no NEON bodies: the probe holds the scalar
 		// ones to themselves.
 		addU64: addU64Scalar, firstOutside63: firstOutside63Scalar,
-	})
+	}}
 }
 
 func addNEON(x, dst []float32) {
@@ -62,13 +65,19 @@ func reluMaskNEON(dst, grad, act []float32) {
 	reluMaskScalar(dst[nv:], grad[nv:], act[nv:])
 }
 
+// tileNEON runs the MR x NR tile as 4 x 16 tiles of tileQ.
 func tileNEON(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) {
+	tileSplit(4, 16, tileQ, rows, cols, k, a, ars, aks, b, bs, c, cs, acc)
+}
+
+// tileQ is one 4 x 16 tile: whole 4-float column vectors in the assembly,
+// the rest in the scalar body.
+func tileQ(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) {
 	cv := cols &^ 3
-	if k == 0 || cv == 0 {
-		tileScalar(rows, cols, k, a, ars, aks, b, bs, c, cs, acc) // nothing to multiply (and no a[0] to point at), or no whole vector
+	if cv == 0 {
+		tileScalar(rows, cols, k, a, ars, aks, b, bs, c, cs, acc) // no whole vector
 		return
 	}
-	checkTile(rows, cols, k, a, ars, aks, b, bs, c, cs)
 	tileVec4(k, &a[0], ars, aks, &b[0], bs, &c[0], cs, rows, cv/4, acc)
 	if cv < cols {
 		tileScalar(rows, cols-cv, k, a, ars, aks, b[cv:], bs, c[cv:], cs, acc)

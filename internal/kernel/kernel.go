@@ -2,8 +2,9 @@
 // kernels, and the two integer loops of the graph generator's seeded stream,
 // behind a runtime-dispatch table. The exported entry points are
 // function variables initialized to the pure-Go scalar implementations
-// below; an arch-specific init replaces them with AVX2 (amd64) or NEON
-// (arm64) assembly when the CPU supports it, except under the race detector.
+// below; an arch-specific init replaces them with AVX-512 or AVX2 (amd64) or
+// NEON (arm64) assembly when the CPU supports it, except under the race
+// detector. The AVX-512 set is the AVX2 set with a 512-bit GeMM tile.
 //
 // The dispatch contract is bit-identity: every implementation bound to a
 // variable must produce exactly the bits the scalar implementation produces
@@ -12,9 +13,10 @@
 // adversarial-replay suites keep passing regardless of which implementation
 // is active. Concretely:
 //
-//   - On amd64 the Go compiler never fuses float32 mul+add, so the AVX2
-//     kernels use separate VMULPS/VADDPS (never VFMADD*) and round each
-//     multiply and add exactly like the scalar expression.
+//   - On amd64 the Go compiler never fuses float32 mul+add, so the AVX2 and
+//     AVX-512 kernels use separate VMULPS/VADDPS, on YMM and ZMM alike (never
+//     VFMADD*), and round each multiply and add exactly like the scalar
+//     expression.
 //   - On arm64 the Go compiler *does* fuse `d += a*x` into FMADDS, so the
 //     NEON kernels use VFMLA (fused per lane) to match, and express plain
 //     vector adds as VFMLA with a broadcast 1.0 (x*1.0 is exact, so
@@ -29,8 +31,9 @@
 // what the scalar loop returns, and so every generated graph is the same.
 //
 // Tail elements past the widest vector multiple are always handled by the
-// same scalar expressions (or, in Tile and SpMMRow on amd64, by a lane mask),
-// so odd lengths and misaligned slices are safe and bit-identical too.
+// same scalar expressions, or by a lane mask (Tile and SpMMRow on AVX2) or
+// opmask registers (Tile on AVX-512), so odd lengths and misaligned slices
+// are safe and bit-identical too.
 //
 // All slice arguments of one vector-kernel call must have the same length
 // (callers slice before calling); the dst length is authoritative. Tile and
@@ -82,12 +85,14 @@ var (
 	FirstOutside63 func(v []uint64, lo, hi uint64) int = firstOutside63Scalar
 )
 
-// MR x NR is the C tile one Tile call owns: four rows of two 8-float
-// vectors is eight accumulators, which with two B vectors, a broadcast A
-// element and a product fit the sixteen YMM registers.
+// MR x NR is the C tile one Tile call owns. It is sized for the widest
+// body: eight rows of two 16-float ZMM vectors is sixteen accumulators,
+// which with two B vectors, a broadcast A element and the products fit the
+// thirty-two ZMM registers. Narrower bodies run the tile as 4 x 16 sub-tiles
+// (tileSplit), eight YMM or sixteen NEON accumulators each.
 const (
-	MR = 4
-	NR = 16
+	MR = 8
+	NR = 32
 )
 
 // ValForm is where SpMMRow reads a stored entry's value. The three forms are
@@ -113,7 +118,8 @@ const SpMMStrip = 64
 
 var impl = "scalar"
 
-// Impl names the active implementation: "scalar", "avx2", or "neon".
+// Impl names the active implementation: "scalar", "avx2", "avx512" or
+// "neon".
 func Impl() string { return impl }
 
 func addScalar(x, dst []float32) {
@@ -223,6 +229,25 @@ func dot2x2(k int, a0, a1 []float32, aks int, b0, b1 []float32, bs int, s00, s01
 		s11 += y * x1
 	}
 	return s00, s01, s10, s11
+}
+
+// tileSplit runs body, a tile kernel for at most mr x nr, over each mr x nr
+// sub-tile of the rows x cols tile. Every C element belongs to exactly one
+// sub-tile, and body sums it as the whole tile's contract does, so the split
+// changes no bit. It proves the tile for bodies that index raw pointers:
+// body sees only sub-tiles of a tile checkTile has passed, and k >= 1.
+func tileSplit(mr, nr int, body func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool),
+	rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) {
+	checkTile(rows, cols, k, a, ars, aks, b, bs, c, cs)
+	if k == 0 {
+		tileScalar(rows, cols, k, a, ars, aks, b, bs, c, cs, acc) // nothing to multiply, and A may be empty
+		return
+	}
+	for j := 0; j < cols; j += nr {
+		for i := 0; i < rows; i += mr {
+			body(min(mr, rows-i), min(nr, cols-j), k, a[i*ars:], ars, aks, b[j:], bs, c[i*cs+j:], cs, acc)
+		}
+	}
 }
 
 // checkTile panics unless the tile is inside MR x NR and the furthest element

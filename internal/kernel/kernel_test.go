@@ -109,18 +109,33 @@ func TestEmptyRows(t *testing.T) {
 // what is installed (verifyImpls re-run here must agree).
 func TestImplConsistent(t *testing.T) {
 	switch Impl() {
-	case "scalar", "avx2", "neon":
+	case "scalar", "avx2", "avx512", "neon":
 	default:
 		t.Fatalf("unknown impl %q", Impl())
 	}
-	err := verifyImpls(impls{
+	if err := verifyImpls(installed()); err != nil {
+		t.Fatalf("installed impl fails its own verification probes: %v", err)
+	}
+}
+
+// installed is the dispatch table as a candidate.
+func installed() impls {
+	return impls{
 		name: Impl(),
 		add:  Add, tile: Tile, spmmRow: SpMMRow,
 		relu: ReLU, reluMask: ReLUMask,
 		addU64: AddU64, firstOutside63: FirstOutside63,
-	})
-	if err != nil {
-		t.Fatalf("installed impl fails its own verification probes: %v", err)
+	}
+}
+
+// BenchmarkVerifyImpls times the install probe on the installed table: every
+// process's init runs it once for each candidate it tries.
+func BenchmarkVerifyImpls(b *testing.B) {
+	c := installed()
+	for i := 0; i < b.N; i++ {
+		if err := verifyImpls(c); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

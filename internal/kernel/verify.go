@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -20,32 +21,39 @@ type impls struct {
 	firstOutside63 func(v []uint64, lo, hi uint64) int
 }
 
-// ProbeErr is why the arch init's candidate was refused, naming the first
-// entry and shape that deviated: nil when it was installed or none was offered.
+// ProbeErr is why the arch init's candidates were refused, each naming the
+// first entry and shape that deviated: nil when its first choice was
+// installed or none was offered.
 func ProbeErr() error { return probeErr }
 
 var probeErr error
 
-// verifyAndInstall checks a candidate implementation against the scalar
-// kernels on deterministic rounding-sensitive vectors and installs it only
-// if every output is bit-identical. A candidate that fails any probe is
-// discarded and the table stays scalar — the guard that lets us ship
-// assembly for platforms the build host cannot execute: a wrong kernel
-// (e.g. an unexpected fused multiply-add) degrades to the slow path
-// instead of corrupting training. It runs from init, before any kernel
-// call, so swapping the table is unsynchronized by design.
-func verifyAndInstall(c impls) {
-	if probeErr = verifyImpls(c); probeErr != nil {
-		return
+// verifyAndInstall checks each candidate implementation, best first, against
+// the scalar kernels on deterministic rounding-sensitive vectors and installs
+// the first whose every output is bit-identical. A candidate that fails any
+// probe is discarded — and the table stays scalar if every one does — the
+// guard that lets us ship assembly for platforms the build host cannot
+// execute: a wrong kernel (e.g. an unexpected fused multiply-add) degrades to
+// a slower path instead of corrupting training. It runs from init, before
+// any kernel call, so swapping the table is unsynchronized by design.
+func verifyAndInstall(cands ...impls) {
+	var refused []error
+	for _, c := range cands {
+		if err := verifyImpls(c); err != nil {
+			refused = append(refused, err)
+			continue
+		}
+		impl = c.name
+		Add = c.add
+		Tile = c.tile
+		SpMMRow = c.spmmRow
+		ReLU = c.relu
+		ReLUMask = c.reluMask
+		AddU64 = c.addU64
+		FirstOutside63 = c.firstOutside63
+		break
 	}
-	impl = c.name
-	Add = c.add
-	Tile = c.tile
-	SpMMRow = c.spmmRow
-	ReLU = c.relu
-	ReLUMask = c.reluMask
-	AddU64 = c.addU64
-	FirstOutside63 = c.firstOutside63
+	probeErr = errors.Join(refused...)
 }
 
 // verifyLens covers empty, sub-lane, exact-lane, and straddling lengths
@@ -96,7 +104,7 @@ func verifyImpls(c impls) error {
 	// mantissas, spanning magnitudes and signs, so a single-rounding FMA
 	// where the scalar path double-rounds cannot slip through.
 	mk := func(seed uint64) []float32 {
-		v := make([]float32, maxK*lda)
+		v := make([]float32, max(MR, maxK)*lda)
 		s := seed
 		for i := range v {
 			s ^= s << 13
@@ -124,10 +132,10 @@ func verifyImpls(c impls) error {
 		}
 		return true
 	}
+	// Every probe's output and reference, in two buffers reused throughout.
+	gotBuf, wantBuf := make([]float32, 0, len(xd)), make([]float32, 0, len(xd))
 	buf := func(src []float32, n int) (got, want []float32) {
-		got = append([]float32(nil), src[:n]...)
-		want = append([]float32(nil), src[:n]...)
-		return got, want
+		return append(gotBuf[:0], src[:n]...), append(wantBuf[:0], src[:n]...)
 	}
 
 	vector := [...]struct {
@@ -186,21 +194,33 @@ func verifyImpls(c impls) error {
 		}
 	}
 
-	// Every tile extent, both orientations of A's strides, both accumulate
-	// modes, k empty, single, even and odd; C sits inside a guard band the
-	// comparison covers.
+	// Every row count, widths on both sides of each 8- and 16-lane vector
+	// boundary and the full NR, both orientations of A's strides, both
+	// accumulate modes, k empty, single, even and odd; C sits inside a guard
+	// band the comparison covers. Each C element sums only its own products,
+	// so every smaller tile is a window of the scalar body's full one.
+	// (TestTileMatchesDefinition sweeps every extent.)
+	tileWidths := [...]int{1, 7, 8, 9, 15, 16, 17, 24, 25, 31, NR}
 	for _, k := range [...]int{0, 1, 2, maxK} {
-		for t := 0; t < MR*NR*4; t++ {
-			rows, cols, ars, aks, acc := 1+t%MR, 1+t/MR%NR, lda, 1, t/(MR*NR)&1 == 1
-			if t/(MR*NR)&2 == 2 {
+		for t := 0; t < 4; t++ {
+			ars, aks, acc := lda, 1, t&1 == 1
+			if t&2 == 2 {
 				ars, aks = 1, lda
 			}
-			got, want := buf(xd, 5+MR*ldc)
-			c.tile(rows, cols, k, xa, ars, aks, xb, ldb, got[5:], ldc, acc)
-			tileScalar(rows, cols, k, xa, ars, aks, xb, ldb, want[5:], ldc, acc)
-			if !eq(got, want) {
-				return fmt.Errorf("kernel: %s Tile deviates from scalar at rows=%d cols=%d k=%d strides=(%d,%d) acc=%v",
-					c.name, rows, cols, k, ars, aks, acc)
+			full := append([]float32(nil), xd[:5+MR*ldc]...)
+			tileScalar(MR, NR, k, xa, ars, aks, xb, ldb, full[5:], ldc, acc)
+			for rows := 1; rows <= MR; rows++ {
+				for _, cols := range tileWidths {
+					got, want := buf(xd, 5+MR*ldc)
+					for i := 0; i < rows; i++ {
+						copy(want[5+i*ldc:][:cols], full[5+i*ldc:])
+					}
+					c.tile(rows, cols, k, xa, ars, aks, xb, ldb, got[5:], ldc, acc)
+					if !eq(got, want) {
+						return fmt.Errorf("kernel: %s Tile deviates from scalar at rows=%d cols=%d k=%d strides=(%d,%d) acc=%v",
+							c.name, rows, cols, k, ars, aks, acc)
+					}
+				}
 			}
 		}
 	}

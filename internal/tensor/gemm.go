@@ -18,7 +18,8 @@ import (
 const (
 	// rowBlock is the run of C rows swept across every column strip before
 	// the next: its rows of A (rowBlock x k) stay in L2 while each k x NR
-	// strip of B is re-read from L1.
+	// strip of B is re-read from L1. At MR x NR = 8 x 32 and the layers'
+	// k = 128 that is 128 KB of A and a 16 KB strip.
 	rowBlock = 32 * kernel.MR
 	// kPanel is the k extent Aᵀ*B consumes per pass over C, k outermost: A
 	// and B are both tall there, and a panel of each (kPanel x m, kPanel x n)

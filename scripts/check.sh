@@ -111,16 +111,18 @@ echo "==> fuzz smoke"
 # checkpoint loaders, from the v2 and v3 writers' output (FuzzLoadCheckpoint),
 # over BTER's inline copy of math/rand's stream against a rand.Rand
 # (FuzzStream), over its Chung-Lu phase's guide-table search against
-# sort.SearchFloat64s (FuzzGuidedSearch), and over the SpMM row kernel's
-# strip widths, entry counts, columns, value forms and values against its
-# scalar body (FuzzSpMMRowModes), and over fuzzed graphs, batches and fanouts
-# a reused Sampler's blocks against the reference construction
-# (FuzzSamplerMatchesReference).
+# sort.SearchFloat64s (FuzzGuidedSearch), over the SpMM row kernel's strip
+# widths, entry counts, columns, value forms and values against its scalar
+# body (FuzzSpMMRowModes), over every GeMM tile candidate this CPU can execute
+# against the scalar tile (FuzzTileCandidates), and over fuzzed graphs,
+# batches and fanouts a reused Sampler's blocks against the reference
+# construction (FuzzSamplerMatchesReference).
 go test -run '^$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/graphio/
 go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzStream -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz FuzzGuidedSearch -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz FuzzSpMMRowModes -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz FuzzTileCandidates -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz FuzzSamplerMatchesReference -fuzztime 10s ./internal/sample/
 
 echo "==> benchmark module"
