@@ -6,9 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"mggcn/internal/comm"
 	"mggcn/internal/core"
 	"mggcn/internal/fault"
+	"mggcn/internal/graph"
 	"mggcn/internal/nn"
 	"mggcn/internal/sim"
 	"mggcn/internal/tensor"
@@ -126,8 +126,6 @@ func chaosPlan(k kind, fk string, seed int64, p int) fault.Plan {
 	return pl
 }
 
-var chaosRetry = comm.RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Microsecond, Multiplier: 2}
-
 // chaosPass runs the matrix; every deviation from a scenario's expectation
 // is a finding (unless -expect=false makes the pass report-only).
 func (v *verifier) chaosPass() string {
@@ -166,54 +164,18 @@ func (v *verifier) chaosRunner(st *strategy) func(*scenario) {
 		return v.gatChaos(cfg)
 	}
 
-	// train runs the elastic loop under inj (nil: fault-free) and flattens
-	// its result to what a scenario records.
-	var train func(inj *fault.Injector) (losses []float64, events []core.RecoveryEvent, finalP int, err error)
-	if st.kind == fullBatch {
-		train = func(inj *fault.Injector) (losses []float64, _ []core.RecoveryEvent, _ int, _ error) {
-			c := cfg
-			if inj != nil {
-				c.Fault, c.Retry = inj, chaosRetry
-			}
-			res, err := core.TrainElastic(v.graph, c, v.epochs)
-			if res == nil {
-				return nil, nil, 0, err
-			}
-			for _, s := range res.Stats {
-				losses = append(losses, s.Loss)
-			}
-			return losses, res.Events, res.FinalP, err
-		}
-	} else {
-		// The sampled pipeline: small fanouts, pipelining on.
-		scfg := core.DefaultSampledConfig(cfg.Spec, p, 1)
-		scfg.Hidden, scfg.Layers, scfg.Fanouts = cfg.Hidden, 2, []int{4, 6}
-		scfg.Batch, scfg.CacheFrac, scfg.LR, scfg.Seed = 8, 0.5, 0.01, 7
-		train = func(inj *fault.Injector) (losses []float64, _ []core.RecoveryEvent, _ int, _ error) {
-			c := scfg
-			if inj != nil {
-				c.Fault, c.Retry = inj, chaosRetry
-			}
-			res, err := core.TrainSampledElastic(v.graph, c, v.epochs)
-			if res == nil {
-				return nil, nil, 0, err
-			}
-			for _, s := range res.Stats {
-				losses = append(losses, s.Loss)
-			}
-			return losses, res.Events, res.FinalP, err
-		}
-	}
-
-	clean, _, _, err := train(nil)
+	train := chaosTrainer(st.kind, cfg, v.graph, v.epochs)
+	cleanRun, err := train(nil)
 	if err != nil {
 		fatalf("chaos baseline %s: %v", st.name, err)
 	}
+	clean := cleanRun.losses()
 	return func(sc *scenario) {
 		inj := fault.New(chaosPlan(st.kind, sc.Fault, sc.Seed, p))
-		losses, events, finalP, err := train(inj)
+		res, err := train(inj)
+		losses, finalP := res.losses(), res.FinalP
 		sc.Injected = inj.Stats()
-		sc.FinalP, sc.Epochs, sc.Events = finalP, len(losses), events
+		sc.FinalP, sc.Epochs, sc.Events = finalP, len(losses), res.Events
 		if len(losses) > 0 {
 			sc.Loss = losses[len(losses)-1]
 		}
@@ -242,6 +204,58 @@ func (v *verifier) chaosRunner(st *strategy) func(*scenario) {
 	}
 }
 
+// elasticRun is what a chaos scenario keeps of one elastic run, whichever
+// trainer ran it.
+type elasticRun struct {
+	Stats  []*core.EpochStats
+	Events []core.RecoveryEvent
+	FinalP int
+}
+
+// losses is the run's per-effective-epoch loss series.
+func (r elasticRun) losses() []float64 {
+	var out []float64
+	for _, s := range r.Stats {
+		out = append(out, s.Loss)
+	}
+	return out
+}
+
+// chaosTrainer returns the elastic loop of trainer family k on g for the
+// given effective epochs, under inj as the fault hook (nil: fault-free). The
+// sampled pipeline runs small fanouts with pipelining on; cfg's width, seed,
+// learning rate and executor workers carry over.
+func chaosTrainer(k kind, cfg core.Config, g *graph.Graph, epochs int) func(inj *fault.Injector) (elasticRun, error) {
+	if k == fullBatch {
+		return func(inj *fault.Injector) (elasticRun, error) {
+			c := cfg
+			if inj != nil {
+				c.Fault = inj
+			}
+			res, err := core.TrainElastic(g, c, epochs)
+			if res == nil {
+				return elasticRun{}, err
+			}
+			return elasticRun{res.Stats, res.Events, res.FinalP}, err
+		}
+	}
+	scfg := core.DefaultSampledConfig(cfg.Spec, cfg.P, 1)
+	scfg.Hidden, scfg.Layers, scfg.Fanouts = cfg.Hidden, 2, []int{4, 6}
+	scfg.Batch, scfg.CacheFrac, scfg.LR, scfg.Seed = 8, 0.5, cfg.LR, cfg.Seed
+	scfg.ExecWorkers = cfg.ExecWorkers
+	return func(inj *fault.Injector) (elasticRun, error) {
+		c := scfg
+		if inj != nil {
+			c.Fault = inj
+		}
+		res, err := core.TrainSampledElastic(g, c, epochs)
+		if res == nil {
+			return elasticRun{}, err
+		}
+		return elasticRun{res.Stats, res.Events, res.FinalP}, err
+	}
+}
+
 // gatChaos runs scenarios on the distributed GAT forward: retried faults
 // must leave the logits bit-identical, and whatever it cannot retry must
 // surface as a clean abort, never as silent garbage.
@@ -262,7 +276,7 @@ func (v *verifier) gatChaos(cfg core.Config) func(*scenario) {
 	return func(sc *scenario) {
 		inj := fault.New(chaosPlan(gat, sc.Fault, sc.Seed, v.cfg.P))
 		c := cfg
-		c.Fault, c.Retry = inj, chaosRetry
+		c.Fault = inj
 		logits, err := forward(c)
 		sc.Injected = inj.Stats()
 		switch {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"mggcn/internal/baseline"
-	"mggcn/internal/comm"
 	"mggcn/internal/core"
 	"mggcn/internal/fault"
 	"mggcn/internal/gen"
@@ -1024,7 +1022,8 @@ func fullForward(g *graph.Graph, weights []*tensor.Dense) *tensor.Dense {
 // seconds over the fault-free epoch at the starting P. Cache and pipelining
 // change neither the arithmetic nor the batches, so the cells are scheduled
 // on Products' structure alone, one real epoch gives their loss and one
-// host-only pass over the plan their gather words. Everything but the loss
+// host-only pass over the plan their gather words. The recovery rows run on
+// the structure too: the fault hooks decide on tasks, not data. Everything but the loss
 // is the output of the cost model and the sampler, the same on any host.
 func runSampled() (*ExperimentResult, error) {
 	g, spec, err := gen.Load("products", false)
@@ -1105,8 +1104,7 @@ func runSampled() (*ExperimentResult, error) {
 	} {
 		cfg := config(0.5, true)
 		cfg.Fault = fault.New(f.plan)
-		cfg.Retry = comm.RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Microsecond, Multiplier: 2}
-		res, err := core.TrainSampledElastic(g, cfg, 1)
+		res, err := core.TrainSampledElastic(&structure, cfg, 1)
 		if err != nil {
 			return nil, fmt.Errorf("sampled: %s: %w", f.name, err)
 		}

@@ -24,13 +24,6 @@ import (
 type Group struct {
 	Graph      *sim.Graph
 	BytesScale int64
-	// Retry bounds per-collective transient-failure retries (retry.go);
-	// the zero value means a single attempt. Clock supplies the backoff
-	// sleeps (nil: wall clock), Gate is consulted before every attempt
-	// (nil: attempts always pass) — the fault injector's hook.
-	Retry RetryPolicy
-	Clock Clock
-	Gate  CollectiveGate
 	// Meter, when set, counts the words every collective moves (Sub
 	// inherits it) — the measured side of schedcheck's cost certification.
 	Meter *Meter
@@ -42,8 +35,7 @@ type Group struct {
 func New(g *sim.Graph) *Group { return &Group{Graph: g, BytesScale: 1} }
 
 // Sub returns a communicator over the given device subset, inheriting the
-// byte scale, the retry policy/clock/gate and the meter — a shrunken group
-// recovers from transient faults exactly like its parent. Collective costs
+// byte scale and the meter. Collective costs
 // use the subset's link topology (§5.1: a 4-GPU group of a DGX-1 sees 4
 // links; a cross-group pair sees 2).
 //
@@ -73,8 +65,7 @@ func (c *Group) Sub(devices []int) *Group {
 		seen[d] = true
 		ds[i] = d
 	}
-	return &Group{Graph: c.Graph, BytesScale: c.BytesScale,
-		Retry: c.Retry, Clock: c.Clock, Gate: c.Gate, Meter: c.Meter, devices: ds}
+	return &Group{Graph: c.Graph, BytesScale: c.BytesScale, Meter: c.Meter, devices: ds}
 }
 
 // P returns the group size.
@@ -127,8 +118,8 @@ func (c *Group) checkBufs(op string, bufs []*tensor.Dense) {
 // shape checks happen at record time. dst[root] is left untouched (the
 // paper's implementation reads the root's own tile from its resident
 // buffer). Shape-only destinations, like the staged SpMM's BC slabs whose
-// readers read src in place, move nothing; the task still prices, declares,
-// meters and retries the move. Returns the task ID to depend on.
+// readers read src in place, move nothing; the task still prices, declares
+// and meters the move. Returns the task ID to depend on.
 func (c *Group) Broadcast(root int, src *tensor.Dense, dst []*tensor.Dense, label string, stage int, deps ...int) int {
 	if len(dst) != c.P() {
 		panic(fmt.Sprintf("comm: broadcast with %d destinations for %d devices", len(dst), c.P()))
@@ -153,17 +144,13 @@ func (c *Group) Broadcast(root int, src *tensor.Dense, dst []*tensor.Dense, labe
 	c.Meter.Add(sim.CollBroadcast,
 		int64(c.P()-1)*int64(src.Rows)*int64(src.Cols)*c.BytesScale)
 	// Reads the root's resident block, writes every other destination;
-	// dst[root] is untouched and stays out of the declaration. The movement
-	// runs under the group's retry loop: failed attempts leave every
-	// destination untouched (retry.go).
-	c.Graph.BindShapedE(id, sim.ShapesOf(src), shapes(dst, root), func() error {
-		return c.retry(id, label, func() {
-			for i, d := range dst {
-				if i != root {
-					d.CopyFrom(src)
-				}
+	// dst[root] is untouched and stays out of the declaration.
+	c.Graph.BindShaped(id, sim.ShapesOf(src), shapes(dst, root), func() {
+		for i, d := range dst {
+			if i != root {
+				d.CopyFrom(src)
 			}
-		})
+		}
 	})
 	return id
 }
@@ -178,7 +165,7 @@ func (c *Group) AllReduceSum(bufs []*tensor.Dense, label string, deps ...int) in
 	seconds := c.Graph.Spec.AllReduceCost(bufs[0].Bytes(), c.P())
 	id := c.Graph.AddComm(c.members(), label, -1, seconds, deps...)
 	c.annotateAllReduce(id, bufs, 1)
-	c.bindAllReduce(id, bufs, label)
+	c.bindAllReduce(id, bufs)
 	return id
 }
 
@@ -190,7 +177,7 @@ func (c *Group) AllReduceSumScaled(bufs []*tensor.Dense, label string, deps ...i
 	seconds := c.Graph.Spec.AllReduceCost(bufs[0].Bytes()*c.BytesScale, c.P())
 	id := c.Graph.AddComm(c.members(), label, -1, seconds, deps...)
 	c.annotateAllReduce(id, bufs, c.BytesScale)
-	c.bindAllReduce(id, bufs, label)
+	c.bindAllReduce(id, bufs)
 	return id
 }
 
@@ -207,21 +194,19 @@ func (c *Group) annotateAllReduce(id int, bufs []*tensor.Dense, scale int64) {
 
 // bindAllReduce attaches the elementwise sum-and-replicate closure to task
 // id.
-func (c *Group) bindAllReduce(id int, bufs []*tensor.Dense, label string) {
+func (c *Group) bindAllReduce(id int, bufs []*tensor.Dense) {
 	// Every member buffer is read and then overwritten with the total. The
 	// movement is not idempotent (after the write-back every buffer holds
-	// the total), which is exactly why the retry gate sits *before* it:
-	// failed attempts never start the reduction.
-	c.Graph.BindShapedE(id, nil, shapes(bufs, -1), func() error {
-		return c.retry(id, label, func() {
-			total := bufs[0].Clone()
-			for i := 1; i < len(bufs); i++ {
-				tensor.AddInPlace(total, bufs[i])
-			}
-			for _, b := range bufs {
-				b.CopyFrom(total)
-			}
-		})
+	// the total), which is why the executor's retry loop decides before the
+	// closure runs: a failed attempt never starts the reduction.
+	c.Graph.BindShaped(id, nil, shapes(bufs, -1), func() {
+		total := bufs[0].Clone()
+		for i := 1; i < len(bufs); i++ {
+			tensor.AddInPlace(total, bufs[i])
+		}
+		for _, b := range bufs {
+			b.CopyFrom(total)
+		}
 	})
 }
 
@@ -240,16 +225,13 @@ func (c *Group) ReduceSum(root int, bufs []*tensor.Dense, label string, deps ...
 	c.Meter.Add(sim.CollReduce,
 		int64(c.P()-1)*int64(bufs[0].Rows)*int64(bufs[0].Cols)*c.BytesScale)
 	// Non-root contributions are read-only; the root accumulates. Like the
-	// all-reduce, the accumulation is not idempotent — the retry gate fires
-	// before it, never between partial additions.
-	c.Graph.BindShapedE(id, shapes(bufs, root), sim.ShapesOf(bufs[root]), func() error {
-		return c.retry(id, label, func() {
-			for i, b := range bufs {
-				if i != root {
-					tensor.AddInPlace(bufs[root], b)
-				}
+	// all-reduce, the accumulation is not idempotent.
+	c.Graph.BindShaped(id, shapes(bufs, root), sim.ShapesOf(bufs[root]), func() {
+		for i, b := range bufs {
+			if i != root {
+				tensor.AddInPlace(bufs[root], b)
 			}
-		})
+		}
 	})
 	return id
 }

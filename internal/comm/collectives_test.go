@@ -228,6 +228,64 @@ func TestSubInheritsBytesScale(t *testing.T) {
 // emit comm tasks priced and declared exactly as their real-data
 // counterparts, so a phantom run predicts the same epoch time as a
 // materialized one.
+func TestSubRemovesMember(t *testing.T) {
+	c := newGroup(4)
+
+	// Device 1 died: the survivor group drops it.
+	survivors := c.Sub([]int{0, 2, 3})
+	if survivors.P() != 3 {
+		t.Fatalf("survivor group size = %d, want 3", survivors.P())
+	}
+
+	// Collectives on the shrunken group span exactly the survivors.
+	src := tensor.NewDense(2, 2)
+	src.Fill(9)
+	dst := []*tensor.Dense{src, tensor.NewDense(2, 2), tensor.NewDense(2, 2)}
+	id := survivors.Broadcast(0, src, dst, "resync", 0)
+	task := c.Graph.Tasks[id]
+	if len(task.Devices) != 3 || task.Devices[0] != 0 || task.Devices[1] != 2 || task.Devices[2] != 3 {
+		t.Fatalf("survivor broadcast spans %v, want [0 2 3]", task.Devices)
+	}
+	for _, d := range task.Devices {
+		if d == 1 {
+			t.Fatal("removed member still in the collective's device span")
+		}
+	}
+	if err := c.Graph.Execute(2); err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	if dst[1].At(0, 0) != 9 || dst[2].At(0, 0) != 9 {
+		t.Fatalf("survivor broadcast values %g, %g, want 9", dst[1].At(0, 0), dst[2].At(0, 0))
+	}
+	// Pricing uses the 3-member topology, not the original 4.
+	if want := c.Graph.Spec.BroadcastCost(src.Bytes(), 3); task.Seconds != want {
+		t.Fatalf("survivor broadcast cost = %g, want 3-member cost %g", task.Seconds, want)
+	}
+}
+
+func TestSubOfSubRemovesAnotherMember(t *testing.T) {
+	c := newGroup(8)
+	first := c.Sub([]int{0, 1, 2, 3})
+	second := first.Sub([]int{0, 2, 3}) // member 1 of the *machine* removed
+	if second.P() != 3 {
+		t.Fatalf("second shrink size = %d, want 3", second.P())
+	}
+	a, b, d := tensor.NewDense(2, 2), tensor.NewDense(2, 2), tensor.NewDense(2, 2)
+	a.Fill(1)
+	b.Fill(2)
+	d.Fill(4)
+	id := second.AllReduceSum([]*tensor.Dense{a, b, d}, "ar2")
+	if err := c.Graph.Execute(1); err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	if a.At(0, 0) != 7 || b.At(0, 0) != 7 || d.At(0, 0) != 7 {
+		t.Fatalf("double-shrunk allreduce = %g/%g/%g, want 7", a.At(0, 0), b.At(0, 0), d.At(0, 0))
+	}
+	if devs := c.Graph.Tasks[id].Devices; len(devs) != 3 || devs[0] != 0 || devs[1] != 2 || devs[2] != 3 {
+		t.Fatalf("double-shrunk allreduce spans %v, want [0 2 3]", devs)
+	}
+}
+
 func TestPhantomCollectivesPricedLikeReal(t *testing.T) {
 	const p = 4
 	real := newGroup(p)
@@ -403,4 +461,43 @@ func TestMeterNilSafe(t *testing.T) {
 		t.Fatalf("nil meter returned nonzero")
 	}
 	m.Reset()
+}
+
+// flakyCollectives fails the first failures attempts of every collective.
+type flakyCollectives struct{ failures int }
+
+func (f flakyCollectives) BeforeTask(g *sim.Graph, t *sim.Task, attempt int) error {
+	if t.Coll == nil || attempt > f.failures {
+		return nil
+	}
+	return sim.Transient(fmt.Errorf("flaky %s, attempt %d", t.Label, attempt))
+}
+
+func (flakyCollectives) AfterTask(*sim.Graph, *sim.Task) error { return nil }
+
+// TestAllReduceRetriesPreserveBitIdentity: the all-reduce's accumulation is
+// not idempotent, so the executor's retried attempts must never start it —
+// the retried result is the fault-free one bit for bit.
+func TestAllReduceRetriesPreserveBitIdentity(t *testing.T) {
+	run := func(hook sim.FaultHook) []float32 {
+		c := newGroup(4)
+		c.Graph.Fault = hook
+		bufs := make([]*tensor.Dense, 4)
+		for i := range bufs {
+			bufs[i] = tensor.NewDense(3, 3)
+			fillRand(bufs[i], int64(i+1))
+		}
+		c.AllReduceSum(bufs, "ar")
+		if err := c.Graph.Execute(2); err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		return bufs[2].Data
+	}
+	clean := run(nil)
+	retried := run(flakyCollectives{failures: 2})
+	for i := range clean {
+		if clean[i] != retried[i] {
+			t.Fatalf("retried allreduce diverged at %d: %g vs %g", i, retried[i], clean[i])
+		}
+	}
 }

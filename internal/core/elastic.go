@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"mggcn/internal/comm"
 	"mggcn/internal/graph"
 	"mggcn/internal/sim"
 )
@@ -36,7 +35,7 @@ import (
 //   - a transient task failure (*sim.TransientTaskError — e.g. a sampler
 //     stage whose host thread hiccuped) recovers the same way, on the
 //     sampled trainer only;
-//   - an exhausted collective (*comm.GiveUpError) applies, on the sampled
+//   - an exhausted collective (*sim.GiveUpError) applies, on the sampled
 //     trainer only, the suspect-eviction rule: repeated retry exhaustion is
 //     attributed to the highest-indexed device (a flaky link rides with its
 //     endpoint), which is evicted exactly as if it had crashed. At P == 1
@@ -145,7 +144,7 @@ func (r *elasticRun[T]) train(epochs int) error {
 		p := m.Machine.P
 		ev := RecoveryEvent{Epoch: e, P: p}
 		var lost *sim.DeviceLostError
-		var gaveUp *comm.GiveUpError
+		var gaveUp *sim.GiveUpError
 		var transient *sim.TransientTaskError
 		var numeric *NumericError
 		var recErr error

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"mggcn/internal/comm"
 	"mggcn/internal/sim"
 	"mggcn/internal/tensor"
 )
@@ -31,9 +30,9 @@ type fakeRun struct {
 	removed  []int // ObserveRemoval acknowledgements, in order
 }
 
-func (r *fakeRun) BeforeTask(*sim.Graph, *sim.Task) error { return nil }
-func (r *fakeRun) AfterTask(*sim.Graph, *sim.Task) error  { return nil }
-func (r *fakeRun) ObserveRemoval(dev int)                 { r.removed = append(r.removed, dev) }
+func (r *fakeRun) BeforeTask(*sim.Graph, *sim.Task, int) error { return nil }
+func (r *fakeRun) AfterTask(*sim.Graph, *sim.Task) error       { return nil }
+func (r *fakeRun) ObserveRemoval(dev int)                      { r.removed = append(r.removed, dev) }
 
 func newFakeTrainer(p int, pol recoveryPolicy, run *fakeRun) *fakeTrainer {
 	init := []*tensor.Dense{tensor.NewDense(2, 2)}
@@ -82,7 +81,7 @@ func asTask(err error) error { return &sim.TaskError{ID: 3, Label: "t", Device: 
 // the two rows where they differ are pinned against the real tables.
 func TestElasticLattice(t *testing.T) {
 	boom := errors.New("kernel exploded")
-	gaveUp := &comm.GiveUpError{Label: "allreduce", Attempts: 4, Err: errors.New("transient")}
+	gaveUp := &sim.GiveUpError{Label: "allreduce", Attempts: 4, Err: errors.New("transient")}
 	policies := map[string]recoveryPolicy{
 		"full-batch": (&Trainer{}).recoveryPolicy(),
 		"sampled":    (&SampledTrainer{}).recoveryPolicy(),
@@ -181,7 +180,7 @@ func TestElasticLoopBounds(t *testing.T) {
 			fr.calls, len(run.events), maxConsecutiveRecoveries)
 	}
 
-	gaveUp := &comm.GiveUpError{Label: "allreduce", Attempts: 4, Err: errors.New("transient")}
+	gaveUp := &sim.GiveUpError{Label: "allreduce", Attempts: 4, Err: errors.New("transient")}
 	wrapped := asTask(gaveUp)
 	fr = &fakeRun{script: []error{wrapped}}
 	run = elasticRun[*fakeTrainer]{tr: newFakeTrainer(1, sampled, fr)}

@@ -6,20 +6,17 @@ import (
 	"testing"
 	"time"
 
-	"mggcn/internal/comm"
 	"mggcn/internal/fault"
 	"mggcn/internal/graph"
 	"mggcn/internal/san"
 	"mggcn/internal/sim"
 )
 
-// sampledFaultConfig is testSampledConfig plus the failure machinery: a
-// retry budget, a fake clock, and the given injector on both seams.
+// sampledFaultConfig is testSampledConfig with the given injector as the
+// fault hook.
 func sampledFaultConfig(p int, inj *fault.Injector) SampledConfig {
 	cfg := testSampledConfig(p)
 	cfg.Fault = inj
-	cfg.Retry = comm.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, Multiplier: 2}
-	cfg.RetryClock = noSleep{}
 	return cfg
 }
 
@@ -237,9 +234,9 @@ func TestSampledGiveUpConvertsToEviction(t *testing.T) {
 	// must abort, not loop.
 	inj2 := fault.New(fault.Plan{Seed: 2, Transient: &fault.TransientSpec{Every: 1, Failures: 100}})
 	_, err = TrainSampledElastic(g, sampledFaultConfig(1, inj2), 1)
-	var give *comm.GiveUpError
+	var give *sim.GiveUpError
 	if !errors.As(err, &give) {
-		t.Fatalf("P=1 exhaustion error = %v, want wrapped *comm.GiveUpError", err)
+		t.Fatalf("P=1 exhaustion error = %v, want wrapped *sim.GiveUpError", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mggcn/internal/comm"
 	"mggcn/internal/fault"
 	"mggcn/internal/graph"
 	"mggcn/internal/nn"
@@ -14,18 +13,10 @@ import (
 	"mggcn/internal/tensor"
 )
 
-// noSleep keeps retry backoff out of test wall time.
-type noSleep struct{}
-
-func (noSleep) Sleep(time.Duration) {}
-
-// faultConfig is testConfig plus the failure machinery: a retry budget, a
-// fake clock, and the given injector on both seams.
+// faultConfig is testConfig with the given injector as the fault hook.
 func faultConfig(p int, inj *fault.Injector) Config {
 	cfg := testConfig(p)
 	cfg.Fault = inj
-	cfg.Retry = comm.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, Multiplier: 2}
-	cfg.RetryClock = noSleep{}
 	return cfg
 }
 
@@ -80,8 +71,8 @@ func TestTransientFaultParityBitIdentical(t *testing.T) {
 }
 
 func TestGATTransientFaultParityBitIdentical(t *testing.T) {
-	// The GAT distribution path shares the comm retry machinery; retried
-	// transients must be invisible there too.
+	// The GAT distribution path shares the executor's retry loop, its raw
+	// all-gather included; retried transients must be invisible there too.
 	g := testGraph(t)
 	model := nn.NewGAT(g, nn.LayerDims(g.FeatDim, 16, 2, g.Classes), 3)
 	cfg := testConfig(4)
@@ -131,8 +122,9 @@ func TestStragglerParityBitIdentical(t *testing.T) {
 }
 
 func TestTransientExhaustionGivesUp(t *testing.T) {
-	// Failures >= the retry budget: the collective converts its last
-	// transient failure into a permanent GiveUpError and the epoch aborts.
+	// Failures >= the retry budget: the executor converts the collective's
+	// last transient failure into a permanent GiveUpError and the epoch
+	// aborts.
 	g := testGraph(t)
 	inj := fault.New(fault.Plan{Seed: 11, Transient: &fault.TransientSpec{Every: 2, Failures: 10}})
 	tr, err := NewTrainer(g, faultConfig(4, inj))
@@ -140,12 +132,12 @@ func TestTransientExhaustionGivesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = tr.RunEpoch()
-	var give *comm.GiveUpError
+	var give *sim.GiveUpError
 	if !errors.As(err, &give) {
-		t.Fatalf("RunEpoch error = %v, want wrapped *comm.GiveUpError", err)
+		t.Fatalf("RunEpoch error = %v, want wrapped *sim.GiveUpError", err)
 	}
 	if give.Attempts != 4 {
-		t.Fatalf("gave up after %d attempts, want the policy's 4", give.Attempts)
+		t.Fatalf("gave up after %d attempts, want the executor's 4", give.Attempts)
 	}
 }
 
@@ -265,9 +257,9 @@ func TestElasticAbortsAfterRepeatedFailures(t *testing.T) {
 	if err == nil {
 		t.Fatal("TrainElastic succeeded under a permanently failing collective")
 	}
-	var give *comm.GiveUpError
+	var give *sim.GiveUpError
 	if !errors.As(err, &give) {
-		t.Fatalf("error = %v, want wrapped *comm.GiveUpError", err)
+		t.Fatalf("error = %v, want wrapped *sim.GiveUpError", err)
 	}
 	if res == nil || len(res.Stats) != 0 {
 		t.Fatalf("partial result = %+v, want empty stats", res)

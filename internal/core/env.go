@@ -7,7 +7,7 @@ import (
 
 // execEnv is the execution environment of a recorded task graph: how many
 // host workers run the replay, which hooks bracket every replayed closure,
-// and the collectives' failure machinery. Config and SampledConfig embed it
+// and the collectives' meter. Config and SampledConfig embed it
 // by value, so the fields are set under their own names (cfg.Fault = inj)
 // and are read at replay time — a hook installed on tr.Cfg between epochs
 // takes effect on the next one.
@@ -25,16 +25,11 @@ type execEnv struct {
 	// shadow tracking). Forces serial replay.
 	ExecObserver sim.ExecObserver
 	// Fault, when set, brackets every replayed closure with fault-injection
-	// callbacks (internal/fault's Injector). When the hook also implements
-	// comm.CollectiveGate, collective attempts are gated through it, so one
-	// injector drives both the crash/straggler/poison seams and the
-	// transient-collective seam.
+	// callbacks (internal/fault's Injector), under the executor's retry
+	// loop for transient failures. A phantom trainer offers its tasks to
+	// the hook without closures (sim.Graph.WalkHooks), so recovery runs on
+	// structure alone.
 	Fault sim.FaultHook
-	// Retry bounds the collectives' transient-failure retries (the zero
-	// value means a single attempt); RetryClock supplies the backoff sleeps
-	// (nil: wall clock).
-	Retry      comm.RetryPolicy
-	RetryClock comm.Clock
 	// CommMeter, when set, counts the words every collective moves — the
 	// measured side of internal/schedcheck's cost certification — and, on
 	// the sampled pipeline, the extract stage's gather traffic
@@ -43,17 +38,11 @@ type execEnv struct {
 }
 
 // newComm builds a communicator over tg with the dataset's byte scale and
-// the environment's failure machinery: the retry policy/clock, the meter,
-// and the fault hook as the collective gate when it implements one.
+// the environment's meter.
 func (e *execEnv) newComm(tg *sim.Graph, memScale int) *comm.Group {
 	cg := comm.New(tg)
 	cg.BytesScale = int64(memScale)
-	cg.Retry = e.Retry
-	cg.Clock = e.RetryClock
 	cg.Meter = e.CommMeter
-	if gate, ok := e.Fault.(comm.CollectiveGate); ok {
-		cg.Gate = gate
-	}
 	return cg
 }
 
@@ -62,7 +51,7 @@ func (e *execEnv) newComm(tg *sim.Graph, memScale int) *comm.Group {
 // buffer (slabs, weights, gradients, feature shards) for the sanitizer, and
 // the most recently replayed graph, kept for post-hoc checking. phantom marks
 // a structure-only dataset: its graphs are recorded, bound and declared like
-// real ones, and never replayed.
+// real ones, and their closures never run.
 type replayer struct {
 	Machine   *sim.Machine
 	reg       *sim.BufRegistry
@@ -88,8 +77,9 @@ func (r *replayer) s(x int) int { return x * r.Machine.MemScale }
 // whatever position the trainer keeps. A replay failure or a fold error voids
 // the epoch: nothing was committed, and tg stays reachable via LastGraph. A
 // nil fold has nothing to sum. A phantom graph is recorded, folded and
-// scheduled like a real one but not replayed: this is the one place phantom
-// mode skips work, so every recorder binds unconditionally.
+// scheduled like a real one, and its tasks meet the fault hook, but no
+// closure runs: this is the one place phantom mode skips work, so every
+// recorder binds unconditionally.
 func (r *replayer) epoch(env *execEnv, body func(tg *sim.Graph, cg *comm.Group) (fold func(*EpochStats) error)) (*EpochStats, error) {
 	tg := sim.NewGraph(r.Machine.Spec, r.Machine.P)
 	fold := body(tg, env.newComm(tg, r.Machine.MemScale))
@@ -100,7 +90,8 @@ func (r *replayer) epoch(env *execEnv, body func(tg *sim.Graph, cg *comm.Group) 
 	tg.Reg, tg.Observer, tg.Fault = r.reg, env.ExecObserver, env.Fault
 	var err error
 	switch {
-	case r.phantom: // no storage: nothing to replay
+	case r.phantom: // no storage: the hooks alone decide
+		err = tg.WalkHooks()
 	case env.ExecSeed != 0:
 		err = tg.ExecuteAdversarial(env.ExecWorkers, env.ExecSeed)
 	default:

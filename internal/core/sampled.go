@@ -76,7 +76,7 @@ type SampledConfig struct {
 
 	Seed int64 // weight init, epoch shuffles, and all sampler streams
 	// The execution environment, as on Config: ExecWorkers, ExecSeed,
-	// ExecObserver, Fault, Retry, RetryClock, CommMeter.
+	// ExecObserver, Fault, CommMeter.
 	execEnv
 
 	// TrackVal computes per-epoch validation accuracy with a host-side

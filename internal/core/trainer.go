@@ -42,7 +42,7 @@ type Config struct {
 
 	Seed int64 // weight initialization seed
 	// The execution environment: ExecWorkers, ExecSeed, ExecObserver,
-	// Fault, Retry, RetryClock, CommMeter.
+	// Fault, CommMeter.
 	execEnv
 }
 
@@ -307,7 +307,7 @@ func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
 //
 // A non-nil error means the epoch did not complete and the model state is
 // suspect: a *sim.TaskError wrapping the first task failure (unwrap to
-// *sim.DeviceLostError for permanent device loss, *comm.GiveUpError for an
+// *sim.DeviceLostError for permanent device loss, *sim.GiveUpError for an
 // exhausted collective), or a *NumericError when the step produced
 // non-finite loss or weights. TrainElastic recovers from the recoverable
 // ones; callers using RunEpoch directly should stop training.

@@ -1,16 +1,16 @@
 // Package fault is the deterministic, seeded fault injector for MG-GCN's
 // task-graph execution. The full-batch pipeline of §4.1-4.3 assumes every
 // device and every broadcast succeeds; at production scale partial failure
-// is the common case, and the recovery machinery (internal/comm retries,
-// internal/core elastic training) is only trustworthy if its failure paths
-// are exercised on purpose. An Injector plugs into both failure seams:
-//
-//   - as a sim.FaultHook on the task graph it can crash a device
-//     permanently mid-epoch (BeforeTask fails with *sim.DeviceLostError),
-//     delay a device's tasks (straggler), and poison a task's declared
-//     output buffers with NaNs (AfterTask);
-//   - as a comm.CollectiveGate it fails individual collective attempts
-//     transiently, driving the retry/backoff loop.
+// is the common case, and the recovery machinery (the executor's retry
+// loop, internal/core elastic training) is only trustworthy if its failure
+// paths are exercised on purpose. An Injector is a sim.FaultHook on the
+// task graph: BeforeTask can crash a device permanently mid-epoch
+// (*sim.DeviceLostError), fail a task transiently (*sim.TransientTaskError),
+// delay a device's tasks (straggler) and fail collective attempts
+// transiently, driving the executor's retry/backoff loop; AfterTask poisons
+// a task's declared output buffers with NaNs. The hooks decide on the task
+// alone, so a structure-only replay (sim.Graph.WalkHooks) meets the same
+// faults as a real one; a poison, which needs data, fails the task there.
 //
 // Every decision is a pure function of the plan's seed and record-time
 // identifiers (task IDs, labels, devices) — never of replay interleaving or
@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"mggcn/internal/comm"
 	"mggcn/internal/sim"
 )
 
@@ -69,12 +68,13 @@ type CrashSpec struct {
 	Kind    *sim.Kind
 }
 
-// TransientSpec fails collective attempts transiently: a collective task is
-// selected when hash(seed, taskID) % Every == 0 (Every <= 1 selects all),
-// and its first Failures attempts fail with a comm.Transient error before
-// attempts pass. With Failures < the group's retry budget every failure is
-// retried away and the run is bit-identical to fault-free; with Failures >=
-// the budget the collective gives up and the epoch aborts.
+// TransientSpec fails collective attempts transiently: a task carrying a
+// collective annotation (Task.Coll) is selected when hash(seed, taskID) %
+// Every == 0 (Every <= 1 selects all), and its first Failures attempts fail
+// with a sim.Transient error before attempts pass. With Failures below the
+// executor's 4 attempts every failure is retried away and the run is
+// bit-identical to fault-free; with Failures >= 4 the collective gives up
+// (*sim.GiveUpError) and the epoch aborts.
 type TransientSpec struct {
 	Every    int
 	Failures int
@@ -106,13 +106,14 @@ type PoisonSpec struct {
 	Kind       *sim.Kind
 }
 
-// TransientTaskSpec fails individual bound tasks transiently — the
-// task-level analogue of TransientSpec for stages with no in-closure retry
-// loop, like the sampler stream. The first Failures executions of tasks
-// matching the filter (Device, label substring OnLabel, optional
-// Stream/Kind) fail with *sim.TransientTaskError before any execution
-// passes; the counter is global across graphs, so an elastic re-run of the
-// voided work finds the fault gone and replays bit-identically. Scope the
+// TransientTaskSpec fails individual bound tasks transiently, without the
+// executor's in-place retry — the failure the elastic trainer recovers from
+// by restoring and replaying, like a sampler-stream hiccup. The first
+// Failures executions of tasks matching the filter (Device, label substring
+// OnLabel, optional Stream/Kind) fail with *sim.TransientTaskError before
+// any execution passes; the counter is global across graphs, so an elastic
+// re-run of the voided work finds the fault gone and replays
+// bit-identically. Scope the
 // filter to a single task (label + device) when a deterministic recovery
 // count matters: with several matching tasks racing in one replay, which
 // one consumes the budget depends on executor interleaving.
@@ -144,10 +145,9 @@ type Stats struct {
 	TaskFailures      int // task executions failed transiently
 }
 
-// Injector injects one Plan into a run. It implements sim.FaultHook and
-// comm.CollectiveGate; wire the same instance into both seams (the trainer
-// does this when Config.Fault is set). Safe for concurrent use — the
-// executor calls it from parallel workers.
+// Injector injects one Plan into a run as a sim.FaultHook (the trainers
+// install it from Config.Fault). Safe for concurrent use — the executor
+// calls it from parallel workers.
 type Injector struct {
 	plan Plan
 
@@ -160,11 +160,7 @@ type Injector struct {
 	stats      Stats
 }
 
-// interface conformance
-var (
-	_ sim.FaultHook       = (*Injector)(nil)
-	_ comm.CollectiveGate = (*Injector)(nil)
-)
+var _ sim.FaultHook = (*Injector)(nil)
 
 // New builds an injector for the plan.
 func New(plan Plan) *Injector { return &Injector{plan: plan} }
@@ -205,9 +201,31 @@ func onDevice(t *sim.Task, dev int) bool {
 	return false
 }
 
-// BeforeTask implements sim.FaultHook: the crash, transient-task, and
-// straggler seams.
-func (in *Injector) BeforeTask(g *sim.Graph, t *sim.Task) error {
+// BeforeTask implements sim.FaultHook. The crash, transient-task and
+// straggler seams act on a task's first attempt, in that order; the
+// collective-transient seam on every attempt of a collective. Its selection
+// hashes the record-time task ID with the seed, so the same collectives
+// fail in every epoch and at every executor parallelism.
+func (in *Injector) BeforeTask(g *sim.Graph, t *sim.Task, attempt int) error {
+	if attempt == 1 {
+		if err := in.firstAttempt(t); err != nil {
+			return err
+		}
+	}
+	in.mu.Lock()
+	ts := in.plan.Transient
+	if ts == nil || t.Coll == nil || attempt > ts.Failures ||
+		mix(in.plan.Seed, uint64(t.ID))%uint64(max(ts.Every, 1)) != 0 {
+		in.mu.Unlock()
+		return nil
+	}
+	in.stats.TransientFailures++
+	in.mu.Unlock()
+	return sim.Transient(fmt.Errorf("fault: injected failure of %s (task %d, attempt %d)", t.Label, t.ID, attempt))
+}
+
+// firstAttempt is BeforeTask's crash, transient-task and straggler seams.
+func (in *Injector) firstAttempt(t *sim.Task) error {
 	var delay time.Duration
 	in.mu.Lock()
 	if c := in.plan.Crash; c != nil && onDevice(t, c.Device) {
@@ -260,7 +278,9 @@ func (in *Injector) BeforeTask(g *sim.Graph, t *sim.Task) error {
 // AfterTask implements sim.FaultHook: the NaN-poison seam. The poisoned
 // buffers are the task's *declared* writes resolved through the graph's
 // registry — corruption lands exactly where the task claims to write, so
-// the sanitizer's access-set story stays coherent even under injection.
+// the sanitizer's access-set story stays coherent even under injection. A
+// task whose declared writes hold no storage (a structure-only graph) fails
+// instead.
 func (in *Injector) AfterTask(g *sim.Graph, t *sim.Task) error {
 	p := in.plan.Poison
 	if p == nil || t.Label != p.Label || t.Stage != p.Stage || !onDevice(t, p.Device) ||
@@ -285,37 +305,20 @@ func (in *Injector) AfterTask(g *sim.Graph, t *sim.Task) error {
 		return fmt.Errorf("fault: poison of task %q needs a buffer registry on the graph", t.Label)
 	}
 	nan := float32(math.NaN())
+	poisoned := 0
 	for _, id := range t.Writes {
 		data := g.Reg.Data(id)
 		for i := range data {
 			data[i] = nan
 		}
+		poisoned += len(data)
+	}
+	if poisoned == 0 {
+		// A structure-only graph holds no data to corrupt: refuse the plan
+		// rather than report a fault that never happened.
+		return fmt.Errorf("fault: poison of task %q found no stored output to corrupt", t.Label)
 	}
 	return nil
-}
-
-// CollectiveAttempt implements comm.CollectiveGate: the transient seam.
-// Selection hashes the record-time task ID with the seed, so the same
-// collectives fail in every epoch and at every executor parallelism.
-func (in *Injector) CollectiveAttempt(taskID int, label string, attempt int) error {
-	ts := in.plan.Transient
-	if ts == nil || ts.Failures < 1 {
-		return nil
-	}
-	every := ts.Every
-	if every < 1 {
-		every = 1
-	}
-	if mix(in.plan.Seed, uint64(taskID))%uint64(every) != 0 {
-		return nil
-	}
-	if attempt > ts.Failures {
-		return nil
-	}
-	in.mu.Lock()
-	in.stats.TransientFailures++
-	in.mu.Unlock()
-	return comm.Transient(fmt.Errorf("fault: injected failure of %s (task %d, attempt %d)", label, taskID, attempt))
 }
 
 // mix is splitmix64 over the seed/ID pair — a cheap, well-distributed

@@ -137,40 +137,28 @@ func TestPoisonFillsDeclaredWritesWithNaN(t *testing.T) {
 	}
 }
 
-// fakeClock records backoff sleeps without waiting.
-type fakeClock struct{ slept []time.Duration }
-
-func (c *fakeClock) Sleep(d time.Duration) { c.slept = append(c.slept, d) }
-
 func TestTransientFaultsAreRetriedAway(t *testing.T) {
-	runBroadcast := func(in *Injector, retry comm.RetryPolicy) ([]float32, error) {
+	runBroadcast := func(in *Injector) ([]float32, error) {
 		g := sim.NewGraph(sim.DGXV100(), 2)
 		if in != nil {
 			g.Fault = in
 		}
-		cg := comm.New(g)
-		cg.Retry = retry
-		cg.Clock = &fakeClock{}
-		if in != nil {
-			cg.Gate = in
-		}
 		src := tensor.NewDense(2, 2)
 		src.Fill(3)
 		dst := []*tensor.Dense{src, tensor.NewDense(2, 2)}
-		cg.Broadcast(0, src, dst, "bcast h", 0)
+		comm.New(g).Broadcast(0, src, dst, "bcast h", 0)
 		err := g.Execute(1)
 		return dst[1].Data, err
 	}
 
-	policy := comm.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Multiplier: 2}
-	want, err := runBroadcast(nil, policy)
+	want, err := runBroadcast(nil)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
 	}
 
-	// Failures below the budget: retried away, bit-identical result.
+	// Failures below the executor's budget: retried away, bit-identical.
 	in := New(Plan{Seed: 7, Transient: &TransientSpec{Every: 1, Failures: 2}})
-	got, err := runBroadcast(in, policy)
+	got, err := runBroadcast(in)
 	if err != nil {
 		t.Fatalf("retried run failed: %v", err)
 	}
@@ -185,11 +173,46 @@ func TestTransientFaultsAreRetriedAway(t *testing.T) {
 
 	// Failures at the budget: the collective gives up.
 	in2 := New(Plan{Seed: 7, Transient: &TransientSpec{Every: 1, Failures: 4}})
-	_, err = runBroadcast(in2, policy)
-	var give *comm.GiveUpError
+	_, err = runBroadcast(in2)
+	var give *sim.GiveUpError
 	if !errors.As(err, &give) || give.Attempts != 4 {
 		t.Fatalf("exhausted run = %v, want GiveUpError after 4 attempts", err)
 	}
+}
+
+// TestPoisonWithoutStorageIsRefused: on a structure-only graph the poison
+// seam has nothing to corrupt, and says so instead of passing silently.
+func TestPoisonWithoutStorageIsRefused(t *testing.T) {
+	in := New(Plan{Poison: &PoisonSpec{Label: "spmm fw", Stage: 0, Device: 0}})
+	g := sim.NewGraph(sim.DGXV100(), 1)
+	g.Reg = sim.NewBufRegistry()
+	g.Fault = in
+	out := tensor.NewPhantom(2, 2)
+	out.Buf = int(g.Reg.Register("h0"))
+	a := g.AddCompute(0, sim.KindSpMM, "spmm fw", 0, 1, true)
+	g.BindShaped(a, nil, sim.ShapesOf(out), func() { t.Fatal("a walk ran a closure") })
+	var te *sim.TaskError
+	if err := g.WalkHooks(); !errors.As(err, &te) || te.ID != a {
+		t.Fatalf("WalkHooks = %v, want the poisoned task's *sim.TaskError", err)
+	}
+}
+
+// TestTransientSelectsCollectivesOnly: the transient seam fails attempts of
+// tasks with a collective annotation and never any other task.
+func TestTransientSelectsCollectivesOnly(t *testing.T) {
+	in := New(Plan{Seed: 7, Transient: &TransientSpec{Every: 1, Failures: 1}})
+	if err := in.BeforeTask(nil, &sim.Task{ID: 0, Kind: sim.KindGeMM, Label: "gemm"}, 1); err != nil {
+		t.Fatalf("compute task failed transiently: %v", err)
+	}
+	if err := in.BeforeTask(nil, collTask(0), 1); !sim.IsTransient(err) {
+		t.Fatalf("collective attempt = %v, want a transient failure", err)
+	}
+}
+
+// collTask is a bare collective task with the given ID: what the transient
+// seam selects on.
+func collTask(id int) *sim.Task {
+	return &sim.Task{ID: id, Kind: sim.KindComm, Label: "c", Coll: &sim.Collective{}}
 }
 
 // streamFixture records one compute task and one sampler-stream task per
@@ -293,11 +316,11 @@ func TestTransientTaskFailsThenReplays(t *testing.T) {
 // survivors' re-run is fault-free.
 func TestObserveRemovalRetiresTransient(t *testing.T) {
 	in := New(Plan{Seed: 7, Transient: &TransientSpec{Every: 1, Failures: 100}})
-	if in.CollectiveAttempt(0, "c", 1) == nil {
+	if in.BeforeTask(nil, collTask(0), 1) == nil {
 		t.Fatal("Every=1 transient spec passed an attempt")
 	}
 	in.ObserveRemoval(3)
-	if err := in.CollectiveAttempt(0, "c", 2); err != nil {
+	if err := in.BeforeTask(nil, collTask(0), 2); err != nil {
 		t.Fatalf("transient spec survived ObserveRemoval: %v", err)
 	}
 }
@@ -307,7 +330,7 @@ func TestTransientSelectionIsSeedDeterministic(t *testing.T) {
 		in := New(Plan{Seed: seed, Transient: &TransientSpec{Every: 3, Failures: 1}})
 		var hits []bool
 		for id := 0; id < 64; id++ {
-			hits = append(hits, in.CollectiveAttempt(id, "c", 1) != nil)
+			hits = append(hits, in.BeforeTask(nil, collTask(id), 1) != nil)
 		}
 		return hits
 	}

@@ -406,6 +406,44 @@ func TestVerifyRefusesUncheckedRowKernel(t *testing.T) {
 	}
 }
 
+// TestPanickingCandidateIsRefused: a candidate whose tile panics in the
+// install probe is refused by name, and the next candidate installs. The
+// tile splits its rows in two and hands the lower half to its body even
+// when that half is empty, and the body panics on zero rows.
+func TestPanickingCandidateIsRefused(t *testing.T) {
+	saved, savedErr := installed(), probeErr
+	t.Cleanup(func() {
+		verifyAndInstall(saved)
+		probeErr = savedErr
+	})
+	body := func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) {
+		if rows == 0 {
+			panic("zero-row tile")
+		}
+		tileScalar(rows, cols, k, a, ars, aks, b, bs, c, cs, acc)
+	}
+	split := func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) {
+		top := min(rows, MR/2)
+		body(top, cols, k, a, ars, aks, b, bs, c, cs, acc)
+		body(rows-top, cols, k, a[top*ars:], ars, aks, b, bs, c[top*cs:], cs, acc)
+	}
+	scalar := impls{
+		name: "next",
+		add:  addScalar, tile: tileScalar, spmmRow: spmmRowScalar,
+		relu: reluScalar, reluMask: reluMaskScalar,
+		addU64: addU64Scalar, firstOutside63: firstOutside63Scalar,
+	}
+	panicky := scalar
+	panicky.name, panicky.tile = "panicky", split
+	verifyAndInstall(panicky, scalar)
+	if Impl() != "next" {
+		t.Fatalf("installed %q, want the next candidate", Impl())
+	}
+	if err := ProbeErr(); err == nil || !strings.Contains(err.Error(), "panicky") || !strings.Contains(err.Error(), "zero-row tile") {
+		t.Fatalf("ProbeErr() = %v, want panicky's refusal with its panic", err)
+	}
+}
+
 // TestReLUSemantics pins the two selects on the values a sign test can get
 // wrong: NaN passes ReLU (either sign, payload kept) and fails ReLUMask,
 // -0 and negatives give +0, denormals and infinities follow their sign.

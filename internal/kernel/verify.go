@@ -35,11 +35,12 @@ var probeErr error
 // guard that lets us ship assembly for platforms the build host cannot
 // execute: a wrong kernel (e.g. an unexpected fused multiply-add) degrades to
 // a slower path instead of corrupting training. It runs from init, before
-// any kernel call, so swapping the table is unsynchronized by design.
+// any kernel call, so swapping the table is unsynchronized by design. A
+// candidate that panics in a probe is refused like one that deviates.
 func verifyAndInstall(cands ...impls) {
 	var refused []error
 	for _, c := range cands {
-		if err := verifyImpls(c); err != nil {
+		if err := probe(c); err != nil {
 			refused = append(refused, err)
 			continue
 		}
@@ -54,6 +55,17 @@ func verifyAndInstall(cands ...impls) {
 		break
 	}
 	probeErr = errors.Join(refused...)
+}
+
+// probe is verifyImpls with a panic turned into c's refusal, so a body that
+// crashes on some probe shape cannot stop every process at start-up.
+func probe(c impls) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("kernel: %s panics in its probe: %v", c.name, r)
+		}
+	}()
+	return verifyImpls(c)
 }
 
 // verifyLens covers empty, sub-lane, exact-lane, and straddling lengths

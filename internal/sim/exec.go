@@ -87,9 +87,10 @@ import (
 // (a barrier in tests, a channel in custom binds), so the budget must be
 // realizable even when GOMAXPROCS is smaller.
 //
-// Execute is fallible: when a closure (or the Fault hook) returns an error,
-// the executor stops issuing new tasks, drains the tasks already in flight,
-// and returns the first failure wrapped in a *TaskError. Tasks that never
+// Execute is fallible: when a closure (or the Fault hook, after the retry
+// loop of fault.go) returns an error, the executor stops issuing new tasks,
+// drains the tasks already in flight, and returns the first failure wrapped
+// in a *TaskError. Tasks that never
 // ran are cancelled — their closures are not invoked, and the graph is not
 // resumable (the watermark has passed them). A nil return means every bound
 // closure ran and returned nil.
@@ -234,7 +235,7 @@ func (g *Graph) execute(workers int, pick func(ready []int) int, delay func() ti
 					}
 					var err error
 					if hook != nil {
-						err = hook.BeforeTask(g, task)
+						err = beforeTask(g, hook, task)
 					}
 					if err == nil {
 						err = fn()
@@ -268,12 +269,7 @@ func (g *Graph) execute(workers int, pick func(ready []int) int, delay func() ti
 		switch {
 		case r.err != nil:
 			if firstErr == nil {
-				t := g.Tasks[r.id]
-				dev := -1
-				if len(t.Devices) > 0 {
-					dev = t.Devices[0]
-				}
-				firstErr = &TaskError{ID: r.id, Label: t.Label, Device: dev, Err: r.err}
+				firstErr = taskError(g.Tasks[r.id], r.err)
 			}
 		case firstErr == nil:
 			complete(r.id)

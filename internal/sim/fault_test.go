@@ -66,7 +66,7 @@ type recordingHook struct {
 	after     int
 }
 
-func (h *recordingHook) BeforeTask(g *Graph, tk *Task) error {
+func (h *recordingHook) BeforeTask(g *Graph, tk *Task, attempt int) error {
 	h.before++
 	if tk.Label == h.failLabel {
 		return &DeviceLostError{Device: tk.Devices[0]}

@@ -150,8 +150,7 @@ func OpaqueShape(id BufID) ViewShape { return ViewShape{Buf: id} }
 // or in-place ReLU reads its destination) and the matrix shapes it touches
 // them at, so the sanitizer can order the task and internal/schedcheck can
 // type the schedule without executing it. A task can be bound at most once.
-// Closures that can fail — retried collectives, fault paths — use
-// BindShapedE instead.
+// Closures that can fail use BindShapedE instead.
 func (g *Graph) BindShaped(id int, reads, writes []ViewShape, fn func()) {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: Bind of nil closure to task %d", id))

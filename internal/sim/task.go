@@ -108,7 +108,7 @@ type Task struct {
 	// time and replayed by Graph.Execute once the task's dependencies have
 	// run (nil for tasks with no host-side work). Attach it, with the
 	// accesses it makes, with Graph.BindShaped (infallible closures) or
-	// Graph.BindShapedE (closures that can fail, e.g. retried collectives).
+	// Graph.BindShapedE (closures that can fail).
 	// A non-nil return cancels the rest of the replay: Execute stops
 	// issuing, drains in-flight tasks, and surfaces the failure as a
 	// *TaskError.

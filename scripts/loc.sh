@@ -29,7 +29,9 @@ cd "$(dirname "$0")/.."
 # 3277 -> 3279: the sampled trainer sorts vertices by degree once for every
 # device's feature cache (P sorts and P Pos arrays before) and builds no
 # Sampler on a phantom trainer, which never replays.
-core_ceiling=3279
+# 3279 -> 3269: the execution environment has no retry policy, clock or
+# collective gate; a phantom epoch walks the fault hooks instead.
+core_ceiling=3269
 # The repository total's ceiling is the size the last deletion reached
 # (ROADMAP item 5); same rule. 17555 -> 17591: that check, the row kernel's
 # split bounds check and its install-time column probe, Dense.Row's panic
@@ -95,7 +97,14 @@ core_ceiling=3279
 # of one full scalar tile so the larger tile costs init no time. It takes
 # about 16-19 % off sampled-fanout's epoch and makes its layers' GeMMs
 # 1.4-1.6x faster. Also the rowBlock comment's sizes in internal/tensor (+1).
-total_ceiling=17591
+# 17591 -> 17551: one retry loop, in the executor. comm's per-collective
+# loop with its policy, clock and gate is deleted (-168), as are the
+# environment's retry fields and gate wiring (-10 in core, -2 in the root
+# package), net of the loop, the error types it moved into internal/sim and
+# the structure-only hook walk (+111), the injector's one seam and its
+# refusal of a poison with no storage (+3), the chaos harness's shared
+# trainer runner (+14) and the kernel probe's panic guard (+12).
+total_ceiling=17551
 
 find . -name '*.go' ! -name '*_test.go' \
 	! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.bench_build/*' ! -path './.git/*' \
