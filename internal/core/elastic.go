@@ -182,12 +182,14 @@ func (r *elasticRun[T]) train(epochs int) error {
 }
 
 // shrink replaces the trainer by one over the survivors of losing lostDev:
-// pick a resync source whose replica is still at the unit-start step and
-// finite (falling back to the unit-start snapshot when none qualifies —
-// e.g. the crash landed mid-Adam and some survivors already stepped),
-// resync the survivors from it, acknowledge the removal to the injector,
-// rebuild at P-1, and restore the agreed state onto the new replicas. It
-// completes ev, whose Detail may already say why the device is leaving.
+// acknowledge the removal to the injector (first: it retires the transient
+// spec that evicted a suspect, which would fail the resync's broadcasts too,
+// and the resync leaves lostDev out), pick a resync source whose replica is
+// still at the unit-start step and finite (falling back to the unit-start
+// snapshot when none qualifies — e.g. the crash landed mid-Adam and some
+// survivors already stepped), resync the survivors from it, rebuild at P-1,
+// and restore the agreed state onto the new replicas. It completes ev, whose
+// Detail may already say why the device is leaving.
 func (r *elasticRun[T]) shrink(ev RecoveryEvent, pol recoveryPolicy, lostDev int, snap *modelState) (RecoveryEvent, error) {
 	m, env := r.tr.model(), r.tr.env()
 	p := m.Machine.P
@@ -202,6 +204,10 @@ func (r *elasticRun[T]) shrink(ev RecoveryEvent, pol recoveryPolicy, lostDev int
 		if d != lostDev {
 			survivors = append(survivors, d)
 		}
+	}
+
+	if obs, ok := env.Fault.(removalObserver); ok {
+		obs.ObserveRemoval(lostDev)
 	}
 
 	var state *modelState
@@ -224,10 +230,6 @@ func (r *elasticRun[T]) shrink(ev RecoveryEvent, pol recoveryPolicy, lostDev int
 			state = snap
 			ev.Detail += fmt.Sprintf("restored %s-start snapshot", pol.unit)
 		}
-	}
-
-	if obs, ok := env.Fault.(removalObserver); ok {
-		obs.ObserveRemoval(lostDev)
 	}
 
 	nt, rebuilt, err := r.tr.rebuild(p - 1)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -237,6 +238,28 @@ func TestSampledGiveUpConvertsToEviction(t *testing.T) {
 	var give *sim.GiveUpError
 	if !errors.As(err, &give) {
 		t.Fatalf("P=1 exhaustion error = %v, want wrapped *sim.GiveUpError", err)
+	}
+}
+
+// TestSampledEvictionResyncsFromReplica: under suspect eviction the
+// survivors resync from a replica, not from the segment-start snapshot. The
+// injector retires the collective-transient spec when it learns of the
+// removal, and that happens before the resync, whose own broadcasts would
+// otherwise exhaust the same retry budget and fail.
+func TestSampledEvictionResyncsFromReplica(t *testing.T) {
+	g := testGraph(t)
+	inj := fault.New(fault.Plan{Seed: 1, Transient: &fault.TransientSpec{Every: 2, Failures: 100}})
+	res, err := TrainSampledElastic(g, sampledFaultConfig(4, inj), 2)
+	if err != nil {
+		t.Fatalf("TrainSampledElastic under exhausted collectives: %v", err)
+	}
+	if len(res.Events) == 0 {
+		t.Fatal("no recovery event: the plan exhausted no collective")
+	}
+	for _, ev := range res.Events {
+		if ev.Kind != "device-lost" || !strings.Contains(ev.Detail, "survivors from replica") || strings.Contains(ev.Detail, "resync failed") {
+			t.Fatalf("recovery event %+v, want an eviction resynced from a replica", ev)
+		}
 	}
 }
 

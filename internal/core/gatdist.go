@@ -237,7 +237,9 @@ func attentionRow(ds *deviceState, s1Full, s2 *tensor.Dense, vec interface{ Boun
 		}
 		tiles[j] = &sparse.CSR{Rows: t.Rows, Cols: t.Cols, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Vals: vals}
 	}
-	// Second pass: exp and row sums across tiles, then normalize.
+	// Second pass: exp and row sums across tiles, then normalize. The sum
+	// runs through every tile's segment of the row, an association
+	// kernel.ExpRow (one segment's sum from zero) cannot give.
 	rowSum := make([]float64, ds.rows)
 	for _, t := range tiles {
 		for v := 0; v < t.Rows; v++ {

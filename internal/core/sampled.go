@@ -380,8 +380,7 @@ func (dv *sampledDevice) outputs(k int) (logits *tensor.Dense, labels []int32) {
 // is the exact step-mean gradient — in G.
 func (dv *sampledDevice) loss(k, norm int) (sum float64, correct int) {
 	logits, labels := dv.outputs(k)
-	sum = nn.SoftmaxCrossEntropySum(logits, labels, nil, dv.G.View(logits.Rows, logits.Cols), norm)
-	correct, _ = nn.CorrectCount(logits, labels, nil)
+	sum, correct, _ = nn.SoftmaxCrossEntropySum(logits, labels, nil, nil, dv.G.View(logits.Rows, logits.Cols), norm)
 	return sum, correct
 }
 

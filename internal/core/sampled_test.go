@@ -356,7 +356,8 @@ func hostEpochTransformFirst(g *graph.Graph, cfg SampledConfig, ws []*tensor.Den
 				lb[r] = g.Labels[v]
 			}
 			grad := tensor.NewDense(len(dst), g.Classes)
-			loss += nn.SoftmaxCrossEntropySum(hs[L], lb, nil, grad, stepRows)
+			sum, _, _ := nn.SoftmaxCrossEntropySum(hs[L], lb, nil, nil, grad, stepRows)
+			loss += sum
 			for l := L - 1; l >= 0; l-- {
 				if l < L-1 {
 					tensor.ReLUBackward(grad, grad, hs[l+1])

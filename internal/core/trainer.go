@@ -344,11 +344,7 @@ func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) e
 			// label/mask shards and per-device loss slots are host-side and
 			// unregistered.
 			tg.BindShaped(id, nil, sim.ShapesOf(logits), func() {
-				lossCorrect[i], _ = nn.CorrectCount(logits, ds.labels, ds.mask)
-				if ds.testMask != nil {
-					lossTestCorrect[i], _ = nn.CorrectCount(logits, ds.labels, ds.testMask)
-				}
-				lossSum[i] = nn.SoftmaxCrossEntropySum(logits, ds.labels, ds.mask, logits, tr.trainCount)
+				lossSum[i], lossCorrect[i], lossTestCorrect[i] = nn.SoftmaxCrossEntropySum(logits, ds.labels, ds.mask, ds.testMask, logits, tr.trainCount)
 			})
 		})
 

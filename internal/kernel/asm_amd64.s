@@ -2,11 +2,12 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the dispatch-table kernels, and the AVX-512 GeMM tile.
-// Bit-identity contract (see kernel.go): the amd64 Go compiler never fuses
-// float32 mul+add, so every multiply is a separate VMULPS and every add a
-// separate VADDPS, on YMM and ZMM alike — never VFMADD* — and each rounds
-// exactly like the scalar expression. The Vec8 entry points require n to be
+// AVX2 bodies of the dispatch-table kernels, and the AVX-512 GeMM tile and
+// softmax rows. Bit-identity contract (see kernel.go): the amd64 Go compiler
+// never fuses float32 mul+add, so every multiply is a separate VMULPS and
+// every add a separate VADDPS, on YMM and ZMM alike — never VFMADD* — and
+// each rounds exactly like the scalar expression. The one exception is the
+// softmax row's exp, at the end of this file, which fuses where math.Exp does. The Vec8 entry points require n to be
 // a positive multiple of 8 (one YMM of float32, two of uint64); tails are the
 // Go wrappers' job. tileVec takes any extent inside 4 x 16, tileVec512 any
 // inside MR x NR, spmmRowVec any strip of 1..64 floats, and each masks its
@@ -729,5 +730,318 @@ tile512store:
 	VMOVUPS Z13, K2, 64(AX)
 	VMOVUPS Z14, K1, (BX)
 	VMOVUPS Z15, K2, 64(BX)
+	VZEROUPPER
+	RET
+
+// The softmax row's exp is math.Exp's fused path, exp_amd64.s's avxfma
+// (Shibata's method, ISC'10), lane for lane: the exponent k = round(x·log2e)
+// through a 32-bit convert, the fused two-step ln 2 reduction, the scaling by
+// 1/16, the seven fused Taylor steps with their constants in its order, four
+// square-and-add steps (the last fused) and the multiply by 2^k. expdata
+// holds its constants under the same decimal literals, so they are the same
+// bits. Where math.Exp branches — k + 1023 outside (0, 0x7FF), which covers a
+// NaN, ±Inf, an overflow and a subnormal or zero result — the body returns
+// ok = false and the row is the scalar body's.
+DATA expdata<>+0(SB)/8, $1.4426950408889634073599246810018920     // log2e
+DATA expdata<>+8(SB)/8, $0.69314718055966295651160180568695068359375 // ln 2, upper half
+DATA expdata<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // ln 2, lower half
+DATA expdata<>+24(SB)/8, $0.0625
+DATA expdata<>+32(SB)/8, $2.4801587301587301587e-5
+DATA expdata<>+40(SB)/8, $1.9841269841269841270e-4
+DATA expdata<>+48(SB)/8, $1.3888888888888888889e-3
+DATA expdata<>+56(SB)/8, $8.3333333333333333333e-3
+DATA expdata<>+64(SB)/8, $4.1666666666666666667e-2
+DATA expdata<>+72(SB)/8, $1.6666666666666666667e-1
+DATA expdata<>+80(SB)/8, $0.5
+DATA expdata<>+88(SB)/8, $1.0
+DATA expdata<>+96(SB)/8, $2.0
+GLOBL expdata<>(SB), RODATA|NOPTR, $104
+
+// EXPZ takes eight float32 inputs in Y0 to their exps in Z0 before the
+// final scaling, the biased exponents k + 1023 in Z4 (int64) and the bad
+// lanes, those outside (0, 0x7FF), in K2 | K3. The constants are in Z16..Z28
+// in expdata's order, mx in Y15, 0x3FF in Z29, 0x7FF in Z30 and 0 in Z31.
+#define EXPZ \
+	VSUBPS       Y15, Y0, Y0; \
+	VCVTPS2PD    Y0, Z0;      \
+	VMULPD       Z16, Z0, Z1; \
+	VCVTPD2DQ    Z1, Y2;      \
+	VCVTDQ2PD    Y2, Z1;      \
+	VFNMADD231PD Z17, Z1, Z0; \
+	VFNMADD231PD Z18, Z1, Z0; \
+	VMULPD       Z19, Z0, Z0; \
+	VMOVAPD      Z20, Z3;     \
+	VFMADD213PD  Z21, Z0, Z3; \
+	VFMADD213PD  Z22, Z0, Z3; \
+	VFMADD213PD  Z23, Z0, Z3; \
+	VFMADD213PD  Z24, Z0, Z3; \
+	VFMADD213PD  Z25, Z0, Z3; \
+	VFMADD213PD  Z26, Z0, Z3; \
+	VFMADD213PD  Z27, Z0, Z3; \
+	VMULPD       Z3, Z0, Z0;  \
+	VADDPD       Z28, Z0, Z3; \
+	VMULPD       Z3, Z0, Z0;  \
+	VADDPD       Z28, Z0, Z3; \
+	VMULPD       Z3, Z0, Z0;  \
+	VADDPD       Z28, Z0, Z3; \
+	VMULPD       Z3, Z0, Z0;  \
+	VADDPD       Z28, Z0, Z3; \
+	VFMADD213PD  Z27, Z3, Z0; \
+	VPMOVSXDQ    Y2, Z4;      \
+	VPADDQ       Z29, Z4, Z4; \
+	VPCMPQ       $2, Z31, Z4, K2; \
+	VPCMPQ       $5, Z30, Z4, K3
+
+// SUMZ adds Z0's eight lanes to the sum in X14, lowest first.
+#define SUMZ \
+	VADDSD        X0, X14, X14; \
+	VUNPCKHPD     X0, X0, X1;   \
+	VADDSD        X1, X14, X14; \
+	VEXTRACTF128  $1, Y0, X1;   \
+	VADDSD        X1, X14, X14; \
+	VUNPCKHPD     X1, X1, X1;   \
+	VADDSD        X1, X14, X14; \
+	VEXTRACTF64X4 $1, Z0, Y2;   \
+	VADDSD        X2, X14, X14; \
+	VUNPCKHPD     X2, X2, X1;   \
+	VADDSD        X1, X14, X14; \
+	VEXTRACTF128  $1, Y2, X1;   \
+	VADDSD        X1, X14, X14; \
+	VUNPCKHPD     X1, X1, X1;   \
+	VADDSD        X1, X14, X14
+
+// func expRowVec512(dst *float64, src *float32, n int, mx float32) (sum float64, ok bool)
+// Eight lanes per step and one opmask step for the last n mod 8, n >= 1. The
+// sum is added in the same loop, so the next step's exps overlap its chain.
+// The tail's loads zero its disabled lanes without touching their memory, its
+// bad-lane test and its store leave them out, and its disabled lanes are +0
+// in the sum, which adding leaves as it was (the sum is never -0).
+TEXT ·expRowVec512(SB), NOSPLIT, $0-41
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS mx+24(FP), Y15
+	VBROADCASTSD expdata<>+0(SB), Z16
+	VBROADCASTSD expdata<>+8(SB), Z17
+	VBROADCASTSD expdata<>+16(SB), Z18
+	VBROADCASTSD expdata<>+24(SB), Z19
+	VBROADCASTSD expdata<>+32(SB), Z20
+	VBROADCASTSD expdata<>+40(SB), Z21
+	VBROADCASTSD expdata<>+48(SB), Z22
+	VBROADCASTSD expdata<>+56(SB), Z23
+	VBROADCASTSD expdata<>+64(SB), Z24
+	VBROADCASTSD expdata<>+72(SB), Z25
+	VBROADCASTSD expdata<>+80(SB), Z26
+	VBROADCASTSD expdata<>+88(SB), Z27
+	VBROADCASTSD expdata<>+96(SB), Z28
+	MOVQ         $0x3FF, AX
+	VPBROADCASTQ AX, Z29
+	MOVQ         $0x7FF, AX
+	VPBROADCASTQ AX, Z30
+	VPXORQ       Z31, Z31, Z31
+	VXORPD       X14, X14, X14
+	SUBQ         $8, CX
+	JLT          exp512tail
+
+exp512loop:
+	VMOVUPS  (SI), Y0
+	EXPZ
+	KORTESTW K2, K3
+	JNZ      exp512bad
+	VPSLLQ   $52, Z4, Z4
+	VMULPD   Z4, Z0, Z0
+	VMOVUPD  Z0, (DI)
+	SUMZ
+	ADDQ     $32, SI
+	ADDQ     $64, DI
+	SUBQ     $8, CX
+	JGE      exp512loop
+
+exp512tail:
+	ADDQ      $8, CX
+	JZ        exp512done
+	MOVL      $1, AX
+	SHLL      CX, AX
+	DECL      AX
+	KMOVW     AX, K1
+	VMOVUPS.Z (SI), K1, Z0
+	EXPZ
+	KANDW     K1, K2, K2
+	KANDW     K1, K3, K3
+	KORTESTW  K2, K3
+	JNZ       exp512bad
+	VPSLLQ    $52, Z4, Z4
+	VMULPD.Z  Z4, Z0, K1, Z0
+	VMOVUPD   Z0, K1, (DI)
+	SUMZ
+
+exp512done:
+	VMOVSD X14, sum+32(FP)
+	MOVB   $1, ok+40(FP)
+	VZEROUPPER
+	RET
+
+exp512bad:
+	MOVB $0, ok+40(FP)
+	VZEROUPPER
+	RET
+
+// func normRowVec512(dst *float32, e *float64, n int, sum, scale float64)
+// dst[j] = float32(e[j]/sum*scale), eight lanes per step and one opmask step
+// for the last n mod 8, n >= 1.
+TEXT ·normRowVec512(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         e+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD sum+24(FP), Z1
+	VBROADCASTSD scale+32(FP), Z2
+	SUBQ         $8, CX
+	JLT          norm512tail
+
+norm512loop:
+	VMOVUPD   (SI), Z0
+	VDIVPD    Z1, Z0, Z0
+	VMULPD    Z2, Z0, Z0
+	VCVTPD2PS Z0, Y0
+	VMOVUPS   Y0, (DI)
+	ADDQ      $64, SI
+	ADDQ      $32, DI
+	SUBQ      $8, CX
+	JGE       norm512loop
+
+norm512tail:
+	ADDQ      $8, CX
+	JZ        norm512done
+	MOVL      $1, AX
+	SHLL      CX, AX
+	DECL      AX
+	KMOVW     AX, K1
+	VMOVUPD.Z (SI), K1, Z0
+	VDIVPD    Z1, Z0, Z0
+	VMULPD    Z2, Z0, Z0
+	VCVTPD2PS Z0, Y0
+	VMOVUPS   Z0, K1, (DI)
+
+norm512done:
+	VZEROUPPER
+	RET
+
+// EXPY is EXPZ on four lanes of YMM: inputs in X0, exps before the final
+// scaling in Y0, biased exponents in X4 (int32) and the bad lanes' masks in
+// X5 | X1. log2e, ln 2's halves and 2.0 are in Y7..Y10, mx in X15, 0x7FE,
+// 0x3FF and 1 (int32) in X11..X13; the other constants are broadcast from
+// expdata into Y6 as they are used.
+#define EXPY \
+	VSUBPS       X15, X0, X0;               \
+	VCVTPS2PD    X0, Y0;                    \
+	VMULPD       Y7, Y0, Y1;                \
+	VCVTPD2DQY   Y1, X2;                    \
+	VCVTDQ2PD    X2, Y1;                    \
+	VFNMADD231PD Y8, Y1, Y0;                \
+	VFNMADD231PD Y9, Y1, Y0;                \
+	VBROADCASTSD expdata<>+24(SB), Y6;      \
+	VMULPD       Y6, Y0, Y0;                \
+	VBROADCASTSD expdata<>+32(SB), Y3;      \
+	VBROADCASTSD expdata<>+40(SB), Y6;      \
+	VFMADD213PD  Y6, Y0, Y3;                \
+	VBROADCASTSD expdata<>+48(SB), Y6;      \
+	VFMADD213PD  Y6, Y0, Y3;                \
+	VBROADCASTSD expdata<>+56(SB), Y6;      \
+	VFMADD213PD  Y6, Y0, Y3;                \
+	VBROADCASTSD expdata<>+64(SB), Y6;      \
+	VFMADD213PD  Y6, Y0, Y3;                \
+	VBROADCASTSD expdata<>+72(SB), Y6;      \
+	VFMADD213PD  Y6, Y0, Y3;                \
+	VBROADCASTSD expdata<>+80(SB), Y6;      \
+	VFMADD213PD  Y6, Y0, Y3;                \
+	VBROADCASTSD expdata<>+88(SB), Y6;      \
+	VFMADD213PD  Y6, Y0, Y3;                \
+	VMULPD       Y3, Y0, Y0;                \
+	VADDPD       Y10, Y0, Y3;               \
+	VMULPD       Y3, Y0, Y0;                \
+	VADDPD       Y10, Y0, Y3;               \
+	VMULPD       Y3, Y0, Y0;                \
+	VADDPD       Y10, Y0, Y3;               \
+	VMULPD       Y3, Y0, Y0;                \
+	VADDPD       Y10, Y0, Y3;               \
+	VFMADD213PD  Y6, Y3, Y0;                \
+	VPADDD       X12, X2, X4;               \
+	VPCMPGTD     X4, X13, X5;               \
+	VPCMPGTD     X11, X4, X1
+
+// func expRowVec4(dst *float64, src *float32, n int, mx float32) (sum float64, ok bool)
+// Four lanes per step, n a positive multiple of 4. The integer constants go
+// in through VMOVD, not MOVD: a legacy SSE instruction after a YMM write can
+// stall for hundreds of cycles, which a 47-wide row cannot amortize.
+TEXT ·expRowVec4(SB), NOSPLIT, $0-41
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS mx+24(FP), X15
+	VBROADCASTSD expdata<>+0(SB), Y7
+	VBROADCASTSD expdata<>+8(SB), Y8
+	VBROADCASTSD expdata<>+16(SB), Y9
+	VBROADCASTSD expdata<>+96(SB), Y10
+	MOVL         $0x7FE, AX
+	VMOVD        AX, X11
+	VPBROADCASTD X11, X11
+	MOVL         $0x3FF, AX
+	VMOVD        AX, X12
+	VPBROADCASTD X12, X12
+	MOVL         $1, AX
+	VMOVD        AX, X13
+	VPBROADCASTD X13, X13
+	VXORPD       X14, X14, X14
+
+exp4loop:
+	VMOVUPS      (SI), X0
+	EXPY
+	VPOR         X5, X1, X1
+	VPTEST       X1, X1
+	JNZ          exp4bad
+	VPMOVSXDQ    X4, Y4
+	VPSLLQ       $52, Y4, Y4
+	VMULPD       Y4, Y0, Y0
+	VMOVUPD      Y0, (DI)
+	VADDSD       X0, X14, X14
+	VUNPCKHPD    X0, X0, X1
+	VADDSD       X1, X14, X14
+	VEXTRACTF128 $1, Y0, X1
+	VADDSD       X1, X14, X14
+	VUNPCKHPD    X1, X1, X1
+	VADDSD       X1, X14, X14
+	ADDQ         $16, SI
+	ADDQ         $32, DI
+	SUBQ         $4, CX
+	JNE          exp4loop
+	VMOVSD       X14, sum+32(FP)
+	MOVB         $1, ok+40(FP)
+	VZEROUPPER
+	RET
+
+exp4bad:
+	MOVB $0, ok+40(FP)
+	VZEROUPPER
+	RET
+
+// func normRowVec4(dst *float32, e *float64, n int, sum, scale float64)
+// dst[j] = float32(e[j]/sum*scale), n a positive multiple of 4.
+TEXT ·normRowVec4(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         e+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD sum+24(FP), Y1
+	VBROADCASTSD scale+32(FP), Y2
+
+norm4loop:
+	VMOVUPD    (SI), Y0
+	VDIVPD     Y1, Y0, Y0
+	VMULPD     Y2, Y0, Y0
+	VCVTPD2PSY Y0, X0
+	VMOVUPS    X0, (DI)
+	ADDQ       $32, SI
+	ADDQ       $16, DI
+	SUBQ       $4, CX
+	JNE        norm4loop
 	VZEROUPPER
 	RET

@@ -17,6 +17,15 @@ func spmmRowVec(c *float32, w int, x *float32, xs, xrows int, cols, last *int32,
 func addU64Vec8(dst, x *uint64, n int)
 func firstOutside63Vec8(v *uint64, n int, lom1, him1 uint64) int
 
+// The softmax row's bodies, math.Exp's fused path (exp_amd64.s's avxfma) on
+// eight lanes with an opmask tail or on four with n a multiple of 4. ok is
+// false, and dst and sum garbage, when a lane's exponent leaves the normal
+// range: the row is then the scalar body's.
+func expRowVec512(dst *float64, src *float32, n int, mx float32) (sum float64, ok bool)
+func expRowVec4(dst *float64, src *float32, n int, mx float32) (sum float64, ok bool)
+func normRowVec512(dst *float32, e *float64, n int, sum, scale float64)
+func normRowVec4(dst *float32, e *float64, n int, sum, scale float64)
+
 // verifyAndInstall re-checks bit-identity against the scalar kernels on
 // rounding-sensitive probes before swapping the table; a candidate that
 // deviates (a miscompiled or misassembled kernel) is passed over for the
@@ -25,8 +34,10 @@ func firstOutside63Vec8(v *uint64, n int, lom1, him1 uint64) int
 func init() { verifyAndInstall(candidates()...) }
 
 // candidates is every implementation this CPU can execute, best first: the
-// AVX2 set, led by the same set with the 512-bit tile where the CPU and OS
-// support AVX-512.
+// AVX2 set, led by the same set with the 512-bit tile and softmax row where
+// the CPU and OS support AVX-512. The softmax rows are math.Exp's fused path,
+// so a CPU without FMA, whose math.Exp takes the other, keeps the scalar
+// ones.
 func candidates() []impls {
 	if !hasAVX2 {
 		return nil
@@ -37,12 +48,19 @@ func candidates() []impls {
 		tile: tileAVX2, spmmRow: spmmRowAVX2,
 		relu: reluAVX2, reluMask: reluMaskAVX2,
 		addU64: addU64AVX2, firstOutside63: firstOutside63AVX2,
+		expRow: expRowScalar, normRow: normRowScalar,
+	}
+	if hasFMA {
+		avx2.expRow, avx2.normRow = expRowAVX2, normRowAVX2
 	}
 	if !hasAVX512 {
 		return []impls{avx2}
 	}
 	avx512 := avx2
 	avx512.name, avx512.tile = "avx512", tileAVX512
+	if hasFMA {
+		avx512.expRow, avx512.normRow = expRowAVX512, normRowAVX512
+	}
 	return []impls{avx512, avx2}
 }
 
@@ -133,4 +151,44 @@ func firstOutside63AVX2(v []uint64, lo, hi uint64) int {
 		}
 	}
 	return nv + firstOutside63Scalar(v[nv:], lo, hi)
+}
+
+func expRowAVX512(dst []float64, src []float32, mx float32) float64 {
+	src = src[:len(dst)]
+	if len(dst) > 0 {
+		if sum, ok := expRowVec512(&dst[0], &src[0], len(dst), mx); ok {
+			return sum
+		}
+	}
+	return expRowScalar(dst, src, mx)
+}
+
+func expRowAVX2(dst []float64, src []float32, mx float32) float64 {
+	n := len(dst)
+	src = src[:n]
+	nv, sum := n&^3, 0.0
+	if nv > 0 {
+		var ok bool
+		if sum, ok = expRowVec4(&dst[0], &src[0], nv, mx); !ok {
+			return expRowScalar(dst, src, mx)
+		}
+	}
+	return expRowFrom(sum, dst[nv:], src[nv:], mx)
+}
+
+func normRowAVX512(dst []float32, e []float64, sum, scale float64) {
+	e = e[:len(dst)]
+	if len(dst) > 0 {
+		normRowVec512(&dst[0], &e[0], len(dst), sum, scale)
+	}
+}
+
+func normRowAVX2(dst []float32, e []float64, sum, scale float64) {
+	n := len(dst)
+	e = e[:n]
+	nv := n &^ 3
+	if nv > 0 {
+		normRowVec4(&dst[0], &e[0], nv, sum, scale)
+	}
+	normRowScalar(dst[nv:], e[nv:], sum, scale)
 }

@@ -27,9 +27,11 @@ func candidates() []impls {
 		add:  addNEON,
 		tile: tileNEON, spmmRow: spmmRowNEON,
 		relu: reluNEON, reluMask: reluMaskNEON,
-		// The stream's loops have no NEON bodies: the probe holds the scalar
-		// ones to themselves.
+		// The stream's loops and the softmax rows have no NEON bodies: the
+		// probe holds the scalar ones to themselves (and the rows to
+		// math.Exp, whose arm64 assembly they call).
 		addU64: addU64Scalar, firstOutside63: firstOutside63Scalar,
+		expRow: expRowScalar, normRow: normRowScalar,
 	}}
 }
 

@@ -1,10 +1,11 @@
 // Package kernel holds the innermost float32 loops of the dense and sparse
-// kernels, and the two integer loops of the graph generator's seeded stream,
-// behind a runtime-dispatch table. The exported entry points are
-// function variables initialized to the pure-Go scalar implementations
-// below; an arch-specific init replaces them with AVX-512 or AVX2 (amd64) or
-// NEON (arm64) assembly when the CPU supports it, except under the race
-// detector. The AVX-512 set is the AVX2 set with a 512-bit GeMM tile.
+// kernels, the loss's softmax row, and the two integer loops of the graph
+// generator's seeded stream, behind a runtime-dispatch table. The exported
+// entry points are function variables initialized to the pure-Go scalar
+// implementations below; an arch-specific init replaces them with AVX-512 or
+// AVX2 (amd64) or NEON (arm64) assembly when the CPU supports it, except
+// under the race detector. The AVX-512 set is the AVX2 set with a 512-bit
+// GeMM tile and softmax rows.
 //
 // The dispatch contract is bit-identity: every implementation bound to a
 // variable must produce exactly the bits the scalar implementation produces
@@ -26,14 +27,24 @@
 //     ascending, so every C element sums in the flat oracle's order whatever
 //     the tile or strip shape or the traversal around it.
 //
+// ExpRow is the one entry whose bodies fuse, because its scalar reference
+// does: it is math.Exp, and on amd64 with FMA math.Exp runs Shibata's method
+// as a fixed chain of fused multiply-adds and one ldexp. The AVX-512 and AVX2
+// bodies repeat that chain lane for lane, with the same constants in the same
+// order, and send a row with a lane where math.Exp branches (a NaN, ±Inf, an
+// overflow, a subnormal or zero result) to the scalar body. They are offered
+// only where the CPU has FMA, the bit math.Exp's path is chosen by, and the
+// probe holds them to math.Exp itself, so a host whose math.Exp differs
+// refuses them. The row sum is one float64 add per element, j ascending.
+//
 // The stream's loops (AddU64, FirstOutside63) are integer arithmetic and
 // compares, so their contract is plain equality: every body returns exactly
 // what the scalar loop returns, and so every generated graph is the same.
 //
 // Tail elements past the widest vector multiple are always handled by the
 // same scalar expressions, or by a lane mask (Tile and SpMMRow on AVX2) or
-// opmask registers (Tile on AVX-512), so odd lengths and misaligned slices
-// are safe and bit-identical too.
+// opmask registers (Tile and the softmax rows on AVX-512), so odd lengths
+// and misaligned slices are safe and bit-identical too.
 //
 // All slice arguments of one vector-kernel call must have the same length
 // (callers slice before calling); the dst length is authoritative. Tile and
@@ -83,6 +94,13 @@ var (
 	// outside [lo, hi), or len(v) if there is none. lo ≥ hi makes every
 	// value outside.
 	FirstOutside63 func(v []uint64, lo, hi uint64) int = firstOutside63Scalar
+	// ExpRow sets dst[j] = math.Exp(float64(src[j]-mx)), the difference
+	// rounded to float32 first, and returns their sum, added j ascending
+	// from 0: one softmax row's exponentials.
+	ExpRow func(dst []float64, src []float32, mx float32) float64 = expRowScalar
+	// NormRow sets dst[j] = float32(e[j]/sum*scale): a softmax row
+	// normalized and scaled (x*1 is exact, so scale 1 is the plain row).
+	NormRow func(dst []float32, e []float64, sum, scale float64) = normRowScalar
 )
 
 // MR x NR is the C tile one Tile call owns. It is sized for the widest
@@ -311,4 +329,28 @@ func firstOutside63Scalar(v []uint64, lo, hi uint64) int {
 		i++
 	}
 	return i
+}
+
+// expRowScalar is the oracle and the path of builds without assembly and of
+// CPUs without FMA.
+func expRowScalar(dst []float64, src []float32, mx float32) float64 {
+	return expRowFrom(0, dst, src, mx)
+}
+
+// expRowFrom is expRowScalar continuing a sum, the tail of a body that ran
+// the row's first elements.
+func expRowFrom(sum float64, dst []float64, src []float32, mx float32) float64 {
+	src = src[:len(dst)]
+	for j, v := range src {
+		dst[j] = math.Exp(float64(v - mx))
+		sum += dst[j]
+	}
+	return sum
+}
+
+func normRowScalar(dst []float32, e []float64, sum, scale float64) {
+	e = e[:len(dst)]
+	for j, v := range e {
+		dst[j] = float32(v / sum * scale)
+	}
 }

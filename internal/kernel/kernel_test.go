@@ -125,6 +125,7 @@ func installed() impls {
 		add:  Add, tile: Tile, spmmRow: SpMMRow,
 		relu: ReLU, reluMask: ReLUMask,
 		addU64: AddU64, firstOutside63: FirstOutside63,
+		expRow: ExpRow, normRow: NormRow,
 	}
 }
 
@@ -399,6 +400,7 @@ func TestVerifyRefusesUncheckedRowKernel(t *testing.T) {
 			add:  addScalar, tile: tileScalar, spmmRow: row,
 			relu: reluScalar, reluMask: reluMaskScalar,
 			addU64: addU64Scalar, firstOutside63: firstOutside63Scalar,
+			expRow: expRowScalar, normRow: normRowScalar,
 		})
 		if err == nil || !strings.Contains(err.Error(), "SpMMRow") {
 			t.Errorf("%s: verifyImpls returned %v, want a refusal naming SpMMRow", name, err)
@@ -432,6 +434,7 @@ func TestPanickingCandidateIsRefused(t *testing.T) {
 		add:  addScalar, tile: tileScalar, spmmRow: spmmRowScalar,
 		relu: reluScalar, reluMask: reluMaskScalar,
 		addU64: addU64Scalar, firstOutside63: firstOutside63Scalar,
+		expRow: expRowScalar, normRow: normRowScalar,
 	}
 	panicky := scalar
 	panicky.name, panicky.tile = "panicky", split

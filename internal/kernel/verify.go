@@ -19,6 +19,9 @@ type impls struct {
 
 	addU64         func(dst, x []uint64)
 	firstOutside63 func(v []uint64, lo, hi uint64) int
+
+	expRow  func(dst []float64, src []float32, mx float32) float64
+	normRow func(dst []float32, e []float64, sum, scale float64)
 }
 
 // ProbeErr is why the arch init's candidates were refused, each naming the
@@ -52,6 +55,8 @@ func verifyAndInstall(cands ...impls) {
 		ReLUMask = c.reluMask
 		AddU64 = c.addU64
 		FirstOutside63 = c.firstOutside63
+		ExpRow = c.expRow
+		NormRow = c.normRow
 		break
 	}
 	probeErr = errors.Join(refused...)
@@ -206,6 +211,10 @@ func verifyImpls(c impls) error {
 		}
 	}
 
+	if err := verifyRows(c); err != nil {
+		return err
+	}
+
 	// Every row count, widths on both sides of each 8- and 16-lane vector
 	// boundary and the full NR, both orientations of A's strides, both
 	// accumulate modes, k empty, single, even and odd; C sits inside a guard
@@ -312,6 +321,94 @@ func verifyImpls(c impls) error {
 		}
 		if !eq(got, want) {
 			return fmt.Errorf("kernel: %s SpMMRow writes C while rejecting column %d at entry %d (width=%d acc=%v values=%s)", c.name, col, at, w, acc, f.name)
+		}
+	}
+	return nil
+}
+
+// expSpecials are the inputs where math.Exp branches or its vector mirror
+// leaves the normal range: NaN, ±Inf, ±0, an overflow, and the subnormal
+// band's edges — -708.5 is the last exponent the bodies scale themselves,
+// -709 the first math.Exp scales in two steps, -745.1 its smallest nonzero
+// result and -746 a zero.
+var expSpecials = [...]float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
+	709.9, -708.5, -709, -745.1, -746, -760}
+
+// verifyRows holds ExpRow to math.Exp and NormRow to its scalar body on rows
+// of every verifyLens width and the loss's 47, dst inside a guard band the
+// comparison covers. ExpRow's rows are inputs in [-700, 20] at two row
+// maxima, which the vector bodies run whole, the same with each special
+// planted at one position, and a row across [-760, -700], the subnormal
+// band, which a body must send to math.Exp.
+func verifyRows(c impls) error {
+	const guard = 3
+	src := make([]float32, verifyLens[len(verifyLens)-1]+47)
+	band := make([]float32, len(src))
+	s := uint64(0x9e3779b97f4a7c15)
+	for i := range src {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		src[i] = float32(s>>11)/(1<<53)*720 - 700
+		band[i] = -760 + 60*float32(i)/float32(len(src)) + src[i]/1e4
+	}
+	got, want := make([]float64, len(src)+2*guard), make([]float64, len(src)+2*guard)
+	rowOK := func(n int, v []float32, mx float32) bool {
+		for i := range got {
+			got[i], want[i] = float64(i)+0.5, float64(i)+0.5
+		}
+		sum, ref := c.expRow(got[guard:guard+n], v[:n], mx), 0.0
+		for j, x := range v[:n] {
+			want[guard+j] = math.Exp(float64(x - mx))
+			ref += want[guard+j]
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return false
+			}
+		}
+		return math.Float64bits(sum) == math.Float64bits(ref)
+	}
+	lens := append(verifyLens[:len(verifyLens):len(verifyLens)], 47)
+	for _, n := range lens {
+		for _, mx := range [...]float32{0, -1.3} {
+			if !rowOK(n, src, mx) {
+				return fmt.Errorf("kernel: %s ExpRow deviates from math.Exp at length %d inside the normal range, max %v", c.name, n, mx)
+			}
+		}
+		if !rowOK(n, band, 0) {
+			return fmt.Errorf("kernel: %s ExpRow deviates from math.Exp at length %d across the subnormal band", c.name, n)
+		}
+		for i := 0; n > 0 && i < len(expSpecials); i++ {
+			x, p := expSpecials[i], (i*7+n/2)%n
+			keep := src[p]
+			src[p] = x
+			ok := rowOK(n, src, 0)
+			src[p] = keep
+			if !ok {
+				return fmt.Errorf("kernel: %s ExpRow deviates from math.Exp at length %d with %v at %d", c.name, n, x, p)
+			}
+		}
+	}
+
+	e := make([]float64, len(src))
+	sum := expRowScalar(e, src, 0)
+	for i, x := range expSpecials {
+		e[i*13%len(e)] = math.Exp(float64(x))
+	}
+	g, w := make([]float32, len(src)+2*guard), make([]float32, len(src)+2*guard)
+	for _, n := range lens {
+		for _, sc := range [...][2]float64{{sum, 1}, {sum, 1.0 / 123}, {3e-310, 0.7}, {0, 1}} {
+			for i := range g {
+				g[i], w[i] = float32(i)+0.5, float32(i)+0.5
+			}
+			c.normRow(g[guard:guard+n], e[:n], sc[0], sc[1])
+			normRowScalar(w[guard:guard+n], e[:n], sc[0], sc[1])
+			for i := range w {
+				if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
+					return fmt.Errorf("kernel: %s NormRow deviates from scalar at length %d sum=%v scale=%v", c.name, n, sc[0], sc[1])
+				}
+			}
 		}
 	}
 	return nil

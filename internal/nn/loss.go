@@ -2,7 +2,9 @@ package nn
 
 import (
 	"math"
+	"sync"
 
+	"mggcn/internal/kernel"
 	"mggcn/internal/tensor"
 )
 
@@ -20,7 +22,7 @@ func SoftmaxCrossEntropy(logits *tensor.Dense, labels []int32, mask []bool, grad
 		grad.Zero()
 		return 0, 0
 	}
-	sum := SoftmaxCrossEntropySum(logits, labels, mask, grad, count)
+	sum, _, _ := SoftmaxCrossEntropySum(logits, labels, mask, nil, grad, count)
 	return sum / float64(count), count
 }
 
@@ -38,20 +40,25 @@ func MaskCount(mask []bool, n int) int {
 	return count
 }
 
+// expRows lends each loss call one row of exponentials.
+var expRows = sync.Pool{New: func() any { return new([]float64) }}
+
 // SoftmaxCrossEntropySum is the distributed building block: it computes the
 // *sum* of per-row losses over the mask-selected rows of this shard while
 // scaling the gradient by 1/norm, where norm is the GLOBAL training-vertex
 // count. Each device calls it on its local block; summing the returned
 // values and dividing by norm yields the same loss and gradients as one
-// global SoftmaxCrossEntropy call.
-func SoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask []bool, grad *tensor.Dense, norm int) float64 {
+// global SoftmaxCrossEntropy call. It also counts the rows of mask and of
+// testMask (nil: none) whose argmax is their label, CorrectCount's integers,
+// from the logits as they were before grad overwrote them.
+func SoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask, testMask []bool, grad *tensor.Dense, norm int) (loss float64, correct, testCorrect int) {
 	if len(labels) != logits.Rows {
 		panic("nn: label count mismatch")
 	}
 	if grad.Rows != logits.Rows || grad.Cols != logits.Cols {
 		panic("nn: gradient shape mismatch")
 	}
-	if mask != nil && len(mask) != logits.Rows {
+	if (mask != nil && len(mask) != logits.Rows) || (testMask != nil && len(testMask) != logits.Rows) {
 		panic("nn: mask length mismatch")
 	}
 	if norm <= 0 {
@@ -60,49 +67,43 @@ func SoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask []bool, g
 	inv := 1 / float64(norm)
 	// One row's exponentials, computed once for the row sum and read again
 	// for the gradient — in float64, so both are the bits two calls gave.
-	exps := make([]float64, logits.Cols)
-	var lossSum float64
+	buf := expRows.Get().(*[]float64)
+	defer expRows.Put(buf)
+	if cap(*buf) < logits.Cols {
+		*buf = make([]float64, logits.Cols)
+	}
+	exps := (*buf)[:logits.Cols]
 	for i := 0; i < logits.Rows; i++ {
-		gr := grad.Row(i)
+		row, gr, lbl := logits.Row(i), grad.Row(i), int(labels[i])
+		test := testMask != nil && testMask[i]
 		if mask != nil && !mask[i] {
-			for j := range gr {
-				gr[j] = 0
+			if test && argmax(row) == lbl {
+				testCorrect++
 			}
+			clear(gr)
 			continue
 		}
-		row := logits.Row(i)
-		// Numerically stable softmax: subtract the row max.
-		mx := row[0]
-		for _, v := range row {
+		// Numerically stable softmax: subtract the row max, found with its
+		// argmax (mx is always row[best], so best is argmax's).
+		best, mx := 0, row[0]
+		for j, v := range row {
 			if v > mx {
-				mx = v
+				best, mx = j, v
 			}
 		}
-		sum := rowExps(exps, row, mx)
-		lbl := int(labels[i])
-		logp := float64(row[lbl]-mx) - math.Log(sum)
-		lossSum -= logp
-		for j := range gr {
-			g := exps[j] / sum
-			if j == lbl {
-				g -= 1
+		if best == lbl {
+			correct++
+			if test {
+				testCorrect++
 			}
-			gr[j] = float32(g * inv)
 		}
+		x := row[lbl] // before an aliased gradient overwrites it
+		sum := kernel.ExpRow(exps, row, mx)
+		loss -= float64(x-mx) - math.Log(sum)
+		kernel.NormRow(gr, exps, sum, inv)
+		gr[lbl] = float32((exps[lbl]/sum - 1) * inv)
 	}
-	return lossSum
-}
-
-// rowExps sets exps[j] = exp(row[j] - mx) and returns their sum, in order.
-// It is a function of its own so that the math.Exp call spills and reloads
-// only this loop's few values, not the whole loss loop's.
-func rowExps(exps []float64, row []float32, mx float32) float64 {
-	var sum float64
-	for j, v := range row {
-		exps[j] = math.Exp(float64(v - mx))
-		sum += exps[j]
-	}
-	return sum
+	return loss, correct, testCorrect
 }
 
 // Accuracy returns the fraction of mask-selected rows whose argmax matches
@@ -123,16 +124,21 @@ func CorrectCount(logits *tensor.Dense, labels []int32, mask []bool) (correct, t
 			continue
 		}
 		total++
-		row := logits.Row(i)
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		if int32(best) == labels[i] {
+		if argmax(logits.Row(i)) == int(labels[i]) {
 			correct++
 		}
 	}
 	return correct, total
+}
+
+// argmax is the index the strict > chain over row ends on: the first of its
+// largest values.
+func argmax(row []float32) int {
+	best := 0
+	for j, v := range row {
+		if v > row[best] {
+			best = j
+		}
+	}
+	return best
 }

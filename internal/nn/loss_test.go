@@ -50,7 +50,9 @@ func softmaxCrossEntropySumTwoExp(logits *tensor.Dense, labels []int32, mask []b
 
 // TestSoftmaxCrossEntropySumMatchesTwoExpBody: keeping each row's
 // exponentials between the sum and the gradient changes no bit of either —
-// unmasked, with a 60 % mask, and with the gradient written over the logits.
+// unmasked, with a 60 % mask, and with the gradient written over the logits
+// — and the one pass counts what CorrectCount counts on the logits it read,
+// for the mask and for a test mask that overlaps it.
 func TestSoftmaxCrossEntropySumMatchesTwoExpBody(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const rows, classes = 200, 47
@@ -59,10 +61,14 @@ func TestSoftmaxCrossEntropySumMatchesTwoExpBody(t *testing.T) {
 		logits.Data[i] = float32(4 * rng.NormFloat64())
 	}
 	labels := make([]int32, rows)
-	mask := make([]bool, rows)
+	mask, testMask := make([]bool, rows), make([]bool, rows)
 	for i := range labels {
 		labels[i] = int32(rng.Intn(classes))
 		mask[i] = rng.Float64() < 0.6
+		testMask[i] = rng.Float64() < 0.3
+		if i%3 == 0 { // a correct row, so the counts are not all zero
+			logits.Row(i)[labels[i]] = 20
+		}
 	}
 	for name, m := range map[string][]bool{"unmasked": nil, "masked": mask} {
 		for _, alias := range []bool{false, true} {
@@ -71,10 +77,15 @@ func TestSoftmaxCrossEntropySumMatchesTwoExpBody(t *testing.T) {
 			if alias {
 				grad, gradRef = in, inRef
 			}
-			got := SoftmaxCrossEntropySum(in, labels, m, grad, 123)
+			wantCorrect, _ := CorrectCount(logits, labels, m)
+			wantTest, _ := CorrectCount(logits, labels, testMask)
+			got, correct, testCorrect := SoftmaxCrossEntropySum(in, labels, m, testMask, grad, 123)
 			want := softmaxCrossEntropySumTwoExp(inRef, labels, m, gradRef, 123)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s alias=%v: loss %v, two-exp body %v", name, alias, got, want)
+			}
+			if correct != wantCorrect || testCorrect != wantTest || wantCorrect == 0 {
+				t.Fatalf("%s alias=%v: correct %d and %d on the test mask, CorrectCount %d and %d", name, alias, correct, testCorrect, wantCorrect, wantTest)
 			}
 			for i := range grad.Data {
 				if math.Float32bits(grad.Data[i]) != math.Float32bits(gradRef.Data[i]) {
@@ -85,21 +96,38 @@ func TestSoftmaxCrossEntropySumMatchesTwoExpBody(t *testing.T) {
 	}
 }
 
+// BenchmarkSoftmaxCrossEntropySum times the loss at the two shapes the
+// benchmark workloads run it at: fullbatch-gemm's device shard (40000
+// vertices over four devices, 47 classes, its 60 % train and 20 % test
+// masks) and sampled-thin's batch (256 rows, no mask).
 func BenchmarkSoftmaxCrossEntropySum(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const rows, classes = 10000, 47
-	logits, grad := tensor.NewDense(rows, classes), tensor.NewDense(rows, classes)
-	for i := range logits.Data {
-		logits.Data[i] = float32(rng.NormFloat64())
-	}
-	labels := make([]int32, rows)
-	mask := make([]bool, rows)
-	for i := range labels {
-		labels[i] = int32(rng.Intn(classes))
-		mask[i] = rng.Float64() < 0.6
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SoftmaxCrossEntropySum(logits, labels, mask, grad, rows)
+	for _, bc := range []struct {
+		name   string
+		rows   int
+		masked bool
+	}{{"fullbatch-gemm", 10000, true}, {"sampled-thin", 256, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const classes = 47
+			rng := rand.New(rand.NewSource(1))
+			logits, grad := tensor.NewDense(bc.rows, classes), tensor.NewDense(bc.rows, classes)
+			for i := range logits.Data {
+				logits.Data[i] = float32(rng.NormFloat64())
+			}
+			labels := make([]int32, bc.rows)
+			var mask, testMask []bool
+			if bc.masked {
+				mask, testMask = make([]bool, bc.rows), make([]bool, bc.rows)
+			}
+			for i := range labels {
+				labels[i] = int32(rng.Intn(classes))
+				if u := rng.Float64(); bc.masked {
+					mask[i], testMask[i] = u < 0.6, u >= 0.8
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				SoftmaxCrossEntropySum(logits, labels, mask, testMask, grad, bc.rows)
+			}
+		})
 	}
 }

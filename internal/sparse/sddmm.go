@@ -2,8 +2,8 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 
+	"mggcn/internal/kernel"
 	"mggcn/internal/tensor"
 )
 
@@ -64,30 +64,30 @@ func LeakyReLUVals(m *CSR, slope float32) *CSR {
 
 // RowSoftmax normalizes each row's stored values with a numerically stable
 // softmax (rows without entries are untouched) — the edge-softmax of graph
-// attention, with rows as destinations and columns as attended sources.
+// attention, with rows as destinations and columns as attended sources. Each
+// exp is computed once, into a scratch row, and normalized at scale 1.
 func RowSoftmax(m *CSR) *CSR {
 	if m.Vals == nil {
 		panic("sparse: RowSoftmax on structure-only matrix")
 	}
 	out := withFreshVals(m)
+	var exps []float64
 	for u := 0; u < m.Rows; u++ {
-		start, end := m.RowPtr[u], m.RowPtr[u+1]
-		if start == end {
+		row := m.Vals[m.RowPtr[u]:m.RowPtr[u+1]]
+		if len(row) == 0 {
 			continue
 		}
-		mx := m.Vals[start]
-		for k := start + 1; k < end; k++ {
-			if m.Vals[k] > mx {
-				mx = m.Vals[k]
+		mx := row[0]
+		for _, v := range row[1:] {
+			if v > mx {
+				mx = v
 			}
 		}
-		var sum float64
-		for k := start; k < end; k++ {
-			sum += math.Exp(float64(m.Vals[k] - mx))
+		if cap(exps) < len(row) {
+			exps = make([]float64, len(row))
 		}
-		for k := start; k < end; k++ {
-			out.Vals[k] = float32(math.Exp(float64(m.Vals[k]-mx)) / sum)
-		}
+		e := exps[:len(row)]
+		kernel.NormRow(out.Vals[m.RowPtr[u]:m.RowPtr[u+1]], e, kernel.ExpRow(e, row, mx), 1)
 	}
 	return out
 }

@@ -94,6 +94,42 @@ func TestRowSoftmaxSumsToOne(t *testing.T) {
 	}
 }
 
+// TestRowSoftmaxMatchesTwoExpBody: computing each exp once, through
+// kernel.ExpRow and kernel.NormRow at scale 1, changes no bit of the edge
+// softmax. The reference is the body that called math.Exp twice per entry,
+// on rows from empty to longer than any vector step, with scores wide enough
+// to reach the subnormal band.
+func TestRowSoftmaxMatchesTwoExpBody(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := randomCSR(rng, 40, 120, 0.3, true)
+	for i := range m.Vals {
+		m.Vals[i] = float32(rng.NormFloat64() * 200)
+	}
+	got := RowSoftmax(m)
+	for u := 0; u < m.Rows; u++ {
+		_, row := m.Row(u)
+		_, vals := got.Row(u)
+		if len(row) == 0 {
+			continue
+		}
+		mx := row[0]
+		for _, v := range row[1:] {
+			if v > mx {
+				mx = v
+			}
+		}
+		var sum float64
+		for _, v := range row {
+			sum += math.Exp(float64(v - mx))
+		}
+		for k, v := range row {
+			if want := float32(math.Exp(float64(v-mx)) / sum); math.Float32bits(vals[k]) != math.Float32bits(want) {
+				t.Fatalf("row %d entry %d: %x, two-exp body %x", u, k, math.Float32bits(vals[k]), math.Float32bits(want))
+			}
+		}
+	}
+}
+
 func TestRowSoftmaxStability(t *testing.T) {
 	m := FromCoo(1, 2, []Coo{{Row: 0, Col: 0, Val: 1000}, {Row: 0, Col: 1, Val: -1000}}, true)
 	sm := RowSoftmax(m)

@@ -114,7 +114,8 @@ echo "==> fuzz smoke"
 # sort.SearchFloat64s (FuzzGuidedSearch), over the SpMM row kernel's strip
 # widths, entry counts, columns, value forms and values against its scalar
 # body (FuzzSpMMRowModes), over every GeMM tile candidate this CPU can execute
-# against the scalar tile (FuzzTileCandidates), and over fuzzed graphs,
+# against the scalar tile (FuzzTileCandidates), over every candidate's
+# softmax rows against the scalar bodies (FuzzExpRow), and over fuzzed graphs,
 # batches and fanouts a reused Sampler's blocks against the reference
 # construction (FuzzSamplerMatchesReference).
 go test -run '^$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/graphio/
@@ -123,6 +124,7 @@ go test -run '^$' -fuzz FuzzStream -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz FuzzGuidedSearch -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz FuzzSpMMRowModes -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz FuzzTileCandidates -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz FuzzExpRow -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz FuzzSamplerMatchesReference -fuzztime 10s ./internal/sample/
 
 echo "==> benchmark module"
