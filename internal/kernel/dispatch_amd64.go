@@ -8,7 +8,6 @@ package kernel
 // separate VMULPS/VADDPS, on YMM and ZMM alike — never fused multiply-add —
 // because the amd64 Go compiler does not fuse float32 mul+add either, and
 // bit-identity with the scalar path is the dispatch contract.
-func addVec8(dst, x *float32, n int)
 func reluVec8(dst, src *float32, n int)
 func reluMaskVec8(dst, grad, act *float32, n int)
 func tileVec(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, cols int, acc bool)
@@ -26,54 +25,32 @@ func expRowVec4(dst *float64, src *float32, n int, mx float32) (sum float64, ok 
 func normRowVec512(dst *float32, e *float64, n int, sum, scale float64)
 func normRowVec4(dst *float32, e *float64, n int, sum, scale float64)
 
-// verifyAndInstall re-checks bit-identity against the scalar kernels on
-// rounding-sensitive probes before swapping the table; a candidate that
-// deviates (a miscompiled or misassembled kernel) is passed over for the
-// next, and the scalar path stays in place if none is left, instead of
-// corrupting training.
-func init() { verifyAndInstall(candidates()...) }
+// Each entry's bodies, best first, that this CPU and OS can execute: the
+// 512-bit ones where they support AVX-512, the AVX2 ones where they support
+// AVX2. ExpRow's bodies are math.Exp's fused path, so a CPU without FMA,
+// whose math.Exp takes the other, is not offered them. The init installs
+// each entry's first body that passes the entry's probe; the tests probe and
+// fuzz them all.
+var (
+	tileBodies           = append(offer(hasAVX512, "avx512", tileAVX512), offer(hasAVX2, "avx2", tileAVX2)...)
+	spmmRowBodies        = offer(hasAVX2, "avx2", spmmRowAVX2)
+	reluBodies           = offer(hasAVX2, "avx2", reluAVX2)
+	reluMaskBodies       = offer(hasAVX2, "avx2", reluMaskAVX2)
+	addU64Bodies         = offer(hasAVX2, "avx2", addU64AVX2)
+	firstOutside63Bodies = offer(hasAVX2, "avx2", firstOutside63AVX2)
+	expRowBodies         = append(offer(hasAVX512 && hasFMA, "avx512", expRowAVX512), offer(hasFMA, "avx2", expRowAVX2)...)
+	normRowBodies        = append(offer(hasAVX512, "avx512", normRowAVX512), offer(hasAVX2, "avx2", normRowAVX2)...)
+)
 
-// candidates is every implementation this CPU can execute, best first: the
-// AVX2 set, led by the same set with the 512-bit tile and softmax row where
-// the CPU and OS support AVX-512. The softmax rows are math.Exp's fused path,
-// so a CPU without FMA, whose math.Exp takes the other, keeps the scalar
-// ones.
-func candidates() []impls {
-	if !hasAVX2 {
-		return nil
-	}
-	avx2 := impls{
-		name: "avx2",
-		add:  addAVX2,
-		tile: tileAVX2, spmmRow: spmmRowAVX2,
-		relu: reluAVX2, reluMask: reluMaskAVX2,
-		addU64: addU64AVX2, firstOutside63: firstOutside63AVX2,
-		expRow: expRowScalar, normRow: normRowScalar,
-	}
-	if hasFMA {
-		avx2.expRow, avx2.normRow = expRowAVX2, normRowAVX2
-	}
-	if !hasAVX512 {
-		return []impls{avx2}
-	}
-	avx512 := avx2
-	avx512.name, avx512.tile = "avx512", tileAVX512
-	if hasFMA {
-		avx512.expRow, avx512.normRow = expRowAVX512, normRowAVX512
-	}
-	return []impls{avx512, avx2}
-}
-
-func addAVX2(x, dst []float32) {
-	n := len(dst)
-	x = x[:n]
-	nv := n &^ 7
-	if nv > 0 {
-		addVec8(&dst[0], &x[0], nv)
-	}
-	for j := nv; j < n; j++ {
-		dst[j] += x[j]
-	}
+func init() {
+	impl = install("Tile", &Tile, probeTile, tileBodies)
+	install("SpMMRow", &SpMMRow, probeSpMMRow, spmmRowBodies)
+	install("ReLU", &ReLU, probeReLU, reluBodies)
+	install("ReLUMask", &ReLUMask, probeReLUMask, reluMaskBodies)
+	install("AddU64", &AddU64, probeAddU64, addU64Bodies)
+	install("FirstOutside63", &FirstOutside63, probeFirstOutside63, firstOutside63Bodies)
+	install("ExpRow", &ExpRow, probeExpRow, expRowBodies)
+	install("NormRow", &NormRow, probeNormRow, normRowBodies)
 }
 
 func reluAVX2(dst, src []float32) {

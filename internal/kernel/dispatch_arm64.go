@@ -7,44 +7,32 @@ package kernel
 // spmmRowVec4 a multiple of 4 columns; odd tails are handled here with the scalar
 // expressions, which the arm64 compiler fuses exactly like the vector bodies
 // do (see kernel.go for the bit-identity contract).
-func addVec4(dst, x *float32, n int)
 func reluVec4(dst, src *float32, n int)
 func reluMaskVec4(dst, grad, act *float32, n int)
 func tileVec4(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, vecs int, acc bool)
 func spmmRowVec4(c *float32, vecs int, x *float32, xs int, cols, last *int32, vals *float32, form ValForm, n int, acc bool)
 
-// NEON (ASIMD) is architecturally mandatory on arm64, so there is no
-// feature probe — but verifyAndInstall still gates installation on
-// bit-identity with the scalar kernels, so a fusion-behavior mismatch
-// between this build's compiler and the assembly falls back to scalar
-// instead of corrupting training.
-func init() { verifyAndInstall(candidates()...) }
+// neon is whether the CPU has NEON (ASIMD): always, on arm64. The entries
+// with a NEON body are offered it, and install still gates it on
+// bit-identity with the scalar kernel, so a fusion-behavior mismatch between
+// this build's compiler and the assembly falls back to scalar instead of
+// corrupting training. The stream's loops and the softmax rows have no NEON
+// bodies: they run the scalar ones (the rows call math.Exp, whose arm64
+// assembly they would have to match).
+const neon = true
 
-// candidates is every implementation this CPU can execute: the NEON set.
-func candidates() []impls {
-	return []impls{{
-		name: "neon",
-		add:  addNEON,
-		tile: tileNEON, spmmRow: spmmRowNEON,
-		relu: reluNEON, reluMask: reluMaskNEON,
-		// The stream's loops and the softmax rows have no NEON bodies: the
-		// probe holds the scalar ones to themselves (and the rows to
-		// math.Exp, whose arm64 assembly they call).
-		addU64: addU64Scalar, firstOutside63: firstOutside63Scalar,
-		expRow: expRowScalar, normRow: normRowScalar,
-	}}
-}
+var (
+	tileBodies     = offer(neon, "neon", tileNEON)
+	spmmRowBodies  = offer(neon, "neon", spmmRowNEON)
+	reluBodies     = offer(neon, "neon", reluNEON)
+	reluMaskBodies = offer(neon, "neon", reluMaskNEON)
+)
 
-func addNEON(x, dst []float32) {
-	n := len(dst)
-	x = x[:n]
-	nv := n &^ 3
-	if nv > 0 {
-		addVec4(&dst[0], &x[0], nv)
-	}
-	for j := nv; j < n; j++ {
-		dst[j] += x[j]
-	}
+func init() {
+	impl = install("Tile", &Tile, probeTile, tileBodies)
+	install("SpMMRow", &SpMMRow, probeSpMMRow, spmmRowBodies)
+	install("ReLU", &ReLU, probeReLU, reluBodies)
+	install("ReLUMask", &ReLUMask, probeReLUMask, reluMaskBodies)
 }
 
 func reluNEON(dst, src []float32) {

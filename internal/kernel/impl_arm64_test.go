@@ -4,12 +4,22 @@ package kernel
 
 import "testing"
 
-// TestVectorImplInstalled fails when the table is still scalar (NEON is
-// mandatory on arm64): verifyAndInstall refuses a candidate as a unit, so one
-// wrong lane in one kernel would otherwise leave every test comparing scalar
-// with scalar, green and at half speed.
+// TestVectorImplInstalled fails when an entry with a NEON body (NEON is
+// mandatory on arm64) does not run it.
 func TestVectorImplInstalled(t *testing.T) {
-	if Impl() != "neon" {
-		t.Fatalf("the dispatch table is %q: %v", Impl(), probeErr)
+	runsBest(t, "Tile", Tile, tileBodies)
+	runsBest(t, "SpMMRow", SpMMRow, spmmRowBodies)
+	runsBest(t, "ReLU", ReLU, reluBodies)
+	runsBest(t, "ReLUMask", ReLUMask, reluMaskBodies)
+	if Impl() != "neon" || ProbeErr() != nil {
+		t.Fatalf("the tile is %q: %v", Impl(), ProbeErr())
 	}
+}
+
+// TestEveryCandidateProbes runs the install probe on every NEON body.
+func TestEveryCandidateProbes(t *testing.T) {
+	probeEvery(t, "Tile", tileBodies, probeTile, "neon")
+	probeEvery(t, "SpMMRow", spmmRowBodies, probeSpMMRow, "neon")
+	probeEvery(t, "ReLU", reluBodies, probeReLU, "neon")
+	probeEvery(t, "ReLUMask", reluMaskBodies, probeReLUMask, "neon")
 }

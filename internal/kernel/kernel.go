@@ -2,10 +2,13 @@
 // kernels, the loss's softmax row, and the two integer loops of the graph
 // generator's seeded stream, behind a runtime-dispatch table. The exported
 // entry points are function variables initialized to the pure-Go scalar
-// implementations below; an arch-specific init replaces them with AVX-512 or
-// AVX2 (amd64) or NEON (arm64) assembly when the CPU supports it, except
-// under the race detector. The AVX-512 set is the AVX2 set with a 512-bit
-// GeMM tile and softmax rows.
+// implementations below. An arch-specific init offers each entry its own
+// assembly bodies, best first — AVX-512 then AVX2 for the GeMM tile and the
+// softmax rows and AVX2 for the rest (amd64), NEON for the tile, the SpMM row
+// and the two ReLU selects (arm64) — as far as the CPU supports them, and
+// installs the first that its probe accepts, except under the race detector.
+// A body the probe refuses leaves its entry on the next body or the scalar
+// one and every other entry as it was.
 //
 // The dispatch contract is bit-identity: every implementation bound to a
 // variable must produce exactly the bits the scalar implementation produces
@@ -19,9 +22,7 @@
 //     VFMADD*), and round each multiply and add exactly like the scalar
 //     expression.
 //   - On arm64 the Go compiler *does* fuse `d += a*x` into FMADDS, so the
-//     NEON kernels use VFMLA (fused per lane) to match, and express plain
-//     vector adds as VFMLA with a broadcast 1.0 (x*1.0 is exact, so
-//     fma(x, 1, d) rounds once exactly like FADD).
+//     NEON kernels use VFMLA (fused per lane) to match.
 //   - The GeMM tile adds one product per k step to each accumulator, k
 //     ascending, and the SpMM row kernel one per stored entry, index
 //     ascending, so every C element sums in the flat oracle's order whatever
@@ -35,7 +36,8 @@
 // overflow, a subnormal or zero result) to the scalar body. They are offered
 // only where the CPU has FMA, the bit math.Exp's path is chosen by, and the
 // probe holds them to math.Exp itself, so a host whose math.Exp differs
-// refuses them. The row sum is one float64 add per element, j ascending.
+// refuses them and only ExpRow runs its scalar body. The row sum is one
+// float64 add per element, j ascending.
 //
 // The stream's loops (AddU64, FirstOutside63) are integer arithmetic and
 // compares, so their contract is plain equality: every body returns exactly
@@ -56,10 +58,8 @@ package kernel
 
 import "math"
 
-// Dispatch table. Scalar until the arch init installs its candidate.
+// Dispatch table. Scalar until the arch init installs an entry's body.
 var (
-	// Add computes dst[j] += x[j].
-	Add func(x, dst []float32) = addScalar
 	// SpMMRow is the SpMM row microkernel. For the strip c of one output
 	// row (1..SpMMStrip floats) it starts every accumulator from c (acc) or
 	// from 0, adds v(k) * x[cols[k]*xs+j] for k ascending over [0, n) —
@@ -136,16 +136,9 @@ const SpMMStrip = 64
 
 var impl = "scalar"
 
-// Impl names the active implementation: "scalar", "avx2", "avx512" or
-// "neon".
+// Impl names the body the Tile entry, the GeMM's microkernel, runs:
+// "scalar", "avx2", "avx512" or "neon".
 func Impl() string { return impl }
-
-func addScalar(x, dst []float32) {
-	x = x[:len(dst)]
-	for j := range dst {
-		dst[j] += x[j]
-	}
-}
 
 // spmmRowScalar is the oracle and the path of builds without assembly: one
 // pass over the strip per stored entry, ascending.

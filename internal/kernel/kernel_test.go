@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,19 +19,6 @@ var testLens = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 15, 16, 17, 24, 31, 32, 33, 
 // see misaligned addresses (float32 slices are only 4-byte aligned at
 // best once offset); the kernels use unaligned loads throughout.
 var testOffsets = []int{0, 1, 2, 3}
-
-func fill(t *testing.T, n int, seed uint64) []float32 {
-	t.Helper()
-	v := make([]float32, n)
-	s := seed
-	for i := range v {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		v[i] = float32(int32(s)) / (1 << 28)
-	}
-	return v
-}
 
 func bitsEqual(t *testing.T, op string, n, off int, got, want []float32) {
 	t.Helper()
@@ -50,10 +38,10 @@ func bitsEqual(t *testing.T, op string, n, off int, got, want []float32) {
 func TestDispatchBitIdentity(t *testing.T) {
 	const maxN = 257
 	const maxOff = 3
-	base0 := fill(t, maxN+maxOff, 0x9e3779b97f4a7c15)
-	base1 := fill(t, maxN+maxOff, 0xbf58476d1ce4e5b9)
-	base2 := fill(t, maxN+maxOff, 0x94d049bb133111eb)
-	base3 := fill(t, maxN+maxOff, 0x2545f4914f6cdd1d)
+	base0 := probeFloats(maxN+maxOff, 0x9e3779b97f4a7c15)
+	base1 := probeFloats(maxN+maxOff, 0xbf58476d1ce4e5b9)
+	base2 := probeFloats(maxN+maxOff, 0x94d049bb133111eb)
+	base3 := probeFloats(maxN+maxOff, 0x2545f4914f6cdd1d)
 
 	for _, n := range testLens {
 		for _, off := range testOffsets {
@@ -68,11 +56,6 @@ func TestDispatchBitIdentity(t *testing.T) {
 			}
 
 			got, want := dup(base3[off : off+n])
-			Add(xa, got)
-			addScalar(xa, want)
-			bitsEqual(t, "Add", n, off, got, want)
-
-			got, want = dup(base3[off : off+n])
 			ReLU(got, xa)
 			reluScalar(want, xa)
 			bitsEqual(t, "ReLU", n, off, got, want)
@@ -99,42 +82,35 @@ func TestDispatchBitIdentity(t *testing.T) {
 // no-op on zero-length slices.
 func TestEmptyRows(t *testing.T) {
 	var empty []float32
-	Add(empty, empty)
 	ReLU(empty, empty)
 	ReLUMask(empty, empty, empty)
 }
 
 // TestImplConsistent checks that the dispatch metadata matches the table:
-// the name is a known implementation and the init-time verifier accepted
-// what is installed (verifyImpls re-run here must agree).
+// the name is a known implementation and the init-time probes accept what
+// is installed (re-run here, they must agree).
 func TestImplConsistent(t *testing.T) {
 	switch Impl() {
 	case "scalar", "avx2", "avx512", "neon":
 	default:
 		t.Fatalf("unknown impl %q", Impl())
 	}
-	if err := verifyImpls(installed()); err != nil {
-		t.Fatalf("installed impl fails its own verification probes: %v", err)
+	if err := probeInstalled(); err != nil {
+		t.Fatalf("the installed table fails its own probes: %v", err)
 	}
 }
 
-// installed is the dispatch table as a candidate.
-func installed() impls {
-	return impls{
-		name: Impl(),
-		add:  Add, tile: Tile, spmmRow: SpMMRow,
-		relu: ReLU, reluMask: ReLUMask,
-		addU64: AddU64, firstOutside63: FirstOutside63,
-		expRow: ExpRow, normRow: NormRow,
-	}
+// probeInstalled runs every entry's probe on the body the table holds.
+func probeInstalled() error {
+	return errors.Join(probeTile(Tile), probeSpMMRow(SpMMRow), probeReLU(ReLU), probeReLUMask(ReLUMask),
+		probeAddU64(AddU64), probeFirstOutside63(FirstOutside63), probeExpRow(ExpRow), probeNormRow(NormRow))
 }
 
-// BenchmarkVerifyImpls times the install probe on the installed table: every
-// process's init runs it once for each candidate it tries.
+// BenchmarkVerifyImpls times every entry's probe on the installed table:
+// every process's init runs each once for each body an entry tries.
 func BenchmarkVerifyImpls(b *testing.B) {
-	c := installed()
 	for i := 0; i < b.N; i++ {
-		if err := verifyImpls(c); err != nil {
+		if err := probeInstalled(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,9 +123,9 @@ func BenchmarkVerifyImpls(b *testing.B) {
 // the rows x cols window of C is written.
 func TestTileMatchesDefinition(t *testing.T) {
 	const lda, ldb, ldc, maxK = 67, NR + 3, NR + 5, 65
-	a := fill(t, maxK*lda+3, 0x9e3779b97f4a7c15)
-	b := fill(t, maxK*ldb+3, 0xbf58476d1ce4e5b9)
-	c0 := fill(t, 7+MR*ldc, 0x2545f4914f6cdd1d)
+	a := probeFloats(maxK*lda+3, 0x9e3779b97f4a7c15)
+	b := probeFloats(maxK*ldb+3, 0xbf58476d1ce4e5b9)
+	c0 := probeFloats(7+MR*ldc, 0x2545f4914f6cdd1d)
 	for _, k := range []int{0, 1, 2, 3, 8, 33, maxK} {
 		for tc := 0; tc < MR*NR*4; tc++ {
 			rows, cols, acc, off := 1+tc%MR, 1+tc/MR%NR, tc/(MR*NR)&1 == 1, tc%len(testOffsets)
@@ -217,7 +193,7 @@ func TestSpMMRowMatchesScalar(t *testing.T) {
 	for tc := 0; tc < 4000; tc++ {
 		w, xrows, off := 1+rng.Intn(SpMMStrip), 1+rng.Intn(40), rng.Intn(4)
 		xs := w + rng.Intn(3)*rng.Intn(70)
-		x := fill(t, off+xrows*xs, rng.Uint64()|1)[off:]
+		x := probeFloats(off+xrows*xs, rng.Uint64()|1)[off:]
 		cols := make([]int32, 1+rng.Intn(150))
 		for i := range cols {
 			cols[i] = int32(rng.Intn(xrows))
@@ -225,7 +201,7 @@ func TestSpMMRowMatchesScalar(t *testing.T) {
 		first := rng.Intn(len(cols))
 		n := rng.Intn(min(100, len(cols)-first) + 1)
 		form := ValForm(tc / 3 % 3)
-		vals := fill(t, off+max(len(cols), xrows), rng.Uint64()|1)[off:]
+		vals := probeFloats(off+max(len(cols), xrows), rng.Uint64()|1)[off:]
 		cols = cols[first:]
 		switch form {
 		case PerEntry:
@@ -237,7 +213,7 @@ func TestSpMMRowMatchesScalar(t *testing.T) {
 			vals = nil
 		}
 		acc := tc%2 == 0
-		got := fill(t, off+3+w+3, rng.Uint64()|1)
+		got := probeFloats(off+3+w+3, rng.Uint64()|1)
 		want := append([]float32(nil), got...)
 		SpMMRow(got[off+3:off+3+w], x, xs, xrows, cols, vals, form, n, acc)
 		spmmRowScalar(want[off+3:off+3+w], x, xs, xrows, cols, vals, form, n, acc)
@@ -307,8 +283,8 @@ func TestSpMMRowRejectsOutOfRange(t *testing.T) {
 // amd64 this is the assembly body's own check.
 func TestSpMMRowRejectsBadColumn(t *testing.T) {
 	const xrows, xs, n = 5, SpMMStrip + 3, 7
-	x := fill(t, xrows*xs, 0x9e3779b97f4a7c15)
-	colVals := fill(t, xrows, 0xd6e8feb86659fd93)
+	x := probeFloats(xrows*xs, 0x9e3779b97f4a7c15)
+	colVals := probeFloats(xrows, 0xd6e8feb86659fd93)
 	for v := 1; v <= SpMMStrip/8; v++ {
 		for _, w := range []int{8 * v, 8*v - 3} {
 			for _, acc := range []bool{false, true} {
@@ -317,7 +293,7 @@ func TestSpMMRowRejectsBadColumn(t *testing.T) {
 						for _, byCol := range []bool{false, true} {
 							cols := []int32{0, 4, 1, 3, 2, 4, 0, 1, 2}
 							cols[at] = col
-							got := fill(t, 3+w+3, uint64(w)<<8|uint64(at))
+							got := probeFloats(3+w+3, uint64(w)<<8|uint64(at))
 							want := append([]float32(nil), got...)
 							what := fmt.Sprintf("SpMMRow w=%d acc=%v column %d at %d by column %v", w, acc, col, at, byCol)
 							func() {
@@ -346,8 +322,8 @@ func TestSpMMRowRejectsBadColumn(t *testing.T) {
 // error; the result is the scalar oracle's.
 func TestSpMMRowIgnoresColumnsPastRow(t *testing.T) {
 	const xrows, xs, n = 5, SpMMStrip, 3
-	x := fill(t, xrows*xs, 0xbf58476d1ce4e5b9)
-	vals := fill(t, 40, 0x94d049bb133111eb)
+	x := probeFloats(xrows*xs, 0xbf58476d1ce4e5b9)
+	vals := probeFloats(40, 0x94d049bb133111eb)
 	for _, col := range []int32{-1, math.MinInt32, xrows, math.MaxInt32} {
 		for _, w := range []int{5, SpMMStrip} {
 			cols := make([]int32, 40)
@@ -355,7 +331,7 @@ func TestSpMMRowIgnoresColumnsPastRow(t *testing.T) {
 				cols[i] = col
 			}
 			copy(cols, []int32{4, 0, 2})
-			got := fill(t, w, 0x2545f4914f6cdd1d)
+			got := probeFloats(w, 0x2545f4914f6cdd1d)
 			want := append([]float32(nil), got...)
 			SpMMRow(got, x, xs, xrows, cols, vals, PerEntry, n, true)
 			spmmRowScalar(want, x, xs, xrows, cols, vals, PerEntry, n, true)
@@ -365,7 +341,7 @@ func TestSpMMRowIgnoresColumnsPastRow(t *testing.T) {
 }
 
 // TestVerifyRefusesUncheckedRowKernel: since the column proof lives in the
-// candidate, the install probe must refuse a row kernel that reads a column
+// body, the install probe must refuse a row kernel that reads a column
 // outside X or that writes C before it rejects one, even when it matches the
 // scalar kernel on every valid row.
 func TestVerifyRefusesUncheckedRowKernel(t *testing.T) {
@@ -395,29 +371,20 @@ func TestVerifyRefusesUncheckedRowKernel(t *testing.T) {
 			spmmRowScalar(c, x, xs, xrows, cols, vals, form, n, acc)
 		},
 	} {
-		err := verifyImpls(impls{
-			name: "unchecked",
-			add:  addScalar, tile: tileScalar, spmmRow: row,
-			relu: reluScalar, reluMask: reluMaskScalar,
-			addU64: addU64Scalar, firstOutside63: firstOutside63Scalar,
-			expRow: expRowScalar, normRow: normRowScalar,
-		})
-		if err == nil || !strings.Contains(err.Error(), "SpMMRow") {
-			t.Errorf("%s: verifyImpls returned %v, want a refusal naming SpMMRow", name, err)
+		if probeSpMMRow(row) == nil {
+			t.Errorf("%s: the SpMMRow probe accepts it", name)
 		}
 	}
 }
 
-// TestPanickingCandidateIsRefused: a candidate whose tile panics in the
-// install probe is refused by name, and the next candidate installs. The
-// tile splits its rows in two and hands the lower half to its body even
-// when that half is empty, and the body panics on zero rows.
+// TestPanickingCandidateIsRefused: a tile body that panics in the install
+// probe is refused by name, and the entry's next body installs. The tile
+// splits its rows in two and hands the lower half to its body even when that
+// half is empty, and the body panics on zero rows.
 func TestPanickingCandidateIsRefused(t *testing.T) {
-	saved, savedErr := installed(), probeErr
-	t.Cleanup(func() {
-		verifyAndInstall(saved)
-		probeErr = savedErr
-	})
+	saved, savedRefused := Tile, refused
+	t.Cleanup(func() { Tile, refused = saved, savedRefused })
+	refused = nil
 	body := func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) {
 		if rows == 0 {
 			panic("zero-row tile")
@@ -429,20 +396,10 @@ func TestPanickingCandidateIsRefused(t *testing.T) {
 		body(top, cols, k, a, ars, aks, b, bs, c, cs, acc)
 		body(rows-top, cols, k, a[top*ars:], ars, aks, b, bs, c[top*cs:], cs, acc)
 	}
-	scalar := impls{
-		name: "next",
-		add:  addScalar, tile: tileScalar, spmmRow: spmmRowScalar,
-		relu: reluScalar, reluMask: reluMaskScalar,
-		addU64: addU64Scalar, firstOutside63: firstOutside63Scalar,
-		expRow: expRowScalar, normRow: normRowScalar,
+	if got := install("Tile", &Tile, probeTile, append(offer(true, "panicky", split), offer(true, "next", tileScalar)...)); got != "next" {
+		t.Fatalf("installed %q, want the next body", got)
 	}
-	panicky := scalar
-	panicky.name, panicky.tile = "panicky", split
-	verifyAndInstall(panicky, scalar)
-	if Impl() != "next" {
-		t.Fatalf("installed %q, want the next candidate", Impl())
-	}
-	if err := ProbeErr(); err == nil || !strings.Contains(err.Error(), "panicky") || !strings.Contains(err.Error(), "zero-row tile") {
+	if err := ProbeErr(); err == nil || !strings.Contains(err.Error(), "panicky Tile") || !strings.Contains(err.Error(), "zero-row tile") {
 		t.Fatalf("ProbeErr() = %v, want panicky's refusal with its panic", err)
 	}
 }
@@ -472,7 +429,7 @@ func TestReLUSemantics(t *testing.T) {
 			sweep = append(sweep, math.Float32frombits(edge+d), math.Float32frombits(edge-d))
 		}
 	}
-	grad := fill(t, len(sweep), 0x94d049bb133111eb)
+	grad := probeFloats(len(sweep), 0x94d049bb133111eb)
 	relu, masked := make([]float32, len(sweep)), make([]float32, len(sweep))
 	ReLU(relu, sweep)
 	ReLUMask(masked, grad, sweep)

@@ -52,10 +52,10 @@ func checkFormsMatchPerEntry(t *testing.T, what string, row rowKernel, c0, x []f
 func TestSpMMRowFormsMatchPerEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const xrows = 12
-	scale := append(append([]float32(nil), formSpecials...), fill(t, xrows-len(formSpecials), 0x9e3779b97f4a7c15)...)
+	scale := append(append([]float32(nil), formSpecials...), probeFloats(xrows-len(formSpecials), 0x9e3779b97f4a7c15)...)
 	for w := 1; w <= SpMMStrip; w++ {
 		xs := w + 2
-		x := fill(t, xrows*xs, uint64(w)<<1|1)
+		x := probeFloats(xrows*xs, uint64(w)<<1|1)
 		for i := range formSpecials {
 			x[rng.Intn(len(x))] = formSpecials[i]
 		}
@@ -68,7 +68,7 @@ func TestSpMMRowFormsMatchPerEntry(t *testing.T) {
 				}
 			}
 			for _, acc := range []bool{false, true} {
-				c0 := fill(t, 3+w+3, rng.Uint64()|1)
+				c0 := probeFloats(3+w+3, rng.Uint64()|1)
 				for r := range scale {
 					for name, row := range map[string]rowKernel{"dispatched": SpMMRow, "scalar": spmmRowScalar} {
 						what := fmt.Sprintf("%s w=%d n=%d acc=%v row scale %g", name, w, n, acc, scale[r])
@@ -106,7 +106,7 @@ func FuzzSpMMRowModes(f *testing.F) {
 		for k := range cols {
 			cols[k] = int32(colBytes[k]) % int32(xrows)
 		}
-		x := fill(t, xrows*xs, seed|1)
+		x := probeFloats(xrows*xs, seed|1)
 		for i, v := range scale {
 			x[(i*13)%len(x)] = v
 		}
@@ -125,7 +125,7 @@ func FuzzSpMMRowModes(f *testing.F) {
 			vals = scale
 		}
 		rowN := int(n) % (len(cols) + 1)
-		c0 := fill(t, 2+w+2, seed>>1|1)
+		c0 := probeFloats(2+w+2, seed>>1|1)
 		got, want := append([]float32(nil), c0...), append([]float32(nil), c0...)
 		SpMMRow(got[2:2+w], x, xs, xrows, cols, vals, vf, rowN, acc)
 		spmmRowScalar(want[2:2+w], x, xs, xrows, cols, vals, vf, rowN, acc)

@@ -1,81 +1,139 @@
 package kernel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 )
 
-// impls bundles one complete candidate implementation of the dispatch
-// table so an arch init can hand it to verifyAndInstall as a unit.
-type impls struct {
-	name     string
-	add      func(x, dst []float32)
-	tile     func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool)
-	spmmRow  func(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool)
-	relu     func(dst, src []float32)
-	reluMask func(dst, grad, act []float32)
-
-	addU64         func(dst, x []uint64)
-	firstOutside63 func(v []uint64, lo, hi uint64) int
-
-	expRow  func(dst []float64, src []float32, mx float32) float64
-	normRow func(dst []float32, e []float64, sum, scale float64)
+// A body is one implementation offered for a dispatch entry, named for the
+// instruction set it runs on.
+type body[F any] struct {
+	name string
+	fn   F
 }
 
-// ProbeErr is why the arch init's candidates were refused, each naming the
-// first entry and shape that deviated: nil when its first choice was
-// installed or none was offered.
-func ProbeErr() error { return probeErr }
-
-var probeErr error
-
-// verifyAndInstall checks each candidate implementation, best first, against
-// the scalar kernels on deterministic rounding-sensitive vectors and installs
-// the first whose every output is bit-identical. A candidate that fails any
-// probe is discarded — and the table stays scalar if every one does — the
-// guard that lets us ship assembly for platforms the build host cannot
-// execute: a wrong kernel (e.g. an unexpected fused multiply-add) degrades to
-// a slower path instead of corrupting training. It runs from init, before
-// any kernel call, so swapping the table is unsynchronized by design. A
-// candidate that panics in a probe is refused like one that deviates.
-func verifyAndInstall(cands ...impls) {
-	var refused []error
-	for _, c := range cands {
-		if err := probe(c); err != nil {
-			refused = append(refused, err)
-			continue
-		}
-		impl = c.name
-		Add = c.add
-		Tile = c.tile
-		SpMMRow = c.spmmRow
-		ReLU = c.relu
-		ReLUMask = c.reluMask
-		AddU64 = c.addU64
-		FirstOutside63 = c.firstOutside63
-		ExpRow = c.expRow
-		NormRow = c.normRow
-		break
+// offer is fn as a body if the CPU and OS have what its instructions need
+// (ok), else no body: an architecture lists an entry's bodies, best first,
+// as the concatenation of its offers.
+func offer[F any](ok bool, name string, fn F) []body[F] {
+	if !ok {
+		return nil
 	}
-	probeErr = errors.Join(refused...)
+	return []body[F]{{name, fn}}
 }
 
-// probe is verifyImpls with a panic turned into c's refusal, so a body that
-// crashes on some probe shape cannot stop every process at start-up.
-func probe(c impls) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("kernel: %s panics in its probe: %v", c.name, r)
+// refused is every body the arch init passed over, each naming the entry and
+// the shape that deviated.
+var refused []error
+
+// ProbeErr is why the arch init refused bodies: nil when every entry
+// installed the first body it was offered, or none was offered.
+func ProbeErr() error { return errors.Join(refused...) }
+
+// install checks the bodies offered for one entry, best first, against the
+// entry's scalar kernel on deterministic rounding-sensitive data (probe) and
+// sets *fn to the first whose every output is bit-identical, returning its
+// name; the entry keeps its scalar body, "scalar", if none passes. A body
+// that deviates or panics in the probe is refused, recorded in ProbeErr, and
+// takes no other entry with it. That is the guard that lets us ship assembly
+// for platforms the build host cannot execute: a wrong kernel (e.g. an
+// unexpected fused multiply-add) degrades to a slower path instead of
+// corrupting training. It runs from init, before any kernel call, so
+// swapping the table is unsynchronized by design.
+func install[F any](entry string, fn *F, probe func(F) error, bodies []body[F]) string {
+	for _, b := range bodies {
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panics in its probe: %v", r)
+				}
+			}()
+			return probe(b.fn)
+		}()
+		if err == nil {
+			*fn = b.fn
+			return b.name
 		}
-	}()
-	return verifyImpls(c)
+		refused = append(refused, fmt.Errorf("kernel: %s %s %w", b.name, entry, err))
+	}
+	return "scalar"
 }
 
 // verifyLens covers empty, sub-lane, exact-lane, and straddling lengths
 // for every vector width in use (4 and 8), plus a long run.
 var verifyLens = [...]int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 100}
+
+const maxLen = 100 // verifyLens' last
+
+func xorshift(s uint64) uint64 {
+	s ^= s << 13
+	s ^= s >> 7
+	return s ^ s<<17
+}
+
+// probeFloats is rounding-sensitive probe data: xorshift-derived floats with
+// full mantissas in [-8, 8), spanning magnitudes and signs, so a
+// single-rounding FMA where the scalar path double-rounds cannot slip
+// through.
+func probeFloats(n int, seed uint64) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		seed = xorshift(seed)
+		v[i] = float32(int32(seed)) / (1 << 28)
+	}
+	return v
+}
+
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
+// signSpecials is probe data with the values a select-by-sign kernel can get
+// wrong, every third element from at so each lands in every vector lane: NaN
+// and -NaN, both zeros, both infinities, the smallest denormals.
+func signSpecials(seed uint64, at int) []float32 {
+	nan := float32(math.NaN())
+	specials := [...]float32{nan, -nan, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32}
+	v := probeFloats(maxLen, seed)
+	for i := 0; i+at < len(v); i += 3 {
+		v[i+at] = specials[(i/3+3*at)%len(specials)]
+	}
+	return v
+}
+
+// probeRows holds a select body (cand) to its scalar kernel (ref) at every
+// probe length, each writing over a copy of dst's first n floats.
+func probeRows(what string, dst []float32, cand, ref func(n int, d []float32)) error {
+	got, want := make([]float32, maxLen), make([]float32, maxLen)
+	for _, n := range verifyLens {
+		copy(got, dst[:n])
+		copy(want, dst[:n])
+		cand(n, got[:n])
+		ref(n, want[:n])
+		if !sameBits(got[:n], want[:n]) {
+			return fmt.Errorf("deviates from scalar at length %d%s", n, what)
+		}
+	}
+	return nil
+}
+
+func probeReLU(relu func(dst, src []float32)) error {
+	xd, xs := probeFloats(maxLen, 0x2545f4914f6cdd1d), signSpecials(0x94d049bb133111eb, 0)
+	return cmp.Or(
+		probeRows("", xd, func(n int, d []float32) { relu(d, xs[:n]) }, func(n int, d []float32) { reluScalar(d, xs[:n]) }),
+		probeRows(" with dst = src", xs, func(n int, d []float32) { relu(d, d) }, func(n int, d []float32) { reluScalar(d, d) }))
+}
+
+func probeReLUMask(mask func(dst, grad, act []float32)) error {
+	xd, xs, xt := probeFloats(maxLen, 0x2545f4914f6cdd1d), signSpecials(0x94d049bb133111eb, 0), signSpecials(0xd6e8feb86659fd93, 1)
+	return cmp.Or(
+		probeRows("", xd, func(n int, d []float32) { mask(d, xs[:n], xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], xt[:n]) }),
+		probeRows(" with dst = grad", xs, func(n int, d []float32) { mask(d, d, xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, d, xt[:n]) }),
+		probeRows(" with dst = act", xt, func(n int, d []float32) { mask(d, xs[:n], d) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], d) }))
+}
 
 // streamRedraw is the graph generator's redraw bound, the hi of its scans: a
 // masked value at or above it is a float64 of 1, which the stream draws again.
@@ -101,9 +159,7 @@ func scanEdges(lo, hi uint64) [8]uint64 {
 // from a xorshift state; with lo ≥ hi there are none, and any value will do.
 func insideRun(v []uint64, lo, hi, s uint64) {
 	for i := range v {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
+		s = xorshift(s)
 		v[i] = s
 		if lo < hi {
 			v[i] = lo + s%(hi-lo) | s&(1<<63)
@@ -111,90 +167,30 @@ func insideRun(v []uint64, lo, hi, s uint64) {
 	}
 }
 
-// verifyImpls returns nil if c matches the scalar kernels bit for bit on
-// every probe, else an error naming the first entry and shape that deviated.
-func verifyImpls(c impls) error {
-	// Strides past every extent the tile probes reach, so a lane that
-	// strays lands on data the comparison sees.
-	const lda, ldb, ldc, maxK = 41, NR + 3, NR + 5, 7
-	// Rounding-sensitive probe data: xorshift-derived floats with full
-	// mantissas, spanning magnitudes and signs, so a single-rounding FMA
-	// where the scalar path double-rounds cannot slip through.
-	mk := func(seed uint64) []float32 {
-		v := make([]float32, max(MR, maxK)*lda)
-		s := seed
-		for i := range v {
-			s ^= s << 13
-			s ^= s >> 7
-			s ^= s << 17
-			v[i] = float32(int32(s)) / (1 << 28)
-		}
-		return v
-	}
-	xa, xb, xd := mk(0x9e3779b97f4a7c15), mk(0xbf58476d1ce4e5b9), mk(0x2545f4914f6cdd1d)
-	// The values a select-by-sign kernel can get wrong, every third
-	// element so each lands in every vector lane: NaN and -NaN, both
-	// zeros, both infinities, the smallest denormals.
-	nan := float32(math.NaN())
-	specials := [...]float32{nan, -nan, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32}
-	xs, xt := mk(0x94d049bb133111eb), mk(0xd6e8feb86659fd93)
-	for i := 0; i+1 < len(xs); i += 3 {
-		xs[i], xt[i+1] = specials[i/3%len(specials)], specials[(i/3+3)%len(specials)]
-	}
-	eq := func(a, b []float32) bool {
-		for i := range a {
-			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	// Every probe's output and reference, in two buffers reused throughout.
-	gotBuf, wantBuf := make([]float32, 0, len(xd)), make([]float32, 0, len(xd))
-	buf := func(src []float32, n int) (got, want []float32) {
-		return append(gotBuf[:0], src[:n]...), append(wantBuf[:0], src[:n]...)
-	}
-
-	vector := [...]struct {
-		entry     string
-		dst       []float32 // dst's prior contents
-		cand, ref func(n int, dst []float32)
-	}{
-		{"Add", xd, func(n int, d []float32) { c.add(xa[:n], d) }, func(n int, d []float32) { addScalar(xa[:n], d) }},
-		{"ReLU", xd, func(n int, d []float32) { c.relu(d, xs[:n]) }, func(n int, d []float32) { reluScalar(d, xs[:n]) }},
-		{"ReLU(dst = src)", xs, func(n int, d []float32) { c.relu(d, d) }, func(n int, d []float32) { reluScalar(d, d) }},
-		{"ReLUMask", xd, func(n int, d []float32) { c.reluMask(d, xs[:n], xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], xt[:n]) }},
-		{"ReLUMask(dst = grad)", xs, func(n int, d []float32) { c.reluMask(d, d, xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, d, xt[:n]) }},
-		{"ReLUMask(dst = act)", xt, func(n int, d []float32) { c.reluMask(d, xs[:n], d) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], d) }},
-	}
-	for _, n := range verifyLens {
-		for _, p := range vector {
-			got, want := buf(p.dst, n)
-			p.cand(n, got)
-			p.ref(n, want)
-			if !eq(got, want) {
-				return fmt.Errorf("kernel: %s %s deviates from scalar at length %d", c.name, p.entry, n)
-			}
-		}
-	}
-
-	// The stream's loops: sums that wrap (the words are uniform over 2⁶⁴), and
-	// scans with each edge value planted at every position of runs on both
-	// sides of every vector boundary (lo and hi−1 are inside: the runs with
-	// one of them planted have none outside).
-	xu, yu := make([]uint64, 100), make([]uint64, 100)
+// probeAddU64 holds the stream's refill to its scalar loop on sums that wrap
+// (the words are uniform over 2⁶⁴).
+func probeAddU64(add func(dst, x []uint64)) error {
+	xu, yu := make([]uint64, maxLen), make([]uint64, maxLen)
 	insideRun(xu, 0, 0, 0x9e3779b97f4a7c15)
 	insideRun(yu, 0, 0, 0xbf58476d1ce4e5b9)
 	for _, n := range verifyLens {
-		got, want := append([]uint64(nil), xu[:n]...), append([]uint64(nil), xu[:n]...)
-		c.addU64(got, yu[:n])
+		got, want := slices.Clone(xu[:n]), slices.Clone(xu[:n])
+		add(got, yu[:n])
 		addU64Scalar(want, yu[:n])
 		if !slices.Equal(got, want) {
-			return fmt.Errorf("kernel: %s AddU64 deviates from scalar at length %d", c.name, n)
+			return fmt.Errorf("deviates from scalar at length %d", n)
 		}
 	}
+	return nil
+}
+
+// probeFirstOutside63 holds the stream's scan to its scalar loop with each
+// edge value planted at every position of runs on both sides of every vector
+// boundary (lo and hi−1 are inside: the runs with one of them planted have
+// none outside).
+func probeFirstOutside63(scan func(v []uint64, lo, hi uint64) int) error {
+	run := make([]uint64, maxLen)
 	for _, lo := range scanLos {
-		run := make([]uint64, 100)
 		insideRun(run, lo, streamRedraw, 0x2545f4914f6cdd1d^lo)
 		for _, n := range verifyLens {
 			v := run[:n]
@@ -202,25 +198,28 @@ func verifyImpls(c impls) error {
 				keep := v[p]
 				for _, e := range scanEdges(lo, streamRedraw) {
 					v[p] = e
-					if got, want := c.firstOutside63(v, lo, streamRedraw), firstOutside63Scalar(v, lo, streamRedraw); got != want {
-						return fmt.Errorf("kernel: %s FirstOutside63 returns %d, scalar %d, at length %d lo=%#x with %#x at %d", c.name, got, want, n, lo, e, p)
+					if got, want := scan(v, lo, streamRedraw), firstOutside63Scalar(v, lo, streamRedraw); got != want {
+						return fmt.Errorf("returns %d, scalar %d, at length %d lo=%#x with %#x at %d", got, want, n, lo, e, p)
 					}
 				}
 				v[p] = keep
 			}
 		}
 	}
+	return nil
+}
 
-	if err := verifyRows(c); err != nil {
-		return err
-	}
-
-	// Every row count, widths on both sides of each 8- and 16-lane vector
-	// boundary and the full NR, both orientations of A's strides, both
-	// accumulate modes, k empty, single, even and odd; C sits inside a guard
-	// band the comparison covers. Each C element sums only its own products,
-	// so every smaller tile is a window of the scalar body's full one.
-	// (TestTileMatchesDefinition sweeps every extent.)
+// probeTile checks every row count, widths on both sides of each 8- and
+// 16-lane vector boundary and the full NR, both orientations of A's strides,
+// both accumulate modes, k empty, single, even and odd; C sits inside a guard
+// band the comparison covers, and the strides reach past every extent, so a
+// lane that strays lands on data the comparison sees. Each C element sums
+// only its own products, so every smaller tile is a window of the scalar
+// body's full one. (TestTileMatchesDefinition sweeps every extent.)
+func probeTile(tile func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool)) error {
+	const lda, ldb, ldc, maxK = 41, NR + 3, NR + 5, 7
+	xa, xb, xd := probeFloats(MR*lda, 0x9e3779b97f4a7c15), probeFloats(MR*lda, 0xbf58476d1ce4e5b9), probeFloats(5+MR*ldc+5, 0x2545f4914f6cdd1d)
+	got, want, full := make([]float32, len(xd)), make([]float32, len(xd)), make([]float32, len(xd))
 	tileWidths := [...]int{1, 7, 8, 9, 15, 16, 17, 24, 25, 31, NR}
 	for _, k := range [...]int{0, 1, 2, maxK} {
 		for t := 0; t < 4; t++ {
@@ -228,33 +227,39 @@ func verifyImpls(c impls) error {
 			if t&2 == 2 {
 				ars, aks = 1, lda
 			}
-			full := append([]float32(nil), xd[:5+MR*ldc]...)
+			copy(full, xd)
 			tileScalar(MR, NR, k, xa, ars, aks, xb, ldb, full[5:], ldc, acc)
 			for rows := 1; rows <= MR; rows++ {
 				for _, cols := range tileWidths {
-					got, want := buf(xd, 5+MR*ldc)
+					copy(got, xd)
+					copy(want, xd)
 					for i := 0; i < rows; i++ {
 						copy(want[5+i*ldc:][:cols], full[5+i*ldc:])
 					}
-					c.tile(rows, cols, k, xa, ars, aks, xb, ldb, got[5:], ldc, acc)
-					if !eq(got, want) {
-						return fmt.Errorf("kernel: %s Tile deviates from scalar at rows=%d cols=%d k=%d strides=(%d,%d) acc=%v",
-							c.name, rows, cols, k, ars, aks, acc)
+					tile(rows, cols, k, xa, ars, aks, xb, ldb, got[5:], ldc, acc)
+					if !sameBits(got, want) {
+						return fmt.Errorf("deviates from scalar at rows=%d cols=%d k=%d strides=(%d,%d) acc=%v", rows, cols, k, ars, aks, acc)
 					}
 				}
 			}
 		}
 	}
+	return nil
+}
 
-	// Row-kernel strips on both sides of every vector boundary; empty, single,
-	// paired, odd and hub rows (longer than any look-ahead); ones and each
-	// value form, the row's and the column's values taken from the middle of
-	// a longer stream so a body that reads them as another form deviates;
-	// from C and from 0 (over a C that holds a NaN); the row first in its
-	// tile and last in it, where the look-ahead has nothing past the row to
-	// read. X's stride is past the strip and the band between holds NaNs,
-	// and C sits inside a guard band the comparison covers.
+// probeSpMMRow checks strips on both sides of every vector boundary; empty,
+// single, paired, odd and hub rows (longer than any look-ahead); ones and
+// each value form, the row's and the column's values taken from the middle of
+// a longer stream so a body that reads them as another form deviates; from C
+// and from 0 (over a C that holds a NaN); the row first in its tile and last
+// in it, where the look-ahead has nothing past the row to read. X's stride is
+// past the strip and the band between holds NaNs, and C sits inside a guard
+// band the comparison covers.
+func probeSpMMRow(row func(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int, acc bool)) error {
 	const ldx, xrows = SpMMStrip + 3, 4
+	nan := float32(math.NaN())
+	xa, xb, xd := probeFloats(xrows*ldx, 0x9e3779b97f4a7c15), probeFloats(64, 0xbf58476d1ce4e5b9), probeFloats(5+SpMMStrip+5, 0x2545f4914f6cdd1d)
+	got, want, xp := make([]float32, len(xd)), make([]float32, len(xd)), make([]float32, len(xa))
 	tileCols := make([]int32, 40)
 	for i := range tileCols {
 		tileCols[i] = int32((i*7 + i/4) % xrows)
@@ -274,8 +279,8 @@ func verifyImpls(c impls) error {
 		if r := w % 8; w > 2 && r > 1 && r < 7 {
 			continue
 		}
-		xp := append([]float32(nil), xa[:xrows*ldx]...)
-		for i := range xp {
+		for i, v := range xa {
+			xp[i] = v
 			if i%ldx >= w {
 				xp[i] = nan
 			}
@@ -289,38 +294,40 @@ func verifyImpls(c impls) error {
 					vals = vals[len(vals)-n:]
 				}
 			}
-			got, want := buf(xd, 5+w+5)
+			g, e := got[:5+w+5], want[:5+w+5]
+			copy(g, xd)
+			copy(e, xd)
 			if !acc {
-				got[5+w/2], want[5+w/2] = nan, nan
+				g[5+w/2], e[5+w/2] = nan, nan
 			}
-			c.spmmRow(got[5:5+w], xp, ldx, xrows, cols, vals, f.form, n, acc)
-			spmmRowScalar(want[5:5+w], xp, ldx, xrows, cols, vals, f.form, n, acc)
-			if !eq(got, want) {
-				return fmt.Errorf("kernel: %s SpMMRow deviates from scalar at width=%d nnz=%d acc=%v values=%s last row=%v",
-					c.name, w, n, acc, f.name, lastRow)
+			row(g[5:5+w], xp, ldx, xrows, cols, vals, f.form, n, acc)
+			spmmRowScalar(e[5:5+w], xp, ldx, xrows, cols, vals, f.form, n, acc)
+			if !sameBits(g, e) {
+				return fmt.Errorf("deviates from scalar at width=%d nnz=%d acc=%v values=%s last row=%v", w, n, acc, f.name, lastRow)
 			}
 		}
 	}
 
-	// The row kernel's column proof: a column just outside X (-1, or one past
-	// its last row) first, in the middle or last in the row must panic with
-	// C and its guard band untouched, in the stream forms and in ByColumn,
-	// whose value the column indexes. X starts a row into its buffer and the
-	// slice holds one row more than xrows says, and the column values sit
-	// inside a longer stream, so a candidate that skips the check reads
-	// memory it owns and is refused here instead of faulting.
+	// The column proof: a column just outside X (-1, or one past its last
+	// row) first, in the middle or last in the row must panic with C and its
+	// guard band untouched, in the stream forms and in ByColumn, whose value
+	// the column indexes. X starts a row into its buffer and the slice holds
+	// one row more than xrows says, and the column values sit inside a longer
+	// stream, so a body that skips the check reads memory it owns and is
+	// refused here instead of faulting.
 	xw := make([]float32, (xrows+2)*ldx)[ldx:]
 	for t := 0; t < 48; t++ {
 		w, acc, at, col := []int{3, SpMMStrip}[t&1], t&2 == 2, []int{0, 2, 4}[t/4%3], []int32{-1, xrows}[t/12%2]
 		f := forms[[]int{0, 3}[t/24]]
 		cols := append([]int32(nil), tileCols[:5]...)
 		cols[at] = col
-		got, want := buf(xd, 5+w+5)
-		if !panics(func() { c.spmmRow(got[5:5+w], xw, ldx, xrows, cols, f.vals, f.form, len(cols), acc) }) {
-			return fmt.Errorf("kernel: %s SpMMRow accepts column %d of a %d-row X at entry %d (values=%s)", c.name, col, xrows, at, f.name)
+		g := got[:5+w+5]
+		copy(g, xd)
+		if !panics(func() { row(g[5:5+w], xw, ldx, xrows, cols, f.vals, f.form, len(cols), acc) }) {
+			return fmt.Errorf("accepts column %d of a %d-row X at entry %d (values=%s)", col, xrows, at, f.name)
 		}
-		if !eq(got, want) {
-			return fmt.Errorf("kernel: %s SpMMRow writes C while rejecting column %d at entry %d (width=%d acc=%v values=%s)", c.name, col, at, w, acc, f.name)
+		if !sameBits(g, xd[:len(g)]) {
+			return fmt.Errorf("writes C while rejecting column %d at entry %d (width=%d acc=%v values=%s)", col, at, w, acc, f.name)
 		}
 	}
 	return nil
@@ -334,22 +341,28 @@ func verifyImpls(c impls) error {
 var expSpecials = [...]float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
 	709.9, -708.5, -709, -745.1, -746, -760}
 
-// verifyRows holds ExpRow to math.Exp and NormRow to its scalar body on rows
-// of every verifyLens width and the loss's 47, dst inside a guard band the
-// comparison covers. ExpRow's rows are inputs in [-700, 20] at two row
-// maxima, which the vector bodies run whole, the same with each special
-// planted at one position, and a row across [-760, -700], the subnormal
-// band, which a body must send to math.Exp.
-func verifyRows(c impls) error {
-	const guard = 3
-	src := make([]float32, verifyLens[len(verifyLens)-1]+47)
-	band := make([]float32, len(src))
+// expProbeRow is the probes' softmax row input: values in [-700, 20], long
+// enough for every verifyLens width and the loss's 47.
+func expProbeRow() []float32 {
+	src := make([]float32, maxLen+47)
 	s := uint64(0x9e3779b97f4a7c15)
 	for i := range src {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
+		s = xorshift(s)
 		src[i] = float32(s>>11)/(1<<53)*720 - 700
+	}
+	return src
+}
+
+// probeExpRow holds ExpRow to math.Exp on rows of every verifyLens width and
+// the loss's 47, dst inside a guard band the comparison covers: inputs in
+// [-700, 20] at two row maxima, which the vector bodies run whole, the same
+// with each special planted at one position, and a row across [-760, -700],
+// the subnormal band, which a body must send to math.Exp.
+func probeExpRow(expRow func(dst []float64, src []float32, mx float32) float64) error {
+	const guard = 3
+	src := expProbeRow()
+	band := make([]float32, len(src))
+	for i := range band {
 		band[i] = -760 + 60*float32(i)/float32(len(src)) + src[i]/1e4
 	}
 	got, want := make([]float64, len(src)+2*guard), make([]float64, len(src)+2*guard)
@@ -357,27 +370,22 @@ func verifyRows(c impls) error {
 		for i := range got {
 			got[i], want[i] = float64(i)+0.5, float64(i)+0.5
 		}
-		sum, ref := c.expRow(got[guard:guard+n], v[:n], mx), 0.0
+		sum, ref := expRow(got[guard:guard+n], v[:n], mx), 0.0
 		for j, x := range v[:n] {
 			want[guard+j] = math.Exp(float64(x - mx))
 			ref += want[guard+j]
 		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				return false
-			}
-		}
-		return math.Float64bits(sum) == math.Float64bits(ref)
+		return math.Float64bits(sum) == math.Float64bits(ref) &&
+			slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
-	lens := append(verifyLens[:len(verifyLens):len(verifyLens)], 47)
-	for _, n := range lens {
+	for _, n := range append(verifyLens[:], 47) {
 		for _, mx := range [...]float32{0, -1.3} {
 			if !rowOK(n, src, mx) {
-				return fmt.Errorf("kernel: %s ExpRow deviates from math.Exp at length %d inside the normal range, max %v", c.name, n, mx)
+				return fmt.Errorf("deviates from math.Exp at length %d inside the normal range, max %v", n, mx)
 			}
 		}
 		if !rowOK(n, band, 0) {
-			return fmt.Errorf("kernel: %s ExpRow deviates from math.Exp at length %d across the subnormal band", c.name, n)
+			return fmt.Errorf("deviates from math.Exp at length %d across the subnormal band", n)
 		}
 		for i := 0; n > 0 && i < len(expSpecials); i++ {
 			x, p := expSpecials[i], (i*7+n/2)%n
@@ -386,28 +394,35 @@ func verifyRows(c impls) error {
 			ok := rowOK(n, src, 0)
 			src[p] = keep
 			if !ok {
-				return fmt.Errorf("kernel: %s ExpRow deviates from math.Exp at length %d with %v at %d", c.name, n, x, p)
+				return fmt.Errorf("deviates from math.Exp at length %d with %v at %d", n, x, p)
 			}
 		}
 	}
+	return nil
+}
 
+// probeNormRow holds NormRow to its scalar body on rows of every verifyLens
+// width and 47 with each of expSpecials' exponentials planted, at sums and
+// scales down to a subnormal and zero, dst inside a guard band the
+// comparison covers.
+func probeNormRow(normRow func(dst []float32, e []float64, sum, scale float64)) error {
+	const guard = 3
+	src := expProbeRow()
 	e := make([]float64, len(src))
 	sum := expRowScalar(e, src, 0)
 	for i, x := range expSpecials {
 		e[i*13%len(e)] = math.Exp(float64(x))
 	}
 	g, w := make([]float32, len(src)+2*guard), make([]float32, len(src)+2*guard)
-	for _, n := range lens {
+	for _, n := range append(verifyLens[:], 47) {
 		for _, sc := range [...][2]float64{{sum, 1}, {sum, 1.0 / 123}, {3e-310, 0.7}, {0, 1}} {
 			for i := range g {
 				g[i], w[i] = float32(i)+0.5, float32(i)+0.5
 			}
-			c.normRow(g[guard:guard+n], e[:n], sc[0], sc[1])
+			normRow(g[guard:guard+n], e[:n], sc[0], sc[1])
 			normRowScalar(w[guard:guard+n], e[:n], sc[0], sc[1])
-			for i := range w {
-				if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
-					return fmt.Errorf("kernel: %s NormRow deviates from scalar at length %d sum=%v scale=%v", c.name, n, sc[0], sc[1])
-				}
+			if !sameBits(g, w) {
+				return fmt.Errorf("deviates from scalar at length %d sum=%v scale=%v", n, sc[0], sc[1])
 			}
 		}
 	}

@@ -113,9 +113,9 @@ echo "==> fuzz smoke"
 # (FuzzStream), over its Chung-Lu phase's guide-table search against
 # sort.SearchFloat64s (FuzzGuidedSearch), over the SpMM row kernel's strip
 # widths, entry counts, columns, value forms and values against its scalar
-# body (FuzzSpMMRowModes), over every GeMM tile candidate this CPU can execute
-# against the scalar tile (FuzzTileCandidates), over every candidate's
-# softmax rows against the scalar bodies (FuzzExpRow), and over fuzzed graphs,
+# body (FuzzSpMMRowModes), over every GeMM tile body this CPU is offered
+# against the scalar tile (FuzzTileCandidates), over every offered
+# softmax row body against the scalar ones (FuzzExpRow), and over fuzzed graphs,
 # batches and fanouts a reused Sampler's blocks against the reference
 # construction (FuzzSamplerMatchesReference).
 go test -run '^$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/graphio/
@@ -137,9 +137,11 @@ go test -C benchmark ./...
 
 echo "==> arm64 cross-compile (NEON path)"
 # The NEON bodies cannot run here; vet's asmdecl still holds their frames to
-# the Go declarations.
+# the Go declarations, and the kernel's arm64 tests (its init's body lists
+# among them) must still compile.
 GOOS=linux GOARCH=arm64 go build ./...
 GOOS=linux GOARCH=arm64 go vet ./...
+GOOS=linux GOARCH=arm64 go test -c -o /dev/null ./internal/kernel/
 
 echo "==> benchmark smoke"
 # One iteration per benchmark, no tests: keeps the kernel benchmarks
