@@ -13,6 +13,24 @@
 // inside MR x NR, spmmRowVec any strip of 1..64 floats, and each masks its
 // own edge.
 
+// func addVec8(dst, x *float32, n int)
+// dst[j] += x[j]
+TEXT ·addVec8(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+
+addloop:
+	VMOVUPS (SI), Y0
+	VADDPS  (DI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JNE     addloop
+	VZEROUPPER
+	RET
+
 // func reluVec8(dst, src *float32, n int)
 // dst[j] = src[j] unless src[j] <= 0: the compare is "not less-or-equal",
 // true for a NaN, and the AND keeps src's bits or leaves +0.

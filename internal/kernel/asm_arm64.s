@@ -5,11 +5,30 @@
 // NEON bodies of the dispatch-table kernels. Bit-identity contract (see
 // kernel.go): the arm64 Go compiler fuses float32 mul+add into FMADDS, so
 // these kernels use VFMLA — fused per lane — wherever the scalar expression
-// is a multiply-add. The Vec4 entry points require n to be a positive
-// multiple of 4 (tileVec4 and spmmRowVec4 a whole number of 4-float vectors);
-// tails are the Go wrappers' job. The assembler has no vector float compares,
-// so the ReLU selects are the scalar bodies' integer range tests, lane for
-// lane.
+// is a multiply-add, and express plain adds as VFMLA against a broadcast
+// 1.0 (x*1.0 is exact, so the fused add rounds once exactly like FADD). The
+// Vec4 entry points require n to be a positive multiple of 4 (tileVec4 and
+// spmmRowVec4 a whole number of 4-float vectors); tails are the Go wrappers'
+// job. The assembler has no vector float compares, so the ReLU
+// selects are the scalar bodies' integer range tests, lane for lane.
+
+// func addVec4(dst, x *float32, n int)
+// dst[j] += x[j], as fma(x, 1.0, dst).
+TEXT ·addVec4(SB), NOSPLIT, $0-24
+	MOVD  dst+0(FP), R0
+	MOVD  x+8(FP), R1
+	MOVD  n+16(FP), R2
+	FMOVS $(1.0), F9
+	VDUP  V9.S[0], V9.S4
+
+addloop:
+	VLD1.P 16(R1), [V1.S4]
+	VLD1   (R0), [V0.S4]
+	VFMLA  V9.S4, V1.S4, V0.S4
+	VST1.P [V0.S4], 16(R0)
+	SUBS   $4, R2, R2
+	BNE    addloop
+	RET
 
 // func reluVec4(dst, src *float32, n int)
 // dst[j] = src[j] unless src[j] <= 0. As in reluScalar: bits + 0x007fffff

@@ -8,6 +8,7 @@ package kernel
 // separate VMULPS/VADDPS, on YMM and ZMM alike — never fused multiply-add —
 // because the amd64 Go compiler does not fuse float32 mul+add either, and
 // bit-identity with the scalar path is the dispatch contract.
+func addVec8(dst, x *float32, n int)
 func reluVec8(dst, src *float32, n int)
 func reluMaskVec8(dst, grad, act *float32, n int)
 func tileVec(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, cols int, acc bool)
@@ -34,6 +35,7 @@ func normRowVec4(dst *float32, e *float64, n int, sum, scale float64)
 var (
 	tileBodies           = append(offer(hasAVX512, "avx512", tileAVX512), offer(hasAVX2, "avx2", tileAVX2)...)
 	spmmRowBodies        = offer(hasAVX2, "avx2", spmmRowAVX2)
+	addBodies            = offer(hasAVX2, "avx2", addAVX2)
 	reluBodies           = offer(hasAVX2, "avx2", reluAVX2)
 	reluMaskBodies       = offer(hasAVX2, "avx2", reluMaskAVX2)
 	addU64Bodies         = offer(hasAVX2, "avx2", addU64AVX2)
@@ -45,6 +47,7 @@ var (
 func init() {
 	impl = install("Tile", &Tile, probeTile, tileBodies)
 	install("SpMMRow", &SpMMRow, probeSpMMRow, spmmRowBodies)
+	install("Add", &Add, probeAdd, addBodies)
 	install("ReLU", &ReLU, probeReLU, reluBodies)
 	install("ReLUMask", &ReLUMask, probeReLUMask, reluMaskBodies)
 	install("AddU64", &AddU64, probeAddU64, addU64Bodies)
@@ -53,20 +56,32 @@ func init() {
 	install("NormRow", &NormRow, probeNormRow, normRowBodies)
 }
 
+func addAVX2(x, dst []float32) {
+	x, nv := x[:len(dst)], len(dst)&^7
+	if nv > 0 {
+		addVec8(&dst[0], &x[0], nv)
+	}
+	addScalar(x[nv:], dst[nv:])
+}
+
 func reluAVX2(dst, src []float32) {
-	n := len(dst)
-	src = src[:n]
-	nv := n &^ 7
+	src, nv := src[:len(dst)], len(dst)&^7
 	if nv > 0 {
 		reluVec8(&dst[0], &src[0], nv)
 	}
 	reluScalar(dst[nv:], src[nv:])
 }
 
+func addU64AVX2(dst, x []uint64) {
+	x, nv := x[:len(dst)], len(dst)&^7
+	if nv > 0 {
+		addU64Vec8(&dst[0], &x[0], nv)
+	}
+	addU64Scalar(dst[nv:], x[nv:])
+}
+
 func reluMaskAVX2(dst, grad, act []float32) {
-	n := len(dst)
-	grad, act = grad[:n], act[:n]
-	nv := n &^ 7
+	grad, act, nv := grad[:len(dst)], act[:len(dst)], len(dst)&^7
 	if nv > 0 {
 		reluMaskVec8(&dst[0], &grad[0], &act[0], nv)
 	}
@@ -107,16 +122,6 @@ func spmmRowAVX2(c, x []float32, xs, xrows int, cols []int32, vals []float32, fo
 	}
 }
 
-func addU64AVX2(dst, x []uint64) {
-	n := len(dst)
-	x = x[:n]
-	nv := n &^ 7
-	if nv > 0 {
-		addU64Vec8(&dst[0], &x[0], nv)
-	}
-	addU64Scalar(dst[nv:], x[nv:])
-}
-
 func firstOutside63AVX2(v []uint64, lo, hi uint64) int {
 	nv := len(v) &^ 7
 	if nv > 0 {
@@ -141,9 +146,7 @@ func expRowAVX512(dst []float64, src []float32, mx float32) float64 {
 }
 
 func expRowAVX2(dst []float64, src []float32, mx float32) float64 {
-	n := len(dst)
-	src = src[:n]
-	nv, sum := n&^3, 0.0
+	src, nv, sum := src[:len(dst)], len(dst)&^3, 0.0
 	if nv > 0 {
 		var ok bool
 		if sum, ok = expRowVec4(&dst[0], &src[0], nv, mx); !ok {
@@ -161,9 +164,7 @@ func normRowAVX512(dst []float32, e []float64, sum, scale float64) {
 }
 
 func normRowAVX2(dst []float32, e []float64, sum, scale float64) {
-	n := len(dst)
-	e = e[:n]
-	nv := n &^ 3
+	e, nv := e[:len(dst)], len(dst)&^3
 	if nv > 0 {
 		normRowVec4(&dst[0], &e[0], nv, sum, scale)
 	}

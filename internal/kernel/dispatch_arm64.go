@@ -7,38 +7,44 @@ package kernel
 // spmmRowVec4 a multiple of 4 columns; odd tails are handled here with the scalar
 // expressions, which the arm64 compiler fuses exactly like the vector bodies
 // do (see kernel.go for the bit-identity contract).
+func addVec4(dst, x *float32, n int)
 func reluVec4(dst, src *float32, n int)
 func reluMaskVec4(dst, grad, act *float32, n int)
 func tileVec4(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, vecs int, acc bool)
 func spmmRowVec4(c *float32, vecs int, x *float32, xs int, cols, last *int32, vals *float32, form ValForm, n int, acc bool)
 
-// neon is whether the CPU has NEON (ASIMD): always, on arm64. The entries
-// with a NEON body are offered it, and install still gates it on
-// bit-identity with the scalar kernel, so a fusion-behavior mismatch between
-// this build's compiler and the assembly falls back to scalar instead of
-// corrupting training. The stream's loops and the softmax rows have no NEON
-// bodies: they run the scalar ones (the rows call math.Exp, whose arm64
+// NEON (ASIMD) is mandatory on arm64, so every entry with a NEON body is
+// offered it, and install still holds it to the scalar kernel bit for bit: a
+// fusion mismatch between this build's compiler and the assembly falls back
+// to scalar instead of corrupting training. The stream's loops and the
+// softmax rows have no NEON bodies (the rows call math.Exp, whose arm64
 // assembly they would have to match).
-const neon = true
-
 var (
-	tileBodies     = offer(neon, "neon", tileNEON)
-	spmmRowBodies  = offer(neon, "neon", spmmRowNEON)
-	reluBodies     = offer(neon, "neon", reluNEON)
-	reluMaskBodies = offer(neon, "neon", reluMaskNEON)
+	tileBodies     = offer(true, "neon", tileNEON)
+	spmmRowBodies  = offer(true, "neon", spmmRowNEON)
+	addBodies      = offer(true, "neon", addNEON)
+	reluBodies     = offer(true, "neon", reluNEON)
+	reluMaskBodies = offer(true, "neon", reluMaskNEON)
 )
 
 func init() {
 	impl = install("Tile", &Tile, probeTile, tileBodies)
 	install("SpMMRow", &SpMMRow, probeSpMMRow, spmmRowBodies)
+	install("Add", &Add, probeAdd, addBodies)
 	install("ReLU", &ReLU, probeReLU, reluBodies)
 	install("ReLUMask", &ReLUMask, probeReLUMask, reluMaskBodies)
 }
 
+func addNEON(x, dst []float32) {
+	x, nv := x[:len(dst)], len(dst)&^3
+	if nv > 0 {
+		addVec4(&dst[0], &x[0], nv)
+	}
+	addScalar(x[nv:], dst[nv:])
+}
+
 func reluNEON(dst, src []float32) {
-	n := len(dst)
-	src = src[:n]
-	nv := n &^ 3
+	src, nv := src[:len(dst)], len(dst)&^3
 	if nv > 0 {
 		reluVec4(&dst[0], &src[0], nv)
 	}
@@ -46,9 +52,7 @@ func reluNEON(dst, src []float32) {
 }
 
 func reluMaskNEON(dst, grad, act []float32) {
-	n := len(dst)
-	grad, act = grad[:n], act[:n]
-	nv := n &^ 3
+	grad, act, nv := grad[:len(dst)], act[:len(dst)], len(dst)&^3
 	if nv > 0 {
 		reluMaskVec4(&dst[0], &grad[0], &act[0], nv)
 	}

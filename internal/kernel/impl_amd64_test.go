@@ -39,6 +39,7 @@ func avx(ok512, ok2 bool) []string {
 func TestVectorImplInstalled(t *testing.T) {
 	runsBest(t, "Tile", Tile, tileBodies)
 	runsBest(t, "SpMMRow", SpMMRow, spmmRowBodies)
+	runsBest(t, "Add", Add, addBodies)
 	runsBest(t, "ReLU", ReLU, reluBodies)
 	runsBest(t, "ReLUMask", ReLUMask, reluMaskBodies)
 	runsBest(t, "AddU64", AddU64, addU64Bodies)
@@ -55,15 +56,20 @@ func TestVectorImplInstalled(t *testing.T) {
 			t.Errorf("refused: %v", err)
 		}
 	}
-	if want := append(avx(hasAVX512, hasAVX2), "scalar")[0]; Impl() != want {
-		t.Errorf("the CPU qualifies for %q but the tile is %q", want, Impl())
+	want := append(avx(hasAVX512, hasAVX2), "scalar")[0]
+	if !fused && len(expRowBodies) > 0 {
+		want += " (ExpRow scalar)"
+	}
+	if Impl() != want {
+		t.Errorf("the CPU qualifies for %q but the table is %q", want, Impl())
 	}
 }
 
 // TestVectorImplPerEntryWithoutFusedExp re-runs TestVectorImplInstalled in a
 // process whose math.Exp is off its fused path (GODEBUG=cpu.fma=off), where
-// ExpRow's bodies are offered but refused: every other entry, and Impl(), must
-// keep its best body, and ProbeErr must name only ExpRow's bodies.
+// ExpRow's bodies are offered but refused: every other entry must keep its
+// best body, ProbeErr must name only ExpRow's bodies, and Impl() must be the
+// CPU's best tile followed by "(ExpRow scalar)".
 func TestVectorImplPerEntryWithoutFusedExp(t *testing.T) {
 	if !hasFMA {
 		t.Skip("no FMA: ExpRow's bodies are not offered")
@@ -81,6 +87,7 @@ func TestVectorImplPerEntryWithoutFusedExp(t *testing.T) {
 func TestEveryCandidateProbes(t *testing.T) {
 	probeEvery(t, "Tile", tileBodies, probeTile, avx(hasAVX512, hasAVX2)...)
 	probeEvery(t, "SpMMRow", spmmRowBodies, probeSpMMRow, avx(false, hasAVX2)...)
+	probeEvery(t, "Add", addBodies, probeAdd, avx(false, hasAVX2)...)
 	probeEvery(t, "ReLU", reluBodies, probeReLU, avx(false, hasAVX2)...)
 	probeEvery(t, "ReLUMask", reluMaskBodies, probeReLUMask, avx(false, hasAVX2)...)
 	probeEvery(t, "AddU64", addU64Bodies, probeAddU64, avx(false, hasAVX2)...)

@@ -9,6 +9,7 @@ import "testing"
 func TestVectorImplInstalled(t *testing.T) {
 	runsBest(t, "Tile", Tile, tileBodies)
 	runsBest(t, "SpMMRow", SpMMRow, spmmRowBodies)
+	runsBest(t, "Add", Add, addBodies)
 	runsBest(t, "ReLU", ReLU, reluBodies)
 	runsBest(t, "ReLUMask", ReLUMask, reluMaskBodies)
 	if Impl() != "neon" || ProbeErr() != nil {
@@ -20,6 +21,7 @@ func TestVectorImplInstalled(t *testing.T) {
 func TestEveryCandidateProbes(t *testing.T) {
 	probeEvery(t, "Tile", tileBodies, probeTile, "neon")
 	probeEvery(t, "SpMMRow", spmmRowBodies, probeSpMMRow, "neon")
+	probeEvery(t, "Add", addBodies, probeAdd, "neon")
 	probeEvery(t, "ReLU", reluBodies, probeReLU, "neon")
 	probeEvery(t, "ReLUMask", reluMaskBodies, probeReLUMask, "neon")
 }

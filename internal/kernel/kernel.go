@@ -2,13 +2,11 @@
 // kernels, the loss's softmax row, and the two integer loops of the graph
 // generator's seeded stream, behind a runtime-dispatch table. The exported
 // entry points are function variables initialized to the pure-Go scalar
-// implementations below. An arch-specific init offers each entry its own
-// assembly bodies, best first — AVX-512 then AVX2 for the GeMM tile and the
-// softmax rows and AVX2 for the rest (amd64), NEON for the tile, the SpMM row
-// and the two ReLU selects (arm64) — as far as the CPU supports them, and
-// installs the first that its probe accepts, except under the race detector.
-// A body the probe refuses leaves its entry on the next body or the scalar
-// one and every other entry as it was.
+// implementations below. An arch-specific init offers each entry the
+// AVX-512, AVX2 (amd64) or NEON (arm64) bodies the CPU supports, best first,
+// and installs the first its probe accepts, except under the race detector;
+// a refused body leaves its entry on the next body or the scalar one and
+// every other entry as it was.
 //
 // The dispatch contract is bit-identity: every implementation bound to a
 // variable must produce exactly the bits the scalar implementation produces
@@ -22,7 +20,9 @@
 //     VFMADD*), and round each multiply and add exactly like the scalar
 //     expression.
 //   - On arm64 the Go compiler *does* fuse `d += a*x` into FMADDS, so the
-//     NEON kernels use VFMLA (fused per lane) to match.
+//     NEON kernels use VFMLA (fused per lane) to match, and express plain
+//     vector adds as VFMLA with a broadcast 1.0 (x*1.0 is exact, so
+//     fma(x, 1, d) rounds once exactly like FADD).
 //   - The GeMM tile adds one product per k step to each accumulator, k
 //     ascending, and the SpMM row kernel one per stored entry, index
 //     ascending, so every C element sums in the flat oracle's order whatever
@@ -60,6 +60,8 @@ import "math"
 
 // Dispatch table. Scalar until the arch init installs an entry's body.
 var (
+	// Add computes dst[j] += x[j].
+	Add func(x, dst []float32) = addScalar
 	// SpMMRow is the SpMM row microkernel. For the strip c of one output
 	// row (1..SpMMStrip floats) it starts every accumulator from c (acc) or
 	// from 0, adds v(k) * x[cols[k]*xs+j] for k ascending over [0, n) —
@@ -134,11 +136,12 @@ var one = [1]float32{1}
 // the products in flight, fit the sixteen YMM registers.
 const SpMMStrip = 64
 
-var impl = "scalar"
-
-// Impl names the body the Tile entry, the GeMM's microkernel, runs:
-// "scalar", "avx2", "avx512" or "neon".
-func Impl() string { return impl }
+func addScalar(x, dst []float32) {
+	x = x[:len(dst)]
+	for j := range dst {
+		dst[j] += x[j]
+	}
+}
 
 // spmmRowScalar is the oracle and the path of builds without assembly: one
 // pass over the strip per stored entry, ascending.

@@ -56,6 +56,11 @@ func TestDispatchBitIdentity(t *testing.T) {
 			}
 
 			got, want := dup(base3[off : off+n])
+			Add(xa, got)
+			addScalar(xa, want)
+			bitsEqual(t, "Add", n, off, got, want)
+
+			got, want = dup(base3[off : off+n])
 			ReLU(got, xa)
 			reluScalar(want, xa)
 			bitsEqual(t, "ReLU", n, off, got, want)
@@ -82,18 +87,23 @@ func TestDispatchBitIdentity(t *testing.T) {
 // no-op on zero-length slices.
 func TestEmptyRows(t *testing.T) {
 	var empty []float32
+	Add(empty, empty)
 	ReLU(empty, empty)
 	ReLUMask(empty, empty, empty)
 }
 
 // TestImplConsistent checks that the dispatch metadata matches the table:
-// the name is a known implementation and the init-time probes accept what
-// is installed (re-run here, they must agree).
+// the name is a known implementation, followed by the entries that fell back
+// exactly when a body was refused, and the init-time probes accept what is
+// installed (re-run here, they must agree).
 func TestImplConsistent(t *testing.T) {
-	switch Impl() {
+	switch impl {
 	case "scalar", "avx2", "avx512", "neon":
 	default:
-		t.Fatalf("unknown impl %q", Impl())
+		t.Fatalf("unknown impl %q", impl)
+	}
+	if (Impl() == impl) != (ProbeErr() == nil) {
+		t.Fatalf("Impl() is %q with refusals %v", Impl(), ProbeErr())
 	}
 	if err := probeInstalled(); err != nil {
 		t.Fatalf("the installed table fails its own probes: %v", err)
@@ -102,7 +112,7 @@ func TestImplConsistent(t *testing.T) {
 
 // probeInstalled runs every entry's probe on the body the table holds.
 func probeInstalled() error {
-	return errors.Join(probeTile(Tile), probeSpMMRow(SpMMRow), probeReLU(ReLU), probeReLUMask(ReLUMask),
+	return errors.Join(probeTile(Tile), probeSpMMRow(SpMMRow), probeAdd(Add), probeReLU(ReLU), probeReLUMask(ReLUMask),
 		probeAddU64(AddU64), probeFirstOutside63(FirstOutside63), probeExpRow(ExpRow), probeNormRow(NormRow))
 }
 
@@ -378,13 +388,14 @@ func TestVerifyRefusesUncheckedRowKernel(t *testing.T) {
 }
 
 // TestPanickingCandidateIsRefused: a tile body that panics in the install
-// probe is refused by name, and the entry's next body installs. The tile
+// probe is refused by name, the entry's next body installs, and Impl names
+// the entry and the body it fell back to. The tile
 // splits its rows in two and hands the lower half to its body even when that
 // half is empty, and the body panics on zero rows.
 func TestPanickingCandidateIsRefused(t *testing.T) {
-	saved, savedRefused := Tile, refused
-	t.Cleanup(func() { Tile, refused = saved, savedRefused })
-	refused = nil
+	saved, savedRefused, savedFallbacks := Tile, refused, fallbacks
+	t.Cleanup(func() { Tile, refused, fallbacks = saved, savedRefused, savedFallbacks })
+	refused, fallbacks = nil, nil
 	body := func(rows, cols, k int, a []float32, ars, aks int, b []float32, bs int, c []float32, cs int, acc bool) {
 		if rows == 0 {
 			panic("zero-row tile")
@@ -401,6 +412,9 @@ func TestPanickingCandidateIsRefused(t *testing.T) {
 	}
 	if err := ProbeErr(); err == nil || !strings.Contains(err.Error(), "panicky Tile") || !strings.Contains(err.Error(), "zero-row tile") {
 		t.Fatalf("ProbeErr() = %v, want panicky's refusal with its panic", err)
+	}
+	if want := impl + " (Tile next)"; Impl() != want {
+		t.Fatalf("Impl() = %q, want %q", Impl(), want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 )
 
 // A body is one implementation offered for a dispatch entry, named for the
@@ -25,9 +26,24 @@ func offer[F any](ok bool, name string, fn F) []body[F] {
 	return []body[F]{{name, fn}}
 }
 
-// refused is every body the arch init passed over, each naming the entry and
-// the shape that deviated.
-var refused []error
+// impl is the body the Tile entry runs; refused is every body the arch init
+// passed over, each naming the entry and the shape that deviated; fallbacks
+// names each entry that refused one, with the body it runs instead.
+var (
+	impl      = "scalar"
+	refused   []error
+	fallbacks []string
+)
+
+// Impl names the body the Tile entry, the GeMM's microkernel, runs
+// ("scalar", "avx2", "avx512" or "neon"), then each entry that refused a
+// body and the body it runs instead: "avx512 (ExpRow scalar)".
+func Impl() string {
+	if len(fallbacks) == 0 {
+		return impl
+	}
+	return impl + " (" + strings.Join(fallbacks, ", ") + ")"
+}
 
 // ProbeErr is why the arch init refused bodies: nil when every entry
 // installed the first body it was offered, or none was offered.
@@ -37,13 +53,14 @@ func ProbeErr() error { return errors.Join(refused...) }
 // entry's scalar kernel on deterministic rounding-sensitive data (probe) and
 // sets *fn to the first whose every output is bit-identical, returning its
 // name; the entry keeps its scalar body, "scalar", if none passes. A body
-// that deviates or panics in the probe is refused, recorded in ProbeErr, and
-// takes no other entry with it. That is the guard that lets us ship assembly
-// for platforms the build host cannot execute: a wrong kernel (e.g. an
-// unexpected fused multiply-add) degrades to a slower path instead of
-// corrupting training. It runs from init, before any kernel call, so
-// swapping the table is unsynchronized by design.
+// that deviates or panics in the probe is refused, recorded in ProbeErr and
+// in Impl's list of fallbacks, and takes no other entry with it. That is the
+// guard that lets us ship assembly for platforms the build host cannot
+// execute: a wrong kernel (e.g. an unexpected fused multiply-add) degrades
+// to a slower path instead of corrupting training. It runs from init,
+// before any kernel call, so swapping the table is unsynchronized by design.
 func install[F any](entry string, fn *F, probe func(F) error, bodies []body[F]) string {
+	name := "scalar"
 	for _, b := range bodies {
 		err := func() (err error) {
 			defer func() {
@@ -54,12 +71,15 @@ func install[F any](entry string, fn *F, probe func(F) error, bodies []body[F]) 
 			return probe(b.fn)
 		}()
 		if err == nil {
-			*fn = b.fn
-			return b.name
+			*fn, name = b.fn, b.name
+			break
 		}
 		refused = append(refused, fmt.Errorf("kernel: %s %s %w", b.name, entry, err))
 	}
-	return "scalar"
+	if len(bodies) > 0 && name != bodies[0].name {
+		fallbacks = append(fallbacks, entry+" "+name)
+	}
+	return name
 }
 
 // verifyLens covers empty, sub-lane, exact-lane, and straddling lengths
@@ -104,35 +124,41 @@ func signSpecials(seed uint64, at int) []float32 {
 	return v
 }
 
-// probeRows holds a select body (cand) to its scalar kernel (ref) at every
-// probe length, each writing over a copy of dst's first n floats.
-func probeRows(what string, dst []float32, cand, ref func(n int, d []float32)) error {
-	got, want := make([]float32, maxLen), make([]float32, maxLen)
+// probeRows holds an elementwise body (cand) to its scalar kernel (ref) at
+// every probe length, each writing over a copy of dst's first n elements, and
+// same compares what they wrote.
+func probeRows[T any](what string, dst []T, same func(a, b []T) bool, cand, ref func(n int, d []T)) error {
+	got, want := make([]T, maxLen), make([]T, maxLen)
 	for _, n := range verifyLens {
 		copy(got, dst[:n])
 		copy(want, dst[:n])
 		cand(n, got[:n])
 		ref(n, want[:n])
-		if !sameBits(got[:n], want[:n]) {
+		if !same(got[:n], want[:n]) {
 			return fmt.Errorf("deviates from scalar at length %d%s", n, what)
 		}
 	}
 	return nil
 }
 
+func probeAdd(add func(x, dst []float32)) error {
+	xd, xa := probeFloats(maxLen, 0x2545f4914f6cdd1d), probeFloats(maxLen, 0x9e3779b97f4a7c15)
+	return probeRows("", xd, sameBits, func(n int, d []float32) { add(xa[:n], d) }, func(n int, d []float32) { addScalar(xa[:n], d) })
+}
+
 func probeReLU(relu func(dst, src []float32)) error {
 	xd, xs := probeFloats(maxLen, 0x2545f4914f6cdd1d), signSpecials(0x94d049bb133111eb, 0)
 	return cmp.Or(
-		probeRows("", xd, func(n int, d []float32) { relu(d, xs[:n]) }, func(n int, d []float32) { reluScalar(d, xs[:n]) }),
-		probeRows(" with dst = src", xs, func(n int, d []float32) { relu(d, d) }, func(n int, d []float32) { reluScalar(d, d) }))
+		probeRows("", xd, sameBits, func(n int, d []float32) { relu(d, xs[:n]) }, func(n int, d []float32) { reluScalar(d, xs[:n]) }),
+		probeRows(" with dst = src", xs, sameBits, func(n int, d []float32) { relu(d, d) }, func(n int, d []float32) { reluScalar(d, d) }))
 }
 
 func probeReLUMask(mask func(dst, grad, act []float32)) error {
 	xd, xs, xt := probeFloats(maxLen, 0x2545f4914f6cdd1d), signSpecials(0x94d049bb133111eb, 0), signSpecials(0xd6e8feb86659fd93, 1)
 	return cmp.Or(
-		probeRows("", xd, func(n int, d []float32) { mask(d, xs[:n], xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], xt[:n]) }),
-		probeRows(" with dst = grad", xs, func(n int, d []float32) { mask(d, d, xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, d, xt[:n]) }),
-		probeRows(" with dst = act", xt, func(n int, d []float32) { mask(d, xs[:n], d) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], d) }))
+		probeRows("", xd, sameBits, func(n int, d []float32) { mask(d, xs[:n], xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], xt[:n]) }),
+		probeRows(" with dst = grad", xs, sameBits, func(n int, d []float32) { mask(d, d, xt[:n]) }, func(n int, d []float32) { reluMaskScalar(d, d, xt[:n]) }),
+		probeRows(" with dst = act", xt, sameBits, func(n int, d []float32) { mask(d, xs[:n], d) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], d) }))
 }
 
 // streamRedraw is the graph generator's redraw bound, the hi of its scans: a
@@ -173,15 +199,7 @@ func probeAddU64(add func(dst, x []uint64)) error {
 	xu, yu := make([]uint64, maxLen), make([]uint64, maxLen)
 	insideRun(xu, 0, 0, 0x9e3779b97f4a7c15)
 	insideRun(yu, 0, 0, 0xbf58476d1ce4e5b9)
-	for _, n := range verifyLens {
-		got, want := slices.Clone(xu[:n]), slices.Clone(xu[:n])
-		add(got, yu[:n])
-		addU64Scalar(want, yu[:n])
-		if !slices.Equal(got, want) {
-			return fmt.Errorf("deviates from scalar at length %d", n)
-		}
-	}
-	return nil
+	return probeRows("", xu, slices.Equal, func(n int, d []uint64) { add(d, yu[:n]) }, func(n int, d []uint64) { addU64Scalar(d, yu[:n]) })
 }
 
 // probeFirstOutside63 holds the stream's scan to its scalar loop with each

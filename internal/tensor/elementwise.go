@@ -33,18 +33,14 @@ func ReLUBackward(dst, grad, act *Dense) {
 	}
 }
 
-// AddInPlace computes dst += src elementwise: the all-reduce's sum of weight
-// gradients, too few floats per epoch for a vector body to show.
+// AddInPlace computes dst += src elementwise.
 func AddInPlace(dst, src *Dense) {
 	checkSameShape(dst, src, "AddInPlace")
 	if dst.IsPhantom() || src.IsPhantom() {
 		return
 	}
 	for i := 0; i < dst.Rows; i++ {
-		rd, rs := dst.Row(i), src.Row(i)
-		for j := range rd {
-			rd[j] += rs[j]
-		}
+		kernel.Add(src.Row(i), dst.Row(i))
 	}
 }
 
