@@ -2,8 +2,11 @@ package mggcn
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +15,92 @@ import (
 	"mggcn/internal/gen"
 	"mggcn/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/experiments.golden from this run")
+
+// experiments memoises each experiment's result for the test process: the
+// golden comparison and the shape tests read one run.
+var experiments = map[string]*ExperimentResult{}
+
+// experiment returns the registered experiment id's result, running it on
+// first use.
+func experiment(t *testing.T, id string) *ExperimentResult {
+	t.Helper()
+	if res, ok := experiments[id]; ok {
+		return res
+	}
+	res, err := RunExperiment(id)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	experiments[id] = res
+	return res
+}
+
+const experimentsGolden = "testdata/experiments.golden"
+
+// TestExperimentsGolden holds every registered experiment's Values to
+// testdata/experiments.golden bit for bit: a "# <id>" line per experiment
+// in registry order, then a "key=<float64 bits>" line per key in sorted
+// order. The shape tests hold the paper's claims; this holds every number,
+// so a refactor that moves one fails here. -update rewrites the file.
+func TestExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every registered experiment: long e2e, skipped in -short")
+	}
+	var got strings.Builder
+	for _, e := range Experiments() {
+		values := experiment(t, e.ID).Values
+		keys := make([]string, 0, len(values))
+		for k := range values {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		fmt.Fprintf(&got, "# %s\n", e.ID)
+		for _, k := range keys {
+			fmt.Fprintf(&got, "%s=%016x\n", k, math.Float64bits(values[k]))
+		}
+	}
+	if *update {
+		if err := os.WriteFile(experimentsGolden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(experimentsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	gotLines, wantLines := sectionLines(got.String()), sectionLines(string(want))
+	for _, l := range gotLines {
+		if !slices.Contains(wantLines, l) {
+			t.Errorf("new: %s", l)
+		}
+	}
+	for _, l := range wantLines {
+		if !slices.Contains(gotLines, l) {
+			t.Errorf("gone: %s", l)
+		}
+	}
+	t.Errorf("values differ from %s (go test -run ExperimentsGolden . -update rewrites it)", experimentsGolden)
+}
+
+// sectionLines prefixes each value line of a golden with its experiment's id.
+func sectionLines(golden string) []string {
+	var out []string
+	id := ""
+	for _, line := range strings.Split(golden, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# "); ok {
+			id = rest
+		} else if line != "" {
+			out = append(out, id+": "+line)
+		}
+	}
+	return out
+}
 
 // linearFit is the scan deepestFit replaces: every depth from 1 up, stopping
 // at the first that does not fit.

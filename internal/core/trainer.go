@@ -208,11 +208,12 @@ type EpochStats struct {
 	Sched *sim.Schedule
 }
 
-// BreakdownPercent returns KindBusy normalized to percentages.
+// BreakdownPercent returns KindBusy normalized to percentages. The total
+// sums in sim.Kinds order, so the percentages have the same bits every run.
 func (s *EpochStats) BreakdownPercent() map[sim.Kind]float64 {
 	var total float64
-	for _, v := range s.KindBusy {
-		total += v
+	for _, k := range sim.Kinds() {
+		total += s.KindBusy[k]
 	}
 	out := make(map[sim.Kind]float64, len(s.KindBusy))
 	for k, v := range s.KindBusy {

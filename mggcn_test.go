@@ -2,10 +2,7 @@ package mggcn
 
 import (
 	"bytes"
-	"fmt"
 	"math"
-	"os"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -240,10 +237,7 @@ func TestTable1Experiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the full Table-1 catalog: long e2e, skipped in -short")
 	}
-	res, err := RunExperiment("table1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := experiment(t, "table1")
 	for _, name := range []string{"cora", "arxiv", "products", "proteins", "reddit", "papers"} {
 		if !strings.Contains(res.Text, name) {
 			t.Fatalf("table1 missing %s:\n%s", name, res.Text)
@@ -256,10 +250,7 @@ func TestTable1Experiment(t *testing.T) {
 }
 
 func TestSec51Experiment(t *testing.T) {
-	res, err := RunExperiment("sec51")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := experiment(t, "sec51")
 	if math.Abs(res.Values["DGX-V100/ratio"]-1.5) > 0.01 {
 		t.Fatalf("V100 ratio %v", res.Values["DGX-V100/ratio"])
 	}
@@ -272,10 +263,7 @@ func TestFig6Experiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("phantom products timelines: simulator-only, skipped in -short")
 	}
-	res, err := RunExperiment("fig6")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := experiment(t, "fig6")
 	// Permutation must reduce both the epoch time and the compute-busy
 	// imbalance across GPUs (the paper's 50 ms -> 38 ms contrast).
 	if res.Values["permuted/epoch"] >= res.Values["original/epoch"] {
@@ -291,10 +279,7 @@ func TestFig8Experiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("phantom products timelines: simulator-only, skipped in -short")
 	}
-	res, err := RunExperiment("fig8")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := experiment(t, "fig8")
 	if res.Values["overlap/epoch"] >= res.Values["no-overlap/epoch"] {
 		t.Fatalf("overlap %v not faster than no-overlap %v",
 			res.Values["overlap/epoch"], res.Values["no-overlap/epoch"])
@@ -302,10 +287,7 @@ func TestFig8Experiment(t *testing.T) {
 }
 
 func TestFig12Experiment(t *testing.T) {
-	res, err := RunExperiment("fig12")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := experiment(t, "fig12")
 	// Paper's 30 GiB readings: DGL ~20, MG-GCN ~50 (1 GPU); CAGNET ~150,
 	// MG-GCN ~450 (8 GPUs). Accept a generous band, but the ordering and
 	// rough magnitudes must hold.
@@ -330,43 +312,10 @@ func TestFig12Experiment(t *testing.T) {
 	if res.Values["30/cagnet8"] <= res.Values["30/dgl1"] {
 		t.Fatalf("8-GPU CAGNET must fit more layers than 1-GPU DGL")
 	}
-	checkGoldenBits(t, "testdata/fig12.golden", res.Values)
-}
-
-// checkGoldenBits compares values, one "key=float64 bits" line per key in
-// sorted order, with the lines of the golden file at path that are not
-// "#" comments.
-func checkGoldenBits(t *testing.T, path string, values map[string]float64) {
-	t.Helper()
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	var got strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&got, "%s=%016x\n", k, math.Float64bits(values[k]))
-	}
-	golden, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want strings.Builder
-	for _, line := range strings.SplitAfter(string(golden), "\n") {
-		if !strings.HasPrefix(line, "#") {
-			want.WriteString(line)
-		}
-	}
-	if got.String() != want.String() {
-		t.Errorf("values differ from %s; got\n%s", path, got.String())
-	}
 }
 
 func TestAccuracyExperiment(t *testing.T) {
-	res, err := RunExperiment("accuracy")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := experiment(t, "accuracy")
 	for _, p := range []int{2, 4, 8} {
 		key := map[int]string{2: "2/max_loss_diff", 4: "4/max_loss_diff", 8: "8/max_loss_diff"}[p]
 		if res.Values[key] > 0.05 {
@@ -516,10 +465,7 @@ func TestAllExperimentsShapes(t *testing.T) {
 	}
 	get := func(id string) *ExperimentResult {
 		t.Helper()
-		res, err := RunExperiment(id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		res := experiment(t, id)
 		if res.Text == "" {
 			t.Fatalf("%s: empty report", id)
 		}
@@ -599,8 +545,7 @@ func TestAllExperimentsShapes(t *testing.T) {
 		t.Errorf("explosion: sampled epoch must touch more edges than full batch")
 	}
 
-	// DESIGN §8.5's claims, then every number against the bits the deleted
-	// mggcn-epochbench computed on the parent tree (testdata/sampled.golden).
+	// DESIGN §8.5's claims (TestExperimentsGolden holds every number).
 	smp := get("sampled")
 	for _, frac := range []string{"0", "0.25", "0.5"} {
 		if sp := smp.Values[frac+"/pipelined/speedup_vs_unpipelined"]; sp < 1.3 {
@@ -619,7 +564,6 @@ func TestAllExperimentsShapes(t *testing.T) {
 				k, v, smp.Values["0/unpipelined/loss"])
 		}
 	}
-	checkGoldenBits(t, "testdata/sampled.golden", smp.Values)
 
 	gat := get("gat")
 	if gat.Values["cost/sddmm"] <= 0 {
