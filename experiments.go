@@ -376,7 +376,11 @@ func comparisonTableUncached(machine MachineSpec, withCAGNET bool) (*report.Tabl
 			vals[fmt.Sprintf("%s/mggcn/%d", name, p)] = sec
 			cells = append(cells, report.Seconds(sec))
 		}
-		dgl := baseline.NewDGL(machine, ds.scale, 512, 2).EpochSeconds(ds.g)
+		dglModel := baseline.NewDGL(machine, ds.scale, 512, 2)
+		dgl := dglModel.EpochSeconds(ds.g)
+		if dglModel.MemoryBytes(ds.g) > machine.MemBytesPerGPU {
+			dgl = -1 // DGL keeps every layer's buffers: Proteins does not fit one GPU
+		}
 		vals[name+"/dgl/1"] = dgl
 		cells = append(cells, report.Seconds(dgl))
 		if withCAGNET {
@@ -406,7 +410,7 @@ func runFig10() (*ExperimentResult, error) {
 }
 
 // speedupVsDGL converts a comparison's values into speedups w.r.t. DGL's
-// single-GPU time.
+// single-GPU time; a cell reads 0 where either time is OOM.
 func speedupVsDGL(vals map[string]float64, withCAGNET bool) (*report.Table, map[string]float64) {
 	cols := []string{}
 	for _, p := range gpuCounts {
@@ -424,7 +428,7 @@ func speedupVsDGL(vals map[string]float64, withCAGNET bool) (*report.Table, map[
 		cells := []string{}
 		for _, p := range gpuCounts {
 			s := 0.0
-			if t := vals[fmt.Sprintf("%s/mggcn/%d", name, p)]; t > 0 {
+			if t := vals[fmt.Sprintf("%s/mggcn/%d", name, p)]; t > 0 && dgl > 0 {
 				s = dgl / t
 			}
 			out[fmt.Sprintf("%s/mggcn/%d", name, p)] = s
@@ -433,7 +437,7 @@ func speedupVsDGL(vals map[string]float64, withCAGNET bool) (*report.Table, map[
 		if withCAGNET {
 			for _, p := range gpuCounts {
 				s := 0.0
-				if t := vals[fmt.Sprintf("%s/cagnet/%d", name, p)]; t > 0 {
+				if t := vals[fmt.Sprintf("%s/cagnet/%d", name, p)]; t > 0 && dgl > 0 {
 					s = dgl / t
 				}
 				out[fmt.Sprintf("%s/cagnet/%d", name, p)] = s

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"mggcn/internal/baseline"
 	"mggcn/internal/comm"
 	"mggcn/internal/core"
 	"mggcn/internal/gen"
@@ -100,6 +101,36 @@ func sectionLines(golden string) []string {
 		}
 	}
 	return out
+}
+
+// TestDGLCellsGateOnMemory holds Figs 10-14 to DGL's own footprint: where
+// DGL's model does not fit one GPU its time reads OOM (-1), and every
+// speedup over it reads 0 (a "-" cell), never -1/t.
+func TestDGLCellsGateOnMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the Fig 10 and Fig 13 sweeps: long e2e, skipped in -short")
+	}
+	for _, fig := range []struct {
+		times, speedups string
+		machine         MachineSpec
+	}{{"fig10", "fig11", DGXV100()}, {"fig13", "fig14", DGXA100()}} {
+		times, speedups := experiment(t, fig.times).Values, experiment(t, fig.speedups).Values
+		for _, name := range figureDatasets {
+			ds, err := LoadDataset(name, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oom := baseline.NewDGL(fig.machine, ds.scale, 512, 2).MemoryBytes(ds.g) > fig.machine.MemBytesPerGPU
+			if got := times[name+"/dgl/1"]; (got == -1) != oom || got == 0 {
+				t.Errorf("%s: %s DGL time %v; its footprint fits: %t", fig.times, name, got, !oom)
+			}
+			for k, s := range speedups {
+				if strings.HasPrefix(k, name+"/") && (s < 0 || oom && s != 0) {
+					t.Errorf("%s: %s = %v with DGL's time %v", fig.speedups, k, s, times[name+"/dgl/1"])
+				}
+			}
+		}
+	}
 }
 
 // linearFit is the scan deepestFit replaces: every depth from 1 up, stopping
