@@ -127,8 +127,6 @@ type subject struct {
 	// memcheck's per-device closed-form inputs and the pool's ground truth.
 	model    func(dev int) memcheck.Model
 	poolUsed func(dev int) int64
-	// baselineBytes is baseline.CAGNETConfig.MemoryBytes (cagnet only).
-	baselineBytes int64
 
 	// hb is the executor-contract closure of graph, built once and shared by
 	// the san static pass and the liveness the memcheck pass compares.
@@ -233,9 +231,7 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 		}
 		s.poolUsed = tr.PoolUsed
 	case cagnet:
-		c := baseline.NewCAGNET(cfg.Spec, p, cfg.MemScale, cfg.Hidden, cfg.Layers)
-		s.graph = c.EpochGraph(g)
-		s.baselineBytes = c.MemoryBytes(g)
+		s.graph = baseline.NewCAGNET(cfg.Spec, p, cfg.MemScale, cfg.Hidden, cfg.Layers).EpochGraph(g)
 	}
 	if record != nil {
 		metered := cfg

@@ -10,6 +10,7 @@ import (
 	"mggcn/internal/fault"
 	"mggcn/internal/gen"
 	"mggcn/internal/graph"
+	"mggcn/internal/memcheck"
 	"mggcn/internal/nn"
 	"mggcn/internal/report"
 	"mggcn/internal/sample"
@@ -387,7 +388,10 @@ func comparisonTableUncached(machine MachineSpec, withCAGNET bool) (*report.Tabl
 			for _, p := range gpuCounts {
 				sec := baseline.NewCAGNET(machine, p, ds.scale, 512, 2).EpochSeconds(ds.g)
 				// The paper's CAGNET runs out of memory on Proteins.
-				est := baseline.NewCAGNET(machine, p, ds.scale, 512, 2).MemoryBytes(ds.g)
+				est, err := cagnetResident(ds, p, 2)
+				if err != nil {
+					return nil, nil, err
+				}
 				if est > machine.MemBytesPerGPU {
 					sec = -1
 				}
@@ -487,6 +491,15 @@ func deepestFit(budget int64, bytes func(layers int) (int64, error)) (int, error
 	return lo, nil
 }
 
+// cagnetResident is CAGNET's per-GPU footprint for ds at full scale, hidden
+// 512, on p GPUs: memcheck's analytic form, whose three buffers per layer are
+// never reused (Fig 12b's line).
+func cagnetResident(ds *Dataset, p, layers int) (int64, error) {
+	S := int64(ds.scale)
+	dims := nn.LayerDims(ds.g.FeatDim, 512, layers, ds.g.Classes)
+	return memcheck.AnalyticResident("cagnet", int64(ds.g.N())*S, ds.g.M()*S, dims, p, false)
+}
+
 // fig12Column is one line of Fig 12: a trainer's per-GPU footprint at full
 // scale as a function of depth (Reddit, hidden 512).
 type fig12Column struct {
@@ -506,9 +519,7 @@ func fig12Columns(ds *Dataset) []fig12Column {
 			return baseline.NewDGL(DGXV100(), ds.scale, 512, layers).MemoryBytes(ds.g), nil
 		}},
 		{"mg1", "MG-GCN/1GPU", mg(1)},
-		{"cagnet8", "CAGNET/8GPU", func(layers int) (int64, error) {
-			return baseline.NewCAGNET(DGXV100(), 8, ds.scale, 512, layers).MemoryBytes(ds.g), nil
-		}},
+		{"cagnet8", "CAGNET/8GPU", func(layers int) (int64, error) { return cagnetResident(ds, 8, layers) }},
 		{"mg8", "MG-GCN/8GPU", mg(8)},
 	}
 }

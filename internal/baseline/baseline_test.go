@@ -5,6 +5,8 @@ import (
 
 	"mggcn/internal/gen"
 	"mggcn/internal/graph"
+	"mggcn/internal/memcheck"
+	"mggcn/internal/nn"
 	"mggcn/internal/sim"
 )
 
@@ -72,7 +74,12 @@ func TestFig12LayerBudgets(t *testing.T) {
 		t.Fatalf("DGL max layers %d, paper ~20", dgl)
 	}
 	cag := layersWithin(budget, func(l int) int64 {
-		return NewCAGNET(sim.DGXV100(), 8, scale, 512, l).MemoryBytes(g)
+		dims := nn.LayerDims(g.FeatDim, 512, l, g.Classes)
+		b, err := memcheck.AnalyticResident("cagnet", int64(g.N())*int64(scale), g.M()*int64(scale), dims, 8, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	})
 	if cag < 110 || cag > 230 {
 		t.Fatalf("CAGNET max layers %d, paper ~150", cag)

@@ -173,36 +173,6 @@ func (c CAGNETConfig) EpochGraph(g *graph.Graph) *sim.Graph {
 	return tg
 }
 
-// MemoryBytes returns CAGNET's per-GPU footprint at full scale: the local
-// adjacency slice, feature shard, 3 persistent buffers per layer plus two
-// stage-receive buffers (no reuse), and replicated model state. This is the
-// Fig 12b line: ~150 layers in 30 GiB on Reddit-512 with 8 GPUs.
-func (c CAGNETConfig) MemoryBytes(g *graph.Graph) int64 {
-	S := int64(c.MemScale)
-	n := int64(g.N()) * S
-	nnz := g.M() * S
-	rows := (n + int64(c.P) - 1) / int64(c.P)
-	dims := nn.LayerDims(g.FeatDim, c.Hidden, c.Layers, g.Classes)
-	maxD := 0
-	for _, d := range dims {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	adj := (rows+1)*8 + nnz/int64(c.P)*8
-	feats := rows * int64(g.FeatDim) * 4
-	var perLayer int64
-	for l := 0; l < c.Layers; l++ {
-		perLayer += 3 * rows * int64(dims[l+1]) * 4
-	}
-	recv := 2 * rows * int64(maxD) * 4
-	var params int64
-	for l := 0; l < c.Layers; l++ {
-		params += int64(dims[l]) * int64(dims[l+1])
-	}
-	return adj + feats + perLayer + recv + params*4*4
-}
-
 // CommTime1D returns the §5.1 closed-form communication time of the 1D
 // algorithm for an n x d feature matrix on the spec's 8-GPU machine:
 // P broadcasts of nd/P bytes over the full group.

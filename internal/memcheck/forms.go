@@ -200,8 +200,8 @@ func sampledFootprint(m Model) (*Footprint, error) {
 // slab universe to certify: SlabBytes is 0 and only the resident footprint
 // — the local adjacency slice (NNZShare nonzeros), feature shard, three
 // persistent buffers per layer, two stage-receive buffers, and replicated
-// model state — is emitted, cross-checked against
-// baseline.CAGNETConfig.MemoryBytes.
+// model state — is emitted. It is the one CAGNET footprint: Fig 10's
+// memory gate, Fig 12's CAGNET column and the fit verdicts all read it.
 func cagnetFootprint(m Model) (*Footprint, error) {
 	layers := len(m.Dims) - 1
 	if layers < 1 {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"testing"
 
-	"mggcn/internal/baseline"
 	"mggcn/internal/core"
 	"mggcn/internal/gen"
 	"mggcn/internal/graph"
@@ -240,35 +239,6 @@ func TestSampledTripleCrossCheck(t *testing.T) {
 				checkTriple(t, fp, live, meter, d, tr.PoolUsed(d))
 			}
 		})
-	}
-}
-
-// TestCagnetResidentMatchesBaseline pins the cagnet resident closed form to
-// baseline.CAGNETConfig.MemoryBytes, byte-exact, across scales and widths.
-func TestCagnetResidentMatchesBaseline(t *testing.T) {
-	g := crossGraph(96, 99)
-	for _, tc := range []struct {
-		p, memScale, hidden, layers int
-	}{
-		{1, 1, 16, 2}, {4, 1, 16, 2}, {4, 512, 128, 3}, {8, 512, 512, 4},
-	} {
-		c := baseline.NewCAGNET(sim.DGXA100(), tc.p, tc.memScale, tc.hidden, tc.layers)
-		want := c.MemoryBytes(g)
-		dims := nn.LayerDims(g.FeatDim, tc.hidden, tc.layers, g.Classes)
-		S := int64(tc.memScale)
-		n, m := int64(g.N())*S, g.M()*S
-		fp, err := memcheck.PeakForm("cagnet", memcheck.Model{Dims: dims, P: tc.p, Device: 0,
-			Rows: (n + int64(tc.p) - 1) / int64(tc.p), NNZShare: m / int64(tc.p)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fp.Uncertified == "" || fp.SlabBytes != 0 {
-			t.Fatalf("cagnet must be resident-only (phantom cost model)")
-		}
-		if fp.Resident != want {
-			t.Errorf("p=%d S=%d: cagnet resident form %d != baseline MemoryBytes %d",
-				tc.p, tc.memScale, fp.Resident, want)
-		}
 	}
 }
 
