@@ -81,6 +81,9 @@ var bitExact = map[string]bool{"transient": true, "straggler": true, "poison": t
 func chaosMatrix(strats []*strategy, only string, seeds int) []scenario {
 	var out []scenario
 	for _, st := range strats {
+		if st.baseline != nil {
+			continue // a baseline has no recovery path to sweep
+		}
 		for _, fk := range kindsFor(st.kind) {
 			if only != "all" && only != fk {
 				continue

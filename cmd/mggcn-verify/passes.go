@@ -73,27 +73,25 @@ func (v *verifier) sanPass() string {
 // volume three ways — closed form == annotations == comm.Meter — on every
 // strategy and its P-1 degradation.
 func (v *verifier) schedcheckPass() string {
-	for _, s := range v.rows(v.selected(fullBatch, gat, cagnet)) {
+	for _, s := range v.rows(v.selected(fullBatch, gat)) {
 		before := len(v.pass.Findings)
 		for _, f := range schedcheck.Check(s.graph) {
 			v.finding("%s: %v", s.label(), f)
 		}
-		model := schedcheck.Model{N: v.graph.N(), P: s.p, S: v.cfg.MemScale,
-			Dims: s.dims, OrderSwitch: v.cfg.OrderSwitch, SkipFirstBackward: v.cfg.SkipFirstBackward,
+		model := schedcheck.Model{N: v.graph.N(), P: s.p, S: s.cfg.MemScale,
+			Dims: s.dims, OrderSwitch: s.cfg.OrderSwitch, SkipFirstBackward: s.cfg.SkipFirstBackward,
 		}
-		vol, err := schedcheck.VolumeForm(s.name, model)
+		vol, err := schedcheck.VolumeForm(s.form(), model)
 		if err != nil {
 			fatalf("%s: %v", s.label(), err)
 		}
 		for _, f := range schedcheck.CertifyVolume(s.graph, vol, model) {
 			v.finding("%s: %v", s.label(), f)
 		}
-		if s.comm != nil {
-			annotated := schedcheck.AnnotatedWords(s.graph)
-			for _, op := range sim.CollOps() {
-				if got, want := s.comm.Words(op), annotated[op]; got != want {
-					v.finding("%s: %s: meter measured %d words but annotations claim %d", s.label(), op, got, want)
-				}
+		annotated := schedcheck.AnnotatedWords(s.graph)
+		for _, op := range sim.CollOps() {
+			if got, want := s.comm.Words(op), annotated[op]; got != want {
+				v.finding("%s: %s: meter measured %d words but annotations claim %d", s.label(), op, got, want)
 			}
 		}
 		if len(v.pass.Findings) == before {
@@ -122,8 +120,8 @@ type crossCheck struct {
 // counts) and the certified resident footprint against the pool, then
 // issues the catalog fit verdicts.
 func (v *verifier) memcheckPass() string {
-	for _, s := range v.rows(v.selected(fullBatch, gat, sampled, cagnet)) {
-		for _, c := range s.crossChecks(v.cfg.MemScale, v.graph.N(), v.graph.M()) {
+	for _, s := range v.rows(v.selected(fullBatch, gat, sampled)) {
+		for _, c := range s.crossChecks() {
 			const row = "%s %s: %s (slab %d B in %d slabs, resident %d B)"
 			if c.OK {
 				v.say(row+"\n", s.label(), c.Device, "certified", c.CertifiedByte, c.SlabCount, c.ResidentByte)
@@ -151,25 +149,14 @@ func (v *verifier) memcheckPass() string {
 }
 
 // crossChecks evaluates the subject's closed forms per device and lines them
-// up with the recording's liveness, meter and pool numbers. The cagnet
-// baseline is a phantom cost model with no slab access sets: only its
-// analytic resident form exists, and it is reported as is.
-func (s *subject) crossChecks(memScale, n int, m int64) []crossCheck {
+// up with the recording's liveness, meter and pool numbers.
+func (s *subject) crossChecks() []crossCheck {
 	must := s.must
-	if s.kind == cagnet {
-		S := int64(memScale)
-		got, err := memcheck.AnalyticResident(s.name, int64(n)*S, m*S, s.dims, s.p, false)
-		must(err)
-		return []crossCheck{{
-			Strategy: s.name, P: s.p, Device: "model",
-			ResidentByte: got, PoolByte: got, OK: true,
-		}}
-	}
 	live := s.live
 	meterBytes, meterCount := s.alloc.SlabPeakBytes(), s.alloc.SlabPeakCount()
 	var out []crossCheck
 	for d := 0; d < s.p; d++ {
-		fp, err := memcheck.PeakForm(s.name, s.model(d))
+		fp, err := memcheck.PeakForm(s.form(), s.model(d))
 		must(err)
 		if fp.Uncertified != "" {
 			fatalf("%s d%d: uncertified: %s", s.label(), d, fp.Uncertified)

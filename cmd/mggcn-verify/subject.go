@@ -20,26 +20,39 @@ const (
 	fullBatch kind = iota // core.Trainer under one of the SpMM strategies
 	gat                   // core.GATDist forward
 	sampled               // core.SampledTrainer minibatch pipeline
-	cagnet                // baseline.CAGNET phantom cost model
 )
 
-// strategy is one row of the ordered strategy list: the name the closed
-// forms (schedcheck.VolumeForm, memcheck.PeakForm) know it by.
+// strategy is one row of the ordered strategy list.
 type strategy struct {
 	name string
 	kind kind
 	spmm core.Strategy // fullBatch only
+	// baseline, when set, is the configuration a baseline system records
+	// its full-batch epoch under. A baseline has no elastic path.
+	baseline func(core.Config) core.Config
 }
 
 // strategies is the one strategy list, in report order: core's full-batch
-// SpMM strategies, then the other trainer families.
+// SpMM strategies, the other trainer families, then CAGNET, which is the
+// full-batch trainer with the paper's optimisations off.
 var strategies = func() []strategy {
 	var out []strategy
 	for _, s := range core.Strategies() {
-		out = append(out, strategy{s.Name(), fullBatch, s})
+		out = append(out, strategy{s.Name(), fullBatch, s, nil})
 	}
-	return append(out, strategy{"gat", gat, 0}, strategy{"sampled", sampled, 0}, strategy{"cagnet", cagnet, 0})
+	return append(out, strategy{"gat", gat, 0, nil}, strategy{"sampled", sampled, 0, nil},
+		strategy{"cagnet", fullBatch, core.Strategy1DRow, baseline.CAGNET})
 }()
+
+// form is the name the closed forms (schedcheck.VolumeForm,
+// memcheck.PeakForm) certify the strategy's recording under: the SpMM
+// strategy it records with on the full-batch path, its own name otherwise.
+func (s *strategy) form() string {
+	if s.kind == fullBatch {
+		return s.spmm.Name()
+	}
+	return s.name
+}
 
 func lookup(name string) *strategy {
 	for i := range strategies {
@@ -89,7 +102,7 @@ func (v *verifier) rows(strats []*strategy) []*subject {
 	var out []*subject
 	for _, s := range strats {
 		out = append(out, v.subject(s, v.cfg.P))
-		if p := v.cfg.P - 1; p >= 1 && (s.kind == fullBatch || s.kind == gat) {
+		if p := v.cfg.P - 1; p >= 1 && s.baseline == nil && (s.kind == fullBatch || s.kind == gat) {
 			out = append(out, v.subject(s.degraded(p), p))
 		}
 	}
@@ -111,10 +124,10 @@ type outputs struct {
 type subject struct {
 	*strategy
 	p     int
-	graph *sim.Graph // the recorded epoch, registry attached
+	cfg   core.Config // what the full-batch and GAT recordings ran under
+	graph *sim.Graph  // the recorded epoch, registry attached
 	dims  []int
-	// comm and alloc metered the recording; nil for the cagnet baseline,
-	// which prices its own phantom graph.
+	// comm and alloc metered the recording.
 	comm  *comm.Meter
 	alloc *sim.AllocMeter
 	base  outputs
@@ -164,9 +177,7 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 	g := v.graph
 	cfg := v.cfg
 	cfg.P = p
-	if st.kind != cagnet {
-		s.comm, s.alloc = comm.NewMeter(), sim.NewAllocMeter()
-	}
+	s.comm, s.alloc = comm.NewMeter(), sim.NewAllocMeter()
 	layers := cfg.Layers
 	if st.kind == gat || st.kind == sampled {
 		layers = 2 // what the GAT model and the sampled fanouts below are built for
@@ -179,6 +190,9 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 	switch st.kind {
 	case fullBatch:
 		cfg.Strategy = st.spmm
+		if st.baseline != nil {
+			cfg = st.baseline(cfg)
+		}
 		record = func(c core.Config, observe observerFor) (partitionedRun, outputs) {
 			tr, err := core.NewTrainer(g, c)
 			must(err)
@@ -230,9 +244,8 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 				Caps: caps, CacheRows: cacheRows, Depth: tr.Depth(), Steps: steps}
 		}
 		s.poolUsed = tr.PoolUsed
-	case cagnet:
-		s.graph = baseline.NewCAGNET(cfg.Spec, p, cfg.MemScale, cfg.Hidden, cfg.Layers).EpochGraph(g)
 	}
+	s.cfg = cfg
 	if record != nil {
 		metered := cfg
 		metered.CommMeter, metered.ExecObserver = s.comm, s.alloc

@@ -3,6 +3,7 @@ package mggcn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"mggcn/internal/baseline"
@@ -97,7 +98,17 @@ func mgEpochSeconds(machine MachineSpec, name string, p, hidden, layers int, ord
 	o := DefaultOptions(machine, p)
 	o.Hidden, o.Layers = hidden, layers
 	o.Ordering, o.Overlap = ord, overlap
-	tr, err := NewTrainer(ds, o)
+	cfg, err := o.coreConfig(ds)
+	if err != nil {
+		return 0, err
+	}
+	return epochSeconds(ds.g, cfg)
+}
+
+// epochSeconds runs one epoch of a full-batch trainer under cfg; returns -1
+// when the trainer does not fit the machine.
+func epochSeconds(g *graph.Graph, cfg core.Config) (float64, error) {
+	tr, err := core.NewTrainer(g, cfg)
 	if IsOOM(err) {
 		return -1, nil
 	}
@@ -351,16 +362,7 @@ func comparisonTable(machine MachineSpec, withCAGNET bool) (*report.Table, map[s
 }
 
 func comparisonTableUncached(machine MachineSpec, withCAGNET bool) (*report.Table, map[string]float64, error) {
-	cols := []string{}
-	for _, p := range gpuCounts {
-		cols = append(cols, fmt.Sprintf("MG-GCN/%d", p))
-	}
-	cols = append(cols, "DGL/1")
-	if withCAGNET {
-		for _, p := range gpuCounts {
-			cols = append(cols, fmt.Sprintf("CAGNET/%d", p))
-		}
-	}
+	cols := slices.Insert(comparisonColumns(withCAGNET), len(gpuCounts), "DGL/1")
 	tab := report.NewTable(fmt.Sprintf("Epoch runtime (s) on %s, 2 layers x 512", machine.Name), cols...)
 	vals := map[string]float64{}
 	for _, name := range figureDatasets {
@@ -368,14 +370,25 @@ func comparisonTableUncached(machine MachineSpec, withCAGNET bool) (*report.Tabl
 		if err != nil {
 			return nil, nil, err
 		}
-		cells := []string{}
 		for _, p := range gpuCounts {
-			sec, err := mgEpochSeconds(machine, name, p, 512, 2, OrderingRandom, true)
-			if err != nil {
+			cfg := core.DefaultConfig(machine, p, ds.scale)
+			if vals[fmt.Sprintf("%s/mggcn/%d", name, p)], err = epochSeconds(ds.g, cfg); err != nil {
 				return nil, nil, err
 			}
-			vals[fmt.Sprintf("%s/mggcn/%d", name, p)] = sec
-			cells = append(cells, report.Seconds(sec))
+			if !withCAGNET {
+				continue
+			}
+			// CAGNET keeps three buffers per layer, so the paper's runs out
+			// of memory on Proteins; the trainer that times it may too.
+			sec := -1.0
+			if est, err := cagnetResident(ds, p, 2); err != nil {
+				return nil, nil, err
+			} else if est <= machine.MemBytesPerGPU {
+				if sec, err = epochSeconds(ds.g, baseline.CAGNET(cfg)); err != nil {
+					return nil, nil, err
+				}
+			}
+			vals[fmt.Sprintf("%s/cagnet/%d", name, p)] = sec
 		}
 		dglModel := baseline.NewDGL(machine, ds.scale, 512, 2)
 		dgl := dglModel.EpochSeconds(ds.g)
@@ -383,25 +396,35 @@ func comparisonTableUncached(machine MachineSpec, withCAGNET bool) (*report.Tabl
 			dgl = -1 // DGL keeps every layer's buffers: Proteins does not fit one GPU
 		}
 		vals[name+"/dgl/1"] = dgl
-		cells = append(cells, report.Seconds(dgl))
-		if withCAGNET {
-			for _, p := range gpuCounts {
-				sec := baseline.NewCAGNET(machine, p, ds.scale, 512, 2).EpochSeconds(ds.g)
-				// The paper's CAGNET runs out of memory on Proteins.
-				est, err := cagnetResident(ds, p, 2)
-				if err != nil {
-					return nil, nil, err
-				}
-				if est > machine.MemBytesPerGPU {
-					sec = -1
-				}
-				vals[fmt.Sprintf("%s/cagnet/%d", name, p)] = sec
-				cells = append(cells, report.Seconds(sec))
-			}
+		var cells []string
+		for _, col := range cols {
+			cells = append(cells, report.Seconds(vals[comparisonKey(name, col)]))
 		}
 		tab.AddRow(name, cells...)
 	}
 	return tab, vals, nil
+}
+
+// comparisonColumns lists the multi-GPU columns of Figs 10 and 11
+// (withCAGNET) or 13 and 14: each system at each GPU count.
+func comparisonColumns(withCAGNET bool) []string {
+	systems := []string{"MG-GCN"}
+	if withCAGNET {
+		systems = append(systems, "CAGNET")
+	}
+	var cols []string
+	for _, system := range systems {
+		for _, p := range gpuCounts {
+			cols = append(cols, fmt.Sprintf("%s/%d", system, p))
+		}
+	}
+	return cols
+}
+
+// comparisonKey is the Values key of dataset name's cell in column col:
+// "MG-GCN/4" is name+"/mggcn/4".
+func comparisonKey(name, col string) string {
+	return name + "/" + strings.ToLower(strings.ReplaceAll(col, "-", ""))
 }
 
 // runFig10 regenerates the DGX-V100 epoch-runtime comparison.
@@ -416,37 +439,20 @@ func runFig10() (*ExperimentResult, error) {
 // speedupVsDGL converts a comparison's values into speedups w.r.t. DGL's
 // single-GPU time; a cell reads 0 where either time is OOM.
 func speedupVsDGL(vals map[string]float64, withCAGNET bool) (*report.Table, map[string]float64) {
-	cols := []string{}
-	for _, p := range gpuCounts {
-		cols = append(cols, fmt.Sprintf("MG-GCN/%d", p))
-	}
-	if withCAGNET {
-		for _, p := range gpuCounts {
-			cols = append(cols, fmt.Sprintf("CAGNET/%d", p))
-		}
-	}
+	cols := comparisonColumns(withCAGNET)
 	tab := report.NewTable("Speedup w.r.t. DGL (1 GPU)", cols...)
 	out := map[string]float64{}
 	for _, name := range figureDatasets {
 		dgl := vals[name+"/dgl/1"]
-		cells := []string{}
-		for _, p := range gpuCounts {
+		var cells []string
+		for _, col := range cols {
+			k := comparisonKey(name, col)
 			s := 0.0
-			if t := vals[fmt.Sprintf("%s/mggcn/%d", name, p)]; t > 0 && dgl > 0 {
+			if t := vals[k]; t > 0 && dgl > 0 {
 				s = dgl / t
 			}
-			out[fmt.Sprintf("%s/mggcn/%d", name, p)] = s
+			out[k] = s
 			cells = append(cells, report.Speedup(s))
-		}
-		if withCAGNET {
-			for _, p := range gpuCounts {
-				s := 0.0
-				if t := vals[fmt.Sprintf("%s/cagnet/%d", name, p)]; t > 0 && dgl > 0 {
-					s = dgl / t
-				}
-				out[fmt.Sprintf("%s/cagnet/%d", name, p)] = s
-				cells = append(cells, report.Speedup(s))
-			}
 		}
 		tab.AddRow(name, cells...)
 	}

@@ -138,9 +138,8 @@ func TestCrossRuleSilence(t *testing.T) {
 	}
 }
 
-// TestRepoClean asserts the repository itself is vet-clean: the satellite
-// fixes (dependency threading in baseline/cagnet, the vet:ok suppressions)
-// must keep every rule quiet.
+// TestRepoClean asserts the repository itself is vet-clean: the dependency
+// threading and the vet:ok suppressions must keep every rule quiet.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")

@@ -1,8 +1,10 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 
+	"mggcn/internal/core"
 	"mggcn/internal/gen"
 	"mggcn/internal/graph"
 	"mggcn/internal/memcheck"
@@ -89,14 +91,29 @@ func TestFig12LayerBudgets(t *testing.T) {
 	}
 }
 
+// cagnetEpoch runs one epoch of CAGNET (the full-batch trainer under
+// CAGNET's switches) on g.
+func cagnetEpoch(t *testing.T, g *graph.Graph, cfg core.Config) float64 {
+	t.Helper()
+	tr, err := core.NewTrainer(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := tr.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats.EpochSeconds
+}
+
 func TestCAGNETScalesWithGPUs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("phantom products sweep: long e2e, skipped in -short")
 	}
 	g, scale := loadPhantom(t, "products")
-	prev := NewCAGNET(sim.DGXV100(), 1, scale, 512, 2).EpochSeconds(g)
+	prev := cagnetEpoch(t, g, CAGNET(core.DefaultConfig(sim.DGXV100(), 1, scale)))
 	for _, p := range []int{2, 4, 8} {
-		cur := NewCAGNET(sim.DGXV100(), p, scale, 512, 2).EpochSeconds(g)
+		cur := cagnetEpoch(t, g, CAGNET(core.DefaultConfig(sim.DGXV100(), p, scale)))
 		if cur >= prev {
 			t.Fatalf("CAGNET did not scale at P=%d: %g -> %g", p, prev, cur)
 		}
@@ -104,13 +121,19 @@ func TestCAGNETScalesWithGPUs(t *testing.T) {
 	}
 }
 
+// TestCAGNETSlowerThanUnpenalizedKernels holds the derated machine to what
+// it derates: every kernel and collective is slower than on the machine
+// itself, so the epoch is.
 func TestCAGNETSlowerThanUnpenalizedKernels(t *testing.T) {
 	g, scale := loadPhantom(t, "arxiv")
-	c := NewCAGNET(sim.DGXV100(), 4, scale, 512, 2)
+	c := CAGNET(core.DefaultConfig(sim.DGXV100(), 4, scale))
 	fast := c
-	fast.KernelEfficiency, fast.CommEfficiency, fast.OpOverhead = 1, 1, 0
-	if c.EpochSeconds(g) <= fast.EpochSeconds(g) {
+	fast.Spec = sim.DGXV100()
+	if cagnetEpoch(t, g, c) <= cagnetEpoch(t, g, fast) {
 		t.Fatalf("efficiency penalties had no effect")
+	}
+	if raw, d := sim.DGXV100().GemmCost(1000, 512, 512), c.Spec.GemmCost(1000, 512, 512); math.Abs(d-(raw/0.85+100e-6)) > 1e-15 {
+		t.Fatalf("derated GeMM costs %g, want raw/0.85 + 100 µs = %g", d, raw/0.85+100e-6)
 	}
 }
 

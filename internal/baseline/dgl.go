@@ -5,10 +5,11 @@
 //     backward pass, per-layer buffer allocation (no §4.2 reuse), and
 //     framework per-op overhead. Used by Figs 10-14 (runtime) and Fig 12
 //     (memory vs layers).
-//   - CAGNET (multi-GPU, 1D and 1.5D): the same 1D staged-broadcast SpMM as
-//     MG-GCN but stage-synchronous (no §4.3 overlap), without buffer reuse,
-//     with PyTorch-era kernel efficiency and an older NCCL. Used by Figs
-//     10-12 and the §5.1 analysis.
+//   - CAGNET (multi-GPU, 1D and 1.5D): MG-GCN's own full-batch trainer with
+//     the paper's optimisations switched off, on a machine derated to
+//     PyTorch-era kernels and an older NCCL (CAGNET). Used by Figs 10-11
+//     and the §5.1 analysis; its memory (no buffer reuse, Fig 12) is
+//     memcheck's analytic form.
 //   - DistGNN (CPU cluster): an analytic Xeon-9242 + HDR-interconnect cost
 //     model regenerating Table 2.
 //

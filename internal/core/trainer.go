@@ -208,8 +208,7 @@ type EpochStats struct {
 	Sched *sim.Schedule
 }
 
-// BreakdownPercent returns KindBusy normalized to percentages. The total
-// sums in sim.Kinds order, so the percentages have the same bits every run.
+// BreakdownPercent returns KindBusy as percentages of its sim.Kinds-ordered sum.
 func (s *EpochStats) BreakdownPercent() map[sim.Kind]float64 {
 	var total float64
 	for _, k := range sim.Kinds() {

@@ -2,6 +2,7 @@ package memcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"mggcn/internal/gen"
 	"mggcn/internal/nn"
@@ -28,8 +29,12 @@ func AnalyticAdjacencyBytes(n, m int64, p, c int) (int64, error) {
 // device 0 of an unbuilt, balanced (permuted) partition of n vertices and m
 // nonzeros at full scale over p devices: a strategy with replication factor
 // c cuts P/c blocks of ceil(n/(P/c)) rows (1.5D: twice 1D's rows per
-// device), with adjacency bytes from AnalyticAdjacencyBytes.
+// device), with adjacency bytes from AnalyticAdjacencyBytes. "cagnet" is
+// cagnetResident.
 func AnalyticResident(name string, n, m int64, dims []int, p int, overlap bool) (int64, error) {
+	if name == "cagnet" {
+		return cagnetResident(n, m, dims, p)
+	}
 	c := replication(name)
 	adj, err := AnalyticAdjacencyBytes(n, m, p, c)
 	if err != nil {
@@ -37,11 +42,30 @@ func AnalyticResident(name string, n, m int64, dims []int, p int, overlap bool) 
 	}
 	rows := (n + int64(p/c) - 1) / int64(p/c)
 	fp, err := PeakForm(name, Model{Dims: dims, P: p, Overlap: overlap,
-		Rows: rows, TileRows: rows, AdjBytes: adj, NNZShare: m / int64(p)})
+		Rows: rows, TileRows: rows, AdjBytes: adj})
 	if err != nil {
 		return 0, err
 	}
 	return fp.Resident, nil
+}
+
+// cagnetResident is CAGNET's own per-GPU footprint (Fig 12b's line), which
+// no recorded graph allocates: the trainer that times CAGNET reuses §4.2's
+// buffers, CAGNET keeps three per layer. Device 0 of a balanced partition
+// holds ceil(n/p) rows: their row pointers, its m/p nonzeros (column index
+// and value), the feature shard, three buffers per layer, two stage-receive
+// buffers at the widest width, and the weights with Adam's two moments.
+func cagnetResident(n, m int64, dims []int, p int) (int64, error) {
+	if len(dims) < 2 || p < 1 {
+		return 0, fmt.Errorf("memcheck: cagnet needs at least 1 layer and 1 GPU, got dims %v at P=%d", dims, p)
+	}
+	rows := (n + int64(p) - 1) / int64(p)
+	var outs int64
+	for _, d := range dims[1:] {
+		outs += int64(d)
+	}
+	return 8*(rows+1) + 8*(m/int64(p)) + 4*rows*int64(dims[0]) +
+		12*rows*outs + 8*rows*int64(slices.Max(dims)) + 16*params(dims), nil
 }
 
 // FitVerdict is one (dataset, strategy) fit check: does the certified

@@ -195,33 +195,6 @@ func sampledFootprint(m Model) (*Footprint, error) {
 	return fp, nil
 }
 
-// cagnetFootprint covers the CAGNET baseline, whose epoch graph is a pure
-// cost model (phantom buffers, no declared access sets), so there is no
-// slab universe to certify: SlabBytes is 0 and only the resident footprint
-// — the local adjacency slice (NNZShare nonzeros), feature shard, three
-// persistent buffers per layer, two stage-receive buffers, and replicated
-// model state — is emitted. It is the one CAGNET footprint: Fig 10's
-// memory gate, Fig 12's CAGNET column and the fit verdicts all read it.
-func cagnetFootprint(m Model) (*Footprint, error) {
-	layers := len(m.Dims) - 1
-	if layers < 1 {
-		return nil, fmt.Errorf("memcheck: cagnet needs at least 1 layer, got dims %v", m.Dims)
-	}
-	var outs int64
-	for _, d := range m.Dims[1:] {
-		outs += int64(d)
-	}
-	return &Footprint{
-		Resident: 8*(m.Rows+1) + // row pointers
-			8*m.NNZShare + // column indices and values
-			4*m.Rows*int64(m.Dims[0]) + // feature shard
-			12*m.Rows*outs + // three buffers per layer
-			8*m.Rows*maxDim(m) + // two stage-receive buffers
-			16*params(m.Dims), // weights and Adam moments
-		Uncertified: "cagnet is a phantom cost model: its graph declares no buffer access sets, so there is no slab universe to certify",
-	}, nil
-}
-
 func checkDevice(m Model, kind string) error {
 	if m.P < 1 {
 		return fmt.Errorf("memcheck: %s needs P >= 1, got %d", kind, m.P)

@@ -45,14 +45,12 @@ type Model struct {
 	Device  int
 	Overlap bool
 
-	// Full-batch, GAT and CAGNET: the device's row count, the largest
-	// partition part's row count (every staging slab is sized for it), and
-	// the device's adjacency-tile bytes. Read them from a built trainer's
+	// Full-batch and GAT: the device's row count, the largest partition
+	// part's row count (every staging slab is sized for it), and the
+	// device's adjacency-tile bytes. Read them from a built trainer's
 	// DeviceRows / MaxTileRows / AdjacencyBytes, or AnalyticResident derives
 	// them for an unbuilt balanced partition.
 	Rows, TileRows, AdjBytes int64
-	// CAGNET only: the device's share of the nonzeros.
-	NNZShare int64
 
 	// Sampled pipeline only.
 	Caps      []int // frontier capacities per hop, outermost first (len L+1)
@@ -65,8 +63,7 @@ type Model struct {
 type Footprint struct {
 	// SlabBytes is the peak bytes of simultaneously live §4.2 slabs over
 	// every legal replay order; 0 when the slab peak is not
-	// order-independent for this model or the strategy records no slab
-	// access sets (the phantom CAGNET baseline) — see Uncertified.
+	// order-independent for this model — see Uncertified.
 	SlabBytes int64
 	// SlabCount is the matching peak simultaneously-live slab count.
 	SlabCount int
@@ -83,9 +80,9 @@ type Footprint struct {
 
 // PeakForm builds the closed-form footprint of the named strategy under m:
 // the three full-batch SpMM strategies (core.Strategy.Name), the GAT
-// forward, the sampled pipeline, or the CAGNET baseline. A new strategy is a
-// new case here beside its row in core's strategy table; the broadcast-staged
-// full-batch family shares one form in its replication factor c.
+// forward, or the sampled pipeline. A new strategy is a new case here beside
+// its row in core's strategy table; the broadcast-staged full-batch family
+// shares one form in its replication factor c.
 func PeakForm(name string, m Model) (*Footprint, error) {
 	switch name {
 	case "1d-row", "1d-col", "1.5d":
@@ -94,8 +91,6 @@ func PeakForm(name string, m Model) (*Footprint, error) {
 		return gatFootprint(m)
 	case "sampled":
 		return sampledFootprint(m)
-	case "cagnet":
-		return cagnetFootprint(m)
 	}
 	return nil, fmt.Errorf("memcheck: no peak form for strategy %q", name)
 }

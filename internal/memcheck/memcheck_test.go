@@ -285,8 +285,6 @@ func TestUncertifiedModels(t *testing.T) {
 	check(t, fp, err, true)
 	fp, err = memcheck.PeakForm("sampled", memcheck.Model{Dims: dims2, P: 2, Device: 0, Caps: caps, Depth: 2, Steps: 3})
 	check(t, fp, err, false)
-	fp, err = memcheck.PeakForm("cagnet", memcheck.Model{Dims: dims2, P: 2, Device: 0})
-	check(t, fp, err, true) // phantom cost model: no slab universe at all
 
 	if _, err := memcheck.PeakForm("1.5d", memcheck.Model{Dims: dims2, P: 3, Device: 0}); err == nil {
 		t.Fatal("1.5d at odd P must be a hard error, not an uncertified footprint")
@@ -376,7 +374,7 @@ func TestPeakLiveSlabsSynthetic(t *testing.T) {
 // error.
 func TestPeakFormNames(t *testing.T) {
 	model := memcheck.Model{Dims: []int{12, 16, 4}, P: 4, Overlap: true, Caps: []int{64, 32, 8}, Depth: 2, Steps: 4}
-	for _, name := range []string{"1d-row", "1d-col", "1.5d", "gat", "sampled", "cagnet"} {
+	for _, name := range []string{"1d-row", "1d-col", "1.5d", "gat", "sampled"} {
 		if fp, err := memcheck.PeakForm(name, model); err != nil || fp == nil || fp.Resident <= 0 {
 			t.Fatalf("strategy %q has no peak form: %v, %v", name, fp, err)
 		}

@@ -1,14 +1,11 @@
 // Package part implements the paper's partitioning machinery (§4.1, §5.2):
-// partition vectors (eq. 13), uniform and degree-balanced 1D cuts, per-tile
-// nonzero accounting, and the random vertex permutation that fixes the
-// imbalance of natural orderings.
+// partition vectors (eq. 13), uniform and degree-balanced 1D cuts, and the
+// random vertex permutation that fixes the imbalance of natural orderings.
 package part
 
 import (
 	"fmt"
 	"math/rand"
-
-	"mggcn/internal/sparse"
 )
 
 // Vector is a partition vector p with P parts per eq. (13):
@@ -26,23 +23,6 @@ func (v Vector) Bounds(i int) (lo, hi int) { return v[i], v[i+1] }
 
 // Size returns the number of elements in part i.
 func (v Vector) Size(i int) int { return v[i+1] - v[i] }
-
-// Owner returns the part index owning element x.
-func (v Vector) Owner(x int) int {
-	if x < 0 || x >= v.N() {
-		panic(fmt.Sprintf("part: element %d outside [0,%d)", x, v.N()))
-	}
-	lo, hi := 0, v.Parts()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v[mid+1] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
 
 // Uniform builds the partition vector splitting n elements into parts
 // near-equal contiguous ranges (the paper's uniform symmetric partitioning).
@@ -66,27 +46,6 @@ func RandomPerm(n int, seed uint64) []int32 {
 		perm[i] = int32(v)
 	}
 	return perm
-}
-
-// TileNNZ returns the parts x parts matrix of stored-entry counts for the
-// symmetric tiling of a by vector p: tile[i][j] = nnz(A^{ij}).
-func TileNNZ(a *sparse.CSR, p Vector) [][]int64 {
-	if a.Rows != a.Cols || p.N() != a.Rows {
-		panic(fmt.Sprintf("part: tiling %dx%d with vector covering %d", a.Rows, a.Cols, p.N()))
-	}
-	parts := p.Parts()
-	out := make([][]int64, parts)
-	for i := range out {
-		out[i] = make([]int64, parts)
-	}
-	for r := 0; r < a.Rows; r++ {
-		i := p.Owner(r)
-		cols, _ := a.Row(r)
-		for _, c := range cols {
-			out[i][p.Owner(int(c))]++
-		}
-	}
-	return out
 }
 
 // BalancedVector builds a partition vector whose parts carry near-equal

@@ -254,6 +254,44 @@ func TestBalancedVectorBadPartsPanics(t *testing.T) {
 	BalancedVector([]int64{1}, 0)
 }
 
+// Owner returns the part index owning element x.
+func (v Vector) Owner(x int) int {
+	if x < 0 || x >= v.N() {
+		panic(fmt.Sprintf("part: element %d outside [0,%d)", x, v.N()))
+	}
+	lo, hi := 0, v.Parts()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if v[mid+1] <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TileNNZ returns the parts x parts matrix of stored-entry counts for the
+// symmetric tiling of a by vector p: tile[i][j] = nnz(A^{ij}).
+func TileNNZ(a *sparse.CSR, p Vector) [][]int64 {
+	if a.Rows != a.Cols || p.N() != a.Rows {
+		panic(fmt.Sprintf("part: tiling %dx%d with vector covering %d", a.Rows, a.Cols, p.N()))
+	}
+	parts := p.Parts()
+	out := make([][]int64, parts)
+	for i := range out {
+		out[i] = make([]int64, parts)
+	}
+	for r := 0; r < a.Rows; r++ {
+		i := p.Owner(r)
+		cols, _ := a.Row(r)
+		for _, c := range cols {
+			out[i][p.Owner(int(c))]++
+		}
+	}
+	return out
+}
+
 // permutedTileNNZ is TileNNZ of P·A·Pᵀ for perm (perm[old] = new; nil keeps
 // the natural order), counted through perm without building P·A·Pᵀ.
 func permutedTileNNZ(a *sparse.CSR, perm []int32, p Vector) [][]int64 {

@@ -86,10 +86,11 @@ func weights(m Model) int64 {
 }
 
 // VolumeForm evaluates the closed form of the named strategy under m: the
-// three full-batch SpMM strategies (core.Strategy.Name), the GAT forward, or
-// the CAGNET baseline. A new strategy is a new case here beside its row in
-// core's strategy table — the CAGNET-style analysis lives with the form, the
-// checker stays generic.
+// three full-batch SpMM strategies (core.Strategy.Name) or the GAT forward.
+// A new strategy is a new case here beside its row in core's strategy table
+// — the CAGNET-style analysis lives with the form, the checker stays
+// generic. The CAGNET baseline records through 1D-row with OrderSwitch on
+// and SkipFirstBackward off, and is certified by that form.
 func VolumeForm(strategy string, m Model) (map[sim.CollOp]int64, error) {
 	NS := int64(m.N) * int64(m.S)
 	pm1 := int64(m.P - 1)
@@ -120,18 +121,6 @@ func VolumeForm(strategy string, m Model) (map[sim.CollOp]int64, error) {
 		return map[sim.CollOp]int64{
 			sim.CollBroadcast: pm1 * NS * outs,
 			sim.CollAllGather: pm1 * NS * L,
-		}, nil
-	case "cagnet":
-		// CAGNET 1D baseline: aggregate-then-transform at min(F_l, F_{l+1})
-		// forward, full-width backward SpMM on every layer (no §4.4
-		// savings), and one full-model gradient all-reduce per layer.
-		var widths int64
-		for l := 0; l+1 < len(m.Dims); l++ {
-			widths += int64(min(m.Dims[l], m.Dims[l+1]) + m.Dims[l+1])
-		}
-		return map[sim.CollOp]int64{
-			sim.CollBroadcast: pm1 * NS * widths,
-			sim.CollAllReduce: L * weightAllReduce,
 		}, nil
 	}
 	return nil, fmt.Errorf("schedcheck: no volume form for strategy %q", strategy)

@@ -219,7 +219,7 @@ func TestCertifyVolumeMismatch(t *testing.T) {
 
 func TestVolumeFormRegistry(t *testing.T) {
 	model := Model{N: 61, P: 4, S: 1, Dims: []int{12, 16, 4}}
-	for _, name := range []string{"1d-row", "1d-col", "1.5d", "gat", "cagnet"} {
+	for _, name := range []string{"1d-row", "1d-col", "1.5d", "gat"} {
 		if vol, err := VolumeForm(name, model); err != nil || len(vol) == 0 {
 			t.Fatalf("strategy %q has no volume form: %v, %v", name, vol, err)
 		}

@@ -24,7 +24,7 @@ import (
 //     the 1.5D-style aliasing bug class: two views of one buffer silently
 //     overlapping at different shapes.
 //
-// Tasks with no shaped declaration (raw test binds, the CAGNET cost model)
+// Tasks with no shaped declaration (raw test binds)
 // are skipped; phantom graphs declare like real ones. Opaque
 // entries (ViewShape.Opaque) participate in ordering only and are ignored
 // here.
