@@ -88,8 +88,8 @@ type FitVerdict struct {
 // the ROADMAP's "does Papers fit at Scale 1?" question) and returns fit
 // verdicts against spec.MemBytesPerGPU. It covers every PeakForm but the
 // sampled pipeline's (whose footprint needs a batch/fanout plan, not just a
-// dataset). A strategy whose replication factor does not divide p is
-// skipped.
+// dataset), and CAGNET's own footprint. A strategy whose replication factor
+// does not divide p is skipped.
 func FitCatalog(spec sim.MachineSpec, p, scale, hidden, layers int) ([]FitVerdict, error) {
 	if scale < 1 {
 		return nil, fmt.Errorf("memcheck: scale must be >= 1, got %d", scale)
