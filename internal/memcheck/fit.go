@@ -49,12 +49,13 @@ func AnalyticResident(name string, n, m int64, dims []int, p int, overlap bool) 
 	return fp.Resident, nil
 }
 
-// cagnetResident is CAGNET's own per-GPU footprint (Fig 12b's line), which
-// no recorded graph allocates: the trainer that times CAGNET reuses §4.2's
-// buffers, CAGNET keeps three per layer. Device 0 of a balanced partition
-// holds ceil(n/p) rows: their row pointers, its m/p nonzeros (column index
-// and value), the feature shard, three buffers per layer, two stage-receive
-// buffers at the widest width, and the weights with Adam's two moments.
+// cagnetResident is CAGNET's own per-GPU footprint and, at p = 1, DGL's (Fig
+// 12's two baseline lines), which no recorded graph allocates: the trainer
+// that times both baselines reuses §4.2's buffers, they keep three per layer.
+// Device 0 of a balanced partition holds ceil(n/p) rows: their row pointers,
+// its m/p nonzeros (column index and value), the feature shard, three
+// buffers per layer, two stage-receive buffers at the widest width, and the
+// weights with Adam's two moments.
 func cagnetResident(n, m int64, dims []int, p int) (int64, error) {
 	if len(dims) < 2 || p < 1 {
 		return 0, fmt.Errorf("memcheck: cagnet needs at least 1 layer and 1 GPU, got dims %v at P=%d", dims, p)
