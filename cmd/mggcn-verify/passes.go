@@ -79,7 +79,7 @@ func (v *verifier) schedcheckPass() string {
 			v.finding("%s: %v", s.label(), f)
 		}
 		model := schedcheck.Model{N: v.graph.N(), P: s.p, S: s.cfg.MemScale,
-			Dims: s.dims, OrderSwitch: s.cfg.OrderSwitch, SkipFirstBackward: s.cfg.SkipFirstBackward,
+			Dims: s.dims, SkipFirstBackward: s.cfg.SkipFirstBackward,
 		}
 		vol, err := schedcheck.VolumeForm(s.form(), model)
 		if err != nil {

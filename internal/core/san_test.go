@@ -25,11 +25,11 @@ func sanConfigs() map[string]func(cfg *Config) {
 		"1dcol":         func(cfg *Config) { cfg.Strategy = Strategy1DCol },
 		"1dcol-overlap": func(cfg *Config) { cfg.Strategy = Strategy1DCol; cfg.Overlap = true },
 		"15d":           func(cfg *Config) { cfg.Strategy = Strategy15D; cfg.Overlap = true },
-		// GeMM first in every layer: a group's last stage reads the root's
-		// HW slab, which the next layer's GeMM overwrites with no collective
-		// recorded in between.
-		"1drow-noswitch": func(cfg *Config) { cfg.OrderSwitch = false },
-		"15d-noswitch":   func(cfg *Config) { cfg.Strategy = Strategy15D; cfg.OrderSwitch = false },
+		// GeMM first in every layer (hidden <= the graph's 12 features): a
+		// group's last stage reads the root's HW slab, which the next layer's
+		// GeMM overwrites with no collective recorded in between.
+		"1drow-noswitch": func(cfg *Config) { cfg.Hidden = 12 },
+		"15d-noswitch":   func(cfg *Config) { cfg.Strategy = Strategy15D; cfg.Hidden = 12 },
 	}
 }
 
@@ -77,16 +77,16 @@ func TestTrainerFenceRemovalFlagged(t *testing.T) {
 // TestLastStageFenceRemovalFlagged: a stage's non-root SpMMs multiply the
 // root's block in place. The group's next broadcast fences the root's next
 // write behind them, but after the group's last stage only the host-only
-// ordering (Graph.After) does. With GeMM first in every layer, deleting it
-// must leave conflicts under the executor's contract, every one of them on
-// a last-stage root's HW/AHW slab.
+// ordering (Graph.After) does. With GeMM first in every layer (hidden <= the
+// graph's 12 features), deleting it must leave conflicts under the
+// executor's contract, every one of them on a last-stage root's HW/AHW slab.
 func TestLastStageFenceRemovalFlagged(t *testing.T) {
 	g := testGraph(t)
 	for _, st := range []Strategy{Strategy1DRow, Strategy15D} {
 		for _, overlap := range []bool{false, true} {
 			name := fmt.Sprintf("%v overlap=%t", st, overlap)
 			cfg := testConfig(4)
-			cfg.Strategy, cfg.Overlap, cfg.OrderSwitch = st, overlap, false
+			cfg.Strategy, cfg.Overlap, cfg.Hidden = st, overlap, 12
 			tr := mustNewTrainer(t, g, cfg)
 			mustEpoch(tr)
 			tg := tr.LastGraph()

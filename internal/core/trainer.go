@@ -37,7 +37,6 @@ type Config struct {
 	// to permutation (combinable with any ordering).
 	BalancedPartition bool
 	Overlap           bool // §4.3 comm/compute overlap
-	OrderSwitch       bool // §4.4 GeMM/SpMM order selection
 	SkipFirstBackward bool // §4.4 saved first-layer backward SpMM
 
 	Seed int64 // weight initialization seed
@@ -53,8 +52,7 @@ func DefaultConfig(spec sim.MachineSpec, p, memScale int) Config {
 		Spec: spec, P: p, MemScale: memScale,
 		Hidden: 512, Layers: 2, LR: 0.01,
 		Ordering: OrderingRandom, PermSeed: 1, Overlap: true,
-		OrderSwitch: true, SkipFirstBackward: true,
-		Seed: 1,
+		SkipFirstBackward: true, Seed: 1,
 	}
 }
 
@@ -285,7 +283,7 @@ func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
 			})
 		}
 		var next []int
-		if tr.Cfg.OrderSwitch && dIn < dOut {
+		if dIn < dOut {
 			// §4.4: aggregate in the narrower dimension first:
 			// AH = Âᵀ H (width dIn), then AHW = (AH) W.
 			next = gemm(tr.hwView(dIn), out, spmm(input, tr.hwView(dIn), dIn, hReady))

@@ -14,7 +14,6 @@ import (
 type Model struct {
 	N, P, S           int
 	Dims              []int // layer widths F0..FL
-	OrderSwitch       bool
 	SkipFirstBackward bool
 }
 
@@ -64,11 +63,7 @@ func CertifyVolume(g *sim.Graph, want map[sim.CollOp]int64, m Model) []Finding {
 func spmmWidths(m Model) int64 {
 	var sum int64
 	for l := 0; l+1 < len(m.Dims); l++ {
-		fwd := m.Dims[l+1]
-		if m.OrderSwitch {
-			fwd = min(m.Dims[l], fwd)
-		}
-		sum += int64(fwd)
+		sum += int64(min(m.Dims[l], m.Dims[l+1]))
 		if l > 0 || !m.SkipFirstBackward {
 			sum += int64(m.Dims[l+1])
 		}
@@ -89,8 +84,8 @@ func weights(m Model) int64 {
 // three full-batch SpMM strategies (core.Strategy.Name) or the GAT forward.
 // A new strategy is a new case here beside its row in core's strategy table
 // — the CAGNET-style analysis lives with the form, the checker stays
-// generic. The CAGNET baseline records through 1D-row with OrderSwitch on
-// and SkipFirstBackward off, and is certified by that form.
+// generic. The CAGNET baseline records through 1D-row with SkipFirstBackward
+// off, and is certified by that form.
 func VolumeForm(strategy string, m Model) (map[sim.CollOp]int64, error) {
 	NS := int64(m.N) * int64(m.S)
 	pm1 := int64(m.P - 1)

@@ -48,7 +48,7 @@ func certifyTrainer(t *testing.T, g *graph.Graph, cfg core.Config) {
 
 	strat := strings.ToLower(cfg.Strategy.String())
 	model := schedcheck.Model{N: g.N(), P: cfg.P, S: cfg.MemScale,
-		Dims: tr.Dims, OrderSwitch: cfg.OrderSwitch, SkipFirstBackward: cfg.SkipFirstBackward,
+		Dims: tr.Dims, SkipFirstBackward: cfg.SkipFirstBackward,
 	}
 	vol, err := schedcheck.VolumeForm(strat, model)
 	if err != nil {
@@ -86,16 +86,15 @@ func TestGoldenCertification(t *testing.T) {
 		{"1d-row-p1", 1, core.Strategy1DRow, 1, nil},
 		{"1d-row-p3", 3, core.Strategy1DRow, 1, nil},
 		{"1d-row-p4-scaled", 4, core.Strategy1DRow, 3, nil},
+		// Hidden <= the graph's 12 features: GeMM first in every layer.
 		{"1d-row-p4-no-opts", 4, core.Strategy1DRow, 1, func(c *core.Config) {
-			c.OrderSwitch, c.SkipFirstBackward, c.Overlap = false, false, false
+			c.Hidden, c.SkipFirstBackward, c.Overlap = 12, false, false
 		}},
 		{"1d-col-p2", 2, core.Strategy1DCol, 1, nil},
 		{"1d-col-p3-scaled", 3, core.Strategy1DCol, 2, nil},
 		{"1.5d-p2", 2, core.Strategy15D, 1, nil}, // blocks=1: no broadcasts, pair reduction only
 		{"1.5d-p4", 4, core.Strategy15D, 1, nil},
-		{"1.5d-p4-scaled", 4, core.Strategy15D, 2, func(c *core.Config) {
-			c.OrderSwitch = false
-		}},
+		{"1.5d-p4-scaled", 4, core.Strategy15D, 2, func(c *core.Config) { c.Hidden = 12 }},
 		// CAGNET: 1D-row stage-synchronous, every backward SpMM, natural order.
 		{"cagnet-p3-scaled", 3, core.Strategy1DRow, 2, func(c *core.Config) { *c = baseline.CAGNET(*c) }},
 	}
