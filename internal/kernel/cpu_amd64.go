@@ -2,6 +2,11 @@
 
 package kernel
 
+import (
+	"os"
+	"strings"
+)
+
 // cpuid and xgetbv0 are implemented in cpuid_amd64.s.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
@@ -12,7 +17,9 @@ func xgetbv0() (eax, edx uint32)
 // its bit in CPUID.7:EBX, and the opmask and both halves of the ZMM state
 // enabled in XCR0, so the kernel saves Z0–Z31 and K0–K7 on a signal. hasFMA
 // says whether they also have FMA, the CPUID.1:ECX bit math.Exp's fused path
-// is chosen by. No library dependency — the module vendors nothing.
+// is chosen by. GODEBUG's cpu.avx2 and cpu.avx512f switch the first two off
+// for this package as they do for the runtime (godebugCPU). No library
+// dependency — the module vendors nothing.
 var hasAVX2, hasAVX512, hasFMA = cpuFeatures()
 
 func cpuFeatures() (avx2, avx512, fma bool) {
@@ -39,6 +46,34 @@ func cpuFeatures() (avx2, avx512, fma bool) {
 	)
 	xlo, _ := xgetbv0()
 	_, ebx7, _, _ := cpuid(7, 0)
-	avx2 = xlo&ymmState == ymmState && ebx7&avx2Bit != 0
-	return avx2, avx2 && xlo&zmmState == zmmState && ebx7&avx512FBit != 0, avx2 && ecx1&fmaBit != 0
+	on2, on512 := godebugCPU(os.Getenv("GODEBUG"))
+	avx2 = on2 && xlo&ymmState == ymmState && ebx7&avx2Bit != 0
+	return avx2, avx2 && on512 && xlo&zmmState == zmmState && ebx7&avx512FBit != 0, avx2 && ecx1&fmaBit != 0
+}
+
+// godebugCPU reads GODEBUG's cpu.avx2, cpu.avx512f and cpu.all settings as
+// Go's runtime reads its own (internal/cpu.processOptions): comma-separated
+// cpu.<name>=on|off, any other value ignored, a later setting over an earlier
+// one. So one binary runs the 512-bit bodies, the AVX2 ones or the scalar
+// table. "on" cannot add what CPUID lacks. cpu.fma is left to ExpRow's
+// probe, since math.Exp follows it: its bodies stay offered, are refused,
+// and Impl names the fallback.
+func godebugCPU(env string) (avx2, avx512 bool) {
+	avx2, avx512 = true, true
+	for _, f := range strings.Split(env, ",") {
+		key, value, _ := strings.Cut(f, "=")
+		if value != "on" && value != "off" {
+			continue
+		}
+		on := value == "on"
+		switch key {
+		case "cpu.all":
+			avx2, avx512 = on, on
+		case "cpu.avx2":
+			avx2 = on
+		case "cpu.avx512f":
+			avx512 = on
+		}
+	}
+	return avx2, avx512
 }
