@@ -45,14 +45,14 @@
 //
 // Tail elements past the widest vector multiple are always handled by the
 // same scalar expressions, or by a lane mask (Tile and SpMMRow on AVX2) or
-// opmask registers (Tile and the softmax rows on AVX-512), so odd lengths
-// and misaligned slices are safe and bit-identical too.
+// opmask registers (Tile, SpMMRow and the softmax rows on AVX-512), so odd
+// lengths and misaligned slices are safe and bit-identical too.
 //
 // All slice arguments of one vector-kernel call must have the same length
 // (callers slice before calling); the dst length is authoritative. Tile and
 // SpMMRow take extents and strides instead, and prove them against their
-// slices before the assembly sees a pointer (the AVX2 row body proves its own
-// columns). Swapping implementations is not synchronized — dispatch happens in
+// slices before the assembly sees a pointer (the vector row bodies prove
+// their own columns). Swapping implementations is not synchronized — dispatch happens in
 // init, before any kernel runs.
 package kernel
 
@@ -133,7 +133,8 @@ var one = [1]float32{1}
 
 // SpMMStrip is the widest strip one SpMMRow call owns: eight 8-float vectors
 // is the eight accumulators that, with a broadcast value, a masked load and
-// the products in flight, fit the sixteen YMM registers.
+// the products in flight, fit the sixteen YMM registers. The AVX-512 body
+// holds the same strip in four ZMM accumulators.
 const SpMMStrip = 64
 
 func addScalar(x, dst []float32) {
@@ -170,7 +171,7 @@ func spmmRowScalar(c, x []float32, xs, xrows int, cols []int32, vals []float32, 
 
 // checkSpMMRow panics unless checkSpMMExtents holds and each of the row's n
 // columns names a row of X: the whole proof the assembly bodies, which index
-// raw pointers, run behind. The AVX2 body proves the columns itself.
+// raw pointers, run behind. The vector bodies prove the columns themselves.
 func checkSpMMRow(c, x []float32, xs, xrows int, cols []int32, vals []float32, form ValForm, n int) {
 	checkSpMMExtents(c, x, xs, xrows, cols, vals, form, n)
 	bad := 0

@@ -79,61 +79,3 @@ func TestSpMMRowFormsMatchPerEntry(t *testing.T) {
 		}
 	}
 }
-
-// FuzzSpMMRowModes holds the dispatched row kernel to the scalar one over
-// fuzzed strip widths, entry counts, columns (past the row too, where the
-// look-ahead reads), value forms and values: the scale's bytes are float32
-// bits, so every special value turns up, and they are also written into X.
-// Results agree bit for bit but for which NaN survives, which is not part of
-// the contract.
-func FuzzSpMMRowModes(f *testing.F) {
-	f.Add(uint8(63), uint8(2), uint8(3), true, []byte{0, 1, 1, 2, 0}, []byte{0, 0, 0x80, 0x3f, 0, 0, 0xc0, 0x7f, 1, 0, 0, 0}, uint64(1))
-	f.Add(uint8(7), uint8(1), uint8(1), false, []byte{2}, []byte{0, 0, 0x80, 0x7f, 0, 0, 0, 0x80, 0xff, 0xff, 0x7f, 0x7f}, uint64(2))
-	f.Add(uint8(40), uint8(0), uint8(30), true, make([]byte, 40), []byte{1, 0, 0, 0, 0xdb, 0x0f, 0x49, 0x40}, uint64(3))
-	f.Add(uint8(16), uint8(3), uint8(4), false, []byte{1, 0, 1, 0, 1}, []byte{0, 0, 0x20, 0x41}, uint64(4))
-	f.Fuzz(func(t *testing.T, width, form, n uint8, acc bool, colBytes, scaleBytes []byte, seed uint64) {
-		if len(colBytes) == 0 || len(scaleBytes) < 4 {
-			return
-		}
-		w := 1 + int(width)%SpMMStrip
-		scale := make([]float32, min(len(scaleBytes)/4, 64))
-		for i := range scale {
-			b := scaleBytes[4*i:]
-			scale[i] = math.Float32frombits(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-		}
-		xrows, xs := len(scale), w+1
-		cols := make([]int32, min(len(colBytes), 256))
-		for k := range cols {
-			cols[k] = int32(colBytes[k]) % int32(xrows)
-		}
-		x := probeFloats(xrows*xs, seed|1)
-		for i, v := range scale {
-			x[(i*13)%len(x)] = v
-		}
-		var vals []float32
-		vf := ValForm(form % 3)
-		switch {
-		case form%4 == 3: // ones
-		case vf == PerEntry:
-			vals = make([]float32, len(cols))
-			for k := range vals {
-				vals[k] = scale[k%len(scale)]
-			}
-		case vf == RowConst:
-			vals = scale[int(seed%uint64(xrows)):][:1]
-		default:
-			vals = scale
-		}
-		rowN := int(n) % (len(cols) + 1)
-		c0 := probeFloats(2+w+2, seed>>1|1)
-		got, want := append([]float32(nil), c0...), append([]float32(nil), c0...)
-		SpMMRow(got[2:2+w], x, xs, xrows, cols, vals, vf, rowN, acc)
-		spmmRowScalar(want[2:2+w], x, xs, xrows, cols, vals, vf, rowN, acc)
-		for i := range want {
-			if g, e := got[i], want[i]; math.Float32bits(g) != math.Float32bits(e) && !(g != g && e != e) {
-				t.Fatalf("w=%d form=%d n=%d of %d acc=%v: c[%d] = %x, scalar %x under impl %q",
-					w, vf, rowN, len(cols), acc, i-2, math.Float32bits(g), math.Float32bits(e), Impl())
-			}
-		}
-	})
-}

@@ -136,18 +136,25 @@ func BenchmarkParallelSpMM(b *testing.B) {
 		})
 	}
 	// fullbatch-spmm's stage tile as an epoch runs it, on one and two lanes:
-	// the rate the row kernel's in-body column check is measured by.
-	for _, w := range []int{1, 2} {
-		b.Run(fmt.Sprintf("fullbatch-spmm/workers=%d", w), func(b *testing.B) {
-			a := tileCSR(4096, 4096, 96, 4096)
-			rng := rand.New(rand.NewSource(5))
-			x, c := randomDense(rng, 4096, 64), tensor.NewDense(4096, 64)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ParallelSpMM(a, x, 0, c, w)
-			}
-			b.ReportMetric(float64(SpMMFlops(a.NNZ(), 64))*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
-		})
+	// the rate the row kernel's in-body column check is measured by. Its
+	// layer-1 passes run at the class width, 47, where a 16-float vector of
+	// most X rows straddles two cache lines.
+	for _, cfg := range []struct {
+		name  string
+		width int
+	}{{"fullbatch-spmm", 64}, {"fullbatch-spmm-classes", 47}} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", cfg.name, w), func(b *testing.B) {
+				a := tileCSR(4096, 4096, 96, 4096)
+				rng := rand.New(rand.NewSource(5))
+				x, c := randomDense(rng, 4096, cfg.width), tensor.NewDense(4096, cfg.width)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ParallelSpMM(a, x, 0, c, w)
+				}
+				b.ReportMetric(float64(SpMMFlops(a.NNZ(), cfg.width))*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+			})
+		}
 	}
 }
 
