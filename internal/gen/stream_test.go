@@ -3,6 +3,7 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -195,6 +196,84 @@ func FuzzStream(f *testing.F) {
 				p = bernoulliProbs[arg]
 			}
 			checkBernoulli(t, s, ref, int(op>>1)*int(op>>1)*8, p)
+		}
+	})
+}
+
+// nextWords returns r's next k raw words.
+func nextWords(r *rawSource, k int) []uint64 {
+	w := make([]uint64, k)
+	for i := range w {
+		w[i] = r.Uint64()
+	}
+	return w
+}
+
+// checkJump fails unless s jumped by m is the stream ref reaches by stepping
+// m words: the same position and the same next 1214 words, two refills'
+// worth.
+func checkJump(t testing.TB, s stream, ref *rawSource, m int) {
+	t.Helper()
+	at := s.n0 + s.pos
+	s.jump(m)
+	if s.n0+s.pos != at+m {
+		t.Fatalf("jump %d from %d lands at %d", m, at, s.n0+s.pos)
+	}
+	for i := 0; i < m; i++ {
+		ref.Uint64()
+	}
+	got, want := nextWords(newRawSource(s), 2*len(s.buf)), nextWords(ref, 2*len(s.buf))
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("jump %d from %d: word %d after it is %#x, stepping gives %#x", m, at, i, got[i], want[i])
+		}
+	}
+}
+
+// TestStreamJumpMatchesStepping jumps seeded and crafted states (any
+// position, words at and above redraw planted) by offsets on both sides of
+// each refill boundary and holds them to stepping the textbook recurrence.
+func TestStreamJumpMatchesStepping(t *testing.T) {
+	offsets := []int{0, 1, 2, 300, 606, 607, 608, 1213, 1214, 1215, 5000, 100_000}
+	for _, seed := range []int64{0, 1, -7} {
+		for _, pos := range []int{0, 1, 333, 606, 607} {
+			s := *newStream(uint64(seed))
+			s.pos = pos
+			s.buf[pos%len(s.buf)], s.buf[(pos+5)%len(s.buf)] = redraw, 1<<64-1
+			for _, m := range offsets {
+				checkJump(t, s, newRawSource(s), m)
+			}
+		}
+	}
+}
+
+// FuzzStreamJump jumps a seeded stream, crafted at a fuzzed position with a
+// fuzzed word planted (the seeds plant words at and above redraw), by a
+// fuzzed offset: up to 10⁵ it must match stepping rawSource, and past that a
+// jump of a + b must equal a jump of a and then one of b. The seeds reach
+// phase 1's scale (8·10⁸ draws) and past 2⁴⁰.
+func FuzzStreamJump(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(0), uint64(redraw), uint64(700))
+	f.Add(int64(-5), uint16(606), uint16(3), uint64(1<<64-1), uint64(99_999))
+	f.Add(int64(9), uint16(607), uint16(606), uint64(1<<63|redraw), uint64(800_000_000))
+	f.Add(int64(2), uint16(40), uint16(41), uint64(redraw-1), uint64(1<<45+77))
+	f.Add(int64(3), uint16(100), uint16(100), uint64(1<<64-1), uint64(799_980_000))
+	f.Fuzz(func(t *testing.T, seed int64, pos, at uint16, word, m uint64) {
+		s := *newStream(uint64(seed))
+		s.pos = int(pos) % (len(s.buf) + 1)
+		s.buf[int(at)%len(s.buf)] = word
+		if m <= 100_000 {
+			checkJump(t, s, newRawSource(s), int(m))
+			return
+		}
+		m %= 1 << 50
+		a := int(m / 3)
+		one, two := s, s
+		one.jump(int(m))
+		two.jump(a)
+		two.jump(int(m) - a)
+		if one.n0+one.pos != two.n0+two.pos || !slices.Equal(nextWords(newRawSource(one), 1214), nextWords(newRawSource(two), 1214)) {
+			t.Fatalf("jump %d then %d is not the jump of their sum", a, int(m)-a)
 		}
 	})
 }

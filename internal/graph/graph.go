@@ -5,8 +5,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
@@ -106,17 +107,22 @@ func (g *Graph) Split(trainFrac, valFrac float64, seed uint64) {
 	g.TrainMask = make([]bool, n)
 	g.ValMask = make([]bool, n)
 	g.TestMask = make([]bool, n)
-	// Deterministic pseudo-shuffle via splitmix64 hashing of the index.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	// Deterministic pseudo-shuffle: vertices sorted by a splitmix64 hash of
+	// the index, computed once each. mix64 is a bijection, so the keys are
+	// distinct and every sort gives the same order.
+	type keyed struct {
+		key uint64
+		v   int
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return mix64(uint64(order[i])+seed) < mix64(uint64(order[j])+seed)
-	})
+	order := make([]keyed, n)
+	for i := range order {
+		order[i] = keyed{mix64(uint64(i) + seed), i}
+	}
+	slices.SortFunc(order, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 	nTrain := int(trainFrac * float64(n))
 	nVal := int(valFrac * float64(n))
-	for i, v := range order {
+	for i, o := range order {
+		v := o.v
 		switch {
 		case i < nTrain:
 			g.TrainMask[v] = true

@@ -18,6 +18,7 @@ func tileVec512(k int, a *float32, ars, aks int, b *float32, bs int, c *float32,
 func spmmRowVec(c *float32, w int, x *float32, xs, xrows int, cols, last *int32, vals *float32, form ValForm, n int, acc bool) (bad bool)
 func spmmRowVec512(c *float32, w int, x *float32, xs, xrows int, cols, last *int32, vals *float32, form ValForm, n int, acc bool) (bad bool)
 func addU64Vec8(dst, x *uint64, n int)
+func addScan63Vec512(dst, src *uint64, n int, lo, hi uint64) int
 func firstOutside63Vec8(v *uint64, n int, lom1, him1 uint64) int
 
 // The softmax row's bodies, math.Exp's fused path (exp_amd64.s's avxfma) on
@@ -41,7 +42,7 @@ var (
 	addBodies            = offer(hasAVX2, "avx2", addAVX2)
 	reluBodies           = offer(hasAVX2, "avx2", reluAVX2)
 	reluMaskBodies       = offer(hasAVX2, "avx2", reluMaskAVX2)
-	addU64Bodies         = offer(hasAVX2, "avx2", addU64AVX2)
+	advanceScan63Bodies  = append(offer(hasAVX512, "avx512", advanceScan63AVX512), offer(hasAVX2, "avx2", advanceScan63AVX2)...)
 	firstOutside63Bodies = offer(hasAVX2, "avx2", firstOutside63AVX2)
 	expRowBodies         = append(offer(hasAVX512 && hasFMA, "avx512", expRowAVX512), offer(hasFMA, "avx2", expRowAVX2)...)
 	normRowBodies        = append(offer(hasAVX512, "avx512", normRowAVX512), offer(hasAVX2, "avx2", normRowAVX2)...)
@@ -53,7 +54,7 @@ func init() {
 	install("Add", &Add, probeAdd, addBodies)
 	install("ReLU", &ReLU, probeReLU, reluBodies)
 	install("ReLUMask", &ReLUMask, probeReLUMask, reluMaskBodies)
-	install("AddU64", &AddU64, probeAddU64, addU64Bodies)
+	install("AdvanceScan63", &AdvanceScan63, probeAdvanceScan63, advanceScan63Bodies)
 	install("FirstOutside63", &FirstOutside63, probeFirstOutside63, firstOutside63Bodies)
 	install("ExpRow", &ExpRow, probeExpRow, expRowBodies)
 	install("NormRow", &NormRow, probeNormRow, normRowBodies)
@@ -73,6 +74,23 @@ func reluAVX2(dst, src []float32) {
 		reluVec8(&dst[0], &src[0], nv)
 	}
 	reluScalar(dst[nv:], src[nv:])
+}
+
+// advanceScan63AVX512 adds and scans each run in one pass. Once a run finds
+// a word outside, the later runs get bounds that hold every word inside.
+func advanceScan63AVX512(buf *[607]uint64, lo, hi uint64) int {
+	at := len(buf)
+	for _, r := range streamRuns {
+		if i := addScan63Vec512(&buf[r.dst], &buf[r.src], r.n, lo, hi); i < r.n {
+			at, lo, hi = r.dst+i, 0, 1<<63
+		}
+	}
+	return at
+}
+
+func advanceScan63AVX2(buf *[607]uint64, lo, hi uint64) int {
+	advanceWith(buf, addU64AVX2)
+	return firstOutside63AVX2(buf[:], lo, hi)
 }
 
 func addU64AVX2(dst, x []uint64) {

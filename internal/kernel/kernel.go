@@ -39,9 +39,11 @@
 // refuses them and only ExpRow runs its scalar body. The row sum is one
 // float64 add per element, j ascending.
 //
-// The stream's loops (AddU64, FirstOutside63) are integer arithmetic and
-// compares, so their contract is plain equality: every body returns exactly
-// what the scalar loop returns, and so every generated graph is the same.
+// The stream's entries (AdvanceScan63, FirstOutside63) are integer
+// arithmetic and compares, so their contract is plain equality: every body
+// leaves the words and returns the index the scalar loops do, and so every
+// generated graph is the same (AdvanceScan63's AVX-512 body adds and scans in
+// one pass, the others add and then scan).
 //
 // Tail elements past the widest vector multiple are always handled by the
 // same scalar expressions, or by a lane mask (Tile and SpMMRow on AVX2) or
@@ -89,9 +91,12 @@ var (
 	// ReLUMask computes dst[j] = grad[j] where act[j] > 0, else +0. dst may
 	// be grad or act.
 	ReLUMask func(dst, grad, act []float32) = reluMaskScalar
-	// AddU64 computes dst[j] += x[j] mod 2⁶⁴. dst and x may be the same
-	// slice but must not otherwise overlap.
-	AddU64 func(dst, x []uint64) = addU64Scalar
+	// AdvanceScan63 steps math/rand's seeded source a block: it sets
+	// buf[j] += buf[(j+334) mod 607] mod 2⁶⁴ for j ascending, which is
+	// x[n+607] = x[n] + x[n+334] for the block's 607 words, and returns the
+	// first j whose new buf[j] & (1<<63 − 1) lies outside [lo, hi), or 607
+	// if there is none. lo ≥ hi makes every value outside.
+	AdvanceScan63 func(buf *[607]uint64, lo, hi uint64) int = advanceScan63Scalar
 	// FirstOutside63 returns the first j whose v[j] & (1<<63 − 1) lies
 	// outside [lo, hi), or len(v) if there is none. lo ≥ hi makes every
 	// value outside.
@@ -302,6 +307,22 @@ func reluMaskScalar(dst, grad, act []float32) {
 		keep := uint32((int64(math.Float32bits(act[j])-1) - 0x7f800000) >> 63)
 		dst[j] = math.Float32frombits(math.Float32bits(grad[j]) & keep)
 	}
+}
+
+// streamRuns are the block step's three runs of disjoint slices, dst += src:
+// the second and third read words the run before wrote. advanceWith steps
+// the block by one call of add per run.
+var streamRuns = [3]struct{ dst, src, n int }{{0, 334, 273}, {273, 0, 273}, {546, 273, 61}}
+
+func advanceWith(buf *[607]uint64, add func(dst, x []uint64)) {
+	for _, r := range streamRuns {
+		add(buf[r.dst:r.dst+r.n], buf[r.src:r.src+r.n])
+	}
+}
+
+func advanceScan63Scalar(buf *[607]uint64, lo, hi uint64) int {
+	advanceWith(buf, addU64Scalar)
+	return firstOutside63Scalar(buf[:], lo, hi)
 }
 
 func addU64Scalar(dst, x []uint64) {

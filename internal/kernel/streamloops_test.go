@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 )
 
@@ -87,54 +86,67 @@ func TestFirstOutside63Definition(t *testing.T) {
 	}
 }
 
-// TestAddU64MatchesScalar: the dispatched sum and the scalar loop agree on
-// runs of 0–70 words at every pair of start offsets 0–7 inside two
-// stream-sized buffers, over words uniform on 2⁶⁴ (half of all sums wrap) and
-// over words next to 2⁶⁴ (all of them wrap), and dst may be x.
-func TestAddU64MatchesScalar(t *testing.T) {
-	dst0, x := make([]uint64, streamBuf), make([]uint64, streamBuf)
+// TestAdvanceScan63MatchesScalar: the dispatched block step and the scalar
+// body leave the same words and return the same index with each value next
+// to a bound planted at every position of a block otherwise inside, at the
+// lows the probe runs and at bounds outside the stream's use, lo = hi = 0
+// (the stream's plain refill) among them; and on blocks
+// of words uniform on 2⁶⁴ (half of all sums wrap) and next to 2⁶⁴ (all of
+// them do), whose scan stops at the first word outside.
+func TestAdvanceScan63MatchesScalar(t *testing.T) {
+	bounds := [][2]uint64{{1 << 62, 3}, {0, 1 << 63}, {5, 1<<64 - 1}, {1 << 63, 1<<63 + 9}, {1<<63 - 1, 1 << 63}, {0, 0}}
+	for _, lo := range scanLos {
+		bounds = append(bounds, [2]uint64{lo, streamRedraw})
+	}
+	every := make([]int, 607)
+	for p := range every {
+		every[p] = p
+	}
+	for _, b := range bounds {
+		if err := checkAdvanceScan63(AdvanceScan63, b[:1], b[1], every); err != nil {
+			t.Fatalf("%v under impl %q", err, Impl())
+		}
+	}
+	var next [607]uint64
 	for _, top := range []bool{false, true} {
-		insideRun(dst0, 0, 0, 0x9e3779b97f4a7c15)
-		insideRun(x, 0, 0, 0xbf58476d1ce4e5b9)
-		if top {
-			for i := range x {
-				dst0[i], x[i] = dst0[i]|1<<63|1<<62, x[i]|1<<63|1<<62
+		insideRun(next[:], 0, 0, 0x9e3779b97f4a7c15)
+		for i := range next {
+			if top {
+				next[i] |= 1<<63 | 1<<62
 			}
 		}
-		for doff := 0; doff < 8; doff++ {
-			for xoff := 0; xoff < 8; xoff++ {
-				for n := 0; n <= 70; n++ {
-					got, want := slices.Clone(dst0), slices.Clone(dst0)
-					AddU64(got[doff:doff+n], x[xoff:xoff+n])
-					addU64Scalar(want[doff:doff+n], x[xoff:xoff+n])
-					if i := firstDiff(got, want); i >= 0 {
-						t.Fatalf("near 2⁶⁴ %v, dst off %d x off %d n=%d: word %d is %#x, scalar %#x under impl %q", top, doff, xoff, n, i, got[i], want[i], Impl())
-					}
-				}
-			}
-		}
-		for n := 0; n <= 70; n++ { // dst = x: each word doubled
-			got, want := slices.Clone(dst0), slices.Clone(dst0)
-			AddU64(got[3:3+n], got[3:3+n])
-			addU64Scalar(want[3:3+n], want[3:3+n])
-			if i := firstDiff(got, want); i >= 0 {
-				t.Fatalf("near 2⁶⁴ %v, dst = x, n=%d: word %d is %#x, scalar %#x under impl %q", top, n, i, got[i], want[i], Impl())
+		for _, b := range bounds {
+			got, want := next, next
+			if i, j := AdvanceScan63(&got, b[0], b[1]), advanceScan63Scalar(&want, b[0], b[1]); i != j || got != want {
+				t.Fatalf("near 2⁶⁴ %v, lo=%#x hi=%#x: returns %d, scalar %d (words equal: %v) under impl %q", top, b[0], b[1], i, j, got == want, Impl())
 			}
 		}
 	}
-	// The scalar loop is the textbook sum.
+}
+
+// TestAdvanceScan63Definition holds the scalar body, which the dispatched
+// step is held to, to the entry's own words: the recurrence one word at a
+// time, and the block it steps to is the one the preimage was taken of.
+func TestAdvanceScan63Definition(t *testing.T) {
+	var buf [607]uint64
+	insideRun(buf[:], 0, 0, 0xbf58476d1ce4e5b9)
+	def, got := buf, buf
+	for j := range def {
+		def[j] += def[(j+334)%len(def)]
+	}
+	if i := advanceScan63Scalar(&got, 0, 1<<63); i != len(buf) || got != def {
+		t.Fatalf("scalar returns %d with every word inside, and its words equal the recurrence's: %v", i, got == def)
+	}
+	if old := streamPreimage(&def); advanceScan63Scalar(&old, 0, 1<<63) != len(buf) || old != def {
+		t.Fatalf("the preimage does not step to its block")
+	}
+	if err := probeAdvanceScan63(advanceScan63Scalar); err != nil {
+		t.Fatalf("the scalar body fails the probe: %v", err)
+	}
+	// The add loop is the textbook sum.
 	d := []uint64{1<<64 - 1, 1 << 63, 7}
 	addU64Scalar(d, []uint64{1, 1 << 63, 1<<64 - 8})
 	if d[0] != 0 || d[1] != 0 || d[2] != 1<<64-1 {
 		t.Fatalf("scalar sums %#x, want 0, 0, %#x", d, uint64(1<<64-1))
 	}
-}
-
-func firstDiff(a, b []uint64) int {
-	for i := range a {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return -1
 }

@@ -193,13 +193,56 @@ func insideRun(v []uint64, lo, hi, s uint64) {
 	}
 }
 
-// probeAddU64 holds the stream's refill to its scalar loop on sums that wrap
-// (the words are uniform over 2⁶⁴).
-func probeAddU64(add func(dst, x []uint64)) error {
-	xu, yu := make([]uint64, maxLen), make([]uint64, maxLen)
-	insideRun(xu, 0, 0, 0x9e3779b97f4a7c15)
-	insideRun(yu, 0, 0, 0xbf58476d1ce4e5b9)
-	return probeRows("", xu, slices.Equal, func(n int, d []uint64) { add(d, yu[:n]) }, func(n int, d []uint64) { addU64Scalar(d, yu[:n]) })
+// streamPreimage returns the block AdvanceScan63 steps to next: each run
+// reads words written before it, so an old word is its new word less those.
+func streamPreimage(next *[607]uint64) (old [607]uint64) {
+	for j := 273; j < len(old); j++ {
+		old[j] = next[j] - next[j-273]
+	}
+	for j := 0; j < 273; j++ {
+		old[j] = next[j] - old[j+334]
+	}
+	return old
+}
+
+// probeAdvanceScan63 holds the stream's block step to the block its input is
+// the preimage of and to that block's first word outside, with each edge
+// value of each low planted at each run and vector edge of a block otherwise
+// inside (checkAdvanceScan63), and to the scalar body on uniform words (the
+// sums wrap, and about half the words lie outside [2⁶², redraw)). The scalar
+// body is held to the same.
+func probeAdvanceScan63(step func(buf *[607]uint64, lo, hi uint64) int) error {
+	var got [607]uint64
+	insideRun(got[:], 0, 0, 0x9e3779b97f4a7c15)
+	want := got
+	if i, j := step(&got, 1<<62, streamRedraw), advanceScan63Scalar(&want, 1<<62, streamRedraw); i != j || got != want {
+		return fmt.Errorf("returns %d, scalar %d (words equal: %v), on uniform words", i, j, got == want)
+	}
+	return checkAdvanceScan63(step, scanLos[:], streamRedraw, []int{0, 7, 272, 273, 545, 546, 602, 606})
+}
+
+// checkAdvanceScan63 steps the preimages of blocks inside [lo, hi) with e
+// planted at p, for each lo, p and edge value e, and fails unless step
+// leaves the block and returns the first word outside, which the scalar scan
+// finds in it. lo and hi−1 are inside, so a block with one of them planted
+// has none outside; at lo ≥ hi every word is.
+func checkAdvanceScan63(step func(buf *[607]uint64, lo, hi uint64) int, los []uint64, hi uint64, at []int) error {
+	var next [607]uint64
+	for _, lo := range los {
+		insideRun(next[:], lo, hi, 0x2545f4914f6cdd1d^lo)
+		for _, p := range at {
+			keep := next[p]
+			for _, e := range scanEdges(lo, hi) {
+				next[p] = e
+				got := streamPreimage(&next)
+				if i, j := step(&got, lo, hi), firstOutside63Scalar(next[:], lo, hi); i != j || got != next {
+					return fmt.Errorf("returns %d, want %d (words equal: %v), lo=%#x hi=%#x with %#x at %d", i, j, got == next, lo, hi, e, p)
+				}
+			}
+			next[p] = keep
+		}
+	}
+	return nil
 }
 
 // probeFirstOutside63 holds the stream's scan to its scalar loop with each

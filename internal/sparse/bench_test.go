@@ -78,7 +78,8 @@ func tileCSR(rows, cols, deg, span int) *CSR {
 
 // BenchmarkSpMMTiles times sparse.SpMM, one goroutine, on the tiles the
 // repository benchmark's workloads train on — fullbatch-spmm's stage tile at
-// its hidden width and at its class count, fullbatch-gemm's, and one
+// its hidden width and at its class count, fullbatch-gemm's at its feature
+// width, 104 (layer 0 aggregates before its GeMM, since 104 < 128), and one
 // sampled-thin block — in GFLOP/s per stored entry, each as trained (random
 // columns over the whole X block: L2, past L2, far past it) and with the
 // columns confined to the 16 KB of X that stay in L1. The first column is
@@ -93,7 +94,7 @@ func BenchmarkSpMMTiles(b *testing.B) {
 	}{
 		{"fullbatch-spmm", 4096, 4096, 96, 64},
 		{"fullbatch-spmm-classes", 4096, 4096, 96, 47},
-		{"fullbatch-gemm", 10000, 10000, 13, 128},
+		{"fullbatch-gemm", 10000, 10000, 13, 104},
 		{"sampled-thin", 2816, 28000, 10, 64},
 	} {
 		for _, span := range []int{cfg.cols, 16 << 10 / (4 * cfg.width)} {
@@ -138,16 +139,19 @@ func BenchmarkParallelSpMM(b *testing.B) {
 	// fullbatch-spmm's stage tile as an epoch runs it, on one and two lanes:
 	// the rate the row kernel's in-body column check is measured by. Its
 	// layer-1 passes run at the class width, 47, where a 16-float vector of
-	// most X rows straddles two cache lines.
+	// most X rows straddles two cache lines; at a row stride of 48 floats
+	// (three whole lines) X's and C's rows start on a line, which is what
+	// padding the layout to lines would buy the class width.
 	for _, cfg := range []struct {
-		name  string
-		width int
-	}{{"fullbatch-spmm", 64}, {"fullbatch-spmm-classes", 47}} {
+		name          string
+		width, stride int
+	}{{"fullbatch-spmm", 64, 64}, {"fullbatch-spmm-classes", 47, 47}, {"fullbatch-spmm-classes-stride48", 47, 48}} {
 		for _, w := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", cfg.name, w), func(b *testing.B) {
 				a := tileCSR(4096, 4096, 96, 4096)
 				rng := rand.New(rand.NewSource(5))
-				x, c := randomDense(rng, 4096, cfg.width), tensor.NewDense(4096, cfg.width)
+				x, c := randomDense(rng, 4096, cfg.stride), tensor.NewDense(4096, cfg.stride)
+				x.Cols, c.Cols = cfg.width, cfg.width
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					ParallelSpMM(a, x, 0, c, w)
