@@ -29,6 +29,7 @@ var exportAllowlist = map[string]string{
 	"(*mggcn/internal/tensor.Dense).Fill":       "test support: constant fixtures",
 	"mggcn/internal/tensor.Equal":               "test support: the tolerance compare the floateq rule points to",
 	"mggcn/internal/fault.OnKind":               "test support: kind-scoped fault specs in the trainers' tests",
+	"mggcn/internal/gen.BTER":                   "test support: structure-only graph fixtures (gen.Generate builds the same graph beside its label and feature draws)",
 }
 
 // interfaceMethods are method names the standard library calls through an
