@@ -61,9 +61,9 @@ func TestGuidedSearchMatchesSearchFloat64s(t *testing.T) {
 		}
 		tables = append(tables, w)
 	}
-	// Equal weights put cdf values on bucket edges, where u·n and the edges
-	// round: at n = 12, weight 0.7, u just below 5/12 lands in bucket 5,
-	// whose start is past the answer, and only the walk back finds it.
+	// Equal weights put cdf values on bucket edges, where u·m and the edges
+	// round: u just below an edge can land in the next bucket, whose start is
+	// past the answer, and only the walk back finds it.
 	for n := 1; n <= 64; n++ {
 		for _, c := range []float64{1, 0.1, 0.7, 3} {
 			w := make([]float64, n)
@@ -79,9 +79,9 @@ func TestGuidedSearchMatchesSearchFloat64s(t *testing.T) {
 			checkGuided(t, g, u)
 		}
 		// Every bucket edge and the three floats on either side of it.
-		for b := 0; b <= len(w); b++ {
+		for b, m := 0, len(g.start)-1; b <= m; b++ {
 			for _, toward := range []float64{0, 1} {
-				u := float64(b) / float64(len(w))
+				u := float64(b) / float64(m)
 				for k := 0; k < 3; k++ {
 					if u = math.Nextafter(u, toward); u >= 0 && u < 1 {
 						checkGuided(t, g, u)

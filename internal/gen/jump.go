@@ -1,6 +1,33 @@
 package gen
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"mggcn/internal/pool"
+)
+
+// onLanes runs run(k, s) for each of len(at)−1 lanes, lane k on the stream
+// start jumped by at[k] words, and returns where the last lane ended. A
+// redraw (about 2⁻⁵⁴ per word) moves every later draw by one word: a lane
+// that does not end where the next one started hands its true state on, and
+// the next lane runs again from it, so run must rewrite what it wrote.
+func onLanes(start stream, at []int, run func(k int, s *stream)) stream {
+	lanes := len(at) - 1
+	ends := make([]stream, lanes)
+	pool.ForChunks(lanes, lanes, func(k int) {
+		s := start // each lane's own copy: lanes that wrote one array would share its cache lines
+		s.jump(at[k])
+		run(k, &s)
+		ends[k] = s
+	})
+	for k := 1; k < lanes; k++ {
+		if e := ends[k-1]; e.n0+e.pos != start.n0+start.pos+at[k] {
+			ends[k] = e
+			run(k, &ends[k])
+		}
+	}
+	return ends[lanes-1]
+}
 
 // jump advances s by m words, the draws of m Bernoulli trials without a
 // redraw, without drawing them. The recurrence x[j+607] = x[j] + x[j+334] is

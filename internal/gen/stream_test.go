@@ -149,33 +149,6 @@ func TestStreamRedraw(t *testing.T) {
 	}
 }
 
-func TestEdgeSetGrowsAndDedups(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	s := newEdgeSet(1)
-	seen := map[[2]int32]bool{}
-	var order [][2]int32
-	for i := 0; i < 20000; i++ {
-		u, v := int32(rng.Intn(50)), int32(rng.Intn(50))
-		if u == v {
-			continue
-		}
-		s.add(u, v)
-		key := [2]int32{min(u, v), max(u, v)}
-		if !seen[key] {
-			seen[key] = true
-			order = append(order, key)
-		}
-	}
-	if len(s.us) != len(order) || 2*len(s.us) > len(s.seen) {
-		t.Fatalf("%d edges in a %d-slot table, want %d at most half full", len(s.us), len(s.seen), len(order))
-	}
-	for i, e := range order {
-		if s.us[i] != e[0] || s.vs[i] != e[1] {
-			t.Fatalf("edge %d is (%d,%d), want (%d,%d) in first-insertion order", i, s.us[i], s.vs[i], e[0], e[1])
-		}
-	}
-}
-
 // FuzzStream interleaves Float64 draws and bulk Bernoulli runs of fuzzed
 // length and probability against a rand.Rand on the same seed.
 func FuzzStream(f *testing.F) {

@@ -113,7 +113,8 @@ echo "==> fuzz smoke"
 # (FuzzStream), over its jump-ahead from crafted states against stepping the
 # recurrence, and long jumps against two shorter ones (FuzzStreamJump; both
 # names are anchored, as -fuzz takes a pattern), over its Chung-Lu phase's guide-table search against
-# sort.SearchFloat64s (FuzzGuidedSearch), over the SpMM row kernel's strip
+# sort.SearchFloat64s (FuzzGuidedSearch), over that phase on one to three lanes
+# against its serial loop, a redraw planted in it (FuzzChungLu, anchored), over the SpMM row kernel's strip
 # widths, entry counts, columns, value forms and values against its scalar
 # body (FuzzSpMMRowModes), over every GeMM tile body this CPU is offered
 # against the scalar tile (FuzzTileCandidates), over every offered
@@ -125,6 +126,7 @@ go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz '^FuzzStream$' -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz '^FuzzStreamJump$' -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz FuzzGuidedSearch -fuzztime 10s ./internal/gen/
+go test -run '^$' -fuzz '^FuzzChungLu$' -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz FuzzSpMMRowModes -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz FuzzTileCandidates -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz FuzzExpRow -fuzztime 10s ./internal/kernel/
