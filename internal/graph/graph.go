@@ -5,8 +5,8 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"mggcn/internal/sparse"
@@ -107,26 +107,38 @@ func (g *Graph) Split(trainFrac, valFrac float64, seed uint64) {
 	g.TrainMask = make([]bool, n)
 	g.ValMask = make([]bool, n)
 	g.TestMask = make([]bool, n)
-	// Deterministic pseudo-shuffle: vertices sorted by a splitmix64 hash of
-	// the index, computed once each. mix64 is a bijection, so the keys are
-	// distinct and every sort gives the same order.
-	type keyed struct {
-		key uint64
-		v   int
-	}
-	order := make([]keyed, n)
-	for i := range order {
-		order[i] = keyed{mix64(uint64(i) + seed), i}
-	}
-	slices.SortFunc(order, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	// Deterministic pseudo-shuffle: a vertex's rank among splitmix64 hashes
+	// of the indices (mix64 is a bijection, so they are distinct) picks its
+	// mask. A counting pass over the keys' top bits finds the buckets that
+	// hold ranks nTrain and nTrain+nVal; only their keys need ranking within
+	// the bucket, and any other key's bucket start stands for its rank.
 	nTrain := int(trainFrac * float64(n))
 	nVal := int(valFrac * float64(n))
-	for i, o := range order {
-		v := o.v
+	shift := 64 - bits.Len(uint(n))
+	keys, start := make([]uint64, n), make([]int, 1<<(64-shift)+1)
+	for v := range keys {
+		keys[v] = mix64(uint64(v) + seed)
+		start[keys[v]>>shift+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	holding := func(rank int) uint64 { b, _ := slices.BinarySearch(start, rank+1); return uint64(b - 1) }
+	bt, bv := holding(nTrain), holding(nTrain+nVal)
+	for v, k := range keys {
+		b := k >> shift
+		r := start[b]
+		if b == bt || b == bv { // its rank within the bucket: a bucket holds about one key
+			for _, o := range keys {
+				if o >= b<<shift && o < k {
+					r++
+				}
+			}
+		}
 		switch {
-		case i < nTrain:
+		case r < nTrain:
 			g.TrainMask[v] = true
-		case i < nTrain+nVal:
+		case r < nTrain+nVal:
 			g.ValMask[v] = true
 		default:
 			g.TestMask[v] = true

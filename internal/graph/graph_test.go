@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"mggcn/internal/sparse"
@@ -113,6 +115,32 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
+// TestSplitMatchesSortedKeys holds Split to sorting every vertex by its key
+// and cutting the order at nTrain and nTrain+nVal, over vertex counts around
+// powers of two, fractions that put a cut at 0 or n, and several seeds.
+func TestSplitMatchesSortedKeys(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 400, 1023, 1024, 1025, 40000} {
+		for _, f := range [][2]float64{{0.6, 0.2}, {0, 0}, {1, 0}, {0, 1}, {0.5, 0.5}, {0.001, 0.998}} {
+			for _, seed := range []uint64{0, 2, 23, 1 << 63} {
+				g := &Graph{Adj: &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int64, n+1)}}
+				g.Split(f[0], f[1], seed)
+				order := make([]int, n)
+				for v := range order {
+					order[v] = v
+				}
+				slices.SortFunc(order, func(a, b int) int { return cmp.Compare(mix64(uint64(a)+seed), mix64(uint64(b)+seed)) })
+				nTrain, nVal := int(f[0]*float64(n)), int(f[1]*float64(n))
+				for r, v := range order {
+					if g.TrainMask[v] != (r < nTrain) || g.ValMask[v] != (r >= nTrain && r < nTrain+nVal) || g.TestMask[v] != (r >= nTrain+nVal) {
+						t.Fatalf("n=%d fractions %v seed %d: vertex %d of rank %d in masks %v/%v/%v",
+							n, f, seed, v, r, g.TrainMask[v], g.ValMask[v], g.TestMask[v])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSplitBadFractionsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -120,4 +148,12 @@ func TestSplitBadFractionsPanics(t *testing.T) {
 		}
 	}()
 	tinyGraph().Split(0.9, 0.2, 1)
+}
+
+// BenchmarkSplit times the split of sampled-thin's 120 000 vertices.
+func BenchmarkSplit(b *testing.B) {
+	g := &Graph{Adj: &sparse.CSR{Rows: 120000, Cols: 120000, RowPtr: make([]int64, 120001)}}
+	for i := 0; i < b.N; i++ {
+		g.Split(0.6, 0.2, 3)
+	}
 }
