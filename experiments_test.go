@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,6 +41,7 @@ func experiment(t *testing.T, id string) *ExperimentResult {
 const (
 	experimentsGolden = "testdata/experiments.golden"
 	experimentsOutput = "EXPERIMENTS_OUTPUT.txt"
+	datasetsGolden    = "testdata/datasets.golden"
 )
 
 // TestExperimentsGolden holds every registered experiment's Values to
@@ -69,11 +71,16 @@ func TestExperimentsGolden(t *testing.T) {
 		}
 	}
 	if *update {
-		for file, content := range map[string]string{experimentsGolden: got.String(), experimentsOutput: reports.String()} {
+		files := map[string]string{experimentsGolden: got.String(), experimentsOutput: reports.String(), datasetsGolden: datasetLines()}
+		old := map[string]string{}
+		for file, content := range files {
+			b, _ := os.ReadFile(file)
+			old[file] = string(b)
 			if err := os.WriteFile(file, []byte(content), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
+		reportMoves(t, old, files)
 		return
 	}
 	if out, err := os.ReadFile(experimentsOutput); err != nil {
@@ -129,6 +136,175 @@ func sectionLines(golden string) []string {
 		}
 	}
 	return out
+}
+
+// reportMoves logs, under -update, how far the run moved from the files it
+// rewrote (go test -run ExperimentsGolden . -update -v shows it): per
+// experiment how many Values moved, a key that came or went included, and
+// the largest relative move with its key; per dataset of datasetLines its
+// line before and after; per file the lines that moved.
+func reportMoves(t *testing.T, old, cur map[string]string) {
+	t.Helper()
+	values := func(golden string) map[string]map[string]float64 {
+		m := map[string]map[string]float64{}
+		for _, l := range sectionLines(golden) {
+			id, kv, _ := strings.Cut(l, ": ")
+			k, v, _ := strings.Cut(kv, "=")
+			b, _ := strconv.ParseUint(v, 16, 64)
+			if m[id] == nil {
+				m[id] = map[string]float64{}
+			}
+			m[id][k] = math.Float64frombits(b)
+		}
+		return m
+	}
+	before, after := values(old[experimentsGolden]), values(cur[experimentsGolden])
+	for _, e := range Experiments() {
+		keys := map[string]bool{}
+		for k := range before[e.ID] {
+			keys[k] = true
+		}
+		for k := range after[e.ID] {
+			keys[k] = true
+		}
+		moved, worst, worstKey := 0, 0.0, ""
+		for k := range keys {
+			b, inB := before[e.ID][k]
+			a, inA := after[e.ID][k]
+			if inB && inA && math.Float64bits(a) == math.Float64bits(b) {
+				continue
+			}
+			rel := math.Inf(1) // a key that came or went, or a move off zero
+			if inB && inA && b != 0 {
+				rel = math.Abs(a-b) / math.Abs(b)
+			} else if inB && inA && a == 0 {
+				rel = 0
+			}
+			if moved++; worstKey == "" || rel > worst || rel == worst && k < worstKey {
+				worst, worstKey = rel, k
+			}
+		}
+		if moved == 0 {
+			t.Logf("move %s: 0 of %d values", e.ID, len(keys))
+		} else {
+			t.Logf("move %s: %d of %d values, largest %.3g at %s", e.ID, moved, len(keys), worst, worstKey)
+		}
+	}
+	was := map[string]string{}
+	for _, l := range strings.Split(old[datasetsGolden], "\n") {
+		name, _, _ := strings.Cut(l, " ")
+		was[name] = l
+	}
+	for _, l := range strings.Split(strings.TrimSpace(cur[datasetsGolden]), "\n") {
+		if name, _, _ := strings.Cut(l, " "); was[name] != l {
+			if _, ok := was[name]; !ok {
+				was[name] = name + " (none)"
+			}
+			t.Logf("move dataset: before %s", was[name])
+			t.Logf("move dataset: after  %s", l)
+		}
+	}
+	for _, file := range []string{experimentsGolden, experimentsOutput, datasetsGolden} {
+		t.Logf("move %s: %d lines", file, linesMoved(old[file], cur[file]))
+	}
+}
+
+// linesMoved counts the lines of a that b does not hold, and of b that a
+// does not, each line as often as it occurs.
+func linesMoved(a, b string) int {
+	count := map[string]int{}
+	for _, l := range strings.Split(a, "\n") {
+		count[l]++
+	}
+	for _, l := range strings.Split(b, "\n") {
+		count[l]--
+	}
+	n := 0
+	for _, c := range count {
+		n += max(c, -c)
+	}
+	return n
+}
+
+// datasetLines is testdata/datasets.golden, the shape of every generated
+// dataset: each catalog dataset, the Fig 9 family and the repository
+// benchmark's four workload graphs (their shapes as benchmark/workloads.go
+// sets them: seed 1, 47 classes). Only -update computes it, as the "before"
+// of the next move report; a golden experiment fails first when a graph
+// moves.
+func datasetLines() string {
+	type dataset struct {
+		name    string
+		cfg     gen.BTERConfig
+		classes int
+	}
+	var sets []dataset
+	for _, name := range gen.AllNames() {
+		s := gen.Catalog()[name]
+		sets = append(sets, dataset{name, gen.DefaultBTER(s.GenN(), s.AvgDegree, s.Seed), s.Classes})
+	}
+	for f := 1; f <= 128; f *= 2 {
+		s := gen.DegreeScaledSpec(f)
+		sets = append(sets, dataset{s.Name, gen.DefaultBTER(s.GenN(), s.AvgDegree, s.Seed), s.Classes})
+	}
+	for _, w := range []struct {
+		name string
+		n    int
+		deg  float64
+	}{{"fullbatch-gemm", 40000, 52}, {"fullbatch-spmm", 16384, 384}, {"sampled-fanout", 16384, 52}, {"sampled-thin", 120000, 15}} {
+		sets = append(sets, dataset{w.name, gen.DefaultBTER(w.n, w.deg, 1), 47})
+	}
+	var out strings.Builder
+	for _, d := range sets {
+		out.WriteString(datasetShape(d.name, d.cfg, d.classes))
+	}
+	return out.String()
+}
+
+// datasetShape is one line of datasetLines: the undirected edges, the
+// maximum degree, the mean local clustering coefficient over an even sample
+// of about 512 vertices (0 below degree 2), and the smallest and largest
+// class shares. The labels do not depend on the feature width, so the
+// dataset is generated one feature wide.
+func datasetShape(name string, cfg gen.BTERConfig, classes int) string {
+	g := gen.Generate(name, cfg, 1, classes, false)
+	n, adj := g.N(), g.Adj
+	maxDeg := 0
+	for v := range n {
+		maxDeg = max(maxDeg, int(adj.RowPtr[v+1]-adj.RowPtr[v]))
+	}
+	mark := make([]bool, n)
+	var clustering float64
+	sampled := 0
+	for v := 0; v < n; v += max(n/512, 1) {
+		sampled++
+		cols, _ := adj.Row(v)
+		if len(cols) < 2 {
+			continue
+		}
+		for _, u := range cols {
+			mark[u] = true
+		}
+		closed := 0 // each triangle at v twice, once from either of its other ends
+		for _, u := range cols {
+			nb, _ := adj.Row(int(u))
+			for _, w := range nb {
+				if mark[w] {
+					closed++
+				}
+			}
+		}
+		for _, u := range cols {
+			mark[u] = false
+		}
+		clustering += float64(closed) / float64(len(cols)*(len(cols)-1))
+	}
+	share := make([]int, classes)
+	for _, l := range g.Labels {
+		share[l]++
+	}
+	return fmt.Sprintf("%s edges=%d max_degree=%d clustering=%.4f class_share=%.4f-%.4f\n", name, adj.NNZ()/2, maxDeg,
+		clustering/float64(sampled), float64(slices.Min(share))/float64(n), float64(slices.Max(share))/float64(n))
 }
 
 // TestDGLCellsGateOnMemory holds Figs 10-14 to DGL's own footprint: where

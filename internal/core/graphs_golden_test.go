@@ -22,10 +22,13 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/graphs.golden an
 var goldenBTER = gen.DefaultBTER(200, 8, 41)
 
 // checkGolden compares out with the committed golden file line by line, or
-// rewrites the file under -update.
+// rewrites the file under -update and logs how many lines moved (-v shows
+// it).
 func checkGolden(t *testing.T, path string, out []byte) {
 	t.Helper()
 	if *updateGolden {
+		old, _ := os.ReadFile(path)
+		t.Logf("move %s: %d lines", path, linesMoved(old, out))
 		if err := os.WriteFile(path, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -44,6 +47,23 @@ func checkGolden(t *testing.T, path string, out []byte) {
 			t.Errorf("%s line %d changed:\n got %s\nwant %s", path, i+1, gotLines[i], wantLines[i])
 		}
 	}
+}
+
+// linesMoved counts the lines of a that b does not hold, and of b that a
+// does not, each line as often as it occurs.
+func linesMoved(a, b []byte) int {
+	count := map[string]int{}
+	for _, l := range bytes.Split(a, []byte{'\n'}) {
+		count[string(l)]++
+	}
+	for _, l := range bytes.Split(b, []byte{'\n'}) {
+		count[string(l)]--
+	}
+	n := 0
+	for _, c := range count {
+		n += max(c, -c)
+	}
+	return n
 }
 
 // graphDigest is one golden line: everything a recorder refactor could move.
