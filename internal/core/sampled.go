@@ -6,6 +6,7 @@ import (
 	"mggcn/internal/comm"
 	"mggcn/internal/graph"
 	"mggcn/internal/nn"
+	"mggcn/internal/rng"
 	"mggcn/internal/sample"
 	"mggcn/internal/sim"
 	"mggcn/internal/sparse"
@@ -697,7 +698,7 @@ func (tr *SampledTrainer) valAccuracy(epoch int) float64 {
 	totalCorrect := 0
 	for b, lo := 0, 0; lo < len(tr.valVerts); b, lo = b+1, lo+tr.Cfg.Batch {
 		hi := min(lo+tr.Cfg.Batch, len(tr.valVerts))
-		dv.sample(0, tr.valVerts[lo:hi], sample.SplitSeed(tr.Cfg.Seed, epoch, -2-b))
+		dv.sample(0, tr.valVerts[lo:hi], rng.SplitSeed(tr.Cfg.Seed, epoch, -2-b))
 		for l := 0; l < tr.Cfg.Layers; l++ {
 			dv.aggregate(0, l)
 			dv.transform(0, l)

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"mggcn/internal/rng"
 	"mggcn/internal/sim"
 )
 
@@ -323,11 +324,4 @@ func (in *Injector) AfterTask(g *sim.Graph, t *sim.Task) error {
 
 // mix is splitmix64 over the seed/ID pair — a cheap, well-distributed
 // deterministic selector.
-func mix(seed int64, x uint64) uint64 {
-	z := uint64(seed) ^ (x * 0x9e3779b97f4a7c15)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func mix(seed int64, x uint64) uint64 { return rng.Mix(uint64(seed) ^ x*rng.Gamma) }

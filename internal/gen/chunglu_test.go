@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"mggcn/internal/rng"
 	"mggcn/internal/sparse"
 )
 
@@ -75,10 +76,10 @@ func (s *edgeSet) toCSR(n int) *sparse.CSR {
 }
 
 // serialChungLu is phase 2 as one loop: attempts in order, each two
-// Float64s inverted by binary search, until target distinct edges are held,
-// phase 1's hits counted, or 4·target attempts. It returns the graph and
-// the attempts made.
-func serialChungLu(rng *stream, excess []float64, hits [][]uint64, target int) (*sparse.CSR, int) {
+// Float64s of r inverted by binary search, until target distinct edges are
+// held, phase 1's hits counted, or 4·target attempts. It returns the graph
+// and the attempts made.
+func serialChungLu(r *rng.RNG, excess []float64, hits [][]uint64, target int) (*sparse.CSR, int) {
 	edges := newEdgeSet(target)
 	for _, h := range hits {
 		for _, key := range h {
@@ -89,8 +90,8 @@ func serialChungLu(rng *stream, excess []float64, hits [][]uint64, target int) (
 	attempt := 0
 	if total := cdf[len(cdf)-1]; total > 0 {
 		for ; attempt < 4*target && len(edges.us) < target; attempt++ {
-			u := sort.SearchFloat64s(cdf, rng.Float64()*total)
-			v := sort.SearchFloat64s(cdf, rng.Float64()*total)
+			u := sort.SearchFloat64s(cdf, r.Float64()*total)
+			v := sort.SearchFloat64s(cdf, r.Float64()*total)
 			if u != v {
 				edges.add(int32(u), int32(v))
 			}
@@ -99,29 +100,18 @@ func serialChungLu(rng *stream, excess []float64, hits [][]uint64, target int) (
 	return edges.toCSR(len(excess)), attempt
 }
 
-// phase2 is BTER's state where phase 2 starts: the stream, the excess
-// degrees, phase 1's hits (drawn on one lane) and the target.
+// phase2 is BTER's state where phase 2 starts: its substream's seed, the
+// excess degrees, phase 1's hits (drawn on one lane) and the target.
 type phase2 struct {
-	rng    stream
+	seed   int64
 	excess []float64
 	hits   [][]uint64
 	target int
 }
 
-func phase2Of(cfg BTERConfig, rng stream) phase2 {
-	excess, hits := affinity(cfg, &rng, 1)
-	return phase2{rng, excess, hits, int(cfg.AvgDegree * float64(cfg.N) / 2)}
-}
-
-// rebased is s with its next draw at buf[0], so a test can plant a word up
-// to 606 draws ahead: any 607 consecutive words of the stream are a state.
-func rebased(s stream) stream {
-	next := s
-	next.refill(0, 0)
-	r := stream{n0: s.n0 + s.pos}
-	copy(r.buf[:], s.buf[s.pos:])
-	copy(r.buf[len(s.buf)-s.pos:], next.buf[:s.pos])
-	return r
+func phase2Of(cfg BTERConfig) phase2 {
+	excess, hits := affinity(cfg, 1)
+	return phase2{rng.SplitSeed(int64(cfg.Seed), 1, 0), excess, hits, int(cfg.AvgDegree * float64(cfg.N) / 2)}
 }
 
 // checkChungLu fails unless chungLu makes the graph the serial loop makes
@@ -129,11 +119,9 @@ func rebased(s stream) stream {
 // attempts.
 func checkChungLu(t testing.TB, p phase2, lanes ...int) int {
 	t.Helper()
-	s := p.rng
-	want, attempts := serialChungLu(&s, p.excess, p.hits, p.target)
+	want, attempts := serialChungLu(rng.NewRNG(p.seed), p.excess, p.hits, p.target)
 	for _, l := range lanes {
-		s = p.rng
-		if got := chungLu(&s, p.excess, p.hits, p.target, l).toCSR(len(p.excess), l); csrDigest(got) != csrDigest(want) {
+		if got := chungLu(p.seed, p.excess, p.hits, p.target, l).toCSR(len(p.excess), l); csrDigest(got) != csrDigest(want) {
 			t.Fatalf("n=%d target %d on %d lanes: chungLu's graph (%d entries) is not the serial loop's (%d, %d attempts)",
 				len(p.excess), p.target, l, got.NNZ(), want.NNZ(), attempts)
 		}
@@ -150,7 +138,7 @@ func TestChungLuMatchesSerialLoop(t *testing.T) {
 		cfgs = append(cfgs, DefaultBTER(4096, 96, 2))
 	}
 	for _, cfg := range cfgs {
-		checkChungLu(t, phase2Of(cfg, *newStream(cfg.Seed)), 0, 1, 2, 3)
+		checkChungLu(t, phase2Of(cfg), 0, 1, 2, 3)
 	}
 }
 
@@ -181,25 +169,58 @@ func TestEdgeSetGrowsAndDedups(t *testing.T) {
 	}
 }
 
+// TestEdgeTableGrows fills an edge table whose four parts start at 16 slots
+// each, so every part grows several times, from runs on one to three lanes
+// over two adds, with duplicates and empty keys among them, and holds its CSR
+// to the edgeSet oracle's.
+func TestEdgeTableGrows(t *testing.T) {
+	const n, keys = 300, 6000
+	for lanes := 1; lanes <= 3; lanes++ {
+		r, tab, want := rng.NewRNG(int64(lanes)), newEdgeTable(1<<15), newEdgeSet(1)
+		if tab.size = 16; len(tab.parts) != 4 {
+			t.Fatalf("%d parts, want 4", len(tab.parts))
+		}
+		for range 2 {
+			runs := make([][]uint64, lanes)
+			for k := range runs {
+				for range keys / lanes {
+					u, v := r.Intn(n), r.Intn(n)
+					key := uint64(min(u, v))<<32 | uint64(max(u, v))
+					if u == v {
+						key = 0
+					} else {
+						want.add(int32(u), int32(v))
+					}
+					runs[k] = append(runs[k], key)
+				}
+			}
+			tab.add(runs, lanes)
+		}
+		for p, part := range tab.parts {
+			if len(part) < 8*tab.size {
+				t.Fatalf("%d lanes: part %d holds %d slots, so it grew fewer than three times", lanes, p, len(part))
+			}
+		}
+		if tab.held != len(want.us) || csrDigest(tab.toCSR(n, lanes)) != csrDigest(want.toCSR(n)) {
+			t.Fatalf("%d lanes: the grown table holds %d edges, the oracle %d, or another graph", lanes, tab.held, len(want.us))
+		}
+	}
+}
+
 // FuzzChungLu holds phase 2 on one to three lanes to the serial loop, from
 // the state phase 1 leaves, over fuzzed vertex counts (2–600), degrees
 // (0.5–128, past N−1 too, where the loop runs out of attempts), community
-// fractions (0–4: at and past 1 every block pair is a hit) and seeds, with a
-// redraw planted plant mod 607 words into phase 2 where plant ≥ 0.
+// fractions (0–4: at 0 no block pair is a hit, at and past 1 every one is)
+// and seeds.
 func FuzzChungLu(f *testing.F) {
-	f.Add(uint16(98), uint8(3), uint8(32), uint64(6), uint8(1), int16(20))   // the redraw in lane 0 of 72 attempts
-	f.Add(uint16(28), uint8(3), uint8(32), uint64(22), uint8(2), int16(-1))  // stops at its first round's end
-	f.Add(uint16(18), uint8(37), uint8(32), uint64(1), uint8(1), int16(-1))  // out of attempts
-	f.Add(uint16(198), uint8(255), uint8(32), uint64(7), uint8(2), int16(5)) // mostly collisions
-	f.Add(uint16(598), uint8(15), uint8(96), uint64(5), uint8(0), int16(600))
-	f.Fuzz(func(t *testing.T, n uint16, deg, frac uint8, seed uint64, lanes uint8, plant int16) {
+	f.Add(uint16(98), uint8(3), uint8(32), uint64(6), uint8(1))
+	f.Add(uint16(28), uint8(3), uint8(0), uint64(22), uint8(2))
+	f.Add(uint16(18), uint8(37), uint8(32), uint64(1), uint8(1))   // out of attempts
+	f.Add(uint16(198), uint8(255), uint8(32), uint64(7), uint8(2)) // mostly collisions
+	f.Add(uint16(598), uint8(15), uint8(96), uint64(5), uint8(0))
+	f.Fuzz(func(t *testing.T, n uint16, deg, frac uint8, seed uint64, lanes uint8) {
 		cfg := DefaultBTER(2+int(n)%599, (float64(deg)+1)/2, seed)
 		cfg.CommunityFrac = float64(frac) / 64
-		p := phase2Of(cfg, *newStream(seed))
-		if plant >= 0 {
-			p.rng = rebased(p.rng)
-			p.rng.buf[int(plant)%len(p.rng.buf)] = 1<<64 - 1
-		}
-		checkChungLu(t, p, 1+int(lanes)%3)
+		checkChungLu(t, phase2Of(cfg), 1+int(lanes)%3)
 	})
 }

@@ -97,8 +97,8 @@ func TestGuidedSearchMatchesSearchFloat64s(t *testing.T) {
 
 // FuzzGuidedSearch holds the guide table's search to sort.SearchFloat64s on
 // fuzzed weight tables and draws. A weight byte b is (b & 15)·2^((b >> 4) − 8),
-// zero runs included; u is read as math/rand turns an Int63 into a Float64,
-// so it ranges over the values BTER's draws take.
+// zero runs included; u is read as rng.RNG turns a draw into a Float64, so
+// it ranges over the values BTER's draws take, the largest below 1 included.
 func FuzzGuidedSearch(f *testing.F) {
 	encode := func(w []float64) []byte {
 		out := make([]byte, len(w))
@@ -110,7 +110,7 @@ func FuzzGuidedSearch(f *testing.F) {
 		return out
 	}
 	for _, w := range guideWeights {
-		for _, bits := range []uint64{0, 1<<63 - 1024, 1 << 62} {
+		for _, bits := range []uint64{0, 1<<64 - 1, 1 << 62} {
 			f.Add(encode(w), bits)
 		}
 	}
@@ -122,10 +122,7 @@ func FuzzGuidedSearch(f *testing.F) {
 		for i, b := range weights {
 			w[i] = math.Ldexp(float64(b&15), int(b>>4)-8)
 		}
-		u := float64(int64(bits&mask63)) / (1 << 63)
-		if u >= 1 { // math/rand draws again
-			return
-		}
+		u := float64(bits>>11) / (1 << 53)
 		checkGuided(t, newGuide(cumulative(w)), u)
 	})
 }

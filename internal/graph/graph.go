@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"mggcn/internal/rng"
 	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
 )
@@ -147,9 +148,4 @@ func (g *Graph) Split(trainFrac, valFrac float64, seed uint64) {
 }
 
 // mix64 is the splitmix64 finalizer, used for cheap deterministic hashing.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+func mix64(x uint64) uint64 { return rng.Mix(x + rng.Gamma) }

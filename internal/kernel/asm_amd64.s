@@ -76,148 +76,6 @@ reluMaskloop:
 	VZEROUPPER
 	RET
 
-// func addU64Vec8(dst, x *uint64, n int)
-// dst[j] += x[j] mod 2⁶⁴, eight words per iteration. Both loads of a pair
-// come before its stores, so dst may be x.
-TEXT ·addU64Vec8(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	XORQ AX, AX
-
-addU64loop:
-	VMOVDQU (SI)(AX*8), Y0
-	VMOVDQU 32(SI)(AX*8), Y1
-	VPADDQ  (DI)(AX*8), Y0, Y0
-	VPADDQ  32(DI)(AX*8), Y1, Y1
-	VMOVDQU Y0, (DI)(AX*8)
-	VMOVDQU Y1, 32(DI)(AX*8)
-	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JLT     addU64loop
-	VZEROUPPER
-	RET
-
-// func firstOutside63Vec8(v *uint64, n int, lom1, him1 uint64) int
-// The first j < n whose v[j] & (1<<63 − 1) is not in [lom1+1, him1+1), else
-// n. lom1 ≤ him1 are int64s in [−1, 2⁶³−1] and the masked value is below
-// 2⁶³, so the signed VPCMPGTQ is exact: a lane is at or above lo when it is
-// greater than lom1, at or above hi when greater than him1, and inside when
-// exactly the first holds.
-TEXT ·firstOutside63Vec8(SB), NOSPLIT, $0-40
-	MOVQ         v+0(FP), SI
-	MOVQ         n+8(FP), CX
-	VPBROADCASTQ lom1+16(FP), Y13
-	VPBROADCASTQ him1+24(FP), Y14
-	VPCMPEQQ     Y15, Y15, Y15
-	VPSRLQ       $1, Y15, Y15
-	XORQ         AX, AX
-
-scanloop:
-	VPAND     (SI)(AX*8), Y15, Y0
-	VPAND     32(SI)(AX*8), Y15, Y1
-	VPCMPGTQ  Y13, Y0, Y2
-	VPCMPGTQ  Y14, Y0, Y0
-	VPCMPGTQ  Y13, Y1, Y3
-	VPCMPGTQ  Y14, Y1, Y1
-	VPXOR     Y2, Y0, Y0
-	VPXOR     Y3, Y1, Y1
-	VPAND     Y0, Y1, Y2
-	VMOVMSKPD Y2, DX
-	CMPL      DX, $15
-	JNE       scanfound
-	ADDQ      $8, AX
-	CMPQ      AX, CX
-	JLT       scanloop
-	MOVQ      AX, ret+32(FP)
-	VZEROUPPER
-	RET
-
-scanfound: // the first lane of the eight whose inside bit is clear
-	VMOVMSKPD Y0, DX
-	CMPL      DX, $15
-	JNE       scanlane
-	ADDQ      $4, AX
-	VMOVMSKPD Y1, DX
-
-scanlane:
-	NOTL      DX
-	BSFL      DX, DX
-	ADDQ      DX, AX
-	MOVQ      AX, ret+32(FP)
-	VZEROUPPER
-	RET
-
-// func addScan63Vec512(dst, src *uint64, n int, lo, hi uint64) int
-// dst[j] += src[j] mod 2⁶⁴ for j < n, eight words a ZMM, and returns the
-// first j whose new dst[j] & (1<<63 − 1) is not in [lo, hi), else n, from the
-// same registers: VPCMPUQ is unsigned, so the two compares are the bounds
-// exactly. Once a word is outside, lo = 0 and hi = 2⁶⁴ − 1 hold every later
-// word inside, and the loop goes on adding without another exit. Opmask K2
-// enables the tail's n%8 lanes; dst and src must not overlap.
-TEXT ·addScan63Vec512(SB), NOSPLIT, $0-48
-	MOVQ         dst+0(FP), DI
-	MOVQ         src+8(FP), SI
-	MOVQ         n+16(FP), CX
-	VPBROADCASTQ lo+24(FP), Z13
-	VPBROADCASTQ hi+32(FP), Z14
-	VPTERNLOGQ   $0xff, Z15, Z15, Z15
-	VPSRLQ       $1, Z15, Z15
-	MOVQ         CX, AX
-	XORQ         DX, DX
-	MOVQ         CX, BX
-	ANDQ         $-8, BX
-	JEQ          addscantail
-
-addscanloop:
-	VMOVDQU64 (DI)(DX*8), Z0
-	VPADDQ    (SI)(DX*8), Z0, Z0
-	VMOVDQU64 Z0, (DI)(DX*8)
-	VPANDQ    Z15, Z0, Z0
-	VPCMPUQ   $5, Z13, Z0, K1
-	VPCMPUQ   $1, Z14, Z0, K1, K1
-	KMOVW     K1, R8
-	CMPL      R8, $0xff
-	JNE       addscanfound
-
-addscannext:
-	ADDQ $8, DX
-	CMPQ DX, BX
-	JLT  addscanloop
-
-addscantail:
-	SUBQ      DX, CX
-	JEQ       addscandone
-	MOVL      $1, R9
-	SHLL      CX, R9
-	DECL      R9
-	KMOVW     R9, K2
-	VMOVDQU64.Z (DI)(DX*8), K2, Z0
-	VMOVDQU64.Z (SI)(DX*8), K2, Z1
-	VPADDQ    Z1, Z0, Z0
-	VMOVDQU64 Z0, K2, (DI)(DX*8)
-	VPANDQ    Z15, Z0, Z0
-	VPCMPUQ   $5, Z13, Z0, K2, K1
-	VPCMPUQ   $1, Z14, Z0, K1, K1
-	KMOVW     K1, R8
-	XORL      R9, R8
-	JEQ       addscandone
-	BSFL      R8, R8
-	LEAQ      (DX)(R8*1), AX
-
-addscandone:
-	MOVQ       AX, ret+40(FP)
-	VZEROUPPER
-	RET
-
-addscanfound:
-	NOTL         R8
-	BSFL         R8, R8
-	LEAQ         (DX)(R8*1), AX
-	VPXORQ       Z13, Z13, Z13
-	VPTERNLOGQ   $0xff, Z14, Z14, Z14
-	JMP          addscannext
-
 // Column masks for the tile's edge strips: eight dwords of ones, then eight
 // of zeros. The 32 bytes at offset 4*(8-n) enable a vector's first n lanes.
 DATA tilemask<>+0(SB)/8, $0xffffffffffffffff

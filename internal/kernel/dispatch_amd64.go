@@ -3,7 +3,7 @@
 package kernel
 
 // Assembly bodies in asm_amd64.s. The Vec8 kernels process a multiple of 8
-// elements (one YMM of float32, two of uint64); tileVec handles any extent
+// elements (one YMM of float32); tileVec handles any extent
 // inside 4 x 16, tileVec512 any inside MR x NR, and spmmRowVec (eight YMM
 // accumulators) and spmmRowVec512 (four ZMM) any strip of 1..SpMMStrip
 // floats. The float ones use separate VMULPS/VADDPS, on YMM and ZMM alike —
@@ -17,9 +17,6 @@ func tileVec(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs
 func tileVec512(k int, a *float32, ars, aks int, b *float32, bs int, c *float32, cs int, rows, cols int, acc bool)
 func spmmRowVec(c *float32, w int, x *float32, xs, xrows int, cols, last *int32, vals *float32, form ValForm, n int, acc bool) (bad bool)
 func spmmRowVec512(c *float32, w int, x *float32, xs, xrows int, cols, last *int32, vals *float32, form ValForm, n int, acc bool) (bad bool)
-func addU64Vec8(dst, x *uint64, n int)
-func addScan63Vec512(dst, src *uint64, n int, lo, hi uint64) int
-func firstOutside63Vec8(v *uint64, n int, lom1, him1 uint64) int
 
 // The softmax row's bodies, math.Exp's fused path (exp_amd64.s's avxfma) on
 // eight lanes with an opmask tail or on four with n a multiple of 4. ok is
@@ -37,15 +34,13 @@ func normRowVec4(dst *float32, e *float64, n int, sum, scale float64)
 // other, is not offered them. The init installs each entry's first body that
 // passes the entry's probe; the tests probe and fuzz them all.
 var (
-	tileBodies           = append(offer(hasAVX512, "avx512", tileAVX512), offer(hasAVX2, "avx2", tileAVX2)...)
-	spmmRowBodies        = append(offer(hasAVX512, "avx512", spmmRowAVX512), offer(hasAVX2, "avx2", spmmRowAVX2)...)
-	addBodies            = offer(hasAVX2, "avx2", addAVX2)
-	reluBodies           = offer(hasAVX2, "avx2", reluAVX2)
-	reluMaskBodies       = offer(hasAVX2, "avx2", reluMaskAVX2)
-	advanceScan63Bodies  = append(offer(hasAVX512, "avx512", advanceScan63AVX512), offer(hasAVX2, "avx2", advanceScan63AVX2)...)
-	firstOutside63Bodies = offer(hasAVX2, "avx2", firstOutside63AVX2)
-	expRowBodies         = append(offer(hasAVX512 && hasFMA, "avx512", expRowAVX512), offer(hasFMA, "avx2", expRowAVX2)...)
-	normRowBodies        = append(offer(hasAVX512, "avx512", normRowAVX512), offer(hasAVX2, "avx2", normRowAVX2)...)
+	tileBodies     = append(offer(hasAVX512, "avx512", tileAVX512), offer(hasAVX2, "avx2", tileAVX2)...)
+	spmmRowBodies  = append(offer(hasAVX512, "avx512", spmmRowAVX512), offer(hasAVX2, "avx2", spmmRowAVX2)...)
+	addBodies      = offer(hasAVX2, "avx2", addAVX2)
+	reluBodies     = offer(hasAVX2, "avx2", reluAVX2)
+	reluMaskBodies = offer(hasAVX2, "avx2", reluMaskAVX2)
+	expRowBodies   = append(offer(hasAVX512 && hasFMA, "avx512", expRowAVX512), offer(hasFMA, "avx2", expRowAVX2)...)
+	normRowBodies  = append(offer(hasAVX512, "avx512", normRowAVX512), offer(hasAVX2, "avx2", normRowAVX2)...)
 )
 
 func init() {
@@ -54,8 +49,6 @@ func init() {
 	install("Add", &Add, probeAdd, addBodies)
 	install("ReLU", &ReLU, probeReLU, reluBodies)
 	install("ReLUMask", &ReLUMask, probeReLUMask, reluMaskBodies)
-	install("AdvanceScan63", &AdvanceScan63, probeAdvanceScan63, advanceScan63Bodies)
-	install("FirstOutside63", &FirstOutside63, probeFirstOutside63, firstOutside63Bodies)
 	install("ExpRow", &ExpRow, probeExpRow, expRowBodies)
 	install("NormRow", &NormRow, probeNormRow, normRowBodies)
 }
@@ -74,31 +67,6 @@ func reluAVX2(dst, src []float32) {
 		reluVec8(&dst[0], &src[0], nv)
 	}
 	reluScalar(dst[nv:], src[nv:])
-}
-
-// advanceScan63AVX512 adds and scans each run in one pass. Once a run finds
-// a word outside, the later runs get bounds that hold every word inside.
-func advanceScan63AVX512(buf *[607]uint64, lo, hi uint64) int {
-	at := len(buf)
-	for _, r := range streamRuns {
-		if i := addScan63Vec512(&buf[r.dst], &buf[r.src], r.n, lo, hi); i < r.n {
-			at, lo, hi = r.dst+i, 0, 1<<63
-		}
-	}
-	return at
-}
-
-func advanceScan63AVX2(buf *[607]uint64, lo, hi uint64) int {
-	advanceWith(buf, addU64AVX2)
-	return firstOutside63AVX2(buf[:], lo, hi)
-}
-
-func addU64AVX2(dst, x []uint64) {
-	x, nv := x[:len(dst)], len(dst)&^7
-	if nv > 0 {
-		addU64Vec8(&dst[0], &x[0], nv)
-	}
-	addU64Scalar(dst[nv:], x[nv:])
 }
 
 func reluMaskAVX2(dst, grad, act []float32) {
@@ -158,19 +126,6 @@ func spmmRowAVX2(c, x []float32, xs, xrows int, cols []int32, vals []float32, fo
 	if spmmRowVec(&c[0], len(c), &x[0], xs, xrows, &cols[0], &cols[len(cols)-1], &vals[0], form, n, acc) {
 		panic(errSpMMColumn)
 	}
-}
-
-func firstOutside63AVX2(v []uint64, lo, hi uint64) int {
-	nv := len(v) &^ 7
-	if nv > 0 {
-		// A masked value is below 2⁶³, so bounds clamped there give the same
-		// answer, and with hi raised to lo, lo−1 ≤ hi−1 are exact int64s.
-		lo, hi = min(lo, 1<<63), min(max(hi, lo), 1<<63)
-		if i := firstOutside63Vec8(&v[0], nv, lo-1, hi-1); i < nv {
-			return i
-		}
-	}
-	return nv + firstOutside63Scalar(v[nv:], lo, hi)
 }
 
 func expRowAVX512(dst []float64, src []float32, mx float32) float64 {

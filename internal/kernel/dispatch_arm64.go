@@ -16,9 +16,8 @@ func spmmRowVec4(c *float32, vecs int, x *float32, xs int, cols, last *int32, va
 // NEON (ASIMD) is mandatory on arm64, so every entry with a NEON body is
 // offered it, and install still holds it to the scalar kernel bit for bit: a
 // fusion mismatch between this build's compiler and the assembly falls back
-// to scalar instead of corrupting training. The stream's loops and the
-// softmax rows have no NEON bodies (the rows call math.Exp, whose arm64
-// assembly they would have to match).
+// to scalar instead of corrupting training. The softmax rows have no NEON
+// bodies (they call math.Exp, whose arm64 assembly they would have to match).
 var (
 	tileBodies     = offer(true, "neon", tileNEON)
 	spmmRowBodies  = offer(true, "neon", spmmRowNEON)

@@ -44,8 +44,6 @@ func TestVectorImplInstalled(t *testing.T) {
 	runsBest(t, "Add", Add, addBodies)
 	runsBest(t, "ReLU", ReLU, reluBodies)
 	runsBest(t, "ReLUMask", ReLUMask, reluMaskBodies)
-	runsBest(t, "AdvanceScan63", AdvanceScan63, advanceScan63Bodies)
-	runsBest(t, "FirstOutside63", FirstOutside63, firstOutside63Bodies)
 	runsBest(t, "NormRow", NormRow, normRowBodies)
 	fused := mathExpFused()
 	if fused {
@@ -135,8 +133,6 @@ func TestEveryCandidateProbes(t *testing.T) {
 	probeEvery(t, "Add", addBodies, probeAdd, avx(false, hasAVX2)...)
 	probeEvery(t, "ReLU", reluBodies, probeReLU, avx(false, hasAVX2)...)
 	probeEvery(t, "ReLUMask", reluMaskBodies, probeReLUMask, avx(false, hasAVX2)...)
-	probeEvery(t, "AdvanceScan63", advanceScan63Bodies, probeAdvanceScan63, avx(hasAVX512, hasAVX2)...)
-	probeEvery(t, "FirstOutside63", firstOutside63Bodies, probeFirstOutside63, avx(false, hasAVX2)...)
 	probeEvery(t, "NormRow", normRowBodies, probeNormRow, avx(hasAVX512, hasAVX2)...)
 	if !mathExpFused() {
 		t.Skip("math.Exp is off its fused path: ExpRow's bodies are refused")

@@ -1,8 +1,7 @@
 // Package kernel holds the innermost float32 loops of the dense and sparse
-// kernels, the loss's softmax row, and the two integer loops of the graph
-// generator's seeded stream, behind a runtime-dispatch table. The exported
-// entry points are function variables initialized to the pure-Go scalar
-// implementations below. An arch-specific init offers each entry the
+// kernels and the loss's softmax row, behind a runtime-dispatch table. The
+// exported entry points are function variables initialized to the pure-Go
+// scalar implementations below. An arch-specific init offers each entry the
 // AVX-512, AVX2 (amd64) or NEON (arm64) bodies the CPU supports, best first,
 // and installs the first its probe accepts, except under the race detector;
 // a refused body leaves its entry on the next body or the scalar one and
@@ -38,12 +37,6 @@
 // probe holds them to math.Exp itself, so a host whose math.Exp differs
 // refuses them and only ExpRow runs its scalar body. The row sum is one
 // float64 add per element, j ascending.
-//
-// The stream's entries (AdvanceScan63, FirstOutside63) are integer
-// arithmetic and compares, so their contract is plain equality: every body
-// leaves the words and returns the index the scalar loops do, and so every
-// generated graph is the same (AdvanceScan63's AVX-512 body adds and scans in
-// one pass, the others add and then scan).
 //
 // Tail elements past the widest vector multiple are always handled by the
 // same scalar expressions, or by a lane mask (Tile and SpMMRow on AVX2) or
@@ -91,16 +84,6 @@ var (
 	// ReLUMask computes dst[j] = grad[j] where act[j] > 0, else +0. dst may
 	// be grad or act.
 	ReLUMask func(dst, grad, act []float32) = reluMaskScalar
-	// AdvanceScan63 steps math/rand's seeded source a block: it sets
-	// buf[j] += buf[(j+334) mod 607] mod 2⁶⁴ for j ascending, which is
-	// x[n+607] = x[n] + x[n+334] for the block's 607 words, and returns the
-	// first j whose new buf[j] & (1<<63 − 1) lies outside [lo, hi), or 607
-	// if there is none. lo ≥ hi makes every value outside.
-	AdvanceScan63 func(buf *[607]uint64, lo, hi uint64) int = advanceScan63Scalar
-	// FirstOutside63 returns the first j whose v[j] & (1<<63 − 1) lies
-	// outside [lo, hi), or len(v) if there is none. lo ≥ hi makes every
-	// value outside.
-	FirstOutside63 func(v []uint64, lo, hi uint64) int = firstOutside63Scalar
 	// ExpRow sets dst[j] = math.Exp(float64(src[j]-mx)), the difference
 	// rounded to float32 first, and returns their sum, added j ascending
 	// from 0: one softmax row's exponentials.
@@ -307,46 +290,6 @@ func reluMaskScalar(dst, grad, act []float32) {
 		keep := uint32((int64(math.Float32bits(act[j])-1) - 0x7f800000) >> 63)
 		dst[j] = math.Float32frombits(math.Float32bits(grad[j]) & keep)
 	}
-}
-
-// streamRuns are the block step's three runs of disjoint slices, dst += src:
-// the second and third read words the run before wrote. advanceWith steps
-// the block by one call of add per run.
-var streamRuns = [3]struct{ dst, src, n int }{{0, 334, 273}, {273, 0, 273}, {546, 273, 61}}
-
-func advanceWith(buf *[607]uint64, add func(dst, x []uint64)) {
-	for _, r := range streamRuns {
-		add(buf[r.dst:r.dst+r.n], buf[r.src:r.src+r.n])
-	}
-}
-
-func advanceScan63Scalar(buf *[607]uint64, lo, hi uint64) int {
-	advanceWith(buf, addU64Scalar)
-	return firstOutside63Scalar(buf[:], lo, hi)
-}
-
-func addU64Scalar(dst, x []uint64) {
-	x = x[:len(dst)]
-	for j := range dst {
-		dst[j] += x[j]
-	}
-}
-
-// firstOutside63Scalar finds a value outside with one unsigned compare:
-// v−lo wraps past hi−lo when v < lo. Four at a time, the compares of a group
-// do not wait on each other's branches.
-func firstOutside63Scalar(v []uint64, lo, hi uint64) int {
-	const mask63 = 1<<63 - 1
-	span, i := max(hi, lo)-lo, 0
-	for ; i+4 <= len(v); i += 4 {
-		if r := v[i : i+4 : i+4]; r[0]&mask63-lo >= span || r[1]&mask63-lo >= span || r[2]&mask63-lo >= span || r[3]&mask63-lo >= span {
-			break
-		}
-	}
-	for i < len(v) && v[i]&mask63-lo < span {
-		i++
-	}
-	return i
 }
 
 // expRowScalar is the oracle and the path of builds without assembly and of

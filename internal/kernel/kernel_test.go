@@ -113,7 +113,7 @@ func TestImplConsistent(t *testing.T) {
 // probeInstalled runs every entry's probe on the body the table holds.
 func probeInstalled() error {
 	return errors.Join(probeTile(Tile), probeSpMMRow(SpMMRow), probeAdd(Add), probeReLU(ReLU), probeReLUMask(ReLUMask),
-		probeAdvanceScan63(AdvanceScan63), probeFirstOutside63(FirstOutside63), probeExpRow(ExpRow), probeNormRow(NormRow))
+		probeExpRow(ExpRow), probeNormRow(NormRow))
 }
 
 // BenchmarkVerifyImpls times every entry's probe on the installed table:

@@ -161,115 +161,6 @@ func probeReLUMask(mask func(dst, grad, act []float32)) error {
 		probeRows(" with dst = act", xt, sameBits, func(n int, d []float32) { mask(d, xs[:n], d) }, func(n int, d []float32) { reluMaskScalar(d, xs[:n], d) }))
 }
 
-// streamRedraw is the graph generator's redraw bound, the hi of its scans: a
-// masked value at or above it is a float64 of 1, which the stream draws again.
-const streamRedraw = 1<<63 - 512
-
-// scanLos are the lows the FirstOutside63 probes pair with hi = streamRedraw:
-// both ends of the masked range, the threshold of a Bernoulli(1e-5) draw, and
-// the two next to hi (at lo = hi every value is outside).
-var scanLos = [...]uint64{0, 1, 92233720368548, streamRedraw - 1, streamRedraw}
-
-// scanEdges are the values next to a scan's bounds, lo−1, lo, hi−1 and hi,
-// each with bit 63 clear and set: a body that compares unmasked values, or
-// is off by one at either bound, answers differently on one of them.
-func scanEdges(lo, hi uint64) [8]uint64 {
-	var e [8]uint64
-	for i, b := range [...]uint64{lo - 1, lo, hi - 1, hi} {
-		e[2*i], e[2*i+1] = b&(1<<63-1), b|1<<63
-	}
-	return e
-}
-
-// insideRun fills v with values inside [lo, hi) once masked, bit 63 random,
-// from a xorshift state; with lo ≥ hi there are none, and any value will do.
-func insideRun(v []uint64, lo, hi, s uint64) {
-	for i := range v {
-		s = xorshift(s)
-		v[i] = s
-		if lo < hi {
-			v[i] = lo + s%(hi-lo) | s&(1<<63)
-		}
-	}
-}
-
-// streamPreimage returns the block AdvanceScan63 steps to next: each run
-// reads words written before it, so an old word is its new word less those.
-func streamPreimage(next *[607]uint64) (old [607]uint64) {
-	for j := 273; j < len(old); j++ {
-		old[j] = next[j] - next[j-273]
-	}
-	for j := 0; j < 273; j++ {
-		old[j] = next[j] - old[j+334]
-	}
-	return old
-}
-
-// probeAdvanceScan63 holds the stream's block step to the block its input is
-// the preimage of and to that block's first word outside, with each edge
-// value of each low planted at each run and vector edge of a block otherwise
-// inside (checkAdvanceScan63), and to the scalar body on uniform words (the
-// sums wrap, and about half the words lie outside [2⁶², redraw)). The scalar
-// body is held to the same.
-func probeAdvanceScan63(step func(buf *[607]uint64, lo, hi uint64) int) error {
-	var got [607]uint64
-	insideRun(got[:], 0, 0, 0x9e3779b97f4a7c15)
-	want := got
-	if i, j := step(&got, 1<<62, streamRedraw), advanceScan63Scalar(&want, 1<<62, streamRedraw); i != j || got != want {
-		return fmt.Errorf("returns %d, scalar %d (words equal: %v), on uniform words", i, j, got == want)
-	}
-	return checkAdvanceScan63(step, scanLos[:], streamRedraw, []int{0, 7, 272, 273, 545, 546, 602, 606})
-}
-
-// checkAdvanceScan63 steps the preimages of blocks inside [lo, hi) with e
-// planted at p, for each lo, p and edge value e, and fails unless step
-// leaves the block and returns the first word outside, which the scalar scan
-// finds in it. lo and hi−1 are inside, so a block with one of them planted
-// has none outside; at lo ≥ hi every word is.
-func checkAdvanceScan63(step func(buf *[607]uint64, lo, hi uint64) int, los []uint64, hi uint64, at []int) error {
-	var next [607]uint64
-	for _, lo := range los {
-		insideRun(next[:], lo, hi, 0x2545f4914f6cdd1d^lo)
-		for _, p := range at {
-			keep := next[p]
-			for _, e := range scanEdges(lo, hi) {
-				next[p] = e
-				got := streamPreimage(&next)
-				if i, j := step(&got, lo, hi), firstOutside63Scalar(next[:], lo, hi); i != j || got != next {
-					return fmt.Errorf("returns %d, want %d (words equal: %v), lo=%#x hi=%#x with %#x at %d", i, j, got == next, lo, hi, e, p)
-				}
-			}
-			next[p] = keep
-		}
-	}
-	return nil
-}
-
-// probeFirstOutside63 holds the stream's scan to its scalar loop with each
-// edge value planted at every position of runs on both sides of every vector
-// boundary (lo and hi−1 are inside: the runs with one of them planted have
-// none outside).
-func probeFirstOutside63(scan func(v []uint64, lo, hi uint64) int) error {
-	run := make([]uint64, maxLen)
-	for _, lo := range scanLos {
-		insideRun(run, lo, streamRedraw, 0x2545f4914f6cdd1d^lo)
-		for _, n := range verifyLens {
-			v := run[:n]
-			for p := range v {
-				keep := v[p]
-				for _, e := range scanEdges(lo, streamRedraw) {
-					v[p] = e
-					if got, want := scan(v, lo, streamRedraw), firstOutside63Scalar(v, lo, streamRedraw); got != want {
-						return fmt.Errorf("returns %d, scalar %d, at length %d lo=%#x with %#x at %d", got, want, n, lo, e, p)
-					}
-				}
-				v[p] = keep
-			}
-		}
-	}
-	return nil
-}
-
 // probeTile checks every row count, widths on both sides of each 8- and
 // 16-lane vector boundary and the full NR, both orientations of A's strides,
 // both accumulate modes, k empty, single, even and odd; C sits inside a guard

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mggcn/internal/gen"
+	"mggcn/internal/rng"
 	"mggcn/internal/sparse"
 	"mggcn/internal/tensor"
 )
@@ -143,7 +144,7 @@ func TestBuildBlocksParallelReplayable(t *testing.T) {
 	batches := [][]int32{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}}
 	serial := make([][]*Block, len(batches))
 	for i, b := range batches {
-		serial[i] = BuildBlocks(adj, b, []int{3, 3}, SplitSeed(7, 0, i))
+		serial[i] = BuildBlocks(adj, b, []int{3, 3}, rng.SplitSeed(7, 0, i))
 	}
 	conc := make([][]*Block, len(batches))
 	var wg sync.WaitGroup
@@ -151,7 +152,7 @@ func TestBuildBlocksParallelReplayable(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conc[i] = BuildBlocks(adj, b, []int{3, 3}, SplitSeed(7, 0, i))
+			conc[i] = BuildBlocks(adj, b, []int{3, 3}, rng.SplitSeed(7, 0, i))
 		}()
 	}
 	wg.Wait()
@@ -175,18 +176,18 @@ func TestBuildBlocksParallelReplayable(t *testing.T) {
 // to gathering straight from the feature store.
 func TestCacheGatherBitIdentical(t *testing.T) {
 	const n, d = 64, 7
-	rng := NewRNG(123)
+	r := rng.NewRNG(123)
 	feat := tensor.NewDense(n, d)
 	for i := range feat.Data {
-		feat.Data[i] = float32(rng.Uint64()%1000) / 31
+		feat.Data[i] = float32(r.Uint64()%1000) / 31
 	}
 	degrees := make([]int64, n)
 	for i := range degrees {
-		degrees[i] = int64(rng.Intn(50))
+		degrees[i] = int64(r.Intn(50))
 	}
 	verts := make([]int32, 40)
 	for i := range verts {
-		verts[i] = int32(rng.Intn(n))
+		verts[i] = int32(r.Intn(n))
 	}
 	want := tensor.NewDense(len(verts), d)
 	for i, v := range verts {
@@ -288,9 +289,9 @@ func TestPlanEpochEmpty(t *testing.T) {
 }
 
 func TestRNGPickK(t *testing.T) {
-	rng := NewRNG(5)
+	r := rng.NewRNG(5)
 	for _, k := range []int{1, 3, 10} {
-		got := rng.PickK(make([]int, k), 10)
+		got := r.PickK(make([]int, k), 10)
 		seen := map[int]bool{}
 		for _, v := range got {
 			if v < 0 || v >= 10 {
@@ -303,7 +304,7 @@ func TestRNGPickK(t *testing.T) {
 		}
 	}
 	// k == n is a full permutation.
-	perm := NewRNG(6).PickK(make([]int, 8), 8)
+	perm := rng.NewRNG(6).PickK(make([]int, 8), 8)
 	seen := map[int]bool{}
 	for _, v := range perm {
 		seen[v] = true
@@ -316,9 +317,9 @@ func TestRNGPickK(t *testing.T) {
 func TestRNGStreamsIndependent(t *testing.T) {
 	// SplitSeed must decorrelate adjacent (epoch, batch) pairs: identical
 	// streams would make "independent" samplers draw the same neighbors.
-	a := NewRNG(SplitSeed(1, 0, 0))
-	b := NewRNG(SplitSeed(1, 0, 1))
-	c := NewRNG(SplitSeed(1, 1, 0))
+	a := rng.NewRNG(rng.SplitSeed(1, 0, 0))
+	b := rng.NewRNG(rng.SplitSeed(1, 0, 1))
+	c := rng.NewRNG(rng.SplitSeed(1, 1, 0))
 	same := 0
 	for i := 0; i < 64; i++ {
 		x, y, z := a.Uint64(), b.Uint64(), c.Uint64()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mggcn/internal/rng"
 	"mggcn/internal/tensor"
 )
 
@@ -35,20 +36,20 @@ func slabGather(c *FeatureCache, dst, features *tensor.Dense, verts []int32) (hi
 // fraction, Gather returns the same counts, and both gathers leave the same
 // bits in dst.
 func TestCacheCountMatchesSlabGather(t *testing.T) {
-	rng := NewRNG(31)
+	r := rng.NewRNG(31)
 	for trial := 0; trial < 8; trial++ {
-		n, d := 20+rng.Intn(300), 1+rng.Intn(9)
+		n, d := 20+r.Intn(300), 1+r.Intn(9)
 		feat := tensor.NewDense(n, d)
 		for i := range feat.Data {
-			feat.Data[i] = float32(rng.Uint64()%1000) / 7
+			feat.Data[i] = float32(r.Uint64()%1000) / 7
 		}
 		degrees := make([]int64, n)
 		for i := range degrees {
-			degrees[i] = int64(rng.Intn(40)) // ties included: the selection breaks them by id
+			degrees[i] = int64(r.Intn(40)) // ties included: the selection breaks them by id
 		}
-		verts := make([]int32, rng.Intn(2*n))
+		verts := make([]int32, r.Intn(2*n))
 		for i := range verts {
-			verts[i] = int32(rng.Intn(n))
+			verts[i] = int32(r.Intn(n))
 		}
 		for _, frac := range []float64{0, 0.1, 0.5, 1} {
 			name := fmt.Sprintf("trial %d n=%d frac %v", trial, n, frac)

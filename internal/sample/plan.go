@@ -1,6 +1,10 @@
 package sample
 
-import "fmt"
+import (
+	"fmt"
+
+	"mggcn/internal/rng"
+)
 
 // Plan is one epoch's deterministic minibatch schedule: the shuffled
 // training vertices split into batches, plus the per-batch sampler seed.
@@ -20,8 +24,8 @@ func PlanEpoch(trainVerts []int32, batchSize int, seed int64, epoch int) *Plan {
 		panic(fmt.Sprintf("sample: batchSize %d < 1", batchSize))
 	}
 	verts := append([]int32(nil), trainVerts...)
-	rng := NewRNG(SplitSeed(seed, epoch, -1))
-	rng.Shuffle(len(verts), func(i, j int) { verts[i], verts[j] = verts[j], verts[i] })
+	r := rng.NewRNG(rng.SplitSeed(seed, epoch, -1))
+	r.Shuffle(len(verts), func(i, j int) { verts[i], verts[j] = verts[j], verts[i] })
 	p := &Plan{}
 	for start, b := 0, 0; start < len(verts); start, b = start+batchSize, b+1 {
 		end := start + batchSize
@@ -29,7 +33,7 @@ func PlanEpoch(trainVerts []int32, batchSize int, seed int64, epoch int) *Plan {
 			end = len(verts)
 		}
 		p.Batches = append(p.Batches, verts[start:end])
-		p.Seeds = append(p.Seeds, SplitSeed(seed, epoch, b))
+		p.Seeds = append(p.Seeds, rng.SplitSeed(seed, epoch, b))
 	}
 	return p
 }

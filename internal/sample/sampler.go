@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"mggcn/internal/rng"
 	"mggcn/internal/sparse"
 )
 
@@ -50,7 +51,7 @@ func BuildBlocks(adj *sparse.CSR, batch []int32, fanouts []int, seed int64) []*B
 type Sampler struct {
 	adj     *sparse.CSR
 	fanouts []int
-	rng     RNG
+	rng     rng.RNG
 
 	// member has bit v set while v belongs to the frontier being collected;
 	// drain reads it out in ascending order — deduplicated and sorted in one
@@ -108,7 +109,7 @@ func NewSampler(adj *sparse.CSR, fanouts []int) *Sampler {
 // Build materializes the per-layer blocks of one mini-batch, exactly the
 // blocks BuildBlocks documents, drawing from a stream seeded with seed.
 func (s *Sampler) Build(batch []int32, seed int64) []*Block {
-	s.rng.state = uint64(seed)
+	s.rng.Seed(seed)
 	for _, v := range batch {
 		s.add(v)
 	}

@@ -109,12 +109,9 @@ echo "==> fuzz smoke"
 # Ten seconds of coverage-guided mutation each over the binary dataset decoder,
 # from the seed corpus WriteBinary produces (FuzzReadBinary), over both
 # checkpoint loaders, from the v2 and v3 writers' output (FuzzLoadCheckpoint),
-# over BTER's inline copy of math/rand's stream against a rand.Rand
-# (FuzzStream), over its jump-ahead from crafted states against stepping the
-# recurrence, and long jumps against two shorter ones (FuzzStreamJump; both
-# names are anchored, as -fuzz takes a pattern), over its Chung-Lu phase's guide-table search against
+# over BTER's Chung-Lu phase's guide-table search against
 # sort.SearchFloat64s (FuzzGuidedSearch), over that phase on one to three lanes
-# against its serial loop, a redraw planted in it (FuzzChungLu, anchored), over the SpMM row kernel's strip
+# against its serial loop (FuzzChungLu, anchored, as -fuzz takes a pattern), over the SpMM row kernel's strip
 # widths, entry counts, columns, value forms and values against its scalar
 # body (FuzzSpMMRowModes), over every GeMM tile body this CPU is offered
 # against the scalar tile (FuzzTileCandidates), over every offered
@@ -123,8 +120,6 @@ echo "==> fuzz smoke"
 # construction (FuzzSamplerMatchesReference).
 go test -run '^$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/graphio/
 go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/core/
-go test -run '^$' -fuzz '^FuzzStream$' -fuzztime 10s ./internal/gen/
-go test -run '^$' -fuzz '^FuzzStreamJump$' -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz FuzzGuidedSearch -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz '^FuzzChungLu$' -fuzztime 10s ./internal/gen/
 go test -run '^$' -fuzz FuzzSpMMRowModes -fuzztime 10s ./internal/kernel/
