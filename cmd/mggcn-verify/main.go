@@ -1,8 +1,8 @@
 // Command mggcn-verify runs the repository's verification passes over the
 // recorded epoch graphs of the shipped training strategies. Each strategy
 // (and, where a pass certifies it, its elastic P-1 degradation) is recorded
-// once as a subject, under a comm.Meter and a sim.AllocMeter, and every pass
-// consumes the same recording:
+// once as a subject, under a comm.Meter and with the executor's stamps read
+// by memcheck.MeteredSlabs, and every pass consumes the same recording:
 //
 //	san         static happens-before check over declared buffer accesses,
 //	            the §4.2 L+3 live-slab bound, a shadow replay, and seeded

@@ -152,8 +152,7 @@ func (v *verifier) memcheckPass() string {
 // up with the recording's liveness, meter and pool numbers.
 func (s *subject) crossChecks() []crossCheck {
 	must := s.must
-	live := s.live
-	meterBytes, meterCount := s.alloc.SlabPeakBytes(), s.alloc.SlabPeakCount()
+	live, meter := s.live, s.meter
 	var out []crossCheck
 	for d := 0; d < s.p; d++ {
 		fp, err := memcheck.PeakForm(s.form(), s.model(d))
@@ -161,18 +160,18 @@ func (s *subject) crossChecks() []crossCheck {
 		if fp.Uncertified != "" {
 			fatalf("%s d%d: uncertified: %s", s.label(), d, fp.Uncertified)
 		}
-		key := sim.DeviceKey(d)
+		key := memcheck.DeviceKey(d)
 		c := crossCheck{
 			Strategy: s.name, P: s.p, Device: key,
 			CertifiedByte: fp.SlabBytes,
 			LivenessByte:  live.Bytes[key],
-			MeterByte:     meterBytes[key],
+			MeterByte:     meter.Bytes[key],
 			SlabCount:     fp.SlabCount,
 			ResidentByte:  fp.Resident,
 			PoolByte:      s.poolUsed(d),
 		}
 		c.OK = c.CertifiedByte == c.LivenessByte && c.CertifiedByte == c.MeterByte &&
-			c.SlabCount == live.Count[key] && c.SlabCount == meterCount[key] &&
+			c.SlabCount == live.Count[key] && c.SlabCount == meter.Count[key] &&
 			c.ResidentByte == c.PoolByte
 		out = append(out, c)
 	}

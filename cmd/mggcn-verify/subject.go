@@ -127,10 +127,9 @@ type subject struct {
 	cfg   core.Config // what the full-batch and GAT recordings ran under
 	graph *sim.Graph  // the recorded epoch, registry attached
 	dims  []int
-	// comm and alloc metered the recording.
-	comm  *comm.Meter
-	alloc *sim.AllocMeter
-	base  outputs
+	// comm metered the recording's collectives.
+	comm *comm.Meter
+	base outputs
 
 	// rerun replays one epoch on a fresh trainer: adversarially under seed
 	// when nonzero, and under the observer observe builds from the fresh
@@ -142,9 +141,10 @@ type subject struct {
 	poolUsed func(dev int) int64
 
 	// hb is the executor-contract closure of graph, built once and shared by
-	// the san static pass and the liveness the memcheck pass compares.
-	hb   *sim.HB
-	live memcheck.LiveStats
+	// the san static pass and the liveness the memcheck pass compares with
+	// the meter, which reads the recording's replay stamps.
+	hb          *sim.HB
+	live, meter memcheck.LiveStats
 }
 
 func (s *subject) label() string { return fmt.Sprintf("%s@%d", s.name, s.p) }
@@ -177,7 +177,7 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 	g := v.graph
 	cfg := v.cfg
 	cfg.P = p
-	s.comm, s.alloc = comm.NewMeter(), sim.NewAllocMeter()
+	s.comm = comm.NewMeter()
 	layers := cfg.Layers
 	if st.kind == gat || st.kind == sampled {
 		layers = 2 // what the GAT model and the sampled fanouts below are built for
@@ -231,7 +231,7 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 				break
 			}
 		}
-		scfg.CommMeter, scfg.ExecObserver = s.comm, s.alloc
+		scfg.CommMeter = s.comm
 		tr, err := core.NewSampledTrainer(g, scfg)
 		must(err)
 		stats, err := tr.RunEpoch()
@@ -248,7 +248,7 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 	s.cfg = cfg
 	if record != nil {
 		metered := cfg
-		metered.CommMeter, metered.ExecObserver = s.comm, s.alloc
+		metered.CommMeter = s.comm
 		var run partitionedRun
 		run, s.base = record(metered, nil)
 		s.graph = run.LastGraph()
@@ -267,7 +267,7 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 		}
 	}
 	s.hb = s.graph.HappensBefore(sim.ExecutorEdges)
-	s.live = memcheck.PeakLiveSlabs(s.graph, s.hb)
+	s.live, s.meter = memcheck.PeakLiveSlabs(s.graph, s.hb), memcheck.MeteredSlabs(s.graph)
 	v.report.Subjects = append(v.report.Subjects, subjectReport{st.name, p, len(s.graph.Tasks)})
 	return s
 }

@@ -22,7 +22,7 @@ type execEnv struct {
 	// the default replay.
 	ExecSeed int64
 	// ExecObserver, when set, brackets every replayed closure (internal/san
-	// shadow tracking). Forces serial replay.
+	// shadow tracking). Forces serial replay; sim.Graph.Stamps do not.
 	ExecObserver sim.ExecObserver
 	// Fault, when set, brackets every replayed closure with fault-injection
 	// callbacks (internal/fault's Injector), under the executor's retry

@@ -15,8 +15,9 @@
 //     byte-set any legal execution order can have live at once.
 //
 // Both must agree byte-exactly with each other and with the byte-accurate
-// replay-time allocation meter (sim.AllocMeter) — the three-way cross-check
-// `mggcn-verify memcheck` and the golden tests enforce. The closed forms are
+// allocation meter (MeteredSlabs), which reads the executor's task stamps
+// of a real, concurrent replay — the three-way cross-check `mggcn-verify
+// memcheck` and the golden tests enforce. The closed forms are
 // additionally evaluated at analytic full-scale extents (AnalyticResident)
 // to issue fit / no-fit verdicts against a machine's per-GPU memory (does
 // Papers fit at Scale 1?), which is what core.EstimateMemoryBytesPerDevice

@@ -1,8 +1,8 @@
 // Golden three-way cross-check: for every shipped strategy (including each
 // elastic P-1 degradation) the closed-form certified peak slab bytes, the
-// static graph-liveness high-water, and the replay-time allocation meter's
-// measured high-water must agree byte-exactly, and the certified resident
-// form must equal the pool's allocated bytes.
+// static graph-liveness high-water, and the high-water the meter reads off
+// a concurrent replay's stamps must agree byte-exactly, and the certified
+// resident form must equal the pool's allocated bytes.
 package memcheck_test
 
 import (
@@ -17,13 +17,17 @@ import (
 	"mggcn/internal/sim"
 )
 
+// crossWorkers is the triple cross-checks' replay parallelism: the meter
+// reads a concurrent replay, even on a one-CPU host.
+const crossWorkers = 4
+
 func crossGraph(n int, seed uint64) *graph.Graph {
 	return gen.Generate("memcheck", gen.DefaultBTER(n, 6, seed), 12, 4, false)
 }
 
 // checkTriple pins one device's three legs to byte-exact equality.
 func checkTriple(t *testing.T, fp *memcheck.Footprint,
-	live memcheck.LiveStats, meter *sim.AllocMeter, dev int, poolUsed int64) {
+	live, meter memcheck.LiveStats, dev int, poolUsed int64) {
 	t.Helper()
 	if fp.Uncertified != "" {
 		t.Fatalf("d%d: unexpectedly uncertified: %s", dev, fp.Uncertified)
@@ -33,13 +37,13 @@ func checkTriple(t *testing.T, fp *memcheck.Footprint,
 	if lb := live.Bytes[key]; certified != lb {
 		t.Errorf("d%d: closed form %d bytes != liveness %d bytes", dev, certified, lb)
 	}
-	if mb := meter.SlabPeakBytes()[key]; certified != mb {
+	if mb := meter.Bytes[key]; certified != mb {
 		t.Errorf("d%d: closed form %d bytes != meter %d bytes", dev, certified, mb)
 	}
 	if lc := live.Count[key]; fp.SlabCount != lc {
 		t.Errorf("d%d: closed form count %d != liveness count %d", dev, fp.SlabCount, lc)
 	}
-	if mc := meter.SlabPeakCount()[key]; fp.SlabCount != mc {
+	if mc := meter.Count[key]; fp.SlabCount != mc {
 		t.Errorf("d%d: closed form count %d != meter count %d", dev, fp.SlabCount, mc)
 	}
 	if fp.Resident != poolUsed {
@@ -86,8 +90,7 @@ func TestFullBatchTripleCrossCheck(t *testing.T) {
 			cfg.Layers = tc.layers
 			cfg.Strategy = strategies[tc.strat]
 			cfg.Overlap = tc.overlap
-			meter := sim.NewAllocMeter()
-			cfg.ExecObserver = meter
+			cfg.ExecWorkers = crossWorkers
 			tr, err := core.NewTrainer(g, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -96,6 +99,7 @@ func TestFullBatchTripleCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			live := memcheck.PeakLiveSlabs(tr.LastGraph(), tr.LastGraph().HappensBefore(sim.ExecutorEdges))
+			meter := memcheck.MeteredSlabs(tr.LastGraph())
 			for d := 0; d < tc.p; d++ {
 				fp, err := memcheck.PeakForm(tc.strat, memcheck.Model{
 					Dims: tr.Dims, P: tc.p, Device: d, Overlap: tc.overlap,
@@ -152,8 +156,7 @@ func TestGATTripleCrossCheck(t *testing.T) {
 			cfg.Overlap = tc.overlap
 			dims := nn.LayerDims(g.FeatDim, 16, 2, g.Classes)
 			model := nn.NewGAT(g, dims, 3)
-			meter := sim.NewAllocMeter()
-			cfg.ExecObserver = meter
+			cfg.ExecWorkers = crossWorkers
 			dist, err := core.NewGATDist(g, model, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -162,6 +165,7 @@ func TestGATTripleCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			live := memcheck.PeakLiveSlabs(dist.LastGraph(), dist.LastGraph().HappensBefore(sim.ExecutorEdges))
+			meter := memcheck.MeteredSlabs(dist.LastGraph())
 			for d := 0; d < tc.p; d++ {
 				fp, err := memcheck.PeakForm("gat", memcheck.Model{
 					Dims: dims, P: tc.p, Device: d, Overlap: tc.overlap,
@@ -213,9 +217,7 @@ func TestSampledTripleCrossCheck(t *testing.T) {
 				t.Fatalf("no batch size gives %d train vertices >= 3 equal steps on %d devices", tv, p)
 			}
 			cfg.Batch = batch
-
-			meter := sim.NewAllocMeter()
-			cfg.ExecObserver = meter
+			cfg.ExecWorkers = crossWorkers
 			tr, err := core.NewSampledTrainer(g, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -226,6 +228,7 @@ func TestSampledTripleCrossCheck(t *testing.T) {
 			}
 			steps := stats.Batches / p
 			live := memcheck.PeakLiveSlabs(tr.LastGraph(), tr.LastGraph().HappensBefore(sim.ExecutorEdges))
+			meter := memcheck.MeteredSlabs(tr.LastGraph())
 			caps := tr.FrontierCapacities()
 			dims := nn.LayerDims(g.FeatDim, cfg.Hidden, cfg.Layers, g.Classes)
 			for d := 0; d < p; d++ {
@@ -368,6 +371,82 @@ func TestPeakLiveSlabsSynthetic(t *testing.T) {
 				live.Bytes["d0"], live.Count["d0"])
 		}
 	})
+}
+
+// TestMeteredSlabsStampSweep pins the meter's sweep on hand-built stamps.
+// Slabs A (10 words), B (20) and the capacity-zero handoff slot S live on
+// d0, D (30) on d1; each case lists its tasks' accesses and stamps.
+func TestMeteredSlabsStampSweep(t *testing.T) {
+	type task struct {
+		dev           int
+		reads, writes string
+		at            sim.Stamp // the zero Stamp: the task never ran
+	}
+	for _, tc := range []struct {
+		name  string
+		tasks []task
+		want  map[string][2]int64 // device -> {bytes, count}
+	}{
+		// A's release at 5 comes before B's charge at 5: never both live.
+		{"equal-instants", []task{{0, "", "A", sim.Stamp{Start: 1, End: 5}}, {0, "", "B", sim.Stamp{Start: 5, End: 9}}},
+			map[string][2]int64{"d0": {80, 1}}},
+		// The middle task releases A and charges B: both live while it runs.
+		{"handoff-task", []task{{0, "", "A", sim.Stamp{Start: 1, End: 5}}, {0, "A", "B", sim.Stamp{Start: 6, End: 9}},
+			{0, "B", "", sim.Stamp{Start: 10, End: 12}}},
+			map[string][2]int64{"d0": {120, 2}}},
+		// A's last access in issue order never ran, so A releases at 5, not
+		// never; B's first access never ran, so B charges from 6, not from
+		// the zero Stamp, and a task recorded past the stamps (not replayed)
+		// charges nothing either.
+		{"never-ran", []task{{0, "", "A", sim.Stamp{Start: 1, End: 5}}, {0, "A", "B", sim.Stamp{}},
+			{0, "B", "", sim.Stamp{Start: 6, End: 9}}, {1, "", "D", sim.Stamp{Start: 6, End: 9}}, {0, "", "B", sim.Stamp{}}},
+			map[string][2]int64{"d0": {80, 1}, "d1": {120, 1}}},
+		// The slot counts as a slab and weighs nothing.
+		{"slot", []task{{0, "", "AS", sim.Stamp{Start: 1, End: 5}}, {0, "S", "", sim.Stamp{Start: 6, End: 9}}},
+			map[string][2]int64{"d0": {40, 2}}},
+		// Overlapping tasks on two devices charge each device its own slab.
+		{"two-devices", []task{{0, "", "A", sim.Stamp{Start: 1, End: 5}}, {1, "", "D", sim.Stamp{Start: 2, End: 6}},
+			{0, "", "B", sim.Stamp{Start: 6, End: 8}}},
+			map[string][2]int64{"d0": {80, 1}, "d1": {120, 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tg := sim.NewGraph(sim.DGXV100(), 2)
+			tg.Reg = sim.NewBufRegistry()
+			bufs := map[rune]sim.BufID{}
+			for _, b := range []struct {
+				name rune
+				dev  int
+				cap  int64
+			}{{'A', 0, 10}, {'B', 0, 20}, {'S', 0, 0}, {'D', 1, 30}} {
+				bufs[b.name] = tg.Reg.RegisterOn(string(b.name), b.dev, true)
+				tg.Reg.SetCapacity(bufs[b.name], b.cap)
+			}
+			shapes := func(names string) (out []sim.ViewShape) {
+				for _, n := range names {
+					out = append(out, sim.OpaqueShape(bufs[n]))
+				}
+				return out
+			}
+			for i, tk := range tc.tasks {
+				id := tg.AddCompute(tk.dev, sim.KindActivation, "t", -1, 0, true)
+				tg.DeclareShaped(id, shapes(tk.reads), shapes(tk.writes))
+				// A last task that never ran is left past the stamps, as a
+				// task recorded after the replay is.
+				if i < len(tc.tasks)-1 || tk.at != (sim.Stamp{}) {
+					tg.Stamps = append(tg.Stamps, tk.at)
+				}
+			}
+			got := memcheck.MeteredSlabs(tg)
+			for dev, w := range tc.want {
+				if got.Bytes[dev] != w[0] || int64(got.Count[dev]) != w[1] {
+					t.Errorf("%s: got %d bytes / %d slabs, want %d / %d", dev, got.Bytes[dev], got.Count[dev], w[0], w[1])
+				}
+			}
+			if len(got.Count) != len(tc.want) {
+				t.Errorf("metered devices %v, want %v", got.Count, tc.want)
+			}
+		})
+	}
 }
 
 // TestPeakFormNames: every strategy name yields a form, an unknown one an

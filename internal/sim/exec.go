@@ -2,11 +2,11 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"time"
 
 	"mggcn/internal/pool"
+	"mggcn/internal/rng"
 )
 
 // This file is the host-side twin of sched.go: where Run *simulates* the
@@ -112,10 +112,10 @@ func (g *Graph) Execute(workers int) error {
 // remain bit-identical to Execute for a correctly ordered graph, and
 // failures surface exactly as from Execute.
 func (g *Graph) ExecuteAdversarial(workers int, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
+	r := rng.NewRNG(seed)
 	pick := func(ready []int) int {
-		if rng.Intn(4) == 0 {
-			return rng.Intn(len(ready))
+		if r.Intn(4) == 0 {
+			return r.Intn(len(ready))
 		}
 		// Latest-issued first: reverse of record order among the ready set.
 		best := 0
@@ -127,20 +127,29 @@ func (g *Graph) ExecuteAdversarial(workers int, seed int64) error {
 		return best
 	}
 	delay := func() time.Duration {
-		if rng.Intn(2) == 0 {
-			return time.Duration(rng.Intn(120)) * time.Microsecond
+		if r.Intn(2) == 0 {
+			return time.Duration(r.Intn(120)) * time.Microsecond
 		}
 		return 0
 	}
 	return g.execute(workers, pick, delay)
 }
 
-// ExecObserver brackets replayed closures in shadow-tracking mode; see
-// Graph.Observer.
+// ExecObserver brackets replayed closures; see Graph.Observer.
 type ExecObserver interface {
 	Before(t *Task)
 	After(t *Task)
 }
+
+// Stamp is when a replayed task ran, in monotonic nanoseconds from its
+// graph's origin: Start before the observer's Before and the fault hook,
+// End after the observer's After, both taken on the task's worker. The
+// origin lies one nanosecond before the graph's first replay, so a task that
+// ran has End > 0, and the zero Stamp is a task that never ran (unbound,
+// cancelled, or not replayed yet). A task's Start precedes its End, and a
+// successor's Start follows its predecessor's End, on a clock finer than a
+// closure: the Linux monotonic clock counts nanoseconds.
+type Stamp struct{ Start, End int64 }
 
 // execute is the shared replay core: pick selects which ready task to
 // issue next (index into the ready slice), delay (optional) yields a start
@@ -153,8 +162,9 @@ func (g *Graph) execute(workers int, pick func(ready []int) int, delay func() ti
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if g.Observer != nil {
-		// Shadow tracking needs exclusive buffer observation around each
-		// closure; any serial topological order is a valid reference order.
+		// Observers see buffers exclusively around each closure (san's
+		// shadow) or append without a lock (the benchmark's span recorder);
+		// any serial topological order is a valid reference order.
 		workers = 1
 	}
 	n := len(g.Tasks)
@@ -163,9 +173,10 @@ func (g *Graph) execute(workers int, pick func(ready []int) int, delay func() ti
 	if start == n {
 		return nil
 	}
-	if gobs, ok := g.Observer.(GraphExecObserver); ok {
-		gobs.BeginGraph(g, start, n)
+	if g.origin.IsZero() {
+		g.origin = time.Now().Add(-time.Nanosecond)
 	}
+	g.Stamps = append(g.Stamps, make([]Stamp, n-len(g.Stamps))...)
 
 	// Tasks before the watermark already ran and count as done. A task that
 	// precedes another through several edges (a dep that is also its FIFO
@@ -207,6 +218,7 @@ func (g *Graph) execute(workers int, pick func(ready []int) int, delay func() ti
 	inFlight := 0
 	obs := g.Observer
 	hook := g.Fault
+	origin, stamps := g.origin, g.Stamps
 	var firstErr error
 	for {
 		if firstErr == nil {
@@ -230,6 +242,7 @@ func (g *Graph) execute(workers int, pick func(ready []int) int, delay func() ti
 					if d > 0 {
 						time.Sleep(d)
 					}
+					stamps[tid].Start = int64(time.Since(origin))
 					if obs != nil {
 						obs.Before(task)
 					}
@@ -249,6 +262,7 @@ func (g *Graph) execute(workers int, pick func(ready []int) int, delay func() ti
 					if obs != nil {
 						obs.After(task)
 					}
+					stamps[tid].End = int64(time.Since(origin))
 					doneCh <- result{tid, err}
 				})
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,6 +165,64 @@ func TestExecuteRunsIndependentTasksConcurrently(t *testing.T) {
 	g.Execute(n)
 	if peak != n {
 		t.Fatalf("peak concurrency %d, want %d", peak, n)
+	}
+}
+
+func TestExecuteStampsEveryTask(t *testing.T) {
+	// A concurrent replay stamps each task it runs: the two barrier tasks'
+	// intervals overlap, a successor starts after its predecessors end, and
+	// an unbound task keeps the zero Stamp.
+	var barrier sync.WaitGroup
+	barrier.Add(2)
+	meet := func() { barrier.Done(); barrier.Wait() }
+	g := NewGraph(DGXV100(), 2)
+	a := g.AddCompute(0, KindSpMM, "a", 0, 1, true)
+	g.BindShaped(a, nil, nil, meet)
+	b := g.AddCompute(1, KindSpMM, "b", 0, 1, true)
+	g.BindShaped(b, nil, nil, meet)
+	c := g.AddCompute(1, KindGeMM, "c", -1, 1, false, a, b)
+	bindNop(g, c)
+	u := g.AddCompute(0, KindGeMM, "unbound", -1, 1, false)
+	if err := g.Execute(2); err != nil {
+		t.Fatal(err)
+	}
+	st := g.Stamps
+	if len(st) != len(g.Tasks) {
+		t.Fatalf("%d stamps for %d tasks", len(st), len(g.Tasks))
+	}
+	for _, id := range []int{a, b, c} {
+		if st[id].Start <= 0 || st[id].End <= st[id].Start {
+			t.Errorf("task %d stamped %+v, want 0 < Start < End", id, st[id])
+		}
+	}
+	if st[a].Start >= st[b].End || st[b].Start >= st[a].End {
+		t.Errorf("barrier tasks %+v and %+v do not overlap", st[a], st[b])
+	}
+	if st[c].Start < max(st[a].End, st[b].End) {
+		t.Errorf("c %+v started before its deps ended (%+v, %+v)", st[c], st[a], st[b])
+	}
+	if st[u] != (Stamp{}) {
+		t.Errorf("unbound task stamped %+v", st[u])
+	}
+
+	// A later Execute stamps only its own suffix, after the first replay,
+	// and a task cancelled behind a failure keeps the zero Stamp.
+	first := st[c]
+	f := g.AddCompute(0, KindGeMM, "fail", -1, 1, false)
+	g.BindShapedE(f, nil, nil, func() error { return errors.New("down") })
+	s := g.AddCompute(0, KindGeMM, "after", -1, 1, false, f)
+	bindNop(g, s)
+	if err := g.Execute(2); err == nil {
+		t.Fatal("Execute succeeded despite a failing task")
+	}
+	if g.Stamps[c] != first {
+		t.Errorf("the second replay restamped c: %+v, was %+v", g.Stamps[c], first)
+	}
+	if g.Stamps[f].Start < first.End || g.Stamps[f].End <= g.Stamps[f].Start {
+		t.Errorf("failed task stamped %+v, want after %d", g.Stamps[f], first.End)
+	}
+	if g.Stamps[s] != (Stamp{}) {
+		t.Errorf("cancelled task stamped %+v", g.Stamps[s])
 	}
 }
 

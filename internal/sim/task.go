@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // StreamID selects one of the per-device CUDA-style streams: the §4.3
 // compute/comm pair, plus a sampler stage stream for the factored minibatch
@@ -165,9 +168,9 @@ type Graph struct {
 	// sets refer to (sanitizer diagnostics only; the executor ignores it).
 	Reg *BufRegistry
 	// Observer, when set, brackets every replayed closure with Before/After
-	// callbacks. Execute then forces serial replay (one task in flight) so
-	// the callbacks observe buffer state exclusively — the shadow-tracking
-	// mode of internal/san.
+	// callbacks. Execute then forces serial replay (one task in flight), so
+	// the callbacks observe buffer state exclusively (internal/san's shadow)
+	// and need no lock. When a task ran needs no observer: see Stamps.
 	Observer ExecObserver
 	// Fault, when set, brackets every bound closure with fault-injection
 	// callbacks (internal/fault): BeforeTask may delay the task (straggler)
@@ -179,6 +182,10 @@ type Graph struct {
 	bound int
 	// executed is Execute's watermark: tasks below it have been replayed.
 	executed int
+	// Stamps, indexed by task ID, is when each replayed task ran (Stamp),
+	// from origin, at any worker count; tasks past the watermark have none.
+	Stamps []Stamp
+	origin time.Time
 	// After maps a task ID to its host-only predecessors (FenceNext): the
 	// executor honours them with the fences (EdgeFences), the simulator does
 	// not, because they guard host memory a simulated task never touches.
