@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"mggcn/internal/graph"
@@ -337,25 +336,16 @@ func BenchmarkBTER(b *testing.B) {
 
 // TestGenerateSameOnEveryLaneCount holds Generate's dataset to the one a
 // single lane makes, on two and three lanes (structure, labels, features and
-// split). Among the graphs are one whose phase 2 stops exactly at its first
-// round's end and one whose phase 2 runs out of attempts.
+// split). Among the graphs is one whose phase 2 runs out of attempts; a
+// phase 2 that stops exactly at a round's end is TestEdgeTableStopsAtTarget.
 func TestGenerateSameOnEveryLaneCount(t *testing.T) {
-	// The first round draws the deficit, so a phase 2 in which every attempt
-	// is a new edge stops at its end; at N = 20 and degree 19 the target is
-	// every pair, which the draws do not reach in 4·target attempts.
-	boundary, exhausted := DefaultBTER(30, 2, 186), DefaultBTER(20, 19, 1)
-	for _, c := range []struct {
-		cfg      BTERConfig
-		attempts func(p phase2) int
-	}{
-		{boundary, func(p phase2) int { return p.target - len(slices.Concat(p.hits...)) }},
-		{exhausted, func(p phase2) int { return 4 * p.target }},
-	} {
-		if p := phase2Of(c.cfg); checkChungLu(t, p, 1) != c.attempts(p) {
-			t.Fatalf("N=%d: phase 2 does not make the %d attempts the case is for", c.cfg.N, c.attempts(p))
-		}
+	// At N = 20 and degree 19 the target is every pair, which the draws do
+	// not reach in 4·target attempts.
+	exhausted := DefaultBTER(20, 19, 1)
+	if p := phase2Of(exhausted); checkChungLu(t, p, 1) != 4*p.target {
+		t.Fatalf("N=%d: phase 2 does not make the %d attempts the case is for", exhausted.N, 4*p.target)
 	}
-	for _, cfg := range []BTERConfig{DefaultBTER(1500, 30, 4), DefaultBTER(600, 8, 5), DefaultBTER(3, 2, 10), DefaultBTER(1, 1, 8), boundary, exhausted} {
+	for _, cfg := range []BTERConfig{DefaultBTER(1500, 30, 4), DefaultBTER(600, 8, 5), DefaultBTER(3, 2, 10), DefaultBTER(1, 1, 8), exhausted} {
 		want := generate("lanes", cfg, 8, 3, false, 1)
 		got := map[string]*graph.Graph{"Generate's": Generate("lanes", cfg, 8, 3, false)}
 		for lanes := 2; lanes <= 3; lanes++ {

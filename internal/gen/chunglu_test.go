@@ -3,6 +3,7 @@ package gen
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -203,6 +204,50 @@ func TestEdgeTableGrows(t *testing.T) {
 		}
 		if tab.held != len(want.us) || csrDigest(tab.toCSR(n, lanes)) != csrDigest(want.toCSR(n)) {
 			t.Fatalf("%d lanes: the grown table holds %d edges, the oracle %d, or another graph", lanes, tab.held, len(want.us))
+		}
+	}
+}
+
+// TestEdgeTableStopsAtTarget holds the round that ends phase 2 by
+// construction, on one to three lanes: hand-built attempts, after phase 1's
+// hits, whose new edges reach the target exactly at the round's end (nothing
+// to trim) or overshoot it by one (trim takes the last new edge out). The
+// attempts repeat an edge, repeat a hit and hold u = v attempts (key 0). The
+// table must hold the edges the edgeSet oracle holds when fed the same
+// attempts in order until it reaches the target.
+func TestEdgeTableStopsAtTarget(t *testing.T) {
+	const n = 20
+	key := func(u, v int) uint64 { return uint64(u)<<32 | uint64(v) }
+	hits := []uint64{key(0, 1), key(2, 3)}
+	// Seven new edges, the last of them the round's last attempt.
+	round := []uint64{key(4, 5), 0, key(0, 1), key(6, 7), key(4, 5), key(8, 9), key(10, 11),
+		0, key(12, 13), key(6, 7), key(14, 15), key(2, 3), key(16, 17)}
+	for _, c := range []struct {
+		name         string
+		target, over int
+	}{{"exact", len(hits) + 7, 0}, {"over-by-one", len(hits) + 6, 1}} {
+		want := newEdgeSet(1)
+		for _, k := range slices.Concat(hits, round) {
+			if k != 0 && len(want.us) < c.target {
+				want.add(int32(k>>32), int32(k))
+			}
+		}
+		for lanes := 1; lanes <= 3; lanes++ {
+			tab := newEdgeTable(c.target)
+			tab.add([][]uint64{hits}, 1)
+			need, runs := c.target-tab.held, make([][]uint64, lanes)
+			for k := range runs {
+				runs[k] = round[k*len(round)/lanes : (k+1)*len(round)/lanes]
+			}
+			if tab.add(runs, lanes); tab.held-c.target != c.over {
+				t.Fatalf("%s on %d lanes: the round overshoots by %d, want %d", c.name, lanes, tab.held-c.target, c.over)
+			}
+			if tab.held > c.target {
+				tab.trim(len(round), need)
+			}
+			if tab.held != c.target || csrDigest(tab.toCSR(n, lanes)) != csrDigest(want.toCSR(n)) {
+				t.Errorf("%s on %d lanes: the table holds %d edges, the oracle %d, or another graph", c.name, lanes, tab.held, len(want.us))
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package mggcn
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -385,6 +387,45 @@ func TestCheckpointPublicAPI(t *testing.T) {
 	}
 	if a, b := mustEpoch(tr).Loss, mustEpoch(tr2).Loss; a != b {
 		t.Fatalf("restored trainer diverges: %v vs %v", a, b)
+	}
+
+	// The sampled trainer's checkpoint goes through SaveCheckpointAtomic to
+	// a file, and a fresh trainer read from it runs the same next epoch.
+	so := DefaultSampledOptions(DGXA100(), 2)
+	so.Hidden, so.Layers, so.Batch, so.Fanouts = 8, 2, 16, []int{3, 4}
+	sampled := func() *SampledTrainer {
+		st, err := NewSampledTrainer(ds, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st, st2 := sampled(), sampled()
+	if _, err := st.Train(2); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sampled.ckpt")
+	if err := SaveCheckpointAtomic(path, st.SaveCheckpoint); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := st2.LoadCheckpoint(f); err != nil {
+		t.Fatal(err)
+	}
+	a, err := st.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := st2.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(a.Loss) != math.Float64bits(b.Loss) {
+		t.Fatalf("restored sampled trainer diverges: %v vs %v", a.Loss, b.Loss)
 	}
 }
 
