@@ -101,6 +101,9 @@ echo "==> go test -race"
 # the sampled pipeline's double-buffered handoff (mggcn-sample) and the fault
 # paths through the executor's error/cancel machinery (mggcn-chaos).
 go test -race -short -timeout 30m ./...
+# The executor's lock-free task stamps and the allocation meter that reads
+# them, at four workers, several times over.
+go test -race -count=3 -run 'TripleCrossCheck|Meter|Stamp' ./internal/memcheck/ ./internal/sim/
 
 echo "==> go test (full, no race)"
 go test -timeout 30m ./...
