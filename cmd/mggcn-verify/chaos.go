@@ -16,10 +16,10 @@ import (
 
 // scenario is one row of the chaos matrix: did the run survive (recover and
 // match the fault-free result), abort (fail with a clean error), or corrupt
-// (finish with wrong or non-finite numbers)? Crash and retried-transient
-// runs must survive, exhausted-retry runs must abort cleanly (except the
-// sampled pipeline, whose suspect-eviction rule survives them at P-1);
-// nothing may ever corrupt.
+// (finish with wrong or non-finite numbers)? Every trainer must survive
+// every fault, an exhausted retry by evicting a suspect device at P-1; only
+// the forward-only GAT, which has no elastic loop, must abort cleanly on a
+// lost device or an exhausted retry. Nothing may ever corrupt.
 type scenario struct {
 	Strategy string  `json:"strategy"`
 	Fault    string  `json:"fault"`
@@ -58,20 +58,19 @@ func kindsFor(k kind) []string {
 }
 
 // expectation is the contract a scenario is judged against: everything must
-// survive except what the strategy cannot recover from — exhausted retries
-// (the sampled pipeline's suspect-eviction rule survives even those, at
-// P-1) and, on the forward-only GAT path with no elastic loop, a lost device.
+// survive except, on the forward-only GAT path with no elastic loop, what
+// costs a device — a crash or an exhausted retry.
 func expectation(k kind, fk string) string {
-	if (fk == "transient-exhaust" && k != sampled) || (fk == "crash" && k == gat) {
+	if k == gat && (fk == "crash" || fk == "transient-exhaust") {
 		return "abort"
 	}
 	return "survive"
 }
 
 // bitExact lists the faults recovered at full strength, after which the run
-// must be bit-identical to fault-free (retries move data exactly once; poison
-// and flaky-sampler re-runs start from a snapshot). The others cost a device
-// and must finish at P-1.
+// must be bit-identical to fault-free (retries, the flaky sampler's too, move
+// data exactly once; a poison re-run starts from a snapshot). The others cost
+// a device and must finish at P-1.
 var bitExact = map[string]bool{"transient": true, "straggler": true, "poison": true, "flaky-sampler": true}
 
 // chaosMatrix lays out the scenarios in (strategy, fault, seed) order —
@@ -215,6 +214,15 @@ type elasticRun struct {
 	FinalP int
 }
 
+// kept is the part of an elastic run's result a scenario keeps (nothing when
+// the run failed before it started).
+func kept[T any](res *core.ElasticResult[T], err error) (elasticRun, error) {
+	if res == nil {
+		return elasticRun{}, err
+	}
+	return elasticRun{res.Stats, res.Events, res.FinalP}, err
+}
+
 // losses is the run's per-effective-epoch loss series.
 func (r elasticRun) losses() []float64 {
 	var out []float64
@@ -225,37 +233,23 @@ func (r elasticRun) losses() []float64 {
 }
 
 // chaosTrainer returns the elastic loop of trainer family k on g for the
-// given effective epochs, under inj as the fault hook (nil: fault-free). The
-// sampled pipeline runs small fanouts with pipelining on; cfg's width, seed,
-// learning rate and executor workers carry over.
-func chaosTrainer(k kind, cfg core.Config, g *graph.Graph, epochs int) func(inj *fault.Injector) (elasticRun, error) {
-	if k == fullBatch {
-		return func(inj *fault.Injector) (elasticRun, error) {
-			c := cfg
-			if inj != nil {
-				c.Fault = inj
-			}
-			res, err := core.TrainElastic(g, c, epochs)
-			if res == nil {
-				return elasticRun{}, err
-			}
-			return elasticRun{res.Stats, res.Events, res.FinalP}, err
-		}
-	}
+// given effective epochs, under hook as the fault hook (nil: fault-free).
+// The sampled pipeline runs small fanouts with pipelining on; cfg's width,
+// seed, learning rate and executor workers carry over.
+func chaosTrainer(k kind, cfg core.Config, g *graph.Graph, epochs int) func(hook sim.FaultHook) (elasticRun, error) {
 	scfg := core.DefaultSampledConfig(cfg.Spec, cfg.P, 1)
 	scfg.Hidden, scfg.Layers, scfg.Fanouts = cfg.Hidden, 2, []int{4, 6}
 	scfg.Batch, scfg.CacheFrac, scfg.LR, scfg.Seed = 8, 0.5, cfg.LR, cfg.Seed
 	scfg.ExecWorkers = cfg.ExecWorkers
-	return func(inj *fault.Injector) (elasticRun, error) {
+	return func(hook sim.FaultHook) (elasticRun, error) {
+		if k == fullBatch {
+			c := cfg
+			c.Fault = hook
+			return kept(core.TrainElastic(g, c, epochs))
+		}
 		c := scfg
-		if inj != nil {
-			c.Fault = inj
-		}
-		res, err := core.TrainSampledElastic(g, c, epochs)
-		if res == nil {
-			return elasticRun{}, err
-		}
-		return elasticRun{res.Stats, res.Events, res.FinalP}, err
+		c.Fault = hook
+		return kept(core.TrainSampledElastic(g, c, epochs))
 	}
 }
 

@@ -1111,7 +1111,7 @@ func runSampled() (*ExperimentResult, error) {
 	// that cell is their fault-free epoch.
 	faultFree := vals["0.5/pipelined/sim_epoch_seconds"]
 	rec := report.NewTable("Recovery overhead (half cache, pipelined; one effective epoch, one injected fault)",
-		"final P", "recoveries", "epoch(s)", "vs fault-free")
+		"final P", "recoveries", "injected transients", "epoch(s)", "vs fault-free")
 	for _, f := range []struct {
 		name string
 		plan fault.Plan
@@ -1122,8 +1122,8 @@ func runSampled() (*ExperimentResult, error) {
 			Device: 0, OnLabel: "s1/sample", Failures: 1, Stream: fault.OnStream(sim.StreamSample)}}},
 		{"transient-exhaust", fault.Plan{Seed: 1, Transient: &fault.TransientSpec{Every: 2, Failures: 100}}},
 	} {
-		cfg := config(0.5, true)
-		cfg.Fault = fault.New(f.plan)
+		cfg, inj := config(0.5, true), fault.New(f.plan)
+		cfg.Fault = inj
 		res, err := core.TrainSampledElastic(&structure, cfg, 1)
 		if err != nil {
 			return nil, fmt.Errorf("sampled: %s: %w", f.name, err)
@@ -1135,7 +1135,10 @@ func runSampled() (*ExperimentResult, error) {
 		vals[f.name+"/final_p"] = float64(res.FinalP)
 		vals[f.name+"/recoveries"] = float64(len(res.Events))
 		vals[f.name+"/recovery_overhead_ratio"] = seconds / faultFree
-		rec.AddRow(f.name, fmt.Sprintf("%d", res.FinalP), fmt.Sprintf("%d", len(res.Events)),
+		// A retried flaky sampler costs no recovery; this count shows it fired.
+		transients := inj.Stats().TransientFailures
+		vals[f.name+"/injected_transient_failures"] = float64(transients)
+		rec.AddRow(f.name, fmt.Sprintf("%d", res.FinalP), fmt.Sprintf("%d", len(res.Events)), fmt.Sprintf("%d", transients),
 			report.Seconds(seconds), report.Speedup(seconds/faultFree))
 	}
 	return &ExperimentResult{ID: "sampled", Title: "Sampled pipeline", Text: tab.String() + "\n" + rec.String(), Values: vals}, nil

@@ -21,7 +21,8 @@ import (
 // start, and because every batch is a pure function of (Seed, epoch, batch
 // index), re-running re-derives the lost work exactly — the full-batch
 // epoch is the one-segment case with nothing to re-derive. The failure
-// taxonomy (internal/sim's fault contract) maps onto the recoveries:
+// taxonomy (internal/sim's fault contract) maps onto one column of
+// recoveries, the same for both trainers:
 //
 //   - permanent device loss (*sim.DeviceLostError): the survivors resync
 //     their replicated model state from a consistent surviving replica over
@@ -30,29 +31,27 @@ import (
 //     1D partition (1.5D degrades to 1D-row when the survivor count goes
 //     odd, Strategy.Degraded); sampled re-derives the per-device feature
 //     caches and handoff slots and carries the cursor over;
+//   - an exhausted retry (*sim.GiveUpError: a collective or a flaky task
+//     failed every attempt the executor gave it) applies the
+//     suspect-eviction rule: the exhaustion is attributed to the
+//     highest-indexed device (a flaky link rides with its endpoint), which
+//     is evicted exactly as if it had crashed. At P == 1 there is no one
+//     left to evict and the run aborts;
 //   - numeric corruption (*NumericError, e.g. an injected NaN): the model
 //     restores to its unit-start snapshot and the unit re-runs;
-//   - a transient task failure (*sim.TransientTaskError — e.g. a sampler
-//     stage whose host thread hiccuped) recovers the same way, on the
-//     sampled trainer only;
-//   - an exhausted collective (*sim.GiveUpError) applies, on the sampled
-//     trainer only, the suspect-eviction rule: repeated retry exhaustion is
-//     attributed to the highest-indexed device (a flaky link rides with its
-//     endpoint), which is evicted exactly as if it had crashed. At P == 1
-//     there is no one left to evict and the run aborts;
-//   - anything else (on the full-batch trainer that includes the two rows
-//     above, and everywhere a plain kernel failure) aborts the run.
+//   - anything else aborts the run. A transient failure never reaches the
+//     loop: the executor retries it in place, and its last failure is the
+//     GiveUpError above.
 //
-// The two sampled-only rows are data the trainer hands the loop
-// (recoveryPolicy), not a second loop. Every recovery re-runs the voided
-// unit, so a recovered run performs the same *effective* optimizer steps as
-// a fault-free one: the parity bar is bit-identity for same-P recoveries and
-// 1e-6 agreement with a fault-free P-1 run for device loss.
+// Every recovery re-runs the voided unit, so a recovered run performs the
+// same *effective* optimizer steps as a fault-free one: the parity bar is
+// bit-identity for same-P recoveries and 1e-6 agreement with a fault-free
+// P-1 run for device loss and eviction.
 
 // RecoveryEvent is one entry of an elastic run's recovery log.
 type RecoveryEvent struct {
 	Epoch  int    `json:"epoch"`  // the epoch that failed (0-based, effective numbering)
-	Kind   string `json:"kind"`   // "device-lost", "numeric" or "transient-task"
+	Kind   string `json:"kind"`   // "device-lost" (a crash or an eviction) or "numeric"
 	Detail string `json:"detail"` // what recovery did
 	P      int    `json:"p"`      // group size after recovery
 }
@@ -81,20 +80,6 @@ type removalObserver interface {
 	ObserveRemoval(device int)
 }
 
-// recoveryPolicy is everything that differs between the trainers under the
-// one elastic loop. The error classes not named here are handled alike:
-// device loss shrinks, numeric corruption restores, the rest aborts.
-type recoveryPolicy struct {
-	// unit names the granularity of recovery in event details.
-	unit string
-	// evictOnGiveUp turns an exhausted collective into suspect eviction;
-	// replayTransient turns a transient task failure into restore + replay.
-	// With either off, that error class aborts the run.
-	evictOnGiveUp, replayTransient bool
-	// patience is the early-stopping patience (0: run every epoch).
-	patience int
-}
-
 // elasticTrainer is what the elastic loop needs of a trainer T.
 type elasticTrainer[T any] interface {
 	// RunEpoch trains one unit of recovery; after an error the trainer's
@@ -102,7 +87,8 @@ type elasticTrainer[T any] interface {
 	RunEpoch() (*EpochStats, error)
 	model() *replicas
 	env() *execEnv
-	recoveryPolicy() recoveryPolicy
+	// patience is the early-stopping patience (0: run every epoch).
+	patience() int
 	// rebuild returns a fresh trainer over p devices at the same position in
 	// the run, and what it changed for the event detail; the loop restores
 	// the model state onto it.
@@ -123,8 +109,7 @@ type elasticRun[T elasticTrainer[T]] struct {
 // nobody left to evict come back as they are, an exhausted recovery budget
 // or a failed recovery wrap the epoch's error.
 func (r *elasticRun[T]) train(epochs int) error {
-	pol := r.tr.recoveryPolicy()
-	r.log.patience = pol.patience
+	r.log.patience = r.tr.patience()
 	for e, consecutive := 0, 0; e < epochs; {
 		snap := r.tr.model().capture(0)
 		s, runErr := r.tr.RunEpoch()
@@ -145,31 +130,26 @@ func (r *elasticRun[T]) train(epochs int) error {
 		ev := RecoveryEvent{Epoch: e, P: p}
 		var lost *sim.DeviceLostError
 		var gaveUp *sim.GiveUpError
-		var transient *sim.TransientTaskError
 		var numeric *NumericError
 		var recErr error
 		switch {
 		case errors.As(runErr, &lost):
-			ev, recErr = r.shrink(ev, pol, lost.Device, snap)
-		case pol.evictOnGiveUp && errors.As(runErr, &gaveUp):
-			// Suspect eviction: the collective exhausted its retries, so its
+			ev, recErr = r.shrink(ev, lost.Device, snap)
+		case errors.As(runErr, &gaveUp):
+			// Suspect eviction: the task exhausted its retries, so the
 			// flakiest endpoint — by convention the highest-indexed device —
 			// leaves the group and the survivors carry on at P-1. Alone,
-			// there is no suspect to evict: abort with the collective's error.
+			// there is no suspect to evict: abort with the task's error.
 			if p <= 1 {
 				return runErr
 			}
-			ev.Detail = fmt.Sprintf("collective %q exhausted %d attempts; evicted suspect device %d; ",
+			ev.Detail = fmt.Sprintf("%q exhausted %d attempts; evicted suspect device %d; ",
 				gaveUp.Label, gaveUp.Attempts, p-1)
-			ev, recErr = r.shrink(ev, pol, p-1, snap)
-		case pol.replayTransient && errors.As(runErr, &transient):
-			m.restore(snap)
-			ev.Kind = "transient-task"
-			ev.Detail = fmt.Sprintf("restored %s-start state after %v; replaying it", pol.unit, transient)
+			ev, recErr = r.shrink(ev, p-1, snap)
 		case errors.As(runErr, &numeric):
 			m.restore(snap)
 			ev.Kind = "numeric"
-			ev.Detail = fmt.Sprintf("restored %s-start state after %v", pol.unit, numeric)
+			ev.Detail = fmt.Sprintf("restored unit-start state after %v", numeric)
 		default:
 			return runErr
 		}
@@ -183,14 +163,14 @@ func (r *elasticRun[T]) train(epochs int) error {
 
 // shrink replaces the trainer by one over the survivors of losing lostDev:
 // acknowledge the removal to the injector (first: it retires the transient
-// spec that evicted a suspect, which would fail the resync's broadcasts too,
+// specs that evicted a suspect, which would fail the resync's broadcasts too,
 // and the resync leaves lostDev out), pick a resync source whose replica is
 // still at the unit-start step and finite (falling back to the unit-start
 // snapshot when none qualifies — e.g. the crash landed mid-Adam and some
 // survivors already stepped), resync the survivors from it, rebuild at P-1,
 // and restore the agreed state onto the new replicas. It completes ev, whose
 // Detail may already say why the device is leaving.
-func (r *elasticRun[T]) shrink(ev RecoveryEvent, pol recoveryPolicy, lostDev int, snap *modelState) (RecoveryEvent, error) {
+func (r *elasticRun[T]) shrink(ev RecoveryEvent, lostDev int, snap *modelState) (RecoveryEvent, error) {
 	m, env := r.tr.model(), r.tr.env()
 	p := m.Machine.P
 	if p <= 1 {
@@ -228,7 +208,7 @@ func (r *elasticRun[T]) shrink(ev RecoveryEvent, pol recoveryPolicy, lostDev int
 		}
 		if state == nil {
 			state = snap
-			ev.Detail += fmt.Sprintf("restored %s-start snapshot", pol.unit)
+			ev.Detail += "restored unit-start snapshot"
 		}
 	}
 
@@ -265,7 +245,8 @@ func TrainElastic(g *graph.Graph, cfg Config, epochs int) (*ElasticResult[*Train
 
 func (tr *Trainer) env() *execEnv { return &tr.Cfg.execEnv }
 
-func (tr *Trainer) recoveryPolicy() recoveryPolicy { return recoveryPolicy{unit: "epoch"} }
+// patience is 0: the full-batch trainer runs every epoch it is asked for.
+func (tr *Trainer) patience() int { return 0 }
 
 // rebuild repartitions over p devices; 1.5D needs an even group, so an odd
 // survivor count degrades to the paper's default 1D-row strategy.
@@ -294,10 +275,6 @@ func TrainSampledElastic(g *graph.Graph, cfg SampledConfig, epochs int) (*Elasti
 }
 
 func (tr *SampledTrainer) env() *execEnv { return &tr.Cfg.execEnv }
-
-func (tr *SampledTrainer) recoveryPolicy() recoveryPolicy {
-	return recoveryPolicy{unit: "segment", evictOnGiveUp: true, replayTransient: true, patience: tr.patience()}
-}
 
 // rebuild builds the pipeline over p devices — which re-derives the
 // per-device feature caches from the surviving degree order and re-registers

@@ -18,7 +18,7 @@ import (
 type fakeTrainer struct {
 	replicas
 	environ execEnv
-	pol     recoveryPolicy
+	patient int
 	run     *fakeRun
 }
 
@@ -34,10 +34,10 @@ func (r *fakeRun) BeforeTask(*sim.Graph, *sim.Task, int) error { return nil }
 func (r *fakeRun) AfterTask(*sim.Graph, *sim.Task) error       { return nil }
 func (r *fakeRun) ObserveRemoval(dev int)                      { r.removed = append(r.removed, dev) }
 
-func newFakeTrainer(p int, pol recoveryPolicy, run *fakeRun) *fakeTrainer {
+func newFakeTrainer(p, patience int, run *fakeRun) *fakeTrainer {
 	init := []*tensor.Dense{tensor.NewDense(2, 2)}
 	init[0].Data[0] = 1
-	f := &fakeTrainer{replicas: newReplicas(newReplayer(sim.DGXV100(), p, 1, false), init), pol: pol, run: run}
+	f := &fakeTrainer{replicas: newReplicas(newReplayer(sim.DGXV100(), p, 1, false), init), patient: patience, run: run}
 	f.environ.Fault = run
 	for d := 0; d < p; d++ {
 		if err := f.add(init, 0.01); err != nil {
@@ -64,55 +64,53 @@ func (f *fakeTrainer) RunEpoch() (*EpochStats, error) {
 	return &EpochStats{Loss: float64(call)}, nil
 }
 
-func (f *fakeTrainer) env() *execEnv                  { return &f.environ }
-func (f *fakeTrainer) recoveryPolicy() recoveryPolicy { return f.pol }
+func (f *fakeTrainer) env() *execEnv { return &f.environ }
+func (f *fakeTrainer) patience() int { return f.patient }
 
 func (f *fakeTrainer) rebuild(p int) (*fakeTrainer, string, error) {
 	f.run.rebuilds++
-	return newFakeTrainer(p, f.pol, f.run), "; rebuilt", nil
+	return newFakeTrainer(p, f.patient, f.run), "; rebuilt", nil
 }
 
 // asTask wraps err the way the executor reports a failed task.
 func asTask(err error) error { return &sim.TaskError{ID: 3, Label: "t", Device: 0, Err: err} }
 
 // TestElasticLattice pins the failure lattice as a table: for every error
-// class under the full-batch and the sampled policy, which action the one
-// loop takes and what it logs. The two policies are the trainers' own, so
-// the two rows where they differ are pinned against the real tables.
+// class, which action the one loop takes and what it logs. Nothing of a
+// trainer but its patience reaches the loop, so each class runs once per
+// trainer with that trainer's own patience and must take the same action.
 func TestElasticLattice(t *testing.T) {
 	boom := errors.New("kernel exploded")
 	gaveUp := &sim.GiveUpError{Label: "allreduce", Attempts: 4, Err: errors.New("transient")}
-	policies := map[string]recoveryPolicy{
-		"full-batch": (&Trainer{}).recoveryPolicy(),
-		"sampled":    (&SampledTrainer{}).recoveryPolicy(),
+	patience := map[string]int{
+		"full-batch": (&Trainer{}).patience(),
+		"sampled":    (&SampledTrainer{}).patience(),
 	}
 	cases := []struct {
 		name string
 		err  error
-		// action per policy: "restore", "shrink" (the named device leaves),
-		// "evict" (the highest-indexed device leaves) or "abort".
-		fullBatch, sampled string
-		kind               string
+		// action: "restore", "shrink" (the named device leaves), "evict"
+		// (the highest-indexed device leaves) or "abort".
+		action, kind string
 	}{
-		{"device-lost", asTask(&sim.DeviceLostError{Device: 1}), "shrink", "shrink", "device-lost"},
-		{"numeric", &NumericError{What: "loss"}, "restore", "restore", "numeric"},
-		{"give-up", asTask(gaveUp), "abort", "evict", "device-lost"},
-		{"transient-task", asTask(&sim.TransientTaskError{Device: 0, Label: "s1/sample"}), "abort", "restore", "transient-task"},
-		{"unclassified", asTask(boom), "abort", "abort", ""},
+		{"device-lost", asTask(&sim.DeviceLostError{Device: 1}), "shrink", "device-lost"},
+		{"numeric", &NumericError{What: "loss"}, "restore", "numeric"},
+		{"give-up", asTask(gaveUp), "evict", "device-lost"},
+		// A transient failure is the executor's to retry; one that reaches
+		// the loop unretried is not a class of its own.
+		{"transient-task", asTask(sim.Transient(errors.New("sampler hiccup"))), "abort", ""},
+		{"unclassified", asTask(boom), "abort", ""},
 	}
 	const p, epochs = 3, 3
 	for _, tc := range cases {
-		for polName, pol := range policies {
-			action := tc.fullBatch
-			if polName == "sampled" {
-				action = tc.sampled
-			}
-			t.Run(tc.name+"/"+polName, func(t *testing.T) {
+		action := tc.action
+		for trainer, patience := range patience {
+			t.Run(tc.name+"/"+trainer, func(t *testing.T) {
 				// Epoch 0 succeeds, epoch 1 fails once. A lost or evicted device
 				// leaves the survivors' replicas intact (they resync); every
 				// other failure poisons them.
 				fr := &fakeRun{script: []error{nil, tc.err}, poison: action != "shrink" && action != "evict"}
-				run := elasticRun[*fakeTrainer]{tr: newFakeTrainer(p, pol, fr)}
+				run := elasticRun[*fakeTrainer]{tr: newFakeTrainer(p, patience, fr)}
 				err := run.train(epochs)
 				if action == "abort" {
 					if err != tc.err {
@@ -165,11 +163,9 @@ func TestElasticLattice(t *testing.T) {
 // epoch's error, and an eviction with nobody left to evict returns the
 // collective's error itself.
 func TestElasticLoopBounds(t *testing.T) {
-	sampled := (&SampledTrainer{}).recoveryPolicy()
-
 	numeric := &NumericError{What: "loss"}
 	fr := &fakeRun{script: []error{numeric, numeric, numeric, numeric, numeric, numeric}, poison: true}
-	run := elasticRun[*fakeTrainer]{tr: newFakeTrainer(2, sampled, fr)}
+	run := elasticRun[*fakeTrainer]{tr: newFakeTrainer(2, 0, fr)}
 	err := run.train(2)
 	var got *NumericError
 	if err == nil || !errors.As(err, &got) || got != numeric || err == error(numeric) {
@@ -183,7 +179,7 @@ func TestElasticLoopBounds(t *testing.T) {
 	gaveUp := &sim.GiveUpError{Label: "allreduce", Attempts: 4, Err: errors.New("transient")}
 	wrapped := asTask(gaveUp)
 	fr = &fakeRun{script: []error{wrapped}}
-	run = elasticRun[*fakeTrainer]{tr: newFakeTrainer(1, sampled, fr)}
+	run = elasticRun[*fakeTrainer]{tr: newFakeTrainer(1, 0, fr)}
 	if err := run.train(2); err != wrapped {
 		t.Fatalf("eviction at P=1: error = %v, want the collective's error itself", err)
 	}

@@ -85,10 +85,9 @@ func TestSampledStragglerParityBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSampledFlakySamplerReplayParity is the deterministic-replay bar: a
-// sampler stage fails transiently mid-epoch, the elastic path restores the
-// segment-start state, re-derives the lost batches from (seed, epoch,
-// batch), and the finished run is bit-identical to a fault-free one.
+// TestSampledFlakySamplerReplayParity: a sampler stage fails transiently
+// mid-epoch, the executor retries it in place before its closure runs, and
+// the run needs no recovery and is bit-identical to a fault-free one.
 func TestSampledFlakySamplerReplayParity(t *testing.T) {
 	g := testGraph(t)
 	const epochs = 3
@@ -102,18 +101,15 @@ func TestSampledFlakySamplerReplayParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TrainSampledElastic: %v", err)
 	}
-	if len(res.Events) != 1 || res.Events[0].Kind != "transient-task" {
-		t.Fatalf("recovery log = %+v, want one transient-task event", res.Events)
+	if len(res.Events) != 0 || res.FinalP != 4 {
+		t.Fatalf("recovery log = %+v at P=%d, want none at the full 4: the executor retries a flaky task", res.Events, res.FinalP)
 	}
-	if st := inj.Stats(); st.TaskFailures != 1 {
-		t.Fatalf("transient task fired %d times, want exactly 1", st.TaskFailures)
-	}
-	if res.FinalP != 4 {
-		t.Fatalf("final group size %d, want 4 (no device was lost)", res.FinalP)
+	if st := inj.Stats(); st.TransientFailures != 1 {
+		t.Fatalf("flaky task failed %d attempts, want exactly 1", st.TransientFailures)
 	}
 	for e := range clean {
-		if res.Stats[e].Loss != clean[e] { // vet:ok floateq — bit-identical replay is the contract
-			t.Fatalf("epoch %d: replayed loss %v != fault-free %v", e, res.Stats[e].Loss, clean[e])
+		if res.Stats[e].Loss != clean[e] { // vet:ok floateq — bit-identical retry is the contract
+			t.Fatalf("epoch %d: retried loss %v != fault-free %v", e, res.Stats[e].Loss, clean[e])
 		}
 	}
 }
@@ -202,67 +198,6 @@ func TestSampledElasticCrashRecoveryParity(t *testing.T) {
 	}
 }
 
-// TestSampledGiveUpConvertsToEviction is the suspect-eviction rule: a
-// collective that exhausts its retry budget evicts the highest-indexed
-// device instead of aborting, and the survivors finish the run fault-free
-// at P-1. Runs under -race -short.
-func TestSampledGiveUpConvertsToEviction(t *testing.T) {
-	g := testGraph(t)
-	const epochs = 3
-	ref := sampledLossCurve(t, g, testSampledConfig(1), epochs)
-
-	inj := fault.New(fault.Plan{Seed: 2, Transient: &fault.TransientSpec{Every: 1, Failures: 100}})
-	res, err := TrainSampledElastic(g, sampledFaultConfig(2, inj), epochs)
-	if err != nil {
-		t.Fatalf("TrainSampledElastic under exhausted collectives: %v", err)
-	}
-	if res.FinalP != 1 {
-		t.Fatalf("final group size %d, want 1", res.FinalP)
-	}
-	if len(res.Events) != 1 || res.Events[0].Kind != "device-lost" {
-		t.Fatalf("recovery log = %+v, want one device-lost (eviction) event", res.Events)
-	}
-	if len(res.Stats) != epochs {
-		t.Fatalf("completed %d effective epochs, want %d", len(res.Stats), epochs)
-	}
-	for e := 0; e < epochs; e++ {
-		if d := math.Abs(res.Stats[e].Loss - ref[e]); d > 1e-6 {
-			t.Fatalf("epoch %d: post-eviction loss %v vs fault-free P=1 %v (|Δ|=%g > 1e-6)", e, res.Stats[e].Loss, ref[e], d)
-		}
-	}
-
-	// At P=1 there is no one left to evict: a still-exhausting collective
-	// must abort, not loop.
-	inj2 := fault.New(fault.Plan{Seed: 2, Transient: &fault.TransientSpec{Every: 1, Failures: 100}})
-	_, err = TrainSampledElastic(g, sampledFaultConfig(1, inj2), 1)
-	var give *sim.GiveUpError
-	if !errors.As(err, &give) {
-		t.Fatalf("P=1 exhaustion error = %v, want wrapped *sim.GiveUpError", err)
-	}
-}
-
-// TestSampledEvictionResyncsFromReplica: under suspect eviction the
-// survivors resync from a replica, not from the segment-start snapshot. The
-// injector retires the collective-transient spec when it learns of the
-// removal, and that happens before the resync, whose own broadcasts would
-// otherwise exhaust the same retry budget and fail.
-func TestSampledEvictionResyncsFromReplica(t *testing.T) {
-	g := testGraph(t)
-	inj := fault.New(fault.Plan{Seed: 1, Transient: &fault.TransientSpec{Every: 2, Failures: 100}})
-	res, err := TrainSampledElastic(g, sampledFaultConfig(4, inj), 2)
-	if err != nil {
-		t.Fatalf("TrainSampledElastic under exhausted collectives: %v", err)
-	}
-	if len(res.Events) == 0 {
-		t.Fatal("no recovery event: the plan exhausted no collective")
-	}
-	for _, ev := range res.Events {
-		if ev.Kind != "device-lost" || !strings.Contains(ev.Detail, "survivors from replica") || strings.Contains(ev.Detail, "resync failed") {
-			t.Fatalf("recovery event %+v, want an eviction resynced from a replica", ev)
-		}
-	}
-}
-
 // TestSampledElasticSanClean: the graphs the rebuilt P-1 trainer records
 // after a crash recovery stay clean under the static happens-before check
 // and the shadow replay — the slot discipline survives the repartition.
@@ -293,22 +228,28 @@ func TestSampledElasticSanClean(t *testing.T) {
 	}
 }
 
-// TestSampledElasticAbortsAfterRepeatedFailures: a transient-task injector
-// with an effectively unbounded budget keeps voiding the same segment; the
-// elastic loop must bail after maxConsecutiveRecoveries instead of looping.
+// TestSampledElasticAbortsAfterRepeatedFailures: a sampler stage that fails
+// every attempt exhausts the executor's retries. At P=2 the loop evicts the
+// suspect and, the flaky-task spec retired with it, finishes at P=1; alone,
+// with no one to evict, the run aborts with the stage's *sim.GiveUpError
+// instead of looping.
 func TestSampledElasticAbortsAfterRepeatedFailures(t *testing.T) {
 	g := testGraph(t)
-	inj := fault.New(fault.Plan{Seed: 4, TransientTask: &fault.TransientTaskSpec{
-		Device: -1, OnLabel: "sample", Failures: 1 << 30,
-		Stream: fault.OnStream(sim.StreamSample),
-	}})
-	res, err := TrainSampledElastic(g, sampledFaultConfig(2, inj), 2)
-	if err == nil {
-		t.Fatal("TrainSampledElastic succeeded under a permanently failing sampler")
+	flaky := func() *fault.Injector {
+		return fault.New(fault.Plan{Seed: 4, TransientTask: &fault.TransientTaskSpec{
+			Device: -1, OnLabel: "sample", Failures: 1 << 30,
+			Stream: fault.OnStream(sim.StreamSample),
+		}})
 	}
-	var transient *sim.TransientTaskError
-	if !errors.As(err, &transient) {
-		t.Fatalf("error = %v, want wrapped *sim.TransientTaskError", err)
+	res, err := TrainSampledElastic(g, sampledFaultConfig(2, flaky()), 2)
+	if err != nil || res.FinalP != 1 || len(res.Stats) != 2 {
+		t.Fatalf("P=2 under a permanently failing sampler: %v, final P %d after %d epochs; want the suspect evicted and both epochs at P=1",
+			err, res.FinalP, len(res.Stats))
+	}
+	res, err = TrainSampledElastic(g, sampledFaultConfig(1, flaky()), 2)
+	var give *sim.GiveUpError
+	if !errors.As(err, &give) || !strings.Contains(give.Label, "sample") {
+		t.Fatalf("error = %v, want wrapped *sim.GiveUpError naming a sampler stage", err)
 	}
 	if res == nil || len(res.Stats) != 0 {
 		t.Fatalf("partial result = %+v, want empty stats", res)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -150,25 +151,7 @@ func TestElasticCrashRecoveryParity(t *testing.T) {
 	// the epoch-start state exactly).
 	g := testGraph(t)
 	const epochs = 6
-
-	// Reference: capture the P=4 trainer's initial replica, restore it onto
-	// a fresh P=3 trainer, train fault-free.
-	cfgRef := testConfig(4)
-	trRef4, err := NewTrainer(g, cfgRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := trRef4.capture(0)
-	cfgRef3 := testConfig(3)
-	trRef3, err := NewTrainer(g, cfgRef3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trRef3.restore(initial)
-	var ref []float64
-	for e := 0; e < epochs; e++ {
-		ref = append(ref, mustEpoch(trRef3).Loss)
-	}
+	ref := shrunkLossCurve(t, g, testConfig(4), epochs)
 
 	// Faulted run: device 2 dies on its first backward task of epoch 0.
 	inj := fault.New(fault.Plan{Seed: 1, Crash: &fault.CrashSpec{Device: 2, OnLabel: "bwd"}})
@@ -193,6 +176,29 @@ func TestElasticCrashRecoveryParity(t *testing.T) {
 			t.Fatalf("epoch %d: recovered loss %v vs fault-free P=3 %v (|Δ|=%g > 1e-6)", e, res.Stats[e].Loss, ref[e], d)
 		}
 	}
+}
+
+// shrunkLossCurve is the fault-free reference for a run of cfg that loses a
+// device: cfg's initial replica restored onto a fresh trainer over P-1
+// devices (its strategy degraded as a rebuild degrades it), trained for
+// epochs.
+func shrunkLossCurve(t *testing.T, g *graph.Graph, cfg Config, epochs int) []float64 {
+	t.Helper()
+	cfg.Fault = nil
+	full, err := NewTrainer(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk, _, err := full.rebuild(cfg.P - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk.restore(full.capture(0))
+	var out []float64
+	for e := 0; e < epochs; e++ {
+		out = append(out, mustEpoch(shrunk).Loss)
+	}
+	return out
 }
 
 func TestElastic15DDegradesTo1DRow(t *testing.T) {
@@ -248,21 +254,109 @@ func TestElasticNumericPoisonRecovery(t *testing.T) {
 	}
 }
 
-func TestElasticAbortsAfterRepeatedFailures(t *testing.T) {
-	// An injector that keeps exhausting the retry budget must not loop
-	// forever: TrainElastic bails after maxConsecutiveRecoveries.
-	g := testGraph(t)
-	inj := fault.New(fault.Plan{Seed: 2, Transient: &fault.TransientSpec{Every: 1, Failures: 100}})
-	res, err := TrainElastic(g, faultConfig(2, inj), 3)
-	if err == nil {
-		t.Fatal("TrainElastic succeeded under a permanently failing collective")
+// evictionRow is one trainer of the eviction tests: a full-batch strategy,
+// or the sampled pipeline.
+type evictionRow struct {
+	name     string
+	strategy Strategy // full-batch rows
+	sampled  bool
+}
+
+var evictionRows = []evictionRow{
+	{"1d-row", Strategy1DRow, false},
+	{"1d-col", Strategy1DCol, false},
+	{"1.5d", Strategy15D, false},
+	{"sampled", 0, true},
+}
+
+// evictionRun is what the eviction tests read of one elastic run, beside
+// ref, the fault-free loss curve at P=3 from the same initial state.
+type evictionRun struct {
+	stats    []*EpochStats
+	events   []RecoveryEvent
+	finalP   int
+	strategy Strategy // the surviving full-batch trainer's
+	ref      []float64
+}
+
+// train runs the row's elastic entry point at P=4 under inj for epochs.
+func (row evictionRow) train(t *testing.T, g *graph.Graph, inj *fault.Injector, epochs int) evictionRun {
+	t.Helper()
+	if row.sampled {
+		res, err := TrainSampledElastic(g, sampledFaultConfig(4, inj), epochs)
+		if err != nil {
+			t.Fatalf("TrainSampledElastic under exhausted retries: %v", err)
+		}
+		return evictionRun{res.Stats, res.Events, res.FinalP, 0, sampledLossCurve(t, g, testSampledConfig(3), epochs)}
 	}
+	cfg := faultConfig(4, inj)
+	cfg.Strategy = row.strategy
+	res, err := TrainElastic(g, cfg, epochs)
+	if err != nil {
+		t.Fatalf("TrainElastic under exhausted retries: %v", err)
+	}
+	return evictionRun{res.Stats, res.Events, res.FinalP, res.Trainer.Cfg.Strategy, shrunkLossCurve(t, g, cfg, epochs)}
+}
+
+// TestGiveUpConvertsToEviction is the suspect-eviction rule on both
+// trainers: a collective that exhausts its retry budget evicts the
+// highest-indexed device instead of aborting, and the survivors finish the
+// run fault-free at P-1, within 1e-6 of a fault-free P-1 run. 1.5D
+// degrades to 1D-row at the odd survivor count. Runs under -race -short.
+func TestGiveUpConvertsToEviction(t *testing.T) {
+	g := testGraph(t)
+	const epochs = 3
+	for _, row := range evictionRows {
+		t.Run(row.name, func(t *testing.T) {
+			inj := fault.New(fault.Plan{Seed: 2, Transient: &fault.TransientSpec{Every: 1, Failures: 100}})
+			run := row.train(t, g, inj, epochs)
+			if run.finalP != 3 || len(run.events) != 1 || run.events[0].Kind != "device-lost" {
+				t.Fatalf("final group size %d, recovery log %+v; want 3 after one device-lost (eviction) event", run.finalP, run.events)
+			}
+			if want := row.strategy.Degraded(3); run.strategy != want {
+				t.Fatalf("strategy after the eviction = %v, want %v", run.strategy, want)
+			}
+			if len(run.stats) != epochs {
+				t.Fatalf("completed %d effective epochs, want %d", len(run.stats), epochs)
+			}
+			for e := 0; e < epochs; e++ {
+				if d := math.Abs(run.stats[e].Loss - run.ref[e]); d > 1e-6 {
+					t.Fatalf("epoch %d: post-eviction loss %v vs fault-free P=3 %v (|Δ|=%g > 1e-6)", e, run.stats[e].Loss, run.ref[e], d)
+				}
+			}
+		})
+	}
+
+	// At P=1 there is no one left to evict: a still-exhausting collective
+	// must abort, not loop.
+	inj := fault.New(fault.Plan{Seed: 2, Transient: &fault.TransientSpec{Every: 1, Failures: 100}})
+	_, err := TrainSampledElastic(g, sampledFaultConfig(1, inj), 1)
 	var give *sim.GiveUpError
 	if !errors.As(err, &give) {
-		t.Fatalf("error = %v, want wrapped *sim.GiveUpError", err)
+		t.Fatalf("P=1 exhaustion error = %v, want wrapped *sim.GiveUpError", err)
 	}
-	if res == nil || len(res.Stats) != 0 {
-		t.Fatalf("partial result = %+v, want empty stats", res)
+}
+
+// TestEvictionResyncsFromReplica: under suspect eviction the survivors
+// resync from a replica, not from the unit-start snapshot, on both
+// trainers. The injector retires the collective-transient spec when it
+// learns of the removal, and that happens before the resync, whose own
+// broadcasts would otherwise exhaust the same retry budget and fail.
+func TestEvictionResyncsFromReplica(t *testing.T) {
+	g := testGraph(t)
+	for _, row := range evictionRows {
+		t.Run(row.name, func(t *testing.T) {
+			inj := fault.New(fault.Plan{Seed: 1, Transient: &fault.TransientSpec{Every: 2, Failures: 100}})
+			run := row.train(t, g, inj, 2)
+			if len(run.events) == 0 {
+				t.Fatal("no recovery event: the plan exhausted no collective")
+			}
+			for _, ev := range run.events {
+				if ev.Kind != "device-lost" || !strings.Contains(ev.Detail, "survivors from replica") || strings.Contains(ev.Detail, "resync failed") {
+					t.Fatalf("recovery event %+v, want an eviction resynced from a replica", ev)
+				}
+			}
+		})
 	}
 }
 

@@ -420,7 +420,7 @@ func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) e
 // failure stops the run, returning the completed epochs' stats alongside the
 // error; TrainElastic is the fault-tolerant variant.
 func (tr *Trainer) Train(epochs int) ([]*EpochStats, error) {
-	return trainEpochs(tr.RunEpoch, epochs, 0)
+	return trainEpochs(tr.RunEpoch, epochs, tr.patience())
 }
 
 // trainEpochs calls runEpoch up to epochs times, logging the stats; it stops

@@ -5,10 +5,10 @@
 // loop, internal/core elastic training) is only trustworthy if its failure
 // paths are exercised on purpose. An Injector is a sim.FaultHook on the
 // task graph: BeforeTask can crash a device permanently mid-epoch
-// (*sim.DeviceLostError), fail a task transiently (*sim.TransientTaskError),
-// delay a device's tasks (straggler) and fail collective attempts
-// transiently, driving the executor's retry/backoff loop; AfterTask poisons
-// a task's declared output buffers with NaNs. The hooks decide on the task
+// (*sim.DeviceLostError), delay a device's tasks (straggler) and fail
+// attempts of collectives or of chosen tasks transiently, driving the
+// executor's retry/backoff loop; AfterTask poisons a task's declared output
+// buffers with NaNs. The hooks decide on the task
 // alone, so a structure-only replay (sim.Graph.WalkHooks) meets the same
 // faults as a real one; a poison, which needs data, fails the task there.
 //
@@ -75,7 +75,7 @@ type CrashSpec struct {
 // with a sim.Transient error before attempts pass. With Failures below the
 // executor's 4 attempts every failure is retried away and the run is
 // bit-identical to fault-free; with Failures >= 4 the collective gives up
-// (*sim.GiveUpError) and the epoch aborts.
+// (*sim.GiveUpError) and the elastic trainer evicts a suspect device.
 type TransientSpec struct {
 	Every    int
 	Failures int
@@ -107,17 +107,17 @@ type PoisonSpec struct {
 	Kind       *sim.Kind
 }
 
-// TransientTaskSpec fails individual bound tasks transiently, without the
-// executor's in-place retry — the failure the elastic trainer recovers from
-// by restoring and replaying, like a sampler-stream hiccup. The first
-// Failures executions of tasks matching the filter (Device, label substring
-// OnLabel, optional Stream/Kind) fail with *sim.TransientTaskError before
-// any execution passes; the counter is global across graphs, so an elastic
-// re-run of the voided work finds the fault gone and replays
-// bit-identically. Scope the
-// filter to a single task (label + device) when a deterministic recovery
-// count matters: with several matching tasks racing in one replay, which
-// one consumes the budget depends on executor interleaving.
+// TransientTaskSpec fails attempts of individual bound tasks transiently —
+// a flaky task, like a sampler stage whose host thread hiccuped. The first
+// Failures attempts of tasks matching the filter (Device, -1 for any; label
+// substring OnLabel; optional Stream/Kind) fail with a sim.Transient error,
+// which the executor retries in place before the closure runs, exactly as it
+// does a flaky collective's: under its 4 attempts per task the run stays
+// bit-identical to fault-free, and 4 consecutive failures of one task give
+// up (*sim.GiveUpError). The budget is global across tasks and graphs, so
+// scope the filter to a single task (label + device) when which task fails
+// matters: with several matching tasks racing in one replay, which one
+// consumes the budget depends on executor interleaving.
 type TransientTaskSpec struct {
 	Device   int // -1 matches any device
 	OnLabel  string
@@ -140,10 +140,9 @@ type Plan struct {
 // them next to each scenario's outcome.
 type Stats struct {
 	Crashes           int // permanent device-loss errors returned
-	TransientFailures int // collective attempts failed transiently
+	TransientFailures int // task attempts failed transiently, collectives' and flaky tasks'
 	Delays            int // straggler sleeps injected
 	Poisons           int // buffers NaN-poisoned
-	TaskFailures      int // task executions failed transiently
 }
 
 // Injector injects one Plan into a run as a sim.FaultHook (the trainers
@@ -157,7 +156,7 @@ type Injector struct {
 	crashSeen  int  // matching tasks observed before the crash fires
 	lateSeen   int  // straggler-device tasks observed
 	poisonSeen int  // poison-matching tasks observed
-	taskFails  int  // transient task failures injected so far
+	taskFails  int  // flaky-task attempts failed so far
 	stats      Stats
 }
 
@@ -174,12 +173,13 @@ func (in *Injector) Stats() Stats {
 }
 
 // ObserveRemoval acknowledges that a device was removed from the machine
-// (the elastic trainer repartitioned over the survivors). Two specs retire:
+// (the elastic trainer repartitioned over the survivors). Three specs
+// retire:
 //
 //   - the crash latch stops matching the now-recycled device index (the
 //     crash spec stays spent — one plan kills at most one device);
-//   - a collective-transient spec retires unconditionally: the elastic
-//     suspect-eviction rule attributes exhausted collectives to the removed
+//   - both transient specs retire unconditionally: the elastic
+//     suspect-eviction rule attributes an exhausted retry to the removed
 //     device (a flaky link rides with its endpoint), so once the suspect is
 //     out of the group the injection stops and the survivors' re-run is
 //     fault-free.
@@ -189,7 +189,7 @@ func (in *Injector) ObserveRemoval(device int) {
 	if in.crashed && in.plan.Crash != nil && in.plan.Crash.Device == device {
 		in.plan.Crash = nil
 	}
-	in.plan.Transient = nil
+	in.plan.Transient, in.plan.TransientTask = nil, nil
 }
 
 // onDevice reports whether t runs on dev.
@@ -202,11 +202,12 @@ func onDevice(t *sim.Task, dev int) bool {
 	return false
 }
 
-// BeforeTask implements sim.FaultHook. The crash, transient-task and
-// straggler seams act on a task's first attempt, in that order; the
-// collective-transient seam on every attempt of a collective. Its selection
-// hashes the record-time task ID with the seed, so the same collectives
-// fail in every epoch and at every executor parallelism.
+// BeforeTask implements sim.FaultHook. The crash and straggler seams act
+// on a task's first attempt, in that order; the transient seams on every
+// attempt, so the executor retries a flaky collective or task in place.
+// The collective selection hashes the record-time task ID with the seed, so
+// the same collectives fail in every epoch and at every executor
+// parallelism.
 func (in *Injector) BeforeTask(g *sim.Graph, t *sim.Task, attempt int) error {
 	if attempt == 1 {
 		if err := in.firstAttempt(t); err != nil {
@@ -214,18 +215,33 @@ func (in *Injector) BeforeTask(g *sim.Graph, t *sim.Task, attempt int) error {
 		}
 	}
 	in.mu.Lock()
-	ts := in.plan.Transient
-	if ts == nil || t.Coll == nil || attempt > ts.Failures ||
-		mix(in.plan.Seed, uint64(t.ID))%uint64(max(ts.Every, 1)) != 0 {
-		in.mu.Unlock()
+	defer in.mu.Unlock()
+	if !in.flaky(t, attempt) {
 		return nil
 	}
 	in.stats.TransientFailures++
-	in.mu.Unlock()
 	return sim.Transient(fmt.Errorf("fault: injected failure of %s (task %d, attempt %d)", t.Label, t.ID, attempt))
 }
 
-// firstAttempt is BeforeTask's crash, transient-task and straggler seams.
+// flaky reports whether this attempt of t fails transiently: t is a
+// collective the transient spec selects and the attempt is within its
+// Failures, or t matches the transient-task spec while its budget lasts.
+// The caller holds mu.
+func (in *Injector) flaky(t *sim.Task, attempt int) bool {
+	if ts := in.plan.Transient; ts != nil && t.Coll != nil && attempt <= ts.Failures &&
+		mix(in.plan.Seed, uint64(t.ID))%uint64(max(ts.Every, 1)) == 0 {
+		return true
+	}
+	ts := in.plan.TransientTask
+	if ts == nil || in.taskFails >= ts.Failures || (ts.Device >= 0 && !onDevice(t, ts.Device)) ||
+		!strings.Contains(t.Label, ts.OnLabel) || !matchStreamKind(t, ts.Stream, ts.Kind) {
+		return false
+	}
+	in.taskFails++
+	return true
+}
+
+// firstAttempt is BeforeTask's crash and straggler seams.
 func (in *Injector) firstAttempt(t *sim.Task) error {
 	var delay time.Duration
 	in.mu.Lock()
@@ -235,7 +251,7 @@ func (in *Injector) firstAttempt(t *sim.Task) error {
 			in.mu.Unlock()
 			return &sim.DeviceLostError{Device: c.Device}
 		}
-		if (c.OnLabel == "" || strings.Contains(t.Label, c.OnLabel)) && matchStreamKind(t, c.Stream, c.Kind) {
+		if strings.Contains(t.Label, c.OnLabel) && matchStreamKind(t, c.Stream, c.Kind) {
 			in.crashSeen++
 			if in.crashSeen > c.After {
 				in.crashed = true
@@ -245,26 +261,9 @@ func (in *Injector) firstAttempt(t *sim.Task) error {
 			}
 		}
 	}
-	if ts := in.plan.TransientTask; ts != nil && in.taskFails < ts.Failures &&
-		(ts.Device < 0 || onDevice(t, ts.Device)) &&
-		(ts.OnLabel == "" || strings.Contains(t.Label, ts.OnLabel)) &&
-		matchStreamKind(t, ts.Stream, ts.Kind) {
-		in.taskFails++
-		in.stats.TaskFailures++
-		dev := ts.Device
-		if dev < 0 && len(t.Devices) > 0 {
-			dev = t.Devices[0]
-		}
-		in.mu.Unlock()
-		return &sim.TransientTaskError{Device: dev, Label: t.Label}
-	}
 	if s := in.plan.Straggler; s != nil && onDevice(t, s.Device) && matchStreamKind(t, s.Stream, s.Kind) {
 		in.lateSeen++
-		every := s.Every
-		if every < 1 {
-			every = 1
-		}
-		if in.lateSeen%every == 0 {
+		if in.lateSeen%max(s.Every, 1) == 0 {
 			delay = s.Delay
 			in.stats.Delays++
 		}

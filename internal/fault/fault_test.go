@@ -274,54 +274,58 @@ func TestStragglerStreamScope(t *testing.T) {
 	}
 }
 
-// TestTransientTaskFailsThenReplays pins the flaky-task seam: the first
-// Failures executions of the matching task fail with a transient task
-// error, and a re-recorded graph (the elastic replay) runs clean — the
-// budget is global across graphs, never per task ID.
+// TestTransientTaskFailsThenReplays pins the flaky-task seam: a failed
+// attempt of the matching task is retried in place by the executor, before
+// the closure runs, so one flaky attempt costs the replay nothing and the
+// closure runs once; four consecutive flaky attempts of one task exhaust the
+// retries and give up, naming the task.
 func TestTransientTaskFailsThenReplays(t *testing.T) {
-	in := New(Plan{TransientTask: &TransientTaskSpec{
-		Device: 0, OnLabel: "s0/work", Failures: 1, Stream: OnStream(sim.StreamSample),
-	}})
-	g, ran := streamFixture(in)
-	err := g.Execute(1)
-	var tte *sim.TransientTaskError
-	if !errors.As(err, &tte) || tte.Device != 0 {
-		t.Fatalf("Execute = %v, want TransientTaskError{Device: 0}", err)
+	flaky := func(failures int) *Injector {
+		return New(Plan{TransientTask: &TransientTaskSpec{
+			Device: 0, OnLabel: "s0/work", Failures: failures, Stream: OnStream(sim.StreamSample),
+		}})
 	}
-	var te *sim.TaskError
-	if !errors.As(err, &te) {
-		t.Fatalf("Execute = %v, want the executor's *sim.TaskError wrapping", err)
+	in := flaky(1)
+	g, ran := streamFixture(in)
+	if err := g.Execute(1); err != nil {
+		t.Fatalf("Execute with one flaky attempt = %v, want it retried away", err)
+	}
+	if len(*ran) != 2 {
+		t.Fatalf("ran %v, want each task's closure once", *ran)
+	}
+	if got := in.Stats().TransientFailures; got != 1 {
+		t.Fatalf("stats.TransientFailures = %d, want 1", got)
+	}
+
+	g, ran = streamFixture(flaky(4))
+	var give *sim.GiveUpError
+	if err := g.Execute(1); !errors.As(err, &give) || give.Label != "s0/work" || give.Attempts != 4 {
+		t.Fatalf("Execute with four flaky attempts = %v, want the sampler task's *sim.GiveUpError after 4 attempts", err)
 	}
 	for _, r := range *ran {
 		if r == "sample" {
-			t.Fatal("transiently failed task still ran its closure")
+			t.Fatal("the task that gave up still ran its closure")
 		}
-	}
-	// The re-run: budget consumed, both tasks execute.
-	g2, ran2 := streamFixture(in)
-	if err := g2.Execute(1); err != nil {
-		t.Fatalf("replay after transient task failure: %v", err)
-	}
-	if len(*ran2) != 2 {
-		t.Fatalf("replay ran %v, want both tasks", *ran2)
-	}
-	if got := in.Stats().TaskFailures; got != 1 {
-		t.Fatalf("stats.TaskFailures = %d, want 1", got)
 	}
 }
 
 // TestObserveRemovalRetiresTransient pins the suspect-eviction rule: after
-// the elastic path evicts a device over exhausted collectives, the
-// acknowledged removal retires the collective-transient spec so the
-// survivors' re-run is fault-free.
+// the elastic path evicts a device over an exhausted retry, the
+// acknowledged removal retires both transient specs, the collective's and
+// the flaky task's, so the survivors' re-run is fault-free.
 func TestObserveRemovalRetiresTransient(t *testing.T) {
-	in := New(Plan{Seed: 7, Transient: &TransientSpec{Every: 1, Failures: 100}})
-	if in.BeforeTask(nil, collTask(0), 1) == nil {
-		t.Fatal("Every=1 transient spec passed an attempt")
+	in := New(Plan{Seed: 7, Transient: &TransientSpec{Every: 1, Failures: 100},
+		TransientTask: &TransientTaskSpec{Device: -1, Failures: 100}})
+	task := &sim.Task{ID: 1, Kind: sim.KindSample, Label: "s0/sample"}
+	if in.BeforeTask(nil, collTask(0), 1) == nil || in.BeforeTask(nil, task, 1) == nil {
+		t.Fatal("Every=1 transient specs passed an attempt")
 	}
 	in.ObserveRemoval(3)
 	if err := in.BeforeTask(nil, collTask(0), 2); err != nil {
-		t.Fatalf("transient spec survived ObserveRemoval: %v", err)
+		t.Fatalf("collective transient spec survived ObserveRemoval: %v", err)
+	}
+	if err := in.BeforeTask(nil, task, 2); err != nil {
+		t.Fatalf("flaky-task spec survived ObserveRemoval: %v", err)
 	}
 }
 

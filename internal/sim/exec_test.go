@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // execOrder replays the graph with the given parallelism and returns the
@@ -118,20 +119,31 @@ func TestExecuteCommWaitsForEarlierCompute(t *testing.T) {
 
 func TestExecuteOverlapsComputeAcrossDevices(t *testing.T) {
 	// Compute tasks on different devices never fence each other — that
-	// parallelism is the executor's whole payoff. The first closure blocks
-	// until the second runs, which is only possible if both are in flight.
-	release := make(chan struct{})
+	// parallelism is the executor's whole payoff. Each closure waits for the
+	// other to arrive, which is only possible if both are in flight; a
+	// replay that serialized the pair leaves the first waiting alone, and
+	// it fails the task after a timeout instead of hanging.
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	met := make(chan struct{})
+	go func() { arrived.Wait(); close(met) }()
+	meet := func() error {
+		arrived.Done()
+		select {
+		case <-met:
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("the other device's task never ran alongside")
+		}
+	}
 	g := NewGraph(DGXV100(), 2)
 	a := g.AddCompute(0, KindSpMM, "spmm0", 0, 1, true)
-	g.BindShaped(a, nil, nil, func() { <-release })
+	g.BindShapedE(a, nil, nil, meet)
 	b := g.AddCompute(1, KindSpMM, "spmm1", 0, 1, true)
-	g.BindShaped(b, nil, nil, func() { close(release) })
-	done := make(chan struct{})
-	go func() {
-		g.Execute(2)
-		close(done)
-	}()
-	<-done // deadlocks (test timeout) if Execute serialized the pair
+	g.BindShapedE(b, nil, nil, meet)
+	if err := g.Execute(2); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestExecuteRunsIndependentTasksConcurrently(t *testing.T) {

@@ -13,16 +13,16 @@ import (
 // flight. The taxonomy the recovery machinery (this file's retry loop,
 // internal/core elastic training) dispatches on:
 //
-//   - a hook failure wrapped by Transient is retried in place: the worker
-//     backs off and offers the task to the hook again, up to retryAttempts
-//     tries, before the closure runs — so a non-idempotent all-reduce or
-//     reduce is never half-applied, and a retried run is bit-identical to a
-//     fault-free one. Exhausting the budget is a permanent *GiveUpError;
+//   - a hook failure wrapped by Transient — a flaky collective or any other
+//     flaky task — is retried in place: the worker backs off and offers the
+//     task to the hook again, up to retryAttempts tries, before the closure
+//     runs — so a non-idempotent all-reduce or reduce is never half-applied,
+//     and a retried run is bit-identical to a fault-free one. Exhausting the
+//     budget is a permanent *GiveUpError, which the trainer's elastic path
+//     answers by evicting a suspect device;
 //   - *DeviceLostError is permanent: the device is gone for good, and the
 //     epoch cannot complete at the current group size — the trainer's
 //     elastic path shrinks the collective group and repartitions;
-//   - *TransientTaskError is not retried in place: the elastic trainer
-//     restores and replays the voided work;
 //   - anything else aborts the replay and propagates unchanged.
 //
 // The loop decides on the hook alone, never on a closure, so WalkHooks
@@ -176,19 +176,4 @@ type DeviceLostError struct {
 
 func (e *DeviceLostError) Error() string {
 	return fmt.Sprintf("sim: device %d lost (permanent failure)", e.Device)
-}
-
-// TransientTaskError reports a transient failure of an individual task that
-// is not retried in place (e.g. a sampler stage whose host thread
-// hiccuped). The device survives and the work is recoverable: because
-// sampled batches are pure functions of (seed, epoch, batch), the elastic
-// trainer re-derives and replays the lost work bit-identically instead of
-// aborting. Execute wraps it in a *TaskError; errors.As sees through.
-type TransientTaskError struct {
-	Device int
-	Label  string
-}
-
-func (e *TransientTaskError) Error() string {
-	return fmt.Sprintf("sim: task %q (device %d) failed transiently", e.Label, e.Device)
 }

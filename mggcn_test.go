@@ -599,6 +599,9 @@ func TestAllExperimentsShapes(t *testing.T) {
 	if r, p := smp.Values["flaky-sampler/recovery_overhead_ratio"], smp.Values["flaky-sampler/final_p"]; r != 1 || p != 4 {
 		t.Errorf("sampled: flaky-sampler recovers at ratio %v and P = %v, want 1.0 and the full 4", r, p)
 	}
+	if n, rec := smp.Values["flaky-sampler/injected_transient_failures"], smp.Values["flaky-sampler/recoveries"]; n != 1 || rec != 0 {
+		t.Errorf("sampled: flaky-sampler injected %v failures and cost %v recoveries, want 1 retried in place and none", n, rec)
+	}
 	for k, v := range smp.Values {
 		if strings.HasSuffix(k, "/loss") && v != smp.Values["0/unpipelined/loss"] {
 			t.Errorf("sampled: %s = %v differs from %v: cache and pipelining must not change the arithmetic",
