@@ -8,9 +8,9 @@
 // (*sim.DeviceLostError), delay a device's tasks (straggler) and fail
 // attempts of collectives or of chosen tasks transiently, driving the
 // executor's retry/backoff loop; AfterTask poisons a task's declared output
-// buffers with NaNs. The hooks decide on the task
-// alone, so a structure-only replay (sim.Graph.WalkHooks) meets the same
-// faults as a real one; a poison, which needs data, fails the task there.
+// buffers with NaNs. The hooks decide on the task alone, so a
+// structure-only replay (sim.Graph.WalkHooks) meets the same faults as a
+// real one; a poison, which needs data, fails the task there.
 //
 // Every decision is a pure function of the plan's seed and record-time
 // identifiers (task IDs, labels, devices) — never of replay interleaving or

@@ -119,28 +119,27 @@ func TestExecuteCommWaitsForEarlierCompute(t *testing.T) {
 
 func TestExecuteOverlapsComputeAcrossDevices(t *testing.T) {
 	// Compute tasks on different devices never fence each other — that
-	// parallelism is the executor's whole payoff. Each closure waits for the
-	// other to arrive, which is only possible if both are in flight; a
-	// replay that serialized the pair leaves the first waiting alone, and
-	// it fails the task after a timeout instead of hanging.
-	var arrived sync.WaitGroup
-	arrived.Add(2)
-	met := make(chan struct{})
-	go func() { arrived.Wait(); close(met) }()
-	meet := func() error {
-		arrived.Done()
-		select {
-		case <-met:
-			return nil
-		case <-time.After(10 * time.Second):
-			return errors.New("the other device's task never ran alongside")
+	// parallelism is the executor's whole payoff. Each closure announces
+	// itself and waits for the other, which is only possible if both are in
+	// flight; a replay that serialized the pair leaves the first waiting
+	// alone, and it fails the task after a timeout instead of hanging.
+	meet := func(mine, other chan struct{}) func() error {
+		return func() error {
+			close(mine)
+			select {
+			case <-other:
+				return nil
+			case <-time.After(10 * time.Second):
+				return errors.New("the other device's task never ran alongside")
+			}
 		}
 	}
+	in0, in1 := make(chan struct{}), make(chan struct{})
 	g := NewGraph(DGXV100(), 2)
 	a := g.AddCompute(0, KindSpMM, "spmm0", 0, 1, true)
-	g.BindShapedE(a, nil, nil, meet)
+	g.BindShapedE(a, nil, nil, meet(in0, in1))
 	b := g.AddCompute(1, KindSpMM, "spmm1", 0, 1, true)
-	g.BindShapedE(b, nil, nil, meet)
+	g.BindShapedE(b, nil, nil, meet(in1, in0))
 	if err := g.Execute(2); err != nil {
 		t.Fatal(err)
 	}
