@@ -313,7 +313,12 @@ func TestGiveUpConvertsToEviction(t *testing.T) {
 			if run.finalP != 3 || len(run.events) != 1 || run.events[0].Kind != "device-lost" {
 				t.Fatalf("final group size %d, recovery log %+v; want 3 after one device-lost (eviction) event", run.finalP, run.events)
 			}
-			if want := row.strategy.Degraded(3); run.strategy != want {
+			// 1.5D needs an even group, so three survivors run 1D-row.
+			want := row.strategy
+			if want == Strategy15D {
+				want = Strategy1DRow
+			}
+			if !row.sampled && run.strategy != want {
 				t.Fatalf("strategy after the eviction = %v, want %v", run.strategy, want)
 			}
 			if len(run.stats) != epochs {
