@@ -15,6 +15,7 @@ import (
 	"mggcn/internal/core"
 	"mggcn/internal/gen"
 	"mggcn/internal/sim"
+	"mggcn/internal/sparse"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/experiments.golden and EXPERIMENTS_OUTPUT.txt from this run")
@@ -498,5 +499,20 @@ func TestSampledCellsScheduleOnStructure(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMLPBaselineIsGraphBlind holds the accuracy experiment's MLP baseline to
+// what it stands for: on a copy of the experiment's dataset with every edge
+// removed, its test accuracy has the same bits.
+func TestMLPBaselineIsGraphBlind(t *testing.T) {
+	ds := accuracyDataset()
+	edgeless := *ds.g
+	n := edgeless.N()
+	edgeless.Adj = &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int64, n+1)}
+	want := mlpBaselineAccuracy(ds, 40)
+	got := mlpBaselineAccuracy(&Dataset{g: &edgeless, scale: 1, spec: ds.spec}, 40)
+	if want == 0 || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("MLP test accuracy %v on the dataset, %v with its %d edges removed", want, got, ds.M())
 	}
 }

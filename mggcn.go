@@ -269,6 +269,18 @@ func (o Options) coreConfig(ds *Dataset) (core.Config, error) {
 	return cfg, nil
 }
 
+// runEpoch builds a trainer for ds under o and runs one epoch: every
+// full-batch cell of the experiments and Timeline. A configuration that does
+// not fit the machine fails NewTrainer, so its error satisfies IsOOM.
+func runEpoch(ds *Dataset, o Options) (*Trainer, *EpochStats, error) {
+	tr, err := NewTrainer(ds, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats, err := tr.RunEpoch()
+	return tr, stats, err
+}
+
 // RunEpoch performs one full-batch training step. A non-nil error means
 // the epoch did not complete (a failed task or numeric corruption) and the
 // model state is suspect.
@@ -433,11 +445,7 @@ func IsOOM(err error) bool {
 // "fwd0/spmm") — the paper's Fig 6/8 visualization for any configuration.
 // Returns the chart text and the simulated epoch seconds.
 func Timeline(ds *Dataset, o Options, phase string, width int) (string, float64, error) {
-	tr, err := NewTrainer(ds, o)
-	if err != nil {
-		return "", 0, err
-	}
-	stats, err := tr.RunEpoch()
+	_, stats, err := runEpoch(ds, o)
 	if err != nil {
 		return "", 0, err
 	}
