@@ -33,6 +33,26 @@ func execOrder(g *Graph, workers int) []int {
 
 func bindNop(g *Graph, id int) { g.BindShaped(id, nil, nil, func() {}) }
 
+// barrier returns a task closure for n tasks to bind: each call waits for
+// all n to be in flight. A replay that serializes any two of them leaves the
+// earlier one waiting alone, and it fails its task after a timeout instead of
+// hanging the test.
+func barrier(n int) func() error {
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	return func() error {
+		if arrived.Add(1) == int32(n) {
+			close(all)
+		}
+		select {
+		case <-all:
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("the other barrier tasks never ran alongside")
+		}
+	}
+}
+
 func TestExecuteRunsDepsFirst(t *testing.T) {
 	g := NewGraph(DGXV100(), 2)
 	var log []string
@@ -119,63 +139,31 @@ func TestExecuteCommWaitsForEarlierCompute(t *testing.T) {
 
 func TestExecuteOverlapsComputeAcrossDevices(t *testing.T) {
 	// Compute tasks on different devices never fence each other — that
-	// parallelism is the executor's whole payoff. Each closure announces
-	// itself and waits for the other, which is only possible if both are in
-	// flight; a replay that serialized the pair leaves the first waiting
-	// alone, and it fails the task after a timeout instead of hanging.
-	meet := func(mine, other chan struct{}) func() error {
-		return func() error {
-			close(mine)
-			select {
-			case <-other:
-				return nil
-			case <-time.After(10 * time.Second):
-				return errors.New("the other device's task never ran alongside")
-			}
-		}
-	}
-	in0, in1 := make(chan struct{}), make(chan struct{})
+	// parallelism is the executor's whole payoff. The two SpMMs meet at a
+	// barrier, which they pass only if both are in flight.
+	meet := barrier(2)
 	g := NewGraph(DGXV100(), 2)
 	a := g.AddCompute(0, KindSpMM, "spmm0", 0, 1, true)
-	g.BindShapedE(a, nil, nil, meet(in0, in1))
+	g.BindShapedE(a, nil, nil, meet)
 	b := g.AddCompute(1, KindSpMM, "spmm1", 0, 1, true)
-	g.BindShapedE(b, nil, nil, meet(in1, in0))
+	g.BindShapedE(b, nil, nil, meet)
 	if err := g.Execute(2); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestExecuteRunsIndependentTasksConcurrently(t *testing.T) {
-	// Tasks on different devices with no edges must be in flight together.
+	// Tasks on different devices with no edges must be in flight together:
+	// all n meet at one barrier.
 	const n = 4
-	var (
-		mu      sync.Mutex
-		cur     int
-		peak    int
-		barrier = make(chan struct{})
-	)
+	meet := barrier(n)
 	g := NewGraph(DGXV100(), n)
 	for d := 0; d < n; d++ {
 		id := g.AddCompute(d, KindGeMM, "k", -1, 1, false)
-		g.BindShaped(id, nil, nil, func() {
-			mu.Lock()
-			cur++
-			if cur > peak {
-				peak = cur
-			}
-			if cur == n {
-				close(barrier)
-			}
-			mu.Unlock()
-			<-barrier // every closure waits for all n to be running
-			mu.Lock()
-			cur--
-			mu.Unlock()
-		})
+		g.BindShapedE(id, nil, nil, meet)
 	}
-	g.Execute(n)
-	if peak != n {
-		t.Fatalf("peak concurrency %d, want %d", peak, n)
+	if err := g.Execute(n); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -183,14 +171,12 @@ func TestExecuteStampsEveryTask(t *testing.T) {
 	// A concurrent replay stamps each task it runs: the two barrier tasks'
 	// intervals overlap, a successor starts after its predecessors end, and
 	// an unbound task keeps the zero Stamp.
-	var barrier sync.WaitGroup
-	barrier.Add(2)
-	meet := func() { barrier.Done(); barrier.Wait() }
+	meet := barrier(2)
 	g := NewGraph(DGXV100(), 2)
 	a := g.AddCompute(0, KindSpMM, "a", 0, 1, true)
-	g.BindShaped(a, nil, nil, meet)
+	g.BindShapedE(a, nil, nil, meet)
 	b := g.AddCompute(1, KindSpMM, "b", 0, 1, true)
-	g.BindShaped(b, nil, nil, meet)
+	g.BindShapedE(b, nil, nil, meet)
 	c := g.AddCompute(1, KindGeMM, "c", -1, 1, false, a, b)
 	bindNop(g, c)
 	u := g.AddCompute(0, KindGeMM, "unbound", -1, 1, false)
