@@ -1,6 +1,6 @@
 // Quickstart: train a 2-layer GCN on a small synthetic citation-style
-// graph across 4 simulated GPUs, and verify the paper's §2 claim that the
-// GCN beats a graph-blind model by watching held-out accuracy.
+// graph across 4 simulated GPUs, printing its loss, train and held-out
+// accuracy and simulated epoch time every ten epochs.
 package main
 
 import (

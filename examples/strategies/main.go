@@ -1,7 +1,7 @@
 // Strategies: execute the §5.1 design-space analysis instead of just
-// reading it — train the same model under the 1D-row (the paper's choice),
-// 1D-col, and CAGNET-style 1.5D partitionings on both DGX machines, and a
-// GAT forward via the SDDMM extension.
+// reading it — run one epoch of the same model under the 1D-row (the
+// paper's choice), 1D-col, and CAGNET-style 1.5D partitionings on both DGX
+// machines, and compare epoch time and per-GPU memory.
 package main
 
 import (
@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"mggcn"
-	"mggcn/internal/core"
 )
 
 func main() {
@@ -21,7 +20,7 @@ func main() {
 
 	for _, machine := range []mggcn.MachineSpec{mggcn.DGXV100(), mggcn.DGXA100()} {
 		fmt.Printf("--- %s, 8 GPUs, 2 layers x 512 ---\n", machine.Name)
-		for _, s := range core.Strategies() {
+		for _, s := range []mggcn.Strategy{mggcn.Strategy1DRow, mggcn.Strategy1DCol, mggcn.Strategy15D} {
 			o := mggcn.DefaultOptions(machine, 8)
 			o.Strategy = s
 			tr, err := mggcn.NewTrainer(ds, o)

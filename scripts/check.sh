@@ -28,6 +28,13 @@ echo "==> mggcn-train smoke"
 go run ./cmd/mggcn-train -dataset products -gpus 4 -phantom -epochs 1 > /dev/null
 go run ./cmd/mggcn-train -dataset products -gpus 4 -phantom -epochs 1 -sampled > /dev/null
 
+echo "==> examples"
+# Every example runs end to end with its output discarded: exit 0 is the
+# assertion.
+for dir in examples/*/; do
+	go run "./$dir" > /dev/null
+done
+
 echo "==> non-test LOC (scripts/loc.sh)"
 # The ROADMAP tracks non-test Go lines per package; internal/core and the
 # repository total have ceilings that only go down.
