@@ -9,23 +9,19 @@ import (
 	"mggcn/internal/core"
 	"mggcn/internal/fault"
 	"mggcn/internal/graph"
-	"mggcn/internal/nn"
 	"mggcn/internal/sim"
-	"mggcn/internal/tensor"
 )
 
 // scenario is one row of the chaos matrix: did the run survive (recover and
 // match the fault-free result), abort (fail with a clean error), or corrupt
 // (finish with wrong or non-finite numbers)? Every trainer must survive
-// every fault, an exhausted retry by evicting a suspect device at P-1; only
-// the forward-only GAT, which has no elastic loop, must abort cleanly on a
-// lost device or an exhausted retry. Nothing may ever corrupt.
+// every fault, an exhausted retry by evicting a suspect device at P-1, so
+// any other outcome is a finding.
 type scenario struct {
 	Strategy string  `json:"strategy"`
 	Fault    string  `json:"fault"`
 	Seed     int64   `json:"seed"`
 	Outcome  string  `json:"outcome"` // survive | abort | corrupt
-	Expected string  `json:"expected"`
 	Detail   string  `json:"detail,omitempty"`
 	FinalP   int     `json:"final_p,omitempty"`
 	Epochs   int     `json:"effective_epochs,omitempty"`
@@ -43,28 +39,12 @@ var faultKinds = []string{"crash", "transient", "transient-exhaust", "straggler"
 // failure only the minibatch pipeline can experience.
 var sampledFaultKinds = []string{"crash", "flaky-sampler", "transient", "transient-exhaust", "straggler", "poison"}
 
-// kindsFor lists the fault kinds a strategy kind sweeps. The GAT forward has
-// no numeric-recovery loop to exercise, so its poison coverage lives in the
-// GCN scenarios.
+// kindsFor lists the fault kinds a strategy kind sweeps.
 func kindsFor(k kind) []string {
-	switch k {
-	case sampled:
+	if k == sampled {
 		return sampledFaultKinds
-	case gat:
-		return faultKinds[:len(faultKinds)-1]
-	default:
-		return faultKinds
 	}
-}
-
-// expectation is the contract a scenario is judged against: everything must
-// survive except, on the forward-only GAT path with no elastic loop, what
-// costs a device — a crash or an exhausted retry.
-func expectation(k kind, fk string) string {
-	if k == gat && (fk == "crash" || fk == "transient-exhaust") {
-		return "abort"
-	}
-	return "survive"
+	return faultKinds
 }
 
 // bitExact lists the faults recovered at full strength, after which the run
@@ -88,7 +68,7 @@ func chaosMatrix(strats []*strategy, only string, seeds int) []scenario {
 				continue
 			}
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				out = append(out, scenario{Strategy: st.name, Fault: fk, Seed: seed, Expected: expectation(st.kind, fk)})
+				out = append(out, scenario{Strategy: st.name, Fault: fk, Seed: seed})
 			}
 		}
 	}
@@ -106,10 +86,9 @@ func chaosPlan(k kind, fk string, seed int64, p int) fault.Plan {
 	}
 	switch fk {
 	case "crash":
-		// The device dies in the backward pass; on the sampler stream when
-		// there is one; on its first task of any kind in the forward-only
-		// GAT graph, which has no backward labels.
-		on := map[kind]string{fullBatch: "bwd", sampled: "sample", gat: ""}[k]
+		// The device dies in the backward pass, or on the sampler stream
+		// when there is one.
+		on := map[kind]string{fullBatch: "bwd", sampled: "sample"}[k]
 		pl.Crash = &fault.CrashSpec{Device: p - 1, OnLabel: on, Stream: onSampler}
 	case "flaky-sampler":
 		pl.TransientTask = &fault.TransientTaskSpec{Device: 0, OnLabel: "s1/sample", Failures: 1, Stream: onSampler}
@@ -128,14 +107,14 @@ func chaosPlan(k kind, fk string, seed int64, p int) fault.Plan {
 	return pl
 }
 
-// chaosPass runs the matrix; every deviation from a scenario's expectation
-// is a finding (unless -expect=false makes the pass report-only).
+// chaosPass runs the matrix; every scenario that does not survive is a
+// finding.
 func (v *verifier) chaosPass() string {
 	if v.cfg.P < 2 {
 		fatalf("chaos needs at least 2 GPUs (a 1-GPU machine has no survivors)")
 	}
 	v.report.Epochs = v.epochs
-	v.report.Scenarios = chaosMatrix(v.selected(fullBatch, gat, sampled), v.faultKind, v.seeds)
+	v.report.Scenarios = chaosMatrix(v.selected(fullBatch, sampled), v.faultKind, v.seeds)
 	if len(v.report.Scenarios) == 0 {
 		fatalf("no %q scenario for -strategy %s (faults: %s)", v.faultKind, v.only, strings.Join(sampledFaultKinds, ", "))
 	}
@@ -146,8 +125,8 @@ func (v *verifier) chaosPass() string {
 			run = v.chaosRunner(lookup(sc.Strategy))
 		}
 		run(sc)
-		if sc.Outcome != sc.Expected && v.expect {
-			v.finding("%s/%s/seed %d: %s, expected %s: %s", sc.Strategy, sc.Fault, sc.Seed, sc.Outcome, sc.Expected, sc.Detail)
+		if sc.Outcome != "survive" {
+			v.finding("%s/%s/seed %d: %s: %s", sc.Strategy, sc.Fault, sc.Seed, sc.Outcome, sc.Detail)
 		}
 	}
 	return fmt.Sprintf("%d scenarios as expected", len(v.report.Scenarios))
@@ -162,10 +141,6 @@ func (v *verifier) chaosRunner(st *strategy) func(*scenario) {
 	cfg := v.cfg
 	cfg.LR, cfg.Seed, cfg.SkipFirstBackward = 0.01, 7, false
 	cfg.Strategy = st.spmm
-	if st.kind == gat {
-		return v.gatChaos(cfg)
-	}
-
 	train := chaosTrainer(st.kind, cfg, v.graph, v.epochs)
 	cleanRun, err := train(nil)
 	if err != nil {
@@ -250,41 +225,5 @@ func chaosTrainer(k kind, cfg core.Config, g *graph.Graph, epochs int) func(hook
 		c := scfg
 		c.Fault = hook
 		return kept(core.TrainSampledElastic(g, c, epochs))
-	}
-}
-
-// gatChaos runs scenarios on the distributed GAT forward: retried faults
-// must leave the logits bit-identical, and whatever it cannot retry must
-// surface as a clean abort, never as silent garbage.
-func (v *verifier) gatChaos(cfg core.Config) func(*scenario) {
-	model := nn.NewGAT(v.graph, nn.LayerDims(v.graph.FeatDim, cfg.Hidden, 2, v.graph.Classes), 3)
-	forward := func(c core.Config) (*tensor.Dense, error) {
-		d, err := core.NewGATDist(v.graph, model, c)
-		if err != nil {
-			fatalf("chaos gat: %v", err)
-		}
-		logits, _, err := d.Forward()
-		return logits, err
-	}
-	clean, err := forward(cfg)
-	if err != nil {
-		fatalf("chaos baseline gat: %v", err)
-	}
-	return func(sc *scenario) {
-		inj := fault.New(chaosPlan(gat, sc.Fault, sc.Seed, v.cfg.P))
-		c := cfg
-		c.Fault = inj
-		logits, err := forward(c)
-		sc.Injected = inj.Stats()
-		switch {
-		case err != nil:
-			sc.Outcome = "abort"
-			sc.Detail = err.Error()
-		case tensor.MaxAbsDiff(logits, clean) != 0:
-			sc.Outcome = "corrupt"
-			sc.Detail = fmt.Sprintf("logits diverge from fault-free by %g", tensor.MaxAbsDiff(logits, clean))
-		default:
-			sc.Outcome = "survive"
-		}
 	}
 }

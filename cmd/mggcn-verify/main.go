@@ -12,7 +12,7 @@
 //	memcheck    closed-form peak == liveness high-water == allocation meter,
 //	            byte-exact per device, plus paper-scale fit verdicts
 //	chaos       seeded fault scenarios in (strategy, fault, seed) order: each
-//	            must survive or abort as expected, never corrupt
+//	            must survive, recovering to the fault-free result
 //	all         every pass above over one set of recordings
 //
 //	go run ./cmd/mggcn-verify all -json
@@ -61,7 +61,6 @@ type verifier struct {
 	fitHidden int
 	epochs    int
 	faultKind string
-	expect    bool
 	jsonOut   bool
 	out       io.Writer // verdict lines and the JSON report
 
@@ -154,7 +153,6 @@ func run(args []string, stdout io.Writer) (code int) {
 	flags.IntVar(&v.fitHidden, "fit-hidden", 512, "memcheck: hidden width for fit verdicts")
 	flags.IntVar(&v.epochs, "epochs", 4, "chaos: effective training epochs per scenario")
 	flags.StringVar(&v.faultKind, "fault", "all", "chaos: "+strings.Join(sampledFaultKinds, ", ")+", or all")
-	flags.BoolVar(&v.expect, "expect", true, "chaos: exit 1 when an outcome deviates from its expectation")
 	flags.BoolVar(&v.jsonOut, "json", false, "emit one JSON report instead of verdict lines (implied by the chaos pass alone)")
 	if err := flags.Parse(args[1:]); err == flag.ErrHelp {
 		return 0

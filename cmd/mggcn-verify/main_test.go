@@ -37,7 +37,8 @@ func TestAllMatchesGolden(t *testing.T) {
 }
 
 // TestRunExitCodes pins the exit codes main passes to the shell: a missing
-// or unknown pass and an unknown strategy exit 1, a bad flag 2.
+// or unknown pass and an unknown strategy (gat, whose distributed forward is
+// gone, among them) exit 1, a bad flag 2.
 func TestRunExitCodes(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -47,6 +48,7 @@ func TestRunExitCodes(t *testing.T) {
 		{[]string{"-json"}, 1},
 		{[]string{"bogus", "-n", "20"}, 1},
 		{[]string{"san", "-strategy", "nope"}, 1},
+		{[]string{"san", "-strategy", "gat"}, 1},
 		{[]string{"chaos", "-gpus", "1", "-n", "20"}, 1},
 		{[]string{"san", "-no-such-flag"}, 2},
 	} {

@@ -13,7 +13,7 @@ import (
 // sanPass sanitizes each strategy's recorded graph at the full group.
 func (v *verifier) sanPass() string {
 	fenceConflicts := 0
-	for _, st := range v.selected(fullBatch, gat) {
+	for _, st := range v.selected(fullBatch) {
 		s := v.subject(st, v.cfg.P)
 		if v.noFences {
 			conflicts := san.Check(s.graph, s.graph.HappensBefore(sim.ExecutorEdges&^sim.EdgeFences))
@@ -73,7 +73,7 @@ func (v *verifier) sanPass() string {
 // volume three ways — closed form == annotations == comm.Meter — on every
 // strategy and its P-1 degradation.
 func (v *verifier) schedcheckPass() string {
-	for _, s := range v.rows(v.selected(fullBatch, gat)) {
+	for _, s := range v.rows(v.selected(fullBatch)) {
 		before := len(v.pass.Findings)
 		for _, f := range schedcheck.Check(s.graph) {
 			v.finding("%s: %v", s.label(), f)
@@ -120,7 +120,7 @@ type crossCheck struct {
 // counts) and the certified resident footprint against the pool, then
 // issues the catalog fit verdicts.
 func (v *verifier) memcheckPass() string {
-	for _, s := range v.rows(v.selected(fullBatch, gat, sampled)) {
+	for _, s := range v.rows(v.selected(fullBatch, sampled)) {
 		for _, c := range s.crossChecks() {
 			const row = "%s %s: %s (slab %d B in %d slabs, resident %d B)"
 			if c.OK {

@@ -18,7 +18,6 @@ type kind int
 
 const (
 	fullBatch kind = iota // core.Trainer under one of the SpMM strategies
-	gat                   // core.GATDist forward
 	sampled               // core.SampledTrainer minibatch pipeline
 )
 
@@ -33,14 +32,14 @@ type strategy struct {
 }
 
 // strategies is the one strategy list, in report order: core's full-batch
-// SpMM strategies, the other trainer families, then CAGNET, which is the
-// full-batch trainer with the paper's optimisations off.
+// SpMM strategies, the sampled trainer, then CAGNET, which is the full-batch
+// trainer with the paper's optimisations off.
 var strategies = func() []strategy {
 	var out []strategy
 	for _, s := range core.Strategies() {
 		out = append(out, strategy{s.Name(), fullBatch, s, nil})
 	}
-	return append(out, strategy{"gat", gat, 0, nil}, strategy{"sampled", sampled, 0, nil},
+	return append(out, strategy{"sampled", sampled, 0, nil},
 		strategy{"cagnet", fullBatch, core.Strategy1DRow, baseline.CAGNET})
 }()
 
@@ -102,7 +101,7 @@ func (v *verifier) rows(strats []*strategy) []*subject {
 	var out []*subject
 	for _, s := range strats {
 		out = append(out, v.subject(s, v.cfg.P))
-		if p := v.cfg.P - 1; p >= 1 && s.baseline == nil && (s.kind == fullBatch || s.kind == gat) {
+		if p := v.cfg.P - 1; p >= 1 && s.baseline == nil && s.kind == fullBatch {
 			out = append(out, v.subject(s.degraded(p), p))
 		}
 	}
@@ -113,7 +112,7 @@ func (v *verifier) rows(strats []*strategy) []*subject {
 type observerFor func(*sim.BufRegistry) sim.ExecObserver
 
 // outputs is what one replayed epoch leaves behind, compared bit for bit
-// between replays: the loss and the trained weights (GCN) or logits (GAT).
+// between replays: the loss and the trained weights.
 type outputs struct {
 	loss    float64
 	tensors []*tensor.Dense
@@ -124,7 +123,7 @@ type outputs struct {
 type subject struct {
 	*strategy
 	p     int
-	cfg   core.Config // what the full-batch and GAT recordings ran under
+	cfg   core.Config // what the full-batch recordings ran under
 	graph *sim.Graph  // the recorded epoch, registry attached
 	dims  []int
 	// comm metered the recording's collectives.
@@ -156,16 +155,6 @@ func (s *subject) must(err error) {
 	}
 }
 
-// partitionedRun is what the full-batch trainer and the GAT forward share:
-// the row partition memcheck's device environment is read from.
-type partitionedRun interface {
-	LastGraph() *sim.Graph
-	DeviceRows(d int) int
-	MaxTileRows() int
-	AdjacencyBytes(d int) int64
-	PoolUsed(d int) int64
-}
-
 // subject records strategy st at p devices, once per invocation.
 func (v *verifier) subject(st *strategy, p int) *subject {
 	s := &subject{strategy: st, p: p}
@@ -179,21 +168,21 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 	cfg.P = p
 	s.comm = comm.NewMeter()
 	layers := cfg.Layers
-	if st.kind == gat || st.kind == sampled {
-		layers = 2 // what the GAT model and the sampled fanouts below are built for
+	if st.kind == sampled {
+		layers = 2 // what the sampled fanouts below are built for
 	}
 	s.dims = nn.LayerDims(g.FeatDim, cfg.Hidden, layers, g.Classes)
 
-	// record replays one epoch of a partitioned (full-batch or GAT) run on a
-	// fresh trainer, the observer built from that trainer's own registry.
-	var record func(c core.Config, observe observerFor) (partitionedRun, outputs)
+	// record replays one full-batch epoch on a fresh trainer, the observer
+	// built from that trainer's own registry.
+	var record func(c core.Config, observe observerFor) (*core.Trainer, outputs)
 	switch st.kind {
 	case fullBatch:
 		cfg.Strategy = st.spmm
 		if st.baseline != nil {
 			cfg = st.baseline(cfg)
 		}
-		record = func(c core.Config, observe observerFor) (partitionedRun, outputs) {
+		record = func(c core.Config, observe observerFor) (*core.Trainer, outputs) {
 			tr, err := core.NewTrainer(g, c)
 			must(err)
 			if observe != nil {
@@ -202,18 +191,6 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 			stats, err := tr.RunEpoch()
 			must(err)
 			return tr, outputs{stats.Loss, tr.Weights()}
-		}
-	case gat:
-		model := nn.NewGAT(g, s.dims, 3)
-		record = func(c core.Config, observe observerFor) (partitionedRun, outputs) {
-			dist, err := core.NewGATDist(g, model, c)
-			must(err)
-			if observe != nil {
-				dist.Cfg.ExecObserver = observe(dist.Registry())
-			}
-			logits, _, err := dist.Forward()
-			must(err)
-			return dist, outputs{tensors: []*tensor.Dense{logits}}
 		}
 	case sampled:
 		scfg := core.DefaultSampledConfig(cfg.Spec, p, 1)
@@ -249,7 +226,7 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 	if record != nil {
 		metered := cfg
 		metered.CommMeter = s.comm
-		var run partitionedRun
+		var run *core.Trainer
 		run, s.base = record(metered, nil)
 		s.graph = run.LastGraph()
 		s.model = func(dev int) memcheck.Model {

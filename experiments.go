@@ -1128,34 +1128,9 @@ func runGAT() (*ExperimentResult, error) {
 	sddmm := spec.SDDMMCost(nnz, n, 512)
 	softmax := spec.ElementwiseCost(nnz, 2)
 
-	// Distributed GAT forward on paper-scale Products across 1-8 GPUs.
-	products, err := LoadDataset("products", true)
-	if err != nil {
-		return nil, err
-	}
-	prodModel := nn.NewGAT(products.g, nn.LayerDims(products.FeatDim(), 512, 2, products.Classes()), 9)
-	var distTimes []float64
-	for _, p := range []int{1, 2, 4, 8} {
-		cfg := core.Config{
-			Spec: DGXA100(), P: p, MemScale: products.Scale(),
-			Hidden: 512, Layers: 2, Ordering: core.OrderingRandom, PermSeed: 1, Overlap: true,
-		}
-		dist, err := core.NewGATDist(products.g, prodModel, cfg)
-		if err != nil {
-			return nil, err
-		}
-		_, stats, err := dist.Forward()
-		if err != nil {
-			return nil, err
-		}
-		distTimes = append(distTimes, stats.EpochSeconds)
-	}
-
 	var b strings.Builder
 	fmt.Fprintf(&b, "GCN  after %d epochs: loss %.4f train-acc %.4f\n", epochs, gcnLast.Loss, gcnLast.TrainAcc)
 	fmt.Fprintf(&b, "GAT  after %d epochs: loss %.4f train-acc %.4f\n", epochs, gatLast.Loss, gatLast.TrainAcc)
-	fmt.Fprintf(&b, "distributed GAT forward, paper-scale Products (DGX-A100): 1/2/4/8 GPUs = %.3f / %.3f / %.3f / %.3f s\n",
-		distTimes[0], distTimes[1], distTimes[2], distTimes[3])
 	fmt.Fprintf(&b, "attention cost on paper-scale Reddit (one layer, DGX-A100):\n")
 	fmt.Fprintf(&b, "  SpMM %.1f ms  + SDDMM %.1f ms + edge-softmax %.1f ms  (attention adds %.0f%%)\n",
 		spmm*1e3, sddmm*1e3, softmax*1e3, 100*(sddmm+softmax)/spmm)

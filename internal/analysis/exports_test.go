@@ -27,6 +27,7 @@ var exportAllowlist = map[string]string{
 	"mggcn/internal/sparse.NormalizeRowMean":    "test support: the sampler tests' oracle of mean aggregation",
 	"(*mggcn/internal/tensor.Dense).ColSlice":   "test support: strided operands for the kernel tests",
 	"(*mggcn/internal/tensor.Dense).Fill":       "test support: constant fixtures",
+	"(*mggcn/internal/tensor.Dense).Set":        "test support: single-element fixtures in the nn and sparse tests",
 	"mggcn/internal/tensor.Equal":               "test support: the tolerance compare the floateq rule points to",
 	"mggcn/internal/fault.OnKind":               "test support: kind-scoped fault specs in the trainers' tests",
 	"mggcn/internal/gen.BTER":                   "test support: structure-only graph fixtures (gen.Generate builds the same graph beside its label and feature draws)",

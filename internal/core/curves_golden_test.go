@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -11,7 +9,6 @@ import (
 
 	"mggcn/internal/fault"
 	"mggcn/internal/gen"
-	"mggcn/internal/nn"
 	"mggcn/internal/sim"
 )
 
@@ -32,7 +29,7 @@ func eventLog(events []RecoveryEvent) string {
 // TestTrainingCurvesGolden pins what the trainers *compute* against
 // constants, where graphs.golden pins what they record and every parity test
 // compares one replay mode with another: per-epoch loss and accuracy bits of
-// each full-batch strategy, the GAT logits, the sampled trainer's stats
+// each full-batch strategy, the sampled trainer's stats
 // (validation, batch count, overlap ratio, a RunSteps segment and its
 // cursor) and the event sequence and final loss of one faulted elastic run
 // per trainer. A reordering of replay, fold, guard, commit and schedule that
@@ -43,8 +40,8 @@ func TestTrainingCurvesGolden(t *testing.T) {
 	g := gen.Generate("graphs-golden", goldenBTER, 12, 4, false)
 	onOff := map[bool]string{true: "on", false: "off"}
 
-	// overlap collects the second block: the full-batch and GAT OverlapRatio
-	// bits, a field those epochs gained with the one stats type.
+	// overlap collects the second block: the full-batch OverlapRatio bits, a
+	// field those epochs gained with the one stats type.
 	var out, overlap bytes.Buffer
 	out.WriteString("# full-batch: per epoch Loss, TrainAcc, TestAcc\n")
 	for _, st := range []Strategy{Strategy1DRow, Strategy1DCol, Strategy15D} {
@@ -60,24 +57,6 @@ func TestTrainingCurvesGolden(t *testing.T) {
 				fmt.Fprintf(&overlap, "%s/p%d e%d overlap=%s\n", st, p, e, bits(s.OverlapRatio))
 			}
 		}
-	}
-
-	out.WriteString("# gat: SHA-256 of the forward logits' float32 bits\n")
-	for _, p := range []int{1, 4} {
-		cfg := DefaultConfig(sim.DGXA100(), p, 1)
-		cfg.Hidden = 16
-		model := nn.NewGAT(g, nn.LayerDims(g.FeatDim, cfg.Hidden, 2, g.Classes), 3)
-		dist, err := NewGATDist(g, model, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		logits, stats := mustGATForward(dist)
-		fmt.Fprintf(&overlap, "gat/p%d overlap=%s\n", p, bits(stats.OverlapRatio))
-		h := sha256.New()
-		if err := binary.Write(h, binary.LittleEndian, logits.Data); err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&out, "gat/p%d logits_sha=%x\n", p, h.Sum(nil))
 	}
 
 	out.WriteString("# sampled: per epoch Loss, TrainAcc, ValAcc, Batches, OverlapRatio; then one RunSteps(1) segment\n")
@@ -136,7 +115,7 @@ func TestTrainingCurvesGolden(t *testing.T) {
 	fmt.Fprintf(&out, "elastic/sampled events=%s final_p=%d epochs=%d loss=%s\n",
 		eventLog(sres.Events), sres.FinalP, len(sres.Stats), bits(sres.Stats[len(sres.Stats)-1].Loss))
 
-	out.WriteString("# full-batch and gat OverlapRatio: mean busy streams per device (the one stats type fills it for every epoch)\n")
+	out.WriteString("# full-batch OverlapRatio: mean busy streams per device (the one stats type fills it for every epoch)\n")
 	out.Write(overlap.Bytes())
 	checkGolden(t, "testdata/curves.golden", out.Bytes())
 }

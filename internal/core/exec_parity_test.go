@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"mggcn/internal/nn"
 	"mggcn/internal/tensor"
 )
 
@@ -93,29 +92,6 @@ func TestParallelForwardOnlyBitIdentical(t *testing.T) {
 	par := logits(8)
 	if !tensor.Equal(serial, par, 0) {
 		t.Fatal("ForwardOnly logits differ between serial and parallel replay")
-	}
-}
-
-// TestGATParallelReplayBitIdentical extends the contract to the GAT
-// forward pass: the attention tiles materialize inside score closures and
-// feed the aggregation SpMMs across the executor's happens-before edges.
-func TestGATParallelReplayBitIdentical(t *testing.T) {
-	g := testGraph(t)
-	logits := func(execWorkers int) *tensor.Dense {
-		cfg := testConfig(4)
-		cfg.ExecWorkers = execWorkers
-		model := nn.NewGAT(g, nn.LayerDims(g.FeatDim, cfg.Hidden, cfg.Layers, g.Classes), cfg.Seed)
-		d, err := NewGATDist(g, model, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, _ := mustGATForward(d)
-		return out
-	}
-	serial := logits(1)
-	par := logits(8)
-	if !tensor.Equal(serial, par, 0) {
-		t.Fatal("GAT logits differ between serial and parallel replay")
 	}
 }
 

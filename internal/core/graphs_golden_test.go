@@ -12,7 +12,6 @@ import (
 
 	"mggcn/internal/gen"
 	"mggcn/internal/graph"
-	"mggcn/internal/nn"
 	"mggcn/internal/sim"
 )
 
@@ -144,17 +143,6 @@ func TestRecordedGraphsGolden(t *testing.T) {
 				}
 			}
 		}
-	}
-	for _, p := range []int{1, 4} {
-		cfg := DefaultConfig(sim.DGXA100(), p, 1)
-		cfg.Hidden = 16
-		model := nn.NewGAT(realG, nn.LayerDims(realG.FeatDim, cfg.Hidden, 2, realG.Classes), 3)
-		dist, err := NewGATDist(realG, model, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, stats := mustGATForward(dist)
-		out.WriteString(graphDigest(fmt.Sprintf("gat/p%d", p), dist.LastGraph(), stats.EpochSeconds))
 	}
 	// The sampled trainer's phantom twin keeps the real graph's masks (a
 	// generated phantom has none), so it plans the same batches.

@@ -201,36 +201,3 @@ func (p *partitioned) hwView(cols int) func(dev int) *tensor.Dense {
 func (p *partitioned) ahwView(l, cols int) func(dev int) *tensor.Dense {
 	return func(dev int) *tensor.Dense { return p.devs[dev].bufs.AHW[l].View(p.devs[dev].rows, cols) }
 }
-
-// gatherLogits gathers the output-layer activations into one matrix in
-// original vertex order (undoing the permutation). Only valid right after a
-// forward pass with real math, before anything overwrites the logits.
-func (p *partitioned) gatherLogits(dims []int) *tensor.Dense {
-	classes := dims[len(dims)-1]
-	full := tensor.NewDense(p.vec.N(), classes)
-	seen := make([]bool, p.blocks)
-	for _, ds := range p.devs {
-		if seen[ds.block] { // replicated blocks (1.5D) are identical
-			continue
-		}
-		seen[ds.block] = true
-		view := ds.bufs.AHW[len(dims)-2].View(ds.rows, classes)
-		for r := 0; r < ds.rows; r++ {
-			copy(full.Row(ds.lo+r), view.Row(r))
-		}
-	}
-	return unpermuteRows(full, p.perm)
-}
-
-// unpermuteRows maps a vector indexed by (possibly permuted) vertex back to
-// original vertex order; with a nil permutation it copies.
-func unpermuteRows(x *tensor.Dense, perm []int32) *tensor.Dense {
-	if perm == nil {
-		return x.Clone()
-	}
-	out := tensor.NewDense(x.Rows, x.Cols)
-	for old := 0; old < x.Rows; old++ {
-		copy(out.Row(old), x.Row(int(perm[old])))
-	}
-	return out
-}

@@ -87,6 +87,15 @@ func (r *replicas) recordAdam(tg *sim.Graph, label string, lastAllReduce int, sl
 	return ids
 }
 
+// opaqueAt declares the pseudo-buffer ids[d] as an opaque access; nil ids (or
+// a zero entry) declare nothing — DeclareShaped drops zero stamps.
+func opaqueAt(ids []sim.BufID, d int) sim.ViewShape {
+	if ids == nil {
+		return sim.ViewShape{}
+	}
+	return sim.OpaqueShape(ids[d])
+}
+
 // model returns the replica set itself — promoted to the embedding trainers,
 // it is how the elastic loop reaches their replicas.
 func (r *replicas) model() *replicas { return r }

@@ -9,7 +9,6 @@ import (
 	"mggcn/internal/fault"
 	"mggcn/internal/graph"
 	"mggcn/internal/memcheck"
-	"mggcn/internal/nn"
 	"mggcn/internal/san"
 	"mggcn/internal/sim"
 	"mggcn/internal/tensor"
@@ -295,67 +294,6 @@ func TestForwardOnlySanClean(t *testing.T) {
 	mustForward(tr)
 	if got := san.Check(tr.LastGraph(), tr.LastGraph().HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
 		t.Fatalf("ForwardOnly graph has conflicts: %v", got)
-	}
-}
-
-// TestGATGraphSanClean checks the distributed GAT forward graph, including
-// the attention-tile pseudo-buffer handoff, and its shadow replay.
-func TestGATGraphSanClean(t *testing.T) {
-	g := testGraph(t)
-	model := nn.NewGAT(g, nn.LayerDims(g.FeatDim, 16, 2, g.Classes), 3)
-	cfg := testConfig(4)
-	cfg.Overlap = true
-	dist, err := NewGATDist(g, model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustGATForward(dist)
-	if got := san.Check(dist.LastGraph(), dist.LastGraph().HappensBefore(sim.ExecutorEdges)); len(got) != 0 {
-		t.Fatalf("GAT graph has conflicts: %v", got)
-	}
-	hw := memcheck.PeakLiveSlabs(dist.LastGraph(), dist.LastGraph().HappensBefore(sim.ExecutorEdges)).Count
-	bound := len(model.Dims) - 1 + 3
-	for dev, n := range hw {
-		if n > bound {
-			t.Errorf("%s: %d slab buffers live, want <= %d", dev, n, bound)
-		}
-	}
-
-	sh := san.NewShadow(dist.Registry())
-	cfg2 := testConfig(2)
-	cfg2.ExecObserver = sh
-	dist2, err := NewGATDist(g, model, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustGATForward(dist2)
-	if len(sh.Findings) != 0 {
-		t.Fatalf("GAT shadow replay: %d undeclared accesses, e.g. %v", len(sh.Findings), sh.Findings[0])
-	}
-}
-
-// TestGATAdversarialParity: adversarial replay of the GAT forward matches
-// the default executor bit for bit.
-func TestGATAdversarialParity(t *testing.T) {
-	g := testGraph(t)
-	model := nn.NewGAT(g, nn.LayerDims(g.FeatDim, 16, 2, g.Classes), 3)
-	cfg := testConfig(4)
-	cfg.Overlap = true
-	base, err := NewGATDist(g, model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := mustGATForward(base)
-
-	cfg.ExecSeed = 11
-	cfg.ExecWorkers = 4
-	adv, err := NewGATDist(g, model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := mustGATForward(adv)
-	if d := tensor.MaxAbsDiff(got, want); d != 0 {
-		t.Fatalf("adversarial GAT forward diverges by %g", d)
 	}
 }
 

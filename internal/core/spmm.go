@@ -24,36 +24,6 @@ type spmmArgs struct {
 	// srcReady[j] is the task that produced src(j), or -1.
 	srcReady []int
 	overlap  bool
-
-	// What the GAT aggregation differs in (stagedSpMMRow only; the zero
-	// values are the GCN's). bcastLabel names the stage broadcasts
-	// (default label+"/bcast"). valued(i, j), resolved at replay time,
-	// replaces device i's resident stage-j tile by one of the same
-	// structure — so the same cost — whose values an earlier task computes;
-	// devDeps[i] is that task, a dependency of every SpMM on device i, and
-	// opaqueReads[i] the pseudo-buffer naming its output in their read sets.
-	bcastLabel  string
-	valued      func(i, j int) *sparse.CSR
-	devDeps     []int
-	opaqueReads []sim.BufID
-}
-
-// opaqueAt declares the pseudo-buffer ids[d] as an opaque access; nil ids (or
-// a zero entry) declare nothing — DeclareShaped drops zero stamps.
-func opaqueAt(ids []sim.BufID, d int) sim.ViewShape {
-	if ids == nil {
-		return sim.ViewShape{}
-	}
-	return sim.OpaqueShape(ids[d])
-}
-
-// layerRecorder is what the layers of a partitioned run are recorded against
-// — the part the full-batch trainer and the GAT forward share: the
-// partitioned dataset with its per-device buffers and the machine pricing the
-// tasks.
-type layerRecorder struct {
-	*partitioned
-	*replayer
 }
 
 // compute records one compute task of the given kind per device: device i's
@@ -61,9 +31,9 @@ type layerRecorder struct {
 // closure and declared shapes to the task just added. It returns the task
 // IDs. The bind callback keeps the BindShaped call and its closure in one
 // place for the vet rules that read them.
-func (r layerRecorder) compute(tg *sim.Graph, kind sim.Kind, label string, memBound bool, ready []int,
+func (tr *Trainer) compute(tg *sim.Graph, kind sim.Kind, label string, memBound bool, ready []int,
 	cost func(i int) float64, bind func(i, id int)) []int {
-	ids := make([]int, r.Machine.P)
+	ids := make([]int, tr.Machine.P)
 	for i := range ids {
 		var deps []int
 		if ready[i] >= 0 {
@@ -77,11 +47,13 @@ func (r layerRecorder) compute(tg *sim.Graph, kind sim.Kind, label string, memBo
 
 // relu records the in-place ReLU of layer l's output (width cols) on every
 // device i after ready[i], returning the task IDs.
-func (r layerRecorder) relu(tg *sim.Graph, label string, l, cols int, ready []int) []int {
-	return r.compute(tg, sim.KindActivation, label, true, ready,
-		func(i int) float64 { return r.Machine.Spec.ElementwiseCost(int64(r.s(r.devs[i].rows))*int64(cols), 1) },
+func (tr *Trainer) relu(tg *sim.Graph, label string, l, cols int, ready []int) []int {
+	return tr.compute(tg, sim.KindActivation, label, true, ready,
+		func(i int) float64 {
+			return tr.Machine.Spec.ElementwiseCost(int64(tr.s(tr.devs[i].rows))*int64(cols), 1)
+		},
 		func(i, id int) {
-			act := r.ahwView(l, cols)(i)
+			act := tr.ahwView(l, cols)(i)
 			// In-place: the destination is also read, so Writes
 			// (read-and-write) alone covers it.
 			tg.BindShaped(id, nil, sim.ShapesOf(act), func() { tensor.ReLU(act, act) })
@@ -89,23 +61,23 @@ func (r layerRecorder) relu(tg *sim.Graph, label string, l, cols int, ready []in
 }
 
 // tiles returns device d's resident tiles for the pass a describes.
-func (r layerRecorder) tiles(d int, a spmmArgs) []*sparse.CSR {
+func (tr *Trainer) tiles(d int, a spmmArgs) []*sparse.CSR {
 	if a.backward {
-		return r.devs[d].aTiles
+		return tr.devs[d].aTiles
 	}
-	return r.devs[d].atTiles
+	return tr.devs[d].atTiles
 }
 
 // distSpMM records the distributed SpMM with the partition's strategy,
 // returning per device the task its output block is complete after.
-func (r layerRecorder) distSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
-	if len(a.srcReady) != r.Machine.P {
-		panic(fmt.Sprintf("core: distSpMM srcReady has %d entries for %d devices", len(a.srcReady), r.Machine.P))
+func (tr *Trainer) distSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
+	if len(a.srcReady) != tr.Machine.P {
+		panic(fmt.Sprintf("core: distSpMM srcReady has %d entries for %d devices", len(a.srcReady), tr.Machine.P))
 	}
-	if r.strategy.reduceStaged() {
-		return r.stagedSpMMCol(tg, cg, a)
+	if tr.strategy.reduceStaged() {
+		return tr.stagedSpMMCol(tg, cg, a)
 	}
-	return r.stagedSpMMRow(tg, cg, a)
+	return tr.stagedSpMMRow(tg, cg, a)
 }
 
 // stagedSpMMRow records and binds the broadcast-staged SpMM at the
@@ -129,14 +101,10 @@ func (r layerRecorder) distSpMM(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int
 // root's block in place, its broadcast into the shape-only BC slab only prices
 // the move, and the root's next kernel waits for the stage's readers host-side
 // (Graph.FenceNext): after a group's last stage no broadcast orders them.
-func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
-	p, blocks := r.Machine.P, r.blocks
+func (tr *Trainer) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
+	p, blocks := tr.Machine.P, tr.blocks
 	c := p / blocks
-	spec := r.Machine.Spec
-	bcastLabel, valued := a.bcastLabel, a.valued
-	if bcastLabel == "" {
-		bcastLabel = a.label + "/bcast"
-	}
+	spec := tr.Machine.Spec
 	last := make([]int, p) // last[d] is the final group-local task on device d
 	for g := 0; g < c; g++ {
 		devs := make([]int, blocks)
@@ -161,7 +129,7 @@ func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 		// parity and, past the first, makes the SpMM accumulate.
 		for j, localStage := g, 0; j < blocks; j, localStage = j+c, localStage+1 {
 			rootDev := g*blocks + j
-			rootRows, xin := r.devs[rootDev].rows, a.src(rootDev)
+			rootRows, xin := tr.devs[rootDev].rows, a.src(rootDev)
 			var bcastID = -1
 			if blocks > 1 {
 				var deps []int
@@ -175,13 +143,13 @@ func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 				}
 				bcDst := make([]*tensor.Dense, blocks)
 				for pos, d := range devs {
-					bcDst[pos] = r.devs[d].bufs.BC(localStage, a.overlap).View(rootRows, a.width)
+					bcDst[pos] = tr.devs[d].bufs.BC(localStage, a.overlap).View(rootRows, a.width)
 				}
-				bcastID = sub.Broadcast(j, xin, bcDst, bcastLabel, j, deps...)
+				bcastID = sub.Broadcast(j, xin, bcDst, a.label+"/bcast", j, deps...)
 			}
 			stage := make([]int, 0, blocks)
 			for _, d := range devs {
-				dev := r.devs[d]
+				dev := tr.devs[d]
 				var staged *tensor.Dense // the shape-only BC view; nil on the root
 				var deps []int
 				if d == rootDev {
@@ -192,26 +160,18 @@ func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 					staged = dev.bufs.BC(localStage, a.overlap).View(rootRows, a.width)
 					deps = append(deps, bcastID)
 				}
-				if a.devDeps != nil {
-					deps = append(deps, a.devDeps[d])
-				}
-				tile := r.tiles(d, a)[j]
+				tile := tr.tiles(d, a)[j]
 				var beta float32
 				if localStage > 0 {
 					beta = 1
 				}
-				cost := spec.SpMMCost(tile.NNZ()*int64(r.Machine.MemScale), r.s(dev.rows), r.s(rootRows), a.width)
+				cost := spec.SpMMCost(tile.NNZ()*int64(tr.Machine.MemScale), tr.s(dev.rows), tr.s(rootRows), a.width)
 				id := tg.AddCompute(d, sim.KindSpMM, a.label, j, cost, true, deps...)
 				dst := a.dst(d)
 				// dst is Writes even at beta=0: Writes means read-and-write,
 				// and the accumulating stages (beta=1) do read it.
-				tg.BindShaped(id, append(sim.ShapesOf(staged, xin), opaqueAt(a.opaqueReads, d)), sim.ShapesOf(dst), func() {
-					t := tile
-					if valued != nil {
-						t = valued(d, j)
-					}
-					sparse.ParallelSpMM(t, xin, beta, dst, 0)
-				})
+				tg.BindShaped(id, sim.ShapesOf(staged, xin), sim.ShapesOf(dst),
+					func() { sparse.ParallelSpMM(tile, xin, beta, dst, 0) })
 				stage = append(stage, id)
 				last[d] = id
 			}
@@ -253,17 +213,17 @@ func (r layerRecorder) stagedSpMMRow(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 // into a BC buffer (double-buffered across stages when overlap is on); the
 // owner computes directly into its dst, which the reduction accumulates
 // into.
-func (r layerRecorder) stagedSpMMCol(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
-	p := r.Machine.P
-	spec := r.Machine.Spec
+func (tr *Trainer) stagedSpMMCol(tg *sim.Graph, cg *comm.Group, a spmmArgs) []int {
+	p := tr.Machine.P
+	spec := tr.Machine.Spec
 	last := make([]int, p)
 	var prevReduce, prevPrevReduce int = -1, -1
 	for i := 0; i < p; i++ { // stage i fills output block i
-		outRows := r.devs[i].rows
+		outRows := tr.devs[i].rows
 		partials := make([]*tensor.Dense, p)
 		stageIDs := make([]int, 0, p)
 		for j := 0; j < p; j++ {
-			dev := r.devs[j]
+			dev := tr.devs[j]
 			var out *tensor.Dense
 			if j == i {
 				out = a.dst(i)
@@ -285,8 +245,8 @@ func (r layerRecorder) stagedSpMMCol(tg *sim.Graph, cg *comm.Group, a spmmArgs) 
 			} else if prevReduce >= 0 {
 				deps = append(deps, prevReduce)
 			}
-			tile := r.tiles(j, a)[i]
-			cost := spec.SpMMCost(tile.NNZ()*int64(r.Machine.MemScale), r.s(outRows), r.s(dev.rows), a.width)
+			tile := tr.tiles(j, a)[i]
+			cost := spec.SpMMCost(tile.NNZ()*int64(tr.Machine.MemScale), tr.s(outRows), tr.s(dev.rows), a.width)
 			id := tg.AddCompute(j, sim.KindSpMM, a.label, i, cost, true, deps...)
 			src := a.src(j)
 			tg.BindShaped(id, sim.ShapesOf(src), sim.ShapesOf(out),

@@ -255,7 +255,6 @@ func (l *runLog) add(s *EpochStats) (stop bool) {
 // last — and returns the per-device tasks the logits are ready after.
 func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
 	L := tr.Cfg.Layers
-	rec := layerRecorder{tr.partitioned, &tr.replayer}
 	hReady := make([]int, tr.Machine.P)
 	for i := range hReady {
 		hReady[i] = -1
@@ -267,7 +266,7 @@ func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
 		out := tr.ahwView(l, dOut)
 		// gemm records dst_i = src_i · W_l on every device i after ready[i].
 		gemm := func(src, dst func(int) *tensor.Dense, ready []int) []int {
-			return rec.compute(tg, sim.KindGeMM, fmt.Sprintf("fwd%d/gemm", l), false, ready,
+			return tr.compute(tg, sim.KindGeMM, fmt.Sprintf("fwd%d/gemm", l), false, ready,
 				func(i int) float64 { return tr.Machine.Spec.GemmCost(tr.s(tr.devs[i].rows), dIn, dOut) },
 				func(i, id int) {
 					in, w, z := src(i), tr.weights[i][l], dst(i)
@@ -277,7 +276,7 @@ func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
 		}
 		// spmm records dst = Âᵀ · src at the given width after ready.
 		spmm := func(src, dst func(int) *tensor.Dense, width int, ready []int) []int {
-			return rec.distSpMM(tg, cg, spmmArgs{
+			return tr.distSpMM(tg, cg, spmmArgs{
 				label: fmt.Sprintf("fwd%d/spmm", l), src: src, dst: dst,
 				width: width, srcReady: ready, overlap: tr.Cfg.Overlap,
 			})
@@ -291,7 +290,7 @@ func (tr *Trainer) recordForward(tg *sim.Graph, cg *comm.Group) []int {
 			next = spmm(tr.hwView(dOut), out, dOut, gemm(input, tr.hwView(dOut), hReady))
 		}
 		if l < L-1 {
-			next = rec.relu(tg, fmt.Sprintf("fwd%d/relu", l), l, dOut, next)
+			next = tr.relu(tg, fmt.Sprintf("fwd%d/relu", l), l, dOut, next)
 		}
 		hReady = next
 	}
@@ -320,7 +319,6 @@ func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) e
 	p := tr.Machine.P
 	spec := tr.Machine.Spec
 	L := tr.Cfg.Layers
-	rec := layerRecorder{tr.partitioned, &tr.replayer}
 	rows := func(i int) int { return tr.s(tr.devs[i].rows) }
 
 	hReady := tr.recordForward(tg, cg)
@@ -333,7 +331,7 @@ func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) e
 	lossSum := make([]float64, p)
 	lossCorrect := make([]int, p)
 	lossTestCorrect := make([]int, p)
-	gReady := rec.compute(tg, sim.KindLoss, "loss", true, hReady,
+	gReady := tr.compute(tg, sim.KindLoss, "loss", true, hReady,
 		func(i int) float64 { return spec.LossCost(rows(i), classes) },
 		func(i, id int) {
 			ds := tr.devs[i]
@@ -352,7 +350,7 @@ func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) e
 		dIn, dOut := tr.Dims[l], tr.Dims[l+1]
 		// eq. (8): mask the incoming gradient by the forward activation.
 		if l < L-1 {
-			gReady = rec.compute(tg, sim.KindActivation, fmt.Sprintf("bwd%d/relu", l), true, gReady,
+			gReady = tr.compute(tg, sim.KindActivation, fmt.Sprintf("bwd%d/relu", l), true, gReady,
 				func(i int) float64 { return spec.ElementwiseCost(int64(rows(i))*int64(dOut), 2) },
 				func(i, id int) {
 					gIn, act := tr.ahwView(l+1, dOut)(i), tr.ahwView(l, dOut)(i)
@@ -367,14 +365,14 @@ func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) e
 		if l == 0 && tr.Cfg.SkipFirstBackward {
 			hwg = tr.ahwView(0, dOut)
 		} else {
-			hwgReady = rec.distSpMM(tg, cg, spmmArgs{
+			hwgReady = tr.distSpMM(tg, cg, spmmArgs{
 				label: fmt.Sprintf("bwd%d/spmm", l), backward: true,
 				src: tr.ahwView(l, dOut), dst: hwg,
 				width: dOut, srcReady: gReady, overlap: tr.Cfg.Overlap,
 			})
 		}
 		// eq. (10): per-device partial W_G = Hᵀ HW_G, then all-reduce.
-		wgID := rec.compute(tg, sim.KindGeMM, fmt.Sprintf("bwd%d/wgrad", l), false, hwgReady,
+		wgID := tr.compute(tg, sim.KindGeMM, fmt.Sprintf("bwd%d/wgrad", l), false, hwgReady,
 			func(i int) float64 { return spec.GemmCost(dIn, rows(i), dOut) },
 			func(i, id int) {
 				in, hg, grad := tr.inputView(i, l, tr.Dims), hwg(i), tr.grads[i][l]
@@ -384,7 +382,7 @@ func (tr *Trainer) recordStep(tg *sim.Graph, cg *comm.Group) func(*EpochStats) e
 		lastAllReduce = tr.allReduceGrads(cg, l, fmt.Sprintf("bwd%d/allreduce", l), wgID)
 		// eq. (11): H_G = HW_G Wᵀ for the next (lower) layer.
 		if l > 0 {
-			gReady = rec.compute(tg, sim.KindGeMM, fmt.Sprintf("bwd%d/hgrad", l), false, hwgReady,
+			gReady = tr.compute(tg, sim.KindGeMM, fmt.Sprintf("bwd%d/hgrad", l), false, hwgReady,
 				func(i int) float64 { return spec.GemmCost(rows(i), dOut, dIn) },
 				func(i, id int) {
 					hg, w, hgOut := hwg(i), tr.weights[i][l], tr.ahwView(l, dIn)(i)

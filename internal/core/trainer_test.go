@@ -416,8 +416,7 @@ func ringGraph(n, linked int) *graph.Graph {
 // TestDegenerateInputs pins the inputs at the edges of the partitioned
 // trainers as behaviour: more devices than vertices (empty blocks), isolated
 // vertices, a one-wide hidden layer and a single layer each train one epoch
-// to a finite positive loss on every strategy, and the GAT forward returns
-// finite logits. None may panic.
+// to a finite positive loss on every strategy. None may panic.
 func TestDegenerateInputs(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -445,28 +444,13 @@ func TestDegenerateInputs(t *testing.T) {
 				t.Fatalf("%s/%s: loss %v over %d tasks", tc.name, st, s.Loss, len(s.Tasks))
 			}
 		}
-		cfg := testConfig(tc.p)
-		dims := nn.LayerDims(tc.g.FeatDim, tc.hid, tc.layers, tc.g.Classes)
-		dist, err := NewGATDist(tc.g, nn.NewGAT(tc.g, dims, 3), cfg)
-		if err != nil {
-			t.Fatalf("%s/gat: %v", tc.name, err)
-		}
-		logits, _, err := dist.Forward()
-		if err != nil {
-			t.Fatalf("%s/gat: %v", tc.name, err)
-		}
-		for i, x := range logits.Data {
-			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-				t.Fatalf("%s/gat: logit %d is %v", tc.name, i, x)
-			}
-		}
 	}
 }
 
 // TestBroadcastStagingIsShapeOnly: a broadcast-staged SpMM reads the root's
-// block in place, so BC1/BC2 hold no host storage under 1D-row, 1.5D and the
-// GAT, yet they stay in the L+3 count and charge the pool exactly as their
-// phantom twins' do. 1D-col's BC partials are real sums and keep storage.
+// block in place, so BC1/BC2 hold no host storage under 1D-row and 1.5D, yet
+// they stay in the L+3 count and charge the pool exactly as their phantom
+// twins' do. 1D-col's BC partials are real sums and keep storage.
 func TestBroadcastStagingIsShapeOnly(t *testing.T) {
 	g := testGraph(t)
 	phantom := gen.Generate("core-test", gen.DefaultBTER(160, 8, 99), 12, 4, true)
@@ -498,10 +482,4 @@ func TestBroadcastStagingIsShapeOnly(t *testing.T) {
 			}
 		}
 	}
-	dist, err := NewGATDist(g, nn.NewGAT(g, nn.LayerDims(g.FeatDim, 16, 2, g.Classes), 3), testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustGATForward(dist)
-	check("gat", dist.devs, true, 2)
 }

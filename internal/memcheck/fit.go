@@ -101,7 +101,7 @@ func FitCatalog(spec sim.MachineSpec, p, scale, hidden, layers int) ([]FitVerdic
 		ds := catalog[name]
 		n, m := ds.FullN/int64(scale), ds.FullM/int64(scale)
 		dims := nn.LayerDims(ds.FeatDim, hidden, layers, ds.Classes)
-		for _, strat := range []string{"1d-row", "1d-col", "1.5d", "gat", "cagnet"} {
+		for _, strat := range []string{"1d-row", "1d-col", "1.5d", "cagnet"} {
 			if p%replication(strat) != 0 {
 				continue
 			}

@@ -98,53 +98,6 @@ func fullBatchFootprint(m Model, kind string, c int) (*Footprint, error) {
 	return fp, nil
 }
 
-// gatFootprint certifies the GAT forward pass. Unlike the GCN trainer there
-// is no backward pass to pin every activation slab across a loss task: the
-// AHW slabs are provably exclusive (AHW[l]'s last reader, the layer-l+1
-// GeMM, precedes AHW[l+1]'s first writer on the same device FIFO), so the
-// peak holds HW, the k touched broadcast slabs, and the single widest AHW.
-// Certification requires the widest AHW to be layer 0's (max(F0,F1) equals
-// the global max width) and L >= 2, which makes the instant "layer-0 SpMM
-// at the later of the two slab parities' first stages" carry the full set
-// in every order: both staging slabs are then re-read by layer 1, so
-// neither can release mid-layer-0.
-func gatFootprint(m Model) (*Footprint, error) {
-	layers := len(m.Dims) - 1
-	if layers < 1 {
-		return nil, fmt.Errorf("memcheck: gat needs at least 1 layer, got dims %v", m.Dims)
-	}
-	if err := checkDevice(m, "gat"); err != nil {
-		return nil, err
-	}
-	uncertified := ""
-	if layers < 2 {
-		uncertified = "gat needs L >= 2: single-layer broadcast slabs release mid-forward, so the slab peak is order-dependent"
-	} else if int64(max(m.Dims[0], m.Dims[1])) != maxDim(m) {
-		uncertified = fmt.Sprintf("gat slab form needs max(F0,F1) == max width (argmax activation slab at layer 0), got dims %v", m.Dims)
-	}
-	k := kBroadcast(m.P, 1, m.Device, m.Overlap)
-	hw, stage := m.Rows*maxDim(m), m.TileRows*maxDim(m)
-
-	// gat-model holds weights plus the two attention vectors per layer at
-	// 4 bytes each (no optimizer moments: forward only); gat-attn charges
-	// half the adjacency bytes for the per-edge score storage, rounded
-	// down as the pool charge is.
-	gatParams := params(m.Dims)
-	for _, d := range m.Dims[1:] {
-		gatParams += 2 * int64(d)
-	}
-	alloc := hw + 2*stage + activations(m)
-	fp := &Footprint{
-		SlabBytes: 4 * (2*hw + int64(k)*stage),
-		SlabCount: 2 + k,
-		Resident:  m.AdjBytes + m.AdjBytes/2 + 4*m.Rows*int64(m.Dims[0]) + 4*gatParams + 4*alloc,
-	}
-	if uncertified != "" {
-		fp.SlabBytes, fp.SlabCount, fp.Uncertified = 0, 0, uncertified
-	}
-	return fp, nil
-}
-
 // sampledFootprint certifies the sampled minibatch pipeline's slab set: the
 // degree-ordered feature cache, the gathered-feature slab X, one aggregate
 // slab AH per layer, the gradient slab G and one OUT slab per layer — 2L+3

@@ -46,7 +46,7 @@ type Model struct {
 	Device  int
 	Overlap bool
 
-	// Full-batch and GAT: the device's row count, the largest partition
+	// Full-batch: the device's row count, the largest partition
 	// part's row count (every staging slab is sized for it), and the
 	// device's adjacency-tile bytes. Read them from a built trainer's
 	// DeviceRows / MaxTileRows / AdjacencyBytes, or AnalyticResident derives
@@ -80,16 +80,14 @@ type Footprint struct {
 }
 
 // PeakForm builds the closed-form footprint of the named strategy under m:
-// the three full-batch SpMM strategies (core.Strategy.Name), the GAT
-// forward, or the sampled pipeline. A new strategy is a new case here beside
-// its row in core's strategy table; the broadcast-staged full-batch family
-// shares one form in its replication factor c.
+// the three full-batch SpMM strategies (core.Strategy.Name) or the sampled
+// pipeline. A new strategy is a new case here beside its row in core's
+// strategy table; the broadcast-staged full-batch family shares one form in
+// its replication factor c.
 func PeakForm(name string, m Model) (*Footprint, error) {
 	switch name {
 	case "1d-row", "1d-col", "1.5d":
 		return fullBatchFootprint(m, name, replication(name))
-	case "gat":
-		return gatFootprint(m)
 	case "sampled":
 		return sampledFootprint(m)
 	}

@@ -143,43 +143,6 @@ func TestSlabBoundReproof(t *testing.T) {
 	}
 }
 
-func TestGATTripleCrossCheck(t *testing.T) {
-	g := crossGraph(80, 7)
-	for _, tc := range []struct {
-		p       int
-		overlap bool
-	}{
-		{1, true}, {2, true}, {3, true}, {3, false}, {4, true}, {4, false},
-	} {
-		t.Run(fmt.Sprintf("p%d/overlap=%v", tc.p, tc.overlap), func(t *testing.T) {
-			cfg := core.DefaultConfig(sim.DGXV100(), tc.p, 1)
-			cfg.Overlap = tc.overlap
-			dims := nn.LayerDims(g.FeatDim, 16, 2, g.Classes)
-			model := nn.NewGAT(g, dims, 3)
-			cfg.ExecWorkers = crossWorkers
-			dist, err := core.NewGATDist(g, model, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := dist.Forward(); err != nil {
-				t.Fatal(err)
-			}
-			live := memcheck.PeakLiveSlabs(dist.LastGraph(), dist.LastGraph().HappensBefore(sim.ExecutorEdges))
-			meter := memcheck.MeteredSlabs(dist.LastGraph())
-			for d := 0; d < tc.p; d++ {
-				fp, err := memcheck.PeakForm("gat", memcheck.Model{
-					Dims: dims, P: tc.p, Device: d, Overlap: tc.overlap,
-					Rows: int64(dist.DeviceRows(d)), TileRows: int64(dist.MaxTileRows()), AdjBytes: dist.AdjacencyBytes(d),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkTriple(t, fp, live, meter, d, dist.PoolUsed(d))
-			}
-		})
-	}
-}
-
 func TestSampledTripleCrossCheck(t *testing.T) {
 	g := crossGraph(120, 11)
 	const p = 2
@@ -267,18 +230,11 @@ func TestUncertifiedModels(t *testing.T) {
 	}
 	dims1 := []int{12, 4}     // L=1
 	dims2 := []int{12, 16, 4} // L=2, max at F1
-	dimsUp := []int{4, 8, 16} // widest layer last: outside the gat form
 
 	fp, err := memcheck.PeakForm("1d-row", memcheck.Model{Dims: dims1, P: 2, Device: 0, Overlap: true})
 	check(t, fp, err, true) // L=1 at P>1: broadcast slabs release mid-forward
 	fp, err = memcheck.PeakForm("1d-row", memcheck.Model{Dims: dims1, P: 1, Device: 0, Overlap: true})
 	check(t, fp, err, false) // single device has no broadcasts: certifiable at L=1
-	fp, err = memcheck.PeakForm("gat", memcheck.Model{Dims: dims1, P: 2, Device: 0, Overlap: true})
-	check(t, fp, err, true)
-	fp, err = memcheck.PeakForm("gat", memcheck.Model{Dims: dimsUp, P: 2, Device: 0, Overlap: true})
-	check(t, fp, err, true) // argmax activation slab not at layer 0
-	fp, err = memcheck.PeakForm("gat", memcheck.Model{Dims: dims2, P: 2, Device: 0, Overlap: true})
-	check(t, fp, err, false)
 	caps := []int{40, 20, 8}
 	fp, err = memcheck.PeakForm("sampled", memcheck.Model{Dims: dims2, P: 2, Device: 0, Caps: caps, Depth: 1, Steps: 1})
 	check(t, fp, err, true)
@@ -453,7 +409,7 @@ func TestMeteredSlabsStampSweep(t *testing.T) {
 // error.
 func TestPeakFormNames(t *testing.T) {
 	model := memcheck.Model{Dims: []int{12, 16, 4}, P: 4, Overlap: true, Caps: []int{64, 32, 8}, Depth: 2, Steps: 4}
-	for _, name := range []string{"1d-row", "1d-col", "1.5d", "gat", "sampled"} {
+	for _, name := range []string{"1d-row", "1d-col", "1.5d", "sampled"} {
 		if fp, err := memcheck.PeakForm(name, model); err != nil || fp == nil || fp.Resident <= 0 {
 			t.Fatalf("strategy %q has no peak form: %v, %v", name, fp, err)
 		}
@@ -512,7 +468,7 @@ func TestFitCatalog(t *testing.T) {
 		byKey[v.Dataset+"/"+v.Strategy] = v
 	}
 	for _, name := range gen.AllNames() {
-		for _, strat := range []string{"1d-row", "1d-col", "1.5d", "gat", "cagnet"} {
+		for _, strat := range []string{"1d-row", "1d-col", "1.5d", "cagnet"} {
 			if _, ok := byKey[name+"/"+strat]; !ok {
 				t.Errorf("missing verdict for %s/%s", name, strat)
 			}

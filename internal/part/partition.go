@@ -15,9 +15,6 @@ type Vector []int
 // Parts returns the number of parts P.
 func (v Vector) Parts() int { return len(v) - 1 }
 
-// N returns the total element count covered by the vector.
-func (v Vector) N() int { return v[len(v)-1] }
-
 // Bounds returns the half-open range [lo, hi) of part i.
 func (v Vector) Bounds(i int) (lo, hi int) { return v[i], v[i+1] }
 

@@ -379,3 +379,6 @@ func (v Vector) Validate(n int) error {
 	}
 	return nil
 }
+
+// N returns the total element count covered by the vector.
+func (v Vector) N() int { return v[len(v)-1] }

@@ -81,18 +81,17 @@ func weights(m Model) int64 {
 }
 
 // VolumeForm evaluates the closed form of the named strategy under m: the
-// three full-batch SpMM strategies (core.Strategy.Name) or the GAT forward.
-// A new strategy is a new case here beside its row in core's strategy table
-// — the CAGNET-style analysis lives with the form, the checker stays
-// generic. The CAGNET baseline records through 1D-row with SkipFirstBackward
-// off, and is certified by that form.
+// three full-batch SpMM strategies (core.Strategy.Name). A new strategy is a
+// new case here beside its row in core's strategy table — the CAGNET-style
+// analysis lives with the form, the checker stays generic. The CAGNET
+// baseline records through 1D-row with SkipFirstBackward off, and is
+// certified by that form.
 func VolumeForm(strategy string, m Model) (map[sim.CollOp]int64, error) {
 	NS := int64(m.N) * int64(m.S)
 	pm1 := int64(m.P - 1)
 	// One unscaled gradient all-reduce per layer, issued by the Trainer
 	// under every strategy: 2·(P-1)·Σ_l F_l·F_{l+1}.
 	weightAllReduce := 2 * pm1 * weights(m)
-	L := int64(len(m.Dims) - 1)
 	switch strategy {
 	case "1d-row":
 		return broadcastStaged(m, 1, weightAllReduce)
@@ -104,18 +103,6 @@ func VolumeForm(strategy string, m Model) (map[sim.CollOp]int64, error) {
 		return map[sim.CollOp]int64{
 			sim.CollReduce:    pm1 * NS * spmmWidths(m),
 			sim.CollAllReduce: weightAllReduce,
-		}, nil
-	case "gat":
-		// GAT forward (§7): per layer one all-gather of the n per-vertex
-		// source scores — total extent N·1, so (P-1)·N·S — plus the staged
-		// broadcast of Z at the output width, (P-1)·N·F_{l+1}·S.
-		var outs int64
-		for _, d := range m.Dims[1:] {
-			outs += int64(d)
-		}
-		return map[sim.CollOp]int64{
-			sim.CollBroadcast: pm1 * NS * outs,
-			sim.CollAllGather: pm1 * NS * L,
 		}, nil
 	}
 	return nil, fmt.Errorf("schedcheck: no volume form for strategy %q", strategy)

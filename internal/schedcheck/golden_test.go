@@ -9,7 +9,6 @@ import (
 	"mggcn/internal/core"
 	"mggcn/internal/gen"
 	"mggcn/internal/graph"
-	"mggcn/internal/nn"
 	"mggcn/internal/schedcheck"
 	"mggcn/internal/sim"
 )
@@ -132,39 +131,5 @@ func TestGoldenCertificationDegraded(t *testing.T) {
 			cfg.Strategy = tc.from.Degraded(tc.p)
 			certifyTrainer(t, g, cfg)
 		})
-	}
-}
-
-func TestGoldenCertificationGAT(t *testing.T) {
-	g := goldenGraph(t)
-	cfg := core.DefaultConfig(sim.DGXV100(), 3, 1)
-	cfg.Hidden, cfg.Layers = 16, 2
-	meter := comm.NewMeter()
-	cfg.CommMeter = meter
-	model := nn.NewGAT(g, nn.LayerDims(g.FeatDim, cfg.Hidden, 2, g.Classes), 3)
-	dist, err := core.NewGATDist(g, model, cfg)
-	if err != nil {
-		t.Fatalf("NewGATDist: %v", err)
-	}
-	if _, _, err := dist.Forward(); err != nil {
-		t.Fatalf("Forward: %v", err)
-	}
-	tg := dist.LastGraph()
-	if fs := schedcheck.Check(tg); len(fs) != 0 {
-		t.Fatalf("structural findings: %v", fs)
-	}
-	form := schedcheck.Model{N: g.N(), P: cfg.P, S: cfg.MemScale, Dims: model.Dims}
-	vol, err := schedcheck.VolumeForm("gat", form)
-	if err != nil {
-		t.Fatalf("VolumeForm: %v", err)
-	}
-	if fs := schedcheck.CertifyVolume(tg, vol, form); len(fs) != 0 {
-		t.Fatalf("cost findings: %v", fs)
-	}
-	annotated := schedcheck.AnnotatedWords(tg)
-	for _, op := range sim.CollOps() {
-		if got, want := meter.Words(op), annotated[op]; got != want {
-			t.Fatalf("%s: meter %d words != annotated %d", op, got, want)
-		}
 	}
 }

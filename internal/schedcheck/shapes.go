@@ -190,36 +190,13 @@ func checkCommShapes(t *sim.Task, reads, writes []sim.ViewShape) []Finding {
 	if c == nil {
 		return nil // already reported by CheckCollectives
 	}
+	// Every collective moves a shape-uniform payload: broadcast, reduce and
+	// allreduce read and write the annotated extent on every member.
 	var out []Finding
-	switch c.Op {
-	case sim.CollAllGather:
-		// Writes hold the total gathered extent; reads are the per-member
-		// contributions whose rows concatenate to it.
-		for _, s := range writes {
-			if s.Rows != c.Rows || s.Cols != c.Cols {
-				out = append(out, finding(t, "shape",
-					"allgather destination %dx%d != annotated total %dx%d", s.Rows, s.Cols, c.Rows, c.Cols))
-			}
-		}
-		sum := 0
-		for _, s := range reads {
-			sum += s.Rows
-			if s.Cols != c.Cols {
-				out = append(out, finding(t, "shape",
-					"allgather contribution width %d != annotated width %d", s.Cols, c.Cols))
-			}
-		}
-		if len(reads) > 0 && sum != c.Rows {
+	for _, s := range append(append([]sim.ViewShape(nil), reads...), writes...) {
+		if s.Rows != c.Rows || s.Cols != c.Cols {
 			out = append(out, finding(t, "shape",
-				"allgather contributions total %d rows, annotation says %d", sum, c.Rows))
-		}
-	default:
-		// broadcast / reduce / allreduce move shape-uniform payloads.
-		for _, s := range append(append([]sim.ViewShape(nil), reads...), writes...) {
-			if s.Rows != c.Rows || s.Cols != c.Cols {
-				out = append(out, finding(t, "shape",
-					"%s operand %dx%d != annotated payload %dx%d", c.Op, s.Rows, s.Cols, c.Rows, c.Cols))
-			}
+				"%s operand %dx%d != annotated payload %dx%d", c.Op, s.Rows, s.Cols, c.Rows, c.Cols))
 		}
 	}
 	return out

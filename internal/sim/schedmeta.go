@@ -21,7 +21,6 @@ const (
 	CollBroadcast CollOp = iota
 	CollReduce
 	CollAllReduce
-	CollAllGather
 	// CollGatherHit / CollGatherMiss are not collectives: they are the
 	// comm.Meter accounting keys for the sampled pipeline's feature-gather
 	// traffic (cache-hit words served from HBM vs. miss words crossing the
@@ -40,8 +39,6 @@ func (o CollOp) String() string {
 		return "reduce"
 	case CollAllReduce:
 		return "allreduce"
-	case CollAllGather:
-		return "allgather"
 	case CollGatherHit:
 		return "gather-hit"
 	case CollGatherMiss:
@@ -53,15 +50,14 @@ func (o CollOp) String() string {
 
 // CollOps lists every collective operation in display order.
 func CollOps() []CollOp {
-	return []CollOp{CollBroadcast, CollReduce, CollAllReduce, CollAllGather}
+	return []CollOp{CollBroadcast, CollReduce, CollAllReduce}
 }
 
 // Collective annotates one comm task with the facts a symbolic verifier
 // needs: the operation, the participating devices (global IDs, in group
 // order), the root's global device ID (-1 for rootless ops), and the payload
-// extent. Rows x Cols is the per-member payload for broadcast/reduce/
-// all-reduce and the *total gathered* extent for all-gather; Scale is the
-// dataset byte-scale multiplier the words metric carries (DESIGN.md §2).
+// extent. Rows x Cols is the per-member payload; Scale is the dataset
+// byte-scale multiplier the words metric carries (DESIGN.md §2).
 type Collective struct {
 	Op    CollOp
 	Root  int // global device ID; -1 for rootless collectives
@@ -78,9 +74,6 @@ type Collective struct {
 //	broadcast:  (g-1) · Rows·Cols · Scale   (root sends to each other rank)
 //	reduce:     (g-1) · Rows·Cols · Scale   (each non-root sends to root)
 //	allreduce:  2·(g-1) · Rows·Cols · Scale (reduce-scatter + all-gather ring)
-//	allgather:  (g-1) · Rows·Cols · Scale   (Rows·Cols is the total gathered
-//	                                         extent; each word leaves its
-//	                                         owner once per other rank)
 func (c *Collective) Words() int64 {
 	g := int64(len(c.Group))
 	payload := int64(c.Rows) * int64(c.Cols) * c.Scale
@@ -109,9 +102,9 @@ func (g *Graph) AnnotateCollective(id int, c *Collective) {
 
 // ViewShape is one entry of a shaped access declaration: a registered buffer
 // plus the matrix extent the closure touches it at. Rows == 0 marks an
-// *opaque* access (a pseudo-buffer with no dense extent, e.g. the GAT
-// attention tiles): it participates in happens-before ordering but is
-// skipped by shape-flow typing.
+// *opaque* access (a pseudo-buffer with no dense extent, e.g. the sampled
+// trainer's handoff slot, which holds a step's sampled blocks): it
+// participates in happens-before ordering but is skipped by shape-flow typing.
 type ViewShape struct {
 	Buf  BufID
 	Rows int
@@ -137,8 +130,9 @@ func ShapesOf(views ...*tensor.Dense) []ViewShape {
 }
 
 // OpaqueShape declares an access to a registered pseudo-buffer that has no
-// dense extent (GAT's attention-tile handoff): ordered by the sanitizer,
-// ignored by shape typing.
+// dense extent (the sampled trainer's slot handoff from its sample task to
+// the step that trains from it): ordered by the sanitizer, ignored by shape
+// typing.
 func OpaqueShape(id BufID) ViewShape { return ViewShape{Buf: id} }
 
 // BindShaped attaches fn as task id's host-execution closure together with
