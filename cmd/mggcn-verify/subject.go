@@ -173,16 +173,15 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 	}
 	s.dims = nn.LayerDims(g.FeatDim, cfg.Hidden, layers, g.Classes)
 
-	// record replays one full-batch epoch on a fresh trainer, the observer
-	// built from that trainer's own registry.
-	var record func(c core.Config, observe observerFor) (*core.Trainer, outputs)
 	switch st.kind {
 	case fullBatch:
 		cfg.Strategy = st.spmm
 		if st.baseline != nil {
 			cfg = st.baseline(cfg)
 		}
-		record = func(c core.Config, observe observerFor) (*core.Trainer, outputs) {
+		// record replays one epoch on a fresh trainer, the observer built
+		// from that trainer's own registry.
+		record := func(c core.Config, observe observerFor) (*core.Trainer, outputs) {
 			tr, err := core.NewTrainer(g, c)
 			must(err)
 			if observe != nil {
@@ -191,6 +190,24 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 			stats, err := tr.RunEpoch()
 			must(err)
 			return tr, outputs{stats.Loss, tr.Weights()}
+		}
+		metered := cfg
+		metered.CommMeter = s.comm
+		var tr *core.Trainer
+		tr, s.base = record(metered, nil)
+		s.graph = tr.LastGraph()
+		s.model = func(dev int) memcheck.Model {
+			return memcheck.Model{Dims: s.dims, P: p, Device: dev, Overlap: cfg.Overlap,
+				Rows: int64(tr.DeviceRows(dev)), TileRows: int64(tr.MaxTileRows()), AdjBytes: tr.AdjacencyBytes(dev)}
+		}
+		s.poolUsed = tr.PoolUsed
+		s.rerun = func(seed int64, observe observerFor) outputs {
+			c := cfg
+			if seed != 0 {
+				c.ExecSeed, c.ExecWorkers = seed, 4
+			}
+			_, out := record(c, observe)
+			return out
 		}
 	case sampled:
 		scfg := core.DefaultSampledConfig(cfg.Spec, p, 1)
@@ -223,26 +240,6 @@ func (v *verifier) subject(st *strategy, p int) *subject {
 		s.poolUsed = tr.PoolUsed
 	}
 	s.cfg = cfg
-	if record != nil {
-		metered := cfg
-		metered.CommMeter = s.comm
-		var run *core.Trainer
-		run, s.base = record(metered, nil)
-		s.graph = run.LastGraph()
-		s.model = func(dev int) memcheck.Model {
-			return memcheck.Model{Dims: s.dims, P: p, Device: dev, Overlap: cfg.Overlap,
-				Rows: int64(run.DeviceRows(dev)), TileRows: int64(run.MaxTileRows()), AdjBytes: run.AdjacencyBytes(dev)}
-		}
-		s.poolUsed = run.PoolUsed
-		s.rerun = func(seed int64, observe observerFor) outputs {
-			c := cfg
-			if seed != 0 {
-				c.ExecSeed, c.ExecWorkers = seed, 4
-			}
-			_, out := record(c, observe)
-			return out
-		}
-	}
 	s.hb = s.graph.HappensBefore(sim.ExecutorEdges)
 	s.live, s.meter = memcheck.PeakLiveSlabs(s.graph, s.hb), memcheck.MeteredSlabs(s.graph)
 	v.report.Subjects = append(v.report.Subjects, subjectReport{st.name, p, len(s.graph.Tasks)})

@@ -66,7 +66,7 @@ go run ./cmd/mggcn-verify schedcheck -gpus 8 -memscale 3
 echo "==> mggcn-verify memcheck (static peak-memory certifier)"
 # Three-way byte-exact cross-check — closed-form certified peak, graph
 # liveness high-water, replay-time allocation meter — over every strategy
-# (full-batch, GAT, sampled pipeline) and each elastic P-1 degradation,
+# (full-batch, sampled pipeline) and each elastic P-1 degradation,
 # plus paper-scale fit verdicts; exits 1 on any disagreement. Off the default
 # operating point, like the schedcheck leg.
 go run ./cmd/mggcn-verify memcheck -gpus 8 -machine v100
@@ -82,8 +82,8 @@ go run ./cmd/mggcn-verify san -ignore-fences -seeds 1
 echo "==> mggcn-verify chaos (fault-injection smoke)"
 # Seeded fault matrix over every strategy plus the sampled pipeline:
 # crash, transient (retried and exhausted), straggler, poison, and the
-# sampler-only flaky-sampler kind. Exits non-zero if any scenario deviates
-# from its expected survive/abort outcome.
+# sampler-only flaky-sampler kind. Exits non-zero if any scenario does not
+# survive.
 go run ./cmd/mggcn-verify chaos -seeds 1 > /dev/null
 
 echo "==> mggcn-verify all -json (every pass over one set of recordings)"
